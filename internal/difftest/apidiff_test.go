@@ -49,6 +49,7 @@ func TestRunAPIByteCompatAcrossEngines(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
+				release(t, res.Set)
 				return res.Solution, nil
 			}},
 			{"incr-cogroup", func(cfg iterative.Config) ([]record.Record, error) {
@@ -56,6 +57,7 @@ func TestRunAPIByteCompatAcrossEngines(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
+				release(t, res.Set)
 				return res.Solution, nil
 			}},
 			{"microstep", func(cfg iterative.Config) ([]record.Record, error) {
@@ -63,6 +65,7 @@ func TestRunAPIByteCompatAcrossEngines(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
+				release(t, res.Set)
 				return res.Solution, nil
 			}},
 			{"auto", func(cfg iterative.Config) ([]record.Record, error) {
@@ -70,6 +73,7 @@ func TestRunAPIByteCompatAcrossEngines(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
+				release(t, res.Set)
 				return res.Solution, nil
 			}},
 		}
@@ -114,6 +118,7 @@ func TestSSSPAPIByteCompat(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
+				release(t, res.Set)
 				return res.Solution, nil
 			}},
 			{"microstep", func(cfg iterative.Config) ([]record.Record, error) {
@@ -121,6 +126,7 @@ func TestSSSPAPIByteCompat(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
+				release(t, res.Set)
 				return res.Solution, nil
 			}},
 		}

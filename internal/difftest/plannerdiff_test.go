@@ -86,6 +86,7 @@ func TestPlannerDifferentialCC(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
+					release(t, res.Set)
 					got := canonicalRecords(res.Solution)
 					if i == 0 {
 						base = got
@@ -115,6 +116,7 @@ func TestPlannerDifferentialSSSP(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				release(t, res.Set)
 				got := canonicalRecords(res.Solution)
 				if i == 0 {
 					base = got

@@ -17,9 +17,11 @@ import (
 // process boundary (in-process listener, but the full control + data
 // protocol) must stay byte-identical to a single-process LiveView — and
 // to the from-scratch oracles — under the same random insert/delete
-// stream. This exercises the distributed monotone candidate rounds, the
-// coordinated full recompute on deletions, the digest-verified replans,
-// and the scatter-gather snapshot, across backends and both algorithms.
+// stream, taking the same maintenance decisions (the recompute counters
+// must agree). This exercises the distributed monotone candidate rounds,
+// the region-merging bounded recompute and the coordinated full recompute
+// on deletions, the digest checks, and the scatter-gather snapshot, across
+// backends and both algorithms.
 
 // startViewWorkers launches n in-process `spinflow worker` equivalents
 // hosting view sessions, returning their control addresses.
@@ -79,15 +81,17 @@ func ssspOracle(gs *live.GraphState, source int64) map[int64]float64 {
 }
 
 func TestLiveShardedStreamCC(t *testing.T) {
-	g := diffGraphs()[0]
+	g := diffGraphs()[1] // many components: deletions stay under RecomputeFraction
 	half := len(g.Edges) / 2
 	initial := make([]live.Mutation, half)
 	for i, e := range g.Edges[:half] {
 		initial[i] = live.InsertEdge(e.Src, e.Dst)
 	}
-	for _, bk := range shardBackends {
+	for i, bk := range shardBackends {
 		t.Run(bk, func(t *testing.T) {
-			workers := startViewWorkers(t, 1)
+			// One backend also runs on three hosts: regions then merge
+			// from more than one remote share.
+			workers := startViewWorkers(t, 1+i)
 			sharded, err := live.NewView("shard-cc-"+bk, live.CC(), initial, shardViewConfig(bk, workers))
 			if err != nil {
 				t.Fatal(err)
@@ -106,7 +110,7 @@ func TestLiveShardedStreamCC(t *testing.T) {
 				replay.Apply(mu)
 			}
 			rng := &streamRNG{s: 0x5AA5 ^ uint64(len(g.Edges))}
-			stream := mutationStream(g, rng, 6, 6, model, g.Edges[half:])
+			stream := mutationStream(g, rng, 12, 3, model, g.Edges[half:])
 			for bi, batch := range stream {
 				for _, mu := range batch {
 					replay.Apply(mu)
@@ -140,10 +144,20 @@ func TestLiveShardedStreamCC(t *testing.T) {
 				}
 			}
 			// Both hosts must actually hold records.
-			for _, st := range sharded.Stats().Shards {
+			ss, ls := sharded.Stats(), single.Stats()
+			for _, st := range ss.Shards {
 				if st.Records == 0 {
-					t.Fatalf("host %d serves no records: %+v", st.Host, sharded.Stats().Shards)
+					t.Fatalf("host %d serves no records: %+v", st.Host, ss.Shards)
 				}
+			}
+			// One algorithm: deletions take the bounded path on two hosts
+			// exactly when they do on one.
+			if ss.PartialRecomputes == 0 {
+				t.Fatal("sharded view never took the bounded-recompute path")
+			}
+			if ss.PartialRecomputes != ls.PartialRecomputes || ss.FullRecomputes != ls.FullRecomputes {
+				t.Fatalf("recomputes partial/full: sharded %d/%d, single-process %d/%d",
+					ss.PartialRecomputes, ss.FullRecomputes, ls.PartialRecomputes, ls.FullRecomputes)
 			}
 		})
 	}
@@ -179,6 +193,18 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 			}
 			rng := &streamRNG{s: 0xD157 ^ uint64(len(g.Edges))<<2}
 			stream := mutationStream(g, rng, 4, 5, model, g.Edges[half:])
+			// Two batches the random draw may miss: a re-weight of a live
+			// edge and a vertex drop. Neither is monotone and SSSP cannot
+			// bound either, so each is one full recompute on both views.
+			edges := model.Graph("model").Edges
+			rw, drop := edges[0], edges[len(edges)-1].Dst
+			if drop == source {
+				drop = edges[len(edges)-1].Src
+			}
+			forced := len(stream)
+			stream = append(stream,
+				[]live.Mutation{live.InsertWeightedEdge(rw.Src, rw.Dst, diffWeight(rw.Src, rw.Dst)+1)},
+				[]live.Mutation{live.DeleteVertex(drop)})
 			for bi, batch := range stream {
 				clean := batch[:0:0]
 				for _, mu := range batch {
@@ -191,11 +217,16 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 					replay.Apply(mu)
 				}
 				for _, v := range []*live.LiveView{sharded, single} {
+					before := v.Stats().FullRecomputes
 					if err := v.Mutate(clean...); err != nil {
 						t.Fatalf("batch %d: %v", bi, err)
 					}
 					if err := v.Flush(); err != nil {
 						t.Fatalf("batch %d flush: %v", bi, err)
+					}
+					if st := v.Stats(); bi >= forced && st.FullRecomputes != before+1 {
+						t.Fatalf("batch %d on %s: FullRecomputes %d -> %d, want one full recompute",
+							bi, v.Name(), before, st.FullRecomputes)
 					}
 				}
 				ctx := fmt.Sprintf("batch %d", bi)
@@ -210,6 +241,11 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 						t.Fatalf("%s: dist(%d) = %v, oracle %v", ctx, r.A, r.X, oracle[r.A])
 					}
 				}
+			}
+			ss, ls := sharded.Stats(), single.Stats()
+			if ss.PartialRecomputes != 0 || ls.PartialRecomputes != 0 || ss.FullRecomputes != ls.FullRecomputes {
+				t.Fatalf("recomputes partial/full: sharded %d/%d, single-process %d/%d (SSSP never bounds a removal)",
+					ss.PartialRecomputes, ss.FullRecomputes, ls.PartialRecomputes, ls.FullRecomputes)
 			}
 		})
 	}

@@ -88,6 +88,7 @@ func OutOfCore(o Options) (*OutOfCoreResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer spillRes.Set.Reset() // the evicted partitions' spill files
 	res.Resident = spillM.SolutionBytes.Load()
 	res.Spills = spillM.SolutionSpills.Load()
 	res.Reloads = spillM.SolutionReloads.Load()

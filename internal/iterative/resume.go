@@ -178,9 +178,11 @@ func (f *Fixpoint) Plan() *optimizer.PhysPlan { return f.reopt.cur }
 func (f *Fixpoint) InvalidateConstants() { f.en.exec.InvalidateCaches() }
 
 // Rebind re-optimizes a structurally new spec and swaps in a fresh session
-// for it, keeping the executor and the resident solution set. Live views
-// use it when the graph has drifted so far from the planned statistics
-// that the old physical plan is no longer credible.
+// for it, keeping the executor, the transport (rebound to the new plan's
+// edge count; every peer must Rebind at the same barrier) and the resident
+// solution set. Live views use it for full recomputes and when the graph
+// has drifted so far from the planned statistics that the old physical
+// plan is no longer credible.
 func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
 	if err := spec.validate(); err != nil {
 		return err
@@ -204,6 +206,9 @@ func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
 		f.en.exec.DirectMerge = true
 	}
 	f.en.sess.Close()
+	if rb, ok := f.en.tr.(runtime.Rebinder); ok {
+		rb.Rebind(phys.NumEdges)
+	}
 	f.en.sess = f.en.exec.OpenSessionOn(phys, f.en.tr)
 	return nil
 }

@@ -6,6 +6,7 @@ package iterative_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/dataflow"
@@ -62,6 +63,7 @@ func TestResumeIncrementalAbsorbsInsert(t *testing.T) {
 			if res.Set == nil {
 				t.Fatal("IncrementalResult.Set handoff is nil")
 			}
+			t.Cleanup(res.Set.Reset)
 
 			// The resumed spec's Δ plan must see the full edge set.
 			spec, _, _ := algorithms.CCIncrementalSpec(full, algorithms.CCCoGroup)
@@ -178,4 +180,136 @@ func TestFixpointSessionReuseAcrossRestarts(t *testing.T) {
 			t.Fatalf("vertex %d -> %d, oracle %d", v, got[v], c)
 		}
 	}
+}
+
+// peerBarrier steps a second in-process host in lockstep with the driving
+// one: the two-host stand-in for a coordinator's control connection.
+type peerBarrier struct {
+	peer *iterative.Fixpoint
+	done chan peerStep
+}
+
+type peerStep struct {
+	next int
+	err  error
+}
+
+func (b *peerBarrier) Release(int) error {
+	go func() {
+		n, err := b.peer.StepOnce()
+		b.done <- peerStep{n, err}
+	}()
+	return nil
+}
+
+func (b *peerBarrier) Collect(_, localNext int) (int, error) {
+	r := <-b.done
+	return localNext + r.next, r.err
+}
+
+// ccSpecCombined is the Match-variant CC dataflow with a min-label
+// combiner in front of the workset sink: same fixpoint, one more node and
+// edge in the physical plan.
+func ccSpecCombined(g *graphgen.Graph) iterative.IncrementalSpec {
+	edgeRecs := algorithms.EdgeRecords(g.Undirected())
+	plan := dataflow.NewPlan()
+	w := plan.IterationPlaceholder("W", int64(len(edgeRecs)))
+	delta := plan.SolutionJoinNode("updateCC", w, record.KeyA,
+		func(c, s record.Record, found bool, out dataflow.Emitter) {
+			if found && c.B < s.B {
+				out.Emit(record.Record{A: c.A, B: c.B})
+			}
+		})
+	delta.Preserve(0, record.KeyA)
+	dSink := plan.SinkNode("D", delta)
+	propagate := plan.MatchNode("toNeighbors", delta, plan.SourceOf("N", edgeRecs), record.KeyA, record.KeyA,
+		func(d, e record.Record, out dataflow.Emitter) {
+			out.Emit(record.Record{A: e.B, B: d.B})
+		})
+	best := plan.ReduceNode("minLabel", propagate, record.KeyA,
+		func(vid int64, group []record.Record, out dataflow.Emitter) {
+			m := group[0].B
+			for _, c := range group[1:] {
+				m = min(m, c.B)
+			}
+			out.Emit(record.Record{A: vid, B: m})
+		})
+	return iterative.IncrementalSpec{
+		Plan: plan, Workset: w, DeltaSink: dSink, WorksetSink: plan.SinkNode("W'", best),
+		SolutionKey: record.KeyA, WorksetKey: record.KeyA, Comparator: algorithms.MinCidComparator,
+	}
+}
+
+// TestFixpointRebindOverTransport re-plans a meshed two-host fixpoint onto
+// a spec whose physical plan has more edges: Rebind must re-size the
+// transport's per-edge routing state, or the new session's traffic has
+// nowhere to land.
+func TestFixpointRebindOverTransport(t *testing.T) {
+	const par, hosts = 4, 2
+	g := graphgen.Uniform("rebind-mesh", 60, 120, 0xFEED)
+	place := runtime.ContiguousPlacement(par, hosts)
+	_, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
+
+	var fx [hosts]*iterative.Fixpoint
+	var trs [hosts]*runtime.TCPTransport
+	addrs := make([]string, hosts)
+	for h := range fx {
+		cfg := iterative.Config{Parallelism: par, Hosts: hosts, Host: h}
+		spec, _, _ := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
+		phys, err := iterative.PlanIncremental(spec, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trs[h] = runtime.NewTCPTransport(h, place, phys.NumEdges, nil)
+		defer trs[h].Close()
+		if addrs[h], err = trs[h].Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		if fx[h], err = iterative.OpenFixpointOn(spec, nil, cfg, phys, trs[h]); err != nil {
+			t.Fatal(err)
+		}
+		defer fx[h].Close()
+	}
+	meshed := make(chan error, 1) // one send, from the one goroutine below
+	go func() { meshed <- trs[1].ConnectPeers(addrs, 5*time.Second) }()
+	if err := trs[0].ConnectPeers(addrs, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-meshed; err != nil {
+		t.Fatal(err)
+	}
+
+	oracle := algorithms.CCReference(g)
+	barrier := &peerBarrier{peer: fx[1], done: make(chan peerStep, 1)}
+	converge := func(ctx string) {
+		t.Helper()
+		for h := range fx {
+			fx[h].Solution().Reset()
+			fx[h].Solution().Init(s0)
+		}
+		fx[1].SeedWorkset(w0)
+		if _, err := fx[0].RunDriven(w0, iterative.DriveHooks{Barrier: barrier}); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		for h := range fx {
+			for _, p := range place.HostedBy(h) {
+				fx[h].Solution().EachPartition(p, func(r record.Record) {
+					if oracle[r.A] != r.B {
+						t.Errorf("%s: vertex %d -> %d, oracle %d", ctx, r.A, r.B, oracle[r.A])
+					}
+				})
+			}
+		}
+	}
+	converge("opened plan")
+	before := fx[0].Plan().NumEdges
+	for h := range fx {
+		if err := fx[h].Rebind(ccSpecCombined(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := fx[0].Plan().NumEdges; after <= before {
+		t.Fatalf("rebound plan has %d edges, the opened one %d; the test needs more", after, before)
+	}
+	converge("rebound plan")
 }

@@ -39,19 +39,23 @@
 // ordinary maintenance path, and truncating torn tails at the last valid
 // frame. `spinflow serve -data-dir` turns this on for every served view.
 //
-// A view reaches its fixpoint through the SessionProvider seam
-// (provider.go): in-process by default, or — with `spinflow serve
-// -workers` — a distributed session (shard.go) that hosts partition
-// ranges across `spinflow worker` processes. Every host keeps a full
-// graph replica and derives plan and placement independently
-// (digest-checked over the distrib control plane); only mutation batches
-// and owner-routed candidate worksets travel, supersteps ride the shared
-// driver's barrier over the TCP data plane, queries ask the key's owner,
-// and snapshots scatter-gather every host's shard into one canonical
-// file family.
+// Every view reaches its fixpoint through one maintenance session
+// (shard.go, shardcore.go) spread over 1+len(ViewConfig.Workers) hosts:
+// in-process with none, or — with `spinflow serve -workers` — hosting
+// partition ranges across `spinflow worker` processes. The host count
+// changes the transport and the control fan-out, never the maintenance
+// decision: insert fast path, bounded recompute, full recompute and
+// overlay fold are taken on the same conditions everywhere. Every host
+// keeps a full graph replica and derives plan and placement independently
+// (digest-checked over the distrib control plane); only mutation batches,
+// owner-routed candidate worksets and the affected regions of deletions
+// travel, supersteps ride the shared driver's barrier over the TCP data
+// plane, queries ask the key's owner, and snapshots scatter-gather every
+// host's shard into one canonical file family.
 package live
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -167,7 +171,9 @@ type ViewConfig struct {
 	// from the embedded Metrics: when several concurrently-flushing
 	// views share one Counters, samples include the neighbors' work and
 	// the fit degrades toward the (safe) built-in defaults — give auto
-	// views private Counters when switch precision matters.
+	// views private Counters when switch precision matters. RunAuto
+	// recomputes inside one process, so Validate rejects AutoEngine
+	// together with Workers.
 	AutoEngine bool
 }
 
@@ -195,6 +201,10 @@ func (c ViewConfig) normalized() ViewConfig {
 	return c
 }
 
+// errAutoEngineSharded rejects AutoEngine on a sharded view: RunAuto
+// recomputes inside one process, so the policy would be silently ignored.
+var errAutoEngineSharded = errors.New("live: AutoEngine cannot be combined with Workers")
+
 // Validate rejects configurations that cannot serve: negative knobs that
 // the zero-value defaults would otherwise silently paper over.
 func (c ViewConfig) Validate() error {
@@ -218,6 +228,9 @@ func (c ViewConfig) Validate() error {
 	}
 	if c.Durable && c.DataDir == "" {
 		return fmt.Errorf("live: Durable requires DataDir")
+	}
+	if c.AutoEngine && len(c.Workers) > 0 {
+		return errAutoEngineSharded
 	}
 	return nil
 }
@@ -276,14 +289,13 @@ type LiveView struct {
 	walHist   *obs.Histogram
 	snapHist  *obs.Histogram
 
-	// mu guards the graph, the session provider and its solution state:
-	// exclusive for maintenance, shared for reads.
+	// mu guards the graph, the session and its solution state: exclusive
+	// for maintenance, shared for reads.
 	mu sync.RWMutex
 	gs *GraphState
-	// sess is the session provider backing the view: in-process
-	// (localSession) by default, or sharded over worker processes
-	// (distSession) when ViewConfig.Workers is set.
-	sess  SessionProvider
+	// sess holds the resident fixpoint, spread over this process and
+	// ViewConfig.Workers.
+	sess  *session
 	stats ViewStats
 	// dur is the durability state (nil for in-memory views). Its wal is
 	// internally locked; the seq/snapshot bookkeeping is guarded by mu,
@@ -337,38 +349,25 @@ func NewView(name string, m Maintainer, initial []Mutation, cfg ViewConfig) (*Li
 // path: graph from initial mutations, one cold fixpoint, everything left
 // resident. cfg has been validated and normalized.
 func newViewCore(name string, m Maintainer, initial []Mutation, cfg ViewConfig) (*LiveView, error) {
-	cfg = cfg.withAutoDefaults()
-	v := &LiveView{name: name, m: m, cfg: cfg, gs: NewGraphState()}
+	gs := NewGraphState()
 	for _, mut := range initial {
-		v.gs.Apply(mut)
+		gs.Apply(mut)
 	}
+	return assembleView(name, m, cfg.withAutoDefaults(), gs, nil)
+}
+
+// assembleView wires a LiveView and its session around a graph. A non-nil
+// recovered solution skips the cold fixpoint and initializes the session
+// from those records instead (the snapshot-recovery path).
+func assembleView(name string, m Maintainer, cfg ViewConfig, gs *GraphState, recovered []record.Record) (*LiveView, error) {
+	v := &LiveView{name: name, m: m, cfg: cfg, gs: gs}
 	v.bindObs()
-	sess, err := v.openSession(nil)
+	sess, err := openSession(v, recovered)
 	if err != nil {
 		return nil, err
 	}
 	v.sess = sess
 	return v, nil
-}
-
-// openSession builds the view's session provider over the current graph:
-// sharded across ViewConfig.Workers when set, in-process otherwise. A
-// non-nil recovered solution skips the cold fixpoint and initializes the
-// session from those records instead (the snapshot-recovery path).
-func (v *LiveView) openSession(recovered []record.Record) (SessionProvider, error) {
-	if len(v.cfg.Workers) > 0 {
-		return openDistSession(v, recovered)
-	}
-	if recovered == nil {
-		return newLocalSession(v)
-	}
-	spec, _, _ := v.m.Spec(v.gs)
-	fx, err := iterative.OpenFixpoint(spec, nil, v.cfg.Config)
-	if err != nil {
-		return nil, err
-	}
-	fx.Solution().Init(recovered)
-	return adoptLocalSession(v, fx, spec), nil
 }
 
 // withObsDefaults mints the view's trace identity when a telemetry
@@ -429,16 +428,6 @@ func (c ViewConfig) withAutoDefaults() ViewConfig {
 	return c
 }
 
-// assembleView wires a LiveView around already-recovered state: the
-// graph and a session provider whose solution state is already loaded.
-// Used by recovery, where the cold build is replaced by a snapshot load
-// plus WAL replay.
-func assembleView(name string, m Maintainer, cfg ViewConfig, gs *GraphState, sess SessionProvider) *LiveView {
-	v := &LiveView{name: name, m: m, cfg: cfg, gs: gs, sess: sess}
-	v.bindObs()
-	return v
-}
-
 // Name returns the view's name.
 func (v *LiveView) Name() string { return v.name }
 
@@ -468,11 +457,16 @@ func (v *LiveView) Snapshot() []record.Record {
 	return v.sess.Snapshot()
 }
 
-// Bytes reports the solution set's resident in-memory footprint.
+// Bytes reports the solution set's resident in-memory footprint, summed
+// over every host.
 func (v *LiveView) Bytes() int64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.sess.Bytes()
+	var b int64
+	for _, sh := range v.sess.shards() {
+		b += sh.Bytes
+	}
+	return b
 }
 
 // Stats reports the view's maintenance counters.
@@ -481,9 +475,14 @@ func (v *LiveView) Stats() ViewStats {
 	st := v.stats
 	st.Vertices = v.gs.NumVertices()
 	st.Edges = v.gs.NumEdges()
-	st.SolutionRecords = v.sess.Records()
-	st.SolutionBytes = v.sess.Bytes()
-	st.Shards = v.sess.Shards()
+	shards := v.sess.shards()
+	for _, sh := range shards {
+		st.SolutionRecords += sh.Records
+		st.SolutionBytes += sh.Bytes
+	}
+	if len(shards) > 1 {
+		st.Shards = shards
+	}
 	if d := v.dur; d != nil {
 		st.Durable = true
 		st.WALBytes = d.wal.SizeBytes()
@@ -624,17 +623,11 @@ func (v *LiveView) afterFlushLocked(seq uint64) {
 	}
 }
 
-// insertedEdge records one edge insertion of a batch for delta building.
-type insertedEdge struct {
-	src, dst int64
-	w        float64
-}
-
 // applyLocked absorbs one mutation batch under the exclusive lock: the
-// session provider does the maintenance work (graph apply, delta
-// classification, warm restart), this wrapper keeps the view-level
-// counters. The batch counts as applied once the graph mutation phase
-// ran, which the provider performs unconditionally before any restart.
+// session does the maintenance work (graph apply, delta classification,
+// warm restart), this wrapper keeps the view-level counters. The batch
+// counts as applied once the graph mutation phase ran, which the session
+// performs unconditionally before any restart.
 func (v *LiveView) applyLocked(batch []Mutation) error {
 	if m := v.cfg.Metrics; m != nil {
 		m.DeltasApplied.Add(int64(len(batch)))

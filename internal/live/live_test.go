@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -217,6 +218,14 @@ func TestLiveViewMixedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertCC(t, "mixed batch", v, model)
+
+	// An edge inserted and deleted again within one batch never existed:
+	// {0,1} and {2,3,10,11} must stay apart.
+	mutateAndModel(t, v, model, InsertEdge(1, 10), DeleteEdge(1, 10))
+	if err := v.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	assertCC(t, "insert then delete in one batch", v, model)
 }
 
 // TestLiveViewVertexDelete removes a cut vertex, which both drops its
@@ -503,11 +512,15 @@ func TestViewConfigValidate(t *testing.T) {
 		{FlushInterval: -time.Second},
 		{RecomputeFraction: 1.5},
 		{Config: iterative.Config{SolutionMemoryBudget: -5}},
+		{AutoEngine: true, Workers: []string{"127.0.0.1:1"}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+	if err := bad[len(bad)-1].Validate(); !errors.Is(err, errAutoEngineSharded) {
+		t.Errorf("AutoEngine with Workers: %v, want errAutoEngineSharded", err)
 	}
 	if _, err := NewView("bad", CC(), nil, ViewConfig{BatchSize: -2}); err == nil {
 		t.Error("NewView accepted invalid config")

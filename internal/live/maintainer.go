@@ -40,8 +40,11 @@ type Maintainer interface {
 	// DeleteImpact scopes the repair of removing edge (src, dst): the
 	// vertices whose entries may be invalidated (bounded recompute), or
 	// ok=false to demand a full recompute. It runs before any solution
-	// state changes, so lookups see consistent pre-batch values. gs
-	// already reflects the deletion.
+	// state changes, so lookups see consistent pre-batch values, while gs
+	// already reflects the whole batch. On a sharded view every host is
+	// asked: sol serves the endpoints' records wherever they live but
+	// Each visits only that host's partitions, and the returned shares
+	// are merged.
 	DeleteImpact(gs *GraphState, src, dst int64, sol SolutionReader) (affected []int64, ok bool)
 	// RecomputeSeed re-initializes the affected region: resets are
 	// force-stored over the resident solution, drops are deleted from it,

@@ -220,6 +220,21 @@ func TestServeAutoAlgorithm(t *testing.T) {
 	if !q.Found || q.B != 0 {
 		t.Fatalf("post-split query(1) = %+v, want component 0", q)
 	}
+
+	// A sharded server cannot honour algorithm=auto (RunAuto recomputes in
+	// one process): the request is rejected, not silently downgraded.
+	sharded := NewScheduler(SchedulerConfig{
+		DefaultView: ViewConfig{Workers: []string{"127.0.0.1:1"}}})
+	defer sharded.Close()
+	shardedSrv := httptest.NewServer(sharded.Handler())
+	defer shardedSrv.Close()
+	resp = postJSON(t, shardedSrv.URL+"/views", CreateRequest{Name: "g", Algorithm: "auto"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("auto on a sharded server: %s, want 400", resp.Status)
+	}
+	if msg := decodeJSON[map[string]string](t, resp)["error"]; msg != errAutoEngineSharded.Error() {
+		t.Fatalf("auto on a sharded server rejected with %q, want %q", msg, errAutoEngineSharded)
+	}
 }
 
 func mustGet(t *testing.T, url string) *http.Response {
@@ -232,17 +247,13 @@ func mustGet(t *testing.T, url string) *http.Response {
 }
 
 // spillFiles lists the runtime's spill files in the temp dir.
-func spillFiles(t *testing.T) map[string]bool {
+func spillFiles(t *testing.T) []string {
 	t.Helper()
 	matches, err := filepath.Glob(filepath.Join(os.TempDir(), "spinflow-spill-*.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[string]bool, len(matches))
-	for _, m := range matches {
-		out[m] = true
-	}
-	return out
+	return matches
 }
 
 // TestServeShutdownClean is the `spinflow serve` SIGINT contract, tested
@@ -251,7 +262,9 @@ func spillFiles(t *testing.T) map[string]bool {
 // (including spill files of budgeted views) is released, and the listener
 // stops accepting connections.
 func TestServeShutdownClean(t *testing.T) {
-	before := spillFiles(t)
+	// A private temp dir: the shared one holds whatever other packages'
+	// tests are spilling right now, which is not this test's to assert on.
+	t.Setenv("TMPDIR", t.TempDir())
 
 	var m metrics.Counters
 	s := NewScheduler(SchedulerConfig{
@@ -286,7 +299,7 @@ func TestServeShutdownClean(t *testing.T) {
 		t.Fatalf("create: %s", resp.Status)
 	}
 	resp.Body.Close()
-	if m.SolutionSpills.Load() == 0 {
+	if m.SolutionSpills.Load() == 0 || len(spillFiles(t)) == 0 {
 		t.Fatal("budgeted view did not spill; shutdown test needs spill files")
 	}
 
@@ -306,12 +319,9 @@ func TestServeShutdownClean(t *testing.T) {
 	if got := m.DeltasApplied.Load(); got != applied+1 {
 		t.Errorf("pending mutation not flushed on shutdown: DeltasApplied %d -> %d", applied, got)
 	}
-	// Spill files are gone (only ones that existed before the test may
-	// remain — other tests' leftovers are not ours to assert on).
-	for f := range spillFiles(t) {
-		if !before[f] {
-			t.Errorf("spill file %s survived shutdown", f)
-		}
+	// Spill files are gone.
+	for _, f := range spillFiles(t) {
+		t.Errorf("spill file %s survived shutdown", f)
 	}
 	// The listener is down.
 	if _, err := http.Get(base + "/stats"); err == nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 
@@ -11,6 +12,19 @@ import (
 	"repro/internal/iterative"
 	"repro/internal/record"
 )
+
+// ShardStat reports one host's share of a sharded view's resident
+// solution set.
+type ShardStat struct {
+	// Host is the session host ID (0 is the serving process itself).
+	Host int `json:"host"`
+	// Records counts the records in the partitions this host owns. Bytes
+	// is the host's whole resident solution footprint: every host keeps a
+	// full replica set (hosted partitions exact, the rest stale), and the
+	// backend accounts bytes for the set as a whole.
+	Records int   `json:"records"`
+	Bytes   int64 `json:"bytes"`
+}
 
 // wireIdentity maps a Maintainer to the (algorithm, source) pair a worker
 // rebuilds it from. Only the built-in maintainers can cross the wire.
@@ -38,29 +52,19 @@ type shardConn struct {
 	enc  *json.Encoder
 }
 
-// call performs one locked request/response exchange, surfacing a
-// view_error reply as an error.
+// call performs one locked request/response exchange.
 func (c *shardConn) call(msg shardMsg, wantKind string) (shardMsg, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.enc.Encode(msg); err != nil {
 		return shardMsg{}, err
 	}
-	var reply shardMsg
-	if err := c.dec.Decode(&reply); err != nil {
-		return shardMsg{}, err
-	}
-	if reply.Kind == viewError {
-		return shardMsg{}, fmt.Errorf("live: worker: %s", reply.Err)
-	}
-	if reply.Kind != wantKind {
-		return shardMsg{}, fmt.Errorf("live: worker sent %q, want %q", reply.Kind, wantKind)
-	}
-	return reply, nil
+	return c.decode(wantKind)
 }
 
-// send fires a request without awaiting the reply (barrier release); the
-// matching recv must follow under the same external ordering.
+// send fires a request without awaiting the reply, so every host works on
+// it at once; the matching recv must follow under the same external
+// ordering.
 func (c *shardConn) send(msg shardMsg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -71,6 +75,11 @@ func (c *shardConn) send(msg shardMsg) error {
 func (c *shardConn) recv(wantKind string) (shardMsg, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.decode(wantKind)
+}
+
+// decode reads one reply, surfacing a view_error reply as an error.
+func (c *shardConn) decode(wantKind string) (shardMsg, error) {
 	var reply shardMsg
 	if err := c.dec.Decode(&reply); err != nil {
 		return shardMsg{}, err
@@ -84,49 +93,61 @@ func (c *shardConn) recv(wantKind string) (shardMsg, error) {
 	return reply, nil
 }
 
-func (c *shardConn) close() { c.conn.Close() }
-
-// distSession is the sharded SessionProvider: the coordinator's own
-// shardCore (host 0, graph aliased to the view's) plus one control
-// connection per worker host 1..H-1. Maintenance runs the coordinated
-// flush protocol; reads route by partition placement.
-type distSession struct {
+// session is the execution backend of every LiveView: the thing that holds
+// the resident fixpoint and absorbs mutation batches into it, while the
+// view keeps the micro-batching, the durability lifecycle and the serving
+// locks. It is the coordinator's own shardCore (host 0, graph aliased to
+// the view's) plus one control connection per worker host 1..H-1 — none
+// for a view without ViewConfig.Workers. Maintenance runs the coordinated
+// protocol below; reads route by partition placement.
+//
+// Every method is called under the view's maintenance lock except Lookup
+// and Snapshot, which run under the shared read lock and must therefore
+// be safe for concurrent use with each other.
+type session struct {
 	v     *LiveView
 	core  *shardCore
 	conns []*shardConn // conns[i] is host i+1
 }
 
-// openDistSession builds the sharded session: local core, worker dials
-// (bounded-backoff — workers may still be starting), remote session opens
-// with the full graph dump, digest cross-check, then the data-plane mesh.
-// A non-nil recovered solution initializes every host's replica set from
-// it (hosted partitions become authoritative); otherwise the cold
-// fixpoint runs across the mesh before the session is handed out.
-func openDistSession(v *LiveView, recovered []record.Record) (*distSession, error) {
+// openSession builds the view's session over its current graph. A non-nil
+// recovered solution initializes every host's replica set from it (hosted
+// partitions become authoritative); otherwise the cold fixpoint runs
+// before the session is handed out.
+func openSession(v *LiveView, recovered []record.Record) (*session, error) {
+	cfg := v.cfg.Config
+	cfg.Hosts, cfg.Host = 1+len(v.cfg.Workers), 0
+	core, w0, err := newShardCore(v.m, cfg, v.cfg.AutoEngine, v.gs, recovered, &v.stats)
+	if err != nil {
+		return nil, err
+	}
+	s := &session{v: v, core: core}
+	if len(v.cfg.Workers) > 0 {
+		err = s.enlistWorkers(cfg, recovered)
+	}
+	if err == nil && len(w0) > 0 {
+		// The cold build is not maintenance: it stays out of the counters.
+		_, err = s.drive(w0)
+	}
+	if err != nil {
+		s.Kill()
+		return nil, err
+	}
+	return s, nil
+}
+
+// enlistWorkers dials every worker (bounded-backoff — they may still be
+// starting), opens the remote session shares with the full graph dump,
+// cross-checks the plan digests, and connects the data-plane mesh.
+func (s *session) enlistWorkers(cfg iterative.Config, recovered []record.Record) error {
+	v := s.v
 	algo, src, err := wireIdentity(v.m)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	hosts := 1 + len(v.cfg.Workers)
-	cfg := v.cfg.Config
-	cfg.Hosts = hosts
-	cfg.Host = 0
-
-	core, addr, err := newShardCore(v.name, v.m, cfg, 0, v.gs, recovered, cfg.Obs)
-	if err != nil {
-		return nil, err
-	}
-	s := &distSession{v: v, core: core, conns: make([]*shardConn, len(v.cfg.Workers))}
-	ok := false
-	defer func() {
-		if !ok {
-			s.teardown()
-		}
-	}()
-
 	spec := &shardSpec{
 		Name: v.name, Algorithm: algo, Source: src,
-		Parallelism: cfg.Parallelism, Hosts: hosts, BatchSize: cfg.BatchSize,
+		Parallelism: cfg.Parallelism, Hosts: cfg.Hosts, BatchSize: cfg.BatchSize,
 		Backend:              string(cfg.SolutionBackend),
 		SolutionMemoryBudget: cfg.SolutionMemoryBudget,
 		Planner:              int(cfg.Planner),
@@ -139,57 +160,81 @@ func openDistSession(v *LiveView, recovered []record.Record) (*distSession, erro
 	if recovered != nil {
 		sol = recordsToFrames(recovered)
 	}
-	dataAddrs := make([]string, hosts)
-	dataAddrs[0] = addr
+	dataAddrs := []string{s.core.dataAddr}
 	for i, waddr := range v.cfg.Workers {
 		conn, err := distrib.DialWorker(waddr, distrib.MeshTimeout)
 		if err != nil {
-			return nil, fmt.Errorf("live: view %q worker %s: %w", v.name, waddr, err)
+			return fmt.Errorf("live: view %q worker %s: %w", v.name, waddr, err)
 		}
-		s.conns[i] = &shardConn{conn: conn, dec: json.NewDecoder(conn), enc: json.NewEncoder(conn)}
-		ready, err := s.conns[i].call(shardMsg{
+		c := &shardConn{conn: conn, dec: json.NewDecoder(conn), enc: json.NewEncoder(conn)}
+		s.conns = append(s.conns, c)
+		ready, err := c.call(shardMsg{
 			Kind: viewOpen, Spec: spec, HostID: i + 1, Frames: graph, Sol: sol,
 		}, viewReady)
+		if err == nil {
+			err = s.sameDigest(i+1, ready)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("live: view %q open on %s: %w", v.name, waddr, err)
+			return fmt.Errorf("live: view %q open on %s: %w", v.name, waddr, err)
 		}
-		if ready.Digest != core.digest {
-			return nil, fmt.Errorf("live: view %q host %d planned digest %s, coordinator has %s",
-				v.name, i+1, ready.Digest, core.digest)
-		}
-		dataAddrs[i+1] = ready.DataAddr
+		dataAddrs = append(dataAddrs, ready.DataAddr)
 	}
+	// Host 0 is already listening and higher hosts dial lower ones, so the
+	// workers mesh while the coordinator connects.
+	return s.round("mesh", all(shardMsg{Kind: viewStart, DataAddrs: dataAddrs}), viewMeshed,
+		func() error { return s.core.tr.ConnectPeers(dataAddrs, distrib.MeshTimeout) }, nil)
+}
 
-	// Workers mesh first (host 0 is already listening; higher hosts dial
-	// lower ones), then the coordinator connects and the cold workset is
-	// driven through the barrier.
+// round is one control fan-out: req goes to every worker, local runs on
+// the coordinator's core while they work, then every reply of kind want
+// is collected through got. With no workers it is just local.
+func (s *session) round(what string, req func(host int) shardMsg, want string,
+	local func() error, got func(host int, reply shardMsg) error) error {
 	for i, c := range s.conns {
-		if err := c.send(shardMsg{Kind: viewStart, DataAddrs: dataAddrs}); err != nil {
-			return nil, fmt.Errorf("live: view %q start host %d: %w", v.name, i+1, err)
+		if err := c.send(req(i + 1)); err != nil {
+			return fmt.Errorf("live: %s host %d: %w", what, i+1, err)
 		}
 	}
-	if err := core.mesh(dataAddrs, false); err != nil {
-		return nil, err
+	if err := local(); err != nil {
+		return err
 	}
 	for i, c := range s.conns {
-		if _, err := c.recv(viewMeshed); err != nil {
-			return nil, fmt.Errorf("live: view %q mesh host %d: %w", v.name, i+1, err)
+		reply, err := c.recv(want)
+		if err == nil && got != nil {
+			err = got(i+1, reply)
+		}
+		if err != nil {
+			return fmt.Errorf("live: %s host %d: %w", what, i+1, err)
 		}
 	}
-	if recovered == nil {
-		if err := s.runDriven(core.w0); err != nil {
-			return nil, err
-		}
+	return nil
+}
+
+// all sends the same request to every host.
+func all(msg shardMsg) func(int) shardMsg { return func(int) shardMsg { return msg } }
+
+// wire packs a fan-out payload — or nothing, with no one to send it to.
+func (s *session) wire(recs []record.Record) []byte {
+	if len(s.conns) == 0 {
+		return nil
 	}
-	core.w0 = nil
-	ok = true
-	return s, nil
+	return packRecords(recs)
+}
+
+// sameDigest checks a host's reported plan against the coordinator's:
+// every host plans independently over its replica, and any difference
+// means the replicas have diverged.
+func (s *session) sameDigest(host int, reply shardMsg) error {
+	if reply.Digest != s.core.digest {
+		return fmt.Errorf("planned digest %s, coordinator has %s (replica divergence)", reply.Digest, s.core.digest)
+	}
+	return nil
 }
 
 // shardBarrier globalizes superstep convergence across the session's
 // hosts: release fans view_step out, collect sums every host's
 // next-workset count. The coordinator's RunDriven drives it.
-type shardBarrier struct{ s *distSession }
+type shardBarrier struct{ s *session }
 
 func (b shardBarrier) Release(step int) error {
 	for i, c := range b.s.conns {
@@ -212,171 +257,217 @@ func (b shardBarrier) Collect(step, localNext int) (int, error) {
 	return total, nil
 }
 
-// runDriven drives the coordinator's resident fixpoint from the workset
-// with every worker stepping in lockstep, and folds the run into the
-// view's maintenance counters.
-func (s *distSession) runDriven(workset []record.Record) error {
-	res, err := s.core.fx.RunDriven(workset, iterative.DriveHooks{Barrier: shardBarrier{s: s}})
+// drive runs the coordinator's resident fixpoint from the workset to
+// convergence, every worker stepping in lockstep from what it has seeded.
+func (s *session) drive(workset []record.Record) (*iterative.IncrementalResult, error) {
+	return s.core.fx.RunDriven(workset, iterative.DriveHooks{Barrier: shardBarrier{s: s}})
+}
+
+// warmRestart is drive as maintenance: the run is folded into the view's
+// counters.
+func (s *session) warmRestart(workset []record.Record) error {
+	res, err := s.drive(workset)
 	if res != nil {
-		v := s.v
-		if m := v.cfg.Metrics; m != nil {
+		if m := s.core.mtr; m != nil {
 			m.WarmRestarts.Add(1)
 			m.MaintenanceSupersteps.Add(int64(res.Supersteps))
 		}
-		v.stats.WarmRestarts++
-		v.stats.Supersteps += int64(res.Supersteps)
+		s.v.stats.WarmRestarts++
+		s.v.stats.Supersteps += int64(res.Supersteps)
 	}
 	return err
 }
 
-// replanAll re-plans every host over its (identical) graph replica and
-// cross-checks the plan digests. full=true is the coordinated full
-// recompute: the returned workset is W0, which the caller drives.
-func (s *distSession) replanAll(full bool) ([]record.Record, error) {
-	for i, c := range s.conns {
-		if err := c.send(shardMsg{Kind: viewReplan, Full: full}); err != nil {
-			return nil, fmt.Errorf("live: replan host %d: %w", i+1, err)
-		}
-	}
-	w0, err := s.core.replan(full)
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range s.conns {
-		reply, err := c.recv(viewReplanned)
-		if err != nil {
-			return nil, fmt.Errorf("live: replan host %d: %w", i+1, err)
-		}
-		if reply.Digest != s.core.digest {
-			return nil, fmt.Errorf("live: replan host %d digest %s, coordinator has %s",
-				i+1, reply.Digest, s.core.digest)
-		}
-	}
-	return w0, nil
-}
-
-// Apply coordinates one mutation batch across the session. Every host
-// applies the identical batch to its replica and classifies it
-// identically; the coordinator cross-checks the verdicts and then either
-// drives a full recompute (non-monotone batches — the partitioned session
-// cannot run the in-process bounded repair, which needs whole-solution
-// scans) or the monotone candidate rounds: each host derives insert
-// candidates from the labels it owns, the coordinator merges and
-// re-broadcasts them, owners count how many still improve, and the meshed
-// fixpoint absorbs them — repeating over the edge overlay until nothing
-// improves anywhere.
-func (s *distSession) Apply(batch []Mutation) error {
-	frames := packRecords(mutationsToRecords(batch))
-	for i, c := range s.conns {
-		if err := c.send(shardMsg{Kind: viewApply, Frames: frames}); err != nil {
-			return fmt.Errorf("live: apply host %d: %w", i+1, err)
-		}
-	}
-	full, err := s.core.applyBatch(batch)
+// Apply absorbs one acknowledged mutation batch: every host applies the
+// identical batch to its graph replica, and the resident solution set is
+// maintained back to a converged fixpoint before Apply returns. A batch
+// that removed something is repaired first (bounded or full recompute);
+// then the monotone candidate rounds run: each host derives insert
+// candidates from the labels it owns, remote-keyed ones are routed to
+// their owners, owners keep those that still improve, and the fixpoint
+// absorbs them — repeating over the edge overlay until nothing improves
+// anywhere. Candidates only move entries down the CPO, so it terminates.
+func (s *session) Apply(batch []Mutation) error {
+	c := s.core
+	err := s.round("apply", all(shardMsg{Kind: viewApply, Frames: s.wire(mutationsToRecords(batch))}), viewApplied,
+		func() error { return c.applyBatch(batch) },
+		func(host int, reply shardMsg) error {
+			if reply.Count != len(c.removed) || reply.Full != c.removes() {
+				return fmt.Errorf("saw %d removed edges (any removal %v), coordinator %d (%v) (replica divergence)",
+					reply.Count, reply.Full, len(c.removed), c.removes())
+			}
+			return s.sameDigest(host, reply)
+		})
 	if err != nil {
 		return err
 	}
-	for i, c := range s.conns {
-		reply, rerr := c.recv(viewApplied)
-		if rerr != nil {
-			return fmt.Errorf("live: apply host %d: %w", i+1, rerr)
-		}
-		if reply.Full != full {
-			return fmt.Errorf("live: host %d classified the batch full=%v, coordinator full=%v (replica divergence)",
-				i+1, reply.Full, full)
-		}
-	}
-
-	if full {
-		w0, err := s.replanAll(true)
-		if err != nil {
+	if c.removes() {
+		if full, err := s.repair(); err != nil || full {
 			return err
 		}
-		v := s.v
-		if m := v.cfg.Metrics; m != nil {
-			m.FullRecomputes.Add(1)
-		}
-		v.stats.FullRecomputes++
-		v.stats.Rebinds++
-		return s.runDriven(w0)
-	}
-
-	// Fold an oversized overlay into the plan's edge table before the
-	// candidate rounds, exactly when the in-process session would.
-	if s.core.overlayOverflow() {
-		if _, err := s.replanAll(false); err != nil {
-			return err
-		}
-		s.v.stats.Rebinds++
 	}
 
 	for round := 0; ; round++ {
-		// Gather: every host derives candidates from its hosted labels
-		// and keeps the ones keyed to partitions it owns; only
-		// remote-keyed candidates travel, and the coordinator routes
-		// each straight to its owner. Workers report how many they
-		// retained so a globally empty round is still detectable.
-		for i, c := range s.conns {
-			if err := c.send(shardMsg{Kind: viewGather, Round: round}); err != nil {
-				return fmt.Errorf("live: gather host %d: %w", i+1, err)
-			}
-		}
-		shares := s.core.splitByHost(s.core.gather(round))
+		// Gather: every host retains the candidates keyed to partitions it
+		// owns and reports how many, so a globally empty round is still
+		// detectable; only remote-keyed candidates travel, and the
+		// coordinator routes each straight to its owner.
+		var shares [][]record.Record
+		var inbound []record.Record
 		total := 0
+		err := s.round("gather", all(shardMsg{Kind: viewGather, Round: round}), viewCand,
+			func() error {
+				shares = c.gatherRound(round)
+				total += len(c.pending)
+				return nil
+			},
+			func(_ int, reply shardMsg) error {
+				recs, err := unpackRecords(reply.Frames)
+				inbound = append(inbound, recs...)
+				total += reply.Count + len(recs)
+				return err
+			})
+		if err != nil {
+			return err
+		}
 		for _, sh := range shares {
 			total += len(sh)
-		}
-		var inbound []record.Record
-		for i, c := range s.conns {
-			reply, err := c.recv(viewCand)
-			if err != nil {
-				return fmt.Errorf("live: gather host %d: %w", i+1, err)
-			}
-			recs, err := unpackRecords(reply.Frames)
-			if err != nil {
-				return err
-			}
-			inbound = append(inbound, recs...)
-			total += reply.Count + len(recs)
 		}
 		if total == 0 {
 			return nil
 		}
-		for h, sh := range s.core.splitByHost(inbound) {
+		for h, sh := range c.splitByHost(inbound) {
 			shares[h] = append(shares[h], sh...)
 		}
 
 		// Seed: each host merges its retained candidates with its routed
-		// share, and owners report how many still improve; zero globally
-		// means the solution is already a fixpoint over them.
-		for i, c := range s.conns {
-			if err := c.send(shardMsg{Kind: viewSeed, Frames: packRecords(shares[i+1])}); err != nil {
-				return fmt.Errorf("live: seed host %d: %w", i+1, err)
-			}
-		}
-		own := s.core.collapseCandidates(shares[0])
-		improving := s.core.countImproving(own)
-		for i, c := range s.conns {
-			reply, err := c.recv(viewSeeded)
-			if err != nil {
-				return fmt.Errorf("live: seed host %d: %w", i+1, err)
-			}
-			improving += reply.Count
-		}
-		if improving == 0 {
-			return nil
-		}
-		if err := s.runDriven(own); err != nil {
+		// share and keeps what still improves; nothing anywhere means the
+		// solution is already a fixpoint over them.
+		var own []record.Record
+		improving := 0
+		err = s.round("seed", func(h int) shardMsg {
+			return shardMsg{Kind: viewSeed, Frames: packRecords(shares[h])}
+		}, viewSeeded,
+			func() error {
+				own, improving = c.seedRound(shares[0])
+				return nil
+			},
+			func(_ int, reply shardMsg) error {
+				improving += reply.Count
+				return nil
+			})
+		if err != nil || improving == 0 {
 			return err
 		}
-		if len(s.core.overlay) == 0 {
+		if err := s.warmRestart(own); err != nil {
+			return err
+		}
+		if len(c.overlay) == 0 {
 			return nil
 		}
 	}
 }
 
-// Lookup routes the key to the host owning its partition.
-func (s *distSession) Lookup(k int64) (record.Record, bool) {
+// repair classifies a batch that removed something and starts its repair.
+// Removals are scoped one at a time, exactly as a single host would: the
+// coordinator resolves the removed endpoints' pre-batch records from their
+// owners, every host scopes the region over its own partitions with them,
+// and the shares merge. Affected regions are closed — once an endpoint is
+// in the set, everything its removal can invalidate already is — so such a
+// removal is not re-expanded (an O(V) scan on every host). The merged
+// region then decides: beyond RecomputeFraction of the solution — or
+// whenever the maintainer cannot bound it — the session recomputes in full
+// (done when repair returns), otherwise every host resets its share of the
+// region and the seeds join the candidate rounds.
+func (s *session) repair() (full bool, err error) {
+	c := s.core
+	affected := make(map[int64]struct{})
+	merge := func(share []int64, ok bool) {
+		for _, a := range share {
+			affected[a] = struct{}{}
+		}
+		full = full || !ok
+	}
+	for i, e := range c.removed {
+		_, seenSrc := affected[e.Src]
+		_, seenDst := affected[e.Dst]
+		if full || seenSrc || seenDst {
+			continue
+		}
+		var known []record.Record
+		for _, k := range [2]int64{e.Src, e.Dst} {
+			if r, ok := s.Lookup(k); ok {
+				known = append(known, r)
+			}
+		}
+		err := s.round("impact", all(shardMsg{Kind: viewImpact, Round: i, Frames: s.wire(known)}), viewRegion,
+			func() error {
+				merge(c.impact(e, known))
+				return nil
+			},
+			func(_ int, reply shardMsg) error {
+				share, err := unpackRecords(reply.Frames)
+				merge(recordKeys(share), !reply.Full)
+				return err
+			})
+		if err != nil {
+			return false, err
+		}
+	}
+	// Dropped vertices leave the solution (settle deletes them) and must
+	// not be resurrected by a region reset; the cutoff is taken against the
+	// solution without them.
+	size := 0
+	for _, d := range c.dropVerts {
+		delete(affected, d)
+		if _, ok := s.Lookup(d); ok {
+			size--
+		}
+	}
+	if !full && len(affected) > 0 {
+		for _, sh := range s.shards() {
+			size += sh.Records
+		}
+		full = float64(len(affected)) > s.v.cfg.RecomputeFraction*float64(size)
+	}
+	region := make([]int64, 0, len(affected))
+	for a := range affected {
+		region = append(region, a)
+	}
+	slices.Sort(region)
+
+	var w0 []record.Record
+	err = s.round("replan", all(shardMsg{Kind: viewReplan, Full: full, Frames: s.wire(keyRecords(region))}), viewReplanned,
+		func() (err error) {
+			w0, err = c.settle(full, region)
+			return err
+		}, s.sameDigest)
+	if err == nil && len(w0) > 0 {
+		err = s.warmRestart(w0)
+	}
+	return full, err
+}
+
+// keyRecords and recordKeys carry a vertex region over the record codec.
+func keyRecords(keys []int64) []record.Record {
+	out := make([]record.Record, len(keys))
+	for i, k := range keys {
+		out[i].A = k
+	}
+	return out
+}
+
+func recordKeys(recs []record.Record) []int64 {
+	out := make([]int64, len(recs))
+	for i, r := range recs {
+		out[i] = r.A
+	}
+	return out
+}
+
+// Lookup returns the converged solution record for key k, asking the host
+// that owns its partition.
+func (s *session) Lookup(k int64) (record.Record, bool) {
 	host := s.core.place[s.core.sol.PartitionFor(k)]
 	if host == 0 {
 		return s.core.lookup(k)
@@ -392,14 +483,13 @@ func (s *distSession) Lookup(k int64) (record.Record, bool) {
 	return recs[0], true
 }
 
-// Snapshot scatter-gathers the converged solution: the coordinator's
-// hosted partitions plus every worker's, merged and canonically sorted.
-// Worker spans travel back with the shards on traced views, so the
-// cross-process maintenance timeline assembles in one ring.
-func (s *distSession) Snapshot() []record.Record {
-	var out []record.Record
-	hr := hostedReader{c: s.core}
-	hr.Each(func(r record.Record) { out = append(out, r) })
+// Snapshot copies the converged solution out in canonical order: the
+// coordinator's hosted partitions plus every worker's. Worker spans travel
+// back with the shards on traced views, so the cross-process maintenance
+// timeline assembles in one ring.
+func (s *session) Snapshot() []record.Record {
+	out := make([]record.Record, 0, s.core.sol.Size())
+	hostedReader{c: s.core}.Each(func(r record.Record) { out = append(out, r) })
 	for _, c := range s.conns {
 		reply, err := c.call(shardMsg{Kind: viewCollect}, viewSolution)
 		if err != nil {
@@ -417,7 +507,7 @@ func (s *distSession) Snapshot() []record.Record {
 }
 
 // foldSpans records worker-shipped spans into the view's ring.
-func (s *distSession) foldSpans(reply shardMsg) {
+func (s *session) foldSpans(reply shardMsg) {
 	if s.v.ring == nil {
 		return
 	}
@@ -426,52 +516,8 @@ func (s *distSession) foldSpans(reply shardMsg) {
 	}
 }
 
-func (s *distSession) Records() int {
-	n := s.core.hostedRecords()
-	for _, c := range s.conns {
-		if reply, err := c.call(shardMsg{Kind: viewStats}, viewStatted); err == nil {
-			n += reply.Count
-		}
-	}
-	return n
-}
-
-func (s *distSession) Bytes() int64 {
-	b := s.core.sol.Bytes()
-	for _, c := range s.conns {
-		if reply, err := c.call(shardMsg{Kind: viewStats}, viewStatted); err == nil {
-			b += reply.Bytes
-		}
-	}
-	return b
-}
-
-func (s *distSession) EachSolution(f func(record.Record) error) error {
-	var err error
-	hostedReader{c: s.core}.Each(func(r record.Record) {
-		if err == nil {
-			err = f(r)
-		}
-	})
-	return err
-}
-
-// RemoteShards collects each worker's hosted partitions for the per-host
-// snapshot shard files.
-func (s *distSession) RemoteShards() (map[int][]byte, error) {
-	out := make(map[int][]byte, len(s.conns))
-	for i, c := range s.conns {
-		reply, err := c.call(shardMsg{Kind: viewCollect}, viewSolution)
-		if err != nil {
-			return nil, fmt.Errorf("live: collect host %d: %w", i+1, err)
-		}
-		s.foldSpans(reply)
-		out[i+1] = reply.Frames
-	}
-	return out, nil
-}
-
-func (s *distSession) Shards() []ShardStat {
+// shards reports every host's occupancy, the coordinator's first.
+func (s *session) shards() []ShardStat {
 	out := []ShardStat{{Host: 0, Records: s.core.hostedRecords(), Bytes: s.core.sol.Bytes()}}
 	for i, c := range s.conns {
 		st := ShardStat{Host: i + 1}
@@ -484,30 +530,55 @@ func (s *distSession) Shards() []ShardStat {
 	return out
 }
 
-// Close ends every remote session gracefully, then tears down the local
-// core. Workers survive a close — the control connection returns to the
-// distrib loop for the next session.
-func (s *distSession) Close() error {
+// EachSolution streams the coordinator's hosted partitions in ascending
+// partition order — the whole solution for a view without workers. It
+// feeds the streaming snapshot writer.
+func (s *session) EachSolution(f func(record.Record) error) error {
+	var err error
+	hostedReader{c: s.core}.Each(func(r record.Record) {
+		if err == nil {
+			err = f(r)
+		}
+	})
+	return err
+}
+
+// RemoteShards collects each worker's hosted partitions as concatenated
+// record frames, keyed by host ID — the payload of the per-host snapshot
+// shard files.
+func (s *session) RemoteShards() (map[int][]byte, error) {
+	out := make(map[int][]byte, len(s.conns))
+	for i, c := range s.conns {
+		reply, err := c.call(shardMsg{Kind: viewCollect}, viewSolution)
+		if err != nil {
+			return nil, fmt.Errorf("live: collect host %d: %w", i+1, err)
+		}
+		s.foldSpans(reply)
+		out[i+1] = reply.Frames
+	}
+	return out, nil
+}
+
+// Close ends every remote session share gracefully, then tears down the
+// local core. Workers survive a close — the control connection returns to
+// the distrib loop for the next session.
+func (s *session) Close() error {
 	var err error
 	for i, c := range s.conns {
 		if _, cerr := c.call(shardMsg{Kind: viewClose}, viewClosed); cerr != nil && err == nil {
 			err = fmt.Errorf("live: close host %d: %w", i+1, cerr)
 		}
 	}
-	s.teardown()
+	s.Kill()
 	return err
 }
 
 // Kill abandons the session crash-style: connections drop without a
 // close handshake, so workers see the error path a dead coordinator
 // causes — and stay accepting (the recovery tests rely on it).
-func (s *distSession) Kill() { s.teardown() }
-
-func (s *distSession) teardown() {
+func (s *session) Kill() {
 	for _, c := range s.conns {
-		if c != nil {
-			c.close()
-		}
+		c.conn.Close()
 	}
 	s.core.close()
 }

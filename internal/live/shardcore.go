@@ -2,13 +2,16 @@ package live
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
+	"repro/internal/dataflow"
 	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
@@ -18,36 +21,31 @@ import (
 	"repro/internal/runtime"
 )
 
-// Sharded maintenance sessions: a LiveView whose ViewConfig.Workers is
-// set spreads its partition ranges over 1+len(Workers) processes. The
-// serving process is host 0 (the coordinator); every `spinflow worker`
-// process hosts one range through a long-lived *maintenance session* —
-// the live tier's counterpart of a distrib batch job, layered on the
-// same control-plane JSON protocol (distrib.ViewHost hands view_*
-// messages to this package) and the same TCP data plane.
+// Maintenance sessions. Every LiveView is served by one session (shard.go)
+// spread over 1+len(ViewConfig.Workers) hosts: the serving process is host
+// 0, the coordinator, and every `spinflow worker` process hosts one
+// contiguous partition range through a long-lived conversation on the
+// distrib control plane (distrib.ViewHost hands view_* messages to this
+// package) plus the TCP data plane. A view without workers is the same
+// session with one host: no transport, no listener, and every control
+// fan-out runs over zero connections. The host count never changes which
+// maintenance decision is taken — only who holds which partitions.
 //
-// The protocol keeps a strong invariant: every host holds an identical
-// replica of the graph and applies every mutation batch to it, so the
-// spec, the physical plan (digest-verified at open and after every
-// re-plan), the placement, and all maintenance *decisions* (full
-// recompute or not, overlay fold or not) are derived independently on
-// each host and must agree byte-for-byte. Only two things actually
-// travel per flush: the mutation batch, and the merged insert-candidate
-// workset. Solution state is partitioned — each host's hosted
-// partitions are exact, its non-hosted partitions are stale — which is
-// why candidate derivation goes through hostedReader below: a stale
-// label may *mask* a propagation the fixpoint needs, so a host only
-// reads labels it owns and lets the maintainer's fallback produce a
-// sound (CPO-upper-bound) candidate for the rest. The owners emit the
-// exact candidates, the coordinator merges all of them, and junk
-// candidates are rejected by the ∪̇ comparator.
-//
-// Deletions (and re-weights and vertex drops) are not monotone; the
-// in-process bounded-recompute repair needs whole-solution scans that a
-// partitioned session cannot do, so sharded sessions route every
-// non-monotone batch to a coordinated full recompute — still warm: the
-// mesh, the processes, and the transport all survive, only the plan and
-// the solution state rebuild.
+// Each host owns one shardCore: an identical replica of the graph, the
+// spec and plan derived from it (digest-verified at open and after every
+// re-plan), the placement, and a resident Fixpoint over its partitions.
+// Every host applies every mutation batch to its replica, so anything that
+// depends only on (replica, batch) — which edges were removed, whether the
+// overlay folds, the region's resets and seeds — is derived independently
+// and agrees byte-for-byte. Solution state is partitioned: a host's hosted
+// partitions are exact, the rest are stale, and a stale label may *mask* a
+// propagation the fixpoint needs — so hostedReader serves only owned
+// labels and lets the maintainer's fallback produce a sound candidate for
+// the rest. What travels per batch is the batch itself, the remote-keyed
+// insert candidates, and — for batches that remove something — the removed
+// endpoints' records, each host's share of the affected region, and the
+// coordinator's verdict (bounded recompute over the merged region, or
+// full).
 
 // The view-session control verbs (rides the distrib worker control
 // connection; every kind is prefixed view_ so distrib can dispatch
@@ -58,9 +56,11 @@ const (
 	viewStart     = "view_start"     // coordinator → worker: all data addrs; mesh now
 	viewMeshed    = "view_meshed"    // worker → coordinator: mesh is up, fixpoint open
 	viewApply     = "view_apply"     // coordinator → worker: one mutation batch
-	viewApplied   = "view_applied"   // worker → coordinator: batch applied; Full = wants full recompute
-	viewReplan    = "view_replan"    // coordinator → worker: rebuild spec/plan/session (Full = reset + S0/W0)
-	viewReplanned = "view_replanned" // worker → coordinator: new plan digest
+	viewApplied   = "view_applied"   // worker → coordinator: Count removed edges, Full = something was removed, plan digest
+	viewImpact    = "view_impact"    // coordinator → worker: scope removal Round of the batch, given its endpoints' records
+	viewRegion    = "view_region"    // worker → coordinator: hosted share of the region; Full = the maintainer cannot bound it
+	viewReplan    = "view_replan"    // coordinator → worker: the verdict — Full = reset + S0/W0, else fold + reset the region in Frames
+	viewReplanned = "view_replanned" // worker → coordinator: plan digest
 	viewGather    = "view_gather"    // coordinator → worker: derive insert candidates (Round 0 = fresh batch)
 	viewCand      = "view_cand"      // worker → coordinator: candidate frames
 	viewSeed      = "view_seed"      // coordinator → worker: merged workset; seed it
@@ -283,42 +283,65 @@ func loadGraph(frames []byte) (*GraphState, error) {
 
 // --- per-host session core ----------------------------------------------
 
-// shardCore is one host's share of a sharded maintenance session: the
-// graph replica, the locally derived spec and plan, the meshed transport,
-// and a resident Fixpoint hosting this host's partition range. The
-// coordinator owns core 0 (its gs aliases the LiveView's); each worker
-// owns one with a replica gs.
-type shardCore struct {
-	name  string
-	m     Maintainer
-	cfg   iterative.Config
-	host  int
-	gs    *GraphState
-	place runtime.Placement
-	mtr   *metrics.Counters
-	reg   *obs.Registry
+// overlayFoldFactor bounds the unfolded edge overlay: it folds into the
+// plan's edge table once it exceeds 1/overlayFoldFactor of the graph,
+// because every candidate round past the first re-examines all of it.
+const overlayFoldFactor = 8
 
-	tr   *runtime.TCPTransport
-	sol  *runtime.SolutionSet
-	fx   *iterative.Fixpoint
-	spec iterative.IncrementalSpec
-	phys *optimizer.PhysPlan
-	// dataAddr is the transport's listen address (workers echo it in
-	// view_ready so the coordinator can assemble the mesh).
+// shardCore is one host's share of a maintenance session: the graph
+// replica, the locally derived spec and plan, and a resident Fixpoint over
+// this host's partition range. The coordinator owns core 0 (its gs aliases
+// the LiveView's); each worker owns one with a replica gs.
+type shardCore struct {
+	m   Maintainer
+	cfg iterative.Config
+	// auto routes full recomputes through iterative.RunAuto
+	// (ViewConfig.AutoEngine; one-host sessions only).
+	auto bool
+	host int
+	gs   *GraphState
+	// place assigns partitions to hosts; hosted lists this host's.
+	place  runtime.Placement
+	hosted []int
+	mtr    *metrics.Counters
+	// stats takes the maintenance counters: the view's on the coordinator,
+	// a scratch value on workers.
+	stats *ViewStats
+
+	// tr is the meshed data plane (dataAddr its listen address); nil on a
+	// one-host session, whose exchanges never leave process memory.
+	tr       *runtime.TCPTransport
 	dataAddr string
-	// w0 is the cold initial workset, kept until the mesh is up (workers
-	// seed it at view_start; the coordinator runs it). Nil on recovery.
-	w0 []record.Record
-	// overlay holds edges in gs but not yet folded into the plan's edge
-	// table; fresh holds the *current* batch's inserts, the round-0
-	// candidate source. Both evolve identically on every host.
+	sol      *runtime.SolutionSet
+	fx       *iterative.Fixpoint
+	spec     iterative.IncrementalSpec
+	// sources are the plan's Source nodes in construction order, so fold
+	// can swap their data in place; planEdges is the edge count the plan
+	// was costed with; digest identifies the plan across hosts.
+	sources   []*dataflow.Node
+	planEdges int
+	digest    string
+
+	// overlay holds edges live in gs but not yet folded into the plan's
+	// cached edge table: the insert fast path leaves the O(E) caches warm
+	// and re-derives candidates over these edges until the solution is a
+	// fixpoint over N ∪ overlay. fresh holds the *current* batch's inserts,
+	// the round-0 candidate source. Both evolve identically on every host.
 	overlay []WEdge
 	fresh   []WEdge
-	digest  string
-	// pending buffers this host's own-keyed candidates between the
-	// gather and seed verbs of one round: candidates a host emits for
-	// keys it owns never travel — only remote-keyed ones go up to the
-	// coordinator, which routes every candidate straight to its owner.
+	// The current batch's removals, identical on every host: removed lists
+	// the edges whose disappearance (or re-weighting) needs repair,
+	// dropVerts the vertices that left, newVerts the ones that arrived.
+	removed   []WEdge
+	dropVerts []int64
+	newVerts  []int64
+	// seeds are this host's share of a bounded recompute's region seed;
+	// they join the round-0 candidates.
+	seeds []record.Record
+	// pending buffers this host's own-keyed candidates between the gather
+	// and seed verbs of one round: candidates a host emits for keys it owns
+	// never travel — only remote-keyed ones go up to the coordinator, which
+	// routes every candidate straight to its owner.
 	pending []record.Record
 }
 
@@ -345,78 +368,109 @@ func specFor(ss shardSpec, hostID int, reg *obs.Registry, mtr *metrics.Counters)
 	return cfg
 }
 
-// newShardCore builds everything up to — but not including — the peer
-// mesh: the spec and plan over gs, the solution set (initialized from
-// `recovered` when non-nil, S0 otherwise), and the transport listening on
-// an ephemeral port. The fixpoint opens in mesh(), once all data addrs
-// are known.
-func newShardCore(name string, m Maintainer, cfg iterative.Config, hostID int,
-	gs *GraphState, recovered []record.Record, reg *obs.Registry) (*shardCore, string, error) {
+// newShardCore builds host cfg.Host's share of a cfg.Hosts-wide session
+// over gs: spec and plan, the solution set (initialized from `recovered`
+// when non-nil, S0 otherwise), the resident fixpoint, and — with more than
+// one host — the transport, listening on an ephemeral port but not yet
+// connected (that waits until every data addr is known). The returned
+// workset is the cold W0 the coordinator must drive (nil on recovery, and
+// on workers, which seed their share themselves).
+func newShardCore(m Maintainer, cfg iterative.Config, auto bool, gs *GraphState,
+	recovered []record.Record, stats *ViewStats) (*shardCore, []record.Record, error) {
 	spec, s0, w0 := m.Spec(gs)
 	phys, err := iterative.PlanIncremental(spec, cfg, spec.ExpectedIterations)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, err
 	}
 	c := &shardCore{
-		name: name, m: m, cfg: cfg, host: hostID, gs: gs,
+		m: m, cfg: cfg, auto: auto, host: cfg.Host, gs: gs,
 		place: runtime.ContiguousPlacement(cfg.Parallelism, cfg.Hosts),
-		mtr:   cfg.Metrics, reg: reg,
-		spec: spec, phys: phys,
-		digest: distrib.PlanDigest(phys),
+		mtr:   cfg.Metrics, stats: stats,
 	}
+	c.hosted = c.place.HostedBy(c.host)
 	c.sol = runtime.NewSolutionSetWith(cfg.Parallelism, spec.SolutionKey, spec.Comparator, c.mtr,
 		runtime.SolutionOptions{Backend: cfg.SolutionBackend, MemoryBudget: cfg.SolutionMemoryBudget})
+	var tr runtime.Transport
+	if cfg.Hosts > 1 {
+		c.tr = runtime.NewTCPTransport(c.host, c.place, phys.NumEdges, c.mtr)
+		c.tr.SetCompression(cfg.WireCompression)
+		if cfg.Obs != nil {
+			c.tr.SetObs(cfg.TraceID, cfg.Obs.Histogram("transport_send_duration"))
+		}
+		if c.dataAddr, err = c.tr.Listen("127.0.0.1:0"); err != nil {
+			c.close()
+			return nil, nil, err
+		}
+		tr = c.tr
+	}
+	if c.fx, err = iterative.OpenFixpointOn(spec, c.sol, cfg, phys, tr); err != nil {
+		c.close()
+		return nil, nil, err
+	}
+	c.setSpec(spec)
 	if recovered != nil {
 		c.sol.Init(recovered)
-	} else {
-		c.sol.Init(s0)
-		c.w0 = w0
+		return c, nil, nil
 	}
-	c.tr = runtime.NewTCPTransport(hostID, c.place, phys.NumEdges, c.mtr)
-	c.tr.SetCompression(cfg.WireCompression)
-	if reg != nil {
-		c.tr.SetObs(cfg.TraceID, reg.Histogram("transport_send_duration"))
-	}
-	addr, err := c.tr.Listen("127.0.0.1:0")
-	if err != nil {
-		c.sol.Reset()
-		return nil, "", err
-	}
-	return c, addr, nil
+	return c, c.cold(s0, w0), nil
 }
 
-// mesh connects the data plane and opens the resident fixpoint on it.
-// Workers additionally seed their share of the cold workset here; the
-// coordinator drives its own through the barrier.
-func (c *shardCore) mesh(dataAddrs []string, seedCold bool) error {
-	if err := c.tr.ConnectPeers(dataAddrs, distrib.MeshTimeout); err != nil {
+// setSpec installs the spec the fixpoint was just (re)bound to, with the
+// bookkeeping that hangs off it. Everything in gs is in the new plan's
+// edge table, so the overlay empties.
+func (c *shardCore) setSpec(spec iterative.IncrementalSpec) {
+	c.spec = spec
+	c.sources = sourcesOf(spec)
+	c.planEdges = c.gs.NumEdges()
+	c.digest = distrib.PlanDigest(c.fx.Plan())
+	c.overlay = c.overlay[:0]
+}
+
+// sourcesOf lists a spec's Source nodes in construction order.
+func sourcesOf(spec iterative.IncrementalSpec) []*dataflow.Node {
+	var out []*dataflow.Node
+	for _, n := range spec.Plan.Nodes() {
+		if n.Contract == dataflow.Source {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// rebind re-plans the resident session onto a structurally new spec; the
+// executor, the transport and the solution set survive.
+func (c *shardCore) rebind(spec iterative.IncrementalSpec) error {
+	if err := c.fx.Rebind(spec); err != nil {
 		return err
 	}
-	fx, err := iterative.OpenFixpointOn(c.spec, c.sol, c.cfg, c.phys, c.tr)
-	if err != nil {
-		return err
-	}
-	c.fx = fx
-	if seedCold && c.w0 != nil {
-		fx.SeedWorkset(c.w0)
-	}
+	c.setSpec(spec)
+	c.stats.Rebinds++
 	return nil
 }
 
-// applyBatch advances the graph replica by one mutation batch and
-// reports whether the batch demands a coordinated full recompute. The
-// classification is a pure function of (replica state, batch), so every
-// host reaches the same verdict — the coordinator cross-checks anyway.
-// Insertions queue on the overlay for candidate derivation; fresh
-// isolated vertices enter the solution directly (deterministic on every
-// host, no coordination needed).
-func (c *shardCore) applyBatch(muts []Mutation) (full bool, err error) {
-	c.fresh = c.fresh[:0]
+// cold loads S0 and arms W0: a worker seeds its share now, the coordinator
+// gets W0 back to drive it through the barrier.
+func (c *shardCore) cold(s0, w0 []record.Record) []record.Record {
+	c.sol.Reset()
+	c.sol.Init(s0)
+	if c.host != 0 {
+		c.fx.SeedWorkset(w0)
+		return nil
+	}
+	return w0
+}
+
+// applyBatch advances the graph replica by one mutation batch, recording
+// what the batch inserted and removed. The solution set is untouched when
+// something was removed — the impact classification that follows must read
+// a consistent pre-batch state; a batch that removed nothing needs no
+// verdict and settles right away.
+func (c *shardCore) applyBatch(muts []Mutation) error {
+	c.fresh, c.removed = c.fresh[:0], c.removed[:0]
+	c.dropVerts, c.newVerts = c.dropVerts[:0], c.newVerts[:0]
 	addVertex := func(vid int64) {
 		if c.gs.AddVertex(vid) {
-			if r, ok := c.m.VertexRecord(vid); ok {
-				c.sol.Update(r)
-			}
+			c.newVerts = append(c.newVerts, vid)
 		}
 	}
 	for _, mut := range muts {
@@ -430,110 +484,216 @@ func (c *shardCore) applyBatch(muts []Mutation) (full bool, err error) {
 				c.overlay = append(c.overlay, e)
 				c.fresh = append(c.fresh, e)
 				if existed && oldW != mut.Weight {
-					// Re-weighting is not monotone: repair like a deletion.
-					full = true
+					// Re-weighting an existing edge is not monotone (the
+					// weight may have increased, lengthening paths through
+					// it): repair like a deletion of the old edge.
+					c.removed = append(c.removed, e)
 				}
 			}
 		case OpDeleteEdge:
 			if _, ok := c.gs.RemoveEdge(mut.Src, mut.Dst); ok {
-				full = true
+				c.removed = append(c.removed, WEdge{Src: mut.Src, Dst: mut.Dst})
 			}
 		case OpAddVertex:
 			addVertex(mut.Src)
 		case OpDeleteVertex:
 			if c.gs.HasVertex(mut.Src) {
-				c.gs.RemoveVertex(mut.Src)
-				c.sol.Delete(mut.Src)
-				full = true
+				c.removed = append(c.removed, c.gs.RemoveVertex(mut.Src)...)
+				c.dropVerts = append(c.dropVerts, mut.Src)
 			}
 		default:
-			return false, fmt.Errorf("live: unknown mutation op %v", mut.Op)
+			return fmt.Errorf("live: unknown mutation op %v", mut.Op)
 		}
 	}
-	return full, nil
-}
-
-// overlayOverflow reports whether the unfolded edge overlay has outgrown
-// the fast path. Sharded sessions tolerate a far larger overlay than the
-// in-process session (which folds at overlay*8 > edges): folding here
-// means every replica re-derives the spec and re-plans — work that
-// duplicates per host and serializes against the digest cross-check —
-// while an un-folded edge costs only its share of a gather round, which
-// ships nothing once nothing improves. The fixpoint answer is identical
-// either way; the rounds loop re-examines the overlay until quiescence.
-func (c *shardCore) overlayOverflow() bool {
-	return len(c.overlay)*2 > c.gs.NumEdges()
-}
-
-// replan rebuilds the spec and plan over the current graph replica and
-// swaps the session onto it, keeping the mesh. Fixpoint.Rebind cannot be
-// used here: it re-plans without rebinding the transport's per-edge
-// routing state, so a meshed session must tear down the old fixpoint,
-// Rebind the transport to the new plan's edge count, and open a fresh
-// fixpoint on it. full=true additionally resets the solution to S0 and
-// seeds W0 (the coordinated full-recompute path); full=false adopts the
-// converged solution as-is (the overlay fold path). Returns the workset
-// the coordinator should drive (nil unless full).
-func (c *shardCore) replan(full bool) ([]record.Record, error) {
-	spec, s0, w0 := c.m.Spec(c.gs)
-	phys, err := iterative.PlanIncremental(spec, c.cfg, spec.ExpectedIterations)
-	if err != nil {
-		return nil, err
+	if !c.removes() {
+		_, err := c.settle(false, nil)
+		return err
 	}
-	c.fx.Close()
-	c.tr.Rebind(phys.NumEdges)
+	// An edge the same batch inserted and then removed (or re-weighted
+	// again) must not propose candidates.
+	live := c.fresh[:0]
+	for _, e := range c.fresh {
+		if w, ok := c.gs.EdgeWeight(e.Src, e.Dst); ok && w == e.Weight {
+			live = append(live, e)
+		}
+	}
+	c.fresh = live
+	return nil
+}
+
+// removes reports whether the current batch removed anything.
+func (c *shardCore) removes() bool { return len(c.removed)+len(c.dropVerts) > 0 }
+
+// impactReader is the maintainer's solution access while a removal is
+// scoped: the removed endpoints' records as their owners reported them,
+// and otherwise this host's own partitions.
+type impactReader struct {
+	hostedReader
+	known []record.Record
+}
+
+func (r impactReader) Lookup(k int64) (record.Record, bool) {
+	for _, rec := range r.known {
+		if r.c.spec.SolutionKey(rec) == k {
+			return rec, true
+		}
+	}
+	return r.hostedReader.Lookup(k)
+}
+
+// impact scopes the repair of one of the current batch's removals over
+// this host's partitions: the hosted share of the region it may have
+// invalidated, or ok=false when the maintainer demands a full recompute.
+func (c *shardCore) impact(e WEdge, known []record.Record) (share []int64, ok bool) {
+	return c.m.DeleteImpact(c.gs, e.Src, e.Dst, impactReader{hostedReader{c}, known})
+}
+
+// settle brings this host's plan and solution state to where the candidate
+// rounds start from. full is the coordinated full recompute (the returned
+// W0 is the coordinator's to drive). Otherwise: dropped vertices leave the
+// solution, removals and an oversized overlay fold into the plan's edge
+// table — stale edges would resurrect retracted state — the region of a
+// bounded recompute is re-initialized (every host derives the same resets
+// and seeds from its replica and keeps the ones it owns), and fresh
+// vertices enter the solution.
+func (c *shardCore) settle(full bool, region []int64) ([]record.Record, error) {
 	if full {
-		c.sol.Reset()
-		c.sol.Init(s0)
+		return c.recompute()
 	}
-	fx, err := iterative.OpenFixpointOn(spec, c.sol, c.cfg, phys, c.tr)
-	if err != nil {
-		return nil, err
+	for _, d := range c.dropVerts {
+		if c.ownsKey(d) {
+			c.sol.Delete(d)
+		}
 	}
-	c.fx = fx
-	c.spec = spec
-	c.phys = phys
-	c.digest = distrib.PlanDigest(phys)
-	c.overlay = c.overlay[:0]
-	if !full {
-		return nil, nil
+	if c.removes() || len(c.overlay)*overlayFoldFactor > c.gs.NumEdges() {
+		if err := c.fold(); err != nil {
+			return nil, err
+		}
 	}
-	c.fresh = c.fresh[:0]
-	if c.host != 0 {
-		// Workers seed their share now; the coordinator drives w0 through
-		// RunDriven, which seeds on entry.
-		fx.SeedWorkset(w0)
+	if len(region) > 0 {
+		resets, seed, drops := c.m.RecomputeSeed(c.gs, region)
+		for _, d := range drops {
+			if c.ownsKey(d) {
+				c.sol.Delete(d)
+			}
+		}
+		for _, r := range resets {
+			if c.ownsKey(c.spec.SolutionKey(r)) {
+				c.sol.ForceStore(r)
+			}
+		}
+		c.seeds = c.splitByHost(seed)[c.host]
+		if c.mtr != nil {
+			c.mtr.PartialRecomputes.Add(1)
+		}
+		c.stats.PartialRecomputes++
 	}
-	return w0, nil
+	for _, nv := range c.newVerts {
+		if r, ok := c.m.VertexRecord(nv); ok && c.ownsKey(c.spec.SolutionKey(r)) {
+			c.sol.Update(r)
+		}
+	}
+	return nil, nil
 }
 
-// hostedReader is the maintainer's solution access during sharded
-// candidate derivation: lookups hit only partitions this host owns.
-// Non-hosted partitions hold stale replicas — and a stale label can mask
-// a propagation the fixpoint still needs — so misses are reported as
-// absent and the maintainer's fallback produces a sound upper-bound
-// candidate (CC: a vertex proposes its own id; SSSP: no candidate). The
-// owning host emits the exact candidate for the same edge, and the
-// merged workset contains both; ∪̇ keeps whichever improves.
+// fold makes the plan's edge table reflect the current graph (overlay
+// included). Normally the spec is rebuilt only to harvest fresh source
+// data, which is copied into the live plan in place: plan, edge IDs and
+// digest are unchanged, the session and its workers survive, and
+// InvalidateConstants makes the next superstep re-materialize the edge
+// caches. When the edge count has drifted 4x from what the plan was costed
+// with, the session re-plans instead.
+func (c *shardCore) fold() error {
+	edges := c.gs.NumEdges()
+	spec, _, _ := c.m.Spec(c.gs)
+	if edges > 4*c.planEdges || (edges > 0 && c.planEdges > 4*edges) {
+		return c.rebind(spec)
+	}
+	fresh := sourcesOf(spec)
+	if len(fresh) != len(c.sources) {
+		return fmt.Errorf("live: maintainer %s produced %d sources, plan has %d",
+			c.m.Name(), len(fresh), len(c.sources))
+	}
+	for i, n := range c.sources {
+		n.Data = fresh[i].Data
+	}
+	c.fx.InvalidateConstants()
+	c.overlay = c.overlay[:0]
+	return nil
+}
+
+// recompute is the last resort: re-plan over the current graph and restart
+// from S0/W0 — still inside the resident session, so workers, the mesh and
+// the solution set's capacity survive.
+func (c *shardCore) recompute() ([]record.Record, error) {
+	spec, s0, w0 := c.m.Spec(c.gs)
+	if c.mtr != nil {
+		c.mtr.FullRecomputes.Add(1)
+	}
+	c.stats.FullRecomputes++
+	if c.auto {
+		return nil, c.autoRecompute(spec, s0, w0)
+	}
+	if err := c.rebind(spec); err != nil {
+		return nil, err
+	}
+	return c.cold(s0, w0), nil
+}
+
+// autoRecompute is the AutoEngine full recompute: the fixpoint is
+// recomputed through iterative.RunAuto — the cost model (calibrated from
+// this view's measured supersteps) picks the engine and may switch to
+// microsteps mid-run — and the converged result is installed into the
+// resident session, which is re-bound to the new spec for subsequent
+// maintenance.
+func (c *shardCore) autoRecompute(spec iterative.IncrementalSpec, s0, w0 []record.Record) error {
+	// The resident set is about to be overwritten anyway; dropping it
+	// before the runner builds its own keeps peak solution memory at
+	// ~1× instead of transiently doubling the admitted footprint. (On
+	// error the view is left empty — the same state a failed non-auto
+	// recompute leaves behind.)
+	c.sol.Reset()
+	res, err := iterative.RunAuto(iterative.AutoSpec{Incremental: spec}, s0, w0, c.cfg)
+	if err != nil {
+		return err
+	}
+	if err := c.rebind(spec); err != nil {
+		return err
+	}
+	c.sol.Init(res.Solution)
+	if res.Set != nil {
+		// Drop the runner's scratch solution set (under a spill budget it
+		// may hold disk-backed partitions).
+		res.Set.Reset()
+	}
+	c.stats.EngineSwitches += int64(res.Switches)
+	c.stats.Supersteps += int64(res.Supersteps)
+	return nil
+}
+
+// hostedReader is the maintainer's solution access during candidate
+// derivation: lookups hit only partitions this host owns. Non-hosted
+// partitions hold stale replicas — and a stale label can mask a
+// propagation the fixpoint still needs — so misses are reported as absent
+// and the maintainer's fallback produces a sound upper-bound candidate
+// (CC: a vertex proposes its own id; SSSP: no candidate). The owning host
+// emits the exact candidate for the same edge, and the merged workset
+// contains both; ∪̇ keeps whichever improves. Region resets are
+// force-stored before any candidate is derived, so lookups see
+// re-initialized labels, never retracted ones.
 type hostedReader struct{ c *shardCore }
 
-func (r hostedReader) Lookup(k int64) (record.Record, bool) {
-	p := r.c.sol.PartitionFor(k)
-	if r.c.place[p] != r.c.host {
-		return record.Record{}, false
-	}
-	return r.c.sol.Lookup(p, k)
-}
+func (r hostedReader) Lookup(k int64) (record.Record, bool) { return r.c.lookup(k) }
 
 func (r hostedReader) Each(f func(record.Record)) {
-	for _, p := range r.c.place.HostedBy(r.c.host) {
+	for _, p := range r.c.hosted {
 		r.c.sol.EachPartition(p, f)
 	}
 }
 
-// gather derives this host's insert candidates: round 0 covers the
-// current batch's inserts, later rounds re-examine the whole overlay
-// (the converged solution may have moved, re-arming older overlay
+// gather derives this host's candidates: round 0 covers the region seeds
+// and the current batch's inserts, later rounds re-examine the whole
+// overlay (the converged solution may have moved, re-arming older overlay
 // edges). Two source-side filters keep dead weight off the wire:
 //
 //   - A candidate keyed on one endpoint was derived from the *other*
@@ -546,12 +706,18 @@ func (r hostedReader) Each(f func(record.Record)) {
 //     no-op in superstep 1, so it never ships. Remote-keyed candidates
 //     still ship unfiltered — only the key's owner can judge them.
 func (c *shardCore) gather(round int) []record.Record {
-	edges := c.fresh
-	if round > 0 {
-		edges = c.overlay
+	var out []record.Record
+	edges := c.overlay
+	if round == 0 {
+		edges = c.fresh
+		for _, r := range c.seeds {
+			if c.improves(r) {
+				out = append(out, r)
+			}
+		}
+		c.seeds = nil
 	}
 	reader := hostedReader{c: c}
-	var out []record.Record
 	for _, e := range edges {
 		ownsSrc, ownsDst := c.ownsKey(e.Src), c.ownsKey(e.Dst)
 		if !ownsSrc && !ownsDst {
@@ -579,6 +745,38 @@ func (c *shardCore) gather(round int) []record.Record {
 	return out
 }
 
+// gatherRound runs one round's gather verb: own-keyed candidates stay
+// here in pending, the rest come back split by owning host.
+func (c *shardCore) gatherRound(round int) [][]record.Record {
+	shares := c.splitByHost(c.gather(round))
+	c.pending, shares[c.host] = shares[c.host], nil
+	return shares
+}
+
+// seedRound runs one round's seed verb: the candidates routed here are
+// kept only if they still advance the solution (the ones this host can
+// judge — the comparator-based no-op check that detects convergence; the
+// retained ones passed it at gather), join the retained ones, and collapse
+// to the best per key. improving counts the judged survivors; the global
+// sum across hosts is exact (every key has one owner), and zero means the
+// solution is already a fixpoint over the candidates.
+func (c *shardCore) seedRound(routed []record.Record) (workset []record.Record, improving int) {
+	ws := routed[:0]
+	for _, r := range routed {
+		if !c.ownsKey(c.spec.SolutionKey(r)) || c.improves(r) {
+			ws = append(ws, r)
+		}
+	}
+	workset = c.collapseCandidates(append(ws, c.pending...))
+	c.pending = nil
+	for _, r := range workset {
+		if c.ownsKey(c.spec.SolutionKey(r)) {
+			improving++
+		}
+	}
+	return workset, improving
+}
+
 // ownsKey reports whether this host hosts the solution partition of k.
 func (c *shardCore) ownsKey(k int64) bool {
 	return c.place[c.sol.PartitionFor(k)] == c.host
@@ -603,18 +801,22 @@ func (c *shardCore) improves(r record.Record) bool {
 // Owners emit exact candidates and non-owners emit sound fallbacks for
 // the same edges, so the raw merge carries duplicates ∪̇ would discard in
 // the first superstep anyway — collapsing them here keeps the dead
-// weight off the wire and out of the seed scans.
+// weight out of the seed scans.
 func (c *shardCore) collapseCandidates(ws []record.Record) []record.Record {
 	key := c.spec.SolutionKey
-	sort.Slice(ws, func(i, j int) bool {
-		ki, kj := key(ws[i]), key(ws[j])
-		if ki != kj {
-			return ki < kj
+	slices.SortFunc(ws, func(a, b record.Record) int {
+		switch ka, kb := key(a), key(b); {
+		case ka != kb:
+			return cmp.Compare(ka, kb)
+		case record.Less(a, b):
+			return -1
+		case record.Less(b, a):
+			return 1
 		}
-		return record.Less(ws[i], ws[j])
+		return 0
 	})
-	cmp := c.spec.Comparator
-	if cmp == nil {
+	better := c.spec.Comparator
+	if better == nil {
 		// Without an improvement order there is no "best": keep every
 		// distinct candidate and let ∪̇ arbitrate.
 		return ws
@@ -622,7 +824,7 @@ func (c *shardCore) collapseCandidates(ws []record.Record) []record.Record {
 	out := ws[:0]
 	for _, r := range ws {
 		if len(out) > 0 && key(out[len(out)-1]) == key(r) {
-			if cmp(r, out[len(out)-1]) > 0 {
+			if better(r, out[len(out)-1]) > 0 {
 				out[len(out)-1] = r
 			}
 			continue
@@ -649,20 +851,6 @@ func (c *shardCore) splitByHost(ws []record.Record) [][]record.Record {
 	return out
 }
 
-// countImproving counts merged-workset candidates that would advance a
-// partition this host owns — the distributed form of the in-process
-// filterImproving convergence check. The global sum across hosts is
-// exact: every key has exactly one owner.
-func (c *shardCore) countImproving(ws []record.Record) int {
-	n := 0
-	for _, r := range ws {
-		if c.ownsKey(c.spec.SolutionKey(r)) && c.improves(r) {
-			n++
-		}
-	}
-	return n
-}
-
 // lookup probes a hosted partition (callers route by placement).
 func (c *shardCore) lookup(k int64) (record.Record, bool) {
 	p := c.sol.PartitionFor(k)
@@ -676,7 +864,7 @@ func (c *shardCore) lookup(k int64) (record.Record, bool) {
 // ascending partition order, records sorted canonically within each.
 func (c *shardCore) collect() []byte {
 	var out []byte
-	for _, p := range c.place.HostedBy(c.host) {
+	for _, p := range c.hosted {
 		var b record.Batch
 		c.sol.EachPartition(p, func(r record.Record) {
 			b = append(b, r)
@@ -689,8 +877,11 @@ func (c *shardCore) collect() []byte {
 
 // hostedRecords counts the records in this host's partitions.
 func (c *shardCore) hostedRecords() int {
+	if len(c.hosted) == len(c.place) {
+		return c.sol.Size()
+	}
 	n := 0
-	for _, p := range c.place.HostedBy(c.host) {
+	for _, p := range c.hosted {
 		c.sol.EachPartition(p, func(record.Record) { n++ })
 	}
 	return n
@@ -700,8 +891,9 @@ func (c *shardCore) hostedRecords() int {
 func (c *shardCore) close() {
 	if c.fx != nil {
 		c.fx.Close()
-		c.fx = nil
 	}
-	c.tr.Close()
+	if c.tr != nil {
+		c.tr.Close()
+	}
 	c.sol.Reset()
 }

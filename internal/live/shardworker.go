@@ -3,7 +3,9 @@ package live
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
+	"repro/internal/distrib"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/record"
@@ -49,6 +51,12 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 		return err
 	}
 
+	fail := func(err error) error {
+		if serr := enc.Encode(shardMsg{Kind: viewError, Err: err.Error()}); serr != nil {
+			return serr
+		}
+		return err
+	}
 	var start shardMsg
 	if err := dec.Decode(&start); err != nil {
 		return err
@@ -56,22 +64,13 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 	if start.Kind != viewStart {
 		return fmt.Errorf("live: expected %q, got %q", viewStart, start.Kind)
 	}
-	if err := core.mesh(start.DataAddrs, true); err != nil {
-		if serr := enc.Encode(shardMsg{Kind: viewError, Err: err.Error()}); serr != nil {
-			return serr
-		}
-		return err
+	if err := core.tr.ConnectPeers(start.DataAddrs, distrib.MeshTimeout); err != nil {
+		return fail(err)
 	}
 	if err := enc.Encode(shardMsg{Kind: viewMeshed}); err != nil {
 		return err
 	}
 
-	fail := func(err error) error {
-		if serr := enc.Encode(shardMsg{Kind: viewError, Err: err.Error()}); serr != nil {
-			return serr
-		}
-		return err
-	}
 	for {
 		var req shardMsg
 		if err := dec.Decode(&req); err != nil {
@@ -87,15 +86,31 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 			if err != nil {
 				return fail(err)
 			}
-			full, err := core.applyBatch(muts)
+			if err := core.applyBatch(muts); err != nil {
+				return fail(err)
+			}
+			if err := enc.Encode(shardMsg{Kind: viewApplied,
+				Count: len(core.removed), Full: core.removes(), Digest: core.digest}); err != nil {
+				return err
+			}
+		case viewImpact:
+			known, err := unpackRecords(req.Frames)
 			if err != nil {
 				return fail(err)
 			}
-			if err := enc.Encode(shardMsg{Kind: viewApplied, Full: full}); err != nil {
+			if req.Round < 0 || req.Round >= len(core.removed) {
+				return fail(fmt.Errorf("live: impact of removal %d, batch removed %d edges", req.Round, len(core.removed)))
+			}
+			share, ok := core.impact(core.removed[req.Round], known)
+			if err := enc.Encode(shardMsg{Kind: viewRegion, Frames: packRecords(keyRecords(share)), Full: !ok}); err != nil {
 				return err
 			}
 		case viewReplan:
-			if _, err := core.replan(req.Full); err != nil {
+			region, err := unpackRecords(req.Frames)
+			if err != nil {
+				return fail(err)
+			}
+			if _, err := core.settle(req.Full, recordKeys(region)); err != nil {
 				return fail(err)
 			}
 			if err := enc.Encode(shardMsg{Kind: viewReplanned, Digest: core.digest}); err != nil {
@@ -106,14 +121,7 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 			// only remote-keyed ones travel, with Count telling the
 			// coordinator how many were retained so it can detect a
 			// globally empty round.
-			shares := core.splitByHost(core.gather(req.Round))
-			core.pending = shares[core.host]
-			var outbound []record.Record
-			for i, sh := range shares {
-				if i != core.host {
-					outbound = append(outbound, sh...)
-				}
-			}
+			outbound := slices.Concat(core.gatherRound(req.Round)...)
 			if err := enc.Encode(shardMsg{Kind: viewCand,
 				Frames: packRecords(outbound), Count: len(core.pending)}); err != nil {
 				return err
@@ -123,11 +131,9 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 			if err != nil {
 				return fail(err)
 			}
-			recs = core.collapseCandidates(append(recs, core.pending...))
-			core.pending = nil
-			n := core.countImproving(recs)
-			core.fx.SeedWorkset(recs)
-			if err := enc.Encode(shardMsg{Kind: viewSeeded, Count: n}); err != nil {
+			workset, improving := core.seedRound(recs)
+			core.fx.SeedWorkset(workset)
+			if err := enc.Encode(shardMsg{Kind: viewSeeded, Count: improving}); err != nil {
 				return err
 			}
 		case viewStep:
@@ -168,7 +174,8 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 }
 
 // openCore builds this host's session share from the opening message:
-// maintainer, graph replica, config, and the listening shardCore.
+// maintainer, graph replica, config, and the listening shardCore with its
+// share of the cold workset seeded.
 func (h *WorkerHost) openCore(msg shardMsg) (*shardCore, error) {
 	ss := *msg.Spec
 	m, err := maintainerFor(ss.Algorithm, ss.Source)
@@ -189,10 +196,6 @@ func (h *WorkerHost) openCore(msg shardMsg) (*shardCore, error) {
 		}
 	}
 	cfg := specFor(ss, msg.HostID, h.reg, &metrics.Counters{})
-	core, addr, err := newShardCore(ss.Name, m, cfg, msg.HostID, gs, recovered, h.reg)
-	if err != nil {
-		return nil, err
-	}
-	core.dataAddr = addr
-	return core, nil
+	core, _, err := newShardCore(m, cfg, false, gs, recovered, &ViewStats{})
+	return core, err
 }

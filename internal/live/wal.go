@@ -377,7 +377,7 @@ func pruneSnapshots(dir string) {
 // writeSnapshotTo streams the view's durable base state — graph
 // vertices, graph edges, and this process's resident solution records —
 // in checkpoint format. The solution section is streamed through
-// SessionProvider.EachSolution: peak memory is one frame plus the
+// session.EachSolution: peak memory is one frame plus the
 // writer's buffer, never a second copy of the solution (spilled
 // partitions stream from disk to disk). For a sharded view (workerShards
 // > 0) the kind switches to live-sharded:, the solution section holds
@@ -500,32 +500,56 @@ func (v *LiveView) snapshotLocked() error {
 	return nil
 }
 
-// loadSnapshot streams one snapshot file back: the graph sections are
-// applied to a fresh GraphState, the maintainer's spec is opened over it,
-// and the solution section is bulk-loaded frame by frame — mirroring the
-// writer, the full solution is never materialized outside the set itself.
-func loadSnapshot(path string, m Maintainer, cfg ViewConfig) (gs *GraphState, fx *iterative.Fixpoint, spec iterative.IncrementalSpec, seq uint64, err error) {
+// loadSnapshot streams one plain (live:) snapshot file back into an
+// in-process view: the graph sections are applied to a fresh GraphState,
+// the view's session is opened over it with an empty solution, and the
+// solution section is bulk-loaded frame by frame — mirroring the writer,
+// the full solution is never materialized outside the set itself.
+func loadSnapshot(path, name string, m Maintainer, cfg ViewConfig) (v *LiveView, seq uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, spec, 0, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	cr, err := iterative.NewCheckpointReader(f)
 	if err != nil {
-		return nil, nil, spec, 0, err
+		return nil, 0, err
 	}
 	if want := snapshotKindPrefix + m.Name(); cr.Kind() != want {
-		return nil, nil, spec, 0, fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), want)
+		return nil, 0, fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), want)
 	}
-	seq = cr.Iteration()
-	gs = NewGraphState()
+	gs, err := readSnapshotGraph(cr)
+	if err != nil {
+		return nil, 0, err
+	}
+	if v, err = assembleView(name, m, cfg, gs, []record.Record{}); err != nil {
+		return nil, 0, err
+	}
+	if err := cr.ReadSection(func(b record.Batch) error {
+		v.sess.core.sol.Init(b)
+		return nil
+	}); err != nil {
+		v.sess.Kill()
+		return nil, 0, fmt.Errorf("live: snapshot solution: %w", err)
+	}
+	if err := cr.ReadSection(func(record.Batch) error { return nil }); err != io.EOF {
+		v.sess.Kill()
+		return nil, 0, fmt.Errorf("live: trailing data after snapshot solution")
+	}
+	return v, cr.Iteration(), nil
+}
+
+// readSnapshotGraph rebuilds the graph from a snapshot's two leading
+// sections (vertices, then edges in edge-slice order).
+func readSnapshotGraph(cr *iterative.CheckpointReader) (*GraphState, error) {
+	gs := NewGraphState()
 	if err := cr.ReadSection(func(b record.Batch) error {
 		for _, r := range b {
 			gs.AddVertex(r.A)
 		}
 		return nil
 	}); err != nil {
-		return nil, nil, spec, 0, fmt.Errorf("live: snapshot vertices: %w", err)
+		return nil, fmt.Errorf("live: snapshot vertices: %w", err)
 	}
 	if err := cr.ReadSection(func(b record.Batch) error {
 		for _, r := range b {
@@ -533,25 +557,9 @@ func loadSnapshot(path string, m Maintainer, cfg ViewConfig) (gs *GraphState, fx
 		}
 		return nil
 	}); err != nil {
-		return nil, nil, spec, 0, fmt.Errorf("live: snapshot edges: %w", err)
+		return nil, fmt.Errorf("live: snapshot edges: %w", err)
 	}
-	spec, _, _ = m.Spec(gs)
-	fx, err = iterative.OpenFixpoint(spec, nil, cfg.Config)
-	if err != nil {
-		return nil, nil, spec, 0, err
-	}
-	if err := cr.ReadSection(func(b record.Batch) error {
-		fx.Solution().Init(b)
-		return nil
-	}); err != nil {
-		fx.Close()
-		return nil, nil, spec, 0, fmt.Errorf("live: snapshot solution: %w", err)
-	}
-	if err := cr.ReadSection(func(record.Batch) error { return nil }); err != io.EOF {
-		fx.Close()
-		return nil, nil, spec, 0, fmt.Errorf("live: trailing data after snapshot solution")
-	}
-	return gs, fx, spec, seq, nil
+	return gs, nil
 }
 
 // loadSnapshotRecords loads a snapshot of either format — plain (live:)
@@ -579,22 +587,9 @@ func loadSnapshotRecords(dir string, seq uint64, m Maintainer) (*GraphState, []r
 	default:
 		return nil, nil, fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), m.Name())
 	}
-	gs := NewGraphState()
-	if err := cr.ReadSection(func(b record.Batch) error {
-		for _, r := range b {
-			gs.AddVertex(r.A)
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, fmt.Errorf("live: snapshot vertices: %w", err)
-	}
-	if err := cr.ReadSection(func(b record.Batch) error {
-		for _, r := range b {
-			gs.AddEdge(r.A, r.B, r.X)
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, fmt.Errorf("live: snapshot edges: %w", err)
+	gs, err := readSnapshotGraph(cr)
+	if err != nil {
+		return nil, nil, err
 	}
 	recs := []record.Record{} // non-nil: an empty solution still recovers
 	if err := cr.ReadSection(func(b record.Batch) error {
@@ -777,11 +772,8 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string) (*LiveVi
 		if len(cfg.Workers) == 0 {
 			// In-process recovery streams the snapshot straight into the
 			// solution set — the full solution is never materialized.
-			gs, fx, spec, seq, lerr := loadSnapshot(filepath.Join(dir, snapshotName(s)), m, cfg)
-			if lerr == nil {
-				v = assembleView(name, m, cfg, gs, nil)
-				v.sess = adoptLocalSession(v, fx, spec)
-				snapSeq, loaded = seq, true
+			if lv, seq, lerr := loadSnapshot(filepath.Join(dir, snapshotName(s)), name, m, cfg); lerr == nil {
+				v, snapSeq, loaded = lv, seq, true
 				break
 			}
 		}
@@ -796,16 +788,13 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string) (*LiveVi
 			// longer reaches back that far.
 			continue
 		}
-		cand := assembleView(name, m, cfg, gs, nil)
-		sess, serr := cand.openSession(recs)
-		if serr != nil {
+		if v, err = assembleView(name, m, cfg, gs, recs); err != nil {
 			// Session open failure (e.g. a worker is unreachable) is an
 			// environment error, not snapshot corruption: fail now rather
 			// than silently recovering older state.
-			return nil, fmt.Errorf("live: recovering view %q: %w", name, serr)
+			return nil, fmt.Errorf("live: recovering view %q: %w", name, err)
 		}
-		cand.sess = sess
-		v, snapSeq, loaded = cand, s, true
+		snapSeq, loaded = s, true
 		break
 	}
 
@@ -831,12 +820,9 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string) (*LiveVi
 			return nil, fmt.Errorf("live: view %q has no readable snapshot but its wal starts at frame %d", name, base+1)
 		}
 		rebuildSeq, rebuildSize = seq, size
-		v = assembleView(name, m, cfg, gs, nil)
-		sess, err := v.openSession(nil)
-		if err != nil {
+		if v, err = assembleView(name, m, cfg, gs, nil); err != nil {
 			return nil, err
 		}
-		v.sess = sess
 	}
 
 	var (

@@ -30,6 +30,7 @@ func TestSolutionBackendsAgree(t *testing.T) {
 	for _, bk := range backendKinds {
 		t.Run(bk.name, func(t *testing.T) {
 			s := NewSolutionSetWith(parts, record.KeyA, nil, nil, bk.opts)
+			t.Cleanup(s.Reset)
 			model := make(map[int64]record.Record)
 			for _, r := range recs {
 				s.Update(r)
@@ -78,6 +79,7 @@ func TestSolutionSpillSnapshotConsistency(t *testing.T) {
 	// eviction while the merges run.
 	s := NewSolutionSetWith(4, record.KeyA, cmp, &m,
 		SolutionOptions{MemoryBudget: 10 * record.EncodedSize})
+	t.Cleanup(s.Reset)
 	model := make(map[int64]record.Record)
 
 	apply := func(delta []record.Record) {
@@ -133,6 +135,7 @@ func TestSolutionSpillResidencyBounded(t *testing.T) {
 	budget := int64(64 * record.EncodedSize)
 	s := NewSolutionSetWith(8, record.KeyA, nil, nil,
 		SolutionOptions{MemoryBudget: budget})
+	t.Cleanup(s.Reset)
 	for i := int64(0); i < 4000; i++ {
 		s.Update(record.Record{A: i, B: i})
 	}
@@ -221,6 +224,7 @@ func TestSolutionBackendsDelete(t *testing.T) {
 	for _, bk := range backendKinds {
 		t.Run(bk.name, func(t *testing.T) {
 			s := NewSolutionSetWith(3, record.KeyA, nil, nil, bk.opts)
+			t.Cleanup(s.Reset)
 			model := make(map[int64]record.Record)
 			for i := int64(0); i < 400; i++ {
 				r := record.Record{A: i, B: i * 2}
