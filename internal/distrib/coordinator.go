@@ -120,7 +120,7 @@ func (b *coordBarrier) Collect(step, localNext int) (int, error) {
 // worker that fails the swap aborts the run before any process executes
 // under a mixed-plan mesh.
 func (b *coordBarrier) epochBump(epoch int, est int64, phys *optimizer.PhysPlan) error {
-	digest := PlanDigest(phys)
+	digest := phys.Fingerprint()
 	for _, w := range b.workers {
 		if err := w.enc.Encode(ctlMsg{Kind: kindEpoch, Epoch: epoch, Count: int(est), Digest: digest}); err != nil {
 			return err

@@ -221,19 +221,34 @@ func TestDistributedTracePropagation(t *testing.T) {
 	}
 }
 
+// reshapingJob is a CC job whose mid-run re-optimization genuinely changes
+// the physical plan: on a near-complete core the cost-based planner
+// broadcasts the small delta set against a stream-cached edge table, and
+// once the workset collapses into the tail the greedy re-plan partitions
+// the edge table instead. A later, deeper collapse re-plans again to that
+// same partitioned shape.
+var reshapingJob = JobSpec{Algorithm: "cc", GraphKind: "uniform-tail", GraphN: 200, GraphM: 30000,
+	Seed: 0xE90C, Parallelism: 2, Reoptimize: true}
+
 // TestDistributedReoptimizeMatchesSingleProcess is the plan-epoch
 // acceptance check: a 2-process run with mid-run re-optimization enabled
-// must apply at least one coordinated plan epoch (the workset collapses
-// far below the planned estimate near convergence) and still produce the
-// byte-identical fixpoint, in the same number of supersteps, as the
-// single-process driver running the identical spec.
+// must produce the byte-identical fixpoint, in the same number of
+// supersteps, as the single-process driver running the identical spec —
+// and announce a coordinated plan epoch exactly when a re-plan changes
+// the physical shape. The CC job re-plans twice and changes shape once;
+// the SSSP job's re-plans all keep the running shape, so its workers
+// never hear of them.
 func TestDistributedReoptimizeMatchesSingleProcess(t *testing.T) {
-	jobs := []JobSpec{
-		{Algorithm: "cc", GraphKind: "uniform", GraphN: 200, GraphM: 400, Seed: 0xE90C, Parallelism: 4, Reoptimize: true},
-		{Algorithm: "sssp", GraphKind: "uniform", GraphN: 150, GraphM: 450, Seed: 0xE90D, Parallelism: 4, Source: 2, Reoptimize: true},
+	cases := []struct {
+		js         JobSpec
+		wantEpochs int
+		minReplans int64
+	}{
+		{reshapingJob, 1, 2},
+		{JobSpec{Algorithm: "sssp", GraphKind: "uniform", GraphN: 150, GraphM: 450, Seed: 0xE90D, Parallelism: 4, Source: 2, Reoptimize: true}, 0, 1},
 	}
-	for _, js := range jobs {
-		js := js
+	for _, c := range cases {
+		js := c.js
 		t.Run(js.Algorithm, func(t *testing.T) {
 			single, err := RunSingle(js)
 			if err != nil {
@@ -251,8 +266,14 @@ func TestDistributedReoptimizeMatchesSingleProcess(t *testing.T) {
 				t.Fatalf("superstep counts diverged: distributed %d, single %d",
 					got.Supersteps, single.Supersteps)
 			}
-			if got.PlanEpochs < 1 {
-				t.Fatalf("run applied %d plan epochs, want at least one mid-run re-optimization", got.PlanEpochs)
+			if got.PlanEpochs != c.wantEpochs {
+				t.Fatalf("run announced %d plan epochs, want %d (one per shape change)", got.PlanEpochs, c.wantEpochs)
+			}
+			// Every coordinated re-plan is a fresh greedy plan on the
+			// coordinator; the ones beyond PlanEpochs kept the shape.
+			if got.Work.GreedyPlans < c.minReplans {
+				t.Fatalf("coordinator re-planned %d times, want at least %d — the job no longer exercises a same-shape re-plan",
+					got.Work.GreedyPlans, c.minReplans)
 			}
 		})
 	}
@@ -365,7 +386,7 @@ func TestStaleEpochRejectedAtBarrier(t *testing.T) {
 // session, so no superstep ever runs on a mixed-plan mesh.
 func TestEpochDigestMismatchAborts(t *testing.T) {
 	// Same spec as the parity test: known to trigger a mid-run epoch.
-	js := JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 200, GraphM: 400, Seed: 0xE90C, Parallelism: 4, Reoptimize: true}
+	js := reshapingJob
 	addr := startFakeWorker(t, func(reply *ctlMsg) {
 		if reply.Kind == kindEpochDone {
 			reply.Digest = "deadbeefdeadbeef"

@@ -20,6 +20,9 @@ func buildGraph(js JobSpec) (*graphgen.Graph, error) {
 	switch js.GraphKind {
 	case "", "uniform":
 		return graphgen.Uniform("distrib-uniform", js.GraphN, js.GraphM, js.Seed), nil
+	case "uniform-tail":
+		return graphgen.Uniform("distrib-uniform-tail", js.GraphN, js.GraphM, js.Seed).
+			WithDiameterTail(js.GraphN/4, 0), nil
 	case "pa":
 		m := int(js.GraphM / max64(1, js.GraphN))
 		if m < 1 {
@@ -149,7 +152,7 @@ func newJob(js JobSpec, hostID int, listenAddr string, reg *obs.Registry) (*job,
 		js: js, spec: spec, cfg: cfg, phys: phys, m: m, reg: reg,
 		sol: sol, w0: w0,
 		place:  runtime.ContiguousPlacement(js.Parallelism, js.Hosts),
-		digest: PlanDigest(phys),
+		digest: phys.Fingerprint(),
 		host:   hostID,
 	}
 	j.tr = runtime.NewTCPTransport(hostID, j.place, phys.NumEdges, m)
@@ -190,7 +193,7 @@ func (j *job) applyEpoch(epoch int, est int64) (string, error) {
 		return "", err
 	}
 	j.phys = phys
-	j.digest = PlanDigest(phys)
+	j.digest = phys.Fingerprint()
 	j.epoch = epoch
 	return j.digest, nil
 }

@@ -24,14 +24,7 @@
 // digests.
 package distrib
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-
-	"repro/internal/obs"
-	"repro/internal/optimizer"
-)
+import "repro/internal/obs"
 
 // JobSpec is the complete, self-contained description of a distributed
 // run. Everything a process needs — graph, algorithm, plan options — is
@@ -41,7 +34,11 @@ type JobSpec struct {
 	// Algorithm: "cc" (CC via Match), "cc-cogroup" (CC via CoGroup), or
 	// "sssp".
 	Algorithm string `json:"algorithm"`
-	// GraphKind: "uniform" or "pa" (preferential attachment).
+	// GraphKind: "uniform", "pa" (preferential attachment), or
+	// "uniform-tail" — a uniform graph with a path of GraphN/4 extra
+	// vertices hanging off vertex 0. A dense core with a long tail is the
+	// input whose workset collapses while the run still has supersteps to
+	// go, so mid-run re-optimization changes the physical plan's shape.
 	GraphKind string `json:"graph_kind"`
 	// GraphN and GraphM are the vertex and edge counts; Seed feeds the
 	// deterministic generator.
@@ -157,26 +154,4 @@ type ctlMsg struct {
 	// timeline (host IDs keep the origins apart).
 	Spans []obs.Span `json:"spans,omitempty"`
 	Err   string     `json:"err,omitempty"`
-}
-
-// PlanDigest fingerprints the structure the exchange layer routes by:
-// dense node and edge identities, roles, strategies, shipping and cache
-// flags. Two processes whose digests agree will compute identical
-// superstep schedules and route every frame to the partition the sender
-// meant.
-func PlanDigest(p *optimizer.PhysPlan) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "par=%d hosts=%d nodes=%d edges=%d\n",
-		p.Parallelism, p.Hosts, len(p.Nodes), p.NumEdges)
-	for _, n := range p.Nodes {
-		logID := -1
-		if n.Logical != nil {
-			logID = n.Logical.ID
-		}
-		fmt.Fprintf(h, "n%d role=%d local=%d logical=%d\n", n.ID, n.Role, n.Local, logID)
-		for _, e := range n.Inputs {
-			fmt.Fprintf(h, " e%d from=%d ship=%d cache=%t\n", e.ID, e.From.ID, e.Ship, e.Cache)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

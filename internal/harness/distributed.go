@@ -152,9 +152,14 @@ func distributedJobs(scale graphgen.Scale) []distrib.JobSpec {
 			}
 		}
 		// One cell per algorithm with coordinated mid-run re-optimization:
-		// the workset collapse near convergence triggers plan epochs, every
-		// process swaps sessions, and the bytes must still match.
-		jobs = append(jobs, distrib.JobSpec{
+		// the workset collapse near convergence triggers re-plans, and the
+		// bytes must still match. A plan epoch — every process swapping
+		// sessions — is announced only when a re-plan changes the physical
+		// shape: SSSP's re-plans keep it (0 epochs); the CC cell runs a
+		// near-complete core with a tail at parallelism 2, where the
+		// broadcast plan of the dense supersteps gives way to a partitioned
+		// edge table once (1 epoch).
+		js := distrib.JobSpec{
 			Algorithm:   alg,
 			GraphKind:   "uniform",
 			GraphN:      n,
@@ -163,7 +168,11 @@ func distributedJobs(scale graphgen.Scale) []distrib.JobSpec {
 			Source:      1,
 			Parallelism: 4,
 			Reoptimize:  true,
-		})
+		}
+		if alg == "cc" {
+			js.GraphKind, js.GraphN, js.GraphM, js.Parallelism = "uniform-tail", 200, 30000, 2
+		}
+		jobs = append(jobs, js)
 	}
 	return jobs
 }

@@ -328,6 +328,9 @@ func TestDistributedScenario(t *testing.T) {
 	for _, c := range res.Checks {
 		if c.Reoptimize {
 			reoptCells++
+			if c.Algorithm == "cc" && c.PlanEpochs != 1 {
+				t.Errorf("cc reoptimize cell applied %d plan epochs, want its one shape change", c.PlanEpochs)
+			}
 		} else if c.PlanEpochs != 0 {
 			t.Errorf("%s/%s par=%d applied %d plan epochs without reoptimize on", c.Algorithm, c.Backend, c.Parallelism, c.PlanEpochs)
 		}

@@ -197,19 +197,30 @@ func TestResumeMicrostep(t *testing.T) {
 	}
 }
 
+// reshapingCC is incremental CC with Reoptimize on over a dense core with
+// a long tail. At Parallelism 2 the cost-based planner broadcasts the
+// small delta set against a stream-cached edge table; once the workset
+// collapses into the tail, the greedy re-plan partitions the edge table
+// instead (one real shape change), and the deeper collapse near
+// convergence re-plans to that same shape (a no-op).
+func reshapingCC(seed uint64) (*graphgen.Graph, iterative.IncrementalSpec, []record.Record, []record.Record) {
+	g := graphgen.Uniform("reshaping", 100, 3000, seed).WithDiameterTail(30, 0)
+	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
+	spec.Reoptimize = true
+	return g, spec, s0, w0
+}
+
 // TestIncrementalSpecReuse is the regression test for the estimate-
 // mutation bug: RunIncremental used to overwrite the shared plan node's
 // EstRecords (once at entry, again on every reoptimize), so a reused spec
 // silently planned run 2 with run 1's final workset size. Both runs must
 // now plan identically, and the spec must come back unchanged.
 func TestIncrementalSpecReuse(t *testing.T) {
-	g := graphgen.ChainedCommunities("spec-reuse", 30, 12, 24, 42)
-	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
-	spec.Reoptimize = true
+	_, spec, s0, w0 := reshapingCC(42)
 	origEst := spec.Workset.EstRecords
 
 	var m metrics.Counters
-	cfg := iterative.Config{Parallelism: 4, Metrics: &m}
+	cfg := iterative.Config{Parallelism: 2, Metrics: &m}
 	res1, err := iterative.RunIncremental(spec, s0, w0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -234,47 +245,55 @@ func TestIncrementalSpecReuse(t *testing.T) {
 	}
 }
 
-// TestReoptimizeCounters asserts the happy path increments Reoptimizations
-// and records a trace event (failures would land in ReoptimizeFailures;
-// re-planning the same valid Δ cannot be made to fail deterministically,
-// so the failure branch is covered by the counter contract only).
+// TestReoptimizeCounters asserts the happy path: Reoptimizations counts
+// exactly the re-plans that swapped a differently shaped plan in, each with
+// a "reoptimized" trace event, while a re-plan that lands on the shape
+// already running is traced but swaps — and counts — nothing. (Failures
+// would land in ReoptimizeFailures; re-planning the same valid Δ cannot be
+// made to fail deterministically, so the failure branch is covered by the
+// counter contract only.)
 func TestReoptimizeCounters(t *testing.T) {
-	g := graphgen.ChainedCommunities("reopt", 30, 12, 24, 7)
-	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
-	spec.Reoptimize = true
+	_, spec, s0, w0 := reshapingCC(7)
 
 	var m metrics.Counters
-	res, err := iterative.RunIncremental(spec, s0, w0, iterative.Config{Parallelism: 4, Metrics: &m})
+	res, err := iterative.RunIncremental(spec, s0, w0, iterative.Config{Parallelism: 2, Metrics: &m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Reoptimizations.Load() == 0 {
-		t.Fatalf("Reoptimizations = 0 after %d supersteps of a collapsing workset", res.Supersteps)
+	if m.Reoptimizations.Load() != 1 {
+		t.Fatalf("Reoptimizations = %d after %d supersteps, want the one shape change", m.Reoptimizations.Load(), res.Supersteps)
+	}
+	if int64(res.PlanEpochs) != m.Reoptimizations.Load() {
+		t.Errorf("PlanEpochs = %d, Reoptimizations = %d", res.PlanEpochs, m.Reoptimizations.Load())
 	}
 	if m.ReoptimizeFailures.Load() != 0 {
 		t.Errorf("ReoptimizeFailures = %d, want 0", m.ReoptimizeFailures.Load())
 	}
-	var events int
+	var swaps, kept int
 	for _, ev := range res.Trace.Events {
 		if strings.Contains(ev.Event, "reoptimized") {
-			events++
+			swaps++
+		}
+		if strings.Contains(ev.Event, "shape unchanged") {
+			kept++
 		}
 	}
-	if int64(events) != m.Reoptimizations.Load() {
-		t.Errorf("trace records %d reoptimizations, counter says %d", events, m.Reoptimizations.Load())
+	if int64(swaps) != m.Reoptimizations.Load() {
+		t.Errorf("trace records %d reoptimizations, counter says %d", swaps, m.Reoptimizations.Load())
+	}
+	if kept == 0 {
+		t.Errorf("no same-shape re-plan traced; events: %v", res.Trace.Events)
 	}
 }
 
 // TestRunAutoHonorsReoptimize: the adaptive runner's incremental phase
 // must support the same mid-run re-planning as RunIncremental.
 func TestRunAutoHonorsReoptimize(t *testing.T) {
-	g := graphgen.ChainedCommunities("auto-reopt", 30, 12, 24, 11)
-	inc, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
-	inc.Reoptimize = true
+	g, inc, s0, w0 := reshapingCC(11)
 
 	var m metrics.Counters
 	res, err := iterative.RunAuto(iterative.AutoSpec{Incremental: inc}, s0, w0,
-		iterative.Config{Parallelism: 4, Metrics: &m})
+		iterative.Config{Parallelism: 2, Metrics: &m})
 	if err != nil {
 		t.Fatal(err)
 	}

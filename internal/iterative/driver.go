@@ -97,10 +97,11 @@ type DriveHooks struct {
 	// Barrier, if non-nil, coordinates each superstep across processes.
 	Barrier Barrier
 	// OnEpoch, if non-nil, is called when the driver has decided a
-	// re-optimization and planned phys for the global workset estimate
-	// est: broadcast the new plan epoch, wait until every peer has
-	// re-planned and swapped, and return nil — only then does the local
-	// session swap and the next superstep start. A non-nil OnEpoch also
+	// re-optimization to a different physical shape and planned phys for
+	// the global workset estimate est (a re-plan that keeps the running
+	// shape announces nothing): broadcast the new plan epoch, wait until
+	// every peer has re-planned and swapped, and return nil — only then
+	// does the local session swap and the next superstep start. A non-nil OnEpoch also
 	// bypasses the plan cache, so peers re-planning from the shipped
 	// estimate derive the byte-identical plan.
 	OnEpoch func(epoch int, est int64, phys *optimizer.PhysPlan) error
@@ -231,9 +232,10 @@ const reoptimizeBackoffSteps = 8
 // the cache instead of re-planning.
 type reoptState struct {
 	cache *optimizer.PlanCache
-	// cur is the plan the live session executes; a cache hit returning
-	// cur is a pure no-op (no session swap, caches stay warm).
+	// cur is the plan the live session executes and shape its structural
+	// fingerprint: a re-plan that yields the same shape keeps cur.
 	cur        *optimizer.PhysPlan
+	shape      string
 	plannedEst int64
 	// backoffUntil suppresses re-optimization attempts for supersteps
 	// below it after a failure.
@@ -241,18 +243,30 @@ type reoptState struct {
 }
 
 func newReoptState(cur *optimizer.PhysPlan, plannedEst int64) *reoptState {
-	return &reoptState{cache: optimizer.NewPlanCache(), cur: cur, plannedEst: plannedEst}
+	st := &reoptState{cache: optimizer.NewPlanCache(), plannedEst: plannedEst}
+	st.install(cur)
+	return st
+}
+
+// install records phys as the plan the session now executes.
+func (st *reoptState) install(phys *optimizer.PhysPlan) {
+	st.cur, st.shape = phys, phys.Fingerprint()
 }
 
 // maybeReoptimize is the adaptive re-planning decision, owned by the
 // driver: when the engine wants re-optimization and the working set has
 // collapsed far below the size the current plan was costed with, Δ is
-// re-planned for the remaining supersteps and a fresh session swapped
-// in. Single-process runs re-plan through the plan cache — a hit skips
-// planning entirely, and a hit on the very plan already executing skips
-// the session swap too. Coordinated runs (OnEpoch set) plan fresh from
-// the exact global estimate and announce the new plan epoch to every
-// peer before swapping locally. Failures are surfaced
+// re-planned for the remaining supersteps. What a swap costs is not the
+// planning (microseconds) but refilling the constant-path caches under a
+// fresh session, so the decision compares physical shapes, not plan
+// objects: a re-plan whose optimizer.Fingerprint equals the running
+// plan's is a pure no-op — no swap, no epoch announcement, caches and
+// session stay warm — and only ratchets the planned estimate (plus a
+// trace event). A genuinely different shape swaps a fresh session in.
+// Single-process runs re-plan through the plan cache; coordinated runs
+// (OnEpoch set) plan fresh from the exact global estimate and announce
+// the new plan epoch to every peer before swapping locally — peers only
+// ever hear about real shape changes. Failures are surfaced
 // (ReoptimizeFailures, ReoptimizeBackoffs, a trace event) and suppress
 // further attempts for reoptimizeBackoffSteps supersteps.
 func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
@@ -273,7 +287,8 @@ func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
 		return nil
 	}
 	st.plannedEst = int64(next)
-	if newPhys == st.cur {
+	if newPhys == st.cur || newPhys.Fingerprint() == st.shape {
+		d.trace.AddEvent(step, fmt.Sprintf("re-planned for workset %d: shape unchanged", next))
 		return nil
 	}
 	if d.hooks.OnEpoch != nil {
@@ -292,7 +307,7 @@ func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
 	if err := rp.swap(newPhys); err != nil {
 		return err
 	}
-	st.cur = newPhys
+	st.install(newPhys)
 	d.epochs++
 	return nil
 }

@@ -29,7 +29,7 @@ type Fixpoint struct {
 	en   *incEngine
 	// reopt persists across Run calls, so repeated maintenance batches
 	// that collapse the same way hit the plan cache instead of re-planning
-	// (and skip the session swap when the cached plan is already live).
+	// (and skip the session swap when the plan's shape is already live).
 	reopt *reoptState
 	// traceStep numbers supersteps continuously across Run calls, so a
 	// live view's maintenance flushes produce distinct steps in its trace.
@@ -254,7 +254,7 @@ func (f *Fixpoint) ApplyEpoch(est int64) (*optimizer.PhysPlan, error) {
 	if err := f.en.swap(phys); err != nil {
 		return nil, err
 	}
-	f.reopt.cur = phys
+	f.reopt.install(phys)
 	f.reopt.plannedEst = est
 	return phys, nil
 }

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"repro/internal/dataflow"
-	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -422,7 +421,7 @@ func (c *shardCore) setSpec(spec iterative.IncrementalSpec) {
 	c.spec = spec
 	c.sources = sourcesOf(spec)
 	c.planEdges = c.gs.NumEdges()
-	c.digest = distrib.PlanDigest(c.fx.Plan())
+	c.digest = c.fx.Plan().Fingerprint()
 	c.overlay = c.overlay[:0]
 }
 

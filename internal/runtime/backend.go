@@ -132,178 +132,62 @@ func (b *mapBackend) Bytes() int64 { return b.bytes.Load() }
 
 // --- compact backend -----------------------------------------------------
 
-// compactIndex is one partition of the compact backend: an open-addressing
-// probe table over flat slabs. slots holds positions into the keys/recs
-// slabs (-1 = empty, -2 = tombstone left by a delete); records are
+// compactIndex is one partition of the compact backend: a probeIndex over
+// the keys with one record per key in a parallel slab. Records are
 // appended to recs and updated in place, so iteration order is insertion
-// order and a lookup is a linear probe from Hash64(k) with no per-entry
-// heap objects. Slabs are retained across reset(), giving steady-state
-// generations allocation-free rebuilds. Deletes swap-remove from the slabs
-// and leave a tombstone in the probe table; tombstones are recycled by
-// inserts and swept by a same-size rehash when they pile up.
+// order. Slabs are retained across reset(), giving steady-state
+// generations allocation-free rebuilds; deletes swap-remove.
 type compactIndex struct {
-	slots []int32 // power-of-two table; -1 empty, -2 tombstone, else index into recs
-	keys  []int64
-	recs  []record.Record
-	tombs int // tombstone count in slots
+	probeIndex
+	recs []record.Record
 }
 
-const compactMaxLoadNum, compactMaxLoadDen = 3, 4 // grow beyond 75% load
-
-const (
-	compactEmpty     = -1
-	compactTombstone = -2
-)
-
-// reserve sizes the probe table for at least n records.
+// reserve sizes the index for at least n records.
 func (c *compactIndex) reserve(n int) {
-	need := 8
-	for need*compactMaxLoadNum/compactMaxLoadDen <= n {
-		need *= 2
-	}
-	if need <= len(c.slots) {
-		return
-	}
-	c.rehash(need)
+	c.probeIndex.reserve(n)
 	if cap(c.recs) < n {
 		recs := make([]record.Record, len(c.recs), n)
 		copy(recs, c.recs)
 		c.recs = recs
-		keys := make([]int64, len(c.keys), n)
-		copy(keys, c.keys)
-		c.keys = keys
-	}
-}
-
-// rehash rebuilds the probe table at the given power-of-two size. Rebuilt
-// tables have no tombstones.
-func (c *compactIndex) rehash(size int) {
-	if cap(c.slots) >= size {
-		c.slots = c.slots[:size]
-	} else {
-		c.slots = make([]int32, size)
-	}
-	c.tombs = 0
-	for i := range c.slots {
-		c.slots[i] = compactEmpty
-	}
-	mask := uint64(size - 1)
-	for i, k := range c.keys {
-		j := record.Hash64(k) & mask
-		for c.slots[j] >= 0 {
-			j = (j + 1) & mask
-		}
-		c.slots[j] = int32(i)
 	}
 }
 
 func (c *compactIndex) lookup(k int64) (record.Record, bool) {
-	if len(c.slots) == 0 {
+	pos := c.find(k)
+	if pos < 0 {
 		return record.Record{}, false
 	}
-	mask := uint64(len(c.slots) - 1)
-	j := record.Hash64(k) & mask
-	for {
-		s := c.slots[j]
-		if s == compactEmpty {
-			return record.Record{}, false
-		}
-		if s >= 0 && c.keys[s] == k {
-			return c.recs[s], true
-		}
-		j = (j + 1) & mask
-	}
+	return c.recs[pos], true
 }
 
 // store inserts or overwrites; it reports whether a new key was inserted.
-// Tombstoned slots are recycled for new keys, but probing continues past
-// them so an existing key further down its chain is still found.
 func (c *compactIndex) store(k int64, r record.Record) bool {
-	if len(c.slots) == 0 || (len(c.recs)+c.tombs+1)*compactMaxLoadDen > len(c.slots)*compactMaxLoadNum {
-		size := len(c.slots) * 2
-		if size < 8 {
-			size = 8
-		}
-		c.rehash(size)
+	pos, added := c.insert(k)
+	if added {
+		c.recs = append(c.recs, r)
+	} else {
+		c.recs[pos] = r
 	}
-	mask := uint64(len(c.slots) - 1)
-	j := record.Hash64(k) & mask
-	reuse := -1 // first tombstone on the probe path, reusable on insert
-	for {
-		s := c.slots[j]
-		if s == compactEmpty {
-			if reuse >= 0 {
-				j = uint64(reuse)
-				c.tombs--
-			}
-			c.slots[j] = int32(len(c.recs))
-			c.keys = append(c.keys, k)
-			c.recs = append(c.recs, r)
-			return true
-		}
-		if s == compactTombstone {
-			if reuse < 0 {
-				reuse = int(j)
-			}
-		} else if c.keys[s] == k {
-			c.recs[s] = r
-			return false
-		}
-		j = (j + 1) & mask
-	}
+	return added
 }
 
-// delete removes key k, reporting whether it was present. The record is
-// swap-removed from the slabs (the last record fills the hole) and the
-// vacated probe slot becomes a tombstone; when tombstones exceed a quarter
-// of the table a same-size rehash sweeps them out.
+// delete removes key k, reporting whether it was present; the last record
+// fills the hole, mirroring the key slab.
 func (c *compactIndex) delete(k int64) bool {
-	if len(c.slots) == 0 {
+	pos := c.remove(k)
+	if pos < 0 {
 		return false
 	}
-	mask := uint64(len(c.slots) - 1)
-	j := record.Hash64(k) & mask
-	for {
-		s := c.slots[j]
-		if s == compactEmpty {
-			return false
-		}
-		if s >= 0 && c.keys[s] == k {
-			last := len(c.recs) - 1
-			if int(s) != last {
-				// Move the last slab entry into the hole and repoint the
-				// probe slot that referenced it (keys are unique, so the
-				// probe from its hash finds exactly one slot holding last).
-				lk := c.keys[last]
-				jj := record.Hash64(lk) & mask
-				for c.slots[jj] != int32(last) {
-					jj = (jj + 1) & mask
-				}
-				c.slots[jj] = s
-				c.keys[s] = lk
-				c.recs[s] = c.recs[last]
-			}
-			c.keys = c.keys[:last]
-			c.recs = c.recs[:last]
-			c.slots[j] = compactTombstone
-			c.tombs++
-			if c.tombs*4 > len(c.slots) {
-				c.rehash(len(c.slots))
-			}
-			return true
-		}
-		j = (j + 1) & mask
-	}
+	last := len(c.recs) - 1
+	c.recs[pos] = c.recs[last]
+	c.recs = c.recs[:last]
+	return true
 }
 
 // reset empties the index, keeping the slabs for the next generation.
 func (c *compactIndex) reset() {
-	c.keys = c.keys[:0]
+	c.clear()
 	c.recs = c.recs[:0]
-	c.tombs = 0
-	for i := range c.slots {
-		c.slots[i] = compactEmpty
-	}
 }
 
 // release drops the slabs entirely (used by the spill backend so an

@@ -166,9 +166,23 @@ func (e *Executor) SetPlaceholder(logicalID int, recs []record.Record, key recor
 	}
 	parts := make([][]record.Record, parallelism)
 	if key != nil {
-		for _, r := range recs {
+		// Count, then fill: one exact-size array carved into the
+		// partitions instead of append-growing each of them.
+		where := make([]int32, len(recs))
+		counts := make([]int, parallelism)
+		for i, r := range recs {
 			p := record.PartitionOf(key(r), parallelism)
-			parts[p] = append(parts[p], r)
+			where[i] = int32(p)
+			counts[p]++
+		}
+		flat := make([]record.Record, len(recs))
+		lo := 0
+		for p, n := range counts {
+			parts[p] = flat[lo : lo : lo+n]
+			lo += n
+		}
+		for i, r := range recs {
+			parts[where[i]] = append(parts[where[i]], r)
 		}
 	} else {
 		per := (len(recs) + parallelism - 1) / parallelism

@@ -2,82 +2,137 @@ package runtime
 
 import "repro/internal/record"
 
-// groupTable is a key-grouped hash table whose storage survives across
-// supersteps. Hash-aggregations, combiners, join build sides and cogroup
-// inputs on the dynamic data path re-group a fresh stream every superstep;
-// rebuilding a map[int64][]record.Record each time dominates steady-state
-// allocation. A groupTable instead keeps its key index and group slices
-// and is reset generationally: reset bumps a round counter, and a group's
-// contents are lazily truncated the first time its key is touched in the
-// new round. Groups whose keys do not reappear stay allocated but
-// invisible (stale stamp), so repeated supersteps over a recurring key
-// domain — the common iterative case — allocate nothing.
+// groupTable is the key-grouped hash table behind every grouping operator:
+// hash aggregation, the combiner, hash-join build sides (including the
+// cached constant-path table), both CoGroup sides and SolutionCoGroup.
+//
+// Layout. All records of a round live in one flat array, recs, ordered by
+// group: a key's group is the extent recs[start:end] recorded beside the
+// key in the probeIndex's slab order. There is no per-key slice and no
+// per-key allocation. A round is built in two passes:
+//
+//  1. stage retains each drained (pooled) batch as it arrives and counts
+//     the records per key, remembering every record's key position so the
+//     key is hashed once;
+//  2. build turns the counts into extents in first-touch order, makes
+//     recs exactly large enough (reusing it when it already is), scatters
+//     the staged records into their extents and recycles the batches.
+//
+// The scatter is stable, so groups appear in first-touch order and
+// records inside a group in arrival order — exactly the order of an
+// append-per-key table, which keeps float reductions byte-identical.
+//
+// Rounds. The storage survives across supersteps. reset is O(1): it bumps
+// a round counter, and a key's extent is valid only if its stamp matches.
+// Keys that do not reappear stay in the index but invisible, so repeated
+// supersteps over a recurring key domain — the common iterative case —
+// allocate nothing, and a small round after a large one pays for the
+// records it holds, not for the capacity it inherited.
 type groupTable struct {
-	idx     map[int64]int
-	keys    []int64
-	groups  [][]record.Record
-	stamp   []uint64
-	touched []int // indices live in the current round, in first-touch order
+	idx     probeIndex
+	ext     []groupExtent // parallel to idx.keys
+	touched []int32       // key positions live in this round, first-touch order
+	recs    []record.Record
 	round   uint64
+
+	// Build scratch, empty outside stage…build.
+	staged []record.Batch
+	where  []int32 // key position of every staged record, in arrival order
+}
+
+// groupExtent locates one key's group in recs. Between stage and build,
+// end counts the key's staged records instead.
+type groupExtent struct {
+	stamp      uint64
+	start, end int32
 }
 
 func newGroupTable() *groupTable {
-	return &groupTable{idx: make(map[int64]int), round: 1}
+	return &groupTable{round: 1}
 }
 
 // reset starts a new round; existing groups become invisible until their
-// key is added again.
+// key is staged again.
 func (g *groupTable) reset() {
 	g.round++
 	g.touched = g.touched[:0]
+	g.recs = g.recs[:0]
+	// A round abandoned between stage and build (a task that failed
+	// mid-drain) leaves its scratch behind; those batches go to the GC.
+	clear(g.staged)
+	g.staged = g.staged[:0]
+	g.where = g.where[:0]
 }
 
-// groupIdx returns the storage index for key k in the current round,
-// truncating a group left over from an earlier round on first touch.
-func (g *groupTable) groupIdx(k int64) int {
-	i, ok := g.idx[k]
-	if !ok {
-		i = len(g.groups)
-		g.idx[k] = i
-		g.keys = append(g.keys, k)
-		g.groups = append(g.groups, nil)
-		g.stamp = append(g.stamp, 0)
+// stage takes ownership of batch b for the round being built and counts
+// its records per key.
+func (g *groupTable) stage(b record.Batch, key record.KeyFunc) {
+	g.staged = append(g.staged, b)
+	for _, r := range b {
+		pos, added := g.idx.insert(key(r))
+		if added {
+			g.ext = append(g.ext, groupExtent{})
+		}
+		e := &g.ext[pos]
+		if e.stamp != g.round {
+			e.stamp, e.end = g.round, 0
+			g.touched = append(g.touched, pos)
+		}
+		e.end++
+		g.where = append(g.where, pos)
 	}
-	if g.stamp[i] != g.round {
-		g.stamp[i] = g.round
-		g.groups[i] = g.groups[i][:0]
-		g.touched = append(g.touched, i)
-	}
-	return i
 }
 
-// add appends r to key k's group.
-func (g *groupTable) add(k int64, r record.Record) {
-	i := g.groupIdx(k)
-	g.groups[i] = append(g.groups[i], r)
+// build lays the staged records out by group and returns the batches to
+// pool. The table is readable afterwards.
+func (g *groupTable) build(pool *batchPool) {
+	total := int32(0)
+	for _, pos := range g.touched {
+		e := &g.ext[pos]
+		n := e.end
+		e.start, e.end = total, total // end is the scatter cursor
+		total += n
+	}
+	if cap(g.recs) < int(total) {
+		g.recs = make([]record.Record, total)
+	} else {
+		g.recs = g.recs[:total]
+	}
+	i := 0
+	for bi, b := range g.staged {
+		for _, r := range b {
+			e := &g.ext[g.where[i]]
+			g.recs[e.end] = r
+			e.end++
+			i++
+		}
+		pool.put(b)
+		g.staged[bi] = nil
+	}
+	g.staged = g.staged[:0]
+	g.where = g.where[:0]
 }
 
 // get returns key k's group in the current round, or nil.
 func (g *groupTable) get(k int64) []record.Record {
-	i, ok := g.idx[k]
-	if !ok || g.stamp[i] != g.round {
+	pos := g.idx.find(k)
+	if pos < 0 {
 		return nil
 	}
-	return g.groups[i]
+	e := &g.ext[pos]
+	if e.stamp != g.round {
+		return nil
+	}
+	return g.recs[e.start:e.end:e.end]
 }
 
 // each visits every group of the current round in first-touch order.
 func (g *groupTable) each(f func(k int64, recs []record.Record)) {
-	for _, i := range g.touched {
-		f(g.keys[i], g.groups[i])
+	for _, pos := range g.touched {
+		e := &g.ext[pos]
+		f(g.idx.keys[pos], g.recs[e.start:e.end:e.end])
 	}
 }
 
 // size returns the number of records stored in the current round.
-func (g *groupTable) size() int {
-	n := 0
-	for _, i := range g.touched {
-		n += len(g.groups[i])
-	}
-	return n
-}
+func (g *groupTable) size() int { return len(g.recs) }

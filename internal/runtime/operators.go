@@ -28,8 +28,8 @@ type task struct {
 	// aggregation, hash-join build, cogroup sides).
 	tables [2]*groupTable
 	// recsBuf are per-input reusable materialization buffers (sorts,
-	// block-cross build sides). Contents are only valid within one
-	// superstep.
+	// block-cross build sides, the combiner's running fold). Contents
+	// are only valid within one superstep.
 	recsBuf [2][]record.Record
 	// foldBuf is the combiner's reusable pre-aggregation buffer.
 	foldBuf []record.Record
@@ -145,27 +145,30 @@ func (t *task) run() error {
 		if fn == nil {
 			fn = l.Reduce
 		}
-		// Fold groups incrementally: when a group grows past the
-		// threshold it is pre-aggregated through the combine UDF, keeping
-		// per-key state small (cf. map-side combiners in MapReduce). This
-		// is safe because combiners are declared associative. The group
-		// table and fold buffer persist across supersteps.
+		// Fold groups incrementally: whenever a group's running buffer
+		// reaches the threshold it is pre-aggregated through the combine
+		// UDF (cf. map-side combiners in MapReduce). This is safe because
+		// combiners are declared associative. The fold points depend only
+		// on a key's own arrival order, so replaying them over the built
+		// table calls the UDF with exactly the arguments a streaming fold
+		// would — float results included.
 		const foldAt = 16
-		key := l.Keys[0]
-		acc := t.scratchTable(0)
 		folder := emitCollector{buf: &t.foldBuf}
-		t.stream(0, func(r record.Record) {
-			i := acc.groupIdx(key(r))
-			g := append(acc.groups[i], r)
+		t.buildTable(0, l.Keys[0]).each(func(k int64, g []record.Record) {
 			if len(g) >= foldAt {
-				t.foldBuf = t.foldBuf[:0]
-				t.udf()
-				fn(acc.keys[i], g, folder)
-				g = append(g[:0], t.foldBuf...)
+				acc := t.recsBuf[0][:0]
+				for _, r := range g {
+					acc = append(acc, r)
+					if len(acc) >= foldAt {
+						t.foldBuf = t.foldBuf[:0]
+						t.udf()
+						fn(k, acc, folder)
+						acc = append(acc[:0], t.foldBuf...)
+					}
+				}
+				t.recsBuf[0] = acc
+				g = acc
 			}
-			acc.groups[i] = g
-		})
-		acc.each(func(k int64, g []record.Record) {
 			t.udf()
 			fn(k, g, out)
 		})
@@ -197,9 +200,22 @@ func (t *task) run() error {
 			return nil
 		}
 		// Sink output is handed to the driver, which may retain it across
-		// supersteps — it is always freshly allocated, never scratch-backed.
+		// supersteps — it is always freshly allocated, never scratch-backed:
+		// the batches are held until the stream ends, then copied once into
+		// an exact-size slice.
+		held := readAllBatches(t.ins[0])
+		n := 0
+		for _, b := range held {
+			n += len(b)
+		}
 		var collected []record.Record
-		t.drain(0, func(r record.Record) { collected = append(collected, r) })
+		if n > 0 {
+			collected = make([]record.Record, 0, n)
+		}
+		for _, b := range held {
+			collected = append(collected, b...)
+			t.sess.pool.put(b)
+		}
 		t.sess.cur[l.ID][t.part] = collected
 		return nil
 
@@ -516,7 +532,8 @@ func (t *task) buildTable(i int, key record.KeyFunc) *groupTable {
 	if s := t.slots[i]; s != nil {
 		if !s.filled {
 			gt := newGroupTable()
-			t.drain(i, func(r record.Record) { gt.add(key(r), r) })
+			t.fillTable(gt, i, key)
+			gt.staged, gt.where = nil, nil // built once: drop the build scratch
 			s.table = gt
 			s.filled = true
 			t.e.acct.used.Add(int64(gt.size()) * record.EncodedSize)
@@ -524,8 +541,22 @@ func (t *task) buildTable(i int, key record.KeyFunc) *groupTable {
 		return s.table
 	}
 	gt := t.scratchTable(i)
-	t.drain(i, func(r record.Record) { gt.add(key(r), r) })
+	t.fillTable(gt, i, key)
 	return gt
+}
+
+// fillTable drains input i into gt: the batches are handed to the table
+// whole and recycled once it has laid their records out.
+func (t *task) fillTable(gt *groupTable, i int, key record.KeyFunc) {
+	in := t.ins[i]
+	for {
+		b, ok := in.next()
+		if !ok {
+			break
+		}
+		gt.stage(b, key)
+	}
+	gt.build(t.sess.pool)
 }
 
 func sortByKey(recs []record.Record, key record.KeyFunc) {

@@ -288,33 +288,6 @@ func TestSetPlaceholderZeroParallelism(t *testing.T) {
 	}
 }
 
-func TestGroupTableRounds(t *testing.T) {
-	g := newGroupTable()
-	g.add(1, record.Record{A: 1, B: 1})
-	g.add(1, record.Record{A: 1, B: 2})
-	g.add(2, record.Record{A: 2, B: 3})
-	if got := g.get(1); len(got) != 2 {
-		t.Fatalf("group 1: %v", got)
-	}
-	if g.size() != 3 {
-		t.Fatalf("size = %d", g.size())
-	}
-	g.reset()
-	if g.get(1) != nil || g.get(2) != nil || g.size() != 0 {
-		t.Fatal("reset must hide previous round's groups")
-	}
-	// Key 2 returns with new contents; key 1 stays invisible.
-	g.add(2, record.Record{A: 2, B: 9})
-	if got := g.get(2); len(got) != 1 || got[0].B != 9 {
-		t.Fatalf("stale contents leaked: %v", got)
-	}
-	seen := 0
-	g.each(func(k int64, recs []record.Record) { seen++ })
-	if seen != 1 {
-		t.Fatalf("each visited %d groups, want 1", seen)
-	}
-}
-
 func TestBatchPoolRecycles(t *testing.T) {
 	var m metrics.Counters
 	p := newBatchPool(4, &m)
