@@ -150,6 +150,10 @@ type driver struct {
 // returns (false, nil) and the adapter wraps ErrNoProgress.
 func (d *driver) run() (converged bool, err error) {
 	rp, _ := d.policy.(replanner)
+	calibrate := d.cfg.Calibrator != nil && d.calTasks > 0
+	// The per-superstep counter delta costs two reflective snapshots; take
+	// them only when something consumes the delta.
+	wantWork := d.cfg.Metrics != nil && (calibrate || d.collect || d.postStep != nil)
 	for step := 0; step < d.maxSteps; step++ {
 		if d.hooks.Barrier != nil {
 			if err := d.hooks.Barrier.Release(step); err != nil {
@@ -161,7 +165,7 @@ func (d *driver) run() (converged bool, err error) {
 		}
 		start := time.Now()
 		var before metrics.Snapshot
-		if d.cfg.Metrics != nil {
+		if wantWork {
 			before = d.cfg.Metrics.Snapshot()
 		}
 
@@ -175,9 +179,9 @@ func (d *driver) run() (converged bool, err error) {
 		}
 		dur := time.Since(start)
 		var work metrics.Snapshot
-		if d.cfg.Metrics != nil {
+		if wantWork {
 			work = d.cfg.Metrics.Snapshot().Sub(before)
-			if d.cfg.Calibrator != nil && d.calTasks > 0 {
+			if calibrate {
 				// The wall time includes the ∪̇ merge — the observed cost
 				// of a superstep is compute plus state maintenance.
 				d.cfg.Calibrator.ObserveSuperstep(work, d.calTasks, dur)

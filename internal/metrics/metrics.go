@@ -5,7 +5,12 @@
 //
 // Counters are atomics so the parallel runtime can update them from any
 // partition without coordination; per-iteration snapshots are taken at
-// superstep boundaries.
+// superstep boundaries. The runtime's per-record work counters
+// (UDFInvocations, RecordsShipped, RecordsShippedRemote, SolutionAccesses,
+// SolutionUpdates) advance at task end, not per record: tasks tally in
+// local integers and add once per task per superstep. A scrape in the
+// middle of a superstep therefore lags by at most that superstep; totals
+// after a superstep — and so at the end of a run — are exact.
 package metrics
 
 import (

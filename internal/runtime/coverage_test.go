@@ -325,12 +325,8 @@ func TestQueuePushAfterCloseRecycles(t *testing.T) {
 	if got := m.BatchesRecycled.Load(); got != 1 {
 		t.Errorf("BatchesRecycled = %d, want 1 (batch leaked out of the pool)", got)
 	}
-	// The recycled batch must actually come back from the pool.
-	allocBefore := m.BatchesAllocated.Load()
-	_ = pool.get()
-	if got := m.BatchesAllocated.Load(); got != allocBefore {
-		t.Errorf("pool allocated a fresh batch after the drop recycled one")
-	}
+	// (Whether the pool hands that same batch back is sync.Pool's business:
+	// under -race it drops puts at random, so the counters are the contract.)
 	// Reset must reopen the queue for the next superstep.
 	q.reset(pool)
 	q.push(pool.get())

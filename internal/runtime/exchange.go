@@ -152,14 +152,26 @@ type writer struct {
 	// nil check.
 	hosted []bool
 	tr     Transport
+	// remoteParts is how many partitions are not hosted in-process — what
+	// one broadcast record adds to RecordsShippedRemote.
+	remoteParts int64
+	// shipped and shippedRemote tally this superstep's shuffle traffic in
+	// plain ints; done adds them to the shared counters.
+	shipped, shippedRemote int64
 }
 
 func newWriter(ex *exchange, ship optimizer.ShipStrategy, key record.KeyFunc, ownPart, batchSize int, pool *batchPool, m *metrics.Counters, hosted []bool, tr Transport) *writer {
-	return &writer{
+	w := &writer{
 		ex: ex, ship: ship, key: key, ownPart: ownPart,
 		batchSize: batchSize, bufs: make([]record.Batch, len(ex.queues)),
 		pool: pool, m: m, hosted: hosted, tr: tr,
 	}
+	for _, h := range hosted {
+		if !h {
+			w.remoteParts++
+		}
+	}
+	return w
 }
 
 func (w *writer) write(r record.Record) {
@@ -168,29 +180,19 @@ func (w *writer) write(r record.Record) {
 		w.append(w.ownPart, r)
 	case optimizer.ShipPartition:
 		p := record.PartitionOf(w.key(r), len(w.bufs))
-		if w.m != nil && p != w.ownPart {
+		if p != w.ownPart {
 			// Only records leaving their producing partition count as
 			// shuffle traffic; a self-routed record never crosses a
 			// worker boundary.
-			w.m.RecordsShipped.Add(1)
+			w.shipped++
 			if w.hosted != nil && !w.hosted[p] {
-				w.m.RecordsShippedRemote.Add(1)
+				w.shippedRemote++
 			}
 		}
 		w.append(p, r)
 	case optimizer.ShipBroadcast:
-		if w.m != nil {
-			w.m.RecordsShipped.Add(int64(len(w.bufs) - 1))
-			if w.hosted != nil {
-				remote := int64(0)
-				for p := range w.bufs {
-					if !w.hosted[p] {
-						remote++
-					}
-				}
-				w.m.RecordsShippedRemote.Add(remote)
-			}
-		}
+		w.shipped += int64(len(w.bufs) - 1)
+		w.shippedRemote += w.remoteParts
 		for p := range w.bufs {
 			w.append(p, r)
 		}
@@ -222,14 +224,22 @@ func (w *writer) flush(p int) {
 	w.pool.put(b)
 }
 
-// done flushes remaining buffers and releases the producer slot, both
-// locally and — through the transport — on every peer process.
+// done flushes remaining buffers, publishes the superstep's shipped-record
+// tallies, and releases the producer slot, both locally and — through the
+// transport — on every peer process.
 func (w *writer) done() {
 	for p, b := range w.bufs {
 		if len(b) > 0 {
 			w.flush(p)
 		}
 	}
+	if w.m != nil && w.shipped != 0 {
+		w.m.RecordsShipped.Add(w.shipped)
+		if w.shippedRemote != 0 {
+			w.m.RecordsShippedRemote.Add(w.shippedRemote)
+		}
+	}
+	w.shipped, w.shippedRemote = 0, 0
 	if w.tr != nil {
 		w.tr.FinishProducer(w.ex.id)
 	}

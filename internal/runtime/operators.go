@@ -33,6 +33,27 @@ type task struct {
 	recsBuf [2][]record.Record
 	// foldBuf is the combiner's reusable pre-aggregation buffer.
 	foldBuf []record.Record
+	// udfs, solAccesses and solUpdates tally this superstep's work in plain
+	// ints, so no record touches a cache line another core writes.
+	udfs, solAccesses, solUpdates int64
+}
+
+// flushCounters adds the task's tallies to the shared counters, once per
+// task per superstep.
+func (t *task) flushCounters() {
+	if t.m != nil {
+		if t.udfs != 0 {
+			t.m.UDFInvocations.Add(t.udfs)
+		}
+		if t.solAccesses != 0 {
+			// A probe can reload a spilled partition and an update can grow
+			// one: refresh the gauge wherever the solution set was touched.
+			t.m.SolutionAccesses.Add(t.solAccesses)
+			t.m.SolutionUpdates.Add(t.solUpdates)
+			t.e.Solution.publishBytes()
+		}
+	}
+	t.udfs, t.solAccesses, t.solUpdates = 0, 0, 0
 }
 
 // scratchTable returns input i's persistent group table, reset for a new
@@ -106,21 +127,19 @@ func (c emitCollector) Emit(r record.Record) { *c.buf = append(*c.buf, r) }
 // directMergeEmitter applies each emitted delta to the solution set at
 // once and forwards only records that actually advanced the solution.
 type directMergeEmitter struct {
+	t    *task
 	sol  *SolutionSet
 	next dataflow.Emitter
 }
 
 func (em directMergeEmitter) Emit(r record.Record) {
-	if em.sol.Update(r) {
+	if em.sol.put(r) {
+		em.t.solUpdates++
 		em.next.Emit(r)
 	}
 }
 
-func (t *task) udf() {
-	if t.m != nil {
-		t.m.UDFInvocations.Add(1)
-	}
-}
+func (t *task) udf() { t.udfs++ }
 
 // run dispatches on role, contract, and local strategy.
 func (t *task) run() error {
@@ -311,10 +330,11 @@ func (t *task) run() error {
 			// the hash table), so later working-set elements in the same
 			// superstep observe the update and redundant candidates die
 			// here instead of flooding the next working set.
-			emit = directMergeEmitter{sol: sol, next: out}
+			emit = directMergeEmitter{t: t, sol: sol, next: out}
 		}
 		t.stream(0, func(r record.Record) {
-			s, found := sol.Lookup(t.part, l.Keys[0](r))
+			s, found := sol.lookup(t.part, l.Keys[0](r))
+			t.solAccesses++
 			t.udf()
 			l.SolJoin(r, s, found, emit)
 		})
@@ -327,7 +347,8 @@ func (t *task) run() error {
 		}
 		groups := t.buildTable(0, l.Keys[0])
 		groups.each(func(k int64, g []record.Record) {
-			s, found := sol.Lookup(t.part, k)
+			s, found := sol.lookup(t.part, k)
+			t.solAccesses++
 			t.udf()
 			l.SolCoGroup(k, g, s, found, out)
 		})

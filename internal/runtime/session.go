@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/record"
@@ -17,7 +18,8 @@ import (
 // workers, the per-edge exchanges, and the pooled record batches, so the
 // steady-state passes of an iteration pay no plan-setup cost (§4.2: the
 // constant data path is cached, and §6.1: records stay compact to avoid
-// allocation overhead).
+// allocation overhead). A superstep whose input is small skips the workers
+// altogether and runs its tasks inline (see serialLane).
 //
 // A session is not safe for concurrent Run calls. Close releases the
 // workers; the executor (and its caches) remains usable, so a driver can
@@ -151,29 +153,36 @@ func (s *Session) HostedParts() []int { return s.hostedParts }
 func (w *worker) loop() {
 	for step := range w.fire {
 		if w.live {
-			if sink := w.t.e.cfg.Trace; sink != nil {
-				t0 := time.Now()
-				err := runTask(w.t)
-				cfg := &w.t.e.cfg
-				sink.RecordSpan(obs.Span{
-					Trace: cfg.TraceID,
-					Host:  int32(cfg.Host),
-					Part:  int32(w.t.part),
-					Step:  w.t.sess.step,
-					Phase: obs.PhaseOperator,
-					Start: t0.UnixNano(),
-					Dur:   int64(time.Since(t0)),
-					Label: w.t.n.Name(),
-				})
-				if err != nil {
-					step.addErr(err)
-				}
-			} else if err := runTask(w.t); err != nil {
+			if err := execTask(w.t); err != nil {
 				step.addErr(err)
 			}
 		}
 		step.wg.Done()
 	}
+}
+
+// execTask runs one task and, when the run is traced, records its operator
+// span. Both lanes execute tasks through it, so a traced run emits the same
+// span per (node, partition, step) whichever lane a superstep took.
+func execTask(t *task) error {
+	sink := t.e.cfg.Trace
+	if sink == nil {
+		return runTask(t)
+	}
+	t0 := time.Now()
+	err := runTask(t)
+	cfg := &t.e.cfg
+	sink.RecordSpan(obs.Span{
+		Trace: cfg.TraceID,
+		Host:  int32(cfg.Host),
+		Part:  int32(t.part),
+		Step:  t.sess.step,
+		Phase: obs.PhaseOperator,
+		Start: t0.UnixNano(),
+		Dur:   int64(time.Since(t0)),
+		Label: t.n.Name(),
+	})
+	return err
 }
 
 // runTask executes one task, converting panics into errors and always
@@ -184,6 +193,7 @@ func runTask(t *task) (err error) {
 		for _, w := range t.outs {
 			w.done()
 		}
+		t.flushCounters()
 		if r := recover(); r != nil {
 			err = fmt.Errorf("runtime: task %s[%d] panicked: %v", t.n.Name(), t.part, r)
 		}
@@ -232,12 +242,26 @@ func (s *Session) Run() (Result, error) {
 	}
 	s.cur = results
 
-	step := &superstep{}
-	step.wg.Add(len(s.workers))
-	for _, w := range s.workers {
-		w.fire <- step
+	var errs []error
+	if s.serialLane() {
+		// Topological order over unbounded queues: every consumer finds its
+		// producers finished and its queues closed, so nothing blocks.
+		for i, t := range s.tasks {
+			if s.workers[i].live {
+				if err := execTask(t); err != nil {
+					errs = append(errs, err)
+				}
+			}
+		}
+	} else {
+		step := &superstep{}
+		step.wg.Add(len(s.workers))
+		for _, w := range s.workers {
+			w.fire <- step
+		}
+		step.wg.Wait()
+		errs = step.errs
 	}
-	step.wg.Wait()
 	s.cur = nil
 	if s.tr != nil {
 		// Detach the exchanges before returning: a peer racing into the
@@ -269,10 +293,44 @@ func (s *Session) Run() (Result, error) {
 		}
 		s.step++
 	}
-	if len(step.errs) > 0 {
-		return nil, step.errs[0] // first error wins; all tasks already finished
+	if len(errs) > 0 {
+		return nil, errs[0] // first error wins; all tasks already finished
 	}
 	return results, nil
+}
+
+// serialLaneRecords is the superstep input size below which running the
+// tasks inline beats waking the workers. BenchmarkSuperstepLanes measures
+// the crossover; see CHANGES.md (PR 16) for the runs behind this value.
+const serialLaneRecords = 1024
+
+// laneOverride replaces the size rule; only tests set it (export_test.go).
+var laneOverride func() (serial bool)
+
+// serialLane picks the lane for the superstep compile just scheduled, by
+// the rule in the package doc.
+func (s *Session) serialLane() bool {
+	if s.tr != nil {
+		return false
+	}
+	if laneOverride != nil {
+		return laneOverride()
+	}
+	n := 0
+	for _, node := range s.plan.Nodes {
+		if !s.liveNow[node.ID] || node.Role != optimizer.RoleOperator {
+			continue
+		}
+		switch l := node.Logical; l.Contract {
+		case dataflow.Source:
+			n += len(l.Data)
+		case dataflow.IterationInput:
+			for _, part := range s.e.Placeholder[l.ID] {
+				n += len(part)
+			}
+		}
+	}
+	return n < serialLaneRecords
 }
 
 // Close releases the session's workers. Idempotent. The executor's caches

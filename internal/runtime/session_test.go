@@ -1,10 +1,14 @@
 package runtime
 
 import (
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/record"
 )
@@ -238,39 +242,110 @@ func TestSessionInvalidateCachesRewires(t *testing.T) {
 	}
 }
 
-func TestSessionErrorDoesNotWedgeWorkers(t *testing.T) {
-	// A panicking UDF must surface as an error and leave the session
-	// usable for the next superstep (exchanges reset cleanly).
-	p := dataflow.NewPlan()
-	w := p.IterationPlaceholder("W", 2)
-	boom := true
-	mapped := p.MapNode("boom", w, func(r record.Record, out dataflow.Emitter) {
-		if boom && r.A == 1 {
-			panic("kaboom")
-		}
-		out.Emit(r)
-	})
-	sink := p.SinkNode("o", mapped)
-	phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewExecutor(Config{})
-	defer e.Close()
-	e.SetPlaceholder(w.ID, []record.Record{{A: 1}, {A: 2}}, record.KeyA, 2)
-	sess := e.OpenSession(phys)
-	defer sess.Close()
+var lanes = []struct {
+	name   string
+	serial bool
+}{{"serial", true}, {"parallel", false}}
 
-	if _, err := sess.Run(); err == nil {
-		t.Fatal("expected a panic-derived error")
+// TestSessionErrorDoesNotWedgeWorkers: a panicking UDF must surface as the
+// same wrapped task error on either lane, leave every exchange closed (no
+// consumer can be left waiting on it), and leave the session usable for
+// the next superstep (exchanges reset cleanly).
+func TestSessionErrorDoesNotWedgeWorkers(t *testing.T) {
+	for _, lane := range lanes {
+		t.Run(lane.name, func(t *testing.T) {
+			defer ForceLane(func() bool { return lane.serial })()
+			p := dataflow.NewPlan()
+			w := p.IterationPlaceholder("W", 2)
+			boom := true
+			mapped := p.MapNode("boom", w, func(r record.Record, out dataflow.Emitter) {
+				if boom && r.A == 1 {
+					panic("kaboom")
+				}
+				out.Emit(r)
+			})
+			sink := p.SinkNode("o", mapped)
+			phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewExecutor(Config{})
+			defer e.Close()
+			e.SetPlaceholder(w.ID, []record.Record{{A: 1}, {A: 2}}, record.KeyA, 2)
+			sess := e.OpenSession(phys)
+			defer sess.Close()
+
+			_, err = sess.Run()
+			want := fmt.Sprintf("runtime: task boom[%d] panicked: kaboom", record.PartitionOf(1, 2))
+			if err == nil || err.Error() != want {
+				t.Fatalf("Run error = %v, want %q", err, want)
+			}
+			for _, ex := range sess.active {
+				for part, q := range ex.queues {
+					if !q.closed {
+						t.Errorf("exchange %d queue %d left open after the failed superstep", ex.id, part)
+					}
+				}
+			}
+			boom = false
+			res, err := sess.Run()
+			if err != nil {
+				t.Fatalf("session wedged after error: %v", err)
+			}
+			if got := res.Records(sink.ID); len(got) != 2 {
+				t.Fatalf("post-error superstep lost records: %v", got)
+			}
+		})
 	}
-	boom = false
-	res, err := sess.Run()
-	if err != nil {
-		t.Fatalf("session wedged after error: %v", err)
+}
+
+// spanLog is a TraceSink that keeps every span.
+type spanLog struct {
+	mu    sync.Mutex
+	spans []obs.Span
+}
+
+func (l *spanLog) RecordSpan(s obs.Span) {
+	l.mu.Lock()
+	l.spans = append(l.spans, s)
+	l.mu.Unlock()
+}
+
+// TestLaneSpansMatch: a traced run emits one operator span per live (node,
+// partition, step) and one superstep span per step on either lane.
+func TestLaneSpansMatch(t *testing.T) {
+	type spanKey struct {
+		phase      obs.Phase
+		label      string
+		part, step int32
 	}
-	if got := res.Records(sink.ID); len(got) != 2 {
-		t.Fatalf("post-error superstep lost records: %v", got)
+	var perLane []map[spanKey]int
+	for _, lane := range lanes {
+		restore := ForceLane(func() bool { return lane.serial })
+		log := &spanLog{}
+		phys, w, _ := sessionJoinPlan(t, []record.Record{{A: 1, B: 10}, {A: 2, B: 20}}, 2)
+		e := NewExecutor(Config{Trace: log, TraceLabel: "run"})
+		e.SetPlaceholder(w.ID, []record.Record{{A: 1}, {A: 2}}, record.KeyA, 2)
+		sess := e.OpenSession(phys)
+		for step := 0; step < 3; step++ { // step 0 fills the cache; later steps run fewer tasks
+			if _, err := sess.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sess.Close()
+		e.Close()
+		restore()
+		got := make(map[spanKey]int)
+		for _, s := range log.spans {
+			got[spanKey{s.Phase, s.Label, s.Part, s.Step}]++
+		}
+		if n := got[spanKey{obs.PhaseSuperstep, "run", -1, 2}]; n != 1 {
+			t.Fatalf("%s lane: %d superstep spans for step 2, want 1", lane.name, n)
+		}
+		perLane = append(perLane, got)
+	}
+	if !reflect.DeepEqual(perLane[0], perLane[1]) {
+		t.Fatalf("spans differ between lanes:\nserial   %v\nparallel %v", perLane[0], perLane[1])
 	}
 }
 

@@ -16,6 +16,20 @@
 // spawning and nearly all heap allocation. Executor.Run is the one-shot
 // convenience wrapper for non-iterative plans.
 //
+// A superstep takes one of two lanes over the same tasks, exchanges and
+// operator code. The parallel lane fires the parked workers. The serial
+// lane runs the live tasks inline on the calling goroutine in plan.Nodes
+// order — topological, and the queues are unbounded, so every consumer
+// finds its producers finished and its queues closed: no wake-ups, no
+// blocking, deterministic order. Session.Run picks per superstep from what
+// it can observe: a session with a transport always runs parallel (its
+// peers interlock on the exchanges); otherwise the serial lane is taken
+// when the records the superstep will read (placeholder partitions of live
+// IterationInput nodes plus the data of still-live Source nodes) number
+// fewer than serialLaneRecords, the crossover BenchmarkSuperstepLanes
+// measures. Work counters are tallied per task and published at task end,
+// so neither lane touches a shared cache line per record.
+//
 // Fused operator chains (optimizer.PhysNode.FusedChain) execute inside
 // the head operator's emitter: each emitted record flows through the
 // absorbed Map/filter/project UDFs record-at-a-time before it is
@@ -123,10 +137,15 @@ func (s *SolutionSet) Init(recs []record.Record) {
 }
 
 // Lookup probes partition part for key k. It counts a solution access.
+// (Superstep tasks use lookup and count in their own tally instead.)
 func (s *SolutionSet) Lookup(part int, k int64) (record.Record, bool) {
 	if s.m != nil {
 		s.m.SolutionAccesses.Add(1)
 	}
+	return s.lookup(part, k)
+}
+
+func (s *SolutionSet) lookup(part int, k int64) (record.Record, bool) {
 	s.locks[part].Lock()
 	r, ok := s.backend.Lookup(part, k)
 	s.locks[part].Unlock()
@@ -135,7 +154,8 @@ func (s *SolutionSet) Lookup(part int, k int64) (record.Record, bool) {
 
 // putLocked writes r under key k into partition part, honoring the
 // comparator: the CPO-larger record wins (§5.1). It reports whether the
-// stored record changed. The caller holds the partition's lock.
+// stored record changed; counting the update is the caller's job. The
+// caller holds the partition's lock.
 func (s *SolutionSet) putLocked(part int, k int64, r record.Record) bool {
 	old, exists := s.backend.Lookup(part, k)
 	if exists && s.cmp != nil && s.cmp(r, old) <= 0 {
@@ -145,9 +165,6 @@ func (s *SolutionSet) putLocked(part int, k int64, r record.Record) bool {
 		return false
 	}
 	s.backend.Store(part, k, r)
-	if s.m != nil {
-		s.m.SolutionUpdates.Add(1)
-	}
 	return true
 }
 
@@ -159,6 +176,14 @@ func (s *SolutionSet) put(r record.Record) bool {
 	changed := s.putLocked(part, k, r)
 	s.locks[part].Unlock()
 	return changed
+}
+
+// noteUpdates counts n applied updates and refreshes the bytes gauge.
+func (s *SolutionSet) noteUpdates(n int) {
+	if s.m != nil {
+		s.m.SolutionUpdates.Add(int64(n))
+	}
+	s.publishBytes()
 }
 
 // publishBytes refreshes the resident-bytes gauge.
@@ -188,7 +213,7 @@ func (s *SolutionSet) MergeDelta(delta []record.Record) int {
 			}
 		}
 		s.locks[0].Unlock()
-		s.publishBytes()
+		s.noteUpdates(changed)
 		return changed
 	}
 	// Two passes over the delta: count per-partition, then fill one
@@ -220,7 +245,7 @@ func (s *SolutionSet) MergeDelta(delta []record.Record) int {
 		}
 		s.locks[p].Unlock()
 	}
-	s.publishBytes()
+	s.noteUpdates(changed)
 	return changed
 }
 
@@ -229,6 +254,9 @@ func (s *SolutionSet) MergeDelta(delta []record.Record) int {
 // element is processed). It reports whether the solution changed.
 func (s *SolutionSet) Update(r record.Record) bool {
 	changed := s.put(r)
+	if changed && s.m != nil {
+		s.m.SolutionUpdates.Add(1)
+	}
 	// Refresh the gauge even when the record was rejected: for the spill
 	// backend, the probe itself can reload a partition and evict others,
 	// changing residency.
