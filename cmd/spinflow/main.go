@@ -102,7 +102,6 @@ func worker(args []string) error {
 	}()
 	return distrib.ServeWorkerWith(ln, distrib.ServeWorkerOpts{
 		Log:   log.New(os.Stderr, "", log.LstdFlags),
-		Obs:   reg,
 		Views: live.NewWorkerHost(reg),
 	})
 }

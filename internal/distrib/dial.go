@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Worker-dial retry policy: opening a session (a batch job or a live
+// Worker-dial retry policy: opening a session (a one-shot job or a live
 // maintenance session) retries refused connections with bounded
 // exponential backoff, because "the worker process is still starting" is
 // a normal deployment condition, not a failure. Once a session is

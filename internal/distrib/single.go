@@ -11,12 +11,12 @@ import (
 
 // RunSingle executes the same deterministic job on the plain
 // single-process incremental driver and returns the result in the same
-// canonical form as Run. It is the oracle the differential harness
-// compares distributed runs against: same JobSpec in, byte-identical
-// Solution out.
+// canonical form as a multi-process run (live.RunJob). It is the oracle
+// the differential harness compares distributed runs against: same
+// JobSpec in, byte-identical Solution out.
 func RunSingle(js JobSpec) (*Result, error) {
-	js = js.normalized()
-	spec, s0, w0, err := buildSpec(js)
+	js = js.Normalized()
+	spec, s0, w0, err := BuildSpec(js)
 	if err != nil {
 		return nil, err
 	}

@@ -3,28 +3,23 @@ package distrib
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log"
 	"net"
-	"strings"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// MeshTimeout bounds how long a process waits for the full peer mesh
-// (shared by batch jobs and the live tier's sharded view sessions).
+// MeshTimeout bounds how long a process waits for the full peer mesh.
 const MeshTimeout = 30 * time.Second
 
-// ViewHost extends a worker with long-lived live-view maintenance
-// sessions. When a control message arrives whose kind starts with "view_"
-// outside a batch job, the whole connection is handed to the host: open is
-// the raw opening message, and dec/enc are the connection's codec pair.
+// ViewHost runs the conversations a worker's control connections carry:
+// sharded sessions — long-lived live views and one-shot jobs alike. open
+// is the raw opening message, and dec/enc are the connection's codec pair.
 // ServeView owns the connection until the session ends (normally or with
-// an error); afterwards the control loop resumes on the same connection.
-// The interface is stdlib-shaped on purpose, so the live tier can
-// implement it without this package knowing its message schema.
+// an error); afterwards the control loop waits for the next opening
+// message on the same connection. The interface is stdlib-shaped on
+// purpose, so the live tier can implement it without this package knowing
+// its message schema.
 type ViewHost interface {
 	ServeView(open json.RawMessage, dec *json.Decoder, enc *json.Encoder) error
 }
@@ -34,25 +29,17 @@ type ServeWorkerOpts struct {
 	// Log receives connection-level failures (a lost coordinator is
 	// normal at shutdown, so they are logged, not fatal).
 	Log *log.Logger
-	// Obs is the worker's telemetry plane: jobs and view sessions that
-	// arrive with a trace ID record their spans into its ring (and ship
-	// them back to the coordinator at collect time). Nil disables it.
-	Obs *obs.Registry
-	// Views, if set, lets this worker host live-view maintenance
-	// sessions in addition to batch jobs.
+	// Views hosts the sessions (live.NewWorkerHost).
 	Views ViewHost
 }
 
-// ServeWorker accepts coordinator control connections on ln and hosts the
-// partition ranges they assign. One control connection carries any number
-// of sequential jobs; Serve returns when the listener closes.
-func ServeWorker(ln net.Listener, lg *log.Logger, reg *obs.Registry) error {
-	return ServeWorkerWith(ln, ServeWorkerOpts{Log: lg, Obs: reg})
-}
-
-// ServeWorkerWith is ServeWorker with the full option set (telemetry and
-// live-view session hosting).
+// ServeWorkerWith accepts coordinator control connections on ln and hands
+// every conversation on them to opts.Views. One control connection carries
+// any number of sequential sessions; it returns when the listener closes.
 func ServeWorkerWith(ln net.Listener, opts ServeWorkerOpts) error {
+	if opts.Views == nil {
+		return errors.New("distrib: worker without a ViewHost")
+	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -62,144 +49,27 @@ func ServeWorkerWith(ln net.Listener, opts ServeWorkerOpts) error {
 			return err
 		}
 		go func() {
-			if err := serveControl(conn, opts); err != nil && !errors.Is(err, io.EOF) && opts.Log != nil {
+			if err := serveControl(conn, opts.Views); err != nil && !errors.Is(err, io.EOF) && opts.Log != nil {
 				opts.Log.Printf("distrib: worker control connection: %v", err)
 			}
 		}()
 	}
 }
 
-// serveControl runs one coordinator's control connection to completion.
-// Messages are decoded to a raw form first so kinds this package does not
-// define (the live tier's view session verbs) can be dispatched to the
-// ViewHost without the control plane knowing their schema.
-func serveControl(conn net.Conn, opts ServeWorkerOpts) error {
+// serveControl runs one coordinator's control connection to completion:
+// each message that arrives between sessions opens the next one. The host
+// decodes it — this package does not know the schema.
+func serveControl(conn net.Conn, host ViewHost) error {
 	defer conn.Close()
 	dec := json.NewDecoder(conn)
 	enc := json.NewEncoder(conn)
 	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
+		var open json.RawMessage
+		if err := dec.Decode(&open); err != nil {
 			return err
 		}
-		var peek struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(raw, &peek); err != nil {
-			return fmt.Errorf("distrib: malformed control message: %w", err)
-		}
-		switch {
-		case peek.Kind == kindJob:
-			var msg ctlMsg
-			if err := json.Unmarshal(raw, &msg); err != nil {
-				return fmt.Errorf("distrib: malformed job message: %w", err)
-			}
-			if msg.Job == nil {
-				return errors.New("distrib: job message without a spec")
-			}
-			if err := runWorkerJob(*msg.Job, msg.HostID, dec, enc, opts.Obs); err != nil {
-				return err
-			}
-		case peek.Kind == kindStop:
-			return nil
-		case strings.HasPrefix(peek.Kind, "view_"):
-			if opts.Views == nil {
-				return fmt.Errorf("distrib: control message %q but this worker hosts no views", peek.Kind)
-			}
-			if err := opts.Views.ServeView(raw, dec, enc); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("distrib: unexpected control message %q outside a job", peek.Kind)
-		}
-	}
-}
-
-// runWorkerJob executes one job under the coordinator's direction: build
-// the deterministic local state, report readiness, mesh, then alternate
-// superstep barriers until told to collect and stop. Protocol errors are
-// returned (the connection is broken); job execution errors are reported
-// to the coordinator with kindError, after which the worker stays usable.
-func runWorkerJob(js JobSpec, hostID int, dec *json.Decoder, enc *json.Encoder, reg *obs.Registry) error {
-	j, dataAddr, err := newJob(js, hostID, "127.0.0.1:0", reg)
-	if err != nil {
-		return enc.Encode(ctlMsg{Kind: kindError, Err: err.Error()})
-	}
-	defer j.close()
-	if err := enc.Encode(ctlMsg{Kind: kindReady, DataAddr: dataAddr, Digest: j.digest}); err != nil {
-		return err
-	}
-
-	var start ctlMsg
-	if err := dec.Decode(&start); err != nil {
-		return err
-	}
-	if start.Kind != kindStart {
-		return fmt.Errorf("distrib: expected %q, got %q", kindStart, start.Kind)
-	}
-	if err := j.open(start.DataAddrs); err != nil {
-		return enc.Encode(ctlMsg{Kind: kindError, Err: err.Error()})
-	}
-	// Seed the initial workset: SetPlaceholder partitions the full W0 and
-	// the session reads only this worker's hosted range, so every process
-	// seeds from the identical deterministic slice.
-	j.fx.SeedWorkset(j.w0)
-	if err := enc.Encode(ctlMsg{Kind: kindMeshed}); err != nil {
-		return err
-	}
-
-	for {
-		var msg ctlMsg
-		if err := dec.Decode(&msg); err != nil {
+		if err := host.ServeView(open, dec, enc); err != nil {
 			return err
-		}
-		switch msg.Kind {
-		case kindStep:
-			if msg.Epoch != j.epoch {
-				err := fmt.Errorf("distrib: released for superstep at plan epoch %d while at %d", msg.Epoch, j.epoch)
-				if err := enc.Encode(ctlMsg{Kind: kindError, Err: err.Error()}); err != nil {
-					return err
-				}
-				continue // wait for the coordinator's stop
-			}
-			count, err := j.fx.StepOnce()
-			if err != nil {
-				if err := enc.Encode(ctlMsg{Kind: kindError, Err: err.Error()}); err != nil {
-					return err
-				}
-				continue // wait for the coordinator's stop
-			}
-			if err := enc.Encode(ctlMsg{Kind: kindStepDone, Count: count, Epoch: j.epoch}); err != nil {
-				return err
-			}
-		case kindEpoch:
-			// Coordinated plan swap: re-plan for the coordinator's global
-			// workset estimate, swap the session, and echo our new digest
-			// so the coordinator can verify the mesh stayed plan-agreed.
-			digest, err := j.applyEpoch(msg.Epoch, int64(msg.Count))
-			if err != nil {
-				if err := enc.Encode(ctlMsg{Kind: kindError, Err: err.Error()}); err != nil {
-					return err
-				}
-				continue // wait for the coordinator's stop
-			}
-			if err := enc.Encode(ctlMsg{Kind: kindEpochDone, Epoch: msg.Epoch, Digest: digest}); err != nil {
-				return err
-			}
-		case kindCollect:
-			// A traced job returns its spans with the solution so the
-			// coordinator can reassemble the cross-process timeline.
-			var spans []obs.Span
-			if reg != nil && js.TraceID != 0 {
-				spans = reg.Trace().SpansFor(obs.TraceID(js.TraceID))
-			}
-			if err := enc.Encode(ctlMsg{Kind: kindSolution, Frames: j.collect(hostID), Spans: spans}); err != nil {
-				return err
-			}
-		case kindStop:
-			return nil
-		default:
-			return fmt.Errorf("distrib: unexpected control message %q inside a job", msg.Kind)
 		}
 	}
 }

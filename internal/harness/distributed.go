@@ -89,9 +89,7 @@ func startWorker(o Options) (*workerHandle, error) {
 		if err != nil {
 			return nil, err
 		}
-		go distrib.ServeWorkerWith(ln, distrib.ServeWorkerOpts{
-			Obs: o.WorkerObs, Views: live.NewWorkerHost(o.WorkerObs),
-		})
+		go distrib.ServeWorkerWith(ln, distrib.ServeWorkerOpts{Views: live.NewWorkerHost(o.WorkerObs)})
 		return &workerHandle{addr: ln.Addr().String(), stop: func() { ln.Close() }}, nil
 	}
 	cmd := exec.Command(o.WorkerBinary, "worker", "-listen", "127.0.0.1:0")
@@ -203,7 +201,7 @@ func Distributed(o Options) (*DistributedResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: single-process %s/%s: %w", js.Algorithm, js.Backend, err)
 		}
-		dist, err := distrib.Run(js, []string{w.addr})
+		dist, err := live.RunJob(js, []string{w.addr}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("harness: distributed %s/%s: %w", js.Algorithm, js.Backend, err)
 		}
@@ -238,7 +236,7 @@ func Distributed(o Options) (*DistributedResult, error) {
 		if hosts == 1 {
 			r, err = distrib.RunSingle(benchJob)
 		} else {
-			r, err = distrib.Run(benchJob, []string{w.addr})
+			r, err = live.RunJob(benchJob, []string{w.addr}, nil)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("harness: bench %d-process: %w", hosts, err)

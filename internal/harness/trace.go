@@ -137,7 +137,7 @@ func traceDistributed(o Options, reg *obs.Registry) (obs.TraceID, []obs.Span, er
 		GraphN: g.NumVertices, GraphM: 2 * g.NumVertices,
 		Seed: 0x7ACE, Parallelism: o.Parallelism,
 	}
-	res, err := distrib.RunObs(js, []string{w.addr}, reg)
+	res, err := live.RunJob(js, []string{w.addr}, reg)
 	if err != nil {
 		return 0, nil, err
 	}

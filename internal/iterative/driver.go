@@ -20,8 +20,8 @@ import (
 // recompute, incremental workset ∪̇ merge, microstep per-element
 // dispatch) are small EnginePolicy values supplying only their step
 // semantics and cost inputs. RunBulk, RunIncremental, RunMicrostep, the
-// Resume*/Restore* entry points, RunAuto's monitored run, Fixpoint (and
-// through it internal/live), and internal/distrib's coordinator all
+// Resume*/Restore* entry points, RunAuto's monitored run, and Fixpoint
+// (through it internal/live's sessions: views and distributed jobs) all
 // drive this loop rather than keeping private copies of it.
 
 // stepOutcome is what one EnginePolicy superstep reports back to the

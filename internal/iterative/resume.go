@@ -16,10 +16,10 @@ import (
 // later workset deltas through warm restarts — the paper's observation
 // that (S, W) is exactly the state needed to maintain a fixpoint, not
 // just to compute it. The live maintenance service (internal/live) is
-// built on this type, and internal/distrib hosts one per process: the
-// coordinator drives its Fixpoint through RunDriven with a barrier and
-// an epoch hook, workers through StepOnce/ApplyEpoch under the
-// coordinator's control messages.
+// built on this type: every host of a sharded session — a live view or a
+// one-shot distributed job — holds one; the coordinator drives its
+// Fixpoint through RunDriven with a barrier and an epoch hook, workers
+// through StepOnce/ApplyEpoch under the coordinator's control messages.
 //
 // A Fixpoint is not safe for concurrent Run calls; callers serialize
 // maintenance (the live scheduler does so per view).

@@ -47,11 +47,13 @@
 // decision: insert fast path, bounded recompute, full recompute and
 // overlay fold are taken on the same conditions everywhere. Every host
 // keeps a full graph replica and derives plan and placement independently
-// (digest-checked over the distrib control plane); only mutation batches,
+// (digest-checked over the control connections); only mutation batches,
 // owner-routed candidate worksets and the affected regions of deletions
 // travel, supersteps ride the shared driver's barrier over the TCP data
 // plane, queries ask the key's owner, and snapshots scatter-gather every
-// host's shard into one canonical file family.
+// host's shard into one canonical file family. A distributed batch job
+// (job.go, RunJob) is the same session opened, driven through its cold
+// fixpoint once, collected and closed — there is no second protocol.
 package live
 
 import (
@@ -362,7 +364,7 @@ func newViewCore(name string, m Maintainer, initial []Mutation, cfg ViewConfig) 
 func assembleView(name string, m Maintainer, cfg ViewConfig, gs *GraphState, recovered []record.Record) (*LiveView, error) {
 	v := &LiveView{name: name, m: m, cfg: cfg, gs: gs}
 	v.bindObs()
-	sess, err := openSession(v, recovered)
+	sess, _, err := openSession(v, recovered)
 	if err != nil {
 		return nil, err
 	}
@@ -450,11 +452,17 @@ func (v *LiveView) Query(k int64) (record.Record, bool) {
 }
 
 // Snapshot copies the converged solution set out (scatter-gathered over
-// every host for a sharded view).
+// every host for a sharded view). When a host cannot be collected it
+// returns nothing rather than a partial set, and the failure surfaces
+// through ViewStats.LastError.
 func (v *LiveView) Snapshot() []record.Record {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.sess.Snapshot()
+	out, err := v.sess.Snapshot()
+	if err != nil {
+		v.asyncErr.Store(err.Error())
+	}
+	return out
 }
 
 // Bytes reports the solution set's resident in-memory footprint, summed

@@ -7,9 +7,12 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/distrib"
 	"repro/internal/iterative"
+	"repro/internal/obs"
+	"repro/internal/optimizer"
 	"repro/internal/record"
 )
 
@@ -26,20 +29,24 @@ type ShardStat struct {
 	Bytes   int64 `json:"bytes"`
 }
 
-// wireIdentity maps a Maintainer to the (algorithm, source) pair a worker
-// rebuilds it from. Only the built-in maintainers can cross the wire.
-func wireIdentity(m Maintainer) (string, int64, error) {
+// wireIdentity maps a Maintainer to the shardSpec fields a worker rebuilds
+// it from (maintainerFor). Only the built-in maintainers can cross the
+// wire.
+func wireIdentity(m Maintainer) (shardSpec, error) {
+	if j, ok := m.(jobMaintainer); ok {
+		return shardSpec{Job: &j.js}, nil
+	}
 	switch m.Name() {
 	case "cc":
-		return "cc", 0, nil
+		return shardSpec{Algorithm: "cc"}, nil
 	case "sssp":
 		src, ok := m.(interface{ Source() int64 })
 		if !ok {
-			return "", 0, fmt.Errorf("live: sssp maintainer %T has no source", m)
+			return shardSpec{}, fmt.Errorf("live: sssp maintainer %T has no source", m)
 		}
-		return "sssp", src.Source(), nil
+		return shardSpec{Algorithm: "sssp", Source: src.Source()}, nil
 	}
-	return "", 0, fmt.Errorf("live: maintainer %q cannot shard (not wire-identifiable)", m.Name())
+	return shardSpec{}, fmt.Errorf("live: maintainer %q cannot shard (not wire-identifiable)", m.Name())
 }
 
 // shardConn is one coordinator→worker control connection. Its own lock
@@ -108,32 +115,39 @@ type session struct {
 	v     *LiveView
 	core  *shardCore
 	conns []*shardConn // conns[i] is host i+1
+	// rtt is the distrib_step_rtt histogram: one sample per barrier round,
+	// release to last acknowledgment. Nil — and no clock is read — without
+	// workers or a telemetry registry.
+	rtt       *obs.Histogram
+	stepStart time.Time
 }
 
 // openSession builds the view's session over its current graph. A non-nil
 // recovered solution initializes every host's replica set from it (hosted
 // partitions become authoritative); otherwise the cold fixpoint runs
-// before the session is handed out.
-func openSession(v *LiveView, recovered []record.Record) (*session, error) {
+// before the session is handed out, and its run is returned (nil when
+// there was nothing to drive).
+func openSession(v *LiveView, recovered []record.Record) (*session, *iterative.IncrementalResult, error) {
 	cfg := v.cfg.Config
 	cfg.Hosts, cfg.Host = 1+len(v.cfg.Workers), 0
 	core, w0, err := newShardCore(v.m, cfg, v.cfg.AutoEngine, v.gs, recovered, &v.stats)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s := &session{v: v, core: core}
 	if len(v.cfg.Workers) > 0 {
 		err = s.enlistWorkers(cfg, recovered)
 	}
+	var cold *iterative.IncrementalResult
 	if err == nil && len(w0) > 0 {
 		// The cold build is not maintenance: it stays out of the counters.
-		_, err = s.drive(w0)
+		cold, err = s.drive(w0)
 	}
 	if err != nil {
 		s.Kill()
-		return nil, err
+		return nil, nil, err
 	}
-	return s, nil
+	return s, cold, nil
 }
 
 // enlistWorkers dials every worker (bounded-backoff — they may still be
@@ -141,24 +155,25 @@ func openSession(v *LiveView, recovered []record.Record) (*session, error) {
 // cross-checks the plan digests, and connects the data-plane mesh.
 func (s *session) enlistWorkers(cfg iterative.Config, recovered []record.Record) error {
 	v := s.v
-	algo, src, err := wireIdentity(v.m)
+	spec, err := wireIdentity(v.m)
 	if err != nil {
 		return err
 	}
-	spec := &shardSpec{
-		Name: v.name, Algorithm: algo, Source: src,
-		Parallelism: cfg.Parallelism, Hosts: cfg.Hosts, BatchSize: cfg.BatchSize,
-		Backend:              string(cfg.SolutionBackend),
-		SolutionMemoryBudget: cfg.SolutionMemoryBudget,
-		Planner:              int(cfg.Planner),
-		DisableFusion:        cfg.DisableFusion,
-		WireCompression:      cfg.WireCompression,
-		TraceID:              uint64(cfg.TraceID), TraceLabel: cfg.TraceLabel,
+	spec.Name = v.name
+	spec.Parallelism, spec.Hosts, spec.BatchSize = cfg.Parallelism, cfg.Hosts, cfg.BatchSize
+	spec.Backend = string(cfg.SolutionBackend)
+	spec.SolutionMemoryBudget = cfg.SolutionMemoryBudget
+	spec.Planner = int(cfg.Planner)
+	spec.DisableFusion = cfg.DisableFusion
+	spec.WireCompression = cfg.WireCompression
+	spec.TraceID, spec.TraceLabel = uint64(cfg.TraceID), cfg.TraceLabel
+	if cfg.Obs != nil {
+		s.rtt = cfg.Obs.Histogram("distrib_step_rtt")
 	}
 	graph := dumpGraph(v.gs)
 	var sol []byte
 	if recovered != nil {
-		sol = recordsToFrames(recovered)
+		sol = record.AppendFrame(nil, recovered)
 	}
 	dataAddrs := []string{s.core.dataAddr}
 	for i, waddr := range v.cfg.Workers {
@@ -169,7 +184,7 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovered []record.Record)
 		c := &shardConn{conn: conn, dec: json.NewDecoder(conn), enc: json.NewEncoder(conn)}
 		s.conns = append(s.conns, c)
 		ready, err := c.call(shardMsg{
-			Kind: viewOpen, Spec: spec, HostID: i + 1, Frames: graph, Sol: sol,
+			Kind: viewOpen, Spec: &spec, HostID: i + 1, Frames: graph, Sol: sol,
 		}, viewReady)
 		if err == nil {
 			err = s.sameDigest(i+1, ready)
@@ -232,13 +247,21 @@ func (s *session) sameDigest(host int, reply shardMsg) error {
 }
 
 // shardBarrier globalizes superstep convergence across the session's
-// hosts: release fans view_step out, collect sums every host's
-// next-workset count. The coordinator's RunDriven drives it.
+// hosts: Release fans view_step out before the coordinator computes its
+// own share (the exchanges interlock — every host's consumers wait on
+// every host's producers), Collect sums every host's next-workset count.
+// Both directions carry the plan epoch: a host that missed (or imagined) a
+// coordinated plan swap is rejected here, before another round executes.
+// The coordinator's RunDriven drives it.
 type shardBarrier struct{ s *session }
 
 func (b shardBarrier) Release(step int) error {
-	for i, c := range b.s.conns {
-		if err := c.send(shardMsg{Kind: viewStep}); err != nil {
+	s := b.s
+	if s.rtt != nil {
+		s.stepStart = time.Now()
+	}
+	for i, c := range s.conns {
+		if err := c.send(shardMsg{Kind: viewStep, Epoch: s.core.epoch}); err != nil {
 			return fmt.Errorf("live: superstep %d release host %d: %w", step, i+1, err)
 		}
 	}
@@ -246,21 +269,46 @@ func (b shardBarrier) Release(step int) error {
 }
 
 func (b shardBarrier) Collect(step, localNext int) (int, error) {
+	s := b.s
 	total := localNext
-	for i, c := range b.s.conns {
+	for i, c := range s.conns {
 		reply, err := c.recv(viewStepDone)
+		if err == nil && reply.Epoch != s.core.epoch {
+			err = fmt.Errorf("at plan epoch %d, coordinator at %d — rejected at the barrier", reply.Epoch, s.core.epoch)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("live: superstep %d host %d: %w", step, i+1, err)
 		}
 		total += reply.Count
 	}
+	if s.rtt != nil {
+		s.rtt.ObserveSince(s.stepStart)
+	}
 	return total, nil
+}
+
+// epochBump is the driver's OnEpoch hook, reached only by specs that set
+// Reoptimize: the coordinator's driver decided at the barrier to re-plan
+// to a different physical shape, and phys is the plan it is about to swap
+// to. Every worker re-plans for the same global workset estimate, swaps
+// its session and answers with its fingerprint; a mismatch fails the run
+// before the coordinator swaps, so no superstep ever executes on a
+// mixed-plan mesh. Epochs number the session's swaps, not one run's.
+func (s *session) epochBump(_ int, est int64, phys *optimizer.PhysPlan) error {
+	c := s.core
+	c.digest = phys.Fingerprint()
+	err := s.round("plan epoch", all(shardMsg{Kind: viewEpoch, Epoch: c.epoch + 1, Count: int(est)}), viewEpochDone,
+		func() error { return nil }, s.sameDigest)
+	if err == nil {
+		c.epoch++
+	}
+	return err
 }
 
 // drive runs the coordinator's resident fixpoint from the workset to
 // convergence, every worker stepping in lockstep from what it has seeded.
 func (s *session) drive(workset []record.Record) (*iterative.IncrementalResult, error) {
-	return s.core.fx.RunDriven(workset, iterative.DriveHooks{Barrier: shardBarrier{s: s}})
+	return s.core.fx.RunDriven(workset, iterative.DriveHooks{Barrier: shardBarrier{s: s}, OnEpoch: s.epochBump})
 }
 
 // warmRestart is drive as maintenance: the run is folded into the view's
@@ -484,26 +532,20 @@ func (s *session) Lookup(k int64) (record.Record, bool) {
 }
 
 // Snapshot copies the converged solution out in canonical order: the
-// coordinator's hosted partitions plus every worker's. Worker spans travel
-// back with the shards on traced views, so the cross-process maintenance
-// timeline assembles in one ring.
-func (s *session) Snapshot() []record.Record {
+// coordinator's hosted partitions plus every worker's — all of them, or an
+// error; a host lost at collect time never yields a short solution.
+func (s *session) Snapshot() ([]record.Record, error) {
 	out := make([]record.Record, 0, s.core.sol.Size())
 	hostedReader{c: s.core}.Each(func(r record.Record) { out = append(out, r) })
-	for _, c := range s.conns {
-		reply, err := c.call(shardMsg{Kind: viewCollect}, viewSolution)
-		if err != nil {
-			continue
-		}
-		s.foldSpans(reply)
-		recs, err := framesToRecords(reply.Frames)
-		if err != nil {
-			continue
-		}
+	shards, err := s.RemoteShards()
+	if err != nil {
+		return nil, err
+	}
+	for _, recs := range shards {
 		out = append(out, recs...)
 	}
 	sort.Slice(out, func(i, j int) bool { return record.Less(out[i], out[j]) })
-	return out
+	return out, nil
 }
 
 // foldSpans records worker-shipped spans into the view's ring.
@@ -543,18 +585,21 @@ func (s *session) EachSolution(f func(record.Record) error) error {
 	return err
 }
 
-// RemoteShards collects each worker's hosted partitions as concatenated
-// record frames, keyed by host ID — the payload of the per-host snapshot
-// shard files.
-func (s *session) RemoteShards() (map[int][]byte, error) {
-	out := make(map[int][]byte, len(s.conns))
+// RemoteShards collects each worker's hosted partitions — element i is
+// host i+1's — the payload of the per-host snapshot shard files. Worker
+// spans travel back with the shards on traced views, so the cross-process
+// timeline assembles in one ring.
+func (s *session) RemoteShards() ([][]record.Record, error) {
+	out := make([][]record.Record, len(s.conns))
 	for i, c := range s.conns {
 		reply, err := c.call(shardMsg{Kind: viewCollect}, viewSolution)
+		if err == nil {
+			s.foldSpans(reply)
+			out[i], err = framesToRecords(reply.Frames)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("live: collect host %d: %w", i+1, err)
 		}
-		s.foldSpans(reply)
-		out[i+1] = reply.Frames
 	}
 	return out, nil
 }

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"repro/internal/dataflow"
+	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -23,9 +24,9 @@ import (
 // Maintenance sessions. Every LiveView is served by one session (shard.go)
 // spread over 1+len(ViewConfig.Workers) hosts: the serving process is host
 // 0, the coordinator, and every `spinflow worker` process hosts one
-// contiguous partition range through a long-lived conversation on the
-// distrib control plane (distrib.ViewHost hands view_* messages to this
-// package) plus the TCP data plane. A view without workers is the same
+// contiguous partition range through a long-lived conversation on a
+// control connection (the distrib listener hands every conversation to
+// this package's WorkerHost) plus the TCP data plane. A view without workers is the same
 // session with one host: no transport, no listener, and every control
 // fan-out runs over zero connections. The host count never changes which
 // maintenance decision is taken — only who holds which partitions.
@@ -46,9 +47,8 @@ import (
 // coordinator's verdict (bounded recompute over the merged region, or
 // full).
 
-// The view-session control verbs (rides the distrib worker control
-// connection; every kind is prefixed view_ so distrib can dispatch
-// without knowing the schema).
+// The session control verbs — the only messages a worker control
+// connection carries, for live views and one-shot jobs (job.go) alike.
 const (
 	viewOpen      = "view_open"      // coordinator → worker: spec + graph dump (+ solution on recovery)
 	viewReady     = "view_ready"     // worker → coordinator: data addr + plan digest
@@ -64,8 +64,10 @@ const (
 	viewCand      = "view_cand"      // worker → coordinator: candidate frames
 	viewSeed      = "view_seed"      // coordinator → worker: merged workset; seed it
 	viewSeeded    = "view_seeded"    // worker → coordinator: Count = hosted candidates that improve
-	viewStep      = "view_step"      // coordinator → worker: run one superstep (barrier release)
-	viewStepDone  = "view_step_done" // worker → coordinator: local next-workset count
+	viewStep      = "view_step"      // coordinator → worker: run one superstep (barrier release) at plan Epoch
+	viewStepDone  = "view_step_done" // worker → coordinator: local next-workset count + the Epoch it ran at
+	viewEpoch     = "view_epoch"     // coordinator → worker: plan swap — re-plan for global workset Count, become Epoch
+	viewEpochDone = "view_epoched"   // worker → coordinator: the re-planned digest
 	viewQuery     = "view_query"     // coordinator → worker: lookup Key in a hosted partition
 	viewValue     = "view_value"     // worker → coordinator: Found + the record
 	viewCollect   = "view_collect"   // coordinator → worker: ship hosted partitions (+ spans)
@@ -93,10 +95,13 @@ type shardSpec struct {
 	WireCompression      bool   `json:"wire_compression,omitempty"`
 	TraceID              uint64 `json:"trace_id,omitempty"`
 	TraceLabel           string `json:"trace_label,omitempty"`
+	// Job makes the session a one-shot job: every host derives the spec
+	// from it (distrib.BuildSpec) instead of from a shipped graph.
+	Job *distrib.JobSpec `json:"job,omitempty"`
 }
 
-// shardMsg is one view-session control message (JSON, same codec as the
-// distrib control plane).
+// shardMsg is the one wire shape of every control message (a line of
+// JSON; Kind selects which fields are meaningful).
 type shardMsg struct {
 	Kind      string     `json:"kind"`
 	Spec      *shardSpec `json:"spec,omitempty"`
@@ -106,6 +111,7 @@ type shardMsg struct {
 	Digest    string     `json:"digest,omitempty"`
 	Count     int        `json:"count,omitempty"`
 	Round     int        `json:"round,omitempty"`
+	Epoch     int        `json:"epoch,omitempty"`
 	Full      bool       `json:"full,omitempty"`
 	Found     bool       `json:"found,omitempty"`
 	Key       int64      `json:"key,omitempty"`
@@ -117,22 +123,19 @@ type shardMsg struct {
 }
 
 // maintainerFor rebuilds a Maintainer from its wire identity.
-func maintainerFor(algorithm string, source int64) (Maintainer, error) {
-	switch algorithm {
-	case "cc":
+func maintainerFor(ss shardSpec) (Maintainer, error) {
+	switch {
+	case ss.Job != nil:
+		return newJobMaintainer(*ss.Job)
+	case ss.Algorithm == "cc":
 		return CC(), nil
-	case "sssp":
-		return SSSP(source), nil
+	case ss.Algorithm == "sssp":
+		return SSSP(ss.Source), nil
 	}
-	return nil, fmt.Errorf("live: unknown sharded algorithm %q", algorithm)
+	return nil, fmt.Errorf("live: unknown sharded algorithm %q", ss.Algorithm)
 }
 
 // --- frame codecs --------------------------------------------------------
-
-// recordsToFrames packs records into one CRC-framed batch.
-func recordsToFrames(recs []record.Record) []byte {
-	return record.AppendFrame(nil, recs)
-}
 
 // packRecords is the compact wire form for transient control-plane
 // payloads (mutation batches, candidate worksets): a flags byte plus
@@ -320,6 +323,10 @@ type shardCore struct {
 	sources   []*dataflow.Node
 	planEdges int
 	digest    string
+	// epoch counts the coordinated mid-run plan swaps (specs that set
+	// Reoptimize) this host has applied; the barrier rejects a host whose
+	// count disagrees before its traffic is routed under the wrong plan.
+	epoch int
 
 	// overlay holds edges live in gs but not yet folded into the plan's
 	// cached edge table: the insert fast path leaves the O(E) caches warm

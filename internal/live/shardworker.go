@@ -11,12 +11,12 @@ import (
 	"repro/internal/record"
 )
 
-// WorkerHost hosts sharded view maintenance sessions inside a `spinflow
-// worker` process: it implements distrib.ViewHost, so the distrib control
-// loop hands it every view_* message. One ServeView call runs one session
-// — open, mesh, then coordinator-driven verbs until close — and the
-// control connection returns to distrib afterwards for the next session
-// (or batch job).
+// WorkerHost hosts sharded sessions — live views and one-shot jobs — inside
+// a `spinflow worker` process: it implements distrib.ViewHost, so the
+// distrib listener hands it every conversation. One ServeView call runs
+// one session — open, mesh, then coordinator-driven verbs until close —
+// and the control connection returns to distrib afterwards for the next
+// session.
 type WorkerHost struct {
 	reg *obs.Registry
 }
@@ -76,101 +76,89 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 		if err := dec.Decode(&req); err != nil {
 			return err
 		}
-		switch req.Kind {
-		case viewApply:
-			recs, err := unpackRecords(req.Frames)
-			if err != nil {
-				return fail(err)
-			}
-			muts, err := recordsToMutations(recs)
-			if err != nil {
-				return fail(err)
-			}
-			if err := core.applyBatch(muts); err != nil {
-				return fail(err)
-			}
-			if err := enc.Encode(shardMsg{Kind: viewApplied,
-				Count: len(core.removed), Full: core.removes(), Digest: core.digest}); err != nil {
-				return err
-			}
-		case viewImpact:
-			known, err := unpackRecords(req.Frames)
-			if err != nil {
-				return fail(err)
-			}
-			if req.Round < 0 || req.Round >= len(core.removed) {
-				return fail(fmt.Errorf("live: impact of removal %d, batch removed %d edges", req.Round, len(core.removed)))
-			}
-			share, ok := core.impact(core.removed[req.Round], known)
-			if err := enc.Encode(shardMsg{Kind: viewRegion, Frames: packRecords(keyRecords(share)), Full: !ok}); err != nil {
-				return err
-			}
-		case viewReplan:
-			region, err := unpackRecords(req.Frames)
-			if err != nil {
-				return fail(err)
-			}
-			if _, err := core.settle(req.Full, recordKeys(region)); err != nil {
-				return fail(err)
-			}
-			if err := enc.Encode(shardMsg{Kind: viewReplanned, Digest: core.digest}); err != nil {
-				return err
-			}
-		case viewGather:
-			// Own-keyed candidates stay here (buffered for the seed verb);
-			// only remote-keyed ones travel, with Count telling the
-			// coordinator how many were retained so it can detect a
-			// globally empty round.
-			outbound := slices.Concat(core.gatherRound(req.Round)...)
-			if err := enc.Encode(shardMsg{Kind: viewCand,
-				Frames: packRecords(outbound), Count: len(core.pending)}); err != nil {
-				return err
-			}
-		case viewSeed:
-			recs, err := unpackRecords(req.Frames)
-			if err != nil {
-				return fail(err)
-			}
-			workset, improving := core.seedRound(recs)
-			core.fx.SeedWorkset(workset)
-			if err := enc.Encode(shardMsg{Kind: viewSeeded, Count: improving}); err != nil {
-				return err
-			}
-		case viewStep:
-			count, err := core.fx.StepOnce()
-			if err != nil {
-				return fail(err)
-			}
-			if err := enc.Encode(shardMsg{Kind: viewStepDone, Count: count}); err != nil {
-				return err
-			}
-		case viewQuery:
-			reply := shardMsg{Kind: viewValue}
-			if r, ok := core.lookup(req.Key); ok {
-				reply.Found = true
-				reply.Frames = recordsToFrames([]record.Record{r})
-			}
-			if err := enc.Encode(reply); err != nil {
-				return err
-			}
-		case viewCollect:
-			var spans []obs.Span
-			if h.reg != nil && core.cfg.TraceID != 0 {
-				spans = h.reg.Trace().SpansFor(core.cfg.TraceID)
-			}
-			if err := enc.Encode(shardMsg{Kind: viewSolution, Frames: core.collect(), Spans: spans}); err != nil {
-				return err
-			}
-		case viewStats:
-			if err := enc.Encode(shardMsg{Kind: viewStatted, Count: core.hostedRecords(), Bytes: core.sol.Bytes()}); err != nil {
-				return err
-			}
-		case viewClose:
-			return enc.Encode(shardMsg{Kind: viewClosed})
-		default:
-			return fmt.Errorf("live: unexpected view message %q", req.Kind)
+		reply, err := h.serveVerb(core, req)
+		if err != nil {
+			return fail(err)
+		}
+		if err := enc.Encode(reply); err != nil || reply.Kind == viewClosed {
+			return err
 		}
 	}
+}
+
+// serveVerb executes one coordinator-driven verb on this host's core and
+// returns the reply; an error ends the session.
+func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) {
+	var payload []record.Record
+	switch req.Kind {
+	case viewApply, viewImpact, viewReplan, viewSeed:
+		var err error
+		if payload, err = unpackRecords(req.Frames); err != nil {
+			return shardMsg{}, err
+		}
+	}
+	switch req.Kind {
+	case viewApply:
+		muts, err := recordsToMutations(payload)
+		if err == nil {
+			err = core.applyBatch(muts)
+		}
+		return shardMsg{Kind: viewApplied, Count: len(core.removed), Full: core.removes(), Digest: core.digest}, err
+	case viewImpact:
+		if req.Round < 0 || req.Round >= len(core.removed) {
+			return shardMsg{}, fmt.Errorf("live: impact of removal %d, batch removed %d edges", req.Round, len(core.removed))
+		}
+		share, ok := core.impact(core.removed[req.Round], payload)
+		return shardMsg{Kind: viewRegion, Frames: packRecords(keyRecords(share)), Full: !ok}, nil
+	case viewReplan:
+		_, err := core.settle(req.Full, recordKeys(payload))
+		return shardMsg{Kind: viewReplanned, Digest: core.digest}, err
+	case viewGather:
+		// Own-keyed candidates stay here (buffered for the seed verb);
+		// only remote-keyed ones travel, with Count telling the
+		// coordinator how many were retained so it can detect a
+		// globally empty round.
+		outbound := slices.Concat(core.gatherRound(req.Round)...)
+		return shardMsg{Kind: viewCand, Frames: packRecords(outbound), Count: len(core.pending)}, nil
+	case viewSeed:
+		workset, improving := core.seedRound(payload)
+		core.fx.SeedWorkset(workset)
+		return shardMsg{Kind: viewSeeded, Count: improving}, nil
+	case viewStep:
+		if req.Epoch != core.epoch {
+			return shardMsg{}, fmt.Errorf("live: released for a superstep at plan epoch %d while at %d", req.Epoch, core.epoch)
+		}
+		count, err := core.fx.StepOnce()
+		return shardMsg{Kind: viewStepDone, Count: count, Epoch: core.epoch}, err
+	case viewEpoch:
+		// Coordinated plan swap: re-plan for the coordinator's global
+		// workset estimate, swap the session, and answer with the new
+		// digest so the coordinator can verify the mesh stayed plan-agreed.
+		phys, err := core.fx.ApplyEpoch(int64(req.Count))
+		if err != nil {
+			return shardMsg{}, err
+		}
+		core.digest, core.epoch = phys.Fingerprint(), req.Epoch
+		return shardMsg{Kind: viewEpochDone, Digest: core.digest}, nil
+	case viewQuery:
+		reply := shardMsg{Kind: viewValue}
+		if r, ok := core.lookup(req.Key); ok {
+			reply.Found = true
+			reply.Frames = record.AppendFrame(nil, record.Batch{r})
+		}
+		return reply, nil
+	case viewCollect:
+		var spans []obs.Span
+		if h.reg != nil && core.cfg.TraceID != 0 {
+			spans = h.reg.Trace().SpansFor(core.cfg.TraceID)
+		}
+		return shardMsg{Kind: viewSolution, Frames: core.collect(), Spans: spans}, nil
+	case viewStats:
+		return shardMsg{Kind: viewStatted, Count: core.hostedRecords(), Bytes: core.sol.Bytes()}, nil
+	case viewClose:
+		return shardMsg{Kind: viewClosed}, nil
+	}
+	return shardMsg{}, fmt.Errorf("live: unexpected view message %q", req.Kind)
 }
 
 // openCore builds this host's session share from the opening message:
@@ -178,7 +166,7 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 // share of the cold workset seeded.
 func (h *WorkerHost) openCore(msg shardMsg) (*shardCore, error) {
 	ss := *msg.Spec
-	m, err := maintainerFor(ss.Algorithm, ss.Source)
+	m, err := maintainerFor(ss)
 	if err != nil {
 		return nil, err
 	}

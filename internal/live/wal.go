@@ -458,16 +458,8 @@ func (v *LiveView) snapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("live: view %q shard collect: %w", v.name, err)
 	}
-	hostIDs := make([]int, 0, len(shards))
-	for h := range shards {
-		hostIDs = append(hostIDs, h)
-	}
-	sort.Ints(hostIDs)
-	for _, h := range hostIDs {
-		recs, err := framesToRecords(shards[h])
-		if err != nil {
-			return fmt.Errorf("live: view %q shard %d payload: %w", v.name, h, err)
-		}
+	for i, recs := range shards {
+		h := i + 1
 		path := filepath.Join(d.dir, shardSnapshotName(seq, h))
 		if err := iterative.WriteFileDurable(path, func(w io.Writer) error {
 			return writeShardTo(w, snapshotShardKindPrefix+v.m.Name(), seq, recs)
