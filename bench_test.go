@@ -197,6 +197,9 @@ func BenchmarkFig9CC(b *testing.B) {
 				}
 			}
 		})
+		// Kept under its name so its trajectory stays comparable: the
+		// microstep entry (RunMicrostep) on the same Match Δ as
+		// StratosphereMicro — one engine, so the two should read alike.
 		b.Run(name+"/StratosphereAsync", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := iterative.Config{Parallelism: benchParallelism}

@@ -1,5 +1,5 @@
 // Connected Components three ways — bulk, incremental (CoGroup), and
-// asynchronous microsteps (Match) — on the public API, reproducing the
+// microsteps (Match, direct merge) — on the public API, reproducing the
 // paper's headline comparison (§6.2): the incremental variants touch only
 // the "hot" portion of the graph and win by a growing margin.
 package main
@@ -182,7 +182,7 @@ func main() {
 		log.Fatal(err)
 	}
 	microTime := time.Since(start)
-	fmt.Printf("  microsteps (async): %8v  %d microsteps    %d components\n",
+	fmt.Printf("  microsteps (Match): %8v  %d microsteps    %d components\n",
 		microTime.Round(time.Millisecond), micro.Microsteps, components(micro.Solution))
 
 	fmt.Printf("\nspeedup over bulk: incremental %.1fx, microsteps %.1fx\n",

@@ -1,7 +1,7 @@
-// Single-source shortest paths as an incremental iteration executed in
-// asynchronous microsteps: the working set carries distance candidates,
-// the solution set keeps each vertex's best-known distance, and updates
-// spread without superstep barriers (paper §2.2/§5.2).
+// Single-source shortest paths as an incremental iteration meeting the
+// microstep conditions: the working set carries distance candidates, the
+// solution set keeps each vertex's best-known distance, and improvements
+// are written into it as they are found (paper §2.2/§5.2).
 package main
 
 import (
@@ -71,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	async := time.Since(start)
+	micro := time.Since(start)
 
 	start = time.Now()
 	res2, err := spinflow.RunIncremental(spec, nil, w0, spinflow.Config{Parallelism: 4})
@@ -82,22 +82,22 @@ func main() {
 
 	fmt.Printf("SSSP from vertex %d on %d vertices / %d weighted edges\n",
 		source, g.NumVertices, len(edges))
-	fmt.Printf("  async microsteps: reached %6d vertices in %8v (%d microsteps)\n",
-		len(res.Solution), async.Round(time.Millisecond), res.Microsteps)
-	fmt.Printf("  supersteps:       reached %6d vertices in %8v (%d supersteps)\n",
+	fmt.Printf("  RunMicrostep:     reached %6d vertices in %8v (%d microsteps)\n",
+		len(res.Solution), micro.Round(time.Millisecond), res.Microsteps)
+	fmt.Printf("  RunIncremental:   reached %6d vertices in %8v (%d supersteps)\n",
 		len(res2.Solution), sync.Round(time.Millisecond), res2.Supersteps)
 
-	// Both modes must agree on every distance.
+	// Both entry points run the one incremental engine and must agree.
 	dist := make(map[int64]float64, len(res2.Solution))
 	for _, r := range res2.Solution {
 		dist[r.A] = r.X
 	}
 	for _, r := range res.Solution {
 		if dist[r.A] != r.X {
-			log.Fatalf("async/sync disagree at vertex %d: %g vs %g", r.A, r.X, dist[r.A])
+			log.Fatalf("entry points disagree at vertex %d: %g vs %g", r.A, r.X, dist[r.A])
 		}
 	}
-	fmt.Println("  async and superstep executions agree on all distances")
+	fmt.Println("  both entry points agree on all distances")
 
 	far := append([]spinflow.Record(nil), res.Solution...)
 	sort.Slice(far, func(i, j int) bool { return far[i].X > far[j].X })

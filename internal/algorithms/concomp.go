@@ -100,7 +100,7 @@ const (
 	// Figure 5).
 	CCCoGroup CCVariant = iota
 	// CCMatch processes every candidate individually (the Match/microstep
-	// variant of §5.2), admissible for asynchronous execution.
+	// variant of §5.2), admissible for direct merge.
 	CCMatch
 )
 
@@ -197,8 +197,8 @@ func CCIncremental(g *graphgen.Graph, variant CCVariant, cfg iterative.Config) (
 	return ComponentsToMap(res.Solution), res, nil
 }
 
-// CCMicrostepAsync runs the Match variant asynchronously in microsteps
-// (no superstep barriers, §5.2).
+// CCMicrostepAsync runs the Match variant through the microstep entry
+// (§5.2: deltas merge into S as they are produced).
 func CCMicrostepAsync(g *graphgen.Graph, cfg iterative.Config) (map[int64]int64, *iterative.IncrementalResult, error) {
 	spec, s0, w0 := CCIncrementalSpec(g, CCMatch)
 	res, err := iterative.RunMicrostep(spec, s0, w0, cfg)
@@ -208,7 +208,7 @@ func CCMicrostepAsync(g *graphgen.Graph, cfg iterative.Config) (map[int64]int64,
 	return ComponentsToMap(res.Solution), res, nil
 }
 
-// CCAutoSpec assembles the AutoSpec covering all three engines for
+// CCAutoSpec assembles the AutoSpec covering both engines for
 // Connected Components on g: the microstep-admissible Match variant of
 // Figure 5 plus the bulk alternative of Table 1. Both plans share one
 // symmetrized edge-record list.
@@ -222,7 +222,7 @@ func CCAutoSpec(g *graphgen.Graph) (iterative.AutoSpec, []record.Record, []recor
 }
 
 // CCAuto runs Connected Components through the adaptive runner: the cost
-// model picks the engine and may switch mid-run.
+// model picks the engine.
 func CCAuto(g *graphgen.Graph, cfg iterative.Config) (map[int64]int64, *iterative.AutoResult, error) {
 	spec, s0, w0 := CCAutoSpec(g)
 	res, err := iterative.RunAuto(spec, s0, w0, cfg)

@@ -78,7 +78,7 @@ func SSSP(edges []WeightedEdge, source int64, cfg iterative.Config) (map[int64]f
 	return distMap(res.Solution), res, nil
 }
 
-// SSSPMicrostep runs the same iteration asynchronously in microsteps.
+// SSSPMicrostep runs the same iteration through the microstep entry.
 func SSSPMicrostep(edges []WeightedEdge, source int64, cfg iterative.Config) (map[int64]float64, *iterative.IncrementalResult, error) {
 	spec, s0, w0 := SSSPSpec(edges, source)
 	res, err := iterative.RunMicrostep(spec, s0, w0, cfg)

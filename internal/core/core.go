@@ -69,8 +69,8 @@ func RunIncremental(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*Increme
 	return iterative.RunIncremental(spec, s0, w0, cfg)
 }
 
-// RunMicrostep executes an admissible incremental iteration
-// asynchronously in microsteps (§5.2).
+// RunMicrostep executes an incremental iteration that must meet the
+// §5.2 conditions, merging deltas into the solution set directly.
 func RunMicrostep(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*IncrementalResult, error) {
 	return iterative.RunMicrostep(spec, s0, w0, cfg)
 }
@@ -88,26 +88,23 @@ func ResumeIncremental(spec IncrementalSpec, existing *SolutionSet, delta []Reco
 	return iterative.ResumeIncremental(spec, existing, delta, cfg)
 }
 
-// ResumeMicrostep is the asynchronous counterpart of ResumeIncremental:
-// it finishes a fixpoint over an existing resident solution set in
-// microsteps — the warm handoff adaptive execution uses when it switches
-// engines mid-run.
+// ResumeMicrostep is ResumeIncremental for a spec that must meet the
+// §5.2 conditions.
 func ResumeMicrostep(spec IncrementalSpec, existing *SolutionSet, workset []Record, cfg Config) (*IncrementalResult, error) {
 	return iterative.ResumeMicrostep(spec, existing, workset, cfg)
 }
 
 // Adaptive engine selection (§4.3 extended from plans to engines).
 type (
-	// AutoSpec describes one computation executable by several engines.
+	// AutoSpec describes one computation executable by either engine.
 	AutoSpec = iterative.AutoSpec
 	// AutoResult is the outcome of an adaptive run, including the
-	// engine sequence, candidate costs and calibrated weights.
+	// engine that ran, candidate costs and calibrated weights.
 	AutoResult = iterative.AutoResult
 )
 
-// RunAuto costs the bulk, incremental and microstep engines, runs the
-// cheapest, and switches engines mid-run when observed per-superstep
-// cardinalities cross the dispatch-overhead crossover.
+// RunAuto costs the incremental engine against the bulk alternative
+// (when supplied) and runs the cheaper.
 func RunAuto(spec AutoSpec, s0, w0 []Record, cfg Config) (*AutoResult, error) {
 	return iterative.RunAuto(spec, s0, w0, cfg)
 }

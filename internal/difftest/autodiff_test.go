@@ -7,7 +7,6 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
-	"repro/internal/metrics"
 	"repro/internal/record"
 )
 
@@ -18,41 +17,18 @@ func sortedSolution(recs []record.Record) []record.Record {
 	return out
 }
 
-// crossoverWeights pins cost weights so the adaptive runner starts on the
-// incremental engine (microstep's per-element total misses the selection
-// margin) and switches to microsteps once the per-superstep element flow
-// decays below ~w0/4 — a deterministic dispatch-overhead crossover for
-// the table below.
-func crossoverWeights(w0 int, tasks int) *metrics.CalibratedWeights {
-	return &metrics.CalibratedWeights{
-		Net:          1,
-		Dispatch:     3,
-		StepOverhead: float64(w0) / 2 / float64(tasks),
-	}
-}
-
-// TestAutoCrossoverDifferential shrinks the initial workset (via graph
-// size) across a table of long-tailed chain graphs: at every size, the
-// adaptive run must be byte-identical to both single-engine runs and to
-// the union-find oracle; across the table, the runs must demonstrate the
-// crossover — at least one run that switched incremental → microstep
-// mid-way, with the workset at the switch point strictly smaller than
-// the initial one.
-func TestAutoCrossoverDifferential(t *testing.T) {
+// TestAutoEnginesDifferential runs the same Match-variant CC through
+// RunIncremental, RunMicrostep and RunAuto across a table of long-tailed
+// chain graphs: every run must be byte-identical to the others and to the
+// union-find oracle. (The three share one engine — the Δ is admissible,
+// so all of them merge deltas directly — which is exactly what the
+// byte-identity pins.)
+func TestAutoEnginesDifferential(t *testing.T) {
 	const par = 2
-	type entry struct {
-		communities int64
-		switched    bool
-	}
-	table := []entry{{48, false}, {24, false}, {12, false}, {6, false}}
+	for _, communities := range []int64{48, 24, 12, 6} {
+		g := graphgen.ChainedCommunities("xover", communities, 12, 24, 0xD1FF)
 
-	anySwitch := false
-	for i := range table {
-		e := &table[i]
-		g := graphgen.ChainedCommunities("xover", e.communities, 12, 24, 0xD1FF)
-		spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
-
-		// Single-engine baselines on fresh specs (state is resident).
+		// Fresh specs per run (state is resident).
 		incSpec, incS0, incW0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
 		incRes, err := iterative.RunIncremental(incSpec, incS0, incW0, iterative.Config{Parallelism: par})
 		if err != nil {
@@ -63,25 +39,13 @@ func TestAutoCrossoverDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		tasks := len(spec.Plan.Nodes()) * par
-		var m metrics.Counters
+		spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
 		autoRes, err := iterative.RunAuto(iterative.AutoSpec{Incremental: spec}, s0, w0,
-			iterative.Config{
-				Parallelism:   par,
-				Metrics:       &m,
-				EngineWeights: crossoverWeights(len(w0), tasks),
-			})
+			iterative.Config{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.switched = autoRes.Switches > 0
-		anySwitch = anySwitch || e.switched
-		if e.switched && m.EngineSwitches.Load() == 0 {
-			t.Errorf("communities=%d: result reports a switch, metrics do not", e.communities)
-		}
 
-		// Byte-identical solutions across all engines, and oracle-true.
 		auto := sortedSolution(autoRes.Solution)
 		for name, other := range map[string][]record.Record{
 			"incremental": incRes.Solution,
@@ -90,12 +54,12 @@ func TestAutoCrossoverDifferential(t *testing.T) {
 			got := sortedSolution(other)
 			if len(got) != len(auto) {
 				t.Fatalf("communities=%d: %s has %d records, auto %d",
-					e.communities, name, len(got), len(auto))
+					communities, name, len(got), len(auto))
 			}
 			for j := range got {
 				if got[j] != auto[j] {
 					t.Fatalf("communities=%d: %s[%d]=%v, auto[%d]=%v",
-						e.communities, name, j, got[j], j, auto[j])
+						communities, name, j, got[j], j, auto[j])
 				}
 			}
 		}
@@ -103,12 +67,9 @@ func TestAutoCrossoverDifferential(t *testing.T) {
 		assign := algorithms.ComponentsToMap(autoRes.Solution)
 		for v, c := range oracle {
 			if assign[v] != c {
-				t.Fatalf("communities=%d: vertex %d -> %d, oracle %d", e.communities, v, assign[v], c)
+				t.Fatalf("communities=%d: vertex %d -> %d, oracle %d", communities, v, assign[v], c)
 			}
 		}
-	}
-	if !anySwitch {
-		t.Fatalf("no table entry switched incremental → microstep: %+v", table)
 	}
 }
 

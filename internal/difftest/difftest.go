@@ -1,10 +1,10 @@
 // Package difftest cross-checks every engine in the repository against
 // each other and against independent oracles: on seeded random graphs,
-// the incremental (superstep) driver, the asynchronous microstep driver,
-// the Pregel-style engine and the Spark-style engine must all converge to
-// the same Connected Components and SSSP fixpoints, at every parallelism,
-// regardless of the solution-set backend (map, compact, or spilled under
-// a memory budget). This is the correctness-first methodology of
+// the incremental driver (through RunIncremental and the microstep
+// entry), the Pregel-style engine and the Spark-style engine must all
+// converge to the same Connected Components and SSSP fixpoints, at every
+// parallelism, regardless of the solution-set backend (map, compact, or
+// spilled under a memory budget). This is the correctness-first methodology of
 // differential engine testing: the engines share almost no code on these
 // paths, so agreement on randomized inputs is strong evidence that each
 // one is right.

@@ -15,7 +15,7 @@ import (
 )
 
 // AutoRow is one (dataset, scale) row of the adaptive-execution scenario:
-// the three static engine choices against RunAuto on the same Connected
+// the two static engine choices against RunAuto on the same Connected
 // Components fixpoint.
 type AutoRow struct {
 	Dataset  string  `json:"dataset"`
@@ -25,20 +25,17 @@ type AutoRow struct {
 	// Static engine times (best of five runs each).
 	BulkMS        float64 `json:"bulk_ms"`
 	IncrementalMS float64 `json:"incremental_ms"`
-	MicrostepMS   float64 `json:"microstep_ms"`
 	// AutoMS is the adaptive runner's time (best of five runs; an untimed
 	// run calibrates the cost weights the second plans with).
 	AutoMS float64 `json:"auto_ms"`
-	// Engines is the engine sequence the reported auto run executed.
+	// Engines is the engine the reported auto run executed.
 	Engines []string `json:"engines"`
-	// Switches counts mid-run engine handoffs in the reported auto run.
-	Switches int `json:"switches"`
 	// VsBest is auto / best-static and VsWorst is worst-static / auto,
 	// both paired within a rep and taken at the median rep (≤ 1 VsBest
 	// means auto won outright).
 	VsBest  float64 `json:"vs_best"`
 	VsWorst float64 `json:"vs_worst"`
-	// Identical reports whether all four fixpoints matched the
+	// Identical reports whether all three fixpoints matched the
 	// union-find oracle.
 	Identical bool `json:"identical"`
 }
@@ -59,9 +56,8 @@ type AutoScenario struct {
 // autoDatasets names the scenario's graphs: FOAF (one dominant component
 // with a convergence tail), an R-MAT power-law graph (web-like skew),
 // and a webbase-style chain of communities whose fixpoint drags through
-// hundreds of small-workset supersteps — the regime where paying barrier
-// rounds to the end is the wrong call and a mid-run switch to microsteps
-// pays off.
+// hundreds of small-workset supersteps — the regime where full
+// recomputation is at its worst.
 func autoDatasets(scale graphgen.Scale) []*graphgen.Graph {
 	v := int64(float64(4000) * float64(scale))
 	if v < 64 {
@@ -113,9 +109,9 @@ func measureInterleaved(contenders []func() (time.Duration, error)) ([][]time.Du
 
 // Auto runs the adaptive-execution scenario: on each dataset × scale,
 // Connected Components is computed by each static engine choice (bulk
-// supersteps, incremental supersteps, asynchronous microsteps) and by
-// RunAuto; the adaptive runner must track the best static choice while
-// avoiding the worst one. One untimed instrumented run per row fits the
+// supersteps, incremental supersteps over the Match Δ) and by RunAuto;
+// the adaptive runner must track the best static choice while avoiding
+// the worst one. One untimed instrumented run per row fits the
 // calibrator the measured adaptive runs plan with.
 func Auto(o Options) (*AutoScenario, error) {
 	if err := o.Validate(); err != nil {
@@ -126,8 +122,8 @@ func Auto(o Options) (*AutoScenario, error) {
 
 	scales := []float64{0.25, 0.5, 1.0}
 	o.printf("Adaptive cross-engine execution — CC, static choices vs RunAuto (best of 5, auto calibrated)\n")
-	o.printf("  %-9s %-6s %9s %9s %11s %11s %9s %8s %7s  %s\n",
-		"dataset", "scale", "V", "E", "bulk(ms)", "incr(ms)", "micro(ms)", "auto(ms)", "vs.best", "engines")
+	o.printf("  %-9s %-6s %9s %9s %11s %11s %8s %7s  %s\n",
+		"dataset", "scale", "V", "E", "bulk(ms)", "incr(ms)", "auto(ms)", "vs.best", "engine")
 
 	for _, sf := range scales {
 		scale := graphgen.Scale(sf * float64(o.Scale))
@@ -144,9 +140,9 @@ func Auto(o Options) (*AutoScenario, error) {
 			if row.VsWorst > res.MaxVsWorst {
 				res.MaxVsWorst = row.VsWorst
 			}
-			o.printf("  %-9s %-6.2f %9d %9d %11.2f %11.2f %9.2f %8.2f %6.2fx  %s\n",
+			o.printf("  %-9s %-6.2f %9d %9d %11.2f %11.2f %8.2f %6.2fx  %s\n",
 				row.Dataset, row.Scale, row.Vertices, row.Edges,
-				row.BulkMS, row.IncrementalMS, row.MicrostepMS, row.AutoMS,
+				row.BulkMS, row.IncrementalMS, row.AutoMS,
 				row.VsBest, strings.Join(row.Engines, "→"))
 		}
 	}
@@ -210,15 +206,6 @@ func autoRow(o Options, g *graphgen.Graph, scaleFactor float64) (*AutoRow, error
 		},
 		func() (time.Duration, error) {
 			start := time.Now()
-			assign, _, err := algorithms.CCMicrostepAsync(g, cfg())
-			if err != nil {
-				return 0, fmt.Errorf("microstep cc: %w", err)
-			}
-			check(assign)
-			return time.Since(start), nil
-		},
-		func() (time.Duration, error) {
-			start := time.Now()
 			assign, ares, err := algorithms.CCAuto(g, iterative.Config{
 				Parallelism: o.Parallelism, Calibrator: cal,
 			})
@@ -238,7 +225,7 @@ func autoRow(o Options, g *graphgen.Graph, scaleFactor float64) (*AutoRow, error
 	// auto against the statics of the same rep (measured seconds apart,
 	// so a noisy epoch cancels out instead of inflating one side) and
 	// take the median rep.
-	mins := make([]time.Duration, 4)
+	mins := make([]time.Duration, 3)
 	for i := range mins {
 		for r, rep := range reps {
 			if r == 0 || rep[i] < mins[i] {
@@ -248,25 +235,15 @@ func autoRow(o Options, g *graphgen.Graph, scaleFactor float64) (*AutoRow, error
 	}
 	row.BulkMS = ms(mins[0])
 	row.IncrementalMS = ms(mins[1])
-	row.MicrostepMS = ms(mins[2])
-	row.AutoMS = ms(mins[3])
+	row.AutoMS = ms(mins[2])
 	for _, e := range last.Engines {
 		row.Engines = append(row.Engines, e.String())
 	}
-	row.Switches = last.Switches
 
 	var vsBest, vsWorst []float64
 	for _, rep := range reps {
-		bulk, incr, micro, auto := rep[0], rep[1], rep[2], rep[3]
-		best, worst := bulk, bulk
-		for _, d := range []time.Duration{incr, micro} {
-			if d < best {
-				best = d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
+		bulk, incr, auto := rep[0], rep[1], rep[2]
+		best, worst := min(bulk, incr), max(bulk, incr)
 		vsBest = append(vsBest, float64(auto)/float64(best))
 		vsWorst = append(vsWorst, float64(worst)/float64(auto))
 	}

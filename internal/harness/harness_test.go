@@ -296,7 +296,7 @@ func TestAutoScenario(t *testing.T) {
 		if len(r.Engines) == 0 {
 			t.Errorf("%s/%.2f: no engine recorded", r.Dataset, r.Scale)
 		}
-		if r.AutoMS <= 0 || r.BulkMS <= 0 || r.IncrementalMS <= 0 || r.MicrostepMS <= 0 {
+		if r.AutoMS <= 0 || r.BulkMS <= 0 || r.IncrementalMS <= 0 {
 			t.Errorf("%s/%.2f: missing timing: %+v", r.Dataset, r.Scale, r)
 		}
 	}

@@ -8,19 +8,17 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/record"
-	"repro/internal/runtime"
 )
 
-// AutoSpec describes one iterative computation executable by several
-// engines, so the runner — not the caller — picks the engine. The paper's
+// AutoSpec describes one iterative computation executable by either
+// engine, so the runner — not the caller — picks the engine. The paper's
 // §4.3 observes that "in the general case, a different plan may be
 // optimal for every iteration"; RunAuto extends that from plans to whole
-// engines, with runtime cardinality feedback driving mid-run switches.
+// engines.
 type AutoSpec struct {
-	// Incremental is the Δ iteration (Δ, S0, W0) — required. The
-	// superstep engine executes it directly; the microstep engine
-	// executes it asynchronously when it meets the §5.2 admissibility
-	// conditions.
+	// Incremental is the Δ iteration (Δ, S0, W0) — required. (Whether its
+	// deltas merge directly, §5.2, is the engine's own decision and not a
+	// separate candidate.)
 	Incremental IncrementalSpec
 	// Bulk optionally supplies an equivalent bulk iteration computing
 	// the same fixpoint by full recomputation; when set it competes in
@@ -31,9 +29,8 @@ type AutoSpec struct {
 	// BulkInitial is the initial partial solution for Bulk; nil defaults
 	// to the initial solution passed to RunAuto.
 	BulkInitial []record.Record
-	// Force pins the initial engine choice instead of costing the
-	// candidates (mid-run switching still applies). Nil means cost-based
-	// selection.
+	// Force pins the engine choice instead of costing the candidates. Nil
+	// means cost-based selection.
 	Force *optimizer.Engine
 }
 
@@ -50,15 +47,13 @@ type EngineCandidate struct {
 }
 
 // AutoResult is the outcome of an adaptive run. The embedded
-// IncrementalResult carries the solution, trace and (for runs that ended
-// on the incremental or microstep engine) the resident solution set.
+// IncrementalResult carries the solution, trace and (for incremental
+// runs) the resident solution set.
 type AutoResult struct {
 	IncrementalResult
-	// Engines is the sequence of engines that executed, in order; more
-	// than one entry means the run switched mid-way.
+	// Engines names the engine that executed (one entry: a run stays on
+	// the engine selection picked).
 	Engines []optimizer.Engine
-	// Switches counts mid-run engine handoffs.
-	Switches int
 	// Candidates are the per-engine cost estimates selection compared.
 	Candidates []EngineCandidate
 	// Weights are the cost weights selection used (calibrated when a
@@ -69,12 +64,9 @@ type AutoResult struct {
 	PlannedVsObserved []metrics.PlannedVsObserved
 }
 
-// engineWeights resolves the weights RunAuto plans with: pinned >
-// calibrated > defaults.
+// engineWeights resolves the weights RunAuto plans with: calibrated when
+// a Calibrator is configured, the built-in defaults otherwise.
 func engineWeights(cfg Config) metrics.CalibratedWeights {
-	if cfg.EngineWeights != nil {
-		return *cfg.EngineWeights
-	}
 	if cfg.Calibrator != nil {
 		return cfg.Calibrator.Weights()
 	}
@@ -109,13 +101,12 @@ func incrementalStats(spec *IncrementalSpec, solution, workset int, cfg Config) 
 }
 
 // RunAuto executes one iterative computation on whichever engine the cost
-// model says is cheapest, and keeps watching: observed per-superstep
-// cardinalities can trigger a mid-run switch — incremental → microstep
-// once the workset collapses below the dispatch-overhead crossover — with
-// the resident solution set handed over warm, so no state is rebuilt.
-// With Config.Calibrator set, every superstep's measured work and wall
-// time feed a least-squares fit of the cost weights, so repeated runs
-// plan with observed rather than guessed constants.
+// model says is cheaper — the incremental one unless a supplied bulk
+// alternative clearly wins — and records each superstep's predicted cost
+// against its measured wall time. With Config.Calibrator set, every
+// superstep's measured work and wall time feed a least-squares fit of the
+// cost weights, so repeated runs plan with observed rather than guessed
+// constants.
 func RunAuto(spec AutoSpec, initialSolution, initialWorkset []record.Record, cfg Config) (*AutoResult, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -125,8 +116,6 @@ func RunAuto(spec AutoSpec, initialSolution, initialWorkset []record.Record, cfg
 		return nil, err
 	}
 	weights := engineWeights(cfg)
-
-	_, microErr := ValidateMicrostep(spec.Incremental)
 	incStats := incrementalStats(&spec.Incremental, len(initialSolution), len(initialWorkset), cfg)
 
 	out := &AutoResult{Weights: weights}
@@ -134,15 +123,8 @@ func RunAuto(spec AutoSpec, initialSolution, initialWorkset []record.Record, cfg
 		{Engine: optimizer.EngineIncremental, Viable: true,
 			Cost: optimizer.EngineCost(optimizer.EngineIncremental, incStats, weights)},
 	}
-	if microErr == nil {
-		out.Candidates = append(out.Candidates, EngineCandidate{
-			Engine: optimizer.EngineMicrostep, Viable: true,
-			Cost: optimizer.EngineCost(optimizer.EngineMicrostep, incStats, weights)})
-	} else {
-		out.Candidates = append(out.Candidates, EngineCandidate{
-			Engine: optimizer.EngineMicrostep, Reason: microErr.Error()})
-	}
-	var bulkStats *optimizer.EngineStats
+	const noBulk = "no bulk alternative supplied"
+	var bulkStats optimizer.EngineStats
 	if spec.Bulk != nil {
 		bulkInitial := spec.BulkInitial
 		if bulkInitial == nil {
@@ -155,7 +137,7 @@ func RunAuto(spec AutoSpec, initialSolution, initialWorkset []record.Record, cfg
 		if expected <= 0 {
 			expected = 10
 		}
-		bulkStats = &optimizer.EngineStats{
+		bulkStats = optimizer.EngineStats{
 			SolutionSize:       int64(len(bulkInitial)),
 			ConstantSize:       constantSize(spec.Bulk.Plan),
 			ExpectedSupersteps: expected,
@@ -163,72 +145,68 @@ func RunAuto(spec AutoSpec, initialSolution, initialWorkset []record.Record, cfg
 		}
 		out.Candidates = append(out.Candidates, EngineCandidate{
 			Engine: optimizer.EngineBulk, Viable: true,
-			Cost: optimizer.EngineCost(optimizer.EngineBulk, *bulkStats, weights)})
+			Cost: optimizer.EngineCost(optimizer.EngineBulk, bulkStats, weights)})
 	} else {
 		out.Candidates = append(out.Candidates, EngineCandidate{
-			Engine: optimizer.EngineBulk, Reason: "no bulk alternative supplied"})
+			Engine: optimizer.EngineBulk, Reason: noBulk})
 	}
 
 	chosen := optimizer.EngineIncremental
 	if spec.Force != nil {
 		chosen = *spec.Force
-		for _, c := range out.Candidates {
-			if c.Engine == chosen && !c.Viable {
-				return nil, fmt.Errorf("iterative: forced engine %s not viable: %s", chosen, c.Reason)
-			}
+		switch {
+		case chosen == optimizer.EngineBulk && spec.Bulk == nil:
+			return nil, fmt.Errorf("iterative: forced engine %s not viable: %s", chosen, noBulk)
+		case chosen != optimizer.EngineBulk && chosen != optimizer.EngineIncremental:
+			return nil, fmt.Errorf("iterative: forced engine %s does not exist", chosen)
 		}
-	} else {
+	} else if spec.Bulk != nil {
 		// The incremental engine is the default: its cost is workset-
-		// proportional, so it is never catastrophically wrong, and the
-		// mid-run crossover below still captures microstep's tail wins.
-		// Leaving it requires a clear margin — cardinality estimates and
-		// calibrated constants are noisy, and acting on a near-tie trades
-		// a robust choice for a coin flip. Calibrated weights carry an
-		// extra hazard: a fit over near-collinear samples (a long tail of
-		// identical tiny supersteps) can assign per-record costs almost
-		// arbitrarily, so a calibrated deviation must also hold under the
-		// built-in defaults before it is trusted.
+		// proportional, so it is never catastrophically wrong. Leaving it
+		// requires a clear margin — cardinality estimates and calibrated
+		// constants are noisy, and acting on a near-tie trades a robust
+		// choice for a coin flip. Calibrated weights carry an extra hazard:
+		// a fit over near-collinear samples (a long tail of identical tiny
+		// supersteps) can assign per-record costs almost arbitrarily, so a
+		// calibrated deviation must also hold under the built-in defaults
+		// before it is trusted.
 		const margin = 0.75
-		wins := func(w metrics.CalibratedWeights, e optimizer.Engine, bulkStats *optimizer.EngineStats) bool {
-			inc := optimizer.EngineCost(optimizer.EngineIncremental, incStats, w)
-			st := incStats
-			if e == optimizer.EngineBulk {
-				if bulkStats == nil {
-					return false
-				}
-				st = *bulkStats
-			}
-			return optimizer.EngineCost(e, st, w) < margin*inc
+		bulkWins := func(w metrics.CalibratedWeights) bool {
+			return optimizer.EngineCost(optimizer.EngineBulk, bulkStats, w) <
+				margin*optimizer.EngineCost(optimizer.EngineIncremental, incStats, w)
 		}
-		bestCost := 0.0
-		for _, c := range out.Candidates {
-			if c.Engine == optimizer.EngineIncremental {
-				bestCost = c.Cost
-			}
-		}
-		calibrated := cfg.EngineWeights == nil && cfg.Calibrator != nil
-		for _, c := range out.Candidates {
-			if !c.Viable || c.Engine == optimizer.EngineIncremental {
-				continue
-			}
-			ok := wins(weights, c.Engine, bulkStats)
-			if ok && calibrated {
-				ok = wins(optimizer.DefaultWeights(), c.Engine, bulkStats)
-			}
-			if ok && c.Cost < bestCost {
-				chosen, bestCost = c.Engine, c.Cost
-			}
+		if bulkWins(weights) && (cfg.Calibrator == nil || bulkWins(optimizer.DefaultWeights())) {
+			chosen = optimizer.EngineBulk
 		}
 	}
 
-	switch chosen {
-	case optimizer.EngineBulk:
+	out.Engines = []optimizer.Engine{chosen}
+	if chosen == optimizer.EngineBulk {
 		return runAutoBulk(spec, initialSolution, cfg, out)
-	case optimizer.EngineMicrostep:
-		return runAutoMicrostep(spec.Incremental, initialSolution, initialWorkset, cfg, out, nil)
-	default:
-		return runAutoIncremental(spec, initialSolution, initialWorkset, cfg, out)
 	}
+
+	// The incremental run is RunIncremental's, watched: each superstep's
+	// cost is predicted from its input cardinality with the freshest
+	// weights, then paired with what it took.
+	inCount := len(initialWorkset)
+	var planned float64
+	res, err := runIncremental(spec.Incremental, initialSolution, initialWorkset, cfg, incRun{
+		preStep: func(step int) {
+			planned = optimizer.SuperstepCost(int64(inCount), incStats, engineWeights(cfg))
+		},
+		postStep: func(step, next int, dur time.Duration) {
+			out.PlannedVsObserved = append(out.PlannedVsObserved, metrics.PlannedVsObserved{
+				Engine: chosen.String(), Superstep: step,
+				Planned: planned, Observed: dur,
+			})
+			inCount = next
+		},
+	})
+	if res == nil {
+		return nil, err
+	}
+	out.IncrementalResult = *res
+	return out, err
 }
 
 // runAutoBulk executes the bulk alternative and adapts its result.
@@ -237,186 +215,13 @@ func runAutoBulk(spec AutoSpec, initialSolution []record.Record, cfg Config, out
 	if initial == nil {
 		initial = initialSolution
 	}
-	out.Engines = append(out.Engines, optimizer.EngineBulk)
-	runCfg := cfg
-	if cfg.Calibrator != nil && cfg.Metrics != nil {
-		// Calibration samples come from the per-pass trace; collect it
-		// even when the caller did not ask for one.
-		runCfg.CollectTrace = true
-	}
-	res, err := RunBulk(*spec.Bulk, initial, runCfg)
+	res, err := RunBulk(*spec.Bulk, initial, cfg)
 	if err != nil {
 		return nil, err
-	}
-	for i := range res.Trace.Iterations {
-		res.Trace.Iterations[i].Engine = optimizer.EngineBulk.String()
 	}
 	out.Solution = res.Solution
 	out.Supersteps = res.Iterations
 	out.Plan = res.Plan
-	if cfg.Calibrator != nil && cfg.Metrics != nil {
-		tasks := len(spec.Bulk.Plan.Nodes()) * cfg.Parallelism
-		for _, st := range res.Trace.Iterations {
-			cfg.Calibrator.ObserveSuperstep(st.Work, tasks, st.Duration)
-		}
-	}
-	if cfg.CollectTrace {
-		out.Trace = res.Trace
-	}
+	out.Trace = res.Trace
 	return out, nil
-}
-
-// runAutoMicrostep executes the remaining working set asynchronously.
-// With sol == nil it cold-starts from initialSolution; otherwise it
-// resumes over the handed-over resident set.
-func runAutoMicrostep(spec IncrementalSpec, initialSolution, workset []record.Record, cfg Config, out *AutoResult, sol *runtime.SolutionSet) (*AutoResult, error) {
-	out.Engines = append(out.Engines, optimizer.EngineMicrostep)
-	var before metrics.Snapshot
-	if cfg.Metrics != nil {
-		before = cfg.Metrics.Snapshot()
-	}
-	start := time.Now()
-	var res *IncrementalResult
-	var err error
-	if sol == nil {
-		res, err = RunMicrostep(spec, initialSolution, workset, cfg)
-	} else {
-		res, err = ResumeMicrostep(spec, sol, workset, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Calibrator != nil && cfg.Metrics != nil {
-		cfg.Calibrator.ObserveMicrostepRun(cfg.Metrics.Snapshot().Sub(before), res.Microsteps, time.Since(start))
-	}
-	for i := range res.Trace.Iterations {
-		res.Trace.Iterations[i].Engine = optimizer.EngineMicrostep.String()
-	}
-	prior := out.Supersteps
-	priorMicro := out.Microsteps
-	priorEpochs := out.PlanEpochs
-	priorPlan := out.Plan
-	events := out.Trace.Events
-	priorTrace := out.Trace
-	out.IncrementalResult = *res
-	out.Supersteps += prior
-	out.Microsteps += priorMicro
-	out.PlanEpochs += priorEpochs
-	if out.Plan == nil {
-		// A handoff keeps the plan the superstep phase executed;
-		// microstep execution itself has none.
-		out.Plan = priorPlan
-	}
-	// Keep the superstep trace collected before a handoff, then append
-	// the asynchronous samples.
-	if len(priorTrace.Iterations) > 0 || len(events) > 0 {
-		merged := priorTrace
-		merged.Events = events
-		for _, st := range res.Trace.Iterations {
-			st.Iteration = prior + st.Iteration
-			merged.Add(st)
-		}
-		merged.Events = append(merged.Events, res.Trace.Events...)
-		out.Trace = merged
-	}
-	return out, nil
-}
-
-// runAutoIncremental drives barrier supersteps while monitoring observed
-// workset cardinalities; once the workset collapses below the
-// dispatch-overhead crossover (and the spec admits microsteps), the run
-// hands its resident solution set to the asynchronous engine and
-// finishes there.
-func runAutoIncremental(auto AutoSpec, initialSolution, initialWorkset []record.Record, cfg Config, out *AutoResult) (*AutoResult, error) {
-	spec := auto.Incremental
-	out.Engines = append(out.Engines, optimizer.EngineIncremental)
-	maxSteps := spec.MaxSupersteps
-	if maxSteps <= 0 {
-		maxSteps = 10000
-	}
-	expected := spec.ExpectedIterations
-	if expected <= 0 {
-		expected = 10
-	}
-	_, microErr := ValidateMicrostep(spec)
-	microOK := microErr == nil
-
-	plannedEst := spec.Workset.EstRecords
-	if plannedEst == 0 {
-		plannedEst = int64(len(initialWorkset))
-	}
-	phys, err := optimizeIncrementalWithEst(&spec, cfg, expected, plannedEst)
-	if err != nil {
-		return nil, err
-	}
-	out.Plan = phys
-
-	sol := cfg.newSolutionSet(spec.SolutionKey, spec.Comparator)
-	sol.Init(initialSolution)
-	en := openIncEngine(&spec, sol, cfg, expected, phys, nil)
-	en.tag = optimizer.EngineIncremental.String()
-	defer en.close()
-	en.seed(initialWorkset)
-
-	out.Set = sol
-	stats := incrementalStats(&spec, len(initialSolution), len(initialWorkset), cfg)
-	inCount := len(initialWorkset)
-	var planned float64
-	d := &driver{
-		cfg: cfg, policy: en, maxSteps: maxSteps, worksetDriven: true,
-		calTasks: stats.Tasks,
-		reopt:    newReoptState(phys, plannedEst),
-		collect:  cfg.CollectTrace, trace: &out.Trace,
-		preStep: func(step int) {
-			planned = optimizer.SuperstepCost(int64(inCount), stats, engineWeights(cfg))
-		},
-		postStep: func(step, next int, work metrics.Snapshot, dur time.Duration) {
-			out.PlannedVsObserved = append(out.PlannedVsObserved, metrics.PlannedVsObserved{
-				Engine: optimizer.EngineIncremental.String(), Superstep: step,
-				Planned: planned, Observed: dur,
-			})
-			inCount = next
-		},
-		// Crossover check with the freshest weights: once finishing
-		// asynchronously beats paying further barrier rounds, hand the
-		// resident solution set over and switch engines. Like the initial
-		// selection, a calibrated verdict must also hold under the
-		// default weights before a switch is trusted.
-		switchWhen: func(step, next int) bool {
-			switchNow := microOK && optimizer.MicrostepWins(int64(next), step+1, stats, engineWeights(cfg))
-			if switchNow && cfg.EngineWeights == nil && cfg.Calibrator != nil {
-				switchNow = optimizer.MicrostepWins(int64(next), step+1, stats, optimizer.DefaultWeights())
-			}
-			return switchNow
-		},
-	}
-	converged, err := d.run()
-	out.Supersteps = d.steps
-	out.PlanEpochs = d.epochs
-	if err != nil {
-		return nil, err
-	}
-	if d.switched {
-		// Hand the resident solution set over warm and finish
-		// asynchronously.
-		nextCount := 0
-		var remaining []record.Record
-		for _, p := range en.nextParts {
-			nextCount += len(p)
-			remaining = append(remaining, p...)
-		}
-		en.sess.Close()
-		if cfg.Metrics != nil {
-			cfg.Metrics.EngineSwitches.Add(1)
-		}
-		out.Switches++
-		out.Trace.AddEvent(d.steps-1, fmt.Sprintf(
-			"switched incremental → microstep at workset %d", nextCount))
-		return runAutoMicrostep(spec, nil, remaining, cfg, out, sol)
-	}
-	out.Solution = sol.Snapshot()
-	if converged {
-		return out, nil
-	}
-	return out, fmt.Errorf("%w after %d supersteps", ErrNoProgress, maxSteps)
 }

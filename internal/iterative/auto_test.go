@@ -16,7 +16,7 @@ import (
 	"repro/internal/record"
 )
 
-// autoCCSpec assembles the AutoSpec all three engines can execute: the
+// autoCCSpec assembles the AutoSpec both engines can execute: the
 // Match-variant incremental CC (microstep-admissible) plus the bulk CC
 // alternative.
 func autoCCSpec(g *graphgen.Graph) (iterative.AutoSpec, []record.Record, []record.Record) {
@@ -39,7 +39,6 @@ func TestRunAutoMatchesReference(t *testing.T) {
 		{"auto", nil},
 		{"bulk", enginePtr(optimizer.EngineBulk)},
 		{"incremental", enginePtr(optimizer.EngineIncremental)},
-		{"microstep", enginePtr(optimizer.EngineMicrostep)},
 	} {
 		t.Run(force.name, func(t *testing.T) {
 			spec, s0, w0 := autoCCSpec(g)
@@ -48,8 +47,8 @@ func TestRunAutoMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Engines) == 0 {
-				t.Fatal("no engine recorded")
+			if len(res.Engines) != 1 {
+				t.Fatalf("engines = %v, want exactly one", res.Engines)
 			}
 			if force.engine != nil && res.Engines[0] != *force.engine {
 				t.Fatalf("forced %v, ran %v", *force.engine, res.Engines[0])
@@ -60,8 +59,12 @@ func TestRunAutoMatchesReference(t *testing.T) {
 					t.Fatalf("engine %v: vertex %d -> %d, oracle %d", res.Engines, v, got[v], c)
 				}
 			}
-			if len(res.Candidates) != 3 {
-				t.Fatalf("candidates = %d, want 3", len(res.Candidates))
+			if len(res.Candidates) != 2 {
+				t.Fatalf("candidates = %d, want 2", len(res.Candidates))
+			}
+			if res.Engines[0] == optimizer.EngineIncremental && len(res.PlannedVsObserved) != res.Supersteps {
+				t.Errorf("%d planned-vs-observed records for %d supersteps",
+					len(res.PlannedVsObserved), res.Supersteps)
 			}
 		})
 	}
@@ -78,90 +81,17 @@ func TestRunAutoForceValidation(t *testing.T) {
 	if _, err := iterative.RunAuto(spec, s0, w0, iterative.Config{Parallelism: 2}); err == nil {
 		t.Error("forced bulk without a bulk alternative accepted")
 	}
-	// CoGroup variant is not microstep-admissible: forcing microstep must
-	// fail.
-	incCG, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
-	spec = iterative.AutoSpec{Incremental: incCG, Force: enginePtr(optimizer.EngineMicrostep)}
+	// An engine value outside the two that exist must fail, not fall
+	// through to a default.
+	spec.Force = enginePtr(optimizer.Engine(2))
 	if _, err := iterative.RunAuto(spec, s0, w0, iterative.Config{Parallelism: 2}); err == nil {
-		t.Error("forced microstep on a group-at-a-time spec accepted")
-	}
-}
-
-// switchWeights pins the cost weights so the incremental engine wins the
-// initial choice (microstep's 2W·3 total does not clear the selection
-// margin against incremental's 2W·1 + 10 barrier rounds of W/2 each) but
-// the dispatch-overhead crossover fires mid-run: per superstep,
-// flow·3 < flow·1 + W₀/2 flips once the element flow decays below W₀/4.
-func switchWeights(w0 int, tasks int) *metrics.CalibratedWeights {
-	return &metrics.CalibratedWeights{
-		Net:          1,
-		Dispatch:     3,
-		StepOverhead: float64(w0) / 2 / float64(tasks),
-	}
-}
-
-// TestRunAutoSwitchesMidRun drives a long-tailed CC iteration whose
-// workset collapses over the supersteps, with weights that put the
-// crossover inside the decay: the run must start incremental, switch to
-// microsteps exactly once, and still produce the oracle fixpoint.
-func TestRunAutoSwitchesMidRun(t *testing.T) {
-	// A chain of communities converges community-by-community: the
-	// workset starts at ~2|E| and decays to a handful of records.
-	g := graphgen.ChainedCommunities("auto-switch", 24, 12, 24, 0x51C)
-	spec, s0, w0 := autoCCSpec(g)
-	spec.Bulk = nil // keep the choice between the two §5 engines
-
-	tasks := len(spec.Incremental.Plan.Nodes()) * 2
-	var m metrics.Counters
-	cfg := iterative.Config{
-		Parallelism:   2,
-		Metrics:       &m,
-		CollectTrace:  true,
-		EngineWeights: switchWeights(len(w0), tasks),
-	}
-	res, err := iterative.RunAuto(spec, s0, w0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Engines) != 2 ||
-		res.Engines[0] != optimizer.EngineIncremental ||
-		res.Engines[1] != optimizer.EngineMicrostep {
-		t.Fatalf("engines = %v, want [incremental microstep]", res.Engines)
-	}
-	if res.Switches != 1 {
-		t.Errorf("Switches = %d, want 1", res.Switches)
-	}
-	if m.EngineSwitches.Load() != 1 {
-		t.Errorf("metrics.EngineSwitches = %d, want 1", m.EngineSwitches.Load())
-	}
-	if res.Microsteps == 0 {
-		t.Error("no microsteps executed after the switch")
-	}
-	found := false
-	for _, ev := range res.Trace.Events {
-		if strings.Contains(ev.Event, "switched incremental") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no switch event in trace, events = %v", res.Trace.Events)
-	}
-	if len(res.PlannedVsObserved) == 0 {
-		t.Error("no planned-vs-observed superstep records")
-	}
-
-	oracle := algorithms.CCReference(g)
-	got := algorithms.ComponentsToMap(res.Solution)
-	for v, c := range oracle {
-		if got[v] != c {
-			t.Fatalf("vertex %d -> %d, oracle %d", v, got[v], c)
-		}
+		t.Error("forced unknown engine accepted")
 	}
 }
 
 // TestResumeMicrostep converges CC on a graph missing one bridge edge,
-// then finishes over the full graph asynchronously with only the bridge's
-// candidates — the warm handoff as a standalone entry point.
+// then finishes over the full graph with only the bridge's candidates —
+// the warm restart with direct merge required.
 func TestResumeMicrostep(t *testing.T) {
 	full := graphgen.Uniform("micro-resume", 80, 160, 0x30B)
 	bridge := graphgen.Edge{Src: 3, Dst: 77}
@@ -180,6 +110,9 @@ func TestResumeMicrostep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if warm.Set != res.Set {
+		t.Error("the adopted solution set was not resumed in place")
+	}
 	oracle := algorithms.CCReference(full)
 	got := algorithms.ComponentsToMap(warm.Solution)
 	for v, c := range oracle {
@@ -194,6 +127,17 @@ func TestResumeMicrostep(t *testing.T) {
 	}
 	if _, err := iterative.ResumeMicrostep(spec, res.Set, nil, iterative.Config{Parallelism: 8}); err == nil {
 		t.Error("partition mismatch accepted")
+	}
+	// The CoGroup variant is not admissible: refused, set untouched.
+	cg, _, _ := algorithms.CCIncrementalSpec(full, algorithms.CCCoGroup)
+	if _, err := iterative.ResumeMicrostep(cg, res.Set, delta, cfg); err == nil ||
+		!strings.Contains(err.Error(), "group-at-a-time") {
+		t.Errorf("inadmissible spec: %v, want the §5.2 rejection", err)
+	}
+	for v, c := range algorithms.ComponentsToMap(res.Set.Snapshot()) {
+		if got[v] != c {
+			t.Fatalf("a refused resume modified the solution set at vertex %d", v)
+		}
 	}
 }
 
@@ -286,7 +230,7 @@ func TestReoptimizeCounters(t *testing.T) {
 	}
 }
 
-// TestRunAutoHonorsReoptimize: the adaptive runner's incremental phase
+// TestRunAutoHonorsReoptimize: the adaptive runner's incremental run
 // must support the same mid-run re-planning as RunIncremental.
 func TestRunAutoHonorsReoptimize(t *testing.T) {
 	g, inc, s0, w0 := reshapingCC(11)

@@ -16,13 +16,13 @@ import (
 // thing structurally: the full superstep lifecycle — the loop itself,
 // convergence, the re-optimize decision with its backoff and plan cache,
 // calibrator feedback, checkpoint hooks, and the obs histogram/span
-// recording — lives here exactly once, and the engines (bulk full
-// recompute, incremental workset ∪̇ merge, microstep per-element
-// dispatch) are small EnginePolicy values supplying only their step
-// semantics and cost inputs. RunBulk, RunIncremental, RunMicrostep, the
-// Resume*/Restore* entry points, RunAuto's monitored run, and Fixpoint
-// (through it internal/live's sessions: views and distributed jobs) all
-// drive this loop rather than keeping private copies of it.
+// recording — lives here exactly once, and the two engines (bulk full
+// recompute, incremental workset ∪̇ merge) are small EnginePolicy values
+// supplying only their step semantics. RunBulk, RunIncremental,
+// RunMicrostep (the incremental engine with direct merge required), the
+// Resume*/Restore* entry points, RunAuto, and Fixpoint (through it
+// internal/live's sessions: views and distributed jobs) all drive this
+// loop rather than keeping private copies of it.
 
 // stepOutcome is what one EnginePolicy superstep reports back to the
 // driver core.
@@ -37,8 +37,7 @@ type stepOutcome struct {
 	done bool
 	// compute is the superstep's compute wall time (the session run,
 	// excluding the ∪̇ merge), recorded into the superstep-duration
-	// histogram. Zero skips the sample — microstep execution has no
-	// barriers to time.
+	// histogram.
 	compute time.Duration
 }
 
@@ -46,8 +45,6 @@ type stepOutcome struct {
 // methods are unexported: engines live in this package; the driver calls
 // them in a fixed lifecycle order (step → checkpoint → feed).
 type EnginePolicy interface {
-	// label names the engine on per-superstep trace stats ("" = plain).
-	label() string
 	// step executes one superstep. absStep is the absolute step index —
 	// resident engines (Fixpoint) number supersteps continuously across
 	// Run calls, so it is the trace/span step, while checkpoint cadence
@@ -120,8 +117,9 @@ type driver struct {
 	// false for bulk, whose policy declares done itself.
 	worksetDriven bool
 
-	// calTasks is the calibration feature (logical plan tasks per
-	// superstep) the engine supplies; 0 disables calibrator feedback.
+	// calTasks is the calibration feature the adapter supplies: logical
+	// plan nodes × parallelism, the unit RunAuto's engine formulas
+	// multiply the fitted StepOverhead by.
 	calTasks int
 
 	// reopt enables mid-run re-optimization when non-nil and the policy
@@ -129,31 +127,29 @@ type driver struct {
 	reopt *reoptState
 	hooks DriveHooks
 
-	// preStep/postStep/switchWhen are RunAuto's monitoring hooks: cost
-	// prediction before the step, planned-vs-observed after it, and the
-	// engine-crossover test that ends the run with switched=true.
-	preStep    func(step int)
-	postStep   func(step, next int, work metrics.Snapshot, dur time.Duration)
-	switchWhen func(step, next int) bool
+	// preStep/postStep are RunAuto's planned-vs-observed hooks: cost
+	// prediction before the step, the measured wall time and the (global)
+	// next-workset count after it.
+	preStep  func(step int)
+	postStep func(step, next int, dur time.Duration)
 
 	collect bool
 	trace   *metrics.Trace
 
 	// Outcomes.
-	steps    int
-	epochs   int
-	switched bool
+	steps  int
+	epochs int
 }
 
-// run drives supersteps to convergence, a mid-run engine switch, or the
-// step budget. It returns whether the run converged; budget exhaustion
-// returns (false, nil) and the adapter wraps ErrNoProgress.
+// run drives supersteps to convergence or the step budget. It returns
+// whether the run converged; budget exhaustion returns (false, nil) and
+// the adapter wraps ErrNoProgress.
 func (d *driver) run() (converged bool, err error) {
 	rp, _ := d.policy.(replanner)
-	calibrate := d.cfg.Calibrator != nil && d.calTasks > 0
+	calibrate := d.cfg.Calibrator != nil
 	// The per-superstep counter delta costs two reflective snapshots; take
 	// them only when something consumes the delta.
-	wantWork := d.cfg.Metrics != nil && (calibrate || d.collect || d.postStep != nil)
+	wantWork := d.cfg.Metrics != nil && (calibrate || d.collect)
 	for step := 0; step < d.maxSteps; step++ {
 		if d.hooks.Barrier != nil {
 			if err := d.hooks.Barrier.Release(step); err != nil {
@@ -174,9 +170,7 @@ func (d *driver) run() (converged bool, err error) {
 			return false, err
 		}
 		d.steps = step + 1
-		if out.compute > 0 {
-			d.cfg.observeSuperstep(out.compute)
-		}
+		d.cfg.observeSuperstep(out.compute)
 		dur := time.Since(start)
 		var work metrics.Snapshot
 		if wantWork {
@@ -195,11 +189,11 @@ func (d *driver) run() (converged bool, err error) {
 			}
 		}
 		if d.postStep != nil {
-			d.postStep(step, next, work, dur)
+			d.postStep(step, next, dur)
 		}
 		if d.collect {
 			d.trace.Add(metrics.IterationStat{
-				Iteration: step, Duration: dur, Work: work, Engine: d.policy.label(),
+				Iteration: step, Duration: dur, Work: work,
 			})
 		}
 		if err := d.policy.checkpoint(step); err != nil {
@@ -207,10 +201,6 @@ func (d *driver) run() (converged bool, err error) {
 		}
 		if out.done || (d.worksetDriven && next == 0) {
 			return true, nil
-		}
-		if d.switchWhen != nil && d.switchWhen(step, next) {
-			d.switched = true
-			return false, nil
 		}
 		if rp != nil && d.reopt != nil {
 			if err := d.maybeReoptimize(rp, step, next); err != nil {
@@ -319,8 +309,8 @@ func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
 // ---------------------------------------------------------------------
 // Incremental engine: one superstep evaluates Δ against (S, W), merges D
 // into S with ∪̇, and produces the next working set. Shared by
-// RunIncremental, Fixpoint (live maintenance, ResumeIncremental), the
-// distributed job, and RunAuto's monitored incremental phase.
+// RunIncremental, RunMicrostep, RunAuto and Fixpoint (live maintenance,
+// distributed jobs, ResumeIncremental, ResumeMicrostep).
 
 type incEngine struct {
 	spec     *IncrementalSpec
@@ -332,38 +322,46 @@ type incEngine struct {
 	// nextParts is the last step's produced workset, partition-aligned;
 	// feed installs it, checkpoint persists it.
 	nextParts [][]record.Record
-	// tag labels trace stats (RunAuto sets "incremental"; plain runs "").
-	tag string
+	// inadmissible is why direct merge is off for the bound spec (nil = on);
+	// RunMicrostep and ResumeMicrostep refuse the spec with it.
+	inadmissible error
+	// elements counts the working-set elements seeded and produced — on a
+	// converged run every one was consumed, and a microstep run reports
+	// the count as Microsteps.
+	elements int64
 }
 
 // openIncEngine builds the executor and session for an already-planned
-// incremental spec: sol becomes the resident solution set, DirectMerge
-// turns on when the Δ flow meets the §5.2 locality conditions (later
-// working-set elements then observe earlier updates within a superstep,
-// pruning redundant candidates at the source), and the session hosts
-// this process's partitions on tr (nil = everything in-process).
+// incremental spec: sol becomes the resident solution set and the session
+// hosts this process's partitions on tr (nil = everything in-process).
 func openIncEngine(spec *IncrementalSpec, sol *runtime.SolutionSet, cfg Config, expected int,
 	phys *optimizer.PhysPlan, tr runtime.Transport) *incEngine {
 	exec := runtime.NewExecutor(cfg.runtimeConfig())
 	exec.Solution = sol
-	if _, err := ValidateMicrostep(*spec); err == nil {
-		exec.DirectMerge = true
-	}
-	return &incEngine{
-		spec: spec, cfg: cfg, expected: expected,
-		exec: exec, tr: tr, sess: exec.OpenSessionOn(phys, tr),
-	}
+	en := &incEngine{cfg: cfg, exec: exec, tr: tr}
+	en.bind(spec, expected)
+	en.sess = exec.OpenSessionOn(phys, tr)
+	return en
+}
+
+// bind points the engine at spec and is the one place that decides direct
+// merge: it is on exactly when the Δ flow meets the §5.2 conditions (later
+// working-set elements then observe earlier updates within a superstep,
+// pruning redundant candidates at the source).
+func (en *incEngine) bind(spec *IncrementalSpec, expected int) {
+	en.spec, en.expected = spec, expected
+	_, en.inadmissible = ValidateMicrostep(*spec)
+	en.exec.DirectMerge = en.inadmissible == nil
 }
 
 // seed installs the initial working set, partitioned on the workset key.
 func (en *incEngine) seed(w []record.Record) {
 	en.exec.SetPlaceholder(en.spec.Workset.ID, w, en.spec.WorksetKey, en.cfg.Parallelism)
+	en.elements += int64(len(w))
 	if en.cfg.Metrics != nil {
 		en.cfg.Metrics.WorksetElements.Add(int64(len(w)))
 	}
 }
-
-func (en *incEngine) label() string { return en.tag }
 
 func (en *incEngine) step(absStep int) (stepOutcome, error) {
 	start := time.Now()
@@ -388,6 +386,7 @@ func (en *incEngine) step(absStep int) (stepOutcome, error) {
 	for _, p := range en.nextParts {
 		count += len(p)
 	}
+	en.elements += int64(count)
 	if en.cfg.Metrics != nil {
 		en.cfg.Metrics.WorksetElements.Add(int64(count))
 	}
@@ -479,8 +478,6 @@ type bulkPolicy struct {
 	nextParts [][]record.Record
 }
 
-func (b *bulkPolicy) label() string { return "" }
-
 func (b *bulkPolicy) step(absStep int) (stepOutcome, error) {
 	start := time.Now()
 	if b.spec.Unroll && absStep > 0 {
@@ -533,25 +530,3 @@ func (b *bulkPolicy) feed() {
 		b.exec.SetPlaceholder(b.spec.Input.ID, b.next, nil, b.cfg.Parallelism)
 	}
 }
-
-// ---------------------------------------------------------------------
-// Microstep engine: the whole asynchronous drain is one driver step —
-// there are no barriers inside it, so the run converges in a single
-// pass (next=0 after the in-flight count hits zero) and the engine
-// reports no compute sample into the superstep histogram.
-
-type microPolicy struct {
-	run     *microRun
-	workset []record.Record
-	out     *IncrementalResult
-}
-
-func (mp *microPolicy) label() string { return "microstep" }
-
-func (mp *microPolicy) step(absStep int) (stepOutcome, error) {
-	mp.run.drain(mp.workset, mp.out)
-	return stepOutcome{done: true}, nil
-}
-
-func (mp *microPolicy) checkpoint(int) error { return nil }
-func (mp *microPolicy) feed()                {}

@@ -10,29 +10,28 @@
 //     function Δ producing the delta set D and the next working set;
 //     S ∪̇ D applies point updates between supersteps.
 //   - Microstep iterations (§5.2): incremental iterations whose Δ meets
-//     the record-at-a-time/locality conditions execute asynchronously,
-//     one working-set element at a time, without superstep barriers.
+//     the record-at-a-time/locality conditions write each delta into S
+//     the moment it is produced, so later working-set elements see it.
+//     This is not a third engine: the incremental engine turns direct
+//     merge on for every admissible Δ, and RunMicrostep/ResumeMicrostep
+//     only make the admissibility check mandatory (microstep.go).
 //   - Adaptive execution (§4.3 extended): an AutoSpec bundles the
 //     incremental form with an optional equivalent bulk iteration, and
-//     RunAuto costs all three engines with the optimizer's cost model,
-//     runs the cheapest, and monitors observed per-superstep
-//     cardinalities — switching incremental → microstep mid-run via the
-//     ResumeMicrostep warm handoff once the workset collapses below the
-//     dispatch-overhead crossover. A shared optimizer.Calibrator fits
-//     the cost weights from measured supersteps so repeated runs (live
-//     views, harness sweeps) plan with observed constants.
+//     RunAuto costs the two engines with the optimizer's cost model and
+//     runs the cheaper one. A shared optimizer.Calibrator fits the cost
+//     weights from measured supersteps so repeated runs (live views,
+//     harness sweeps) plan with observed constants.
 //
 // All of these run on one superstep driver (driver.go): a single loop
 // owning session lifecycle, convergence, the reoptimize decision with
 // backoff and plan cache, calibrator feedback, checkpoint cadence, and
 // span recording. An engine contributes only an EnginePolicy (what one
-// step computes: bulk = full recompute, incremental = Δ then S ∪̇ D,
-// microstep = asynchronous drain), and a deployment contributes only
-// DriveHooks: a Barrier that globalizes per-process workset counts and
-// an OnEpoch callback that coordinates plan swaps across processes —
-// nil hooks mean single-process, where local counts are global. The
-// public Run*/Resume* functions and the resident Fixpoint are thin
-// adapters over that core.
+// step computes: bulk = full recompute, incremental = Δ then S ∪̇ D),
+// and a deployment contributes only DriveHooks: a Barrier that globalizes
+// per-process workset counts and an OnEpoch callback that coordinates
+// plan swaps across processes — nil hooks mean single-process, where
+// local counts are global. The public Run*/Resume* functions and the
+// resident Fixpoint are thin adapters over that core.
 package iterative
 
 import (
@@ -70,17 +69,12 @@ type Config struct {
 	// the traffic (§4.3's gradual spilling applied to iteration state).
 	SolutionMemoryBudget int64
 	// Calibrator, if set, receives every measured superstep (work
-	// counters + wall time) from RunAuto and supplies fitted cost weights
-	// back to its engine selection. Sharing one calibrator across runs —
+	// counters + wall time) and supplies fitted cost weights back to
+	// RunAuto's engine selection. Sharing one calibrator across runs —
 	// live views, harness sweeps — makes repeated runs plan with observed
 	// rather than guessed constants. Calibration needs Metrics set (the
 	// work counters are the regression features).
 	Calibrator *optimizer.Calibrator
-	// EngineWeights, if set, pins the cost weights RunAuto selects and
-	// switches engines with, overriding both Calibrator and the built-in
-	// defaults — for tests and experiments that need a deterministic
-	// crossover.
-	EngineWeights *metrics.CalibratedWeights
 	// Planner selects the plan optimizer. The default (PlannerAuto) plans
 	// the initial run with the cost-based enumerator and mid-run
 	// re-optimizations with the greedy zero-statistics fast path — there,
@@ -307,7 +301,8 @@ func RunBulk(spec BulkSpec, initial []record.Record, cfg Config) (*BulkResult, e
 	b := &bulkPolicy{spec: &spec, cfg: cfg, exec: exec, sess: sess, phKey: phKey, prev: initial}
 	d := &driver{
 		cfg: cfg, policy: b, maxSteps: maxIter,
-		collect: cfg.CollectTrace, trace: &out.Trace,
+		calTasks: len(spec.Plan.Nodes()) * cfg.Parallelism,
+		collect:  cfg.CollectTrace, trace: &out.Trace,
 	}
 	converged, err := d.run()
 	out.Iterations = d.steps
@@ -369,18 +364,17 @@ type IncrementalSpec struct {
 type IncrementalResult struct {
 	// Solution is the converged solution set.
 	Solution []record.Record
-	// Supersteps is the number of executed supersteps (microstep runs
-	// report 1).
+	// Supersteps is the number of executed supersteps.
 	Supersteps int
-	// Microsteps counts individually processed workset elements (only for
-	// microstep execution).
+	// Microsteps counts the working-set elements consumed (reported by
+	// RunMicrostep and ResumeMicrostep only).
 	Microsteps int64
 	// PlanEpochs counts the mid-run re-optimizations that actually swapped
 	// in a new plan (in a distributed run: coordinated plan-epoch bumps).
 	PlanEpochs int
 	// Trace holds per-superstep stats when Config.CollectTrace is set.
 	Trace metrics.Trace
-	// Plan is the physical plan (nil for microstep execution).
+	// Plan is the physical plan that was executed.
 	Plan *optimizer.PhysPlan
 	// Set is the resident solution set that produced Solution. It remains
 	// valid after the run (sessions close, state survives) and can seed
@@ -403,6 +397,21 @@ func (s *IncrementalSpec) validate() error {
 // with ∪̇ and installs the produced working set for the next superstep.
 // It converges when the working set is empty (§5.3).
 func RunIncremental(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config) (*IncrementalResult, error) {
+	return runIncremental(spec, initialSolution, initialWorkset, cfg, incRun{})
+}
+
+// incRun is what distinguishes the entry points onto the one incremental
+// run: RunIncremental sets nothing, RunMicrostep requires direct merge,
+// RunAuto watches the supersteps.
+type incRun struct {
+	// requireDirect refuses a Δ that fails the §5.2 conditions.
+	requireDirect bool
+	// preStep/postStep are the driver's planned-vs-observed hooks.
+	preStep  func(step int)
+	postStep func(step, next int, dur time.Duration)
+}
+
+func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config, run incRun) (*IncrementalResult, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
@@ -429,16 +438,30 @@ func RunIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 	}
 
 	sol := cfg.newSolutionSet(spec.SolutionKey, spec.Comparator)
-	sol.Init(initialSolution)
 	en := openIncEngine(&spec, sol, cfg, expected, phys, nil)
 	defer en.close()
+	// Refuse before the O(S) init: an inadmissible spec must not pay it —
+	// or, under a memory budget, leave spill files behind.
+	if run.requireDirect && en.inadmissible != nil {
+		return nil, en.inadmissible
+	}
+	sol.Init(initialSolution)
+	out := &IncrementalResult{Plan: phys, Set: sol}
+	if run.requireDirect && len(initialWorkset) == 0 {
+		// An admissible Δ derives everything from W (condition 3: the
+		// dynamic path is one chain), so an empty working set is already
+		// the fixpoint — no superstep, no workers woken.
+		out.Solution = sol.Snapshot()
+		return out, nil
+	}
 	en.seed(initialWorkset)
 
-	out := &IncrementalResult{Plan: phys, Set: sol}
 	d := &driver{
 		cfg: cfg, policy: en, maxSteps: maxSteps, worksetDriven: true,
-		reopt:   newReoptState(phys, plannedEst),
-		collect: cfg.CollectTrace, trace: &out.Trace,
+		calTasks: len(spec.Plan.Nodes()) * cfg.Parallelism,
+		reopt:    newReoptState(phys, plannedEst),
+		collect:  cfg.CollectTrace, trace: &out.Trace,
+		preStep: run.preStep, postStep: run.postStep,
 	}
 	converged, err := d.run()
 	out.Supersteps = d.steps
@@ -447,6 +470,9 @@ func RunIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 		return nil, err
 	}
 	out.Solution = sol.Snapshot()
+	if run.requireDirect {
+		out.Microsteps = en.elements
+	}
 	if converged {
 		return out, nil
 	}
@@ -455,8 +481,7 @@ func RunIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 }
 
 // checkpointIfDue snapshots the solution set and pending working set
-// after every CheckpointEvery-th superstep (§4.2's recovery logging) —
-// shared by RunIncremental and RunAuto's incremental phase.
+// after every CheckpointEvery-th superstep (§4.2's recovery logging).
 func checkpointIfDue(spec *IncrementalSpec, step int, sol *runtime.SolutionSet, nextParts [][]record.Record) error {
 	if spec.CheckpointEvery <= 0 || spec.OnCheckpoint == nil || (step+1)%spec.CheckpointEvery != 0 {
 		return nil

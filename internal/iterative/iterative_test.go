@@ -2,6 +2,7 @@ package iterative
 
 import (
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 
@@ -117,47 +118,15 @@ func TestBulkSpecValidation(t *testing.T) {
 // incrSpec builds a minimal incremental iteration: propagate minimum
 // values along a ring of n vertices.
 func incrSpec(n int64) (IncrementalSpec, []record.Record, []record.Record) {
-	plan := dataflow.NewPlan()
-	w := plan.IterationPlaceholder("W", n)
-	upd := plan.SolutionJoinNode("upd", w, record.KeyA,
-		func(c, s record.Record, found bool, out dataflow.Emitter) {
-			if found && c.B < s.B {
-				out.Emit(record.Record{A: c.A, B: c.B})
-			}
-		})
-	upd.Preserve(0, record.KeyA)
-	d := plan.SinkNode("D", upd)
-	// Ring edges.
-	edges := make([]record.Record, n)
-	for i := int64(0); i < n; i++ {
-		edges[i] = record.Record{A: i, B: (i + 1) % n}
-	}
-	e := plan.SourceOf("ring", edges)
-	prop := plan.MatchNode("prop", upd, e, record.KeyA, record.KeyA,
-		func(dr, er record.Record, out dataflow.Emitter) {
-			out.Emit(record.Record{A: er.B, B: dr.B})
-		})
-	wSink := plan.SinkNode("W2", prop)
-
-	spec := IncrementalSpec{
-		Plan: plan, Workset: w, DeltaSink: d, WorksetSink: wSink,
-		SolutionKey: record.KeyA, WorksetKey: record.KeyA,
-		Comparator: func(a, b record.Record) int {
-			switch {
-			case a.B < b.B:
-				return 1
-			case a.B > b.B:
-				return -1
-			}
-			return 0
-		},
-	}
-	s0 := make([]record.Record, n)
-	for i := int64(0); i < n; i++ {
-		s0[i] = record.Record{A: i, B: i}
-	}
-	w0 := []record.Record{{A: 1, B: 0}} // seed: vertex 1 learns value 0
-	return spec, s0, w0
+	spec, s0 := admissibleSpec(n, minLabel, func(plan *dataflow.Plan) *dataflow.Node {
+		edges := make([]record.Record, n)
+		for i := int64(0); i < n; i++ {
+			edges[i] = record.Record{A: i, B: (i + 1) % n}
+		}
+		return plan.SourceOf("ring", edges)
+	})
+	spec.Comparator = minComparator
+	return spec, s0, []record.Record{{A: 1, B: 0}} // seed: vertex 1 learns value 0
 }
 
 func TestIncrementalRingPropagation(t *testing.T) {
@@ -201,8 +170,9 @@ func TestMicrostepEmptyWorkset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Solution) != 4 || res.Microsteps != 0 {
-		t.Errorf("empty workset: %d records, %d steps", len(res.Solution), res.Microsteps)
+	if len(res.Solution) != 4 || res.Microsteps != 0 || res.Supersteps != 0 {
+		t.Errorf("empty workset: %d records, %d microsteps, %d supersteps",
+			len(res.Solution), res.Microsteps, res.Supersteps)
 	}
 }
 
@@ -295,46 +265,165 @@ func TestValidateMicrostepRequiresSolutionOperator(t *testing.T) {
 	}
 }
 
-func TestEvalConst(t *testing.T) {
+// admissibleSpec builds a minimal admissible Δ over vertices 0..n-1:
+// W -> solution join (upd) -> D, and upd ⋈ constSide(plan) -> next W.
+func admissibleSpec(n int64, upd dataflow.SolutionJoinFn,
+	constSide func(*dataflow.Plan) *dataflow.Node) (IncrementalSpec, []record.Record) {
 	plan := dataflow.NewPlan()
-	a := plan.SourceOf("a", []record.Record{{A: 1, X: 1}, {A: 2, X: 2}})
-	b := plan.SourceOf("b", []record.Record{{A: 1, B: 10}})
-	m := plan.MapNode("inc", a, func(r record.Record, out dataflow.Emitter) {
-		r.X++
-		out.Emit(r)
-	})
-	j := plan.MatchNode("j", m, b, record.KeyA, record.KeyA,
-		func(l, r record.Record, out dataflow.Emitter) {
-			out.Emit(record.Record{A: l.A, B: r.B, X: l.X})
+	w := plan.IterationPlaceholder("W", n)
+	u := plan.SolutionJoinNode("upd", w, record.KeyA, upd)
+	u.Preserve(0, record.KeyA)
+	d := plan.SinkNode("D", u)
+	prop := plan.MatchNode("prop", u, constSide(plan), record.KeyA, record.KeyA,
+		func(dr, er record.Record, out dataflow.Emitter) {
+			out.Emit(record.Record{A: er.B, B: dr.B})
 		})
-	u := plan.UnionNode("u", j, m)
-	red := plan.ReduceNode("cnt", u, record.KeyA,
-		func(k int64, g []record.Record, out dataflow.Emitter) {
-			out.Emit(record.Record{A: k, B: int64(len(g))})
-		})
-	plan.SinkNode("out", red)
+	w2 := plan.SinkNode("W2", prop)
+	s0 := make([]record.Record, n)
+	for i := range s0 {
+		s0[i] = record.Record{A: int64(i), B: int64(i)}
+	}
+	return IncrementalSpec{Plan: plan, Workset: w, DeltaSink: d, WorksetSink: w2,
+		SolutionKey: record.KeyA, WorksetKey: record.KeyA}, s0
+}
 
-	recs, err := evalConst(red)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[int64]int64{}
-	for _, r := range recs {
-		got[r.A] = r.B
-	}
-	// Key 1: one joined + one mapped = 2; key 2: mapped only = 1.
-	if got[1] != 2 || got[2] != 1 {
-		t.Errorf("evalConst groups: %v", got)
+func minLabel(c, s record.Record, found bool, out dataflow.Emitter) {
+	if found && c.B < s.B {
+		out.Emit(record.Record{A: c.A, B: c.B})
 	}
 }
 
-func TestEvalConstRejectsPlaceholder(t *testing.T) {
-	plan := dataflow.NewPlan()
-	w := plan.IterationPlaceholder("W", 1)
-	m := plan.MapNode("m", w, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
-	plan.SinkNode("o", m)
-	if _, err := evalConst(m); err == nil {
-		t.Error("dynamic subtree must not evaluate as constant")
+func minComparator(a, b record.Record) int {
+	switch {
+	case a.B < b.B:
+		return 1
+	case a.B > b.B:
+		return -1
+	}
+	return 0
+}
+
+// TestMicrostepConstantSideAnyContract: the constant input of the Match
+// is evaluated by the runtime like any other loop-invariant subtree, so
+// an admissible Δ may build it with any contract — here a CoGroup and a
+// Cross over two sources — and must agree with RunIncremental.
+func TestMicrostepConstantSideAnyContract(t *testing.T) {
+	const n = 12
+	path := func(plan *dataflow.Plan) (from, to *dataflow.Node) {
+		var a, b []record.Record
+		for i := int64(0); i+1 < n; i++ {
+			a = append(a, record.Record{A: i, B: i})     // (edge id, src)
+			b = append(b, record.Record{A: i, B: i + 1}) // (edge id, dst)
+		}
+		return plan.SourceOf("from", a), plan.SourceOf("to", b)
+	}
+	sides := map[string]func(*dataflow.Plan) *dataflow.Node{
+		"cogroup": func(plan *dataflow.Plan) *dataflow.Node {
+			from, to := path(plan)
+			return plan.CoGroupNode("edges", from, to, record.KeyA, record.KeyA,
+				func(k int64, l, r []record.Record, out dataflow.Emitter) {
+					for _, f := range l {
+						for _, d := range r {
+							out.Emit(record.Record{A: f.B, B: d.B})
+						}
+					}
+				})
+		},
+		"cross": func(plan *dataflow.Plan) *dataflow.Node {
+			from, to := path(plan)
+			return plan.CrossNode("edges", from, to,
+				func(f, d record.Record, out dataflow.Emitter) {
+					if f.A == d.A {
+						out.Emit(record.Record{A: f.B, B: d.B})
+					}
+				})
+		},
+	}
+	for name, side := range sides {
+		for _, par := range []int{1, 3} {
+			run := func(f func(IncrementalSpec, []record.Record, []record.Record, Config) (*IncrementalResult, error)) []record.Record {
+				spec, s0 := admissibleSpec(n, minLabel, side)
+				spec.Comparator = minComparator
+				res, err := f(spec, s0, []record.Record{{A: 1, B: 0}}, Config{Parallelism: par})
+				if err != nil {
+					t.Fatalf("%s/p%d: %v", name, par, err)
+				}
+				sort.Slice(res.Solution, func(i, j int) bool { return res.Solution[i].A < res.Solution[j].A })
+				return res.Solution
+			}
+			micro, inc := run(RunMicrostep), run(RunIncremental)
+			if len(micro) != n {
+				t.Fatalf("%s/p%d: %d records", name, par, len(micro))
+			}
+			for i := range micro {
+				if micro[i] != inc[i] || micro[i].B != 0 {
+					t.Fatalf("%s/p%d: vertex %d: microstep %v, incremental %v, want label 0",
+						name, par, i, micro[i], inc[i])
+				}
+			}
+		}
+	}
+}
+
+// pingPong is an admissible Δ that never converges: no comparator, an
+// update that always changes the record, and two vertices handing it back
+// and forth.
+func pingPong() (IncrementalSpec, []record.Record, []record.Record) {
+	spec, s0 := admissibleSpec(2,
+		func(c, s record.Record, found bool, out dataflow.Emitter) {
+			out.Emit(record.Record{A: c.A, B: c.B + 1})
+		},
+		func(plan *dataflow.Plan) *dataflow.Node {
+			return plan.SourceOf("E", []record.Record{{A: 0, B: 1}, {A: 1, B: 0}})
+		})
+	return spec, s0, []record.Record{{A: 0, B: 7}}
+}
+
+// TestMicrostepBudgetExhausted: a microstep run is bounded by
+// MaxSupersteps like every other run.
+func TestMicrostepBudgetExhausted(t *testing.T) {
+	spec, s0, w0 := pingPong()
+	spec.MaxSupersteps = 5
+	res, err := RunMicrostep(spec, s0, w0, Config{Parallelism: 2})
+	if !errors.Is(err, ErrNoProgress) {
+		t.Fatalf("want ErrNoProgress, got %v", err)
+	}
+	if res == nil || res.Supersteps != 5 {
+		t.Fatalf("partial result = %+v, want 5 supersteps", res)
+	}
+}
+
+// TestMicrostepUDFPanicIsAnError: a panicking UDF fails the run with an
+// error naming the task; it must not take the process down.
+func TestMicrostepUDFPanicIsAnError(t *testing.T) {
+	spec, s0 := admissibleSpec(4,
+		func(c, s record.Record, found bool, out dataflow.Emitter) { panic("boom") },
+		func(plan *dataflow.Plan) *dataflow.Node { return plan.SourceOf("E", nil) })
+	_, err := RunMicrostep(spec, s0, []record.Record{{A: 1, B: 0}}, Config{Parallelism: 2})
+	if err == nil || !strings.Contains(err.Error(), "upd") || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("want an error naming task upd and the panic, got %v", err)
+	}
+}
+
+// TestMicrostepCheckpoints: CheckpointEvery/OnCheckpoint fire under
+// RunMicrostep.
+func TestMicrostepCheckpoints(t *testing.T) {
+	spec, s0, w0 := incrSpec(16)
+	spec.CheckpointEvery = 4
+	var at []int
+	spec.OnCheckpoint = func(cp *Checkpoint) error {
+		if cp.Kind != "incremental" || len(cp.Solution) != 16 {
+			t.Errorf("checkpoint %d: kind %q, %d solution records", cp.Iteration, cp.Kind, len(cp.Solution))
+		}
+		at = append(at, cp.Iteration)
+		return nil
+	}
+	res, err := RunMicrostep(spec, s0, w0, Config{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(at) != res.Supersteps/4 || len(at) == 0 || at[0] != 4 {
+		t.Fatalf("checkpoints at %v over %d supersteps, want every 4th", at, res.Supersteps)
 	}
 }
 
@@ -430,19 +519,22 @@ func TestIncrementalReoptimizeKeepsResult(t *testing.T) {
 	}
 }
 
-func TestMicrostepTraceSampling(t *testing.T) {
-	spec, s0, w0 := incrSpec(512)
+// TestMicrostepTracePerSuperstep: CollectTrace under RunMicrostep yields
+// one IterationStat per superstep, like any incremental run.
+func TestMicrostepTracePerSuperstep(t *testing.T) {
+	spec, s0, w0 := incrSpec(64)
 	var m metrics.Counters
 	res, err := RunMicrostep(spec, s0, w0, Config{Parallelism: 2, Metrics: &m, CollectTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sampling is time-based; a fast run may record nothing, but the
-	// solution and metrics must be intact either way.
-	if len(res.Solution) != 512 {
+	if len(res.Solution) != 64 {
 		t.Fatalf("solution size %d", len(res.Solution))
 	}
-	if m.Snapshot().WorksetElements == 0 {
-		t.Error("no workset elements counted")
+	if got := res.Trace.NumIterations(); got != res.Supersteps || got == 0 {
+		t.Fatalf("trace has %d iterations for %d supersteps", got, res.Supersteps)
+	}
+	if got := m.Snapshot().WorksetElements; got != res.Microsteps {
+		t.Errorf("WorksetElements = %d, Microsteps = %d", got, res.Microsteps)
 	}
 }

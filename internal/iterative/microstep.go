@@ -2,24 +2,21 @@ package iterative
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/dataflow"
-	"repro/internal/metrics"
 	"repro/internal/record"
 	"repro/internal/runtime"
 )
 
 // Microstep execution (§5.2/§5.3): an incremental iteration whose Δ
-// dataflow satisfies the microstep conditions runs asynchronously — each
-// working-set element is taken from a partitioned FIFO queue, applied to
-// the solution set immediately, and its consequences are routed to the
-// owning partition's queue. No superstep barrier exists; termination is
-// detected by counting in-flight elements (a single-process realization
-// of the message-counting termination detection the paper cites [27]).
+// dataflow satisfies the microstep conditions may apply every delta record
+// to the solution set the moment it is produced ("the Match output is
+// written back to the hash table", Figure 6), so later working-set elements
+// of the same superstep already see it and redundant candidates die at the
+// source. That is what the runtime session does whenever the conditions
+// hold (Executor.DirectMerge), for every entry point — so a microstep run
+// is not a second engine: RunMicrostep and ResumeMicrostep are the
+// incremental engine with the admissibility check made mandatory.
 //
 // The §5.2 admissibility conditions enforced by ValidateMicrostep:
 //
@@ -30,76 +27,6 @@ import (
 //  4. updates stay partition-local: the key k(s) is preserved on the path
 //     from the workset through the solution-set operator to D, and every
 //     keyed operation on the local segment uses that key.
-
-// microStage is one compiled record-at-a-time step of the dynamic path.
-type microStage interface {
-	// process handles one record, emitting derived records downstream.
-	process(part int, r record.Record, emit func(record.Record))
-}
-
-// stageMap applies a Map UDF.
-type stageMap struct {
-	fn dataflow.MapFn
-	mi *microRun
-}
-
-func (s stageMap) process(part int, r record.Record, emit func(record.Record)) {
-	s.mi.udf()
-	s.fn(r, emitFunc(emit))
-}
-
-// stageJoin probes a materialized constant-side table (the cached N of
-// Figure 6), partition-local by construction.
-type stageJoin struct {
-	fn      dataflow.MatchFn
-	dynKey  record.KeyFunc
-	dynSide int // which Match input carries the dynamic record
-	tables  []map[int64][]record.Record
-	mi      *microRun
-}
-
-func (s stageJoin) process(part int, r record.Record, emit func(record.Record)) {
-	for _, m := range s.tables[part][s.dynKey(r)] {
-		s.mi.udf()
-		if s.dynSide == 0 {
-			s.fn(r, m, emitFunc(emit))
-		} else {
-			s.fn(m, r, emitFunc(emit))
-		}
-	}
-}
-
-// stageSolution is the stateful update: it probes the solution set, calls
-// the UDF, applies every emitted delta record immediately (the defining
-// microstep property), and propagates only records that advanced the
-// solution in the CPO.
-type stageSolution struct {
-	fn  dataflow.SolutionJoinFn
-	key record.KeyFunc
-	mi  *microRun
-}
-
-func (s stageSolution) process(part int, r record.Record, emit func(record.Record)) {
-	sol := s.mi.solution
-	cur, found := sol.Lookup(part, s.key(r))
-	s.mi.udf()
-	s.fn(r, cur, found, emitFunc(func(d record.Record) {
-		if sol.Update(d) {
-			emit(d)
-		}
-	}))
-}
-
-type emitFunc func(record.Record)
-
-func (f emitFunc) Emit(r record.Record) { f(r) }
-
-// microPath is the validated, compiled dynamic path.
-type microPath struct {
-	preStages  []microStage // W -> solution operator
-	solStage   *stageSolution
-	postStages []microStage // D -> next workset elements
-}
 
 // ValidateMicrostep checks the §5.2 conditions on an incremental spec and
 // returns the ordered dynamic path from the workset placeholder to the
@@ -185,407 +112,20 @@ func ValidateMicrostep(spec IncrementalSpec) ([]*dataflow.Node, error) {
 	return path, nil
 }
 
-// evalConst interprets a loop-invariant subtree of the Δ plan (sources,
-// maps, filters, unions, simple joins/reduces over constant data). It runs
-// once at setup, mirroring the batch engine's constant-path evaluation.
-func evalConst(n *dataflow.Node) ([]record.Record, error) {
-	switch n.Contract {
-	case dataflow.Source:
-		return n.Data, nil
-	case dataflow.MapOp:
-		in, err := evalConst(n.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		var out []record.Record
-		em := emitFunc(func(r record.Record) { out = append(out, r) })
-		for _, r := range in {
-			n.Map(r, em)
-		}
-		return out, nil
-	case dataflow.UnionOp:
-		var out []record.Record
-		for _, in := range n.Inputs {
-			recs, err := evalConst(in)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, recs...)
-		}
-		return out, nil
-	case dataflow.MatchOp:
-		l, err := evalConst(n.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalConst(n.Inputs[1])
-		if err != nil {
-			return nil, err
-		}
-		idx := make(map[int64][]record.Record)
-		for _, rr := range r {
-			k := n.Keys[1](rr)
-			idx[k] = append(idx[k], rr)
-		}
-		var out []record.Record
-		em := emitFunc(func(rec record.Record) { out = append(out, rec) })
-		for _, lr := range l {
-			for _, rr := range idx[n.Keys[0](lr)] {
-				n.Match(lr, rr, em)
-			}
-		}
-		return out, nil
-	case dataflow.ReduceOp:
-		in, err := evalConst(n.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		groups := make(map[int64][]record.Record)
-		for _, r := range in {
-			k := n.Keys[0](r)
-			groups[k] = append(groups[k], r)
-		}
-		keys := make([]int64, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		var out []record.Record
-		em := emitFunc(func(r record.Record) { out = append(out, r) })
-		for _, k := range keys {
-			n.Reduce(k, groups[k], em)
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("iterative: cannot evaluate constant subtree at %s %q", n.Contract, n.Name)
-}
-
-// microQueue is a partition's FIFO working-set queue (the nonblocking
-// queues of Figure 6 in asynchronous mode).
-type microQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []record.Record
-	closed bool
-}
-
-func newMicroQueue() *microQueue {
-	q := &microQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *microQueue) push(r record.Record) {
-	q.mu.Lock()
-	q.items = append(q.items, r)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-func (q *microQueue) pop() (record.Record, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return record.Record{}, false
-	}
-	r := q.items[0]
-	q.items = q.items[1:]
-	return r, true
-}
-
-func (q *microQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// microRun is the shared state of one asynchronous execution.
-type microRun struct {
-	spec     IncrementalSpec
-	cfg      Config
-	solution *runtime.SolutionSet
-	queues   []*microQueue
-	inflight atomic.Int64
-	steps    atomic.Int64
-	path     microPath
-}
-
-func (m *microRun) udf() {
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.UDFInvocations.Add(1)
-	}
-}
-
-// enqueue routes a new workset element to its owning partition,
-// incrementing the in-flight count before the push so the count can never
-// reach zero while work remains.
-func (m *microRun) enqueue(r record.Record) {
-	part := record.PartitionOf(m.spec.WorksetKey(r), len(m.queues))
-	m.inflight.Add(1)
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.WorksetElements.Add(1)
-		m.cfg.Metrics.RecordsShipped.Add(1)
-	}
-	m.queues[part].push(r)
-}
-
-// finish marks one element fully processed; the last one closes all
-// queues (termination detected).
-func (m *microRun) finish() {
-	if m.inflight.Add(-1) == 0 {
-		for _, q := range m.queues {
-			q.close()
-		}
-	}
-}
-
-// worker drains one partition's queue.
-func (m *microRun) worker(part int) {
-	for {
-		r, ok := m.queues[part].pop()
-		if !ok {
-			return
-		}
-		m.steps.Add(1)
-		m.processOne(part, r)
-		m.finish()
-	}
-}
-
-// processOne pushes one element through the compiled dynamic path.
-func (m *microRun) processOne(part int, r record.Record) {
-	// Pre-stages (W -> solution operator).
-	recs := []record.Record{r}
-	for _, st := range m.path.preStages {
-		var next []record.Record
-		for _, rr := range recs {
-			st.process(part, rr, func(o record.Record) { next = append(next, o) })
-		}
-		recs = next
-		if len(recs) == 0 {
-			return
-		}
-	}
-	// Solution update; survivors continue downstream.
-	var deltas []record.Record
-	for _, rr := range recs {
-		m.path.solStage.process(part, rr, func(d record.Record) { deltas = append(deltas, d) })
-	}
-	if len(deltas) == 0 {
-		return
-	}
-	// Post-stages (D -> new workset elements), then re-route.
-	recs = deltas
-	for _, st := range m.path.postStages {
-		var next []record.Record
-		for _, rr := range recs {
-			st.process(part, rr, func(o record.Record) { next = append(next, o) })
-		}
-		recs = next
-		if len(recs) == 0 {
-			return
-		}
-	}
-	for _, rr := range recs {
-		m.enqueue(rr)
-	}
-}
-
-// RunMicrostep executes an incremental iteration asynchronously in
-// microsteps. The spec must satisfy the §5.2 conditions (ValidateMicrostep
-// is applied first).
+// RunMicrostep executes an incremental iteration whose Δ must satisfy the
+// §5.2 conditions: an inadmissible spec is refused with ValidateMicrostep's
+// error before the solution set is loaded, an admissible one runs on the
+// incremental engine with deltas merged into S as they are produced. The
+// result's Microsteps counts the working-set elements consumed.
 func RunMicrostep(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config) (*IncrementalResult, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	// Validate before building the solution set: an inadmissible spec
-	// must not pay the O(S) init — or, under a memory budget, leave
-	// orphaned spill files behind.
-	if _, err := ValidateMicrostep(spec); err != nil {
-		return nil, err
-	}
-	sol := cfg.newSolutionSet(spec.SolutionKey, spec.Comparator)
-	sol.Init(initialSolution)
-	return runMicrostepOn(spec, sol, initialWorkset, cfg)
+	return runIncremental(spec, initialSolution, initialWorkset, cfg, incRun{requireDirect: true})
 }
 
-// ResumeMicrostep continues an incremental iteration asynchronously over
-// an existing resident solution set, processing only the given working
-// set — the microstep counterpart of ResumeIncremental, and the warm
-// handoff RunAuto uses when it switches a run from supersteps to
-// microsteps: the solution state built so far re-enters as-is, nothing is
-// rebuilt. `existing` is mutated in place and returned in the result's
-// Set field; its partition count must match cfg.Parallelism.
+// ResumeMicrostep is ResumeIncremental for a Δ that must satisfy the §5.2
+// conditions: it continues over an existing resident solution set,
+// processing only the given working set. `existing` is mutated in place
+// and returned in the result's Set field; its partition count must match
+// cfg.Parallelism.
 func ResumeMicrostep(spec IncrementalSpec, existing *runtime.SolutionSet, workset []record.Record, cfg Config) (*IncrementalResult, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	if existing == nil {
-		return nil, fmt.Errorf("iterative: ResumeMicrostep needs an existing solution set (use RunMicrostep for cold starts)")
-	}
-	if existing.Parallelism() != cfg.Parallelism {
-		return nil, fmt.Errorf("iterative: adopted solution set has %d partitions, config wants %d",
-			existing.Parallelism(), cfg.Parallelism)
-	}
-	return runMicrostepOn(spec, existing, workset, cfg)
-}
-
-// runMicrostepOn is the asynchronous execution core over an
-// already-populated solution set.
-func runMicrostepOn(spec IncrementalSpec, sol *runtime.SolutionSet, initialWorkset []record.Record, cfg Config) (*IncrementalResult, error) {
-	path, err := ValidateMicrostep(spec)
-	if err != nil {
-		return nil, err
-	}
-
-	m := &microRun{spec: spec, cfg: cfg}
-	m.solution = sol
-	m.queues = make([]*microQueue, cfg.Parallelism)
-	for i := range m.queues {
-		m.queues[i] = newMicroQueue()
-	}
-
-	// Compile stages, materializing constant join inputs partition-wise.
-	pre := true
-	for _, n := range path {
-		switch n.Contract {
-		case dataflow.MapOp:
-			st := stageMap{fn: n.Map, mi: m}
-			if pre {
-				m.path.preStages = append(m.path.preStages, st)
-			} else {
-				m.path.postStages = append(m.path.postStages, st)
-			}
-		case dataflow.SolutionJoin:
-			m.path.solStage = &stageSolution{fn: n.SolJoin, key: n.Keys[0], mi: m}
-			pre = false
-		case dataflow.MatchOp:
-			dynIdx := 0
-			for i, in := range n.Inputs {
-				if containsNode(path, in) || in == spec.Workset {
-					dynIdx = i
-				}
-			}
-			constIdx := 1 - dynIdx
-			constRecs, err := evalConst(n.Inputs[constIdx])
-			if err != nil {
-				return nil, err
-			}
-			tables := make([]map[int64][]record.Record, cfg.Parallelism)
-			for i := range tables {
-				tables[i] = make(map[int64][]record.Record)
-			}
-			ck := n.Keys[constIdx]
-			for _, r := range constRecs {
-				k := ck(r)
-				p := record.PartitionOf(k, cfg.Parallelism)
-				tables[p][k] = append(tables[p][k], r)
-			}
-			st := stageJoin{fn: n.Match, dynKey: n.Keys[dynIdx], dynSide: dynIdx, tables: tables, mi: m}
-			if pre {
-				m.path.preStages = append(m.path.preStages, st)
-			} else {
-				m.path.postStages = append(m.path.postStages, st)
-			}
-		case dataflow.Sink:
-			// The workset sink terminates the compiled path.
-		default:
-			return nil, fmt.Errorf("iterative: microstep cannot compile %s %q", n.Contract, n.Name)
-		}
-	}
-	if m.path.solStage == nil {
-		return nil, fmt.Errorf("iterative: no solution operator compiled")
-	}
-
-	// An empty workset converges without spawning anything.
-	if len(initialWorkset) == 0 {
-		return &IncrementalResult{Solution: m.solution.Snapshot(), Supersteps: 0, Set: m.solution}, nil
-	}
-
-	// The whole asynchronous drain is one step of the shared driver loop:
-	// there are no barriers inside it, so the run "converges" in a single
-	// driver step and the microstep engine supplies no per-superstep cost
-	// or trace inputs (its trace is wall-clock sampled in drain instead).
-	out := &IncrementalResult{Set: m.solution}
-	d := &driver{cfg: cfg, policy: &microPolicy{run: m, workset: initialWorkset, out: out}, maxSteps: 1}
-	if _, err := d.run(); err != nil {
-		return nil, err
-	}
-	out.Solution = m.solution.Snapshot()
-	return out, nil
-}
-
-// drain seeds the queues and runs one worker per partition until the
-// in-flight count hits zero — the asynchronous execution body.
-func (m *microRun) drain(initialWorkset []record.Record, out *IncrementalResult) {
-	cfg := m.cfg
-	for _, r := range initialWorkset {
-		m.enqueue(r)
-	}
-
-	// Optional progress sampling: without supersteps there is no natural
-	// iteration boundary, so the trace samples the work counters on a
-	// fixed wall-clock cadence instead.
-	stopSampler := make(chan struct{})
-	samplerDone := make(chan struct{})
-	if cfg.CollectTrace && cfg.Metrics != nil {
-		go func() {
-			defer close(samplerDone)
-			tick := time.NewTicker(5 * time.Millisecond)
-			defer tick.Stop()
-			prev := cfg.Metrics.Snapshot()
-			last := time.Now()
-			i := 0
-			for {
-				select {
-				case <-stopSampler:
-					return
-				case <-tick.C:
-					cur := cfg.Metrics.Snapshot()
-					now := time.Now()
-					out.Trace.Add(metrics.IterationStat{
-						Iteration: i, Duration: now.Sub(last), Work: cur.Sub(prev)})
-					prev, last = cur, now
-					i++
-				}
-			}
-		}()
-	} else {
-		close(samplerDone)
-	}
-
-	// Microstep execution is already session-shaped: one partition-pinned
-	// worker per queue for the whole run, with no superstep re-setup.
-	if cfg.Metrics != nil {
-		cfg.Metrics.WorkersSpawned.Add(int64(cfg.Parallelism))
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < cfg.Parallelism; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			m.worker(p)
-		}(p)
-	}
-	wg.Wait()
-	close(stopSampler)
-	<-samplerDone
-
-	out.Supersteps = 1
-	out.Microsteps = m.steps.Load()
-}
-
-func containsNode(path []*dataflow.Node, n *dataflow.Node) bool {
-	for _, p := range path {
-		if p == n {
-			return true
-		}
-	}
-	return false
+	return resumeIncremental(spec, existing, workset, cfg, true)
 }

@@ -198,13 +198,8 @@ func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
 	f.spec = spec
 	// A structurally new spec invalidates the memoized registry and plans.
 	f.reopt = newReoptState(phys, spec.Workset.EstRecords)
-	f.en.spec = &f.spec
-	f.en.expected = expected
+	f.en.bind(&f.spec, expected)
 	f.en.exec.InvalidateCaches()
-	f.en.exec.DirectMerge = false
-	if _, err := ValidateMicrostep(spec); err == nil {
-		f.en.exec.DirectMerge = true
-	}
 	f.en.sess.Close()
 	if rb, ok := f.en.tr.(runtime.Rebinder); ok {
 		rb.Rebind(phys.NumEdges)
@@ -280,14 +275,10 @@ func (f *Fixpoint) RunDriven(workset []record.Record, hooks DriveHooks) (*Increm
 	d := &driver{
 		cfg: f.cfg, policy: f.en, maxSteps: maxSteps, worksetDriven: true,
 		traceBase: f.traceStep,
-		// Maintenance supersteps feed the cost-weight fit, so a view's
-		// later engine choices use observed constants. The tasks feature
-		// counts logical plan nodes — the same unit RunAuto's engine
-		// formulas multiply the fitted StepOverhead by.
-		calTasks: len(f.spec.Plan.Nodes()) * f.cfg.Parallelism,
-		reopt:    f.reopt,
-		hooks:    hooks,
-		collect:  f.cfg.CollectTrace, trace: &out.Trace,
+		calTasks:  len(f.spec.Plan.Nodes()) * f.cfg.Parallelism,
+		reopt:     f.reopt,
+		hooks:     hooks,
+		collect:   f.cfg.CollectTrace, trace: &out.Trace,
 	}
 	converged, err := d.run()
 	f.traceStep += d.steps
@@ -330,14 +321,24 @@ func (f *Fixpoint) Close() { f.en.close() }
 // result's Solution slice is populated, matching RunIncremental's
 // contract.
 func ResumeIncremental(spec IncrementalSpec, existing *runtime.SolutionSet, delta []record.Record, cfg Config) (*IncrementalResult, error) {
+	return resumeIncremental(spec, existing, delta, cfg, false)
+}
+
+// resumeIncremental is the warm restart behind ResumeIncremental and
+// ResumeMicrostep; requireDirect refuses a Δ that fails the §5.2
+// conditions before `existing` is touched.
+func resumeIncremental(spec IncrementalSpec, existing *runtime.SolutionSet, delta []record.Record, cfg Config, requireDirect bool) (*IncrementalResult, error) {
 	if existing == nil {
-		return nil, fmt.Errorf("iterative: ResumeIncremental needs an existing solution set (use RunIncremental for cold starts)")
+		return nil, fmt.Errorf("iterative: resuming needs an existing solution set (use RunIncremental or RunMicrostep for cold starts)")
 	}
 	f, err := OpenFixpoint(spec, existing, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	if requireDirect && f.en.inadmissible != nil {
+		return nil, f.en.inadmissible
+	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.WarmRestarts.Add(1)
 	}
@@ -347,6 +348,9 @@ func ResumeIncremental(spec IncrementalSpec, existing *runtime.SolutionSet, delt
 			cfg.Metrics.MaintenanceSupersteps.Add(int64(out.Supersteps))
 		}
 		out.Solution = existing.Snapshot()
+		if requireDirect {
+			out.Microsteps = f.en.elements
+		}
 	}
 	return out, err
 }

@@ -57,16 +57,13 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/iterative"
-	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/optimizer"
 	"repro/internal/record"
 )
 
@@ -165,18 +162,6 @@ type ViewConfig struct {
 	// 1+len(Workers) hosts (this process is host 0) and every flush is
 	// coordinated across the mesh. Empty means in-process maintenance.
 	Workers []string
-	// AutoEngine routes full recomputes through iterative.RunAuto: the
-	// cost model — calibrated from this view's own measured supersteps —
-	// picks between the superstep and microstep engines per recompute
-	// instead of always re-running incrementally. Views created over the
-	// HTTP API with algorithm=auto set this. Calibration samples come
-	// from the embedded Metrics: when several concurrently-flushing
-	// views share one Counters, samples include the neighbors' work and
-	// the fit degrades toward the (safe) built-in defaults — give auto
-	// views private Counters when switch precision matters. RunAuto
-	// recomputes inside one process, so Validate rejects AutoEngine
-	// together with Workers.
-	AutoEngine bool
 }
 
 func (c ViewConfig) normalized() ViewConfig {
@@ -203,10 +188,6 @@ func (c ViewConfig) normalized() ViewConfig {
 	return c
 }
 
-// errAutoEngineSharded rejects AutoEngine on a sharded view: RunAuto
-// recomputes inside one process, so the policy would be silently ignored.
-var errAutoEngineSharded = errors.New("live: AutoEngine cannot be combined with Workers")
-
 // Validate rejects configurations that cannot serve: negative knobs that
 // the zero-value defaults would otherwise silently paper over.
 func (c ViewConfig) Validate() error {
@@ -231,9 +212,6 @@ func (c ViewConfig) Validate() error {
 	if c.Durable && c.DataDir == "" {
 		return fmt.Errorf("live: Durable requires DataDir")
 	}
-	if c.AutoEngine && len(c.Workers) > 0 {
-		return errAutoEngineSharded
-	}
 	return nil
 }
 
@@ -250,9 +228,6 @@ type ViewStats struct {
 	FullRecomputes    int64
 	Supersteps        int64
 	Rebinds           int64
-	// EngineSwitches counts mid-recompute engine handoffs by AutoEngine
-	// views (incremental → microstep once the workset collapsed).
-	EngineSwitches int64
 	// Durable reports whether the view logs mutations and snapshots.
 	Durable bool
 	// WALBytes is the current size of the view's write-ahead log.
@@ -355,7 +330,7 @@ func newViewCore(name string, m Maintainer, initial []Mutation, cfg ViewConfig) 
 	for _, mut := range initial {
 		gs.Apply(mut)
 	}
-	return assembleView(name, m, cfg.withAutoDefaults(), gs, nil)
+	return assembleView(name, m, cfg, gs, nil)
 }
 
 // assembleView wires a LiveView and its session around a graph. A non-nil
@@ -411,23 +386,6 @@ func (v *LiveView) span(ph obs.Phase, start time.Time) {
 		Phase: ph, Start: start.UnixNano(), Dur: int64(time.Since(start)),
 		Label: v.name,
 	})
-}
-
-// withAutoDefaults gives AutoEngine views a private calibrator: every
-// maintained superstep feeds the fit, so later recomputes plan with this
-// view's observed constants. The fit's features are the work counters,
-// so a view without metrics gets its own — otherwise calibration would
-// be silently inert.
-func (c ViewConfig) withAutoDefaults() ViewConfig {
-	if c.AutoEngine {
-		if c.Calibrator == nil {
-			c.Calibrator = optimizer.NewCalibrator()
-		}
-		if c.Metrics == nil {
-			c.Metrics = &metrics.Counters{}
-		}
-	}
-	return c
 }
 
 // Name returns the view's name.

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -512,15 +511,11 @@ func TestViewConfigValidate(t *testing.T) {
 		{FlushInterval: -time.Second},
 		{RecomputeFraction: 1.5},
 		{Config: iterative.Config{SolutionMemoryBudget: -5}},
-		{AutoEngine: true, Workers: []string{"127.0.0.1:1"}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
-	}
-	if err := bad[len(bad)-1].Validate(); !errors.Is(err, errAutoEngineSharded) {
-		t.Errorf("AutoEngine with Workers: %v, want errAutoEngineSharded", err)
 	}
 	if _, err := NewView("bad", CC(), nil, ViewConfig{BatchSize: -2}); err == nil {
 		t.Error("NewView accepted invalid config")

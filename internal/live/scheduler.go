@@ -130,7 +130,6 @@ func (s *Scheduler) collect(emit func(name, labels string, value float64)) {
 		emit("view_full_recomputes", l, float64(vs.FullRecomputes))
 		emit("view_supersteps", l, float64(vs.Supersteps))
 		emit("view_rebinds", l, float64(vs.Rebinds))
-		emit("view_engine_switches", l, float64(vs.EngineSwitches))
 		emit("view_wal_bytes", l, float64(vs.WALBytes))
 		emit("view_snapshots_written", l, float64(vs.SnapshotsWritten))
 		emit("view_recovered_frames", l, float64(vs.RecoveredFrames))
@@ -287,7 +286,6 @@ type viewMeta struct {
 	BatchSize            int    `json:"batch_size,omitempty"`
 	FlushIntervalMS      int64  `json:"flush_interval_ms,omitempty"`
 	SolutionMemoryBudget int64  `json:"solution_memory_budget,omitempty"`
-	AutoEngine           bool   `json:"auto_engine,omitempty"`
 }
 
 const metaFileName = "meta.json"
@@ -299,7 +297,6 @@ func saveViewMeta(dir string, m Maintainer, cfg ViewConfig) error {
 		BatchSize:            cfg.BatchSize,
 		FlushIntervalMS:      cfg.FlushInterval.Milliseconds(),
 		SolutionMemoryBudget: cfg.SolutionMemoryBudget,
-		AutoEngine:           cfg.AutoEngine,
 	}
 	if src, ok := m.(interface{ Source() int64 }); ok {
 		meta.Source = src.Source()
@@ -374,7 +371,6 @@ func (s *Scheduler) Recover() (int, error) {
 		if meta.SolutionMemoryBudget != 0 {
 			cfg.SolutionMemoryBudget = meta.SolutionMemoryBudget
 		}
-		cfg.AutoEngine = meta.AutoEngine
 
 		s.mu.Lock()
 		if _, dup := s.views[name]; dup {

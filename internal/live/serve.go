@@ -26,10 +26,8 @@ import (
 // CreateRequest is the body of POST /views.
 type CreateRequest struct {
 	Name string `json:"name"`
-	// Algorithm selects the maintainer: "cc", "sssp", or "auto" —
-	// Connected Components with adaptive engine selection: full
-	// recomputes go through iterative.RunAuto, costed with weights
-	// calibrated from the view's own measured supersteps.
+	// Algorithm selects the maintainer: "cc" or "sssp". "auto" is an
+	// alias of "cc", kept because deployed clients send it.
 	Algorithm string `json:"algorithm"`
 	// Source is the SSSP source vertex (ignored for cc).
 	Source int64 `json:"source"`
@@ -134,13 +132,9 @@ func (s *Scheduler) Handler() http.Handler {
 			return
 		}
 		var m Maintainer
-		auto := false
 		switch req.Algorithm {
-		case "cc", "":
+		case "cc", "auto", "":
 			m = CC()
-		case "auto":
-			m = CC()
-			auto = true
 		case "sssp":
 			m = SSSP(req.Source)
 		default:
@@ -163,9 +157,6 @@ func (s *Scheduler) Handler() http.Handler {
 		}
 		if req.SolutionMemoryBudget != 0 {
 			cfg.SolutionMemoryBudget = req.SolutionMemoryBudget
-		}
-		if auto {
-			cfg.AutoEngine = true
 		}
 		v, err := s.Create(req.Name, m, initial, &cfg)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -177,63 +178,53 @@ func TestServeBodyLimit(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestServeAutoAlgorithm creates an algorithm=auto view: maintenance works
-// like a cc view, and a deletion-driven full recompute goes through the
-// adaptive runner.
+// TestServeAutoAlgorithm: "auto" stays accepted on the wire as an alias of
+// "cc" — on a plain and on a sharded server the view is created, and a
+// deletion-driven full recompute leaves it answering exactly like a cc
+// view over the same stream.
 func TestServeAutoAlgorithm(t *testing.T) {
-	var m metrics.Counters
-	s := NewScheduler(SchedulerConfig{
-		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 2, Metrics: &m}}})
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	for name, workers := range map[string][]string{"plain": nil, "sharded": startWorkers(t, 1)} {
+		t.Run(name, func(t *testing.T) {
+			s := NewScheduler(SchedulerConfig{DefaultView: ViewConfig{
+				Config: iterative.Config{Parallelism: 2}, Workers: workers}})
+			defer s.Close()
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
 
-	resp := postJSON(t, srv.URL+"/views", CreateRequest{
-		Name: "g", Algorithm: "auto",
-		Edges: []EdgeJSON{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
-	})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: %s", resp.Status)
-	}
-	resp.Body.Close()
+			algs := []string{"auto", "cc"}
+			for _, alg := range algs {
+				resp := postJSON(t, srv.URL+"/views", CreateRequest{
+					Name: alg, Algorithm: alg,
+					Edges: []EdgeJSON{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
+				})
+				if resp.StatusCode != http.StatusCreated {
+					t.Fatalf("create %s: %s", alg, resp.Status)
+				}
+				resp.Body.Close()
 
-	// Deleting a chain edge splits the component: the affected region is
-	// the whole view, forcing the full-recompute path — which auto views
-	// route through RunAuto.
-	resp = postJSON(t, srv.URL+"/views/g/mutations", []MutationJSON{
-		{Op: "delete-edge", Src: 1, Dst: 2},
-	})
-	resp.Body.Close()
-	resp = postJSON(t, srv.URL+"/views/g/flush", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("flush: %s", resp.Status)
-	}
-	st := decodeJSON[ViewStats](t, resp)
-	if st.FullRecomputes != 1 {
-		t.Fatalf("FullRecomputes = %d, want 1 (stats %+v)", st.FullRecomputes, st)
-	}
-	q := decodeJSON[QueryResponse](t, mustGet(t, srv.URL+"/views/g/query?key=3"))
-	if !q.Found || q.B != 2 {
-		t.Fatalf("post-split query(3) = %+v, want component 2", q)
-	}
-	q = decodeJSON[QueryResponse](t, mustGet(t, srv.URL+"/views/g/query?key=1"))
-	if !q.Found || q.B != 0 {
-		t.Fatalf("post-split query(1) = %+v, want component 0", q)
-	}
-
-	// A sharded server cannot honour algorithm=auto (RunAuto recomputes in
-	// one process): the request is rejected, not silently downgraded.
-	sharded := NewScheduler(SchedulerConfig{
-		DefaultView: ViewConfig{Workers: []string{"127.0.0.1:1"}}})
-	defer sharded.Close()
-	shardedSrv := httptest.NewServer(sharded.Handler())
-	defer shardedSrv.Close()
-	resp = postJSON(t, shardedSrv.URL+"/views", CreateRequest{Name: "g", Algorithm: "auto"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("auto on a sharded server: %s, want 400", resp.Status)
-	}
-	if msg := decodeJSON[map[string]string](t, resp)["error"]; msg != errAutoEngineSharded.Error() {
-		t.Fatalf("auto on a sharded server rejected with %q, want %q", msg, errAutoEngineSharded)
+				// Deleting a chain edge splits the component: the affected
+				// region is the whole view, forcing the full-recompute path.
+				resp = postJSON(t, srv.URL+"/views/"+alg+"/mutations", []MutationJSON{
+					{Op: "delete-edge", Src: 1, Dst: 2},
+				})
+				resp.Body.Close()
+				resp = postJSON(t, srv.URL+"/views/"+alg+"/flush", nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("flush %s: %s", alg, resp.Status)
+				}
+				if st := decodeJSON[ViewStats](t, resp); st.FullRecomputes != 1 {
+					t.Fatalf("%s: FullRecomputes = %d, want 1 (stats %+v)", alg, st.FullRecomputes, st)
+				}
+			}
+			for key, want := range []int64{0, 0, 2, 2} {
+				for _, alg := range algs {
+					q := decodeJSON[QueryResponse](t, mustGet(t, fmt.Sprintf("%s/views/%s/query?key=%d", srv.URL, alg, key)))
+					if !q.Found || q.B != want {
+						t.Fatalf("%s: post-split query(%d) = %+v, want component %d", alg, key, q, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -130,7 +130,7 @@ type session struct {
 func openSession(v *LiveView, recovered []record.Record) (*session, *iterative.IncrementalResult, error) {
 	cfg := v.cfg.Config
 	cfg.Hosts, cfg.Host = 1+len(v.cfg.Workers), 0
-	core, w0, err := newShardCore(v.m, cfg, v.cfg.AutoEngine, v.gs, recovered, &v.stats)
+	core, w0, err := newShardCore(v.m, cfg, v.gs, recovered, &v.stats)
 	if err != nil {
 		return nil, nil, err
 	}

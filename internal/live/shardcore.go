@@ -295,11 +295,8 @@ const overlayFoldFactor = 8
 // this host's partition range. The coordinator owns core 0 (its gs aliases
 // the LiveView's); each worker owns one with a replica gs.
 type shardCore struct {
-	m   Maintainer
-	cfg iterative.Config
-	// auto routes full recomputes through iterative.RunAuto
-	// (ViewConfig.AutoEngine; one-host sessions only).
-	auto bool
+	m    Maintainer
+	cfg  iterative.Config
 	host int
 	gs   *GraphState
 	// place assigns partitions to hosts; hosted lists this host's.
@@ -381,7 +378,7 @@ func specFor(ss shardSpec, hostID int, reg *obs.Registry, mtr *metrics.Counters)
 // connected (that waits until every data addr is known). The returned
 // workset is the cold W0 the coordinator must drive (nil on recovery, and
 // on workers, which seed their share themselves).
-func newShardCore(m Maintainer, cfg iterative.Config, auto bool, gs *GraphState,
+func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
 	recovered []record.Record, stats *ViewStats) (*shardCore, []record.Record, error) {
 	spec, s0, w0 := m.Spec(gs)
 	phys, err := iterative.PlanIncremental(spec, cfg, spec.ExpectedIterations)
@@ -389,7 +386,7 @@ func newShardCore(m Maintainer, cfg iterative.Config, auto bool, gs *GraphState,
 		return nil, nil, err
 	}
 	c := &shardCore{
-		m: m, cfg: cfg, auto: auto, host: cfg.Host, gs: gs,
+		m: m, cfg: cfg, host: cfg.Host, gs: gs,
 		place: runtime.ContiguousPlacement(cfg.Parallelism, cfg.Hosts),
 		mtr:   cfg.Metrics, stats: stats,
 	}
@@ -637,44 +634,10 @@ func (c *shardCore) recompute() ([]record.Record, error) {
 		c.mtr.FullRecomputes.Add(1)
 	}
 	c.stats.FullRecomputes++
-	if c.auto {
-		return nil, c.autoRecompute(spec, s0, w0)
-	}
 	if err := c.rebind(spec); err != nil {
 		return nil, err
 	}
 	return c.cold(s0, w0), nil
-}
-
-// autoRecompute is the AutoEngine full recompute: the fixpoint is
-// recomputed through iterative.RunAuto — the cost model (calibrated from
-// this view's measured supersteps) picks the engine and may switch to
-// microsteps mid-run — and the converged result is installed into the
-// resident session, which is re-bound to the new spec for subsequent
-// maintenance.
-func (c *shardCore) autoRecompute(spec iterative.IncrementalSpec, s0, w0 []record.Record) error {
-	// The resident set is about to be overwritten anyway; dropping it
-	// before the runner builds its own keeps peak solution memory at
-	// ~1× instead of transiently doubling the admitted footprint. (On
-	// error the view is left empty — the same state a failed non-auto
-	// recompute leaves behind.)
-	c.sol.Reset()
-	res, err := iterative.RunAuto(iterative.AutoSpec{Incremental: spec}, s0, w0, c.cfg)
-	if err != nil {
-		return err
-	}
-	if err := c.rebind(spec); err != nil {
-		return err
-	}
-	c.sol.Init(res.Solution)
-	if res.Set != nil {
-		// Drop the runner's scratch solution set (under a spill budget it
-		// may hold disk-backed partitions).
-		res.Set.Reset()
-	}
-	c.stats.EngineSwitches += int64(res.Switches)
-	c.stats.Supersteps += int64(res.Supersteps)
-	return nil
 }
 
 // hostedReader is the maintainer's solution access during candidate

@@ -184,6 +184,6 @@ func (h *WorkerHost) openCore(msg shardMsg) (*shardCore, error) {
 		}
 	}
 	cfg := specFor(ss, msg.HostID, h.reg, &metrics.Counters{})
-	core, _, err := newShardCore(m, cfg, false, gs, recovered, &ViewStats{})
+	core, _, err := newShardCore(m, cfg, gs, recovered, &ViewStats{})
 	return core, err
 }

@@ -748,7 +748,6 @@ func createDurable(name string, m Maintainer, initial []Mutation, cfg ViewConfig
 
 // recoverView rebuilds a durable view from its on-disk state.
 func recoverView(name string, m Maintainer, cfg ViewConfig, dir string) (*LiveView, error) {
-	cfg = cfg.withAutoDefaults()
 	walPath := filepath.Join(dir, walFileName)
 	snaps, err := listSnapshots(dir)
 	if err != nil {

@@ -3,6 +3,7 @@ package live
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/iterative"
@@ -335,6 +336,47 @@ func TestSchedulerRecoverRestoresViews(t *testing.T) {
 		t.Fatalf("after drop: recovered %d views (%v), want 1", n, err)
 	}
 	s3.Close()
+}
+
+// TestRecoverMetaWithAutoEngineFlag: a meta.json written by a binary that
+// still had the AutoEngine option carries "auto_engine":true. The field
+// is gone; such a view must keep recovering as the cc view it always was
+// — also under a scheduler that shards its views over workers.
+func TestRecoverMetaWithAutoEngineFlag(t *testing.T) {
+	for name, workers := range map[string][]string{"plain": nil, "sharded": startWorkers(t, 1)} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := NewScheduler(SchedulerConfig{DataDir: dir,
+				DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 2}}})
+			v, err := s.Create("old", CC(), chain(3), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Mutate(InsertEdge(3, 30)); err != nil {
+				t.Fatal(err)
+			}
+			v.Kill()
+
+			metaPath := filepath.Join(dir, "old", metaFileName)
+			raw, err := os.ReadFile(metaPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy := strings.Replace(string(raw), "{", `{"auto_engine":true,`, 1)
+			if err := os.WriteFile(metaPath, []byte(legacy), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2 := NewScheduler(SchedulerConfig{DataDir: dir,
+				DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: workers}})
+			defer s2.Close()
+			if n, err := s2.Recover(); err != nil || n != 1 {
+				t.Fatalf("recovered %d views (%v), want 1", n, err)
+			}
+			old, _ := s2.Get("old")
+			mustComp(t, old, 30, 0)
+		})
+	}
 }
 
 func TestSchedulerCreateClearsCrashedCreateLeftovers(t *testing.T) {

@@ -111,10 +111,6 @@ type Counters struct {
 	// RecoveryReplays counts WAL frames replayed through the maintenance
 	// path while recovering durable live views after a crash.
 	RecoveryReplays atomic.Int64
-	// EngineSwitches counts mid-run engine handoffs by the adaptive
-	// runner (e.g. incremental → microstep once the workset collapses
-	// below the dispatch-overhead crossover).
-	EngineSwitches atomic.Int64
 	// Reoptimizations counts successful mid-run re-plans of the Δ
 	// dataflow after the working set drifted from the costed estimate.
 	Reoptimizations atomic.Int64
@@ -173,7 +169,6 @@ type Snapshot struct {
 	SnapshotsWritten int64
 	RecoveryReplays  int64
 
-	EngineSwitches     int64
 	Reoptimizations    int64
 	ReoptimizeFailures int64
 	ReoptimizeBackoffs int64
@@ -275,15 +270,10 @@ type IterationStat struct {
 	Iteration int
 	Duration  time.Duration
 	Work      Snapshot
-	// Engine names the engine that executed this superstep when the
-	// adaptive runner collected the trace ("bulk", "incremental",
-	// "microstep"); empty for single-engine runs.
-	Engine string
 }
 
-// TraceEvent is an out-of-band occurrence during a run (an engine switch,
-// a re-optimization, a re-optimization failure), anchored to the superstep
-// it followed.
+// TraceEvent is an out-of-band occurrence during a run (a re-optimization,
+// a re-optimization failure), anchored to the superstep it followed.
 type TraceEvent struct {
 	Iteration int
 	Event     string
@@ -367,9 +357,6 @@ type CalibratedWeights struct {
 	Group float64
 	// Merge is the cost per solution-set update (the ∪̇ write path).
 	Merge float64
-	// Dispatch is the per-element overhead of microstep execution:
-	// queue push/pop and termination accounting for one workset element.
-	Dispatch float64
 	// StepOverhead is the fixed per-(task × superstep) cost of the
 	// superstep engines: waking one partition-pinned worker for one
 	// plan node and running the barrier protocol.

@@ -216,7 +216,6 @@ func TestSnakeCase(t *testing.T) {
 		"PlanNanos":            "plan_nanos",
 		"SolutionBytes":        "solution_bytes",
 		"RecoveryReplays":      "recovery_replays",
-		"EngineSwitches":       "engine_switches",
 		"RecordsShippedRemote": "records_shipped_remote",
 	}
 	for in, want := range cases {

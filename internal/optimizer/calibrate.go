@@ -20,9 +20,7 @@ import (
 //
 // The weights are estimated by ridge-regularized least squares over all
 // samples, clamped non-negative (a negative per-record cost is always a
-// fitting artifact). Microstep runs contribute the per-element dispatch
-// overhead the same way: the run's wall time minus its fitted per-record
-// work, divided by the elements processed.
+// fitting artifact).
 //
 // A Calibrator is safe for concurrent use and is meant to be shared
 // across runs (e.g. stored in an iterative.Config reused by a live view).
@@ -34,10 +32,6 @@ type Calibrator struct {
 	xtx [5][5]float64
 	xty [5]float64
 	n   int
-	// Microstep dispatch samples: excess ns beyond fitted per-record
-	// work, and elements processed.
-	microNS    float64
-	microElems float64
 }
 
 // NewCalibrator returns an empty calibrator; until it has MinSamples
@@ -76,38 +70,6 @@ func (c *Calibrator) ObserveSuperstep(work metrics.Snapshot, tasks int, d time.D
 	c.n++
 }
 
-// ObserveMicrostepRun records one asynchronous run: the work-counter
-// delta, the number of microsteps (elements processed), and the wall
-// time. The dispatch weight is the per-element time not explained by the
-// fitted per-record work — which requires a matured superstep fit:
-// before MinSamples the current weights are the unitless defaults, whose
-// "explained" share of a nanosecond-scale duration is negligible, so the
-// whole run time (per-record work included) would be misattributed to
-// dispatch. Such samples are dropped rather than recorded wrong.
-func (c *Calibrator) ObserveMicrostepRun(work metrics.Snapshot, elems int64, d time.Duration) {
-	if elems <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.weightsLocked()
-	if w.Samples == 0 {
-		// No matured fit (too few supersteps, or a degenerate system):
-		// the weights are the unitless defaults and cannot explain a
-		// nanosecond-scale duration.
-		return
-	}
-	explained := w.CPU*float64(work.UDFInvocations) +
-		w.Merge*float64(work.SolutionUpdates) +
-		w.Group*float64(work.SolutionAccesses)
-	excess := float64(d.Nanoseconds()) - explained
-	if excess < 0 {
-		excess = 0
-	}
-	c.microNS += excess
-	c.microElems += float64(elems)
-}
-
 // Samples returns the number of superstep observations consumed so far.
 func (c *Calibrator) Samples() int {
 	c.mu.Lock()
@@ -132,25 +94,11 @@ func (c *Calibrator) weightsLocked() metrics.CalibratedWeights {
 	if !ok {
 		return def
 	}
-	w := metrics.CalibratedWeights{
+	return metrics.CalibratedWeights{
 		Net: sol[0], CPU: sol[1], Group: sol[2], Merge: sol[3],
 		StepOverhead: sol[4],
 		Samples:      c.n,
 	}
-	// Scale the default dispatch weight into the fitted (nanosecond)
-	// unit system via the per-record ratio, then prefer a directly
-	// measured per-element overhead when microstep runs contributed one.
-	defPerRec := def.Net + def.CPU + def.Group + def.Merge
-	fitPerRec := w.Net + w.CPU + w.Group + w.Merge
-	if defPerRec > 0 && fitPerRec > 0 {
-		w.Dispatch = def.Dispatch * fitPerRec / defPerRec
-	} else {
-		w.Dispatch = def.Dispatch
-	}
-	if c.microElems > 0 {
-		w.Dispatch = c.microNS / c.microElems
-	}
-	return w
 }
 
 // solveLocked solves the ridge-regularized normal equations and clamps

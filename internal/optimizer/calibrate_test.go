@@ -52,14 +52,6 @@ func TestCalibratorRecoversWeights(t *testing.T) {
 	approx("Group", w.Group, group)
 	approx("Merge", w.Merge, merge)
 	approx("StepOverhead", w.StepOverhead, step)
-
-	// A microstep observation pins the dispatch weight directly: excess
-	// time over the fitted per-record work, per element.
-	c.ObserveMicrostepRun(metrics.Snapshot{UDFInvocations: 100, SolutionUpdates: 50},
-		200, time.Duration(100*cpu+50*merge+200*40))
-	if d := c.Weights().Dispatch; d < 36 || d > 44 {
-		t.Errorf("Dispatch = %.2f, want ≈ 40", d)
-	}
 }
 
 // TestCalibratorDegenerate checks that collinear samples (every superstep
@@ -84,9 +76,9 @@ func TestCalibratorDegenerate(t *testing.T) {
 }
 
 // TestEngineCostOrdering sanity-checks the per-engine formulas under the
-// default weights: a tiny workset over a big solution favors microsteps'
-// total against bulk's full recompute, and bulk's cost scales with the
-// solution it re-materializes rather than the workset.
+// default weights: a tiny workset over a big solution favors incremental
+// execution against bulk's full recompute, and bulk's cost scales with
+// the solution it re-materializes rather than the workset.
 func TestEngineCostOrdering(t *testing.T) {
 	w := DefaultWeights()
 	st := EngineStats{
@@ -95,32 +87,13 @@ func TestEngineCostOrdering(t *testing.T) {
 	}
 	bulk := EngineCost(EngineBulk, st, w)
 	inc := EngineCost(EngineIncremental, st, w)
-	micro := EngineCost(EngineMicrostep, st, w)
 	if inc >= bulk {
 		t.Errorf("tiny workset: incremental (%.0f) should beat bulk (%.0f)", inc, bulk)
-	}
-	if micro >= bulk {
-		t.Errorf("tiny workset: microstep (%.0f) should beat bulk (%.0f)", micro, bulk)
 	}
 
 	// A huge workset narrows the gap to bulk.
 	st.WorksetSize = 400000
 	if EngineCost(EngineIncremental, st, w) <= inc {
 		t.Error("incremental cost did not grow with the workset")
-	}
-
-	// The crossover: a collapsed workset deep into a run switches — the
-	// run must be long enough to amortize indexing the 200k constant
-	// records — while the same workset on superstep 1 does not, and a
-	// full workset never does.
-	st.WorksetSize = 50
-	if !MicrostepWins(10, 1000, st, w) {
-		t.Error("collapsed workset after 1000 supersteps should switch")
-	}
-	if MicrostepWins(10, 1, st, w) {
-		t.Error("collapsed workset on superstep 1 must not switch (setup unamortized)")
-	}
-	if MicrostepWins(100000, 1000, st, w) {
-		t.Error("full workset must not switch")
 	}
 }

@@ -20,18 +20,10 @@ const (
 	wGroup  = 0.3  // per record grouped (hash or merge)
 	wMatCst = 0.1  // per record materialized into a cache
 
-	// Engine-level weights (see EngineCost): the ∪̇ write path, the
-	// per-element dispatch overhead of microstep execution, and the fixed
-	// per-(task × superstep) cost of the barrier engines. Dispatch must
-	// exceed wNet+wGroup or the crossover would sit at W=∞ (microsteps
-	// always cheaper); StepOverhead sizes the workset below which paying
-	// a whole barrier round is not worth it. The defaults put the
-	// crossover at a few dozen records per task — microsteps take over
-	// only once the workset has truly collapsed, where a barrier round
-	// costs more than dispatching the stragglers.
-	wMerge    = 0.4
-	wDispatch = 3.0
-	wStepOvh  = 8.0
+	// Engine-level weights (see EngineCost): the ∪̇ write path and the
+	// fixed per-(task × superstep) cost of a barrier round.
+	wMerge   = 0.4
+	wStepOvh = 8.0
 )
 
 // wNetLocal is the fraction of wNet charged for a partition crossing that
@@ -115,26 +107,24 @@ func maxi64(a, b int64) int64 {
 
 // --- Engine-level costing (§4.3 extended) --------------------------------
 //
-// The paper treats bulk, incremental, and microstep iterations as
-// alternatives in one plan space but settles for caller-chosen engines;
-// the formulas below cost a whole run per engine so a driver can pick —
-// and, with runtime cardinality feedback, re-pick mid-run. All three are
-// in the same unit system as the plan-level weights above, and every
-// weight can be replaced by a calibrated value (see Calibrator).
+// The paper treats bulk and incremental iterations as alternatives in one
+// plan space but settles for caller-chosen engines; the formulas below
+// cost a whole run per engine so a driver can pick. (§5.2's microsteps are
+// not a third alternative to cost: the incremental engine merges deltas
+// directly whenever Δ admits it.) Both are in the same unit system as the
+// plan-level weights above, and every weight can be replaced by a
+// calibrated value (see Calibrator).
 
-// Engine identifies one of the three iteration execution engines.
+// Engine identifies one of the two iteration execution engines.
 type Engine int
 
-// The engines of §4 (bulk) and §5 (incremental, microstep).
+// The engines of §4 (bulk) and §5 (incremental).
 const (
 	// EngineBulk re-computes the full partial solution every superstep.
 	EngineBulk Engine = iota
 	// EngineIncremental evaluates Δ over the working set in barrier-
 	// synchronized supersteps, merging deltas with ∪̇.
 	EngineIncremental
-	// EngineMicrostep executes admissible Δ flows asynchronously, one
-	// working-set element at a time, without barriers.
-	EngineMicrostep
 )
 
 func (e Engine) String() string {
@@ -143,8 +133,6 @@ func (e Engine) String() string {
 		return "bulk"
 	case EngineIncremental:
 		return "incremental"
-	case EngineMicrostep:
-		return "microstep"
 	}
 	return fmt.Sprintf("engine(%d)", int(e))
 }
@@ -154,7 +142,7 @@ func (e Engine) String() string {
 func DefaultWeights() metrics.CalibratedWeights {
 	return metrics.CalibratedWeights{
 		Net: wNet, CPU: wCPU, Group: wGroup, Merge: wMerge,
-		Dispatch: wDispatch, StepOverhead: wStepOvh,
+		StepOverhead: wStepOvh,
 	}
 }
 
@@ -205,12 +193,7 @@ func stepOverhead(st EngineStats, w metrics.CalibratedWeights) float64 {
 //     collapses as the iteration converges (Figure 2's decaying curves):
 //     a geometric decay makes the whole run touch ≈ 2·W₀ elements, each
 //     shipped, streamed and grouped, with the ∪̇ merge charged per
-//     element, plus one barrier round for each expected superstep;
-//   - microstep: the same ≈ 2·W₀ elements, but each pays the per-element
-//     dispatch overhead instead of sharing barrier rounds, and skips the
-//     grouping work (record-at-a-time by construction) — after a one-off
-//     setup that materializes and indexes the constant inputs
-//     partition-wise (microstepSetupCost).
+//     element, plus one barrier round for each expected superstep.
 func EngineCost(e Engine, st EngineStats, w metrics.CalibratedWeights) float64 {
 	st = st.normalized()
 	k := float64(st.ExpectedSupersteps)
@@ -222,18 +205,8 @@ func EngineCost(e Engine, st EngineStats, w metrics.CalibratedWeights) float64 {
 	case EngineIncremental:
 		total := 2 * float64(st.WorksetSize)
 		return total*(w.Net+w.CPU+w.Group+w.Merge/2) + k*stepOverhead(st, w)
-	case EngineMicrostep:
-		total := 2 * float64(st.WorksetSize)
-		return microstepSetupCost(st, w) + total*(w.CPU+w.Merge+w.Dispatch)
 	}
 	return math.Inf(1)
-}
-
-// microstepSetupCost is the one-off price of entering the asynchronous
-// engine: every constant input is evaluated and indexed into per-
-// partition hash tables (the cached N of Figure 6).
-func microstepSetupCost(st EngineStats, w metrics.CalibratedWeights) float64 {
-	return (w.CPU + w.Group) * float64(st.ConstantSize)
 }
 
 // SuperstepCost is the predicted cost of one barrier superstep over a
@@ -241,37 +214,4 @@ func microstepSetupCost(st EngineStats, w metrics.CalibratedWeights) float64 {
 // with observed durations.
 func SuperstepCost(workset int64, st EngineStats, w metrics.CalibratedWeights) float64 {
 	return stepOverhead(st.normalized(), w) + float64(workset)*(w.Net+w.CPU+w.Group+w.Merge)
-}
-
-// MicrostepWins reports whether, at the observed remaining workset size,
-// finishing asynchronously is cheaper than continuing in supersteps. The
-// comparison is per remaining superstep in the steady tail regime:
-//
-//   - either engine processes the per-superstep element flow — the
-//     workset plus the candidates it derives through the constant join,
-//     approximated by the average degree ConstantSize/SolutionSize;
-//   - the superstep engine adds one barrier round (StepOverhead·Tasks);
-//   - the microstep engine adds per-element dispatch, plus the one-off
-//     constant-table setup amortized over the estimated remaining
-//     supersteps. That estimate comes from the run itself: a fixpoint
-//     that has already survived s supersteps without converging is in a
-//     tail regime and is assumed to need about s more.
-//
-// The net effect is the dispatch-overhead crossover: microsteps take over
-// once the workset has collapsed below the flow at which a barrier round
-// costs more than dispatching the stragglers one by one.
-func MicrostepWins(remaining int64, stepsSoFar int, st EngineStats, w metrics.CalibratedWeights) bool {
-	st = st.normalized()
-	if stepsSoFar < 1 {
-		stepsSoFar = 1
-	}
-	fanout := 1.0
-	if st.SolutionSize > 0 {
-		fanout += float64(st.ConstantSize) / float64(st.SolutionSize)
-	}
-	flow := float64(remaining) * fanout
-	setup := microstepSetupCost(st, w) / float64(stepsSoFar)
-	micro := setup + flow*(w.CPU+w.Merge+w.Dispatch)
-	inc := flow*(w.Net+w.CPU+w.Group+w.Merge) + stepOverhead(st, w)
-	return micro < inc
 }

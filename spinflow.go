@@ -1,8 +1,8 @@
 // Package spinflow is a Go reproduction of "Spinning Fast Iterative Data
 // Flows" (Ewen, Tzoumas, Kaufmann, Markl — PVLDB 5(11), 2012): a parallel
 // dataflow engine with an optimizer, plus the paper's two iteration
-// abstractions — bulk iterations and incremental (workset) iterations with
-// optional asynchronous microstep execution.
+// abstractions — bulk iterations and incremental (workset) iterations,
+// which merge deltas directly when Δ meets the microstep conditions.
 //
 // # Building plans
 //
@@ -27,19 +27,19 @@
 // An IncrementalSpec reads a workset placeholder and the keyed, mutable
 // solution set (through SolutionJoin/SolutionCoGroup operators) and feeds
 // a delta sink and a next-workset sink; RunIncremental drives supersteps
-// merging deltas with the ∪̇ operator, and RunMicrostep executes
-// admissible plans asynchronously one element at a time.
+// merging deltas with the ∪̇ operator. When Δ meets the §5.2 microstep
+// conditions (ValidateMicrostep) the engine writes each delta into the
+// solution set the moment it is produced, so later working-set elements
+// see it; RunMicrostep is the same run with that check made mandatory.
 //
 // # Adaptive engine selection
 //
 // RunAuto removes the engine choice from the caller: an AutoSpec bundles
-// the incremental form with an optional bulk alternative, the optimizer's
-// cost model (extended with per-engine formulas) picks the cheapest
-// engine, and runtime cardinality feedback can switch a run from
-// supersteps to microsteps once the workset collapses below the
-// dispatch-overhead crossover, handing the resident solution set over
-// warm. With a Calibrator in the Config, measured superstep timings fit
-// the cost weights, so repeated runs plan with observed constants.
+// the incremental form with an optional bulk alternative and the
+// optimizer's cost model (extended with per-engine formulas) picks the
+// cheaper of the two engines. With a Calibrator in the Config, measured
+// superstep timings fit the cost weights, so repeated runs plan with
+// observed constants.
 //
 // All four entry points are thin adapters over one superstep driver
 // (internal/iterative/driver.go) that owns the iteration lifecycle —
@@ -226,28 +226,27 @@ func RunIncremental(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*Increme
 	return core.RunIncremental(spec, s0, w0, cfg)
 }
 
-// RunMicrostep executes an admissible incremental iteration
-// asynchronously in microsteps.
+// RunMicrostep executes an incremental iteration that must meet the §5.2
+// microstep conditions (it is refused otherwise): deltas merge into the
+// solution set as they are produced. Microsteps in the result counts the
+// working-set elements consumed.
 func RunMicrostep(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*IncrementalResult, error) {
 	return core.RunMicrostep(spec, s0, w0, cfg)
 }
 
-// AutoSpec describes one iterative computation executable by several
-// engines: the incremental form (required) plus an optional equivalent
+// AutoSpec describes one iterative computation executable by either
+// engine: the incremental form (required) plus an optional equivalent
 // bulk iteration.
 type AutoSpec = core.AutoSpec
 
-// AutoResult reports an adaptive run: the solution, the engine sequence
+// AutoResult reports an adaptive run: the solution, the engine that
 // executed, per-engine candidate costs, and the cost weights used.
 type AutoResult = core.AutoResult
 
-// RunAuto lets the engine pick itself: the three engines are costed with
-// the optimizer's (optionally calibrated) cost model, the cheapest runs,
-// and observed per-superstep cardinalities can switch the run to
-// microsteps once the workset collapses below the dispatch-overhead
-// crossover — with the resident solution set handed over warm. Set
-// Config.Calibrator to plan repeated runs with observed rather than
-// guessed constants.
+// RunAuto lets the engine pick itself: incremental and (when supplied)
+// bulk are costed with the optimizer's (optionally calibrated) cost model
+// and the cheaper one runs. Set Config.Calibrator to plan repeated runs
+// with observed rather than guessed constants.
 func RunAuto(spec AutoSpec, s0, w0 []Record, cfg Config) (*AutoResult, error) {
 	return core.RunAuto(spec, s0, w0, cfg)
 }
@@ -265,10 +264,9 @@ func ResumeIncremental(spec IncrementalSpec, existing *SolutionSet, delta []Reco
 	return core.ResumeIncremental(spec, existing, delta, cfg)
 }
 
-// ResumeMicrostep is the asynchronous counterpart of ResumeIncremental:
-// it finishes a fixpoint over an existing resident solution set in
-// microsteps — the warm handoff RunAuto uses when it switches engines
-// mid-run, available as a standalone entry point.
+// ResumeMicrostep is ResumeIncremental for a spec that must meet the
+// §5.2 microstep conditions: it finishes a fixpoint over an existing
+// resident solution set, which is mutated in place.
 func ResumeMicrostep(spec IncrementalSpec, existing *SolutionSet, workset []Record, cfg Config) (*IncrementalResult, error) {
 	return core.ResumeMicrostep(spec, existing, workset, cfg)
 }
