@@ -9,6 +9,7 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/live"
+	"repro/internal/metrics"
 	"repro/internal/record"
 	"repro/internal/runtime"
 )
@@ -325,4 +326,123 @@ func TestLiveShardedKillRecover(t *testing.T) {
 		}
 	}
 	check("after post-recovery maintenance")
+}
+
+// TestRecoveryAcrossTopologies is the topology-change differential:
+// recovery streams a snapshot family into whatever session the recovering
+// config opens, so the host count a directory was written with must not
+// matter to the host count it is read with. Every cell of hosts-at-write ×
+// hosts-at-recover over {1, 2, 3}², for CC and SSSP, kills a durable view
+// after a mixed insert/delete stream (a snapshot family behind it, flushed
+// and unflushed frames in the log), recovers it, and requires the
+// recovered Snapshot() to be byte-identical to the oracle and to the
+// same-topology recovery — and the recovered view to keep converging on
+// the rest of the stream. One cell recovers out of core, under a solution
+// budget far below the solution.
+func TestRecoveryAcrossTopologies(t *testing.T) {
+	const source, killAt = 0, 5
+	g := diffGraphs()[1]
+	half := len(g.Edges) / 2
+	workers := startViewWorkers(t, 2)
+	algos := []struct {
+		name string
+		mk   func() live.Maintainer
+	}{
+		{"cc", live.CC},
+		{"sssp", func() live.Maintainer { return live.SSSP(source) }},
+	}
+	for ai, algo := range algos {
+		initial := make([]live.Mutation, half)
+		for i, e := range g.Edges[:half] {
+			initial[i] = live.InsertWeightedEdge(e.Src, e.Dst, diffWeight(e.Src, e.Dst))
+		}
+		model := live.NewGraphState()
+		for _, mu := range initial {
+			model.Apply(mu)
+		}
+		rng := &streamRNG{s: 0x70B0 ^ uint64(ai)<<8}
+		stream := mutationStream(g, rng, 9, 4, model, g.Edges[half:])
+		for bi, batch := range stream { // the SSSP view pins its source vertex
+			clean := batch[:0:0]
+			for _, mu := range batch {
+				if mu.Op != live.OpDeleteVertex || mu.Src != source {
+					clean = append(clean, mu)
+				}
+			}
+			stream[bi] = clean
+		}
+
+		// The oracle never crashes: its state after the acknowledged prefix
+		// and after the whole stream is what every cell must reproduce.
+		oracle, err := live.NewView("oracle", algo.mk(), initial, shardViewConfig("compact", nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		absorb := func(v *live.LiveView, batches [][]live.Mutation) {
+			t.Helper()
+			for bi, batch := range batches {
+				if err := v.Mutate(batch...); err != nil {
+					t.Fatalf("%s batch %d: %v", v.Name(), bi, err)
+				}
+				if err := v.Flush(); err != nil {
+					t.Fatalf("%s batch %d flush: %v", v.Name(), bi, err)
+				}
+			}
+		}
+		absorb(oracle, stream[:killAt])
+		wantRecovered := oracle.Snapshot()
+		absorb(oracle, stream[killAt:])
+		wantFinal := oracle.Snapshot()
+		oracle.Close()
+
+		for hw := 1; hw <= 3; hw++ {
+			var sameTopology []record.Record
+			// The same-topology cell runs first: it is the row's reference.
+			for _, hr := range []int{hw, hw%3 + 1, (hw+1)%3 + 1} {
+				spill := algo.name == "cc" && hw == 2 && hr == 3
+				t.Run(fmt.Sprintf("%s/write%d-recover%d", algo.name, hw, hr), func(t *testing.T) {
+					cfg := shardViewConfig("compact", workers[:hw-1])
+					cfg.Durable, cfg.DataDir = true, t.TempDir()
+					cfg.BatchSize = 1 << 30
+					cfg.SnapshotEveryFlushes = 2
+					v, err := live.OpenView("topo", algo.mk(), initial, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					absorb(v, stream[:killAt-1])
+					if err := v.Mutate(stream[killAt-1]...); err != nil { // acknowledged, never flushed
+						t.Fatal(err)
+					}
+					v.Kill()
+
+					var m metrics.Counters
+					cfg.Workers = workers[:hr-1]
+					if spill {
+						cfg.Metrics = &m
+						cfg.SolutionBackend = runtime.SolutionSpill
+						cfg.SolutionMemoryBudget = int64(len(wantRecovered)) * record.EncodedSize / 8
+					}
+					v2, err := live.OpenView("topo", algo.mk(), nil, cfg)
+					if err != nil {
+						t.Fatalf("recovery: %v", err)
+					}
+					defer v2.Close()
+					got := v2.Snapshot()
+					assertByteIdentical(t, "recovered vs oracle", got, wantRecovered)
+					if hr == hw {
+						sameTopology = got
+					}
+					assertByteIdentical(t, "recovered vs same-topology recovery", got, sameTopology)
+					if st := v2.Stats(); st.RecoveredFrames == 0 || (hr > 1) != (len(st.Shards) == hr) {
+						t.Fatalf("recovered on %d hosts with %d replayed frames, shards %+v", hr, st.RecoveredFrames, st.Shards)
+					}
+					if spill && m.SolutionSpills.Load() == 0 {
+						t.Fatalf("out-of-core recovery under a %d-byte budget never spilled", cfg.SolutionMemoryBudget)
+					}
+					absorb(v2, stream[killAt:])
+					assertByteIdentical(t, "post-recovery maintenance", v2.Snapshot(), wantFinal)
+				})
+			}
+		}
+	}
 }

@@ -90,7 +90,7 @@ func RunJob(js distrib.JobSpec, workerAddrs []string, reg *obs.Registry) (*distr
 	}
 	v := &LiveView{name: "job-" + js.Algorithm, m: m, cfg: cfg, gs: NewGraphState()}
 	v.bindObs()
-	s, cold, err := openSession(v, nil)
+	s, cold, err := openSession(v, false)
 	if err != nil {
 		return nil, err
 	}

@@ -465,6 +465,55 @@ func TestSnapshotNeverPartial(t *testing.T) {
 	}
 }
 
+// TestOwnerFailureIsNotAMiss: a key whose owner cannot answer view_query is
+// not "absent". Query has no error to return, so it reports through
+// Stats; a flush that needs the removed endpoints' records to scope its
+// repair must fail rather than bound the region without them.
+func TestOwnerFailureIsNotAMiss(t *testing.T) {
+	var failing atomic.Bool
+	addr := startFakeWorker(t, func(reply *shardMsg) bool {
+		if reply.Kind == viewValue && failing.Load() {
+			*reply = shardMsg{Kind: viewError, Err: "owner cannot answer"}
+		}
+		return false
+	})
+	const n = 16
+	v, err := NewView("owner", CC(), ringEdges(n), ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Kill()
+	remote := int64(-1)
+	for k := int64(0); k < n && remote < 0; k++ {
+		if v.sess.core.place[v.sess.core.sol.PartitionFor(k)] == 1 {
+			remote = k
+		}
+	}
+	if remote < 0 {
+		t.Fatal("no key of the ring lives on the worker")
+	}
+	if _, ok := v.Query(remote); !ok {
+		t.Fatalf("key %d not found on a healthy worker", remote)
+	}
+	if e := v.Stats().LastError; e != "" {
+		t.Fatalf("healthy query recorded %q", e)
+	}
+
+	failing.Store(true)
+	if r, ok := v.Query(remote); ok {
+		t.Fatalf("failed lookup returned %+v", r)
+	}
+	if e := v.Stats().LastError; !strings.Contains(e, "host 1") || !strings.Contains(e, "owner cannot answer") {
+		t.Fatalf("LastError = %q, want the failed query", e)
+	}
+	if err := v.Mutate(DeleteEdge(remote, (remote+1)%n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Flush(); err == nil || !strings.Contains(err.Error(), "owner cannot answer") {
+		t.Fatalf("flush scoped a removal without its endpoint's record: %v", err)
+	}
+}
+
 // startReuseProxy makes every control connection dialed to the returned
 // address ride ONE upstream connection to the worker, one after the other
 // — what a coordinator that kept its control connections open between

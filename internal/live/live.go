@@ -165,12 +165,9 @@ type ViewConfig struct {
 }
 
 func (c ViewConfig) normalized() ViewConfig {
-	if c.Parallelism <= 0 {
-		c.Parallelism = 1
-	}
-	// A sharded view needs at least one partition per host, or trailing
-	// hosts would sit in the mesh owning nothing.
-	if hosts := 1 + len(c.Workers); len(c.Workers) > 0 && c.Parallelism < hosts {
+	// A view needs at least one partition per host (this process is one),
+	// or trailing hosts would sit in the mesh owning nothing.
+	if hosts := 1 + len(c.Workers); c.Parallelism < hosts {
 		c.Parallelism = hosts
 	}
 	if c.BatchSize <= 0 {
@@ -240,8 +237,8 @@ type ViewStats struct {
 	// Shards reports the per-host solution split of a sharded view (nil
 	// for in-process views).
 	Shards []ShardStat
-	// LastError is the most recent background (timer) flush or snapshot
-	// failure, if any — synchronous errors go to the caller instead.
+	// LastError is the most recent failure with no caller to return to: a
+	// timer flush, a snapshot, or a read whose owning host did not answer.
 	LastError string
 }
 
@@ -285,7 +282,7 @@ type LiveView struct {
 	timer   *time.Timer
 
 	closed atomic.Bool
-	// asyncErr records the last background (timer-driven) flush failure,
+	// asyncErr records the last failure that had no caller to return to,
 	// surfaced through ViewStats.LastError.
 	asyncErr atomic.Value // string
 }
@@ -298,17 +295,15 @@ type durableState struct {
 	// flushedSeq is the WAL frame up to which mutations are reflected in
 	// the resident solution set (guarded by the maintenance lock).
 	flushedSeq uint64
-	// snapSeq is the WAL frame the latest snapshot covers.
+	// snapSeq is the WAL frame the latest snapshot on disk covers — written
+	// by this instance or loaded at recovery; a view is never handed out
+	// without one.
 	snapSeq uint64
 	// flushesSinceSnap and walBytesAtSnap drive the snapshot cadence.
 	flushesSinceSnap int
 	walBytesAtSnap   int64
 	// snapshots counts snapshots written by this view instance.
 	snapshots int64
-	// hasSnapshot records that a valid snapshot at snapSeq exists on
-	// disk — written by this instance or loaded at recovery — so Close
-	// can skip re-writing one for an untouched view.
-	hasSnapshot bool
 	// replayed counts WAL frames replayed when this instance recovered.
 	replayed int64
 }
@@ -330,16 +325,16 @@ func newViewCore(name string, m Maintainer, initial []Mutation, cfg ViewConfig) 
 	for _, mut := range initial {
 		gs.Apply(mut)
 	}
-	return assembleView(name, m, cfg, gs, nil)
+	return assembleView(name, m, cfg, gs, false)
 }
 
-// assembleView wires a LiveView and its session around a graph. A non-nil
-// recovered solution skips the cold fixpoint and initializes the session
-// from those records instead (the snapshot-recovery path).
-func assembleView(name string, m Maintainer, cfg ViewConfig, gs *GraphState, recovered []record.Record) (*LiveView, error) {
+// assembleView wires a LiveView and its session around a graph. A
+// recovering view skips the cold fixpoint: its session opens empty and the
+// snapshot loader streams the solution in (wal.go).
+func assembleView(name string, m Maintainer, cfg ViewConfig, gs *GraphState, recovering bool) (*LiveView, error) {
 	v := &LiveView{name: name, m: m, cfg: cfg, gs: gs}
 	v.bindObs()
-	sess, _, err := openSession(v, recovered)
+	sess, _, err := openSession(v, recovering)
 	if err != nil {
 		return nil, err
 	}
@@ -399,14 +394,19 @@ func (v *LiveView) TraceID() obs.TraceID { return v.cfg.TraceID }
 // id or distance). It sees converged state only: flushes in progress
 // block it, queued-but-unflushed mutations do not affect it. On a
 // sharded view the lookup is routed to the host owning the key's
-// partition.
+// partition; when that host cannot answer, the key reads as not found and
+// the failure surfaces through ViewStats.LastError.
 func (v *LiveView) Query(k int64) (record.Record, bool) {
 	if h := v.qHist; h != nil {
 		defer h.ObserveSince(time.Now())
 	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.sess.Lookup(k)
+	r, ok, err := v.sess.Lookup(k)
+	if err != nil {
+		v.asyncErr.Store(err.Error())
+	}
+	return r, ok
 }
 
 // Snapshot copies the converged solution set out (scatter-gathered over
@@ -627,10 +627,8 @@ func (v *LiveView) Close() error {
 			// failure the log remains the source of truth and the next
 			// open replays it.
 			d.flushedSeq = seq
-			if d.flushedSeq != d.snapSeq || !d.hasSnapshot {
-				if serr := v.snapshotLocked(); serr != nil && err == nil {
-					err = serr
-				}
+			if d.flushedSeq != d.snapSeq {
+				err = v.snapshotLocked()
 			}
 		}
 		if cerr := d.wal.Close(); cerr != nil && err == nil {

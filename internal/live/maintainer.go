@@ -144,10 +144,6 @@ func SSSP(source int64) Maintainer { return ssspMaintainer{source: source} }
 
 func (ssspMaintainer) Name() string { return "sssp" }
 
-// Source returns the root vertex; the scheduler persists it in a durable
-// view's metadata so recovery can rebuild the maintainer.
-func (s ssspMaintainer) Source() int64 { return s.source }
-
 func (s ssspMaintainer) Spec(gs *GraphState) (iterative.IncrementalSpec, []record.Record, []record.Record) {
 	return algorithms.SSSPSpec(gs.WeightedUndirected(), s.source)
 }

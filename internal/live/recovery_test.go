@@ -1,0 +1,424 @@
+package live
+
+import (
+	"bytes"
+	"io"
+	"net"
+	"os"
+	"path/filepath"
+	goruntime "runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/distrib"
+	"repro/internal/iterative"
+	"repro/internal/record"
+	"repro/internal/runtime"
+)
+
+// The snapshot family has one reader, so these tests recover every
+// directory on one host and on two: what wrote a directory must not decide
+// who can read it.
+
+// recoveryTopologies is the worker sets a directory is recovered under.
+func recoveryTopologies(t *testing.T) map[string][]string {
+	return map[string][]string{"1-host": nil, "2-host": startWorkers(t, 1)}
+}
+
+// solutionOf is the oracle: the converged solution of an in-memory view
+// built from the given history.
+func solutionOf(t *testing.T, m Maintainer, history ...[]Mutation) []byte {
+	t.Helper()
+	v, err := NewView("oracle", m, nil, ViewConfig{Config: iterative.Config{Parallelism: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	for _, batch := range history {
+		if err := v.Mutate(batch...); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return distrib.EncodeSolution(v.Snapshot())
+}
+
+func copyFile(t testing.TB, dst, src string) {
+	t.Helper()
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRenamedSnapshotIsNotTrusted: a base file whose header covers seq 1
+// sits under the name of seq 3 (a stale copy, a botched restore). Trusting
+// the name would skip the log frames 2..3 as "already folded in" and lose
+// two acknowledged batches; the loader must reject the mismatch and fall
+// back to the real snapshot.
+func TestRenamedSnapshotIsNotTrusted(t *testing.T) {
+	for topo, workers := range recoveryTopologies(t) {
+		t.Run(topo, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableCfg(dir, nil)
+			cfg.BatchSize = 1 << 30
+			v, err := OpenView("cc", CC(), chain(3), cfg) // frame 1, snapshot 1
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mu := range []Mutation{InsertEdge(10, 11), InsertEdge(11, 3)} { // frames 2, 3
+				if err := v.Mutate(mu); err != nil {
+					t.Fatal(err)
+				}
+				if err := v.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v.Kill()
+			vdir := filepath.Join(dir, "cc")
+			copyFile(t, filepath.Join(vdir, snapshotName(3)), filepath.Join(vdir, snapshotName(1)))
+
+			cfg.Workers = workers
+			v2, err := OpenView("cc", CC(), nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v2.Close()
+			mustComp(t, v2, 11, 0)
+			if got := v2.Stats().RecoveredFrames; got != 2 {
+				t.Fatalf("replayed %d frames, want the 2 the real snapshot does not cover", got)
+			}
+		})
+	}
+}
+
+// TestRecoverWithoutSnapshot: a directory whose snapshots are all gone is
+// the snapshot at seq 0 — the whole log replays through the maintenance
+// path into an empty view. When the log cannot reach back to frame 1, or
+// is gone too, recovery fails rather than serving an emptier view.
+func TestRecoverWithoutSnapshot(t *testing.T) {
+	history := [][]Mutation{chain(4), {InsertEdge(10, 11), DeleteEdge(1, 2)}, {InsertEdge(11, 4)}}
+	want := solutionOf(t, CC(), history...)
+	for topo, workers := range recoveryTopologies(t) {
+		t.Run(topo, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableCfg(dir, nil)
+			cfg.BatchSize = 1 << 30
+			v, err := OpenView("cc", CC(), nil, cfg) // no frame: snapshot 0, log from frame 1
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, batch := range history {
+				if err := v.Mutate(batch...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v.Kill()
+			vdir := filepath.Join(dir, "cc")
+			if err := os.Remove(filepath.Join(vdir, snapshotName(0))); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg.Workers = workers
+			v2, err := OpenView("cc", CC(), nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := distrib.EncodeSolution(v2.Snapshot()); !bytes.Equal(got, want) {
+				t.Fatal("log-only recovery diverged from the oracle")
+			}
+			if got := v2.Stats().RecoveredFrames; got != int64(len(history)) {
+				t.Fatalf("replayed %d frames, want all %d", got, len(history))
+			}
+			v2.Kill() // the recovery snapshot rotated the log to frame 4
+
+			snaps, err := listSnapshots(vdir)
+			if err != nil || len(snaps) == 0 {
+				t.Fatalf("recovery left no snapshot: %v (%v)", snaps, err)
+			}
+			for _, s := range snaps {
+				if err := os.Truncate(filepath.Join(vdir, snapshotName(s)), 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := OpenView("cc", CC(), nil, cfg); err == nil {
+				t.Fatal("a rotated log without a readable snapshot recovered")
+			}
+			if err := os.Remove(filepath.Join(vdir, walFileName)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenView("cc", CC(), nil, cfg); err == nil {
+				t.Fatal("unreadable snapshots and no log recovered as an empty view")
+			}
+		})
+	}
+}
+
+// writeLegacyFile writes one checkpoint-format file the way the binaries
+// before the one-format rule did: a kind, a seq, and the given sections.
+func writeLegacyFile(t *testing.T, path, kind string, seq uint64, sections ...[]record.Record) {
+	t.Helper()
+	if err := iterative.WriteFileDurable(path, func(w io.Writer) error {
+		cw, err := iterative.NewCheckpointWriter(w, kind, seq)
+		if err != nil {
+			return err
+		}
+		for _, sec := range sections {
+			for _, r := range sec {
+				if err := cw.Append(r); err != nil {
+					return err
+				}
+			}
+			if err := cw.EndSection(); err != nil {
+				return err
+			}
+		}
+		return cw.Flush()
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverLegacySnapshotShapes: directories written before there was
+// one format — an in-process view's live: base without a hosts section,
+// and a sharded view's live-sharded: base with its shard sibling — still
+// open, on one host and on two, to the byte-identical solution.
+func TestRecoverLegacySnapshotShapes(t *testing.T) {
+	const seq, par = 7, 4
+	initial := append(chain(6), InsertEdge(10, 11), InsertEdge(11, 12), AddVertex(40))
+	gs := NewGraphState()
+	for _, mu := range initial {
+		gs.Apply(mu)
+	}
+	var verts, edges []record.Record
+	for _, vid := range gs.Vertices() {
+		verts = append(verts, record.Record{A: vid})
+	}
+	for _, e := range gs.edges {
+		edges = append(edges, record.Record{A: e.Src, B: e.Dst, X: e.Weight})
+	}
+	mem, err := NewView("mem", CC(), initial, ViewConfig{Config: iterative.Config{Parallelism: par}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol := mem.Snapshot()
+	mem.Close()
+	want := distrib.EncodeSolution(sol)
+	// The split a 2-host writer would have produced.
+	place := runtime.ContiguousPlacement(par, 2)
+	hosted := make([][]record.Record, 2)
+	for _, r := range sol {
+		h := place[record.PartitionOf(r.A, par)]
+		hosted[h] = append(hosted[h], r)
+	}
+	if len(hosted[0]) == 0 || len(hosted[1]) == 0 {
+		t.Fatalf("fixture does not split: %d / %d records", len(hosted[0]), len(hosted[1]))
+	}
+
+	shapes := map[string]func(vdir string){
+		"plain": func(vdir string) {
+			writeLegacyFile(t, filepath.Join(vdir, snapshotName(seq)), "live:cc", seq, verts, edges, sol)
+		},
+		"sharded": func(vdir string) {
+			writeLegacyFile(t, filepath.Join(vdir, shardSnapshotName(seq, 1)), "live-shard:cc", seq, hosted[1])
+			writeLegacyFile(t, filepath.Join(vdir, snapshotName(seq)), "live-sharded:cc", seq,
+				verts, edges, hosted[0], []record.Record{{A: 2}})
+		},
+	}
+	for topo, workers := range recoveryTopologies(t) {
+		for shape, write := range shapes {
+			t.Run(shape+"-on-"+topo, func(t *testing.T) {
+				dir := t.TempDir()
+				vdir := filepath.Join(dir, "old")
+				if err := os.MkdirAll(vdir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				write(vdir)
+				w, err := createWAL(filepath.Join(vdir, walFileName), seq) // rotated behind the snapshot
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.Close()
+
+				cfg := durableCfg(dir, nil)
+				cfg.Parallelism = par
+				cfg.Workers = workers
+				v, err := OpenView("old", CC(), nil, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer v.Close()
+				if got := distrib.EncodeSolution(v.Snapshot()); !bytes.Equal(got, want) {
+					t.Fatal("legacy directory recovered to a different solution")
+				}
+				if st := v.Stats(); st.RecoveredFrames != 0 || st.Edges != gs.NumEdges() || st.Vertices != gs.NumVertices() {
+					t.Fatalf("recovered %d frames, %d vertices, %d edges; want 0, %d, %d",
+						st.RecoveredFrames, st.Vertices, st.Edges, gs.NumVertices(), gs.NumEdges())
+				}
+				// And the recovered view keeps maintaining.
+				if err := v.Mutate(InsertEdge(12, 0)); err != nil {
+					t.Fatal(err)
+				}
+				if err := v.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				mustComp(t, v, 10, 0)
+			})
+		}
+	}
+}
+
+// snapshotFamilyFixture is the directory FuzzSnapshotFamily damages: a
+// 2-host CC view killed with two snapshot families on disk (seqs 1 and 2,
+// each a base file plus a .shard1 sibling) and a log that still reaches
+// back to frame 2 — so whichever family recovery ends up reading, replay
+// must arrive at the same final state.
+var snapshotFamilyFixture struct {
+	once    sync.Once
+	files   map[string][]byte
+	want    []byte
+	workers []string
+}
+
+func buildSnapshotFamilyFixture(t *testing.T) {
+	fx := &snapshotFamilyFixture
+	history := [][]Mutation{ringEdges(24), {DeleteEdge(3, 4), InsertEdge(40, 41)}, {DeleteEdge(15, 16), InsertEdge(41, 5)}}
+	fx.want = solutionOf(t, CC(), history...)
+	// Not startWorkers: this worker must outlive the fuzz iteration that
+	// happened to build the fixture.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go distrib.ServeWorkerWith(ln, distrib.ServeWorkerOpts{Views: NewWorkerHost(nil)})
+	fx.workers = []string{ln.Addr().String()}
+	dir, err := os.MkdirTemp("", "snapshot-family-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	cfg := durableCfg(dir, nil)
+	cfg.BatchSize = 1 << 30
+	cfg.Workers = fx.workers
+	v, err := OpenView("fam", CC(), history[0], cfg) // frame 1, family 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Mutate(history[1]...); err != nil { // frame 2
+		t.Fatal(err)
+	}
+	if err := v.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Mutate(history[2]...); err != nil { // frame 3 stays pending: the checkpoint cannot rotate the log
+		t.Fatal(err)
+	}
+	if err := v.Checkpoint(); err != nil { // family 2
+		t.Fatal(err)
+	}
+	v.Kill()
+	entries, err := os.ReadDir(filepath.Join(dir, "fam"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.files = map[string][]byte{}
+	for _, e := range entries {
+		if fx.files[e.Name()], err = os.ReadFile(filepath.Join(dir, "fam", e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{snapshotName(1), shardSnapshotName(1, 1), snapshotName(2), shardSnapshotName(2, 1), walFileName} {
+		if len(fx.files[name]) == 0 {
+			t.Fatalf("fixture is missing %s (has %d files)", name, len(fx.files))
+		}
+	}
+}
+
+// FuzzSnapshotFamily damages the snapshot files of a 2-host family —
+// truncation, a flipped bit, a dropped file, up to three times over — and
+// recovers the directory on one host (spilling under a tiny budget) or on
+// two. Recovery may fall back to the older family or fail; it must never
+// panic, never hand out a solution other than the one the full history
+// converges to, and never leave a goroutine or a spill file behind.
+func FuzzSnapshotFamily(f *testing.F) {
+	f.Add([]byte{})                                  // undamaged
+	f.Add([]byte{2, 2, 0, 0, 0})                     // newest base dropped
+	f.Add([]byte{3, 2, 0, 0, 0})                     // newest shard dropped
+	f.Add([]byte{2, 0, 0, 40, 0, 0, 1, 0, 9, 1})     // newest base torn, oldest base bit-flipped
+	f.Add([]byte{2, 2, 0, 0, 0, 0, 2, 0, 0, 0})      // both bases dropped: nothing lists
+	f.Add([]byte{3, 1, 3, 33, 1, 1, 0, 0, 20, 0, 1}) // on two hosts
+	for cut := 0; cut < 64; cut++ {                  // a tear at every offset near the newest base's tail, the section boundaries among them
+		f.Add([]byte{2, 0, 0, byte(cut), 0xff})
+	}
+	f.Fuzz(func(t *testing.T, damage []byte) {
+		fx := &snapshotFamilyFixture
+		fx.once.Do(func() { buildSnapshotFamilyFixture(t) })
+		if fx.files == nil {
+			t.Skip("fixture failed to build")
+		}
+		t.Setenv("TMPDIR", t.TempDir())
+		dir := t.TempDir()
+		vdir := filepath.Join(dir, "fam")
+		if err := os.MkdirAll(vdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, raw := range fx.files {
+			if err := os.WriteFile(filepath.Join(vdir, name), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		targets := []string{snapshotName(1), shardSnapshotName(1, 1), snapshotName(2), shardSnapshotName(2, 1)}
+		twoHosts := len(damage)%5 == 1
+		for n := 0; len(damage) >= 5 && n < 3; n, damage = n+1, damage[5:] {
+			path := filepath.Join(vdir, targets[int(damage[0])%len(targets)])
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				continue // dropped by an earlier round
+			}
+			pos := int(damage[2])<<8 | int(damage[3])
+			if damage[4] == 0xff { // count from the tail
+				pos = len(raw) - 1 - pos
+			}
+			pos = ((pos % len(raw)) + len(raw)) % len(raw)
+			switch damage[1] % 3 {
+			case 0:
+				err = os.Truncate(path, int64(pos))
+			case 1:
+				raw[pos] ^= 1 << (damage[4] % 8)
+				err = os.WriteFile(path, raw, 0o644)
+			case 2:
+				err = os.Remove(path)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		baseline := goruntime.NumGoroutine()
+		cfg := durableCfg(dir, nil)
+		cfg.BatchSize = 1 << 30
+		if twoHosts {
+			cfg.Workers = fx.workers
+		} else {
+			cfg.SolutionBackend = runtime.SolutionSpill
+			cfg.SolutionMemoryBudget = 64
+		}
+		v, err := OpenView("fam", CC(), nil, cfg)
+		if err == nil {
+			got := distrib.EncodeSolution(v.Snapshot())
+			v.Kill()
+			if !bytes.Equal(got, fx.want) {
+				t.Fatalf("recovery served %d bytes of solution, the history converges to %d", len(got), len(fx.want))
+			}
+		}
+		waitForGoroutines(t, baseline, "damaged recovery")
+		if left := spillFiles(t); len(left) != 0 {
+			t.Fatalf("spill files left behind: %v", left)
+		}
+	})
+}

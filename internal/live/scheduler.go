@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/obs"
 	"repro/internal/record"
@@ -250,7 +251,7 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 		return nil, err
 	}
 	if vcfg.Durable {
-		if err := saveViewMeta(filepath.Join(vcfg.DataDir, name), m, vcfg); err != nil {
+		if err := saveRecipe(filepath.Join(vcfg.DataDir, name), m, vcfg); err != nil {
 			s.drop(name)
 			v.Kill()
 			os.RemoveAll(filepath.Join(vcfg.DataDir, name))
@@ -277,32 +278,85 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 	return v, nil
 }
 
-// viewMeta is the durable recipe for rebuilding a view's maintainer and
-// config on recovery, stored as meta.json next to the view's log.
-type viewMeta struct {
+// recipe is the one spelling of what it takes to rebuild a view somewhere
+// else: the maintainer's identity and the per-view knobs. It is meta.json
+// beside a durable view's log (Recover reads it back), the identity half of
+// a view_open spec (shardSpec embeds it), and what the fields of a
+// CreateRequest amount to.
+type recipe struct {
 	Algorithm            string `json:"algorithm"`
 	Source               int64  `json:"source,omitempty"`
 	Parallelism          int    `json:"parallelism,omitempty"`
 	BatchSize            int    `json:"batch_size,omitempty"`
 	FlushIntervalMS      int64  `json:"flush_interval_ms,omitempty"`
 	SolutionMemoryBudget int64  `json:"solution_memory_budget,omitempty"`
+	// Job makes the session a one-shot job: every host derives the spec
+	// from it (distrib.BuildSpec) instead of from a shipped graph.
+	Job *distrib.JobSpec `json:"job,omitempty"`
 }
 
-const metaFileName = "meta.json"
-
-func saveViewMeta(dir string, m Maintainer, cfg ViewConfig) error {
-	meta := viewMeta{
+// recipeOf is the recipe of a view built from (m, cfg). Only the built-in
+// maintainers have one.
+func recipeOf(m Maintainer, cfg ViewConfig) (recipe, error) {
+	r := recipe{
 		Algorithm:            m.Name(),
 		Parallelism:          cfg.Parallelism,
 		BatchSize:            cfg.BatchSize,
 		FlushIntervalMS:      cfg.FlushInterval.Milliseconds(),
 		SolutionMemoryBudget: cfg.SolutionMemoryBudget,
 	}
-	if src, ok := m.(interface{ Source() int64 }); ok {
-		meta.Source = src.Source()
+	switch m := m.(type) {
+	case ccMaintainer:
+	case ssspMaintainer:
+		r.Source = m.source
+	case jobMaintainer:
+		r.Job = &m.js
+	default:
+		return recipe{}, fmt.Errorf("live: maintainer %q (%T) has no recipe: it can neither shard nor recover", m.Name(), m)
+	}
+	return r, nil
+}
+
+// maintainer rebuilds the Maintainer the recipe names. "auto" and the empty
+// name are aliases of "cc", kept because deployed clients send them.
+func (r recipe) maintainer() (Maintainer, error) {
+	switch {
+	case r.Job != nil:
+		return newJobMaintainer(*r.Job)
+	case r.Algorithm == "cc", r.Algorithm == "auto", r.Algorithm == "":
+		return CC(), nil
+	case r.Algorithm == "sssp":
+		return SSSP(r.Source), nil
+	}
+	return nil, fmt.Errorf("live: unknown algorithm %q", r.Algorithm)
+}
+
+// applyTo overrides cfg with the knobs the recipe sets (non-zero ones).
+func (r recipe) applyTo(cfg ViewConfig) ViewConfig {
+	if r.Parallelism != 0 {
+		cfg.Parallelism = r.Parallelism
+	}
+	if r.BatchSize != 0 {
+		cfg.BatchSize = r.BatchSize
+	}
+	if r.FlushIntervalMS != 0 {
+		cfg.FlushInterval = time.Duration(r.FlushIntervalMS) * time.Millisecond
+	}
+	if r.SolutionMemoryBudget != 0 {
+		cfg.SolutionMemoryBudget = r.SolutionMemoryBudget
+	}
+	return cfg
+}
+
+const metaFileName = "meta.json"
+
+func saveRecipe(dir string, m Maintainer, cfg ViewConfig) error {
+	r, err := recipeOf(m, cfg)
+	if err != nil {
+		return err
 	}
 	return iterative.WriteFileDurable(filepath.Join(dir, metaFileName), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(meta)
+		return json.NewEncoder(w).Encode(r)
 	})
 }
 
@@ -343,34 +397,17 @@ func (s *Scheduler) Recover() (int, error) {
 			}
 			return n, err
 		}
-		var meta viewMeta
+		var meta recipe
 		if err := json.Unmarshal(raw, &meta); err != nil {
 			return n, fmt.Errorf("live: view %q meta: %w", name, err)
 		}
-		var m Maintainer
-		switch meta.Algorithm {
-		case "cc":
-			m = CC()
-		case "sssp":
-			m = SSSP(meta.Source)
-		default:
-			return n, fmt.Errorf("live: view %q meta names unknown algorithm %q", name, meta.Algorithm)
+		m, err := meta.maintainer()
+		if err != nil {
+			return n, fmt.Errorf("live: view %q meta: %w", name, err)
 		}
-		cfg := s.cfg.DefaultView
+		cfg := meta.applyTo(s.cfg.DefaultView)
 		cfg.Durable = true
 		cfg.DataDir = s.cfg.DataDir
-		if meta.Parallelism != 0 {
-			cfg.Parallelism = meta.Parallelism
-		}
-		if meta.BatchSize != 0 {
-			cfg.BatchSize = meta.BatchSize
-		}
-		if meta.FlushIntervalMS != 0 {
-			cfg.FlushInterval = time.Duration(meta.FlushIntervalMS) * time.Millisecond
-		}
-		if meta.SolutionMemoryBudget != 0 {
-			cfg.SolutionMemoryBudget = meta.SolutionMemoryBudget
-		}
 
 		s.mu.Lock()
 		if _, dup := s.views[name]; dup {

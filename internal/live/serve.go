@@ -41,6 +41,12 @@ type CreateRequest struct {
 	SolutionMemoryBudget int64 `json:"solution_memory_budget"`
 }
 
+// recipe is the view recipe the request spells out.
+func (r CreateRequest) recipe() recipe {
+	return recipe{Algorithm: r.Algorithm, Source: r.Source, Parallelism: r.Parallelism, BatchSize: r.BatchSize,
+		FlushIntervalMS: int64(r.FlushIntervalMS), SolutionMemoryBudget: r.SolutionMemoryBudget}
+}
+
 // EdgeJSON is one edge on the wire.
 type EdgeJSON struct {
 	Src    int64   `json:"src"`
@@ -131,33 +137,17 @@ func (s *Scheduler) Handler() http.Handler {
 		if !s.decodeBody(w, r, &req) {
 			return
 		}
-		var m Maintainer
-		switch req.Algorithm {
-		case "cc", "auto", "":
-			m = CC()
-		case "sssp":
-			m = SSSP(req.Source)
-		default:
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("live: unknown algorithm %q", req.Algorithm))
+		rcp := req.recipe()
+		m, err := rcp.maintainer()
+		if err != nil {
+			s.writeErr(w, http.StatusBadRequest, err)
 			return
 		}
 		initial := make([]Mutation, len(req.Edges))
 		for i, e := range req.Edges {
 			initial[i] = InsertWeightedEdge(e.Src, e.Dst, e.Weight)
 		}
-		cfg := s.cfg.DefaultView
-		if req.Parallelism != 0 {
-			cfg.Parallelism = req.Parallelism
-		}
-		if req.BatchSize != 0 {
-			cfg.BatchSize = req.BatchSize
-		}
-		if req.FlushIntervalMS != 0 {
-			cfg.FlushInterval = time.Duration(req.FlushIntervalMS) * time.Millisecond
-		}
-		if req.SolutionMemoryBudget != 0 {
-			cfg.SolutionMemoryBudget = req.SolutionMemoryBudget
-		}
+		cfg := rcp.applyTo(s.cfg.DefaultView)
 		v, err := s.Create(req.Name, m, initial, &cfg)
 		if err != nil {
 			code := http.StatusBadRequest

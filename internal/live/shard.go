@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -27,26 +28,6 @@ type ShardStat struct {
 	// backend accounts bytes for the set as a whole.
 	Records int   `json:"records"`
 	Bytes   int64 `json:"bytes"`
-}
-
-// wireIdentity maps a Maintainer to the shardSpec fields a worker rebuilds
-// it from (maintainerFor). Only the built-in maintainers can cross the
-// wire.
-func wireIdentity(m Maintainer) (shardSpec, error) {
-	if j, ok := m.(jobMaintainer); ok {
-		return shardSpec{Job: &j.js}, nil
-	}
-	switch m.Name() {
-	case "cc":
-		return shardSpec{Algorithm: "cc"}, nil
-	case "sssp":
-		src, ok := m.(interface{ Source() int64 })
-		if !ok {
-			return shardSpec{}, fmt.Errorf("live: sssp maintainer %T has no source", m)
-		}
-		return shardSpec{Algorithm: "sssp", Source: src.Source()}, nil
-	}
-	return shardSpec{}, fmt.Errorf("live: maintainer %q cannot shard (not wire-identifiable)", m.Name())
 }
 
 // shardConn is one coordinator→worker control connection. Its own lock
@@ -122,21 +103,21 @@ type session struct {
 	stepStart time.Time
 }
 
-// openSession builds the view's session over its current graph. A non-nil
-// recovered solution initializes every host's replica set from it (hosted
-// partitions become authoritative); otherwise the cold fixpoint runs
-// before the session is handed out, and its run is returned (nil when
-// there was nothing to drive).
-func openSession(v *LiveView, recovered []record.Record) (*session, *iterative.IncrementalResult, error) {
+// openSession builds the view's session over its current graph. Normally
+// the cold fixpoint runs before the session is handed out, and its run is
+// returned (nil when there was nothing to drive). A recovering session
+// opens with an empty solution on every host instead: the caller streams a
+// snapshot into it through Load.
+func openSession(v *LiveView, recovering bool) (*session, *iterative.IncrementalResult, error) {
 	cfg := v.cfg.Config
 	cfg.Hosts, cfg.Host = 1+len(v.cfg.Workers), 0
-	core, w0, err := newShardCore(v.m, cfg, v.gs, recovered, &v.stats)
+	core, w0, err := newShardCore(v.m, cfg, v.gs, recovering, &v.stats)
 	if err != nil {
 		return nil, nil, err
 	}
 	s := &session{v: v, core: core}
 	if len(v.cfg.Workers) > 0 {
-		err = s.enlistWorkers(cfg, recovered)
+		err = s.enlistWorkers(cfg, recovering)
 	}
 	var cold *iterative.IncrementalResult
 	if err == nil && len(w0) > 0 {
@@ -151,29 +132,29 @@ func openSession(v *LiveView, recovered []record.Record) (*session, *iterative.I
 }
 
 // enlistWorkers dials every worker (bounded-backoff — they may still be
-// starting), opens the remote session shares with the full graph dump,
-// cross-checks the plan digests, and connects the data-plane mesh.
-func (s *session) enlistWorkers(cfg iterative.Config, recovered []record.Record) error {
+// starting), opens the remote session shares with the graph in the
+// snapshot's own encoding, cross-checks the plan digests, and connects the
+// data-plane mesh.
+func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 	v := s.v
-	spec, err := wireIdentity(v.m)
+	r, err := recipeOf(v.m, v.cfg)
 	if err != nil {
 		return err
 	}
-	spec.Name = v.name
-	spec.Parallelism, spec.Hosts, spec.BatchSize = cfg.Parallelism, cfg.Hosts, cfg.BatchSize
-	spec.Backend = string(cfg.SolutionBackend)
-	spec.SolutionMemoryBudget = cfg.SolutionMemoryBudget
-	spec.Planner = int(cfg.Planner)
-	spec.DisableFusion = cfg.DisableFusion
-	spec.WireCompression = cfg.WireCompression
-	spec.TraceID, spec.TraceLabel = uint64(cfg.TraceID), cfg.TraceLabel
+	spec := shardSpec{
+		recipe: r, Name: v.name, Hosts: cfg.Hosts, ExchangeBatch: cfg.BatchSize,
+		Backend: string(cfg.SolutionBackend), Planner: int(cfg.Planner),
+		DisableFusion: cfg.DisableFusion, WireCompression: cfg.WireCompression,
+		TraceID: uint64(cfg.TraceID), TraceLabel: cfg.TraceLabel,
+	}
 	if cfg.Obs != nil {
 		s.rtt = cfg.Obs.Histogram("distrib_step_rtt")
 	}
-	graph := dumpGraph(v.gs)
-	var sol []byte
-	if recovered != nil {
-		sol = record.AppendFrame(nil, recovered)
+	var graph bytes.Buffer
+	if err := writeCheckpoint(&graph, snapshotKindPrefix+v.m.Name(), 0, func(cw *iterative.CheckpointWriter) error {
+		return writeGraph(cw, v.gs)
+	}); err != nil {
+		return err
 	}
 	dataAddrs := []string{s.core.dataAddr}
 	for i, waddr := range v.cfg.Workers {
@@ -184,7 +165,7 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovered []record.Record)
 		c := &shardConn{conn: conn, dec: json.NewDecoder(conn), enc: json.NewEncoder(conn)}
 		s.conns = append(s.conns, c)
 		ready, err := c.call(shardMsg{
-			Kind: viewOpen, Spec: &spec, HostID: i + 1, Frames: graph, Sol: sol,
+			Kind: viewOpen, Spec: &spec, HostID: i + 1, Frames: graph.Bytes(), Full: !recovering,
 		}, viewReady)
 		if err == nil {
 			err = s.sameDigest(i+1, ready)
@@ -198,6 +179,18 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovered []record.Record)
 	// workers mesh while the coordinator connects.
 	return s.round("mesh", all(shardMsg{Kind: viewStart, DataAddrs: dataAddrs}), viewMeshed,
 		func() error { return s.core.tr.ConnectPeers(dataAddrs, distrib.MeshTimeout) }, nil)
+}
+
+// Load streams one frame of a recovered solution into the session: every
+// host keeps a full replica set, so every host absorbs every frame (the
+// partitions it hosts become authoritative). Frames arrive one at a time
+// from the snapshot reader; nothing accumulates outside the sets.
+func (s *session) Load(b record.Batch) error {
+	return s.round("load", all(shardMsg{Kind: viewLoad, Frames: s.wire(b)}), viewLoaded,
+		func() error {
+			s.core.sol.Init(b)
+			return nil
+		}, nil)
 }
 
 // round is one control fan-out: req goes to every worker, local runs on
@@ -444,7 +437,13 @@ func (s *session) repair() (full bool, err error) {
 		}
 		var known []record.Record
 		for _, k := range [2]int64{e.Src, e.Dst} {
-			if r, ok := s.Lookup(k); ok {
+			// A removal scoped without an endpoint's record would bound the
+			// wrong region: an owner that cannot answer fails the flush.
+			r, ok, err := s.Lookup(k)
+			if err != nil {
+				return false, err
+			}
+			if ok {
 				known = append(known, r)
 			}
 		}
@@ -468,7 +467,11 @@ func (s *session) repair() (full bool, err error) {
 	size := 0
 	for _, d := range c.dropVerts {
 		delete(affected, d)
-		if _, ok := s.Lookup(d); ok {
+		_, ok, err := s.Lookup(d)
+		if err != nil {
+			return false, err
+		}
+		if ok {
 			size--
 		}
 	}
@@ -514,21 +517,26 @@ func recordKeys(recs []record.Record) []int64 {
 }
 
 // Lookup returns the converged solution record for key k, asking the host
-// that owns its partition.
-func (s *session) Lookup(k int64) (record.Record, bool) {
+// that owns its partition. A host that cannot answer is an error, never a
+// miss.
+func (s *session) Lookup(k int64) (record.Record, bool, error) {
 	host := s.core.place[s.core.sol.PartitionFor(k)]
 	if host == 0 {
-		return s.core.lookup(k)
+		r, ok := s.core.lookup(k)
+		return r, ok, nil
 	}
 	reply, err := s.conns[host-1].call(shardMsg{Kind: viewQuery, Key: k}, viewValue)
-	if err != nil || !reply.Found {
-		return record.Record{}, false
+	var recs []record.Record
+	if err == nil {
+		recs, err = unpackRecords(reply.Frames)
 	}
-	recs, err := framesToRecords(reply.Frames)
-	if err != nil || len(recs) != 1 {
-		return record.Record{}, false
+	if err != nil {
+		return record.Record{}, false, fmt.Errorf("live: query key %d host %d: %w", k, host, err)
 	}
-	return recs[0], true
+	if len(recs) == 0 {
+		return record.Record{}, false, nil
+	}
+	return recs[0], true, nil
 }
 
 // Snapshot copies the converged solution out in canonical order: the
@@ -595,7 +603,7 @@ func (s *session) RemoteShards() ([][]record.Record, error) {
 		reply, err := c.call(shardMsg{Kind: viewCollect}, viewSolution)
 		if err == nil {
 			s.foldSpans(reply)
-			out[i], err = framesToRecords(reply.Frames)
+			out[i], err = unpackRecords(reply.Frames)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("live: collect host %d: %w", i+1, err)

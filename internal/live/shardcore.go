@@ -1,18 +1,14 @@
 package live
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
 
 	"repro/internal/dataflow"
-	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -50,10 +46,12 @@ import (
 // The session control verbs — the only messages a worker control
 // connection carries, for live views and one-shot jobs (job.go) alike.
 const (
-	viewOpen      = "view_open"      // coordinator → worker: spec + graph dump (+ solution on recovery)
+	viewOpen      = "view_open"      // coordinator → worker: spec + graph (the snapshot's two checkpoint sections); Full = start cold from S0/W0, unset = recovering, view_load frames follow
 	viewReady     = "view_ready"     // worker → coordinator: data addr + plan digest
 	viewStart     = "view_start"     // coordinator → worker: all data addrs; mesh now
 	viewMeshed    = "view_meshed"    // worker → coordinator: mesh is up, fixpoint open
+	viewLoad      = "view_load"      // coordinator → worker: one frame of a recovered solution; Init it
+	viewLoaded    = "view_loaded"    // worker → coordinator: frame absorbed
 	viewApply     = "view_apply"     // coordinator → worker: one mutation batch
 	viewApplied   = "view_applied"   // worker → coordinator: Count removed edges, Full = something was removed, plan digest
 	viewImpact    = "view_impact"    // coordinator → worker: scope removal Round of the batch, given its endpoints' records
@@ -69,9 +67,9 @@ const (
 	viewEpoch     = "view_epoch"     // coordinator → worker: plan swap — re-plan for global workset Count, become Epoch
 	viewEpochDone = "view_epoched"   // worker → coordinator: the re-planned digest
 	viewQuery     = "view_query"     // coordinator → worker: lookup Key in a hosted partition
-	viewValue     = "view_value"     // worker → coordinator: Found + the record
+	viewValue     = "view_value"     // worker → coordinator: the record, or none
 	viewCollect   = "view_collect"   // coordinator → worker: ship hosted partitions (+ spans)
-	viewSolution  = "view_solution"  // worker → coordinator: hosted partition frames
+	viewSolution  = "view_solution"  // worker → coordinator: the hosted partitions' records
 	viewStats     = "view_stats"     // coordinator → worker: report hosted occupancy
 	viewStatted   = "view_statted"   // worker → coordinator: Count records / Bytes resident
 	viewClose     = "view_close"     // coordinator → worker: end the session
@@ -80,24 +78,19 @@ const (
 )
 
 // shardSpec is everything a worker needs to build its identical share of
-// the session: the maintainer, the topology, and the execution config.
+// the session: the view's recipe (maintainer, parallelism, solution
+// budget), the topology, and the rest of the execution config.
 type shardSpec struct {
-	Name                 string `json:"name"`
-	Algorithm            string `json:"algorithm"`
-	Source               int64  `json:"source,omitempty"`
-	Parallelism          int    `json:"parallelism"`
-	Hosts                int    `json:"hosts"`
-	BatchSize            int    `json:"batch_size,omitempty"`
-	Backend              string `json:"backend,omitempty"`
-	SolutionMemoryBudget int64  `json:"solution_memory_budget,omitempty"`
-	Planner              int    `json:"planner,omitempty"`
-	DisableFusion        bool   `json:"disable_fusion,omitempty"`
-	WireCompression      bool   `json:"wire_compression,omitempty"`
-	TraceID              uint64 `json:"trace_id,omitempty"`
-	TraceLabel           string `json:"trace_label,omitempty"`
-	// Job makes the session a one-shot job: every host derives the spec
-	// from it (distrib.BuildSpec) instead of from a shipped graph.
-	Job *distrib.JobSpec `json:"job,omitempty"`
+	recipe
+	Name            string `json:"name"`
+	Hosts           int    `json:"hosts"`
+	ExchangeBatch   int    `json:"exchange_batch,omitempty"`
+	Backend         string `json:"backend,omitempty"`
+	Planner         int    `json:"planner,omitempty"`
+	DisableFusion   bool   `json:"disable_fusion,omitempty"`
+	WireCompression bool   `json:"wire_compression,omitempty"`
+	TraceID         uint64 `json:"trace_id,omitempty"`
+	TraceLabel      string `json:"trace_label,omitempty"`
 }
 
 // shardMsg is the one wire shape of every control message (a line of
@@ -113,36 +106,21 @@ type shardMsg struct {
 	Round     int        `json:"round,omitempty"`
 	Epoch     int        `json:"epoch,omitempty"`
 	Full      bool       `json:"full,omitempty"`
-	Found     bool       `json:"found,omitempty"`
 	Key       int64      `json:"key,omitempty"`
 	Bytes     int64      `json:"bytes,omitempty"`
 	Frames    []byte     `json:"frames,omitempty"`
-	Sol       []byte     `json:"sol,omitempty"`
 	Spans     []obs.Span `json:"spans,omitempty"`
 	Err       string     `json:"err,omitempty"`
 }
 
-// maintainerFor rebuilds a Maintainer from its wire identity.
-func maintainerFor(ss shardSpec) (Maintainer, error) {
-	switch {
-	case ss.Job != nil:
-		return newJobMaintainer(*ss.Job)
-	case ss.Algorithm == "cc":
-		return CC(), nil
-	case ss.Algorithm == "sssp":
-		return SSSP(ss.Source), nil
-	}
-	return nil, fmt.Errorf("live: unknown sharded algorithm %q", ss.Algorithm)
-}
+// --- record codec --------------------------------------------------------
 
-// --- frame codecs --------------------------------------------------------
-
-// packRecords is the compact wire form for transient control-plane
-// payloads (mutation batches, candidate worksets): a flags byte plus
-// varint fields, skipping zero B/X/Tag — a quarter of the framed record
-// encoding, which matters because these payloads dominate what a sharded
-// flush ships. Durable payloads (graph dumps, solution shards) stay on
-// the CRC-framed codec the WAL and snapshots share.
+// packRecords is the wire form of every record payload on the control
+// plane (mutation batches, candidate worksets, solution records in either
+// direction): a flags byte plus varint fields, skipping zero B/X/Tag — a
+// quarter of the framed record encoding, which matters because these
+// payloads dominate what a sharded flush ships. Only the graph travels
+// CRC-framed, as the checkpoint sections a snapshot stores it in.
 func packRecords(recs []record.Record) []byte {
 	out := make([]byte, 0, 8*len(recs)+binary.MaxVarintLen64)
 	out = binary.AppendUvarint(out, uint64(len(recs)))
@@ -226,63 +204,6 @@ func unpackRecords(p []byte) ([]record.Record, error) {
 	return out, nil
 }
 
-// framesToRecords decodes concatenated record frames into a flat slice.
-func framesToRecords(frames []byte) ([]record.Record, error) {
-	fr := record.NewFrameReader(bytes.NewReader(frames))
-	var out []record.Record
-	for {
-		b, err := fr.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("live: shard payload: %w", err)
-		}
-		out = append(out, b...)
-	}
-}
-
-// dumpGraph serializes the graph replica: one vertices frame plus one
-// edges frame *in edge-slice order*. Replicas rebuild by replaying
-// AddVertex/AddEdge in this order and then apply every later mutation
-// batch in arrival order, so their internal edge slices — and therefore
-// the specs derived from them — stay identical to the coordinator's.
-func dumpGraph(gs *GraphState) []byte {
-	verts := make(record.Batch, 0, gs.NumVertices())
-	for _, v := range gs.Vertices() {
-		verts = append(verts, record.Record{A: v})
-	}
-	out := record.AppendFrame(nil, verts)
-	edges := make(record.Batch, 0, len(gs.edges))
-	for _, e := range gs.edges {
-		edges = append(edges, record.Record{A: e.Src, B: e.Dst, X: e.Weight})
-	}
-	return record.AppendFrame(out, edges)
-}
-
-// loadGraph rebuilds a graph replica from dumpGraph frames.
-func loadGraph(frames []byte) (*GraphState, error) {
-	fr := record.NewFrameReader(bytes.NewReader(frames))
-	verts, err := fr.Next()
-	if err != nil {
-		return nil, fmt.Errorf("live: graph dump vertices: %w", err)
-	}
-	edges, err := fr.Next()
-	if err != nil {
-		return nil, fmt.Errorf("live: graph dump edges: %w", err)
-	}
-	gs := NewGraphState()
-	for _, r := range verts {
-		gs.AddVertex(r.A)
-	}
-	for _, r := range edges {
-		gs.AddVertex(r.A)
-		gs.AddVertex(r.B)
-		gs.AddEdge(r.A, r.B, r.X)
-	}
-	return gs, nil
-}
-
 // --- per-host session core ----------------------------------------------
 
 // overlayFoldFactor bounds the unfolded edge overlay: it folds into the
@@ -352,7 +273,7 @@ type shardCore struct {
 func specFor(ss shardSpec, hostID int, reg *obs.Registry, mtr *metrics.Counters) iterative.Config {
 	cfg := iterative.Config{
 		Parallelism:          ss.Parallelism,
-		BatchSize:            ss.BatchSize,
+		BatchSize:            ss.ExchangeBatch,
 		Hosts:                ss.Hosts,
 		Host:                 hostID,
 		Metrics:              mtr,
@@ -372,14 +293,15 @@ func specFor(ss shardSpec, hostID int, reg *obs.Registry, mtr *metrics.Counters)
 }
 
 // newShardCore builds host cfg.Host's share of a cfg.Hosts-wide session
-// over gs: spec and plan, the solution set (initialized from `recovered`
-// when non-nil, S0 otherwise), the resident fixpoint, and — with more than
-// one host — the transport, listening on an ephemeral port but not yet
-// connected (that waits until every data addr is known). The returned
-// workset is the cold W0 the coordinator must drive (nil on recovery, and
-// on workers, which seed their share themselves).
+// over gs: spec and plan, the solution set, the resident fixpoint, and —
+// with more than one host — the transport, listening on an ephemeral port
+// but not yet connected (that waits until every data addr is known). A
+// recovering core skips the cold run: its solution set stays empty for
+// session.Load to stream a snapshot into. Otherwise S0 is loaded and the
+// returned workset is the cold W0 the coordinator must drive (nil on
+// workers, which seed their share themselves).
 func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
-	recovered []record.Record, stats *ViewStats) (*shardCore, []record.Record, error) {
+	recovering bool, stats *ViewStats) (*shardCore, []record.Record, error) {
 	spec, s0, w0 := m.Spec(gs)
 	phys, err := iterative.PlanIncremental(spec, cfg, spec.ExpectedIterations)
 	if err != nil {
@@ -411,8 +333,7 @@ func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
 		return nil, nil, err
 	}
 	c.setSpec(spec)
-	if recovered != nil {
-		c.sol.Init(recovered)
+	if recovering {
 		return c, nil, nil
 	}
 	return c, c.cold(s0, w0), nil
@@ -829,19 +750,19 @@ func (c *shardCore) lookup(k int64) (record.Record, bool) {
 	return c.sol.Lookup(p, k)
 }
 
-// collect serializes the hosted partitions, one frame per partition in
-// ascending partition order, records sorted canonically within each.
+// collect serializes the hosted partitions in ascending partition order,
+// records sorted canonically within each.
 func (c *shardCore) collect() []byte {
-	var out []byte
+	var out []record.Record
 	for _, p := range c.hosted {
-		var b record.Batch
+		from := len(out)
 		c.sol.EachPartition(p, func(r record.Record) {
-			b = append(b, r)
+			out = append(out, r)
 		})
-		sort.Slice(b, func(x, y int) bool { return record.Less(b[x], b[y]) })
-		out = record.AppendFrame(out, b)
+		part := out[from:]
+		sort.Slice(part, func(x, y int) bool { return record.Less(part[x], part[y]) })
 	}
-	return out
+	return packRecords(out)
 }
 
 // hostedRecords counts the records in this host's partitions.

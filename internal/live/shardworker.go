@@ -1,11 +1,13 @@
 package live
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"slices"
 
 	"repro/internal/distrib"
+	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/record"
@@ -91,13 +93,16 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) {
 	var payload []record.Record
 	switch req.Kind {
-	case viewApply, viewImpact, viewReplan, viewSeed:
+	case viewLoad, viewApply, viewImpact, viewReplan, viewSeed:
 		var err error
 		if payload, err = unpackRecords(req.Frames); err != nil {
 			return shardMsg{}, err
 		}
 	}
 	switch req.Kind {
+	case viewLoad:
+		core.sol.Init(payload)
+		return shardMsg{Kind: viewLoaded}, nil
 	case viewApply:
 		muts, err := recordsToMutations(payload)
 		if err == nil {
@@ -141,12 +146,11 @@ func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) 
 		core.digest, core.epoch = phys.Fingerprint(), req.Epoch
 		return shardMsg{Kind: viewEpochDone, Digest: core.digest}, nil
 	case viewQuery:
-		reply := shardMsg{Kind: viewValue}
+		var hit []record.Record
 		if r, ok := core.lookup(req.Key); ok {
-			reply.Found = true
-			reply.Frames = record.AppendFrame(nil, record.Batch{r})
+			hit = append(hit, r)
 		}
-		return reply, nil
+		return shardMsg{Kind: viewValue, Frames: packRecords(hit)}, nil
 	case viewCollect:
 		var spans []obs.Span
 		if h.reg != nil && core.cfg.TraceID != 0 {
@@ -162,28 +166,27 @@ func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) 
 }
 
 // openCore builds this host's session share from the opening message:
-// maintainer, graph replica, config, and the listening shardCore with its
-// share of the cold workset seeded.
+// maintainer, graph replica, config, and the listening shardCore — with its
+// share of the cold workset seeded, or empty and awaiting view_load frames
+// when the coordinator is recovering.
 func (h *WorkerHost) openCore(msg shardMsg) (*shardCore, error) {
 	ss := *msg.Spec
-	m, err := maintainerFor(ss)
+	m, err := ss.maintainer()
 	if err != nil {
 		return nil, err
 	}
 	if msg.HostID <= 0 || msg.HostID >= ss.Hosts {
 		return nil, fmt.Errorf("live: worker host id %d outside 1..%d", msg.HostID, ss.Hosts-1)
 	}
-	gs, err := loadGraph(msg.Frames)
+	cr, err := iterative.NewCheckpointReader(bytes.NewReader(msg.Frames))
 	if err != nil {
 		return nil, err
 	}
-	var recovered []record.Record
-	if msg.Sol != nil {
-		if recovered, err = framesToRecords(msg.Sol); err != nil {
-			return nil, err
-		}
+	gs, err := readGraph(cr)
+	if err != nil {
+		return nil, err
 	}
 	cfg := specFor(ss, msg.HostID, h.reg, &metrics.Counters{})
-	core, _, err := newShardCore(m, cfg, gs, recovered, &ViewStats{})
+	core, _, err := newShardCore(m, cfg, gs, !msg.Full, &ViewStats{})
 	return core, err
 }

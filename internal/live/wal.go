@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,16 +32,28 @@ import (
 //     solution set are written through the iterative.CheckpointWriter,
 //     partition by partition via runtime.SolutionSet.EachPartition — a
 //     snapshot never materializes the full solution in memory;
-//   - recovery on OpenView: the latest valid snapshot is loaded (falling
-//     back to the previous one if the newest is unreadable), the WAL tail
-//     beyond it is replayed through the ordinary maintenance path, torn
-//     tails are truncated at the last valid frame, and the log is rotated
-//     behind a fresh snapshot.
+//   - recovery on OpenView: the latest valid snapshot is streamed into a
+//     freshly opened session (falling back to the previous one if the
+//     newest is unreadable), the WAL tail beyond it is replayed through the
+//     ordinary maintenance path, torn tails are truncated at the last valid
+//     frame, and the log is rotated behind a fresh snapshot.
 //
 // On disk, a durable view owns DataDir/<name>/:
 //
-//	wal.log                  header (magic, version, baseSeq) + frames
-//	snapshot-<seq>.snap      checkpoint-format file covering WAL frames 1..seq
+//	wal.log                        header (magic, version, baseSeq) + frames
+//	snapshot-<seq>.snap            base file of the snapshot covering WAL frames 1..seq
+//	snapshot-<seq>.shard<h>.snap   host h's partitions of that snapshot (h = 1..hosts-1)
+//	meta.json                      the view's recipe, written by the Scheduler (scheduler.go)
+//
+// There is one snapshot format and one reader and writer for it, whatever
+// the view's topology. The base file (kind live:<algo>) holds four
+// sections — [vertices][edges][host-0 partitions][hosts] — and each other
+// host's partitions sit in a one-section .shard<h> sibling (kind
+// live-shard:<algo>). An in-process view is the hosts = 1 case: a base file
+// and no siblings. Shard files are written before the base, so a seq that
+// lists is a seq whose family is complete. Because the loader streams the
+// sections into whatever session the recovering config opens, a view may
+// come back on a different worker count than it was written with.
 //
 // Frame seq numbers are absolute and monotone across rotations: the log
 // header's baseSeq is the seq of the frame *preceding* the first frame in
@@ -55,16 +68,14 @@ const (
 
 	snapshotPrefix = "snapshot-"
 	snapshotSuffix = ".snap"
-	// snapshotKindPrefix tags snapshot files with the maintainer that
-	// wrote them, so recovery with the wrong algorithm fails loudly.
-	snapshotKindPrefix = "live:"
-	// Sharded views split a snapshot across files: the base file (kind
-	// live-sharded:) carries the graph, the coordinator-hosted partitions,
-	// and the host count; each worker's hosted partitions land in a
-	// .shard<h> sibling (kind live-shard:). The base file is written last,
-	// so a seq that lists is a seq whose shards are all on disk.
-	snapshotShardedKindPrefix = "live-sharded:"
-	snapshotShardKindPrefix   = "live-shard:"
+	// The kind prefixes tag snapshot files with the maintainer that wrote
+	// them, so recovery with the wrong algorithm fails loudly.
+	snapshotKindPrefix      = "live:"
+	snapshotShardKindPrefix = "live-shard:"
+	// snapshotLegacyShardedKindPrefix is read, never written: earlier
+	// binaries tagged the base file of a sharded view with it (and wrote an
+	// in-process view's live: base without the hosts section).
+	snapshotLegacyShardedKindPrefix = "live-sharded:"
 )
 
 var errWALClosed = errors.New("live: wal is closed")
@@ -196,12 +207,6 @@ func openWAL(path string, replay func(seq uint64, b record.Batch) error) (*wal, 
 	if err != nil {
 		return nil, err
 	}
-	return openScannedWAL(path, base, seq, size)
-}
-
-// openScannedWAL opens a log for appends using the bookkeeping an
-// earlier scanWAL already produced, skipping a second validation pass.
-func openScannedWAL(path string, base, seq uint64, size int64) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -309,15 +314,31 @@ func snapshotName(seq uint64) string {
 	return fmt.Sprintf("%s%020d%s", snapshotPrefix, seq, snapshotSuffix)
 }
 
-// shardSnapshotName names host h's partition file of the sharded snapshot
-// at seq. listSnapshots skips these (the embedded ".shard<h>" fails the
-// seq parse), so only complete base files name recovery points.
+// shardSnapshotName names host h's partition file of the snapshot at seq.
 func shardSnapshotName(seq uint64, host int) string {
 	return fmt.Sprintf("%s%020d.shard%d%s", snapshotPrefix, seq, host, snapshotSuffix)
 }
 
-// listSnapshots returns the seqs of the directory's snapshot files in
-// descending order (newest first).
+// parseSnapshotName inverts the two namers: the seq a snapshot file covers
+// and the host whose partitions it holds (0 for the base file).
+func parseSnapshotName(name string) (seq uint64, host int, ok bool) {
+	body, isSnap := strings.CutPrefix(name, snapshotPrefix)
+	body, hasSuffix := strings.CutSuffix(body, snapshotSuffix)
+	if !isSnap || !hasSuffix {
+		return 0, 0, false
+	}
+	seqStr, hostStr, isShard := strings.Cut(body, ".shard")
+	seq, err := strconv.ParseUint(seqStr, 10, 64)
+	if err == nil && isShard {
+		if host, err = strconv.Atoi(hostStr); host < 1 {
+			return 0, 0, false
+		}
+	}
+	return seq, host, err == nil
+}
+
+// listSnapshots returns the seqs of the directory's base snapshot files —
+// the recovery points — in descending order (newest first).
 func listSnapshots(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -328,15 +349,9 @@ func listSnapshots(dir string) ([]uint64, error) {
 	}
 	var seqs []uint64
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, snapshotPrefix) || !strings.HasSuffix(name, snapshotSuffix) {
-			continue
+		if seq, host, ok := parseSnapshotName(e.Name()); ok && host == 0 {
+			seqs = append(seqs, seq)
 		}
-		s, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, snapshotPrefix), snapshotSuffix), 10, 64)
-		if err != nil {
-			continue
-		}
-		seqs = append(seqs, s)
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 	return seqs, nil
@@ -351,48 +366,27 @@ func pruneSnapshots(dir string) {
 	if err != nil {
 		return
 	}
-	keep := make(map[uint64]bool, 2)
-	for _, s := range seqs[:min(2, len(seqs))] {
-		keep[s] = true
-	}
+	keep := seqs[:min(2, len(seqs))]
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, snapshotPrefix) || !strings.HasSuffix(name, snapshotSuffix) {
-			continue
+		if seq, _, ok := parseSnapshotName(e.Name()); ok && !slices.Contains(keep, seq) {
+			os.Remove(filepath.Join(dir, e.Name()))
 		}
-		body := strings.TrimSuffix(strings.TrimPrefix(name, snapshotPrefix), snapshotSuffix)
-		seqStr, _, _ := strings.Cut(body, ".")
-		s, perr := strconv.ParseUint(seqStr, 10, 64)
-		if perr != nil || keep[s] {
-			continue
-		}
-		os.Remove(filepath.Join(dir, name))
 	}
 }
 
-// writeSnapshotTo streams the view's durable base state — graph
-// vertices, graph edges, and this process's resident solution records —
-// in checkpoint format. The solution section is streamed through
-// session.EachSolution: peak memory is one frame plus the
-// writer's buffer, never a second copy of the solution (spilled
-// partitions stream from disk to disk). For a sharded view (workerShards
-// > 0) the kind switches to live-sharded:, the solution section holds
-// only the coordinator-hosted partitions, and a trailing meta section
-// records the host count so recovery knows which shard files to demand.
-func (v *LiveView) writeSnapshotTo(w io.Writer, seq uint64, workerShards int) error {
-	kind := snapshotKindPrefix + v.m.Name()
-	if workerShards > 0 {
-		kind = snapshotShardedKindPrefix + v.m.Name()
-	}
-	cw, err := iterative.NewCheckpointWriter(w, kind, seq)
-	if err != nil {
-		return err
-	}
-	for _, vid := range v.gs.Vertices() {
+// writeGraph appends the graph as two checkpoint sections: the vertices,
+// then the edges *in edge-slice order*. It is the graph's one encoding — a
+// snapshot's leading sections and the payload of view_open. Replicas
+// rebuild by replaying AddVertex/AddEdge in this order and then apply every
+// later mutation batch in arrival order, so their internal edge slices —
+// and therefore the specs derived from them — stay identical to the
+// coordinator's.
+func writeGraph(cw *iterative.CheckpointWriter, gs *GraphState) error {
+	for _, vid := range gs.Vertices() {
 		if err := cw.Append(record.Record{A: vid}); err != nil {
 			return err
 		}
@@ -400,56 +394,63 @@ func (v *LiveView) writeSnapshotTo(w io.Writer, seq uint64, workerShards int) er
 	if err := cw.EndSection(); err != nil {
 		return err
 	}
-	for _, e := range v.gs.edges {
+	for _, e := range gs.edges {
 		if err := cw.Append(record.Record{A: e.Src, B: e.Dst, X: e.Weight}); err != nil {
 			return err
 		}
 	}
-	if err := cw.EndSection(); err != nil {
-		return err
-	}
-	if err := v.sess.EachSolution(cw.Append); err != nil {
-		return err
-	}
-	if err := cw.EndSection(); err != nil {
-		return err
-	}
-	if workerShards > 0 {
-		if err := cw.Append(record.Record{A: int64(1 + workerShards)}); err != nil {
-			return err
-		}
-		if err := cw.EndSection(); err != nil {
-			return err
-		}
-	}
-	return cw.Flush()
+	return cw.EndSection()
 }
 
-// writeShardTo writes one worker host's hosted partitions as a
-// single-section checkpoint file.
-func writeShardTo(w io.Writer, kind string, seq uint64, recs []record.Record) error {
+// readGraph rebuilds a graph from writeGraph's two sections.
+func readGraph(cr *iterative.CheckpointReader) (*GraphState, error) {
+	gs := NewGraphState()
+	if err := cr.ReadSection(func(b record.Batch) error {
+		for _, r := range b {
+			gs.AddVertex(r.A)
+		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("live: graph vertices: %w", err)
+	}
+	if err := cr.ReadSection(func(b record.Batch) error {
+		for _, r := range b {
+			gs.AddEdge(r.A, r.B, r.X)
+		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("live: graph edges: %w", err)
+	}
+	return gs, nil
+}
+
+// writeCheckpoint writes one checkpoint-format stream: the header,
+// whatever sections body appends, and the flush.
+func writeCheckpoint(w io.Writer, kind string, seq uint64, body func(cw *iterative.CheckpointWriter) error) error {
 	cw, err := iterative.NewCheckpointWriter(w, kind, seq)
 	if err != nil {
 		return err
 	}
-	for _, r := range recs {
-		if err := cw.Append(r); err != nil {
-			return err
-		}
-	}
-	if err := cw.EndSection(); err != nil {
+	if err := body(cw); err != nil {
 		return err
 	}
 	return cw.Flush()
 }
 
+// writeSnapshotFile durably writes one file of a snapshot family.
+func writeSnapshotFile(path, kind string, seq uint64, body func(cw *iterative.CheckpointWriter) error) error {
+	return iterative.WriteFileDurable(path, func(w io.Writer) error { return writeCheckpoint(w, kind, seq, body) })
+}
+
 // snapshotLocked persists a snapshot covering WAL frames 1..flushedSeq,
 // prunes obsolete snapshots, and rotates the log when possible. Caller
-// holds the maintenance lock, so the solution set is converged. A
-// sharded view's snapshot is a file family: each worker's hosted
-// partitions are pulled over the session and written as shard files
-// *before* the base file — the base names the recovery point, so a crash
-// mid-snapshot never leaves a listed seq with a missing shard.
+// holds the maintenance lock, so the solution set is converged. Every
+// worker's hosted partitions are pulled over the session and written as
+// shard files *before* the base file — the base names the recovery point,
+// so a crash mid-snapshot never leaves a listed seq with a missing shard.
+// The base's own solution section streams through session.EachSolution:
+// peak memory is one frame plus the writer's buffer, never a second copy
+// of the solution (spilled partitions stream from disk to disk).
 func (v *LiveView) snapshotLocked() error {
 	snapStart := time.Now()
 	d := v.dur
@@ -459,24 +460,41 @@ func (v *LiveView) snapshotLocked() error {
 		return fmt.Errorf("live: view %q shard collect: %w", v.name, err)
 	}
 	for i, recs := range shards {
-		h := i + 1
-		path := filepath.Join(d.dir, shardSnapshotName(seq, h))
-		if err := iterative.WriteFileDurable(path, func(w io.Writer) error {
-			return writeShardTo(w, snapshotShardKindPrefix+v.m.Name(), seq, recs)
-		}); err != nil {
-			return fmt.Errorf("live: view %q shard %d snapshot: %w", v.name, h, err)
+		err := writeSnapshotFile(filepath.Join(d.dir, shardSnapshotName(seq, i+1)), snapshotShardKindPrefix+v.m.Name(), seq,
+			func(cw *iterative.CheckpointWriter) error {
+				for _, r := range recs {
+					if err := cw.Append(r); err != nil {
+						return err
+					}
+				}
+				return cw.EndSection()
+			})
+		if err != nil {
+			return fmt.Errorf("live: view %q shard %d snapshot: %w", v.name, i+1, err)
 		}
 	}
-	path := filepath.Join(d.dir, snapshotName(seq))
-	if err := iterative.WriteFileDurable(path, func(w io.Writer) error {
-		return v.writeSnapshotTo(w, seq, len(shards))
-	}); err != nil {
+	err = writeSnapshotFile(filepath.Join(d.dir, snapshotName(seq)), snapshotKindPrefix+v.m.Name(), seq,
+		func(cw *iterative.CheckpointWriter) error {
+			if err := writeGraph(cw, v.gs); err != nil {
+				return err
+			}
+			if err := v.sess.EachSolution(cw.Append); err != nil {
+				return err
+			}
+			if err := cw.EndSection(); err != nil {
+				return err
+			}
+			if err := cw.Append(record.Record{A: int64(1 + len(shards))}); err != nil {
+				return err
+			}
+			return cw.EndSection()
+		})
+	if err != nil {
 		return fmt.Errorf("live: view %q snapshot: %w", v.name, err)
 	}
 	d.snapSeq = seq
 	d.flushesSinceSnap = 0
 	d.snapshots++
-	d.hasSnapshot = true
 	if m := v.cfg.Metrics; m != nil {
 		m.SnapshotsWritten.Add(1)
 	}
@@ -492,160 +510,104 @@ func (v *LiveView) snapshotLocked() error {
 	return nil
 }
 
-// loadSnapshot streams one plain (live:) snapshot file back into an
-// in-process view: the graph sections are applied to a fresh GraphState,
-// the view's session is opened over it with an empty solution, and the
-// solution section is bulk-loaded frame by frame — mirroring the writer,
-// the full solution is never materialized outside the set itself.
-func loadSnapshot(path, name string, m Maintainer, cfg ViewConfig) (v *LiveView, seq uint64, err error) {
+// errSession marks a recovery failure of the environment — a worker that
+// cannot be reached, a plan the hosts disagree on — as opposed to one of
+// the snapshot's bytes: an older snapshot would fail the same way, so the
+// loader's caller gives up instead of silently recovering older state.
+var errSession = errors.New("live: recovery session")
+
+// readSnapshotFile is the one place a snapshot file is opened for reading.
+// The header must carry one of kinds and the seq the file's name claims — a
+// renamed or stale file is rejected, not trusted — and nothing may trail
+// the sections body consumes.
+func readSnapshotFile(path string, seq uint64, kinds []string, body func(cr *iterative.CheckpointReader) error) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	defer f.Close()
 	cr, err := iterative.NewCheckpointReader(f)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	if want := snapshotKindPrefix + m.Name(); cr.Kind() != want {
-		return nil, 0, fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), want)
-	}
-	gs, err := readSnapshotGraph(cr)
-	if err != nil {
-		return nil, 0, err
-	}
-	if v, err = assembleView(name, m, cfg, gs, []record.Record{}); err != nil {
-		return nil, 0, err
-	}
-	if err := cr.ReadSection(func(b record.Batch) error {
-		v.sess.core.sol.Init(b)
-		return nil
-	}); err != nil {
-		v.sess.Kill()
-		return nil, 0, fmt.Errorf("live: snapshot solution: %w", err)
-	}
-	if err := cr.ReadSection(func(record.Batch) error { return nil }); err != io.EOF {
-		v.sess.Kill()
-		return nil, 0, fmt.Errorf("live: trailing data after snapshot solution")
-	}
-	return v, cr.Iteration(), nil
-}
-
-// readSnapshotGraph rebuilds the graph from a snapshot's two leading
-// sections (vertices, then edges in edge-slice order).
-func readSnapshotGraph(cr *iterative.CheckpointReader) (*GraphState, error) {
-	gs := NewGraphState()
-	if err := cr.ReadSection(func(b record.Batch) error {
-		for _, r := range b {
-			gs.AddVertex(r.A)
-		}
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("live: snapshot vertices: %w", err)
-	}
-	if err := cr.ReadSection(func(b record.Batch) error {
-		for _, r := range b {
-			gs.AddEdge(r.A, r.B, r.X)
-		}
-		return nil
-	}); err != nil {
-		return nil, fmt.Errorf("live: snapshot edges: %w", err)
-	}
-	return gs, nil
-}
-
-// loadSnapshotRecords loads a snapshot of either format — plain (live:)
-// or sharded (live-sharded: base plus its .shard<h> siblings) — into the
-// graph and the full materialized solution record set. This is the
-// topology-independent loader: the records re-partition under whatever
-// session the recovering view opens, so worker counts may change across
-// restarts. Any missing or mismatched shard file fails the whole seq, and
-// the caller falls back to an older snapshot.
-func loadSnapshotRecords(dir string, seq uint64, m Maintainer) (*GraphState, []record.Record, error) {
-	f, err := os.Open(filepath.Join(dir, snapshotName(seq)))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	cr, err := iterative.NewCheckpointReader(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	var sharded bool
-	switch cr.Kind() {
-	case snapshotKindPrefix + m.Name():
-	case snapshotShardedKindPrefix + m.Name():
-		sharded = true
-	default:
-		return nil, nil, fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), m.Name())
-	}
-	gs, err := readSnapshotGraph(cr)
-	if err != nil {
-		return nil, nil, err
-	}
-	recs := []record.Record{} // non-nil: an empty solution still recovers
-	if err := cr.ReadSection(func(b record.Batch) error {
-		recs = append(recs, b...)
-		return nil
-	}); err != nil {
-		return nil, nil, fmt.Errorf("live: snapshot solution: %w", err)
-	}
-	hosts := 1
-	if sharded {
-		var meta []record.Record
-		if err := cr.ReadSection(func(b record.Batch) error {
-			meta = append(meta, b...)
-			return nil
-		}); err != nil {
-			return nil, nil, fmt.Errorf("live: snapshot shard meta: %w", err)
-		}
-		if len(meta) != 1 || meta[0].A < 1 {
-			return nil, nil, fmt.Errorf("live: malformed snapshot shard meta")
-		}
-		hosts = int(meta[0].A)
-	}
-	if err := cr.ReadSection(func(record.Batch) error { return nil }); err != io.EOF {
-		return nil, nil, fmt.Errorf("live: trailing data after snapshot")
-	}
-	for h := 1; h < hosts; h++ {
-		shard, err := readShardFile(filepath.Join(dir, shardSnapshotName(seq, h)), snapshotShardKindPrefix+m.Name(), seq)
-		if err != nil {
-			return nil, nil, fmt.Errorf("live: snapshot shard %d: %w", h, err)
-		}
-		recs = append(recs, shard...)
-	}
-	return gs, recs, nil
-}
-
-// readShardFile loads one worker host's hosted partitions back out of its
-// shard file, validating the kind and covered seq.
-func readShardFile(path, wantKind string, seq uint64) ([]record.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	cr, err := iterative.NewCheckpointReader(f)
-	if err != nil {
-		return nil, err
-	}
-	if cr.Kind() != wantKind {
-		return nil, fmt.Errorf("live: shard kind %q, want %q", cr.Kind(), wantKind)
+	if !slices.Contains(kinds, cr.Kind()) {
+		return fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), kinds[0])
 	}
 	if cr.Iteration() != seq {
-		return nil, fmt.Errorf("live: shard covers seq %d, base snapshot %d", cr.Iteration(), seq)
+		return fmt.Errorf("live: %s covers seq %d", filepath.Base(path), cr.Iteration())
 	}
-	var recs []record.Record
-	if err := cr.ReadSection(func(b record.Batch) error {
-		recs = append(recs, b...)
-		return nil
-	}); err != nil {
-		return nil, err
+	if err := body(cr); err != nil {
+		return err
 	}
 	if err := cr.ReadSection(func(record.Batch) error { return nil }); err != io.EOF {
-		return nil, fmt.Errorf("live: trailing data after shard records")
+		return fmt.Errorf("live: trailing data in %s", filepath.Base(path))
 	}
-	return recs, nil
+	return nil
+}
+
+// loadSnapshot recovers the view from the snapshot family at seq, on
+// whatever topology cfg names: the base file's graph sections rebuild the
+// graph, the session opens over it with an empty solution and no cold
+// fixpoint, and every solution section — the base file's, then each shard
+// file's — streams frame by frame through session.Load, which partitions
+// the records under the session's own placement. Mirroring the writer, at
+// most one decoded frame of solution exists outside the sets. A failure
+// after the session opened kills the half-loaded session; errors of the
+// session itself are marked errSession, everything else is the snapshot's
+// fault (corrupt, torn, or a missing or mismatched shard file) and the
+// caller falls back to an older one.
+func loadSnapshot(dir string, seq uint64, name string, m Maintainer, cfg ViewConfig) (*LiveView, error) {
+	var v *LiveView
+	load := func(b record.Batch) error {
+		if err := v.sess.Load(b); err != nil {
+			return fmt.Errorf("%w: %w", errSession, err)
+		}
+		return nil
+	}
+	hosts := 1
+	baseKinds := []string{snapshotKindPrefix + m.Name(), snapshotLegacyShardedKindPrefix + m.Name()}
+	err := readSnapshotFile(filepath.Join(dir, snapshotName(seq)), seq, baseKinds, func(cr *iterative.CheckpointReader) error {
+		gs, err := readGraph(cr)
+		if err != nil {
+			return err
+		}
+		if v, err = assembleView(name, m, cfg, gs, true); err != nil {
+			return fmt.Errorf("%w: %w", errSession, err)
+		}
+		if err := cr.ReadSection(load); err != nil {
+			return fmt.Errorf("live: snapshot solution: %w", err)
+		}
+		// The hosts section: exactly one record. Only an in-process view's
+		// base file from an earlier binary may end without one — and a
+		// shard sibling says the section was cut off instead.
+		n := 0
+		err = cr.ReadSection(func(b record.Batch) error {
+			if n += len(b); n == 1 {
+				hosts = int(b[0].A)
+			}
+			return nil
+		})
+		if err == io.EOF {
+			_, serr := os.Stat(filepath.Join(dir, shardSnapshotName(seq, 1)))
+			if cr.Kind() == baseKinds[0] && os.IsNotExist(serr) {
+				return nil
+			}
+			return fmt.Errorf("live: snapshot %d lost its hosts section", seq)
+		}
+		if err == nil && (n != 1 || hosts < 1) {
+			err = fmt.Errorf("live: malformed snapshot hosts section")
+		}
+		return err
+	})
+	for h := 1; err == nil && h < hosts; h++ {
+		err = readSnapshotFile(filepath.Join(dir, shardSnapshotName(seq, h)), seq, []string{snapshotShardKindPrefix + m.Name()},
+			func(cr *iterative.CheckpointReader) error { return cr.ReadSection(load) })
+	}
+	if err != nil && v != nil {
+		v.sess.Kill()
+		return nil, err
+	}
+	return v, err
 }
 
 // --- open / create / recover --------------------------------------------
@@ -693,13 +655,12 @@ func OpenView(name string, m Maintainer, initial []Mutation, cfg ViewConfig) (*L
 		return nil, err
 	}
 	dir := filepath.Join(cfg.DataDir, name)
-	walPath := filepath.Join(dir, walFileName)
 	snaps, err := listSnapshots(dir)
 	if err != nil {
 		return nil, err
 	}
-	if _, statErr := os.Stat(walPath); statErr == nil || len(snaps) > 0 {
-		return recoverView(name, m, cfg, dir)
+	if _, statErr := os.Stat(filepath.Join(dir, walFileName)); statErr == nil || len(snaps) > 0 {
+		return recoverView(name, m, cfg, dir, snaps)
 	}
 	return createDurable(name, m, initial, cfg, dir)
 }
@@ -746,148 +707,84 @@ func createDurable(name string, m Maintainer, initial []Mutation, cfg ViewConfig
 	return v, nil
 }
 
-// recoverView rebuilds a durable view from its on-disk state.
-func recoverView(name string, m Maintainer, cfg ViewConfig, dir string) (*LiveView, error) {
-	walPath := filepath.Join(dir, walFileName)
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		return nil, err
-	}
-
+// recoverView rebuilds a durable view from its on-disk state: the log and
+// the snapshots at seqs snaps (newest first).
+func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, snaps []uint64) (*LiveView, error) {
 	var (
 		v       *LiveView
 		snapSeq uint64
-		loaded  bool
+		err     error
 	)
 	for _, s := range snaps {
-		if len(cfg.Workers) == 0 {
-			// In-process recovery streams the snapshot straight into the
-			// solution set — the full solution is never materialized.
-			if lv, seq, lerr := loadSnapshot(filepath.Join(dir, snapshotName(s)), name, m, cfg); lerr == nil {
-				v, snapSeq, loaded = lv, seq, true
-				break
-			}
+		lv, lerr := loadSnapshot(dir, s, name, m, cfg)
+		if errors.Is(lerr, errSession) {
+			return nil, fmt.Errorf("live: recovering view %q: %w", name, lerr)
 		}
-		// Sharded sessions — and topology changes in either direction (a
-		// sharded snapshot recovering in-process, or vice versa) — go
-		// through the record-materializing loader: the record set
-		// re-partitions under whichever session the config opens.
-		gs, recs, lerr := loadSnapshotRecords(dir, s, m)
 		if lerr != nil {
 			// An unreadable snapshot falls back to its predecessor; the
 			// WAL base check below catches the case where the log no
 			// longer reaches back that far.
 			continue
 		}
-		if v, err = assembleView(name, m, cfg, gs, recs); err != nil {
-			// Session open failure (e.g. a worker is unreachable) is an
-			// environment error, not snapshot corruption: fail now rather
-			// than silently recovering older state.
-			return nil, fmt.Errorf("live: recovering view %q: %w", name, err)
-		}
-		snapSeq, loaded = s, true
+		v, snapSeq = lv, s
 		break
 	}
-
-	var rebuildSeq uint64
-	var rebuildSize int64
+	loaded := v != nil
 	if !loaded {
-		// No usable snapshot: the log must carry the full history.
-		gs := NewGraphState()
-		base, seq, size, err := scanWAL(walPath, func(_ uint64, b record.Batch) error {
-			muts, err := recordsToMutations(b)
-			if err != nil {
-				return err
-			}
-			for _, mu := range muts {
-				gs.Apply(mu)
-			}
-			return nil
-		})
-		if err != nil {
+		// No usable snapshot is the snapshot at seq 0 — an empty graph and
+		// its fixpoint — and the log must carry the full history.
+		if v, err = assembleView(name, m, cfg, NewGraphState(), false); err != nil {
 			return nil, fmt.Errorf("live: recovering view %q: %w", name, err)
-		}
-		if base != 0 {
-			return nil, fmt.Errorf("live: view %q has no readable snapshot but its wal starts at frame %d", name, base+1)
-		}
-		rebuildSeq, rebuildSize = seq, size
-		if v, err = assembleView(name, m, cfg, gs, nil); err != nil {
-			return nil, err
 		}
 	}
 
-	var (
-		w        *wal
-		replayed int64
-	)
-	if loaded {
-		w, err = openWAL(walPath, func(seq uint64, b record.Batch) error {
-			if seq <= snapSeq {
-				return nil // already folded into the snapshot
-			}
-			muts, err := recordsToMutations(b)
-			if err != nil {
-				return err
-			}
-			if err := v.applyLocked(muts); err != nil {
-				return fmt.Errorf("replaying wal frame %d: %w", seq, err)
-			}
-			replayed++
-			return nil
-		})
-		if os.IsNotExist(err) {
-			// Snapshot without a log (lost or never created): start a
-			// fresh one at the snapshot's seq.
-			w, err = createWAL(walPath, snapSeq)
+	var replayed int64
+	walPath := filepath.Join(dir, walFileName)
+	w, err := openWAL(walPath, func(seq uint64, b record.Batch) error {
+		if seq <= snapSeq {
+			return nil // already folded into the snapshot
 		}
+		muts, err := recordsToMutations(b)
 		if err != nil {
-			v.sess.Kill()
-			return nil, fmt.Errorf("live: recovering view %q: %w", name, err)
+			return err
 		}
-		if w.base > snapSeq {
-			w.Close()
-			v.sess.Kill()
-			return nil, fmt.Errorf("live: view %q wal starts at frame %d but the best snapshot covers only %d",
-				name, w.base+1, snapSeq)
+		if err := v.applyLocked(muts); err != nil {
+			return fmt.Errorf("replaying wal frame %d: %w", seq, err)
 		}
-	} else {
-		// The graph was rebuilt from the full log; reopen it for appends
-		// with the rebuild scan's bookkeeping (that scan already
-		// validated every frame and truncated any torn tail).
-		w, err = openScannedWAL(walPath, 0, rebuildSeq, rebuildSize)
-		if err != nil {
-			v.sess.Kill()
-			return nil, err
-		}
+		replayed++
+		return nil
+	})
+	if os.IsNotExist(err) && loaded {
+		// Snapshot without a log (lost or never created): start a fresh
+		// one at the snapshot's seq.
+		w, err = createWAL(walPath, snapSeq)
+	}
+	if err != nil {
+		v.sess.Kill()
+		return nil, fmt.Errorf("live: recovering view %q: %w", name, err)
+	}
+	if w.base > snapSeq {
+		w.Close()
+		v.sess.Kill()
+		return nil, fmt.Errorf("live: view %q wal starts at frame %d but the best readable snapshot covers only %d",
+			name, w.base+1, snapSeq)
 	}
 
 	v.dur = &durableState{
-		dir:        dir,
-		wal:        w,
-		flushedSeq: w.Seq(),
-		snapSeq:    snapSeq,
-		replayed:   replayed,
-	}
-	if !loaded {
-		// The cold rebuild folded every frame; only a fresh snapshot
-		// records that.
-		v.dur.snapSeq = 0
+		dir: dir, wal: w, flushedSeq: w.Seq(), snapSeq: snapSeq,
+		walBytesAtSnap: w.SizeBytes(), replayed: replayed,
 	}
 	if mt := cfg.Metrics; mt != nil {
 		mt.RecoveryReplays.Add(replayed)
 	}
 	// Fold the recovered state into a fresh snapshot so the next recovery
-	// starts here, and so the (possibly truncated) log can rotate.
-	if v.dur.flushedSeq != v.dur.snapSeq || !loaded {
+	// starts here, and so the (possibly truncated) log can rotate. When
+	// nothing was replayed the loaded snapshot already covers flushedSeq.
+	if v.dur.flushedSeq != snapSeq || !loaded {
 		if err := v.snapshotLocked(); err != nil {
 			v.Kill()
 			return nil, err
 		}
-	} else {
-		// Nothing replayed: the loaded snapshot already covers
-		// flushedSeq, so a clean Close need not write another.
-		v.dur.hasSnapshot = true
-		v.dur.walBytesAtSnap = w.SizeBytes()
 	}
 	return v, nil
 }
