@@ -688,36 +688,11 @@ func BenchmarkLiveMaintenance(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveAuto runs the harness `auto` scenario at bench scale —
-// static engine choices vs the adaptive runner on every dataset × scale —
-// and emits the table as BENCH_adaptive.json, the benchmark-trajectory
-// artifact CI uploads. The custom metrics are the scenario's two
-// acceptance ratios: auto vs the best and worst static choices.
-func BenchmarkAdaptiveAuto(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.Auto(harness.Options{
-			Scale: graphgen.ScaleBench, Parallelism: benchParallelism,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_adaptive.json", buf, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MaxVsBest, "vs-best")
-		b.ReportMetric(res.MaxVsWorst, "vs-worst")
-	}
-}
-
 // BenchmarkDistributed runs the harness distributed scenario at bench
 // scale — the 2-process differential matrix plus the 1-proc vs 2-proc
 // superstep-throughput pair — and emits the table as
-// BENCH_distributed.json, the artifact CI uploads next to
-// BENCH_adaptive.json. The custom metric is the 2-process superstep rate.
+// BENCH_distributed.json, a benchmark-trajectory artifact CI uploads. The
+// custom metric is the 2-process superstep rate.
 func BenchmarkDistributed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := harness.Distributed(harness.Options{
@@ -772,7 +747,7 @@ func liveBenchBatch(g *graphgen.Graph, n int) []live.Mutation {
 // BenchmarkPlanner runs the harness planning-fast-path scenario — the
 // cost-based enumerator vs the greedy zero-statistics planner vs a plan
 // cache hit on every algorithm plan — and emits the table as
-// BENCH_planner.json, the artifact CI uploads next to BENCH_adaptive.json.
+// BENCH_planner.json, the artifact CI uploads next to BENCH_distributed.json.
 // The custom metrics are the scenario's acceptance ratios: the smallest
 // cost/greedy and cost/cached speedups over all scenarios.
 func BenchmarkPlanner(b *testing.B) {

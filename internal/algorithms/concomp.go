@@ -14,13 +14,7 @@ import (
 // this is the baseline incremental iterations beat.
 func CCBulkSpec(g *graphgen.Graph) (iterative.BulkSpec, []record.Record) {
 	und := g.Undirected()
-	return ccBulkSpecOverEdges(EdgeRecords(und), und.NumVertices)
-}
-
-// ccBulkSpecOverEdges builds the bulk CC dataflow over an already
-// symmetrized edge-record list, so callers assembling several specs for
-// one graph (CCAutoSpec) pay the undirected conversion once.
-func ccBulkSpecOverEdges(edgeRecs []record.Record, numVertices int64) (iterative.BulkSpec, []record.Record) {
+	edgeRecs, numVertices := EdgeRecords(und), und.NumVertices
 	plan := dataflow.NewPlan()
 
 	state := plan.IterationPlaceholder("S", numVertices)
@@ -202,30 +196,6 @@ func CCIncremental(g *graphgen.Graph, variant CCVariant, cfg iterative.Config) (
 func CCMicrostepAsync(g *graphgen.Graph, cfg iterative.Config) (map[int64]int64, *iterative.IncrementalResult, error) {
 	spec, s0, w0 := CCIncrementalSpec(g, CCMatch)
 	res, err := iterative.RunMicrostep(spec, s0, w0, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ComponentsToMap(res.Solution), res, nil
-}
-
-// CCAutoSpec assembles the AutoSpec covering both engines for
-// Connected Components on g: the microstep-admissible Match variant of
-// Figure 5 plus the bulk alternative of Table 1. Both plans share one
-// symmetrized edge-record list.
-func CCAutoSpec(g *graphgen.Graph) (iterative.AutoSpec, []record.Record, []record.Record) {
-	und := g.Undirected()
-	edgeRecs := EdgeRecords(und)
-	inc, w0 := ccSpecOverEdges(edgeRecs, und.NumVertices, CCMatch)
-	bulk, bulkInit := ccBulkSpecOverEdges(edgeRecs, und.NumVertices)
-	return iterative.AutoSpec{Incremental: inc, Bulk: &bulk, BulkInitial: bulkInit},
-		InitialComponentRecords(und.NumVertices), w0
-}
-
-// CCAuto runs Connected Components through the adaptive runner: the cost
-// model picks the engine.
-func CCAuto(g *graphgen.Graph, cfg iterative.Config) (map[int64]int64, *iterative.AutoResult, error) {
-	spec, s0, w0 := CCAutoSpec(g)
-	res, err := iterative.RunAuto(spec, s0, w0, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

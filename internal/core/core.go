@@ -94,21 +94,6 @@ func ResumeMicrostep(spec IncrementalSpec, existing *SolutionSet, workset []Reco
 	return iterative.ResumeMicrostep(spec, existing, workset, cfg)
 }
 
-// Adaptive engine selection (§4.3 extended from plans to engines).
-type (
-	// AutoSpec describes one computation executable by either engine.
-	AutoSpec = iterative.AutoSpec
-	// AutoResult is the outcome of an adaptive run, including the
-	// engine that ran, candidate costs and calibrated weights.
-	AutoResult = iterative.AutoResult
-)
-
-// RunAuto costs the incremental engine against the bulk alternative
-// (when supplied) and runs the cheaper.
-func RunAuto(spec AutoSpec, s0, w0 []Record, cfg Config) (*AutoResult, error) {
-	return iterative.RunAuto(spec, s0, w0, cfg)
-}
-
 // ValidateMicrostep checks the §5.2 admissibility conditions.
 func ValidateMicrostep(spec IncrementalSpec) ([]*Node, error) {
 	return iterative.ValidateMicrostep(spec)

@@ -25,8 +25,8 @@ func canonicalBytes(recs []record.Record) []byte {
 
 // TestRunAPIByteCompatAcrossEngines is the API-compatibility differential
 // for the unified superstep driver: every public Run* entry point — bulk,
-// incremental (both variants), microstep, and the adaptive runner — is one
-// thin policy over the same driver core, so on the same graph they must
+// incremental (both variants) and microstep — is one thin policy over the
+// same driver core, so on the same graph they must
 // produce byte-identical canonical solutions, for every solution backend
 // (map, compact, spill) and parallelism. This pins the refactor: a driver
 // lifecycle change that perturbs any single engine's result breaks the
@@ -62,14 +62,6 @@ func TestRunAPIByteCompatAcrossEngines(t *testing.T) {
 			}},
 			{"microstep", func(cfg iterative.Config) ([]record.Record, error) {
 				_, res, err := algorithms.CCMicrostepAsync(g, cfg)
-				if err != nil {
-					return nil, err
-				}
-				release(t, res.Set)
-				return res.Solution, nil
-			}},
-			{"auto", func(cfg iterative.Config) ([]record.Record, error) {
-				_, res, err := algorithms.CCAuto(g, cfg)
 				if err != nil {
 					return nil, err
 				}

@@ -18,11 +18,11 @@ func sortedSolution(recs []record.Record) []record.Record {
 }
 
 // TestAutoEnginesDifferential runs the same Match-variant CC through
-// RunIncremental, RunMicrostep and RunAuto across a table of long-tailed
-// chain graphs: every run must be byte-identical to the others and to the
-// union-find oracle. (The three share one engine — the Δ is admissible,
-// so all of them merge deltas directly — which is exactly what the
-// byte-identity pins.)
+// RunIncremental and RunMicrostep across a table of long-tailed chain
+// graphs: both runs must be byte-identical to each other and to the
+// union-find oracle. (The two share one engine — the Δ is admissible, so
+// both merge deltas directly — which is exactly what the byte-identity
+// pins.)
 func TestAutoEnginesDifferential(t *testing.T) {
 	const par = 2
 	for _, communities := range []int64{48, 24, 12, 6} {
@@ -39,58 +39,23 @@ func TestAutoEnginesDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
-		autoRes, err := iterative.RunAuto(iterative.AutoSpec{Incremental: spec}, s0, w0,
-			iterative.Config{Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
 
-		auto := sortedSolution(autoRes.Solution)
-		for name, other := range map[string][]record.Record{
-			"incremental": incRes.Solution,
-			"microstep":   micRes.Solution,
-		} {
-			got := sortedSolution(other)
-			if len(got) != len(auto) {
-				t.Fatalf("communities=%d: %s has %d records, auto %d",
-					communities, name, len(got), len(auto))
-			}
-			for j := range got {
-				if got[j] != auto[j] {
-					t.Fatalf("communities=%d: %s[%d]=%v, auto[%d]=%v",
-						communities, name, j, got[j], j, auto[j])
-				}
+		inc, mic := sortedSolution(incRes.Solution), sortedSolution(micRes.Solution)
+		if len(mic) != len(inc) {
+			t.Fatalf("communities=%d: microstep has %d records, incremental %d",
+				communities, len(mic), len(inc))
+		}
+		for j := range mic {
+			if mic[j] != inc[j] {
+				t.Fatalf("communities=%d: microstep[%d]=%v, incremental[%d]=%v",
+					communities, j, mic[j], j, inc[j])
 			}
 		}
 		oracle := algorithms.CCReference(g)
-		assign := algorithms.ComponentsToMap(autoRes.Solution)
+		assign := algorithms.ComponentsToMap(incRes.Solution)
 		for v, c := range oracle {
 			if assign[v] != c {
 				t.Fatalf("communities=%d: vertex %d -> %d, oracle %d", communities, v, assign[v], c)
-			}
-		}
-	}
-}
-
-// TestAutoMatchesAllEnginesOnDiffGraphs runs the adaptive runner over the
-// suite's standard random graphs (every backendless engine choice left to
-// the cost model) and cross-checks against the union-find oracle — the
-// differential contract extended to engine selection.
-func TestAutoMatchesAllEnginesOnDiffGraphs(t *testing.T) {
-	for _, g := range diffGraphs() {
-		for _, par := range []int{1, 4} {
-			spec, s0, w0 := algorithms.CCAutoSpec(g)
-			res, err := iterative.RunAuto(spec, s0, w0, iterative.Config{Parallelism: par})
-			if err != nil {
-				t.Fatalf("%s/par=%d: %v", g.Name, par, err)
-			}
-			oracle := algorithms.CCReference(g)
-			assign := algorithms.ComponentsToMap(res.Solution)
-			for v, c := range oracle {
-				if assign[v] != c {
-					t.Fatalf("%s/par=%d: vertex %d -> %d, oracle %d", g.Name, par, v, assign[v], c)
-				}
 			}
 		}
 	}

@@ -532,9 +532,6 @@ func All(o Options) error {
 	if _, err := Durable(o); err != nil {
 		return err
 	}
-	if _, err := Auto(o); err != nil {
-		return err
-	}
 	if _, err := Planner(o); err != nil {
 		return err
 	}

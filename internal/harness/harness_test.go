@@ -280,38 +280,6 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-func TestAutoScenario(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := Auto(tinyOpts(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 9 {
-		t.Fatalf("rows = %d, want 9 (3 datasets × 3 scales)", len(res.Rows))
-	}
-	if !res.AllIdentical {
-		t.Fatal("an engine diverged from the union-find oracle")
-	}
-	for _, r := range res.Rows {
-		if len(r.Engines) == 0 {
-			t.Errorf("%s/%.2f: no engine recorded", r.Dataset, r.Scale)
-		}
-		if r.AutoMS <= 0 || r.BulkMS <= 0 || r.IncrementalMS <= 0 {
-			t.Errorf("%s/%.2f: missing timing: %+v", r.Dataset, r.Scale, r)
-		}
-	}
-	// Generous noise-tolerant version of the acceptance bars: the tiny
-	// graphs here run in microseconds, where ratios are dominated by
-	// jitter; the real bars (1.15x / 2x) are checked on the full-scale
-	// scenario run.
-	if res.MaxVsBest > 3.0 {
-		t.Errorf("auto %0.2fx slower than the best static choice even at noise tolerance", res.MaxVsBest)
-	}
-	if !strings.Contains(buf.String(), "Adaptive cross-engine execution") {
-		t.Error("missing output")
-	}
-}
-
 func TestDistributedScenario(t *testing.T) {
 	var buf bytes.Buffer
 	res, err := Distributed(tinyOpts(&buf))

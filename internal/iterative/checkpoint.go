@@ -370,6 +370,9 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // partial solution becomes the initial input, and fixed-count runs only
 // execute the remaining passes.
 func ResumeBulk(spec BulkSpec, cp *Checkpoint, cfg Config) (*BulkResult, error) {
+	if _, err := cfg.normalize(); err != nil {
+		return nil, err
+	}
 	if cp.Kind != "bulk" {
 		return nil, fmt.Errorf("iterative: cannot resume bulk iteration from %q checkpoint", cp.Kind)
 	}

@@ -13,6 +13,16 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 	bulk, initial := doubler()
 	bulk.FixedIterations = 1
 	inc, s0, w0 := incrSpec(8)
+	phys, err := PlanIncremental(inc, Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	existing := Config{Parallelism: 1}.newSolutionSet(inc.SolutionKey, inc.Comparator)
+	// A checkpoint that already reached FixedIterations has nothing left
+	// to run — a bad Config must be refused all the same.
+	finished := &Checkpoint{Kind: "bulk", Iteration: 1, Solution: initial}
+	unfinished := &Checkpoint{Kind: "bulk", Solution: initial}
+	incCP := &Checkpoint{Kind: "incremental", Solution: s0, Workset: w0}
 
 	bad := []struct {
 		name string
@@ -42,8 +52,24 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 					_, err := RunMicrostep(inc, s0, w0, cfg)
 					return err
 				}},
-				{"RunAuto", func(cfg Config) error {
-					_, err := RunAuto(AutoSpec{Incremental: inc}, s0, w0, cfg)
+				{"ResumeBulk/finished", func(cfg Config) error {
+					_, err := ResumeBulk(bulk, finished, cfg)
+					return err
+				}},
+				{"ResumeBulk/unfinished", func(cfg Config) error {
+					_, err := ResumeBulk(bulk, unfinished, cfg)
+					return err
+				}},
+				{"RestoreIncremental", func(cfg Config) error {
+					_, err := RestoreIncremental(inc, incCP, cfg)
+					return err
+				}},
+				{"ResumeIncremental", func(cfg Config) error {
+					_, err := ResumeIncremental(inc, existing, w0, cfg)
+					return err
+				}},
+				{"ResumeMicrostep", func(cfg Config) error {
+					_, err := ResumeMicrostep(inc, existing, w0, cfg)
 					return err
 				}},
 				{"PlanIncremental", func(cfg Config) error {
@@ -52,6 +78,10 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 				}},
 				{"OpenFixpoint", func(cfg Config) error {
 					_, err := OpenFixpoint(inc, nil, cfg)
+					return err
+				}},
+				{"OpenFixpointOn", func(cfg Config) error {
+					_, err := OpenFixpointOn(inc, nil, cfg, phys, nil)
 					return err
 				}},
 			}

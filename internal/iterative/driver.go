@@ -15,14 +15,14 @@ import (
 // abstraction differing only in step semantics; the code says the same
 // thing structurally: the full superstep lifecycle — the loop itself,
 // convergence, the re-optimize decision with its backoff and plan cache,
-// calibrator feedback, checkpoint hooks, and the obs histogram/span
-// recording — lives here exactly once, and the two engines (bulk full
-// recompute, incremental workset ∪̇ merge) are small EnginePolicy values
-// supplying only their step semantics. RunBulk, RunIncremental,
-// RunMicrostep (the incremental engine with direct merge required), the
-// Resume*/Restore* entry points, RunAuto, and Fixpoint (through it
-// internal/live's sessions: views and distributed jobs) all drive this
-// loop rather than keeping private copies of it.
+// checkpoint hooks, and the obs histogram/span recording — lives here
+// exactly once, and the two engines (bulk full recompute, incremental
+// workset ∪̇ merge) are small EnginePolicy values supplying only their
+// step semantics. Which engine runs is the caller's choice, as in the
+// paper: RunBulk, RunIncremental, RunMicrostep (the incremental engine
+// with direct merge required), the Resume*/Restore* entry points, and
+// Fixpoint (through it internal/live's sessions: views and distributed
+// jobs) all drive this loop rather than keeping private copies of it.
 
 // stepOutcome is what one EnginePolicy superstep reports back to the
 // driver core.
@@ -117,21 +117,10 @@ type driver struct {
 	// false for bulk, whose policy declares done itself.
 	worksetDriven bool
 
-	// calTasks is the calibration feature the adapter supplies: logical
-	// plan nodes × parallelism, the unit RunAuto's engine formulas
-	// multiply the fitted StepOverhead by.
-	calTasks int
-
 	// reopt enables mid-run re-optimization when non-nil and the policy
 	// is a replanner that wants it.
 	reopt *reoptState
 	hooks DriveHooks
-
-	// preStep/postStep are RunAuto's planned-vs-observed hooks: cost
-	// prediction before the step, the measured wall time and the (global)
-	// next-workset count after it.
-	preStep  func(step int)
-	postStep func(step, next int, dur time.Duration)
 
 	collect bool
 	trace   *metrics.Trace
@@ -146,18 +135,14 @@ type driver struct {
 // the adapter wraps ErrNoProgress.
 func (d *driver) run() (converged bool, err error) {
 	rp, _ := d.policy.(replanner)
-	calibrate := d.cfg.Calibrator != nil
 	// The per-superstep counter delta costs two reflective snapshots; take
-	// them only when something consumes the delta.
-	wantWork := d.cfg.Metrics != nil && (calibrate || d.collect)
+	// them only when the trace consumes the delta.
+	wantWork := d.cfg.Metrics != nil && d.collect
 	for step := 0; step < d.maxSteps; step++ {
 		if d.hooks.Barrier != nil {
 			if err := d.hooks.Barrier.Release(step); err != nil {
 				return false, err
 			}
-		}
-		if d.preStep != nil {
-			d.preStep(step)
 		}
 		start := time.Now()
 		var before metrics.Snapshot
@@ -175,11 +160,6 @@ func (d *driver) run() (converged bool, err error) {
 		var work metrics.Snapshot
 		if wantWork {
 			work = d.cfg.Metrics.Snapshot().Sub(before)
-			if calibrate {
-				// The wall time includes the ∪̇ merge — the observed cost
-				// of a superstep is compute plus state maintenance.
-				d.cfg.Calibrator.ObserveSuperstep(work, d.calTasks, dur)
-			}
 		}
 
 		next := out.next
@@ -187,9 +167,6 @@ func (d *driver) run() (converged bool, err error) {
 			if next, err = d.hooks.Barrier.Collect(step, out.next); err != nil {
 				return false, err
 			}
-		}
-		if d.postStep != nil {
-			d.postStep(step, next, dur)
 		}
 		if d.collect {
 			d.trace.Add(metrics.IterationStat{
@@ -309,7 +286,7 @@ func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
 // ---------------------------------------------------------------------
 // Incremental engine: one superstep evaluates Δ against (S, W), merges D
 // into S with ∪̇, and produces the next working set. Shared by
-// RunIncremental, RunMicrostep, RunAuto and Fixpoint (live maintenance,
+// RunIncremental, RunMicrostep and Fixpoint (live maintenance,
 // distributed jobs, ResumeIncremental, ResumeMicrostep).
 
 type incEngine struct {

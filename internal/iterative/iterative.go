@@ -15,17 +15,12 @@
 //     This is not a third engine: the incremental engine turns direct
 //     merge on for every admissible Δ, and RunMicrostep/ResumeMicrostep
 //     only make the admissibility check mandatory (microstep.go).
-//   - Adaptive execution (§4.3 extended): an AutoSpec bundles the
-//     incremental form with an optional equivalent bulk iteration, and
-//     RunAuto costs the two engines with the optimizer's cost model and
-//     runs the cheaper one. A shared optimizer.Calibrator fits the cost
-//     weights from measured supersteps so repeated runs (live views,
-//     harness sweeps) plan with observed constants.
 //
-// All of these run on one superstep driver (driver.go): a single loop
-// owning session lifecycle, convergence, the reoptimize decision with
-// backoff and plan cache, calibrator feedback, checkpoint cadence, and
-// span recording. An engine contributes only an EnginePolicy (what one
+// As in the paper, the caller picks the iteration form; the optimizer
+// (§4.3) picks plans within it. Every form runs on one superstep driver
+// (driver.go): a single loop owning session lifecycle, convergence, the
+// reoptimize decision with backoff and plan cache, checkpoint cadence,
+// and span recording. An engine contributes only an EnginePolicy (what one
 // step computes: bulk = full recompute, incremental = Δ then S ∪̇ D),
 // and a deployment contributes only DriveHooks: a Barrier that globalizes
 // per-process workset counts and an OnEpoch callback that coordinates
@@ -68,13 +63,6 @@ type Config struct {
 	// and reloaded on access, with SolutionSpills/SolutionReloads counting
 	// the traffic (§4.3's gradual spilling applied to iteration state).
 	SolutionMemoryBudget int64
-	// Calibrator, if set, receives every measured superstep (work
-	// counters + wall time) and supplies fitted cost weights back to
-	// RunAuto's engine selection. Sharing one calibrator across runs —
-	// live views, harness sweeps — makes repeated runs plan with observed
-	// rather than guessed constants. Calibration needs Metrics set (the
-	// work counters are the regression features).
-	Calibrator *optimizer.Calibrator
 	// Planner selects the plan optimizer. The default (PlannerAuto) plans
 	// the initial run with the cost-based enumerator and mid-run
 	// re-optimizations with the greedy zero-statistics fast path — there,
@@ -301,8 +289,7 @@ func RunBulk(spec BulkSpec, initial []record.Record, cfg Config) (*BulkResult, e
 	b := &bulkPolicy{spec: &spec, cfg: cfg, exec: exec, sess: sess, phKey: phKey, prev: initial}
 	d := &driver{
 		cfg: cfg, policy: b, maxSteps: maxIter,
-		calTasks: len(spec.Plan.Nodes()) * cfg.Parallelism,
-		collect:  cfg.CollectTrace, trace: &out.Trace,
+		collect: cfg.CollectTrace, trace: &out.Trace,
 	}
 	converged, err := d.run()
 	out.Iterations = d.steps
@@ -382,6 +369,15 @@ type IncrementalResult struct {
 	Set *runtime.SolutionSet
 }
 
+// expected is the dynamic-path weight the optimizer plans s with:
+// ExpectedIterations, else 10.
+func (s *IncrementalSpec) expected() int {
+	if s.ExpectedIterations > 0 {
+		return s.ExpectedIterations
+	}
+	return 10
+}
+
 func (s *IncrementalSpec) validate() error {
 	if s.Workset == nil || s.DeltaSink == nil || s.WorksetSink == nil {
 		return fmt.Errorf("iterative: incremental spec needs Workset, DeltaSink and WorksetSink")
@@ -397,21 +393,12 @@ func (s *IncrementalSpec) validate() error {
 // with ∪̇ and installs the produced working set for the next superstep.
 // It converges when the working set is empty (§5.3).
 func RunIncremental(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config) (*IncrementalResult, error) {
-	return runIncremental(spec, initialSolution, initialWorkset, cfg, incRun{})
+	return runIncremental(spec, initialSolution, initialWorkset, cfg, false)
 }
 
-// incRun is what distinguishes the entry points onto the one incremental
-// run: RunIncremental sets nothing, RunMicrostep requires direct merge,
-// RunAuto watches the supersteps.
-type incRun struct {
-	// requireDirect refuses a Δ that fails the §5.2 conditions.
-	requireDirect bool
-	// preStep/postStep are the driver's planned-vs-observed hooks.
-	preStep  func(step int)
-	postStep func(step, next int, dur time.Duration)
-}
-
-func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config, run incRun) (*IncrementalResult, error) {
+// runIncremental is the cold run behind RunIncremental and RunMicrostep;
+// requireDirect refuses a Δ that fails the §5.2 conditions.
+func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config, requireDirect bool) (*IncrementalResult, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
@@ -423,10 +410,7 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 	if maxSteps <= 0 {
 		maxSteps = 10000
 	}
-	expected := spec.ExpectedIterations
-	if expected <= 0 {
-		expected = 10
-	}
+	expected := spec.expected()
 	plannedEst := spec.Workset.EstRecords
 	if plannedEst == 0 {
 		plannedEst = int64(len(initialWorkset))
@@ -442,12 +426,12 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 	defer en.close()
 	// Refuse before the O(S) init: an inadmissible spec must not pay it —
 	// or, under a memory budget, leave spill files behind.
-	if run.requireDirect && en.inadmissible != nil {
+	if requireDirect && en.inadmissible != nil {
 		return nil, en.inadmissible
 	}
 	sol.Init(initialSolution)
 	out := &IncrementalResult{Plan: phys, Set: sol}
-	if run.requireDirect && len(initialWorkset) == 0 {
+	if requireDirect && len(initialWorkset) == 0 {
 		// An admissible Δ derives everything from W (condition 3: the
 		// dynamic path is one chain), so an empty working set is already
 		// the fixpoint — no superstep, no workers woken.
@@ -458,10 +442,8 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 
 	d := &driver{
 		cfg: cfg, policy: en, maxSteps: maxSteps, worksetDriven: true,
-		calTasks: len(spec.Plan.Nodes()) * cfg.Parallelism,
-		reopt:    newReoptState(phys, plannedEst),
-		collect:  cfg.CollectTrace, trace: &out.Trace,
-		preStep: run.preStep, postStep: run.postStep,
+		reopt:   newReoptState(phys, plannedEst),
+		collect: cfg.CollectTrace, trace: &out.Trace,
 	}
 	converged, err := d.run()
 	out.Supersteps = d.steps
@@ -470,7 +452,7 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 		return nil, err
 	}
 	out.Solution = sol.Snapshot()
-	if run.requireDirect {
+	if requireDirect {
 		out.Microsteps = en.elements
 	}
 	if converged {

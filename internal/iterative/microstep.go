@@ -118,7 +118,7 @@ func ValidateMicrostep(spec IncrementalSpec) ([]*dataflow.Node, error) {
 // incremental engine with deltas merged into S as they are produced. The
 // result's Microsteps counts the working-set elements consumed.
 func RunMicrostep(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config) (*IncrementalResult, error) {
-	return runIncremental(spec, initialSolution, initialWorkset, cfg, incRun{requireDirect: true})
+	return runIncremental(spec, initialSolution, initialWorkset, cfg, true)
 }
 
 // ResumeMicrostep is ResumeIncremental for a Δ that must satisfy the §5.2

@@ -89,8 +89,8 @@ func optimizeIncremental(spec *IncrementalSpec, cfg Config, expected int) (*opti
 // PlanIncremental runs the optimizer for an incremental spec exactly as
 // RunIncremental would, without executing anything. The distributed
 // driver uses it so every process of a session derives the same physical
-// plan from the same spec and config; expected ≤ 0 applies the default
-// iteration weight.
+// plan from the same spec and config; expected ≤ 0 applies the spec's own
+// weight (ExpectedIterations, else 10).
 func PlanIncremental(spec IncrementalSpec, cfg Config, expected int) (*optimizer.PhysPlan, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -100,7 +100,7 @@ func PlanIncremental(spec IncrementalSpec, cfg Config, expected int) (*optimizer
 		return nil, err
 	}
 	if expected <= 0 {
-		expected = 10
+		expected = spec.expected()
 	}
 	return optimizeIncremental(&spec, cfg, expected)
 }
@@ -119,11 +119,7 @@ func OpenFixpoint(spec IncrementalSpec, sol *runtime.SolutionSet, cfg Config) (*
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	expected := spec.ExpectedIterations
-	if expected <= 0 {
-		expected = 10
-	}
-	phys, err := optimizeIncremental(&spec, cfg, expected)
+	phys, err := optimizeIncremental(&spec, cfg, spec.expected())
 	if err != nil {
 		return nil, err
 	}
@@ -149,16 +145,12 @@ func OpenFixpointOn(spec IncrementalSpec, sol *runtime.SolutionSet, cfg Config,
 		return nil, fmt.Errorf("iterative: adopted solution set has %d partitions, config wants %d",
 			sol.Parallelism(), cfg.Parallelism)
 	}
-	expected := spec.ExpectedIterations
-	if expected <= 0 {
-		expected = 10
-	}
 	if sol == nil {
 		sol = cfg.newSolutionSet(spec.SolutionKey, spec.Comparator)
 	}
 	f := &Fixpoint{spec: spec, cfg: cfg,
 		reopt: newReoptState(phys, spec.Workset.EstRecords)}
-	f.en = openIncEngine(&f.spec, sol, cfg, expected, phys, tr)
+	f.en = openIncEngine(&f.spec, sol, cfg, spec.expected(), phys, tr)
 	return f, nil
 }
 
@@ -187,10 +179,7 @@ func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
-	expected := spec.ExpectedIterations
-	if expected <= 0 {
-		expected = 10
-	}
+	expected := spec.expected()
 	phys, err := optimizeIncremental(&spec, f.cfg, expected)
 	if err != nil {
 		return err
@@ -275,7 +264,6 @@ func (f *Fixpoint) RunDriven(workset []record.Record, hooks DriveHooks) (*Increm
 	d := &driver{
 		cfg: f.cfg, policy: f.en, maxSteps: maxSteps, worksetDriven: true,
 		traceBase: f.traceStep,
-		calTasks:  len(f.spec.Plan.Nodes()) * f.cfg.Parallelism,
 		reopt:     f.reopt,
 		hooks:     hooks,
 		collect:   f.cfg.CollectTrace, trace: &out.Trace,

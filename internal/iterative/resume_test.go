@@ -5,6 +5,7 @@ package iterative_test
 // iterative (so these tests cannot live in the internal test package).
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -122,6 +123,85 @@ func TestResumeIncrementalValidation(t *testing.T) {
 	sol := runtime.NewSolutionSet(2, record.KeyA, nil, nil)
 	if _, err := iterative.ResumeIncremental(spec, sol, nil, iterative.Config{Parallelism: 4}); err == nil {
 		t.Error("partition mismatch accepted")
+	}
+}
+
+// TestResumeMicrostep converges CC on a graph missing one bridge edge,
+// then finishes over the full graph with only the bridge's candidates —
+// the warm restart with direct merge required.
+func TestResumeMicrostep(t *testing.T) {
+	full := graphgen.Uniform("micro-resume", 80, 160, 0x30B)
+	bridge := graphgen.Edge{Src: 3, Dst: 77}
+	full.Edges = append(full.Edges, bridge)
+	partial := &graphgen.Graph{Name: "micro-partial", NumVertices: full.NumVertices,
+		Edges: full.Edges[:len(full.Edges)-1]}
+
+	cfg := iterative.Config{Parallelism: 4}
+	_, res, err := algorithms.CCIncremental(partial, algorithms.CCMatch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _, _ := algorithms.CCIncrementalSpec(full, algorithms.CCMatch)
+	delta := insertDeltaCC(res.Set, bridge.Src, bridge.Dst)
+	warm, err := iterative.ResumeMicrostep(spec, res.Set, delta, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Set != res.Set {
+		t.Error("the adopted solution set was not resumed in place")
+	}
+	oracle := algorithms.CCReference(full)
+	got := algorithms.ComponentsToMap(warm.Solution)
+	for v, c := range oracle {
+		if got[v] != c {
+			t.Fatalf("vertex %d -> %d, oracle %d", v, got[v], c)
+		}
+	}
+
+	// Error paths.
+	if _, err := iterative.ResumeMicrostep(spec, nil, nil, cfg); err == nil {
+		t.Error("nil solution set accepted")
+	}
+	if _, err := iterative.ResumeMicrostep(spec, res.Set, nil, iterative.Config{Parallelism: 8}); err == nil {
+		t.Error("partition mismatch accepted")
+	}
+	// The CoGroup variant is not admissible: refused, set untouched.
+	cg, _, _ := algorithms.CCIncrementalSpec(full, algorithms.CCCoGroup)
+	if _, err := iterative.ResumeMicrostep(cg, res.Set, delta, cfg); err == nil ||
+		!strings.Contains(err.Error(), "group-at-a-time") {
+		t.Errorf("inadmissible spec: %v, want the §5.2 rejection", err)
+	}
+	for v, c := range algorithms.ComponentsToMap(res.Set.Snapshot()) {
+		if got[v] != c {
+			t.Fatalf("a refused resume modified the solution set at vertex %d", v)
+		}
+	}
+}
+
+// TestPlanIncrementalMatchesOpenFixpoint: with no explicit weight,
+// PlanIncremental plans exactly as the run entry points do — with the
+// spec's own ExpectedIterations, not a fixed default.
+func TestPlanIncrementalMatchesOpenFixpoint(t *testing.T) {
+	g := graphgen.Uniform("plan-expected", 60, 120, 0xE3)
+	spec, _, _ := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
+	spec.ExpectedIterations = 3
+	cfg := iterative.Config{Parallelism: 2}
+
+	planned, err := iterative.PlanIncremental(spec, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := iterative.OpenFixpoint(spec, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	opened := f.Plan()
+	if planned.Fingerprint() != opened.Fingerprint() {
+		t.Errorf("plan shapes differ:\nPlanIncremental:\n%s\nOpenFixpoint:\n%s", planned.Explain(), opened.Explain())
+	}
+	if planned.Cost != opened.Cost {
+		t.Errorf("PlanIncremental costed %v, OpenFixpoint %v", planned.Cost, opened.Cost)
 	}
 }
 

@@ -341,39 +341,3 @@ func (t *Trace) AddEvent(iteration int, event string) {
 
 // NumIterations returns the number of recorded iterations.
 func (t *Trace) NumIterations() int { return len(t.Iterations) }
-
-// CalibratedWeights is a fitted set of cost-model weights: the unitless
-// constants of the optimizer's cost formulas replaced by values estimated
-// from measured superstep timings (regression of wall time against the
-// work counters). Only the ratios matter for plan and engine choice, so
-// the fitted values being in nanoseconds-per-record is immaterial.
-type CalibratedWeights struct {
-	// Net is the cost per record crossing a partitioning exchange.
-	Net float64
-	// CPU is the cost per UDF invocation.
-	CPU float64
-	// Group is the cost per solution-set access (the grouped probe work
-	// of the superstep engines).
-	Group float64
-	// Merge is the cost per solution-set update (the ∪̇ write path).
-	Merge float64
-	// StepOverhead is the fixed per-(task × superstep) cost of the
-	// superstep engines: waking one partition-pinned worker for one
-	// plan node and running the barrier protocol.
-	StepOverhead float64
-	// Samples counts the superstep observations the fit consumed;
-	// 0 means the weights are the built-in defaults.
-	Samples int
-}
-
-// PlannedVsObserved pairs the cost the engine selector predicted for one
-// superstep against the wall time the superstep actually took — the
-// feedback signal of adaptive execution.
-type PlannedVsObserved struct {
-	Engine    string
-	Superstep int
-	// Planned is the predicted cost in the weights' (unitless) scale.
-	Planned float64
-	// Observed is the measured superstep duration.
-	Observed time.Duration
-}

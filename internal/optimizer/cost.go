@@ -1,11 +1,9 @@
 package optimizer
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/dataflow"
-	"repro/internal/metrics"
 )
 
 // Cost-model weights. The absolute values are unitless; only the ratios
@@ -19,11 +17,6 @@ const (
 	wSortC  = 0.35 // per record*log2(n) sorted
 	wGroup  = 0.3  // per record grouped (hash or merge)
 	wMatCst = 0.1  // per record materialized into a cache
-
-	// Engine-level weights (see EngineCost): the ∪̇ write path and the
-	// fixed per-(task × superstep) cost of a barrier round.
-	wMerge   = 0.4
-	wStepOvh = 8.0
 )
 
 // wNetLocal is the fraction of wNet charged for a partition crossing that
@@ -103,115 +96,4 @@ func maxi64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// --- Engine-level costing (§4.3 extended) --------------------------------
-//
-// The paper treats bulk and incremental iterations as alternatives in one
-// plan space but settles for caller-chosen engines; the formulas below
-// cost a whole run per engine so a driver can pick. (§5.2's microsteps are
-// not a third alternative to cost: the incremental engine merges deltas
-// directly whenever Δ admits it.) Both are in the same unit system as the
-// plan-level weights above, and every weight can be replaced by a
-// calibrated value (see Calibrator).
-
-// Engine identifies one of the two iteration execution engines.
-type Engine int
-
-// The engines of §4 (bulk) and §5 (incremental).
-const (
-	// EngineBulk re-computes the full partial solution every superstep.
-	EngineBulk Engine = iota
-	// EngineIncremental evaluates Δ over the working set in barrier-
-	// synchronized supersteps, merging deltas with ∪̇.
-	EngineIncremental
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineBulk:
-		return "bulk"
-	case EngineIncremental:
-		return "incremental"
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// DefaultWeights returns the built-in unitless cost weights, the starting
-// point a Calibrator refines.
-func DefaultWeights() metrics.CalibratedWeights {
-	return metrics.CalibratedWeights{
-		Net: wNet, CPU: wCPU, Group: wGroup, Merge: wMerge,
-		StepOverhead: wStepOvh,
-	}
-}
-
-// EngineStats carries the cardinalities engine costing needs. They come
-// from the same estimates the plan optimizer uses (workset placeholder,
-// source sizes), not from execution.
-type EngineStats struct {
-	// SolutionSize is |S0| (bulk: the partial solution re-materialized
-	// every pass).
-	SolutionSize int64
-	// WorksetSize is |W| — the initial working set up front, or the
-	// remaining working set when re-costed mid-run.
-	WorksetSize int64
-	// ConstantSize is the summed cardinality of loop-invariant inputs
-	// (the cached edge table N).
-	ConstantSize int64
-	// ExpectedSupersteps weighs per-superstep work (§4.3's iteration
-	// factor).
-	ExpectedSupersteps int
-	// Tasks is plan nodes × parallelism — the number of partition-pinned
-	// workers one barrier round has to wake.
-	Tasks int
-}
-
-func (st EngineStats) normalized() EngineStats {
-	if st.ExpectedSupersteps <= 0 {
-		st.ExpectedSupersteps = 10
-	}
-	if st.Tasks <= 0 {
-		st.Tasks = 1
-	}
-	return st
-}
-
-// stepOverhead is the fixed cost of one barrier round.
-func stepOverhead(st EngineStats, w metrics.CalibratedWeights) float64 {
-	return w.StepOverhead * float64(st.Tasks)
-}
-
-// EngineCost estimates the cost of running a whole iteration on the given
-// engine:
-//
-//   - bulk: every superstep recomputes the full solution against the
-//     cached constant inputs — per pass the dynamic path streams S
-//     against N, emits ≈ (S+N) candidate records that are shipped and
-//     grouped, and re-materializes S, regardless of how little changed;
-//   - incremental: work is proportional to the working set, which
-//     collapses as the iteration converges (Figure 2's decaying curves):
-//     a geometric decay makes the whole run touch ≈ 2·W₀ elements, each
-//     shipped, streamed and grouped, with the ∪̇ merge charged per
-//     element, plus one barrier round for each expected superstep.
-func EngineCost(e Engine, st EngineStats, w metrics.CalibratedWeights) float64 {
-	st = st.normalized()
-	k := float64(st.ExpectedSupersteps)
-	switch e {
-	case EngineBulk:
-		perPass := (w.Net+w.CPU+w.Group)*float64(st.SolutionSize+st.ConstantSize) +
-			w.Merge*float64(st.SolutionSize) + stepOverhead(st, w)
-		return k * perPass
-	case EngineIncremental:
-		total := 2 * float64(st.WorksetSize)
-		return total*(w.Net+w.CPU+w.Group+w.Merge/2) + k*stepOverhead(st, w)
-	}
-	return math.Inf(1)
-}
-
-// SuperstepCost is the predicted cost of one barrier superstep over a
-// workset of the given size — the per-step feedback signal RunAuto pairs
-// with observed durations.
-func SuperstepCost(workset int64, st EngineStats, w metrics.CalibratedWeights) float64 {
-	return stepOverhead(st.normalized(), w) + float64(workset)*(w.Net+w.CPU+w.Group+w.Merge)
 }

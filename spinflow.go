@@ -32,20 +32,16 @@
 // solution set the moment it is produced, so later working-set elements
 // see it; RunMicrostep is the same run with that check made mandatory.
 //
-// # Adaptive engine selection
+// # Choosing an engine
 //
-// RunAuto removes the engine choice from the caller: an AutoSpec bundles
-// the incremental form with an optional bulk alternative and the
-// optimizer's cost model (extended with per-engine formulas) picks the
-// cheaper of the two engines. With a Calibrator in the Config, measured
-// superstep timings fit the cost weights, so repeated runs plan with
-// observed constants.
-//
-// All four entry points are thin adapters over one superstep driver
-// (internal/iterative/driver.go) that owns the iteration lifecycle —
-// convergence, mid-run re-optimization with backoff, calibration,
-// checkpoints, telemetry — once; engines supply only step semantics,
-// and distributed deployments plug in barrier and plan-epoch hooks.
+// As in the paper, the caller picks the iteration form — RunBulk,
+// RunIncremental or RunMicrostep — and the optimizer picks the physical
+// plan within it. All three entry points are thin adapters over one
+// superstep driver (internal/iterative/driver.go) that owns the
+// iteration lifecycle — convergence, mid-run re-optimization with
+// backoff, checkpoints, telemetry — once; engines supply only step
+// semantics, and distributed deployments plug in barrier and plan-epoch
+// hooks.
 //
 // # Execution model: sessions and partition-pinned workers
 //
@@ -232,23 +228,6 @@ func RunIncremental(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*Increme
 // working-set elements consumed.
 func RunMicrostep(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*IncrementalResult, error) {
 	return core.RunMicrostep(spec, s0, w0, cfg)
-}
-
-// AutoSpec describes one iterative computation executable by either
-// engine: the incremental form (required) plus an optional equivalent
-// bulk iteration.
-type AutoSpec = core.AutoSpec
-
-// AutoResult reports an adaptive run: the solution, the engine that
-// executed, per-engine candidate costs, and the cost weights used.
-type AutoResult = core.AutoResult
-
-// RunAuto lets the engine pick itself: incremental and (when supplied)
-// bulk are costed with the optimizer's (optionally calibrated) cost model
-// and the cheaper one runs. Set Config.Calibrator to plan repeated runs
-// with observed rather than guessed constants.
-func RunAuto(spec AutoSpec, s0, w0 []Record, cfg Config) (*AutoResult, error) {
-	return core.RunAuto(spec, s0, w0, cfg)
 }
 
 // SolutionSet is the resident state of an incremental iteration, handed
