@@ -252,6 +252,115 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 	}
 }
 
+// TestLiveShardedFoldCrossing streams insert batches that each push the
+// edge overlay past an eighth of the graph between delete batches, so folds
+// patch the cached edge tables with net changes gathered over several
+// batches — pairs inserted, deleted, re-inserted, and dropped with their
+// vertices — on 1, 2 and 3 hosts. After every batch each topology's
+// solution must match the oracle and the one-host view byte for byte, and
+// the maintenance decisions (bounded and full recomputes, re-plans) must
+// be the one-host view's.
+func TestLiveShardedFoldCrossing(t *testing.T) {
+	g := diffGraphs()[1]
+	half := len(g.Edges) / 2
+	initial := make([]live.Mutation, half)
+	for i, e := range g.Edges[:half] {
+		initial[i] = live.InsertEdge(e.Src, e.Dst)
+	}
+	model := live.NewGraphState()
+	for _, mu := range initial {
+		model.Apply(mu)
+	}
+	rng := &streamRNG{s: 0xF01D}
+	var stream [][]live.Mutation
+	for b := 0; b < 10; b++ {
+		var batch []live.Mutation
+		if b%2 == 0 {
+			n := int(g.NumVertices) + 8
+			for len(batch) <= model.NumEdges()/8 {
+				if s, d := int64(rng.intn(n)), int64(rng.intn(n)); s != d {
+					batch = append(batch, live.InsertEdge(s, d))
+				}
+			}
+		} else {
+			for i := 0; i < 4; i++ {
+				vs := model.Vertices()
+				v := vs[rng.intn(len(vs))]
+				if i == 3 {
+					batch = append(batch, live.DeleteVertex(v))
+				} else if inc := model.IncidentEdges(v); len(inc) > 0 {
+					e := inc[rng.intn(len(inc))]
+					batch = append(batch, live.DeleteEdge(e.Src, e.Dst))
+				}
+			}
+		}
+		for _, mu := range batch {
+			model.Apply(mu)
+		}
+		stream = append(stream, batch)
+	}
+
+	workers := startViewWorkers(t, 2)
+	var want [][]record.Record
+	var wantStats live.ViewStats
+	for hosts := 1; hosts <= 3; hosts++ {
+		cfg := shardViewConfig("compact", workers[:hosts-1])
+		cfg.RecomputeFraction = 1 // the inserts merge most of the graph: keep deletes bounded
+		v, err := live.NewView(fmt.Sprintf("fold-%d", hosts), live.CC(), initial, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay := live.NewGraphState()
+		for _, mu := range initial {
+			replay.Apply(mu)
+		}
+		for bi, batch := range stream {
+			for _, mu := range batch {
+				replay.Apply(mu)
+			}
+			if err := v.Mutate(batch...); err != nil {
+				t.Fatalf("%d hosts batch %d: %v", hosts, bi, err)
+			}
+			if err := v.Flush(); err != nil {
+				t.Fatalf("%d hosts batch %d flush: %v", hosts, bi, err)
+			}
+			ctx := fmt.Sprintf("%d hosts batch %d", hosts, bi)
+			snap := v.Snapshot()
+			oracle := liveOracleCC(replay)
+			if len(snap) != len(oracle) {
+				t.Fatalf("%s: %d records, oracle %d", ctx, len(snap), len(oracle))
+			}
+			for _, r := range snap {
+				if oracle[r.A] != r.B {
+					t.Fatalf("%s: vertex %d -> %d, oracle %d", ctx, r.A, r.B, oracle[r.A])
+				}
+			}
+			if hosts == 1 {
+				want = append(want, snap)
+			} else {
+				assertSnapshotsIdentical(t, ctx, snap, want[bi])
+			}
+		}
+		st := v.Stats()
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if hosts == 1 {
+			wantStats = st
+			if st.PartialRecomputes == 0 {
+				t.Fatal("no delete batch took the bounded recompute")
+			}
+			continue
+		}
+		if st.PartialRecomputes != wantStats.PartialRecomputes || st.FullRecomputes != wantStats.FullRecomputes ||
+			st.Rebinds != wantStats.Rebinds {
+			t.Fatalf("%d hosts: partial/full recomputes %d/%d, rebinds %d; one host %d/%d, %d", hosts,
+				st.PartialRecomputes, st.FullRecomputes, st.Rebinds,
+				wantStats.PartialRecomputes, wantStats.FullRecomputes, wantStats.Rebinds)
+		}
+	}
+}
+
 // TestLiveShardedKillRecover crashes a durable sharded view mid-life and
 // recovers it onto the same (still running) workers: the per-host
 // snapshot layout plus the WAL tail must reassemble the exact state, and

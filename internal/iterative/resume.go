@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/optimizer"
 	"repro/internal/record"
 	"repro/internal/runtime"
@@ -168,6 +169,14 @@ func (f *Fixpoint) Plan() *optimizer.PhysPlan { return f.reopt.cur }
 // path from the current data, while workers, exchanges and pooled batches
 // stay warm.
 func (f *Fixpoint) InvalidateConstants() { f.en.exec.InvalidateCaches() }
+
+// PatchConstants is the delta form of InvalidateConstants for one Source
+// node: its cached tables are edited in place (runtime.Executor.PatchSource)
+// and nothing is re-materialized. False means the plan cannot be patched
+// and nothing changed.
+func (f *Fixpoint) PatchConstants(src *dataflow.Node, add, remove []record.Record) bool {
+	return f.en.exec.PatchSource(f.reopt.cur, src, add, remove)
+}
 
 // Rebind re-optimizes a structurally new spec and swaps in a fresh session
 // for it, keeping the executor, the transport (rebound to the new plan's

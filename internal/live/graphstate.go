@@ -20,35 +20,45 @@ type WEdge struct {
 // Vertex ids need not be dense — deletions leave holes. All methods are
 // unsynchronized; LiveView serializes access.
 type GraphState struct {
-	verts map[int64]struct{}
+	// verts maps every alive vertex to its slot in heads; slots of removed
+	// vertices are reused.
+	verts map[int64]int32
+	heads [][2]int32 // per slot: first edge of its out-list [0] and in-list [1], -1 if none
+	free  []int32
 	edges []WEdge
+	// links threads each edge onto two doubly linked lists in place — [0]
+	// its source's out-list, [1] its destination's in-list — so a vertex's
+	// incident edges cost its degree to walk and unlinking costs O(1), with
+	// no allocation per vertex.
+	links [][2]edgeLink
 	index map[[2]int64]int // (src,dst) -> position in edges
 
-	// Derived-table caches. The maintainers re-derive the symmetrized
-	// edge table and the sorted vertex list on every plan refresh; at
-	// serving scale those rebuilds dominated the whole refresh, and the
-	// tables only ever *grow* between refreshes on the insert fast path.
-	// Each cache covers a prefix of the append-only state (undirN/wundirN
-	// edges, vertsCache+vertsAdd vertices) and is advanced by sorting
-	// just the fresh tail and merging; removals and in-place re-weights
-	// invalidate (-1 / vertsOK=false) back to a full rebuild. The
-	// accessors return the cache itself — callers (plan sources, graph
-	// dumps) only read — and every advance allocates a fresh slice, so a
-	// table referenced by a live plan is never mutated behind it.
-	undir   []record.Record
-	undirN  int
-	wundir  []algorithms.WeightedEdge
-	wundirN int
-
+	// The sorted vertex list (snapshots and spec derivations read it) is
+	// cached: vertsCache is sorted, vertsAdd holds the vertices added since,
+	// merged in on the next read; a removal invalidates (vertsOK=false) back
+	// to a full rebuild. Every advance allocates a fresh slice, so a list a
+	// caller holds is never mutated behind it.
 	vertsCache []int64
 	vertsAdd   []int64
 	vertsOK    bool
 }
 
+// edgeLink is an edge's place on one adjacency list (-1: none).
+type edgeLink struct{ prev, next int32 }
+
+// end is the endpoint whose list side threads e onto: 0 the source, 1
+// the destination.
+func (e WEdge) end(side int) int64 {
+	if side == 0 {
+		return e.Src
+	}
+	return e.Dst
+}
+
 // NewGraphState creates an empty graph.
 func NewGraphState() *GraphState {
 	return &GraphState{
-		verts:   make(map[int64]struct{}),
+		verts:   make(map[int64]int32),
 		index:   make(map[[2]int64]int),
 		vertsOK: true,
 	}
@@ -76,11 +86,28 @@ func (g *GraphState) AddVertex(v int64) bool {
 	if _, ok := g.verts[v]; ok {
 		return false
 	}
-	g.verts[v] = struct{}{}
+	g.slot(v)
+	return true
+}
+
+// slot returns v's slot in heads, adding v if it is new.
+func (g *GraphState) slot(v int64) int32 {
+	if s, ok := g.verts[v]; ok {
+		return s
+	}
+	var s int32
+	if n := len(g.free); n > 0 {
+		s, g.free = g.free[n-1], g.free[:n-1]
+		g.heads[s] = [2]int32{-1, -1}
+	} else {
+		s = int32(len(g.heads))
+		g.heads = append(g.heads, [2]int32{-1, -1})
+	}
+	g.verts[v] = s
 	if g.vertsOK {
 		g.vertsAdd = append(g.vertsAdd, v)
 	}
-	return true
+	return s
 }
 
 // HasVertex reports membership.
@@ -96,19 +123,28 @@ func (g *GraphState) AddEdge(src, dst int64, w float64) bool {
 	if src == dst {
 		return false
 	}
-	g.AddVertex(src)
-	g.AddVertex(dst)
+	ends := [2]int32{g.slot(src), g.slot(dst)}
 	k := [2]int64{src, dst}
 	if i, ok := g.index[k]; ok {
 		if g.edges[i].Weight == w {
 			return false
 		}
 		g.edges[i].Weight = w
-		g.wundirN = -1 // the pair's min weight may have moved either way
 		return true
 	}
-	g.index[k] = len(g.edges)
+	i := int32(len(g.edges))
+	g.index[k] = int(i)
 	g.edges = append(g.edges, WEdge{Src: src, Dst: dst, Weight: w})
+	var l [2]edgeLink
+	for side, s := range ends {
+		head := g.heads[s][side]
+		l[side] = edgeLink{prev: -1, next: head}
+		if head >= 0 {
+			g.links[head][side].prev = i
+		}
+		g.heads[s][side] = i
+	}
+	g.links = append(g.links, l)
 	return true
 }
 
@@ -130,25 +166,51 @@ func (g *GraphState) RemoveEdge(src, dst int64) (float64, bool) {
 		return 0, false
 	}
 	w := g.edges[i].Weight
+	g.relink(i, -1) // off both lists
 	last := len(g.edges) - 1
 	if i != last {
 		moved := g.edges[last]
-		g.edges[i] = moved
+		g.edges[i], g.links[i] = moved, g.links[last]
+		g.relink(i, i) // its neighbours now find it at i
 		g.index[[2]int64{moved.Src, moved.Dst}] = i
 	}
-	g.edges = g.edges[:last]
+	g.edges, g.links = g.edges[:last], g.links[:last]
 	delete(g.index, k)
-	g.undirN, g.wundirN = -1, -1
-	g.undir, g.wundir = nil, nil
 	return w, true
+}
+
+// relink repoints whatever references edge i's list positions — its
+// neighbours on both lists, or its endpoints' heads — at to: -1 unlinks
+// edge i, i itself re-anchors an edge just moved into position i.
+func (g *GraphState) relink(i, to int) {
+	e := g.edges[i]
+	for side := range 2 {
+		l := g.links[i][side]
+		next, prev := l.next, l.prev
+		if to >= 0 {
+			next, prev = int32(to), int32(to)
+		}
+		if l.prev >= 0 {
+			g.links[l.prev][side].next = next
+		} else {
+			g.heads[g.verts[e.end(side)]][side] = next
+		}
+		if l.next >= 0 {
+			g.links[l.next][side].prev = prev
+		}
+	}
 }
 
 // IncidentEdges returns every live edge touching v (either endpoint).
 func (g *GraphState) IncidentEdges(v int64) []WEdge {
+	s, ok := g.verts[v]
+	if !ok {
+		return nil
+	}
 	var out []WEdge
-	for _, e := range g.edges {
-		if e.Src == v || e.Dst == v {
-			out = append(out, e)
+	for side := range 2 {
+		for i := g.heads[s][side]; i >= 0; i = g.links[i][side].next {
+			out = append(out, g.edges[i])
 		}
 	}
 	return out
@@ -157,7 +219,8 @@ func (g *GraphState) IncidentEdges(v int64) []WEdge {
 // RemoveVertex deletes v and all incident edges, returning the removed
 // edges.
 func (g *GraphState) RemoveVertex(v int64) []WEdge {
-	if !g.HasVertex(v) {
+	s, ok := g.verts[v]
+	if !ok {
 		return nil
 	}
 	removed := g.IncidentEdges(v)
@@ -165,6 +228,7 @@ func (g *GraphState) RemoveVertex(v int64) []WEdge {
 		g.RemoveEdge(e.Src, e.Dst)
 	}
 	delete(g.verts, v)
+	g.free = append(g.free, s)
 	g.vertsOK = false
 	g.vertsCache, g.vertsAdd = nil, nil
 	return removed
@@ -188,81 +252,22 @@ func (g *GraphState) Vertices() []int64 {
 		g.vertsOK = true
 	} else if len(g.vertsAdd) > 0 {
 		slices.Sort(g.vertsAdd)
-		g.vertsCache = mergeSorted(g.vertsCache, g.vertsAdd, cmp.Compare, nil)
+		g.vertsCache = mergeSorted(g.vertsCache, g.vertsAdd)
 		g.vertsAdd = nil
 	}
 	return g.vertsCache
 }
 
-// symmetrize expands directed edges into both orientations, sorted by
-// (A, B) and deduplicated.
-func symmetrize(edges []WEdge) []record.Record {
-	out := make([]record.Record, 0, 2*len(edges))
-	for _, e := range edges {
-		out = append(out, record.Record{A: e.Src, B: e.Dst}, record.Record{A: e.Dst, B: e.Src})
-	}
-	slices.SortFunc(out, recordAB)
-	return slices.CompactFunc(out, func(x, y record.Record) bool {
-		return recordAB(x, y) == 0
-	})
-}
-
-func recordAB(x, y record.Record) int {
-	if c := cmp.Compare(x.A, y.A); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.B, y.B)
-}
-
-// symmetrizeWeighted expands directed edges into both orientations,
-// sorted by (Src, Dst) with the smallest weight kept per pair.
-func symmetrizeWeighted(edges []WEdge) []algorithms.WeightedEdge {
-	out := make([]algorithms.WeightedEdge, 0, 2*len(edges))
-	for _, e := range edges {
-		out = append(out,
-			algorithms.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: e.Weight},
-			algorithms.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
-	}
-	slices.SortFunc(out, func(x, y algorithms.WeightedEdge) int {
-		if c := wedgePair(x, y); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Weight, y.Weight)
-	})
-	return slices.CompactFunc(out, func(x, y algorithms.WeightedEdge) bool {
-		return wedgePair(x, y) == 0
-	})
-}
-
-func wedgePair(x, y algorithms.WeightedEdge) int {
-	if c := cmp.Compare(x.Src, y.Src); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.Dst, y.Dst)
-}
-
-// mergeSorted merges two sorted deduplicated slices into a fresh sorted
-// deduplicated slice. On equal keys resolve picks the survivor (nil
-// keeps a); a key from the tail can collide with the cache when the
-// reverse orientation of a cached pair arrives later.
-func mergeSorted[T any](a, b []T, compare func(T, T) int, resolve func(T, T) T) []T {
-	out := make([]T, 0, len(a)+len(b))
+// mergeSorted merges two sorted disjoint vertex lists into a fresh one.
+func mergeSorted(a, b []int64) []int64 {
+	out := make([]int64, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch c := compare(a[i], b[j]); {
-		case c < 0:
+		if a[i] < b[j] {
 			out = append(out, a[i])
 			i++
-		case c > 0:
+		} else {
 			out = append(out, b[j])
-			j++
-		default:
-			keep := a[i]
-			if resolve != nil {
-				keep = resolve(a[i], b[j])
-			}
-			out = append(out, keep)
-			i++
 			j++
 		}
 	}
@@ -273,39 +278,44 @@ func mergeSorted[T any](a, b []T, compare func(T, T) int, resolve func(T, T) T) 
 // UndirectedRecords symmetrizes the edge set into deduplicated edge
 // records (A=src, B=dst, both orientations), the neighborhood table N of
 // the Connected Components dataflow. Order is deterministic: edges sort
-// by (A, B). The maintainer re-derives this table on every plan refresh,
-// so between removals only the freshly appended edges are sorted and
-// merged into the cached table.
+// by (A, B).
 func (g *GraphState) UndirectedRecords() []record.Record {
-	if g.undirN < 0 || g.undirN > len(g.edges) {
-		g.undir = symmetrize(g.edges)
-		g.undirN = len(g.edges)
-	} else if g.undirN < len(g.edges) {
-		g.undir = mergeSorted(g.undir, symmetrize(g.edges[g.undirN:]), recordAB, nil)
-		g.undirN = len(g.edges)
+	out := make([]record.Record, 0, 2*len(g.edges))
+	for _, e := range g.edges {
+		out = append(out, record.Record{A: e.Src, B: e.Dst}, record.Record{A: e.Dst, B: e.Src})
 	}
-	return g.undir
+	slices.SortFunc(out, func(x, y record.Record) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.B, y.B)
+	})
+	return slices.Compact(out)
 }
 
 // WeightedUndirected symmetrizes the edge set into weighted edges (both
-// orientations). When both orientations carry different weights, the
-// smaller weight wins deterministically. Cached and incrementally merged
-// the same way as UndirectedRecords; in-place re-weights invalidate.
+// orientations), sorted by (Src, Dst). When both orientations carry
+// different weights, the smaller weight wins deterministically.
 func (g *GraphState) WeightedUndirected() []algorithms.WeightedEdge {
-	minW := func(x, y algorithms.WeightedEdge) algorithms.WeightedEdge {
-		if y.Weight < x.Weight {
-			return y
+	out := make([]algorithms.WeightedEdge, 0, 2*len(g.edges))
+	for _, e := range g.edges {
+		out = append(out,
+			algorithms.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: e.Weight},
+			algorithms.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
+	}
+	pair := func(x, y algorithms.WeightedEdge) int {
+		if c := cmp.Compare(x.Src, y.Src); c != 0 {
+			return c
 		}
-		return x
+		return cmp.Compare(x.Dst, y.Dst)
 	}
-	if g.wundirN < 0 || g.wundirN > len(g.edges) {
-		g.wundir = symmetrizeWeighted(g.edges)
-		g.wundirN = len(g.edges)
-	} else if g.wundirN < len(g.edges) {
-		g.wundir = mergeSorted(g.wundir, symmetrizeWeighted(g.edges[g.wundirN:]), wedgePair, minW)
-		g.wundirN = len(g.edges)
-	}
-	return g.wundir
+	slices.SortFunc(out, func(x, y algorithms.WeightedEdge) int {
+		if c := pair(x, y); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Weight, y.Weight)
+	})
+	return slices.CompactFunc(out, func(x, y algorithms.WeightedEdge) bool { return pair(x, y) == 0 })
 }
 
 // Graph materializes the current directed edge list as a graphgen.Graph

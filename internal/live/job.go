@@ -37,6 +37,8 @@ func (j jobMaintainer) Spec(*GraphState) (iterative.IncrementalSpec, []record.Re
 	return j.spec, j.s0, j.w0
 }
 
+func (jobMaintainer) PairRecords(dst []record.Record, _ []WEdge) []record.Record { return dst }
+
 func (jobMaintainer) InsertDelta(int64, int64, float64, SolutionReader) []record.Record { return nil }
 
 func (jobMaintainer) VertexRecord(int64) (record.Record, bool) { return record.Record{}, false }

@@ -45,7 +45,9 @@
 // partition ranges across `spinflow worker` processes. The host count
 // changes the transport and the control fan-out, never the maintenance
 // decision: insert fast path, bounded recompute, full recompute and
-// overlay fold are taken on the same conditions everywhere. Every host
+// overlay fold — a patch of the cached edge table with the net edge
+// changes since the last fold — are taken on the same conditions
+// everywhere. Every host
 // keeps a full graph replica and derives plan and placement independently
 // (digest-checked over the control connections); only mutation batches,
 // owner-routed candidate worksets and the affected regions of deletions

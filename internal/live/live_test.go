@@ -187,19 +187,28 @@ func TestLiveViewDeletionsBoundedRecompute(t *testing.T) {
 	}
 }
 
-// TestLiveViewMixedBatch puts an insert that bridges two components and a
-// delete that splits one of them into the SAME batch — the stale-label
-// hazard: the insert's candidate labels must not leak pre-delete state.
-func TestLiveViewMixedBatch(t *testing.T) {
-	// Chain 0-1-2-3 and pair 10-11.
-	initial := []Mutation{
-		InsertEdge(0, 1), InsertEdge(1, 2), InsertEdge(2, 3),
-		InsertEdge(10, 11),
+// islandEdges builds n islands of size vertices each — a ring plus one
+// chord — the first at vertex base, islands 32 ids apart.
+func islandEdges(n, size, base int64) []Mutation {
+	var out []Mutation
+	for c := int64(0); c < n; c++ {
+		at := base + 32*c
+		for i := int64(0); i < size; i++ {
+			out = append(out, InsertEdge(at+i, at+(i+1)%size))
+		}
+		out = append(out, InsertEdge(at, at+size/2))
 	}
-	v, err := NewView("cc", CC(), initial, ViewConfig{
-		Config:            iterative.Config{Parallelism: 2},
-		RecomputeFraction: 1.0,
-	})
+	return out
+}
+
+// TestDeleteBatchPatchesConstantPath: a batch that deletes edges folds by
+// patching the cached edge table in place, so what it ships is the bounded
+// recompute's workset — a refill would ship both orientations of every
+// edge again.
+func TestDeleteBatchPatchesConstantPath(t *testing.T) {
+	var m metrics.Counters
+	initial := islandEdges(3000, 20, 0)
+	v, err := NewView("cc", CC(), initial, ViewConfig{Config: iterative.Config{Parallelism: 2, Metrics: &m}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,23 +217,160 @@ func TestLiveViewMixedBatch(t *testing.T) {
 	for _, mu := range initial {
 		model.Apply(mu)
 	}
-
-	// Delete 1-2 (chain splits into {0,1} and {2,3}) while inserting
-	// 3-10 (joins {2,3} with {10,11}). Stale labels would tag vertex 10's
-	// side with component 0.
-	mutateAndModel(t, v, model, DeleteEdge(1, 2), InsertEdge(3, 10))
+	var batch []Mutation
+	for c := int64(0); c < 8; c++ {
+		at := 32 * 371 * c
+		batch = append(batch, DeleteEdge(at+3, at+4))
+	}
+	shipped, partial := m.RecordsShipped.Load(), m.PartialRecomputes.Load()
+	mutateAndModel(t, v, model, batch...)
 	if err := v.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	assertCC(t, "mixed batch", v, model)
-
-	// An edge inserted and deleted again within one batch never existed:
-	// {0,1} and {2,3,10,11} must stay apart.
-	mutateAndModel(t, v, model, InsertEdge(1, 10), DeleteEdge(1, 10))
-	if err := v.Flush(); err != nil {
-		t.Fatal(err)
+	if d, e := m.RecordsShipped.Load()-shipped, int64(model.NumEdges()); d >= e/10 {
+		t.Fatalf("an 8-edge delete batch shipped %d records over a %d-edge graph", d, e)
 	}
-	assertCC(t, "insert then delete in one batch", v, model)
+	if m.PartialRecomputes.Load() != partial+1 {
+		t.Fatal("the delete batch did not take the bounded recompute")
+	}
+	assertCC(t, "after the delete batch", v, model)
+}
+
+// TestLiveViewMixedBatch puts inserts and deletes touching the same
+// components — and the same vertex pairs — into one batch and across
+// folds. The first two batches are the stale-label hazard: an insert's
+// candidate labels must not leak pre-delete state. The rest pin the pair
+// semantics of the patched edge table: a pair's records stay while either
+// orientation lives, leave once, and come back at the next fold after a
+// re-insert — each checked by a later batch whose labels must cross (or
+// not cross) that pair through the table. Background components make a
+// refilled table visible: a refill ships about half the table's two
+// records per edge across partitions, a patched batch only its small
+// workset. Only a full recompute and a 4x drift rebind re-plan and refill.
+func TestLiveViewMixedBatch(t *testing.T) {
+	t.Run("cc", func(t *testing.T) {
+		// Chain 0-1-2-3 and pair 10-11, beside a 600-vertex star (ids from
+		// 1000: more than half the solution, so cutting a leaf recomputes
+		// in full) and 100 triangles (ids from 3000).
+		initial := []Mutation{
+			InsertEdge(0, 1), InsertEdge(1, 2), InsertEdge(2, 3),
+			InsertEdge(10, 11),
+		}
+		for i := int64(1); i < 600; i++ {
+			initial = append(initial, InsertEdge(1000, 1000+i))
+		}
+		initial = append(initial, islandEdges(100, 3, 3000)...)
+		var m metrics.Counters
+		v, err := NewView("cc", CC(), initial, ViewConfig{Config: iterative.Config{Parallelism: 2, Metrics: &m}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		model := NewGraphState()
+		for _, mu := range initial {
+			model.Apply(mu)
+		}
+		batch := func(ctx string, patched bool, muts ...Mutation) {
+			t.Helper()
+			shipped := m.RecordsShipped.Load()
+			mutateAndModel(t, v, model, muts...)
+			if err := v.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			assertCC(t, ctx, v, model)
+			if d := m.RecordsShipped.Load() - shipped; patched && d >= int64(model.NumEdges()/4) {
+				t.Fatalf("%s: shipped %d records over %d edges: the edge table was refilled", ctx, d, model.NumEdges())
+			}
+		}
+
+		// Delete 1-2 (chain splits into {0,1} and {2,3}) while inserting
+		// 3-10 (joins {2,3} with {10,11}). Stale labels would tag vertex
+		// 10's side with component 0.
+		batch("mixed batch", true, DeleteEdge(1, 2), InsertEdge(3, 10))
+		// An edge inserted and deleted again within one batch never
+		// existed: {0,1} and {2,3,10,11} must stay apart.
+		batch("insert then delete in one batch", true, InsertEdge(1, 10), DeleteEdge(1, 10))
+
+		// Both orientations of 20-21, folded into the table (an unrelated
+		// delete forces the fold), then one deleted: the pair stays in the
+		// table, and label 2 must cross it to reach 20.
+		batch("reciprocal pair", true, InsertEdge(20, 21), InsertEdge(21, 20), InsertEdge(21, 22), DeleteEdge(3096, 3097))
+		batch("delete one orientation", true, DeleteEdge(20, 21))
+		batch("cross the surviving orientation", true, InsertEdge(22, 2))
+
+		// Delete then re-insert across folds: the re-insert reaches the
+		// table at the next fold (an unrelated delete forces it), and
+		// label -1 must then cross it to reach 1.
+		batch("delete a pair", true, DeleteEdge(0, 1))
+		batch("re-insert it", true, InsertEdge(0, 1))
+		batch("fold the re-insert", true, DeleteEdge(3000, 3001))
+		batch("cross the re-inserted pair", true, InsertEdge(0, -1))
+
+		// A vertex dropped with reciprocal edges takes each pair out once;
+		// back with a smaller label, it must not relabel its old neighbours.
+		batch("reciprocal pairs", true, InsertEdge(30, 31), InsertEdge(31, 30), InsertEdge(31, 32), InsertEdge(32, 31),
+			DeleteEdge(3128, 3129))
+		batch("drop their hub", true, DeleteVertex(31))
+		batch("re-add the hub", true, InsertEdge(31, 25))
+
+		full := m.FullRecomputes.Load()
+		batch("cut a star leaf", false, DeleteEdge(1000, 1001))
+		if m.FullRecomputes.Load() != full+1 {
+			t.Fatal("cutting the star did not recompute in full")
+		}
+		batch("patched after the full recompute", true, DeleteEdge(3032, 3033))
+
+		rebinds := v.Stats().Rebinds
+		var grow []Mutation
+		for i := int64(0); i < int64(8*model.NumEdges()); i += 2 {
+			grow = append(grow, InsertEdge(10000+i, 10001+i))
+		}
+		batch("grow the graph 5x", false, grow...)
+		if v.Stats().Rebinds != rebinds+1 {
+			t.Fatal("a 5x edge-count drift did not re-plan")
+		}
+		batch("patched after the rebind", true, DeleteEdge(10000, 10001), InsertEdge(0, 3064))
+	})
+
+	t.Run("sssp", func(t *testing.T) {
+		// 0 -10- 1 -5- 2 -1- 3: small enough that every insert batch folds.
+		// Each insert is a pair's reverse orientation at a smaller weight,
+		// so the pair's table records must move to the new minimum: the
+		// second batch's shortcut to 1 reaches 2 only across (1, 2) at 1.
+		// A patch leaves the plan's source data as the cold build derived
+		// it; a refill would have re-derived it.
+		initial := []Mutation{
+			InsertWeightedEdge(0, 1, 10), InsertWeightedEdge(1, 2, 5), InsertWeightedEdge(2, 3, 1),
+		}
+		var m metrics.Counters
+		v, err := NewView("sssp", SSSP(0), initial, ViewConfig{Config: iterative.Config{Parallelism: 2, Metrics: &m}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer v.Close()
+		src := v.sess.core.sources[0]
+		cold := len(src.Data)
+		for i, mu := range []Mutation{InsertWeightedEdge(2, 1, 1), InsertWeightedEdge(1, 0, 2)} {
+			if err := v.Mutate(mu); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if len(src.Data) != cold || v.sess.core.sources[0] != src {
+				t.Fatalf("batch %d refilled the edge table instead of patching it", i)
+			}
+			want := [][]float64{{0, 10, 11, 12}, {0, 2, 3, 4}}[i]
+			for vid, d := range want {
+				if r, ok := v.Query(int64(vid)); !ok || r.X != d {
+					t.Fatalf("batch %d: dist(%d) = %v (found %v), want %v", i, vid, r.X, ok, d)
+				}
+			}
+		}
+		if n := m.FullRecomputes.Load() + v.Stats().Rebinds; n != 0 {
+			t.Fatalf("monotone inserts re-planned %d times", n)
+		}
+	})
 }
 
 // TestLiveViewVertexDelete removes a cut vertex, which both drops its

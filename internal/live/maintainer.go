@@ -26,9 +26,16 @@ type Maintainer interface {
 	// API.
 	Name() string
 	// Spec assembles the incremental iteration (Δ, S0, W0) for the given
-	// graph state. It is re-invoked after structural mutations; the
-	// Source nodes it produces must appear in a deterministic order.
+	// graph state. It is re-invoked when the session re-plans or refills
+	// its caches; the Source nodes it produces must appear in a
+	// deterministic order.
 	Spec(gs *GraphState) (iterative.IncrementalSpec, []record.Record, []record.Record)
+	// PairRecords appends to dst the records one undirected vertex pair
+	// contributes to the edge table — the data of Spec's single Source —
+	// given the pair's live directed edges (one or both orientations; none
+	// contributes nothing). Spec's table is the union over all pairs, which
+	// is what lets a fold patch the cached table pair by pair.
+	PairRecords(dst []record.Record, pair []WEdge) []record.Record
 	// InsertDelta translates the inserted undirected edge (src, dst, w)
 	// into workset candidates over the resident solution — the monotone
 	// fast path. It must be safe for lookups to miss (new or reset
@@ -69,6 +76,15 @@ func (ccMaintainer) Name() string { return "cc" }
 
 func (ccMaintainer) Spec(gs *GraphState) (iterative.IncrementalSpec, []record.Record, []record.Record) {
 	return algorithms.CCMaintenanceSpec(gs.Vertices(), gs.UndirectedRecords(), algorithms.CCCoGroup)
+}
+
+// PairRecords: N holds both orientations of every connected pair.
+func (ccMaintainer) PairRecords(dst []record.Record, pair []WEdge) []record.Record {
+	if len(pair) == 0 {
+		return dst
+	}
+	a, b := pair[0].Src, pair[0].Dst
+	return append(dst, record.Record{A: a, B: b}, record.Record{A: b, B: a})
 }
 
 // cid reads a vertex's current component label, defaulting to its own id
@@ -114,16 +130,19 @@ func (ccMaintainer) RecomputeSeed(gs *GraphState, affected []int64) (resets, see
 		in[v] = struct{}{}
 		resets[i] = record.Record{A: v, B: v}
 	}
-	// Surviving edges with both endpoints in the region re-seed the
-	// candidate propagation (UndirectedRecords carries both orientations).
-	for _, e := range gs.UndirectedRecords() {
-		if _, a := in[e.A]; !a {
-			continue
+	// Every surviving edge inside the region re-seeds the candidate
+	// propagation both ways: each endpoint proposes its reset id to the
+	// other. (A reciprocal pair seeds twice; candidates collapse per key.)
+	for _, v := range affected {
+		for _, e := range gs.IncidentEdges(v) {
+			u := e.Dst
+			if u == v {
+				u = e.Src
+			}
+			if _, ok := in[u]; ok {
+				seed = append(seed, record.Record{A: u, B: v})
+			}
 		}
-		if _, b := in[e.B]; !b {
-			continue
-		}
-		seed = append(seed, record.Record{A: e.B, B: e.A})
 	}
 	return resets, seed, nil
 }
@@ -146,6 +165,19 @@ func (ssspMaintainer) Name() string { return "sssp" }
 
 func (s ssspMaintainer) Spec(gs *GraphState) (iterative.IncrementalSpec, []record.Record, []record.Record) {
 	return algorithms.SSSPSpec(gs.WeightedUndirected(), s.source)
+}
+
+// PairRecords: E holds both orientations of every connected pair at the
+// pair's smaller weight.
+func (ssspMaintainer) PairRecords(dst []record.Record, pair []WEdge) []record.Record {
+	if len(pair) == 0 {
+		return dst
+	}
+	e := pair[0]
+	for _, o := range pair[1:] {
+		e.Weight = min(e.Weight, o.Weight)
+	}
+	return append(dst, record.Record{A: e.Src, B: e.Dst, X: e.Weight}, record.Record{A: e.Dst, B: e.Src, X: e.Weight})
 }
 
 func (s ssspMaintainer) InsertDelta(src, dst int64, w float64, sol SolutionReader) []record.Record {

@@ -32,8 +32,10 @@ import (
 // re-plan), the placement, and a resident Fixpoint over its partitions.
 // Every host applies every mutation batch to its replica, so anything that
 // depends only on (replica, batch) — which edges were removed, whether the
-// overlay folds, the region's resets and seeds — is derived independently
-// and agrees byte-for-byte. Solution state is partitioned: a host's hosted
+// overlay folds, the edge-table patch a fold applies, the region's resets
+// and seeds — is derived independently and agrees byte-for-byte; each host
+// patches only the cached tables of the partitions it hosts, so a fold
+// ships nothing. Solution state is partitioned: a host's hosted
 // partitions are exact, the rest are stale, and a stale label may *mask* a
 // propagation the fixpoint needs — so hostedReader serves only owned
 // labels and lets the maintainer's fallback produce a sound candidate for
@@ -247,12 +249,16 @@ type shardCore struct {
 	epoch int
 
 	// overlay holds edges live in gs but not yet folded into the plan's
-	// cached edge table: the insert fast path leaves the O(E) caches warm
+	// cached edge table: the insert fast path leaves the caches as they are
 	// and re-derives candidates over these edges until the solution is a
 	// fixpoint over N ∪ overlay. fresh holds the *current* batch's inserts,
 	// the round-0 candidate source. Both evolve identically on every host.
 	overlay []WEdge
 	fresh   []WEdge
+	// edits logs every change to a directed edge since the cached edge
+	// table last matched gs, with the edge's prior state — one append per
+	// mutation; fold nets them into the table's patch.
+	edits []edgeEdit
 	// The current batch's removals, identical on every host: removed lists
 	// the edges whose disappearance (or re-weighting) needs repair,
 	// dropVerts the vertices that left, newVerts the ones that arrived.
@@ -267,6 +273,14 @@ type shardCore struct {
 	// never travel — only remote-keyed ones go up to the coordinator, which
 	// routes every candidate straight to its owner.
 	pending []record.Record
+}
+
+// edgeEdit is one change to the directed edge (src, dst): had and w are
+// whether it existed before the change, and with what weight.
+type edgeEdit struct {
+	src, dst int64
+	w        float64
+	had      bool
 }
 
 // specFor assembles the per-host iterative.Config a shardSpec describes.
@@ -341,13 +355,13 @@ func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
 
 // setSpec installs the spec the fixpoint was just (re)bound to, with the
 // bookkeeping that hangs off it. Everything in gs is in the new plan's
-// edge table, so the overlay empties.
+// edge table, so the overlay and the edit log empty.
 func (c *shardCore) setSpec(spec iterative.IncrementalSpec) {
 	c.spec = spec
 	c.sources = sourcesOf(spec)
 	c.planEdges = c.gs.NumEdges()
 	c.digest = c.fx.Plan().Fingerprint()
-	c.overlay = c.overlay[:0]
+	c.overlay, c.edits = c.overlay[:0], c.edits[:0]
 }
 
 // sourcesOf lists a spec's Source nodes in construction order.
@@ -404,6 +418,7 @@ func (c *shardCore) applyBatch(muts []Mutation) error {
 			addVertex(mut.Dst)
 			oldW, existed := c.gs.EdgeWeight(mut.Src, mut.Dst)
 			if c.gs.AddEdge(mut.Src, mut.Dst, mut.Weight) {
+				c.edits = append(c.edits, edgeEdit{mut.Src, mut.Dst, oldW, existed})
 				e := WEdge{Src: mut.Src, Dst: mut.Dst, Weight: mut.Weight}
 				c.overlay = append(c.overlay, e)
 				c.fresh = append(c.fresh, e)
@@ -415,14 +430,19 @@ func (c *shardCore) applyBatch(muts []Mutation) error {
 				}
 			}
 		case OpDeleteEdge:
-			if _, ok := c.gs.RemoveEdge(mut.Src, mut.Dst); ok {
+			if w, ok := c.gs.RemoveEdge(mut.Src, mut.Dst); ok {
+				c.edits = append(c.edits, edgeEdit{mut.Src, mut.Dst, w, true})
 				c.removed = append(c.removed, WEdge{Src: mut.Src, Dst: mut.Dst})
 			}
 		case OpAddVertex:
 			addVertex(mut.Src)
 		case OpDeleteVertex:
 			if c.gs.HasVertex(mut.Src) {
-				c.removed = append(c.removed, c.gs.RemoveVertex(mut.Src)...)
+				gone := c.gs.RemoveVertex(mut.Src)
+				for _, e := range gone {
+					c.edits = append(c.edits, edgeEdit{e.Src, e.Dst, e.Weight, true})
+				}
+				c.removed = append(c.removed, gone...)
 				c.dropVerts = append(c.dropVerts, mut.Src)
 			}
 		default:
@@ -475,11 +495,11 @@ func (c *shardCore) impact(e WEdge, known []record.Record) (share []int64, ok bo
 // settle brings this host's plan and solution state to where the candidate
 // rounds start from. full is the coordinated full recompute (the returned
 // W0 is the coordinator's to drive). Otherwise: dropped vertices leave the
-// solution, removals and an oversized overlay fold into the plan's edge
-// table — stale edges would resurrect retracted state — the region of a
-// bounded recompute is re-initialized (every host derives the same resets
-// and seeds from its replica and keeps the ones it owns), and fresh
-// vertices enter the solution.
+// solution, a batch that removed something — stale edges would resurrect
+// retracted state — or an oversized overlay folds into the plan's cached
+// edge table, the region of a bounded recompute is re-initialized (every
+// host derives the same resets and seeds from its replica and keeps the
+// ones it owns), and fresh vertices enter the solution.
 func (c *shardCore) settle(full bool, region []int64) ([]record.Record, error) {
 	if full {
 		return c.recompute()
@@ -520,19 +540,103 @@ func (c *shardCore) settle(full bool, region []int64) ([]record.Record, error) {
 	return nil, nil
 }
 
-// fold makes the plan's edge table reflect the current graph (overlay
-// included). Normally the spec is rebuilt only to harvest fresh source
-// data, which is copied into the live plan in place: plan, edge IDs and
-// digest are unchanged, the session and its workers survive, and
-// InvalidateConstants makes the next superstep re-materialize the edge
-// caches. When the edge count has drifted 4x from what the plan was costed
-// with, the session re-plans instead.
+// fold makes the plan's cached edge table reflect the current graph
+// (overlay and removals included). Normally it patches: the net change
+// since the table last matched gs is edited into each hosted cached table
+// in place, so plan, edge IDs, digest, session and caches all survive and
+// no edge record is re-shipped. When the edge count has drifted 4x from
+// what the plan was costed with, the session re-plans instead; a plan the
+// runtime will not patch (its caches are not filled yet) is refilled.
+//
+// Invariant: every path that refills the edge caches — rebind, recompute
+// and refill — first re-derives the spec from gs, because after a patch
+// the plan's Source data no longer describes the table.
 func (c *shardCore) fold() error {
 	edges := c.gs.NumEdges()
-	spec, _, _ := c.m.Spec(c.gs)
 	if edges > 4*c.planEdges || (edges > 0 && c.planEdges > 4*edges) {
+		spec, _, _ := c.m.Spec(c.gs)
 		return c.rebind(spec)
 	}
+	if len(c.sources) == 1 {
+		add, remove := c.foldDelta()
+		if c.fx.PatchConstants(c.sources[0], add, remove) {
+			c.overlay, c.edits = c.overlay[:0], c.edits[:0]
+			return nil
+		}
+	}
+	return c.refill()
+}
+
+// foldDelta nets the edit log into the change of the cached edge table.
+// For every vertex pair the log touches, the table holds the maintainer's
+// records over the pair's edges as they were when it last matched gs —
+// each orientation's first edit saw that state; an orientation never
+// edited is as it is now — and must come to hold the records over the
+// pair's edges now. So an edge inserted and deleted between folds nets
+// out, and deleting one orientation of a reciprocal pair changes nothing.
+func (c *shardCore) foldDelta() (add, remove []record.Record) {
+	// Group the log by pair, in first-touch order, keeping each
+	// orientation's first edit: [0] is lo→hi, [1] hi→lo.
+	type pairEdits struct {
+		ends  [2]int64
+		first [2]*edgeEdit
+	}
+	at := make(map[[2]int64]int, len(c.edits))
+	var pairs []pairEdits
+	for i := range c.edits {
+		e := &c.edits[i]
+		ends, dir := [2]int64{e.src, e.dst}, 0
+		if e.src > e.dst {
+			ends, dir = [2]int64{e.dst, e.src}, 1
+		}
+		k, ok := at[ends]
+		if !ok {
+			k = len(pairs)
+			at[ends] = k
+			pairs = append(pairs, pairEdits{ends: ends})
+		}
+		if pairs[k].first[dir] == nil {
+			pairs[k].first[dir] = e
+		}
+	}
+	var was, now []WEdge
+	var before, after []record.Record
+	for _, p := range pairs {
+		was, now = was[:0], now[:0]
+		for dir, e := range [2]WEdge{{Src: p.ends[0], Dst: p.ends[1]}, {Src: p.ends[1], Dst: p.ends[0]}} {
+			w, ok := c.gs.EdgeWeight(e.Src, e.Dst)
+			if ok {
+				now = append(now, WEdge{e.Src, e.Dst, w})
+			}
+			if f := p.first[dir]; f != nil {
+				w, ok = f.w, f.had
+			}
+			if ok {
+				was = append(was, WEdge{e.Src, e.Dst, w})
+			}
+		}
+		before = c.m.PairRecords(before[:0], was)
+		after = c.m.PairRecords(after[:0], now)
+		for _, r := range before {
+			if !slices.Contains(after, r) {
+				remove = append(remove, r)
+			}
+		}
+		for _, r := range after {
+			if !slices.Contains(before, r) {
+				add = append(add, r)
+			}
+		}
+	}
+	return add, remove
+}
+
+// refill is fold's fallback: the spec is re-derived only to harvest fresh
+// source data, which is copied into the live plan in place — plan, edge
+// IDs and digest unchanged — and InvalidateConstants makes the next
+// superstep re-materialize the edge caches from it.
+func (c *shardCore) refill() error {
+	spec, _, _ := c.m.Spec(c.gs)
 	fresh := sourcesOf(spec)
 	if len(fresh) != len(c.sources) {
 		return fmt.Errorf("live: maintainer %s produced %d sources, plan has %d",
@@ -542,7 +646,7 @@ func (c *shardCore) fold() error {
 		n.Data = fresh[i].Data
 	}
 	c.fx.InvalidateConstants()
-	c.overlay = c.overlay[:0]
+	c.overlay, c.edits = c.overlay[:0], c.edits[:0]
 	return nil
 }
 

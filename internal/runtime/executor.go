@@ -1,8 +1,10 @@
 package runtime
 
 import (
+	"slices"
 	"sync/atomic"
 
+	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
@@ -245,6 +247,135 @@ func (e *Executor) slotsFilledAmong(n *optimizer.PhysNode, input int, parts []in
 // the same executor runs a different plan).
 func (e *Executor) InvalidateCaches() {
 	e.Close()
+}
+
+// PatchSource edits the cached tables built from Source node src in place,
+// so they hold src's records less remove plus add, without re-running the
+// source, re-shipping its records or rebuilding a table — the constant data
+// path's changes arrive as a delta, like the dynamic path's. Each record
+// goes where the cached edge shipped it (ShipPartition: the partition of
+// its key; ShipBroadcast: every partition), into the slots this executor
+// has filled; a partition hosted elsewhere is its host's to patch. Every
+// removed record must be in its table.
+//
+// It reports false and changes nothing when src cannot be patched: it
+// reaches a consumer through a fused chain or as anything but the cached
+// build side of a hash join, a slot is not filled (the next superstep
+// would build it from src.Data), or a record to remove is missing. The
+// cache generation does not move, so open sessions keep their wiring; and
+// src.Data is not touched, so after a patch it no longer describes the
+// table — whoever drops these caches must re-derive it first.
+func (e *Executor) PatchSource(p *optimizer.PhysPlan, src *dataflow.Node, add, remove []record.Record) bool {
+	par := max(p.Parallelism, 1)
+	type target struct {
+		edge  *optimizer.Edge
+		key   record.KeyFunc // the table's group key
+		slots []*cacheSlot   // by partition; nil when not hosted here
+	}
+	var targets []target
+	for _, n := range p.Nodes {
+		for i := range n.Inputs {
+			in := &n.Inputs[i]
+			if in.From.Logical != src {
+				continue
+			}
+			if in.From.Role != optimizer.RoleOperator || len(in.From.FusedChain) > 0 || !in.Cache ||
+				n.Local != optimizer.LocalHashJoin || n.BuildSide != i ||
+				(in.Ship != optimizer.ShipPartition && in.Ship != optimizer.ShipBroadcast) {
+				return false
+			}
+			t := target{edge: in, key: n.Logical.Keys[i], slots: make([]*cacheSlot, par)}
+			hosted := false
+			for part := range t.slots {
+				s, ok := e.slots[slotKey{n.ID, i, part}]
+				if !ok {
+					continue
+				}
+				if !s.filled || s.table == nil {
+					return false
+				}
+				t.slots[part], hosted = s, true
+			}
+			if !hosted {
+				return false
+			}
+			targets = append(targets, t)
+		}
+	}
+	if len(targets) == 0 {
+		return false
+	}
+	// each calls f with the table of every hosted slot r ships to.
+	each := func(t target, r record.Record, f func(part int, g *groupTable)) {
+		lo, hi := 0, par
+		if t.edge.Ship == optimizer.ShipPartition {
+			lo = record.PartitionOf(t.edge.Key(r), par)
+			hi = lo + 1
+		}
+		for part := lo; part < hi; part++ {
+			if s := t.slots[part]; s != nil {
+				f(part, s.table)
+			}
+		}
+	}
+
+	// Every removal must find its record before anything changes.
+	type claim struct {
+		g *groupTable
+		k int64
+		r record.Record
+	}
+	need := make(map[claim]int)
+	for _, t := range targets {
+		for _, r := range remove {
+			each(t, r, func(_ int, g *groupTable) { need[claim{g, t.key(r), r}]++ })
+		}
+	}
+	for c, n := range need {
+		for _, have := range c.g.get(c.k) {
+			if have == c.r {
+				n--
+			}
+		}
+		if n > 0 {
+			return false
+		}
+	}
+
+	delta := int64(0) // records the hosted tables gain
+	for _, t := range targets {
+		for _, r := range remove {
+			each(t, r, func(_ int, g *groupTable) {
+				g.remove(t.key(r), r)
+				delta--
+			})
+		}
+		// Room up front for every group an addition relocates, so a large
+		// patch grows recs once instead of doubling through it.
+		room := make([]int, par)
+		for _, r := range add {
+			each(t, r, func(part int, g *groupTable) { room[part] += len(g.get(t.key(r))) + 1 })
+		}
+		for part, n := range room {
+			if n > 0 {
+				g := t.slots[part].table
+				g.recs = slices.Grow(g.recs, n)
+			}
+		}
+		for _, r := range add {
+			each(t, r, func(_ int, g *groupTable) {
+				g.add(t.key(r), r)
+				delta++
+			})
+		}
+		for _, s := range t.slots {
+			if s != nil {
+				s.table.compactIfSparse()
+			}
+		}
+	}
+	e.acct.used.Add(delta * record.EncodedSize)
+	return true
 }
 
 // Result maps logical sink IDs to per-partition output records.

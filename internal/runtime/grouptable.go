@@ -28,6 +28,11 @@ import "repro/internal/record"
 // supersteps over a recurring key domain — the common iterative case —
 // allocate nothing, and a small round after a large one pays for the
 // records it holds, not for the capacity it inherited.
+//
+// Patches. A cached table is built once and never reset; remove and add
+// edit it in place between supersteps instead (Executor.PatchSource).
+// They leave dead slots in recs — see dead — that compactIfSparse
+// reclaims.
 type groupTable struct {
 	idx     probeIndex
 	ext     []groupExtent // parallel to idx.keys
@@ -38,6 +43,11 @@ type groupTable struct {
 	// Build scratch, empty outside stage…build.
 	staged []record.Batch
 	where  []int32 // key position of every staged record, in arrival order
+
+	// dead counts the slots of recs no group covers, left behind by
+	// patches; only a cached table is patched, so it is 0 on every table
+	// that is reset.
+	dead int
 }
 
 // groupExtent locates one key's group in recs. Between stage and build,
@@ -136,3 +146,74 @@ func (g *groupTable) each(f func(k int64, recs []record.Record)) {
 
 // size returns the number of records stored in the current round.
 func (g *groupTable) size() int { return len(g.recs) }
+
+// live returns the number of records the groups hold: size less the slots
+// patches left dead.
+func (g *groupTable) live() int { return len(g.recs) - g.dead }
+
+// remove deletes one record equal to r from key k's group by swapping the
+// group's last record into its place, reporting whether r was there. The
+// group's vacated last slot goes dead.
+func (g *groupTable) remove(k int64, r record.Record) bool {
+	pos := g.idx.find(k)
+	if pos < 0 || g.ext[pos].stamp != g.round {
+		return false
+	}
+	e := &g.ext[pos]
+	for i := e.start; i < e.end; i++ {
+		if g.recs[i] == r {
+			e.end--
+			g.recs[i] = g.recs[e.end]
+			g.dead++
+			return true
+		}
+	}
+	return false
+}
+
+// add appends r to key k's group. A group that does not already end recs
+// moves there with r appended — groups are relocated, never grown in
+// place — and its old extent goes dead.
+func (g *groupTable) add(k int64, r record.Record) {
+	pos, added := g.idx.insert(k)
+	if added {
+		g.ext = append(g.ext, groupExtent{})
+	}
+	e := &g.ext[pos]
+	n := int32(len(g.recs))
+	switch {
+	case e.stamp != g.round:
+		*e = groupExtent{stamp: g.round, start: n, end: n}
+		g.touched = append(g.touched, pos)
+	case e.end != n:
+		g.recs = append(g.recs, g.recs[e.start:e.end]...)
+		g.dead += int(e.end - e.start)
+		e.start, e.end = n, int32(len(g.recs))
+	}
+	g.recs = append(g.recs, r)
+	e.end++
+}
+
+// compactIfSparse rewrites recs without its dead slots once they outnumber
+// the live records, so patching costs amortized O(1) per record and recs
+// stays within twice the live size. Groups keep their first-touch order;
+// a group patched empty disappears, as it would from a fresh build.
+func (g *groupTable) compactIfSparse() {
+	if g.dead <= g.live() {
+		return
+	}
+	recs := make([]record.Record, 0, g.live())
+	touched := g.touched[:0]
+	for _, pos := range g.touched {
+		e := &g.ext[pos]
+		if e.start == e.end {
+			e.stamp = 0
+			continue
+		}
+		start := int32(len(recs))
+		recs = append(recs, g.recs[e.start:e.end]...)
+		e.start, e.end = start, int32(len(recs))
+		touched = append(touched, pos)
+	}
+	g.recs, g.touched, g.dead = recs, touched, 0
+}

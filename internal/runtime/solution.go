@@ -4,7 +4,10 @@
 // (hash and sort-merge joins, hash and sort aggregation), materializes
 // loop-invariant inputs into caches — including cached hash tables for
 // join build sides — and hosts the partitioned, indexed solution set of
-// incremental iterations.
+// incremental iterations. When a constant input's data changes by a
+// delta, Executor.PatchSource edits the cached build-side tables in place
+// (records routed the way the cached edge shipped them, hosted slots
+// only) instead of dropping every cache for the next superstep to refill.
 //
 // Execution is session-based: Executor.OpenSession spawns one persistent,
 // partition-pinned worker goroutine per (operator, partition), and each
