@@ -201,18 +201,24 @@ func (g *GraphState) relink(i, to int) {
 	}
 }
 
-// IncidentEdges returns every live edge touching v (either endpoint).
-func (g *GraphState) IncidentEdges(v int64) []WEdge {
+// EachIncident calls f with every live edge touching v (either endpoint),
+// walking v's adjacency lists in place. f must not mutate the graph.
+func (g *GraphState) EachIncident(v int64, f func(WEdge)) {
 	s, ok := g.verts[v]
 	if !ok {
-		return nil
+		return
 	}
-	var out []WEdge
 	for side := range 2 {
 		for i := g.heads[s][side]; i >= 0; i = g.links[i][side].next {
-			out = append(out, g.edges[i])
+			f(g.edges[i])
 		}
 	}
+}
+
+// IncidentEdges returns every live edge touching v (either endpoint).
+func (g *GraphState) IncidentEdges(v int64) []WEdge {
+	var out []WEdge
+	g.EachIncident(v, func(e WEdge) { out = append(out, e) })
 	return out
 }
 

@@ -43,7 +43,7 @@ func (jobMaintainer) InsertDelta(int64, int64, float64, SolutionReader) []record
 
 func (jobMaintainer) VertexRecord(int64) (record.Record, bool) { return record.Record{}, false }
 
-func (jobMaintainer) DeleteImpact(*GraphState, int64, int64, SolutionReader) ([]int64, bool) {
+func (jobMaintainer) DeleteRegion(*GraphState, []WEdge, []WEdge) ([]int64, bool) {
 	return nil, false
 }
 

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	goruntime "runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -467,8 +469,8 @@ func TestSnapshotNeverPartial(t *testing.T) {
 
 // TestOwnerFailureIsNotAMiss: a key whose owner cannot answer view_query is
 // not "absent". Query has no error to return, so it reports through
-// Stats; a flush that needs the removed endpoints' records to scope its
-// repair must fail rather than bound the region without them.
+// Stats. A delete batch never asks: it scopes its repair from the graph
+// replica, so it repairs through the same failure and matches the oracle.
 func TestOwnerFailureIsNotAMiss(t *testing.T) {
 	var failing atomic.Bool
 	addr := startFakeWorker(t, func(reply *shardMsg) bool {
@@ -478,11 +480,17 @@ func TestOwnerFailureIsNotAMiss(t *testing.T) {
 		return false
 	})
 	const n = 16
-	v, err := NewView("owner", CC(), ringEdges(n), ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{addr}})
+	// The ring beside 32 other vertices: its repair stays bounded.
+	initial := append(ringEdges(n), islandEdges(4, 8, 100)...)
+	v, err := NewView("owner", CC(), initial, ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer v.Kill()
+	model := NewGraphState()
+	for _, mu := range initial {
+		model.Apply(mu)
+	}
 	remote := int64(-1)
 	for k := int64(0); k < n && remote < 0; k++ {
 		if v.sess.core.place[v.sess.core.sol.PartitionFor(k)] == 1 {
@@ -506,11 +514,72 @@ func TestOwnerFailureIsNotAMiss(t *testing.T) {
 	if e := v.Stats().LastError; !strings.Contains(e, "host 1") || !strings.Contains(e, "owner cannot answer") {
 		t.Fatalf("LastError = %q, want the failed query", e)
 	}
-	if err := v.Mutate(DeleteEdge(remote, (remote+1)%n)); err != nil {
+	partial := v.Stats().PartialRecomputes
+	mutateAndModel(t, v, model, DeleteEdge(remote, (remote+1)%n))
+	if err := v.Flush(); err != nil {
+		t.Fatalf("deleting the unreachable owner's edge: %v", err)
+	}
+	assertCC(t, "delete beside a failing owner", v, model)
+	if got := v.Stats().PartialRecomputes; got != partial+1 {
+		t.Fatalf("PartialRecomputes %d -> %d, want the bounded repair", partial, got)
+	}
+}
+
+// TestShardedDeleteRounds pins a sharded delete batch's control traffic:
+// view_apply, view_replan, then the candidate rounds and supersteps —
+// no endpoint lookups, no per-removal rounds, no occupancy poll — so one
+// removal and eight in separate components cost the same messages.
+func TestShardedDeleteRounds(t *testing.T) {
+	var mu sync.Mutex
+	replies := map[string]int{}
+	addr := startFakeWorker(t, func(reply *shardMsg) bool {
+		mu.Lock()
+		replies[reply.Kind]++
+		mu.Unlock()
+		return false
+	})
+	v, err := NewView("rounds", CC(), islandEdges(64, 20, 0), ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{addr}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Flush(); err == nil || !strings.Contains(err.Error(), "owner cannot answer") {
-		t.Fatalf("flush scoped a removal without its endpoint's record: %v", err)
+	defer v.Kill()
+	// Each batch cuts the same ring edge of identical islands, so the
+	// repairs take the same supersteps.
+	batch := func(from, to int64) map[string]int {
+		t.Helper()
+		partial := v.Stats().PartialRecomputes
+		mu.Lock()
+		clear(replies)
+		mu.Unlock()
+		for c := from; c < to; c++ {
+			if err := v.Mutate(DeleteEdge(32*c+3, 32*c+4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		got := maps.Clone(replies)
+		mu.Unlock()
+		if st := v.Stats(); st.PartialRecomputes != partial+1 || st.FullRecomputes != 0 {
+			t.Fatalf("%d removals: partial/full recomputes %d/%d, want one bounded repair", to-from, st.PartialRecomputes-partial, st.FullRecomputes)
+		}
+		return got
+	}
+	one, eight := batch(0, 1), batch(1, 9)
+	if !maps.Equal(one, eight) {
+		t.Fatalf("control replies by kind: 1 removal %v, 8 removals %v", one, eight)
+	}
+	for kind := range one {
+		switch kind {
+		case viewApplied, viewReplanned, viewCand, viewSeeded, viewStepDone:
+		default:
+			t.Fatalf("a delete batch drew %d %q replies (all: %v)", one[kind], kind, one)
+		}
+	}
+	if one[viewApplied] != 1 || one[viewReplanned] != 1 {
+		t.Fatalf("want one apply and one replan round: %v", one)
 	}
 }
 

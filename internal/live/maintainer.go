@@ -13,14 +13,12 @@ import (
 type SolutionReader interface {
 	// Lookup probes the solution by key.
 	Lookup(k int64) (record.Record, bool)
-	// Each visits every solution record (order unspecified).
-	Each(f func(record.Record))
 }
 
 // Maintainer adapts one incremental fixpoint algorithm to streaming
 // maintenance: it builds the Δ spec for the current graph, turns edge
 // insertions into monotone workset candidates, and scopes the repair work
-// a deletion needs.
+// a batch's deletions need from the graph alone.
 type Maintainer interface {
 	// Name identifies the algorithm ("cc", "sssp") in stats and the HTTP
 	// API.
@@ -44,15 +42,16 @@ type Maintainer interface {
 	// VertexRecord is the solution entry a fresh isolated vertex starts
 	// with; ok=false if the algorithm keeps no entry for it.
 	VertexRecord(v int64) (record.Record, bool)
-	// DeleteImpact scopes the repair of removing edge (src, dst): the
-	// vertices whose entries may be invalidated (bounded recompute), or
-	// ok=false to demand a full recompute. It runs before any solution
-	// state changes, so lookups see consistent pre-batch values, while gs
-	// already reflects the whole batch. On a sharded view every host is
-	// asked: sol serves the endpoints' records wherever they live but
-	// Each visits only that host's partitions, and the returned shares
-	// are merged.
-	DeleteImpact(gs *GraphState, src, dst int64, sol SolutionReader) (affected []int64, ok bool)
+	// DeleteRegion scopes the repair of a batch that removed edges: the
+	// vertices whose entries the removals may have invalidated (bounded
+	// recompute), each alive in gs and listed once, or ok=false to demand
+	// a full recompute. It reads the graph only, never the solution: gs
+	// already reflects the whole batch, removed lists the batch's removals
+	// (and re-weights) of edges that existed before it, and inserted the
+	// batch's insertions that are live in gs. Every host holds the same
+	// replica and batch, so only the coordinator asks, and the region
+	// travels to the other hosts.
+	DeleteRegion(gs *GraphState, removed, inserted []WEdge) (region []int64, ok bool)
 	// RecomputeSeed re-initializes the affected region: resets are
 	// force-stored over the resident solution, drops are deleted from it,
 	// and seed becomes the workset driving the bounded restart. gs is the
@@ -107,20 +106,43 @@ func (ccMaintainer) VertexRecord(v int64) (record.Record, bool) {
 	return record.Record{A: v, B: v}, true
 }
 
-func (ccMaintainer) DeleteImpact(_ *GraphState, src, _ int64, sol SolutionReader) ([]int64, bool) {
-	// Both endpoints carried the same label (they were connected); every
-	// vertex with that label is the candidate split region.
-	c, ok := sol.Lookup(src)
-	if !ok {
-		return nil, true // vertex unknown to the solution: nothing to repair
+// DeleteRegion: before the batch, a component was exactly the vertices
+// sharing a removed edge's label. The removals split it into pieces, each
+// holding an endpoint of a removed edge — the pieces were connected only
+// through those — so the region is the union of both endpoints' components
+// in the graph without the batch's insertions (whose candidates re-join
+// the pieces on the monotone path). One breadth-first walk over the
+// adjacency lists finds it, in time linear in the region and its edges.
+func (ccMaintainer) DeleteRegion(gs *GraphState, removed, inserted []WEdge) ([]int64, bool) {
+	if len(removed) == 0 {
+		return nil, true
 	}
-	var affected []int64
-	sol.Each(func(r record.Record) {
-		if r.B == c.B {
-			affected = append(affected, r.A)
+	skip := make(map[[2]int64]struct{}, len(inserted))
+	for _, e := range inserted {
+		skip[[2]int64{e.Src, e.Dst}] = struct{}{}
+	}
+	seen := make(map[int64]struct{})
+	var region []int64 // doubles as the walk's queue
+	visit := func(v int64) {
+		if _, ok := seen[v]; !ok && gs.HasVertex(v) {
+			seen[v] = struct{}{}
+			region = append(region, v)
 		}
-	})
-	return affected, true
+	}
+	step := func(e WEdge) {
+		if _, ok := skip[[2]int64{e.Src, e.Dst}]; !ok {
+			visit(e.Src)
+			visit(e.Dst)
+		}
+	}
+	for _, e := range removed {
+		visit(e.Src)
+		visit(e.Dst)
+	}
+	for i := 0; i < len(region); i++ {
+		gs.EachIncident(region[i], step)
+	}
+	return region, true
 }
 
 func (ccMaintainer) RecomputeSeed(gs *GraphState, affected []int64) (resets, seed []record.Record, drops []int64) {
@@ -134,7 +156,7 @@ func (ccMaintainer) RecomputeSeed(gs *GraphState, affected []int64) (resets, see
 	// propagation both ways: each endpoint proposes its reset id to the
 	// other. (A reciprocal pair seeds twice; candidates collapse per key.)
 	for _, v := range affected {
-		for _, e := range gs.IncidentEdges(v) {
+		gs.EachIncident(v, func(e WEdge) {
 			u := e.Dst
 			if u == v {
 				u = e.Src
@@ -142,7 +164,7 @@ func (ccMaintainer) RecomputeSeed(gs *GraphState, affected []int64) (resets, see
 			if _, ok := in[u]; ok {
 				seed = append(seed, record.Record{A: u, B: v})
 			}
-		}
+		})
 	}
 	return resets, seed, nil
 }
@@ -195,7 +217,7 @@ func (ssspMaintainer) VertexRecord(int64) (record.Record, bool) {
 	return record.Record{}, false // unreached vertices have no entry
 }
 
-func (ssspMaintainer) DeleteImpact(*GraphState, int64, int64, SolutionReader) ([]int64, bool) {
+func (ssspMaintainer) DeleteRegion(*GraphState, []WEdge, []WEdge) ([]int64, bool) {
 	return nil, false
 }
 

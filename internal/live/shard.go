@@ -330,6 +330,7 @@ func (s *session) warmRestart(workset []record.Record) error {
 // anywhere. Candidates only move entries down the CPO, so it terminates.
 func (s *session) Apply(batch []Mutation) error {
 	c := s.core
+	remote := 0 // records the workers' partitions keep past the batch
 	err := s.round("apply", all(shardMsg{Kind: viewApply, Frames: s.wire(mutationsToRecords(batch))}), viewApplied,
 		func() error { return c.applyBatch(batch) },
 		func(host int, reply shardMsg) error {
@@ -337,13 +338,14 @@ func (s *session) Apply(batch []Mutation) error {
 				return fmt.Errorf("saw %d removed edges (any removal %v), coordinator %d (%v) (replica divergence)",
 					reply.Count, reply.Full, len(c.removed), c.removes())
 			}
+			remote += reply.Records
 			return s.sameDigest(host, reply)
 		})
 	if err != nil {
 		return err
 	}
 	if c.removes() {
-		if full, err := s.repair(); err != nil || full {
+		if full, err := s.repair(remote); err != nil || full {
 			return err
 		}
 	}
@@ -410,80 +412,23 @@ func (s *session) Apply(batch []Mutation) error {
 }
 
 // repair classifies a batch that removed something and starts its repair.
-// Removals are scoped one at a time, exactly as a single host would: the
-// coordinator resolves the removed endpoints' pre-batch records from their
-// owners, every host scopes the region over its own partitions with them,
-// and the shares merge. Affected regions are closed — once an endpoint is
-// in the set, everything its removal can invalidate already is — so such a
-// removal is not re-expanded (an O(V) scan on every host). The merged
-// region then decides: beyond RecomputeFraction of the solution — or
-// whenever the maintainer cannot bound it — the session recomputes in full
-// (done when repair returns), otherwise every host resets its share of the
-// region and the seeds join the candidate rounds.
-func (s *session) repair() (full bool, err error) {
+// Every host holds the same replica and batch, so the coordinator scopes
+// the region once, from the graph alone, and ships it with the verdict:
+// beyond RecomputeFraction of the records that survive the batch (remote
+// is the workers' share, reported with view_applied) — or whenever the
+// maintainer cannot bound it — the session recomputes in full (done when
+// repair returns), otherwise every host resets its share of the region and
+// the seeds join the candidate rounds.
+func (s *session) repair(remote int) (full bool, err error) {
 	c := s.core
-	affected := make(map[int64]struct{})
-	merge := func(share []int64, ok bool) {
-		for _, a := range share {
-			affected[a] = struct{}{}
-		}
-		full = full || !ok
+	var region []int64
+	if len(c.removed) > 0 {
+		var ok bool
+		region, ok = c.m.DeleteRegion(c.gs, c.cut, c.fresh)
+		full = !ok
 	}
-	for i, e := range c.removed {
-		_, seenSrc := affected[e.Src]
-		_, seenDst := affected[e.Dst]
-		if full || seenSrc || seenDst {
-			continue
-		}
-		var known []record.Record
-		for _, k := range [2]int64{e.Src, e.Dst} {
-			// A removal scoped without an endpoint's record would bound the
-			// wrong region: an owner that cannot answer fails the flush.
-			r, ok, err := s.Lookup(k)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				known = append(known, r)
-			}
-		}
-		err := s.round("impact", all(shardMsg{Kind: viewImpact, Round: i, Frames: s.wire(known)}), viewRegion,
-			func() error {
-				merge(c.impact(e, known))
-				return nil
-			},
-			func(_ int, reply shardMsg) error {
-				share, err := unpackRecords(reply.Frames)
-				merge(recordKeys(share), !reply.Full)
-				return err
-			})
-		if err != nil {
-			return false, err
-		}
-	}
-	// Dropped vertices leave the solution (settle deletes them) and must
-	// not be resurrected by a region reset; the cutoff is taken against the
-	// solution without them.
-	size := 0
-	for _, d := range c.dropVerts {
-		delete(affected, d)
-		_, ok, err := s.Lookup(d)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			size--
-		}
-	}
-	if !full && len(affected) > 0 {
-		for _, sh := range s.shards() {
-			size += sh.Records
-		}
-		full = float64(len(affected)) > s.v.cfg.RecomputeFraction*float64(size)
-	}
-	region := make([]int64, 0, len(affected))
-	for a := range affected {
-		region = append(region, a)
+	if !full && len(region) > 0 {
+		full = float64(len(region)) > s.v.cfg.RecomputeFraction*float64(remote+c.survivors())
 	}
 	slices.Sort(region)
 
@@ -544,7 +489,7 @@ func (s *session) Lookup(k int64) (record.Record, bool, error) {
 // error; a host lost at collect time never yields a short solution.
 func (s *session) Snapshot() ([]record.Record, error) {
 	out := make([]record.Record, 0, s.core.sol.Size())
-	hostedReader{c: s.core}.Each(func(r record.Record) { out = append(out, r) })
+	s.core.eachHosted(func(r record.Record) { out = append(out, r) })
 	shards, err := s.RemoteShards()
 	if err != nil {
 		return nil, err
@@ -585,7 +530,7 @@ func (s *session) shards() []ShardStat {
 // feeds the streaming snapshot writer.
 func (s *session) EachSolution(f func(record.Record) error) error {
 	var err error
-	hostedReader{c: s.core}.Each(func(r record.Record) {
+	s.core.eachHosted(func(r record.Record) {
 		if err == nil {
 			err = f(r)
 		}

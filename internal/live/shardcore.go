@@ -40,10 +40,9 @@ import (
 // propagation the fixpoint needs — so hostedReader serves only owned
 // labels and lets the maintainer's fallback produce a sound candidate for
 // the rest. What travels per batch is the batch itself, the remote-keyed
-// insert candidates, and — for batches that remove something — the removed
-// endpoints' records, each host's share of the affected region, and the
-// coordinator's verdict (bounded recompute over the merged region, or
-// full).
+// insert candidates, and — for batches that remove something — each host's
+// surviving record count and the coordinator's verdict: a bounded
+// recompute over the region it scoped from its replica alone, or full.
 
 // The session control verbs — the only messages a worker control
 // connection carries, for live views and one-shot jobs (job.go) alike.
@@ -55,9 +54,7 @@ const (
 	viewLoad      = "view_load"      // coordinator → worker: one frame of a recovered solution; Init it
 	viewLoaded    = "view_loaded"    // worker → coordinator: frame absorbed
 	viewApply     = "view_apply"     // coordinator → worker: one mutation batch
-	viewApplied   = "view_applied"   // worker → coordinator: Count removed edges, Full = something was removed, plan digest
-	viewImpact    = "view_impact"    // coordinator → worker: scope removal Round of the batch, given its endpoints' records
-	viewRegion    = "view_region"    // worker → coordinator: hosted share of the region; Full = the maintainer cannot bound it
+	viewApplied   = "view_applied"   // worker → coordinator: Count removed edges, Full = something was removed (Records = hosted records the batch leaves), plan digest
 	viewReplan    = "view_replan"    // coordinator → worker: the verdict — Full = reset + S0/W0, else fold + reset the region in Frames
 	viewReplanned = "view_replanned" // worker → coordinator: plan digest
 	viewGather    = "view_gather"    // coordinator → worker: derive insert candidates (Round 0 = fresh batch)
@@ -105,6 +102,7 @@ type shardMsg struct {
 	DataAddrs []string   `json:"data_addrs,omitempty"`
 	Digest    string     `json:"digest,omitempty"`
 	Count     int        `json:"count,omitempty"`
+	Records   int        `json:"records,omitempty"`
 	Round     int        `json:"round,omitempty"`
 	Epoch     int        `json:"epoch,omitempty"`
 	Full      bool       `json:"full,omitempty"`
@@ -260,9 +258,12 @@ type shardCore struct {
 	// mutation; fold nets them into the table's patch.
 	edits []edgeEdit
 	// The current batch's removals, identical on every host: removed lists
-	// the edges whose disappearance (or re-weighting) needs repair,
-	// dropVerts the vertices that left, newVerts the ones that arrived.
+	// the edges whose disappearance (or re-weighting) needs repair, cut
+	// the ones among them that existed before the batch — the only ones
+	// whose loss can split what the solution converged over — dropVerts
+	// the vertices that left, newVerts the ones that arrived.
 	removed   []WEdge
+	cut       []WEdge
 	dropVerts []int64
 	newVerts  []int64
 	// seeds are this host's share of a bounded recompute's region seed;
@@ -398,14 +399,24 @@ func (c *shardCore) cold(s0, w0 []record.Record) []record.Record {
 	return w0
 }
 
-// applyBatch advances the graph replica by one mutation batch, recording
-// what the batch inserted and removed. The solution set is untouched when
-// something was removed — the impact classification that follows must read
-// a consistent pre-batch state; a batch that removed nothing needs no
-// verdict and settles right away.
+// applyBatch advances the graph replica by one mutation batch. The
+// solution set is untouched when something was removed — it stays as the
+// batch found it until the coordinator's verdict arrives; a batch that
+// removed nothing needs no verdict and settles right away.
 func (c *shardCore) applyBatch(muts []Mutation) error {
-	c.fresh, c.removed = c.fresh[:0], c.removed[:0]
+	if err := c.absorb(muts); err != nil || c.removes() {
+		return err
+	}
+	_, err := c.settle(false, nil)
+	return err
+}
+
+// absorb applies one mutation batch to the graph replica, recording what
+// the batch inserted and removed.
+func (c *shardCore) absorb(muts []Mutation) error {
+	c.fresh, c.removed, c.cut = c.fresh[:0], c.removed[:0], c.cut[:0]
 	c.dropVerts, c.newVerts = c.dropVerts[:0], c.newVerts[:0]
+	start := len(c.edits)
 	addVertex := func(vid int64) {
 		if c.gs.AddVertex(vid) {
 			c.newVerts = append(c.newVerts, vid)
@@ -450,8 +461,7 @@ func (c *shardCore) applyBatch(muts []Mutation) error {
 		}
 	}
 	if !c.removes() {
-		_, err := c.settle(false, nil)
-		return err
+		return nil
 	}
 	// An edge the same batch inserted and then removed (or re-weighted
 	// again) must not propose candidates.
@@ -462,34 +472,36 @@ func (c *shardCore) applyBatch(muts []Mutation) error {
 		}
 	}
 	c.fresh = live
+	// An edge's first edit in the batch saw its pre-batch state.
+	before := make(map[[2]int64]bool, len(c.edits)-start)
+	for _, e := range c.edits[start:] {
+		k := [2]int64{e.src, e.dst}
+		if _, ok := before[k]; !ok {
+			before[k] = e.had
+		}
+	}
+	for _, e := range c.removed {
+		if before[[2]int64{e.Src, e.Dst}] {
+			c.cut = append(c.cut, e)
+		}
+	}
 	return nil
 }
 
 // removes reports whether the current batch removed anything.
 func (c *shardCore) removes() bool { return len(c.removed)+len(c.dropVerts) > 0 }
 
-// impactReader is the maintainer's solution access while a removal is
-// scoped: the removed endpoints' records as their owners reported them,
-// and otherwise this host's own partitions.
-type impactReader struct {
-	hostedReader
-	known []record.Record
-}
-
-func (r impactReader) Lookup(k int64) (record.Record, bool) {
-	for _, rec := range r.known {
-		if r.c.spec.SolutionKey(rec) == k {
-			return rec, true
+// survivors counts the records in this host's partitions that outlive the
+// current batch (its dropped vertices' entries are about to leave); it is
+// read while the solution is still as the batch found it.
+func (c *shardCore) survivors() int {
+	n := c.hostedRecords()
+	for _, d := range c.dropVerts {
+		if _, ok := c.lookup(d); ok {
+			n--
 		}
 	}
-	return r.hostedReader.Lookup(k)
-}
-
-// impact scopes the repair of one of the current batch's removals over
-// this host's partitions: the hosted share of the region it may have
-// invalidated, or ok=false when the maintainer demands a full recompute.
-func (c *shardCore) impact(e WEdge, known []record.Record) (share []int64, ok bool) {
-	return c.m.DeleteImpact(c.gs, e.Src, e.Dst, impactReader{hostedReader{c}, known})
+	return n
 }
 
 // settle brings this host's plan and solution state to where the candidate
@@ -679,12 +691,6 @@ type hostedReader struct{ c *shardCore }
 
 func (r hostedReader) Lookup(k int64) (record.Record, bool) { return r.c.lookup(k) }
 
-func (r hostedReader) Each(f func(record.Record)) {
-	for _, p := range r.c.hosted {
-		r.c.sol.EachPartition(p, f)
-	}
-}
-
 // gather derives this host's candidates: round 0 covers the region seeds
 // and the current batch's inserts, later rounds re-examine the whole
 // overlay (the converged solution may have moved, re-arming older overlay
@@ -869,15 +875,21 @@ func (c *shardCore) collect() []byte {
 	return packRecords(out)
 }
 
+// eachHosted visits the records in this host's partitions, in ascending
+// partition order.
+func (c *shardCore) eachHosted(f func(record.Record)) {
+	for _, p := range c.hosted {
+		c.sol.EachPartition(p, f)
+	}
+}
+
 // hostedRecords counts the records in this host's partitions.
 func (c *shardCore) hostedRecords() int {
 	if len(c.hosted) == len(c.place) {
 		return c.sol.Size()
 	}
 	n := 0
-	for _, p := range c.hosted {
-		c.sol.EachPartition(p, func(record.Record) { n++ })
-	}
+	c.eachHosted(func(record.Record) { n++ })
 	return n
 }
 

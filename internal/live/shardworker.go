@@ -93,7 +93,7 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) {
 	var payload []record.Record
 	switch req.Kind {
-	case viewLoad, viewApply, viewImpact, viewReplan, viewSeed:
+	case viewLoad, viewApply, viewReplan, viewSeed:
 		var err error
 		if payload, err = unpackRecords(req.Frames); err != nil {
 			return shardMsg{}, err
@@ -108,13 +108,13 @@ func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) 
 		if err == nil {
 			err = core.applyBatch(muts)
 		}
-		return shardMsg{Kind: viewApplied, Count: len(core.removed), Full: core.removes(), Digest: core.digest}, err
-	case viewImpact:
-		if req.Round < 0 || req.Round >= len(core.removed) {
-			return shardMsg{}, fmt.Errorf("live: impact of removal %d, batch removed %d edges", req.Round, len(core.removed))
+		reply := shardMsg{Kind: viewApplied, Count: len(core.removed), Full: core.removes(), Digest: core.digest}
+		if core.removes() {
+			// The repair cutoff's share, read before the verdict touches
+			// the solution.
+			reply.Records = core.survivors()
 		}
-		share, ok := core.impact(core.removed[req.Round], payload)
-		return shardMsg{Kind: viewRegion, Frames: packRecords(keyRecords(share)), Full: !ok}, nil
+		return reply, err
 	case viewReplan:
 		_, err := core.settle(req.Full, recordKeys(payload))
 		return shardMsg{Kind: viewReplanned, Digest: core.digest}, err
