@@ -252,11 +252,11 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 	}
 }
 
-// TestLiveShardedFoldCrossing streams insert batches that each push the
-// edge overlay past an eighth of the graph between delete batches, so folds
-// patch the cached edge tables with net changes gathered over several
-// batches — pairs inserted, deleted, re-inserted, and dropped with their
-// vertices — on 1, 2 and 3 hosts. After every batch each topology's
+// TestLiveShardedFoldCrossing streams insert batches of over an eighth of
+// the graph between delete batches, so the folds the deletes force patch
+// the cached edge tables with net changes gathered over several batches —
+// pairs inserted, deleted, re-inserted, and dropped with their vertices —
+// on 1, 2 and 3 hosts. After every batch each topology's
 // solution must match the oracle and the one-host view byte for byte, and
 // the maintenance decisions (bounded and full recomputes, re-plans) must
 // be the one-host view's.
@@ -357,6 +357,90 @@ func TestLiveShardedFoldCrossing(t *testing.T) {
 			t.Fatalf("%d hosts: partial/full recomputes %d/%d, rebinds %d; one host %d/%d, %d", hosts,
 				st.PartialRecomputes, st.FullRecomputes, st.Rebinds,
 				wantStats.PartialRecomputes, wantStats.FullRecomputes, wantStats.Rebinds)
+		}
+	}
+}
+
+// TestLiveShardedInsertFlushFolds runs one insert-only stream of uneven
+// batches — some to new vertices, many merging components across older
+// overlay edges — on 1, 2 and 3 hosts. No batch removes anything, so every
+// fold is the overlay outgrowing its bound by the batch, or the graph
+// outgrowing its plan 4x (a re-plan); both decisions read only the graph
+// replica, so every topology must fold and re-plan exactly as often as the
+// one-host view, and its solution must match it byte for byte after every
+// batch.
+func TestLiveShardedInsertFlushFolds(t *testing.T) {
+	g := diffGraphs()[1]
+	half := len(g.Edges) / 2
+	initial := make([]live.Mutation, half)
+	for i, e := range g.Edges[:half] {
+		initial[i] = live.InsertEdge(e.Src, e.Dst)
+	}
+	rng := &streamRNG{s: 0x1F05}
+	n := int(g.NumVertices) + 24
+	stream := make([][]live.Mutation, 40)
+	for b := range stream {
+		for len(stream[b]) < 1+rng.intn(12) {
+			if s, d := int64(rng.intn(n)), int64(rng.intn(n)); s != d {
+				stream[b] = append(stream[b], live.InsertEdge(s, d))
+			}
+		}
+	}
+
+	workers := startViewWorkers(t, 2)
+	var want [][]record.Record
+	var wantStats live.ViewStats
+	for hosts := 1; hosts <= 3; hosts++ {
+		v, err := live.NewView(fmt.Sprintf("grow-%d", hosts), live.CC(), initial,
+			shardViewConfig("compact", workers[:hosts-1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay := live.NewGraphState()
+		for _, mu := range initial {
+			replay.Apply(mu)
+		}
+		for bi, batch := range stream {
+			for _, mu := range batch {
+				replay.Apply(mu)
+			}
+			if err := v.Mutate(batch...); err != nil {
+				t.Fatalf("%d hosts batch %d: %v", hosts, bi, err)
+			}
+			if err := v.Flush(); err != nil {
+				t.Fatalf("%d hosts batch %d flush: %v", hosts, bi, err)
+			}
+			ctx := fmt.Sprintf("%d hosts batch %d", hosts, bi)
+			snap := v.Snapshot()
+			oracle := liveOracleCC(replay)
+			if len(snap) != len(oracle) {
+				t.Fatalf("%s: %d records, oracle %d", ctx, len(snap), len(oracle))
+			}
+			for _, r := range snap {
+				if oracle[r.A] != r.B {
+					t.Fatalf("%s: vertex %d -> %d, oracle %d", ctx, r.A, r.B, oracle[r.A])
+				}
+			}
+			if hosts == 1 {
+				want = append(want, snap)
+			} else {
+				assertByteIdentical(t, ctx, snap, want[bi])
+			}
+		}
+		st := v.Stats()
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st.PartialRecomputes+st.FullRecomputes != 0 {
+			t.Fatalf("%d hosts: an insert-only stream recomputed: %+v", hosts, st)
+		}
+		if hosts == 1 {
+			if wantStats = st; st.Folds <= st.Rebinds {
+				t.Fatalf("no fold was a patch: %d folds, %d re-plans", st.Folds, st.Rebinds)
+			}
+		} else if st.Folds != wantStats.Folds || st.Rebinds != wantStats.Rebinds {
+			t.Fatalf("%d hosts: %d folds, %d re-plans; one host %d, %d",
+				hosts, st.Folds, st.Rebinds, wantStats.Folds, wantStats.Rebinds)
 		}
 	}
 }

@@ -227,6 +227,11 @@ type ViewStats struct {
 	FullRecomputes    int64
 	Supersteps        int64
 	Rebinds           int64
+	// Folds counts folds of the edge overlay into the plan's cached edge
+	// table (patch, refill or re-plan); CandidateEdges counts the overlay
+	// edges the candidate rounds past the first re-examined.
+	Folds          int64
+	CandidateEdges int64
 	// Durable reports whether the view logs mutations and snapshots.
 	Durable bool
 	// WALBytes is the current size of the view's write-ahead log.
@@ -375,13 +380,14 @@ func (v *LiveView) bindObs() {
 	v.snapHist = r.Histogram("snapshot_duration")
 }
 
-// span records one serving-layer phase span (flush, wal-append,
-// snapshot). Caller has checked v.ring != nil.
-func (v *LiveView) span(ph obs.Phase, start time.Time) {
+// span records one serving-layer phase span: flush, wal-append and
+// snapshot under the view's name, a flush round under its verb. Caller has
+// checked v.ring != nil.
+func (v *LiveView) span(ph obs.Phase, label string, start time.Time) {
 	v.ring.RecordSpan(obs.Span{
 		Trace: v.cfg.TraceID, Host: int32(v.cfg.Host), Part: -1, Step: -1,
 		Phase: ph, Start: start.UnixNano(), Dur: int64(time.Since(start)),
-		Label: v.name,
+		Label: label,
 	})
 }
 
@@ -502,7 +508,7 @@ func (v *LiveView) Mutate(muts ...Mutation) error {
 		}
 		if v.ring != nil {
 			v.walHist.ObserveSince(walStart)
-			v.span(obs.PhaseWALAppend, walStart)
+			v.span(obs.PhaseWALAppend, v.name, walStart)
 		}
 	}
 	wasEmpty := len(v.pending) == 0
@@ -565,7 +571,7 @@ func (v *LiveView) Flush() error {
 	}
 	if v.ring != nil {
 		v.flushHist.ObserveSince(flushStart)
-		v.span(obs.PhaseFlush, flushStart)
+		v.span(obs.PhaseFlush, v.name, flushStart)
 	}
 	v.afterFlushLocked(seq)
 	return nil

@@ -333,14 +333,21 @@ func TestLiveViewMixedBatch(t *testing.T) {
 	})
 
 	t.Run("sssp", func(t *testing.T) {
-		// 0 -10- 1 -5- 2 -1- 3: small enough that every insert batch folds.
-		// Each insert is a pair's reverse orientation at a smaller weight,
-		// so the pair's table records must move to the new minimum: the
-		// second batch's shortcut to 1 reaches 2 only across (1, 2) at 1.
-		// A patch leaves the plan's source data as the cold build derived
-		// it; a refill would have re-derived it.
+		// 0 -10- 1 -5- 2 -1- 3, beside an unreachable 20-edge chain that
+		// keeps the padding below from drifting the edge count 4x (a
+		// re-plan). Each insert is a pair's reverse orientation at a
+		// smaller weight, so the pair's table records must move to the new
+		// minimum: the second batch's shortcut to 1 reaches 2 only across
+		// (1, 2) at 1. Eight unrelated inserts before each one make its
+		// batch outgrow the overlay bound, so it folds — and the fold
+		// empties the overlay, leaving only the table to cross. A patch
+		// leaves the plan's source data as the cold build derived it; a
+		// refill would have re-derived it.
 		initial := []Mutation{
 			InsertWeightedEdge(0, 1, 10), InsertWeightedEdge(1, 2, 5), InsertWeightedEdge(2, 3, 1),
+		}
+		for at := int64(1000); at < 1020; at++ {
+			initial = append(initial, InsertWeightedEdge(at, at+1, 1))
 		}
 		var m metrics.Counters
 		v, err := NewView("sssp", SSSP(0), initial, ViewConfig{Config: iterative.Config{Parallelism: 2, Metrics: &m}})
@@ -351,11 +358,25 @@ func TestLiveViewMixedBatch(t *testing.T) {
 		src := v.sess.core.sources[0]
 		cold := len(src.Data)
 		for i, mu := range []Mutation{InsertWeightedEdge(2, 1, 1), InsertWeightedEdge(1, 0, 2)} {
+			var pad []Mutation
+			for at := int64(100 + 10*i); len(pad) < overlayFoldFactor; at++ {
+				pad = append(pad, InsertWeightedEdge(at, at+1, 1))
+			}
+			if err := v.Mutate(pad...); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			folds := v.Stats().Folds
 			if err := v.Mutate(mu); err != nil {
 				t.Fatal(err)
 			}
 			if err := v.Flush(); err != nil {
 				t.Fatal(err)
+			}
+			if v.Stats().Folds != folds+1 {
+				t.Fatalf("batch %d did not fold", i)
 			}
 			if len(src.Data) != cold || v.sess.core.sources[0] != src {
 				t.Fatalf("batch %d refilled the edge table instead of patching it", i)

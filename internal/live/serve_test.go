@@ -1,10 +1,12 @@
 package live
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -13,9 +15,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/iterative"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/record"
 )
 
@@ -87,7 +91,8 @@ func TestServeHTTPAPI(t *testing.T) {
 		t.Fatalf("flush: %s", resp.Status)
 	}
 	st = decodeJSON[ViewStats](t, resp)
-	if st.DeltasApplied != 1 || st.WarmRestarts != 1 {
+	// The one overlay edge stays unfolded and is re-examined once.
+	if st.DeltasApplied != 1 || st.WarmRestarts != 1 || st.Folds != 0 || st.CandidateEdges != 1 {
 		t.Fatalf("flush stats: %+v", st)
 	}
 	q = decodeJSON[QueryResponse](t, mustGet(t, srv.URL+"/views/g/query?key=11"))
@@ -322,6 +327,82 @@ func TestServeShutdownClean(t *testing.T) {
 	if s.NumViews() != 0 {
 		t.Errorf("%d views survived shutdown", s.NumViews())
 	}
+}
+
+// TestServeDeadlines: the API server drops a client that dribbles its
+// request header once obs.HTTPReadHeaderTimeout has passed, and refuses an
+// oversized header, while a keep-alive client that idled for longer than
+// the header deadline — but less than obs.HTTPIdleTimeout — is served
+// again on the same connection.
+func TestServeDeadlines(t *testing.T) {
+	t.Parallel()
+	s := NewScheduler(SchedulerConfig{})
+	stop, ready, done := make(chan struct{}), make(chan net.Addr, 1), make(chan error, 1)
+	go func() { done <- Serve("127.0.0.1:0", s, stop, ready) }()
+	addr := (<-ready).String()
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Errorf("Serve returned %v", err)
+		}
+	}()
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+
+	keep := dial()
+	kr := bufio.NewReader(keep)
+	get := func(ctx string) {
+		t.Helper()
+		if _, err := io.WriteString(keep, "GET /stats HTTP/1.1\r\nHost: spinflow\r\n\r\n"); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		resp, err := http.ReadResponse(kr, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %s", ctx, resp.Status)
+		}
+	}
+	get("first request")
+
+	slow := dial()
+	start := time.Now()
+	go func() {
+		if _, err := io.WriteString(slow, "GET /stats HTTP/1.1\r\nX-Slow: "); err != nil {
+			return
+		}
+		for {
+			time.Sleep(100 * time.Millisecond)
+			if _, err := slow.Write([]byte("a")); err != nil {
+				return
+			}
+		}
+	}()
+	slow.SetReadDeadline(start.Add(obs.HTTPReadHeaderTimeout + 5*time.Second))
+	if n, err := slow.Read(make([]byte, 1)); n != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a dribbling header is still served %v later (read %d bytes, %v)", time.Since(start), n, err)
+	}
+	if took := time.Since(start); took < obs.HTTPReadHeaderTimeout-time.Second {
+		t.Fatalf("a dribbling header was dropped after %v, before the %v deadline", took, obs.HTTPReadHeaderTimeout)
+	}
+
+	big := dial()
+	fmt.Fprintf(big, "GET /stats HTTP/1.1\r\nHost: spinflow\r\nX-Big: %s\r\n\r\n", strings.Repeat("a", obs.HTTPMaxHeaderBytes+8<<10))
+	if resp, err := http.ReadResponse(bufio.NewReader(big), nil); err != nil || resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("an oversized header got %v, %v", resp, err)
+	}
+
+	get("after idling past the header deadline")
 }
 
 // failingWriter is a ResponseWriter whose body writes fail — the shape of

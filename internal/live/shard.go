@@ -195,9 +195,13 @@ func (s *session) Load(b record.Batch) error {
 
 // round is one control fan-out: req goes to every worker, local runs on
 // the coordinator's core while they work, then every reply of kind want
-// is collected through got. With no workers it is just local.
+// is collected through got. With no workers it is just local. A view with
+// a telemetry registry records it as a PhaseRound span labelled what.
 func (s *session) round(what string, req func(host int) shardMsg, want string,
 	local func() error, got func(host int, reply shardMsg) error) error {
+	if s.v.ring != nil {
+		defer s.v.span(obs.PhaseRound, what, time.Now())
+	}
 	for i, c := range s.conns {
 		if err := c.send(req(i + 1)); err != nil {
 			return fmt.Errorf("live: %s host %d: %w", what, i+1, err)

@@ -206,9 +206,12 @@ func unpackRecords(p []byte) ([]record.Record, error) {
 
 // --- per-host session core ----------------------------------------------
 
-// overlayFoldFactor bounds the unfolded edge overlay: it folds into the
-// plan's edge table once it exceeds 1/overlayFoldFactor of the graph,
-// because every candidate round past the first re-examines all of it.
+// overlayFoldFactor bounds the unfolded edge overlay by the batch: it
+// folds into the plan's edge table once it holds more than
+// overlayFoldFactor times the current batch's inserts, because every
+// candidate round past the first re-examines all of it. A flush's rounds
+// thus cost O(batch), never O(|E|), and the fold — a patch of the cached
+// table with the overlay's net change — amortizes to O(batch) per flush.
 const overlayFoldFactor = 8
 
 // shardCore is one host's share of a maintenance session: the graph
@@ -507,11 +510,15 @@ func (c *shardCore) survivors() int {
 // settle brings this host's plan and solution state to where the candidate
 // rounds start from. full is the coordinated full recompute (the returned
 // W0 is the coordinator's to drive). Otherwise: dropped vertices leave the
-// solution, a batch that removed something — stale edges would resurrect
-// retracted state — or an oversized overlay folds into the plan's cached
-// edge table, the region of a bounded recompute is re-initialized (every
-// host derives the same resets and seeds from its replica and keeps the
-// ones it owns), and fresh vertices enter the solution.
+// solution; the overlay folds into the plan's cached edge table when the
+// batch removed something (stale edges would resurrect retracted state),
+// when the edge count has drifted 4x from the plan's, or when the overlay
+// outgrows overlayFoldFactor × the batch's inserts — so the rounds past the
+// first never rescan more than that; the region of a bounded recompute is
+// re-initialized (every host derives the same resets and seeds from its
+// replica and keeps the ones it owns), and fresh vertices enter the
+// solution. The fold decision reads only replica state, so every host
+// takes it alike.
 func (c *shardCore) settle(full bool, region []int64) ([]record.Record, error) {
 	if full {
 		return c.recompute()
@@ -521,7 +528,7 @@ func (c *shardCore) settle(full bool, region []int64) ([]record.Record, error) {
 			c.sol.Delete(d)
 		}
 	}
-	if c.removes() || len(c.overlay)*overlayFoldFactor > c.gs.NumEdges() {
+	if c.removes() || c.drifted() || len(c.overlay) > overlayFoldFactor*len(c.fresh) {
 		if err := c.fold(); err != nil {
 			return nil, err
 		}
@@ -564,8 +571,8 @@ func (c *shardCore) settle(full bool, region []int64) ([]record.Record, error) {
 // and refill — first re-derives the spec from gs, because after a patch
 // the plan's Source data no longer describes the table.
 func (c *shardCore) fold() error {
-	edges := c.gs.NumEdges()
-	if edges > 4*c.planEdges || (edges > 0 && c.planEdges > 4*edges) {
+	c.stats.Folds++
+	if c.drifted() {
 		spec, _, _ := c.m.Spec(c.gs)
 		return c.rebind(spec)
 	}
@@ -577,6 +584,13 @@ func (c *shardCore) fold() error {
 		}
 	}
 	return c.refill()
+}
+
+// drifted reports whether the edge count has moved 4x either way from
+// what the plan was costed with.
+func (c *shardCore) drifted() bool {
+	edges := c.gs.NumEdges()
+	return edges > 4*c.planEdges || (edges > 0 && c.planEdges > 4*edges)
 }
 
 // foldDelta nets the edit log into the change of the cached edge table.
@@ -694,7 +708,8 @@ func (r hostedReader) Lookup(k int64) (record.Record, bool) { return r.c.lookup(
 // gather derives this host's candidates: round 0 covers the region seeds
 // and the current batch's inserts, later rounds re-examine the whole
 // overlay (the converged solution may have moved, re-arming older overlay
-// edges). Two source-side filters keep dead weight off the wire:
+// edges) — at most overlayFoldFactor × the batch's inserts, as settle
+// leaves it. Two source-side filters keep dead weight off the wire:
 //
 //   - A candidate keyed on one endpoint was derived from the *other*
 //     endpoint's label; only that label's owner emits it. The owner's
@@ -716,6 +731,8 @@ func (c *shardCore) gather(round int) []record.Record {
 			}
 		}
 		c.seeds = nil
+	} else {
+		c.stats.CandidateEdges += int64(len(edges))
 	}
 	reader := hostedReader{c: c}
 	for _, e := range edges {

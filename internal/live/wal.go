@@ -505,7 +505,7 @@ func (v *LiveView) snapshotLocked() error {
 	d.walBytesAtSnap = d.wal.SizeBytes()
 	if v.ring != nil {
 		v.snapHist.ObserveSince(snapStart)
-		v.span(obs.PhaseSnapshot, snapStart)
+		v.span(obs.PhaseSnapshot, v.name, snapStart)
 	}
 	return nil
 }

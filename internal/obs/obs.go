@@ -93,13 +93,18 @@ const (
 	// PhaseBarrier covers coordinator-side barrier waits in distributed
 	// runs: from releasing a superstep to the last worker's step_done.
 	PhaseBarrier
+	// PhaseRound covers one control round of a live-view session,
+	// labelled with its verb: in a flush apply (graph mutation and settle,
+	// any overlay fold included), replan, gather or seed; outside one
+	// mesh, load or plan epoch.
+	PhaseRound
 
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
 	"superstep", "operator", "ship", "merge", "plan",
-	"flush", "wal-append", "snapshot", "barrier",
+	"flush", "wal-append", "snapshot", "barrier", "round",
 }
 
 // String names the phase (also its JSON form).

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 	"unicode"
 
 	"repro/internal/metrics"
@@ -262,7 +263,27 @@ func (r *Registry) Serve(addr string) (string, io.Closer, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: r.Handler()}
-	go srv.Serve(ln)
+	go NewHTTPServer(r.Handler()).Serve(ln)
 	return ln.Addr().String(), ln, nil
+}
+
+// The limits of every HTTP server this module runs (the telemetry plane
+// and the live serving API): a client has HTTPReadHeaderTimeout to send
+// its request header, which may not exceed HTTPMaxHeaderBytes, and an idle
+// keep-alive connection closes after HTTPIdleTimeout. Bodies have no read
+// deadline: a view's create request carries its whole edge list.
+const (
+	HTTPReadHeaderTimeout = 5 * time.Second
+	HTTPIdleTimeout       = 2 * time.Minute
+	HTTPMaxHeaderBytes    = 64 << 10
+)
+
+// NewHTTPServer builds a server for h under those limits.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: HTTPReadHeaderTimeout,
+		IdleTimeout:       HTTPIdleTimeout,
+		MaxHeaderBytes:    HTTPMaxHeaderBytes,
+	}
 }
