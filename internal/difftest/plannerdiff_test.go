@@ -161,8 +161,8 @@ func TestPlannerDifferentialPageRank(t *testing.T) {
 
 // TestPlannerDifferentialReoptimize drives the mid-run re-planning path:
 // with Reoptimize set and a tiny collapse trigger, the auto planner's
-// greedy re-optimizations (and their plan-cache hits) must not change the
-// fixpoint. Also asserts the new planning metrics move.
+// greedy re-optimizations must not change the fixpoint. Also asserts the
+// new planning metrics move.
 func TestPlannerDifferentialReoptimize(t *testing.T) {
 	g := graphgen.Uniform("plan-reopt", 80, 90, 0xC0FFEE) // sparse: workset collapses
 	spec, initSol, initW := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)

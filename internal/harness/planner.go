@@ -30,7 +30,7 @@ type PlannerRow struct {
 	CachedUS float64 `json:"cached_us"`
 	// Speedup is cost/greedy; CacheSpeedup is cost/cached — the factor a
 	// mid-run re-optimization gets back from skipping enumeration, and
-	// from skipping planning entirely.
+	// what skipping planning entirely would buy.
 	Speedup      float64 `json:"speedup"`
 	CacheSpeedup float64 `json:"cache_speedup"`
 }

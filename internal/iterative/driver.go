@@ -14,11 +14,10 @@ import (
 // paper's point is that bulk and incremental iterations are one dataflow
 // abstraction differing only in step semantics; the code says the same
 // thing structurally: the full superstep lifecycle — the loop itself,
-// convergence, the re-optimize decision with its backoff and plan cache,
-// checkpoint hooks, and the obs histogram/span recording — lives here
-// exactly once, and the two engines (bulk full recompute, incremental
-// workset ∪̇ merge) are small EnginePolicy values supplying only their
-// step semantics. Which engine runs is the caller's choice, as in the
+// convergence, the re-optimize decision with its backoff, checkpoint
+// hooks, and the obs histogram/span recording — lives here exactly once,
+// and the two engines (bulk full recompute, incremental workset ∪̇ merge)
+// are small EnginePolicy values supplying only their step semantics. Which engine runs is the caller's choice, as in the
 // paper: RunBulk, RunIncremental, RunMicrostep (the incremental engine
 // with direct merge required), the Resume*/Restore* entry points, and
 // Fixpoint (through it internal/live's sessions: views and distributed
@@ -64,15 +63,16 @@ type replanner interface {
 	// reoptimizeWanted reports whether the spec asked for mid-run
 	// re-optimization.
 	reoptimizeWanted() bool
-	// replan plans for the collapsed workset estimate. useCache routes
-	// through the shared plan cache; hit reports a cache hit. A
-	// coordinated run plans fresh instead, so every process derives the
-	// identical plan from the identical estimate.
-	replan(est int64, cache *optimizer.PlanCache, useCache bool) (phys *optimizer.PhysPlan, hit bool, err error)
+	// replan plans for the collapsed workset estimate. Every process of a
+	// coordinated run derives the identical plan from the identical
+	// estimate.
+	replan(est int64) (*optimizer.PhysPlan, error)
 	// swap installs a re-optimized plan: invalidate the loop-invariant
 	// caches, close the old session, open a new one (rebinding the
-	// transport's routing state in distributed runs).
-	swap(phys *optimizer.PhysPlan) error
+	// transport's routing state in distributed runs). It returns the
+	// bytes of cached constant-path state it dropped, which the next
+	// superstep refills.
+	swap(phys *optimizer.PhysPlan) (dropped int64)
 }
 
 // Barrier coordinates the driver's supersteps across the processes of a
@@ -98,9 +98,7 @@ type DriveHooks struct {
 	// the global workset estimate est (a re-plan that keeps the running
 	// shape announces nothing): broadcast the new plan epoch, wait until
 	// every peer has re-planned and swapped, and return nil — only then
-	// does the local session swap and the next superstep start. A non-nil OnEpoch also
-	// bypasses the plan cache, so peers re-planning from the shipped
-	// estimate derive the byte-identical plan.
+	// does the local session swap and the next superstep start.
 	OnEpoch func(epoch int, est int64, phys *optimizer.PhysPlan) error
 }
 
@@ -195,14 +193,10 @@ func (d *driver) run() (converged bool, err error) {
 const reoptimizeBackoffSteps = 8
 
 // reoptState carries the adaptive re-planning state of one running
-// iteration: the estimate the current plan was costed with, the plan
-// cache its re-optimizations share (memoizing the key registry and whole
-// plans by fingerprint), the plan the session is executing, and the
-// backoff window after a failure. It persists across a Fixpoint's Run
-// calls, so repeated maintenance batches that collapse the same way hit
-// the cache instead of re-planning.
+// iteration: the estimate the current plan was costed with, the plan the
+// session is executing, and the backoff window after a failure. It
+// persists across a Fixpoint's Run calls.
 type reoptState struct {
-	cache *optimizer.PlanCache
 	// cur is the plan the live session executes and shape its structural
 	// fingerprint: a re-plan that yields the same shape keeps cur.
 	cur        *optimizer.PhysPlan
@@ -214,7 +208,7 @@ type reoptState struct {
 }
 
 func newReoptState(cur *optimizer.PhysPlan, plannedEst int64) *reoptState {
-	st := &reoptState{cache: optimizer.NewPlanCache(), plannedEst: plannedEst}
+	st := &reoptState{plannedEst: plannedEst}
 	st.install(cur)
 	return st
 }
@@ -233,11 +227,11 @@ func (st *reoptState) install(phys *optimizer.PhysPlan) {
 // objects: a re-plan whose optimizer.Fingerprint equals the running
 // plan's is a pure no-op — no swap, no epoch announcement, caches and
 // session stay warm — and only ratchets the planned estimate (plus a
-// trace event). A genuinely different shape swaps a fresh session in.
-// Single-process runs re-plan through the plan cache; coordinated runs
-// (OnEpoch set) plan fresh from the exact global estimate and announce
-// the new plan epoch to every peer before swapping locally — peers only
-// ever hear about real shape changes. Failures are surfaced
+// trace event). A genuinely different shape swaps a fresh session in; its
+// trace event and swap-phase span name both shapes, the planners behind
+// them and the cached bytes the swap dropped. Coordinated runs (OnEpoch
+// set) announce the new plan epoch to every peer before swapping locally
+// — peers only ever hear about real shape changes. Failures are surfaced
 // (ReoptimizeFailures, ReoptimizeBackoffs, a trace event) and suppress
 // further attempts for reoptimizeBackoffSteps supersteps.
 func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
@@ -245,8 +239,7 @@ func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
 	if !rp.reoptimizeWanted() || int64(next)*16 >= st.plannedEst || step < st.backoffUntil {
 		return nil
 	}
-	useCache := d.hooks.OnEpoch == nil
-	newPhys, hit, rerr := rp.replan(int64(next), st.cache, useCache)
+	newPhys, rerr := rp.replan(int64(next))
 	if rerr != nil {
 		if d.cfg.Metrics != nil {
 			d.cfg.Metrics.ReoptimizeFailures.Add(1)
@@ -258,7 +251,8 @@ func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
 		return nil
 	}
 	st.plannedEst = int64(next)
-	if newPhys == st.cur || newPhys.Fingerprint() == st.shape {
+	shape := newPhys.Fingerprint()
+	if shape == st.shape {
 		d.trace.AddEvent(step, fmt.Sprintf("re-planned for workset %d: shape unchanged", next))
 		return nil
 	}
@@ -270,14 +264,12 @@ func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
 	if d.cfg.Metrics != nil {
 		d.cfg.Metrics.Reoptimizations.Add(1)
 	}
-	if hit {
-		d.trace.AddEvent(step, fmt.Sprintf("reoptimized for workset %d (plan cache hit)", next))
-	} else {
-		d.trace.AddEvent(step, fmt.Sprintf("reoptimized for workset %d", next))
-	}
-	if err := rp.swap(newPhys); err != nil {
-		return err
-	}
+	start := time.Now()
+	dropped := rp.swap(newPhys)
+	what := fmt.Sprintf("reoptimized for workset %d: %s plan %s → %s plan %s, dropped %.1f MiB of cached constant-path state",
+		next, st.cur.Planner, st.shape[:12], newPhys.Planner, shape[:12], float64(dropped)/(1<<20))
+	d.trace.AddEvent(step, what)
+	d.cfg.noteSwap(d.traceBase+step, start, what)
 	st.install(newPhys)
 	d.epochs++
 	return nil
@@ -383,38 +375,9 @@ func (en *incEngine) feed() {
 
 func (en *incEngine) reoptimizeWanted() bool { return en.spec.Reoptimize }
 
-// replan plans Δ for a collapsed workset estimate, through the plan
-// cache (counting PlanCacheHits on a hit) or fresh when a coordinated
-// epoch needs every process to derive the identical plan from est.
-func (en *incEngine) replan(est int64, cache *optimizer.PlanCache, useCache bool) (*optimizer.PhysPlan, bool, error) {
-	saved := en.spec.Workset.EstRecords
-	if est > 0 {
-		en.spec.Workset.EstRecords = est
-	}
-	defer func() { en.spec.Workset.EstRecords = saved }()
-	opts := incrementalOptions(en.spec, en.cfg, en.expected, true)
-	start := time.Now()
-	var (
-		phys *optimizer.PhysPlan
-		hit  bool
-		err  error
-	)
-	if useCache {
-		phys, hit, err = cache.Optimize(en.spec.Plan, opts, est)
-	} else {
-		phys, err = optimizer.Optimize(en.spec.Plan, opts)
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	if hit {
-		if en.cfg.Metrics != nil {
-			en.cfg.Metrics.PlanCacheHits.Add(1)
-		}
-	} else {
-		notePlanned(en.cfg, opts.Planner, phys, time.Since(start))
-	}
-	return phys, hit, nil
+// replan plans Δ for a collapsed workset estimate.
+func (en *incEngine) replan(est int64) (*optimizer.PhysPlan, error) {
+	return optimizeIncrementalWithEst(en.spec, en.cfg, en.expected, est, true)
 }
 
 // swap installs a re-optimized plan mid-run: the loop-invariant caches
@@ -422,14 +385,15 @@ func (en *incEngine) replan(est int64, cache *optimizer.PlanCache, useCache bool
 // old session closes, the transport's per-edge routing state is rebound
 // to the new plan's edge count, and a fresh session opens. The solution
 // set and the executor's placeholders survive untouched.
-func (en *incEngine) swap(phys *optimizer.PhysPlan) error {
+func (en *incEngine) swap(phys *optimizer.PhysPlan) (dropped int64) {
+	dropped = en.exec.CachedBytes()
 	en.exec.InvalidateCaches()
 	en.sess.Close()
 	if rb, ok := en.tr.(runtime.Rebinder); ok {
 		rb.Rebind(phys.NumEdges)
 	}
 	en.sess = en.exec.OpenSessionOn(phys, en.tr)
-	return nil
+	return dropped
 }
 
 // close releases the session and the executor's caches; the solution

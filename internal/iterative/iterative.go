@@ -158,6 +158,19 @@ func (c Config) noteMerge(step int, start time.Time) {
 	})
 }
 
+// noteSwap records a mid-run plan swap that started at start as a
+// swap-phase span labelled what.
+func (c Config) noteSwap(step int, start time.Time, what string) {
+	if c.Obs == nil {
+		return
+	}
+	c.Obs.Trace().RecordSpan(obs.Span{
+		Trace: c.TraceID, Host: int32(c.Host), Part: -1, Step: int32(step),
+		Phase: obs.PhaseSwap, Start: start.UnixNano(), Dur: int64(time.Since(start)),
+		Label: what,
+	})
+}
+
 // newSolutionSet builds the solution set the Config asks for.
 func (c Config) newSolutionSet(key record.KeyFunc, cmp record.Comparator) *runtime.SolutionSet {
 	return runtime.NewSolutionSetWith(c.Parallelism, key, cmp, c.Metrics, runtime.SolutionOptions{
@@ -416,7 +429,7 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 		plannedEst = int64(len(initialWorkset))
 	}
 
-	phys, err := optimizeIncrementalWithEst(&spec, cfg, expected, plannedEst)
+	phys, err := optimizeIncrementalWithEst(&spec, cfg, expected, plannedEst, false)
 	if err != nil {
 		return nil, err
 	}
@@ -517,6 +530,6 @@ func notePlanned(cfg Config, planner optimizer.PlannerKind, phys *optimizer.Phys
 	}
 }
 
-// The superstep loop itself — and the reoptimize/backoff/plan-cache
-// state it drives — lives in driver.go; RunBulk and RunIncremental above
-// are adapters supplying an EnginePolicy to it.
+// The superstep loop itself — and the reoptimize/backoff state it drives
+// — lives in driver.go; RunBulk and RunIncremental above are adapters
+// supplying an EnginePolicy to it.

@@ -1,15 +1,19 @@
 package iterative_test
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/algorithms"
+	"repro/internal/distrib"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
+	"repro/internal/obs"
+	"repro/internal/optimizer"
 	"repro/internal/record"
 )
 
@@ -24,6 +28,63 @@ func rmatCC(reoptimize bool) (iterative.IncrementalSpec, []record.Record, []reco
 	return spec, s0, w0
 }
 
+// TestSingleProcessCCKeepsItsPlan: in one process the cost-based planner
+// and the greedy re-planner agree on CC's shape at every workset estimate
+// (TestPlannerAudit), so with Reoptimize on under the default planner the
+// re-plans of the tail are all no-ops. The edge table is shipped and built
+// once, in superstep 0; every later superstep ships at most its own
+// workset.
+func TestSingleProcessCCKeepsItsPlan(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		spec, s0, w0 := rmatCC(true)
+		var m metrics.Counters
+		res, err := iterative.RunIncremental(spec, s0, w0,
+			iterative.Config{Parallelism: par, Metrics: &m, CollectTrace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := m.Reoptimizations.Load(); n != 0 || res.PlanEpochs != 0 {
+			t.Fatalf("P%d: %d plan swaps (PlanEpochs %d), want none; events %v", par, n, res.PlanEpochs, res.Trace.Events)
+		}
+		if m.GreedyPlans.Load() == 0 {
+			t.Fatalf("P%d: the run never re-planned; the test needs the re-plan path", par)
+		}
+		its := res.Trace.Iterations
+		for i := 1; i < len(its); i++ {
+			in, out := its[i-1].Work.WorksetElements, its[i].Work.WorksetElements
+			if shipped := its[i].Work.RecordsShipped; shipped > in+out {
+				t.Errorf("P%d superstep %d shipped %d records for a workset of %d in, %d out — the constant path was refilled",
+					par, i, shipped, in, out)
+			}
+		}
+	}
+}
+
+// reshapingJob is the spec of a 2-host distributed CC job with Reoptimize
+// on — the shape of `spinflow distributed`'s cc reoptimize cell: a
+// near-complete core with a long tail. Run in one process with
+// reshapingConfig, it plans exactly as that job's coordinator does. At two
+// hosts a partition crossing is priced mostly as network traffic, and the
+// cost-based planner broadcasts the small delta set against a stream-cached
+// edge table; the greedy re-plan once the workset collapses into the tail
+// partitions and builds the edge table instead (one real shape change),
+// and the deeper collapse near convergence re-plans to that same shape (a
+// no-op).
+func reshapingJob(t testing.TB) (iterative.IncrementalSpec, []record.Record, []record.Record) {
+	t.Helper()
+	spec, s0, w0, err := distrib.BuildSpec(distrib.JobSpec{Algorithm: "cc-cogroup", GraphKind: "uniform-tail",
+		GraphN: 200, GraphM: 30000, Seed: 0xE90C, Parallelism: 2, Reoptimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, s0, w0
+}
+
+// reshapingConfig plans reshapingJob for the 2-host job it comes from.
+func reshapingConfig(m *metrics.Counters) iterative.Config {
+	return iterative.Config{Parallelism: 2, Hosts: 2, Metrics: m, CollectTrace: true}
+}
+
 // TestReoptimizeKeepsConstantPathWarm: with Reoptimize on, the constant
 // data path (the edge table) is rebuilt once, in the superstep after the
 // one re-plan that changes the plan's shape. Every later superstep — the
@@ -31,10 +92,10 @@ func rmatCC(reoptimize bool) (iterative.IncrementalSpec, []record.Record, []reco
 // fixpoint and superstep count equal a run without re-optimization.
 func TestReoptimizeKeepsConstantPathWarm(t *testing.T) {
 	run := func(reoptimize bool) *iterative.IncrementalResult {
-		spec, s0, w0 := rmatCC(reoptimize)
+		spec, s0, w0 := reshapingJob(t)
+		spec.Reoptimize = reoptimize
 		var m metrics.Counters
-		res, err := iterative.RunIncremental(spec, s0, w0,
-			iterative.Config{Parallelism: 2, Metrics: &m, CollectTrace: true})
+		res, err := iterative.RunIncremental(spec, s0, w0, reshapingConfig(&m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,30 +136,17 @@ func TestReoptimizeKeepsConstantPathWarm(t *testing.T) {
 	}
 }
 
-// reshapingCC is incremental CC with Reoptimize on over a dense core with
-// a long tail. At Parallelism 2 the cost-based planner broadcasts the
-// small delta set against a stream-cached edge table; once the workset
-// collapses into the tail, the greedy re-plan partitions the edge table
-// instead (one real shape change), and the deeper collapse near
-// convergence re-plans to that same shape (a no-op).
-func reshapingCC(seed uint64) (*graphgen.Graph, iterative.IncrementalSpec, []record.Record, []record.Record) {
-	g := graphgen.Uniform("reshaping", 100, 3000, seed).WithDiameterTail(30, 0)
-	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
-	spec.Reoptimize = true
-	return g, spec, s0, w0
-}
-
 // TestIncrementalSpecReuse is the regression test for the estimate-
 // mutation bug: RunIncremental used to overwrite the shared plan node's
 // EstRecords (once at entry, again on every reoptimize), so a reused spec
 // silently planned run 2 with run 1's final workset size. Both runs must
 // now plan identically, and the spec must come back unchanged.
 func TestIncrementalSpecReuse(t *testing.T) {
-	_, spec, s0, w0 := reshapingCC(42)
+	spec, s0, w0 := reshapingJob(t)
 	origEst := spec.Workset.EstRecords
 
 	var m metrics.Counters
-	cfg := iterative.Config{Parallelism: 2, Metrics: &m}
+	cfg := reshapingConfig(&m)
 	res1, err := iterative.RunIncremental(spec, s0, w0, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,10 +179,10 @@ func TestIncrementalSpecReuse(t *testing.T) {
 // made to fail deterministically, so the failure branch is covered by the
 // counter contract only.)
 func TestReoptimizeCounters(t *testing.T) {
-	_, spec, s0, w0 := reshapingCC(7)
+	spec, s0, w0 := reshapingJob(t)
 
 	var m metrics.Counters
-	res, err := iterative.RunIncremental(spec, s0, w0, iterative.Config{Parallelism: 2, Metrics: &m})
+	res, err := iterative.RunIncremental(spec, s0, w0, reshapingConfig(&m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +209,52 @@ func TestReoptimizeCounters(t *testing.T) {
 	}
 	if kept == 0 {
 		t.Errorf("no same-shape re-plan traced; events: %v", res.Trace.Events)
+	}
+}
+
+// TestSwapNamesCauseAndCost: a plan swap's trace event and its swap-phase
+// span say which plans were swapped (both shapes, and the planner behind
+// each) and how many bytes of cached constant-path state the swap dropped
+// for the next superstep to refill.
+func TestSwapNamesCauseAndCost(t *testing.T) {
+	spec, s0, w0 := reshapingJob(t)
+	var m metrics.Counters
+	cfg := reshapingConfig(&m)
+	initial, err := iterative.PlanIncremental(spec, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy := cfg
+	greedy.Planner = optimizer.PlannerGreedy
+	replanned, err := iterative.PlanIncremental(spec, greedy, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, id := obs.NewRegistry(), obs.NewTraceID()
+	cfg.Obs, cfg.TraceID = reg, id
+	res, err := iterative.RunIncremental(spec, s0, w0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var event string
+	for _, ev := range res.Trace.Events {
+		if strings.Contains(ev.Event, "reoptimized") {
+			event = ev.Event
+		}
+	}
+	want := fmt.Sprintf("cost plan %s → greedy plan %s, dropped ",
+		initial.Fingerprint()[:12], replanned.Fingerprint()[:12])
+	if !strings.Contains(event, want) || strings.Contains(event, "dropped 0.0 MiB") {
+		t.Fatalf("swap event %q, want it to contain %q and a non-zero size", event, want)
+	}
+	var swaps []obs.Span
+	for _, sp := range reg.Trace().SpansFor(id) {
+		if sp.Phase == obs.PhaseSwap {
+			swaps = append(swaps, sp)
+		}
+	}
+	if len(swaps) != 1 || swaps[0].Label != event {
+		t.Fatalf("swap spans %+v, want one labelled %q", swaps, event)
 	}
 }
 

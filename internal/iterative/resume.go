@@ -28,9 +28,8 @@ type Fixpoint struct {
 	spec IncrementalSpec
 	cfg  Config
 	en   *incEngine
-	// reopt persists across Run calls, so repeated maintenance batches
-	// that collapse the same way hit the plan cache instead of re-planning
-	// (and skip the session swap when the plan's shape is already live).
+	// reopt persists across Run calls: the running plan's shape and the
+	// estimate it was costed with.
 	reopt *reoptState
 	// traceStep numbers supersteps continuously across Run calls, so a
 	// live view's maintenance flushes produce distinct steps in its trace.
@@ -42,13 +41,14 @@ type Fixpoint struct {
 // node may be shared with later runs of the same spec (live view
 // recomputes, ResumeIncremental, difftest loops), which must plan from
 // their own initial statistics rather than this run's final workset size.
-func optimizeIncrementalWithEst(spec *IncrementalSpec, cfg Config, expected int, est int64) (*optimizer.PhysPlan, error) {
+// reopt marks a mid-run re-plan (see incrementalOptions).
+func optimizeIncrementalWithEst(spec *IncrementalSpec, cfg Config, expected int, est int64, reopt bool) (*optimizer.PhysPlan, error) {
 	saved := spec.Workset.EstRecords
 	if est > 0 {
 		spec.Workset.EstRecords = est
 	}
 	defer func() { spec.Workset.EstRecords = saved }()
-	return optimizeIncremental(spec, cfg, expected)
+	return optimizeIncremental(spec, cfg, expected, reopt)
 }
 
 // incrementalOptions builds the optimizer options for an incremental spec
@@ -75,9 +75,9 @@ func incrementalOptions(spec *IncrementalSpec, cfg Config, expected int, reopt b
 }
 
 // optimizeIncremental runs the optimizer for an incremental spec's initial
-// plan, recording planning metrics.
-func optimizeIncremental(spec *IncrementalSpec, cfg Config, expected int) (*optimizer.PhysPlan, error) {
-	opts := incrementalOptions(spec, cfg, expected, false)
+// plan, or a mid-run re-plan when reopt is set, recording planning metrics.
+func optimizeIncremental(spec *IncrementalSpec, cfg Config, expected int, reopt bool) (*optimizer.PhysPlan, error) {
+	opts := incrementalOptions(spec, cfg, expected, reopt)
 	start := time.Now()
 	phys, err := optimizer.Optimize(spec.Plan, opts)
 	if err != nil {
@@ -103,7 +103,7 @@ func PlanIncremental(spec IncrementalSpec, cfg Config, expected int) (*optimizer
 	if expected <= 0 {
 		expected = spec.expected()
 	}
-	return optimizeIncremental(&spec, cfg, expected)
+	return optimizeIncremental(&spec, cfg, expected, false)
 }
 
 // OpenFixpoint optimizes spec and opens a persistent session for it,
@@ -120,7 +120,7 @@ func OpenFixpoint(spec IncrementalSpec, sol *runtime.SolutionSet, cfg Config) (*
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	phys, err := optimizeIncremental(&spec, cfg, spec.expected())
+	phys, err := optimizeIncremental(&spec, cfg, spec.expected(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
 		return err
 	}
 	expected := spec.expected()
-	phys, err := optimizeIncremental(&spec, f.cfg, expected)
+	phys, err := optimizeIncremental(&spec, f.cfg, expected, false)
 	if err != nil {
 		return err
 	}
@@ -233,20 +233,17 @@ func (f *Fixpoint) StepOnce() (int, error) {
 	return out.next, nil
 }
 
-// ApplyEpoch re-plans Δ fresh (no plan cache) for the given global
-// workset estimate and atomically swaps the session onto the new plan —
+// ApplyEpoch re-plans Δ for the given global workset estimate and atomically swaps the session onto the new plan —
 // the worker half of a coordinated plan-epoch bump. Every process of a
 // distributed run calls it with the same estimate the coordinator's
 // driver decided on, derives the identical plan, and the coordinator
 // verifies the plan digests agree before releasing the next superstep.
 func (f *Fixpoint) ApplyEpoch(est int64) (*optimizer.PhysPlan, error) {
-	phys, _, err := f.en.replan(est, f.reopt.cache, false)
+	phys, err := f.en.replan(est)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.en.swap(phys); err != nil {
-		return nil, err
-	}
+	f.en.swap(phys)
 	f.reopt.install(phys)
 	f.reopt.plannedEst = est
 	return phys, nil

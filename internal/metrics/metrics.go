@@ -125,8 +125,10 @@ type Counters struct {
 	// GreedyPlans counts plans produced by the greedy zero-statistics
 	// fast-path planner (initial plans and mid-run re-plans alike).
 	GreedyPlans atomic.Int64
-	// PlanCacheHits counts re-optimizations served from a memoized plan,
-	// skipping planning entirely.
+	// PlanCacheHits counted re-optimizations served from a memoized plan.
+	// Mid-run re-plans no longer go through a plan cache, so nothing
+	// advances it; it stays because the benchmark program reports it
+	// (plan_cache_hits_per_op).
 	PlanCacheHits atomic.Int64
 	// FusedOperators counts Map operators folded into upstream fused
 	// chains by the operator-fusion rewrite, summed over produced plans.

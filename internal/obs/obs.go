@@ -98,13 +98,18 @@ const (
 	// any overlay fold included), replan, gather or seed; outside one
 	// mesh, load or plan epoch.
 	PhaseRound
+	// PhaseSwap covers one mid-run plan swap: the old session closes, the
+	// constant path's caches drop and a session for the new plan opens.
+	// Its label names both plan shapes, their planners and the cached
+	// bytes dropped.
+	PhaseSwap
 
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
 	"superstep", "operator", "ship", "merge", "plan",
-	"flush", "wal-append", "snapshot", "barrier", "round",
+	"flush", "wal-append", "snapshot", "barrier", "round", "swap",
 }
 
 // String names the phase (also its JSON form).

@@ -16,14 +16,17 @@ import (
 // of re-planning: a plan costed for 10k workset records serves 9k ones
 // identically). A hit skips planning entirely.
 //
+// The iteration driver does not use it: it re-plans only when the workset
+// fell 16× below the last estimate, so no two re-plans of one run share a
+// bucket. The cache prices what skipping planning entirely would buy (the
+// harness's planner scenario and the benchmark's planner probe).
+//
 // A cache is bound to one logical plan and one spec shape; it is not safe
-// for concurrent use (iteration drivers re-plan between supersteps, on one
-// goroutine).
+// for concurrent use.
 type PlanCache struct {
 	registry map[uintptr]record.KeyFunc
 	plans    map[planKey]*PhysPlan
-	// Hits and Misses count lookups; the driver mirrors Hits into the
-	// PlanCacheHits metric.
+	// Hits and Misses count lookups.
 	Hits, Misses int64
 }
 

@@ -7,11 +7,12 @@ import (
 )
 
 // Cost-model weights. The absolute values are unitless; only the ratios
-// matter for plan choice. Network transfer dominates, as on the paper's
-// cluster; building hash tables and sorting are charged above plain
-// streaming CPU.
+// matter for plan choice. A record crossing to another process dominates,
+// as on the paper's cluster; a crossing that stays in the process costs
+// an in-memory queue hop (wNetLocal). Building hash tables and sorting are
+// charged above plain streaming CPU.
 const (
-	wNet    = 1.0  // per record crossing a partitioning exchange
+	wNet    = 1.0  // per record crossing a partitioning exchange to another process
 	wCPU    = 0.2  // per record streamed through an operator
 	wBuild  = 0.5  // per record inserted into a hash table
 	wSortC  = 0.35 // per record*log2(n) sorted
@@ -25,16 +26,14 @@ const wNetLocal = 0.25
 
 // shipCost returns the cost of moving n records with the given strategy to
 // p consumer partitions, with the plan's partitions spread over hosts
-// processes. Single-process plans (hosts ≤ 1) use the classic formulas
-// unchanged; for multi-process plans, crossings that leave the process are
-// charged the full network weight and in-process crossings the in-memory
-// discount — under contiguous placement a hash-shipped record lands in a
-// remote process with probability (hosts-1)/hosts.
+// processes (0 counts as 1). Crossings that leave the process are charged
+// the full network weight and in-process crossings the in-memory discount:
+// under contiguous placement a hash-shipped record lands in a remote
+// process with probability (hosts-1)/hosts, so a single-process plan pays
+// wNetLocal for every crossing.
 func shipCost(s ShipStrategy, n int64, p, hosts int) float64 {
-	f := 1.0
-	if hosts > 1 {
-		f = (float64(hosts-1) + wNetLocal) / float64(hosts)
-	}
+	h := max(hosts, 1)
+	f := (float64(h-1) + wNetLocal) / float64(h)
 	switch s {
 	case ShipForward:
 		return 0

@@ -45,10 +45,11 @@ type Options struct {
 	// Parallelism is the number of partitions (degree of parallelism).
 	Parallelism int
 	// Hosts is the number of processes the partitions will be spread over
-	// under contiguous placement. 0 or 1 (single-process) leaves the cost
-	// model exactly as before; larger values make shipCost distinguish
-	// in-process partition crossings from cross-process ones, so plans for
-	// a distributed session prefer strategies that keep records local.
+	// under contiguous placement (0 counts as 1). shipCost charges the
+	// in-memory rate for the share of partition crossings that stay in the
+	// process and the network rate for the rest: a single-process plan
+	// pays only in-memory hops, and plans for a distributed session
+	// prefer strategies that keep records local.
 	Hosts int
 	// ExpectedIterations weights the dynamic data path's cost (§4.3: "we
 	// weigh the cost of the dynamic data path by a factor proportional to
@@ -238,6 +239,10 @@ type fbEdge struct{ ph, sink int }
 // key registry is only built if a placeholder actually carries a granted
 // partitioning.
 func finishPlan(p *dataflow.Plan, opt Options, plan *PhysPlan, granted map[int]Props) *PhysPlan {
+	plan.Planner = PlannerCost
+	if opt.Planner == PlannerGreedy {
+		plan.Planner = PlannerGreedy
+	}
 	for _, pn := range plan.Placeholders {
 		if g, ok := granted[pn.Logical.ID]; ok && g.Part != 0 {
 			pn.InjectKey = keyByID(p, opt, g.Part)

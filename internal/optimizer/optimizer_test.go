@@ -436,6 +436,28 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
+// TestShipCostByHosts: a crossing costs the network weight for the share
+// of records that leave the process and the in-memory rate for the rest;
+// Hosts 0 (the zero value every single-process caller passes) prices like
+// one host.
+func TestShipCostByHosts(t *testing.T) {
+	const n, p = 1000, 4
+	for _, c := range []struct {
+		hosts int
+		want  float64 // per partitioned record
+	}{{0, wNetLocal}, {1, wNetLocal}, {2, (1 + wNetLocal) / 2}, {4, (3 + wNetLocal) / 4}} {
+		if got := shipCost(ShipPartition, n, p, c.hosts); got != wNet*c.want*n {
+			t.Errorf("hosts %d: partition cost %g, want %g", c.hosts, got, wNet*c.want*n)
+		}
+		if got := shipCost(ShipBroadcast, n, p, c.hosts); got != wNet*c.want*n*p {
+			t.Errorf("hosts %d: broadcast cost %g, want %g", c.hosts, got, wNet*c.want*n*p)
+		}
+		if got := shipCost(ShipForward, n, p, c.hosts); got != 0 {
+			t.Errorf("hosts %d: forward cost %g, want 0", c.hosts, got)
+		}
+	}
+}
+
 func TestEstimates(t *testing.T) {
 	p := dataflow.NewPlan()
 	a := p.SourceOf("a", nil).WithEst(100)

@@ -15,7 +15,8 @@
 //     loop-invariant) join side. It plans in microseconds, which is what
 //     mid-iteration re-optimization needs: there, planning latency sits
 //     on the superstep path. Options.Planner selects; PlanCache
-//     (cache.go) memoizes whole plans across re-optimizations.
+//     (cache.go) memoizes whole plans, which prices what skipping
+//     planning entirely would buy.
 //
 // Both planners feed the operator-fusion rewrite (fuse.go), which
 // collapses adjacent Map/filter/project chains connected by exclusive
@@ -213,6 +214,9 @@ type PhysPlan struct {
 	// Fused counts the Map operators the fusion rewrite folded into
 	// upstream nodes (0 when fusion was off or found nothing).
 	Fused int
+	// Planner is the planning algorithm that chose the plan (PlannerCost
+	// or PlannerGreedy). Like Cost, it is not part of the plan's shape.
+	Planner PlannerKind
 }
 
 // Placeholder returns the physical node for the logical IterationInput

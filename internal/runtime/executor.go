@@ -243,6 +243,24 @@ func (e *Executor) slotsFilledAmong(n *optimizer.PhysNode, input int, parts []in
 	return true
 }
 
+// CachedBytes is the serialized-form size of the loop-invariant inputs the
+// executor holds, resident or spilled: what InvalidateCaches drops and the
+// next superstep of a new plan refills.
+func (e *Executor) CachedBytes() int64 {
+	var n int64
+	for _, s := range e.slots {
+		switch {
+		case s.spill != nil:
+			n += s.spill.bytes
+		case s.table != nil:
+			n += int64(s.table.size()) * record.EncodedSize
+		default:
+			n += batchesBytes(s.batches) + int64(len(s.recs))*record.EncodedSize
+		}
+	}
+	return n
+}
+
 // InvalidateCaches drops all materialized loop-invariant inputs (used when
 // the same executor runs a different plan).
 func (e *Executor) InvalidateCaches() {

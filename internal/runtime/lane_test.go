@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/algorithms"
+	"repro/internal/distrib"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
@@ -168,11 +169,21 @@ func TestLaneDifferential(t *testing.T) {
 // its caches fill, an unrolled bulk run invalidates them every pass, and a
 // re-optimization swaps the session. Results must not depend on it.
 func TestLaneAlternatingAcrossScheduleChanges(t *testing.T) {
-	// A dense core with a long tail re-plans to a different shape once the
-	// workset collapses (see iterative's reshapingCC).
-	reshaping := graphgen.Uniform("reshaping", 100, 3000, 42).WithDiameterTail(30, 0)
-	cc, s0, w0 := algorithms.CCIncrementalSpec(reshaping, algorithms.CCCoGroup)
-	cc.Reoptimize = true
+	// A 2-host distributed CC job over a dense core with a long tail
+	// re-plans to a different shape once the workset collapses (see
+	// iterative's reshapingJob); planned with Hosts 2, the in-process run
+	// takes the same swap.
+	cc, s0, w0, err := distrib.BuildSpec(distrib.JobSpec{Algorithm: "cc-cogroup", GraphKind: "uniform-tail",
+		GraphN: 200, GraphM: 30000, Seed: 0xE90C, Parallelism: 2, Reoptimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccJob := incrementalJob("cc-reoptimize", cc, s0, w0)
+	runCC := ccJob.run
+	ccJob.run = func(cfg iterative.Config) (laneRun, error) {
+		cfg.Hosts = 2
+		return runCC(cfg)
+	}
 
 	g := graphgen.Uniform("unrolled", 200, 600, 9)
 	cached, ranks := algorithms.PageRankSpec(g, 6, algorithms.DefaultDamping, 0)
@@ -181,7 +192,7 @@ func TestLaneAlternatingAcrossScheduleChanges(t *testing.T) {
 
 	cfg := iterative.Config{Parallelism: 2}
 	for _, job := range []laneJob{
-		incrementalJob("cc-reoptimize", cc, s0, w0),
+		ccJob,
 		bulkJob("pagerank-cached", cached, ranks),
 		bulkJob("pagerank-unrolled", unrolled, ranks),
 	} {
