@@ -403,10 +403,14 @@ func BenchmarkSuperstepCCIncremental(b *testing.B) {
 // --- Ablations -----------------------------------------------------------
 
 // BenchmarkAblationCombiner isolates the pre-shuffle combiner's effect on
-// bulk PageRank (§6.1 mentions pre-aggregation as essential).
+// bulk PageRank (§6.1 mentions pre-aggregation as essential): with and
+// without it under the default (fused) plan, and — with it — fused into
+// the union that feeds it versus run as a task of its own behind a
+// forward exchange (Config.DisableFusion). "with" and "fused" run the same
+// configuration; their gap is the run-to-run noise the others read against.
 func BenchmarkAblationCombiner(b *testing.B) {
 	g := graphgen.Wikipedia(graphgen.ScaleTiny)
-	run := func(b *testing.B, combinable bool) {
+	run := func(b *testing.B, combinable, disableFusion bool) {
 		for i := 0; i < b.N; i++ {
 			spec, initial := algorithms.PageRankSpec(g, 5, algorithms.DefaultDamping, 0)
 			for _, n := range spec.Plan.Nodes() {
@@ -414,13 +418,16 @@ func BenchmarkAblationCombiner(b *testing.B) {
 					n.Combinable = combinable
 				}
 			}
-			if _, err := iterative.RunBulk(spec, initial, iterative.Config{Parallelism: benchParallelism}); err != nil {
+			cfg := iterative.Config{Parallelism: benchParallelism, DisableFusion: disableFusion}
+			if _, err := iterative.RunBulk(spec, initial, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("with", func(b *testing.B) { run(b, true) })
-	b.Run("without", func(b *testing.B) { run(b, false) })
+	b.Run("with", func(b *testing.B) { run(b, true, false) })
+	b.Run("without", func(b *testing.B) { run(b, false, false) })
+	b.Run("fused", func(b *testing.B) { run(b, true, false) })
+	b.Run("unfused", func(b *testing.B) { run(b, true, true) })
 }
 
 // BenchmarkAblationUpdateOperator isolates the CoGroup-vs-Match update

@@ -278,7 +278,8 @@ func traceCmd(args []string) error {
 
 // explain prints the optimized physical plans (text and Graphviz DOT) for
 // the PageRank bulk iteration and the incremental Connected Components
-// iteration on the wikipedia stand-in.
+// iteration on the wikipedia stand-in, fused as the iteration drivers run
+// them by default.
 func explain(opts harness.Options) error {
 	g := graphgen.Wikipedia(graphgen.ScaleTiny)
 
@@ -287,6 +288,7 @@ func explain(opts harness.Options) error {
 		Parallelism:        4,
 		ExpectedIterations: 20,
 		Feedback:           map[int]int{prSpec.Input.ID: prSpec.Output.ID},
+		Fuse:               true,
 	})
 	if err != nil {
 		return err
@@ -308,6 +310,7 @@ func explain(opts harness.Options) error {
 			ccSpec.WorksetSink.ID: ccSpec.WorksetKey,
 		},
 		Feedback: map[int]int{ccSpec.Workset.ID: ccSpec.WorksetSink.ID},
+		Fuse:     true,
 	})
 	if err != nil {
 		return err

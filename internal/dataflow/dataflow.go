@@ -139,7 +139,17 @@ type Node struct {
 	Data []record.Record
 
 	// Combinable marks a Reduce whose UDF is associative/commutative so a
-	// pre-aggregation (combiner) may run before the shuffle.
+	// pre-aggregation (combiner) may run before the shuffle. The combiner
+	// folds pairwise, per key and partition: the first record becomes the
+	// accumulator, each later record is folded by calling the combine UDF
+	// with the group (accumulator, record) — its one output record is the
+	// new accumulator — and when the input ends the UDF is called once
+	// more with the accumulator alone, and that call's output is shuffled.
+	// A left-to-right sum or min therefore computes exactly what it would
+	// over the whole partial group. A call may emit zero or several
+	// records; those become the key's pending records, folded with the
+	// next arrival and passed to the final call (which is skipped when
+	// nothing is pending).
 	Combinable bool
 	// Combine is the combiner UDF for a Combinable reduce; nil means the
 	// Reduce UDF itself is used for partial aggregation.

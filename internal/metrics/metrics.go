@@ -130,8 +130,9 @@ type Counters struct {
 	// advances it; it stays because the benchmark program reports it
 	// (plan_cache_hits_per_op).
 	PlanCacheHits atomic.Int64
-	// FusedOperators counts Map operators folded into upstream fused
-	// chains by the operator-fusion rewrite, summed over produced plans.
+	// FusedOperators counts Map operators and combiners folded into
+	// upstream nodes by the operator-fusion rewrite, summed over produced
+	// plans.
 	FusedOperators atomic.Int64
 	// PlanNanos accumulates wall time spent inside the plan optimizer
 	// (initial planning and re-planning), in nanoseconds.

@@ -7,14 +7,14 @@ import (
 
 // DOT renders the physical plan in Graphviz DOT format, annotating edges
 // with shipping strategies and cache markers and nodes with local
-// strategies — a visual counterpart to Explain.
+// strategies (and build sides) — a visual counterpart to Explain.
 func (p *PhysPlan) DOT() string {
 	var b strings.Builder
 	b.WriteString("digraph physplan {\n  rankdir=BT;\n")
 	for _, n := range p.Nodes {
 		label := n.Name()
 		if n.Local != LocalNone {
-			label += "\n" + n.Local.String()
+			label += "\n" + n.localLabel()
 		}
 		style := ""
 		if n.OnDynamicPath {

@@ -15,11 +15,11 @@ import (
 // tasks, exchanges, routing, cache slots and operator kernels — so they
 // are interchangeable under a running session. It covers everything the
 // runtime reads from a plan (dense node and edge identities, roles, local
-// strategies, build sides, sort and inject keys, fused chains, shipping
-// strategies with their partition keys, cache flags) and nothing the
-// runtime ignores (cost and cardinality estimates), which is what lets a
-// re-plan for a smaller workset be recognised as "the shape already
-// executing".
+// strategies, build sides, sort and inject keys, fused chains and
+// absorbed combiners, shipping strategies with their partition keys,
+// cache flags) and nothing the runtime ignores (cost and cardinality
+// estimates), which is what lets a re-plan for a smaller workset be
+// recognised as "the shape already executing".
 //
 // Three consumers share it: the iteration driver (a mid-run re-plan whose
 // fingerprint equals the running plan's is a no-op), the distrib handshake
@@ -37,6 +37,11 @@ func (p *PhysPlan) Fingerprint() string {
 			n.ID, n.Role, n.Local, n.Logical.ID, n.BuildSide, keys.name(n.SortKey), keys.name(n.InjectKey))
 		for _, f := range n.FusedChain {
 			fmt.Fprintf(h, "%d,", f.ID)
+		}
+		if n.Combiner != nil {
+			// Hashed only when set, so plans without an absorbed combiner
+			// keep the fingerprints other processes already agree on.
+			fmt.Fprintf(h, " combine=%d", n.Combiner.ID)
 		}
 		fmt.Fprintln(h)
 		for _, e := range n.Inputs {
@@ -70,6 +75,9 @@ func planKeyNames(p *PhysPlan) *keyNames {
 		add(n.Logical)
 		for _, f := range n.FusedChain {
 			add(f)
+		}
+		if n.Combiner != nil {
+			add(n.Combiner)
 		}
 	}
 	sort.Slice(logical, func(a, b int) bool { return logical[a].ID < logical[b].ID })

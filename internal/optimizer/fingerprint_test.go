@@ -36,7 +36,7 @@ func keyA2(r record.Record) int64 { return r.A }
 // TestFingerprintCoversEveryStructuralField: two plans that differ in
 // exactly one field the runtime reads must not share a fingerprint — the
 // hash-join build side, an edge's partition key, the sort key, the inject
-// key and the fused chain included.
+// key, the fused chain and an absorbed combiner included.
 func TestFingerprintCoversEveryStructuralField(t *testing.T) {
 	base := fingerprintPlan(t, record.KeyA).Fingerprint()
 	if again := fingerprintPlan(t, record.KeyA).Fingerprint(); again != base {
@@ -67,6 +67,7 @@ func TestFingerprintCoversEveryStructuralField(t *testing.T) {
 			h := fusedHead(t, p)
 			h.FusedChain = []*dataflow.Node{h.FusedChain[1], h.FusedChain[0]}
 		},
+		"Combiner": func(p *PhysPlan) { fusedHead(t, p).Combiner = findJoin(p).Logical },
 	}
 	for name, mutate := range mutations {
 		p := fingerprintPlan(t, record.KeyA)

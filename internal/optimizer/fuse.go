@@ -4,13 +4,22 @@ import (
 	"repro/internal/dataflow"
 )
 
-// Fuse collapses chains of adjacent Map operators (filters and projections
-// are Maps in the logical algebra) connected by exclusive forward edges
-// into single fused nodes: the surviving head keeps its own UDF and gains
-// the absorbed nodes' UDFs in FusedChain, which the runtime composes
-// record-at-a-time inside the head's emitter. Every fused edge eliminates
-// one exchange hop — a queue round-trip, a batch copy, and a pool cycle —
-// per superstep.
+// Fuse collapses operators connected by exclusive forward edges into the
+// node that feeds them, so the runtime executes them inside that node's
+// emitter instead of behind an exchange. Two rules apply:
+//
+//   - Chains of adjacent Map operators (filters and projections are Maps
+//     in the logical algebra) collapse onto the chain's head: the head
+//     keeps its own UDF and gains the absorbed nodes' UDFs in FusedChain,
+//     which the runtime composes record-at-a-time.
+//   - A combiner (RoleCombiner) is absorbed into its producer, after any
+//     Maps the producer already fused, as PhysNode.Combiner: the runtime
+//     folds each emitted record into a per-key accumulator on arrival and
+//     writes the accumulators to the combiner's consumers when the
+//     producer's task ends. Nothing fuses onto a node past its combiner.
+//
+// Every fused edge eliminates one exchange hop — a queue round-trip, a
+// batch copy, and a pool cycle — per superstep.
 //
 // An edge is fusible when it is ShipForward (no repartitioning), not a
 // loop-invariant cache (cached inputs replay through per-edge slots), and
@@ -19,18 +28,21 @@ import (
 // edge identities through finalizePlan, and credits the removed hops
 // against the plan cost so Explain/Cost reflect the executed shape.
 //
-// Returns the number of Map operators folded away.
+// Returns the number of Map operators and combiners folded away.
 func Fuse(plan *PhysPlan, expectedIterations int) int {
-	// Fewer than two fusible Maps in the whole plan means no chain can
-	// exist — skip the bookkeeping entirely (the common case for join- and
-	// aggregation-shaped iteration steps).
-	fusible := 0
+	// No combiner and fewer than two fusible Maps in the whole plan means
+	// nothing can fuse — skip the bookkeeping entirely (the common case
+	// for join-shaped iteration steps).
+	maps, combiners := 0, 0
 	for _, n := range plan.Nodes {
-		if fusibleMap(n) {
-			fusible++
+		switch {
+		case fusibleMap(n):
+			maps++
+		case n.Role == RoleCombiner:
+			combiners++
 		}
 	}
-	if fusible < 2 {
+	if maps < 2 && combiners == 0 {
 		return 0
 	}
 	consumers := make(map[*PhysNode]int)
@@ -54,19 +66,30 @@ func Fuse(plan *PhysPlan, expectedIterations int) int {
 		for i := range n.Inputs {
 			n.Inputs[i].From = resolve(n.Inputs[i].From)
 		}
-		if !fusibleMap(n) {
+		combiner := n.Role == RoleCombiner
+		if !combiner && !fusibleMap(n) {
 			continue
 		}
 		e := n.Inputs[0]
 		p := e.From
-		if e.Ship != ShipForward || e.Cache || !fusibleMap(p) || consumers[p] != 1 {
+		if e.Ship != ShipForward || e.Cache || consumers[p] != 1 || p.Combiner != nil {
 			continue
 		}
-		// Absorb n into p: p applies n's UDF (and whatever n had already
-		// absorbed) to every record it emits, and inherits n's consumers.
+		if combiner {
+			// Absorb the combiner: p folds everything it emits (its own
+			// output, through its fused Maps) per the Reduce's key.
+			p.Combiner = n.Logical
+		} else {
+			if !fusibleMap(p) {
+				continue
+			}
+			// Absorb n into p: p applies n's UDF (and whatever n had
+			// already absorbed) to every record it emits.
+			p.FusedChain = append(p.FusedChain, n.Logical)
+			p.FusedChain = append(p.FusedChain, n.FusedChain...)
+		}
+		// p inherits n's output and consumers.
 		hop := p.EstOut
-		p.FusedChain = append(p.FusedChain, n.Logical)
-		p.FusedChain = append(p.FusedChain, n.FusedChain...)
 		p.EstOut = n.EstOut
 		consumers[p] = consumers[n]
 		mergedInto[n] = p

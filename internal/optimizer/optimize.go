@@ -79,8 +79,9 @@ type Options struct {
 	Planner PlannerKind
 	// Fuse runs the operator-fusion rewrite (fuse.go) on the chosen plan:
 	// chains of adjacent Map operators connected by exclusive forward
-	// edges collapse into single fused nodes, eliminating one exchange
-	// hop, one batch copy and one pool round-trip per fused edge per
+	// edges collapse into single fused nodes, and a combiner on such an
+	// edge is absorbed into its producer, eliminating one exchange hop,
+	// one batch copy and one pool round-trip per fused edge per
 	// superstep.
 	Fuse bool
 	// Registry optionally supplies a prebuilt key-identity registry (see

@@ -20,7 +20,8 @@
 //
 // Both planners feed the operator-fusion rewrite (fuse.go), which
 // collapses adjacent Map/filter/project chains connected by exclusive
-// forward edges into single fused nodes executed record-at-a-time.
+// forward edges into single fused nodes executed record-at-a-time, and
+// absorbs a combiner into the node that feeds it.
 package optimizer
 
 import (
@@ -168,6 +169,12 @@ type PhysNode struct {
 	// their UDFs record-at-a-time inside this node's emitter instead of
 	// crossing an exchange per operator.
 	FusedChain []*dataflow.Node
+	// Combiner is the combinable Reduce whose pre-aggregation the fusion
+	// rewrite absorbed into this node (nil if none): the runtime folds the
+	// node's output — after FusedChain — per Combiner.Keys[0] inside the
+	// emitter and writes the folded records when the task ends, instead of
+	// running a RoleCombiner task behind a forward exchange.
+	Combiner *dataflow.Node
 	// InjectKey, set on IterationInput placeholders only, is the key the
 	// placeholder's data must be hash-partitioned by when re-injected, so
 	// that properties granted across the feedback edge hold (nil = any
@@ -180,6 +187,9 @@ func (n *PhysNode) Name() string {
 	name := n.Logical.Name
 	for _, f := range n.FusedChain {
 		name += "+" + f.Name
+	}
+	if n.Combiner != nil {
+		name += "+" + n.Combiner.Name + "-combine"
 	}
 	switch n.Role {
 	case RoleCombiner:
@@ -211,8 +221,8 @@ type PhysPlan struct {
 	// Cost is the estimated total cost (dynamic path pre-weighted by the
 	// expected iteration count).
 	Cost float64
-	// Fused counts the Map operators the fusion rewrite folded into
-	// upstream nodes (0 when fusion was off or found nothing).
+	// Fused counts the Map operators and combiners the fusion rewrite
+	// folded into upstream nodes (0 when fusion was off or found nothing).
 	Fused int
 	// Planner is the planning algorithm that chose the plan (PlannerCost
 	// or PlannerGreedy). Like Cost, it is not part of the plan's shape.
@@ -240,11 +250,14 @@ func (p *PhysPlan) PlaceholderKey(logicalID int) record.KeyFunc {
 	return nil
 }
 
-// Explain renders the plan for debugging and the Figure-4 experiment.
+// Explain renders the plan for debugging and the Figure-4 experiment: one
+// line per node with its name (fused Maps and an absorbed combiner
+// included), local strategy — with the build input of a hash join or block
+// cross — and input edges.
 func (p *PhysPlan) Explain() string {
 	s := ""
 	for _, n := range p.Nodes {
-		s += fmt.Sprintf("%2d %-28s local=%-16s", n.ID, n.Name(), n.Local)
+		s += fmt.Sprintf("%2d %-28s local=%-24s", n.ID, n.Name(), n.localLabel())
 		for _, e := range n.Inputs {
 			cached := ""
 			if e.Cache {
@@ -258,6 +271,15 @@ func (p *PhysPlan) Explain() string {
 		s += "\n"
 	}
 	return s
+}
+
+// localLabel is the node's local strategy, with the build input where the
+// strategy has one.
+func (n *PhysNode) localLabel() string {
+	if n.Local == LocalHashJoin || n.Local == LocalBlockCross {
+		return fmt.Sprintf("%s build=%d", n.Local, n.BuildSide)
+	}
+	return n.Local.String()
 }
 
 // Props are the physical data properties the optimizer tracks per

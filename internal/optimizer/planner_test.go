@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -204,6 +205,107 @@ func TestFuseSkipsShuffledAndSharedEdges(t *testing.T) {
 		if n.Logical != nil && n.Logical.Name == "shared" && len(n.FusedChain) > 0 {
 			t.Fatalf("shared producer absorbed a consumer: %s", n.Name())
 		}
+	}
+}
+
+// combinerChainPlan is source → map → map → combinable reduce → sink, with
+// few enough groups that both planners put a combiner before the shuffle.
+func combinerChainPlan() (*dataflow.Plan, *dataflow.Node) {
+	p := dataflow.NewPlan()
+	src := p.SourceOf("src", nil).WithEst(100_000)
+	m1 := p.MapNode("m1", src, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
+	m2 := p.MapNode("m2", m1, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
+	red := p.ReduceNode("agg", m2, record.KeyA,
+		func(k int64, g []record.Record, out dataflow.Emitter) { out.Emit(g[0]) }).WithEst(100)
+	red.Combinable = true
+	p.SinkNode("out", red)
+	return p, red
+}
+
+func TestFuseAbsorbsCombiner(t *testing.T) {
+	for _, planner := range []PlannerKind{PlannerCost, PlannerGreedy} {
+		p, red := combinerChainPlan()
+		plain, err := Optimize(p, Options{Parallelism: 4, Planner: planner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		phys, err := Optimize(p, Options{Parallelism: 4, Planner: planner, Fuse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if phys.Fused != 2 {
+			t.Fatalf("%s: Fused = %d, want 2 (m2 and the combiner fold into m1):\n%s", planner, phys.Fused, phys.Explain())
+		}
+		checkDenseIdentities(t, phys)
+		var head *PhysNode
+		for _, n := range phys.Nodes {
+			if n.Role == RoleCombiner {
+				t.Fatalf("%s: combiner task left in the fused plan:\n%s", planner, phys.Explain())
+			}
+			if n.Combiner != nil {
+				head = n
+			}
+		}
+		if head == nil || head.Combiner != red || len(head.FusedChain) != 1 {
+			t.Fatalf("%s: no head with m2 fused and agg's combiner absorbed:\n%s", planner, phys.Explain())
+		}
+		if got := head.Name(); got != "m1+m2+agg-combine" {
+			t.Errorf("%s: fused head named %q", planner, got)
+		}
+		if !strings.Contains(phys.Explain(), "m1+m2+agg-combine") || !strings.Contains(phys.DOT(), "m1+m2+agg-combine") {
+			t.Errorf("%s: Explain/DOT do not show the absorbed combiner:\n%s", planner, phys.Explain())
+		}
+		if len(phys.Nodes) != len(plain.Nodes)-2 || phys.Cost >= plain.Cost {
+			t.Errorf("%s: fused plan has %d nodes at cost %.0f, unfused %d at %.0f", planner,
+				len(phys.Nodes), phys.Cost, len(plain.Nodes), plain.Cost)
+		}
+	}
+}
+
+func TestFuseKeepsSharedProducersCombiner(t *testing.T) {
+	// The combiner's producer also feeds the sink directly: absorbing the
+	// combiner would fold the sink's records too, so it stays a task.
+	p := dataflow.NewPlan()
+	src := p.SourceOf("src", nil).WithEst(100_000)
+	m := p.MapNode("m", src, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
+	red := p.ReduceNode("agg", m, record.KeyA,
+		func(k int64, g []record.Record, out dataflow.Emitter) { out.Emit(g[0]) }).WithEst(100)
+	red.Combinable = true
+	p.SinkNode("out", red)
+	p.SinkNode("raw", m)
+	phys, err := Optimize(p, Options{Parallelism: 4, Fuse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	combiners := 0
+	for _, n := range phys.Nodes {
+		if n.Combiner != nil {
+			t.Fatalf("combiner absorbed into a shared producer:\n%s", phys.Explain())
+		}
+		if n.Role == RoleCombiner {
+			combiners++
+		}
+	}
+	if combiners != 1 {
+		t.Fatalf("want the combiner as a task of its own:\n%s", phys.Explain())
+	}
+}
+
+func TestExplainShowsBuildSide(t *testing.T) {
+	p := dataflow.NewPlan()
+	big := p.SourceOf("big", nil).WithEst(1_000_000)
+	small := p.SourceOf("small", nil).WithEst(10)
+	j := p.MatchNode("join", big, small, record.KeyA, record.KeyA,
+		func(l, r record.Record, out dataflow.Emitter) { out.Emit(l) })
+	p.SinkNode("out", j)
+	phys, err := Optimize(p, Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := findJoin(phys)
+	want := fmt.Sprintf("hash-join build=%d", join.BuildSide)
+	if join.Local != LocalHashJoin || !strings.Contains(phys.Explain(), want) || !strings.Contains(phys.DOT(), want) {
+		t.Fatalf("Explain/DOT lack %q:\n%s", want, phys.Explain())
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 )
 
 // buildChainPlan assembles source → (map|filter|project)^n → sink, the
-// shape the fusion rewrite collapses. Every stage is deterministic and
-// derived from the fuzz input.
+// shape the fusion rewrite collapses; when the last stage byte has its
+// high bit set the chain ends in a combinable reduce, whose combiner the
+// rewrite absorbs too. Every stage is deterministic and derived from the
+// fuzz input.
 func buildChainPlan(seed uint64, stages []byte) (*dataflow.Plan, *dataflow.Node) {
 	rng := &fuzzRNG{s: seed | 1}
 	data := make([]record.Record, 50+rng.intn(100))
@@ -44,6 +46,28 @@ func buildChainPlan(seed uint64, stages []byte) (*dataflow.Plan, *dataflow.Node)
 			})
 		}
 	}
+	if len(stages) > 0 && stages[len(stages)-1] >= 0x80 {
+		// A sum that drops a partial or splits it in two on some values,
+		// so the fold's one-record path and its cold path both run. The
+		// X values are integers, so every partial sum is exact.
+		red := p.ReduceNode("sum", cur, record.KeyA, func(k int64, g []record.Record, out dataflow.Emitter) {
+			var s float64
+			for _, r := range g {
+				s += r.X
+			}
+			switch v := int64(s); {
+			case len(g) > 1 && v%5 == 0:
+			case len(g) > 1 && v%3 == 0:
+				out.Emit(record.Record{A: k, X: s - 1})
+				out.Emit(record.Record{A: k, X: 1})
+			default:
+				out.Emit(record.Record{A: k, X: s})
+			}
+		})
+		red.Combinable = true
+		red.EstRecords = 4 // few keys: the cost model wants the combiner
+		cur = red
+	}
 	sink := p.SinkNode("out", cur)
 	return p, sink
 }
@@ -53,8 +77,8 @@ func name(prefix string, i int) string {
 }
 
 // runChain executes the chain with or without fusion and returns the
-// per-partition record sequences exactly as emitted.
-func runChain(t *testing.T, seed uint64, stages []byte, par int, fuse bool) ([][]record.Record, int) {
+// per-partition record sequences exactly as emitted, and the plan.
+func runChain(t *testing.T, seed uint64, stages []byte, par int, fuse bool) ([][]record.Record, *optimizer.PhysPlan) {
 	t.Helper()
 	p, sink := buildChainPlan(seed, stages)
 	phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: par, Fuse: fuse})
@@ -67,30 +91,49 @@ func runChain(t *testing.T, seed uint64, stages []byte, par int, fuse bool) ([][
 	if err != nil {
 		t.Fatalf("seed %d par %d fuse %v: run: %v", seed, par, fuse, err)
 	}
-	return res[sink.ID], phys.Fused
+	return res[sink.ID], phys
+}
+
+func hasCombinerTask(p *optimizer.PhysPlan) bool {
+	for _, n := range p.Nodes {
+		if n.Role == optimizer.RoleCombiner {
+			return true
+		}
+	}
+	return false
 }
 
 // FuzzFusedChain is the fusion correctness fuzzer: for arbitrary chains
-// of map/filter/project stages, the fused plan must emit exactly the
-// record sequence of the unfused plan — same records, same order, per
-// partition.
+// of map/filter/project stages, possibly ending in a combinable reduce,
+// the fused plan must emit exactly the record sequence of the unfused plan
+// — same records, same order, per partition.
 func FuzzFusedChain(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2})
 	f.Add(uint64(42), []byte{2, 2, 0, 1})
 	f.Add(uint64(7), []byte{1})
 	f.Add(uint64(99), []byte{0, 0, 0, 0, 0, 2, 1, 0})
+	f.Add(uint64(5), []byte{2, 0x80})
+	f.Add(uint64(11), []byte{0x81})
+	f.Add(uint64(23), []byte{1, 2, 0, 0x82})
 	f.Fuzz(func(t *testing.T, seed uint64, stages []byte) {
 		if len(stages) > 12 {
 			stages = stages[:12]
 		}
 		for _, par := range []int{1, 3} {
-			plain, fused0 := runChain(t, seed, stages, par, false)
-			if fused0 != 0 {
-				t.Fatalf("unfused plan reports %d fused operators", fused0)
+			plain, unfused := runChain(t, seed, stages, par, false)
+			if unfused.Fused != 0 {
+				t.Fatalf("unfused plan reports %d fused operators", unfused.Fused)
+			}
+			if reduces := len(stages) > 0 && stages[len(stages)-1] >= 0x80; reduces != hasCombinerTask(unfused) {
+				t.Fatalf("seed %d par %d: chain ends in a reduce: %v, unfused plan has a combiner: %v\n%s",
+					seed, par, reduces, !reduces, unfused.Explain())
 			}
 			withFuse, fused := runChain(t, seed, stages, par, true)
-			if len(stages) >= 2 && fused == 0 {
+			if len(stages) >= 2 && fused.Fused == 0 {
 				t.Fatalf("seed %d: %d-stage chain fused nothing", seed, len(stages))
+			}
+			if hasCombinerTask(fused) {
+				t.Fatalf("seed %d par %d: combiner left unfused:\n%s", seed, par, fused.Explain())
 			}
 			if len(withFuse) != len(plain) {
 				t.Fatalf("seed %d par %d: partition counts differ: %d vs %d",

@@ -3,8 +3,9 @@ package runtime
 import "repro/internal/record"
 
 // groupTable is the key-grouped hash table behind every grouping operator:
-// hash aggregation, the combiner, hash-join build sides (including the
-// cached constant-path table), both CoGroup sides and SolutionCoGroup.
+// hash aggregation, hash-join build sides (including the cached
+// constant-path table), both CoGroup sides and SolutionCoGroup. (Combiners
+// do not group: they fold on arrival, see combineFold.)
 //
 // Layout. All records of a round live in one flat array, recs, ordered by
 // group: a key's group is the extent recs[start:end] recorded beside the

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/record"
 )
 
@@ -120,6 +121,62 @@ func TestGroupTableSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("round lost records: size %d, group 0 has %d", g.size(), len(g.get(0)))
 	}
 }
+
+// TestCombineFoldSteadyStateAllocs: once a fold has seen its key domain,
+// a round over it — every record folded, every key's final call made —
+// allocates nothing, on the one-record path and on the cold path alike.
+func TestCombineFoldSteadyStateAllocs(t *testing.T) {
+	recs := make([]record.Record, 4096)
+	for i := range recs {
+		recs[i] = record.Record{A: int64(i*7919) % 512, B: int64(i%5 + 1)}
+	}
+	var want int64
+	for _, r := range recs {
+		want += r.B
+	}
+	red := &dataflow.Node{Keys: [2]record.KeyFunc{record.KeyA}}
+	var final int64
+	sink := sumEmitter{&final}
+	for _, c := range []struct {
+		name string
+		fn   dataflow.ReduceFn
+	}{
+		{"one-record", func(k int64, g []record.Record, out dataflow.Emitter) {
+			var s int64
+			for _, r := range g {
+				s += r.B
+			}
+			out.Emit(record.Record{A: k, B: s})
+		}},
+		{"cold", func(k int64, g []record.Record, out dataflow.Emitter) {
+			for _, r := range g {
+				out.Emit(r) // keeps every record pending: a fold that never shrinks
+			}
+		}},
+	} {
+		red.Reduce = c.fn
+		task := &task{}
+		round := func() {
+			final = 0
+			f := task.combiner(red)
+			for _, r := range recs {
+				f.Emit(r)
+			}
+			f.flush(sink)
+		}
+		round()
+		if n := testing.AllocsPerRun(20, round); n != 0 {
+			t.Fatalf("%s: steady-state round allocates %v times, want 0", c.name, n)
+		}
+		if final != want {
+			t.Fatalf("%s: final calls emitted sum %d, want %d", c.name, final, want)
+		}
+	}
+}
+
+type sumEmitter struct{ sum *int64 }
+
+func (e sumEmitter) Emit(r record.Record) { *e.sum += r.B }
 
 // BenchmarkGroupTableSmallRoundAfterLarge times a 100-record round on a
 // fresh table and on one that has just held a 1M-record round: reset is

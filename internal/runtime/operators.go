@@ -24,15 +24,16 @@ type task struct {
 	slots []*cacheSlot
 	outs  []*writer
 	m     *metrics.Counters
-	// tables are per-input reusable group tables (combiners, hash
-	// aggregation, hash-join build, cogroup sides).
+	// tables are per-input reusable group tables (hash aggregation,
+	// hash-join build, cogroup sides).
 	tables [2]*groupTable
 	// recsBuf are per-input reusable materialization buffers (sorts,
-	// block-cross build sides, the combiner's running fold). Contents
-	// are only valid within one superstep.
+	// block-cross build sides). Contents are only valid within one
+	// superstep.
 	recsBuf [2][]record.Record
-	// foldBuf is the combiner's reusable pre-aggregation buffer.
-	foldBuf []record.Record
+	// fold is the running pre-aggregation of a combiner task or of an
+	// absorbed combiner (see combineFold), reused across supersteps.
+	fold *combineFold
 	// udfs, solAccesses and solUpdates tally this superstep's work in plain
 	// ints, so no record touches a cache line another core writes.
 	udfs, solAccesses, solUpdates int64
@@ -107,11 +108,15 @@ func (em fusedEmitter) Emit(r record.Record) {
 	em.fn(r, em.next)
 }
 
-// emitter returns the task's output emitter: the plain writer fan-out,
-// wrapped right-to-left in the node's fused UDF chain (if any) so fused
-// Maps execute inline on every emitted record.
+// emitter returns the task's output emitter: the plain writer fan-out —
+// or, when the node absorbed a combiner, that combiner's fold, reset for
+// this superstep — wrapped right-to-left in the node's fused UDF chain (if
+// any) so fused Maps execute inline on every emitted record.
 func (t *task) emitter() dataflow.Emitter {
 	var em dataflow.Emitter = taskEmitter{t: t}
+	if t.n.Combiner != nil {
+		em = t.combiner(t.n.Combiner)
+	}
 	chain := t.n.FusedChain
 	for i := len(chain) - 1; i >= 0; i-- {
 		em = fusedEmitter{t: t, fn: chain[i].Map, next: em}
@@ -141,9 +146,21 @@ func (em directMergeEmitter) Emit(r record.Record) {
 
 func (t *task) udf() { t.udfs++ }
 
-// run dispatches on role, contract, and local strategy.
+// run executes the task for one superstep. A node that absorbed a
+// combiner folded everything it emitted; the fold's final calls go to the
+// writers once the operator is done, before runTask closes them.
 func (t *task) run() error {
-	out := t.emitter()
+	if err := t.runOp(t.emitter()); err != nil {
+		return err
+	}
+	if t.n.Combiner != nil {
+		t.fold.flush(taskEmitter{t: t})
+	}
+	return nil
+}
+
+// runOp dispatches on role, contract, and local strategy.
+func (t *task) runOp(out dataflow.Emitter) error {
 	n := t.n
 	l := n.Logical
 
@@ -160,37 +177,11 @@ func (t *task) run() error {
 		return nil
 
 	case optimizer.RoleCombiner:
-		fn := l.Combine
-		if fn == nil {
-			fn = l.Reduce
-		}
-		// Fold groups incrementally: whenever a group's running buffer
-		// reaches the threshold it is pre-aggregated through the combine
-		// UDF (cf. map-side combiners in MapReduce). This is safe because
-		// combiners are declared associative. The fold points depend only
-		// on a key's own arrival order, so replaying them over the built
-		// table calls the UDF with exactly the arguments a streaming fold
-		// would — float results included.
-		const foldAt = 16
-		folder := emitCollector{buf: &t.foldBuf}
-		t.buildTable(0, l.Keys[0]).each(func(k int64, g []record.Record) {
-			if len(g) >= foldAt {
-				acc := t.recsBuf[0][:0]
-				for _, r := range g {
-					acc = append(acc, r)
-					if len(acc) >= foldAt {
-						t.foldBuf = t.foldBuf[:0]
-						t.udf()
-						fn(k, acc, folder)
-						acc = append(acc[:0], t.foldBuf...)
-					}
-				}
-				t.recsBuf[0] = acc
-				g = acc
-			}
-			t.udf()
-			fn(k, g, out)
-		})
+		// Standalone combiner (fusion off, or its edge was not fusible):
+		// the same running fold, over the drained input.
+		f := t.combiner(l)
+		t.stream(0, f.Emit)
+		f.flush(out)
 		return nil
 	}
 

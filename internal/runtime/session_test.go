@@ -247,53 +247,104 @@ var lanes = []struct {
 	serial bool
 }{{"serial", true}, {"parallel", false}}
 
-// TestSessionErrorDoesNotWedgeWorkers: a panicking UDF must surface as the
-// same wrapped task error on either lane, leave every exchange closed (no
-// consumer can be left waiting on it), and leave the session usable for
-// the next superstep (exchanges reset cleanly).
+// wedgeCase is a plan whose UDF panics on the record {A: 1, B: 3} while
+// boom is set.
+type wedgeCase struct {
+	name  string
+	opts  optimizer.Options
+	build func(boom *bool) (p *dataflow.Plan, w, sink *dataflow.Node)
+	key   record.KeyFunc // placeholder split; nil = contiguous
+	want  string         // the failed superstep's error
+	after []record.Record
+}
+
+var wedgeCases = []wedgeCase{{
+	name: "map",
+	opts: optimizer.Options{Parallelism: 2},
+	build: func(boom *bool) (*dataflow.Plan, *dataflow.Node, *dataflow.Node) {
+		p := dataflow.NewPlan()
+		w := p.IterationPlaceholder("W", 2)
+		mapped := p.MapNode("boom", w, func(r record.Record, out dataflow.Emitter) {
+			if *boom && r.A == 1 && r.B == 3 {
+				panic("kaboom")
+			}
+			out.Emit(r)
+		})
+		return p, w, p.SinkNode("o", mapped)
+	},
+	key:   record.KeyA,
+	want:  fmt.Sprintf("runtime: task boom[%d] panicked: kaboom", record.PartitionOf(1, 2)),
+	after: []record.Record{{A: 1, B: 1}, {A: 1, B: 3}, {A: 2, B: 1}, {A: 2, B: 1}},
+}, {
+	// The combine UDF fails inside the placeholder it was fused into: the
+	// error names the fused node. The contiguous split puts {1,1} and
+	// {1,3} in partition 0, whose fold of the two panics.
+	name: "fused-combiner",
+	opts: optimizer.Options{Parallelism: 2, Fuse: true},
+	build: func(boom *bool) (*dataflow.Plan, *dataflow.Node, *dataflow.Node) {
+		p := dataflow.NewPlan()
+		w := p.IterationPlaceholder("W", 1000)
+		red := p.ReduceNode("sum", w, record.KeyA, func(k int64, g []record.Record, out dataflow.Emitter) {
+			var s int64
+			for _, r := range g {
+				if *boom && r.A == 1 && r.B == 3 {
+					panic("kaboom")
+				}
+				s += r.B
+			}
+			out.Emit(record.Record{A: k, B: s})
+		})
+		red.Combinable = true
+		red.EstRecords = 2
+		return p, w, p.SinkNode("o", red)
+	},
+	want:  "runtime: task W+sum-combine[0] panicked: kaboom",
+	after: []record.Record{{A: 1, B: 4}, {A: 2, B: 2}},
+}}
+
+// TestSessionErrorDoesNotWedgeWorkers: a panicking UDF — an operator's, or
+// a combiner's fused into its producer — must surface as the same wrapped
+// task error on either lane, leave every exchange closed (no consumer can
+// be left waiting on it), and leave the session usable for the next
+// superstep (exchanges reset cleanly).
 func TestSessionErrorDoesNotWedgeWorkers(t *testing.T) {
 	for _, lane := range lanes {
 		t.Run(lane.name, func(t *testing.T) {
 			defer ForceLane(func() bool { return lane.serial })()
-			p := dataflow.NewPlan()
-			w := p.IterationPlaceholder("W", 2)
-			boom := true
-			mapped := p.MapNode("boom", w, func(r record.Record, out dataflow.Emitter) {
-				if boom && r.A == 1 {
-					panic("kaboom")
-				}
-				out.Emit(r)
-			})
-			sink := p.SinkNode("o", mapped)
-			phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := NewExecutor(Config{})
-			defer e.Close()
-			e.SetPlaceholder(w.ID, []record.Record{{A: 1}, {A: 2}}, record.KeyA, 2)
-			sess := e.OpenSession(phys)
-			defer sess.Close()
-
-			_, err = sess.Run()
-			want := fmt.Sprintf("runtime: task boom[%d] panicked: kaboom", record.PartitionOf(1, 2))
-			if err == nil || err.Error() != want {
-				t.Fatalf("Run error = %v, want %q", err, want)
-			}
-			for _, ex := range sess.active {
-				for part, q := range ex.queues {
-					if !q.closed {
-						t.Errorf("exchange %d queue %d left open after the failed superstep", ex.id, part)
+			for _, c := range wedgeCases {
+				t.Run(c.name, func(t *testing.T) {
+					boom := true
+					p, w, sink := c.build(&boom)
+					phys, err := optimizer.Optimize(p, c.opts)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			}
-			boom = false
-			res, err := sess.Run()
-			if err != nil {
-				t.Fatalf("session wedged after error: %v", err)
-			}
-			if got := res.Records(sink.ID); len(got) != 2 {
-				t.Fatalf("post-error superstep lost records: %v", got)
+					e := NewExecutor(Config{})
+					defer e.Close()
+					e.SetPlaceholder(w.ID, []record.Record{{A: 1, B: 1}, {A: 1, B: 3}, {A: 2, B: 1}, {A: 2, B: 1}}, c.key, 2)
+					sess := e.OpenSession(phys)
+					defer sess.Close()
+
+					_, err = sess.Run()
+					if err == nil || err.Error() != c.want {
+						t.Fatalf("Run error = %v, want %q\n%s", err, c.want, phys.Explain())
+					}
+					for _, ex := range sess.active {
+						for part, q := range ex.queues {
+							if !q.closed {
+								t.Errorf("exchange %d queue %d left open after the failed superstep", ex.id, part)
+							}
+						}
+					}
+					boom = false
+					res, err := sess.Run()
+					if err != nil {
+						t.Fatalf("session wedged after error: %v", err)
+					}
+					if got := sorted(res.Records(sink.ID)); !reflect.DeepEqual(got, c.after) {
+						t.Fatalf("post-error superstep = %v, want %v", got, c.after)
+					}
+				})
 			}
 		})
 	}

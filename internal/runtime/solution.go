@@ -37,7 +37,13 @@
 // the head operator's emitter: each emitted record flows through the
 // absorbed Map/filter/project UDFs record-at-a-time before it is
 // batched, so a fused edge costs a function call instead of an exchange
-// hop (queue round-trip, batch copy, pool cycle) per superstep.
+// hop (queue round-trip, batch copy, pool cycle) per superstep. An
+// absorbed combiner (optimizer.PhysNode.Combiner) sits at the end of that
+// chain: every record is folded into its key's running accumulator on
+// arrival (combineFold), and the accumulators are written to the
+// combiner's consumers when the task's operator finishes, before its
+// writers close. A standalone combiner task runs the same fold over its
+// drained input.
 //
 // The solution set stores its records through a pluggable SolutionBackend:
 // a compact open-addressing index over flat record slabs by default, the
