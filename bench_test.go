@@ -467,31 +467,24 @@ func BenchmarkAblationParallelism(b *testing.B) {
 }
 
 // BenchmarkAblationCaching isolates the constant-path cache: the same
-// bulk iteration with the executor's loop-invariant caches invalidated
-// before every pass (forcing re-evaluation of the constant path) versus
-// the normal feedback execution.
+// 5-pass bulk PageRank run with the feedback execution, where the
+// loop-invariant caches survive every pass, and unrolled (§4.2,
+// BulkSpec.Unroll), where the caches are invalidated before every pass
+// so each one re-evaluates the constant path.
 func BenchmarkAblationCaching(b *testing.B) {
 	g := graphgen.Wikipedia(graphgen.ScaleTiny)
-	b.Run("cached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := iterative.Config{Parallelism: benchParallelism}
-			if _, _, err := algorithms.PageRank(g, 5, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("uncached", func(b *testing.B) {
-		// One-iteration runs from scratch approximate uncached execution:
-		// every pass pays the constant path again.
-		for i := 0; i < b.N; i++ {
-			for pass := 0; pass < 5; pass++ {
-				cfg := iterative.Config{Parallelism: benchParallelism}
-				if _, _, err := algorithms.PageRank(g, 1, cfg); err != nil {
+	for _, unroll := range []bool{false, true} {
+		name := map[bool]string{false: "cached", true: "uncached"}[unroll]
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				spec, initial := algorithms.PageRankSpec(g, 5, algorithms.DefaultDamping, 0)
+				spec.Unroll = unroll
+				if _, err := iterative.RunBulk(spec, initial, iterative.Config{Parallelism: benchParallelism}); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // --- Solution-set backends ----------------------------------------------
@@ -542,6 +535,7 @@ func BenchmarkSolutionSetMerge(b *testing.B) {
 	for _, bk := range solutionBackendsBench {
 		b.Run(bk.name, func(b *testing.B) {
 			s := runtime.NewSolutionSetWith(benchParallelism, record.KeyA, minBComparator, nil, bk.opts)
+			defer s.Reset() // the spill leg's files
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -578,6 +572,9 @@ func BenchmarkSolutionSetLookup(b *testing.B) {
 						}
 					}
 				}
+				b.StopTimer()
+				s.Reset() // the spill leg's files
+				b.StartTimer()
 			}
 		})
 	}
@@ -600,6 +597,7 @@ func BenchmarkSolutionSetSpill(b *testing.B) {
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			s := runtime.NewSolutionSetWith(benchParallelism, record.KeyA, nil, nil, v.opts)
+			defer s.Reset() // the spill leg's files
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -67,11 +67,6 @@ type JobSpec struct {
 	// session, and acknowledges with its plan fingerprint before the next
 	// superstep is released.
 	Reoptimize bool `json:"reoptimize,omitempty"`
-	// WireCompression asks every process to flate-compress its data-plane
-	// record frames (Config.WireCompression); the receive path always
-	// understands both message kinds, so it is purely a bandwidth/CPU
-	// trade.
-	WireCompression bool `json:"wire_compression,omitempty"`
 	// TraceID groups the run's telemetry spans across every process: the
 	// coordinator mints it (obs.NewTraceID) when it runs with a registry,
 	// ships it here with the job assignment, and each process stamps it on

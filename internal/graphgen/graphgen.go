@@ -303,30 +303,33 @@ func (g *Graph) WithIsolatedFringe(clusters int64, clusterSize int64, seed uint6
 	}
 }
 
-// DegreeStats summarizes a degree distribution.
-type DegreeStats struct {
-	Min, Max int64
-	Mean     float64
-	P99      int64
-}
-
-// OutDegreeStats computes out-degree statistics.
-func (g *Graph) OutDegreeStats() DegreeStats {
-	deg := make([]int64, g.NumVertices)
-	for _, e := range g.Edges {
-		deg[e.Src]++
-	}
-	sorted := append([]int64(nil), deg...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	st := DegreeStats{Mean: g.AvgDegree()}
-	if len(sorted) > 0 {
-		st.Min = sorted[0]
-		st.Max = sorted[len(sorted)-1]
-		st.P99 = sorted[len(sorted)*99/100]
-	}
-	return st
-}
-
 func (g *Graph) String() string {
 	return fmt.Sprintf("%s{V=%d E=%d avg=%.2f}", g.Name, g.NumVertices, g.NumEdges(), g.AvgDegree())
+}
+
+// Relabel compacts sparse vertex ids into the dense range [0, n) and
+// returns the relabelled graph together with the old-id-by-new-id table.
+// Dense ids are what the engine's solution-set initializers expect.
+func (g *Graph) Relabel() (*Graph, []int64) {
+	next := int64(0)
+	ids := make(map[int64]int64)
+	lookup := func(v int64) int64 {
+		if n, ok := ids[v]; ok {
+			return n
+		}
+		n := next
+		next++
+		ids[v] = n
+		return n
+	}
+	out := &Graph{Name: g.Name, Edges: make([]Edge, len(g.Edges))}
+	for i, e := range g.Edges {
+		out.Edges[i] = Edge{Src: lookup(e.Src), Dst: lookup(e.Dst)}
+	}
+	out.NumVertices = next
+	old := make([]int64, next)
+	for o, n := range ids {
+		old[n] = o
+	}
+	return out, old
 }

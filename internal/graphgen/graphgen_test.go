@@ -42,9 +42,14 @@ func TestGeneratorsDeterministic(t *testing.T) {
 
 func TestRMATSkew(t *testing.T) {
 	g := RMAT("s", 10, 10000, 0.57, 0.19, 0.19, 3)
-	st := g.OutDegreeStats()
-	if st.Max < 5*int64(st.Mean) {
-		t.Errorf("RMAT should be skewed: max=%d mean=%.1f", st.Max, st.Mean)
+	deg := make([]int64, g.NumVertices)
+	var maxDeg int64
+	for _, e := range g.Edges {
+		deg[e.Src]++
+		maxDeg = max(maxDeg, deg[e.Src])
+	}
+	if maxDeg < 5*int64(g.AvgDegree()) {
+		t.Errorf("RMAT should be skewed: max=%d mean=%.1f", maxDeg, g.AvgDegree())
 	}
 }
 
@@ -203,5 +208,24 @@ func TestGraphString(t *testing.T) {
 	g := Uniform("u", 10, 20, 1)
 	if g.String() == "" {
 		t.Error("empty String()")
+	}
+}
+
+func TestRelabelDense(t *testing.T) {
+	g := &Graph{Name: "sparse", NumVertices: 1001, Edges: []Edge{
+		{Src: 1000, Dst: 5}, {Src: 5, Dst: 77}, {Src: 77, Dst: 1000},
+	}}
+	dense, old := g.Relabel()
+	if dense.NumVertices != 3 {
+		t.Fatalf("dense vertices = %d", dense.NumVertices)
+	}
+	for _, e := range dense.Edges {
+		if e.Src < 0 || e.Src >= 3 || e.Dst < 0 || e.Dst >= 3 {
+			t.Fatalf("id out of dense range: %+v", e)
+		}
+	}
+	// The mapping must be invertible and consistent.
+	if old[dense.Edges[0].Src] != 1000 || old[dense.Edges[0].Dst] != 5 {
+		t.Errorf("relabel mapping broken: %v", old)
 	}
 }

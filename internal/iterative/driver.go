@@ -349,6 +349,9 @@ func (en *incEngine) step(absStep int) (stepOutcome, error) {
 	mergeStart := time.Now()
 	en.exec.Solution.MergeDelta(res.Records(en.spec.DeltaSink.ID))
 	en.cfg.noteMerge(absStep, mergeStart)
+	if err := en.exec.Solution.Err(); err != nil {
+		return stepOutcome{}, err
+	}
 
 	en.nextParts = res[en.spec.WorksetSink.ID]
 	count := 0

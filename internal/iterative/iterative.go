@@ -90,13 +90,6 @@ type Config struct {
 	TraceLabel string
 	// Host is this process's host ID stamped on spans (0 single-process).
 	Host int
-	// WireCompression asks a distributed session's transport to flate-
-	// compress data-plane record frames on the wire (see
-	// runtime.TCPTransport.SetCompression). A per-sender choice: hosts
-	// with different settings interoperate, and the setting is ignored by
-	// single-process runs. RemoteBytesCompressed counts the wire bytes
-	// that actually traveled compressed.
-	WireCompression bool
 }
 
 // normalize validates and default-fills a Config exactly once, at every
@@ -461,10 +454,14 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 	converged, err := d.run()
 	out.Supersteps = d.steps
 	out.PlanEpochs = d.epochs
+	if err == nil {
+		out.Solution = sol.Snapshot()
+		err = sol.Err()
+	}
 	if err != nil {
+		sol.Reset() // the set is not handed out: release its spill files
 		return nil, err
 	}
-	out.Solution = sol.Snapshot()
 	if requireDirect {
 		out.Microsteps = en.elements
 	}
@@ -487,6 +484,9 @@ func checkpointIfDue(spec *IncrementalSpec, step int, sol *runtime.SolutionSet, 
 	}
 	cp := &Checkpoint{Kind: "incremental", Iteration: step + 1,
 		Solution: sol.Snapshot(), Workset: pending}
+	if err := sol.Err(); err != nil {
+		return err
+	}
 	if err := spec.OnCheckpoint(cp); err != nil {
 		return fmt.Errorf("iterative: checkpoint at superstep %d: %w", step+1, err)
 	}

@@ -342,6 +342,9 @@ func resumeIncremental(spec IncrementalSpec, existing *runtime.SolutionSet, delt
 			cfg.Metrics.MaintenanceSupersteps.Add(int64(out.Supersteps))
 		}
 		out.Solution = existing.Snapshot()
+		if err == nil {
+			err = existing.Err()
+		}
 		if requireDirect {
 			out.Microsteps = f.en.elements
 		}

@@ -5,6 +5,9 @@ package iterative_test
 // iterative (so these tests cannot live in the internal test package).
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -392,4 +395,49 @@ func TestFixpointRebindOverTransport(t *testing.T) {
 		t.Fatalf("rebound plan has %d edges, the opened one %d; the test needs more", after, before)
 	}
 	converge("rebound plan")
+}
+
+// TestLostSolutionSpillFailsRun: when the spill file of an evicted
+// solution partition is cut short mid-run, RunIncremental returns an error
+// wrapping runtime.ErrSolutionSpillLost and leaves no spill file behind.
+// The replay that finds the damage may run inside a task (a probe) or on
+// the driver goroutine (the merge, the final copy), outside any task's
+// recover; either way the run ends in that error, never a panic.
+func TestLostSolutionSpillFailsRun(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	spillFiles := func() []string {
+		files, err := filepath.Glob(filepath.Join(dir, "spinflow-spill-*.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	g := graphgen.Uniform("spill-loss", 400, 800, 0x5B1)
+	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
+	truncated := 0
+	spec.CheckpointEvery = 1
+	spec.OnCheckpoint = func(*iterative.Checkpoint) error {
+		if truncated > 0 {
+			return nil
+		}
+		for _, f := range spillFiles() {
+			if err := os.Truncate(f, 3); err != nil {
+				t.Error(err)
+			}
+			truncated++
+		}
+		return nil
+	}
+	cfg := iterative.Config{Parallelism: 4, SolutionMemoryBudget: 16 * record.EncodedSize}
+	res, err := iterative.RunIncremental(spec, s0, w0, cfg)
+	if truncated == 0 {
+		t.Fatal("no partition was evicted under the tiny budget")
+	}
+	if !errors.Is(err, runtime.ErrSolutionSpillLost) || res != nil {
+		t.Fatalf("RunIncremental = %v, %v; want a nil result and ErrSolutionSpillLost", res, err)
+	}
+	if left := spillFiles(); len(left) != 0 {
+		t.Fatalf("spill files left behind: %v", left)
+	}
 }

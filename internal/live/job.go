@@ -77,18 +77,23 @@ func RunJob(js distrib.JobSpec, workerAddrs []string, reg *obs.Registry) (*distr
 	if err != nil {
 		return nil, err
 	}
+	// With a registry the run records into its shared counters, so they
+	// stay scrapeable beside whatever else it serves; Result.Work is the
+	// run's own delta either way.
 	work := &metrics.Counters{}
+	if reg != nil {
+		work = reg.Counters()
+	}
+	before := work.Snapshot()
 	cfg := ViewConfig{Workers: workerAddrs}
 	cfg.Config = iterative.Config{
 		Parallelism:     js.Parallelism,
 		BatchSize:       js.BatchSize,
 		Metrics:         work,
 		SolutionBackend: runtime.SolutionBackendKind(js.Backend),
-		WireCompression: js.WireCompression,
 	}
 	if reg != nil {
 		cfg.Obs, cfg.TraceID, cfg.TraceLabel = reg, obs.TraceID(js.TraceID), js.Algorithm
-		reg.SetCounters(work)
 	}
 	v := &LiveView{name: "job-" + js.Algorithm, m: m, cfg: cfg, gs: NewGraphState()}
 	v.bindObs()
@@ -106,7 +111,7 @@ func RunJob(js distrib.JobSpec, workerAddrs []string, reg *obs.Registry) (*distr
 	}
 	// Taken before the close: a peer tearing its transport down is not a
 	// transport error of the run.
-	res.Work = work.Snapshot()
+	res.Work = work.Snapshot().Sub(before)
 	if err := s.Close(); err != nil {
 		return nil, err
 	}

@@ -686,6 +686,58 @@ func TestOneWorkerServesJobsAndViews(t *testing.T) {
 	}
 }
 
+// TestRegistryCountsEverySession pins where telemetry lands when one
+// process hosts several sessions: a worker's registry exports the work of
+// every view it serves, not only the newest one's, and a coordinator's
+// registry accumulates its jobs while each Result.Work stays that job's
+// own delta.
+func TestRegistryCountsEverySession(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	wreg := obs.NewRegistry()
+	workers := startWorkers(t, 1, wreg)
+
+	cfg := ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: workers}
+	first, err := NewView("first", CC(), ringEdges(10), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	second, err := NewView("second", CC(), ringEdges(10), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	// Only the older view works from here on; its worker-side share must
+	// still show on the worker's registry.
+	before := wreg.Counters().Snapshot()
+	if err := first.Mutate(InsertEdge(20, 21), InsertEdge(21, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if d := wreg.Counters().Snapshot().Sub(before); d.UDFInvocations == 0 {
+		t.Fatalf("worker registry missed the older view's flush: %+v", d)
+	}
+
+	creg := obs.NewRegistry()
+	js := distrib.JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xC0C0, Parallelism: 2}
+	var sum int64
+	for range 2 {
+		res, err := RunJob(js, workers, creg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Work.UDFInvocations == 0 {
+			t.Fatalf("job counted no work: %+v", res.Work)
+		}
+		sum += res.Work.UDFInvocations
+	}
+	if got := creg.Counters().Snapshot().UDFInvocations; got != sum {
+		t.Fatalf("coordinator registry holds %d UDF calls, the jobs' own deltas sum to %d", got, sum)
+	}
+}
+
 // TestJobDialRetriesLateWorker pins the session-open retry policy: a
 // worker whose listener comes up *after* the coordinator starts dialing —
 // the normal `spinflow serve -workers N` race, where serve spawns the
@@ -721,29 +773,4 @@ func TestJobDialRetriesLateWorker(t *testing.T) {
 
 	js := distrib.JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xD1A1, Parallelism: 2}
 	assertJobMatchesOracle(t, "late worker", js, []string{addr})
-}
-
-// TestJobWireCompressionRoundTrip pins the compressed data plane: a
-// 2-process run with WireCompression on must produce the byte-identical
-// fixpoint to the single-process driver, and the compressed-bytes counter
-// must see real traffic (CC on a few hundred edges ships frames well over
-// the compression floor).
-func TestJobWireCompressionRoundTrip(t *testing.T) {
-	js := distrib.JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 200, GraphM: 500, Seed: 0xC0DE, Parallelism: 4,
-		WireCompression: true}
-	got := assertJobMatchesOracle(t, "compressed", js, startWorkers(t, 1))
-	if got.Work.RemoteBytesCompressed == 0 {
-		t.Fatalf("compressed run counted no compressed wire bytes: %+v", got.Work)
-	}
-	if got.Work.RemoteBytes == 0 {
-		t.Fatal("compressed run counted no remote payload bytes")
-	}
-
-	// And the uncompressed control: same job, flag off, same fixpoint,
-	// zero compressed bytes.
-	js.WireCompression = false
-	plain := assertJobMatchesOracle(t, "uncompressed", js, startWorkers(t, 1))
-	if plain.Work.RemoteBytesCompressed != 0 {
-		t.Fatalf("uncompressed run counted %d compressed bytes", plain.Work.RemoteBytesCompressed)
-	}
 }

@@ -152,12 +152,9 @@ type ViewConfig struct {
 	// subdirectory per view: wal.log plus snapshot files).
 	DataDir string
 	// SnapshotEveryFlushes is the number of flushed micro-batches between
-	// streaming snapshots (default 32). Durable views only.
+	// streaming snapshots (default 32); a log grown snapshotEveryBytes
+	// since the last snapshot takes one early. Durable views only.
 	SnapshotEveryFlushes int
-	// SnapshotEveryBytes additionally triggers a snapshot once the log
-	// has grown this many bytes since the last one (default 4 MiB).
-	// Durable views only.
-	SnapshotEveryBytes int64
 	// Workers shards the view across distributed maintenance sessions:
 	// each entry is the control address of an already-listening `spinflow
 	// worker` process. The view's partition ranges are placed over
@@ -181,9 +178,6 @@ func (c ViewConfig) normalized() ViewConfig {
 	if c.SnapshotEveryFlushes <= 0 {
 		c.SnapshotEveryFlushes = 32
 	}
-	if c.SnapshotEveryBytes <= 0 {
-		c.SnapshotEveryBytes = 4 << 20
-	}
 	return c
 }
 
@@ -204,9 +198,6 @@ func (c ViewConfig) Validate() error {
 	}
 	if c.SnapshotEveryFlushes < 0 {
 		return fmt.Errorf("live: negative SnapshotEveryFlushes %d", c.SnapshotEveryFlushes)
-	}
-	if c.SnapshotEveryBytes < 0 {
-		return fmt.Errorf("live: negative SnapshotEveryBytes %d", c.SnapshotEveryBytes)
 	}
 	if c.Durable && c.DataDir == "" {
 		return fmt.Errorf("live: Durable requires DataDir")
@@ -293,6 +284,10 @@ type LiveView struct {
 	// surfaced through ViewStats.LastError.
 	asyncErr atomic.Value // string
 }
+
+// snapshotEveryBytes is the log growth since the last snapshot that
+// takes the next one before SnapshotEveryFlushes is reached.
+const snapshotEveryBytes = 4 << 20
 
 // durableState is the write-ahead log plus snapshot bookkeeping of one
 // durable view.
@@ -590,7 +585,7 @@ func (v *LiveView) afterFlushLocked(seq uint64) {
 	d.flushedSeq = seq
 	d.flushesSinceSnap++
 	if d.flushesSinceSnap >= v.cfg.SnapshotEveryFlushes ||
-		d.wal.SizeBytes()-d.walBytesAtSnap >= v.cfg.SnapshotEveryBytes {
+		d.wal.SizeBytes()-d.walBytesAtSnap >= snapshotEveryBytes {
 		if err := v.snapshotLocked(); err != nil {
 			v.asyncErr.Store(err.Error())
 		}

@@ -144,8 +144,7 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 	spec := shardSpec{
 		recipe: r, Name: v.name, Hosts: cfg.Hosts, ExchangeBatch: cfg.BatchSize,
 		Backend: string(cfg.SolutionBackend), Planner: int(cfg.Planner),
-		DisableFusion: cfg.DisableFusion, WireCompression: cfg.WireCompression,
-		TraceID: uint64(cfg.TraceID), TraceLabel: cfg.TraceLabel,
+		DisableFusion: cfg.DisableFusion, TraceID: uint64(cfg.TraceID), TraceLabel: cfg.TraceLabel,
 	}
 	if cfg.Obs != nil {
 		s.rtt = cfg.Obs.Histogram("distrib_step_rtt")
@@ -493,7 +492,9 @@ func (s *session) Lookup(k int64) (record.Record, bool, error) {
 // error; a host lost at collect time never yields a short solution.
 func (s *session) Snapshot() ([]record.Record, error) {
 	out := make([]record.Record, 0, s.core.sol.Size())
-	s.core.eachHosted(func(r record.Record) { out = append(out, r) })
+	if err := s.core.eachHosted(func(r record.Record) { out = append(out, r) }); err != nil {
+		return nil, err
+	}
 	shards, err := s.RemoteShards()
 	if err != nil {
 		return nil, err
@@ -534,11 +535,14 @@ func (s *session) shards() []ShardStat {
 // feeds the streaming snapshot writer.
 func (s *session) EachSolution(f func(record.Record) error) error {
 	var err error
-	s.core.eachHosted(func(r record.Record) {
+	lost := s.core.eachHosted(func(r record.Record) {
 		if err == nil {
 			err = f(r)
 		}
 	})
+	if err == nil {
+		err = lost
+	}
 	return err
 }
 

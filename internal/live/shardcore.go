@@ -81,15 +81,14 @@ const (
 // budget), the topology, and the rest of the execution config.
 type shardSpec struct {
 	recipe
-	Name            string `json:"name"`
-	Hosts           int    `json:"hosts"`
-	ExchangeBatch   int    `json:"exchange_batch,omitempty"`
-	Backend         string `json:"backend,omitempty"`
-	Planner         int    `json:"planner,omitempty"`
-	DisableFusion   bool   `json:"disable_fusion,omitempty"`
-	WireCompression bool   `json:"wire_compression,omitempty"`
-	TraceID         uint64 `json:"trace_id,omitempty"`
-	TraceLabel      string `json:"trace_label,omitempty"`
+	Name          string `json:"name"`
+	Hosts         int    `json:"hosts"`
+	ExchangeBatch int    `json:"exchange_batch,omitempty"`
+	Backend       string `json:"backend,omitempty"`
+	Planner       int    `json:"planner,omitempty"`
+	DisableFusion bool   `json:"disable_fusion,omitempty"`
+	TraceID       uint64 `json:"trace_id,omitempty"`
+	TraceLabel    string `json:"trace_label,omitempty"`
 }
 
 // shardMsg is the one wire shape of every control message (a line of
@@ -288,7 +287,13 @@ type edgeEdit struct {
 }
 
 // specFor assembles the per-host iterative.Config a shardSpec describes.
-func specFor(ss shardSpec, hostID int, reg *obs.Registry, mtr *metrics.Counters) iterative.Config {
+// The session records its work into reg's shared counters, beside every
+// other session the host serves, or into a set of its own without reg.
+func specFor(ss shardSpec, hostID int, reg *obs.Registry) iterative.Config {
+	mtr := &metrics.Counters{}
+	if reg != nil {
+		mtr = reg.Counters()
+	}
 	cfg := iterative.Config{
 		Parallelism:          ss.Parallelism,
 		BatchSize:            ss.ExchangeBatch,
@@ -299,13 +304,11 @@ func specFor(ss shardSpec, hostID int, reg *obs.Registry, mtr *metrics.Counters)
 		SolutionMemoryBudget: ss.SolutionMemoryBudget,
 		Planner:              optimizer.PlannerKind(ss.Planner),
 		DisableFusion:        ss.DisableFusion,
-		WireCompression:      ss.WireCompression,
 	}
 	if reg != nil {
 		cfg.Obs = reg
 		cfg.TraceID = obs.TraceID(ss.TraceID)
 		cfg.TraceLabel = ss.TraceLabel
-		reg.SetCounters(mtr)
 	}
 	return cfg
 }
@@ -336,7 +339,6 @@ func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
 	var tr runtime.Transport
 	if cfg.Hosts > 1 {
 		c.tr = runtime.NewTCPTransport(c.host, c.place, phys.NumEdges, c.mtr)
-		c.tr.SetCompression(cfg.WireCompression)
 		if cfg.Obs != nil {
 			c.tr.SetObs(cfg.TraceID, cfg.Obs.Histogram("transport_send_duration"))
 		}
@@ -893,11 +895,12 @@ func (c *shardCore) collect() []byte {
 }
 
 // eachHosted visits the records in this host's partitions, in ascending
-// partition order.
-func (c *shardCore) eachHosted(f func(record.Record)) {
+// partition order. It fails if a spilled partition could not be read back.
+func (c *shardCore) eachHosted(f func(record.Record)) error {
 	for _, p := range c.hosted {
 		c.sol.EachPartition(p, f)
 	}
+	return c.sol.Err()
 }
 
 // hostedRecords counts the records in this host's partitions.

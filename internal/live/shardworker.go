@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/distrib"
 	"repro/internal/iterative"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/record"
 )
@@ -156,7 +155,11 @@ func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) 
 		if h.reg != nil && core.cfg.TraceID != 0 {
 			spans = h.reg.Trace().SpansFor(core.cfg.TraceID)
 		}
-		return shardMsg{Kind: viewSolution, Frames: core.collect(), Spans: spans}, nil
+		frames := core.collect()
+		if err := core.sol.Err(); err != nil {
+			return shardMsg{}, err
+		}
+		return shardMsg{Kind: viewSolution, Frames: frames, Spans: spans}, nil
 	case viewStats:
 		return shardMsg{Kind: viewStatted, Count: core.hostedRecords(), Bytes: core.sol.Bytes()}, nil
 	case viewClose:
@@ -186,7 +189,7 @@ func (h *WorkerHost) openCore(msg shardMsg) (*shardCore, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := specFor(ss, msg.HostID, h.reg, &metrics.Counters{})
+	cfg := specFor(ss, msg.HostID, h.reg)
 	core, _, err := newShardCore(m, cfg, gs, !msg.Full, &ViewStats{})
 	return core, err
 }

@@ -28,7 +28,7 @@ import (
 //     one CRC32 frame (record.AppendFrame) and fsyncs *before* the call
 //     returns, so an acknowledged mutation survives a crash;
 //   - periodic streaming snapshots: every SnapshotEveryFlushes flushes
-//     (or SnapshotEveryBytes of log growth) the graph and the resident
+//     (or snapshotEveryBytes, 4 MiB, of log growth) the graph and the resident
 //     solution set are written through the iterative.CheckpointWriter,
 //     partition by partition via runtime.SolutionSet.EachPartition — a
 //     snapshot never materializes the full solution in memory;

@@ -39,11 +39,6 @@ type Counters struct {
 	// RemoteBytes counts wire bytes (headers + frames) shipped to peer
 	// processes by a distributed transport.
 	RemoteBytes atomic.Int64
-	// RemoteBytesCompressed counts wire bytes of data-plane messages that
-	// traveled flate-compressed (wire compression enabled and the frame
-	// actually shrank). Comparing against the RemoteBytes share of those
-	// messages gives the achieved compression ratio.
-	RemoteBytesCompressed atomic.Int64
 	// TransportErrors counts transport-level failures: connection drops,
 	// send failures, and corrupt inbound frames.
 	TransportErrors atomic.Int64
@@ -141,13 +136,12 @@ type Counters struct {
 
 // Snapshot is an immutable copy of counter values.
 type Snapshot struct {
-	RecordsShipped        int64
-	RecordsShippedRemote  int64
-	RemoteBatches         int64
-	RemoteBytes           int64
-	RemoteBytesCompressed int64
-	TransportErrors       int64
-	DroppedBatches        int64
+	RecordsShipped       int64
+	RecordsShippedRemote int64
+	RemoteBatches        int64
+	RemoteBytes          int64
+	TransportErrors      int64
+	DroppedBatches       int64
 
 	WorksetElements  int64
 	SolutionAccesses int64

@@ -63,18 +63,11 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Trace returns the registry's span ring (its TraceSink).
 func (r *Registry) Trace() *Ring { return r.ring }
 
-// Counters returns the registry's shared counter set. Sessions and views
-// that don't bring their own counters should record into this one so
-// their work is scrapeable.
+// Counters returns the registry's counter set, the one /metrics and
+// /debug/vars export. Every session and view reporting to the registry
+// records into it, so a process hosting several exports all of their
+// work.
 func (r *Registry) Counters() *metrics.Counters { return r.counters }
-
-// SetCounters replaces the exported counter set (e.g. to export counters
-// that pre-date the registry).
-func (r *Registry) SetCounters(c *metrics.Counters) {
-	r.mu.Lock()
-	r.counters = c
-	r.mu.Unlock()
-}
 
 // RegisterCollector adds a gauge collector invoked on every scrape.
 func (r *Registry) RegisterCollector(c Collector) {

@@ -59,59 +59,6 @@ func (c *Context) NumVertices() int64 { return c.vertices }
 // Send delivers a message to the target vertex in the next superstep.
 func (c *Context) Send(m Message) { c.worker.send(m) }
 
-// Aggregate folds a value into the named global aggregator; the combined
-// value of superstep i is readable in superstep i+1 (Pregel's aggregator
-// mechanism).
-func (c *Context) Aggregate(name string, value float64) {
-	w := c.worker
-	agg, ok := w.job.cfg.Aggregators[name]
-	if !ok {
-		return
-	}
-	if prev, seen := w.aggLocal[name]; seen {
-		w.aggLocal[name] = agg.Reduce(prev, value)
-	} else {
-		w.aggLocal[name] = value
-	}
-}
-
-// AggregatedValue returns the named aggregator's combined value from the
-// previous superstep (Init value in superstep 0 or when nothing was
-// aggregated).
-func (c *Context) AggregatedValue(name string) float64 {
-	if v, ok := c.worker.job.aggGlobal[name]; ok {
-		return v
-	}
-	if agg, ok := c.worker.job.cfg.Aggregators[name]; ok {
-		return agg.Init
-	}
-	return 0
-}
-
-// Aggregator defines a global per-superstep fold (e.g. sum or min).
-type Aggregator struct {
-	// Init is the value before any Aggregate call.
-	Init float64
-	// Reduce combines two partial values; it must be associative and
-	// commutative.
-	Reduce func(a, b float64) float64
-}
-
-// SumAggregator sums contributions.
-func SumAggregator() Aggregator {
-	return Aggregator{Init: 0, Reduce: func(a, b float64) float64 { return a + b }}
-}
-
-// MaxAggregator keeps the maximum contribution.
-func MaxAggregator() Aggregator {
-	return Aggregator{Init: 0, Reduce: func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}}
-}
-
 // ComputeFn is the vertex program, invoked for every active vertex with
 // the messages received in the previous superstep. Calling v's VoteToHalt
 // deactivates the vertex until a message arrives.
@@ -136,9 +83,6 @@ type Config struct {
 	Metrics *metrics.Counters
 	// CollectTrace records per-superstep statistics.
 	CollectTrace bool
-	// Aggregators defines named global per-superstep folds available to
-	// compute functions via Context.Aggregate/AggregatedValue.
-	Aggregators map[string]Aggregator
 }
 
 // Result is the outcome of a run.
@@ -153,18 +97,16 @@ type Result struct {
 
 // worker owns one vertex partition.
 type worker struct {
-	job      *job
-	part     int
-	verts    map[int64]*Vertex
-	inbox    map[int64][]Message // messages for the current superstep
-	nextOut  []map[int64][]Message
-	aggLocal map[string]float64
+	job     *job
+	part    int
+	verts   map[int64]*Vertex
+	inbox   map[int64][]Message // messages for the current superstep
+	nextOut []map[int64][]Message
 }
 
 type job struct {
-	cfg       Config
-	workers   []*worker
-	aggGlobal map[string]float64
+	cfg     Config
+	workers []*worker
 }
 
 func (w *worker) send(m Message) {
@@ -195,7 +137,7 @@ func Run(g *graphgen.Graph, weights func(graphgen.Edge) float64, init func(*Vert
 	if cfg.MaxSupersteps <= 0 {
 		cfg.MaxSupersteps = 10000
 	}
-	j := &job{cfg: cfg, workers: make([]*worker, cfg.Parallelism), aggGlobal: make(map[string]float64)}
+	j := &job{cfg: cfg, workers: make([]*worker, cfg.Parallelism)}
 	for p := range j.workers {
 		j.workers[p] = &worker{
 			job:   j,
@@ -243,7 +185,6 @@ func Run(g *graphgen.Graph, weights func(graphgen.Edge) float64, init func(*Vert
 				for p := range w.nextOut {
 					w.nextOut[p] = make(map[int64][]Message)
 				}
-				w.aggLocal = make(map[string]float64)
 				ctx := &Context{worker: w, superstep: step, vertices: g.NumVertices}
 				for vid, v := range w.verts {
 					msgs := w.inbox[vid]
@@ -264,24 +205,6 @@ func Run(g *graphgen.Graph, weights func(graphgen.Edge) float64, init func(*Vert
 		}
 		wg.Wait()
 		res.Supersteps = step + 1
-
-		// Combine worker-local aggregator values at the barrier; the
-		// result is visible in the next superstep.
-		j.aggGlobal = make(map[string]float64)
-		for name, agg := range cfg.Aggregators {
-			v := agg.Init
-			seen := false
-			for _, w := range j.workers {
-				if lv, ok := w.aggLocal[name]; ok {
-					if seen {
-						v = agg.Reduce(v, lv)
-					} else {
-						v, seen = lv, true
-					}
-				}
-			}
-			j.aggGlobal[name] = v
-		}
 
 		// Barrier + message delivery: route every worker's outboxes.
 		delivered := 0

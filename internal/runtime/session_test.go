@@ -160,15 +160,19 @@ func TestSessionRunAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestSessionSpilledCacheAcrossSupersteps is the cache-budget interplay
-// test: a loop-invariant stream cache that spills to disk in superstep 1
-// must be re-read — not recomputed or corrupted — by the same persistent
-// workers in every later superstep.
+// TestSessionSpilledCacheAcrossSupersteps: a loop-invariant sort-merge
+// input, cached in sorted order in superstep 1, must be re-read — not
+// recomputed, re-sorted or corrupted — by the same persistent workers in
+// every later superstep. Stream caches stay in memory (they no longer
+// spill); the name is kept so the test's history stays traceable. The
+// constant side arrives in descending key order, so a cache that lost its
+// sort would miss join rows.
 func TestSessionSpilledCacheAcrossSupersteps(t *testing.T) {
 	const n = 400
 	constRecs := make([]record.Record, n)
 	for i := range constRecs {
-		constRecs[i] = record.Record{A: int64(i), B: int64(i * 7)}
+		k := n - 1 - i
+		constRecs[i] = record.Record{A: int64(k), B: int64(k * 7)}
 	}
 	probe := make([]record.Record, n)
 	for i := range probe {
@@ -181,7 +185,7 @@ func TestSessionSpilledCacheAcrossSupersteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force the cached constant side through the sort-merge path so the
-	// cache is a spillable stream (hash tables stay pinned).
+	// cache is a sorted record slice rather than a hash table.
 	for _, pn := range phys.Nodes {
 		if pn.Logical.Contract == dataflow.MatchOp {
 			pn.Local = optimizer.LocalSortMergeJoin
@@ -189,7 +193,7 @@ func TestSessionSpilledCacheAcrossSupersteps(t *testing.T) {
 		}
 	}
 
-	e := NewExecutor(Config{CacheBudget: 64}) // tiny budget: everything spills
+	e := NewExecutor(Config{})
 	defer e.Close()
 	e.SetPlaceholder(w.ID, probe, record.KeyA, 2)
 	sess := e.OpenSession(phys)
@@ -209,9 +213,6 @@ func TestSessionSpilledCacheAcrossSupersteps(t *testing.T) {
 				t.Fatalf("superstep %d: corrupted row %d: %v", step, i, r)
 			}
 		}
-	}
-	if e.SpilledBytes() == 0 {
-		t.Fatal("cache never spilled under the tiny budget")
 	}
 }
 

@@ -363,6 +363,19 @@ func (s *SolutionSet) Reset() {
 	s.publishBytes()
 }
 
+// Err reports the first evicted partition the spill backend could not
+// read back, wrapping ErrSolutionSpillLost; it is always nil for the
+// in-memory backends. A lost partition reads as empty, so a run checks
+// Err after each merge and after copying the set out.
+func (s *SolutionSet) Err() error {
+	if b, ok := s.backend.(*spillBackend); ok {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.err
+	}
+	return nil
+}
+
 // Bytes reports the backend's resident in-memory footprint estimate.
 func (s *SolutionSet) Bytes() int64 { return s.backend.Bytes() }
 

@@ -6,20 +6,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync/atomic"
 
 	"repro/internal/record"
 )
 
-// Spilling support for loop-invariant caches (§4.3: "The caches are
-// in-memory and gradually spilled in the presence of memory pressure").
-// When the executor's cache budget is exceeded, newly-filled stream caches
-// are written to temporary files in serialized record form and replayed
-// from disk on later iterations. Index caches (hash tables backing join
-// build sides) stay pinned in memory: they are probed per record and
-// spilling them would defeat their purpose.
+// Spill files back the SolutionSpill backend (backend.go): an evicted
+// solution-set partition is written to a temporary file in serialized
+// record form and replayed from disk when it is touched again.
 
-// spillFile is one cache slot's on-disk representation.
+// spillFile is one evicted partition's on-disk representation.
 type spillFile struct {
 	path  string
 	bytes int64
@@ -63,7 +58,8 @@ const replayBufSize = 64 << 10
 
 // replay streams the spilled batches back through f, decoding records
 // one at a time from a fixed-size buffered reader — the file is never
-// materialized in memory, which is the point of spilling it.
+// materialized in memory, which is the point of spilling it. A file that
+// ends early, even on a batch boundary, is an error.
 func (s *spillFile) replay(f func(record.Batch)) error {
 	file, err := os.Open(s.path)
 	if err != nil {
@@ -73,10 +69,14 @@ func (s *spillFile) replay(f func(record.Batch)) error {
 	br := bufio.NewReaderSize(file, replayBufSize)
 	var hdr [4]byte
 	var rbuf [record.EncodedSize]byte
+	var read int64
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
+			if err == io.EOF && read == s.bytes {
 				return nil
+			}
+			if err == io.EOF {
+				return fmt.Errorf("runtime: spill file ends after %d of %d bytes", read, s.bytes)
 			}
 			return fmt.Errorf("runtime: reading spill batch header: %w", err)
 		}
@@ -99,6 +99,7 @@ func (s *spillFile) replay(f func(record.Batch)) error {
 			}
 			b = append(b, r)
 		}
+		read += int64(len(hdr)) + int64(n)*record.EncodedSize
 		f(b)
 	}
 }
@@ -115,32 +116,4 @@ func batchesBytes(batches []record.Batch) int64 {
 		n += int64(len(b)) * record.EncodedSize
 	}
 	return n
-}
-
-// cacheAccountant tracks cache memory against a budget.
-type cacheAccountant struct {
-	budget int64 // 0 = unlimited
-	used   atomic.Int64
-}
-
-// admit reports whether n more bytes fit in memory, reserving them if so.
-func (a *cacheAccountant) admit(n int64) bool {
-	if a.budget <= 0 {
-		a.used.Add(n)
-		return true
-	}
-	for {
-		cur := a.used.Load()
-		if cur+n > a.budget {
-			return false
-		}
-		if a.used.CompareAndSwap(cur, cur+n) {
-			return true
-		}
-	}
-}
-
-// release returns bytes to the budget.
-func (a *cacheAccountant) release(n int64) {
-	a.used.Add(-n)
 }

@@ -1,11 +1,10 @@
 package runtime
 
 import (
+	"errors"
 	"os"
 	"testing"
 
-	"repro/internal/dataflow"
-	"repro/internal/optimizer"
 	"repro/internal/record"
 )
 
@@ -45,93 +44,78 @@ func TestSpillFileRemove(t *testing.T) {
 	}
 }
 
-func TestCacheAccountant(t *testing.T) {
-	a := &cacheAccountant{budget: 100}
-	if !a.admit(60) || !a.admit(40) {
-		t.Fatal("within-budget admits failed")
-	}
-	if a.admit(1) {
-		t.Fatal("over-budget admit succeeded")
-	}
-	a.release(40)
-	if !a.admit(30) {
-		t.Fatal("admit after release failed")
-	}
-	unlimited := &cacheAccountant{}
-	if !unlimited.admit(1 << 40) {
-		t.Fatal("unlimited accountant refused")
+// TestLostSpillDropsPartition: an evicted solution partition whose spill
+// file was cut short must come back neither half-replayed nor as a panic.
+// The read that finds the damage drops the partition and deletes its
+// file, and the set reports a loss wrapping ErrSolutionSpillLost until it
+// is Reset. Both reads that replay a file are covered: a probe (which
+// makes the partition resident) and Each (which streams it).
+func TestLostSpillDropsPartition(t *testing.T) {
+	for _, read := range []string{"lookup", "each"} {
+		t.Run(read, func(t *testing.T) {
+			s := NewSolutionSetWith(2, record.KeyA, nil, nil,
+				SolutionOptions{Backend: SolutionSpill, MemoryBudget: 4 * record.EncodedSize})
+			b := s.backend.(*spillBackend)
+			var cold []int64 // keys of partition 0, stored first and so evicted
+			for k := int64(0); len(cold) < 3*spillChunk; k++ {
+				if s.PartitionFor(k) == 0 {
+					cold = append(cold, k)
+				}
+			}
+			s.MergeDelta(recordsFor(cold))
+			s.MergeDelta(recordsFor([]int64{hotKey(s)}))
+			p := &b.parts[0]
+			if p.file == nil {
+				t.Fatal("partition 0 was not evicted under the tiny budget")
+			}
+			path := p.file.path
+			// Keep the first batch whole, so a replay gets partway in.
+			if err := os.Truncate(path, 4+spillChunk*record.EncodedSize+1); err != nil {
+				t.Fatal(err)
+			}
+			if s.Err() != nil {
+				t.Fatalf("loss reported before any read: %v", s.Err())
+			}
+
+			switch read {
+			case "lookup":
+				if _, ok := s.Lookup(0, cold[0]); ok {
+					t.Fatal("a record of the lost partition was served")
+				}
+			case "each":
+				s.EachPartition(0, func(record.Record) {})
+			}
+			if err := s.Err(); !errors.Is(err, ErrSolutionSpillLost) {
+				t.Fatalf("Err() = %v, want ErrSolutionSpillLost", err)
+			}
+			if p.file != nil || len(p.idx.recs) != 0 || s.Size() != 1 {
+				t.Fatalf("half-replayed partition left: file %v, %d resident records, size %d",
+					p.file, len(p.idx.recs), s.Size())
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("damaged spill file %s left behind", path)
+			}
+			s.Reset()
+			if s.Err() != nil {
+				t.Fatalf("loss survived Reset: %v", s.Err())
+			}
+		})
 	}
 }
 
-// iterativeJoinPlan builds a plan whose constant input is cached as a
-// stream (feeding a Union on the dynamic path), so the cache budget
-// applies.
-func iterativeJoinPlan(constRecs []record.Record) (*dataflow.Plan, *dataflow.Node, *dataflow.Node) {
-	p := dataflow.NewPlan()
-	w := p.IterationPlaceholder("I", 4)
-	c := p.SourceOf("const", constRecs)
-	u := p.UnionNode("u", w, c)
-	sink := p.SinkNode("out", u)
-	return p, w, sink
+func recordsFor(keys []int64) []record.Record {
+	out := make([]record.Record, len(keys))
+	for i, k := range keys {
+		out[i] = record.Record{A: k, B: k}
+	}
+	return out
 }
 
-func runCachedTwice(t *testing.T, budget int64) (*Executor, []record.Record) {
-	t.Helper()
-	constRecs := make([]record.Record, 1000)
-	for i := range constRecs {
-		constRecs[i] = record.Record{A: int64(i)}
+// hotKey returns a key of partition 1.
+func hotKey(s *SolutionSet) int64 {
+	k := int64(0)
+	for s.PartitionFor(k) != 1 {
+		k++
 	}
-	p, w, sink := iterativeJoinPlan(constRecs)
-	phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: 2, ExpectedIterations: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewExecutor(Config{CacheBudget: budget})
-	e.SetPlaceholder(w.ID, []record.Record{{A: -1}}, nil, 2)
-	var last []record.Record
-	for pass := 0; pass < 3; pass++ {
-		res, err := e.Run(phys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = res.Records(sink.ID)
-	}
-	return e, last
-}
-
-func TestCacheSpillsUnderPressure(t *testing.T) {
-	// A 1000-record constant input far exceeds a 1 KiB budget: the cache
-	// must spill yet produce identical results on every pass.
-	eSpill, gotSpill := runCachedTwice(t, 1024)
-	defer eSpill.Close()
-	if eSpill.SpilledBytes() == 0 {
-		t.Fatal("cache did not spill under a tiny budget")
-	}
-	eMem, gotMem := runCachedTwice(t, 0)
-	defer eMem.Close()
-	if eMem.SpilledBytes() != 0 {
-		t.Fatal("unlimited budget spilled")
-	}
-	if len(gotSpill) != len(gotMem) || len(gotSpill) != 1001 {
-		t.Fatalf("spilled run lost records: %d vs %d", len(gotSpill), len(gotMem))
-	}
-}
-
-func TestCloseRemovesSpillFiles(t *testing.T) {
-	e, _ := runCachedTwice(t, 1024)
-	var paths []string
-	for _, s := range e.slots {
-		if s.spill != nil {
-			paths = append(paths, s.spill.path)
-		}
-	}
-	if len(paths) == 0 {
-		t.Fatal("no spill files to check")
-	}
-	e.Close()
-	for _, p := range paths {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Errorf("spill file %s survived Close", p)
-		}
-	}
+	return k
 }

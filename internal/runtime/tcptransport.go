@@ -2,8 +2,6 @@ package runtime
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -32,19 +30,11 @@ import (
 // merging into the wrong fixpoint. Zero means untraced and matches
 // anything.
 const (
-	tcpMsgData  = 1 // header + one record frame
-	tcpMsgEOS   = 2 // header only: one remote producer of edge finished
-	tcpMsgDataZ = 3 // header + u32 length + flate-compressed record frame
+	tcpMsgData = 1 // header + one record frame
+	tcpMsgEOS  = 2 // header only: one remote producer of edge finished
 
 	tcpHeaderSize = 17
 	tcpTraceOff   = 9 // trace ID offset within the header
-
-	// tcpZMinSize is the smallest frame worth compressing: below it the
-	// flate header overhead and the extra CPU beat any byte savings.
-	tcpZMinSize = 512
-	// tcpZMaxSize bounds the compressed-length prefix a receiver will
-	// honor, so a corrupt header cannot force an unbounded allocation.
-	tcpZMaxSize = 1 << 30
 )
 
 // tcpPreamble opens every peer connection: a magic marker plus the
@@ -55,7 +45,7 @@ var tcpMagic = [4]byte{'S', 'P', 'X', '1'}
 // TCPTransport is the distributed Transport: a session's non-hosted
 // partitions are reached over persistent TCP connections to the peer
 // processes hosting them, one connection per peer pair (the higher host
-// ID dials). Batches travel as CRC32 record frames behind the 9-byte
+// ID dials). Batches travel as CRC32 record frames behind the 17-byte
 // message header; a remote producer's writer.done turns into one EOS
 // message per peer, so every exchange still closes after exactly
 // `parallelism` producer completions — in-process tasks and remote peers
@@ -96,18 +86,7 @@ type TCPTransport struct {
 	sendHist  *obs.Histogram
 	timeSends atomic.Bool
 	shipNanos atomic.Int64
-
-	// compress enables flate compression of outbound data frames. The
-	// receive path always understands both kinds, so hosts with different
-	// settings interoperate — compression is a per-sender choice.
-	compress atomic.Bool
 }
-
-// SetCompression toggles flate compression of outbound data-plane frames
-// (Config.WireCompression). Frames below tcpZMinSize, and frames that
-// flate fails to shrink, are sent uncompressed; receivers auto-detect by
-// message kind.
-func (t *TCPTransport) SetCompression(on bool) { t.compress.Store(on) }
 
 // SetObs attaches telemetry: id is stamped on (and verified against)
 // frame headers, sendHist — when non-nil — observes each outbound send's
@@ -124,14 +103,11 @@ func (t *TCPTransport) SetObs(id obs.TraceID, sendHist *obs.Histogram) {
 func (t *TCPTransport) ShipNanos() int64 { return t.shipNanos.Load() }
 
 // tcpPeer is one live connection to a peer process. Writes are serialized
-// under mu; enc is the per-peer reusable serialization buffer, zw/zbuf the
-// reusable flate compressor state for wire compression.
+// under mu; enc is the per-peer reusable serialization buffer.
 type tcpPeer struct {
 	mu   sync.Mutex
 	conn net.Conn
 	enc  []byte
-	zw   *flate.Writer
-	zbuf bytes.Buffer
 }
 
 // edgeInbox buffers inbound traffic for one plan edge while no exchange
@@ -224,17 +200,23 @@ func (t *TCPTransport) acceptLoop() {
 			}
 			return
 		}
-		var pre [8]byte
-		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if _, err := io.ReadFull(conn, pre[:]); err != nil || [4]byte(pre[:4]) != tcpMagic {
-			conn.Close()
-			continue
-		}
-		conn.SetReadDeadline(time.Time{})
-		peerID := int(binary.LittleEndian.Uint32(pre[4:8]))
-		if !t.register(peerID, conn) {
-			conn.Close()
-		}
+		t.admit(conn)
+	}
+}
+
+// admit reads an accepted connection's preamble and registers the dialer
+// as that peer; a connection without a valid preamble, or from a peer
+// that is out of range or already connected, is closed.
+func (t *TCPTransport) admit(conn net.Conn) {
+	var pre [8]byte
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.ReadFull(conn, pre[:]); err != nil || [4]byte(pre[:4]) != tcpMagic {
+		conn.Close()
+		return
+	}
+	conn.SetReadDeadline(time.Time{})
+	if !t.register(int(binary.LittleEndian.Uint32(pre[4:8])), conn) {
+		conn.Close()
 	}
 }
 
@@ -327,10 +309,6 @@ func (t *TCPTransport) Send(edgeID, part int, b record.Batch) {
 	binary.LittleEndian.PutUint32(p.enc[5:9], uint32(part))
 	binary.LittleEndian.PutUint64(p.enc[tcpTraceOff:tcpHeaderSize], t.traceID.Load())
 	p.enc = record.AppendFrame(p.enc, b)
-	compressed := false
-	if t.compress.Load() && len(p.enc)-tcpHeaderSize >= tcpZMinSize {
-		compressed = p.compressFrame()
-	}
 	n := len(p.enc)
 	_, err := p.conn.Write(p.enc)
 	p.mu.Unlock()
@@ -348,41 +326,7 @@ func (t *TCPTransport) Send(edgeID, part int, b record.Batch) {
 	if t.m != nil {
 		t.m.RemoteBatches.Add(1)
 		t.m.RemoteBytes.Add(int64(n))
-		if compressed {
-			t.m.RemoteBytesCompressed.Add(int64(n))
-		}
 	}
-}
-
-// compressFrame rewrites the staged message in p.enc (header + frame) as
-// a tcpMsgDataZ message — header + u32 compressed length + flate bytes —
-// if flate actually shrinks the frame. Called with p.mu held; returns
-// whether the rewrite happened.
-func (p *tcpPeer) compressFrame() bool {
-	payload := p.enc[tcpHeaderSize:]
-	p.zbuf.Reset()
-	if p.zw == nil {
-		p.zw, _ = flate.NewWriter(&p.zbuf, flate.BestSpeed)
-	} else {
-		p.zw.Reset(&p.zbuf)
-	}
-	if _, err := p.zw.Write(payload); err != nil {
-		return false
-	}
-	if err := p.zw.Close(); err != nil {
-		return false
-	}
-	z := p.zbuf.Bytes()
-	if len(z)+4 >= len(payload) {
-		return false
-	}
-	p.enc = p.enc[:tcpHeaderSize]
-	p.enc[0] = tcpMsgDataZ
-	var lb [4]byte
-	binary.LittleEndian.PutUint32(lb[:], uint32(len(z)))
-	p.enc = append(p.enc, lb[:]...)
-	p.enc = append(p.enc, z...)
-	return true
 }
 
 // FinishProducer announces one finished local producer of edgeID to every
@@ -412,14 +356,6 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	fr := record.NewFrameReader(br)
-	// Reusable decompression state for tcpMsgDataZ messages: the
-	// compressed bytes buffer, the flate reader (reset per message), and
-	// the decompressed-frame buffer the batch is parsed from.
-	var (
-		zin  []byte
-		zr   io.ReadCloser
-		zout bytes.Buffer
-	)
 	for {
 		var hdr [tcpHeaderSize]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -443,50 +379,6 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			b, err := fr.Next()
 			if err != nil {
 				t.fail(fmt.Errorf("runtime: transport frame: %w", err))
-				return
-			}
-			if part < 0 || part >= len(t.hosted) || !t.hosted[part] {
-				t.fail(fmt.Errorf("runtime: transport: batch for partition %d not hosted here", part))
-				return
-			}
-			t.deliver(edge, part, b)
-		case tcpMsgDataZ:
-			part := int(binary.LittleEndian.Uint32(hdr[5:9]))
-			var lb [4]byte
-			if _, err := io.ReadFull(br, lb[:]); err != nil {
-				t.fail(fmt.Errorf("runtime: transport compressed frame length: %w", err))
-				return
-			}
-			zlen := binary.LittleEndian.Uint32(lb[:])
-			if zlen == 0 || zlen > tcpZMaxSize {
-				t.fail(fmt.Errorf("runtime: transport: compressed frame length %d out of range", zlen))
-				return
-			}
-			if cap(zin) < int(zlen) {
-				zin = make([]byte, zlen)
-			}
-			zin = zin[:zlen]
-			if _, err := io.ReadFull(br, zin); err != nil {
-				t.fail(fmt.Errorf("runtime: transport compressed frame body: %w", err))
-				return
-			}
-			if zr == nil {
-				zr = flate.NewReader(bytes.NewReader(zin))
-			} else if err := zr.(flate.Resetter).Reset(bytes.NewReader(zin), nil); err != nil {
-				t.fail(fmt.Errorf("runtime: transport flate reset: %w", err))
-				return
-			}
-			zout.Reset()
-			if _, err := zout.ReadFrom(zr); err != nil {
-				t.fail(fmt.Errorf("runtime: transport flate decompress: %w", err))
-				return
-			}
-			// The decompressed bytes are exactly one CRC32 record frame —
-			// the same bytes an uncompressed send would have put on the
-			// wire — so the normal frame decoder validates them.
-			b, err := record.NewFrameReader(bytes.NewReader(zout.Bytes())).Next()
-			if err != nil {
-				t.fail(fmt.Errorf("runtime: transport compressed frame: %w", err))
 				return
 			}
 			if part < 0 || part >= len(t.hosted) || !t.hosted[part] {

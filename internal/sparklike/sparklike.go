@@ -56,19 +56,6 @@ func (c *Context) Parallelize(recs []record.Record) *RDD {
 	return &RDD{ctx: c, parts: parts}
 }
 
-// PartitionBy hash-partitions records by key (a shuffle).
-func (c *Context) PartitionBy(recs []record.Record, key record.KeyFunc) *RDD {
-	parts := make([][]record.Record, c.parallelism)
-	for _, r := range recs {
-		p := record.PartitionOf(key(r), c.parallelism)
-		parts[p] = append(parts[p], r)
-	}
-	if c.m != nil {
-		c.m.RecordsShipped.Add(int64(len(recs)))
-	}
-	return &RDD{ctx: c, parts: parts}
-}
-
 // eachPart runs f over all partitions in parallel and collects the
 // resulting partitions.
 func (r *RDD) eachPart(f func(part int, in []record.Record) []record.Record) *RDD {
@@ -92,19 +79,6 @@ func (r *RDD) Map(fn func(record.Record) record.Record) *RDD {
 		for i, rec := range in {
 			r.udf()
 			out[i] = fn(rec)
-		}
-		return out
-	})
-}
-
-// FlatMap transforms every record into zero or more records.
-func (r *RDD) FlatMap(fn func(record.Record, func(record.Record))) *RDD {
-	return r.eachPart(func(_ int, in []record.Record) []record.Record {
-		var out []record.Record
-		emit := func(rec record.Record) { out = append(out, rec) }
-		for _, rec := range in {
-			r.udf()
-			fn(rec, emit)
 		}
 		return out
 	})

@@ -22,7 +22,7 @@ func TestParallelizeAndCollect(t *testing.T) {
 	}
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
+func TestMapFilter(t *testing.T) {
 	c := ctx(2)
 	rdd := c.Parallelize([]record.Record{{A: 1}, {A: 2}, {A: 3}})
 	doubled := rdd.Map(func(r record.Record) record.Record { r.A *= 2; return r })
@@ -32,13 +32,6 @@ func TestMapFilterFlatMap(t *testing.T) {
 	evens := doubled.Filter(func(r record.Record) bool { return r.A%4 == 0 })
 	if evens.Count() != 1 {
 		t.Fatalf("filter: %v", evens.Collect())
-	}
-	expanded := rdd.FlatMap(func(r record.Record, emit func(record.Record)) {
-		emit(r)
-		emit(r)
-	})
-	if expanded.Count() != 6 {
-		t.Fatal("flatmap wrong")
 	}
 }
 
