@@ -21,6 +21,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/iterative"
 	"repro/internal/live"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/pregel"
@@ -428,6 +429,37 @@ func BenchmarkAblationCombiner(b *testing.B) {
 	b.Run("without", func(b *testing.B) { run(b, false, false) })
 	b.Run("fused", func(b *testing.B) { run(b, true, false) })
 	b.Run("unfused", func(b *testing.B) { run(b, true, true) })
+}
+
+// BenchmarkWorksetFold measures the comparator's keep-the-better workset
+// fold: CoGroup Connected Components on a dense R-MAT graph at P1 and P2,
+// with the spec's BestCandidateOnly declaration (the fold is taken, on W0
+// and inside toNeighbors) and without it. workset/op counts the
+// working-set records the CoGroup grouped over the whole fixpoint,
+// shipped/op the records that crossed an exchange.
+func BenchmarkWorksetFold(b *testing.B) {
+	g := graphgen.RMAT("rmat", 13, 250_000, 0.57, 0.19, 0.19, 7)
+	for _, par := range []int{1, 2} {
+		for _, fold := range []bool{true, false} {
+			name := fmt.Sprintf("p%d/fold", par)
+			if !fold {
+				name = fmt.Sprintf("p%d/none", par)
+			}
+			b.Run(name, func(b *testing.B) {
+				spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
+				spec.BestCandidateOnly = fold
+				var m metrics.Counters
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := iterative.RunIncremental(spec, s0, w0, iterative.Config{Parallelism: par, Metrics: &m}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(m.WorksetElements.Load())/float64(b.N), "workset/op")
+				b.ReportMetric(float64(m.RecordsShipped.Load())/float64(b.N), "shipped/op")
+			})
+		}
+	}
 }
 
 // BenchmarkAblationUpdateOperator isolates the CoGroup-vs-Match update

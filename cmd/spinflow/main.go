@@ -62,7 +62,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
-	"repro/internal/record"
 )
 
 // worker hosts partition ranges for distributed sessions: it listens for
@@ -278,8 +277,8 @@ func traceCmd(args []string) error {
 
 // explain prints the optimized physical plans (text and Graphviz DOT) for
 // the PageRank bulk iteration and the incremental Connected Components
-// iteration on the wikipedia stand-in, fused as the iteration drivers run
-// them by default.
+// iteration on the wikipedia stand-in, fused (and, for CC, folded) as the
+// iteration drivers run them by default.
 func explain(opts harness.Options) error {
 	g := graphgen.Wikipedia(graphgen.ScaleTiny)
 
@@ -299,19 +298,11 @@ func explain(opts harness.Options) error {
 	fmt.Print(prPlan.DOT())
 
 	ccSpec, _, _ := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
-	ccPlan, err := optimizer.Optimize(ccSpec.Plan, optimizer.Options{
-		Parallelism:        4,
-		ExpectedIterations: 14,
-		PlaceholderProps: map[int]optimizer.Props{
-			ccSpec.Workset.ID: {Part: record.KeyID(ccSpec.WorksetKey)},
-		},
-		SinkPartition: map[int]record.KeyFunc{
-			ccSpec.DeltaSink.ID:   ccSpec.SolutionKey,
-			ccSpec.WorksetSink.ID: ccSpec.WorksetKey,
-		},
-		Feedback: map[int]int{ccSpec.Workset.ID: ccSpec.WorksetSink.ID},
-		Fuse:     true,
-	})
+	// Planned as RunIncremental plans it, at Parallelism 2: there the
+	// optimizer absorbs the comparator's keep-the-better fold into
+	// toNeighbors (≈ 6 candidates per key and partition on this graph; at
+	// 4 partitions it would be ≈ 3, under the fold's 4× bar).
+	ccPlan, err := iterative.PlanIncremental(ccSpec, iterative.Config{Parallelism: 2}, 14)
 	if err != nil {
 		return err
 	}

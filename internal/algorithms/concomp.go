@@ -176,6 +176,9 @@ func ccSpecOverEdges(edgeRecs []record.Record, estVertices int64, variant CCVari
 		SolutionKey: record.KeyA,
 		WorksetKey:  record.KeyA,
 		Comparator:  MinCidComparator,
+		// updateCC reads only the smallest candidate cid; tied candidates
+		// are the same {vid, cid} record.
+		BestCandidateOnly: true,
 	}
 	return spec, InitialCandidateRecords(edgeRecs)
 }

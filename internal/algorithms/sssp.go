@@ -60,6 +60,9 @@ func SSSPSpec(edges []WeightedEdge, source int64) (iterative.IncrementalSpec, []
 		SolutionKey: record.KeyA,
 		WorksetKey:  record.KeyA,
 		Comparator:  MinDistComparator,
+		// relax reads only the shortest candidate distance; tied
+		// candidates are the same {vid, dist} record.
+		BestCandidateOnly: true,
 	}
 	// The solution set starts empty; the seed candidate (source, 0) is
 	// inserted by the first relaxation and spreads from there.

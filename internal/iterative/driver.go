@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/record"
@@ -294,6 +295,9 @@ type incEngine struct {
 	// inadmissible is why direct merge is off for the bound spec (nil = on);
 	// RunMicrostep and ResumeMicrostep refuse the spec with it.
 	inadmissible error
+	// fold is the workset fold of the session's plan (nil = none), which
+	// seed applies to the working sets it installs.
+	fold *dataflow.Node
 	// elements counts the working-set elements seeded and produced — on a
 	// converged run every one was consumed, and a microstep run reports
 	// the count as Microsteps.
@@ -309,8 +313,14 @@ func openIncEngine(spec *IncrementalSpec, sol *runtime.SolutionSet, cfg Config, 
 	exec.Solution = sol
 	en := &incEngine{cfg: cfg, exec: exec, tr: tr}
 	en.bind(spec, expected)
-	en.sess = exec.OpenSessionOn(phys, tr)
+	en.open(phys)
 	return en
+}
+
+// open opens the session for phys and adopts the plan's workset fold.
+func (en *incEngine) open(phys *optimizer.PhysPlan) {
+	en.sess = en.exec.OpenSessionOn(phys, en.tr)
+	en.fold = en.spec.worksetFold(phys)
 }
 
 // bind points the engine at spec and is the one place that decides direct
@@ -323,12 +333,23 @@ func (en *incEngine) bind(spec *IncrementalSpec, expected int) {
 	en.exec.DirectMerge = en.inadmissible == nil
 }
 
-// seed installs the initial working set, partitioned on the workset key.
+// seed installs the initial working set, partitioned on the workset key
+// and, when the plan folds the workset, folded by the same fold.
 func (en *incEngine) seed(w []record.Record) {
-	en.exec.SetPlaceholder(en.spec.Workset.ID, w, en.spec.WorksetKey, en.cfg.Parallelism)
-	en.elements += int64(len(w))
+	id := en.spec.Workset.ID
+	n := len(w)
+	if en.fold != nil {
+		en.exec.SetPlaceholderFolded(id, w, en.cfg.Parallelism, en.fold)
+		n = 0
+		for _, p := range en.exec.Placeholder[id] {
+			n += len(p)
+		}
+	} else {
+		en.exec.SetPlaceholder(id, w, en.spec.WorksetKey, en.cfg.Parallelism)
+	}
+	en.elements += int64(n)
 	if en.cfg.Metrics != nil {
-		en.cfg.Metrics.WorksetElements.Add(int64(len(w)))
+		en.cfg.Metrics.WorksetElements.Add(int64(n))
 	}
 }
 
@@ -383,19 +404,20 @@ func (en *incEngine) replan(est int64) (*optimizer.PhysPlan, error) {
 	return optimizeIncrementalWithEst(en.spec, en.cfg, en.expected, est, true)
 }
 
-// swap installs a re-optimized plan mid-run: the loop-invariant caches
-// are dropped (their slots are keyed by the old plan's node IDs), the
-// old session closes, the transport's per-edge routing state is rebound
-// to the new plan's edge count, and a fresh session opens. The solution
-// set and the executor's placeholders survive untouched.
+// swap installs a re-optimized plan mid-run (or, from Fixpoint.Rebind, the
+// plan of a new spec): the loop-invariant caches are dropped (their slots
+// are keyed by the old plan's node IDs), the old session closes, the
+// transport's per-edge routing state is rebound to the new plan's edge
+// count, and a fresh session opens. The solution set and the executor's
+// placeholders survive untouched.
 func (en *incEngine) swap(phys *optimizer.PhysPlan) (dropped int64) {
 	dropped = en.exec.CachedBytes()
-	en.exec.InvalidateCaches()
+	en.exec.Close()
 	en.sess.Close()
 	if rb, ok := en.tr.(runtime.Rebinder); ok {
 		rb.Rebind(phys.NumEdges)
 	}
-	en.sess = en.exec.OpenSessionOn(phys, en.tr)
+	en.open(phys)
 	return dropped
 }
 
@@ -428,7 +450,7 @@ func (b *bulkPolicy) step(absStep int) (stepOutcome, error) {
 		// Unrolled execution: a new instance of G per pass (§4.2) —
 		// drop every loop-invariant cache before re-running. The
 		// session detects the generation change and rewires.
-		b.exec.InvalidateCaches()
+		b.exec.Close()
 	}
 	b.sess.SetTraceStep(absStep)
 	res, err := b.sess.Run()

@@ -331,6 +331,20 @@ type IncrementalSpec struct {
 	// Comparator optionally arbitrates ∪̇ replacements (§5.1): the
 	// CPO-larger record survives. Nil = delta always replaces.
 	Comparator record.Comparator
+	// BestCandidateOnly declares that Δ's solution update reads only the
+	// best working-set record per WorksetKey under Comparator (which it
+	// then requires): any set of candidates for one key may be replaced by
+	// its best one before Δ sees it, as ∪̇ would replace them. The engine
+	// then folds W0 per key as it partitions it, and the optimizer may
+	// absorb the same keep-the-better fold into the operator producing the
+	// next working set (optimizer.FoldWorkset), so each partition ships at
+	// most one record per key. The fold keeps the first of records that
+	// tie, so the declaration is byte-exact only when tied records are
+	// identical (CC's {vid, cid}, SSSP's {vid, dist}); and a Δ that sums,
+	// counts or otherwise reads more than the best candidate must not
+	// declare it. The fold is never planned while direct merge is on
+	// (ValidateMicrostep admits Δ), which prunes candidates at the source.
+	BestCandidateOnly bool
 	// MaxSupersteps bounds the run (default 10000).
 	MaxSupersteps int
 	// ExpectedIterations is the optimizer's dynamic-path weight
@@ -390,6 +404,52 @@ func (s *IncrementalSpec) validate() error {
 	}
 	if s.SolutionKey == nil || s.WorksetKey == nil {
 		return fmt.Errorf("iterative: incremental spec needs SolutionKey and WorksetKey")
+	}
+	if s.BestCandidateOnly && s.Comparator == nil {
+		return fmt.Errorf("iterative: BestCandidateOnly needs a Comparator")
+	}
+	return nil
+}
+
+// planWorksetFold absorbs the keep-the-better fold into phys when s
+// declares BestCandidateOnly, direct merge is off and the optimizer finds
+// that the fold pays (optimizer.FoldWorkset). The key-count estimate is the
+// solution operator's: one record per key it updates.
+func (s *IncrementalSpec) planWorksetFold(phys *optimizer.PhysPlan) {
+	if !s.BestCandidateOnly || len(s.DeltaSink.Inputs) != 1 {
+		return
+	}
+	if _, err := ValidateMicrostep(*s); err == nil {
+		return
+	}
+	better := s.Comparator
+	fold := &dataflow.Node{
+		// One past the plan's own nodes: the same identity in every
+		// process, which the plan fingerprint hashes.
+		ID: len(s.Plan.Nodes()), Name: "best", Contract: dataflow.ReduceOp,
+		Keys: [2]record.KeyFunc{s.WorksetKey}, Combinable: true,
+		Reduce: func(_ int64, g []record.Record, out dataflow.Emitter) {
+			b := g[0]
+			for _, r := range g[1:] {
+				if better(r, b) > 0 {
+					b = r
+				}
+			}
+			out.Emit(b)
+		},
+	}
+	optimizer.FoldWorkset(phys, s.WorksetSink.ID, fold, s.DeltaSink.Inputs[0].EstRecords)
+}
+
+// worksetFold returns the fold planWorksetFold absorbed into phys, or nil.
+func (s *IncrementalSpec) worksetFold(phys *optimizer.PhysPlan) *dataflow.Node {
+	for _, sink := range phys.Sinks {
+		if sink.Logical == s.WorksetSink {
+			c := sink.Inputs[0].From.Combiner
+			if c != nil && c.ID == len(s.Plan.Nodes()) {
+				return c
+			}
+		}
 	}
 	return nil
 }

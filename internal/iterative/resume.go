@@ -83,6 +83,7 @@ func optimizeIncremental(spec *IncrementalSpec, cfg Config, expected int, reopt 
 	if err != nil {
 		return nil, err
 	}
+	spec.planWorksetFold(phys)
 	notePlanned(cfg, opts.Planner, phys, time.Since(start))
 	return phys, nil
 }
@@ -168,7 +169,7 @@ func (f *Fixpoint) Plan() *optimizer.PhysPlan { return f.reopt.cur }
 // a Source node of the Δ plan: the next Run re-materializes the constant
 // path from the current data, while workers, exchanges and pooled batches
 // stay warm.
-func (f *Fixpoint) InvalidateConstants() { f.en.exec.InvalidateCaches() }
+func (f *Fixpoint) InvalidateConstants() { f.en.exec.Close() }
 
 // PatchConstants is the delta form of InvalidateConstants for one Source
 // node: its cached tables are edited in place (runtime.Executor.PatchSource)
@@ -197,12 +198,7 @@ func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
 	// A structurally new spec invalidates the memoized registry and plans.
 	f.reopt = newReoptState(phys, spec.Workset.EstRecords)
 	f.en.bind(&f.spec, expected)
-	f.en.exec.InvalidateCaches()
-	f.en.sess.Close()
-	if rb, ok := f.en.tr.(runtime.Rebinder); ok {
-		rb.Rebind(phys.NumEdges)
-	}
-	f.en.sess = f.en.exec.OpenSessionOn(phys, f.en.tr)
+	f.en.swap(phys)
 	return nil
 }
 

@@ -32,7 +32,7 @@ import (
 // live only if its stamp matches, so a recurring key domain folds with no
 // allocation.
 type combineFold struct {
-	t   *task // for the UDF tally
+	t   *task // for the UDF tally; nil when no task runs the fold
 	fn  dataflow.ReduceFn
 	key record.KeyFunc
 
@@ -57,14 +57,18 @@ type foldAcc struct {
 	cold  int32         // index into cold, or -1 on the one-record path
 }
 
-// combiner returns the task's fold, reset for a new round of the combine
-// UDF of the combinable Reduce l (its Combine UDF, else its Reduce UDF).
+// combiner returns the task's fold, reset for a new round of l.
 func (t *task) combiner(l *dataflow.Node) *combineFold {
-	f := t.fold
-	if f == nil {
-		f = &combineFold{t: t}
-		t.fold = f
+	if t.fold == nil {
+		t.fold = &combineFold{t: t}
 	}
+	t.fold.reset(l)
+	return t.fold
+}
+
+// reset starts a new round of the combine UDF of the combinable Reduce l
+// (its Combine UDF, else its Reduce UDF).
+func (f *combineFold) reset(l *dataflow.Node) {
 	f.fn = l.Combine
 	if f.fn == nil {
 		f.fn = l.Reduce
@@ -73,7 +77,6 @@ func (t *task) combiner(l *dataflow.Node) *combineFold {
 	f.round++
 	f.touched = f.touched[:0]
 	f.ncold = 0
-	return f
 }
 
 // Emit folds r into its key's accumulator; it is the emitter a fused
@@ -121,7 +124,7 @@ func (f *combineFold) foldCold(k int64, i int32, r record.Record) {
 // call runs the combine UDF on one group, collecting its output in out.
 func (f *combineFold) call(k int64, g []record.Record) {
 	f.out = f.out[:0]
-	f.t.udf()
+	f.tally()
 	f.fn(k, g, emitCollector{buf: &f.out})
 }
 
@@ -135,7 +138,14 @@ func (f *combineFold) flush(out dataflow.Emitter) {
 		} else if g = f.cold[a.cold]; len(g) == 0 {
 			continue
 		}
-		f.t.udf()
+		f.tally()
 		f.fn(f.idx.keys[pos], g, out)
+	}
+}
+
+// tally counts one combine call against the task running the fold.
+func (f *combineFold) tally() {
+	if f.t != nil {
+		f.t.udf()
 	}
 }

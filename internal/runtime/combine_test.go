@@ -241,3 +241,38 @@ func shippedCombinersFuse(t *testing.T) {
 		}
 	}
 }
+
+// TestSetPlaceholderFolded checks SetPlaceholderFolded against the fold
+// oracle: each partition must hold exactly what the fold contract leaves
+// of that partition's records, in first-touch order, for combine UDFs
+// emitting zero, one and two records — for inputs folded inline and ones
+// split over goroutines, and again on a second seed, which reuses the
+// folds' storage.
+func TestSetPlaceholderFolded(t *testing.T) {
+	for _, udf := range foldUDFs {
+		fold := &dataflow.Node{Name: udf.name, Contract: dataflow.ReduceOp,
+			Keys: [2]record.KeyFunc{record.KeyA}, Combinable: true, Reduce: udf.fn}
+		for _, c := range []struct{ par, n int }{{1, 500}, {3, 500}, {2, 5000}, {3, 5000}} {
+			par := c.par
+			e := runtime.NewExecutor(runtime.Config{})
+			for seed := 0; seed < 2; seed++ {
+				data := make([]record.Record, c.n)
+				for i := range data {
+					data[i] = record.Record{A: int64(i*7+seed) % 23, B: int64(i%13 + 1)}
+				}
+				e.SetPlaceholderFolded(0, data, par, fold)
+				for part := 0; part < par; part++ {
+					var arrivals []record.Record
+					for _, r := range data {
+						if record.PartitionOf(r.A, par) == part {
+							arrivals = append(arrivals, r)
+						}
+					}
+					if got, want := e.Placeholder[0][part], oracleFold(udf.fn, arrivals); !slices.Equal(got, want) {
+						t.Fatalf("%s par=%d n=%d seed %d partition %d:\n got %v\nwant %v", udf.name, par, c.n, seed, part, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
@@ -56,6 +58,8 @@ type Executor struct {
 	// Placeholder supplies per-partition records for IterationInput nodes,
 	// keyed by logical node ID.
 	Placeholder map[int][][]record.Record
+	// seedFolds are SetPlaceholderFolded's per-partition folds, reused.
+	seedFolds []*combineFold
 }
 
 type slotKey struct {
@@ -143,6 +147,76 @@ func (e *Executor) SetPlaceholder(logicalID int, recs []record.Record, key recor
 	e.Placeholder[logicalID] = parts
 }
 
+// SetPlaceholderFolded is SetPlaceholder for data whose consumer reads
+// only what fold — a combinable Reduce — leaves of each key: the records
+// are hash-partitioned by fold.Keys[0] and folded per partition by the
+// combiner fold a plan node runs (combineFold), so a partition holds the
+// fold's output for each of its keys, in first-touch order.
+//
+// An input of serialLaneRecords or more is split over up to GOMAXPROCS
+// goroutines in two phases: each splits a contiguous chunk of recs by
+// partition, then each folds its partitions' records chunk by chunk —
+// input order, so the result is the serial pass's.
+func (e *Executor) SetPlaceholderFolded(logicalID int, recs []record.Record, parallelism int, fold *dataflow.Node) {
+	parallelism = max(parallelism, 1)
+	for len(e.seedFolds) < parallelism {
+		e.seedFolds = append(e.seedFolds, &combineFold{})
+	}
+	folds := e.seedFolds[:parallelism]
+	for _, f := range folds {
+		f.reset(fold)
+	}
+	key := fold.Keys[0]
+	workers := min(parallelism, goruntime.GOMAXPROCS(0))
+	if workers == 1 || len(recs) < serialLaneRecords {
+		for _, r := range recs {
+			folds[record.PartitionOf(key(r), parallelism)].Emit(r)
+		}
+	} else {
+		chunks := make([][][]record.Record, workers) // chunk → partition → records
+		inParallel(workers, func(w int) {
+			chunk := recs[w*len(recs)/workers : (w+1)*len(recs)/workers]
+			byPart := make([][]record.Record, parallelism)
+			for p := range byPart { // an even share plus 1/8 for skew
+				byPart[p] = make([]record.Record, 0, len(chunk)/parallelism+len(chunk)/(8*parallelism))
+			}
+			for _, r := range chunk {
+				p := record.PartitionOf(key(r), parallelism)
+				byPart[p] = append(byPart[p], r)
+			}
+			chunks[w] = byPart
+		})
+		inParallel(workers, func(w int) {
+			for p := w; p < parallelism; p += workers {
+				for _, byPart := range chunks {
+					for _, r := range byPart[p] {
+						folds[p].Emit(r)
+					}
+				}
+			}
+		})
+	}
+	parts := make([][]record.Record, parallelism)
+	for p, f := range folds {
+		parts[p] = make([]record.Record, 0, len(f.touched))
+		f.flush(emitCollector{buf: &parts[p]})
+	}
+	e.Placeholder[logicalID] = parts
+}
+
+// inParallel runs f(0) … f(n-1) on n goroutines and returns when all have.
+func inParallel(n int, f func(int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // SetPlaceholderParts installs pre-partitioned data directly.
 func (e *Executor) SetPlaceholderParts(logicalID int, parts [][]record.Record) {
 	e.Placeholder[logicalID] = parts
@@ -184,7 +258,7 @@ func (e *Executor) slotsFilledAmong(n *optimizer.PhysNode, input int, parts []in
 }
 
 // CachedBytes is the serialized-form size of the loop-invariant inputs the
-// executor holds: what InvalidateCaches drops and the next superstep of a
+// executor holds: what Close drops and the next superstep of a
 // new plan refills.
 func (e *Executor) CachedBytes() int64 {
 	var n int64
@@ -197,12 +271,6 @@ func (e *Executor) CachedBytes() int64 {
 		}
 	}
 	return n
-}
-
-// InvalidateCaches drops all materialized loop-invariant inputs (used when
-// the same executor runs a different plan).
-func (e *Executor) InvalidateCaches() {
-	e.Close()
 }
 
 // PatchSource edits the cached tables built from Source node src in place,

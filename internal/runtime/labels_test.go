@@ -1,0 +1,191 @@
+package runtime_test
+
+import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"runtime/pprof"
+	"testing"
+	"time"
+
+	"repro/internal/algorithms"
+	"repro/internal/graphgen"
+	"repro/internal/iterative"
+)
+
+// TestTaskProfileLabels profiles fused CoGroup CC at Parallelism 2 and
+// requires CPU samples labelled {layer=runtime, op=<node>} for every node
+// of the plan — the folded toNeighbors producer included. It repeats the
+// fixpoint until every task has been sampled, so short tasks (the sinks)
+// are caught too; supersteps run on both lanes.
+func TestTaskProfileLabels(t *testing.T) {
+	g := graphgen.RMAT("labels", 11, 60_000, 0.57, 0.19, 0.19, 9).WithDiameterTail(20, 0)
+	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
+	cfg := iterative.Config{Parallelism: 2}
+	phys, err := iterative.PlanIncremental(spec, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, n := range phys.Nodes {
+		want[n.Name()] = true
+	}
+	if !want["toNeighbors+best-combine"] {
+		t.Fatalf("the plan did not fold the workset:\n%s", phys.Explain())
+	}
+
+	var prof bytes.Buffer
+	if err := pprof.StartCPUProfile(&prof); err != nil {
+		t.Skipf("CPU profiler busy: %v", err)
+	}
+	seen := map[string]int{}
+	deadline := time.Now().Add(30 * time.Second)
+	for round := 0; ; round++ {
+		// Profile in slices, so the samples so far can be checked.
+		stop := time.Now().Add(500 * time.Millisecond)
+		for time.Now().Before(stop) {
+			if _, err := iterative.RunIncremental(spec, s0, w0, cfg); err != nil {
+				pprof.StopCPUProfile()
+				t.Fatal(err)
+			}
+		}
+		pprof.StopCPUProfile()
+		samples, err := labelledSamples(prof.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range samples {
+			if l["layer"] == "runtime" && l["op"] != "" {
+				seen[l["op"]]++
+			} else if l["op"] != "" {
+				t.Fatalf("op label %q without layer=runtime: %v", l["op"], l)
+			}
+		}
+		missing := 0
+		for op := range want {
+			if seen[op] == 0 {
+				missing++
+			}
+		}
+		for op := range seen {
+			if !want[op] {
+				t.Fatalf("samples labelled with op %q, which is no node of the plan", op)
+			}
+		}
+		if missing == 0 {
+			t.Logf("samples per op after %d rounds: %v", round+1, seen)
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d rounds some ops have no samples: %v, want all of %v", round+1, seen, want)
+		}
+		prof.Reset()
+		if err := pprof.StartCPUProfile(&prof); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// labelledSamples decodes a gzipped pprof profile far enough to return
+// each sample's string labels: Profile.sample (2) → Sample.label (3) →
+// Label.key (1) / Label.str (2), indices into Profile.string_table (6).
+func labelledSamples(gz []byte) ([]map[string]string, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		return nil, err
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, err
+	}
+	var strs []string
+	var samples [][][2]int64 // per sample: (key, str) string indices
+	err = protoFields(raw, func(field int, v []byte) error {
+		switch field {
+		case 6:
+			strs = append(strs, string(v))
+		case 2:
+			var labels [][2]int64
+			err := protoFields(v, func(field int, v []byte) error {
+				if field != 3 {
+					return nil
+				}
+				var kv [2]int64
+				err := protoFields(v, func(field int, v []byte) error {
+					if field == 1 || field == 2 {
+						x, _ := binary.Uvarint(v)
+						kv[field-1] = int64(x)
+					}
+					return nil
+				})
+				labels = append(labels, kv)
+				return err
+			})
+			samples = append(samples, labels)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]map[string]string, len(samples))
+	for i, labels := range samples {
+		out[i] = map[string]string{}
+		for _, kv := range labels {
+			if kv[0] >= int64(len(strs)) || kv[1] >= int64(len(strs)) {
+				return nil, fmt.Errorf("label string index out of range")
+			}
+			out[i][strs[kv[0]]] = strs[kv[1]]
+		}
+	}
+	return out, nil
+}
+
+// protoFields walks one protobuf message, calling f with each field's
+// number and payload: the varint's own bytes for wire type 0, the bytes
+// for wire type 2; fixed-width fields are skipped.
+func protoFields(b []byte, f func(field int, v []byte) error) error {
+	for len(b) > 0 {
+		tag, n := binary.Uvarint(b)
+		if n <= 0 {
+			return fmt.Errorf("bad tag")
+		}
+		b = b[n:]
+		var v []byte
+		switch tag & 7 {
+		case 0:
+			_, n = binary.Uvarint(b)
+			if n <= 0 {
+				return fmt.Errorf("bad varint")
+			}
+			v, b = b[:n], b[n:]
+		case 1:
+			if len(b) < 8 {
+				return fmt.Errorf("short fixed64")
+			}
+			b = b[8:]
+			continue
+		case 2:
+			l, n := binary.Uvarint(b)
+			if n <= 0 || uint64(len(b)-n) < l {
+				return fmt.Errorf("bad length")
+			}
+			v, b = b[n:n+int(l)], b[n+int(l):]
+		case 5:
+			if len(b) < 4 {
+				return fmt.Errorf("short fixed32")
+			}
+			b = b[4:]
+			continue
+		default:
+			return fmt.Errorf("wire type %d", tag&7)
+		}
+		if err := f(int(tag>>3), v); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -24,6 +25,9 @@ type task struct {
 	slots []*cacheSlot
 	outs  []*writer
 	m     *metrics.Counters
+	// labels are the task's profiler labels, {layer=runtime, op=<node
+	// name>}, shared by the node's partitions and set whenever it runs.
+	labels context.Context
 	// tables are per-input reusable group tables (hash aggregation,
 	// hash-join build, cogroup sides).
 	tables [2]*groupTable

@@ -1,8 +1,10 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -129,11 +131,12 @@ func (e *Executor) OpenSessionOn(p *optimizer.PhysPlan, tr Transport) *Session {
 		}
 	}
 	for _, n := range p.Nodes {
+		labels := pprof.WithLabels(context.Background(), pprof.Labels("layer", "runtime", "op", n.Name()))
 		for part := 0; part < par; part++ {
 			if s.hosted != nil && !s.hosted[part] {
 				continue
 			}
-			t := &task{e: e, sess: s, n: n, part: part, par: par, m: e.cfg.Metrics}
+			t := &task{e: e, sess: s, n: n, part: part, par: par, m: e.cfg.Metrics, labels: labels}
 			w := &worker{t: t, fire: make(chan *superstep, 1)}
 			s.tasks = append(s.tasks, t)
 			s.workers = append(s.workers, w)
@@ -150,7 +153,10 @@ func (e *Executor) OpenSessionOn(p *optimizer.PhysPlan, tr Transport) *Session {
 // nil means all of them (no transport).
 func (s *Session) HostedParts() []int { return s.hostedParts }
 
+// loop is the worker goroutine. It runs one task only, so it carries
+// that task's profiler labels for its whole life.
 func (w *worker) loop() {
+	pprof.SetGoroutineLabels(w.t.labels)
 	for step := range w.fire {
 		if w.live {
 			if err := execTask(w.t); err != nil {
@@ -245,14 +251,19 @@ func (s *Session) Run() (Result, error) {
 	var errs []error
 	if s.serialLane() {
 		// Topological order over unbounded queues: every consumer finds its
-		// producers finished and its queues closed, so nothing blocks.
+		// producers finished and its queues closed, so nothing blocks. Each
+		// task runs under its profiler labels on the caller's goroutine,
+		// which gets its own labels back afterwards: none, since nothing
+		// above the runtime labels a goroutine.
 		for i, t := range s.tasks {
 			if s.workers[i].live {
+				pprof.SetGoroutineLabels(t.labels)
 				if err := execTask(t); err != nil {
 					errs = append(errs, err)
 				}
 			}
 		}
+		pprof.SetGoroutineLabels(context.Background())
 	} else {
 		step := &superstep{}
 		step.wg.Add(len(s.workers))
@@ -401,7 +412,7 @@ func (s *Session) compile() {
 	}
 
 	// Unchanged schedule under the same cache generation: fast path.
-	// (InvalidateCaches replaces the slot objects, so wiring compiled
+	// (Close replaces the slot objects, so wiring compiled
 	// against an older generation would replay stale caches.)
 	if s.compiled && s.genPrev == e.cacheGen &&
 		boolsEqual(s.liveNow, s.livePrev) && boolsEqual(s.edgeNow, s.edgePrev) {

@@ -230,7 +230,7 @@ func TestSessionInvalidateCachesRewires(t *testing.T) {
 
 	for step := 0; step < 4; step++ {
 		if step == 2 {
-			e.InvalidateCaches()
+			e.Close()
 		}
 		res, err := sess.Run()
 		if err != nil {
