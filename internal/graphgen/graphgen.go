@@ -306,30 +306,3 @@ func (g *Graph) WithIsolatedFringe(clusters int64, clusterSize int64, seed uint6
 func (g *Graph) String() string {
 	return fmt.Sprintf("%s{V=%d E=%d avg=%.2f}", g.Name, g.NumVertices, g.NumEdges(), g.AvgDegree())
 }
-
-// Relabel compacts sparse vertex ids into the dense range [0, n) and
-// returns the relabelled graph together with the old-id-by-new-id table.
-// Dense ids are what the engine's solution-set initializers expect.
-func (g *Graph) Relabel() (*Graph, []int64) {
-	next := int64(0)
-	ids := make(map[int64]int64)
-	lookup := func(v int64) int64 {
-		if n, ok := ids[v]; ok {
-			return n
-		}
-		n := next
-		next++
-		ids[v] = n
-		return n
-	}
-	out := &Graph{Name: g.Name, Edges: make([]Edge, len(g.Edges))}
-	for i, e := range g.Edges {
-		out.Edges[i] = Edge{Src: lookup(e.Src), Dst: lookup(e.Dst)}
-	}
-	out.NumVertices = next
-	old := make([]int64, next)
-	for o, n := range ids {
-		old[n] = o
-	}
-	return out, old
-}

@@ -210,22 +210,3 @@ func TestGraphString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
-
-func TestRelabelDense(t *testing.T) {
-	g := &Graph{Name: "sparse", NumVertices: 1001, Edges: []Edge{
-		{Src: 1000, Dst: 5}, {Src: 5, Dst: 77}, {Src: 77, Dst: 1000},
-	}}
-	dense, old := g.Relabel()
-	if dense.NumVertices != 3 {
-		t.Fatalf("dense vertices = %d", dense.NumVertices)
-	}
-	for _, e := range dense.Edges {
-		if e.Src < 0 || e.Src >= 3 || e.Dst < 0 || e.Dst >= 3 {
-			t.Fatalf("id out of dense range: %+v", e)
-		}
-	}
-	// The mapping must be invertible and consistent.
-	if old[dense.Edges[0].Src] != 1000 || old[dense.Edges[0].Dst] != 5 {
-		t.Errorf("relabel mapping broken: %v", old)
-	}
-}

@@ -253,10 +253,10 @@ func Distributed(o Options) (*DistributedResult, error) {
 			row.StepsPerSec, row.RemoteBatches, row.RemoteBytes)
 	}
 
-	// Sharded live serving: the Live scenario's warm FOAF CC maintenance
-	// stream, absorbed by a single-process view and by a view sharded
-	// across the worker via distributed maintenance sessions. Cold builds
-	// stay off the clock; the pair measures warm batch absorption only.
+	// Sharded live serving: a warm FOAF CC maintenance stream, absorbed
+	// by a single-process view and by a view sharded across the worker
+	// via distributed maintenance sessions. Cold builds stay off the
+	// clock; the pair measures warm batch absorption only.
 	g := graphgen.FOAF(o.Scale)
 	initial := make([]live.Mutation, len(g.Edges))
 	for i, e := range g.Edges {

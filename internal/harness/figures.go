@@ -523,15 +523,6 @@ func All(o Options) error {
 	if _, err := Figure12(o); err != nil {
 		return err
 	}
-	if _, err := OutOfCore(o); err != nil {
-		return err
-	}
-	if _, err := Live(o); err != nil {
-		return err
-	}
-	if _, err := Durable(o); err != nil {
-		return err
-	}
 	if _, err := Planner(o); err != nil {
 		return err
 	}

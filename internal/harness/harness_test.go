@@ -182,80 +182,6 @@ func TestFigure12(t *testing.T) {
 	}
 }
 
-func TestOutOfCore(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := OutOfCore(tinyOpts(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Footprint <= 0 {
-		t.Fatalf("unbudgeted footprint = %d, want > 0", res.Footprint)
-	}
-	if res.Budget >= res.Footprint {
-		t.Fatalf("budget %d not below footprint %d", res.Budget, res.Footprint)
-	}
-	if res.Spills == 0 {
-		t.Error("budgeted run never spilled a partition")
-	}
-	if res.Reloads == 0 {
-		t.Error("budgeted run never reloaded a partition")
-	}
-	if !res.Identical {
-		t.Error("budgeted run diverged from the unbudgeted solution")
-	}
-	if !strings.Contains(buf.String(), "Out-of-core") {
-		t.Error("missing output")
-	}
-}
-
-// TestLive runs the serving scenario at test scale: warm deltas must beat
-// the cold rerun and converge to identical assignments.
-func TestLive(t *testing.T) {
-	res, err := Live(Options{Scale: graphgen.ScaleTiny, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Identical {
-		t.Error("warm maintained state diverged from cold recompute")
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("expected 3 mutation rates, got %d", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.Mutations <= 0 || r.Warm <= 0 || r.Cold <= 0 {
-			t.Errorf("degenerate row: %+v", r)
-		}
-	}
-	if res.PartialRecomputes == 0 {
-		t.Error("fringe deletions did not take the bounded path")
-	}
-	if res.FullRecomputes == 0 {
-		t.Error("giant-component deletion did not take the full path")
-	}
-}
-
-func TestDurableScenario(t *testing.T) {
-	res, err := Durable(Options{Scale: graphgen.ScaleTiny, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.RecoveredIdentical {
-		t.Error("recovered state diverged from the acknowledged history")
-	}
-	if res.ReplayedFrames == 0 {
-		t.Error("hard kill with acked batches in flight should force WAL replay")
-	}
-	if res.WALBytes == 0 {
-		t.Error("durable stream logged no bytes")
-	}
-	if res.Overhead <= 0 {
-		t.Errorf("degenerate overhead %v", res.Overhead)
-	}
-	if res.SnapshotPeakRatio <= 0 {
-		t.Errorf("degenerate snapshot peak ratio %v", res.SnapshotPeakRatio)
-	}
-}
-
 // TestOptionsValidate checks that scenarios return configuration errors
 // instead of silently normalizing them away.
 func TestOptionsValidate(t *testing.T) {
@@ -271,11 +197,11 @@ func TestOptionsValidate(t *testing.T) {
 		if _, err := Table2(o); err == nil {
 			t.Errorf("Table2 accepted bad options %d", i)
 		}
-		if _, err := OutOfCore(o); err == nil {
-			t.Errorf("OutOfCore accepted bad options %d", i)
+		if _, err := Planner(o); err == nil {
+			t.Errorf("Planner accepted bad options %d", i)
 		}
-		if _, err := Live(o); err == nil {
-			t.Errorf("Live accepted bad options %d", i)
+		if _, err := Trace(o, "cc"); err == nil {
+			t.Errorf("Trace accepted bad options %d", i)
 		}
 	}
 }

@@ -146,3 +146,45 @@ func traceDistributed(o Options, reg *obs.Registry) (obs.TraceID, []obs.Span, er
 	}
 	return res.Spans[0].Trace, res.Spans, nil
 }
+
+// liveRNG is the deterministic xorshift used to derive mutation batches.
+type liveRNG struct{ s uint64 }
+
+func (r *liveRNG) next() uint64 {
+	r.s ^= r.s >> 12
+	r.s ^= r.s << 25
+	r.s ^= r.s >> 27
+	return r.s * 0x2545f4914f6cdd1d
+}
+
+func (r *liveRNG) intn(n int64) int64 {
+	if n <= 0 {
+		return 0
+	}
+	return int64(r.next() % uint64(n))
+}
+
+// mutationBatch derives n deterministic edge inserts: half connect
+// existing vertices (often no-ops inside the giant component), half
+// attach brand-new vertices (guaranteed label propagation) — the arrival
+// pattern of a growing social graph.
+func mutationBatch(g *graphgen.Graph, n int, seed uint64) []live.Mutation {
+	rng := &liveRNG{s: seed}
+	out := make([]live.Mutation, 0, n)
+	nextVertex := g.NumVertices
+	for len(out) < n {
+		s := rng.intn(g.NumVertices)
+		var d int64
+		if len(out)%2 == 0 {
+			d = nextVertex
+			nextVertex++
+		} else {
+			d = rng.intn(g.NumVertices)
+			if s == d {
+				continue
+			}
+		}
+		out = append(out, live.InsertEdge(s, d))
+	}
+	return out
+}

@@ -3,6 +3,7 @@ package live
 import (
 	"os"
 	"path/filepath"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -418,5 +419,44 @@ func TestDurableRequiresDataDir(t *testing.T) {
 	_, err = OpenView("a/b", CC(), nil, ViewConfig{Durable: true, DataDir: t.TempDir()})
 	if err == nil {
 		t.Fatal("path separator in durable view name accepted")
+	}
+}
+
+// TestCheckpointStreams: a snapshot streams the solution into its file
+// partition by partition and never materializes it. Across a Checkpoint
+// of a view holding 800 k solution records (400 k two-vertex components,
+// so the cold build converges at once) the bytes allocated must stay
+// under an eighth of the solution's encoded size; a snapshot that
+// collected the solution first would allocate all of it.
+func TestCheckpointStreams(t *testing.T) {
+	const pairs = 400_000
+	initial := make([]Mutation, pairs)
+	for i := range initial {
+		initial[i] = InsertEdge(int64(2*i), int64(2*i+1))
+	}
+	v, err := OpenView("pairs", CC(), initial, durableCfg(t.TempDir(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	initial = nil
+
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.ReadMemStats(&before)
+	if err := v.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	goruntime.ReadMemStats(&after)
+
+	records := int64(len(v.Snapshot()))
+	if records != 2*pairs {
+		t.Fatalf("view holds %d solution records, want %d", records, 2*pairs)
+	}
+	encoded := records * record.EncodedSize
+	allocated := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("Checkpoint allocated %d bytes for a %d-byte solution (%.3f)", allocated, encoded, float64(allocated)/float64(encoded))
+	if allocated*8 >= encoded {
+		t.Fatalf("Checkpoint allocated %d bytes, at least 1/8 of the %d-byte solution: it materializes the solution", allocated, encoded)
 	}
 }

@@ -57,7 +57,7 @@ type FrameReader struct {
 }
 
 // frameReadBufSize is the fixed size of the buffered reader frames are
-// streamed through (the same bound the spill replay path uses).
+// streamed through, so a reader holds this plus one decoded batch.
 const frameReadBufSize = 64 << 10
 
 // NewFrameReader wraps r for frame decoding. If r is already a

@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"context"
 	goruntime "runtime"
+	"runtime/pprof"
 	"slices"
 	"sync"
 
@@ -157,7 +159,13 @@ func (e *Executor) SetPlaceholder(logicalID int, recs []record.Record, key recor
 // goroutines in two phases: each splits a contiguous chunk of recs by
 // partition, then each folds its partitions' records chunk by chunk —
 // input order, so the result is the serial pass's.
+//
+// All of it runs under seedFoldLabels: set on the caller's goroutine, from
+// which the split goroutines inherit them, and taken off on return
+// (nothing above the runtime labels a goroutine, as on the serial lane).
 func (e *Executor) SetPlaceholderFolded(logicalID int, recs []record.Record, parallelism int, fold *dataflow.Node) {
+	pprof.SetGoroutineLabels(seedFoldLabels)
+	defer pprof.SetGoroutineLabels(context.Background())
 	parallelism = max(parallelism, 1)
 	for len(e.seedFolds) < parallelism {
 		e.seedFolds = append(e.seedFolds, &combineFold{})
@@ -203,6 +211,11 @@ func (e *Executor) SetPlaceholderFolded(logicalID int, recs []record.Record, par
 	}
 	e.Placeholder[logicalID] = parts
 }
+
+// seedFoldLabels label SetPlaceholderFolded's passes: the op names the
+// seed workset (W0) and its fold, the way a plan node absorbing the fold
+// is named, but no plan node is called W0.
+var seedFoldLabels = pprof.WithLabels(context.Background(), pprof.Labels("layer", "runtime", "op", "W0+best-combine"))
 
 // inParallel runs f(0) … f(n-1) on n goroutines and returns when all have.
 func inParallel(n int, f func(int)) {

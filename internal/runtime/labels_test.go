@@ -17,7 +17,8 @@ import (
 
 // TestTaskProfileLabels profiles fused CoGroup CC at Parallelism 2 and
 // requires CPU samples labelled {layer=runtime, op=<node>} for every node
-// of the plan — the folded toNeighbors producer included. It repeats the
+// of the plan — the folded toNeighbors producer included — and for the
+// engine's fold of the seed workset (op W0+best-combine). It repeats the
 // fixpoint until every task has been sampled, so short tasks (the sinks)
 // are caught too; supersteps run on both lanes.
 func TestTaskProfileLabels(t *testing.T) {
@@ -35,6 +36,7 @@ func TestTaskProfileLabels(t *testing.T) {
 	if !want["toNeighbors+best-combine"] {
 		t.Fatalf("the plan did not fold the workset:\n%s", phys.Explain())
 	}
+	want["W0+best-combine"] = true
 
 	var prof bytes.Buffer
 	if err := pprof.StartCPUProfile(&prof); err != nil {
@@ -71,7 +73,7 @@ func TestTaskProfileLabels(t *testing.T) {
 		}
 		for op := range seen {
 			if !want[op] {
-				t.Fatalf("samples labelled with op %q, which is no node of the plan", op)
+				t.Fatalf("samples labelled with op %q, which is neither a node of the plan nor the seed fold", op)
 			}
 		}
 		if missing == 0 {

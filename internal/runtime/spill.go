@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -11,8 +10,8 @@ import (
 )
 
 // Spill files back the SolutionSpill backend (backend.go): an evicted
-// solution-set partition is written to a temporary file in serialized
-// record form and replayed from disk when it is touched again.
+// solution-set partition is written to a temporary file as CRC frames
+// (record.AppendFrame) and replayed from disk when it is touched again.
 
 // spillFile is one evicted partition's on-disk representation.
 type spillFile struct {
@@ -20,7 +19,7 @@ type spillFile struct {
 	bytes int64
 }
 
-// spillBatches serializes batches to a fresh temp file.
+// spillBatches writes batches to a fresh temp file, one CRC frame each.
 func spillBatches(batches []record.Batch) (*spillFile, error) {
 	f, err := os.CreateTemp("", "spinflow-spill-*.bin")
 	if err != nil {
@@ -30,7 +29,7 @@ func spillBatches(batches []record.Batch) (*spillFile, error) {
 	var buf []byte
 	var total int64
 	for _, b := range batches {
-		buf = record.EncodeBatch(buf[:0], b)
+		buf = record.AppendFrame(buf[:0], b)
 		n, err := bw.Write(buf)
 		if err != nil {
 			f.Close()
@@ -51,55 +50,29 @@ func spillBatches(batches []record.Batch) (*spillFile, error) {
 	return &spillFile{path: f.Name(), bytes: total}, nil
 }
 
-// replayBufSize is the fixed size of the buffered reader replay streams
-// spilled data through; memory per replay is bounded by this plus one
-// decoded batch, independent of the spill file's size.
-const replayBufSize = 64 << 10
-
-// replay streams the spilled batches back through f, decoding records
-// one at a time from a fixed-size buffered reader — the file is never
-// materialized in memory, which is the point of spilling it. A file that
-// ends early, even on a batch boundary, is an error.
+// replay streams the spilled frames back through f, one batch at a time
+// through the frame reader's fixed-size buffer — the file is never
+// materialized in memory, which is the point of spilling it. A frame that
+// fails its checksum, or a file that ends early (even on a frame
+// boundary), is an error; f never sees a batch that failed its check.
 func (s *spillFile) replay(f func(record.Batch)) error {
 	file, err := os.Open(s.path)
 	if err != nil {
 		return fmt.Errorf("runtime: opening spill file: %w", err)
 	}
 	defer file.Close()
-	br := bufio.NewReaderSize(file, replayBufSize)
-	var hdr [4]byte
-	var rbuf [record.EncodedSize]byte
-	var read int64
+	fr := record.NewFrameReader(file)
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF && read == s.bytes {
-				return nil
+		b, err := fr.Next()
+		if err == io.EOF {
+			if fr.ValidOffset() != s.bytes {
+				return fmt.Errorf("runtime: spill file ends after %d of %d bytes", fr.ValidOffset(), s.bytes)
 			}
-			if err == io.EOF {
-				return fmt.Errorf("runtime: spill file ends after %d of %d bytes", read, s.bytes)
-			}
-			return fmt.Errorf("runtime: reading spill batch header: %w", err)
+			return nil
 		}
-		n := int(binary.LittleEndian.Uint32(hdr[:]))
-		// Cap the allocation hint: a corrupt length prefix must produce a
-		// short-read error below, not a multi-gigabyte allocation. (Same
-		// hardening as record.DecodeBatch.)
-		capHint := n
-		if capHint > spillChunk {
-			capHint = spillChunk
+		if err != nil {
+			return fmt.Errorf("runtime: reading spill file: %w", err)
 		}
-		b := make(record.Batch, 0, capHint)
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(br, rbuf[:]); err != nil {
-				return fmt.Errorf("runtime: reading spill record: %w", err)
-			}
-			r, _, err := record.Decode(rbuf[:])
-			if err != nil {
-				return fmt.Errorf("runtime: decoding spill file: %w", err)
-			}
-			b = append(b, r)
-		}
-		read += int64(len(hdr)) + int64(n)*record.EncodedSize
 		f(b)
 	}
 }

@@ -45,14 +45,19 @@ func TestSpillFileRemove(t *testing.T) {
 }
 
 // TestLostSpillDropsPartition: an evicted solution partition whose spill
-// file was cut short must come back neither half-replayed nor as a panic.
-// The read that finds the damage drops the partition and deletes its
-// file, and the set reports a loss wrapping ErrSolutionSpillLost until it
-// is Reset. Both reads that replay a file are covered: a probe (which
-// makes the partition resident) and Each (which streams it).
+// file was cut short or had a byte flipped must come back neither
+// half-replayed, nor with a wrong record, nor as a panic. The read that
+// finds the damage drops the partition and deletes its file, and the set
+// reports a loss wrapping ErrSolutionSpillLost until it is Reset. Both
+// reads that replay a file are covered: a probe (which makes the
+// partition resident) and Each (which streams it).
 func TestLostSpillDropsPartition(t *testing.T) {
-	for _, read := range []string{"lookup", "each"} {
-		t.Run(read, func(t *testing.T) {
+	for _, leg := range []struct{ name, damage, read string }{
+		{"lookup", "truncate", "lookup"},
+		{"each", "truncate", "each"},
+		{"corrupt", "flip", "lookup"},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
 			s := NewSolutionSetWith(2, record.KeyA, nil, nil,
 				SolutionOptions{Backend: SolutionSpill, MemoryBudget: 4 * record.EncodedSize})
 			b := s.backend.(*spillBackend)
@@ -69,15 +74,30 @@ func TestLostSpillDropsPartition(t *testing.T) {
 				t.Fatal("partition 0 was not evicted under the tiny budget")
 			}
 			path := p.file.path
-			// Keep the first batch whole, so a replay gets partway in.
-			if err := os.Truncate(path, 4+spillChunk*record.EncodedSize+1); err != nil {
-				t.Fatal(err)
+			switch leg.damage {
+			case "truncate":
+				// Keep the first frame whole, so a replay gets partway in.
+				if err := os.Truncate(path, record.FrameHeaderSize+4+spillChunk*record.EncodedSize+1); err != nil {
+					t.Fatal(err)
+				}
+			case "flip":
+				// One flipped byte mid-file, inside a record of a later
+				// frame: the length still adds up, so only the checksum
+				// can tell.
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[len(raw)/2] ^= 0x40
+				if err := os.WriteFile(path, raw, 0o600); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if s.Err() != nil {
 				t.Fatalf("loss reported before any read: %v", s.Err())
 			}
 
-			switch read {
+			switch leg.read {
 			case "lookup":
 				if _, ok := s.Lookup(0, cold[0]); ok {
 					t.Fatal("a record of the lost partition was served")
