@@ -48,6 +48,11 @@ type combineFold struct {
 
 	pair [2]record.Record // argument scratch of the one-record path
 	out  []record.Record  // what the current call emitted
+
+	// Emit writes pair and out on every record, and neighbouring folds
+	// (Executor.seedFolds) run on different goroutines: the pad makes the
+	// size a multiple of the 64-B cache line, so no two folds share one.
+	_ [48]byte
 }
 
 // foldAcc is one key's fold state in the round stamped on it.

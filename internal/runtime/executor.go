@@ -160,13 +160,20 @@ func (e *Executor) SetPlaceholder(logicalID int, recs []record.Record, key recor
 // partition, then each folds its partitions' records chunk by chunk —
 // input order, so the result is the serial pass's.
 //
-// All of it runs under seedFoldLabels: set on the caller's goroutine, from
-// which the split goroutines inherit them, and taken off on return
-// (nothing above the runtime labels a goroutine, as on the serial lane).
+// All of it runs under the seed fold's labels for the lane it takes (a
+// split is the parallel lane): set on the caller's goroutine, from which
+// the split goroutines inherit them, and taken off on return (nothing
+// above the runtime labels a goroutine, as on the serial lane).
 func (e *Executor) SetPlaceholderFolded(logicalID int, recs []record.Record, parallelism int, fold *dataflow.Node) {
-	pprof.SetGoroutineLabels(seedFoldLabels)
-	defer pprof.SetGoroutineLabels(context.Background())
 	parallelism = max(parallelism, 1)
+	workers := min(parallelism, goruntime.GOMAXPROCS(0))
+	split := workers > 1 && len(recs) >= serialLaneRecords
+	labels := seedFoldSerial
+	if split {
+		labels = seedFoldParallel
+	}
+	pprof.SetGoroutineLabels(labels)
+	defer pprof.SetGoroutineLabels(context.Background())
 	for len(e.seedFolds) < parallelism {
 		e.seedFolds = append(e.seedFolds, &combineFold{})
 	}
@@ -175,8 +182,7 @@ func (e *Executor) SetPlaceholderFolded(logicalID int, recs []record.Record, par
 		f.reset(fold)
 	}
 	key := fold.Keys[0]
-	workers := min(parallelism, goruntime.GOMAXPROCS(0))
-	if workers == 1 || len(recs) < serialLaneRecords {
+	if !split {
 		for _, r := range recs {
 			folds[record.PartitionOf(key(r), parallelism)].Emit(r)
 		}
@@ -212,10 +218,21 @@ func (e *Executor) SetPlaceholderFolded(logicalID int, recs []record.Record, par
 	e.Placeholder[logicalID] = parts
 }
 
-// seedFoldLabels label SetPlaceholderFolded's passes: the op names the
-// seed workset (W0) and its fold, the way a plan node absorbing the fold
-// is named, but no plan node is called W0.
-var seedFoldLabels = pprof.WithLabels(context.Background(), pprof.Labels("layer", "runtime", "op", "W0+best-combine"))
+// seedFoldSerial and seedFoldParallel label SetPlaceholderFolded's
+// passes: the op names the seed workset (W0) and its fold, the way a plan
+// node absorbing the fold is named, but no plan node is called W0.
+var (
+	seedFoldSerial   = runtimeLabels("W0+best-combine", "serial")
+	seedFoldParallel = runtimeLabels("W0+best-combine", "parallel")
+)
+
+// runtimeLabels returns the profiler labels a runtime pass runs under,
+// {layer=runtime, op, lane}: lane is serial for a pass inline on the
+// caller's goroutine, parallel for one on session workers or split
+// goroutines. Sessions build them once per node, at open.
+func runtimeLabels(op, lane string) context.Context {
+	return pprof.WithLabels(context.Background(), pprof.Labels("layer", "runtime", "op", op, "lane", lane))
+}
 
 // inParallel runs f(0) … f(n-1) on n goroutines and returns when all have.
 func inParallel(n int, f func(int)) {

@@ -16,11 +16,12 @@ import (
 )
 
 // TestTaskProfileLabels profiles fused CoGroup CC at Parallelism 2 and
-// requires CPU samples labelled {layer=runtime, op=<node>} for every node
-// of the plan — the folded toNeighbors producer included — and for the
-// engine's fold of the seed workset (op W0+best-combine). It repeats the
-// fixpoint until every task has been sampled, so short tasks (the sinks)
-// are caught too; supersteps run on both lanes.
+// requires CPU samples labelled {layer=runtime, op=<node>, lane} for every
+// node of the plan — the folded toNeighbors producer included — and for
+// the engine's fold of the seed workset (op W0+best-combine). It repeats
+// the fixpoint until every task has been sampled, so short tasks (the
+// sinks) are caught too; supersteps run on both lanes, and samples of
+// both lanes must show up.
 func TestTaskProfileLabels(t *testing.T) {
 	g := graphgen.RMAT("labels", 11, 60_000, 0.57, 0.19, 0.19, 9).WithDiameterTail(20, 0)
 	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
@@ -43,6 +44,7 @@ func TestTaskProfileLabels(t *testing.T) {
 		t.Skipf("CPU profiler busy: %v", err)
 	}
 	seen := map[string]int{}
+	lanes := map[string]int{}
 	deadline := time.Now().Add(30 * time.Second)
 	for round := 0; ; round++ {
 		// Profile in slices, so the samples so far can be checked.
@@ -61,6 +63,10 @@ func TestTaskProfileLabels(t *testing.T) {
 		for _, l := range samples {
 			if l["layer"] == "runtime" && l["op"] != "" {
 				seen[l["op"]]++
+				if lane := l["lane"]; lane != "serial" && lane != "parallel" {
+					t.Fatalf("op %q sampled with lane %q, want serial or parallel: %v", l["op"], lane, l)
+				}
+				lanes[l["lane"]]++
 			} else if l["op"] != "" {
 				t.Fatalf("op label %q without layer=runtime: %v", l["op"], l)
 			}
@@ -76,12 +82,13 @@ func TestTaskProfileLabels(t *testing.T) {
 				t.Fatalf("samples labelled with op %q, which is neither a node of the plan nor the seed fold", op)
 			}
 		}
-		if missing == 0 {
-			t.Logf("samples per op after %d rounds: %v", round+1, seen)
+		if missing == 0 && len(lanes) == 2 {
+			t.Logf("samples per op after %d rounds: %v; per lane: %v", round+1, seen, lanes)
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after %d rounds some ops have no samples: %v, want all of %v", round+1, seen, want)
+			t.Fatalf("after %d rounds some ops or lanes have no samples: %v, lanes %v; want all of %v on both lanes",
+				round+1, seen, lanes, want)
 		}
 		prof.Reset()
 		if err := pprof.StartCPUProfile(&prof); err != nil {

@@ -25,8 +25,9 @@ type task struct {
 	slots []*cacheSlot
 	outs  []*writer
 	m     *metrics.Counters
-	// labels are the task's profiler labels, {layer=runtime, op=<node
-	// name>}, shared by the node's partitions and set whenever it runs.
+	// labels are the task's serial-lane profiler labels (runtimeLabels),
+	// shared by the node's partitions and set whenever it runs inline; its
+	// worker carries the parallel-lane ones.
 	labels context.Context
 	// tables are per-input reusable group tables (hash aggregation,
 	// hash-join build, cogroup sides).
@@ -41,6 +42,9 @@ type task struct {
 	// udfs, solAccesses and solUpdates tally this superstep's work in plain
 	// ints, so no record touches a cache line another core writes.
 	udfs, solAccesses, solUpdates int64
+	// The pad makes the size a multiple of the 64-B cache line, so the
+	// tallies of tasks allocated side by side never share a line.
+	_ [24]byte
 }
 
 // flushCounters adds the task's tallies to the shared counters, once per

@@ -2,21 +2,40 @@ package runtime
 
 import "repro/internal/record"
 
-// probeIndex is the package's one hash index: an open-addressing probe
-// table mapping int64 keys to dense positions. slots holds positions into
-// the keys slab (probeEmpty, probeTombstone, or an index); a lookup is a
-// linear probe from Hash64(k) with no per-entry heap objects, and keys
-// stay in insertion order. Callers keep their payload in slabs parallel
-// to keys: the solution set's compactIndex stores one record per key, the
-// operators' groupTable one group extent per key.
+// probeIndex is the package's one hash index: it maps int64 keys to dense
+// positions in the keys slab, which holds the keys in insertion order.
+// Callers keep their payload in slabs parallel to keys: the solution set's
+// compactIndex stores one record per key, the operators' groupTable one
+// group extent per key, combineFold one accumulator per key. slots maps a
+// key to its position (or probeEmpty) in one of two modes:
 //
-// Removal swap-removes from the slab and leaves a tombstone in the probe
-// table; tombstones are recycled by inserts and swept by a same-size
-// rehash when they pile up.
+//   - hashed: slots is an open-addressing table probed linearly from
+//     Hash64(k); removal leaves a tombstone, recycled by inserts and swept
+//     by a same-size rehash when tombstones pile up.
+//   - direct: slots is indexed by the key itself, so a lookup is a bounds
+//     check and one load, with no hash, no probe and no key compare.
+//     Removal empties the key's slot (no tombstones), and clear empties
+//     only the slots of the keys it holds.
+//
+// The mode follows the keys with no knob. While hashed, the index keeps
+// a running max of the keys (a negative key reads as larger than any);
+// when the key count reaches a power of two of at least probeDirectMin
+// and every key is below probeDirectSpread times the count, it switches
+// to direct. While direct, a key inside the table is always placed
+// directly; a key past it grows the table if it is below
+// probeDirectSpread times the count and switches back to hashed if not
+// (so does any negative key). Each switch rebuilds slots from the slab in
+// time linear in the key count and is rare — a switch to direct is tried
+// only at a power-of-two count, a direct table grows by doubling, and a
+// switch back needs a key outside the direct range — so both modes stay
+// amortised O(1). The slab order, which callers iterate, is the same in
+// either mode.
 type probeIndex struct {
-	slots []int32 // power-of-two table; probeEmpty, probeTombstone, else index into keys
-	keys  []int64
-	tombs int // tombstone count in slots
+	slots  []int32 // hashed: power-of-two probe table; direct: indexed by key
+	keys   []int64
+	tombs  int    // tombstone count in slots; always 0 when direct
+	maxKey uint64 // running max of uint64(k) over the keys since clear
+	direct bool
 }
 
 const probeMaxLoadNum, probeMaxLoadDen = 3, 4 // grow beyond 75% load
@@ -26,16 +45,27 @@ const (
 	probeTombstone = -2
 )
 
-// reserve sizes the probe table and the key slab for at least n keys.
+const (
+	probeDirectMin    = 64 // smallest key count at which direct mode is tried
+	probeDirectSpread = 4  // direct while every key < spread × the key count
+)
+
+// hashedSize returns the probe-table size that holds n keys under the
+// load limit.
+func hashedSize(n int) int {
+	size := 8
+	for size*probeMaxLoadNum/probeMaxLoadDen <= n {
+		size *= 2
+	}
+	return size
+}
+
+// reserve sizes the index and the key slab for at least n keys. A direct
+// table grows with its keys, so only the slab is sized then.
 func (x *probeIndex) reserve(n int) {
-	need := 8
-	for need*probeMaxLoadNum/probeMaxLoadDen <= n {
-		need *= 2
+	if size := hashedSize(n); !x.direct && size > len(x.slots) {
+		x.rehash(size)
 	}
-	if need <= len(x.slots) {
-		return
-	}
-	x.rehash(need)
 	if cap(x.keys) < n {
 		keys := make([]int64, len(x.keys), n)
 		copy(keys, x.keys)
@@ -43,18 +73,25 @@ func (x *probeIndex) reserve(n int) {
 	}
 }
 
-// rehash rebuilds the probe table at the given power-of-two size. Rebuilt
-// tables have no tombstones.
-func (x *probeIndex) rehash(size int) {
+// emptySlots resizes slots to size, every slot empty, reusing its storage
+// when it is large enough.
+func (x *probeIndex) emptySlots(size int) {
 	if cap(x.slots) >= size {
 		x.slots = x.slots[:size]
 	} else {
 		x.slots = make([]int32, size)
 	}
-	x.tombs = 0
 	for i := range x.slots {
 		x.slots[i] = probeEmpty
 	}
+	x.tombs = 0
+}
+
+// rehash rebuilds slots as a hashed table of the given power-of-two size.
+// Rebuilt tables have no tombstones.
+func (x *probeIndex) rehash(size int) {
+	x.direct = false
+	x.emptySlots(size)
 	mask := uint64(size - 1)
 	for i, k := range x.keys {
 		j := record.Hash64(k) & mask
@@ -65,9 +102,33 @@ func (x *probeIndex) rehash(size int) {
 	}
 }
 
-// find returns key k's position in the slab, or -1.
+// toDirect rebuilds slots as a direct table over the keys, which must lie
+// in [0, top]: the smallest power of two (at least probeDirectMin) past
+// top, so a table grown key by key doubles.
+func (x *probeIndex) toDirect(top uint64) {
+	size := probeDirectMin
+	for uint64(size) <= top {
+		size *= 2
+	}
+	x.direct = true
+	x.emptySlots(size)
+	for i, k := range x.keys {
+		x.slots[k] = int32(i)
+	}
+}
+
+// find returns key k's position in the slab, or -1. The direct lookup is
+// small enough to inline into callers; the rest is findSlow.
 func (x *probeIndex) find(k int64) int32 {
-	if len(x.slots) == 0 {
+	if x.direct && uint64(k) < uint64(len(x.slots)) {
+		return x.slots[k] // probeEmpty is -1
+	}
+	return x.findSlow(k)
+}
+
+// findSlow is find past the direct fast path.
+func (x *probeIndex) findSlow(k int64) int32 {
+	if x.direct || len(x.slots) == 0 {
 		return -1
 	}
 	mask := uint64(len(x.slots) - 1)
@@ -89,12 +150,25 @@ func (x *probeIndex) find(k int64) int32 {
 // probing continues past them so an existing key further down its chain
 // is still found.
 func (x *probeIndex) insert(k int64) (pos int32, added bool) {
-	if len(x.slots) == 0 || (len(x.keys)+x.tombs+1)*probeMaxLoadDen > len(x.slots)*probeMaxLoadNum {
-		size := len(x.slots) * 2
-		if size < 8 {
-			size = 8
+	if x.direct {
+		if uint64(k) < uint64(len(x.slots)) {
+			if s := x.slots[k]; s >= 0 {
+				return s, false
+			}
+			pos = int32(len(x.keys))
+			x.slots[k] = pos
+			x.keys = append(x.keys, k)
+			x.maxKey = max(x.maxKey, uint64(k))
+			return pos, true
 		}
-		x.rehash(size)
+		if n := len(x.keys) + 1; uint64(k) < uint64(probeDirectSpread*n) {
+			x.toDirect(uint64(k))
+			return x.insert(k)
+		}
+		x.rehash(hashedSize(len(x.keys) + 1))
+	}
+	if len(x.slots) == 0 || (len(x.keys)+x.tombs+1)*probeMaxLoadDen > len(x.slots)*probeMaxLoadNum {
+		x.rehash(max(len(x.slots)*2, 8))
 	}
 	mask := uint64(len(x.slots) - 1)
 	j := record.Hash64(k) & mask
@@ -109,6 +183,10 @@ func (x *probeIndex) insert(k int64) (pos int32, added bool) {
 			pos = int32(len(x.keys))
 			x.slots[j] = pos
 			x.keys = append(x.keys, k)
+			x.maxKey = max(x.maxKey, uint64(k))
+			if n := len(x.keys); n >= probeDirectMin && n&(n-1) == 0 && x.maxKey < uint64(probeDirectSpread*n) {
+				x.toDirect(x.maxKey)
+			}
 			return pos, true
 		}
 		if s == probeTombstone {
@@ -124,10 +202,25 @@ func (x *probeIndex) insert(k int64) (pos int32, added bool) {
 
 // remove deletes key k and returns the position it vacated, or -1 if k
 // was absent. The slab's last key moves into the vacated position (the
-// caller mirrors that move in its parallel slabs) and the vacated probe
-// slot becomes a tombstone; when tombstones exceed a quarter of the table
-// a same-size rehash sweeps them out.
+// caller mirrors that move in its parallel slabs). A hashed table leaves a
+// tombstone in the vacated probe slot; when tombstones exceed a quarter of
+// the table a same-size rehash sweeps them out.
 func (x *probeIndex) remove(k int64) int32 {
+	if x.direct {
+		s := x.find(k)
+		if s < 0 {
+			return -1
+		}
+		last := len(x.keys) - 1
+		if int(s) != last {
+			lk := x.keys[last]
+			x.slots[lk] = s
+			x.keys[s] = lk
+		}
+		x.keys = x.keys[:last]
+		x.slots[k] = probeEmpty
+		return s
+	}
 	if len(x.slots) == 0 {
 		return -1
 	}
@@ -164,11 +257,17 @@ func (x *probeIndex) remove(k int64) int32 {
 	}
 }
 
-// clear empties the index, keeping the storage.
+// clear empties the index, keeping the storage and the mode. A direct
+// table empties only the slots of the keys it holds.
 func (x *probeIndex) clear() {
-	x.keys = x.keys[:0]
-	x.tombs = 0
-	for i := range x.slots {
-		x.slots[i] = probeEmpty
+	if x.direct {
+		for _, k := range x.keys {
+			x.slots[k] = probeEmpty
+		}
+	} else {
+		for i := range x.slots {
+			x.slots[i] = probeEmpty
+		}
 	}
+	x.keys, x.tombs, x.maxKey = x.keys[:0], 0, 0
 }

@@ -74,9 +74,10 @@ type Session struct {
 // difference is that the goroutines park on a channel between supersteps
 // instead of exiting.
 type worker struct {
-	t    *task
-	live bool // does t participate in the current schedule?
-	fire chan *superstep
+	t      *task
+	live   bool            // does t participate in the current schedule?
+	labels context.Context // t's profiler labels on the parallel lane
+	fire   chan *superstep
 }
 
 // superstep is the per-Run rendezvous between the session and its workers.
@@ -131,13 +132,13 @@ func (e *Executor) OpenSessionOn(p *optimizer.PhysPlan, tr Transport) *Session {
 		}
 	}
 	for _, n := range p.Nodes {
-		labels := pprof.WithLabels(context.Background(), pprof.Labels("layer", "runtime", "op", n.Name()))
+		serial, parallel := runtimeLabels(n.Name(), "serial"), runtimeLabels(n.Name(), "parallel")
 		for part := 0; part < par; part++ {
 			if s.hosted != nil && !s.hosted[part] {
 				continue
 			}
-			t := &task{e: e, sess: s, n: n, part: part, par: par, m: e.cfg.Metrics, labels: labels}
-			w := &worker{t: t, fire: make(chan *superstep, 1)}
+			t := &task{e: e, sess: s, n: n, part: part, par: par, m: e.cfg.Metrics, labels: serial}
+			w := &worker{t: t, labels: parallel, fire: make(chan *superstep, 1)}
 			s.tasks = append(s.tasks, t)
 			s.workers = append(s.workers, w)
 			go w.loop()
@@ -154,9 +155,9 @@ func (e *Executor) OpenSessionOn(p *optimizer.PhysPlan, tr Transport) *Session {
 func (s *Session) HostedParts() []int { return s.hostedParts }
 
 // loop is the worker goroutine. It runs one task only, so it carries
-// that task's profiler labels for its whole life.
+// that task's parallel-lane profiler labels for its whole life.
 func (w *worker) loop() {
-	pprof.SetGoroutineLabels(w.t.labels)
+	pprof.SetGoroutineLabels(w.labels)
 	for step := range w.fire {
 		if w.live {
 			if err := execTask(w.t); err != nil {
@@ -252,9 +253,9 @@ func (s *Session) Run() (Result, error) {
 	if s.serialLane() {
 		// Topological order over unbounded queues: every consumer finds its
 		// producers finished and its queues closed, so nothing blocks. Each
-		// task runs under its profiler labels on the caller's goroutine,
-		// which gets its own labels back afterwards: none, since nothing
-		// above the runtime labels a goroutine.
+		// task runs under its serial-lane profiler labels on the caller's
+		// goroutine, which gets its own labels back afterwards: none, since
+		// nothing above the runtime labels a goroutine.
 		for i, t := range s.tasks {
 			if s.workers[i].live {
 				pprof.SetGoroutineLabels(t.labels)

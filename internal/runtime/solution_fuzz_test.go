@@ -12,10 +12,16 @@ import (
 // so evictions interleave with the operations) and checks every
 // observation against a model map applying the seed semantics, including
 // comparator arbitration in put and tombstone recycling after deletes.
+// Runs of updates over consecutive keys fill a partition's index into
+// direct mode, and negative keys and keys near 1<<40 (fuzzKey) move it
+// back to hashed.
 func FuzzSolutionBackend(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{0xff, 0x00, 0xaa, 0x55, 1, 2, 3, 4, 0, 0, 0, 0, 9, 9, 9, 9, 8, 7})
 	f.Add(make([]byte, 64))
+	f.Add([]byte{ // into direct mode, out on a negative and a far key
+		5, 0, 1, 255, 5, 0, 2, 200, 2, 10, 0, 0, 4, 5, 0, 0, 0, 244, 3, 7,
+		5, 60, 4, 255, 0, 250, 5, 9, 4, 250, 0, 9, 2, 244, 0, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// CPO comparator: larger X succeeds (put keeps the CPO-larger one).
 		cmp := func(a, b record.Record) int {
@@ -35,31 +41,39 @@ func FuzzSolutionBackend(f *testing.F) {
 				SolutionOptions{Backend: SolutionSpill, MemoryBudget: 8 * record.EncodedSize}),
 		}
 		model := make(map[int64]record.Record)
+		update := func(r record.Record) {
+			old, exists := model[r.A]
+			changed := true
+			if exists && cmp(r, old) <= 0 {
+				changed = false
+			}
+			if exists && old.Equal(r) {
+				changed = false
+			}
+			if changed {
+				model[r.A] = r
+			}
+			for i, s := range sets {
+				if got := s.Update(r); got != changed {
+					t.Fatalf("backend %d: Update(%v) = %v, want %v", i, r, got, changed)
+				}
+			}
+		}
 
 		for len(data) >= 5 {
-			op := data[0] % 5
-			k := int64(data[1] % 61)
+			op := data[0] % 6
+			k := fuzzKey(data[1], data[3])
 			x := float64(int8(data[2]))
 			b := int64(data[3])
 			data = data[4:]
 			r := record.Record{A: k, B: b, X: x}
 			switch op {
 			case 0, 1: // update (twice as likely as lookup)
-				old, exists := model[k]
-				changed := true
-				if exists && cmp(r, old) <= 0 {
-					changed = false
-				}
-				if exists && old.Equal(r) {
-					changed = false
-				}
-				if changed {
-					model[k] = r
-				}
-				for i, s := range sets {
-					if got := s.Update(r); got != changed {
-						t.Fatalf("backend %d: Update(%v) = %v, want %v", i, r, got, changed)
-					}
+				update(r)
+			case 5: // a run of b updates over keys k, k+1, …
+				for i := range b {
+					r.A = k + i
+					update(r)
 				}
 			case 2, 3: // lookup
 				want, wantOK := model[k]
@@ -90,6 +104,19 @@ func FuzzSolutionBackend(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzKey draws a fuzzed key: mostly the dense domain [0, 960), with
+// negative keys and keys near 1<<40 past it.
+func fuzzKey(hi, lo byte) int64 {
+	switch {
+	case hi < 240:
+		return int64(hi)*4 + int64(lo%4)
+	case hi < 248:
+		return -1 - int64(lo)
+	default:
+		return 1<<40 + int64(lo)
+	}
 }
 
 // FuzzBatchRoundTrip pushes arbitrary record batches through the spill
