@@ -258,7 +258,7 @@ func BenchmarkFig12Variants(b *testing.B) {
 // (this runtime) versus a cold one-shot Run per superstep, which re-does
 // the pre-refactor per-pass setup — fresh goroutines for every
 // node×partition, fresh exchange queues, and freshly allocated batches.
-func benchPageRankSuperstep(b *testing.B, cold, traced bool) {
+func benchPageRankSuperstep(b *testing.B, cold, traced, fuse bool) {
 	g := graphgen.Wikipedia(graphgen.ScaleTiny)
 	spec, initial := algorithms.PageRankSpec(g, 50, algorithms.DefaultDamping, 0)
 	spec.Input.EstRecords = int64(len(initial))
@@ -266,6 +266,7 @@ func benchPageRankSuperstep(b *testing.B, cold, traced bool) {
 		Parallelism:        benchParallelism,
 		ExpectedIterations: 50,
 		Feedback:           map[int]int{spec.Input.ID: spec.Output.ID},
+		Fuse:               fuse,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -330,11 +331,14 @@ func benchRuntimeConfig(traced bool, label string) runtime.Config {
 // steady-state bulk-PageRank superstep with the persistent session
 // against the pre-refactor cold-setup execution (compare the two
 // sub-benchmarks' allocs/op). The traced variant runs the same session
-// with span recording live.
+// with span recording live. These three plan without fusion; the fused
+// variant runs the session on the plan the drivers run — the union and
+// the combiner absorbed into the join, joinPA+contrib+sumRanks-combine.
 func BenchmarkSuperstepPageRankBulk(b *testing.B) {
-	b.Run("session", func(b *testing.B) { benchPageRankSuperstep(b, false, false) })
-	b.Run("traced", func(b *testing.B) { benchPageRankSuperstep(b, false, true) })
-	b.Run("cold", func(b *testing.B) { benchPageRankSuperstep(b, true, false) })
+	b.Run("session", func(b *testing.B) { benchPageRankSuperstep(b, false, false, false) })
+	b.Run("traced", func(b *testing.B) { benchPageRankSuperstep(b, false, true, false) })
+	b.Run("cold", func(b *testing.B) { benchPageRankSuperstep(b, true, false, false) })
+	b.Run("fused", func(b *testing.B) { benchPageRankSuperstep(b, false, false, true) })
 }
 
 // benchCCSuperstep measures one incremental Connected Components
@@ -405,10 +409,12 @@ func BenchmarkSuperstepCCIncremental(b *testing.B) {
 
 // BenchmarkAblationCombiner isolates the pre-shuffle combiner's effect on
 // bulk PageRank (§6.1 mentions pre-aggregation as essential): with and
-// without it under the default (fused) plan, and — with it — fused into
-// the union that feeds it versus run as a task of its own behind a
-// forward exchange (Config.DisableFusion). "with" and "fused" run the same
-// configuration; their gap is the run-to-run noise the others read against.
+// without it under the default (fused) plan, and — with it — fused versus
+// unfused (Config.DisableFusion). Fused means the join, the union and the
+// combiner run as one task (joinPA+contrib+sumRanks-combine); unfused
+// runs each as a task of its own behind a forward exchange. "with" and
+// "fused" run the same configuration; their gap is the run-to-run noise
+// the others read against.
 func BenchmarkAblationCombiner(b *testing.B) {
 	g := graphgen.Wikipedia(graphgen.ScaleTiny)
 	run := func(b *testing.B, combinable, disableFusion bool) {

@@ -1,7 +1,9 @@
 package iterative
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/dataflow"
@@ -302,6 +304,9 @@ type incEngine struct {
 	// converged run every one was consumed, and a microstep run reports
 	// the count as Microsteps.
 	elements int64
+	// mergeLabels are the profiler labels the ∪̇ merge runs under,
+	// {layer=solution, op=merge}, built once per engine.
+	mergeLabels context.Context
 }
 
 // openIncEngine builds the executor and session for an already-planned
@@ -311,7 +316,8 @@ func openIncEngine(spec *IncrementalSpec, sol *runtime.SolutionSet, cfg Config, 
 	phys *optimizer.PhysPlan, tr runtime.Transport) *incEngine {
 	exec := runtime.NewExecutor(cfg.runtimeConfig())
 	exec.Solution = sol
-	en := &incEngine{cfg: cfg, exec: exec, tr: tr}
+	en := &incEngine{cfg: cfg, exec: exec, tr: tr,
+		mergeLabels: pprof.WithLabels(context.Background(), pprof.Labels("layer", "solution", "op", "merge"))}
 	en.bind(spec, expected)
 	en.open(phys)
 	return en
@@ -367,8 +373,12 @@ func (en *incEngine) step(absStep int) (stepOutcome, error) {
 	// S ∪̇ D — applied after the superstep so that every access inside
 	// the superstep observed S_i (§5.3: "we cache the records in the
 	// delta set D until the end of the superstep").
+	// It runs under the solution layer's profiler labels, which come off
+	// again after it, as the runtime's serial lane takes its own off.
 	mergeStart := time.Now()
+	pprof.SetGoroutineLabels(en.mergeLabels)
 	en.exec.Solution.MergeDelta(res.Records(en.spec.DeltaSink.ID))
+	pprof.SetGoroutineLabels(context.Background())
 	en.cfg.noteMerge(absStep, mergeStart)
 	if err := en.exec.Solution.Err(); err != nil {
 		return stepOutcome{}, err

@@ -125,8 +125,8 @@ type Counters struct {
 	// advances it; it stays because the benchmark program reports it
 	// (plan_cache_hits_per_op).
 	PlanCacheHits atomic.Int64
-	// FusedOperators counts Map operators and combiners folded into
-	// upstream nodes by the operator-fusion rewrite, summed over produced
+	// FusedOperators counts unions, Map operators and combiners folded
+	// into upstream nodes by the operator-fusion rewrite, summed over produced
 	// plans.
 	FusedOperators atomic.Int64
 	// PlanNanos accumulates wall time spent inside the plan optimizer

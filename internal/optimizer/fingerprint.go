@@ -38,6 +38,10 @@ func (p *PhysPlan) Fingerprint() string {
 		for _, f := range n.FusedChain {
 			fmt.Fprintf(h, "%d,", f.ID)
 		}
+		if n.Union != nil {
+			// Hashed only when set, like the combiner below.
+			fmt.Fprintf(h, " union=%d", n.Union.ID)
+		}
 		if n.Combiner != nil {
 			// Hashed only when set, so plans without an absorbed combiner
 			// keep the fingerprints other processes already agree on.
@@ -73,6 +77,9 @@ func planKeyNames(p *PhysPlan) *keyNames {
 	}
 	for _, n := range p.Nodes {
 		add(n.Logical)
+		if n.Union != nil {
+			add(n.Union)
+		}
 		for _, f := range n.FusedChain {
 			add(f)
 		}

@@ -36,7 +36,8 @@ func keyA2(r record.Record) int64 { return r.A }
 // TestFingerprintCoversEveryStructuralField: two plans that differ in
 // exactly one field the runtime reads must not share a fingerprint — the
 // hash-join build side, an edge's partition key, the sort key, the inject
-// key, the fused chain and an absorbed combiner included.
+// key, the fused chain, an absorbed union and an absorbed combiner
+// included.
 func TestFingerprintCoversEveryStructuralField(t *testing.T) {
 	base := fingerprintPlan(t, record.KeyA).Fingerprint()
 	if again := fingerprintPlan(t, record.KeyA).Fingerprint(); again != base {
@@ -68,6 +69,7 @@ func TestFingerprintCoversEveryStructuralField(t *testing.T) {
 			h.FusedChain = []*dataflow.Node{h.FusedChain[1], h.FusedChain[0]}
 		},
 		"Combiner": func(p *PhysPlan) { fusedHead(t, p).Combiner = findJoin(p).Logical },
+		"Union":    func(p *PhysPlan) { findJoin(p).Union = fusedHead(t, p).Logical },
 	}
 	for name, mutate := range mutations {
 		p := fingerprintPlan(t, record.KeyA)

@@ -1,13 +1,23 @@
 package optimizer
 
 import (
+	"slices"
+
 	"repro/internal/dataflow"
 )
 
 // Fuse collapses operators connected by exclusive forward edges into the
 // node that feeds them, so the runtime executes them inside that node's
-// emitter instead of behind an exchange. Two rules apply:
+// emitter instead of behind an exchange. Three rules apply:
 //
+//   - A union is absorbed into the producer of its input 0, as
+//     PhysNode.Union, when that producer is a plain operator with nothing
+//     fused onto it yet: the union's other inputs are appended to the
+//     producer's Inputs, and the runtime streams them into the producer's
+//     emitter, in input order, after the producer's own output — the
+//     order the union's task read its inputs in. Bulk PageRank's join
+//     then feeds its contributions and the teleport term into the
+//     absorbed combiner with no hop between them.
 //   - Chains of adjacent Map operators (filters and projections are Maps
 //     in the logical algebra) collapse onto the chain's head: the head
 //     keeps its own UDF and gains the absorbed nodes' UDFs in FusedChain,
@@ -28,21 +38,21 @@ import (
 // edge identities through finalizePlan, and credits the removed hops
 // against the plan cost so Explain/Cost reflect the executed shape.
 //
-// Returns the number of Map operators and combiners folded away.
+// Returns the number of unions, Map operators and combiners folded away.
 func Fuse(plan *PhysPlan, expectedIterations int) int {
-	// No combiner and fewer than two fusible Maps in the whole plan means
-	// nothing can fuse — skip the bookkeeping entirely (the common case
-	// for join-shaped iteration steps).
-	maps, combiners := 0, 0
+	// No union, no combiner and fewer than two fusible Maps in the whole
+	// plan means nothing can fuse — skip the bookkeeping entirely (the
+	// common case for join-shaped iteration steps).
+	maps, others := 0, 0
 	for _, n := range plan.Nodes {
 		switch {
 		case fusibleMap(n):
 			maps++
-		case n.Role == RoleCombiner:
-			combiners++
+		case n.Role == RoleCombiner || isUnion(n):
+			others++
 		}
 	}
-	if maps < 2 && combiners == 0 {
+	if maps < 2 && others == 0 {
 		return 0
 	}
 	consumers := make(map[*PhysNode]int)
@@ -66,8 +76,8 @@ func Fuse(plan *PhysPlan, expectedIterations int) int {
 		for i := range n.Inputs {
 			n.Inputs[i].From = resolve(n.Inputs[i].From)
 		}
-		combiner := n.Role == RoleCombiner
-		if !combiner && !fusibleMap(n) {
+		combiner, union := n.Role == RoleCombiner, isUnion(n)
+		if !combiner && !union && !fusibleMap(n) {
 			continue
 		}
 		e := n.Inputs[0]
@@ -75,11 +85,24 @@ func Fuse(plan *PhysPlan, expectedIterations int) int {
 		if e.Ship != ShipForward || e.Cache || consumers[p] != 1 || p.Combiner != nil {
 			continue
 		}
-		if combiner {
+		switch {
+		case combiner:
 			// Absorb the combiner: p folds everything it emits (its own
 			// output, through its fused Maps) per the Reduce's key.
 			p.Combiner = n.Logical
-		} else {
+		case union:
+			// Absorb the union: p's own output is its input 0, and its
+			// other inputs become p's tail inputs. Only onto a plain
+			// operator whose inputs are still its logical ones, so the
+			// tail starts at len(p.Logical.Inputs) and nothing p already
+			// applies to its output would wrongly apply to the tail.
+			if p.Role != RoleOperator || p.Union != nil || len(p.FusedChain) > 0 ||
+				len(p.Inputs) != len(p.Logical.Inputs) {
+				continue
+			}
+			p.Union = n.Logical
+			p.Inputs = append(slices.Clip(p.Inputs), n.Inputs[1:]...)
+		default:
 			if !fusibleMap(p) {
 				continue
 			}
@@ -111,6 +134,11 @@ func Fuse(plan *PhysPlan, expectedIterations int) int {
 		finalizePlan(plan, expectedIterations)
 	}
 	return fused
+}
+
+// isUnion reports whether n is a union operator.
+func isUnion(n *PhysNode) bool {
+	return n.Role == RoleOperator && n.Logical.Contract == dataflow.UnionOp
 }
 
 // fusibleMap reports whether a node can sit in a fused chain: a plain
@@ -155,6 +183,9 @@ func FoldWorkset(plan *PhysPlan, sinkID int, fold *dataflow.Node, keys int64) bo
 		return false
 	}
 	last := p.Logical
+	if p.Union != nil {
+		last = p.Union
+	}
 	if len(p.FusedChain) > 0 {
 		last = p.FusedChain[len(p.FusedChain)-1]
 	}

@@ -164,6 +164,13 @@ type PhysNode struct {
 	EstOut int64
 	// OnDynamicPath records whether this node re-executes every iteration.
 	OnDynamicPath bool
+	// Union is the union the fusion rewrite absorbed into this node (nil
+	// if none): this node's own output was the union's input 0, and the
+	// union's other inputs are appended to Inputs, starting at
+	// len(Logical.Inputs). The runtime streams them, in input order, into
+	// the same emitter once this node's operator is done, so the union
+	// runs as no task of its own.
+	Union *dataflow.Node
 	// FusedChain lists the logical Map nodes the fusion rewrite collapsed
 	// onto this node's output, in application order: the runtime applies
 	// their UDFs record-at-a-time inside this node's emitter instead of
@@ -185,6 +192,9 @@ type PhysNode struct {
 // Name returns a readable label.
 func (n *PhysNode) Name() string {
 	name := n.Logical.Name
+	if n.Union != nil {
+		name += "+" + n.Union.Name
+	}
 	for _, f := range n.FusedChain {
 		name += "+" + f.Name
 	}
@@ -221,8 +231,9 @@ type PhysPlan struct {
 	// Cost is the estimated total cost (dynamic path pre-weighted by the
 	// expected iteration count).
 	Cost float64
-	// Fused counts the Map operators and combiners the fusion rewrite
-	// folded into upstream nodes (0 when fusion was off or found nothing).
+	// Fused counts the unions, Map operators and combiners the fusion
+	// rewrite folded into upstream nodes (0 when fusion was off or found
+	// nothing).
 	Fused int
 	// Planner is the planning algorithm that chose the plan (PlannerCost
 	// or PlannerGreedy). Like Cost, it is not part of the plan's shape.
@@ -255,9 +266,13 @@ func (p *PhysPlan) PlaceholderKey(logicalID int) record.KeyFunc {
 // included), local strategy — with the build input of a hash join or block
 // cross — and input edges.
 func (p *PhysPlan) Explain() string {
+	width := 28
+	for _, n := range p.Nodes {
+		width = max(width, len(n.Name()))
+	}
 	s := ""
 	for _, n := range p.Nodes {
-		s += fmt.Sprintf("%2d %-28s local=%-24s", n.ID, n.Name(), n.localLabel())
+		s += fmt.Sprintf("%2d %-*s local=%-24s", n.ID, width, n.Name(), n.localLabel())
 		for _, e := range n.Inputs {
 			cached := ""
 			if e.Cache {

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -204,6 +205,121 @@ func TestFuseSkipsShuffledAndSharedEdges(t *testing.T) {
 		}
 		if n.Logical != nil && n.Logical.Name == "shared" && len(n.FusedChain) > 0 {
 			t.Fatalf("shared producer absorbed a consumer: %s", n.Name())
+		}
+	}
+}
+
+// unionShape names the variants unionPlan builds.
+type unionShape int
+
+const (
+	unionPlain  unionShape = iota // s → m; u = m ∪ t ∪ w → out
+	unionShared                   // as plain, and m also feeds a second sink
+	unionChain                    // s → m → m2, which fuses onto m; u = m2 ∪ t ∪ w
+	unionCached                   // constant s → m; u = m ∪ placeholder p ∪ w, iterated
+)
+
+// unionPlan builds one unionShape and returns it with the options to plan
+// it under.
+func unionPlan(shape unionShape) (*dataflow.Plan, Options) {
+	p := dataflow.NewPlan()
+	pass := func(r record.Record, out dataflow.Emitter) { out.Emit(r) }
+	in := p.MapNode("m", p.SourceOf("s", nil).WithEst(1000), pass)
+	if shape == unionChain {
+		in = p.MapNode("m2", in, pass)
+	}
+	second := p.SourceOf("t", nil).WithEst(500)
+	opt := Options{Parallelism: 2, Fuse: true}
+	if shape == unionCached {
+		second = p.IterationPlaceholder("p", 500)
+		opt.ExpectedIterations = 10
+	}
+	u := p.UnionNode("u", in, second, p.SourceOf("w", nil).WithEst(50))
+	out := p.SinkNode("out", u)
+	if shape == unionShared {
+		p.SinkNode("also", in)
+	}
+	if shape == unionCached {
+		opt.Feedback = map[int]int{second.ID: out.ID}
+	}
+	return p, opt
+}
+
+// TestFuseAbsorbsUnion: the rewrite absorbs a union into the producer of
+// its input 0 — the union's other inputs appended, in order, from
+// len(Logical.Inputs) on — and keeps it a task of its own when that
+// producer feeds another consumer, when the edge is a loop-invariant
+// cache, when the producer already heads a fused chain, and when fusion
+// is off (iterative.Config.DisableFusion plans with Fuse unset). Both
+// planners.
+func TestFuseAbsorbsUnion(t *testing.T) {
+	for _, planner := range []PlannerKind{PlannerCost, PlannerGreedy} {
+		p, opt := unionPlan(unionPlain)
+		opt.Planner = planner
+		phys, err := Optimize(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDenseIdentities(t, phys)
+		var head *PhysNode
+		for _, n := range phys.Nodes {
+			if n.Logical.Contract == dataflow.UnionOp {
+				t.Fatalf("%v: union left as a task:\n%s", planner, phys.Explain())
+			}
+			if n.Union != nil {
+				head = n
+			}
+		}
+		if head == nil || head.Name() != "m+u" || phys.Fused != 1 {
+			t.Fatalf("%v: want the union absorbed into m (Fused 1), got Fused %d:\n%s", planner, phys.Fused, phys.Explain())
+		}
+		var from []string
+		for _, e := range head.Inputs {
+			from = append(from, e.From.Name())
+		}
+		if tail := len(head.Logical.Inputs); tail != 1 || strings.Join(from, ",") != "s,t,w" {
+			t.Fatalf("%v: m+u reads %v with its tail from %d, want [s t w] from 1", planner, from, tail)
+		}
+		opt.Fuse = false
+		plain, err := Optimize(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if phys.Cost >= plain.Cost {
+			t.Errorf("%v: fused plan costs %g, unfused %g: the removed hop was not credited", planner, phys.Cost, plain.Cost)
+		}
+
+		for _, c := range []struct {
+			name  string
+			shape unionShape
+			fuse  bool
+		}{
+			{"shared producer", unionShared, true},
+			{"cached input 0", unionCached, true},
+			{"producer with a fused chain", unionChain, true},
+			{"fusion off", unionPlain, false},
+		} {
+			p, opt := unionPlan(c.shape)
+			opt.Planner, opt.Fuse = planner, c.fuse
+			phys, err := Optimize(p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := false
+			for _, n := range phys.Nodes {
+				if n.Union != nil {
+					t.Fatalf("%v, %s: %s absorbed the union:\n%s", planner, c.name, n.Name(), phys.Explain())
+				}
+				kept = kept || n.Logical.Contract == dataflow.UnionOp
+			}
+			if !kept {
+				t.Fatalf("%v, %s: the union is gone:\n%s", planner, c.name, phys.Explain())
+			}
+			if c.shape == unionCached && !phys.Nodes[slices.IndexFunc(phys.Nodes, func(n *PhysNode) bool {
+				return n.Logical.Contract == dataflow.UnionOp
+			})].Inputs[0].Cache {
+				t.Fatalf("%v, %s: the union's input 0 is not cached:\n%s", planner, c.name, phys.Explain())
+			}
 		}
 	}
 }

@@ -17,8 +17,11 @@ import (
 // group (accumulator, record), and the one record the call emits becomes
 // the new accumulator — the pairwise form of the associative, commutative
 // UDF dataflow.Node.Combinable promises. When the input ends, every key
-// gets one final call with its accumulator alone, in first-touch order,
-// and that call writes to the combiner's output.
+// gets one final call with its accumulator alone, and that call writes to
+// the combiner's output. The final calls follow groupTable's order
+// contract: ascending key order when the round is dense over a direct
+// index (probeIndex.keyOrder), first-touch order otherwise — so a fold
+// over vertex ids emits in vertex order.
 //
 // A call that emits zero records or several moves its key to a cold path
 // for the rest of the round: the key's pending records are exactly what
@@ -38,7 +41,7 @@ type combineFold struct {
 
 	idx     probeIndex
 	accs    []foldAcc // parallel to idx.keys
-	touched []int32   // key positions folded this round, first-touch order
+	touched []int32   // key positions folded this round, first-touch order until flush
 	round   uint64
 
 	// cold holds the pending records of keys off the one-record path,
@@ -133,8 +136,9 @@ func (f *combineFold) call(k int64, g []record.Record) {
 	f.fn(k, g, emitCollector{buf: &f.out})
 }
 
-// flush makes each key's final call, in first-touch order, into out.
+// flush makes each key's final call into out, in the contract's order.
 func (f *combineFold) flush(out dataflow.Emitter) {
+	f.idx.keyOrder(f.touched)
 	for _, pos := range f.touched {
 		a := &f.accs[pos]
 		g := f.pair[:1]

@@ -153,7 +153,8 @@ func (e *Executor) SetPlaceholder(logicalID int, recs []record.Record, key recor
 // only what fold — a combinable Reduce — leaves of each key: the records
 // are hash-partitioned by fold.Keys[0] and folded per partition by the
 // combiner fold a plan node runs (combineFold), so a partition holds the
-// fold's output for each of its keys, in first-touch order.
+// fold's output for each of its keys, in the fold's order: key order for
+// a partition dense in its keys, first-touch order otherwise.
 //
 // An input of serialLaneRecords or more is split over up to GOMAXPROCS
 // goroutines in two phases: each splits a contiguous chunk of recs by

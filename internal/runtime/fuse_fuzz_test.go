@@ -11,8 +11,10 @@ import (
 // buildChainPlan assembles source → (map|filter|project)^n → sink, the
 // shape the fusion rewrite collapses; when the last stage byte has its
 // high bit set the chain ends in a combinable reduce, whose combiner the
-// rewrite absorbs too. Every stage is deterministic and derived from the
-// fuzz input.
+// rewrite absorbs too, and when the first stage byte has bit 0x40 set the
+// chain starts with a union of the source and a second source, which the
+// rewrite absorbs into the first. Every stage is deterministic and
+// derived from the fuzz input.
 func buildChainPlan(seed uint64, stages []byte) (*dataflow.Plan, *dataflow.Node) {
 	rng := &fuzzRNG{s: seed | 1}
 	data := make([]record.Record, 50+rng.intn(100))
@@ -22,6 +24,14 @@ func buildChainPlan(seed uint64, stages []byte) (*dataflow.Plan, *dataflow.Node)
 	}
 	p := dataflow.NewPlan()
 	cur := p.SourceOf("src", data)
+	if len(stages) > 0 && stages[0]&0x40 != 0 {
+		tail := make([]record.Record, rng.intn(60))
+		for i := range tail {
+			v := rng.next()
+			tail[i] = record.Record{A: int64(v % 41), B: int64(v >> 11 % 50), X: float64(v % 500)}
+		}
+		cur = p.UnionNode("union", cur, p.SourceOf("tail", tail))
+	}
 	for i, s := range stages {
 		mod := int64(2 + int(s)>>4) // derived per-stage constants
 		add := float64(int(s) & 7)
@@ -94,6 +104,15 @@ func runChain(t *testing.T, seed uint64, stages []byte, par int, fuse bool) ([][
 	return res[sink.ID], phys
 }
 
+func hasAbsorbedUnion(p *optimizer.PhysPlan) bool {
+	for _, n := range p.Nodes {
+		if n.Union != nil {
+			return true
+		}
+	}
+	return false
+}
+
 func hasCombinerTask(p *optimizer.PhysPlan) bool {
 	for _, n := range p.Nodes {
 		if n.Role == optimizer.RoleCombiner {
@@ -104,7 +123,8 @@ func hasCombinerTask(p *optimizer.PhysPlan) bool {
 }
 
 // FuzzFusedChain is the fusion correctness fuzzer: for arbitrary chains
-// of map/filter/project stages, possibly ending in a combinable reduce,
+// of map/filter/project stages, possibly starting with a union and ending
+// in a combinable reduce,
 // the fused plan must emit exactly the record sequence of the unfused plan
 // — same records, same order, per partition.
 func FuzzFusedChain(f *testing.F) {
@@ -115,6 +135,9 @@ func FuzzFusedChain(f *testing.F) {
 	f.Add(uint64(5), []byte{2, 0x80})
 	f.Add(uint64(11), []byte{0x81})
 	f.Add(uint64(23), []byte{1, 2, 0, 0x82})
+	f.Add(uint64(3), []byte{0x40, 1, 2})
+	f.Add(uint64(17), []byte{0x41})
+	f.Add(uint64(29), []byte{0x42, 0, 0x80})
 	f.Fuzz(func(t *testing.T, seed uint64, stages []byte) {
 		if len(stages) > 12 {
 			stages = stages[:12]
@@ -131,6 +154,10 @@ func FuzzFusedChain(f *testing.F) {
 			withFuse, fused := runChain(t, seed, stages, par, true)
 			if len(stages) >= 2 && fused.Fused == 0 {
 				t.Fatalf("seed %d: %d-stage chain fused nothing", seed, len(stages))
+			}
+			if union := len(stages) > 0 && stages[0]&0x40 != 0; union != hasAbsorbedUnion(fused) {
+				t.Fatalf("seed %d par %d: chain starts with a union: %v, fused plan absorbed one: %v\n%s",
+					seed, par, union, !union, fused.Explain())
 			}
 			if hasCombinerTask(fused) {
 				t.Fatalf("seed %d par %d: combiner left unfused:\n%s", seed, par, fused.Explain())

@@ -15,13 +15,19 @@ import "repro/internal/record"
 //  1. stage retains each drained (pooled) batch as it arrives and counts
 //     the records per key, remembering every record's key position so the
 //     key is hashed once;
-//  2. build turns the counts into extents in first-touch order, makes
-//     recs exactly large enough (reusing it when it already is), scatters
-//     the staged records into their extents and recycles the batches.
+//  2. build puts the round's keys in order (probeIndex.keyOrder), turns
+//     the counts into extents in that order, makes recs exactly large
+//     enough (reusing it when it already is), scatters the staged records
+//     into their extents and recycles the batches.
 //
-// The scatter is stable, so groups appear in first-touch order and
-// records inside a group in arrival order — exactly the order of an
-// append-per-key table, which keeps float reductions byte-identical.
+// The order contract. Groups appear, in recs and to each, in ascending
+// key order when the round is dense over a direct index (it holds at
+// least 1/probeDirectSpread of the index's slots), and in first-touch
+// order otherwise. The scatter is stable, so records inside a group are
+// always in arrival order — the order of an append-per-key table, which
+// keeps float reductions over one group byte-identical. A cached table
+// over vertex ids is thus laid out by key, and a probe stream arriving
+// in key order reads it front to back.
 //
 // Rounds. The storage survives across supersteps. reset is O(1): it bumps
 // a round counter, and a key's extent is valid only if its stamp matches.
@@ -37,7 +43,7 @@ import "repro/internal/record"
 type groupTable struct {
 	idx     probeIndex
 	ext     []groupExtent // parallel to idx.keys
-	touched []int32       // key positions live in this round, first-touch order
+	touched []int32       // key positions live in this round, in group order
 	recs    []record.Record
 	round   uint64
 
@@ -97,6 +103,7 @@ func (g *groupTable) stage(b record.Batch, key record.KeyFunc) {
 // build lays the staged records out by group and returns the batches to
 // pool. The table is readable afterwards.
 func (g *groupTable) build(pool *batchPool) {
+	g.idx.keyOrder(g.touched)
 	total := int32(0)
 	for _, pos := range g.touched {
 		e := &g.ext[pos]
@@ -137,7 +144,8 @@ func (g *groupTable) get(k int64) []record.Record {
 	return g.recs[e.start:e.end:e.end]
 }
 
-// each visits every group of the current round in first-touch order.
+// each visits every group of the current round in the order build laid
+// them out (see the order contract), then any a patch added.
 func (g *groupTable) each(f func(k int64, recs []record.Record)) {
 	for _, pos := range g.touched {
 		e := &g.ext[pos]
@@ -197,7 +205,7 @@ func (g *groupTable) add(k int64, r record.Record) {
 
 // compactIfSparse rewrites recs without its dead slots once they outnumber
 // the live records, so patching costs amortized O(1) per record and recs
-// stays within twice the live size. Groups keep their first-touch order;
+// stays within twice the live size. Groups keep their order;
 // a group patched empty disappears, as it would from a fresh build.
 func (g *groupTable) compactIfSparse() {
 	if g.dead <= g.live() {

@@ -3,6 +3,7 @@ package runtime
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dataflow"
@@ -23,59 +24,162 @@ func fillRound(g *groupTable, pool *batchPool, recs []record.Record) {
 	g.build(pool)
 }
 
+// wantKeyOrder is the order contract's oracle for one round whose keys
+// first arrived in firstTouch order, over index x as the round left it:
+// ascending keys when x is direct and the round holds at least
+// 1/probeDirectSpread of its slots, first-touch order otherwise. It
+// reports which case applied.
+func wantKeyOrder(firstTouch []int64, x *probeIndex) (order []int64, sorted bool) {
+	order = slices.Clone(firstTouch)
+	if x.direct && len(order)*probeDirectSpread >= len(x.slots) {
+		slices.Sort(order)
+		return order, true
+	}
+	return order, false
+}
+
 // TestGroupTableMatchesReference drives random record streams through
 // rounds — shrinking, growing and empty ones, over key domains that move so
 // keys disappear and come back — and checks every round against a
-// map[int64][]Record built by appending: same groups, group order = first
-// touch, in-group order = arrival.
+// map[int64][]Record built by appending: same groups, in-group order =
+// arrival, group order = the order contract (wantKeyOrder). The same
+// rounds go through a combineFold, whose final calls must follow the same
+// contract. One table sees dense key domains, so its index runs direct and
+// its rounds fall on both sides of the density bound; the other sees keys
+// spread over 2^40 and negative ones, so its index stays hashed. Every
+// case must occur.
 func TestGroupTableMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pool := newBatchPool(16, nil)
-	g := newGroupTable()
-	for round := 0; round < 200; round++ {
-		n := 0
-		switch rng.Intn(4) {
-		case 0: // empty round
-		case 1:
-			n = rng.Intn(8)
-		default:
-			n = rng.Intn(600)
-		}
-		base, span := int64(rng.Intn(3)*40), int64(1+rng.Intn(80))
-		recs := make([]record.Record, n)
-		for i := range recs {
-			recs[i] = record.Record{A: base + rng.Int63n(span), B: int64(i), X: float64(round)}
-		}
-		fillRound(g, pool, recs)
-
-		ref := map[int64][]record.Record{}
-		var order []int64
-		for _, r := range recs {
-			if _, ok := ref[r.A]; !ok {
-				order = append(order, r.A)
+	sum := &dataflow.Node{Keys: [2]record.KeyFunc{record.KeyA},
+		Reduce: func(k int64, g []record.Record, out dataflow.Emitter) {
+			var s int64
+			for _, r := range g {
+				s += r.B
 			}
-			ref[r.A] = append(ref[r.A], r)
-		}
-
-		if g.size() != n {
-			t.Fatalf("round %d: size %d, want %d", round, g.size(), n)
-		}
-		var gotOrder []int64
-		g.each(func(k int64, grp []record.Record) {
-			gotOrder = append(gotOrder, k)
-			if !reflect.DeepEqual(grp, ref[k]) {
-				t.Fatalf("round %d key %d: group %v, want %v", round, k, grp, ref[k])
+			out.Emit(record.Record{A: k, B: s})
+		}}
+	cases := map[string]int{}
+	for _, sparse := range []bool{false, true} {
+		g := newGroupTable()
+		f := &combineFold{}
+		for round := 0; round < 200; round++ {
+			n := 0
+			switch rng.Intn(4) {
+			case 0: // empty round
+			case 1:
+				n = rng.Intn(8)
+			default:
+				n = rng.Intn(600)
 			}
-		})
-		if !reflect.DeepEqual(gotOrder, order) {
-			t.Fatalf("round %d: group order %v, want first-touch order %v", round, gotOrder, order)
-		}
-		for k := int64(-1); k <= 200; k++ {
-			if got := g.get(k); !reflect.DeepEqual(got, ref[k]) {
-				t.Fatalf("round %d: get(%d) = %v, want %v", round, k, got, ref[k])
+			base, span := int64(rng.Intn(3)*40), int64(1+rng.Intn(240))
+			recs := make([]record.Record, n)
+			for i := range recs {
+				k := base + rng.Int63n(span)
+				if sparse {
+					k = rng.Int63n(1<<40) - 1<<39
+				}
+				recs[i] = record.Record{A: k, B: int64(i), X: float64(round)}
+			}
+			fillRound(g, pool, recs)
+
+			ref := map[int64][]record.Record{}
+			var firstTouch []int64
+			for _, r := range recs {
+				if _, ok := ref[r.A]; !ok {
+					firstTouch = append(firstTouch, r.A)
+				}
+				ref[r.A] = append(ref[r.A], r)
+			}
+			order, sorted := wantKeyOrder(firstTouch, &g.idx)
+			switch {
+			case len(order) < 2:
+			case sorted:
+				cases["direct, dense"]++
+			case g.idx.direct:
+				cases["direct, sparse"]++
+			default:
+				cases["hashed"]++
+			}
+
+			if g.size() != n {
+				t.Fatalf("round %d: size %d, want %d", round, g.size(), n)
+			}
+			var gotOrder []int64
+			g.each(func(k int64, grp []record.Record) {
+				gotOrder = append(gotOrder, k)
+				if !reflect.DeepEqual(grp, ref[k]) {
+					t.Fatalf("round %d key %d: group %v, want %v", round, k, grp, ref[k])
+				}
+			})
+			if !slices.Equal(gotOrder, order) {
+				t.Fatalf("round %d (key order %v): group order %v, want %v", round, sorted, gotOrder, order)
+			}
+			if !sparse {
+				for k := int64(-1); k <= 500; k++ {
+					if got := g.get(k); !reflect.DeepEqual(got, ref[k]) {
+						t.Fatalf("round %d: get(%d) = %v, want %v", round, k, got, ref[k])
+					}
+				}
+			}
+
+			f.reset(sum)
+			for _, r := range recs {
+				f.Emit(r)
+			}
+			var flushed []record.Record
+			f.flush(emitCollector{buf: &flushed})
+			forder, fsorted := wantKeyOrder(firstTouch, &f.idx)
+			if len(flushed) != len(forder) {
+				t.Fatalf("round %d: fold flushed %d keys, want %d", round, len(flushed), len(forder))
+			}
+			for i, r := range flushed {
+				var want int64
+				for _, x := range ref[forder[i]] {
+					want += x.B
+				}
+				if r.A != forder[i] || r.B != want {
+					t.Fatalf("round %d (key order %v): final call %d = %v, want key %d sum %d", round, fsorted, i, r, forder[i], want)
+				}
 			}
 		}
 	}
+
+	// Right at the bound: every key of a direct table of 256 slots, then
+	// rounds of 64 of them (a quarter of the slots: key order) and 63
+	// (first touch).
+	g := newGroupTable()
+	for _, n := range []int{256, 64, 63} {
+		recs := shuffledKeys(rng, 256)[:n]
+		fillRound(g, pool, recs)
+		if !g.idx.direct || len(g.idx.slots) != 256 {
+			t.Fatalf("%d of 256 dense keys: direct %v over %d slots, want direct over 256", n, g.idx.direct, len(g.idx.slots))
+		}
+		var firstTouch, got []int64
+		for _, r := range recs {
+			firstTouch = append(firstTouch, r.A)
+		}
+		g.each(func(k int64, _ []record.Record) { got = append(got, k) })
+		if want, sorted := wantKeyOrder(firstTouch, &g.idx); sorted != (n >= 64) || !slices.Equal(got, want) {
+			t.Fatalf("%d of 256 keys: key order %v, group order %v, want %v", n, sorted, got, want)
+		}
+	}
+
+	for _, c := range []string{"direct, dense", "direct, sparse", "hashed"} {
+		if cases[c] == 0 {
+			t.Errorf("no round of case %q: %v", c, cases)
+		}
+	}
+	t.Logf("rounds per case: %v", cases)
+}
+
+// shuffledKeys returns one record for each key in [0, n), shuffled.
+func shuffledKeys(rng *rand.Rand, n int) []record.Record {
+	recs := make([]record.Record, n)
+	for i, k := range rng.Perm(n) {
+		recs[i] = record.Record{A: int64(k), B: int64(i)}
+	}
+	return recs
 }
 
 // TestGroupTableAbandonedRound: a round staged but never built (its task

@@ -18,7 +18,8 @@ import (
 // TestTaskProfileLabels profiles fused CoGroup CC at Parallelism 2 and
 // requires CPU samples labelled {layer=runtime, op=<node>, lane} for every
 // node of the plan — the folded toNeighbors producer included — and for
-// the engine's fold of the seed workset (op W0+best-combine). It repeats
+// the engine's fold of the seed workset (op W0+best-combine), and samples
+// of the driver's ∪̇ merge labelled {layer=solution, op=merge}. It repeats
 // the fixpoint until every task has been sampled, so short tasks (the
 // sinks) are caught too; supersteps run on both lanes, and samples of
 // both lanes must show up.
@@ -45,6 +46,7 @@ func TestTaskProfileLabels(t *testing.T) {
 	}
 	seen := map[string]int{}
 	lanes := map[string]int{}
+	merges := 0
 	deadline := time.Now().Add(30 * time.Second)
 	for round := 0; ; round++ {
 		// Profile in slices, so the samples so far can be checked.
@@ -67,8 +69,13 @@ func TestTaskProfileLabels(t *testing.T) {
 					t.Fatalf("op %q sampled with lane %q, want serial or parallel: %v", l["op"], lane, l)
 				}
 				lanes[l["lane"]]++
-			} else if l["op"] != "" {
-				t.Fatalf("op label %q without layer=runtime: %v", l["op"], l)
+			} else if l["layer"] == "solution" && l["op"] == "merge" {
+				if len(l) != 2 {
+					t.Fatalf("merge sampled with labels %v, want only layer and op", l)
+				}
+				merges++
+			} else if l["op"] != "" || l["layer"] != "" {
+				t.Fatalf("labels %v are neither a runtime task's nor the solution merge's", l)
 			}
 		}
 		missing := 0
@@ -82,13 +89,13 @@ func TestTaskProfileLabels(t *testing.T) {
 				t.Fatalf("samples labelled with op %q, which is neither a node of the plan nor the seed fold", op)
 			}
 		}
-		if missing == 0 && len(lanes) == 2 {
-			t.Logf("samples per op after %d rounds: %v; per lane: %v", round+1, seen, lanes)
+		if missing == 0 && len(lanes) == 2 && merges > 0 {
+			t.Logf("samples per op after %d rounds: %v; per lane: %v; merge: %d", round+1, seen, lanes, merges)
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after %d rounds some ops or lanes have no samples: %v, lanes %v; want all of %v on both lanes",
-				round+1, seen, lanes, want)
+			t.Fatalf("after %d rounds some ops, lanes or the merge have no samples: %v, lanes %v, merge %d; want all of %v on both lanes",
+				round+1, seen, lanes, merges, want)
 		}
 		prof.Reset()
 		if err := pprof.StartCPUProfile(&prof); err != nil {

@@ -154,12 +154,21 @@ func (em directMergeEmitter) Emit(r record.Record) {
 
 func (t *task) udf() { t.udfs++ }
 
-// run executes the task for one superstep. A node that absorbed a
-// combiner folded everything it emitted; the fold's final calls go to the
-// writers once the operator is done, before runTask closes them.
+// run executes the task for one superstep. A node that absorbed a union
+// streams the union's other inputs — its tail inputs, from
+// len(Logical.Inputs) on — into the same emitter once the operator is
+// done, in input order, as the union's task would have. A node that
+// absorbed a combiner folded everything it emitted; the fold's final
+// calls go to the writers after that, before runTask closes them.
 func (t *task) run() error {
-	if err := t.runOp(t.emitter()); err != nil {
+	out := t.emitter()
+	if err := t.runOp(out); err != nil {
 		return err
+	}
+	if t.n.Union != nil {
+		for i := len(t.n.Logical.Inputs); i < len(t.n.Inputs); i++ {
+			t.stream(i, out.Emit)
+		}
 	}
 	if t.n.Combiner != nil {
 		t.fold.flush(taskEmitter{t: t})

@@ -28,8 +28,17 @@ import "repro/internal/record"
 // time linear in the key count and is rare — a switch to direct is tried
 // only at a power-of-two count, a direct table grows by doubling, and a
 // switch back needs a key outside the direct range — so both modes stay
-// amortised O(1). The slab order, which callers iterate, is the same in
-// either mode.
+// amortised O(1). The slab order is the same in either mode.
+//
+// Order. A caller that visits one round's keys — groupTable's groups,
+// combineFold's final calls — keeps their slab positions in a touched
+// list, in first-touch order, and passes it through keyOrder before it
+// lays out or emits anything. keyOrder puts a dense round of a direct
+// index (at least 1/probeDirectSpread of the table's slots) in ascending
+// key order; every other round keeps first-touch order. So a dense round
+// over vertex ids comes out in vertex order whatever order it arrived
+// in, and whoever reads it next — a join probing a cached table built
+// the same way, say — walks memory in order instead of at random.
 type probeIndex struct {
 	slots  []int32 // hashed: power-of-two probe table; direct: indexed by key
 	keys   []int64
@@ -254,6 +263,44 @@ func (x *probeIndex) remove(k int64) int32 {
 			return s
 		}
 		j = (j + 1) & mask
+	}
+}
+
+// keyOrder rewrites touched — the slab positions of one round's keys,
+// each at most once — into ascending key order when the index is direct
+// and the round holds at least 1/probeDirectSpread of its slots, and
+// leaves it in first-touch order otherwise. A round that holds every key
+// of the index is the table's occupied slots, read in order. Otherwise it
+// marks each touched key's slot first (a position pos reads as -3-pos,
+// below probeEmpty and the tombstone a direct table never holds), and the
+// scan collects and unmarks the marked slots. Either way it is linear in
+// the table, which the density bound keeps within probeDirectSpread times
+// the round.
+func (x *probeIndex) keyOrder(touched []int32) {
+	if !x.direct || len(touched)*probeDirectSpread < len(x.slots) {
+		return
+	}
+	if len(touched) == len(x.keys) {
+		j := 0
+		for _, s := range x.slots {
+			if s >= 0 {
+				touched[j] = s
+				j++
+			}
+		}
+		return
+	}
+	for _, pos := range touched {
+		x.slots[x.keys[pos]] = -3 - pos
+	}
+	j := 0
+	for k, s := range x.slots {
+		if s <= -3 {
+			pos := -3 - s
+			x.slots[k] = pos
+			touched[j] = pos
+			j++
+		}
 	}
 }
 

@@ -38,7 +38,9 @@
 // absorbed Map/filter/project UDFs record-at-a-time before it is
 // batched, so a fused edge costs a function call instead of an exchange
 // hop (queue round-trip, batch copy, pool cycle) per superstep. An
-// absorbed combiner (optimizer.PhysNode.Combiner) sits at the end of that
+// absorbed union (optimizer.PhysNode.Union) adds the union's other inputs
+// to the head's: the task streams them into the same emitter after its
+// operator's own output, in input order. An absorbed combiner (optimizer.PhysNode.Combiner) sits at the end of that
 // chain: every record is folded into its key's running accumulator on
 // arrival (combineFold), and the accumulators are written to the
 // combiner's consumers when the task's operator finishes, before its
