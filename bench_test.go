@@ -787,30 +787,6 @@ func liveBenchBatch(g *graphgen.Graph, n int) []live.Mutation {
 	return out
 }
 
-// BenchmarkPlanner runs the harness planning-fast-path scenario — the
-// cost-based enumerator vs the greedy zero-statistics planner vs a plan
-// cache hit on every algorithm plan — and emits the table as
-// BENCH_planner.json, the artifact CI uploads next to BENCH_distributed.json.
-// The custom metrics are the scenario's acceptance ratios: the smallest
-// cost/greedy and cost/cached speedups over all scenarios.
-func BenchmarkPlanner(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := harness.Planner(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_planner.json", buf, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MinSpeedup, "min-speedup")
-		b.ReportMetric(res.MinCacheSpeedup, "min-cache-speedup")
-	}
-}
-
 // BenchmarkSuperstepPipeline measures superstep throughput on a
 // map/filter-heavy bulk iteration — the shape operator fusion targets:
 // three chained element-wise operators per pass, whose two intermediate

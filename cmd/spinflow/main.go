@@ -16,7 +16,7 @@
 // under /debug/pprof/.
 //
 // Experiments: table1 table2 fig2 fig4 fig7 fig8 fig9 fig10 fig11 fig12
-// planner distributed explain all
+// distributed explain all
 //
 // `spinflow worker` hosts partition ranges for distributed sessions: a
 // coordinator (e.g. `spinflow distributed`, or the distrib package's Run)
@@ -356,7 +356,7 @@ func main() {
 
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: spinflow [flags] <table1|table2|fig2|fig4|fig7|fig8|fig9|fig10|fig11|fig12|planner|distributed|explain|all>...")
+		fmt.Fprintln(os.Stderr, "usage: spinflow [flags] <table1|table2|fig2|fig4|fig7|fig8|fig9|fig10|fig11|fig12|distributed|explain|all>...")
 		fmt.Fprintln(os.Stderr, "       spinflow serve [-addr :8080] [-par n] [-budget bytes] [-data-dir dir] [-workers n|addr,addr] [-telemetry-addr :9090]")
 		fmt.Fprintln(os.Stderr, "       spinflow worker [-listen 127.0.0.1:0] [-telemetry-addr :9091]")
 		fmt.Fprintln(os.Stderr, "       spinflow trace [-scale f] [-par n] [-o file] <cc|live|distributed>")
@@ -385,8 +385,6 @@ func main() {
 			_, err = harness.Figure11(opts)
 		case "fig12":
 			_, err = harness.Figure12(opts)
-		case "planner":
-			_, err = harness.Planner(opts)
 		case "distributed":
 			err = distributed(opts)
 		case "all":

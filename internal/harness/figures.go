@@ -523,9 +523,6 @@ func All(o Options) error {
 	if _, err := Figure12(o); err != nil {
 		return err
 	}
-	if _, err := Planner(o); err != nil {
-		return err
-	}
 	if _, err := Distributed(o); err != nil {
 		return err
 	}

@@ -197,8 +197,8 @@ func TestOptionsValidate(t *testing.T) {
 		if _, err := Table2(o); err == nil {
 			t.Errorf("Table2 accepted bad options %d", i)
 		}
-		if _, err := Planner(o); err == nil {
-			t.Errorf("Planner accepted bad options %d", i)
+		if _, err := Figure4(o); err == nil {
+			t.Errorf("Figure4 accepted bad options %d", i)
 		}
 		if _, err := Trace(o, "cc"); err == nil {
 			t.Errorf("Trace accepted bad options %d", i)

@@ -17,14 +17,15 @@ import (
 // paper's point is that bulk and incremental iterations are one dataflow
 // abstraction differing only in step semantics; the code says the same
 // thing structurally: the full superstep lifecycle — the loop itself,
-// convergence, the re-optimize decision with its backoff, checkpoint
-// hooks, and the obs histogram/span recording — lives here exactly once,
-// and the two engines (bulk full recompute, incremental workset ∪̇ merge)
-// are small EnginePolicy values supplying only their step semantics. Which engine runs is the caller's choice, as in the
-// paper: RunBulk, RunIncremental, RunMicrostep (the incremental engine
-// with direct merge required), the Resume*/Restore* entry points, and
-// Fixpoint (through it internal/live's sessions: views and distributed
-// jobs) all drive this loop rather than keeping private copies of it.
+// convergence, the re-optimize decision, checkpoint hooks, and the obs
+// histogram/span recording — lives here exactly once, and the two engines
+// (bulk full recompute, incremental workset ∪̇ merge) are small
+// EnginePolicy values supplying only their step semantics. Which engine
+// runs is the caller's choice, as in the paper: RunBulk, RunIncremental,
+// RunMicrostep (the incremental engine with direct merge required), the
+// Resume*/Restore* entry points, and Fixpoint (through it internal/live's
+// sessions: views and distributed jobs) all drive this loop rather than
+// keeping private copies of it.
 
 // stepOutcome is what one EnginePolicy superstep reports back to the
 // driver core.
@@ -190,24 +191,15 @@ func (d *driver) run() (converged bool, err error) {
 	return false, nil
 }
 
-// reoptimizeBackoffSteps is how many supersteps a failed re-optimization
-// suppresses further attempts for: the same collapsed workset would
-// otherwise retry — and fail — every superstep until convergence.
-const reoptimizeBackoffSteps = 8
-
 // reoptState carries the adaptive re-planning state of one running
-// iteration: the estimate the current plan was costed with, the plan the
-// session is executing, and the backoff window after a failure. It
-// persists across a Fixpoint's Run calls.
+// iteration: the estimate the current plan was costed with and the plan
+// the session is executing. It persists across a Fixpoint's Run calls.
 type reoptState struct {
 	// cur is the plan the live session executes and shape its structural
 	// fingerprint: a re-plan that yields the same shape keeps cur.
 	cur        *optimizer.PhysPlan
 	shape      string
 	plannedEst int64
-	// backoffUntil suppresses re-optimization attempts for supersteps
-	// below it after a failure.
-	backoffUntil int
 }
 
 func newReoptState(cur *optimizer.PhysPlan, plannedEst int64) *reoptState {
@@ -234,24 +226,16 @@ func (st *reoptState) install(phys *optimizer.PhysPlan) {
 // trace event and swap-phase span name both shapes, the planners behind
 // them and the cached bytes the swap dropped. Coordinated runs (OnEpoch
 // set) announce the new plan epoch to every peer before swapping locally
-// — peers only ever hear about real shape changes. Failures are surfaced
-// (ReoptimizeFailures, ReoptimizeBackoffs, a trace event) and suppress
-// further attempts for reoptimizeBackoffSteps supersteps.
+// — peers only ever hear about real shape changes. A re-plan that fails
+// fails the run, as it does on a worker applying the epoch.
 func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
 	st := d.reopt
-	if !rp.reoptimizeWanted() || int64(next)*16 >= st.plannedEst || step < st.backoffUntil {
+	if !rp.reoptimizeWanted() || int64(next)*16 >= st.plannedEst {
 		return nil
 	}
-	newPhys, rerr := rp.replan(int64(next))
-	if rerr != nil {
-		if d.cfg.Metrics != nil {
-			d.cfg.Metrics.ReoptimizeFailures.Add(1)
-			d.cfg.Metrics.ReoptimizeBackoffs.Add(1)
-		}
-		st.backoffUntil = step + 1 + reoptimizeBackoffSteps
-		d.trace.AddEvent(step, fmt.Sprintf("reoptimize failed (backing off %d supersteps): %v",
-			reoptimizeBackoffSteps, rerr))
-		return nil
+	newPhys, err := rp.replan(int64(next))
+	if err != nil {
+		return fmt.Errorf("iterative: re-plan at superstep %d: %w", d.traceBase+step, err)
 	}
 	st.plannedEst = int64(next)
 	shape := newPhys.Fingerprint()

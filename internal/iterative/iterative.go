@@ -19,19 +19,20 @@
 // As in the paper, the caller picks the iteration form; the optimizer
 // (§4.3) picks plans within it. Every form runs on one superstep driver
 // (driver.go): a single loop owning session lifecycle, convergence, the
-// reoptimize decision with backoff and plan cache, checkpoint cadence,
-// and span recording. An engine contributes only an EnginePolicy (what one
-// step computes: bulk = full recompute, incremental = Δ then S ∪̇ D),
-// and a deployment contributes only DriveHooks: a Barrier that globalizes
-// per-process workset counts and an OnEpoch callback that coordinates
-// plan swaps across processes — nil hooks mean single-process, where
-// local counts are global. The public Run*/Resume* functions and the
+// reoptimize decision, checkpoint cadence, and span recording. An engine
+// contributes only an EnginePolicy (what one step computes: bulk = full
+// recompute, incremental = Δ then S ∪̇ D), and a deployment contributes
+// only DriveHooks: a Barrier that globalizes per-process workset counts
+// and an OnEpoch callback that coordinates plan swaps across processes —
+// nil hooks mean single-process, where local counts are global. The public Run*/Resume* functions and the
 // resident Fixpoint are thin adapters over that core.
 package iterative
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/dataflow"
@@ -271,8 +272,10 @@ func RunBulk(spec BulkSpec, initial []record.Record, cfg Config) (*BulkResult, e
 		Planner:            plannerFor(cfg, false),
 		Fuse:               !cfg.DisableFusion,
 	}
+	resetLabels := labelPlanning(opts.Planner)
 	planStart := time.Now()
 	phys, err := optimizer.Optimize(spec.Plan, opts)
+	resetLabels()
 	spec.Input.EstRecords = savedEst
 	if err != nil {
 		return nil, err
@@ -381,7 +384,8 @@ type IncrementalResult struct {
 	PlanEpochs int
 	// Trace holds per-superstep stats when Config.CollectTrace is set.
 	Trace metrics.Trace
-	// Plan is the physical plan that was executed.
+	// Plan is the physical plan the last superstep ran: the initial plan,
+	// or the one a mid-run re-optimization swapped in.
 	Plan *optimizer.PhysPlan
 	// Set is the resident solution set that produced Solution. It remains
 	// valid after the run (sessions close, state survives) and can seed
@@ -462,7 +466,8 @@ func RunIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 	return runIncremental(spec, initialSolution, initialWorkset, cfg, false)
 }
 
-// runIncremental is the cold run behind RunIncremental and RunMicrostep;
+// runIncremental is the cold run behind RunIncremental and RunMicrostep:
+// a Fixpoint opened on a fresh solution set, run once and closed.
 // requireDirect refuses a Δ that fails the §5.2 conditions.
 func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config, requireDirect bool) (*IncrementalResult, error) {
 	cfg, err := cfg.normalize()
@@ -472,64 +477,49 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	maxSteps := spec.MaxSupersteps
-	if maxSteps <= 0 {
-		maxSteps = 10000
-	}
-	expected := spec.expected()
 	plannedEst := spec.Workset.EstRecords
 	if plannedEst == 0 {
 		plannedEst = int64(len(initialWorkset))
 	}
-
-	phys, err := optimizeIncrementalWithEst(&spec, cfg, expected, plannedEst, false)
+	phys, err := optimizeIncrementalWithEst(&spec, cfg, spec.expected(), plannedEst, false)
 	if err != nil {
 		return nil, err
 	}
-
-	sol := cfg.newSolutionSet(spec.SolutionKey, spec.Comparator)
-	en := openIncEngine(&spec, sol, cfg, expected, phys, nil)
-	defer en.close()
+	f, err := OpenFixpointOn(spec, nil, cfg, phys, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
 	// Refuse before the O(S) init: an inadmissible spec must not pay it —
 	// or, under a memory budget, leave spill files behind.
-	if requireDirect && en.inadmissible != nil {
-		return nil, en.inadmissible
+	if requireDirect && f.en.inadmissible != nil {
+		return nil, f.en.inadmissible
 	}
+	sol := f.Solution()
 	sol.Init(initialSolution)
-	out := &IncrementalResult{Plan: phys, Set: sol}
 	if requireDirect && len(initialWorkset) == 0 {
 		// An admissible Δ derives everything from W (condition 3: the
 		// dynamic path is one chain), so an empty working set is already
 		// the fixpoint — no superstep, no workers woken.
+		return &IncrementalResult{Plan: phys, Set: sol, Solution: sol.Snapshot()}, nil
+	}
+	// A run that exhausts its budget still hands back its partial state,
+	// wrapped in ErrNoProgress.
+	out, err := f.Run(initialWorkset)
+	if out != nil {
 		out.Solution = sol.Snapshot()
-		return out, nil
+		if serr := sol.Err(); serr != nil {
+			out, err = nil, serr
+		}
 	}
-	en.seed(initialWorkset)
-
-	d := &driver{
-		cfg: cfg, policy: en, maxSteps: maxSteps, worksetDriven: true,
-		reopt:   newReoptState(phys, plannedEst),
-		collect: cfg.CollectTrace, trace: &out.Trace,
-	}
-	converged, err := d.run()
-	out.Supersteps = d.steps
-	out.PlanEpochs = d.epochs
-	if err == nil {
-		out.Solution = sol.Snapshot()
-		err = sol.Err()
-	}
-	if err != nil {
+	if out == nil {
 		sol.Reset() // the set is not handed out: release its spill files
 		return nil, err
 	}
 	if requireDirect {
-		out.Microsteps = en.elements
+		out.Microsteps = f.en.elements
 	}
-	if converged {
-		return out, nil
-	}
-	// Budget exhausted: hand back the partial state for capped runs.
-	return out, fmt.Errorf("%w after %d supersteps", ErrNoProgress, maxSteps)
+	return out, err
 }
 
 // checkpointIfDue snapshots the solution set and pending working set
@@ -568,6 +558,24 @@ func plannerFor(cfg Config, reopt bool) optimizer.PlannerKind {
 	return optimizer.PlannerCost
 }
 
+// Profiler labels of planner calls, {layer=optimizer, op=cost|greedy},
+// built once.
+var (
+	costPlanLabels   = pprof.WithLabels(context.Background(), pprof.Labels("layer", "optimizer", "op", "cost"))
+	greedyPlanLabels = pprof.WithLabels(context.Background(), pprof.Labels("layer", "optimizer", "op", "greedy"))
+)
+
+// labelPlanning runs the calling goroutine under the profiler labels of a
+// call to planner until the returned reset takes them off again.
+func labelPlanning(planner optimizer.PlannerKind) (reset func()) {
+	labels := costPlanLabels
+	if planner == optimizer.PlannerGreedy {
+		labels = greedyPlanLabels
+	}
+	pprof.SetGoroutineLabels(labels)
+	return func() { pprof.SetGoroutineLabels(context.Background()) }
+}
+
 // notePlanned records the planning metrics of one optimizer call.
 func notePlanned(cfg Config, planner optimizer.PlannerKind, phys *optimizer.PhysPlan, elapsed time.Duration) {
 	if cfg.Obs != nil {
@@ -590,6 +598,6 @@ func notePlanned(cfg Config, planner optimizer.PlannerKind, phys *optimizer.Phys
 	}
 }
 
-// The superstep loop itself — and the reoptimize/backoff state it drives
-// — lives in driver.go; RunBulk and RunIncremental above are adapters
+// The superstep loop itself — and the re-optimization state it drives —
+// lives in driver.go; RunBulk and RunIncremental above are adapters
 // supplying an EnginePolicy to it.

@@ -75,9 +75,11 @@ func incrementalOptions(spec *IncrementalSpec, cfg Config, expected int, reopt b
 }
 
 // optimizeIncremental runs the optimizer for an incremental spec's initial
-// plan, or a mid-run re-plan when reopt is set, recording planning metrics.
+// plan, or a mid-run re-plan when reopt is set, under the planner's
+// profiler labels, recording planning metrics.
 func optimizeIncremental(spec *IncrementalSpec, cfg Config, expected int, reopt bool) (*optimizer.PhysPlan, error) {
 	opts := incrementalOptions(spec, cfg, expected, reopt)
+	defer labelPlanning(opts.Planner)()
 	start := time.Now()
 	phys, err := optimizer.Optimize(spec.Plan, opts)
 	if err != nil {
@@ -195,7 +197,6 @@ func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
 		return err
 	}
 	f.spec = spec
-	// A structurally new spec invalidates the memoized registry and plans.
 	f.reopt = newReoptState(phys, spec.Workset.EstRecords)
 	f.en.bind(&f.spec, expected)
 	f.en.swap(phys)

@@ -109,14 +109,6 @@ type Counters struct {
 	// Reoptimizations counts successful mid-run re-plans of the Δ
 	// dataflow after the working set drifted from the costed estimate.
 	Reoptimizations atomic.Int64
-	// ReoptimizeFailures counts mid-run re-plans that failed; the run
-	// continues on the stale plan, and the failure is also recorded as a
-	// trace event.
-	ReoptimizeFailures atomic.Int64
-	// ReoptimizeBackoffs counts failed re-plans that put re-optimization
-	// on hold for the next K supersteps, so a persistently failing plan
-	// does not retry at every barrier.
-	ReoptimizeBackoffs atomic.Int64
 	// GreedyPlans counts plans produced by the greedy zero-statistics
 	// fast-path planner (initial plans and mid-run re-plans alike).
 	GreedyPlans atomic.Int64
@@ -166,13 +158,11 @@ type Snapshot struct {
 	SnapshotsWritten int64
 	RecoveryReplays  int64
 
-	Reoptimizations    int64
-	ReoptimizeFailures int64
-	ReoptimizeBackoffs int64
-	GreedyPlans        int64
-	PlanCacheHits      int64
-	FusedOperators     int64
-	PlanNanos          int64
+	Reoptimizations int64
+	GreedyPlans     int64
+	PlanCacheHits   int64
+	FusedOperators  int64
+	PlanNanos       int64
 }
 
 // fieldPair links one Counters field to its same-named Snapshot field.

@@ -4,28 +4,24 @@ import (
 	"math/bits"
 
 	"repro/internal/dataflow"
-	"repro/internal/record"
 )
 
-// PlanCache memoizes the artifacts of repeated optimizations of one
-// logical plan: the key-identity registry (rebuilt from scratch by every
-// plain Optimize call) and whole physical plans, fingerprinted by the
-// planning inputs that actually change between mid-run re-optimizations —
+// PlanCache memoizes whole physical plans of one logical plan,
+// fingerprinted by the planning inputs that change between re-plans —
 // planner, fusion, parallelism, iteration weight, and the workset
-// cardinality bucketed to its order of magnitude (the trigger granularity
-// of re-planning: a plan costed for 10k workset records serves 9k ones
-// identically). A hit skips planning entirely.
+// cardinality bucketed to its order of magnitude (a plan costed for 10k
+// workset records serves 9k ones identically). A hit skips planning
+// entirely.
 //
 // The iteration driver does not use it: it re-plans only when the workset
 // fell 16× below the last estimate, so no two re-plans of one run share a
 // bucket. The cache prices what skipping planning entirely would buy (the
-// harness's planner scenario and the benchmark's planner probe).
+// benchmark's planner probe, plan_cache_hit_us).
 //
 // A cache is bound to one logical plan and one spec shape; it is not safe
 // for concurrent use.
 type PlanCache struct {
-	registry map[uintptr]record.KeyFunc
-	plans    map[planKey]*PhysPlan
+	plans map[planKey]*PhysPlan
 	// Hits and Misses count lookups.
 	Hits, Misses int64
 }
@@ -51,10 +47,6 @@ func NewPlanCache() *PlanCache {
 // owns applying est to the plan's placeholder estimate before calling (the
 // cache only fingerprints it).
 func (c *PlanCache) Optimize(p *dataflow.Plan, opt Options, est int64) (*PhysPlan, bool, error) {
-	if c.registry == nil {
-		c.registry = KeyRegistry(p, opt)
-	}
-	opt.Registry = c.registry
 	k := planKey{
 		planner:            opt.Planner,
 		fuse:               opt.Fuse,

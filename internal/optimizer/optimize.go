@@ -84,10 +84,6 @@ type Options struct {
 	// one batch copy and one pool round-trip per fused edge per
 	// superstep.
 	Fuse bool
-	// Registry optionally supplies a prebuilt key-identity registry (see
-	// KeyRegistry), so repeated optimizations of the same plan — a
-	// re-planning loop inside a running iteration — skip rebuilding it.
-	Registry map[uintptr]record.KeyFunc
 }
 
 // JoinHint restricts the strategies enumerated for a Match node.
@@ -236,9 +232,7 @@ type fbEdge struct{ ph, sink int }
 
 // finishPlan applies the shared planning tail: it records how each
 // placeholder's data must be partitioned when re-injected (so the granted
-// loop assumption holds) and runs the fusion rewrite when requested. The
-// key registry is only built if a placeholder actually carries a granted
-// partitioning.
+// loop assumption holds) and runs the fusion rewrite when requested.
 func finishPlan(p *dataflow.Plan, opt Options, plan *PhysPlan, granted map[int]Props) *PhysPlan {
 	plan.Planner = PlannerCost
 	if opt.Planner == PlannerGreedy {
@@ -257,12 +251,8 @@ func finishPlan(p *dataflow.Plan, opt Options, plan *PhysPlan, granted map[int]P
 
 // keyByID resolves one key identity to its function — a linear scan over
 // the plan's key selectors, so the hot planning path does not rebuild the
-// whole registry map per call. A registry supplied through Options.Registry
-// is consulted directly.
+// whole registry map per call.
 func keyByID(p *dataflow.Plan, opt Options, id uintptr) record.KeyFunc {
-	if opt.Registry != nil {
-		return opt.Registry[id]
-	}
 	match := func(k record.KeyFunc) bool { return k != nil && record.KeyID(k) == id }
 	for _, n := range p.Nodes() {
 		if match(n.Keys[0]) {
@@ -301,12 +291,8 @@ func feedbackConsistent(fb []fbEdge, granted map[int]Props, sinkProps []Props) b
 }
 
 // registryOf maps key identities to key functions over all keys mentioned
-// in the plan and options; a registry supplied through Options.Registry is
-// used as-is.
+// in the plan and options.
 func registryOf(p *dataflow.Plan, opt Options) map[uintptr]record.KeyFunc {
-	if opt.Registry != nil {
-		return opt.Registry
-	}
 	reg := make(map[uintptr]record.KeyFunc)
 	add := func(k record.KeyFunc) {
 		if k != nil {
@@ -326,15 +312,6 @@ func registryOf(p *dataflow.Plan, opt Options) map[uintptr]record.KeyFunc {
 		add(k)
 	}
 	return reg
-}
-
-// KeyRegistry builds the key-identity registry Optimize uses to map granted
-// physical properties back to key functions. Callers that optimize the same
-// plan repeatedly (mid-iteration re-planning, plan caches) build it once and
-// pass it back through Options.Registry to skip the per-call rebuild.
-func KeyRegistry(p *dataflow.Plan, opt Options) map[uintptr]record.KeyFunc {
-	opt.Registry = nil
-	return registryOf(p, opt)
 }
 
 // cand is one physical alternative for a logical node's output.

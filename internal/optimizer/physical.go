@@ -15,8 +15,8 @@
 //     loop-invariant) join side. It plans in microseconds, which is what
 //     mid-iteration re-optimization needs: there, planning latency sits
 //     on the superstep path. Options.Planner selects; PlanCache
-//     (cache.go) memoizes whole plans, which prices what skipping
-//     planning entirely would buy.
+//     (cache.go) memoizes whole plans, which the benchmark uses to price
+//     what skipping planning entirely would buy.
 //
 // Both planners feed the operator-fusion rewrite (fuse.go), which
 // collapses adjacent Map/filter/project chains connected by exclusive

@@ -469,20 +469,3 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 1/3", c.Hits, c.Misses)
 	}
 }
-
-func TestKeyRegistryMemoization(t *testing.T) {
-	p, _ := reducePlan()
-	reg := KeyRegistry(p, Options{})
-	if len(reg) == 0 {
-		t.Fatal("empty registry for a keyed plan")
-	}
-	if _, ok := reg[record.KeyID(record.KeyA)]; !ok {
-		t.Fatal("registry is missing the join/reduce key")
-	}
-	// Optimize with an injected registry must still plan correctly.
-	phys, err := Optimize(p, Options{Parallelism: 2, Registry: reg, Planner: PlannerGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDenseIdentities(t, phys)
-}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
+	"repro/internal/optimizer"
 )
 
 // TestTaskProfileLabels profiles fused CoGroup CC at Parallelism 2 and
@@ -22,7 +23,9 @@ import (
 // of the driver's ∪̇ merge labelled {layer=solution, op=merge}. It repeats
 // the fixpoint until every task has been sampled, so short tasks (the
 // sinks) are caught too; supersteps run on both lanes, and samples of
-// both lanes must show up.
+// both lanes must show up. Planning samples ({layer=optimizer,
+// op=cost|greedy}) are accepted but not required: planning is about 0.1 %
+// of a fixpoint.
 func TestTaskProfileLabels(t *testing.T) {
 	g := graphgen.RMAT("labels", 11, 60_000, 0.57, 0.19, 0.19, 9).WithDiameterTail(20, 0)
 	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
@@ -74,8 +77,8 @@ func TestTaskProfileLabels(t *testing.T) {
 					t.Fatalf("merge sampled with labels %v, want only layer and op", l)
 				}
 				merges++
-			} else if l["op"] != "" || l["layer"] != "" {
-				t.Fatalf("labels %v are neither a runtime task's nor the solution merge's", l)
+			} else if !isPlanLabel(l) && (l["op"] != "" || l["layer"] != "") {
+				t.Fatalf("labels %v are neither a runtime task's, the solution merge's nor a planner call's", l)
 			}
 		}
 		missing := 0
@@ -101,6 +104,63 @@ func TestTaskProfileLabels(t *testing.T) {
 		if err := pprof.StartCPUProfile(&prof); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// isPlanLabel reports whether l is the label set of a planner call,
+// {layer=optimizer, op=cost|greedy}.
+func isPlanLabel(l map[string]string) bool {
+	return len(l) == 2 && l["layer"] == "optimizer" && (l["op"] == "cost" || l["op"] == "greedy")
+}
+
+// TestPlannerProfileLabels profiles a loop of planning calls — CoGroup
+// CC's plan under the cost-based and the greedy planner — and requires
+// CPU samples labelled {layer=optimizer, op=cost} and {layer=optimizer,
+// op=greedy}; every optimizer-layer sample must carry exactly that label
+// set.
+func TestPlannerProfileLabels(t *testing.T) {
+	g := graphgen.Uniform("plan-labels", 200, 800, 5)
+	spec, _, _ := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
+	cost := iterative.Config{Parallelism: 2, Planner: optimizer.PlannerCost}
+	greedy := iterative.Config{Parallelism: 2, Planner: optimizer.PlannerGreedy}
+
+	var prof bytes.Buffer
+	seen := map[string]int{}
+	deadline := time.Now().Add(30 * time.Second)
+	for round := 0; ; round++ {
+		if err := pprof.StartCPUProfile(&prof); err != nil {
+			t.Skipf("CPU profiler busy: %v", err)
+		}
+		for stop := time.Now().Add(300 * time.Millisecond); time.Now().Before(stop); {
+			for _, cfg := range []iterative.Config{cost, greedy} {
+				if _, err := iterative.PlanIncremental(spec, cfg, 0); err != nil {
+					pprof.StopCPUProfile()
+					t.Fatal(err)
+				}
+			}
+		}
+		pprof.StopCPUProfile()
+		samples, err := labelledSamples(prof.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range samples {
+			if l["layer"] != "optimizer" {
+				continue
+			}
+			if !isPlanLabel(l) {
+				t.Fatalf("optimizer sample labelled %v, want exactly {layer=optimizer, op=cost|greedy}", l)
+			}
+			seen[l["op"]]++
+		}
+		if seen["cost"] > 0 && seen["greedy"] > 0 {
+			t.Logf("optimizer samples after %d rounds: %v", round+1, seen)
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d rounds optimizer samples per planner are %v, want both cost and greedy", round+1, seen)
+		}
+		prof.Reset()
 	}
 }
 
