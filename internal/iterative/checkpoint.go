@@ -13,37 +13,17 @@ import (
 	"repro/internal/record"
 )
 
-// Checkpointing (§4.2): "iterative dataflows may log intermediate results
-// for recovery just as non-iterative dataflows ... a new version of the
-// log needs to be created for every logged iteration". The iteration
-// drivers can snapshot the loop state every k passes; after a failure a
-// run resumes from the last snapshot instead of from scratch.
-//
-// The on-disk format is streaming on both sides: a fixed header followed
-// by *sections*, each a sequence of bounded CRC32 frames (record.Frame*)
+// The section file format of live's snapshots (internal/live): a fixed
+// header (magic, version, kind, iteration counter) followed by
+// *sections*, each a sequence of bounded CRC32 frames (record.Frame*)
 // closed by an empty frame. Writing chunks the records into frames as
-// they arrive — a checkpoint of an N-record solution set never holds more
+// they arrive — a snapshot of an N-record solution set never holds more
 // than one frame's worth of encoded bytes in memory — and reading decodes
 // through a fixed 64 KiB buffered reader, so a multi-gigabyte (or
-// corrupt-header) checkpoint cannot allocate unboundedly. The live-view
-// durability layer (internal/live) shares this writer/reader for its
-// snapshots and the same framing for its write-ahead log.
-//
-// A bulk checkpoint holds the partial solution; an incremental checkpoint
-// holds the solution set and the pending working set.
-
-// Checkpoint is a recoverable snapshot of an iteration's loop state.
-type Checkpoint struct {
-	// Kind is "bulk" or "incremental".
-	Kind string
-	// Iteration is the number of completed passes/supersteps.
-	Iteration int
-	// Solution is the partial solution (bulk) or solution set
-	// (incremental).
-	Solution []record.Record
-	// Workset is the pending working set (incremental only).
-	Workset []record.Record
-}
+// corrupt-header) file cannot allocate unboundedly. The live durability
+// layer writes its snapshots and view_open payloads through this
+// writer/reader, its files through WriteFileDurable, and its write-ahead
+// log in the same framing.
 
 const (
 	checkpointMagic   = uint32(0x53464c57) // "SFLW"
@@ -65,6 +45,10 @@ type CheckpointWriter struct {
 	buf   []byte
 	chunk record.Batch
 	err   error
+	// open is set by Append and cleared by EndSection: a section holding
+	// records but no end marker yet, even when its last full frame has
+	// already left the chunk.
+	open bool
 }
 
 // NewCheckpointWriter writes the header and returns a writer positioned
@@ -97,6 +81,7 @@ func (cw *CheckpointWriter) Append(r record.Record) error {
 		return cw.err
 	}
 	cw.chunk = append(cw.chunk, r)
+	cw.open = true
 	if len(cw.chunk) >= checkpointChunk {
 		return cw.flushChunk()
 	}
@@ -125,6 +110,7 @@ func (cw *CheckpointWriter) EndSection() error {
 	if _, err := cw.bw.Write(cw.buf); err != nil {
 		cw.err = err
 	}
+	cw.open = false
 	return cw.err
 }
 
@@ -134,8 +120,8 @@ func (cw *CheckpointWriter) Flush() error {
 	if cw.err != nil {
 		return cw.err
 	}
-	if len(cw.chunk) != 0 {
-		return fmt.Errorf("iterative: checkpoint section left open (%d buffered records)", len(cw.chunk))
+	if cw.open {
+		return fmt.Errorf("iterative: checkpoint section left open")
 	}
 	return cw.bw.Flush()
 }
@@ -229,75 +215,6 @@ func (cr *CheckpointReader) ReadSection(f func(record.Batch) error) error {
 	}
 }
 
-// WriteTo serializes the checkpoint in the streaming section format:
-// header, solution section, workset section. Encoding is chunked into
-// bounded frames — unlike a single EncodeBatch of the full record set,
-// peak memory during a checkpoint stays at one frame, not a second copy
-// of the solution.
-func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
-	cnt := &countingWriter{w: w}
-	cw, err := NewCheckpointWriter(cnt, c.Kind, uint64(c.Iteration))
-	if err != nil {
-		return cnt.n, err
-	}
-	for _, section := range [][]record.Record{c.Solution, c.Workset} {
-		for _, r := range section {
-			if err := cw.Append(r); err != nil {
-				return cnt.n, err
-			}
-		}
-		if err := cw.EndSection(); err != nil {
-			return cnt.n, err
-		}
-	}
-	return cnt.n, cw.Flush()
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// ReadCheckpoint deserializes a checkpoint written by WriteTo. The file
-// is stream-decoded frame by frame through a fixed buffered reader — it
-// is never slurped whole, and a corrupt header cannot trigger an
-// allocation larger than one frame's records.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	cr, err := NewCheckpointReader(r)
-	if err != nil {
-		return nil, err
-	}
-	c := &Checkpoint{Kind: cr.Kind(), Iteration: int(cr.Iteration())}
-	collect := func(dst *[]record.Record, what string) error {
-		err := cr.ReadSection(func(b record.Batch) error {
-			*dst = append(*dst, b...)
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("iterative: checkpoint %s: %w", what, err)
-		}
-		return nil
-	}
-	if err := collect(&c.Solution, "solution"); err != nil {
-		return nil, err
-	}
-	if err := collect(&c.Workset, "workset"); err != nil {
-		return nil, err
-	}
-	// A third section (or trailing bytes) means the file is not a plain
-	// checkpoint.
-	if err := cr.ReadSection(func(record.Batch) error { return nil }); err != io.EOF {
-		return nil, fmt.Errorf("iterative: trailing data after checkpoint workset")
-	}
-	return c, nil
-}
-
 // WriteFileDurable writes path atomically *and* durably: the content is
 // produced into path.tmp, fsynced, renamed over path, and the parent
 // directory is fsynced so the rename itself survives a crash. Without
@@ -345,62 +262,4 @@ func syncDir(dir string) error {
 		return err
 	}
 	return nil
-}
-
-// SaveCheckpoint writes a checkpoint file atomically and durably
-// (WriteFileDurable: temp write, fsync, rename, directory fsync).
-func SaveCheckpoint(path string, c *Checkpoint) error {
-	return WriteFileDurable(path, func(w io.Writer) error {
-		_, err := c.WriteTo(w)
-		return err
-	})
-}
-
-// LoadCheckpoint reads a checkpoint file.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCheckpoint(f)
-}
-
-// ResumeBulk restarts a bulk iteration from a checkpoint: the snapshot's
-// partial solution becomes the initial input, and fixed-count runs only
-// execute the remaining passes.
-func ResumeBulk(spec BulkSpec, cp *Checkpoint, cfg Config) (*BulkResult, error) {
-	if _, err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	if cp.Kind != "bulk" {
-		return nil, fmt.Errorf("iterative: cannot resume bulk iteration from %q checkpoint", cp.Kind)
-	}
-	if spec.FixedIterations > 0 {
-		remaining := spec.FixedIterations - cp.Iteration
-		if remaining <= 0 {
-			return &BulkResult{Solution: cp.Solution, Iterations: 0}, nil
-		}
-		spec.FixedIterations = remaining
-	}
-	res, err := RunBulk(spec, cp.Solution, cfg)
-	if res != nil {
-		res.Iterations += cp.Iteration
-	}
-	return res, err
-}
-
-// RestoreIncremental restarts an incremental iteration from a checkpoint:
-// the snapshot's solution set and pending working set continue where the
-// failed run left off. (ResumeIncremental, by contrast, warm-restarts over
-// a live in-memory solution set rather than a persisted snapshot.)
-func RestoreIncremental(spec IncrementalSpec, cp *Checkpoint, cfg Config) (*IncrementalResult, error) {
-	if cp.Kind != "incremental" {
-		return nil, fmt.Errorf("iterative: cannot resume incremental iteration from %q checkpoint", cp.Kind)
-	}
-	res, err := RunIncremental(spec, cp.Solution, cp.Workset, cfg)
-	if res != nil {
-		res.Supersteps += cp.Iteration
-	}
-	return res, err
 }

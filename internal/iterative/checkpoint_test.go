@@ -3,48 +3,94 @@ package iterative
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/dataflow"
 	"repro/internal/record"
 )
 
-func TestCheckpointSerializationRoundTrip(t *testing.T) {
-	cp := &Checkpoint{
-		Kind:      "incremental",
-		Iteration: 17,
-		Solution:  []record.Record{{A: 1, B: 2, X: 3.5, Tag: 4}, {A: -1}},
-		Workset:   []record.Record{{A: 9}},
+// writeSections encodes a header and two sections (a solution and a
+// workset, as a live snapshot body lays out its own) through the
+// streaming writer.
+func writeSections(w io.Writer, kind string, iteration uint64, solution, workset []record.Record) error {
+	cw, err := NewCheckpointWriter(w, kind, iteration)
+	if err != nil {
+		return err
 	}
+	for _, section := range [][]record.Record{solution, workset} {
+		for _, r := range section {
+			if err := cw.Append(r); err != nil {
+				return err
+			}
+		}
+		if err := cw.EndSection(); err != nil {
+			return err
+		}
+	}
+	return cw.Flush()
+}
+
+// sectionFile is what readSections decodes: the header and both sections.
+type sectionFile struct {
+	kind              string
+	iteration         uint64
+	solution, workset []record.Record
+}
+
+// readSections decodes a writeSections file through the streaming
+// reader. Exactly two sections must be present: a missing one is a torn
+// file, a third one (or trailing bytes) is not this layout.
+func readSections(r io.Reader) (*sectionFile, error) {
+	cr, err := NewCheckpointReader(r)
+	if err != nil {
+		return nil, err
+	}
+	f := &sectionFile{kind: cr.Kind(), iteration: cr.Iteration()}
+	for _, dst := range []*[]record.Record{&f.solution, &f.workset} {
+		err := cr.ReadSection(func(b record.Batch) error {
+			*dst = append(*dst, b...)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := cr.ReadSection(func(record.Batch) error { return nil }); err != io.EOF {
+		return nil, fmt.Errorf("trailing data after the second section")
+	}
+	return f, nil
+}
+
+func TestCheckpointSerializationRoundTrip(t *testing.T) {
+	solution := []record.Record{{A: 1, B: 2, X: 3.5, Tag: 4}, {A: -1}}
 	var buf bytes.Buffer
-	if _, err := cp.WriteTo(&buf); err != nil {
+	if err := writeSections(&buf, "incremental", 17, solution, []record.Record{{A: 9}}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCheckpoint(&buf)
+	back, err := readSections(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Kind != cp.Kind || back.Iteration != cp.Iteration {
+	if back.kind != "incremental" || back.iteration != 17 {
 		t.Fatalf("header mismatch: %+v", back)
 	}
-	if len(back.Solution) != 2 || !back.Solution[0].Equal(cp.Solution[0]) {
-		t.Errorf("solution mismatch: %v", back.Solution)
+	if len(back.solution) != 2 || !back.solution[0].Equal(solution[0]) {
+		t.Errorf("solution mismatch: %v", back.solution)
 	}
-	if len(back.Workset) != 1 || back.Workset[0].A != 9 {
-		t.Errorf("workset mismatch: %v", back.Workset)
+	if len(back.workset) != 1 || back.workset[0].A != 9 {
+		t.Errorf("workset mismatch: %v", back.workset)
 	}
 }
 
 func TestCheckpointRejectsGarbage(t *testing.T) {
-	if _, err := ReadCheckpoint(strings.NewReader("not a checkpoint")); err == nil {
+	if _, err := readSections(strings.NewReader("not a checkpoint")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadCheckpoint(bytes.NewReader([]byte{0x57, 0x4c, 0x46, 0x53})); err == nil {
+	if _, err := readSections(bytes.NewReader([]byte{0x57, 0x4c, 0x46, 0x53})); err == nil {
 		t.Error("truncated checkpoint accepted")
 	}
 }
@@ -56,57 +102,107 @@ func TestCheckpointRejectsOversizeKind(t *testing.T) {
 	buf = binary.LittleEndian.AppendUint32(buf, checkpointMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, checkpointVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, 1<<30)
-	if _, err := ReadCheckpoint(bytes.NewReader(buf)); err == nil ||
+	if _, err := NewCheckpointReader(bytes.NewReader(buf)); err == nil ||
 		!strings.Contains(err.Error(), "kind length") {
 		t.Fatalf("oversize kind length: %v", err)
 	}
 }
 
 func TestCheckpointTruncatedSection(t *testing.T) {
-	cp := &Checkpoint{Kind: "incremental", Iteration: 1,
-		Solution: manyRecords(3 * checkpointChunk / 2), Workset: []record.Record{{A: 1}}}
+	solution := manyRecords(3 * checkpointChunk / 2)
 	var buf bytes.Buffer
-	if _, err := cp.WriteTo(&buf); err != nil {
+	if err := writeSections(&buf, "incremental", 1, solution, []record.Record{{A: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	back, err := ReadCheckpoint(bytes.NewReader(full))
+	back, err := readSections(bytes.NewReader(full))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Solution) != len(cp.Solution) || len(back.Workset) != 1 {
-		t.Fatalf("round trip lost records: %d/%d", len(back.Solution), len(back.Workset))
+	if len(back.solution) != len(solution) || len(back.workset) != 1 {
+		t.Fatalf("round trip lost records: %d/%d", len(back.solution), len(back.workset))
 	}
-	// Every proper prefix must error (torn checkpoint), never panic or
+	// Every proper prefix must error (torn file), never panic or
 	// silently return partial state.
 	for _, cut := range []int{len(full) - 1, len(full) / 2, 30, 21} {
-		if _, err := ReadCheckpoint(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := readSections(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("cut at %d accepted", cut)
 		}
 	}
 }
 
-// TestCheckpointStreamingWrite checks the chunked encoding: a checkpoint
+// TestCheckpointStreamingWrite checks the chunked encoding: a section
 // larger than one frame must produce multiple bounded frames, and the
 // writer must never hold more than ~one frame of encoded bytes.
 func TestCheckpointStreamingWrite(t *testing.T) {
 	n := 3*checkpointChunk + 17
-	cp := &Checkpoint{Kind: "bulk", Iteration: 2, Solution: manyRecords(n)}
+	solution := manyRecords(n)
 	var buf bytes.Buffer
-	if _, err := cp.WriteTo(&buf); err != nil {
+	if err := writeSections(&buf, "bulk", 2, solution, nil); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCheckpoint(&buf)
+	cr, err := NewCheckpointReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Solution) != n {
-		t.Fatalf("solution: %d records, want %d", len(back.Solution), n)
-	}
-	for i, r := range back.Solution {
-		if !r.Equal(cp.Solution[i]) {
-			t.Fatalf("record %d: %v != %v", i, r, cp.Solution[i])
+	var back []record.Record
+	frames := 0
+	if err := cr.ReadSection(func(b record.Batch) error {
+		if len(b) > checkpointChunk {
+			t.Fatalf("frame of %d records exceeds the %d-record chunk", len(b), checkpointChunk)
 		}
+		frames++
+		back = append(back, b...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if frames != 4 || len(back) != n {
+		t.Fatalf("solution: %d records in %d frames, want %d in 4", len(back), frames, n)
+	}
+	for i, r := range back {
+		if !r.Equal(solution[i]) {
+			t.Fatalf("record %d: %v != %v", i, r, solution[i])
+		}
+	}
+}
+
+// TestCheckpointFlushRefusesOpenSection: Flush before EndSection is an
+// error however many records the open section holds — including a
+// multiple of the chunk size, where Append has already emitted every
+// frame and nothing is buffered — since the file it would leave has no
+// end marker and ReadSection rejects it.
+func TestCheckpointFlushRefusesOpenSection(t *testing.T) {
+	for _, n := range []int{1, checkpointChunk, 2 * checkpointChunk} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			var buf bytes.Buffer
+			cw, err := NewCheckpointWriter(&buf, "bulk", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range manyRecords(n) {
+				if err := cw.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cw.Flush(); err == nil {
+				t.Fatalf("Flush with %d records in an open section returned nil", n)
+			}
+			if err := cw.EndSection(); err != nil {
+				t.Fatal(err)
+			}
+			if err := cw.Flush(); err != nil {
+				t.Fatalf("Flush after EndSection: %v", err)
+			}
+			cr, err := NewCheckpointReader(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			if err := cr.ReadSection(func(b record.Batch) error { got += len(b); return nil }); err != nil || got != n {
+				t.Fatalf("read back %d records (%v), want %d", got, err, n)
+			}
+		})
 	}
 }
 
@@ -118,32 +214,34 @@ func manyRecords(n int) []record.Record {
 	return out
 }
 
-// FuzzCheckpointRead feeds arbitrary bytes through the checkpoint
-// decoder: it must never panic, and anything it accepts must round-trip.
+// FuzzCheckpointRead feeds arbitrary bytes through the section reader:
+// it must never panic, and any two-section file it accepts must
+// round-trip through the section writer.
 func FuzzCheckpointRead(f *testing.F) {
-	seed := func(cp *Checkpoint) []byte {
+	seed := func(kind string, iteration uint64, solution, workset []record.Record) []byte {
 		var buf bytes.Buffer
-		cp.WriteTo(&buf)
+		writeSections(&buf, kind, iteration, solution, workset)
 		return buf.Bytes()
 	}
-	f.Add(seed(&Checkpoint{Kind: "bulk", Iteration: 1, Solution: manyRecords(5)}))
-	f.Add(seed(&Checkpoint{Kind: "incremental", Solution: manyRecords(2), Workset: manyRecords(3)})[:40])
+	f.Add(seed("bulk", 1, manyRecords(5), nil))
+	f.Add(seed("incremental", 0, manyRecords(2), manyRecords(3))[:40])
 	f.Add([]byte{0x57, 0x4c, 0x46, 0x53, 2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := ReadCheckpoint(bytes.NewReader(data))
+		got, err := readSections(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
-		if _, err := cp.WriteTo(&buf); err != nil {
-			t.Fatalf("accepted checkpoint does not re-encode: %v", err)
+		if err := writeSections(&buf, got.kind, got.iteration, got.solution, got.workset); err != nil {
+			t.Fatalf("accepted file does not re-encode: %v", err)
 		}
-		back, err := ReadCheckpoint(&buf)
+		back, err := readSections(&buf)
 		if err != nil {
-			t.Fatalf("re-encoded checkpoint rejected: %v", err)
+			t.Fatalf("re-encoded file rejected: %v", err)
 		}
-		if len(back.Solution) != len(cp.Solution) || len(back.Workset) != len(cp.Workset) {
-			t.Fatal("round trip changed record counts")
+		if back.kind != got.kind || back.iteration != got.iteration ||
+			len(back.solution) != len(got.solution) || len(back.workset) != len(got.workset) {
+			t.Fatal("round trip changed the header or record counts")
 		}
 	})
 }
@@ -176,152 +274,5 @@ func TestWriteFileDurable(t *testing.T) {
 	}
 	if _, err := os.Stat(bad + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("failed write left temp: %v", err)
-	}
-}
-
-func TestCheckpointFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.bin")
-	cp := &Checkpoint{Kind: "bulk", Iteration: 3, Solution: []record.Record{{A: 42}}}
-	if err := SaveCheckpoint(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Iteration != 3 || back.Solution[0].A != 42 {
-		t.Fatalf("file round trip lost data: %+v", back)
-	}
-}
-
-func TestBulkCheckpointAndResume(t *testing.T) {
-	// A 10-pass doubler checkpointed every 3 passes, resumed after a
-	// simulated failure, must equal an uninterrupted run.
-	build := func() (BulkSpec, []record.Record) {
-		spec, init := doubler()
-		spec.FixedIterations = 10
-		return spec, init
-	}
-
-	spec, init := build()
-	uninterrupted, err := RunBulk(spec, init, Config{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var last *Checkpoint
-	spec2, init2 := build()
-	spec2.FixedIterations = 6 // "failure" after pass 6
-	spec2.CheckpointEvery = 3
-	spec2.OnCheckpoint = func(cp *Checkpoint) error { last = cp; return nil }
-	if _, err := RunBulk(spec2, init2, Config{Parallelism: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if last == nil || last.Iteration != 6 {
-		t.Fatalf("checkpoint not taken: %+v", last)
-	}
-
-	spec3, _ := build()
-	resumed, err := ResumeBulk(spec3, last, Config{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Iterations != 10 {
-		t.Errorf("resumed total iterations = %d, want 10", resumed.Iterations)
-	}
-	sum := func(rs []record.Record) int64 {
-		var s int64
-		for _, r := range rs {
-			s += r.A
-		}
-		return s
-	}
-	if sum(resumed.Solution) != sum(uninterrupted.Solution) {
-		t.Errorf("resumed %d != uninterrupted %d", sum(resumed.Solution), sum(uninterrupted.Solution))
-	}
-}
-
-func TestIncrementalCheckpointAndResumeAfterFailure(t *testing.T) {
-	// Ring propagation with a UDF that fails exactly once mid-run; the
-	// checkpoint taken before the failure lets the job finish and reach
-	// the same fixpoint.
-	const n = 24
-	var failAt atomic.Int64
-	failAt.Store(8) // supersteps before the injected crash
-
-	build := func() (IncrementalSpec, []record.Record, []record.Record) {
-		spec, s0, w0 := incrSpec(n)
-		// Wrap the solution join with a failure injector.
-		for _, node := range spec.Plan.Nodes() {
-			if node.Contract == dataflow.SolutionJoin {
-				orig := node.SolJoin
-				node.SolJoin = func(c, s record.Record, found bool, out dataflow.Emitter) {
-					if failAt.Load() == 0 {
-						panic("injected failure")
-					}
-					orig(c, s, found, out)
-				}
-			}
-		}
-		return spec, s0, w0
-	}
-
-	spec, s0, w0 := build()
-	spec.CheckpointEvery = 2
-	spec.MaxSupersteps = 1000
-	var last *Checkpoint
-	// The failure countdown ticks at every checkpoint (every 2 supersteps),
-	// so the crash lands a few supersteps after the last good snapshot.
-	spec.OnCheckpoint = func(cp *Checkpoint) error {
-		last = cp
-		failAt.Add(-2)
-		return nil
-	}
-	_, err := RunIncremental(spec, s0, w0, Config{Parallelism: 2})
-	if err == nil {
-		t.Fatal("injected failure did not surface")
-	}
-	if last == nil {
-		t.Fatal("no checkpoint before the failure")
-	}
-
-	// Recovery: disable the injector and resume.
-	failAt.Store(1 << 30)
-	spec2, _, _ := build()
-	res, err := RestoreIncremental(spec2, last, Config{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Solution {
-		if r.B != 0 {
-			t.Fatalf("vertex %d did not converge after resume (got %d)", r.A, r.B)
-		}
-	}
-	if res.Supersteps <= last.Iteration {
-		t.Errorf("resumed supersteps (%d) should extend the checkpoint (%d)", res.Supersteps, last.Iteration)
-	}
-}
-
-func TestResumeKindMismatch(t *testing.T) {
-	spec, _ := doubler()
-	if _, err := ResumeBulk(spec, &Checkpoint{Kind: "incremental"}, Config{}); err == nil {
-		t.Error("bulk resume accepted incremental checkpoint")
-	}
-	ispec, _, _ := incrSpec(4)
-	if _, err := RestoreIncremental(ispec, &Checkpoint{Kind: "bulk"}, Config{}); err == nil {
-		t.Error("incremental resume accepted bulk checkpoint")
-	}
-}
-
-func TestResumeBulkAlreadyComplete(t *testing.T) {
-	spec, _ := doubler()
-	spec.FixedIterations = 5
-	cp := &Checkpoint{Kind: "bulk", Iteration: 5, Solution: []record.Record{{A: 99}}}
-	res, err := ResumeBulk(spec, cp, Config{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Solution) != 1 || res.Solution[0].A != 99 {
-		t.Errorf("completed checkpoint should pass through: %v", res.Solution)
 	}
 }

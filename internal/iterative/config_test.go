@@ -18,11 +18,6 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	existing := Config{Parallelism: 1}.newSolutionSet(inc.SolutionKey, inc.Comparator)
-	// A checkpoint that already reached FixedIterations has nothing left
-	// to run — a bad Config must be refused all the same.
-	finished := &Checkpoint{Kind: "bulk", Iteration: 1, Solution: initial}
-	unfinished := &Checkpoint{Kind: "bulk", Solution: initial}
-	incCP := &Checkpoint{Kind: "incremental", Solution: s0, Workset: w0}
 
 	bad := []struct {
 		name string
@@ -52,18 +47,6 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 					_, err := RunMicrostep(inc, s0, w0, cfg)
 					return err
 				}},
-				{"ResumeBulk/finished", func(cfg Config) error {
-					_, err := ResumeBulk(bulk, finished, cfg)
-					return err
-				}},
-				{"ResumeBulk/unfinished", func(cfg Config) error {
-					_, err := ResumeBulk(bulk, unfinished, cfg)
-					return err
-				}},
-				{"RestoreIncremental", func(cfg Config) error {
-					_, err := RestoreIncremental(inc, incCP, cfg)
-					return err
-				}},
 				{"ResumeIncremental", func(cfg Config) error {
 					_, err := ResumeIncremental(inc, existing, w0, cfg)
 					return err
@@ -74,10 +57,6 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 				}},
 				{"PlanIncremental", func(cfg Config) error {
 					_, err := PlanIncremental(inc, cfg, 0)
-					return err
-				}},
-				{"OpenFixpoint", func(cfg Config) error {
-					_, err := OpenFixpoint(inc, nil, cfg)
 					return err
 				}},
 				{"OpenFixpointOn", func(cfg Config) error {

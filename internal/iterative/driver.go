@@ -17,15 +17,15 @@ import (
 // paper's point is that bulk and incremental iterations are one dataflow
 // abstraction differing only in step semantics; the code says the same
 // thing structurally: the full superstep lifecycle — the loop itself,
-// convergence, the re-optimize decision, checkpoint hooks, and the obs
-// histogram/span recording — lives here exactly once, and the two engines
+// convergence, the re-optimize decision, and the obs histogram/span
+// recording — lives here exactly once, and the two engines
 // (bulk full recompute, incremental workset ∪̇ merge) are small
 // EnginePolicy values supplying only their step semantics. Which engine
 // runs is the caller's choice, as in the paper: RunBulk, RunIncremental,
-// RunMicrostep (the incremental engine with direct merge required), the
-// Resume*/Restore* entry points, and Fixpoint (through it internal/live's
-// sessions: views and distributed jobs) all drive this loop rather than
-// keeping private copies of it.
+// RunMicrostep (the incremental engine with direct merge required),
+// ResumeIncremental/ResumeMicrostep, and Fixpoint (through it
+// internal/live's sessions: views and distributed jobs) all drive this
+// loop rather than keeping private copies of it.
 
 // stepOutcome is what one EnginePolicy superstep reports back to the
 // driver core.
@@ -46,15 +46,12 @@ type stepOutcome struct {
 
 // EnginePolicy supplies one engine's step semantics to the driver. The
 // methods are unexported: engines live in this package; the driver calls
-// them in a fixed lifecycle order (step → checkpoint → feed).
+// them in a fixed lifecycle order (step → feed).
 type EnginePolicy interface {
 	// step executes one superstep. absStep is the absolute step index —
 	// resident engines (Fixpoint) number supersteps continuously across
-	// Run calls, so it is the trace/span step, while checkpoint cadence
-	// uses the run-relative index.
+	// Run calls, so it is the trace/span step.
 	step(absStep int) (stepOutcome, error)
-	// checkpoint persists engine state after run-relative step, if due.
-	checkpoint(step int) error
 	// feed installs the produced workset for the next superstep; called
 	// only when the run continues, after any plan swap (placeholders
 	// live on the executor, so they survive session swaps).
@@ -175,9 +172,6 @@ func (d *driver) run() (converged bool, err error) {
 				Iteration: step, Duration: dur, Work: work,
 			})
 		}
-		if err := d.policy.checkpoint(step); err != nil {
-			return false, err
-		}
 		if out.done || (d.worksetDriven && next == 0) {
 			return true, nil
 		}
@@ -276,7 +270,7 @@ type incEngine struct {
 	tr       runtime.Transport
 	sess     *runtime.Session
 	// nextParts is the last step's produced workset, partition-aligned;
-	// feed installs it, checkpoint persists it.
+	// feed installs it.
 	nextParts [][]record.Record
 	// inadmissible is why direct merge is off for the bound spec (nil = on);
 	// RunMicrostep and ResumeMicrostep refuse the spec with it.
@@ -380,10 +374,6 @@ func (en *incEngine) step(absStep int) (stepOutcome, error) {
 	return stepOutcome{next: count, compute: compute}, nil
 }
 
-func (en *incEngine) checkpoint(step int) error {
-	return checkpointIfDue(en.spec, step, en.exec.Solution, en.nextParts)
-}
-
 // feed re-enters the produced workset: the sink is partition-pinned on
 // the workset key, so its partitions re-enter directly — the paper's
 // partitioned queues.
@@ -466,18 +456,6 @@ func (b *bulkPolicy) step(absStep int) (stepOutcome, error) {
 	}
 	b.prev, b.next = next, next
 	return stepOutcome{done: done, compute: time.Since(start)}, nil
-}
-
-func (b *bulkPolicy) checkpoint(step int) error {
-	if b.spec.CheckpointEvery <= 0 || b.spec.OnCheckpoint == nil || (step+1)%b.spec.CheckpointEvery != 0 {
-		return nil
-	}
-	cp := &Checkpoint{Kind: "bulk", Iteration: step + 1,
-		Solution: append([]record.Record(nil), b.next...)}
-	if err := b.spec.OnCheckpoint(cp); err != nil {
-		return fmt.Errorf("iterative: checkpoint at pass %d: %w", step+1, err)
-	}
-	return nil
 }
 
 // feed closes the loop: O becomes the next I. When the loop-closing

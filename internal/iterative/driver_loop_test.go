@@ -55,7 +55,6 @@ func (p *failingReplanner) step(int) (stepOutcome, error) {
 	p.steps++
 	return stepOutcome{next: 10}, nil
 }
-func (p *failingReplanner) checkpoint(int) error   { return nil }
 func (p *failingReplanner) feed()                  {}
 func (p *failingReplanner) reoptimizeWanted() bool { return true }
 func (p *failingReplanner) replan(int64) (*optimizer.PhysPlan, error) {

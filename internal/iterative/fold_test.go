@@ -208,53 +208,53 @@ func TestWorksetFoldByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorksetFoldCheckpointResume restores a folded CoGroup CC run from a
-// checkpoint whose pending working set the producer folded (at most one
-// candidate per key and producing partition), and requires the fixpoint
-// of an uninterrupted run.
-func TestWorksetFoldCheckpointResume(t *testing.T) {
+// pendingBound is a single-process Barrier that checks every step's
+// produced working set against a bound.
+type pendingBound struct {
+	t     *testing.T
+	bound int
+	seen  int
+}
+
+func (b *pendingBound) Release(int) error { return nil }
+
+func (b *pendingBound) Collect(step, localNext int) (int, error) {
+	b.seen++
+	if step == 0 && localNext > b.bound {
+		b.t.Errorf("superstep 0 produced %d working-set records; the fold leaves at most %d", localNext, b.bound)
+	}
+	return localNext, nil
+}
+
+// TestWorksetFoldBoundsPending drives a folded CoGroup CC fixpoint
+// through a barrier: the working set the producer folded after the first
+// superstep holds at most one candidate per key and producing partition
+// (≤ P × |V|), and the driven run reaches RunIncremental's fixpoint.
+func TestWorksetFoldBoundsPending(t *testing.T) {
 	const par = 2
 	g := foldGraph()
 	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
-	want, err := iterative.RunIncremental(spec, s0, w0, iterative.Config{Parallelism: par})
+	cfg := iterative.Config{Parallelism: par}
+	want, err := iterative.RunIncremental(spec, s0, w0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if foldedNode(want.Plan) == "" {
-		t.Fatalf("the fold was not taken:\n%s", want.Plan.Explain())
-	}
 
-	var first *iterative.Checkpoint
-	spec.CheckpointEvery = 1
-	spec.OnCheckpoint = func(cp *iterative.Checkpoint) error {
-		if first == nil {
-			first = cp
-		}
-		return nil
+	f := openFixpoint(t, spec, cfg)
+	defer f.Close()
+	if foldedNode(f.Plan()) == "" {
+		t.Fatalf("the fold was not taken:\n%s", f.Plan().Explain())
 	}
-	if _, err := iterative.RunIncremental(spec, s0, w0, iterative.Config{Parallelism: par}); err != nil {
+	f.Solution().Init(s0)
+	barrier := &pendingBound{t: t, bound: par * len(s0)}
+	if _, err := f.RunDriven(w0, iterative.DriveHooks{Barrier: barrier}); err != nil {
 		t.Fatal(err)
 	}
-	if first == nil || len(first.Workset) == 0 {
-		t.Fatal("no checkpoint with a pending working set")
+	if barrier.seen < 2 {
+		t.Fatalf("the run converged after %d supersteps; the check needs a pending working set", barrier.seen)
 	}
-	perKey := map[int64]int{}
-	for _, r := range first.Workset {
-		perKey[r.A]++
-	}
-	for k, n := range perKey {
-		if n > par {
-			t.Fatalf("the checkpoint's working set holds %d candidates for key %d; the fold leaves at most %d", n, k, par)
-		}
-	}
-
-	spec.CheckpointEvery, spec.OnCheckpoint = 0, nil
-	got, err := iterative.RestoreIncremental(spec, first, iterative.Config{Parallelism: par})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(sortedRecords(got.Solution), sortedRecords(want.Solution)) {
-		t.Error("the restored run reached a different fixpoint")
+	if !slices.Equal(sortedRecords(f.Solution().Snapshot()), sortedRecords(want.Solution)) {
+		t.Error("the driven run reached a different fixpoint")
 	}
 }
 

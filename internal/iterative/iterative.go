@@ -19,13 +19,14 @@
 // As in the paper, the caller picks the iteration form; the optimizer
 // (§4.3) picks plans within it. Every form runs on one superstep driver
 // (driver.go): a single loop owning session lifecycle, convergence, the
-// reoptimize decision, checkpoint cadence, and span recording. An engine
+// reoptimize decision, and span recording. An engine
 // contributes only an EnginePolicy (what one step computes: bulk = full
 // recompute, incremental = Δ then S ∪̇ D), and a deployment contributes
 // only DriveHooks: a Barrier that globalizes per-process workset counts
 // and an OnEpoch callback that coordinates plan swaps across processes —
-// nil hooks mean single-process, where local counts are global. The public Run*/Resume* functions and the
-// resident Fixpoint are thin adapters over that core.
+// nil hooks mean single-process, where local counts are global. The
+// public Run* and Resume* functions and the resident Fixpoint are thin
+// adapters over that core.
 package iterative
 
 import (
@@ -202,12 +203,6 @@ type BulkSpec struct {
 	// JoinHints optionally pins join strategies (see optimizer.JoinHint),
 	// used to force a specific Figure-4 plan.
 	JoinHints map[int]optimizer.JoinHint
-	// CheckpointEvery, if > 0, snapshots the partial solution after every
-	// k-th pass (§4.2's recovery logging); OnCheckpoint receives it.
-	CheckpointEvery int
-	// OnCheckpoint persists a snapshot (e.g. via SaveCheckpoint). A
-	// returned error aborts the run.
-	OnCheckpoint func(*Checkpoint) error
 	// Unroll selects the loop-unrolling execution strategy of §4.2
 	// instead of feedback channels: every pass instantiates a fresh copy
 	// of G, so no caches persist and the constant data path re-executes
@@ -355,11 +350,6 @@ type IncrementalSpec struct {
 	ExpectedIterations int
 	// JoinHints optionally pins join strategies (see optimizer.JoinHint).
 	JoinHints map[int]optimizer.JoinHint
-	// CheckpointEvery, if > 0, snapshots the solution set and pending
-	// working set after every k-th superstep (§4.2).
-	CheckpointEvery int
-	// OnCheckpoint persists a snapshot. A returned error aborts the run.
-	OnCheckpoint func(*Checkpoint) error
 	// Reoptimize re-plans Δ mid-run when the working set shrinks far
 	// below the size the current plan was costed with. The paper's §4.3
 	// notes that "in the general case, a different plan may be optimal
@@ -520,27 +510,6 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 		out.Microsteps = f.en.elements
 	}
 	return out, err
-}
-
-// checkpointIfDue snapshots the solution set and pending working set
-// after every CheckpointEvery-th superstep (§4.2's recovery logging).
-func checkpointIfDue(spec *IncrementalSpec, step int, sol *runtime.SolutionSet, nextParts [][]record.Record) error {
-	if spec.CheckpointEvery <= 0 || spec.OnCheckpoint == nil || (step+1)%spec.CheckpointEvery != 0 {
-		return nil
-	}
-	var pending []record.Record
-	for _, p := range nextParts {
-		pending = append(pending, p...)
-	}
-	cp := &Checkpoint{Kind: "incremental", Iteration: step + 1,
-		Solution: sol.Snapshot(), Workset: pending}
-	if err := sol.Err(); err != nil {
-		return err
-	}
-	if err := spec.OnCheckpoint(cp); err != nil {
-		return fmt.Errorf("iterative: checkpoint at superstep %d: %w", step+1, err)
-	}
-	return nil
 }
 
 // plannerFor resolves the configured planner for one planning call:

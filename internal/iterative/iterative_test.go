@@ -405,28 +405,6 @@ func TestMicrostepUDFPanicIsAnError(t *testing.T) {
 	}
 }
 
-// TestMicrostepCheckpoints: CheckpointEvery/OnCheckpoint fire under
-// RunMicrostep.
-func TestMicrostepCheckpoints(t *testing.T) {
-	spec, s0, w0 := incrSpec(16)
-	spec.CheckpointEvery = 4
-	var at []int
-	spec.OnCheckpoint = func(cp *Checkpoint) error {
-		if cp.Kind != "incremental" || len(cp.Solution) != 16 {
-			t.Errorf("checkpoint %d: kind %q, %d solution records", cp.Iteration, cp.Kind, len(cp.Solution))
-		}
-		at = append(at, cp.Iteration)
-		return nil
-	}
-	res, err := RunMicrostep(spec, s0, w0, Config{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(at) != res.Supersteps/4 || len(at) == 0 || at[0] != 4 {
-		t.Fatalf("checkpoints at %v over %d supersteps, want every 4th", at, res.Supersteps)
-	}
-}
-
 func TestMicrostepWithPreMapStage(t *testing.T) {
 	// A Map between W and the solution join must compile and run.
 	plan := dataflow.NewPlan()

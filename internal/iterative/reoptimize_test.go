@@ -221,10 +221,7 @@ func TestRunIncrementalReportsFinalPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := iterative.OpenFixpoint(spec, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openFixpoint(t, spec, cfg)
 	defer f.Close()
 	f.Solution().Init(s0)
 	fres, err := f.Run(w0)

@@ -109,27 +109,6 @@ func PlanIncremental(spec IncrementalSpec, cfg Config, expected int) (*optimizer
 	return optimizeIncremental(&spec, cfg, expected, false)
 }
 
-// OpenFixpoint optimizes spec and opens a persistent session for it,
-// attaching sol as the resident solution set. A nil sol creates an empty
-// set from the Config (backend, budget); a non-nil sol is adopted as-is —
-// the handoff path warm restarts use to resume over state produced by an
-// earlier run. An adopted set must have been created with the same
-// parallelism, since record partitioning depends on it.
-func OpenFixpoint(spec IncrementalSpec, sol *runtime.SolutionSet, cfg Config) (*Fixpoint, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	phys, err := optimizeIncremental(&spec, cfg, spec.expected(), false)
-	if err != nil {
-		return nil, err
-	}
-	return OpenFixpointOn(spec, sol, cfg, phys, nil)
-}
-
 // OpenFixpointOn opens a resident fixpoint over an already-optimized
 // plan and an optional transport: the distributed layer plans once per
 // process (every process derives the identical plan from the identical
@@ -215,8 +194,8 @@ func (f *Fixpoint) SeedWorkset(workset []record.Record) {
 
 // StepOnce runs exactly one superstep (evaluate Δ, merge D with ∪̇, feed
 // the produced workset back) and returns the local next-workset count.
-// It is the worker half of a coordinated run: convergence, checkpoints,
-// and re-optimization decisions belong to whoever drives the steps — the
+// It is the worker half of a coordinated run: convergence and
+// re-optimization decisions belong to whoever drives the steps — the
 // produced workset is always fed back, because an empty local workset
 // can refill from the peers' shipped records.
 func (f *Fixpoint) StepOnce() (int, error) {
@@ -293,7 +272,7 @@ func (f *Fixpoint) Run(workset []record.Record) (*IncrementalResult, error) {
 
 // Close releases the session and the executor's caches. The solution set
 // is untouched and remains readable (and adoptable by a later
-// OpenFixpoint).
+// OpenFixpointOn).
 func (f *Fixpoint) Close() { f.en.close() }
 
 // ResumeIncremental warm-restarts an incremental iteration over an
@@ -322,7 +301,11 @@ func resumeIncremental(spec IncrementalSpec, existing *runtime.SolutionSet, delt
 	if existing == nil {
 		return nil, fmt.Errorf("iterative: resuming needs an existing solution set (use RunIncremental or RunMicrostep for cold starts)")
 	}
-	f, err := OpenFixpoint(spec, existing, cfg)
+	phys, err := PlanIncremental(spec, cfg, 0)
+	if err != nil {
+		return nil, err
+	}
+	f, err := OpenFixpointOn(spec, existing, cfg, phys, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,6 +29,21 @@ var resumeBackends = []struct {
 	{"map", func(c iterative.Config) iterative.Config { c.SolutionBackend = runtime.SolutionMap; return c }},
 	{"compact", func(c iterative.Config) iterative.Config { c.SolutionBackend = runtime.SolutionCompact; return c }},
 	{"spill", func(c iterative.Config) iterative.Config { c.SolutionMemoryBudget = 16 * record.EncodedSize; return c }},
+}
+
+// openFixpoint plans spec and opens a resident fixpoint on it with an
+// empty solution set, in one process.
+func openFixpoint(t *testing.T, spec iterative.IncrementalSpec, cfg iterative.Config) *iterative.Fixpoint {
+	t.Helper()
+	phys, err := iterative.PlanIncremental(spec, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := iterative.OpenFixpointOn(spec, nil, cfg, phys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // insertDeltaCC builds the workset candidates for inserting undirected
@@ -181,12 +197,12 @@ func TestResumeMicrostep(t *testing.T) {
 	}
 }
 
-// TestPlanIncrementalMatchesOpenFixpoint: with no explicit weight,
+// TestPlanIncrementalMatchesRunIncremental: with no explicit weight,
 // PlanIncremental plans exactly as the run entry points do — with the
 // spec's own ExpectedIterations, not a fixed default.
-func TestPlanIncrementalMatchesOpenFixpoint(t *testing.T) {
+func TestPlanIncrementalMatchesRunIncremental(t *testing.T) {
 	g := graphgen.Uniform("plan-expected", 60, 120, 0xE3)
-	spec, _, _ := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
+	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
 	spec.ExpectedIterations = 3
 	cfg := iterative.Config{Parallelism: 2}
 
@@ -194,17 +210,15 @@ func TestPlanIncrementalMatchesOpenFixpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := iterative.OpenFixpoint(spec, nil, cfg)
+	res, err := iterative.RunIncremental(spec, s0, w0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	opened := f.Plan()
-	if planned.Fingerprint() != opened.Fingerprint() {
-		t.Errorf("plan shapes differ:\nPlanIncremental:\n%s\nOpenFixpoint:\n%s", planned.Explain(), opened.Explain())
+	if planned.Fingerprint() != res.Plan.Fingerprint() {
+		t.Errorf("plan shapes differ:\nPlanIncremental:\n%s\nRunIncremental:\n%s", planned.Explain(), res.Plan.Explain())
 	}
-	if planned.Cost != opened.Cost {
-		t.Errorf("PlanIncremental costed %v, OpenFixpoint %v", planned.Cost, opened.Cost)
+	if planned.Cost != res.Plan.Cost {
+		t.Errorf("PlanIncremental costed %v, RunIncremental %v", planned.Cost, res.Plan.Cost)
 	}
 }
 
@@ -219,10 +233,7 @@ func TestFixpointSessionReuseAcrossRestarts(t *testing.T) {
 
 	var m metrics.Counters
 	cfg := iterative.Config{Parallelism: 4, Metrics: &m}
-	f, err := iterative.OpenFixpoint(spec, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openFixpoint(t, spec, cfg)
 	defer f.Close()
 	f.Solution().Init(s0)
 	if _, err := f.Run(w0); err != nil {
@@ -415,19 +426,31 @@ func TestLostSolutionSpillFailsRun(t *testing.T) {
 	}
 	g := graphgen.Uniform("spill-loss", 400, 800, 0x5B1)
 	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
+	// The damage is done from inside the Δ plan: the first toNeighbors
+	// call of the run truncates every spill file present at that moment.
+	// A concurrent task may reload (and so remove) a file between the glob
+	// and the truncate; such a file is skipped.
 	truncated := 0
-	spec.CheckpointEvery = 1
-	spec.OnCheckpoint = func(*iterative.Checkpoint) error {
-		if truncated > 0 {
-			return nil
+	var once sync.Once
+	for _, n := range spec.Plan.Nodes() {
+		if n.Name != "toNeighbors" {
+			continue
 		}
-		for _, f := range spillFiles() {
-			if err := os.Truncate(f, 3); err != nil {
-				t.Error(err)
-			}
-			truncated++
+		match := n.Match
+		n.Match = func(d, e record.Record, out dataflow.Emitter) {
+			once.Do(func() {
+				for _, f := range spillFiles() {
+					if err := os.Truncate(f, 3); err != nil {
+						if !os.IsNotExist(err) {
+							t.Error(err)
+						}
+						continue
+					}
+					truncated++
+				}
+			})
+			match(d, e, out)
 		}
-		return nil
 	}
 	cfg := iterative.Config{Parallelism: 4, SolutionMemoryBudget: 16 * record.EncodedSize}
 	res, err := iterative.RunIncremental(spec, s0, w0, cfg)

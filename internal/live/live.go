@@ -59,7 +59,9 @@
 package live
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -492,7 +494,9 @@ func (v *LiveView) Mutate(muts ...Mutation) error {
 	}
 	if v.dur != nil {
 		walStart := time.Now()
+		pprof.SetGoroutineLabels(walAppendLabels)
 		_, n, err := v.dur.wal.Append(mutationsToRecords(muts))
+		pprof.SetGoroutineLabels(context.Background())
 		if err != nil {
 			v.pmu.Unlock()
 			return fmt.Errorf("live: view %q wal append: %w", v.name, err)

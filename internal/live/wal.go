@@ -1,12 +1,14 @@
 package live
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"slices"
 	"sort"
 	"strconv"
@@ -256,7 +258,7 @@ func (w *wal) SizeBytes() int64 {
 // snapshot at upTo. If frames beyond upTo exist (mutations acknowledged
 // while the snapshot was being written), rotation is skipped — the next
 // snapshot will catch up. The fresh header is written durably through
-// the same helper checkpoint saves use.
+// the same helper snapshot files use (iterative.WriteFileDurable).
 func (w *wal) Rotate(upTo uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -437,6 +439,14 @@ func writeCheckpoint(w io.Writer, kind string, seq uint64, body func(cw *iterati
 	return cw.Flush()
 }
 
+// Profiler labels of the log's append and fsync in Mutate, {layer=wal,
+// op=append}, and of a snapshot, {layer=wal, op=snapshot}, built once.
+// Each comes off again afterwards, as the runtime's and the merge's do.
+var (
+	walAppendLabels   = pprof.WithLabels(context.Background(), pprof.Labels("layer", "wal", "op", "append"))
+	walSnapshotLabels = pprof.WithLabels(context.Background(), pprof.Labels("layer", "wal", "op", "snapshot"))
+)
+
 // writeSnapshotFile durably writes one file of a snapshot family.
 func writeSnapshotFile(path, kind string, seq uint64, body func(cw *iterative.CheckpointWriter) error) error {
 	return iterative.WriteFileDurable(path, func(w io.Writer) error { return writeCheckpoint(w, kind, seq, body) })
@@ -453,6 +463,8 @@ func writeSnapshotFile(path, kind string, seq uint64, body func(cw *iterative.Ch
 // of the solution (spilled partitions stream from disk to disk).
 func (v *LiveView) snapshotLocked() error {
 	snapStart := time.Now()
+	pprof.SetGoroutineLabels(walSnapshotLabels)
+	defer pprof.SetGoroutineLabels(context.Background())
 	d := v.dur
 	seq := d.flushedSeq
 	shards, err := v.sess.RemoteShards()

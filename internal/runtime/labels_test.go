@@ -13,6 +13,7 @@ import (
 	"repro/internal/algorithms"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
+	"repro/internal/live"
 	"repro/internal/optimizer"
 )
 
@@ -159,6 +160,61 @@ func TestPlannerProfileLabels(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("after %d rounds optimizer samples per planner are %v, want both cost and greedy", round+1, seen)
+		}
+		prof.Reset()
+	}
+}
+
+// TestWALProfileLabels loops Mutate on a durable CC view whose batch
+// never fills, so every call is one log append and fsync and no flush
+// runs, and requires CPU samples labelled {layer=wal, op=append}; every
+// wal-layer sample must carry exactly {layer=wal, op=append|snapshot}.
+func TestWALProfileLabels(t *testing.T) {
+	v, err := live.OpenView("wal-labels", live.CC(), nil, live.ViewConfig{
+		Config:  iterative.Config{Parallelism: 1},
+		Durable: true, DataDir: t.TempDir(), BatchSize: 1 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+
+	var prof bytes.Buffer
+	appends := 0
+	deadline := time.Now().Add(30 * time.Second)
+	for round, i := 0, int64(0); ; round++ {
+		if err := pprof.StartCPUProfile(&prof); err != nil {
+			t.Skipf("CPU profiler busy: %v", err)
+		}
+		for stop := time.Now().Add(300 * time.Millisecond); time.Now().Before(stop); i++ {
+			// A small vertex range keeps the batch Close drains cheap.
+			if err := v.Mutate(live.InsertEdge(i%64, (i+1)%64)); err != nil {
+				pprof.StopCPUProfile()
+				t.Fatal(err)
+			}
+		}
+		pprof.StopCPUProfile()
+		samples, err := labelledSamples(prof.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range samples {
+			if l["layer"] != "wal" {
+				continue
+			}
+			if len(l) != 2 || (l["op"] != "append" && l["op"] != "snapshot") {
+				t.Fatalf("wal sample labelled %v, want exactly {layer=wal, op=append|snapshot}", l)
+			}
+			if l["op"] == "append" {
+				appends++
+			}
+		}
+		if appends > 0 {
+			t.Logf("wal append samples after %d rounds: %d", round+1, appends)
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d rounds no sample is labelled {layer=wal, op=append}", round+1)
 		}
 		prof.Reset()
 	}

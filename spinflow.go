@@ -39,7 +39,7 @@
 // plan within it. All three entry points are thin adapters over one
 // superstep driver (internal/iterative/driver.go) that owns the
 // iteration lifecycle — convergence, mid-run re-optimization,
-// checkpoints, telemetry — once; engines supply only step
+// telemetry — once; engines supply only step
 // semantics, and distributed deployments plug in barrier and plan-epoch
 // hooks.
 //
