@@ -56,8 +56,7 @@ func runCrashRecovery(t *testing.T, name string, mk func() live.Maintainer,
 	dcfg := cfg
 	dcfg.Durable = true
 	dcfg.DataDir = dataDir
-	dcfg.BatchSize = 1 << 30 // flushes happen only where this test says
-	dcfg.SnapshotEveryFlushes = 2
+	dcfg.BatchSize = 1 << 30 // flushes and snapshots happen only where this test says
 
 	v, err := live.OpenView(name, mk(), initial, dcfg)
 	if err != nil {
@@ -65,7 +64,7 @@ func runCrashRecovery(t *testing.T, name string, mk func() live.Maintainer,
 	}
 	kill := rng.intn(len(stream))
 	var acked [][]live.Mutation
-	for bi := 0; bi <= kill; bi++ {
+	for bi, flushes := 0, 0; bi <= kill; bi++ {
 		if err := v.Mutate(stream[bi]...); err != nil {
 			t.Fatalf("batch %d: %v", bi, err)
 		}
@@ -73,6 +72,11 @@ func runCrashRecovery(t *testing.T, name string, mk func() live.Maintainer,
 		if rng.intn(2) == 0 {
 			if err := v.Flush(); err != nil {
 				t.Fatalf("batch %d flush: %v", bi, err)
+			}
+			if flushes++; flushes%2 == 0 { // a snapshot every second flush
+				if err := v.Checkpoint(); err != nil {
+					t.Fatalf("batch %d checkpoint: %v", bi, err)
+				}
 			}
 		}
 	}
@@ -188,8 +192,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	dcfg := cfg
 	dcfg.Durable = true
 	dcfg.DataDir = dataDir
-	dcfg.BatchSize = 1 << 30
-	dcfg.SnapshotEveryFlushes = 1 << 30 // only the create-time snapshot
+	dcfg.BatchSize = 1 << 30 // no flush: only the create-time snapshot
 
 	const name = "cc-torn"
 	v, err := live.OpenView(name, live.CC(), initial, dcfg)

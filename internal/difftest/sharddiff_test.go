@@ -446,9 +446,9 @@ func TestLiveShardedInsertFlushFolds(t *testing.T) {
 }
 
 // TestLiveShardedKillRecover crashes a durable sharded view mid-life and
-// recovers it onto the same (still running) workers: the per-host
-// snapshot layout plus the WAL tail must reassemble the exact state, and
-// maintenance must continue across the recovery.
+// recovers it onto the same (still running) workers: the snapshot, which
+// holds every host's partitions, plus the WAL tail must reassemble the
+// exact state, and maintenance must continue across the recovery.
 func TestLiveShardedKillRecover(t *testing.T) {
 	g := diffGraphs()[2]
 	half := len(g.Edges) / 2
@@ -461,7 +461,6 @@ func TestLiveShardedKillRecover(t *testing.T) {
 	cfg := shardViewConfig("compact", workers)
 	cfg.Durable = true
 	cfg.DataDir = dir
-	cfg.SnapshotEveryFlushes = 2
 
 	v, err := live.OpenView("shard-recover", live.CC(), initial, cfg)
 	if err != nil {
@@ -484,6 +483,11 @@ func TestLiveShardedKillRecover(t *testing.T) {
 		}
 		if err := v.Flush(); err != nil {
 			t.Fatalf("batch %d flush: %v", bi, err)
+		}
+		if bi%2 == 1 { // a snapshot every second flush
+			if err := v.Checkpoint(); err != nil {
+				t.Fatalf("batch %d checkpoint: %v", bi, err)
+			}
 		}
 	}
 	v.Kill() // crash: no final snapshot, workers keep running
@@ -522,11 +526,11 @@ func TestLiveShardedKillRecover(t *testing.T) {
 }
 
 // TestRecoveryAcrossTopologies is the topology-change differential:
-// recovery streams a snapshot family into whatever session the recovering
+// recovery streams a snapshot into whatever session the recovering
 // config opens, so the host count a directory was written with must not
 // matter to the host count it is read with. Every cell of hosts-at-write ×
 // hosts-at-recover over {1, 2, 3}², for CC and SSSP, kills a durable view
-// after a mixed insert/delete stream (a snapshot family behind it, flushed
+// after a mixed insert/delete stream (a snapshot behind it, flushed
 // and unflushed frames in the log), recovers it, and requires the
 // recovered Snapshot() to be byte-identical to the oracle and to the
 // same-topology recovery — and the recovered view to keep converging on
@@ -597,12 +601,14 @@ func TestRecoveryAcrossTopologies(t *testing.T) {
 					cfg := shardViewConfig("compact", workers[:hw-1])
 					cfg.Durable, cfg.DataDir = true, t.TempDir()
 					cfg.BatchSize = 1 << 30
-					cfg.SnapshotEveryFlushes = 2
 					v, err := live.OpenView("topo", algo.mk(), initial, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					absorb(v, stream[:killAt-1])
+					if err := v.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
 					if err := v.Mutate(stream[killAt-1]...); err != nil { // acknowledged, never flushed
 						t.Fatal(err)
 					}

@@ -52,8 +52,8 @@
 // (digest-checked over the control connections); only mutation batches,
 // owner-routed candidate worksets and the affected regions of deletions
 // travel, supersteps ride the shared driver's barrier over the TCP data
-// plane, queries ask the key's owner, and snapshots scatter-gather every
-// host's shard into one canonical file family. A distributed batch job
+// plane, queries ask the key's owner, and a snapshot gathers every host's
+// shard into one file. A distributed batch job
 // (job.go, RunJob) is the same session opened, driven through its cold
 // fixpoint once, collected and closed — there is no second protocol.
 package live
@@ -153,10 +153,6 @@ type ViewConfig struct {
 	// DataDir is the directory durable view state lives under (one
 	// subdirectory per view: wal.log plus snapshot files).
 	DataDir string
-	// SnapshotEveryFlushes is the number of flushed micro-batches between
-	// streaming snapshots (default 32); a log grown snapshotEveryBytes
-	// since the last snapshot takes one early. Durable views only.
-	SnapshotEveryFlushes int
 	// Workers shards the view across distributed maintenance sessions:
 	// each entry is the control address of an already-listening `spinflow
 	// worker` process. The view's partition ranges are placed over
@@ -177,9 +173,6 @@ func (c ViewConfig) normalized() ViewConfig {
 	if c.RecomputeFraction <= 0 {
 		c.RecomputeFraction = 0.5
 	}
-	if c.SnapshotEveryFlushes <= 0 {
-		c.SnapshotEveryFlushes = 32
-	}
 	return c
 }
 
@@ -197,9 +190,6 @@ func (c ViewConfig) Validate() error {
 	}
 	if c.SolutionMemoryBudget < 0 {
 		return fmt.Errorf("live: negative SolutionMemoryBudget %d", c.SolutionMemoryBudget)
-	}
-	if c.SnapshotEveryFlushes < 0 {
-		return fmt.Errorf("live: negative SnapshotEveryFlushes %d", c.SnapshotEveryFlushes)
 	}
 	if c.Durable && c.DataDir == "" {
 		return fmt.Errorf("live: Durable requires DataDir")
@@ -287,9 +277,13 @@ type LiveView struct {
 	asyncErr atomic.Value // string
 }
 
-// snapshotEveryBytes is the log growth since the last snapshot that
-// takes the next one before SnapshotEveryFlushes is reached.
-const snapshotEveryBytes = 4 << 20
+// A durable view takes a streaming snapshot every snapshotEveryFlushes
+// flushed micro-batches, or earlier once its log has grown
+// snapshotEveryBytes since the last one.
+const (
+	snapshotEveryFlushes = 32
+	snapshotEveryBytes   = 4 << 20
+)
 
 // durableState is the write-ahead log plus snapshot bookkeeping of one
 // durable view.
@@ -588,7 +582,7 @@ func (v *LiveView) afterFlushLocked(seq uint64) {
 	}
 	d.flushedSeq = seq
 	d.flushesSinceSnap++
-	if d.flushesSinceSnap >= v.cfg.SnapshotEveryFlushes ||
+	if d.flushesSinceSnap >= snapshotEveryFlushes ||
 		d.wal.SizeBytes()-d.walBytesAtSnap >= snapshotEveryBytes {
 		if err := v.snapshotLocked(); err != nil {
 			v.asyncErr.Store(err.Error())

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -16,7 +17,7 @@ import (
 	"repro/internal/runtime"
 )
 
-// The snapshot family has one reader, so these tests recover every
+// A snapshot is one file with one reader, so these tests recover every
 // directory on one host and on two: what wrote a directory must not decide
 // who can read it.
 
@@ -184,10 +185,15 @@ func writeLegacyFile(t *testing.T, path, kind string, seq uint64, sections ...[]
 	}
 }
 
-// TestRecoverLegacySnapshotShapes: directories written before there was
-// one format — an in-process view's live: base without a hosts section,
-// and a sharded view's live-sharded: base with its shard sibling — still
-// open, on one host and on two, to the byte-identical solution.
+// TestRecoverLegacySnapshotShapes: an in-process view's live: file written
+// before there was a hosts section still opens, on one host and on two, to
+// the byte-identical solution. The multi-file snapshots earlier binaries
+// wrote for sharded views — a live: base whose hosts section says 2, or a
+// live-sharded: base, each beside a .shard1 sibling holding host 1's
+// partitions — are never recovered from: their base alone is a partial
+// solution. With the log rotated behind such a snapshot OpenView fails;
+// beside an older one-file snapshot and a log that reaches back to it,
+// recovery reads that one and replays the log.
 func TestRecoverLegacySnapshotShapes(t *testing.T) {
 	const seq, par = 7, 4
 	initial := append(chain(6), InsertEdge(10, 11), InsertEdge(11, 12), AddVertex(40))
@@ -223,11 +229,6 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 	shapes := map[string]func(vdir string){
 		"plain": func(vdir string) {
 			writeLegacyFile(t, filepath.Join(vdir, snapshotName(seq)), "live:cc", seq, verts, edges, sol)
-		},
-		"sharded": func(vdir string) {
-			writeLegacyFile(t, filepath.Join(vdir, shardSnapshotName(seq, 1)), "live-shard:cc", seq, hosted[1])
-			writeLegacyFile(t, filepath.Join(vdir, snapshotName(seq)), "live-sharded:cc", seq,
-				verts, edges, hosted[0], []record.Record{{A: 2}})
 		},
 	}
 	for topo, workers := range recoveryTopologies(t) {
@@ -271,13 +272,131 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 			})
 		}
 	}
+
+	sibling := fmt.Sprintf("%s%020d.shard1%s", snapshotPrefix, seq, snapshotSuffix)
+	families := map[string]string{"sharded": "live-sharded:cc", "two-host": "live:cc"}
+	last := InsertEdge(12, 0)
+	wantAfter := solutionOf(t, CC(), initial, []Mutation{last})
+	for topo, workers := range recoveryTopologies(t) {
+		for family, kind := range families {
+			t.Run(family+"-on-"+topo, func(t *testing.T) {
+				for _, fallback := range []bool{false, true} {
+					dir := t.TempDir()
+					vdir := filepath.Join(dir, "old")
+					if err := os.MkdirAll(vdir, 0o755); err != nil {
+						t.Fatal(err)
+					}
+					writeLegacyFile(t, filepath.Join(vdir, sibling), "live-shard:cc", seq, hosted[1])
+					writeLegacyFile(t, filepath.Join(vdir, snapshotName(seq)), kind, seq,
+						verts, edges, hosted[0], []record.Record{{A: 2}})
+					base := uint64(seq) // the log rotated behind the family
+					if fallback {
+						base = seq - 1
+						writeLegacyFile(t, filepath.Join(vdir, snapshotName(base)), "live:cc", base,
+							verts, edges, sol, []record.Record{{A: 1}})
+					}
+					w, err := createWAL(filepath.Join(vdir, walFileName), base)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fallback {
+						if _, _, err := w.Append(mutationsToRecords([]Mutation{last})); err != nil { // frame 7
+							t.Fatal(err)
+						}
+					}
+					w.Close()
+
+					cfg := durableCfg(dir, nil)
+					cfg.Parallelism = par
+					cfg.Workers = workers
+					v, err := OpenView("old", CC(), nil, cfg)
+					if !fallback {
+						if err == nil {
+							v.Kill()
+							t.Fatal("recovered from the base of a multi-file snapshot alone")
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, st := distrib.EncodeSolution(v.Snapshot()), v.Stats()
+					v.Close()
+					if !bytes.Equal(got, wantAfter) || st.RecoveredFrames != 1 {
+						t.Fatalf("replayed %d frames to a solution equal to the history's: %v; want the one frame behind the older snapshot",
+							st.RecoveredFrames, bytes.Equal(got, wantAfter))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestShardedSnapshotIsOneFile: a view sharded over one worker writes its
+// snapshot as one file, no per-host sibling beside it, and that file
+// reopens in process and on two hosts to the byte-identical solution
+// without replaying the log.
+func TestShardedSnapshotIsOneFile(t *testing.T) {
+	history := [][]Mutation{ringEdges(24), {DeleteEdge(3, 4), InsertEdge(40, 41)}, {InsertEdge(41, 5)}}
+	want := solutionOf(t, CC(), history...)
+	workers := startWorkers(t, 1)
+	dir := t.TempDir()
+	cfg := durableCfg(dir, nil)
+	cfg.BatchSize = 1 << 30
+	cfg.Workers = workers
+	v, err := OpenView("one", CC(), history[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range history[1:] {
+		if err := v.Mutate(batch...); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	v.Kill()
+	entries, err := os.ReadDir(filepath.Join(dir, "one"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if _, ok := parseSnapshotName(e.Name()); !ok && e.Name() != walFileName { // a .shard<h> sibling does not parse
+			t.Fatalf("the view directory holds %s beside its log and snapshots", e.Name())
+		}
+	}
+
+	for _, topo := range []struct {
+		name    string
+		workers []string
+	}{{"in-process", nil}, {"2-host", workers}} {
+		cfg.Workers = topo.workers
+		v, err := OpenView("one", CC(), nil, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", topo.name, err)
+		}
+		got, st := distrib.EncodeSolution(v.Snapshot()), v.Stats()
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the one-file snapshot reopened to a different solution", topo.name)
+		}
+		if st.RecoveredFrames != 0 {
+			t.Fatalf("%s: replayed %d frames the checkpoint covers", topo.name, st.RecoveredFrames)
+		}
+	}
 }
 
 // snapshotFamilyFixture is the directory FuzzSnapshotFamily damages: a
-// 2-host CC view killed with two snapshot families on disk (seqs 1 and 2,
-// each a base file plus a .shard1 sibling) and a log that still reaches
-// back to frame 2 — so whichever family recovery ends up reading, replay
-// must arrive at the same final state.
+// 2-host CC view killed with two snapshots on disk (seqs 1 and 2, one file
+// each) and a log that still reaches back to frame 2 — so whichever
+// snapshot recovery ends up reading, replay must arrive at the same final
+// state.
 var snapshotFamilyFixture struct {
 	once    sync.Once
 	files   map[string][]byte
@@ -305,7 +424,7 @@ func buildSnapshotFamilyFixture(t *testing.T) {
 	cfg := durableCfg(dir, nil)
 	cfg.BatchSize = 1 << 30
 	cfg.Workers = fx.workers
-	v, err := OpenView("fam", CC(), history[0], cfg) // frame 1, family 1
+	v, err := OpenView("fam", CC(), history[0], cfg) // frame 1, snapshot 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +437,7 @@ func buildSnapshotFamilyFixture(t *testing.T) {
 	if err := v.Mutate(history[2]...); err != nil { // frame 3 stays pending: the checkpoint cannot rotate the log
 		t.Fatal(err)
 	}
-	if err := v.Checkpoint(); err != nil { // family 2
+	if err := v.Checkpoint(); err != nil { // snapshot 2
 		t.Fatal(err)
 	}
 	v.Kill()
@@ -332,28 +451,31 @@ func buildSnapshotFamilyFixture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, name := range []string{snapshotName(1), shardSnapshotName(1, 1), snapshotName(2), shardSnapshotName(2, 1), walFileName} {
+	for _, name := range []string{snapshotName(1), snapshotName(2), walFileName} {
 		if len(fx.files[name]) == 0 {
 			t.Fatalf("fixture is missing %s (has %d files)", name, len(fx.files))
 		}
 	}
+	if len(fx.files) != 3 {
+		t.Fatalf("fixture holds %d files, want its two snapshots and the log", len(fx.files))
+	}
 }
 
-// FuzzSnapshotFamily damages the snapshot files of a 2-host family —
+// FuzzSnapshotFamily damages the two snapshot files a 2-host view wrote —
 // truncation, a flipped bit, a dropped file, up to three times over — and
 // recovers the directory on one host (spilling under a tiny budget) or on
-// two. Recovery may fall back to the older family or fail; it must never
+// two. Recovery may fall back to the older snapshot or fail; it must never
 // panic, never hand out a solution other than the one the full history
 // converges to, and never leave a goroutine or a spill file behind.
 func FuzzSnapshotFamily(f *testing.F) {
 	f.Add([]byte{})                                  // undamaged
-	f.Add([]byte{2, 2, 0, 0, 0})                     // newest base dropped
-	f.Add([]byte{3, 2, 0, 0, 0})                     // newest shard dropped
-	f.Add([]byte{2, 0, 0, 40, 0, 0, 1, 0, 9, 1})     // newest base torn, oldest base bit-flipped
-	f.Add([]byte{2, 2, 0, 0, 0, 0, 2, 0, 0, 0})      // both bases dropped: nothing lists
-	f.Add([]byte{3, 1, 3, 33, 1, 1, 0, 0, 20, 0, 1}) // on two hosts
-	for cut := 0; cut < 64; cut++ {                  // a tear at every offset near the newest base's tail, the section boundaries among them
-		f.Add([]byte{2, 0, 0, byte(cut), 0xff})
+	f.Add([]byte{1, 2, 0, 0, 0})                     // newest dropped
+	f.Add([]byte{0, 2, 0, 0, 0})                     // oldest dropped
+	f.Add([]byte{1, 0, 0, 40, 0, 0, 1, 0, 9, 1})     // newest torn, oldest bit-flipped
+	f.Add([]byte{1, 2, 0, 0, 0, 0, 2, 0, 0, 0})      // both dropped: nothing lists
+	f.Add([]byte{1, 1, 3, 33, 1, 0, 0, 0, 20, 0, 1}) // on two hosts
+	for cut := 0; cut < 64; cut++ {                  // a tear at every offset near the newest's tail, the section boundaries among them
+		f.Add([]byte{1, 0, 0, byte(cut), 0xff})
 	}
 	f.Fuzz(func(t *testing.T, damage []byte) {
 		fx := &snapshotFamilyFixture
@@ -372,7 +494,7 @@ func FuzzSnapshotFamily(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		targets := []string{snapshotName(1), shardSnapshotName(1, 1), snapshotName(2), shardSnapshotName(2, 1)}
+		targets := []string{snapshotName(1), snapshotName(2)}
 		twoHosts := len(damage)%5 == 1
 		for n := 0; len(damage) >= 5 && n < 3; n, damage = n+1, damage[5:] {
 			path := filepath.Join(vdir, targets[int(damage[0])%len(targets)])

@@ -2,9 +2,11 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
+	"runtime/pprof"
 	"slices"
 	"sort"
 	"sync"
@@ -176,7 +178,7 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 	}
 	// Host 0 is already listening and higher hosts dial lower ones, so the
 	// workers mesh while the coordinator connects.
-	return s.round("mesh", all(shardMsg{Kind: viewStart, DataAddrs: dataAddrs}), viewMeshed,
+	return s.round(roundMesh, all(shardMsg{Kind: viewStart, DataAddrs: dataAddrs}), viewMeshed,
 		func() error { return s.core.tr.ConnectPeers(dataAddrs, distrib.MeshTimeout) }, nil)
 }
 
@@ -185,25 +187,51 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 // partitions it hosts become authoritative). Frames arrive one at a time
 // from the snapshot reader; nothing accumulates outside the sets.
 func (s *session) Load(b record.Batch) error {
-	return s.round("load", all(shardMsg{Kind: viewLoad, Frames: s.wire(b)}), viewLoaded,
+	return s.round(roundLoad, all(shardMsg{Kind: viewLoad, Frames: s.wire(b)}), viewLoaded,
 		func() error {
 			s.core.sol.Init(b)
 			return nil
 		}, nil)
 }
 
+// controlRound names one control fan-out and carries its profiler labels,
+// {layer=live, op=<name>}, built once.
+type controlRound struct {
+	name   string
+	labels context.Context
+}
+
+func newRound(name string) controlRound {
+	return controlRound{name, pprof.WithLabels(context.Background(), pprof.Labels("layer", "live", "op", name))}
+}
+
+var (
+	roundMesh   = newRound("mesh")
+	roundLoad   = newRound("load")
+	roundEpoch  = newRound("plan epoch")
+	roundApply  = newRound("apply")
+	roundGather = newRound("gather")
+	roundSeed   = newRound("seed")
+	roundReplan = newRound("replan")
+)
+
 // round is one control fan-out: req goes to every worker, local runs on
 // the coordinator's core while they work, then every reply of kind want
-// is collected through got. With no workers it is just local. A view with
-// a telemetry registry records it as a PhaseRound span labelled what.
-func (s *session) round(what string, req func(host int) shardMsg, want string,
+// is collected through got. With no workers it is just local. The
+// coordinator's share runs under the round's profiler labels, which come
+// off again afterwards, as the runtime's and the merge's do. A view with
+// a telemetry registry records it as a PhaseRound span labelled with the
+// round's name.
+func (s *session) round(r controlRound, req func(host int) shardMsg, want string,
 	local func() error, got func(host int, reply shardMsg) error) error {
 	if s.v.ring != nil {
-		defer s.v.span(obs.PhaseRound, what, time.Now())
+		defer s.v.span(obs.PhaseRound, r.name, time.Now())
 	}
+	pprof.SetGoroutineLabels(r.labels)
+	defer pprof.SetGoroutineLabels(context.Background())
 	for i, c := range s.conns {
 		if err := c.send(req(i + 1)); err != nil {
-			return fmt.Errorf("live: %s host %d: %w", what, i+1, err)
+			return fmt.Errorf("live: %s host %d: %w", r.name, i+1, err)
 		}
 	}
 	if err := local(); err != nil {
@@ -215,7 +243,7 @@ func (s *session) round(what string, req func(host int) shardMsg, want string,
 			err = got(i+1, reply)
 		}
 		if err != nil {
-			return fmt.Errorf("live: %s host %d: %w", what, i+1, err)
+			return fmt.Errorf("live: %s host %d: %w", r.name, i+1, err)
 		}
 	}
 	return nil
@@ -293,7 +321,7 @@ func (b shardBarrier) Collect(step, localNext int) (int, error) {
 func (s *session) epochBump(_ int, est int64, phys *optimizer.PhysPlan) error {
 	c := s.core
 	c.digest = phys.Fingerprint()
-	err := s.round("plan epoch", all(shardMsg{Kind: viewEpoch, Epoch: c.epoch + 1, Count: int(est)}), viewEpochDone,
+	err := s.round(roundEpoch, all(shardMsg{Kind: viewEpoch, Epoch: c.epoch + 1, Count: int(est)}), viewEpochDone,
 		func() error { return nil }, s.sameDigest)
 	if err == nil {
 		c.epoch++
@@ -334,7 +362,7 @@ func (s *session) warmRestart(workset []record.Record) error {
 func (s *session) Apply(batch []Mutation) error {
 	c := s.core
 	remote := 0 // records the workers' partitions keep past the batch
-	err := s.round("apply", all(shardMsg{Kind: viewApply, Frames: s.wire(mutationsToRecords(batch))}), viewApplied,
+	err := s.round(roundApply, all(shardMsg{Kind: viewApply, Frames: s.wire(mutationsToRecords(batch))}), viewApplied,
 		func() error { return c.applyBatch(batch) },
 		func(host int, reply shardMsg) error {
 			if reply.Count != len(c.removed) || reply.Full != c.removes() {
@@ -361,7 +389,7 @@ func (s *session) Apply(batch []Mutation) error {
 		var shares [][]record.Record
 		var inbound []record.Record
 		total := 0
-		err := s.round("gather", all(shardMsg{Kind: viewGather, Round: round}), viewCand,
+		err := s.round(roundGather, all(shardMsg{Kind: viewGather, Round: round}), viewCand,
 			func() error {
 				shares = c.gatherRound(round)
 				total += len(c.pending)
@@ -391,7 +419,7 @@ func (s *session) Apply(batch []Mutation) error {
 		// solution is already a fixpoint over them.
 		var own []record.Record
 		improving := 0
-		err = s.round("seed", func(h int) shardMsg {
+		err = s.round(roundSeed, func(h int) shardMsg {
 			return shardMsg{Kind: viewSeed, Frames: packRecords(shares[h])}
 		}, viewSeeded,
 			func() error {
@@ -436,7 +464,7 @@ func (s *session) repair(remote int) (full bool, err error) {
 	slices.Sort(region)
 
 	var w0 []record.Record
-	err = s.round("replan", all(shardMsg{Kind: viewReplan, Full: full, Frames: s.wire(keyRecords(region))}), viewReplanned,
+	err = s.round(roundReplan, all(shardMsg{Kind: viewReplan, Full: full, Frames: s.wire(keyRecords(region))}), viewReplanned,
 		func() (err error) {
 			w0, err = c.settle(full, region)
 			return err
@@ -487,20 +515,15 @@ func (s *session) Lookup(k int64) (record.Record, bool, error) {
 	return recs[0], true, nil
 }
 
-// Snapshot copies the converged solution out in canonical order: the
-// coordinator's hosted partitions plus every worker's — all of them, or an
-// error; a host lost at collect time never yields a short solution.
+// Snapshot copies the converged solution out of EachSolution in
+// canonical order.
 func (s *session) Snapshot() ([]record.Record, error) {
 	out := make([]record.Record, 0, s.core.sol.Size())
-	if err := s.core.eachHosted(func(r record.Record) { out = append(out, r) }); err != nil {
+	if err := s.EachSolution(func(r record.Record) error {
+		out = append(out, r)
+		return nil
+	}); err != nil {
 		return nil, err
-	}
-	shards, err := s.RemoteShards()
-	if err != nil {
-		return nil, err
-	}
-	for _, recs := range shards {
-		out = append(out, recs...)
 	}
 	sort.Slice(out, func(i, j int) bool { return record.Less(out[i], out[j]) })
 	return out, nil
@@ -530,9 +553,13 @@ func (s *session) shards() []ShardStat {
 	return out
 }
 
-// EachSolution streams the coordinator's hosted partitions in ascending
-// partition order — the whole solution for a view without workers. It
-// feeds the streaming snapshot writer.
+// EachSolution streams the converged solution, the one collect path of
+// the snapshot writer and Snapshot: the coordinator's hosted partitions in
+// ascending partition order, then each worker's, collected over the
+// session in host order — all of them, or an error; a host lost at collect
+// time never yields a short solution. Worker spans travel back with the
+// records on traced views, so the cross-process timeline assembles in one
+// ring.
 func (s *session) EachSolution(f func(record.Record) error) error {
 	var err error
 	lost := s.core.eachHosted(func(r record.Record) {
@@ -543,26 +570,23 @@ func (s *session) EachSolution(f func(record.Record) error) error {
 	if err == nil {
 		err = lost
 	}
-	return err
-}
-
-// RemoteShards collects each worker's hosted partitions — element i is
-// host i+1's — the payload of the per-host snapshot shard files. Worker
-// spans travel back with the shards on traced views, so the cross-process
-// timeline assembles in one ring.
-func (s *session) RemoteShards() ([][]record.Record, error) {
-	out := make([][]record.Record, len(s.conns))
-	for i, c := range s.conns {
-		reply, err := c.call(shardMsg{Kind: viewCollect}, viewSolution)
-		if err == nil {
+	for i := 0; err == nil && i < len(s.conns); i++ {
+		var recs []record.Record
+		reply, cerr := s.conns[i].call(shardMsg{Kind: viewCollect}, viewSolution)
+		if cerr == nil {
 			s.foldSpans(reply)
-			out[i], err = unpackRecords(reply.Frames)
+			recs, cerr = unpackRecords(reply.Frames)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("live: collect host %d: %w", i+1, err)
+		if cerr != nil {
+			return fmt.Errorf("live: collect host %d: %w", i+1, cerr)
+		}
+		for _, r := range recs {
+			if err = f(r); err != nil {
+				break
+			}
 		}
 	}
-	return out, nil
+	return err
 }
 
 // Close ends every remote session share gracefully, then tears down the

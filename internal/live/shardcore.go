@@ -159,7 +159,7 @@ func unpackRecords(p []byte) ([]record.Record, error) {
 		return nil, bad
 	}
 	p = p[w:]
-	out := make([]record.Record, 0, min(int(n), 1<<16))
+	out := make([]record.Record, 0, int(min(n, 1<<16))) // clamped before the conversion: n is untrusted
 	for i := uint64(0); i < n; i++ {
 		if len(p) == 0 {
 			return nil, bad

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,11 +28,11 @@ import (
 //   - a per-view write-ahead log: every Mutate call appends its batch as
 //     one CRC32 frame (record.AppendFrame) and fsyncs *before* the call
 //     returns, so an acknowledged mutation survives a crash;
-//   - periodic streaming snapshots: every SnapshotEveryFlushes flushes
-//     (or snapshotEveryBytes, 4 MiB, of log growth) the graph and the resident
-//     solution set are written through the iterative.CheckpointWriter,
-//     partition by partition via runtime.SolutionSet.EachPartition — a
-//     snapshot never materializes the full solution in memory;
+//   - periodic streaming snapshots: every snapshotEveryFlushes (32) flushes
+//     or snapshotEveryBytes (4 MiB) of log growth, the graph and the
+//     resident solution set are written through the
+//     iterative.CheckpointWriter, partition by partition — a snapshot never
+//     materializes the full solution in memory;
 //   - recovery on OpenView: the latest valid snapshot is streamed into a
 //     freshly opened session (falling back to the previous one if the
 //     newest is unreadable), the WAL tail beyond it is replayed through the
@@ -42,20 +41,17 @@ import (
 //
 // On disk, a durable view owns DataDir/<name>/:
 //
-//	wal.log                        header (magic, version, baseSeq) + frames
-//	snapshot-<seq>.snap            base file of the snapshot covering WAL frames 1..seq
-//	snapshot-<seq>.shard<h>.snap   host h's partitions of that snapshot (h = 1..hosts-1)
-//	meta.json                      the view's recipe, written by the Scheduler (scheduler.go)
+//	wal.log               header (magic, version, baseSeq) + frames
+//	snapshot-<seq>.snap   the snapshot covering WAL frames 1..seq
+//	meta.json             the view's recipe, written by the Scheduler (scheduler.go)
 //
-// There is one snapshot format and one reader and writer for it, whatever
-// the view's topology. The base file (kind live:<algo>) holds four
-// sections — [vertices][edges][host-0 partitions][hosts] — and each other
-// host's partitions sit in a one-section .shard<h> sibling (kind
-// live-shard:<algo>). An in-process view is the hosts = 1 case: a base file
-// and no siblings. Shard files are written before the base, so a seq that
-// lists is a seq whose family is complete. Because the loader streams the
-// sections into whatever session the recovering config opens, a view may
-// come back on a different worker count than it was written with.
+// A snapshot is one file, whatever the view's topology, written by one
+// atomic rename: kind live:<algo>, four sections — [vertices][edges]
+// [solution][hosts]. The solution section holds every host's partitions,
+// the coordinator's first and then each worker's in host order; the hosts
+// section is always {1}. Because the loader streams the solution into
+// whatever session the recovering config opens, a view may come back on a
+// different worker count than it was written with.
 //
 // Frame seq numbers are absolute and monotone across rotations: the log
 // header's baseSeq is the seq of the frame *preceding* the first frame in
@@ -70,14 +66,9 @@ const (
 
 	snapshotPrefix = "snapshot-"
 	snapshotSuffix = ".snap"
-	// The kind prefixes tag snapshot files with the maintainer that wrote
+	// The kind prefix tags snapshot files with the maintainer that wrote
 	// them, so recovery with the wrong algorithm fails loudly.
-	snapshotKindPrefix      = "live:"
-	snapshotShardKindPrefix = "live-shard:"
-	// snapshotLegacyShardedKindPrefix is read, never written: earlier
-	// binaries tagged the base file of a sharded view with it (and wrote an
-	// in-process view's live: base without the hosts section).
-	snapshotLegacyShardedKindPrefix = "live-sharded:"
+	snapshotKindPrefix = "live:"
 )
 
 var errWALClosed = errors.New("live: wal is closed")
@@ -316,31 +307,19 @@ func snapshotName(seq uint64) string {
 	return fmt.Sprintf("%s%020d%s", snapshotPrefix, seq, snapshotSuffix)
 }
 
-// shardSnapshotName names host h's partition file of the snapshot at seq.
-func shardSnapshotName(seq uint64, host int) string {
-	return fmt.Sprintf("%s%020d.shard%d%s", snapshotPrefix, seq, host, snapshotSuffix)
-}
-
-// parseSnapshotName inverts the two namers: the seq a snapshot file covers
-// and the host whose partitions it holds (0 for the base file).
-func parseSnapshotName(name string) (seq uint64, host int, ok bool) {
+// parseSnapshotName inverts snapshotName: the seq a snapshot file covers.
+func parseSnapshotName(name string) (seq uint64, ok bool) {
 	body, isSnap := strings.CutPrefix(name, snapshotPrefix)
 	body, hasSuffix := strings.CutSuffix(body, snapshotSuffix)
 	if !isSnap || !hasSuffix {
-		return 0, 0, false
+		return 0, false
 	}
-	seqStr, hostStr, isShard := strings.Cut(body, ".shard")
-	seq, err := strconv.ParseUint(seqStr, 10, 64)
-	if err == nil && isShard {
-		if host, err = strconv.Atoi(hostStr); host < 1 {
-			return 0, 0, false
-		}
-	}
-	return seq, host, err == nil
+	seq, err := strconv.ParseUint(body, 10, 64)
+	return seq, err == nil
 }
 
-// listSnapshots returns the seqs of the directory's base snapshot files —
-// the recovery points — in descending order (newest first).
+// listSnapshots returns the seqs of the directory's snapshot files — the
+// recovery points — in descending order (newest first).
 func listSnapshots(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -351,7 +330,7 @@ func listSnapshots(dir string) ([]uint64, error) {
 	}
 	var seqs []uint64
 	for _, e := range entries {
-		if seq, host, ok := parseSnapshotName(e.Name()); ok && host == 0 {
+		if seq, ok := parseSnapshotName(e.Name()); ok {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -361,22 +340,14 @@ func listSnapshots(dir string) ([]uint64, error) {
 
 // pruneSnapshots deletes all snapshots older than the newest two: the one
 // just written plus its predecessor, kept as the fallback recovery reads
-// when the newest proves unreadable. Shard files are pruned with their
-// base file by seq.
+// when the newest proves unreadable.
 func pruneSnapshots(dir string) {
 	seqs, err := listSnapshots(dir)
 	if err != nil {
 		return
 	}
-	keep := seqs[:min(2, len(seqs))]
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if seq, _, ok := parseSnapshotName(e.Name()); ok && !slices.Contains(keep, seq) {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
+	for _, seq := range seqs[min(2, len(seqs)):] {
+		os.Remove(filepath.Join(dir, snapshotName(seq)))
 	}
 }
 
@@ -447,46 +418,23 @@ var (
 	walSnapshotLabels = pprof.WithLabels(context.Background(), pprof.Labels("layer", "wal", "op", "snapshot"))
 )
 
-// writeSnapshotFile durably writes one file of a snapshot family.
-func writeSnapshotFile(path, kind string, seq uint64, body func(cw *iterative.CheckpointWriter) error) error {
-	return iterative.WriteFileDurable(path, func(w io.Writer) error { return writeCheckpoint(w, kind, seq, body) })
-}
-
 // snapshotLocked persists a snapshot covering WAL frames 1..flushedSeq,
 // prunes obsolete snapshots, and rotates the log when possible. Caller
-// holds the maintenance lock, so the solution set is converged. Every
-// worker's hosted partitions are pulled over the session and written as
-// shard files *before* the base file — the base names the recovery point,
-// so a crash mid-snapshot never leaves a listed seq with a missing shard.
-// The base's own solution section streams through session.EachSolution:
-// peak memory is one frame plus the writer's buffer, never a second copy
-// of the solution (spilled partitions stream from disk to disk).
+// holds the maintenance lock, so the solution set is converged. The one
+// file is written to a temporary name and renamed into place, so a seq
+// that lists is a complete snapshot. Its solution section streams through
+// session.EachSolution — the coordinator's partitions, then each worker's
+// as it is collected: peak memory is one worker's share plus the writer's
+// buffer, never a second copy of the whole solution (spilled partitions
+// stream from disk to disk).
 func (v *LiveView) snapshotLocked() error {
 	snapStart := time.Now()
 	pprof.SetGoroutineLabels(walSnapshotLabels)
 	defer pprof.SetGoroutineLabels(context.Background())
 	d := v.dur
 	seq := d.flushedSeq
-	shards, err := v.sess.RemoteShards()
-	if err != nil {
-		return fmt.Errorf("live: view %q shard collect: %w", v.name, err)
-	}
-	for i, recs := range shards {
-		err := writeSnapshotFile(filepath.Join(d.dir, shardSnapshotName(seq, i+1)), snapshotShardKindPrefix+v.m.Name(), seq,
-			func(cw *iterative.CheckpointWriter) error {
-				for _, r := range recs {
-					if err := cw.Append(r); err != nil {
-						return err
-					}
-				}
-				return cw.EndSection()
-			})
-		if err != nil {
-			return fmt.Errorf("live: view %q shard %d snapshot: %w", v.name, i+1, err)
-		}
-	}
-	err = writeSnapshotFile(filepath.Join(d.dir, snapshotName(seq)), snapshotKindPrefix+v.m.Name(), seq,
-		func(cw *iterative.CheckpointWriter) error {
+	err := iterative.WriteFileDurable(filepath.Join(d.dir, snapshotName(seq)), func(w io.Writer) error {
+		return writeCheckpoint(w, snapshotKindPrefix+v.m.Name(), seq, func(cw *iterative.CheckpointWriter) error {
 			if err := writeGraph(cw, v.gs); err != nil {
 				return err
 			}
@@ -496,11 +444,12 @@ func (v *LiveView) snapshotLocked() error {
 			if err := cw.EndSection(); err != nil {
 				return err
 			}
-			if err := cw.Append(record.Record{A: int64(1 + len(shards))}); err != nil {
+			if err := cw.Append(record.Record{A: 1}); err != nil { // the hosts section
 				return err
 			}
 			return cw.EndSection()
 		})
+	})
 	if err != nil {
 		return fmt.Errorf("live: view %q snapshot: %w", v.name, err)
 	}
@@ -529,10 +478,10 @@ func (v *LiveView) snapshotLocked() error {
 var errSession = errors.New("live: recovery session")
 
 // readSnapshotFile is the one place a snapshot file is opened for reading.
-// The header must carry one of kinds and the seq the file's name claims — a
-// renamed or stale file is rejected, not trusted — and nothing may trail
-// the sections body consumes.
-func readSnapshotFile(path string, seq uint64, kinds []string, body func(cr *iterative.CheckpointReader) error) error {
+// The header must carry kind and the seq the file's name claims — a renamed
+// or stale file is rejected, not trusted — and nothing may trail the
+// sections body consumes.
+func readSnapshotFile(path string, seq uint64, kind string, body func(cr *iterative.CheckpointReader) error) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -542,8 +491,8 @@ func readSnapshotFile(path string, seq uint64, kinds []string, body func(cr *ite
 	if err != nil {
 		return err
 	}
-	if !slices.Contains(kinds, cr.Kind()) {
-		return fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), kinds[0])
+	if cr.Kind() != kind {
+		return fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), kind)
 	}
 	if cr.Iteration() != seq {
 		return fmt.Errorf("live: %s covers seq %d", filepath.Base(path), cr.Iteration())
@@ -557,28 +506,19 @@ func readSnapshotFile(path string, seq uint64, kinds []string, body func(cr *ite
 	return nil
 }
 
-// loadSnapshot recovers the view from the snapshot family at seq, on
-// whatever topology cfg names: the base file's graph sections rebuild the
-// graph, the session opens over it with an empty solution and no cold
-// fixpoint, and every solution section — the base file's, then each shard
-// file's — streams frame by frame through session.Load, which partitions
-// the records under the session's own placement. Mirroring the writer, at
-// most one decoded frame of solution exists outside the sets. A failure
-// after the session opened kills the half-loaded session; errors of the
-// session itself are marked errSession, everything else is the snapshot's
-// fault (corrupt, torn, or a missing or mismatched shard file) and the
+// loadSnapshot recovers the view from the snapshot at seq, on whatever
+// topology cfg names: the graph sections rebuild the graph, the session
+// opens over it with an empty solution and no cold fixpoint, and the
+// solution section streams frame by frame through session.Load, which
+// partitions the records under the session's own placement. Mirroring the
+// writer, at most one decoded frame of solution exists outside the sets.
+// A failure after the session opened kills the half-loaded session; errors
+// of the session itself are marked errSession, everything else is the
+// snapshot's fault (corrupt, torn, or not a one-file snapshot) and the
 // caller falls back to an older one.
 func loadSnapshot(dir string, seq uint64, name string, m Maintainer, cfg ViewConfig) (*LiveView, error) {
 	var v *LiveView
-	load := func(b record.Batch) error {
-		if err := v.sess.Load(b); err != nil {
-			return fmt.Errorf("%w: %w", errSession, err)
-		}
-		return nil
-	}
-	hosts := 1
-	baseKinds := []string{snapshotKindPrefix + m.Name(), snapshotLegacyShardedKindPrefix + m.Name()}
-	err := readSnapshotFile(filepath.Join(dir, snapshotName(seq)), seq, baseKinds, func(cr *iterative.CheckpointReader) error {
+	err := readSnapshotFile(filepath.Join(dir, snapshotName(seq)), seq, snapshotKindPrefix+m.Name(), func(cr *iterative.CheckpointReader) error {
 		gs, err := readGraph(cr)
 		if err != nil {
 			return err
@@ -586,35 +526,33 @@ func loadSnapshot(dir string, seq uint64, name string, m Maintainer, cfg ViewCon
 		if v, err = assembleView(name, m, cfg, gs, true); err != nil {
 			return fmt.Errorf("%w: %w", errSession, err)
 		}
-		if err := cr.ReadSection(load); err != nil {
+		if err := cr.ReadSection(func(b record.Batch) error {
+			if err := v.sess.Load(b); err != nil {
+				return fmt.Errorf("%w: %w", errSession, err)
+			}
+			return nil
+		}); err != nil {
 			return fmt.Errorf("live: snapshot solution: %w", err)
 		}
-		// The hosts section: exactly one record. Only an in-process view's
-		// base file from an earlier binary may end without one — and a
-		// shard sibling says the section was cut off instead.
-		n := 0
+		// The hosts section: exactly {1}, or absent in an in-process view's
+		// file from an earlier binary. Any other count is a multi-file
+		// snapshot of an earlier binary, whose other hosts' partitions this
+		// loader never reads — its solution section alone is not the view.
+		n, hosts := 0, int64(0)
 		err = cr.ReadSection(func(b record.Batch) error {
 			if n += len(b); n == 1 {
-				hosts = int(b[0].A)
+				hosts = b[0].A
 			}
 			return nil
 		})
-		if err == io.EOF {
-			_, serr := os.Stat(filepath.Join(dir, shardSnapshotName(seq, 1)))
-			if cr.Kind() == baseKinds[0] && os.IsNotExist(serr) {
-				return nil
-			}
-			return fmt.Errorf("live: snapshot %d lost its hosts section", seq)
+		if err == nil && (n != 1 || hosts != 1) {
+			err = fmt.Errorf("live: snapshot %d is not a one-file snapshot (%d hosts records, first %d)", seq, n, hosts)
 		}
-		if err == nil && (n != 1 || hosts < 1) {
-			err = fmt.Errorf("live: malformed snapshot hosts section")
+		if err == io.EOF {
+			err = nil
 		}
 		return err
 	})
-	for h := 1; err == nil && h < hosts; h++ {
-		err = readSnapshotFile(filepath.Join(dir, shardSnapshotName(seq, h)), seq, []string{snapshotShardKindPrefix + m.Name()},
-			func(cr *iterative.CheckpointReader) error { return cr.ReadSection(load) })
-	}
 	if err != nil && v != nil {
 		v.sess.Kill()
 		return nil, err

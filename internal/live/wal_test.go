@@ -169,14 +169,13 @@ func TestSnapshotCadenceAndRotation(t *testing.T) {
 	dir := t.TempDir()
 	var m metrics.Counters
 	cfg := durableCfg(dir, &m)
-	cfg.SnapshotEveryFlushes = 2
 	v, err := OpenView("cc", CC(), chain(2), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer v.Close()
 	base := m.SnapshotsWritten.Load() // the create-time snapshot
-	for i := int64(0); i < 4; i++ {
+	for i := int64(0); i < 2*snapshotEveryFlushes; i++ {
 		if err := v.Mutate(InsertEdge(100+i, 200+i)); err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +184,7 @@ func TestSnapshotCadenceAndRotation(t *testing.T) {
 		}
 	}
 	if got := m.SnapshotsWritten.Load() - base; got != 2 {
-		t.Fatalf("4 flushes at cadence 2 wrote %d snapshots, want 2", got)
+		t.Fatalf("%d flushes at cadence %d wrote %d snapshots, want 2", 2*snapshotEveryFlushes, snapshotEveryFlushes, got)
 	}
 	// All flushed state is snapshotted and no mutations are pending, so
 	// the log must have rotated to empty.
@@ -205,7 +204,6 @@ func TestSnapshotCadenceAndRotation(t *testing.T) {
 func TestRecoveryFallsBackToPreviousSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir, nil)
-	cfg.SnapshotEveryFlushes = 1 // snapshot every flush
 	v, err := OpenView("cc", CC(), chain(2), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -214,6 +212,9 @@ func TestRecoveryFallsBackToPreviousSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := v.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	v.Kill()

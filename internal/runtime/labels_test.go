@@ -26,7 +26,8 @@ import (
 // sinks) are caught too; supersteps run on both lanes, and samples of
 // both lanes must show up. Planning samples ({layer=optimizer,
 // op=cost|greedy}) are accepted but not required: planning is about 0.1 %
-// of a fixpoint.
+// of a fixpoint. So are a live view's control rounds ({layer=live,
+// op=<round>}), which a library fixpoint does not run.
 func TestTaskProfileLabels(t *testing.T) {
 	g := graphgen.RMAT("labels", 11, 60_000, 0.57, 0.19, 0.19, 9).WithDiameterTail(20, 0)
 	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
@@ -78,8 +79,8 @@ func TestTaskProfileLabels(t *testing.T) {
 					t.Fatalf("merge sampled with labels %v, want only layer and op", l)
 				}
 				merges++
-			} else if !isPlanLabel(l) && (l["op"] != "" || l["layer"] != "") {
-				t.Fatalf("labels %v are neither a runtime task's, the solution merge's nor a planner call's", l)
+			} else if !isPlanLabel(l) && !isRoundLabel(l) && (l["op"] != "" || l["layer"] != "") {
+				t.Fatalf("labels %v are neither a runtime task's, the solution merge's, a planner call's nor a control round's", l)
 			}
 		}
 		missing := 0
@@ -112,6 +113,16 @@ func TestTaskProfileLabels(t *testing.T) {
 // {layer=optimizer, op=cost|greedy}.
 func isPlanLabel(l map[string]string) bool {
 	return len(l) == 2 && l["layer"] == "optimizer" && (l["op"] == "cost" || l["op"] == "greedy")
+}
+
+// isRoundLabel reports whether l is the label set of a live view's control
+// round, {layer=live, op=<round>}.
+func isRoundLabel(l map[string]string) bool {
+	switch l["op"] {
+	case "mesh", "load", "plan epoch", "apply", "gather", "seed", "replan":
+		return len(l) == 2 && l["layer"] == "live"
+	}
+	return false
 }
 
 // TestPlannerProfileLabels profiles a loop of planning calls — CoGroup
@@ -215,6 +226,66 @@ func TestWALProfileLabels(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("after %d rounds no sample is labelled {layer=wal, op=append}", round+1)
+		}
+		prof.Reset()
+	}
+}
+
+// TestLiveRoundProfileLabels loops small flushes on an in-process CC view
+// — an edge of a chain deleted, then put back — and requires CPU samples
+// labelled {layer=live, op=<round>}, the coordinator's share of its
+// control rounds; every live-layer sample must carry exactly one round's
+// label set.
+func TestLiveRoundProfileLabels(t *testing.T) {
+	var chain []live.Mutation
+	for i := int64(0); i < 64; i++ {
+		chain = append(chain, live.InsertEdge(i, i+1))
+	}
+	v, err := live.NewView("round-labels", live.CC(), chain, live.ViewConfig{Config: iterative.Config{Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+
+	var prof bytes.Buffer
+	rounds := map[string]int{}
+	deadline := time.Now().Add(30 * time.Second)
+	for round, i := 0, int64(0); ; round++ {
+		if err := pprof.StartCPUProfile(&prof); err != nil {
+			t.Skipf("CPU profiler busy: %v", err)
+		}
+		for stop := time.Now().Add(300 * time.Millisecond); time.Now().Before(stop); i++ {
+			k := i % 64
+			for _, mu := range []live.Mutation{live.DeleteEdge(k, k+1), live.InsertEdge(k, k+1)} {
+				if err := v.Mutate(mu); err == nil {
+					err = v.Flush()
+				}
+				if err != nil {
+					pprof.StopCPUProfile()
+					t.Fatal(err)
+				}
+			}
+		}
+		pprof.StopCPUProfile()
+		samples, err := labelledSamples(prof.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range samples {
+			if l["layer"] != "live" {
+				continue
+			}
+			if !isRoundLabel(l) {
+				t.Fatalf("live sample labelled %v, want exactly {layer=live, op=<round>}", l)
+			}
+			rounds[l["op"]]++
+		}
+		if len(rounds) > 0 {
+			t.Logf("control round samples after %d rounds: %v", round+1, rounds)
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d rounds no sample is labelled {layer=live, op=<round>}", round+1)
 		}
 		prof.Reset()
 	}

@@ -97,9 +97,9 @@
 package spinflow
 
 import (
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/graphgen"
+	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/record"
@@ -109,27 +109,27 @@ import (
 // Core types re-exported from the engine.
 type (
 	// Record is the tuple type flowing through plans.
-	Record = core.Record
+	Record = record.Record
 	// KeyFunc selects a key from a record.
-	KeyFunc = core.KeyFunc
+	KeyFunc = record.KeyFunc
 	// Comparator orders records for solution-set replacement (§5.1).
-	Comparator = core.Comparator
+	Comparator = record.Comparator
 	// Plan is a logical dataflow under construction.
-	Plan = core.Plan
+	Plan = dataflow.Plan
 	// Node is one logical operator.
-	Node = core.Node
+	Node = dataflow.Node
 	// Emitter receives records from user functions.
-	Emitter = core.Emitter
+	Emitter = dataflow.Emitter
 	// Config controls execution.
-	Config = core.Config
+	Config = iterative.Config
 	// BulkSpec describes a bulk iteration (G, I, O, T).
-	BulkSpec = core.BulkSpec
+	BulkSpec = iterative.BulkSpec
 	// BulkResult is a bulk iteration outcome.
-	BulkResult = core.BulkResult
+	BulkResult = iterative.BulkResult
 	// IncrementalSpec describes an incremental iteration (Δ, S0, W0).
-	IncrementalSpec = core.IncrementalSpec
+	IncrementalSpec = iterative.IncrementalSpec
 	// IncrementalResult is an incremental iteration outcome.
-	IncrementalResult = core.IncrementalResult
+	IncrementalResult = iterative.IncrementalResult
 	// Counters aggregates work metrics.
 	Counters = metrics.Counters
 	// Trace records per-iteration statistics.
@@ -162,7 +162,7 @@ const (
 )
 
 // NewPlan starts an empty logical plan.
-func NewPlan() *Plan { return core.NewPlan() }
+func NewPlan() *Plan { return dataflow.NewPlan() }
 
 // Execute optimizes and runs a non-iterative plan, returning the records
 // collected at each sink (keyed by sink node).
@@ -214,12 +214,12 @@ func ExplainDOT(p *Plan, cfg Config, expectedIterations int) (string, error) {
 
 // RunBulk executes a bulk iteration.
 func RunBulk(spec BulkSpec, initial []Record, cfg Config) (*BulkResult, error) {
-	return core.RunBulk(spec, initial, cfg)
+	return iterative.RunBulk(spec, initial, cfg)
 }
 
 // RunIncremental executes an incremental iteration in supersteps.
 func RunIncremental(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*IncrementalResult, error) {
-	return core.RunIncremental(spec, s0, w0, cfg)
+	return iterative.RunIncremental(spec, s0, w0, cfg)
 }
 
 // RunMicrostep executes an incremental iteration that must meet the §5.2
@@ -227,12 +227,12 @@ func RunIncremental(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*Increme
 // solution set as they are produced. Microsteps in the result counts the
 // working-set elements consumed.
 func RunMicrostep(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*IncrementalResult, error) {
-	return core.RunMicrostep(spec, s0, w0, cfg)
+	return iterative.RunMicrostep(spec, s0, w0, cfg)
 }
 
 // SolutionSet is the resident state of an incremental iteration, handed
 // back by IncrementalResult.Set after a run.
-type SolutionSet = core.SolutionSet
+type SolutionSet = runtime.SolutionSet
 
 // ResumeIncremental warm-restarts an incremental iteration over an
 // existing converged solution set, processing only the delta working set:
@@ -240,20 +240,20 @@ type SolutionSet = core.SolutionSet
 // plan must reflect the current inputs (e.g. an edge source containing a
 // newly inserted edge).
 func ResumeIncremental(spec IncrementalSpec, existing *SolutionSet, delta []Record, cfg Config) (*IncrementalResult, error) {
-	return core.ResumeIncremental(spec, existing, delta, cfg)
+	return iterative.ResumeIncremental(spec, existing, delta, cfg)
 }
 
 // ResumeMicrostep is ResumeIncremental for a spec that must meet the
 // §5.2 microstep conditions: it finishes a fixpoint over an existing
 // resident solution set, which is mutated in place.
 func ResumeMicrostep(spec IncrementalSpec, existing *SolutionSet, workset []Record, cfg Config) (*IncrementalResult, error) {
-	return core.ResumeMicrostep(spec, existing, workset, cfg)
+	return iterative.ResumeMicrostep(spec, existing, workset, cfg)
 }
 
 // ValidateMicrostep checks the §5.2 microstep admissibility conditions
 // without running the iteration.
 func ValidateMicrostep(spec IncrementalSpec) ([]*Node, error) {
-	return core.ValidateMicrostep(spec)
+	return iterative.ValidateMicrostep(spec)
 }
 
 // Synthetic datasets (scaled stand-ins for the paper's Table 2 graphs).

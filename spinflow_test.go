@@ -77,6 +77,9 @@ func TestPublicIncrementalIteration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if len(res.Solution) != len(s0) {
+			t.Fatalf("%s: solution %v, want one record per key of s0", name, res.Solution)
+		}
 		got := map[int64]int64{}
 		for _, r := range res.Solution {
 			got[r.A] = r.B
