@@ -142,7 +142,7 @@ func BenchmarkFig8PerIterationTrace(b *testing.B) {
 	g := graphgen.Wikipedia(graphgen.ScaleTiny)
 	for i := 0; i < b.N; i++ {
 		cfg := iterative.Config{Parallelism: benchParallelism, CollectTrace: true}
-		_, res, err := algorithms.PageRank(g, 5, cfg)
+		_, res, err := algorithms.PageRankVariant(g, 5, algorithms.PlanAuto, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,8 +176,8 @@ func BenchmarkFig9CC(b *testing.B) {
 		})
 		b.Run(name+"/StratosphereFull", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := iterative.Config{Parallelism: benchParallelism}
-				if _, _, err := algorithms.CCBulk(g, cfg); err != nil {
+				spec, initial := algorithms.CCBulkSpec(g)
+				if _, err := iterative.RunBulk(spec, initial, iterative.Config{Parallelism: benchParallelism}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -203,8 +203,8 @@ func BenchmarkFig9CC(b *testing.B) {
 		// StratosphereMicro — one engine, so the two should read alike.
 		b.Run(name+"/StratosphereAsync", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := iterative.Config{Parallelism: benchParallelism}
-				if _, _, err := algorithms.CCMicrostepAsync(g, cfg); err != nil {
+				spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
+				if _, err := iterative.RunMicrostep(spec, s0, w0, iterative.Config{Parallelism: benchParallelism}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -739,7 +739,7 @@ func BenchmarkLiveMaintenance(b *testing.B) {
 func BenchmarkDistributed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := harness.Distributed(harness.Options{
-			Scale: graphgen.ScaleBench, Parallelism: benchParallelism,
+			Scale: 0.25, Parallelism: benchParallelism,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -84,14 +84,3 @@ func AdaptivePageRankSpec(g *graphgen.Graph, damping, epsilon float64) (iterativ
 	}
 	return spec, s0, w0
 }
-
-// AdaptivePageRank runs the incremental adaptive PageRank until no page
-// moves by more than epsilon.
-func AdaptivePageRank(g *graphgen.Graph, damping, epsilon float64, cfg iterative.Config) (map[int64]float64, *iterative.IncrementalResult, error) {
-	spec, s0, w0 := AdaptivePageRankSpec(g, damping, epsilon)
-	res, err := iterative.RunIncremental(spec, s0, w0, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RanksToMap(res.Solution), res, nil
-}

@@ -1,12 +1,19 @@
-package algorithms
+package algorithms_test
+
+// An external test package: the Connected Components and SSSP tests
+// check against the shared oracles of internal/difftest, which imports
+// this package.
 
 import (
 	"math"
 	"testing"
 
+	"repro/internal/algorithms"
+	"repro/internal/difftest"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
+	"repro/internal/record"
 )
 
 func figure1Graph() *graphgen.Graph {
@@ -25,17 +32,43 @@ func cfg(par int) iterative.Config {
 	return iterative.Config{Parallelism: par}
 }
 
+// pageRankReference is the single-threaded oracle: standard damped power
+// iteration with the same dangling-mass convention as the dataflow
+// version.
+func pageRankReference(g *graphgen.Graph, iterations int, damping float64) []float64 {
+	n := g.NumVertices
+	outdeg := make([]int64, n)
+	for _, e := range g.Edges {
+		outdeg[e.Src]++
+	}
+	rank := make([]float64, n)
+	for i := range rank {
+		rank[i] = 1 / float64(n)
+	}
+	for it := 0; it < iterations; it++ {
+		next := make([]float64, n)
+		for i := range next {
+			next[i] = (1 - damping) / float64(n)
+		}
+		for _, e := range g.Edges {
+			next[e.Dst] += damping * rank[e.Src] / float64(outdeg[e.Src])
+		}
+		rank = next
+	}
+	return rank
+}
+
 func TestPageRankMatchesReference(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		g := graphgen.Uniform("pr", 200, 1400, 11)
-		got, res, err := PageRank(g, 15, cfg(par))
+		got, res, err := algorithms.PageRankVariant(g, 15, algorithms.PlanAuto, cfg(par))
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
 		if res.Iterations != 15 {
 			t.Errorf("par=%d: iterations=%d", par, res.Iterations)
 		}
-		want := PageRankReference(g, 15, DefaultDamping)
+		want := pageRankReference(g, 15, algorithms.DefaultDamping)
 		if len(got) != int(g.NumVertices) {
 			t.Fatalf("par=%d: %d ranks for %d vertices", par, len(got), g.NumVertices)
 		}
@@ -51,7 +84,7 @@ func TestPageRankRanksSumToOne(t *testing.T) {
 	g := graphgen.PreferentialAttachment("pa", 300, 3, 5)
 	// PA graphs have no dangling vertices except vertex 0/1 boundary
 	// cases; check total mass stays close to 1.
-	got, _, err := PageRank(g, 20, cfg(2))
+	got, _, err := algorithms.PageRankVariant(g, 20, algorithms.PlanAuto, cfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +99,7 @@ func TestPageRankRanksSumToOne(t *testing.T) {
 
 func TestPageRankEpsilonTermination(t *testing.T) {
 	g := graphgen.Uniform("pr", 100, 600, 3)
-	spec, initial := PageRankSpec(g, 200, DefaultDamping, 1e-7)
+	spec, initial := algorithms.PageRankSpec(g, 200, algorithms.DefaultDamping, 1e-7)
 	res, err := iterative.RunBulk(spec, initial, cfg(2))
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +108,8 @@ func TestPageRankEpsilonTermination(t *testing.T) {
 		t.Errorf("epsilon termination after %d iterations", res.Iterations)
 	}
 	// The converged ranks must match a long fixed run.
-	want := PageRankReference(g, 100, DefaultDamping)
-	got := RanksToMap(res.Solution)
+	want := pageRankReference(g, 100, algorithms.DefaultDamping)
+	got := algorithms.RanksToMap(res.Solution)
 	for v := int64(0); v < g.NumVertices; v++ {
 		if math.Abs(got[v]-want[v]) > 1e-4 {
 			t.Fatalf("vertex %d: %g vs %g", v, got[v], want[v])
@@ -98,36 +131,38 @@ func assertComponents(t *testing.T, name string, got, want map[int64]int64, n in
 
 func TestCCAllVariantsOnFigure1(t *testing.T) {
 	g := figure1Graph()
-	want := CCReference(g)
+	want := difftest.CCReference(g)
 
 	for _, par := range []int{1, 3} {
-		bulk, bres, err := CCBulk(g, cfg(par))
+		spec, initial := algorithms.CCBulkSpec(g)
+		bres, err := iterative.RunBulk(spec, initial, cfg(par))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertComponents(t, "bulk", bulk, want, g.NumVertices)
+		assertComponents(t, "bulk", algorithms.ComponentsToMap(bres.Solution), want, g.NumVertices)
 		// Figure 1: convergence in 2 steps plus one confirming step.
 		if bres.Iterations > 4 {
 			t.Errorf("bulk took %d iterations on the 9-vertex sample", bres.Iterations)
 		}
 
-		cg, _, err := CCIncremental(g, CCCoGroup, cfg(par))
+		cg, _, err := algorithms.CCIncremental(g, algorithms.CCCoGroup, cfg(par))
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertComponents(t, "cogroup", cg, want, g.NumVertices)
 
-		mt, _, err := CCIncremental(g, CCMatch, cfg(par))
+		mt, _, err := algorithms.CCIncremental(g, algorithms.CCMatch, cfg(par))
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertComponents(t, "match", mt, want, g.NumVertices)
 
-		mc, mres, err := CCMicrostepAsync(g, cfg(par))
+		mspec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
+		mres, err := iterative.RunMicrostep(mspec, s0, w0, cfg(par))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertComponents(t, "microstep", mc, want, g.NumVertices)
+		assertComponents(t, "microstep", algorithms.ComponentsToMap(mres.Solution), want, g.NumVertices)
 		if mres.Microsteps == 0 {
 			t.Error("microstep run reported zero steps")
 		}
@@ -137,15 +172,16 @@ func TestCCAllVariantsOnFigure1(t *testing.T) {
 func TestCCVariantsOnDatasets(t *testing.T) {
 	for _, ds := range []graphgen.Dataset{graphgen.DSWikipedia, graphgen.DSFOAF} {
 		g := graphgen.Load(ds, graphgen.ScaleTiny)
-		want := CCReference(g.Undirected())
+		want := difftest.CCReference(g.Undirected())
 
-		bulk, _, err := CCBulk(g, cfg(4))
+		spec, initial := algorithms.CCBulkSpec(g)
+		bulk, err := iterative.RunBulk(spec, initial, cfg(4))
 		if err != nil {
 			t.Fatalf("%s bulk: %v", ds, err)
 		}
-		assertComponents(t, string(ds)+"/bulk", bulk, want, g.NumVertices)
+		assertComponents(t, string(ds)+"/bulk", algorithms.ComponentsToMap(bulk.Solution), want, g.NumVertices)
 
-		incr, ires, err := CCIncremental(g, CCCoGroup, cfg(4))
+		incr, ires, err := algorithms.CCIncremental(g, algorithms.CCCoGroup, cfg(4))
 		if err != nil {
 			t.Fatalf("%s incr: %v", ds, err)
 		}
@@ -154,11 +190,12 @@ func TestCCVariantsOnDatasets(t *testing.T) {
 			t.Errorf("%s: suspiciously few supersteps (%d)", ds, ires.Supersteps)
 		}
 
-		micro, _, err := CCMicrostepAsync(g, cfg(4))
+		mspec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
+		micro, err := iterative.RunMicrostep(mspec, s0, w0, cfg(4))
 		if err != nil {
 			t.Fatalf("%s micro: %v", ds, err)
 		}
-		assertComponents(t, string(ds)+"/micro", micro, want, g.NumVertices)
+		assertComponents(t, string(ds)+"/micro", algorithms.ComponentsToMap(micro.Solution), want, g.NumVertices)
 	}
 }
 
@@ -168,7 +205,7 @@ func TestCCWorksetDecays(t *testing.T) {
 	g := graphgen.FOAF(graphgen.ScaleTiny)
 	var m metrics.Counters
 	c := iterative.Config{Parallelism: 2, Metrics: &m, CollectTrace: true}
-	_, res, err := CCIncremental(g, CCCoGroup, c)
+	_, res, err := algorithms.CCIncremental(g, algorithms.CCCoGroup, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +225,13 @@ func TestCCIncrementalShipsLessThanBulk(t *testing.T) {
 	g := graphgen.FOAF(graphgen.ScaleTiny)
 
 	var mBulk metrics.Counters
-	_, _, err := CCBulk(g, iterative.Config{Parallelism: 2, Metrics: &mBulk})
+	spec, initial := algorithms.CCBulkSpec(g)
+	_, err := iterative.RunBulk(spec, initial, iterative.Config{Parallelism: 2, Metrics: &mBulk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mIncr metrics.Counters
-	_, _, err = CCIncremental(g, CCCoGroup, iterative.Config{Parallelism: 2, Metrics: &mIncr})
+	_, _, err = algorithms.CCIncremental(g, algorithms.CCCoGroup, iterative.Config{Parallelism: 2, Metrics: &mIncr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,15 +243,26 @@ func TestCCIncrementalShipsLessThanBulk(t *testing.T) {
 	t.Logf("records shipped: bulk=%d incremental=%d (%.1fx)", bulk, incr, float64(bulk)/float64(incr))
 }
 
+// distances maps an SSSP solution's vertices to their distances.
+func distances(recs []record.Record) map[int64]float64 {
+	m := make(map[int64]float64, len(recs))
+	for _, r := range recs {
+		m[r.A] = r.X
+	}
+	return m
+}
+
 func TestSSSPMatchesDijkstra(t *testing.T) {
 	g := graphgen.Uniform("sssp", 150, 600, 17)
-	edges := UnitWeights(g)
-	want := SSSPReference(edges, 0)
+	edges := difftest.UnitWeights(g)
+	want := difftest.SSSPReference(edges, 0)
 
-	got, _, err := SSSP(edges, 0, cfg(3))
+	spec, s0, w0 := algorithms.SSSPSpec(edges, 0)
+	res, err := iterative.RunIncremental(spec, s0, w0, cfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := distances(res.Solution)
 	if len(got) != len(want) {
 		t.Fatalf("reached %d vertices, want %d", len(got), len(want))
 	}
@@ -223,10 +272,12 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 		}
 	}
 
-	gotM, _, err := SSSPMicrostep(edges, 0, cfg(3))
+	spec, s0, w0 = algorithms.SSSPSpec(edges, 0)
+	resM, err := iterative.RunMicrostep(spec, s0, w0, cfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotM := distances(resM.Solution)
 	for v, d := range want {
 		if math.Abs(gotM[v]-d) > 1e-9 {
 			t.Fatalf("microstep vertex %d: dist %g want %g", v, gotM[v], d)
@@ -236,16 +287,18 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 
 func TestSSSPWeighted(t *testing.T) {
 	// Diamond where the long way round is shorter than the direct edge.
-	edges := []WeightedEdge{
+	edges := []algorithms.WeightedEdge{
 		{Src: 0, Dst: 1, Weight: 10},
 		{Src: 0, Dst: 2, Weight: 1},
 		{Src: 2, Dst: 3, Weight: 1},
 		{Src: 3, Dst: 1, Weight: 1},
 	}
-	got, _, err := SSSP(edges, 0, cfg(2))
+	spec, s0, w0 := algorithms.SSSPSpec(edges, 0)
+	res, err := iterative.RunIncremental(spec, s0, w0, cfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := distances(res.Solution)
 	if got[1] != 3 {
 		t.Errorf("dist(1) = %g, want 3 (via 0-2-3-1)", got[1])
 	}
@@ -253,11 +306,13 @@ func TestSSSPWeighted(t *testing.T) {
 
 func TestAdaptivePageRankApproximatesPageRank(t *testing.T) {
 	g := graphgen.PreferentialAttachment("apr", 200, 3, 23)
-	want := PageRankReference(g, 60, DefaultDamping)
-	got, res, err := AdaptivePageRank(g, DefaultDamping, 1e-9, cfg(2))
+	want := pageRankReference(g, 60, algorithms.DefaultDamping)
+	spec, s0, w0 := algorithms.AdaptivePageRankSpec(g, algorithms.DefaultDamping, 1e-9)
+	res, err := iterative.RunIncremental(spec, s0, w0, cfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := algorithms.RanksToMap(res.Solution)
 	if res.Supersteps < 3 {
 		t.Errorf("adaptive PageRank converged suspiciously fast (%d supersteps)", res.Supersteps)
 	}
@@ -270,7 +325,7 @@ func TestAdaptivePageRankApproximatesPageRank(t *testing.T) {
 
 func TestTransitionMatrixColumnStochastic(t *testing.T) {
 	g := graphgen.Uniform("m", 50, 300, 7)
-	recs := TransitionMatrixRecords(g)
+	recs := algorithms.TransitionMatrixRecords(g)
 	sums := make(map[int64]float64)
 	for _, r := range recs {
 		sums[r.B] += r.X
@@ -284,7 +339,7 @@ func TestTransitionMatrixColumnStochastic(t *testing.T) {
 
 func TestInitialCandidates(t *testing.T) {
 	g := figure1Graph().Undirected()
-	w0 := InitialCandidateRecords(EdgeRecords(g))
+	w0 := algorithms.InitialCandidateRecords(algorithms.EdgeRecords(g))
 	if len(w0) != len(g.Edges) {
 		t.Fatalf("w0 size %d, want %d", len(w0), len(g.Edges))
 	}
@@ -295,11 +350,11 @@ func TestPageRankPlanVariantsAgree(t *testing.T) {
 	// broadcast variant must actually broadcast the rank vector and the
 	// partition variant must not broadcast anything.
 	g := graphgen.Uniform("pv", 150, 900, 31)
-	bc, bcRes, err := PageRankVariant(g, 8, PlanBroadcast, cfg(4))
+	bc, bcRes, err := algorithms.PageRankVariant(g, 8, algorithms.PlanBroadcast, cfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, ptRes, err := PageRankVariant(g, 8, PlanPartition, cfg(4))
+	pt, ptRes, err := algorithms.PageRankVariant(g, 8, algorithms.PlanPartition, cfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,22 +119,6 @@ func BGDSpec(examples []Example, dims int, lr float64, iterations int) (iterativ
 	return spec, init
 }
 
-// BGD trains linear-regression weights on the dataflow engine.
-func BGD(examples []Example, dims int, lr float64, iterations int, cfg iterative.Config) ([]float64, *iterative.BulkResult, error) {
-	spec, init := BGDSpec(examples, dims, lr, iterations)
-	res, err := iterative.RunBulk(spec, init, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]float64, dims)
-	for _, r := range res.Solution {
-		if int(r.A) < dims {
-			out[r.A] = r.X
-		}
-	}
-	return out, res, nil
-}
-
 // BGDReference is the single-threaded oracle with identical updates.
 func BGDReference(examples []Example, dims int, lr float64, iterations int) []float64 {
 	w := make([]float64, dims)

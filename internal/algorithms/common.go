@@ -1,15 +1,23 @@
-// Package algorithms implements the paper's evaluation workloads on every
-// engine in the repository:
+// Package algorithms builds the paper's evaluation workloads as dataflow
+// specs for the iteration engines:
 //
 //   - PageRank as a bulk iterative dataflow (Figure 3), with the optimizer
 //     free to choose the broadcast or partition plan of Figure 4;
 //   - Connected Components as a bulk dataflow, as an incremental
 //     (CoGroup-variant) iteration and as a microstep (Match-variant)
 //     iteration (Figure 5, §6.2);
-//   - single-source shortest paths and adaptive PageRank as further
-//     incremental iterations (§5.1, §7.2);
-//   - the same algorithms for the Pregel-style and Spark-style baseline
-//     engines (separate files).
+//   - single-source shortest paths as a further incremental iteration
+//     (§1), which live SSSP views maintain.
+//
+// Each *Spec function returns the spec with its initial solution (and
+// workset); a caller runs it with the iterative.Run* entry point of its
+// choice. CCIncremental and PageRankVariant, the two runs the figure
+// harness makes, are the only runners. The Pregel-style and Spark-style
+// baselines live in internal/pregel and internal/sparklike. The oracles
+// the specs are tested against live in this package's tests and in
+// internal/difftest. The workloads no program runs live in this
+// package's tests: K-Means and batch gradient descent (bulk), transitive
+// closure and adaptive PageRank (incremental, §5.1, §7.2).
 package algorithms
 
 import (

@@ -73,17 +73,6 @@ func ComponentsEqual(a, b []record.Record) bool {
 	return true
 }
 
-// CCBulk runs bulk-iterative Connected Components and returns the vid->cid
-// assignment.
-func CCBulk(g *graphgen.Graph, cfg iterative.Config) (map[int64]int64, *iterative.BulkResult, error) {
-	spec, initial := CCBulkSpec(g)
-	res, err := iterative.RunBulk(spec, initial, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ComponentsToMap(res.Solution), res, nil
-}
-
 // CCVariant selects the incremental update operator.
 type CCVariant int
 
@@ -192,46 +181,4 @@ func CCIncremental(g *graphgen.Graph, variant CCVariant, cfg iterative.Config) (
 		return nil, nil, err
 	}
 	return ComponentsToMap(res.Solution), res, nil
-}
-
-// CCMicrostepAsync runs the Match variant through the microstep entry
-// (§5.2: deltas merge into S as they are produced).
-func CCMicrostepAsync(g *graphgen.Graph, cfg iterative.Config) (map[int64]int64, *iterative.IncrementalResult, error) {
-	spec, s0, w0 := CCIncrementalSpec(g, CCMatch)
-	res, err := iterative.RunMicrostep(spec, s0, w0, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ComponentsToMap(res.Solution), res, nil
-}
-
-// CCReference computes the ground truth with union-find.
-func CCReference(g *graphgen.Graph) map[int64]int64 {
-	parent := make([]int64, g.NumVertices)
-	for i := range parent {
-		parent[i] = int64(i)
-	}
-	var find func(int64) int64
-	find = func(x int64) int64 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range g.Edges {
-		a, b := find(e.Src), find(e.Dst)
-		if a != b {
-			if a < b {
-				parent[b] = a
-			} else {
-				parent[a] = b
-			}
-		}
-	}
-	out := make(map[int64]int64, g.NumVertices)
-	for i := int64(0); i < g.NumVertices; i++ {
-		out[i] = find(i)
-	}
-	return out
 }

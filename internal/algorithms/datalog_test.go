@@ -73,24 +73,6 @@ func TCSpec(g *graphgen.Graph) (iterative.IncrementalSpec, []record.Record, []re
 	return spec, nil, w0
 }
 
-// TransitiveClosure computes all reach(x, y) pairs and returns them as a
-// set of [2]int64.
-func TransitiveClosure(g *graphgen.Graph, cfg iterative.Config) (map[[2]int64]bool, *iterative.IncrementalResult, error) {
-	spec, s0, w0 := TCSpec(g)
-	res, err := iterative.RunIncremental(spec, s0, w0, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	stride := g.NumVertices
-	out := make(map[[2]int64]bool, len(res.Solution))
-	for _, r := range res.Solution {
-		x := r.B
-		y := r.A - x*stride
-		out[[2]int64{x, y}] = true
-	}
-	return out, res, nil
-}
-
 // TransitiveClosureReference computes the closure by repeated BFS.
 func TransitiveClosureReference(g *graphgen.Graph) map[[2]int64]bool {
 	adj := g.Adjacency()

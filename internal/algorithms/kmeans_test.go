@@ -106,21 +106,6 @@ func KMeansSpec(points []Point, initial []Point, iterations int) (iterative.Bulk
 	return spec, init
 }
 
-// KMeans runs K-Means on the dataflow engine and returns the final
-// centroids by id.
-func KMeans(points []Point, initial []Point, iterations int, cfg iterative.Config) (map[int64]Point, *iterative.BulkResult, error) {
-	spec, init := KMeansSpec(points, initial, iterations)
-	res, err := iterative.RunBulk(spec, init, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make(map[int64]Point, len(res.Solution))
-	for _, r := range res.Solution {
-		out[r.A] = unpackPoint(r)
-	}
-	return out, res, nil
-}
-
 // KMeansReference is the single-threaded Lloyd's algorithm oracle with the
 // same tie-breaking rule.
 func KMeansReference(points []Point, initial []Point, iterations int) []Point {

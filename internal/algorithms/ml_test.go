@@ -5,7 +5,51 @@ import (
 	"testing"
 
 	"repro/internal/graphgen"
+	"repro/internal/iterative"
+	"repro/internal/optimizer"
 )
+
+func cfg(par int) iterative.Config {
+	return iterative.Config{Parallelism: par}
+}
+
+// centroids decodes a K-Means solution into centroids by id.
+func centroids(res *iterative.BulkResult) map[int64]Point {
+	out := make(map[int64]Point, len(res.Solution))
+	for _, r := range res.Solution {
+		out[r.A] = unpackPoint(r)
+	}
+	return out
+}
+
+// regressionWeights decodes a BGD solution into its weight vector.
+func regressionWeights(res *iterative.BulkResult, dims int) []float64 {
+	out := make([]float64, dims)
+	for _, r := range res.Solution {
+		if int(r.A) < dims {
+			out[r.A] = r.X
+		}
+	}
+	return out
+}
+
+// closure runs TCSpec on g and decodes the reach(x, y) facts.
+func closure(t *testing.T, g *graphgen.Graph, par int) (map[[2]int64]bool, *iterative.IncrementalResult) {
+	t.Helper()
+	spec, s0, w0 := TCSpec(g)
+	res, err := iterative.RunIncremental(spec, s0, w0, cfg(par))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stride := g.NumVertices
+	out := make(map[[2]int64]bool, len(res.Solution))
+	for _, r := range res.Solution {
+		x := r.B
+		y := r.A - x*stride
+		out[[2]int64{x, y}] = true
+	}
+	return out, res
+}
 
 func TestKMeansMatchesLloyd(t *testing.T) {
 	centers := []Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}}
@@ -13,10 +57,12 @@ func TestKMeansMatchesLloyd(t *testing.T) {
 	initial := []Point{{X: 1, Y: 1}, {X: 9, Y: 1}, {X: 1, Y: 9}}
 
 	for _, par := range []int{1, 4} {
-		got, res, err := KMeans(points, initial, 10, cfg(par))
+		spec, init := KMeansSpec(points, initial, 10)
+		res, err := iterative.RunBulk(spec, init, cfg(par))
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := centroids(res)
 		if res.Iterations != 10 {
 			t.Errorf("iterations = %d", res.Iterations)
 		}
@@ -41,10 +87,12 @@ func TestKMeansMatchesLloyd(t *testing.T) {
 
 func TestKMeansSingleCluster(t *testing.T) {
 	points := []Point{{X: 1, Y: 1}, {X: 3, Y: 3}}
-	got, _, err := KMeans(points, []Point{{X: 0, Y: 0}}, 3, cfg(2))
+	spec, init := KMeansSpec(points, []Point{{X: 0, Y: 0}}, 3)
+	res, err := iterative.RunBulk(spec, init, cfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := centroids(res)
 	if math.Abs(got[0].X-2) > 1e-9 || math.Abs(got[0].Y-2) > 1e-9 {
 		t.Errorf("single-cluster mean wrong: %+v", got[0])
 	}
@@ -82,10 +130,12 @@ func syntheticRegression(n int) []Example {
 func TestBGDMatchesReference(t *testing.T) {
 	examples := syntheticRegression(200)
 	for _, par := range []int{1, 3} {
-		got, res, err := BGD(examples, 3, 0.5, 50, cfg(par))
+		spec, init := BGDSpec(examples, 3, 0.5, 50)
+		res, err := iterative.RunBulk(spec, init, cfg(par))
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := regressionWeights(res, 3)
 		if res.Iterations != 50 {
 			t.Errorf("iterations = %d", res.Iterations)
 		}
@@ -98,12 +148,50 @@ func TestBGDMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBGDCombinersFuse: BGD's predict and gradient reduces are both
+// combinable, so its fused plan runs every combiner the planner chose
+// absorbed into its producer, and none as a task of its own; with fusion
+// disabled they stay tasks.
+func TestBGDCombinersFuse(t *testing.T) {
+	examples := make([]Example, 40)
+	for i := range examples {
+		examples[i] = Example{Features: []float64{1, float64(i % 5), float64(i % 3)}, Label: float64(i % 2)}
+	}
+	for _, disable := range []bool{false, true} {
+		spec, init := BGDSpec(examples, 3, 0.5, 2)
+		res, err := iterative.RunBulk(spec, init, iterative.Config{Parallelism: 2, DisableFusion: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		standalone, absorbed := 0, 0
+		for _, n := range res.Plan.Nodes {
+			if n.Role == optimizer.RoleCombiner {
+				standalone++
+			}
+			if n.Combiner != nil {
+				absorbed++
+			}
+		}
+		if got := standalone + absorbed; got > 2 {
+			t.Fatalf("%d combiners for 2 combinable reduces:\n%s", got, res.Plan.Explain())
+		}
+		if !disable && standalone != 0 {
+			t.Errorf("%d combiner tasks left in the fused plan:\n%s", standalone, res.Plan.Explain())
+		}
+		if disable && absorbed != 0 {
+			t.Errorf("combiner absorbed with fusion disabled:\n%s", res.Plan.Explain())
+		}
+	}
+}
+
 func TestBGDConvergesTowardsTruth(t *testing.T) {
 	examples := syntheticRegression(300)
-	got, _, err := BGD(examples, 3, 0.8, 800, cfg(2))
+	spec, init := BGDSpec(examples, 3, 0.8, 800)
+	res, err := iterative.RunBulk(spec, init, cfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := regressionWeights(res, 3)
 	truth := []float64{2, 3, -0.5}
 	for d := range truth {
 		if math.Abs(got[d]-truth[d]) > 0.15 {
@@ -117,10 +205,7 @@ func TestTransitiveClosure(t *testing.T) {
 	g := &graphgen.Graph{NumVertices: 6, Edges: []graphgen.Edge{
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 4, Dst: 5},
 	}}
-	got, res, err := TransitiveClosure(g, cfg(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, res := closure(t, g, 2)
 	want := TransitiveClosureReference(g)
 	if len(got) != len(want) {
 		t.Fatalf("closure size %d, want %d", len(got), len(want))
@@ -139,10 +224,7 @@ func TestTransitiveClosure(t *testing.T) {
 func TestTransitiveClosureOnRandomGraphs(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g := graphgen.Uniform("tc", 30, 60, seed)
-		got, _, err := TransitiveClosure(g, cfg(3))
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := closure(t, g, 3)
 		want := TransitiveClosureReference(g)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: closure size %d, want %d", seed, len(got), len(want))
@@ -160,10 +242,7 @@ func TestTransitiveClosureWithCycle(t *testing.T) {
 	g := &graphgen.Graph{NumVertices: 3, Edges: []graphgen.Edge{
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0},
 	}}
-	got, _, err := TransitiveClosure(g, cfg(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, _ := closure(t, g, 2)
 	if len(got) != 9 { // every vertex reaches every vertex incl. itself
 		t.Fatalf("cycle closure size %d, want 9", len(got))
 	}

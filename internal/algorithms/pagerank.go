@@ -116,12 +116,6 @@ func PageRankSpecVariant(g *graphgen.Graph, iterations int, damping, epsilon flo
 	return spec, InitialRankRecords(g)
 }
 
-// PageRank runs the bulk-iterative PageRank on the dataflow engine and
-// returns the final ranks plus the iteration result.
-func PageRank(g *graphgen.Graph, iterations int, cfg iterative.Config) (map[int64]float64, *iterative.BulkResult, error) {
-	return PageRankVariant(g, iterations, PlanAuto, cfg)
-}
-
 // PageRankVariant runs PageRank with a forced Figure-4 plan.
 func PageRankVariant(g *graphgen.Graph, iterations int, variant PlanVariant, cfg iterative.Config) (map[int64]float64, *iterative.BulkResult, error) {
 	spec, initial := PageRankSpecVariant(g, iterations, DefaultDamping, 0, variant)
@@ -130,30 +124,4 @@ func PageRankVariant(g *graphgen.Graph, iterations int, variant PlanVariant, cfg
 		return nil, nil, err
 	}
 	return RanksToMap(res.Solution), res, nil
-}
-
-// PageRankReference is the single-threaded oracle: standard damped power
-// iteration with the same dangling-mass convention as the dataflow
-// version.
-func PageRankReference(g *graphgen.Graph, iterations int, damping float64) []float64 {
-	n := g.NumVertices
-	outdeg := make([]int64, n)
-	for _, e := range g.Edges {
-		outdeg[e.Src]++
-	}
-	rank := make([]float64, n)
-	for i := range rank {
-		rank[i] = 1 / float64(n)
-	}
-	for it := 0; it < iterations; it++ {
-		next := make([]float64, n)
-		for i := range next {
-			next[i] = (1 - damping) / float64(n)
-		}
-		for _, e := range g.Edges {
-			next[e.Dst] += damping * rank[e.Src] / float64(outdeg[e.Src])
-		}
-		rank = next
-	}
-	return rank
 }

@@ -2,7 +2,6 @@ package algorithms
 
 import (
 	"repro/internal/dataflow"
-	"repro/internal/graphgen"
 	"repro/internal/iterative"
 	"repro/internal/record"
 )
@@ -11,16 +10,6 @@ import (
 type WeightedEdge struct {
 	Src, Dst int64
 	Weight   float64
-}
-
-// UnitWeights converts a graph's (undirected) edges to weight-1 edges.
-func UnitWeights(g *graphgen.Graph) []WeightedEdge {
-	und := g.Undirected()
-	out := make([]WeightedEdge, len(und.Edges))
-	for i, e := range und.Edges {
-		out[i] = WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: 1}
-	}
-	return out
 }
 
 // SSSPSpec assembles single-source shortest paths as an incremental
@@ -68,77 +57,4 @@ func SSSPSpec(edges []WeightedEdge, source int64) (iterative.IncrementalSpec, []
 	// inserted by the first relaxation and spreads from there.
 	w0 := []record.Record{{A: source, X: 0}}
 	return spec, nil, w0
-}
-
-// SSSP runs incremental single-source shortest paths in supersteps and
-// returns vertex -> distance for all reached vertices.
-func SSSP(edges []WeightedEdge, source int64, cfg iterative.Config) (map[int64]float64, *iterative.IncrementalResult, error) {
-	spec, s0, w0 := SSSPSpec(edges, source)
-	res, err := iterative.RunIncremental(spec, s0, w0, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return distMap(res.Solution), res, nil
-}
-
-// SSSPMicrostep runs the same iteration through the microstep entry.
-func SSSPMicrostep(edges []WeightedEdge, source int64, cfg iterative.Config) (map[int64]float64, *iterative.IncrementalResult, error) {
-	spec, s0, w0 := SSSPSpec(edges, source)
-	res, err := iterative.RunMicrostep(spec, s0, w0, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return distMap(res.Solution), res, nil
-}
-
-func distMap(recs []record.Record) map[int64]float64 {
-	m := make(map[int64]float64, len(recs))
-	for _, r := range recs {
-		m[r.A] = r.X
-	}
-	return m
-}
-
-// SSSPReference is a Dijkstra oracle used to verify the iterative
-// variants.
-func SSSPReference(edges []WeightedEdge, source int64) map[int64]float64 {
-	adj := make(map[int64][]WeightedEdge)
-	for _, e := range edges {
-		adj[e.Src] = append(adj[e.Src], e)
-	}
-	dist := make(map[int64]float64)
-	dist[source] = 0
-	// Simple heap as a slice of (vertex, dist) pairs.
-	type item struct {
-		v int64
-		d float64
-	}
-	heap := []item{{source, 0}}
-	pop := func() item {
-		best := 0
-		for i := range heap {
-			if heap[i].d < heap[best].d {
-				best = i
-			}
-		}
-		it := heap[best]
-		heap = append(heap[:best], heap[best+1:]...)
-		return it
-	}
-	done := make(map[int64]bool)
-	for len(heap) > 0 {
-		it := pop()
-		if done[it.v] {
-			continue
-		}
-		done[it.v] = true
-		for _, e := range adj[it.v] {
-			nd := it.d + e.Weight
-			if cur, ok := dist[e.Dst]; !ok || nd < cur-1e-12 {
-				dist[e.Dst] = nd
-				heap = append(heap, item{e.Dst, nd})
-			}
-		}
-	}
-	return dist
 }

@@ -38,7 +38,8 @@ func TestRunAPIByteCompatAcrossEngines(t *testing.T) {
 			run  func(cfg iterative.Config) ([]record.Record, error)
 		}{
 			{"bulk", func(cfg iterative.Config) ([]record.Record, error) {
-				_, res, err := algorithms.CCBulk(g, cfg)
+				spec, initial := algorithms.CCBulkSpec(g)
+				res, err := iterative.RunBulk(spec, initial, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -61,7 +62,8 @@ func TestRunAPIByteCompatAcrossEngines(t *testing.T) {
 				return res.Solution, nil
 			}},
 			{"microstep", func(cfg iterative.Config) ([]record.Record, error) {
-				_, res, err := algorithms.CCMicrostepAsync(g, cfg)
+				spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
+				res, err := iterative.RunMicrostep(spec, s0, w0, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -106,7 +108,8 @@ func TestSSSPAPIByteCompat(t *testing.T) {
 			run  func(cfg iterative.Config) ([]record.Record, error)
 		}{
 			{"incremental", func(cfg iterative.Config) ([]record.Record, error) {
-				_, res, err := algorithms.SSSP(we, source, cfg)
+				spec, s0, w0 := algorithms.SSSPSpec(we, source)
+				res, err := iterative.RunIncremental(spec, s0, w0, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -114,7 +117,8 @@ func TestSSSPAPIByteCompat(t *testing.T) {
 				return res.Solution, nil
 			}},
 			{"microstep", func(cfg iterative.Config) ([]record.Record, error) {
-				_, res, err := algorithms.SSSPMicrostep(we, source, cfg)
+				spec, s0, w0 := algorithms.SSSPSpec(we, source)
+				res, err := iterative.RunMicrostep(spec, s0, w0, cfg)
 				if err != nil {
 					return nil, err
 				}

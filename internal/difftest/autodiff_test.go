@@ -51,7 +51,7 @@ func TestAutoEnginesDifferential(t *testing.T) {
 					communities, j, mic[j], j, inc[j])
 			}
 		}
-		oracle := algorithms.CCReference(g)
+		oracle := CCReference(g)
 		assign := algorithms.ComponentsToMap(incRes.Solution)
 		for v, c := range oracle {
 			if assign[v] != c {

@@ -2,12 +2,19 @@
 // each other and against independent oracles: on seeded random graphs,
 // the incremental driver (through RunIncremental and the microstep
 // entry), the Pregel-style engine and the Spark-style engine must all
-// converge to the same Connected Components and SSSP fixpoints, at every
-// parallelism, regardless of the solution-set backend (map, compact, or
-// spilled under a memory budget). This is the correctness-first methodology of
-// differential engine testing: the engines share almost no code on these
-// paths, so agreement on randomized inputs is strong evidence that each
-// one is right.
+// converge to the same Connected Components fixpoints, and the incremental
+// driver to the Dijkstra SSSP distances, at every parallelism, regardless
+// of the solution-set backend (map, compact, or spilled under a memory
+// budget). This is the correctness-first methodology of differential
+// engine testing: the engines share almost no code on these paths, so
+// agreement on randomized inputs is strong evidence that each one is
+// right.
+//
+// It is also the repository's one test-support package. Its non-test
+// file holds the oracles that the tests of several packages share —
+// union-find Connected Components, Dijkstra shortest paths and unit edge
+// weights — and no non-test file may import it (the root package's
+// TestNoTestOnlyAPI enforces both).
 package difftest
 
 import (
@@ -15,32 +22,88 @@ import (
 	"repro/internal/graphgen"
 )
 
-// diffGraphs returns the seeded random graphs the suite runs on: uniform
-// (Erdős–Rényi) graphs of a few hundred edges plus a preferential-
-// attachment graph, so both flat and skewed degree distributions are
-// covered.
-func diffGraphs() []*graphgen.Graph {
-	return []*graphgen.Graph{
-		graphgen.Uniform("diff-u1", 60, 120, 0xB10B),
-		graphgen.Uniform("diff-u2", 80, 90, 0xC0FFEE), // sparse: many components
-		graphgen.Uniform("diff-u3", 50, 200, 7),       // dense single component
-		graphgen.PreferentialAttachment("diff-pa", 70, 2, 0xFEED),
+// CCReference computes the ground truth with union-find, labelling each
+// component by its minimum vertex id.
+func CCReference(g *graphgen.Graph) map[int64]int64 {
+	parent := make([]int64, g.NumVertices)
+	for i := range parent {
+		parent[i] = int64(i)
 	}
+	var find func(int64) int64
+	find = func(x int64) int64 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, e := range g.Edges {
+		a, b := find(e.Src), find(e.Dst)
+		if a != b {
+			if a < b {
+				parent[b] = a
+			} else {
+				parent[a] = b
+			}
+		}
+	}
+	out := make(map[int64]int64, g.NumVertices)
+	for i := int64(0); i < g.NumVertices; i++ {
+		out[i] = find(i)
+	}
+	return out
 }
 
-// diffWeights derives a deterministic small-integer weight for an edge, so
-// path sums are exact in float64 and every engine sees identical lengths.
-func diffWeight(src, dst int64) float64 {
-	return float64(1 + (src*7+dst*13)%4)
+// SSSPReference is a Dijkstra oracle used to verify the iterative
+// variants.
+func SSSPReference(edges []algorithms.WeightedEdge, source int64) map[int64]float64 {
+	adj := make(map[int64][]algorithms.WeightedEdge)
+	for _, e := range edges {
+		adj[e.Src] = append(adj[e.Src], e)
+	}
+	dist := make(map[int64]float64)
+	dist[source] = 0
+	// Simple heap as a slice of (vertex, dist) pairs.
+	type item struct {
+		v int64
+		d float64
+	}
+	heap := []item{{source, 0}}
+	pop := func() item {
+		best := 0
+		for i := range heap {
+			if heap[i].d < heap[best].d {
+				best = i
+			}
+		}
+		it := heap[best]
+		heap = append(heap[:best], heap[best+1:]...)
+		return it
+	}
+	done := make(map[int64]bool)
+	for len(heap) > 0 {
+		it := pop()
+		if done[it.v] {
+			continue
+		}
+		done[it.v] = true
+		for _, e := range adj[it.v] {
+			nd := it.d + e.Weight
+			if cur, ok := dist[e.Dst]; !ok || nd < cur-1e-12 {
+				dist[e.Dst] = nd
+				heap = append(heap, item{e.Dst, nd})
+			}
+		}
+	}
+	return dist
 }
 
-// weightedEdges builds the weighted (directed, both orientations) edge
-// list all SSSP engines run on.
-func weightedEdges(g *graphgen.Graph) []algorithms.WeightedEdge {
+// UnitWeights converts a graph's (undirected) edges to weight-1 edges.
+func UnitWeights(g *graphgen.Graph) []algorithms.WeightedEdge {
 	und := g.Undirected()
 	out := make([]algorithms.WeightedEdge, len(und.Edges))
 	for i, e := range und.Edges {
-		out[i] = algorithms.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: diffWeight(e.Src, e.Dst)}
+		out[i] = algorithms.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: 1}
 	}
 	return out
 }

@@ -14,6 +14,36 @@ import (
 	"repro/internal/sparklike"
 )
 
+// diffGraphs returns the seeded random graphs the suite runs on: uniform
+// (Erdős–Rényi) graphs of a few hundred edges plus a preferential-
+// attachment graph, so both flat and skewed degree distributions are
+// covered.
+func diffGraphs() []*graphgen.Graph {
+	return []*graphgen.Graph{
+		graphgen.Uniform("diff-u1", 60, 120, 0xB10B),
+		graphgen.Uniform("diff-u2", 80, 90, 0xC0FFEE), // sparse: many components
+		graphgen.Uniform("diff-u3", 50, 200, 7),       // dense single component
+		graphgen.PreferentialAttachment("diff-pa", 70, 2, 0xFEED),
+	}
+}
+
+// diffWeights derives a deterministic small-integer weight for an edge, so
+// path sums are exact in float64 and every engine sees identical lengths.
+func diffWeight(src, dst int64) float64 {
+	return float64(1 + (src*7+dst*13)%4)
+}
+
+// weightedEdges builds the weighted (directed, both orientations) edge
+// list all SSSP engines run on.
+func weightedEdges(g *graphgen.Graph) []algorithms.WeightedEdge {
+	und := g.Undirected()
+	out := make([]algorithms.WeightedEdge, len(und.Edges))
+	for i, e := range und.Edges {
+		out[i] = algorithms.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: diffWeight(e.Src, e.Dst)}
+	}
+	return out
+}
+
 var parallelisms = []int{1, 4}
 
 // backends are the solution-set configurations every iterative engine run
@@ -61,7 +91,7 @@ func assertComponentsEqual(t *testing.T, ctx string, got, want map[int64]int64) 
 // oracle (and therefore against every other engine).
 func TestConnectedComponentsAcrossEngines(t *testing.T) {
 	for _, g := range diffGraphs() {
-		oracle := algorithms.CCReference(g)
+		oracle := CCReference(g)
 		for _, par := range parallelisms {
 			for _, bk := range backends {
 				cfg := bk.cfg(iterative.Config{Parallelism: par})
@@ -81,12 +111,13 @@ func TestConnectedComponentsAcrossEngines(t *testing.T) {
 				release(t, res.Set)
 				assertComponentsEqual(t, name+"/incr-match", got, oracle)
 
-				got, res, err = algorithms.CCMicrostepAsync(g, cfg)
+				spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
+				mres, err := iterative.RunMicrostep(spec, s0, w0, cfg)
 				if err != nil {
 					t.Fatalf("%s: microstep: %v", name, err)
 				}
-				release(t, res.Set)
-				assertComponentsEqual(t, name+"/microstep", got, oracle)
+				release(t, mres.Set)
+				assertComponentsEqual(t, name+"/microstep", algorithms.ComponentsToMap(mres.Solution), oracle)
 			}
 
 			// The baseline engines have no solution set; run them once per
@@ -120,49 +151,47 @@ func assertDistancesEqual(t *testing.T, ctx string, got, want map[int64]float64)
 	}
 }
 
-// TestSSSPAcrossEngines runs single-source shortest paths on every engine
-// with identical deterministic integer weights (exact in float64) and
-// compares against the Dijkstra oracle.
+// distances maps an SSSP solution's vertices to their distances.
+func distances(recs []record.Record) map[int64]float64 {
+	m := make(map[int64]float64, len(recs))
+	for _, r := range recs {
+		m[r.A] = r.X
+	}
+	return m
+}
+
+// TestSSSPAcrossEngines runs single-source shortest paths through the
+// incremental and microstep entry points with identical deterministic
+// integer weights (exact in float64) and compares against the Dijkstra
+// oracle. The Pregel-style and Spark-style engines run Connected
+// Components only; no figure runs SSSP on them.
 func TestSSSPAcrossEngines(t *testing.T) {
 	const source = 0
 	for _, g := range diffGraphs() {
 		we := weightedEdges(g)
-		oracle := algorithms.SSSPReference(we, source)
-		und := g.Undirected()
-		weightFn := func(e graphgen.Edge) float64 { return diffWeight(e.Src, e.Dst) }
+		oracle := SSSPReference(we, source)
 
 		for _, par := range parallelisms {
 			for _, bk := range backends {
 				cfg := bk.cfg(iterative.Config{Parallelism: par})
 				name := fmt.Sprintf("%s/p%d/%s", g.Name, par, bk.name)
 
-				got, res, err := algorithms.SSSP(we, source, cfg)
+				spec, s0, w0 := algorithms.SSSPSpec(we, source)
+				res, err := iterative.RunIncremental(spec, s0, w0, cfg)
 				if err != nil {
 					t.Fatalf("%s: incremental: %v", name, err)
 				}
 				release(t, res.Set)
-				assertDistancesEqual(t, name+"/incremental", got, oracle)
+				assertDistancesEqual(t, name+"/incremental", distances(res.Solution), oracle)
 
-				got, res, err = algorithms.SSSPMicrostep(we, source, cfg)
+				spec, s0, w0 = algorithms.SSSPSpec(we, source)
+				res, err = iterative.RunMicrostep(spec, s0, w0, cfg)
 				if err != nil {
 					t.Fatalf("%s: microstep: %v", name, err)
 				}
 				release(t, res.Set)
-				assertDistancesEqual(t, name+"/microstep", got, oracle)
+				assertDistancesEqual(t, name+"/microstep", distances(res.Solution), oracle)
 			}
-
-			name := fmt.Sprintf("%s/p%d", g.Name, par)
-			pg, _, err := pregel.SSSP(und, weightFn, source, pregel.Config{Parallelism: par})
-			if err != nil {
-				t.Fatalf("%s: pregel: %v", name, err)
-			}
-			assertDistancesEqual(t, name+"/pregel", pg, oracle)
-
-			sp, _, err := sparklike.SSSP(sparklike.NewContext(par, nil), und, weightFn, source, 0)
-			if err != nil {
-				t.Fatalf("%s: sparklike: %v", name, err)
-			}
-			assertDistancesEqual(t, name+"/sparklike", sp, oracle)
 		}
 	}
 }

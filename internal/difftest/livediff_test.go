@@ -112,7 +112,7 @@ func mutationStream(g *graphgen.Graph, rng *streamRNG, batches, perBatch int, mo
 				if len(vs) == 0 {
 					continue
 				}
-				batch = append(batch, live.DeleteVertex(vs[rng.intn(len(vs))]))
+				batch = append(batch, live.Mutation{Op: live.OpDeleteVertex, Src: vs[rng.intn(len(vs))]})
 			}
 		}
 		// Maintain the model as the stream is generated so later batches
@@ -237,7 +237,7 @@ func TestLiveMutationStreamSSSP(t *testing.T) {
 						if err := v.Flush(); err != nil {
 							t.Fatalf("batch %d flush: %v", bi, err)
 						}
-						oracle := algorithms.SSSPReference(toWeighted(replay), source)
+						oracle := SSSPReference(toWeighted(replay), source)
 						got := make(map[int64]float64)
 						for _, r := range v.Snapshot() {
 							got[r.A] = r.X

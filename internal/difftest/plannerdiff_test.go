@@ -112,7 +112,8 @@ func TestPlannerDifferentialSSSP(t *testing.T) {
 			for i, pm := range plannerModes {
 				cfg := pm.cfg(bk.cfg(iterative.Config{Parallelism: par}))
 				name := fmt.Sprintf("p%d/%s/%s", par, bk.name, pm.name)
-				_, res, err := algorithms.SSSP(we, source, cfg)
+				spec, s0, w0 := algorithms.SSSPSpec(we, source)
+				res, err := iterative.RunIncremental(spec, s0, w0, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -139,7 +140,7 @@ func TestPlannerDifferentialPageRank(t *testing.T) {
 		for i, pm := range plannerModes {
 			cfg := pm.cfg(iterative.Config{Parallelism: par})
 			name := fmt.Sprintf("p%d/%s", par, pm.name)
-			ranks, _, err := algorithms.PageRank(g, 15, cfg)
+			ranks, _, err := algorithms.PageRankVariant(g, 15, algorithms.PlanAuto, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -5,7 +5,6 @@ import (
 	"net"
 	"testing"
 
-	"repro/internal/algorithms"
 	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/live"
@@ -78,7 +77,7 @@ func shardViewConfig(backend string, workers []string) live.ViewConfig {
 
 // ssspOracle is Dijkstra over the live graph state.
 func ssspOracle(gs *live.GraphState, source int64) map[int64]float64 {
-	return algorithms.SSSPReference(gs.WeightedUndirected(), source)
+	return SSSPReference(gs.WeightedUndirected(), source)
 }
 
 func TestLiveShardedStreamCC(t *testing.T) {
@@ -205,7 +204,7 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 			forced := len(stream)
 			stream = append(stream,
 				[]live.Mutation{live.InsertWeightedEdge(rw.Src, rw.Dst, diffWeight(rw.Src, rw.Dst)+1)},
-				[]live.Mutation{live.DeleteVertex(drop)})
+				[]live.Mutation{{Op: live.OpDeleteVertex, Src: drop}})
 			for bi, batch := range stream {
 				clean := batch[:0:0]
 				for _, mu := range batch {
@@ -287,7 +286,7 @@ func TestLiveShardedFoldCrossing(t *testing.T) {
 				vs := model.Vertices()
 				v := vs[rng.intn(len(vs))]
 				if i == 3 {
-					batch = append(batch, live.DeleteVertex(v))
+					batch = append(batch, live.Mutation{Op: live.OpDeleteVertex, Src: v})
 				} else if inc := model.IncidentEdges(v); len(inc) > 0 {
 					e := inc[rng.intn(len(inc))]
 					batch = append(batch, live.DeleteEdge(e.Src, e.Dst))

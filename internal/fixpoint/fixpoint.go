@@ -1,12 +1,11 @@
 // Package fixpoint implements the iteration theory of Section 2 of the
-// paper: generic fixpoint iterations over a complete partial order (CPO),
-// incremental (workset) iterations, and microstep iterations — the three
-// templates of Table 1 — together with reference implementations of the
-// Connected Components algorithm in each style.
-//
-// These single-machine reference implementations serve two purposes: they
-// are the executable specification the parallel dataflow engine is tested
-// against, and they regenerate Table 1's semantics and the Figure 1 trace.
+// paper: generic fixpoint iterations, incremental (workset) iterations,
+// and microstep iterations — the three templates of Table 1 — together
+// with single-machine implementations of the Connected Components
+// algorithm in each style. The harness regenerates Table 1's semantics
+// and the Figure 1 trace from them; their tests check every variant
+// against the union-find oracle of internal/difftest and every Kleene
+// chain against the CPO of §2.1.
 package fixpoint
 
 import (
@@ -95,27 +94,6 @@ func Microstep[S, E any](
 	return s, steps, nil
 }
 
-// CPO captures the complete partial order that guarantees convergence
-// (§2.1): a partial order Leq with a bottom/supremum towards which every
-// step makes progress.
-type CPO[S any] interface {
-	// Leq reports whether a precedes-or-equals b in the order.
-	Leq(a, b S) bool
-}
-
-// VerifyChain checks that a Kleene chain s, f(s), f²(s), ... is monotone in
-// the CPO: every step must produce a successor (∀s: f(s) ⊑ s in the paper's
-// orientation, where smaller component ids are "larger" progress). It
-// returns the index of the first violation, or -1 if the chain is valid.
-func VerifyChain[S any](cpo CPO[S], chain []S) int {
-	for i := 1; i < len(chain); i++ {
-		if !cpo.Leq(chain[i], chain[i-1]) {
-			return i
-		}
-	}
-	return -1
-}
-
 // Assignment is a partial solution for Connected Components: a mapping
 // from vertex id to component id. Index = vertex id.
 type Assignment []int64
@@ -137,25 +115,6 @@ func (a Assignment) Equal(b Assignment) bool {
 	}
 	return true
 }
-
-// ccCPO is the CPO over assignments defined in §2.1:
-// s ⊑ s' ⇔ ∀v: s(v) ≤ s'(v); progress means component ids only decrease.
-type ccCPO struct{}
-
-func (ccCPO) Leq(a, b Assignment) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// CCOrder is the CPO over Connected-Components assignments.
-var CCOrder CPO[Assignment] = ccCPO{}
 
 // InitialAssignment numbers each vertex with its own id — the canonical
 // initial partial solution for Connected Components.
@@ -278,48 +237,6 @@ func initialCandidates(adj [][]int64, s Assignment) []Candidate {
 		}
 	}
 	return w
-}
-
-// UnionFindCC computes the ground-truth component assignment with a
-// disjoint-set forest, labelling each component by its minimum vertex id.
-// This is the oracle the iterative variants are verified against.
-func UnionFindCC(numVertices int64, edges func(yield func(src, dst int64))) Assignment {
-	parent := make([]int64, numVertices)
-	for i := range parent {
-		parent[i] = int64(i)
-	}
-	var find func(int64) int64
-	find = func(x int64) int64 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	edges(func(src, dst int64) {
-		a, b := find(src), find(dst)
-		if a != b {
-			if a < b {
-				parent[b] = a
-			} else {
-				parent[a] = b
-			}
-		}
-	})
-	out := make(Assignment, numVertices)
-	for i := range out {
-		out[i] = find(int64(i))
-	}
-	return out
-}
-
-// NumComponents counts distinct component ids in an assignment.
-func NumComponents(a Assignment) int {
-	set := make(map[int64]struct{})
-	for _, c := range a {
-		set[c] = struct{}{}
-	}
-	return len(set)
 }
 
 // Figure1Graph returns the 9-vertex sample graph of Figure 1 (vertex ids

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/difftest"
 	"repro/internal/graphgen"
 )
 
@@ -12,13 +13,54 @@ func adjOf(g *graphgen.Graph) [][]int64 {
 	return g.Undirected().Adjacency()
 }
 
-func edgesFn(g *graphgen.Graph) func(func(int64, int64)) {
-	return func(yield func(src, dst int64)) {
-		for _, e := range g.Edges {
-			yield(e.Src, e.Dst)
+// unionFind is the union-find oracle's assignment for g.
+func unionFind(g *graphgen.Graph) Assignment {
+	a := make(Assignment, g.NumVertices)
+	for v, c := range difftest.CCReference(g) {
+		a[v] = c
+	}
+	return a
+}
+
+// CPO captures the complete partial order that guarantees convergence
+// (§2.1): a partial order Leq with a bottom/supremum towards which every
+// step makes progress.
+type CPO[S any] interface {
+	// Leq reports whether a precedes-or-equals b in the order.
+	Leq(a, b S) bool
+}
+
+// VerifyChain checks that a Kleene chain s, f(s), f²(s), ... is monotone in
+// the CPO: every step must produce a successor (∀s: f(s) ⊑ s in the paper's
+// orientation, where smaller component ids are "larger" progress). It
+// returns the index of the first violation, or -1 if the chain is valid.
+func VerifyChain[S any](cpo CPO[S], chain []S) int {
+	for i := 1; i < len(chain); i++ {
+		if !cpo.Leq(chain[i], chain[i-1]) {
+			return i
 		}
 	}
+	return -1
 }
+
+// ccCPO is the CPO over assignments defined in §2.1:
+// s ⊑ s' ⇔ ∀v: s(v) ≤ s'(v); progress means component ids only decrease.
+type ccCPO struct{}
+
+func (ccCPO) Leq(a, b Assignment) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] > b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// CCOrder is the CPO over Connected-Components assignments.
+var CCOrder CPO[Assignment] = ccCPO{}
 
 func TestFixpointScalar(t *testing.T) {
 	// Collatz-style contraction: f(x) = x/2 has fixpoint 0.
@@ -90,7 +132,7 @@ func TestVariantsMatchUnionFindOnDatasets(t *testing.T) {
 	for _, name := range []graphgen.Dataset{graphgen.DSWikipedia, graphgen.DSFOAF} {
 		g := graphgen.Load(name, graphgen.ScaleTiny)
 		adj := adjOf(g)
-		want := UnionFindCC(g.NumVertices, edgesFn(g))
+		want := unionFind(g)
 
 		full, _, err := FixpointCC(adj, 10000)
 		if err != nil {
@@ -122,7 +164,7 @@ func TestVariantsAgreeProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := graphgen.Uniform("r", 60, 90, seed)
 		adj := adjOf(g)
-		want := UnionFindCC(g.NumVertices, edgesFn(g))
+		want := unionFind(g)
 		full, _, err1 := FixpointCC(adj, 10000)
 		incr, _, err2 := IncrementalCC(adj, 10000)
 		micro, _, err3 := MicrostepCC(adj, 1<<62)
@@ -220,16 +262,10 @@ func TestCPOLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestNumComponents(t *testing.T) {
-	if n := NumComponents(Assignment{0, 0, 4, 4, 6}); n != 3 {
-		t.Errorf("components = %d, want 3", n)
-	}
-}
-
 func TestUnionFindSmallestLabel(t *testing.T) {
 	// Labels must be the minimum vertex id of each component.
 	g := graphgen.Uniform("r", 30, 40, 9)
-	a := UnionFindCC(g.NumVertices, edgesFn(g))
+	a := unionFind(g)
 	for v, c := range a {
 		if c > int64(v) {
 			t.Fatalf("vertex %d labelled %d > own id", v, c)

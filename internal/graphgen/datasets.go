@@ -18,8 +18,6 @@ type Scale float64
 const (
 	// ScaleDefault is used by the experiment CLI.
 	ScaleDefault Scale = 1.0
-	// ScaleBench is used by go test benchmarks to keep runs short.
-	ScaleBench Scale = 0.25
 	// ScaleTiny is used by unit tests.
 	ScaleTiny Scale = 0.05
 )

@@ -17,7 +17,6 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	existing := Config{Parallelism: 1}.newSolutionSet(inc.SolutionKey, inc.Comparator)
 
 	bad := []struct {
 		name string
@@ -45,14 +44,6 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 				}},
 				{"RunMicrostep", func(cfg Config) error {
 					_, err := RunMicrostep(inc, s0, w0, cfg)
-					return err
-				}},
-				{"ResumeIncremental", func(cfg Config) error {
-					_, err := ResumeIncremental(inc, existing, w0, cfg)
-					return err
-				}},
-				{"ResumeMicrostep", func(cfg Config) error {
-					_, err := ResumeMicrostep(inc, existing, w0, cfg)
 					return err
 				}},
 				{"PlanIncremental", func(cfg Config) error {

@@ -22,10 +22,9 @@ import (
 // (bulk full recompute, incremental workset ∪̇ merge) are small
 // EnginePolicy values supplying only their step semantics. Which engine
 // runs is the caller's choice, as in the paper: RunBulk, RunIncremental,
-// RunMicrostep (the incremental engine with direct merge required),
-// ResumeIncremental/ResumeMicrostep, and Fixpoint (through it
-// internal/live's sessions: views and distributed jobs) all drive this
-// loop rather than keeping private copies of it.
+// RunMicrostep (the incremental engine with direct merge required) and
+// Fixpoint (through it internal/live's sessions: views and distributed
+// jobs) all drive this loop rather than keeping private copies of it.
 
 // stepOutcome is what one EnginePolicy superstep reports back to the
 // driver core.
@@ -259,8 +258,8 @@ func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
 // ---------------------------------------------------------------------
 // Incremental engine: one superstep evaluates Δ against (S, W), merges D
 // into S with ∪̇, and produces the next working set. Shared by
-// RunIncremental, RunMicrostep and Fixpoint (live maintenance,
-// distributed jobs, ResumeIncremental, ResumeMicrostep).
+// RunIncremental, RunMicrostep and Fixpoint (live maintenance and
+// distributed jobs).
 
 type incEngine struct {
 	spec     *IncrementalSpec
@@ -273,7 +272,7 @@ type incEngine struct {
 	// feed installs it.
 	nextParts [][]record.Record
 	// inadmissible is why direct merge is off for the bound spec (nil = on);
-	// RunMicrostep and ResumeMicrostep refuse the spec with it.
+	// RunMicrostep refuses the spec with it.
 	inadmissible error
 	// fold is the workset fold of the session's plan (nil = none), which
 	// seed applies to the working sets it installs.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/algorithms"
+	"repro/internal/difftest"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
@@ -44,7 +45,7 @@ func TestWorksetFoldChoice(t *testing.T) {
 		return spec
 	}
 	match, _, _ := algorithms.CCIncrementalSpec(rmat, algorithms.CCMatch)
-	sssp, _, _ := algorithms.SSSPSpec(algorithms.UnitWeights(rmat), 0)
+	sssp, _, _ := algorithms.SSSPSpec(difftest.UnitWeights(rmat), 0)
 	for _, c := range []struct {
 		name string
 		spec iterative.IncrementalSpec
@@ -130,7 +131,7 @@ func foldGraph() *graphgen.Graph {
 // is exact and SSSP's fixpoint is bit-for-bit independent of the order
 // candidates arrive in.
 func integerWeights(g *graphgen.Graph) []algorithms.WeightedEdge {
-	out := algorithms.UnitWeights(g)
+	out := difftest.UnitWeights(g)
 	for i := range out {
 		out[i].Weight = float64(1 + (out[i].Src+out[i].Dst)%5)
 	}
@@ -240,7 +241,7 @@ func TestWorksetFoldBoundsPending(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := openFixpoint(t, spec, cfg)
+	f := openFixpoint(t, spec, nil, cfg)
 	defer f.Close()
 	if foldedNode(f.Plan()) == "" {
 		t.Fatalf("the fold was not taken:\n%s", f.Plan().Explain())

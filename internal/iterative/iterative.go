@@ -13,8 +13,8 @@
 //     the record-at-a-time/locality conditions write each delta into S
 //     the moment it is produced, so later working-set elements see it.
 //     This is not a third engine: the incremental engine turns direct
-//     merge on for every admissible Δ, and RunMicrostep/ResumeMicrostep
-//     only make the admissibility check mandatory (microstep.go).
+//     merge on for every admissible Δ, and RunMicrostep only makes the
+//     admissibility check mandatory (microstep.go).
 //
 // As in the paper, the caller picks the iteration form; the optimizer
 // (§4.3) picks plans within it. Every form runs on one superstep driver
@@ -24,9 +24,11 @@
 // recompute, incremental = Δ then S ∪̇ D), and a deployment contributes
 // only DriveHooks: a Barrier that globalizes per-process workset counts
 // and an OnEpoch callback that coordinates plan swaps across processes —
-// nil hooks mean single-process, where local counts are global. The
-// public Run* and Resume* functions and the resident Fixpoint are thin
-// adapters over that core.
+// nil hooks mean single-process, where local counts are global. There
+// are five entry points, all thin adapters over that core: RunBulk,
+// RunIncremental and RunMicrostep compute one fixpoint; PlanIncremental
+// plus OpenFixpointOn open a resident Fixpoint that later workset deltas
+// warm-restart (resume.go), which is how internal/live maintains views.
 package iterative
 
 import (
@@ -95,7 +97,7 @@ type Config struct {
 }
 
 // normalize validates and default-fills a Config exactly once, at every
-// public Run*/Resume*/Plan*/Open* entry point: negative knobs are
+// public Run*/Plan*/Open* entry point: negative knobs are
 // rejected (they are always caller bugs, and silently clamping them hid
 // the bug), zero means "use the default".
 func (c Config) normalize() (Config, error) {
@@ -367,7 +369,7 @@ type IncrementalResult struct {
 	// Supersteps is the number of executed supersteps.
 	Supersteps int
 	// Microsteps counts the working-set elements consumed (reported by
-	// RunMicrostep and ResumeMicrostep only).
+	// RunMicrostep only).
 	Microsteps int64
 	// PlanEpochs counts the mid-run re-optimizations that actually swapped
 	// in a new plan (in a distributed run: coordinated plan-epoch bumps).
@@ -378,8 +380,8 @@ type IncrementalResult struct {
 	// or the one a mid-run re-optimization swapped in.
 	Plan *optimizer.PhysPlan
 	// Set is the resident solution set that produced Solution. It remains
-	// valid after the run (sessions close, state survives) and can seed
-	// ResumeIncremental or a live view — the warm-restart handoff.
+	// valid after the run (sessions close, state survives) and can be
+	// adopted by OpenFixpointOn — the warm-restart handoff.
 	Set *runtime.SolutionSet
 }
 

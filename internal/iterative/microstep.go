@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/record"
-	"repro/internal/runtime"
 )
 
 // Microstep execution (§5.2/§5.3): an incremental iteration whose Δ
@@ -15,8 +14,8 @@ import (
 // of the same superstep already see it and redundant candidates die at the
 // source. That is what the runtime session does whenever the conditions
 // hold (Executor.DirectMerge), for every entry point — so a microstep run
-// is not a second engine: RunMicrostep and ResumeMicrostep are the
-// incremental engine with the admissibility check made mandatory.
+// is not a second engine: RunMicrostep is the incremental engine with the
+// admissibility check made mandatory.
 //
 // The §5.2 admissibility conditions enforced by ValidateMicrostep:
 //
@@ -119,13 +118,4 @@ func ValidateMicrostep(spec IncrementalSpec) ([]*dataflow.Node, error) {
 // result's Microsteps counts the working-set elements consumed.
 func RunMicrostep(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config) (*IncrementalResult, error) {
 	return runIncremental(spec, initialSolution, initialWorkset, cfg, true)
-}
-
-// ResumeMicrostep is ResumeIncremental for a Δ that must satisfy the §5.2
-// conditions: it continues over an existing resident solution set,
-// processing only the given working set. `existing` is mutated in place
-// and returned in the result's Set field; its partition count must match
-// cfg.Parallelism.
-func ResumeMicrostep(spec IncrementalSpec, existing *runtime.SolutionSet, workset []record.Record, cfg Config) (*IncrementalResult, error) {
-	return resumeIncremental(spec, existing, workset, cfg, true)
 }

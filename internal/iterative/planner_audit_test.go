@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/algorithms"
+	"repro/internal/difftest"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
 	"repro/internal/optimizer"
@@ -100,13 +101,11 @@ func auditIncremental(t *testing.T) []auditRow {
 	for _, g := range auditGraphs() {
 		cog, _, _ := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
 		match, _, _ := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
-		sssp, _, _ := algorithms.SSSPSpec(algorithms.UnitWeights(g), 0)
-		tc, _, _ := algorithms.TCSpec(g)
-		apr, _, _ := algorithms.AdaptivePageRankSpec(g, algorithms.DefaultDamping, 1e-4)
+		sssp, _, _ := algorithms.SSSPSpec(difftest.UnitWeights(g), 0)
 		for _, c := range []struct {
 			name string
 			spec iterative.IncrementalSpec
-		}{{"cc-cogroup", cog}, {"cc-match", match}, {"sssp", sssp}, {"tc", tc}, {"adaptive-pagerank", apr}} {
+		}{{"cc-cogroup", cog}, {"cc-match", match}, {"sssp", sssp}} {
 			ests := auditEstimates(c.spec.Workset.EstRecords)
 			for _, par := range []int{1, 2, 4} {
 				for _, hosts := range []int{1, 2} {
@@ -165,14 +164,6 @@ func auditBulk(t *testing.T) []auditRow {
 	benchSized, benchRanks := algorithms.PageRankSpec(graphgen.Uniform("65k×730k", 65_536, 730_000, 3),
 		20, algorithms.DefaultDamping, 0)
 	cc, labels := algorithms.CCBulkSpec(g)
-	centers := []algorithms.Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}}
-	kmeans, seeds := algorithms.KMeansSpec(algorithms.GeneratePoints(centers, 50, 1.5, 77), centers, 3)
-	var examples []algorithms.Example
-	for i := 0; i < 64; i++ {
-		x := float64(i%8) / 8
-		examples = append(examples, algorithms.Example{Features: []float64{1, x}, Label: 2*x + 1})
-	}
-	bgd, weights := algorithms.BGDSpec(examples, 2, 0.1, 3)
 
 	// bulkShape must plan what RunBulk runs.
 	res, err := iterative.RunBulk(pagerank, ranks, iterative.Config{Parallelism: 2})
@@ -190,7 +181,7 @@ func auditBulk(t *testing.T) []auditRow {
 		initial []record.Record
 	}{
 		{"pagerank/" + g.Name, pagerank, ranks}, {"pagerank/65k×730k", benchSized, benchRanks},
-		{"cc-bulk/" + g.Name, cc, labels}, {"kmeans", kmeans, seeds}, {"bgd", bgd, weights},
+		{"cc-bulk/" + g.Name, cc, labels},
 	} {
 		for _, par := range []int{1, 2, 4} {
 			rows = append(rows, auditRow{spec: c.name, par: par, hosts: 1,

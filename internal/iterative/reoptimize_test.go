@@ -221,7 +221,7 @@ func TestRunIncrementalReportsFinalPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := openFixpoint(t, spec, cfg)
+	f := openFixpoint(t, spec, nil, cfg)
 	defer f.Close()
 	f.Solution().Init(s0)
 	fres, err := f.Run(w0)

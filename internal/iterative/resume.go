@@ -39,8 +39,8 @@ type Fixpoint struct {
 // optimizeIncrementalWithEst plans Δ with the given workset-cardinality
 // estimate, restoring the node's original estimate afterwards: the plan
 // node may be shared with later runs of the same spec (live view
-// recomputes, ResumeIncremental, difftest loops), which must plan from
-// their own initial statistics rather than this run's final workset size.
+// recomputes, difftest loops), which must plan from their own initial
+// statistics rather than this run's final workset size.
 // reopt marks a mid-run re-plan (see incrementalOptions).
 func optimizeIncrementalWithEst(spec *IncrementalSpec, cfg Config, expected int, est int64, reopt bool) (*optimizer.PhysPlan, error) {
 	saved := spec.Workset.EstRecords
@@ -274,60 +274,3 @@ func (f *Fixpoint) Run(workset []record.Record) (*IncrementalResult, error) {
 // is untouched and remains readable (and adoptable by a later
 // OpenFixpointOn).
 func (f *Fixpoint) Close() { f.en.close() }
-
-// ResumeIncremental warm-restarts an incremental iteration over an
-// existing, already-converged solution set: instead of loading S0 and
-// processing the full initial workset, the fixpoint continues from
-// `existing` with only `delta` as the working set. This is the maintenance
-// property of incremental iterations as a standalone entry point — the
-// converged (S, ∅) plus a small W is exactly the state of a still-running
-// job, so absorbing new input costs only the supersteps the delta
-// actually needs.
-//
-// The spec's Δ plan must reflect the *current* inputs (e.g. an edge
-// source that already contains a newly inserted edge). `existing` is
-// mutated in place and is also returned in the result's Set field; its
-// partition count must match cfg.Parallelism. Unlike Fixpoint.Run, the
-// result's Solution slice is populated, matching RunIncremental's
-// contract.
-func ResumeIncremental(spec IncrementalSpec, existing *runtime.SolutionSet, delta []record.Record, cfg Config) (*IncrementalResult, error) {
-	return resumeIncremental(spec, existing, delta, cfg, false)
-}
-
-// resumeIncremental is the warm restart behind ResumeIncremental and
-// ResumeMicrostep; requireDirect refuses a Δ that fails the §5.2
-// conditions before `existing` is touched.
-func resumeIncremental(spec IncrementalSpec, existing *runtime.SolutionSet, delta []record.Record, cfg Config, requireDirect bool) (*IncrementalResult, error) {
-	if existing == nil {
-		return nil, fmt.Errorf("iterative: resuming needs an existing solution set (use RunIncremental or RunMicrostep for cold starts)")
-	}
-	phys, err := PlanIncremental(spec, cfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	f, err := OpenFixpointOn(spec, existing, cfg, phys, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if requireDirect && f.en.inadmissible != nil {
-		return nil, f.en.inadmissible
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.WarmRestarts.Add(1)
-	}
-	out, err := f.Run(delta)
-	if out != nil {
-		if cfg.Metrics != nil {
-			cfg.Metrics.MaintenanceSupersteps.Add(int64(out.Supersteps))
-		}
-		out.Solution = existing.Snapshot()
-		if err == nil {
-			err = existing.Err()
-		}
-		if requireDirect {
-			out.Microsteps = f.en.elements
-		}
-	}
-	return out, err
-}

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/dataflow"
+	"repro/internal/difftest"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
@@ -31,15 +32,16 @@ var resumeBackends = []struct {
 	{"spill", func(c iterative.Config) iterative.Config { c.SolutionMemoryBudget = 16 * record.EncodedSize; return c }},
 }
 
-// openFixpoint plans spec and opens a resident fixpoint on it with an
-// empty solution set, in one process.
-func openFixpoint(t *testing.T, spec iterative.IncrementalSpec, cfg iterative.Config) *iterative.Fixpoint {
+// openFixpoint plans spec and opens a resident fixpoint on it in one
+// process, over sol (nil = an empty solution set) — how a live view opens
+// its session.
+func openFixpoint(t *testing.T, spec iterative.IncrementalSpec, sol *runtime.SolutionSet, cfg iterative.Config) *iterative.Fixpoint {
 	t.Helper()
 	phys, err := iterative.PlanIncremental(spec, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := iterative.OpenFixpointOn(spec, nil, cfg, phys, nil)
+	f, err := iterative.OpenFixpointOn(spec, sol, cfg, phys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +62,11 @@ func insertDeltaCC(sol *runtime.SolutionSet, u, v int64) []record.Record {
 }
 
 // TestResumeIncrementalAbsorbsInsert converges CC on a graph missing one
-// bridge edge, then warm-restarts over the full graph with only the
-// bridge's candidates as the working set; the resumed fixpoint must match
-// the union-find oracle on the full graph, for every backend.
+// bridge edge, then warm-restarts a resident fixpoint that adopts the
+// converged solution set, over the full graph with only the bridge's
+// candidates as the working set — the path live maintenance takes. The
+// resumed fixpoint must match the union-find oracle on the full graph,
+// for every backend.
 func TestResumeIncrementalAbsorbsInsert(t *testing.T) {
 	full := graphgen.Uniform("resume-full", 80, 160, 0xBEEF)
 	// The bridge connects the two halves only through this one edge.
@@ -73,8 +77,7 @@ func TestResumeIncrementalAbsorbsInsert(t *testing.T) {
 
 	for _, bk := range resumeBackends {
 		t.Run(bk.name, func(t *testing.T) {
-			var m metrics.Counters
-			cfg := bk.cfg(iterative.Config{Parallelism: 4, Metrics: &m})
+			cfg := bk.cfg(iterative.Config{Parallelism: 4})
 
 			_, res, err := algorithms.CCIncremental(partial, algorithms.CCCoGroup, cfg)
 			if err != nil {
@@ -88,23 +91,24 @@ func TestResumeIncrementalAbsorbsInsert(t *testing.T) {
 			// The resumed spec's Δ plan must see the full edge set.
 			spec, _, _ := algorithms.CCIncrementalSpec(full, algorithms.CCCoGroup)
 			delta := insertDeltaCC(res.Set, bridge.Src, bridge.Dst)
-			warm, err := iterative.ResumeIncremental(spec, res.Set, delta, cfg)
+			f := openFixpoint(t, spec, res.Set, cfg)
+			defer f.Close()
+			warm, err := f.Run(delta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := algorithms.ComponentsToMap(warm.Solution)
-			oracle := algorithms.CCReference(full)
+			if warm.Set != res.Set {
+				t.Error("the adopted solution set was not resumed in place")
+			}
+			if err := res.Set.Err(); err != nil {
+				t.Fatal(err)
+			}
+			got := algorithms.ComponentsToMap(res.Set.Snapshot())
+			oracle := difftest.CCReference(full)
 			for v, c := range oracle {
 				if got[v] != c {
 					t.Fatalf("vertex %d -> %d, oracle %d", v, got[v], c)
 				}
-			}
-			if m.WarmRestarts.Load() != 1 {
-				t.Errorf("WarmRestarts = %d, want 1", m.WarmRestarts.Load())
-			}
-			if m.MaintenanceSupersteps.Load() != int64(warm.Supersteps) {
-				t.Errorf("MaintenanceSupersteps = %d, want %d",
-					m.MaintenanceSupersteps.Load(), warm.Supersteps)
 			}
 		})
 	}
@@ -119,35 +123,40 @@ func TestResumeIncrementalEmptyDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec, _, _ := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
-	warm, err := iterative.ResumeIncremental(spec, res.Set, nil, iterative.Config{Parallelism: 2})
+	f := openFixpoint(t, spec, res.Set, iterative.Config{Parallelism: 2})
+	defer f.Close()
+	warm, err := f.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Supersteps != 1 {
 		t.Errorf("empty delta took %d supersteps, want 1", warm.Supersteps)
 	}
-	if len(warm.Solution) != len(res.Solution) {
-		t.Errorf("solution size changed: %d -> %d", len(res.Solution), len(warm.Solution))
+	if n := len(res.Set.Snapshot()); n != len(res.Solution) {
+		t.Errorf("solution size changed: %d -> %d", len(res.Solution), n)
 	}
 }
 
-// TestResumeIncrementalValidation covers the error paths: nil solution set
-// and partition-count mismatch.
+// TestResumeIncrementalValidation covers the error path of adopting a
+// solution set: its partition count must match the config.
 func TestResumeIncrementalValidation(t *testing.T) {
 	g := graphgen.Uniform("resume-val", 20, 40, 3)
 	spec, _, _ := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
-	if _, err := iterative.ResumeIncremental(spec, nil, nil, iterative.Config{Parallelism: 2}); err == nil {
-		t.Error("nil solution set accepted")
+	cfg := iterative.Config{Parallelism: 4}
+	phys, err := iterative.PlanIncremental(spec, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sol := runtime.NewSolutionSet(2, record.KeyA, nil, nil)
-	if _, err := iterative.ResumeIncremental(spec, sol, nil, iterative.Config{Parallelism: 4}); err == nil {
+	if _, err := iterative.OpenFixpointOn(spec, sol, cfg, phys, nil); err == nil {
 		t.Error("partition mismatch accepted")
 	}
 }
 
 // TestResumeMicrostep converges CC on a graph missing one bridge edge,
-// then finishes over the full graph with only the bridge's candidates —
-// the warm restart with direct merge required.
+// then finishes over the full graph with only the bridge's candidates on
+// the Match variant, whose Δ merges directly — the warm restart of an
+// admissible spec. An inadmissible spec is refused by RunMicrostep.
 func TestResumeMicrostep(t *testing.T) {
 	full := graphgen.Uniform("micro-resume", 80, 160, 0x30B)
 	bridge := graphgen.Edge{Src: 3, Dst: 77}
@@ -162,15 +171,17 @@ func TestResumeMicrostep(t *testing.T) {
 	}
 	spec, _, _ := algorithms.CCIncrementalSpec(full, algorithms.CCMatch)
 	delta := insertDeltaCC(res.Set, bridge.Src, bridge.Dst)
-	warm, err := iterative.ResumeMicrostep(spec, res.Set, delta, cfg)
+	f := openFixpoint(t, spec, res.Set, cfg)
+	defer f.Close()
+	warm, err := f.Run(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Set != res.Set {
 		t.Error("the adopted solution set was not resumed in place")
 	}
-	oracle := algorithms.CCReference(full)
-	got := algorithms.ComponentsToMap(warm.Solution)
+	oracle := difftest.CCReference(full)
+	got := algorithms.ComponentsToMap(res.Set.Snapshot())
 	for v, c := range oracle {
 		if got[v] != c {
 			t.Fatalf("vertex %d -> %d, oracle %d", v, got[v], c)
@@ -178,22 +189,18 @@ func TestResumeMicrostep(t *testing.T) {
 	}
 
 	// Error paths.
-	if _, err := iterative.ResumeMicrostep(spec, nil, nil, cfg); err == nil {
-		t.Error("nil solution set accepted")
+	phys, err := iterative.PlanIncremental(spec, iterative.Config{Parallelism: 8}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := iterative.ResumeMicrostep(spec, res.Set, nil, iterative.Config{Parallelism: 8}); err == nil {
+	if _, err := iterative.OpenFixpointOn(spec, res.Set, iterative.Config{Parallelism: 8}, phys, nil); err == nil {
 		t.Error("partition mismatch accepted")
 	}
-	// The CoGroup variant is not admissible: refused, set untouched.
-	cg, _, _ := algorithms.CCIncrementalSpec(full, algorithms.CCCoGroup)
-	if _, err := iterative.ResumeMicrostep(cg, res.Set, delta, cfg); err == nil ||
+	// The CoGroup variant is not admissible: refused.
+	cg, s0, w0 := algorithms.CCIncrementalSpec(full, algorithms.CCCoGroup)
+	if _, err := iterative.RunMicrostep(cg, s0, w0, cfg); err == nil ||
 		!strings.Contains(err.Error(), "group-at-a-time") {
 		t.Errorf("inadmissible spec: %v, want the §5.2 rejection", err)
-	}
-	for v, c := range algorithms.ComponentsToMap(res.Set.Snapshot()) {
-		if got[v] != c {
-			t.Fatalf("a refused resume modified the solution set at vertex %d", v)
-		}
 	}
 }
 
@@ -233,7 +240,7 @@ func TestFixpointSessionReuseAcrossRestarts(t *testing.T) {
 
 	var m metrics.Counters
 	cfg := iterative.Config{Parallelism: 4, Metrics: &m}
-	f := openFixpoint(t, spec, cfg)
+	f := openFixpoint(t, spec, nil, cfg)
 	defer f.Close()
 	f.Solution().Init(s0)
 	if _, err := f.Run(w0); err != nil {
@@ -267,7 +274,7 @@ func TestFixpointSessionReuseAcrossRestarts(t *testing.T) {
 
 	withBridge := &graphgen.Graph{Name: "with-bridge", NumVertices: g.NumVertices,
 		Edges: append(append([]graphgen.Edge(nil), g.Edges...), bridge)}
-	oracle := algorithms.CCReference(withBridge)
+	oracle := difftest.CCReference(withBridge)
 	got := algorithms.ComponentsToMap(f.Solution().Snapshot())
 	for v, c := range oracle {
 		if got[v] != c {
@@ -373,7 +380,7 @@ func TestFixpointRebindOverTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oracle := algorithms.CCReference(g)
+	oracle := difftest.CCReference(g)
 	barrier := &peerBarrier{peer: fx[1], done: make(chan peerStep, 1)}
 	converge := func(ctx string) {
 		t.Helper()

@@ -122,12 +122,6 @@ func InsertWeightedEdge(src, dst int64, w float64) Mutation {
 // DeleteEdge removes an edge.
 func DeleteEdge(src, dst int64) Mutation { return Mutation{Op: OpDeleteEdge, Src: src, Dst: dst} }
 
-// AddVertex adds an isolated vertex.
-func AddVertex(v int64) Mutation { return Mutation{Op: OpAddVertex, Src: v} }
-
-// DeleteVertex removes a vertex and its incident edges.
-func DeleteVertex(v int64) Mutation { return Mutation{Op: OpDeleteVertex, Src: v} }
-
 // ViewConfig configures one live view. The embedded iterative.Config
 // selects parallelism, metrics, and the solution-set backend (including
 // SolutionMemoryBudget for out-of-core views).

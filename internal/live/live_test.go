@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/algorithms"
+	"repro/internal/difftest"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/record"
@@ -73,6 +74,12 @@ func mutateAndModel(t *testing.T, v *LiveView, model *GraphState, muts ...Mutati
 	}
 }
 
+// addVertex adds an isolated vertex.
+func addVertex(v int64) Mutation { return Mutation{Op: OpAddVertex, Src: v} }
+
+// deleteVertex removes a vertex and its incident edges.
+func deleteVertex(v int64) Mutation { return Mutation{Op: OpDeleteVertex, Src: v} }
+
 // ringEdges builds a ring over n vertices.
 func ringEdges(n int64) []Mutation {
 	out := make([]Mutation, n)
@@ -108,7 +115,7 @@ func TestLiveViewInsertOnlyNeverRecomputes(t *testing.T) {
 		{InsertEdge(30, 31), InsertEdge(31, 32)},
 		{InsertEdge(23, 30)},           // merge the two fresh components
 		{InsertEdge(5, 20)},            // merge into the ring
-		{AddVertex(40), AddVertex(41)}, // isolated vertices
+		{addVertex(40), addVertex(41)}, // isolated vertices
 		{InsertEdge(40, 41), InsertEdge(41, 0)},
 	}
 	for i, b := range batches {
@@ -127,6 +134,10 @@ func TestLiveViewInsertOnlyNeverRecomputes(t *testing.T) {
 	}
 	if m.WarmRestarts.Load() == 0 {
 		t.Error("no warm restarts recorded")
+	}
+	if m.MaintenanceSupersteps.Load() < m.WarmRestarts.Load() {
+		t.Errorf("%d maintenance supersteps for %d warm restarts, want at least one each",
+			m.MaintenanceSupersteps.Load(), m.WarmRestarts.Load())
 	}
 	// Initial mutations are a cold load, not deltas; only the 6 batches'
 	// 11 mutations count.
@@ -310,7 +321,7 @@ func TestLiveViewMixedBatch(t *testing.T) {
 		// back with a smaller label, it must not relabel its old neighbours.
 		batch("reciprocal pairs", true, InsertEdge(30, 31), InsertEdge(31, 30), InsertEdge(31, 32), InsertEdge(32, 31),
 			DeleteEdge(3128, 3129))
-		batch("drop their hub", true, DeleteVertex(31))
+		batch("drop their hub", true, deleteVertex(31))
 		batch("re-add the hub", true, InsertEdge(31, 25))
 
 		full := m.FullRecomputes.Load()
@@ -414,7 +425,7 @@ func TestLiveViewVertexDelete(t *testing.T) {
 		model.Apply(mu)
 	}
 
-	mutateAndModel(t, v, model, DeleteVertex(1))
+	mutateAndModel(t, v, model, deleteVertex(1))
 	if err := v.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +455,7 @@ func TestLiveViewSSSP(t *testing.T) {
 	}
 	check := func(ctx string) {
 		t.Helper()
-		oracle := algorithms.SSSPReference(model.WeightedUndirected(), 0)
+		oracle := difftest.SSSPReference(model.WeightedUndirected(), 0)
 		got := make(map[int64]float64)
 		for _, r := range v.Snapshot() {
 			got[r.A] = r.X

@@ -92,7 +92,7 @@ func randomMixedBatch(rng *rand.Rand, model *GraphState) []Mutation {
 		case 4:
 			add(InsertWeightedEdge(e.Src, e.Dst, e.Weight+1))
 		case 5:
-			add(DeleteVertex(e.Src))
+			add(deleteVertex(e.Src))
 			if rng.Intn(2) == 0 {
 				add(InsertEdge(e.Src, vertex())) // back, under a new edge
 			}

@@ -2,8 +2,10 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"runtime/pprof"
 	"slices"
 
 	"repro/internal/distrib"
@@ -87,9 +89,26 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 	}
 }
 
+// verbLabels are the profiler labels a worker serves each coordinator verb
+// under, {layer=live, op=<verb kind>} — the workers' share of a control
+// round — built once.
+var verbLabels = func() map[string]context.Context {
+	m := map[string]context.Context{}
+	for _, kind := range []string{viewLoad, viewApply, viewReplan, viewGather, viewSeed,
+		viewStep, viewEpoch, viewQuery, viewCollect, viewStats, viewClose} {
+		m[kind] = pprof.WithLabels(context.Background(), pprof.Labels("layer", "live", "op", kind))
+	}
+	return m
+}()
+
 // serveVerb executes one coordinator-driven verb on this host's core and
-// returns the reply; an error ends the session.
+// returns the reply; an error ends the session. It runs under the verb's
+// profiler labels, which come off again afterwards.
 func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) {
+	if labels, ok := verbLabels[req.Kind]; ok {
+		pprof.SetGoroutineLabels(labels)
+		defer pprof.SetGoroutineLabels(context.Background())
+	}
 	var payload []record.Record
 	switch req.Kind {
 	case viewLoad, viewApply, viewReplan, viewSeed:

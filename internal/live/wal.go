@@ -338,9 +338,23 @@ func listSnapshots(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
+// legacyShardName reports whether name has the exact shape of a per-host
+// snapshot sibling, snapshot-<seq>.shard<h>.snap, which binaries wrote
+// for sharded views before a snapshot became one file.
+func legacyShardName(name string) bool {
+	body, isSnap := strings.CutPrefix(name, snapshotPrefix)
+	body, hasSuffix := strings.CutSuffix(body, snapshotSuffix)
+	seq, host, isShard := strings.Cut(body, ".shard")
+	_, seqErr := strconv.ParseUint(seq, 10, 64)
+	_, hostErr := strconv.ParseUint(host, 10, 64)
+	return isSnap && hasSuffix && isShard && seqErr == nil && hostErr == nil
+}
+
 // pruneSnapshots deletes all snapshots older than the newest two: the one
 // just written plus its predecessor, kept as the fallback recovery reads
-// when the newest proves unreadable.
+// when the newest proves unreadable. It also deletes every legacy
+// per-host sibling (legacyShardName), which nothing reads any more, and
+// leaves any other name alone.
 func pruneSnapshots(dir string) {
 	seqs, err := listSnapshots(dir)
 	if err != nil {
@@ -348,6 +362,12 @@ func pruneSnapshots(dir string) {
 	}
 	for _, seq := range seqs[min(2, len(seqs)):] {
 		os.Remove(filepath.Join(dir, snapshotName(seq)))
+	}
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if legacyShardName(e.Name()) {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
 	}
 }
 

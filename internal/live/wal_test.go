@@ -258,8 +258,8 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 	muts := []Mutation{
 		InsertWeightedEdge(1, 2, 0.5),
 		DeleteEdge(3, 4),
-		AddVertex(9),
-		DeleteVertex(7),
+		addVertex(9),
+		deleteVertex(7),
 	}
 	back, err := recordsToMutations(mutationsToRecords(muts))
 	if err != nil {

@@ -83,8 +83,8 @@ type Counters struct {
 	// (each edge/vertex mutation counts once, when its batch is flushed).
 	DeltasApplied atomic.Int64
 	// WarmRestarts counts incremental-iteration restarts over an existing
-	// resident solution set (live maintenance flushes and
-	// ResumeIncremental calls), as opposed to cold runs from S0.
+	// resident solution set (live-view maintenance rounds), as opposed to
+	// cold runs from S0.
 	WarmRestarts atomic.Int64
 	// PartialRecomputes counts deletion repairs that re-ran the fixpoint
 	// over only the affected region of the graph.

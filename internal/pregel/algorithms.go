@@ -36,7 +36,7 @@ func PageRank(g *graphgen.Graph, iterations int, damping float64, cfg Config) (m
 			v.VoteToHalt()
 		}
 	}
-	res, err := Run(g, nil, init, compute, cfg)
+	res, err := Run(g, init, compute, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -77,7 +77,7 @@ func ConnectedComponents(g *graphgen.Graph, cfg Config) (map[int64]int64, *Resul
 		}
 		v.VoteToHalt()
 	}
-	res, err := Run(g.Undirected(), nil, init, compute, cfg)
+	res, err := Run(g.Undirected(), init, compute, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -86,51 +86,4 @@ func ConnectedComponents(g *graphgen.Graph, cfg Config) (map[int64]int64, *Resul
 		comps[vid] = v.ValueI
 	}
 	return comps, res, nil
-}
-
-// SSSP is the Pregel single-source shortest paths: distance relaxation by
-// message passing over weighted edges.
-func SSSP(g *graphgen.Graph, weights func(graphgen.Edge) float64, source int64, cfg Config) (map[int64]float64, *Result, error) {
-	const unreached = -1
-	if cfg.Combiner == nil {
-		cfg.Combiner = func(a, b Message) Message {
-			if b.F < a.F {
-				return b
-			}
-			return a
-		}
-	}
-	init := func(v *Vertex) {
-		v.ValueF = unreached
-	}
-	compute := func(ctx *Context, v *Vertex, msgs []Message) {
-		improved := false
-		if ctx.Superstep() == 0 && v.ID == source {
-			v.ValueF = 0
-			improved = true
-		}
-		for _, m := range msgs {
-			if v.ValueF == unreached || m.F < v.ValueF {
-				v.ValueF = m.F
-				improved = true
-			}
-		}
-		if improved {
-			for _, e := range v.Out {
-				ctx.Send(Message{Target: e.Target, F: v.ValueF + e.Weight})
-			}
-		}
-		v.VoteToHalt()
-	}
-	res, err := Run(g, weights, init, compute, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	dists := make(map[int64]float64, len(res.Vertices))
-	for vid, v := range res.Vertices {
-		if v.ValueF != unreached {
-			dists[vid] = v.ValueF
-		}
-	}
-	return dists, res, nil
 }

@@ -40,7 +40,6 @@ type Vertex struct {
 // EdgeTo is an outgoing edge.
 type EdgeTo struct {
 	Target int64
-	Weight float64
 }
 
 // Context gives a compute function access to the superstep machinery.
@@ -130,7 +129,7 @@ func (w *worker) send(m Message) {
 // Run executes a vertex program over the graph until every vertex has
 // halted and no messages are in flight (or MaxSupersteps passes).
 // init prepares each vertex's initial value.
-func Run(g *graphgen.Graph, weights func(graphgen.Edge) float64, init func(*Vertex), compute ComputeFn, cfg Config) (*Result, error) {
+func Run(g *graphgen.Graph, init func(*Vertex), compute ComputeFn, cfg Config) (*Result, error) {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = 1
 	}
@@ -152,13 +151,9 @@ func Run(g *graphgen.Graph, weights func(graphgen.Edge) float64, init func(*Vert
 		j.workers[record.PartitionOf(vid, cfg.Parallelism)].verts[vid] = v
 	}
 	for _, e := range g.Edges {
-		w := 1.0
-		if weights != nil {
-			w = weights(e)
-		}
 		part := record.PartitionOf(e.Src, cfg.Parallelism)
 		v := j.workers[part].verts[e.Src]
-		v.Out = append(v.Out, EdgeTo{Target: e.Dst, Weight: w})
+		v.Out = append(v.Out, EdgeTo{Target: e.Dst})
 	}
 	for _, w := range j.workers {
 		for _, v := range w.verts {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/graphgen"
 	"repro/internal/metrics"
 )
@@ -31,36 +32,6 @@ func refPageRank(g *graphgen.Graph, iterations int, damping float64) []float64 {
 	return rank
 }
 
-func refCC(g *graphgen.Graph) map[int64]int64 {
-	parent := make([]int64, g.NumVertices)
-	for i := range parent {
-		parent[i] = int64(i)
-	}
-	var find func(int64) int64
-	find = func(x int64) int64 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range g.Edges {
-		a, b := find(e.Src), find(e.Dst)
-		if a != b {
-			if a < b {
-				parent[b] = a
-			} else {
-				parent[a] = b
-			}
-		}
-	}
-	out := make(map[int64]int64)
-	for i := int64(0); i < g.NumVertices; i++ {
-		out[i] = find(i)
-	}
-	return out
-}
-
 func TestPageRankMatchesReference(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		g := graphgen.Uniform("pr", 120, 900, 13)
@@ -83,7 +54,7 @@ func TestPageRankMatchesReference(t *testing.T) {
 func TestConnectedComponents(t *testing.T) {
 	for _, par := range []int{1, 3} {
 		g := graphgen.Load(graphgen.DSFOAF, graphgen.ScaleTiny)
-		want := refCC(g.Undirected())
+		want := difftest.CCReference(g.Undirected())
 		got, res, err := ConnectedComponents(g, Config{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
@@ -115,28 +86,6 @@ func TestCCMessagesDecay(t *testing.T) {
 	last := res.Trace.Iterations[res.Trace.NumIterations()-1].Work.WorksetElements
 	if last > first/2 {
 		t.Errorf("messages did not decay: first=%d last=%d", first, last)
-	}
-}
-
-func TestSSSP(t *testing.T) {
-	g := &graphgen.Graph{NumVertices: 4, Edges: []graphgen.Edge{
-		{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 1},
-	}}
-	weights := func(e graphgen.Edge) float64 {
-		if e.Src == 0 && e.Dst == 1 {
-			return 10
-		}
-		return 1
-	}
-	got, _, err := SSSP(g, weights, 0, Config{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[1] != 3 {
-		t.Errorf("dist(1) = %g, want 3", got[1])
-	}
-	if _, reached := got[3]; !reached || got[3] != 2 {
-		t.Errorf("dist(3) = %g, want 2", got[3])
 	}
 }
 

@@ -41,14 +41,13 @@ type SolutionBackend interface {
 	Bytes() int64
 }
 
-// SolutionBackendKind names a SolutionBackend implementation.
+// SolutionBackendKind names a SolutionBackend implementation. The zero
+// value resolves to SolutionCompact (or SolutionSpill when a memory budget
+// is set).
 type SolutionBackendKind string
 
 // The available solution-set backends.
 const (
-	// SolutionDefault resolves to SolutionCompact (or SolutionSpill when a
-	// memory budget is set).
-	SolutionDefault SolutionBackendKind = ""
 	// SolutionMap is the boxed Go-map backend (the original
 	// implementation, kept as the differential baseline).
 	SolutionMap SolutionBackendKind = "map"

@@ -202,24 +202,19 @@ func foldMatchesOracle(t *testing.T) {
 }
 
 // shippedCombinersFuse: the shipped combinable reduces — PageRank's
-// sumRanks, BGD's predict and gradient, bulk CC's minCid — run with every
+// sumRanks and bulk CC's minCid — run with every
 // combiner the planner chose absorbed into its producer, and none left as
 // a task of its own; with fusion disabled they stay tasks.
 func shippedCombinersFuse(t *testing.T) {
 	g := graphgen.Uniform("fold", 200, 800, 5)
 	pr, prInit := algorithms.PageRankSpec(g, 2, algorithms.DefaultDamping, 0)
 	cc, ccInit := algorithms.CCBulkSpec(g)
-	examples := make([]algorithms.Example, 40)
-	for i := range examples {
-		examples[i] = algorithms.Example{Features: []float64{1, float64(i % 5), float64(i % 3)}, Label: float64(i % 2)}
-	}
-	bgd, bgdInit := algorithms.BGDSpec(examples, 3, 0.5, 2)
 	for _, job := range []struct {
 		name    string
 		spec    iterative.BulkSpec
 		initial []record.Record
 		want    int // combinable reduces in the plan
-	}{{"pagerank", pr, prInit, 1}, {"cc-bulk", cc, ccInit, 1}, {"bgd", bgd, bgdInit, 2}} {
+	}{{"pagerank", pr, prInit, 1}, {"cc-bulk", cc, ccInit, 1}} {
 		for _, disable := range []bool{false, true} {
 			res, err := iterative.RunBulk(job.spec, job.initial, iterative.Config{Parallelism: 2, DisableFusion: disable})
 			if err != nil {

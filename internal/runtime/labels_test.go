@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"runtime/pprof"
 	"testing"
 	"time"
 
 	"repro/internal/algorithms"
+	"repro/internal/distrib"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
 	"repro/internal/live"
@@ -27,7 +29,8 @@ import (
 // both lanes must show up. Planning samples ({layer=optimizer,
 // op=cost|greedy}) are accepted but not required: planning is about 0.1 %
 // of a fixpoint. So are a live view's control rounds ({layer=live,
-// op=<round>}), which a library fixpoint does not run.
+// op=<round>}) and a worker's share of them ({layer=live, op=<verb>}),
+// which a library fixpoint does not run.
 func TestTaskProfileLabels(t *testing.T) {
 	g := graphgen.RMAT("labels", 11, 60_000, 0.57, 0.19, 0.19, 9).WithDiameterTail(20, 0)
 	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
@@ -79,8 +82,8 @@ func TestTaskProfileLabels(t *testing.T) {
 					t.Fatalf("merge sampled with labels %v, want only layer and op", l)
 				}
 				merges++
-			} else if !isPlanLabel(l) && !isRoundLabel(l) && (l["op"] != "" || l["layer"] != "") {
-				t.Fatalf("labels %v are neither a runtime task's, the solution merge's, a planner call's nor a control round's", l)
+			} else if !isPlanLabel(l) && !isRoundLabel(l) && !isVerbLabel(l) && (l["op"] != "" || l["layer"] != "") {
+				t.Fatalf("labels %v are neither a runtime task's, the solution merge's, a planner call's, a control round's nor a worker verb's", l)
 			}
 		}
 		missing := 0
@@ -120,6 +123,17 @@ func isPlanLabel(l map[string]string) bool {
 func isRoundLabel(l map[string]string) bool {
 	switch l["op"] {
 	case "mesh", "load", "plan epoch", "apply", "gather", "seed", "replan":
+		return len(l) == 2 && l["layer"] == "live"
+	}
+	return false
+}
+
+// isVerbLabel reports whether l is the label set of a coordinator verb a
+// worker serves, {layer=live, op=<verb kind>}.
+func isVerbLabel(l map[string]string) bool {
+	switch l["op"] {
+	case "view_load", "view_apply", "view_replan", "view_gather", "view_seed", "view_step",
+		"view_epoch", "view_query", "view_collect", "view_stats", "view_close":
 		return len(l) == 2 && l["layer"] == "live"
 	}
 	return false
@@ -286,6 +300,76 @@ func TestLiveRoundProfileLabels(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("after %d rounds no sample is labelled {layer=live, op=<round>}", round+1)
+		}
+		prof.Reset()
+	}
+}
+
+// TestWorkerVerbProfileLabels loops the flushes of TestLiveRoundProfileLabels
+// on a view sharded over one loopback worker, which serves in this
+// process, and requires CPU samples labelled {layer=live, op=<verb kind>},
+// the workers' share of the control rounds; every live-layer sample must
+// carry exactly a round's or a verb's label set.
+func TestWorkerVerbProfileLabels(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go distrib.ServeWorkerWith(ln, distrib.ServeWorkerOpts{Views: live.NewWorkerHost(nil)})
+	var chain []live.Mutation
+	for i := int64(0); i < 64; i++ {
+		chain = append(chain, live.InsertEdge(i, i+1))
+	}
+	v, err := live.NewView("verb-labels", live.CC(), chain, live.ViewConfig{
+		Config:  iterative.Config{Parallelism: 2},
+		Workers: []string{ln.Addr().String()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+
+	var prof bytes.Buffer
+	verbs := map[string]int{}
+	deadline := time.Now().Add(30 * time.Second)
+	for round, i := 0, int64(0); ; round++ {
+		if err := pprof.StartCPUProfile(&prof); err != nil {
+			t.Skipf("CPU profiler busy: %v", err)
+		}
+		for stop := time.Now().Add(300 * time.Millisecond); time.Now().Before(stop); i++ {
+			k := i % 64
+			for _, mu := range []live.Mutation{live.DeleteEdge(k, k+1), live.InsertEdge(k, k+1)} {
+				if err := v.Mutate(mu); err == nil {
+					err = v.Flush()
+				}
+				if err != nil {
+					pprof.StopCPUProfile()
+					t.Fatal(err)
+				}
+			}
+		}
+		pprof.StopCPUProfile()
+		samples, err := labelledSamples(prof.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range samples {
+			if l["layer"] != "live" {
+				continue
+			}
+			if isVerbLabel(l) {
+				verbs[l["op"]]++
+			} else if !isRoundLabel(l) {
+				t.Fatalf("live sample labelled %v, want exactly {layer=live, op=<round>|<verb kind>}", l)
+			}
+		}
+		if len(verbs) > 0 {
+			t.Logf("worker verb samples after %d rounds: %v", round+1, verbs)
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d rounds no sample is labelled {layer=live, op=<verb kind>}", round+1)
 		}
 		prof.Reset()
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/algorithms"
+	"repro/internal/difftest"
 	"repro/internal/distrib"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
@@ -109,7 +110,7 @@ func TestLaneDifferential(t *testing.T) {
 	g := graphgen.Uniform("lanes", 300, 700, 5).WithDiameterTail(12, 0)
 	ccCoGroup, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
 	ccMatch, _, _ := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
-	sssp, ssspS0, ssspW0 := algorithms.SSSPSpec(algorithms.UnitWeights(g), 0)
+	sssp, ssspS0, ssspW0 := algorithms.SSSPSpec(difftest.UnitWeights(g), 0)
 	pagerank, ranks := algorithms.PageRankSpec(g, 8, algorithms.DefaultDamping, 0)
 
 	backends := []iterative.Config{

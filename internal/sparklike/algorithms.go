@@ -212,67 +212,3 @@ func countChanges(prev, next *RDD) int64 {
 	}
 	return changes
 }
-
-// SSSP is bulk Bellman-Ford in RDD style: the reached-distance RDD is
-// joined with the weighted edge set, candidates are merged with a min
-// aggregation, and a complete new distance RDD is materialized every
-// iteration — the bulk baseline for the incremental/microstep SSSP of the
-// main engine. weights maps an edge to its non-negative length.
-// maxIterations caps the run (0 = run to convergence).
-func SSSP(ctx *Context, g *graphgen.Graph, weights func(graphgen.Edge) float64, source int64, maxIterations int) (map[int64]float64, int, error) {
-	edgeRecs := make([]record.Record, len(g.Edges))
-	for i, e := range g.Edges {
-		edgeRecs[i] = record.Record{A: e.Src, B: e.Dst, X: weights(e)}
-	}
-	edges := ctx.Parallelize(edgeRecs).Cache()
-	state := ctx.Parallelize([]record.Record{{A: source, X: 0}})
-
-	iterations := 0
-	for {
-		candidates := state.Join(edges, record.KeyA, record.KeyA,
-			func(s, e record.Record, emit func(record.Record)) {
-				emit(record.Record{A: e.B, X: s.X + e.X})
-			})
-		next := state.Union(candidates.shuffleLike(state)).
-			ReduceByKey(record.KeyA, func(a, b record.Record) record.Record {
-				if b.X < a.X {
-					return b
-				}
-				return a
-			})
-		iterations++
-		if distancesEqual(state, next) || (maxIterations > 0 && iterations >= maxIterations) {
-			state = next
-			break
-		}
-		state = next
-	}
-	dists := make(map[int64]float64)
-	for _, r := range state.Collect() {
-		dists[r.A] = r.X
-	}
-	return dists, iterations, nil
-}
-
-// distancesEqual reports whether two distance RDDs assign identical
-// distances to the same vertex set.
-func distancesEqual(prev, next *RDD) bool {
-	old := make(map[int64]float64)
-	n := 0
-	for _, p := range prev.parts {
-		for _, r := range p {
-			old[r.A] = r.X
-			n++
-		}
-	}
-	m := 0
-	for _, p := range next.parts {
-		for _, r := range p {
-			if d, ok := old[r.A]; !ok || d != r.X {
-				return false
-			}
-			m++
-		}
-	}
-	return n == m
-}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/graphgen"
 	"repro/internal/metrics"
 	"repro/internal/record"
@@ -132,39 +133,9 @@ func TestPageRankMatchesPowerIteration(t *testing.T) {
 	}
 }
 
-func refCC(g *graphgen.Graph) map[int64]int64 {
-	parent := make([]int64, g.NumVertices)
-	for i := range parent {
-		parent[i] = int64(i)
-	}
-	var find func(int64) int64
-	find = func(x int64) int64 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range g.Edges {
-		a, b := find(e.Src), find(e.Dst)
-		if a != b {
-			if a < b {
-				parent[b] = a
-			} else {
-				parent[a] = b
-			}
-		}
-	}
-	out := make(map[int64]int64)
-	for i := int64(0); i < g.NumVertices; i++ {
-		out[i] = find(i)
-	}
-	return out
-}
-
 func TestConnectedComponentsVariants(t *testing.T) {
 	g := graphgen.Load(graphgen.DSFOAF, graphgen.ScaleTiny)
-	want := refCC(g.Undirected())
+	want := difftest.CCReference(g.Undirected())
 
 	bulk, err := ConnectedComponents(ctx(3), g, 0, false)
 	if err != nil {

@@ -80,20 +80,20 @@
 // A converged incremental iteration's state — the solution set S plus an
 // empty working set — is exactly what is needed to absorb new input
 // without recomputation. Every IncrementalResult carries its resident
-// solution set in the Set field, and ResumeIncremental warm-restarts the
-// fixpoint over it with only a delta working set. internal/live builds
-// the full serving system on top: LiveViews that keep fixpoints resident
-// under streaming graph mutations (monotone fast path for insertions,
-// bounded recompute for deletions), a concurrent view scheduler with
-// memory-budget admission control, and the HTTP API behind the
-// `spinflow serve` command. Maintenance work is observable through the
-// DeltasApplied, WarmRestarts, PartialRecomputes, FullRecomputes and
-// MaintenanceSupersteps counters.
+// solution set in the Set field. internal/live builds the serving system
+// on that property: each view keeps a resident fixpoint open
+// (iterative.Fixpoint) and warm-restarts it with only a delta working
+// set per mutation batch. Around it sit streaming graph mutations
+// (monotone fast path for insertions, bounded recompute for deletions),
+// a concurrent view scheduler with memory-budget admission control, and
+// the HTTP API behind the `spinflow serve` command. Maintenance work is
+// observable through the DeltasApplied, WarmRestarts, PartialRecomputes,
+// FullRecomputes and MaintenanceSupersteps counters.
 //
-// Ready-made algorithms (PageRank, Connected Components, SSSP, adaptive
-// PageRank), baseline engines (Pregel-style, Spark-style) and the paper's
-// experiment harness live in the internal packages; the cmd/spinflow
-// binary regenerates every table and figure.
+// Ready-made algorithm specs (PageRank, Connected Components, SSSP),
+// baseline engines (Pregel-style, Spark-style) and the paper's experiment
+// harness live in the internal packages; the cmd/spinflow binary
+// regenerates every table and figure.
 package spinflow
 
 import (
@@ -199,19 +199,6 @@ func Explain(p *Plan, cfg Config, expectedIterations int) (string, error) {
 	return phys.Explain(), nil
 }
 
-// ExplainDOT is Explain in Graphviz DOT format (dashed blue edges mark
-// cached loop-invariant inputs, bold nodes the dynamic data path).
-func ExplainDOT(p *Plan, cfg Config, expectedIterations int) (string, error) {
-	phys, err := optimizer.Optimize(p, optimizer.Options{
-		Parallelism:        cfg.Parallelism,
-		ExpectedIterations: expectedIterations,
-	})
-	if err != nil {
-		return "", err
-	}
-	return phys.DOT(), nil
-}
-
 // RunBulk executes a bulk iteration.
 func RunBulk(spec BulkSpec, initial []Record, cfg Config) (*BulkResult, error) {
 	return iterative.RunBulk(spec, initial, cfg)
@@ -233,22 +220,6 @@ func RunMicrostep(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*Increment
 // SolutionSet is the resident state of an incremental iteration, handed
 // back by IncrementalResult.Set after a run.
 type SolutionSet = runtime.SolutionSet
-
-// ResumeIncremental warm-restarts an incremental iteration over an
-// existing converged solution set, processing only the delta working set:
-// the serving-side maintenance form of incremental iterations. The spec's
-// plan must reflect the current inputs (e.g. an edge source containing a
-// newly inserted edge).
-func ResumeIncremental(spec IncrementalSpec, existing *SolutionSet, delta []Record, cfg Config) (*IncrementalResult, error) {
-	return iterative.ResumeIncremental(spec, existing, delta, cfg)
-}
-
-// ResumeMicrostep is ResumeIncremental for a spec that must meet the
-// §5.2 microstep conditions: it finishes a fixpoint over an existing
-// resident solution set, which is mutated in place.
-func ResumeMicrostep(spec IncrementalSpec, existing *SolutionSet, workset []Record, cfg Config) (*IncrementalResult, error) {
-	return iterative.ResumeMicrostep(spec, existing, workset, cfg)
-}
 
 // ValidateMicrostep checks the §5.2 microstep admissibility conditions
 // without running the iteration.

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/optimizer"
 )
 
 func TestExecuteSimplePlan(t *testing.T) {
@@ -140,10 +142,11 @@ func TestExplainDOT(t *testing.T) {
 	src := p.SourceOf("s", []Record{{A: 1}})
 	red := p.ReduceNode("g", src, KeyA, func(k int64, g []Record, out Emitter) {})
 	p.SinkNode("o", red)
-	dot, err := ExplainDOT(p, Config{Parallelism: 4}, 1)
+	phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: 4, ExpectedIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dot := phys.DOT()
 	if !strings.Contains(dot, "digraph physplan") {
 		t.Errorf("DOT output malformed:\n%s", dot)
 	}
