@@ -1,19 +1,16 @@
-package iterative
+package live
 
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
-	"syscall"
 
 	"repro/internal/record"
 )
 
-// The section file format of live's snapshots (internal/live): a fixed
+// The section file format of live's snapshots: a fixed
 // header (magic, version, kind, iteration counter) followed by
 // *sections*, each a sequence of bounded CRC32 frames (record.Frame*)
 // closed by an empty frame. Writing chunks the records into frames as
@@ -22,7 +19,7 @@ import (
 // through a fixed 64 KiB buffered reader, so a multi-gigabyte (or
 // corrupt-header) file cannot allocate unboundedly. The live durability
 // layer writes its snapshots and view_open payloads through this
-// writer/reader, its files through WriteFileDurable, and its write-ahead
+// writer/reader, its files through writeFileDurable, and its write-ahead
 // log in the same framing.
 
 const (
@@ -36,11 +33,11 @@ const (
 	checkpointChunk = 4096
 )
 
-// CheckpointWriter streams a checkpoint-format file: a header (magic,
+// checkpointWriter streams a checkpoint-format file: a header (magic,
 // version, kind, iteration) followed by sections of CRC32-framed record
 // batches. Records are buffered into frames of at most checkpointChunk,
 // so writing never materializes the full record set in encoded form.
-type CheckpointWriter struct {
+type checkpointWriter struct {
 	bw    *bufio.Writer
 	buf   []byte
 	chunk record.Batch
@@ -51,23 +48,24 @@ type CheckpointWriter struct {
 	open bool
 }
 
-// NewCheckpointWriter writes the header and returns a writer positioned
-// at the first section.
-func NewCheckpointWriter(w io.Writer, kind string, iteration uint64) (*CheckpointWriter, error) {
+// writeCheckpoint streams one checkpoint-format file into w: the header,
+// whatever sections body appends, and the flush.
+func writeCheckpoint(w io.Writer, kind string, iteration uint64, body func(cw *checkpointWriter) error) error {
 	if len(kind) > checkpointMaxKind {
-		return nil, fmt.Errorf("iterative: checkpoint kind %q too long", kind)
+		return fmt.Errorf("live: checkpoint kind %q too long", kind)
 	}
-	cw := &CheckpointWriter{bw: bufio.NewWriterSize(w, frameWriteBufSize)}
+	cw := &checkpointWriter{bw: bufio.NewWriterSize(w, frameWriteBufSize)}
 	var hdr []byte
 	hdr = binary.LittleEndian.AppendUint32(hdr, checkpointMagic)
 	hdr = binary.LittleEndian.AppendUint32(hdr, checkpointVersion)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(kind)))
 	hdr = append(hdr, kind...)
 	hdr = binary.LittleEndian.AppendUint64(hdr, iteration)
-	if _, err := cw.bw.Write(hdr); err != nil {
-		return nil, err
+	cw.bw.Write(hdr) // a failed write sticks in bw: every later write and Flush return it
+	if err := body(cw); err != nil {
+		return err
 	}
-	return cw, nil
+	return cw.Flush()
 }
 
 // frameWriteBufSize is the buffered-writer size of streaming checkpoint
@@ -76,7 +74,7 @@ const frameWriteBufSize = 64 << 10
 
 // Append adds one record to the current section, flushing a frame
 // whenever checkpointChunk records have accumulated.
-func (cw *CheckpointWriter) Append(r record.Record) error {
+func (cw *checkpointWriter) Append(r record.Record) error {
 	if cw.err != nil {
 		return cw.err
 	}
@@ -88,7 +86,7 @@ func (cw *CheckpointWriter) Append(r record.Record) error {
 	return nil
 }
 
-func (cw *CheckpointWriter) flushChunk() error {
+func (cw *checkpointWriter) flushChunk() error {
 	if len(cw.chunk) == 0 {
 		return cw.err
 	}
@@ -102,7 +100,7 @@ func (cw *CheckpointWriter) flushChunk() error {
 
 // EndSection flushes the partial frame and writes the section's closing
 // marker (an empty frame).
-func (cw *CheckpointWriter) EndSection() error {
+func (cw *checkpointWriter) EndSection() error {
 	if err := cw.flushChunk(); err != nil {
 		return err
 	}
@@ -116,33 +114,33 @@ func (cw *CheckpointWriter) EndSection() error {
 
 // Flush drains the buffered writer. It does not close an open section;
 // call EndSection first.
-func (cw *CheckpointWriter) Flush() error {
+func (cw *checkpointWriter) Flush() error {
 	if cw.err != nil {
 		return cw.err
 	}
 	if cw.open {
-		return fmt.Errorf("iterative: checkpoint section left open")
+		return fmt.Errorf("live: checkpoint section left open")
 	}
 	return cw.bw.Flush()
 }
 
-// CheckpointReader streams a checkpoint-format file back: the header is
+// checkpointReader streams a checkpoint-format file back: the header is
 // parsed eagerly, sections are consumed one at a time through a fixed
 // 64 KiB buffered reader.
-type CheckpointReader struct {
+type checkpointReader struct {
 	fr        *record.FrameReader
 	kind      string
 	iteration uint64
 }
 
-// NewCheckpointReader parses the header. Decoding is bounded: the kind
+// newCheckpointReader parses the header. Decoding is bounded: the kind
 // length is capped before any allocation depends on it.
-func NewCheckpointReader(r io.Reader) (*CheckpointReader, error) {
+func newCheckpointReader(r io.Reader) (*checkpointReader, error) {
 	br := bufio.NewReaderSize(r, frameWriteBufSize)
 	var u32 [4]byte
 	readU32 := func(what string) (uint32, error) {
 		if _, err := io.ReadFull(br, u32[:]); err != nil {
-			return 0, fmt.Errorf("iterative: checkpoint truncated in %s", what)
+			return 0, fmt.Errorf("live: checkpoint truncated in %s", what)
 		}
 		return binary.LittleEndian.Uint32(u32[:]), nil
 	}
@@ -151,48 +149,42 @@ func NewCheckpointReader(r io.Reader) (*CheckpointReader, error) {
 		return nil, err
 	}
 	if magic != checkpointMagic {
-		return nil, fmt.Errorf("iterative: not a checkpoint (magic %#x)", magic)
+		return nil, fmt.Errorf("live: not a checkpoint (magic %#x)", magic)
 	}
 	version, err := readU32("version")
 	if err != nil {
 		return nil, err
 	}
 	if version != checkpointVersion {
-		return nil, fmt.Errorf("iterative: unsupported checkpoint version %d", version)
+		return nil, fmt.Errorf("live: unsupported checkpoint version %d", version)
 	}
 	kindLen, err := readU32("kind length")
 	if err != nil {
 		return nil, err
 	}
 	if kindLen > checkpointMaxKind {
-		return nil, fmt.Errorf("iterative: checkpoint kind length %d exceeds %d", kindLen, checkpointMaxKind)
+		return nil, fmt.Errorf("live: checkpoint kind length %d exceeds %d", kindLen, checkpointMaxKind)
 	}
 	kind := make([]byte, kindLen)
 	if _, err := io.ReadFull(br, kind); err != nil {
-		return nil, fmt.Errorf("iterative: checkpoint truncated in kind")
+		return nil, fmt.Errorf("live: checkpoint truncated in kind")
 	}
 	var u64 [8]byte
 	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return nil, fmt.Errorf("iterative: checkpoint truncated in iteration")
+		return nil, fmt.Errorf("live: checkpoint truncated in iteration")
 	}
-	return &CheckpointReader{
+	return &checkpointReader{
 		fr:        record.NewFrameReader(br),
 		kind:      string(kind),
 		iteration: binary.LittleEndian.Uint64(u64[:]),
 	}, nil
 }
 
-// Kind returns the header's kind string.
-func (cr *CheckpointReader) Kind() string { return cr.kind }
-
-// Iteration returns the header's iteration counter.
-func (cr *CheckpointReader) Iteration() uint64 { return cr.iteration }
-
 // ReadSection consumes one section, invoking f once per frame, until the
 // section's closing marker. It returns io.EOF when the stream ends
 // cleanly before another section starts, and an error wrapping
 // record.ErrCorruptFrame for torn or corrupt frames.
-func (cr *CheckpointReader) ReadSection(f func(record.Batch) error) error {
+func (cr *checkpointReader) ReadSection(f func(record.Batch) error) error {
 	first := true
 	for {
 		b, err := cr.fr.Next()
@@ -215,51 +207,31 @@ func (cr *CheckpointReader) ReadSection(f func(record.Batch) error) error {
 	}
 }
 
-// WriteFileDurable writes path atomically *and* durably: the content is
+// writeFileDurable writes path atomically *and* durably: the content is
 // produced into path.tmp, fsynced, renamed over path, and the parent
 // directory is fsynced so the rename itself survives a crash. Without
 // the syncs, a crash shortly after a "successful" save can leave an
 // empty or torn file behind the new name — rename alone orders nothing.
-func WriteFileDurable(path string, write func(io.Writer) error) error {
+// A crash before the rename leaves path.tmp behind; recoverView reclaims it.
+func writeFileDurable(fs fsys, path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = fs.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable. Some
-// filesystems refuse to fsync directories (EINVAL/ENOTSUP); those errors
-// are ignored — on such systems the rename is as durable as it can be
-// made.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
 	if err != nil {
+		fs.Remove(tmp)
 		return err
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil &&
-		!errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
-		return err
-	}
-	return nil
+	return fs.SyncDir(filepath.Dir(path))
 }

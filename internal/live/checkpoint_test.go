@@ -1,4 +1,4 @@
-package iterative
+package live
 
 import (
 	"bytes"
@@ -13,25 +13,22 @@ import (
 	"repro/internal/record"
 )
 
-// writeSections encodes a header and two sections (a solution and a
-// workset, as a live snapshot body lays out its own) through the
-// streaming writer.
-func writeSections(w io.Writer, kind string, iteration uint64, solution, workset []record.Record) error {
-	cw, err := NewCheckpointWriter(w, kind, iteration)
-	if err != nil {
-		return err
-	}
-	for _, section := range [][]record.Record{solution, workset} {
-		for _, r := range section {
-			if err := cw.Append(r); err != nil {
+// writeSections encodes a header and the given sections (say a solution
+// and a workset) through the streaming writer.
+func writeSections(w io.Writer, kind string, iteration uint64, sections ...[]record.Record) error {
+	return writeCheckpoint(w, kind, iteration, func(cw *checkpointWriter) error {
+		for _, section := range sections {
+			for _, r := range section {
+				if err := cw.Append(r); err != nil {
+					return err
+				}
+			}
+			if err := cw.EndSection(); err != nil {
 				return err
 			}
 		}
-		if err := cw.EndSection(); err != nil {
-			return err
-		}
-	}
-	return cw.Flush()
+		return nil
+	})
 }
 
 // sectionFile is what readSections decodes: the header and both sections.
@@ -45,11 +42,11 @@ type sectionFile struct {
 // reader. Exactly two sections must be present: a missing one is a torn
 // file, a third one (or trailing bytes) is not this layout.
 func readSections(r io.Reader) (*sectionFile, error) {
-	cr, err := NewCheckpointReader(r)
+	cr, err := newCheckpointReader(r)
 	if err != nil {
 		return nil, err
 	}
-	f := &sectionFile{kind: cr.Kind(), iteration: cr.Iteration()}
+	f := &sectionFile{kind: cr.kind, iteration: cr.iteration}
 	for _, dst := range []*[]record.Record{&f.solution, &f.workset} {
 		err := cr.ReadSection(func(b record.Batch) error {
 			*dst = append(*dst, b...)
@@ -102,7 +99,7 @@ func TestCheckpointRejectsOversizeKind(t *testing.T) {
 	buf = binary.LittleEndian.AppendUint32(buf, checkpointMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, checkpointVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, 1<<30)
-	if _, err := NewCheckpointReader(bytes.NewReader(buf)); err == nil ||
+	if _, err := newCheckpointReader(bytes.NewReader(buf)); err == nil ||
 		!strings.Contains(err.Error(), "kind length") {
 		t.Fatalf("oversize kind length: %v", err)
 	}
@@ -141,7 +138,7 @@ func TestCheckpointStreamingWrite(t *testing.T) {
 	if err := writeSections(&buf, "bulk", 2, solution, nil); err != nil {
 		t.Fatal(err)
 	}
-	cr, err := NewCheckpointReader(&buf)
+	cr, err := newCheckpointReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,25 +173,20 @@ func TestCheckpointFlushRefusesOpenSection(t *testing.T) {
 	for _, n := range []int{1, checkpointChunk, 2 * checkpointChunk} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			var buf bytes.Buffer
-			cw, err := NewCheckpointWriter(&buf, "bulk", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range manyRecords(n) {
-				if err := cw.Append(r); err != nil {
-					t.Fatal(err)
+			if err := writeCheckpoint(&buf, "bulk", 0, func(cw *checkpointWriter) error {
+				for _, r := range manyRecords(n) {
+					if err := cw.Append(r); err != nil {
+						return err
+					}
 				}
-			}
-			if err := cw.Flush(); err == nil {
-				t.Fatalf("Flush with %d records in an open section returned nil", n)
-			}
-			if err := cw.EndSection(); err != nil {
-				t.Fatal(err)
-			}
-			if err := cw.Flush(); err != nil {
+				if err := cw.Flush(); err == nil {
+					t.Fatalf("Flush with %d records in an open section returned nil", n)
+				}
+				return cw.EndSection()
+			}); err != nil {
 				t.Fatalf("Flush after EndSection: %v", err)
 			}
-			cr, err := NewCheckpointReader(&buf)
+			cr, err := newCheckpointReader(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,7 +241,7 @@ func FuzzCheckpointRead(f *testing.F) {
 func TestWriteFileDurable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.bin")
-	if err := WriteFileDurable(path, func(w io.Writer) error {
+	if err := writeFileDurable(osFS{}, path, func(w io.Writer) error {
 		_, err := w.Write([]byte("payload"))
 		return err
 	}); err != nil {
@@ -264,7 +256,7 @@ func TestWriteFileDurable(t *testing.T) {
 	}
 	// A failing writer must leave neither the target nor the temp file.
 	bad := filepath.Join(dir, "bad.bin")
-	if err := WriteFileDurable(bad, func(io.Writer) error {
+	if err := writeFileDurable(osFS{}, bad, func(io.Writer) error {
 		return io.ErrClosedPipe
 	}); err == nil {
 		t.Fatal("writer error swallowed")

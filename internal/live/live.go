@@ -33,8 +33,8 @@
 // Views can be durable (wal.go, ViewConfig.Durable): acknowledged
 // mutation batches are write-ahead logged (CRC32-framed, fsynced before
 // Mutate returns), the resident state is periodically captured by
-// streaming snapshots written partition-by-partition through the
-// iterative checkpoint format, and OpenView recovers a crashed view by
+// streaming snapshots written partition-by-partition in the section
+// format (checkpoint.go), and OpenView recovers a crashed view by
 // loading the latest valid snapshot, replaying the log tail through the
 // ordinary maintenance path, and truncating torn tails at the last valid
 // frame. `spinflow serve -data-dir` turns this on for every served view.
@@ -153,6 +153,9 @@ type ViewConfig struct {
 	// 1+len(Workers) hosts (this process is host 0) and every flush is
 	// coordinated across the mesh. Empty means in-process maintenance.
 	Workers []string
+	// fs is the file system durable state lives on; nil means the
+	// operating system's. Only this package's tests set it.
+	fs fsys
 }
 
 func (c ViewConfig) normalized() ViewConfig {
@@ -166,6 +169,9 @@ func (c ViewConfig) normalized() ViewConfig {
 	}
 	if c.RecomputeFraction <= 0 {
 		c.RecomputeFraction = 0.5
+	}
+	if c.fs == nil {
+		c.fs = osFS{}
 	}
 	return c
 }

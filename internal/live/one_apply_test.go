@@ -67,20 +67,26 @@ func TestSingleRecoveryPath(t *testing.T) {
 		if id := gone.Find(src); id != nil {
 			t.Errorf("%s still names %s", name, id)
 		}
-		if n := bytes.Count(src, []byte("os.Open(")); n != 0 && name != "wal.go" {
-			t.Errorf("%s opens %d files for reading; snapshot files are read in wal.go only", name, n)
+		if bytes.Contains(src, []byte("\t\"os\"\n")) && name != "fsys.go" {
+			t.Errorf("%s imports os; a durable view's files go through fsys (fsys.go)", name)
+		}
+		opens := regexp.MustCompile(`\.Open\([^\n]*`).FindAll(src, -1)
+		for _, open := range opens {
+			if name != "wal.go" && name != "fsys.go" && !bytes.Contains(open, []byte("metaFileName")) {
+				t.Errorf("%s opens %s for reading; snapshot files are read in wal.go only", name, open)
+			}
 		}
 	}
 	if _, ok := reflect.TypeOf(shardMsg{}).FieldByName("Sol"); ok {
 		t.Error("shardMsg carries a Sol field again: recovery ships whole solutions in one message")
 	}
 	wal := string(sources["wal.go"])
-	if n := strings.Count(wal, "os.Open("); n != 1 {
+	if n := strings.Count(wal, ".Open("); n != 1 {
 		t.Errorf("wal.go opens files for reading in %d places, want exactly one", n)
 	}
 	reader := regexp.MustCompile(`(?s)\nfunc readSnapshotFile\(.*?\n}\n`).FindString(wal)
-	if !strings.Contains(reader, "os.Open(") {
-		t.Error("the one os.Open of wal.go is not in readSnapshotFile")
+	if !strings.Contains(reader, ".Open(") {
+		t.Error("the one Open of wal.go is not in readSnapshotFile")
 	}
 	for _, branch := range []string{"len(cfg.Workers)", "workerShards > 0"} {
 		if strings.Contains(wal, branch) {

@@ -164,22 +164,8 @@ func TestRecoverWithoutSnapshot(t *testing.T) {
 // before the one-format rule did: a kind, a seq, and the given sections.
 func writeLegacyFile(t *testing.T, path, kind string, seq uint64, sections ...[]record.Record) {
 	t.Helper()
-	if err := iterative.WriteFileDurable(path, func(w io.Writer) error {
-		cw, err := iterative.NewCheckpointWriter(w, kind, seq)
-		if err != nil {
-			return err
-		}
-		for _, sec := range sections {
-			for _, r := range sec {
-				if err := cw.Append(r); err != nil {
-					return err
-				}
-			}
-			if err := cw.EndSection(); err != nil {
-				return err
-			}
-		}
-		return cw.Flush()
+	if err := writeFileDurable(osFS{}, path, func(w io.Writer) error {
+		return writeSections(w, kind, seq, sections...)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +227,7 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 					t.Fatal(err)
 				}
 				write(vdir)
-				w, err := createWAL(filepath.Join(vdir, walFileName), seq) // rotated behind the snapshot
+				w, err := createWAL(osFS{}, filepath.Join(vdir, walFileName), seq) // rotated behind the snapshot
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -296,7 +282,7 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 						writeLegacyFile(t, filepath.Join(vdir, snapshotName(base)), "live:cc", base,
 							verts, edges, sol, []record.Record{{A: 1}})
 					}
-					w, err := createWAL(filepath.Join(vdir, walFileName), base)
+					w, err := createWAL(osFS{}, filepath.Join(vdir, walFileName), base)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -322,7 +308,7 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 						t.Fatal(err)
 					}
 					got, st := distrib.EncodeSolution(v.Snapshot()), v.Stats()
-					// The next snapshot reclaims the legacy sibling and
+					// Recovery reclaimed the legacy sibling, and a snapshot
 					// leaves a name of any other shape alone.
 					decoy := filepath.Join(vdir, snapshotPrefix+"latest.shard1"+snapshotSuffix)
 					if err := os.WriteFile(decoy, nil, 0o644); err != nil {
@@ -338,7 +324,7 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 							st.RecoveredFrames, bytes.Equal(got, wantAfter))
 					}
 					if _, err := os.Stat(filepath.Join(vdir, sibling)); !os.IsNotExist(err) {
-						t.Errorf("legacy sibling %s survived a checkpoint (stat: %v)", sibling, err)
+						t.Errorf("legacy sibling %s survived recovery (stat: %v)", sibling, err)
 					}
 					if _, err := os.Stat(decoy); err != nil {
 						t.Errorf("pruning removed %s, which is no legacy sibling: %v", decoy, err)

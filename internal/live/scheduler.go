@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/distrib"
-	"repro/internal/iterative"
 	"repro/internal/obs"
 	"repro/internal/record"
 )
@@ -195,6 +193,7 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 	if vcfg.Workers == nil {
 		vcfg.Workers = s.cfg.DefaultView.Workers
 	}
+	vcfg.fs = s.cfg.DefaultView.normalized().fs
 	if err := vcfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,19 +228,13 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 	s.views[name] = nil // reserve the name while building
 	s.mu.Unlock()
 
+	dir := filepath.Join(vcfg.DataDir, name)
 	if vcfg.Durable {
-		// meta.json is the scheduler's create-commit marker (written
-		// last, below). A directory holding a log or snapshot but no
-		// meta is a create that crashed mid-way: nothing was ever
-		// acknowledged, Recover skipped it, and silently "recovering" it
-		// here would hand this caller a view built from the crashed
-		// attempt's edges instead of `initial`. Clear it first.
-		dir := filepath.Join(vcfg.DataDir, name)
-		if _, err := os.Stat(filepath.Join(dir, metaFileName)); os.IsNotExist(err) {
-			if rerr := os.RemoveAll(dir); rerr != nil {
-				s.drop(name)
-				return nil, rerr
-			}
+		// Uncommitted leftovers would otherwise be "recovered" by OpenView,
+		// handing this caller a crashed attempt's edges instead of `initial`.
+		if _, err := clearUncommitted(vcfg.fs, dir); err != nil {
+			s.drop(name)
+			return nil, err
 		}
 	}
 
@@ -251,10 +244,10 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 		return nil, err
 	}
 	if vcfg.Durable {
-		if err := saveRecipe(filepath.Join(vcfg.DataDir, name), m, vcfg); err != nil {
+		if err := saveRecipe(vcfg.fs, dir, m, vcfg); err != nil {
 			s.drop(name)
 			v.Kill()
-			os.RemoveAll(filepath.Join(vcfg.DataDir, name))
+			removeViewDir(vcfg.fs, dir)
 			return nil, err
 		}
 	}
@@ -270,7 +263,7 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 		if vcfg.Durable {
 			// Admission failed, so nothing was acknowledged; an orphaned
 			// durable directory would resurrect the view on Recover.
-			os.RemoveAll(filepath.Join(vcfg.DataDir, name))
+			removeViewDir(vcfg.fs, dir)
 		}
 		return nil, fmt.Errorf("%w: view %q would bring usage to %d bytes, budget %d",
 			ErrMemoryBudget, name, used, b)
@@ -350,14 +343,33 @@ func (r recipe) applyTo(cfg ViewConfig) ViewConfig {
 
 const metaFileName = "meta.json"
 
-func saveRecipe(dir string, m Maintainer, cfg ViewConfig) error {
+func saveRecipe(fs fsys, dir string, m Maintainer, cfg ViewConfig) error {
 	r, err := recipeOf(m, cfg)
 	if err != nil {
 		return err
 	}
-	return iterative.WriteFileDurable(filepath.Join(dir, metaFileName), func(w io.Writer) error {
+	return writeFileDurable(fs, filepath.Join(dir, metaFileName), func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(r)
 	})
+}
+
+// clearUncommitted reports whether dir holds a committed view: a meta.json
+// beside a log or a snapshot. Any other view files are a create that
+// crashed before its commit marker or a drop that crashed after deleting
+// it; nothing in them is acknowledged, so they are deleted.
+func clearUncommitted(fs fsys, dir string) (bool, error) {
+	vf, err := readViewDir(fs, dir)
+	if err != nil {
+		return false, err
+	}
+	state := vf.wal || len(vf.snaps) > 0
+	if vf.meta && state {
+		return true, nil
+	}
+	if vf.meta || state || len(vf.junk) > 0 {
+		return false, removeViewDir(fs, dir)
+	}
+	return false, nil
 }
 
 // Recover reopens every durable view found under the scheduler's data
@@ -369,11 +381,9 @@ func (s *Scheduler) Recover() (int, error) {
 	if s.cfg.DataDir == "" {
 		return 0, nil
 	}
-	entries, err := os.ReadDir(s.cfg.DataDir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
+	fs := s.cfg.DefaultView.normalized().fs
+	entries, err := fs.ReadDir(s.cfg.DataDir)
+	if err != nil && !notExist(err) {
 		return 0, err
 	}
 	n := 0
@@ -383,22 +393,20 @@ func (s *Scheduler) Recover() (int, error) {
 		}
 		name := e.Name()
 		dir := filepath.Join(s.cfg.DataDir, name)
-		raw, err := os.ReadFile(filepath.Join(dir, metaFileName))
-		if err != nil {
-			if os.IsNotExist(err) {
-				// No meta: either an unrelated directory or a create that
-				// crashed before its commit marker. Only the latter holds
-				// view state, and none of it was acknowledged — remove it
-				// so a later Create of the same name starts fresh.
-				if _, serr := os.Stat(filepath.Join(dir, walFileName)); serr == nil {
-					os.RemoveAll(dir)
-				}
-				continue
+		if ok, err := clearUncommitted(fs, dir); !ok || err != nil {
+			if err != nil {
+				return n, err
 			}
+			continue
+		}
+		f, err := fs.Open(filepath.Join(dir, metaFileName))
+		if err != nil {
 			return n, err
 		}
 		var meta recipe
-		if err := json.Unmarshal(raw, &meta); err != nil {
+		err = json.NewDecoder(f).Decode(&meta)
+		f.Close()
+		if err != nil {
 			return n, fmt.Errorf("live: view %q meta: %w", name, err)
 		}
 		m, err := meta.maintainer()
@@ -478,7 +486,7 @@ func (s *Scheduler) Drop(name string) error {
 	s.drop(name)
 	err := v.Close()
 	if d := v.dur; d != nil {
-		if rerr := os.RemoveAll(d.dir); rerr != nil && err == nil {
+		if rerr := removeViewDir(v.cfg.fs, d.dir); rerr != nil && err == nil {
 			err = rerr
 		}
 	}

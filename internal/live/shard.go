@@ -152,7 +152,7 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 		s.rtt = cfg.Obs.Histogram("distrib_step_rtt")
 	}
 	var graph bytes.Buffer
-	if err := writeCheckpoint(&graph, snapshotKindPrefix+v.m.Name(), 0, func(cw *iterative.CheckpointWriter) error {
+	if err := writeCheckpoint(&graph, snapshotKindPrefix+v.m.Name(), 0, func(cw *checkpointWriter) error {
 		return writeGraph(cw, v.gs)
 	}); err != nil {
 		return err

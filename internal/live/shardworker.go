@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"repro/internal/distrib"
-	"repro/internal/iterative"
 	"repro/internal/obs"
 	"repro/internal/record"
 )
@@ -200,7 +199,7 @@ func (h *WorkerHost) openCore(msg shardMsg) (*shardCore, error) {
 	if msg.HostID <= 0 || msg.HostID >= ss.Hosts {
 		return nil, fmt.Errorf("live: worker host id %d outside 1..%d", msg.HostID, ss.Hosts-1)
 	}
-	cr, err := iterative.NewCheckpointReader(bytes.NewReader(msg.Frames))
+	cr, err := newCheckpointReader(bytes.NewReader(msg.Frames))
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime/pprof"
 	"sort"
@@ -15,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/iterative"
 	"repro/internal/obs"
 	"repro/internal/record"
 )
@@ -23,35 +21,38 @@ import (
 // Durability for live views (§4.2 applied to the serving layer): a
 // converged fixpoint under streaming mutations is exactly the "logged
 // loop state" the paper's recovery discussion wants — so the serving
-// layer logs it. Three pieces cooperate:
-//
-//   - a per-view write-ahead log: every Mutate call appends its batch as
-//     one CRC32 frame (record.AppendFrame) and fsyncs *before* the call
-//     returns, so an acknowledged mutation survives a crash;
-//   - periodic streaming snapshots: every snapshotEveryFlushes (32) flushes
-//     or snapshotEveryBytes (4 MiB) of log growth, the graph and the
-//     resident solution set are written through the
-//     iterative.CheckpointWriter, partition by partition — a snapshot never
-//     materializes the full solution in memory;
-//   - recovery on OpenView: the latest valid snapshot is streamed into a
-//     freshly opened session (falling back to the previous one if the
-//     newest is unreadable), the WAL tail beyond it is replayed through the
-//     ordinary maintenance path, torn tails are truncated at the last valid
-//     frame, and the log is rotated behind a fresh snapshot.
-//
-// On disk, a durable view owns DataDir/<name>/:
+// layer logs it. A durable view owns DataDir/<name>/:
 //
 //	wal.log               header (magic, version, baseSeq) + frames
 //	snapshot-<seq>.snap   the snapshot covering WAL frames 1..seq
-//	meta.json             the view's recipe, written by the Scheduler (scheduler.go)
+//	meta.json             the view's recipe and Create's commit marker (scheduler.go)
 //
-// A snapshot is one file, whatever the view's topology, written by one
-// atomic rename: kind live:<algo>, four sections — [vertices][edges]
-// [solution][hosts]. The solution section holds every host's partitions,
-// the coordinator's first and then each worker's in host order; the hosts
-// section is always {1}. Because the loader streams the solution into
-// whatever session the recovering config opens, a view may come back on a
-// different worker count than it was written with.
+// Mutate appends its batch to the log as one CRC32 frame and fsyncs it
+// before returning, so an acknowledged mutation survives a crash. Every
+// snapshotEveryFlushes (32) flushes or snapshotEveryBytes (4 MiB) of log
+// growth, the graph and the resident solution stream into a snapshot
+// (checkpoint.go's section writer), the two newest snapshots are kept, and
+// the log rotates. OpenView recovers: the newest readable snapshot streams
+// into a fresh session, the log tail beyond it replays through the
+// ordinary maintenance path, a torn tail is truncated, and a fresh
+// snapshot folds the result in.
+//
+// Every file-system call goes through fsys (fsys.go). Beside Mutate's and
+// a truncated torn tail's, these are all the fsyncs: a whole file
+// (snapshot, fresh log, meta.json) is written to <file>.tmp, fsynced,
+// renamed, and its directory fsynced (writeFileDurable); Create fsyncs
+// DataDir behind the view's new directory; Drop deletes meta.json, fsyncs
+// the view directory, deletes the rest and fsyncs DataDir (removeViewDir),
+// so a crash can resurrect no dropped view. A <file>.tmp a crash leaves is
+// deleted by the next recovery. TestEveryCrashPoint crashes between every
+// two of these calls.
+//
+// A snapshot is one file, whatever the view's topology: kind live:<algo>,
+// four sections — [vertices][edges][solution][hosts]. The solution section
+// holds every host's partitions, the coordinator's first and then each
+// worker's in host order; the hosts section is always {1}. Because the
+// loader streams the solution into whatever session the recovering config
+// opens, a view may come back on a different worker count.
 //
 // Frame seq numbers are absolute and monotone across rotations: the log
 // header's baseSeq is the seq of the frame *preceding* the first frame in
@@ -106,8 +107,9 @@ func recordsToMutations(b record.Batch) ([]Mutation, error) {
 // lock (the caller), so frame order matches micro-batch order exactly.
 type wal struct {
 	mu   sync.Mutex
+	fs   fsys
 	path string
-	f    *os.File
+	f    file
 	base uint64 // seq of the frame preceding the first frame in the file
 	seq  uint64 // seq of the last appended/validated frame
 	size int64  // current file size
@@ -125,41 +127,41 @@ func walHeader(base uint64) []byte {
 
 // createWAL durably creates a fresh log whose frames will start at
 // base+1.
-func createWAL(path string, base uint64) (*wal, error) {
-	if err := iterative.WriteFileDurable(path, func(w io.Writer) error {
+func createWAL(fs fsys, path string, base uint64) (*wal, error) {
+	if err := writeFileDurable(fs, path, func(w io.Writer) error {
 		_, err := w.Write(walHeader(base))
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("live: creating wal: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	return openWAL(fs, path, nil)
+}
+
+// openWAL opens a log for appends — every log, fresh, rotated or
+// recovered — validating it on the way: each intact frame invokes replay
+// (in seq order), and the first torn or corrupt frame truncates the file at
+// the end of the valid prefix. A replay error aborts the open.
+func openWAL(fs fsys, path string, replay func(seq uint64, b record.Batch) error) (*wal, error) {
+	f, err := fs.OpenAppend(path)
 	if err != nil {
 		return nil, err
 	}
-	return &wal{path: path, f: f, base: base, seq: base, size: walHeaderSize}, nil
-}
-
-// scanWAL validates an existing log: every intact frame invokes replay
-// (in seq order); the first torn or corrupt frame truncates the file at
-// the end of the valid prefix. A replay error aborts the scan.
-func scanWAL(path string, replay func(seq uint64, b record.Batch) error) (base, seq uint64, size int64, err error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return 0, 0, 0, err
+	fail := func(err error) (*wal, error) {
+		f.Close()
+		return nil, err
 	}
-	defer f.Close()
 	var hdr [walHeaderSize]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, 0, 0, fmt.Errorf("live: wal header truncated: %w", err)
+		return fail(fmt.Errorf("live: wal header truncated: %w", err))
 	}
 	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != walMagic {
-		return 0, 0, 0, fmt.Errorf("live: not a wal (magic %#x)", m)
+		return fail(fmt.Errorf("live: not a wal (magic %#x)", m))
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != walVersion {
-		return 0, 0, 0, fmt.Errorf("live: unsupported wal version %d", v)
+		return fail(fmt.Errorf("live: unsupported wal version %d", v))
 	}
-	base = binary.LittleEndian.Uint64(hdr[8:16])
-	seq = base
+	w := &wal{fs: fs, path: path, f: f, base: binary.LittleEndian.Uint64(hdr[8:16])}
+	w.seq = w.base
 	fr := record.NewFrameReader(f)
 	torn := false
 	for {
@@ -172,39 +174,25 @@ func scanWAL(path string, replay func(seq uint64, b record.Batch) error) (base, 
 			break
 		}
 		if ferr != nil {
-			return 0, 0, 0, ferr
+			return fail(ferr)
 		}
-		seq++
+		w.seq++
 		if replay != nil {
-			if err := replay(seq, b); err != nil {
-				return 0, 0, 0, err
+			if err := replay(w.seq, b); err != nil {
+				return fail(err)
 			}
 		}
 	}
-	size = walHeaderSize + fr.ValidOffset()
+	w.size = walHeaderSize + fr.ValidOffset()
 	if torn {
-		if err := f.Truncate(size); err != nil {
-			return 0, 0, 0, fmt.Errorf("live: truncating torn wal tail: %w", err)
+		if err := f.Truncate(w.size); err != nil {
+			return fail(fmt.Errorf("live: truncating torn wal tail: %w", err))
 		}
 		if err := f.Sync(); err != nil {
-			return 0, 0, 0, err
+			return fail(err)
 		}
 	}
-	return base, seq, size, nil
-}
-
-// openWAL scans an existing log (replaying valid frames, truncating any
-// torn tail) and reopens it for appends.
-func openWAL(path string, replay func(seq uint64, b record.Batch) error) (*wal, error) {
-	base, seq, size, err := scanWAL(path, replay)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &wal{path: path, f: f, base: base, seq: seq, size: size}, nil
+	return w, nil
 }
 
 // Append durably logs one mutation batch: the frame is written and
@@ -249,7 +237,7 @@ func (w *wal) SizeBytes() int64 {
 // snapshot at upTo. If frames beyond upTo exist (mutations acknowledged
 // while the snapshot was being written), rotation is skipped — the next
 // snapshot will catch up. The fresh header is written durably through
-// the same helper snapshot files use (iterative.WriteFileDurable).
+// the same helper snapshot files use (writeFileDurable).
 func (w *wal) Rotate(upTo uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -266,23 +254,22 @@ func (w *wal) Rotate(upTo uint64) error {
 	// is still open: a failure here leaves the old log intact and
 	// appendable — rotation failing transiently (ENOSPC on the temp
 	// file, say) must not poison a healthy log.
-	if err := iterative.WriteFileDurable(w.path, func(wr io.Writer) error {
+	if err := writeFileDurable(w.fs, w.path, func(wr io.Writer) error {
 		_, err := wr.Write(walHeader(upTo))
 		return err
 	}); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	fresh, err := openWAL(w.fs, w.path, nil)
+	w.f.Close()
 	if err != nil {
 		// The path now names the fresh log but it cannot be opened; the
 		// old descriptor points at the unlinked file, so appends would be
 		// silently lost — poison.
 		w.err = err
-		w.f.Close()
 		return err
 	}
-	w.f.Close()
-	w.f = f
+	w.f = fresh.f
 	w.base = upTo
 	w.size = walHeaderSize
 	return nil
@@ -318,24 +305,37 @@ func parseSnapshotName(name string) (seq uint64, ok bool) {
 	return seq, err == nil
 }
 
-// listSnapshots returns the seqs of the directory's snapshot files — the
-// recovery points — in descending order (newest first).
-func listSnapshots(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
+// viewFiles is what a view's directory holds: the snapshot seqs (the
+// recovery points, newest first), whether there is a log and a meta.json,
+// and the junk nothing reads: the temporaries of writes a crash cut short
+// and the per-host siblings of earlier binaries (legacyShardName).
+type viewFiles struct {
+	snaps     []uint64
+	wal, meta bool
+	junk      []string
+}
+
+// readViewDir sorts the names in a view's directory by what they hold,
+// leaving any other name out. A missing directory holds nothing.
+func readViewDir(fs fsys, dir string) (viewFiles, error) {
+	entries, err := fs.ReadDir(dir)
+	if err != nil && !notExist(err) {
+		return viewFiles{}, err
 	}
-	var seqs []uint64
+	var vf viewFiles
 	for _, e := range entries {
-		if seq, ok := parseSnapshotName(e.Name()); ok {
-			seqs = append(seqs, seq)
+		name := e.Name()
+		if seq, ok := parseSnapshotName(name); ok {
+			vf.snaps = append(vf.snaps, seq)
 		}
+		if strings.HasSuffix(name, ".tmp") || legacyShardName(name) {
+			vf.junk = append(vf.junk, name)
+		}
+		vf.wal = vf.wal || name == walFileName
+		vf.meta = vf.meta || name == metaFileName
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	return seqs, nil
+	sort.Slice(vf.snaps, func(i, j int) bool { return vf.snaps[i] > vf.snaps[j] })
+	return vf, nil
 }
 
 // legacyShardName reports whether name has the exact shape of a per-host
@@ -352,22 +352,15 @@ func legacyShardName(name string) bool {
 
 // pruneSnapshots deletes all snapshots older than the newest two: the one
 // just written plus its predecessor, kept as the fallback recovery reads
-// when the newest proves unreadable. It also deletes every legacy
-// per-host sibling (legacyShardName), which nothing reads any more, and
-// leaves any other name alone.
-func pruneSnapshots(dir string) {
-	seqs, err := listSnapshots(dir)
+// when the newest proves unreadable. It leaves any other name alone — a
+// temporary included, which may be a write in flight (saveRecipe's).
+func pruneSnapshots(fs fsys, dir string) {
+	vf, err := readViewDir(fs, dir)
 	if err != nil {
 		return
 	}
-	for _, seq := range seqs[min(2, len(seqs)):] {
-		os.Remove(filepath.Join(dir, snapshotName(seq)))
-	}
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		if legacyShardName(e.Name()) {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
+	for _, seq := range vf.snaps[min(2, len(vf.snaps)):] {
+		fs.Remove(filepath.Join(dir, snapshotName(seq)))
 	}
 }
 
@@ -378,7 +371,7 @@ func pruneSnapshots(dir string) {
 // later mutation batch in arrival order, so their internal edge slices —
 // and therefore the specs derived from them — stay identical to the
 // coordinator's.
-func writeGraph(cw *iterative.CheckpointWriter, gs *GraphState) error {
+func writeGraph(cw *checkpointWriter, gs *GraphState) error {
 	for _, vid := range gs.Vertices() {
 		if err := cw.Append(record.Record{A: vid}); err != nil {
 			return err
@@ -396,7 +389,7 @@ func writeGraph(cw *iterative.CheckpointWriter, gs *GraphState) error {
 }
 
 // readGraph rebuilds a graph from writeGraph's two sections.
-func readGraph(cr *iterative.CheckpointReader) (*GraphState, error) {
+func readGraph(cr *checkpointReader) (*GraphState, error) {
 	gs := NewGraphState()
 	if err := cr.ReadSection(func(b record.Batch) error {
 		for _, r := range b {
@@ -415,19 +408,6 @@ func readGraph(cr *iterative.CheckpointReader) (*GraphState, error) {
 		return nil, fmt.Errorf("live: graph edges: %w", err)
 	}
 	return gs, nil
-}
-
-// writeCheckpoint writes one checkpoint-format stream: the header,
-// whatever sections body appends, and the flush.
-func writeCheckpoint(w io.Writer, kind string, seq uint64, body func(cw *iterative.CheckpointWriter) error) error {
-	cw, err := iterative.NewCheckpointWriter(w, kind, seq)
-	if err != nil {
-		return err
-	}
-	if err := body(cw); err != nil {
-		return err
-	}
-	return cw.Flush()
 }
 
 // Profiler labels of the log's append and fsync in Mutate, {layer=wal,
@@ -453,8 +433,8 @@ func (v *LiveView) snapshotLocked() error {
 	defer pprof.SetGoroutineLabels(context.Background())
 	d := v.dur
 	seq := d.flushedSeq
-	err := iterative.WriteFileDurable(filepath.Join(d.dir, snapshotName(seq)), func(w io.Writer) error {
-		return writeCheckpoint(w, snapshotKindPrefix+v.m.Name(), seq, func(cw *iterative.CheckpointWriter) error {
+	err := writeFileDurable(v.cfg.fs, filepath.Join(d.dir, snapshotName(seq)), func(w io.Writer) error {
+		return writeCheckpoint(w, snapshotKindPrefix+v.m.Name(), seq, func(cw *checkpointWriter) error {
 			if err := writeGraph(cw, v.gs); err != nil {
 				return err
 			}
@@ -479,7 +459,7 @@ func (v *LiveView) snapshotLocked() error {
 	if m := v.cfg.Metrics; m != nil {
 		m.SnapshotsWritten.Add(1)
 	}
-	pruneSnapshots(d.dir)
+	pruneSnapshots(v.cfg.fs, d.dir)
 	if err := d.wal.Rotate(seq); err != nil {
 		return err
 	}
@@ -501,21 +481,21 @@ var errSession = errors.New("live: recovery session")
 // The header must carry kind and the seq the file's name claims — a renamed
 // or stale file is rejected, not trusted — and nothing may trail the
 // sections body consumes.
-func readSnapshotFile(path string, seq uint64, kind string, body func(cr *iterative.CheckpointReader) error) error {
-	f, err := os.Open(path)
+func readSnapshotFile(fs fsys, path string, seq uint64, kind string, body func(cr *checkpointReader) error) error {
+	f, err := fs.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	cr, err := iterative.NewCheckpointReader(f)
+	cr, err := newCheckpointReader(f)
 	if err != nil {
 		return err
 	}
-	if cr.Kind() != kind {
-		return fmt.Errorf("live: snapshot kind %q, view wants %q", cr.Kind(), kind)
+	if cr.kind != kind {
+		return fmt.Errorf("live: snapshot kind %q, view wants %q", cr.kind, kind)
 	}
-	if cr.Iteration() != seq {
-		return fmt.Errorf("live: %s covers seq %d", filepath.Base(path), cr.Iteration())
+	if cr.iteration != seq {
+		return fmt.Errorf("live: %s covers seq %d", filepath.Base(path), cr.iteration)
 	}
 	if err := body(cr); err != nil {
 		return err
@@ -538,7 +518,7 @@ func readSnapshotFile(path string, seq uint64, kind string, body func(cr *iterat
 // caller falls back to an older one.
 func loadSnapshot(dir string, seq uint64, name string, m Maintainer, cfg ViewConfig) (*LiveView, error) {
 	var v *LiveView
-	err := readSnapshotFile(filepath.Join(dir, snapshotName(seq)), seq, snapshotKindPrefix+m.Name(), func(cr *iterative.CheckpointReader) error {
+	err := readSnapshotFile(cfg.fs, filepath.Join(dir, snapshotName(seq)), seq, snapshotKindPrefix+m.Name(), func(cr *checkpointReader) error {
 		gs, err := readGraph(cr)
 		if err != nil {
 			return err
@@ -625,12 +605,12 @@ func OpenView(name string, m Maintainer, initial []Mutation, cfg ViewConfig) (*L
 		return nil, err
 	}
 	dir := filepath.Join(cfg.DataDir, name)
-	snaps, err := listSnapshots(dir)
+	vf, err := readViewDir(cfg.fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	if _, statErr := os.Stat(filepath.Join(dir, walFileName)); statErr == nil || len(snaps) > 0 {
-		return recoverView(name, m, cfg, dir, snaps)
+	if vf.wal || len(vf.snaps) > 0 {
+		return recoverView(name, m, cfg, dir, vf)
 	}
 	return createDurable(name, m, initial, cfg, dir)
 }
@@ -640,14 +620,17 @@ func OpenView(name string, m Maintainer, initial []Mutation, cfg ViewConfig) (*L
 // disk before the cold fixpoint runs, so a crash mid-build recovers the
 // accepted graph; the base snapshot then bounds that replay.
 func createDurable(name string, m Maintainer, initial []Mutation, cfg ViewConfig, dir string) (*LiveView, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := cfg.fs.MkdirAll(dir); err != nil {
+		return nil, err
+	}
+	if err := cfg.fs.SyncDir(cfg.DataDir); err != nil { // or a crash may drop the whole view
 		return nil, err
 	}
 	fail := func(err error) (*LiveView, error) {
-		os.RemoveAll(dir) // nothing was acknowledged; leave no half-view behind
+		removeViewDir(cfg.fs, dir) // nothing was acknowledged; leave no half-view behind
 		return nil, err
 	}
-	w, err := createWAL(filepath.Join(dir, walFileName), 0)
+	w, err := createWAL(cfg.fs, filepath.Join(dir, walFileName), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -677,15 +660,35 @@ func createDurable(name string, m Maintainer, initial []Mutation, cfg ViewConfig
 	return v, nil
 }
 
-// recoverView rebuilds a durable view from its on-disk state: the log and
-// the snapshots at seqs snaps (newest first).
-func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, snaps []uint64) (*LiveView, error) {
+// removeViewDir deletes a view's directory so that no crash brings the
+// view back: meta.json, Create's commit marker, goes first and durably,
+// then the rest, and the parent is synced last.
+func removeViewDir(fs fsys, dir string) error {
+	err := fs.Remove(filepath.Join(dir, metaFileName))
+	if err == nil {
+		err = fs.SyncDir(dir)
+	}
+	if err != nil && !notExist(err) {
+		return err
+	}
+	if err := fs.RemoveAll(dir); err != nil {
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(dir))
+}
+
+// recoverView rebuilds a durable view from the log and snapshots vf lists.
+// Before it writes anything, it deletes the junk.
+func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewFiles) (*LiveView, error) {
+	for _, junk := range vf.junk {
+		cfg.fs.Remove(filepath.Join(dir, junk))
+	}
 	var (
 		v       *LiveView
 		snapSeq uint64
 		err     error
 	)
-	for _, s := range snaps {
+	for _, s := range vf.snaps {
 		lv, lerr := loadSnapshot(dir, s, name, m, cfg)
 		if errors.Is(lerr, errSession) {
 			return nil, fmt.Errorf("live: recovering view %q: %w", name, lerr)
@@ -710,7 +713,7 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, snaps []
 
 	var replayed int64
 	walPath := filepath.Join(dir, walFileName)
-	w, err := openWAL(walPath, func(seq uint64, b record.Batch) error {
+	w, err := openWAL(cfg.fs, walPath, func(seq uint64, b record.Batch) error {
 		if seq <= snapSeq {
 			return nil // already folded into the snapshot
 		}
@@ -724,10 +727,10 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, snaps []
 		replayed++
 		return nil
 	})
-	if os.IsNotExist(err) && loaded {
+	if notExist(err) && loaded {
 		// Snapshot without a log (lost or never created): start a fresh
 		// one at the snapshot's seq.
-		w, err = createWAL(walPath, snapSeq)
+		w, err = createWAL(cfg.fs, walPath, snapSeq)
 	}
 	if err != nil {
 		v.sess.Kill()
@@ -749,12 +752,13 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, snaps []
 	}
 	// Fold the recovered state into a fresh snapshot so the next recovery
 	// starts here, and so the (possibly truncated) log can rotate. When
-	// nothing was replayed the loaded snapshot already covers flushedSeq.
-	if v.dur.flushedSeq != snapSeq || !loaded {
-		if err := v.snapshotLocked(); err != nil {
-			v.Kill()
-			return nil, err
-		}
+	// nothing was replayed the newest snapshot covers flushedSeq already;
+	// only the prune a crash may have cut short is left.
+	if v.dur.flushedSeq == snapSeq && loaded {
+		pruneSnapshots(cfg.fs, dir)
+	} else if err := v.snapshotLocked(); err != nil {
+		v.Kill()
+		return nil, err
 	}
 	return v, nil
 }

@@ -21,6 +21,13 @@ func durableCfg(dir string, m *metrics.Counters) ViewConfig {
 }
 
 // chain returns insert mutations for a path graph 0-1-...-n.
+// listSnapshots is the snapshot seqs in a view directory on disk, newest
+// first.
+func listSnapshots(dir string) ([]uint64, error) {
+	vf, err := readViewDir(osFS{}, dir)
+	return vf.snaps, err
+}
+
 func chain(n int64) []Mutation {
 	var out []Mutation
 	for i := int64(0); i < n; i++ {
@@ -156,12 +163,13 @@ func TestRecoveryTruncatesTornTailToAckedPrefix(t *testing.T) {
 
 	// The torn bytes must be gone from disk: a rescan sees only whole
 	// frames (Close rotated the log, so it is fresh).
-	base, seq, _, err := scanWAL(walPath, nil)
+	w, err := openWAL(osFS{}, walPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base != seq {
-		t.Fatalf("rotated log should be empty, has frames %d..%d", base+1, seq)
+	w.Close()
+	if w.base != w.seq {
+		t.Fatalf("rotated log should be empty, has frames %d..%d", w.base+1, w.seq)
 	}
 }
 
