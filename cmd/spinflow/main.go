@@ -29,12 +29,14 @@
 // `spinflow serve` starts the long-running maintenance service: named
 // live views over resident solution sets, maintained under streaming
 // graph mutations through an HTTP JSON API (see internal/live). SIGINT or
-// SIGTERM shuts it down cleanly — pending mutation batches are flushed,
-// final snapshots written, and spill files removed. With -data-dir, views
-// are durable: mutations are write-ahead logged before acknowledgment,
-// snapshots stream periodically, and a restarted server recovers every
-// view (SIGKILL included — the WAL tail replays through the maintenance
-// path). With -workers, every view is sharded across long-lived
+// SIGTERM stops it the way a crash would, minus the lost process: the
+// listener drains, every view closes without a flush or a snapshot, and
+// spill files are removed. With -data-dir, views are durable: mutations
+// are write-ahead logged before acknowledgment, snapshots stream
+// periodically, and a restarted server recovers every view the one way
+// it recovers from SIGKILL — the WAL tail past the newest snapshot replays
+// through the maintenance path. Without it, pending batches go with the
+// views. With -workers, every view is sharded across long-lived
 // maintenance sessions on `spinflow worker` processes: pass running
 // workers' control addresses, or an integer to spawn that many from this
 // binary; queries and snapshots scatter-gather across the hosts.
@@ -224,7 +226,7 @@ func serve(args []string) error {
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
 		s := <-sigc
-		fmt.Fprintf(os.Stderr, "spinflow serve: %v — flushing views and shutting down\n", s)
+		fmt.Fprintf(os.Stderr, "spinflow serve: %v — closing views and shutting down\n", s)
 		close(stop)
 	}()
 	fmt.Fprintf(os.Stderr, "spinflow serve: listening on %s\n", *addr)

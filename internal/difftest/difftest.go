@@ -20,36 +20,47 @@ package difftest
 import (
 	"repro/internal/algorithms"
 	"repro/internal/graphgen"
+	"repro/internal/record"
 )
 
 // CCReference computes the ground truth with union-find, labelling each
 // component by its minimum vertex id.
 func CCReference(g *graphgen.Graph) map[int64]int64 {
-	parent := make([]int64, g.NumVertices)
-	for i := range parent {
-		parent[i] = int64(i)
+	vertices, edges := make([]int64, g.NumVertices), make([]record.Record, len(g.Edges))
+	for i := range vertices {
+		vertices[i] = int64(i)
 	}
-	var find func(int64) int64
-	find = func(x int64) int64 {
+	for i, e := range g.Edges {
+		edges[i] = record.Record{A: e.Src, B: e.Dst}
+	}
+	return CCOf(vertices, edges)
+}
+
+// CCOf is CCReference over the given vertices and edges A–B, such as a live
+// view's GraphState.Vertices and UndirectedRecords.
+func CCOf(vertices []int64, edges []record.Record) map[int64]int64 {
+	parent := make(map[int64]int64, len(vertices))
+	for _, v := range vertices {
+		parent[v] = v
+	}
+	find := func(x int64) int64 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	for _, e := range g.Edges {
-		a, b := find(e.Src), find(e.Dst)
-		if a != b {
-			if a < b {
-				parent[b] = a
-			} else {
-				parent[a] = b
-			}
+	for _, e := range edges {
+		a, b := find(e.A), find(e.B)
+		if a < b {
+			parent[b] = a
+		} else if b < a {
+			parent[a] = b
 		}
 	}
-	out := make(map[int64]int64, g.NumVertices)
-	for i := int64(0); i < g.NumVertices; i++ {
-		out[i] = find(i)
+	out := make(map[int64]int64, len(parent))
+	for v := range parent {
+		out[v] = find(v)
 	}
 	return out
 }

@@ -36,38 +36,6 @@ func (r *streamRNG) intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
-// liveOracleCC is min-label union-find over the live graph state.
-func liveOracleCC(gs *live.GraphState) map[int64]int64 {
-	parent := make(map[int64]int64)
-	for _, v := range gs.Vertices() {
-		parent[v] = v
-	}
-	var find func(int64) int64
-	find = func(x int64) int64 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range gs.UndirectedRecords() {
-		a, b := find(e.A), find(e.B)
-		if a == b {
-			continue
-		}
-		if a < b {
-			parent[b] = a
-		} else {
-			parent[a] = b
-		}
-	}
-	out := make(map[int64]int64, len(parent))
-	for v := range parent {
-		out[v] = find(v)
-	}
-	return out
-}
-
 // mutationStream derives a deterministic batch sequence for one graph:
 // each batch mixes edge inserts (drawn from the unused pool or fresh
 // vertices), edge deletes, and occasional vertex deletes.
@@ -169,7 +137,7 @@ func TestLiveMutationStreamCC(t *testing.T) {
 						if err := v.Flush(); err != nil {
 							t.Fatalf("batch %d flush: %v", bi, err)
 						}
-						oracle := liveOracleCC(replay)
+						oracle := CCOf(replay.Vertices(), replay.UndirectedRecords())
 						got := algorithms.ComponentsToMap(v.Snapshot())
 						if len(got) != len(oracle) {
 							t.Fatalf("batch %d: %d records, oracle %d", bi, len(got), len(oracle))

@@ -126,7 +126,7 @@ func TestLiveShardedStreamCC(t *testing.T) {
 				ctx := fmt.Sprintf("batch %d", bi)
 				snap := sharded.Snapshot()
 				assertSnapshotsIdentical(t, ctx, snap, single.Snapshot())
-				oracle := liveOracleCC(replay)
+				oracle := CCOf(replay.Vertices(), replay.UndirectedRecords())
 				if len(snap) != len(oracle) {
 					t.Fatalf("%s: %d records, oracle %d", ctx, len(snap), len(oracle))
 				}
@@ -325,7 +325,7 @@ func TestLiveShardedFoldCrossing(t *testing.T) {
 			}
 			ctx := fmt.Sprintf("%d hosts batch %d", hosts, bi)
 			snap := v.Snapshot()
-			oracle := liveOracleCC(replay)
+			oracle := CCOf(replay.Vertices(), replay.UndirectedRecords())
 			if len(snap) != len(oracle) {
 				t.Fatalf("%s: %d records, oracle %d", ctx, len(snap), len(oracle))
 			}
@@ -411,7 +411,7 @@ func TestLiveShardedInsertFlushFolds(t *testing.T) {
 			}
 			ctx := fmt.Sprintf("%d hosts batch %d", hosts, bi)
 			snap := v.Snapshot()
-			oracle := liveOracleCC(replay)
+			oracle := CCOf(replay.Vertices(), replay.UndirectedRecords())
 			if len(snap) != len(oracle) {
 				t.Fatalf("%s: %d records, oracle %d", ctx, len(snap), len(oracle))
 			}
@@ -498,7 +498,7 @@ func TestLiveShardedKillRecover(t *testing.T) {
 	defer v2.Close()
 	check := func(ctx string) {
 		t.Helper()
-		oracle := liveOracleCC(replay)
+		oracle := CCOf(replay.Vertices(), replay.UndirectedRecords())
 		snap := v2.Snapshot()
 		if len(snap) != len(oracle) {
 			t.Fatalf("%s: %d records, oracle %d", ctx, len(snap), len(oracle))

@@ -12,14 +12,14 @@ import (
 // MeshTimeout bounds how long a process waits for the full peer mesh.
 const MeshTimeout = 30 * time.Second
 
-// ViewHost runs the conversations a worker's control connections carry:
-// sharded sessions — long-lived live views and one-shot jobs alike. open
+// ViewHost runs the session a worker's control connection carries: a
+// sharded session — a long-lived live view or a one-shot job alike. open
 // is the raw opening message, and dec/enc are the connection's codec pair.
-// ServeView owns the connection until the session ends (normally or with
-// an error); afterwards the control loop waits for the next opening
-// message on the same connection. The interface is stdlib-shaped on
-// purpose, so the live tier can implement it without this package knowing
-// its message schema.
+// A connection carries exactly one session: ServeView owns the connection
+// until the session ends (the coordinator hung up, which reads as io.EOF,
+// or with an error), and the connection closes when it returns. The
+// interface is stdlib-shaped on purpose, so the live tier can implement
+// it without this package knowing its message schema.
 type ViewHost interface {
 	ServeView(open json.RawMessage, dec *json.Decoder, enc *json.Encoder) error
 }
@@ -34,8 +34,8 @@ type ServeWorkerOpts struct {
 }
 
 // ServeWorkerWith accepts coordinator control connections on ln and hands
-// every conversation on them to opts.Views. One control connection carries
-// any number of sequential sessions; it returns when the listener closes.
+// each one's session to opts.Views; one control connection carries one
+// session. It returns when the listener closes.
 func ServeWorkerWith(ln net.Listener, opts ServeWorkerOpts) error {
 	if opts.Views == nil {
 		return errors.New("distrib: worker without a ViewHost")
@@ -56,20 +56,16 @@ func ServeWorkerWith(ln net.Listener, opts ServeWorkerOpts) error {
 	}
 }
 
-// serveControl runs one coordinator's control connection to completion:
-// each message that arrives between sessions opens the next one. The host
-// decodes it — this package does not know the schema.
+// serveControl runs one coordinator's control connection: its first
+// message opens the session, and the connection closes when the session
+// ends. The host decodes the message — this package does not know the
+// schema.
 func serveControl(conn net.Conn, host ViewHost) error {
 	defer conn.Close()
 	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
-	for {
-		var open json.RawMessage
-		if err := dec.Decode(&open); err != nil {
-			return err
-		}
-		if err := host.ServeView(open, dec, enc); err != nil {
-			return err
-		}
+	var open json.RawMessage
+	if err := dec.Decode(&open); err != nil {
+		return err
 	}
+	return host.ServeView(open, dec, json.NewEncoder(conn))
 }

@@ -213,11 +213,12 @@ func (cr *checkpointReader) ReadSection(f func(record.Batch) error) error {
 // the syncs, a crash shortly after a "successful" save can leave an
 // empty or torn file behind the new name — rename alone orders nothing.
 // A crash before the rename leaves path.tmp behind; recoverView reclaims it.
-func writeFileDurable(fs fsys, path string, write func(io.Writer) error) error {
+// renamed reports whether path names the new content, failed fsync or not.
+func writeFileDurable(fs fsys, path string, write func(io.Writer) error) (renamed bool, err error) {
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
-		return err
+		return false, err
 	}
 	err = write(f)
 	if err == nil {
@@ -231,7 +232,7 @@ func writeFileDurable(fs fsys, path string, write func(io.Writer) error) error {
 	}
 	if err != nil {
 		fs.Remove(tmp)
-		return err
+		return false, err
 	}
-	return fs.SyncDir(filepath.Dir(path))
+	return true, fs.SyncDir(filepath.Dir(path))
 }

@@ -78,6 +78,9 @@ type memFS struct {
 	syncs     int
 	last      string
 	afterCall func()
+	// failSyncDir, when set, is asked at each SyncDir, with m.last still
+	// naming the call before it; an error it returns fails that SyncDir.
+	failSyncDir func() error
 }
 
 // newMemFS returns a file system holding the durable, empty directory
@@ -273,6 +276,11 @@ func (m *memFS) SyncDir(p string) error {
 	_, _, n := m.lookup(p)
 	if n == nil || !n.dir {
 		return notFound("sync", p)
+	}
+	if m.failSyncDir != nil {
+		if err := m.failSyncDir(); err != nil {
+			return err
+		}
 	}
 	n.durable, n.pending = map[string]*memNode{}, nil
 	for name, c := range n.entries {
@@ -646,7 +654,9 @@ func judge(res recoveredTree, want map[string]window, oracle map[string][][][]by
 
 // crashScript is the history TestEveryCrashPoint crashes: a CC and an SSSP
 // view are created, take 20 batches each with a checkpoint after the 10th
-// and the 20th, then SSSP is dropped and created again under its name.
+// and the 20th, then SSSP takes a batch it never flushes, is dropped with
+// it pending and created again under its name, and CC takes a batch it
+// never flushes before the scheduler closes.
 type crashScript struct {
 	t      *testing.T
 	mem    *memFS
@@ -681,7 +691,9 @@ func (c *crashScript) create(name string, m Maintainer, initial []Mutation) {
 	c.createSyncs = append(c.createSyncs, c.mem.syncs-syncs)
 }
 
-func (c *crashScript) mutate(name string, batch []Mutation) {
+// mutate acknowledges batch on the view name and, with flush set,
+// applies it; without, the batch stays pending in the view.
+func (c *crashScript) mutate(name string, batch []Mutation, flush bool) {
 	h := c.history[name]
 	inc := len(h) - 1
 	h[inc] = append(h[inc], batch)
@@ -694,6 +706,9 @@ func (c *crashScript) mutate(name string, batch []Mutation) {
 	}
 	c.event(name, "mutated", inc, seq)
 	c.mutateSyncs = append(c.mutateSyncs, c.mem.syncs-syncs)
+	if !flush {
+		return
+	}
 	if err := v.Flush(); err != nil {
 		c.t.Fatal(err)
 	}
@@ -773,8 +788,7 @@ func TestEveryCrashPoint(t *testing.T) {
 	trees := map[string]*crashTree{}
 	var order []string
 	var enumErr error
-	mem.afterCall = func() {
-		k, last := mem.calls, mem.last
+	crashAt := func(k int, last string) {
 		if err := mem.crashStates(func(tree map[string][]byte, note string) {
 			key := treeKey(tree)
 			ct := trees[key]
@@ -791,6 +805,7 @@ func TestEveryCrashPoint(t *testing.T) {
 			enumErr = err
 		}
 	}
+	mem.afterCall = func() { crashAt(mem.calls, mem.last) }
 
 	c := &crashScript{t: t, mem: mem, history: map[string][][][]Mutation{}}
 	c.s = NewScheduler(SchedulerConfig{
@@ -809,27 +824,43 @@ func TestEveryCrashPoint(t *testing.T) {
 			cc = append(cc, DeleteEdge(i, 1+i))
 			sssp = append(sssp, DeleteEdge(i-1, i), InsertWeightedEdge(0, 2+i, 9))
 		}
-		c.mutate("cc", cc)
-		c.mutate("sssp", sssp)
+		c.mutate("cc", cc, true)
+		c.mutate("sssp", sssp, true)
 		if i == 9 || i == 19 {
 			c.phase("checkpoint")
 			c.checkpoint()
 			c.phase("mutate")
 		}
 	}
+	c.mutate("sssp", []Mutation{InsertWeightedEdge(22, 23, 1)}, false)
 	c.phase("drop")
 	c.drop("sssp")
 	c.phase("re-create")
 	c.create("sssp", SSSP(0), []Mutation{InsertWeightedEdge(0, 5, 1)})
+	c.mutate("cc", []Mutation{InsertEdge(30, 31)}, false)
+	// A clean Close is a crash that loses nothing unsynced: it makes no
+	// call, so its crash states are the last call's plus the tree it
+	// leaves, recovered as one more crash point.
+	c.phase("close")
+	calls, syncs := mem.calls, mem.syncs
 	if err := c.s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if mem.calls != calls || mem.syncs != syncs {
+		t.Errorf("Scheduler.Close made %d file-system calls, %d of them fsyncs; want none", mem.calls-calls, mem.syncs-syncs)
+	}
+	crashAt(calls+1, "Scheduler.Close")
 	if enumErr != nil {
 		t.Fatal(enumErr)
 	}
 	for _, n := range c.mutateSyncs {
 		if n != 1 {
 			t.Errorf("an acknowledged Mutate made %d fsyncs, want 1", n)
+		}
+	}
+	for _, n := range c.dropSyncs {
+		if n != 2 {
+			t.Errorf("a Drop of a view with a pending batch made %d fsyncs, want 2", n)
 		}
 	}
 
@@ -883,7 +914,7 @@ func TestEveryCrashPoint(t *testing.T) {
 	}
 	row("**total**", total)
 	t.Log("")
-	t.Logf("%d file-system calls, %d crash states, %d distinct trees recovered; fsyncs per Create %v, per Drop %v, per Mutate 1; %.1f s wall",
+	t.Logf("%d file-system calls, %d crash states, %d distinct trees recovered; fsyncs per Create %v, per Drop %v, per Mutate 1, per Close 0; %.1f s wall",
 		mem.calls, states, len(order), c.createSyncs, c.dropSyncs, time.Since(start).Seconds())
 	for i, f := range failures {
 		if i == 20 {
@@ -894,5 +925,74 @@ func TestEveryCrashPoint(t *testing.T) {
 	}
 	if states == 0 {
 		t.Fatal("no crash states enumerated")
+	}
+}
+
+// TestRotateDirSyncFaultLosesNoAck injects the fault a log rotation can
+// meet after its rename: the directory fsync behind the fresh wal.log
+// fails. The view must then refuse the next Mutate instead of
+// acknowledging it into the old, unlinked log, so that Scheduler.Recover
+// brings back every acknowledged mutation.
+func TestRotateDirSyncFaultLosesNoAck(t *testing.T) {
+	const dataDir = "/data"
+	mem := newMemFS(dataDir)
+	cfg := SchedulerConfig{
+		DataDir:     dataDir,
+		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem},
+		Log:         log.New(io.Discard, "", 0),
+	}
+	s := NewScheduler(cfg)
+	acked := [][]Mutation{{InsertEdge(0, 1)}}
+	v, err := s.Create("cc", CC(), acked[0], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(batch ...Mutation) {
+		if err := v.Mutate(batch...); err != nil {
+			return
+		}
+		acked = append(acked, batch)
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mutate(InsertEdge(1, 2))
+
+	injected := errors.New("injected directory fsync failure")
+	mem.failSyncDir = func() error {
+		if strings.HasPrefix(mem.last, "rename ") && strings.HasSuffix(mem.last, "/"+walFileName) {
+			mem.failSyncDir = nil
+			return injected
+		}
+		return nil
+	}
+	if err := v.Checkpoint(); !errors.Is(err, injected) {
+		t.Fatalf("Checkpoint = %v, want the injected fault", err)
+	}
+	mutate(InsertEdge(2, 3))
+	mutate(InsertEdge(3, 4))
+	v.Kill()
+
+	want, err := NewView("oracle", CC(), nil, ViewConfig{Config: iterative.Config{Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	for _, batch := range acked {
+		if err := want.Mutate(batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := want.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := NewScheduler(cfg)
+	defer s2.Close()
+	if n, err := s2.Recover(); err != nil || n != 1 {
+		t.Fatalf("recovered %d views (%v), want 1", n, err)
+	}
+	got, _ := s2.Get("cc")
+	if !bytes.Equal(distrib.EncodeSolution(got.Snapshot()), distrib.EncodeSolution(want.Snapshot())) {
+		t.Fatalf("recovery lost acknowledged mutations: %d batches acknowledged, recovered %v", len(acked), got.Snapshot())
 	}
 }

@@ -57,7 +57,7 @@ func (jobMaintainer) RecomputeSeed(*GraphState, []int64) ([]record.Record, []rec
 // process (hosts 1..N; none runs the whole job here). It is the life of a
 // sharded view cut short — open the session on the workers (plan
 // fingerprints cross-checked, data plane meshed), drive the cold fixpoint
-// through the session barrier, collect every host's partitions, close —
+// through the session barrier, collect every host's partitions, hang up —
 // so a job gets exactly the coordination a view gets, plan epochs
 // included when js.Reoptimize is set.
 //
@@ -105,14 +105,12 @@ func RunJob(js distrib.JobSpec, workerAddrs []string, reg *obs.Registry) (*distr
 	if cold != nil {
 		res.Supersteps, res.PlanEpochs = cold.Supersteps, cold.PlanEpochs
 	}
-	if res.Solution, err = s.Snapshot(); err != nil {
-		s.Kill()
-		return nil, err
-	}
-	// Taken before the close: a peer tearing its transport down is not a
+	res.Solution, err = s.Snapshot()
+	// Taken before the hang-up: a peer tearing its transport down is not a
 	// transport error of the run.
 	res.Work = work.Snapshot().Sub(before)
-	if err := s.Close(); err != nil {
+	s.hangUp()
+	if err != nil {
 		return nil, err
 	}
 	if reg != nil {

@@ -583,107 +583,68 @@ func TestShardedDeleteRounds(t *testing.T) {
 	}
 }
 
-// startReuseProxy makes every control connection dialed to the returned
-// address ride ONE upstream connection to the worker, one after the other
-// — what a coordinator that kept its control connections open between
-// sessions would put on the wire.
-func startReuseProxy(t *testing.T, worker string) (addr string, stop func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	up, err := net.Dial("tcp", worker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer up.Close()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			back := make(chan struct{})
-			go func() {
-				io.Copy(c, up) // worker → coordinator
-				close(back)
-			}()
-			io.Copy(up, c) // until the coordinator hangs up
-			// Unblock the reader but keep the upstream for the next session.
-			up.SetReadDeadline(time.Now())
-			<-back
-			up.SetReadDeadline(time.Time{})
-			c.Close()
-		}
-	}()
-	return ln.Addr().String(), func() { ln.Close(); <-done }
-}
-
 // TestOneWorkerServesJobsAndViews is what only one protocol can promise:
 // the same worker process serves a job, then a sharded view (mutated and
-// queried), then another job — on a fresh control connection each and on
-// one reused connection — every result byte-identical to its oracle, and
-// nothing left behind.
+// queried), then another job — on a fresh control connection each, every
+// session ending when its coordinator hangs up — every result
+// byte-identical to its oracle, no transport error counted on the worker,
+// and nothing left behind.
 func TestOneWorkerServesJobsAndViews(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir())
-	for _, reuse := range []bool{false, true} {
-		t.Run(fmt.Sprintf("reuse=%v", reuse), func(t *testing.T) {
-			workers := startWorkers(t, 1)
-			baseline := goruntime.NumGoroutine()
-			stop := func() {}
-			if reuse {
-				workers[0], stop = startReuseProxy(t, workers[0])
-			}
+	// The leg keeps its name from when a reused-connection leg ran beside it;
+	// a control connection now carries exactly one session.
+	t.Run("reuse=false", func(t *testing.T) {
+		wreg := obs.NewRegistry()
+		workers := startWorkers(t, 1, wreg)
+		baseline := goruntime.NumGoroutine()
 
-			assertJobMatchesOracle(t, "first job",
-				distrib.JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xD15E, Parallelism: 2}, workers)
+		assertJobMatchesOracle(t, "first job",
+			distrib.JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xD15E, Parallelism: 2}, workers)
 
-			cfg := ViewConfig{Config: iterative.Config{Parallelism: 2}}
-			local, err := NewView("local", CC(), ringEdges(10), cfg)
-			if err != nil {
+		cfg := ViewConfig{Config: iterative.Config{Parallelism: 2}}
+		local, err := NewView("local", CC(), ringEdges(10), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = workers
+		sharded, err := NewView("sharded", CC(), ringEdges(10), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []*LiveView{local, sharded} {
+			if err := v.Mutate(DeleteEdge(3, 4), DeleteEdge(7, 8), InsertEdge(20, 21), InsertEdge(21, 4)); err != nil {
 				t.Fatal(err)
 			}
-			cfg.Workers = workers
-			sharded, err := NewView("sharded", CC(), ringEdges(10), cfg)
-			if err != nil {
+			if err := v.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range []*LiveView{local, sharded} {
-				if err := v.Mutate(DeleteEdge(3, 4), DeleteEdge(7, 8), InsertEdge(20, 21), InsertEdge(21, 4)); err != nil {
-					t.Fatal(err)
-				}
-				if err := v.Flush(); err != nil {
-					t.Fatal(err)
-				}
+		}
+		for _, k := range []int64{0, 4, 7, 8, 21} {
+			want, _ := local.Query(k)
+			if got, ok := sharded.Query(k); !ok || !got.Equal(want) {
+				t.Fatalf("query %d: sharded %+v (found %v), local %+v", k, got, ok, want)
 			}
-			for _, k := range []int64{0, 4, 7, 8, 21} {
-				want, _ := local.Query(k)
-				if got, ok := sharded.Query(k); !ok || !got.Equal(want) {
-					t.Fatalf("query %d: sharded %+v (found %v), local %+v", k, got, ok, want)
-				}
+		}
+		if !bytes.Equal(distrib.EncodeSolution(sharded.Snapshot()), distrib.EncodeSolution(local.Snapshot())) {
+			t.Fatal("sharded view diverged from the in-process view")
+		}
+		for _, v := range []*LiveView{local, sharded} {
+			if err := v.Close(); err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(distrib.EncodeSolution(sharded.Snapshot()), distrib.EncodeSolution(local.Snapshot())) {
-				t.Fatal("sharded view diverged from the in-process view")
-			}
-			for _, v := range []*LiveView{local, sharded} {
-				if err := v.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
+		}
 
-			assertJobMatchesOracle(t, "second job",
-				distrib.JobSpec{Algorithm: "sssp", GraphKind: "uniform", GraphN: 50, GraphM: 150, Seed: 0xD161, Parallelism: 4, Source: 2}, workers)
+		assertJobMatchesOracle(t, "second job",
+			distrib.JobSpec{Algorithm: "sssp", GraphKind: "uniform", GraphN: 50, GraphM: 150, Seed: 0xD161, Parallelism: 4, Source: 2}, workers)
 
-			stop()
-			waitForGoroutines(t, baseline, "job → view → job")
-			if left := spillFiles(t); len(left) != 0 {
-				t.Fatalf("scratch files left behind: %v", left)
-			}
-		})
-	}
+		waitForGoroutines(t, baseline, "job → view → job")
+		if n := wreg.Counters().Snapshot().TransportErrors; n != 0 {
+			t.Fatalf("the worker counted %d transport errors across three sessions", n)
+		}
+		if left := spillFiles(t); len(left) != 0 {
+			t.Fatalf("scratch files left behind: %v", left)
+		}
+	})
 }
 
 // TestRegistryCountsEverySession pins where telemetry lands when one

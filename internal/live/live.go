@@ -37,7 +37,9 @@
 // format (checkpoint.go), and OpenView recovers a crashed view by
 // loading the latest valid snapshot, replaying the log tail through the
 // ordinary maintenance path, and truncating torn tails at the last valid
-// frame. `spinflow serve -data-dir` turns this on for every served view.
+// frame. Stopping is such a crash: Close writes nothing, so the one way
+// back up is that recovery. `spinflow serve -data-dir` turns this on for
+// every served view.
 //
 // Every view reaches its fixpoint through one maintenance session
 // (shard.go, shardcore.go) spread over 1+len(ViewConfig.Workers) hosts:
@@ -55,7 +57,7 @@
 // plane, queries ask the key's owner, and a snapshot gathers every host's
 // shard into one file. A distributed batch job
 // (job.go, RunJob) is the same session opened, driven through its cold
-// fixpoint once, collected and closed — there is no second protocol.
+// fixpoint once, collected and hung up — there is no second protocol.
 package live
 
 import (
@@ -293,10 +295,6 @@ type durableState struct {
 	// flushedSeq is the WAL frame up to which mutations are reflected in
 	// the resident solution set (guarded by the maintenance lock).
 	flushedSeq uint64
-	// snapSeq is the WAL frame the latest snapshot on disk covers — written
-	// by this instance or loaded at recovery; a view is never handed out
-	// without one.
-	snapSeq uint64
 	// flushesSinceSnap and walBytesAtSnap drive the snapshot cadence.
 	flushesSinceSnap int
 	walBytesAtSnap   int64
@@ -467,13 +465,14 @@ func (v *LiveView) Stats() ViewStats {
 // Mutate queues mutations into the current micro-batch, flushing it when
 // it reaches ViewConfig.BatchSize (and arming the FlushInterval timer on
 // the batch's first mutation). The closed check happens under the batch
-// lock, so an accepted mutation is guaranteed to be either flushed by a
-// later Flush or drained by Close — never silently dropped.
+// lock, so a mutation Close has refused is never acknowledged.
 //
 // Durable views write the batch to the write-ahead log (one CRC32 frame,
 // fsynced) before it is queued: by the time Mutate returns nil, the
-// mutations survive a crash. A failed log append rejects the batch — it
-// is neither queued nor acknowledged.
+// mutations are in the log, and survive a crash and a Close alike. A
+// failed log append rejects the batch — it is neither queued nor
+// acknowledged. An in-memory view's accepted mutations are applied by a
+// later flush, or go with the view when it closes first.
 func (v *LiveView) Mutate(muts ...Mutation) error {
 	if len(muts) == 0 {
 		return nil
@@ -547,7 +546,7 @@ func (v *LiveView) takeBatch() ([]Mutation, uint64) {
 // deltas and one warm restart absorbs them. It is a no-op when nothing is
 // pending. The batch is taken only after the maintenance lock is held and
 // the view is known to be open, so a Flush racing Close either completes
-// fully or leaves the batch for Close to drain.
+// fully or leaves the batch for Close to drop.
 func (v *LiveView) Flush() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -604,68 +603,31 @@ func (v *LiveView) applyLocked(batch []Mutation) error {
 	return v.sess.Apply(batch)
 }
 
-// Close flushes pending mutations, releases the session, and drops the
-// solution set (removing any spill files). Durable views additionally
-// write a final snapshot and rotate their log, so the next OpenView
-// restarts without replay. Idempotent. The closed flag flips under the
-// maintenance lock before the final drain, so any mutation accepted by
-// Mutate is applied here (or was already flushed) and later Mutate/Flush
-// calls fail fast.
+// Close tears the view down the way a crash would, and the next OpenView
+// recovers from it: later calls are refused, the flush timer stops, the
+// pending micro-batch is dropped, the log closes and the session hangs up,
+// releasing the solution set (spill files included). Nothing is flushed,
+// snapshotted or rotated. A durable view's pending batch is already in the
+// log, which the next OpenView or Scheduler.Recover replays; an in-memory
+// view's goes with the view, which nothing can read after Close.
+// Idempotent.
 func (v *LiveView) Close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if !v.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	v.takeBatch()
 	var err error
-	batch, seq := v.takeBatch()
-	if len(batch) > 0 {
-		err = v.applyLocked(batch)
-	}
 	if d := v.dur; d != nil {
-		if err == nil {
-			// Only converged state may be snapshotted; after an apply
-			// failure the log remains the source of truth and the next
-			// open replays it.
-			d.flushedSeq = seq
-			if d.flushedSeq != d.snapSeq {
-				err = v.snapshotLocked()
-			}
-		}
-		if cerr := d.wal.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+		err = d.wal.Close()
 	}
-	if cerr := v.sess.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
+	v.sess.hangUp()
 	return err
 }
 
-// Kill abandons the view without flushing pending mutations, writing a
-// final snapshot, or rotating the log — the in-process stand-in for a
-// hard crash (SIGKILL). Resources are released; the on-disk state is
-// left exactly as an interrupted process would leave it, so a following
-// OpenView exercises real recovery. Crash-recovery tests and the harness
-// use it; servers should Close.
-func (v *LiveView) Kill() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if !v.closed.CompareAndSwap(false, true) {
-		return
-	}
-	v.pmu.Lock()
-	v.pending = nil
-	if v.timer != nil {
-		v.timer.Stop()
-		v.timer = nil
-	}
-	v.pmu.Unlock()
-	if d := v.dur; d != nil {
-		d.wal.Close()
-	}
-	v.sess.Kill()
-}
+// Kill is Close for callers with no error to report.
+func (v *LiveView) Kill() { v.Close() }
 
 // Checkpoint forces a streaming snapshot of the current converged state
 // now, regardless of the snapshot cadence, and rotates the log when

@@ -13,44 +13,11 @@ import (
 	"repro/internal/runtime"
 )
 
-// ccOracle computes the min-label component assignment over the model
-// graph with union-find (the same invariant the fixpoint maintains).
-func ccOracle(gs *GraphState) map[int64]int64 {
-	parent := make(map[int64]int64)
-	for _, v := range gs.Vertices() {
-		parent[v] = v
-	}
-	var find func(int64) int64
-	find = func(x int64) int64 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range gs.UndirectedRecords() {
-		a, b := find(e.A), find(e.B)
-		if a == b {
-			continue
-		}
-		if a < b {
-			parent[b] = a
-		} else {
-			parent[a] = b
-		}
-	}
-	out := make(map[int64]int64, len(parent))
-	for v := range parent {
-		out[v] = find(v)
-	}
-	return out
-}
-
 // assertCC compares the view's snapshot against the union-find oracle
 // over the model graph.
 func assertCC(t *testing.T, ctx string, v *LiveView, model *GraphState) {
 	t.Helper()
-	oracle := ccOracle(model)
+	oracle := difftest.CCOf(model.Vertices(), model.UndirectedRecords())
 	got := algorithms.ComponentsToMap(v.Snapshot())
 	if len(got) != len(oracle) {
 		t.Fatalf("%s: %d solution records, oracle has %d", ctx, len(got), len(oracle))

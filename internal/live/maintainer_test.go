@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/difftest"
 )
 
 // labelScanRegion is the region a CC delete batch was scoped with before
@@ -122,7 +124,7 @@ func TestDeleteRegionMatchesLabelScan(t *testing.T) {
 			gs.Apply(m)
 			model.Apply(m)
 		}
-		pre := ccOracle(gs)
+		pre := difftest.CCOf(gs.Vertices(), gs.UndirectedRecords())
 		batch := randomMixedBatch(rng, model)
 		c := &shardCore{m: CC(), gs: gs}
 		if err := c.absorb(batch); err != nil {
@@ -164,8 +166,8 @@ func TestDeleteRegionMatchesLabelScan(t *testing.T) {
 				minus.AddEdge(e.Src, e.Dst, e.Weight)
 			}
 		}
-		post := ccOracle(gs)
-		for v, l := range ccOracle(minus) {
+		post := difftest.CCOf(gs.Vertices(), gs.UndirectedRecords())
+		for v, l := range difftest.CCOf(minus.Vertices(), minus.UndirectedRecords()) {
 			if was, ok := pre[v]; ok && (l != was || post[v] > was) && !in[v] {
 				t.Fatalf("trial %d, batch %v: label of %d moved %d -> %d (%d without the inserts), not in region %v",
 					trial, batch, v, was, post[v], l, region)
@@ -185,7 +187,7 @@ func BenchmarkDeleteRegion(b *testing.B) {
 	for _, m := range islandEdges(3000, 20, 0) {
 		gs.Apply(m)
 	}
-	pre := ccOracle(gs)
+	pre := difftest.CCOf(gs.Vertices(), gs.UndirectedRecords())
 	var removed []WEdge
 	for c := int64(0); c < 8; c++ {
 		at := 32 * 371 * c

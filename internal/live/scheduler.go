@@ -245,9 +245,7 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 	}
 	if vcfg.Durable {
 		if err := saveRecipe(vcfg.fs, dir, m, vcfg); err != nil {
-			s.drop(name)
-			v.Kill()
-			removeViewDir(vcfg.fs, dir)
+			s.remove(name, v)
 			return nil, err
 		}
 	}
@@ -258,13 +256,9 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 	// Post-build enforcement against the real footprint.
 	if b := s.cfg.MemoryBudget; b > 0 && s.Usage() > b {
 		used := s.Usage()
-		s.drop(name)
-		v.Close()
-		if vcfg.Durable {
-			// Admission failed, so nothing was acknowledged; an orphaned
-			// durable directory would resurrect the view on Recover.
-			removeViewDir(vcfg.fs, dir)
-		}
+		// Admission failed, so nothing was acknowledged; an orphaned
+		// durable directory would resurrect the view on Recover.
+		s.remove(name, v)
 		return nil, fmt.Errorf("%w: view %q would bring usage to %d bytes, budget %d",
 			ErrMemoryBudget, name, used, b)
 	}
@@ -310,18 +304,22 @@ func recipeOf(m Maintainer, cfg ViewConfig) (recipe, error) {
 	return r, nil
 }
 
-// maintainer rebuilds the Maintainer the recipe names. "auto" and the empty
-// name are aliases of "cc", kept because deployed clients send them.
+// errUnknownForm marks a form this binary does not read: an algorithm it
+// has no maintainer for, a meta.json field it does not know, a snapshot
+// that is not one file. It is rejected whole, never partly read.
+var errUnknownForm = errors.New("live: unknown form")
+
+// maintainer rebuilds the Maintainer the recipe names.
 func (r recipe) maintainer() (Maintainer, error) {
 	switch {
 	case r.Job != nil:
 		return newJobMaintainer(*r.Job)
-	case r.Algorithm == "cc", r.Algorithm == "auto", r.Algorithm == "":
+	case r.Algorithm == "cc":
 		return CC(), nil
 	case r.Algorithm == "sssp":
 		return SSSP(r.Source), nil
 	}
-	return nil, fmt.Errorf("live: unknown algorithm %q", r.Algorithm)
+	return nil, fmt.Errorf("%w: algorithm %q", errUnknownForm, r.Algorithm)
 }
 
 // applyTo overrides cfg with the knobs the recipe sets (non-zero ones).
@@ -348,9 +346,10 @@ func saveRecipe(fs fsys, dir string, m Maintainer, cfg ViewConfig) error {
 	if err != nil {
 		return err
 	}
-	return writeFileDurable(fs, filepath.Join(dir, metaFileName), func(w io.Writer) error {
+	_, err = writeFileDurable(fs, filepath.Join(dir, metaFileName), func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(r)
 	})
+	return err
 }
 
 // clearUncommitted reports whether dir holds a committed view: a meta.json
@@ -404,10 +403,12 @@ func (s *Scheduler) Recover() (int, error) {
 			return n, err
 		}
 		var meta recipe
-		err = json.NewDecoder(f).Decode(&meta)
+		dec := json.NewDecoder(f)
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&meta)
 		f.Close()
 		if err != nil {
-			return n, fmt.Errorf("live: view %q meta: %w", name, err)
+			return n, fmt.Errorf("live: view %q meta: %w: %w", name, errUnknownForm, err)
 		}
 		m, err := meta.maintainer()
 		if err != nil {
@@ -477,12 +478,19 @@ func (s *Scheduler) Names() []string {
 // Drop closes a view and removes it. A durable view's on-disk state is
 // deleted with it — an explicit drop is a deletion, not a shutdown, and
 // must not resurrect on the next Recover. (Scheduler.Close, by contrast,
-// leaves durable state in place.)
+// leaves durable state in place.) Close writes nothing, so the deletion
+// is all the file work a Drop does.
 func (s *Scheduler) Drop(name string) error {
 	v, ok := s.Get(name)
 	if !ok {
 		return fmt.Errorf("live: no view %q", name)
 	}
+	return s.remove(name, v)
+}
+
+// remove unregisters name and closes its view v; a durable view's
+// directory is deleted after it.
+func (s *Scheduler) remove(name string, v *LiveView) error {
 	s.drop(name)
 	err := v.Close()
 	if d := v.dur; d != nil {
@@ -511,9 +519,11 @@ func (s *Scheduler) Stats() SchedulerStats {
 	return st
 }
 
-// Close flushes and closes every view (pending mutations are applied, the
-// sessions released, spill files removed). The first error is returned;
-// all views are closed regardless.
+// Close closes every view (LiveView.Close: pending batches dropped, logs
+// closed, sessions hung up, spill files removed) and writes nothing: a
+// durable view's acknowledged batches are in its log, and the next Recover
+// replays them. The first error is returned; all views are closed
+// regardless.
 func (s *Scheduler) Close() error {
 	var first error
 	for _, name := range s.Names() {

@@ -124,26 +124,48 @@ func TestSchedulerConcurrentViews(t *testing.T) {
 	}
 }
 
-// TestSchedulerCloseFlushesViews checks Close applies pending batches
-// before tearing views down.
+// TestSchedulerCloseFlushesViews pins that Close flushes nothing: it is a
+// crash the next open recovers from. An in-memory view's pending batch
+// goes with the view, which refuses later calls; a durable view's is in
+// its log, and the next Recover replays it.
 func TestSchedulerCloseFlushesViews(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{
-		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, BatchSize: 1000}})
-	v, err := s.Create("v", CC(), ringEdges(4), nil)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	for _, durable := range []bool{false, true} {
+		cfg := SchedulerConfig{DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, BatchSize: 1000}}
+		if durable {
+			cfg.DataDir = dir
+		}
+		s := NewScheduler(cfg)
+		v, err := s.Create("v", CC(), ringEdges(4), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Mutate(InsertEdge(50, 51)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st := v.Stats(); st.DeltasApplied != 0 || st.MutationsPending != 0 {
+			t.Errorf("durable=%v: Close applied or kept the pending batch: %+v", durable, st)
+		}
+		if err := v.Mutate(InsertEdge(52, 53)); err == nil {
+			t.Errorf("durable=%v: a closed view accepted a mutation", durable)
+		}
+		if s.NumViews() != 0 {
+			t.Errorf("durable=%v: views survived Close: %d", durable, s.NumViews())
+		}
 	}
-	if err := v.Mutate(InsertEdge(50, 51)); err != nil {
-		t.Fatal(err)
+
+	s := NewScheduler(SchedulerConfig{DataDir: dir, DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}}})
+	defer s.Close()
+	if n, err := s.Recover(); err != nil || n != 1 {
+		t.Fatalf("recovered %d views (%v), want 1", n, err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := v.Stats(); st.DeltasApplied != 1 {
-		t.Errorf("pending mutation not flushed on Close: %+v", st)
-	}
-	if s.NumViews() != 0 {
-		t.Errorf("views survived Close: %d", s.NumViews())
+	v, _ := s.Get("v")
+	mustComp(t, v, 51, 50)
+	if st := v.Stats(); st.RecoveredFrames != 1 {
+		t.Fatalf("recovery replayed %d frames, want the 1 pending at Close", st.RecoveredFrames)
 	}
 }
 

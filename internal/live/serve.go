@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -28,8 +29,8 @@ import (
 // CreateRequest is the body of POST /views.
 type CreateRequest struct {
 	Name string `json:"name"`
-	// Algorithm selects the maintainer: "cc" or "sssp". "auto" is an
-	// alias of "cc", kept because deployed clients send it.
+	// Algorithm selects the maintainer: "cc" or "sssp"; any other name is
+	// rejected with 400.
 	Algorithm string `json:"algorithm"`
 	// Source is the SSSP source vertex (ignored for cc).
 	Source int64 `json:"source"`
@@ -130,11 +131,21 @@ func (s *Scheduler) decodeBody(w http.ResponseWriter, r *http.Request, v any) bo
 	return true
 }
 
-// Handler returns the scheduler's HTTP API.
+// Handler returns the scheduler's HTTP API. Each handler runs under its
+// route's profiler labels, {layer=http, route=<pattern>}, built once, which
+// come off again afterwards, as the WAL's and the control rounds' do.
 func (s *Scheduler) Handler() http.Handler {
 	mux := http.NewServeMux()
+	handle := func(pattern string, h http.HandlerFunc) {
+		labels := pprof.WithLabels(context.Background(), pprof.Labels("layer", "http", "route", pattern))
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			pprof.SetGoroutineLabels(labels)
+			defer pprof.SetGoroutineLabels(context.Background())
+			h(w, r)
+		})
+	}
 
-	mux.HandleFunc("POST /views", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /views", func(w http.ResponseWriter, r *http.Request) {
 		var req CreateRequest
 		if !s.decodeBody(w, r, &req) {
 			return
@@ -162,11 +173,11 @@ func (s *Scheduler) Handler() http.Handler {
 		s.writeJSON(w, http.StatusCreated, v.Stats())
 	})
 
-	mux.HandleFunc("GET /views", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /views", func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, s.Names())
 	})
 
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		st := s.Stats()
 		st.MemoryUsed = s.Usage()
 		s.writeJSON(w, http.StatusOK, st)
@@ -182,7 +193,7 @@ func (s *Scheduler) Handler() http.Handler {
 		return v, true
 	}
 
-	mux.HandleFunc("POST /views/{name}/mutations", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /views/{name}/mutations", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := view(w, r)
 		if !ok {
 			return
@@ -207,7 +218,7 @@ func (s *Scheduler) Handler() http.Handler {
 		s.writeJSON(w, http.StatusAccepted, map[string]int{"queued": len(muts)})
 	})
 
-	mux.HandleFunc("POST /views/{name}/flush", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /views/{name}/flush", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := view(w, r)
 		if !ok {
 			return
@@ -219,7 +230,7 @@ func (s *Scheduler) Handler() http.Handler {
 		s.writeJSON(w, http.StatusOK, v.Stats())
 	})
 
-	mux.HandleFunc("POST /views/{name}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST /views/{name}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := view(w, r)
 		if !ok {
 			return
@@ -231,7 +242,7 @@ func (s *Scheduler) Handler() http.Handler {
 		s.writeJSON(w, http.StatusOK, v.Stats())
 	})
 
-	mux.HandleFunc("GET /views/{name}/query", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /views/{name}/query", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := view(w, r)
 		if !ok {
 			return
@@ -249,7 +260,7 @@ func (s *Scheduler) Handler() http.Handler {
 		s.writeJSON(w, http.StatusOK, resp)
 	})
 
-	mux.HandleFunc("GET /views/{name}/stats", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET /views/{name}/stats", func(w http.ResponseWriter, r *http.Request) {
 		v, ok := view(w, r)
 		if !ok {
 			return
@@ -257,7 +268,7 @@ func (s *Scheduler) Handler() http.Handler {
 		s.writeJSON(w, http.StatusOK, v.Stats())
 	})
 
-	mux.HandleFunc("DELETE /views/{name}", func(w http.ResponseWriter, r *http.Request) {
+	handle("DELETE /views/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
 		if err := s.Drop(name); err != nil {
 			s.writeErr(w, http.StatusNotFound, err)
@@ -270,10 +281,10 @@ func (s *Scheduler) Handler() http.Handler {
 }
 
 // Serve runs the scheduler's HTTP API on addr until stop closes, then
-// shuts the server down gracefully and closes every view — pending
-// batches are flushed, sessions released, and spill files removed. If
-// ready is non-nil it receives the bound address once listening (useful
-// with ":0").
+// drains the listener and closes every view (Scheduler.Close): nothing is
+// flushed or snapshotted, sessions hang up and spill files are removed, and
+// a durable view comes back by replaying its log. If ready is non-nil it
+// receives the bound address once listening (useful with ":0").
 func Serve(addr string, s *Scheduler, stop <-chan struct{}, ready chan<- net.Addr) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -183,10 +183,10 @@ func TestServeBodyLimit(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestServeAutoAlgorithm: "auto" stays accepted on the wire as an alias of
-// "cc" — on a plain and on a sharded server the view is created, and a
-// deletion-driven full recompute leaves it answering exactly like a cc
-// view over the same stream.
+// TestServeAutoAlgorithm: "auto" and the empty name are no aliases of
+// "cc" — on a plain and on a sharded server a create naming either is
+// rejected with 400 and errUnknownForm, and creates no view — while a cc
+// view, split by a deletion-driven full recompute, answers as before.
 func TestServeAutoAlgorithm(t *testing.T) {
 	for name, workers := range map[string][]string{"plain": nil, "sharded": startWorkers(t, 1)} {
 		t.Run(name, func(t *testing.T) {
@@ -196,37 +196,38 @@ func TestServeAutoAlgorithm(t *testing.T) {
 			srv := httptest.NewServer(s.Handler())
 			defer srv.Close()
 
-			algs := []string{"auto", "cc"}
-			for _, alg := range algs {
-				resp := postJSON(t, srv.URL+"/views", CreateRequest{
-					Name: alg, Algorithm: alg,
-					Edges: []EdgeJSON{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}},
-				})
-				if resp.StatusCode != http.StatusCreated {
-					t.Fatalf("create %s: %s", alg, resp.Status)
-				}
-				resp.Body.Close()
-
-				// Deleting a chain edge splits the component: the affected
-				// region is the whole view, forcing the full-recompute path.
-				resp = postJSON(t, srv.URL+"/views/"+alg+"/mutations", []MutationJSON{
-					{Op: "delete-edge", Src: 1, Dst: 2},
-				})
-				resp.Body.Close()
-				resp = postJSON(t, srv.URL+"/views/"+alg+"/flush", nil)
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("flush %s: %s", alg, resp.Status)
-				}
-				if st := decodeJSON[ViewStats](t, resp); st.FullRecomputes != 1 {
-					t.Fatalf("%s: FullRecomputes = %d, want 1 (stats %+v)", alg, st.FullRecomputes, st)
+			edges := []EdgeJSON{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}
+			for _, alg := range []string{"auto", ""} {
+				resp := postJSON(t, srv.URL+"/views", CreateRequest{Name: "g", Algorithm: alg, Edges: edges})
+				body := decodeJSON[map[string]string](t, resp)
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], errUnknownForm.Error()) {
+					t.Fatalf("create %q: %s %v, want 400 and %q", alg, resp.Status, body, errUnknownForm)
 				}
 			}
+			if n := s.NumViews(); n != 0 {
+				t.Fatalf("rejected creates left %d views", n)
+			}
+
+			resp := postJSON(t, srv.URL+"/views", CreateRequest{Name: "cc", Algorithm: "cc", Edges: edges})
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("create cc: %s", resp.Status)
+			}
+			resp.Body.Close()
+			// Deleting a chain edge splits the component: the affected
+			// region is the whole view, forcing the full-recompute path.
+			resp = postJSON(t, srv.URL+"/views/cc/mutations", []MutationJSON{{Op: "delete-edge", Src: 1, Dst: 2}})
+			resp.Body.Close()
+			resp = postJSON(t, srv.URL+"/views/cc/flush", nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("flush: %s", resp.Status)
+			}
+			if st := decodeJSON[ViewStats](t, resp); st.FullRecomputes != 1 {
+				t.Fatalf("FullRecomputes = %d, want 1 (stats %+v)", st.FullRecomputes, st)
+			}
 			for key, want := range []int64{0, 0, 2, 2} {
-				for _, alg := range algs {
-					q := decodeJSON[QueryResponse](t, mustGet(t, fmt.Sprintf("%s/views/%s/query?key=%d", srv.URL, alg, key)))
-					if !q.Found || q.B != want {
-						t.Fatalf("%s: post-split query(%d) = %+v, want component %d", alg, key, q, want)
-					}
+				q := decodeJSON[QueryResponse](t, mustGet(t, fmt.Sprintf("%s/views/cc/query?key=%d", srv.URL, key)))
+				if !q.Found || q.B != want {
+					t.Fatalf("post-split query(%d) = %+v, want component %d", key, q, want)
 				}
 			}
 		})
@@ -254,9 +255,9 @@ func spillFiles(t *testing.T) []string {
 
 // TestServeShutdownClean is the `spinflow serve` SIGINT contract, tested
 // through the same stop-channel path the command wires a signal into:
-// on shutdown, pending mutations are flushed, the solution state
-// (including spill files of budgeted views) is released, and the listener
-// stops accepting connections.
+// on shutdown nothing is flushed (an in-memory view's pending batch goes
+// with it), the solution state (including spill files of budgeted views)
+// is released, and the listener stops accepting connections.
 func TestServeShutdownClean(t *testing.T) {
 	// A private temp dir: the shared one holds whatever other packages'
 	// tests are spilling right now, which is not this test's to assert on.
@@ -299,7 +300,7 @@ func TestServeShutdownClean(t *testing.T) {
 		t.Fatal("budgeted view did not spill; shutdown test needs spill files")
 	}
 
-	// Queue a mutation but do not flush: shutdown must apply it.
+	// Queue a mutation but do not flush: shutdown must not apply it.
 	resp = postJSON(t, base+"/views/g/mutations", []MutationJSON{
 		{Op: "insert-edge", Src: 100, Dst: 101},
 	})
@@ -311,9 +312,9 @@ func TestServeShutdownClean(t *testing.T) {
 		t.Fatalf("Serve returned %v", err)
 	}
 
-	// Views were flushed before closing.
-	if got := m.DeltasApplied.Load(); got != applied+1 {
-		t.Errorf("pending mutation not flushed on shutdown: DeltasApplied %d -> %d", applied, got)
+	// Views were closed without a flush.
+	if got := m.DeltasApplied.Load(); got != applied {
+		t.Errorf("shutdown flushed the pending mutation: DeltasApplied %d -> %d", applied, got)
 	}
 	// Spill files are gone.
 	for _, f := range spillFiles(t) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"runtime/pprof"
 	"slices"
@@ -127,7 +128,7 @@ func openSession(v *LiveView, recovering bool) (*session, *iterative.Incremental
 		cold, err = s.drive(w0)
 	}
 	if err != nil {
-		s.Kill()
+		s.hangUp()
 		return nil, nil, err
 	}
 	return s, cold, nil
@@ -589,25 +590,26 @@ func (s *session) EachSolution(f func(record.Record) error) error {
 	return err
 }
 
-// Close ends every remote session share gracefully, then tears down the
-// local core. Workers survive a close — the control connection returns to
-// the distrib loop for the next session.
-func (s *session) Close() error {
-	var err error
-	for i, c := range s.conns {
-		if _, cerr := c.call(shardMsg{Kind: viewClose}, viewClosed); cerr != nil && err == nil {
-			err = fmt.Errorf("live: close host %d: %w", i+1, cerr)
+// hangUpGrace bounds how long hangUp waits for the workers to hang up in
+// turn; a worker that does not is cut off.
+const hangUpGrace = 5 * time.Second
+
+// hangUp is the one way a session ends: a view's Close, a failed open and
+// a finished job all take it. It half-closes every control connection —
+// a worker reads EOF, tears its core down and closes its end — and waits
+// for those hang-ups before tearing the local core down, so no worker sees
+// this host's data plane drop under a core it still holds, which it would
+// count as a transport error.
+func (s *session) hangUp() {
+	deadline := time.Now().Add(hangUpGrace)
+	for _, c := range s.conns {
+		if cw, ok := c.conn.(interface{ CloseWrite() error }); !ok || cw.CloseWrite() != nil {
+			c.conn.Close()
 		}
 	}
-	s.Kill()
-	return err
-}
-
-// Kill abandons the session crash-style: connections drop without a
-// close handshake, so workers see the error path a dead coordinator
-// causes — and stay accepting (the recovery tests rely on it).
-func (s *session) Kill() {
 	for _, c := range s.conns {
+		c.conn.SetReadDeadline(deadline)
+		io.Copy(io.Discard, c.conn)
 		c.conn.Close()
 	}
 	s.core.close()

@@ -45,7 +45,9 @@ import (
 // recompute over the region it scoped from its replica alone, or full.
 
 // The session control verbs — the only messages a worker control
-// connection carries, for live views and one-shot jobs (job.go) alike.
+// connection carries, for live views and one-shot jobs (job.go) alike. A
+// connection carries one session, which ends when the coordinator hangs
+// up.
 const (
 	viewOpen      = "view_open"      // coordinator → worker: spec + graph (the snapshot's two checkpoint sections); Full = start cold from S0/W0, unset = recovering, view_load frames follow
 	viewReady     = "view_ready"     // worker → coordinator: data addr + plan digest
@@ -71,8 +73,6 @@ const (
 	viewSolution  = "view_solution"  // worker → coordinator: the hosted partitions' records
 	viewStats     = "view_stats"     // coordinator → worker: report hosted occupancy
 	viewStatted   = "view_statted"   // worker → coordinator: Count records / Bytes resident
-	viewClose     = "view_close"     // coordinator → worker: end the session
-	viewClosed    = "view_closed"    // worker → coordinator: session torn down
 	viewError     = "view_error"     // worker → coordinator: verb failed
 )
 

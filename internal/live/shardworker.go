@@ -15,10 +15,9 @@ import (
 
 // WorkerHost hosts sharded sessions — live views and one-shot jobs — inside
 // a `spinflow worker` process: it implements distrib.ViewHost, so the
-// distrib listener hands it every conversation. One ServeView call runs
-// one session — open, mesh, then coordinator-driven verbs until close —
-// and the control connection returns to distrib afterwards for the next
-// session.
+// distrib listener hands it every control connection. One ServeView call
+// runs the connection's one session — open, mesh, then coordinator-driven
+// verbs until the coordinator hangs up.
 type WorkerHost struct {
 	reg *obs.Registry
 }
@@ -27,12 +26,12 @@ type WorkerHost struct {
 // registry (nil disables telemetry).
 func NewWorkerHost(reg *obs.Registry) *WorkerHost { return &WorkerHost{reg: reg} }
 
-// ServeView runs one maintenance session. A failed open reports
-// view_error and returns nil — the connection stays usable. A mid-session
-// failure reports view_error and returns the error: the connection is
-// torn down (the coordinator's session is broken anyway) while the worker
-// process keeps accepting — which is what lets a restarted coordinator
-// recover onto the same workers.
+// ServeView runs one maintenance session. It ends when the connection
+// reads EOF — the coordinator hung up, the one way a session ends — and
+// returns that io.EOF. A failed open or verb reports view_error and returns
+// the error. Either way the connection is torn down with the session
+// while the worker process keeps accepting — which is what lets a
+// restarted coordinator recover onto the same workers.
 func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *json.Encoder) error {
 	var msg shardMsg
 	if err := json.Unmarshal(open, &msg); err != nil {
@@ -44,21 +43,21 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 	if msg.Spec == nil {
 		return fmt.Errorf("live: %s without a spec", viewOpen)
 	}
-	core, err := h.openCore(msg)
-	if err != nil {
-		return enc.Encode(shardMsg{Kind: viewError, Err: err.Error()})
-	}
-	defer core.close()
-	if err := enc.Encode(shardMsg{Kind: viewReady, DataAddr: core.dataAddr, Digest: core.digest}); err != nil {
-		return err
-	}
-
 	fail := func(err error) error {
 		if serr := enc.Encode(shardMsg{Kind: viewError, Err: err.Error()}); serr != nil {
 			return serr
 		}
 		return err
 	}
+	core, err := h.openCore(msg)
+	if err != nil {
+		return fail(err)
+	}
+	defer core.close()
+	if err := enc.Encode(shardMsg{Kind: viewReady, DataAddr: core.dataAddr, Digest: core.digest}); err != nil {
+		return err
+	}
+
 	var start shardMsg
 	if err := dec.Decode(&start); err != nil {
 		return err
@@ -82,7 +81,7 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 		if err != nil {
 			return fail(err)
 		}
-		if err := enc.Encode(reply); err != nil || reply.Kind == viewClosed {
+		if err := enc.Encode(reply); err != nil {
 			return err
 		}
 	}
@@ -94,7 +93,7 @@ func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *jso
 var verbLabels = func() map[string]context.Context {
 	m := map[string]context.Context{}
 	for _, kind := range []string{viewLoad, viewApply, viewReplan, viewGather, viewSeed,
-		viewStep, viewEpoch, viewQuery, viewCollect, viewStats, viewClose} {
+		viewStep, viewEpoch, viewQuery, viewCollect, viewStats} {
 		m[kind] = pprof.WithLabels(context.Background(), pprof.Labels("layer", "live", "op", kind))
 	}
 	return m
@@ -180,8 +179,6 @@ func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) 
 		return shardMsg{Kind: viewSolution, Frames: frames, Spans: spans}, nil
 	case viewStats:
 		return shardMsg{Kind: viewStatted, Count: core.hostedRecords(), Bytes: core.sol.Bytes()}, nil
-	case viewClose:
-		return shardMsg{Kind: viewClosed}, nil
 	}
 	return shardMsg{}, fmt.Errorf("live: unexpected view message %q", req.Kind)
 }

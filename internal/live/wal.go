@@ -35,7 +35,10 @@ import (
 // the log rotates. OpenView recovers: the newest readable snapshot streams
 // into a fresh session, the log tail beyond it replays through the
 // ordinary maintenance path, a torn tail is truncated, and a fresh
-// snapshot folds the result in.
+// snapshot folds the result in. Stopping is a crash too (crash-only):
+// LiveView.Close writes nothing, so a clean restart replays the frames
+// past the newest snapshot like any other, and the cadence above bounds
+// that replay.
 //
 // Every file-system call goes through fsys (fsys.go). Beside Mutate's and
 // a truncated torn tail's, these are all the fsyncs: a whole file
@@ -44,8 +47,9 @@ import (
 // DataDir behind the view's new directory; Drop deletes meta.json, fsyncs
 // the view directory, deletes the rest and fsyncs DataDir (removeViewDir),
 // so a crash can resurrect no dropped view. A <file>.tmp a crash leaves is
-// deleted by the next recovery. TestEveryCrashPoint crashes between every
-// two of these calls.
+// deleted by the next recovery. A log whose rotation failed after its
+// rename refuses further appends. TestEveryCrashPoint crashes between
+// every two of these calls, and after a clean Scheduler.Close.
 //
 // A snapshot is one file, whatever the view's topology: kind live:<algo>,
 // four sections — [vertices][edges][solution][hosts]. The solution section
@@ -128,7 +132,7 @@ func walHeader(base uint64) []byte {
 // createWAL durably creates a fresh log whose frames will start at
 // base+1.
 func createWAL(fs fsys, path string, base uint64) (*wal, error) {
-	if err := writeFileDurable(fs, path, func(w io.Writer) error {
+	if _, err := writeFileDurable(fs, path, func(w io.Writer) error {
 		_, err := w.Write(walHeader(base))
 		return err
 	}); err != nil {
@@ -251,22 +255,24 @@ func (w *wal) Rotate(upTo uint64) error {
 		return nil // already fresh
 	}
 	// The fresh header is renamed over the path while the old descriptor
-	// is still open: a failure here leaves the old log intact and
-	// appendable — rotation failing transiently (ENOSPC on the temp
-	// file, say) must not poison a healthy log.
-	if err := writeFileDurable(w.fs, w.path, func(wr io.Writer) error {
+	// is still open: a failure before the rename leaves the old log intact
+	// and appendable — rotation failing transiently (ENOSPC on the temp
+	// file, say) must not poison a healthy log. After the rename the old
+	// descriptor names the unlinked file, so appends there would be
+	// acknowledged and lost — poison.
+	if renamed, err := writeFileDurable(w.fs, w.path, func(wr io.Writer) error {
 		_, err := wr.Write(walHeader(upTo))
 		return err
 	}); err != nil {
+		if renamed {
+			w.err = err
+		}
 		return err
 	}
 	fresh, err := openWAL(w.fs, w.path, nil)
 	w.f.Close()
 	if err != nil {
-		// The path now names the fresh log but it cannot be opened; the
-		// old descriptor points at the unlinked file, so appends would be
-		// silently lost — poison.
-		w.err = err
+		w.err = err // the path names the fresh log, which cannot be opened
 		return err
 	}
 	w.f = fresh.f
@@ -433,7 +439,7 @@ func (v *LiveView) snapshotLocked() error {
 	defer pprof.SetGoroutineLabels(context.Background())
 	d := v.dur
 	seq := d.flushedSeq
-	err := writeFileDurable(v.cfg.fs, filepath.Join(d.dir, snapshotName(seq)), func(w io.Writer) error {
+	_, err := writeFileDurable(v.cfg.fs, filepath.Join(d.dir, snapshotName(seq)), func(w io.Writer) error {
 		return writeCheckpoint(w, snapshotKindPrefix+v.m.Name(), seq, func(cw *checkpointWriter) error {
 			if err := writeGraph(cw, v.gs); err != nil {
 				return err
@@ -453,7 +459,6 @@ func (v *LiveView) snapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("live: view %q snapshot: %w", v.name, err)
 	}
-	d.snapSeq = seq
 	d.flushesSinceSnap = 0
 	d.snapshots++
 	if m := v.cfg.Metrics; m != nil {
@@ -534,10 +539,10 @@ func loadSnapshot(dir string, seq uint64, name string, m Maintainer, cfg ViewCon
 		}); err != nil {
 			return fmt.Errorf("live: snapshot solution: %w", err)
 		}
-		// The hosts section: exactly {1}, or absent in an in-process view's
-		// file from an earlier binary. Any other count is a multi-file
-		// snapshot of an earlier binary, whose other hosts' partitions this
-		// loader never reads — its solution section alone is not the view.
+		// The hosts section: exactly {1}. Any other count, or none, is a
+		// snapshot of an earlier binary — a multi-file one, whose other
+		// hosts' partitions this loader never reads, or one written before
+		// the section existed.
 		n, hosts := 0, int64(0)
 		err = cr.ReadSection(func(b record.Batch) error {
 			if n += len(b); n == 1 {
@@ -545,16 +550,13 @@ func loadSnapshot(dir string, seq uint64, name string, m Maintainer, cfg ViewCon
 			}
 			return nil
 		})
-		if err == nil && (n != 1 || hosts != 1) {
-			err = fmt.Errorf("live: snapshot %d is not a one-file snapshot (%d hosts records, first %d)", seq, n, hosts)
-		}
-		if err == io.EOF {
-			err = nil
+		if err == io.EOF || err == nil && (n != 1 || hosts != 1) {
+			err = fmt.Errorf("%w: snapshot %d is not a one-file snapshot (%d hosts records, first %d)", errUnknownForm, seq, n, hosts)
 		}
 		return err
 	})
 	if err != nil && v != nil {
-		v.sess.Kill()
+		v.sess.hangUp()
 		return nil, err
 	}
 	return v, err
@@ -654,7 +656,7 @@ func createDurable(name string, m Maintainer, initial []Mutation, cfg ViewConfig
 		m.WALBytes.Add(walBytes)
 	}
 	if err := v.snapshotLocked(); err != nil {
-		v.Kill()
+		v.Close()
 		return fail(err)
 	}
 	return v, nil
@@ -686,6 +688,7 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	var (
 		v       *LiveView
 		snapSeq uint64
+		skipped error // why the last unreadable snapshot was passed over
 		err     error
 	)
 	for _, s := range vf.snaps {
@@ -697,6 +700,7 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 			// An unreadable snapshot falls back to its predecessor; the
 			// WAL base check below catches the case where the log no
 			// longer reaches back that far.
+			skipped = lerr
 			continue
 		}
 		v, snapSeq = lv, s
@@ -733,19 +737,18 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 		w, err = createWAL(cfg.fs, walPath, snapSeq)
 	}
 	if err != nil {
-		v.sess.Kill()
+		v.sess.hangUp()
 		return nil, fmt.Errorf("live: recovering view %q: %w", name, err)
 	}
 	if w.base > snapSeq {
 		w.Close()
-		v.sess.Kill()
-		return nil, fmt.Errorf("live: view %q wal starts at frame %d but the best readable snapshot covers only %d",
-			name, w.base+1, snapSeq)
+		v.sess.hangUp()
+		return nil, errors.Join(fmt.Errorf("live: view %q wal starts at frame %d but the best readable snapshot covers only %d",
+			name, w.base+1, snapSeq), skipped)
 	}
 
 	v.dur = &durableState{
-		dir: dir, wal: w, flushedSeq: w.Seq(), snapSeq: snapSeq,
-		walBytesAtSnap: w.SizeBytes(), replayed: replayed,
+		dir: dir, wal: w, flushedSeq: w.Seq(), walBytesAtSnap: w.SizeBytes(), replayed: replayed,
 	}
 	if mt := cfg.Metrics; mt != nil {
 		mt.RecoveryReplays.Add(replayed)
@@ -757,7 +760,7 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	if v.dur.flushedSeq == snapSeq && loaded {
 		pruneSnapshots(cfg.fs, dir)
 	} else if err := v.snapshotLocked(); err != nil {
-		v.Kill()
+		v.Close()
 		return nil, err
 	}
 	return v, nil

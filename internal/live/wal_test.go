@@ -1,12 +1,16 @@
 package live
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/record"
@@ -47,6 +51,10 @@ func mustComp(t *testing.T, v *LiveView, vertex, want int64) {
 	}
 }
 
+// TestDurableCreateCloseReopen: Close writes no snapshot and rotates
+// nothing, so the next OpenView replays exactly the log frames past the
+// newest snapshot (Create's, at seq 1) and comes back to the solution the
+// view had before the Close.
 func TestDurableCreateCloseReopen(t *testing.T) {
 	dir := t.TempDir()
 	var m metrics.Counters
@@ -57,11 +65,22 @@ func TestDurableCreateCloseReopen(t *testing.T) {
 	if err := v.Mutate(InsertEdge(10, 11)); err != nil {
 		t.Fatal(err)
 	}
+	if err := v.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := distrib.EncodeSolution(v.Snapshot())
+	snaps, err := listSnapshots(filepath.Join(dir, "cc"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if m.WALAppends.Load() != 2 { // initial frame + one mutation batch
 		t.Fatalf("WALAppends = %d, want 2", m.WALAppends.Load())
+	}
+	if after, _ := listSnapshots(filepath.Join(dir, "cc")); !slices.Equal(after, snaps) {
+		t.Fatalf("Close changed the snapshots: %v -> %v", snaps, after)
 	}
 
 	v2, err := OpenView("cc", CC(), nil, durableCfg(dir, &m))
@@ -75,8 +94,11 @@ func TestDurableCreateCloseReopen(t *testing.T) {
 	if !st.Durable {
 		t.Fatal("recovered view not marked durable")
 	}
-	if st.RecoveredFrames != 0 {
-		t.Fatalf("clean shutdown should recover without replay, got %d frames", st.RecoveredFrames)
+	if st.RecoveredFrames != 1 {
+		t.Fatalf("reopen after Close replayed %d frames, want 1 (the frame past the snapshot)", st.RecoveredFrames)
+	}
+	if got := distrib.EncodeSolution(v2.Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("reopen after Close reached a different solution")
 	}
 }
 
@@ -349,9 +371,11 @@ func TestSchedulerRecoverRestoresViews(t *testing.T) {
 }
 
 // TestRecoverMetaWithAutoEngineFlag: a meta.json written by a binary that
-// still had the AutoEngine option carries "auto_engine":true. The field
-// is gone; such a view must keep recovering as the cc view it always was
-// — also under a scheduler that shards its views over workers.
+// still had the AutoEngine option carries "auto_engine":true, a field this
+// binary does not know. Recover rejects the recipe whole, as
+// errUnknownForm, instead of reading the part it knows — also under a
+// scheduler that shards its views over workers — and leaves the view's
+// directory in place.
 func TestRecoverMetaWithAutoEngineFlag(t *testing.T) {
 	for name, workers := range map[string][]string{"plain": nil, "sharded": startWorkers(t, 1)} {
 		t.Run(name, func(t *testing.T) {
@@ -380,11 +404,12 @@ func TestRecoverMetaWithAutoEngineFlag(t *testing.T) {
 			s2 := NewScheduler(SchedulerConfig{DataDir: dir,
 				DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: workers}})
 			defer s2.Close()
-			if n, err := s2.Recover(); err != nil || n != 1 {
-				t.Fatalf("recovered %d views (%v), want 1", n, err)
+			if n, err := s2.Recover(); !errors.Is(err, errUnknownForm) || n != 0 {
+				t.Fatalf("recovered %d views (%v), want 0 and errUnknownForm", n, err)
 			}
-			old, _ := s2.Get("old")
-			mustComp(t, old, 30, 0)
+			if _, err := os.Stat(metaPath); err != nil {
+				t.Fatalf("the rejected view's meta.json is gone: %v", err)
+			}
 		})
 	}
 }

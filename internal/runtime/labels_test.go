@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime/pprof"
 	"testing"
 	"time"
@@ -29,7 +31,8 @@ import (
 // both lanes must show up. Planning samples ({layer=optimizer,
 // op=cost|greedy}) are accepted but not required: planning is about 0.1 %
 // of a fixpoint. So are a live view's control rounds ({layer=live,
-// op=<round>}) and a worker's share of them ({layer=live, op=<verb>}),
+// op=<round>}), a worker's share of them ({layer=live, op=<verb>}) and
+// the API handlers of `spinflow serve` ({layer=http, route=<pattern>}),
 // which a library fixpoint does not run.
 func TestTaskProfileLabels(t *testing.T) {
 	g := graphgen.RMAT("labels", 11, 60_000, 0.57, 0.19, 0.19, 9).WithDiameterTail(20, 0)
@@ -82,8 +85,8 @@ func TestTaskProfileLabels(t *testing.T) {
 					t.Fatalf("merge sampled with labels %v, want only layer and op", l)
 				}
 				merges++
-			} else if !isPlanLabel(l) && !isRoundLabel(l) && !isVerbLabel(l) && (l["op"] != "" || l["layer"] != "") {
-				t.Fatalf("labels %v are neither a runtime task's, the solution merge's, a planner call's, a control round's nor a worker verb's", l)
+			} else if !isPlanLabel(l) && !isRoundLabel(l) && !isVerbLabel(l) && !isHTTPLabel(l) && (l["op"] != "" || l["layer"] != "") {
+				t.Fatalf("labels %v are neither a runtime task's, the solution merge's, a planner call's, a control round's, a worker verb's nor an API handler's", l)
 			}
 		}
 		missing := 0
@@ -133,10 +136,16 @@ func isRoundLabel(l map[string]string) bool {
 func isVerbLabel(l map[string]string) bool {
 	switch l["op"] {
 	case "view_load", "view_apply", "view_replan", "view_gather", "view_seed", "view_step",
-		"view_epoch", "view_query", "view_collect", "view_stats", "view_close":
+		"view_epoch", "view_query", "view_collect", "view_stats":
 		return len(l) == 2 && l["layer"] == "live"
 	}
 	return false
+}
+
+// isHTTPLabel reports whether l is the label set of an API handler of
+// `spinflow serve`, {layer=http, route=<pattern>}.
+func isHTTPLabel(l map[string]string) bool {
+	return len(l) == 2 && l["layer"] == "http" && l["route"] != ""
 }
 
 // TestPlannerProfileLabels profiles a loop of planning calls — CoGroup
@@ -212,7 +221,6 @@ func TestWALProfileLabels(t *testing.T) {
 			t.Skipf("CPU profiler busy: %v", err)
 		}
 		for stop := time.Now().Add(300 * time.Millisecond); time.Now().Before(stop); i++ {
-			// A small vertex range keeps the batch Close drains cheap.
 			if err := v.Mutate(live.InsertEdge(i%64, (i+1)%64)); err != nil {
 				pprof.StopCPUProfile()
 				t.Fatal(err)
@@ -370,6 +378,67 @@ func TestWorkerVerbProfileLabels(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("after %d rounds no sample is labelled {layer=live, op=<verb kind>}", round+1)
+		}
+		prof.Reset()
+	}
+}
+
+// TestHTTPProfileLabels loops queries against the HTTP API of a scheduler
+// serving one CC view and requires CPU samples labelled {layer=http,
+// route=GET /views/{name}/query}; every http-layer sample must carry
+// exactly an API handler's label set.
+func TestHTTPProfileLabels(t *testing.T) {
+	s := live.NewScheduler(live.SchedulerConfig{DefaultView: live.ViewConfig{Config: iterative.Config{Parallelism: 1}}})
+	defer s.Close()
+	var chain []live.Mutation
+	for i := int64(0); i < 64; i++ {
+		chain = append(chain, live.InsertEdge(i, i+1))
+	}
+	if _, err := s.Create("http-labels", live.CC(), chain, nil); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	const route = "GET /views/{name}/query"
+	var prof bytes.Buffer
+	routes := map[string]int{}
+	deadline := time.Now().Add(30 * time.Second)
+	for round, i := 0, 0; ; round++ {
+		if err := pprof.StartCPUProfile(&prof); err != nil {
+			t.Skipf("CPU profiler busy: %v", err)
+		}
+		for stop := time.Now().Add(300 * time.Millisecond); time.Now().Before(stop); i++ {
+			resp, err := http.Get(fmt.Sprintf("%s/views/http-labels/query?key=%d", srv.URL, i%64))
+			if err == nil {
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+			if err != nil {
+				pprof.StopCPUProfile()
+				t.Fatal(err)
+			}
+		}
+		pprof.StopCPUProfile()
+		samples, err := labelledSamples(prof.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range samples {
+			if l["layer"] != "http" {
+				continue
+			}
+			if !isHTTPLabel(l) {
+				t.Fatalf("http sample labelled %v, want exactly {layer=http, route=<pattern>}", l)
+			}
+			routes[l["route"]]++
+		}
+		if routes[route] > 0 {
+			t.Logf("API handler samples after %d rounds: %v", round+1, routes)
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d rounds no sample is labelled {layer=http, route=%s}: %v", round+1, route, routes)
 		}
 		prof.Reset()
 	}
