@@ -551,13 +551,11 @@ func minBComparator(a, b record.Record) int {
 }
 
 var solutionBackendsBench = []struct {
-	name string
-	opts runtime.SolutionOptions
+	name   string
+	budget int64
 }{
-	{"map", runtime.SolutionOptions{Backend: runtime.SolutionMap}},
-	{"compact", runtime.SolutionOptions{Backend: runtime.SolutionCompact}},
-	{"spill", runtime.SolutionOptions{Backend: runtime.SolutionSpill,
-		MemoryBudget: solutionBenchN * record.EncodedSize / 4}},
+	{"compact", 0},
+	{"spill", solutionBenchN * record.EncodedSize / 4},
 }
 
 // BenchmarkSolutionSetMerge measures the steady-state generational merge:
@@ -572,7 +570,7 @@ func BenchmarkSolutionSetMerge(b *testing.B) {
 	}
 	for _, bk := range solutionBackendsBench {
 		b.Run(bk.name, func(b *testing.B) {
-			s := runtime.NewSolutionSetWith(benchParallelism, record.KeyA, minBComparator, nil, bk.opts)
+			s := runtime.NewSolutionSetWith(benchParallelism, record.KeyA, minBComparator, nil, bk.budget)
 			defer s.Reset() // the spill leg's files
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -588,8 +586,7 @@ func BenchmarkSolutionSetMerge(b *testing.B) {
 // BenchmarkSolutionSetLookup measures a cold build plus a full probe
 // sweep: per op, a fresh solution set is loaded with Init and every key is
 // looked up once. The compact backend sizes its slabs from the bulk load
-// and keeps records unboxed, so it allocates far less than the map
-// backend's incremental growth.
+// and keeps records unboxed.
 func BenchmarkSolutionSetLookup(b *testing.B) {
 	recs := solutionBenchRecords()
 	for _, bk := range solutionBackendsBench {
@@ -597,7 +594,7 @@ func BenchmarkSolutionSetLookup(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := runtime.NewSolutionSetWith(benchParallelism, record.KeyA, nil, nil, bk.opts)
+				s := runtime.NewSolutionSetWith(benchParallelism, record.KeyA, nil, nil, bk.budget)
 				s.Init(recs)
 				// Partition-major probing, as partition-pinned workers do.
 				for p := 0; p < benchParallelism; p++ {
@@ -625,16 +622,15 @@ func BenchmarkSolutionSetLookup(b *testing.B) {
 func BenchmarkSolutionSetSpill(b *testing.B) {
 	recs := solutionBenchRecords()
 	variants := []struct {
-		name string
-		opts runtime.SolutionOptions
+		name   string
+		budget int64
 	}{
-		{"compact-unbudgeted", runtime.SolutionOptions{Backend: runtime.SolutionCompact}},
-		{"spill-quarter", runtime.SolutionOptions{Backend: runtime.SolutionSpill,
-			MemoryBudget: solutionBenchN * record.EncodedSize / 4}},
+		{"compact-unbudgeted", 0},
+		{"spill-quarter", solutionBenchN * record.EncodedSize / 4},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			s := runtime.NewSolutionSetWith(benchParallelism, record.KeyA, nil, nil, v.opts)
+			s := runtime.NewSolutionSetWith(benchParallelism, record.KeyA, nil, nil, v.budget)
 			defer s.Reset() // the spill leg's files
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -3,9 +3,9 @@
 // the incremental driver (through RunIncremental and the microstep
 // entry), the Pregel-style engine and the Spark-style engine must all
 // converge to the same Connected Components fixpoints, and the incremental
-// driver to the Dijkstra SSSP distances, at every parallelism, regardless
-// of the solution-set backend (map, compact, or spilled under a memory
-// budget). This is the correctness-first methodology of differential
+// driver to the Dijkstra SSSP distances, at every parallelism, with and
+// without a solution-set memory budget (the compact index, or the same
+// index spilled to disk). This is the correctness-first methodology of differential
 // engine testing: the engines share almost no code on these paths, so
 // agreement on randomized inputs is strong evidence that each one is
 // right.

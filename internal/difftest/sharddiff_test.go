@@ -10,7 +10,6 @@ import (
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/record"
-	"repro/internal/runtime"
 )
 
 // The sharded-serving differential: a LiveView spread over a real worker
@@ -20,8 +19,8 @@ import (
 // stream, taking the same maintenance decisions (the recompute counters
 // must agree). This exercises the distributed monotone candidate rounds,
 // the region-merging bounded recompute and the coordinated full recompute
-// on deletions, the digest checks, and the scatter-gather snapshot, across
-// backends and both algorithms.
+// on deletions, the digest checks, and the scatter-gather snapshot, on
+// two and three hosts and for both algorithms.
 
 // startViewWorkers launches n in-process `spinflow worker` equivalents
 // hosting view sessions, returning their control addresses.
@@ -64,15 +63,8 @@ func sortRecords(recs []record.Record) {
 	}
 }
 
-// shardBackends is the sharded matrix: the spill backend stays local-only
-// (per-host spill files are exercised by the recovery suite instead).
-var shardBackends = []string{"map", "compact"}
-
-func shardViewConfig(backend string, workers []string) live.ViewConfig {
-	cfg := live.ViewConfig{Config: iterative.Config{Parallelism: 4}}
-	cfg.SolutionBackend = runtime.SolutionBackendKind(backend)
-	cfg.Workers = workers
-	return cfg
+func shardViewConfig(workers []string) live.ViewConfig {
+	return live.ViewConfig{Config: iterative.Config{Parallelism: 4}, Workers: workers}
 }
 
 // ssspOracle is Dijkstra over the live graph state.
@@ -87,17 +79,16 @@ func TestLiveShardedStreamCC(t *testing.T) {
 	for i, e := range g.Edges[:half] {
 		initial[i] = live.InsertEdge(e.Src, e.Dst)
 	}
-	for i, bk := range shardBackends {
-		t.Run(bk, func(t *testing.T) {
-			// One backend also runs on three hosts: regions then merge
-			// from more than one remote share.
-			workers := startViewWorkers(t, 1+i)
-			sharded, err := live.NewView("shard-cc-"+bk, live.CC(), initial, shardViewConfig(bk, workers))
+	// On three hosts, regions merge from more than one remote share.
+	for _, hosts := range []int{2, 3} {
+		t.Run(fmt.Sprintf("hosts%d", hosts), func(t *testing.T) {
+			workers := startViewWorkers(t, hosts-1)
+			sharded, err := live.NewView("shard-cc", live.CC(), initial, shardViewConfig(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sharded.Close()
-			single, err := live.NewView("local-cc-"+bk, live.CC(), initial, shardViewConfig(bk, nil))
+			single, err := live.NewView("local-cc", live.CC(), initial, shardViewConfig(nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,83 +162,79 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 	for i, e := range g.Edges[:half] {
 		initial[i] = live.InsertWeightedEdge(e.Src, e.Dst, diffWeight(e.Src, e.Dst))
 	}
-	for _, bk := range shardBackends {
-		t.Run(bk, func(t *testing.T) {
-			workers := startViewWorkers(t, 1)
-			sharded, err := live.NewView("shard-sssp-"+bk, live.SSSP(source), initial, shardViewConfig(bk, workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sharded.Close()
-			single, err := live.NewView("local-sssp-"+bk, live.SSSP(source), initial, shardViewConfig(bk, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer single.Close()
+	workers := startViewWorkers(t, 1)
+	sharded, err := live.NewView("shard-sssp", live.SSSP(source), initial, shardViewConfig(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	single, err := live.NewView("local-sssp", live.SSSP(source), initial, shardViewConfig(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
 
-			model := live.NewGraphState()
-			replay := live.NewGraphState()
-			for _, mu := range initial {
-				model.Apply(mu)
-				replay.Apply(mu)
+	model := live.NewGraphState()
+	replay := live.NewGraphState()
+	for _, mu := range initial {
+		model.Apply(mu)
+		replay.Apply(mu)
+	}
+	rng := &streamRNG{s: 0xD157 ^ uint64(len(g.Edges))<<2}
+	stream := mutationStream(g, rng, 4, 5, model, g.Edges[half:])
+	// Two batches the random draw may miss: a re-weight of a live
+	// edge and a vertex drop. Neither is monotone and SSSP cannot
+	// bound either, so each is one full recompute on both views.
+	edges := model.Graph("model").Edges
+	rw, drop := edges[0], edges[len(edges)-1].Dst
+	if drop == source {
+		drop = edges[len(edges)-1].Src
+	}
+	forced := len(stream)
+	stream = append(stream,
+		[]live.Mutation{live.InsertWeightedEdge(rw.Src, rw.Dst, diffWeight(rw.Src, rw.Dst)+1)},
+		[]live.Mutation{{Op: live.OpDeleteVertex, Src: drop}})
+	for bi, batch := range stream {
+		clean := batch[:0:0]
+		for _, mu := range batch {
+			if mu.Op == live.OpDeleteVertex && mu.Src == source {
+				continue
 			}
-			rng := &streamRNG{s: 0xD157 ^ uint64(len(g.Edges))<<2}
-			stream := mutationStream(g, rng, 4, 5, model, g.Edges[half:])
-			// Two batches the random draw may miss: a re-weight of a live
-			// edge and a vertex drop. Neither is monotone and SSSP cannot
-			// bound either, so each is one full recompute on both views.
-			edges := model.Graph("model").Edges
-			rw, drop := edges[0], edges[len(edges)-1].Dst
-			if drop == source {
-				drop = edges[len(edges)-1].Src
+			clean = append(clean, mu)
+		}
+		for _, mu := range clean {
+			replay.Apply(mu)
+		}
+		for _, v := range []*live.LiveView{sharded, single} {
+			before := v.Stats().FullRecomputes
+			if err := v.Mutate(clean...); err != nil {
+				t.Fatalf("batch %d: %v", bi, err)
 			}
-			forced := len(stream)
-			stream = append(stream,
-				[]live.Mutation{live.InsertWeightedEdge(rw.Src, rw.Dst, diffWeight(rw.Src, rw.Dst)+1)},
-				[]live.Mutation{{Op: live.OpDeleteVertex, Src: drop}})
-			for bi, batch := range stream {
-				clean := batch[:0:0]
-				for _, mu := range batch {
-					if mu.Op == live.OpDeleteVertex && mu.Src == source {
-						continue
-					}
-					clean = append(clean, mu)
-				}
-				for _, mu := range clean {
-					replay.Apply(mu)
-				}
-				for _, v := range []*live.LiveView{sharded, single} {
-					before := v.Stats().FullRecomputes
-					if err := v.Mutate(clean...); err != nil {
-						t.Fatalf("batch %d: %v", bi, err)
-					}
-					if err := v.Flush(); err != nil {
-						t.Fatalf("batch %d flush: %v", bi, err)
-					}
-					if st := v.Stats(); bi >= forced && st.FullRecomputes != before+1 {
-						t.Fatalf("batch %d on %s: FullRecomputes %d -> %d, want one full recompute",
-							bi, v.Name(), before, st.FullRecomputes)
-					}
-				}
-				ctx := fmt.Sprintf("batch %d", bi)
-				snap := sharded.Snapshot()
-				assertSnapshotsIdentical(t, ctx, snap, single.Snapshot())
-				oracle := ssspOracle(replay, source)
-				if len(snap) != len(oracle) {
-					t.Fatalf("%s: reached %d, oracle %d", ctx, len(snap), len(oracle))
-				}
-				for _, r := range snap {
-					if oracle[r.A] != r.X {
-						t.Fatalf("%s: dist(%d) = %v, oracle %v", ctx, r.A, r.X, oracle[r.A])
-					}
-				}
+			if err := v.Flush(); err != nil {
+				t.Fatalf("batch %d flush: %v", bi, err)
 			}
-			ss, ls := sharded.Stats(), single.Stats()
-			if ss.PartialRecomputes != 0 || ls.PartialRecomputes != 0 || ss.FullRecomputes != ls.FullRecomputes {
-				t.Fatalf("recomputes partial/full: sharded %d/%d, single-process %d/%d (SSSP never bounds a removal)",
-					ss.PartialRecomputes, ss.FullRecomputes, ls.PartialRecomputes, ls.FullRecomputes)
+			if st := v.Stats(); bi >= forced && st.FullRecomputes != before+1 {
+				t.Fatalf("batch %d on %s: FullRecomputes %d -> %d, want one full recompute",
+					bi, v.Name(), before, st.FullRecomputes)
 			}
-		})
+		}
+		ctx := fmt.Sprintf("batch %d", bi)
+		snap := sharded.Snapshot()
+		assertSnapshotsIdentical(t, ctx, snap, single.Snapshot())
+		oracle := ssspOracle(replay, source)
+		if len(snap) != len(oracle) {
+			t.Fatalf("%s: reached %d, oracle %d", ctx, len(snap), len(oracle))
+		}
+		for _, r := range snap {
+			if oracle[r.A] != r.X {
+				t.Fatalf("%s: dist(%d) = %v, oracle %v", ctx, r.A, r.X, oracle[r.A])
+			}
+		}
+	}
+	ss, ls := sharded.Stats(), single.Stats()
+	if ss.PartialRecomputes != 0 || ls.PartialRecomputes != 0 || ss.FullRecomputes != ls.FullRecomputes {
+		t.Fatalf("recomputes partial/full: sharded %d/%d, single-process %d/%d (SSSP never bounds a removal)",
+			ss.PartialRecomputes, ss.FullRecomputes, ls.PartialRecomputes, ls.FullRecomputes)
 	}
 }
 
@@ -303,7 +290,7 @@ func TestLiveShardedFoldCrossing(t *testing.T) {
 	var want [][]record.Record
 	var wantStats live.ViewStats
 	for hosts := 1; hosts <= 3; hosts++ {
-		cfg := shardViewConfig("compact", workers[:hosts-1])
+		cfg := shardViewConfig(workers[:hosts-1])
 		cfg.RecomputeFraction = 1 // the inserts merge most of the graph: keep deletes bounded
 		v, err := live.NewView(fmt.Sprintf("fold-%d", hosts), live.CC(), initial, cfg)
 		if err != nil {
@@ -391,7 +378,7 @@ func TestLiveShardedInsertFlushFolds(t *testing.T) {
 	var wantStats live.ViewStats
 	for hosts := 1; hosts <= 3; hosts++ {
 		v, err := live.NewView(fmt.Sprintf("grow-%d", hosts), live.CC(), initial,
-			shardViewConfig("compact", workers[:hosts-1]))
+			shardViewConfig(workers[:hosts-1]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +444,7 @@ func TestLiveShardedKillRecover(t *testing.T) {
 	}
 	workers := startViewWorkers(t, 1)
 	dir := t.TempDir()
-	cfg := shardViewConfig("compact", workers)
+	cfg := shardViewConfig(workers)
 	cfg.Durable = true
 	cfg.DataDir = dir
 
@@ -570,7 +557,7 @@ func TestRecoveryAcrossTopologies(t *testing.T) {
 
 		// The oracle never crashes: its state after the acknowledged prefix
 		// and after the whole stream is what every cell must reproduce.
-		oracle, err := live.NewView("oracle", algo.mk(), initial, shardViewConfig("compact", nil))
+		oracle, err := live.NewView("oracle", algo.mk(), initial, shardViewConfig(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -597,7 +584,7 @@ func TestRecoveryAcrossTopologies(t *testing.T) {
 			for _, hr := range []int{hw, hw%3 + 1, (hw+1)%3 + 1} {
 				spill := algo.name == "cc" && hw == 2 && hr == 3
 				t.Run(fmt.Sprintf("%s/write%d-recover%d", algo.name, hw, hr), func(t *testing.T) {
-					cfg := shardViewConfig("compact", workers[:hw-1])
+					cfg := shardViewConfig(workers[:hw-1])
 					cfg.Durable, cfg.DataDir = true, t.TempDir()
 					cfg.BatchSize = 1 << 30
 					v, err := live.OpenView("topo", algo.mk(), initial, cfg)
@@ -617,7 +604,6 @@ func TestRecoveryAcrossTopologies(t *testing.T) {
 					cfg.Workers = workers[:hr-1]
 					if spill {
 						cfg.Metrics = &m
-						cfg.SolutionBackend = runtime.SolutionSpill
 						cfg.SolutionMemoryBudget = int64(len(wantRecovered)) * record.EncodedSize / 8
 					}
 					v2, err := live.OpenView("topo", algo.mk(), nil, cfg)

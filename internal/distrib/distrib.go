@@ -55,9 +55,6 @@ type JobSpec struct {
 	Hosts       int `json:"hosts"`
 	// BatchSize is the exchange batch size (0 = runtime default).
 	BatchSize int `json:"batch_size,omitempty"`
-	// Backend selects the solution-set index: "map", "compact", or ""
-	// (compact).
-	Backend string `json:"backend,omitempty"`
 	// MaxSupersteps bounds the run (0 = 10000).
 	MaxSupersteps int `json:"max_supersteps,omitempty"`
 	// Reoptimize lets the coordinator re-plan mid-run when the workset

@@ -6,7 +6,6 @@ import (
 	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/record"
-	"repro/internal/runtime"
 )
 
 // RunSingle executes the same deterministic job on the plain
@@ -25,9 +24,6 @@ func RunSingle(js JobSpec) (*Result, error) {
 		Parallelism: js.Parallelism,
 		BatchSize:   js.BatchSize,
 		Metrics:     m,
-	}
-	if js.Backend != "" {
-		cfg.SolutionBackend = runtime.SolutionBackendKind(js.Backend)
 	}
 	res, err := iterative.RunIncremental(spec, s0, w0, cfg)
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 // across processes and single-process, compared byte-for-byte.
 type DistributedCheck struct {
 	Algorithm   string
-	Backend     string
 	Parallelism int
 	Hosts       int
 	Supersteps  int
@@ -128,26 +127,22 @@ func scaled(s graphgen.Scale, n int64) int64 {
 	return v
 }
 
-// distributedJobs is the differential matrix the tentpole's acceptance
-// criteria name: CC and SSSP fixpoints across solution backends
-// {map, compact} × parallelism {2, 4}, each 2-process vs single-process.
+// distributedJobs is the differential matrix: CC and SSSP fixpoints at
+// parallelism {2, 4}, each 2-process vs single-process.
 func distributedJobs(scale graphgen.Scale) []distrib.JobSpec {
 	n := scaled(scale, 240)
 	var jobs []distrib.JobSpec
 	for _, alg := range []string{"cc", "sssp"} {
-		for _, backend := range []string{"map", "compact"} {
-			for _, par := range []int{2, 4} {
-				jobs = append(jobs, distrib.JobSpec{
-					Algorithm:   alg,
-					GraphKind:   "uniform",
-					GraphN:      n,
-					GraphM:      2 * n,
-					Seed:        0xD157 + uint64(par),
-					Source:      1,
-					Parallelism: par,
-					Backend:     backend,
-				})
-			}
+		for _, par := range []int{2, 4} {
+			jobs = append(jobs, distrib.JobSpec{
+				Algorithm:   alg,
+				GraphKind:   "uniform",
+				GraphN:      n,
+				GraphM:      2 * n,
+				Seed:        0xD157 + uint64(par),
+				Source:      1,
+				Parallelism: par,
+			})
 		}
 		// One cell per algorithm with coordinated mid-run re-optimization:
 		// the workset collapse near convergence triggers re-plans, and the
@@ -195,26 +190,26 @@ func Distributed(o Options) (*DistributedResult, error) {
 	defer w.stop()
 
 	o.printf("Distributed mode — 2-process differential (vs single-process bytes)\n")
-	o.printf("  %-11s %-8s %-4s %-6s %-6s %-7s %s\n", "algorithm", "backend", "par", "steps", "epochs", "records", "identical")
+	o.printf("  %-11s %-4s %-6s %-6s %-7s %s\n", "algorithm", "par", "steps", "epochs", "records", "identical")
 	for _, js := range distributedJobs(o.Scale) {
 		single, err := distrib.RunSingle(js)
 		if err != nil {
-			return nil, fmt.Errorf("harness: single-process %s/%s: %w", js.Algorithm, js.Backend, err)
+			return nil, fmt.Errorf("harness: single-process %s: %w", js.Algorithm, err)
 		}
 		dist, err := live.RunJob(js, []string{w.addr}, nil)
 		if err != nil {
-			return nil, fmt.Errorf("harness: distributed %s/%s: %w", js.Algorithm, js.Backend, err)
+			return nil, fmt.Errorf("harness: distributed %s: %w", js.Algorithm, err)
 		}
 		identical := bytes.Equal(distrib.EncodeSolution(dist.Solution), distrib.EncodeSolution(single.Solution))
 		res.AllIdentical = res.AllIdentical && identical
 		res.Checks = append(res.Checks, DistributedCheck{
-			Algorithm: js.Algorithm, Backend: js.Backend, Parallelism: js.Parallelism,
+			Algorithm: js.Algorithm, Parallelism: js.Parallelism,
 			Hosts: 2, Supersteps: dist.Supersteps,
 			Reoptimize: js.Reoptimize, PlanEpochs: dist.PlanEpochs,
 			Records: len(dist.Solution), Identical: identical,
 		})
-		o.printf("  %-11s %-8s %-4d %-6d %-6d %-7d %t\n",
-			js.Algorithm, js.Backend, js.Parallelism, dist.Supersteps, dist.PlanEpochs, len(dist.Solution), identical)
+		o.printf("  %-11s %-4d %-6d %-6d %-7d %t\n",
+			js.Algorithm, js.Parallelism, dist.Supersteps, dist.PlanEpochs, len(dist.Solution), identical)
 	}
 	if !res.AllIdentical {
 		return res, fmt.Errorf("harness: distributed fixpoints diverged from single-process")

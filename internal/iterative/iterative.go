@@ -56,16 +56,13 @@ type Config struct {
 	Metrics *metrics.Counters
 	// CollectTrace records per-iteration statistics.
 	CollectTrace bool
-	// SolutionBackend selects the solution-set index implementation for
-	// incremental/microstep iterations: runtime.SolutionCompact (the
-	// default), runtime.SolutionMap (the boxed baseline), or
-	// runtime.SolutionSpill (out-of-core under SolutionMemoryBudget).
-	SolutionBackend runtime.SolutionBackendKind
-	// SolutionMemoryBudget bounds the resident bytes of the solution set
-	// (serialized-form estimate). A positive budget selects the spillable
-	// backend: cold partitions are evicted to disk through the batch codec
-	// and reloaded on access, with SolutionSpills/SolutionReloads counting
-	// the traffic (§4.3's gradual spilling applied to iteration state).
+	// SolutionMemoryBudget bounds the resident bytes of an incremental
+	// iteration's solution set (serialized-form estimate). Zero keeps it
+	// in the compact in-memory index. A positive budget makes that index
+	// spillable: cold partitions are evicted to disk through the batch
+	// codec and reloaded on access, with SolutionSpills/SolutionReloads
+	// counting the traffic (§4.3's gradual spilling applied to iteration
+	// state).
 	SolutionMemoryBudget int64
 	// Planner selects the plan optimizer. The default (PlannerAuto) plans
 	// the initial run with the cost-based enumerator and mid-run
@@ -165,14 +162,6 @@ func (c Config) noteSwap(step int, start time.Time, what string) {
 		Trace: c.TraceID, Host: int32(c.Host), Part: -1, Step: int32(step),
 		Phase: obs.PhaseSwap, Start: start.UnixNano(), Dur: int64(time.Since(start)),
 		Label: what,
-	})
-}
-
-// newSolutionSet builds the solution set the Config asks for.
-func (c Config) newSolutionSet(key record.KeyFunc, cmp record.Comparator) *runtime.SolutionSet {
-	return runtime.NewSolutionSetWith(c.Parallelism, key, cmp, c.Metrics, runtime.SolutionOptions{
-		Backend:      c.SolutionBackend,
-		MemoryBudget: c.SolutionMemoryBudget,
 	})
 }
 

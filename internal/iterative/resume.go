@@ -129,7 +129,7 @@ func OpenFixpointOn(spec IncrementalSpec, sol *runtime.SolutionSet, cfg Config,
 			sol.Parallelism(), cfg.Parallelism)
 	}
 	if sol == nil {
-		sol = cfg.newSolutionSet(spec.SolutionKey, spec.Comparator)
+		sol = runtime.NewSolutionSetWith(cfg.Parallelism, spec.SolutionKey, spec.Comparator, cfg.Metrics, cfg.SolutionMemoryBudget)
 	}
 	f := &Fixpoint{spec: spec, cfg: cfg,
 		reopt: newReoptState(phys, spec.Workset.EstRecords)}

@@ -27,8 +27,7 @@ var resumeBackends = []struct {
 	name string
 	cfg  func(iterative.Config) iterative.Config
 }{
-	{"map", func(c iterative.Config) iterative.Config { c.SolutionBackend = runtime.SolutionMap; return c }},
-	{"compact", func(c iterative.Config) iterative.Config { c.SolutionBackend = runtime.SolutionCompact; return c }},
+	{"compact", func(c iterative.Config) iterative.Config { return c }},
 	{"spill", func(c iterative.Config) iterative.Config { c.SolutionMemoryBudget = 16 * record.EncodedSize; return c }},
 }
 

@@ -996,3 +996,54 @@ func TestRotateDirSyncFaultLosesNoAck(t *testing.T) {
 		t.Fatalf("recovery lost acknowledged mutations: %d batches acknowledged, recovered %v", len(acked), got.Snapshot())
 	}
 }
+
+// TestCleanRestartWritesNothing: recovery replays the frames past the
+// newest snapshot and leaves them in the log for the next snapshot to fold
+// in, so a clean restart with a replayed tail creates, renames and fsyncs
+// nothing; the next open replays the same frames again.
+func TestCleanRestartWritesNothing(t *testing.T) {
+	const dataDir = "/data"
+	mem := newMemFS(dataDir)
+	cfg := SchedulerConfig{
+		DataDir:     dataDir,
+		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem},
+		Log:         log.New(io.Discard, "", 0),
+	}
+	s := NewScheduler(cfg)
+	v, err := s.Create("cc", CC(), []Mutation{InsertEdge(0, 1)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 3; i++ {
+		if err := v.Mutate(InsertEdge(i, i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mem.settle(mem.root)
+
+	for restart := 1; restart <= 2; restart++ {
+		var calls []string
+		mem.afterCall = func() { calls = append(calls, mem.last) }
+		syncs := mem.syncs
+		s := NewScheduler(cfg)
+		if n, err := s.Recover(); err != nil || n != 1 {
+			t.Fatalf("restart %d: recovered %d views (%v), want 1", restart, n, err)
+		}
+		got, _ := s.Get("cc")
+		if r := got.Stats().RecoveredFrames; r != 3 {
+			t.Fatalf("restart %d replayed %d frames, want the 3 past the base snapshot", restart, r)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(calls) != 0 || mem.syncs != syncs {
+			t.Fatalf("restart %d wrote to the file system: %d fsyncs, calls %q", restart, mem.syncs-syncs, calls)
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/record"
-	"repro/internal/runtime"
 )
 
 // jobMaintainer is the maintainer behind a one-shot job session. Its spec
@@ -87,10 +86,9 @@ func RunJob(js distrib.JobSpec, workerAddrs []string, reg *obs.Registry) (*distr
 	before := work.Snapshot()
 	cfg := ViewConfig{Workers: workerAddrs}
 	cfg.Config = iterative.Config{
-		Parallelism:     js.Parallelism,
-		BatchSize:       js.BatchSize,
-		Metrics:         work,
-		SolutionBackend: runtime.SolutionBackendKind(js.Backend),
+		Parallelism: js.Parallelism,
+		BatchSize:   js.BatchSize,
+		Metrics:     work,
 	}
 	if reg != nil {
 		cfg.Obs, cfg.TraceID, cfg.TraceLabel = reg, obs.TraceID(js.TraceID), js.Algorithm

@@ -88,20 +88,17 @@ func TestJobMatchesSingleProcess(t *testing.T) {
 		{Algorithm: "cc", GraphKind: "uniform", GraphN: 80, GraphM: 160, Seed: 0xD157, Parallelism: 4},
 		{Algorithm: "cc-cogroup", GraphKind: "uniform", GraphN: 60, GraphM: 100, Seed: 0xD158, Parallelism: 2},
 		{Algorithm: "sssp", GraphKind: "uniform", GraphN: 70, GraphM: 180, Seed: 0xD159, Parallelism: 4, Source: 3},
-		{Algorithm: "cc", GraphKind: "pa", GraphN: 90, GraphM: 270, Seed: 0xD15A, Parallelism: 4, Backend: "map"},
+		{Algorithm: "cc", GraphKind: "pa", GraphN: 90, GraphM: 270, Seed: 0xD15A, Parallelism: 4},
 	}
-	// The matrix `spinflow distributed` prints: algorithm × backend ×
-	// parallelism.
+	// The matrix `spinflow distributed` prints: algorithm × parallelism.
 	for _, alg := range []string{"cc", "cc-cogroup", "sssp"} {
-		for _, backend := range []string{"map", "compact"} {
-			for _, par := range []int{2, 4} {
-				jobs = append(jobs, distrib.JobSpec{Algorithm: alg, GraphKind: "uniform", GraphN: 72, GraphM: 144,
-					Seed: 0xD157 + uint64(par), Source: 1, Parallelism: par, Backend: backend})
-			}
+		for _, par := range []int{2, 4} {
+			jobs = append(jobs, distrib.JobSpec{Algorithm: alg, GraphKind: "uniform", GraphN: 72, GraphM: 144,
+				Seed: 0xD157 + uint64(par), Source: 1, Parallelism: par})
 		}
 	}
 	for _, js := range jobs {
-		name := fmt.Sprintf("%s-%s-%s-par%d", js.Algorithm, js.GraphKind, js.Backend, js.Parallelism)
+		name := fmt.Sprintf("%s-%s%d-par%d", js.Algorithm, js.GraphKind, js.GraphN, js.Parallelism)
 		t.Run(name, func(t *testing.T) {
 			got := assertJobMatchesOracle(t, name, js, startWorkers(t, 1))
 			if got.Supersteps < 2 {
@@ -696,6 +693,32 @@ func TestRegistryCountsEverySession(t *testing.T) {
 	}
 	if got := creg.Counters().Snapshot().UDFInvocations; got != sum {
 		t.Fatalf("coordinator registry holds %d UDF calls, the jobs' own deltas sum to %d", got, sum)
+	}
+}
+
+// TestCleanCloseCountsNoTransportErrors: a sharded view's Close is a
+// hang-up, not a fault. The worker tears its data plane down first, so the
+// coordinator reads EOF on every data connection while its own transport
+// is still open; none of that may count as a transport error, on either
+// side.
+func TestCleanCloseCountsNoTransportErrors(t *testing.T) {
+	creg, wreg := obs.NewRegistry(), obs.NewRegistry()
+	workers := startWorkers(t, 1, wreg)
+	cfg := ViewConfig{Config: iterative.Config{Parallelism: 2, Metrics: creg.Counters(), Obs: creg}, Workers: workers}
+	for i := range 20 {
+		v, err := NewView(fmt.Sprintf("v%d", i), CC(), ringEdges(10), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := creg.Counters().Snapshot().TransportErrors; n != 0 {
+		t.Fatalf("the coordinator counted %d transport errors over 20 clean closes", n)
+	}
+	if n := wreg.Counters().Snapshot().TransportErrors; n != 0 {
+		t.Fatalf("the worker counted %d transport errors over 20 clean closes", n)
 	}
 }
 

@@ -7,8 +7,8 @@
 // of a still-running job — so absorbing new input does not require
 // recomputation, only a small working-set delta and a warm restart of the
 // same fixpoint loop. A LiveView packages this: it holds the converged
-// runtime.SolutionSet (any backend: map, compact, or spilled under a
-// memory budget), a persistent partition-pinned execution session
+// runtime.SolutionSet (in memory, or spilled under a memory budget), a
+// persistent partition-pinned execution session
 // (iterative.Fixpoint), and the mutable graph, and translates streamed
 // mutations into workset deltas:
 //
@@ -125,8 +125,8 @@ func InsertWeightedEdge(src, dst int64, w float64) Mutation {
 func DeleteEdge(src, dst int64) Mutation { return Mutation{Op: OpDeleteEdge, Src: src, Dst: dst} }
 
 // ViewConfig configures one live view. The embedded iterative.Config
-// selects parallelism, metrics, and the solution-set backend (including
-// SolutionMemoryBudget for out-of-core views).
+// selects parallelism, metrics, and the solution-set memory budget
+// (SolutionMemoryBudget, for out-of-core views).
 type ViewConfig struct {
 	iterative.Config
 	// BatchSize is the number of buffered mutations that triggers an

@@ -10,7 +10,6 @@ import (
 	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/record"
-	"repro/internal/runtime"
 )
 
 // assertCC compares the view's snapshot against the union-find oracle
@@ -613,21 +612,20 @@ func TestLiveViewConcurrentQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLiveViewAcrossBackends repeats an insert+delete stream over every
-// solution backend; results must be identical.
+// TestLiveViewAcrossBackends repeats an insert+delete stream with and
+// without a solution-set memory budget; results must be identical.
 func TestLiveViewAcrossBackends(t *testing.T) {
 	backends := []struct {
-		name string
-		cfg  func(iterative.Config) iterative.Config
+		name   string
+		budget int64
 	}{
-		{"map", func(c iterative.Config) iterative.Config { c.SolutionBackend = runtime.SolutionMap; return c }},
-		{"compact", func(c iterative.Config) iterative.Config { c.SolutionBackend = runtime.SolutionCompact; return c }},
-		{"spill", func(c iterative.Config) iterative.Config { c.SolutionMemoryBudget = 8 * record.EncodedSize; return c }},
+		{"compact", 0},
+		{"spill", 8 * record.EncodedSize},
 	}
 	for _, bk := range backends {
 		t.Run(bk.name, func(t *testing.T) {
 			v, err := NewView("cc", CC(), ringEdges(12), ViewConfig{
-				Config:            bk.cfg(iterative.Config{Parallelism: 4}),
+				Config:            iterative.Config{Parallelism: 4, SolutionMemoryBudget: bk.budget},
 				RecomputeFraction: 1.0,
 			})
 			if err != nil {

@@ -146,8 +146,8 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 	}
 	spec := shardSpec{
 		recipe: r, Name: v.name, Hosts: cfg.Hosts, ExchangeBatch: cfg.BatchSize,
-		Backend: string(cfg.SolutionBackend), Planner: int(cfg.Planner),
-		DisableFusion: cfg.DisableFusion, TraceID: uint64(cfg.TraceID), TraceLabel: cfg.TraceLabel,
+		Planner: int(cfg.Planner), DisableFusion: cfg.DisableFusion,
+		TraceID: uint64(cfg.TraceID), TraceLabel: cfg.TraceLabel,
 	}
 	if cfg.Obs != nil {
 		s.rtt = cfg.Obs.Histogram("distrib_step_rtt")

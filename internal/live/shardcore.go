@@ -84,7 +84,6 @@ type shardSpec struct {
 	Name          string `json:"name"`
 	Hosts         int    `json:"hosts"`
 	ExchangeBatch int    `json:"exchange_batch,omitempty"`
-	Backend       string `json:"backend,omitempty"`
 	Planner       int    `json:"planner,omitempty"`
 	DisableFusion bool   `json:"disable_fusion,omitempty"`
 	TraceID       uint64 `json:"trace_id,omitempty"`
@@ -300,7 +299,6 @@ func specFor(ss shardSpec, hostID int, reg *obs.Registry) iterative.Config {
 		Hosts:                ss.Hosts,
 		Host:                 hostID,
 		Metrics:              mtr,
-		SolutionBackend:      runtime.SolutionBackendKind(ss.Backend),
 		SolutionMemoryBudget: ss.SolutionMemoryBudget,
 		Planner:              optimizer.PlannerKind(ss.Planner),
 		DisableFusion:        ss.DisableFusion,
@@ -335,7 +333,7 @@ func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
 	}
 	c.hosted = c.place.HostedBy(c.host)
 	c.sol = runtime.NewSolutionSetWith(cfg.Parallelism, spec.SolutionKey, spec.Comparator, c.mtr,
-		runtime.SolutionOptions{Backend: cfg.SolutionBackend, MemoryBudget: cfg.SolutionMemoryBudget})
+		cfg.SolutionMemoryBudget)
 	var tr runtime.Transport
 	if cfg.Hosts > 1 {
 		c.tr = runtime.NewTCPTransport(c.host, c.place, phys.NumEdges, c.mtr)

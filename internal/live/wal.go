@@ -34,11 +34,15 @@ import (
 // (checkpoint.go's section writer), the two newest snapshots are kept, and
 // the log rotates. OpenView recovers: the newest readable snapshot streams
 // into a fresh session, the log tail beyond it replays through the
-// ordinary maintenance path, a torn tail is truncated, and a fresh
-// snapshot folds the result in. Stopping is a crash too (crash-only):
+// ordinary maintenance path, and a torn tail is truncated. Recovery writes
+// no snapshot: the replayed frames count toward the cadence above as if
+// they had been flushed since the loaded snapshot, so the next snapshot
+// comes when it would have without the restart. Only a recovery that
+// passed over an unreadable snapshot writes one, so the two kept
+// snapshots are readable again. Stopping is a crash too (crash-only):
 // LiveView.Close writes nothing, so a clean restart replays the frames
-// past the newest snapshot like any other, and the cadence above bounds
-// that replay.
+// past the newest snapshot like any other, and the cadence bounds that
+// replay.
 //
 // Every file-system call goes through fsys (fsys.go). Beside Mutate's and
 // a truncated torn tail's, these are all the fsyncs: a whole file
@@ -143,9 +147,10 @@ func createWAL(fs fsys, path string, base uint64) (*wal, error) {
 
 // openWAL opens a log for appends — every log, fresh, rotated or
 // recovered — validating it on the way: each intact frame invokes replay
-// (in seq order), and the first torn or corrupt frame truncates the file at
-// the end of the valid prefix. A replay error aborts the open.
-func openWAL(fs fsys, path string, replay func(seq uint64, b record.Batch) error) (*wal, error) {
+// (in seq order, with the file offset just past the frame), and the first
+// torn or corrupt frame truncates the file at the end of the valid prefix.
+// A replay error aborts the open.
+func openWAL(fs fsys, path string, replay func(seq uint64, end int64, b record.Batch) error) (*wal, error) {
 	f, err := fs.OpenAppend(path)
 	if err != nil {
 		return nil, err
@@ -182,7 +187,7 @@ func openWAL(fs fsys, path string, replay func(seq uint64, b record.Batch) error
 		}
 		w.seq++
 		if replay != nil {
-			if err := replay(w.seq, b); err != nil {
+			if err := replay(w.seq, walHeaderSize+fr.ValidOffset(), b); err != nil {
 				return fail(err)
 			}
 		}
@@ -588,9 +593,9 @@ func validateViewName(name string) error {
 // NewView. With durability, the view owns DataDir/<name>: when that
 // directory already holds a log or snapshot, the view is *recovered* —
 // the latest valid snapshot is loaded, the WAL tail beyond it is
-// replayed through the ordinary maintenance path, torn tails are
-// truncated at the last valid frame, and the log is rotated behind a
-// fresh snapshot; `initial` is ignored (the durable history wins).
+// replayed through the ordinary maintenance path and stays in the log
+// for the next periodic snapshot, and torn tails are truncated at the
+// last valid frame; `initial` is ignored (the durable history wins).
 // Otherwise the view is created fresh: the initial mutations become the
 // log's first frame, the cold fixpoint runs, and a base snapshot is
 // written, so a crash at any later point recovers every acknowledged
@@ -716,9 +721,11 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	}
 
 	var replayed int64
+	atSnap := int64(walHeaderSize) // the log's size just past frame snapSeq
 	walPath := filepath.Join(dir, walFileName)
-	w, err := openWAL(cfg.fs, walPath, func(seq uint64, b record.Batch) error {
+	w, err := openWAL(cfg.fs, walPath, func(seq uint64, end int64, b record.Batch) error {
 		if seq <= snapSeq {
+			atSnap = end
 			return nil // already folded into the snapshot
 		}
 		muts, err := recordsToMutations(b)
@@ -748,16 +755,17 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	}
 
 	v.dur = &durableState{
-		dir: dir, wal: w, flushedSeq: w.Seq(), walBytesAtSnap: w.SizeBytes(), replayed: replayed,
+		dir: dir, wal: w, flushedSeq: w.Seq(), replayed: replayed,
+		flushesSinceSnap: int(replayed), walBytesAtSnap: atSnap,
 	}
 	if mt := cfg.Metrics; mt != nil {
 		mt.RecoveryReplays.Add(replayed)
 	}
-	// Fold the recovered state into a fresh snapshot so the next recovery
-	// starts here, and so the (possibly truncated) log can rotate. When
-	// nothing was replayed the newest snapshot covers flushedSeq already;
-	// only the prune a crash may have cut short is left.
-	if v.dur.flushedSeq == snapSeq && loaded {
+	// The replayed tail stays in the log for the next snapshot to fold in.
+	// Only a recovery that passed over an unreadable snapshot writes one
+	// now, so the fallback pair is two readable files again; otherwise the
+	// prune a crash may have cut short is all that is left.
+	if skipped == nil {
 		pruneSnapshots(cfg.fs, dir)
 	} else if err := v.snapshotLocked(); err != nil {
 		v.Close()

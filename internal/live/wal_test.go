@@ -183,15 +183,21 @@ func TestRecoveryTruncatesTornTailToAckedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The torn bytes must be gone from disk: a rescan sees only whole
-	// frames (Close rotated the log, so it is fresh).
+	// The torn bytes must be gone from disk: the log ends right after the
+	// intact frame, which stays there (neither recovery nor Close writes a
+	// snapshot to fold it into).
+	fi, err = os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, err := openWAL(osFS{}, walPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	if w.base != w.seq {
-		t.Fatalf("rotated log should be empty, has frames %d..%d", w.base+1, w.seq)
+	if w.size != fi.Size() || w.seq != w.base+1 {
+		t.Fatalf("log holds frames %d..%d in %d of its %d bytes, want the one intact frame and nothing after it",
+			w.base+1, w.seq, w.size, fi.Size())
 	}
 }
 

@@ -101,7 +101,9 @@ type Counters struct {
 	// WALBytes counts bytes appended to live-view write-ahead logs.
 	WALBytes atomic.Int64
 	// SnapshotsWritten counts streaming solution-set snapshots persisted
-	// by durable live views (periodic, shutdown, and post-recovery).
+	// by durable live views: a new view's base snapshot, the periodic
+	// cadence, explicit checkpoints, and a recovery that passed over an
+	// unreadable snapshot.
 	SnapshotsWritten atomic.Int64
 	// RecoveryReplays counts WAL frames replayed through the maintenance
 	// path while recovering durable live views after a crash.

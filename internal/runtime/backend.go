@@ -41,96 +41,6 @@ type SolutionBackend interface {
 	Bytes() int64
 }
 
-// SolutionBackendKind names a SolutionBackend implementation. The zero
-// value resolves to SolutionCompact (or SolutionSpill when a memory budget
-// is set).
-type SolutionBackendKind string
-
-// The available solution-set backends.
-const (
-	// SolutionMap is the boxed Go-map backend (the original
-	// implementation, kept as the differential baseline).
-	SolutionMap SolutionBackendKind = "map"
-	// SolutionCompact is the open-addressing index over flat record slabs:
-	// no per-entry map boxing, linear-probe lookups, slab reuse across
-	// generations via Reset.
-	SolutionCompact SolutionBackendKind = "compact"
-	// SolutionSpill wraps the compact index with a memory budget: cold
-	// partitions are evicted to disk in record.EncodeBatch form and
-	// reloaded on access (§4.3's gradual spilling, applied to the solution
-	// set).
-	SolutionSpill SolutionBackendKind = "spill"
-)
-
-// SolutionOptions selects and configures a solution-set backend.
-type SolutionOptions struct {
-	// Backend picks the implementation (default: compact; spill when
-	// MemoryBudget is set).
-	Backend SolutionBackendKind
-	// MemoryBudget bounds the resident bytes of the solution set
-	// (serialized-form estimate). A positive budget implies the spill
-	// backend. The budget is best-effort: the partition currently being
-	// accessed always stays resident.
-	MemoryBudget int64
-}
-
-// --- map backend ---------------------------------------------------------
-
-// mapBackend stores each partition as a plain Go map — one boxed hash
-// entry per record. It is the seed implementation, retained as the
-// reference the compact and spill backends are differential-tested
-// against.
-type mapBackend struct {
-	parts []map[int64]record.Record
-	bytes atomic.Int64
-}
-
-func newMapBackend(parallelism int) *mapBackend {
-	b := &mapBackend{parts: make([]map[int64]record.Record, parallelism)}
-	for i := range b.parts {
-		b.parts[i] = make(map[int64]record.Record)
-	}
-	return b
-}
-
-func (b *mapBackend) Lookup(part int, k int64) (record.Record, bool) {
-	r, ok := b.parts[part][k]
-	return r, ok
-}
-
-func (b *mapBackend) Store(part int, k int64, r record.Record) {
-	if _, exists := b.parts[part][k]; !exists {
-		b.bytes.Add(record.EncodedSize)
-	}
-	b.parts[part][k] = r
-}
-
-func (b *mapBackend) Delete(part int, k int64) bool {
-	if _, exists := b.parts[part][k]; !exists {
-		return false
-	}
-	delete(b.parts[part], k)
-	b.bytes.Add(-record.EncodedSize)
-	return true
-}
-
-func (b *mapBackend) Len(part int) int { return len(b.parts[part]) }
-
-func (b *mapBackend) Each(part int, f func(record.Record)) {
-	for _, r := range b.parts[part] {
-		f(r)
-	}
-}
-
-func (b *mapBackend) Reset() {
-	for i := range b.parts {
-		clear(b.parts[i])
-	}
-	b.bytes.Store(0)
-}
-
-func (b *mapBackend) Bytes() int64 { return b.bytes.Load() }
-
 // --- compact backend -----------------------------------------------------
 
 // compactIndex is one partition of the compact backend: a probeIndex over
@@ -273,7 +183,7 @@ type spillPart struct {
 // record.EncodeBatch form. All methods take one internal mutex: residency
 // accounting and cross-partition eviction are inherently global, and the
 // out-of-core backend trades lock granularity for bounded memory. (The
-// in-memory backends keep the lock-free-per-partition fast path.)
+// compact backend keeps the lock-free-per-partition fast path.)
 type spillBackend struct {
 	mu       sync.Mutex
 	key      record.KeyFunc
@@ -473,23 +383,14 @@ func (b *spillBackend) Bytes() int64 {
 	return b.resident
 }
 
-// newSolutionBackend resolves SolutionOptions to a backend instance. A
-// positive MemoryBudget always selects the spill backend — the budget is
-// the contract the caller configured, so it is never silently dropped,
-// even when Backend names an in-memory kind. Unknown kinds resolve to the
-// compact default.
-func newSolutionBackend(parallelism int, key record.KeyFunc, m *metrics.Counters, opts SolutionOptions) SolutionBackend {
-	if opts.MemoryBudget > 0 {
-		return newSpillBackend(parallelism, key, opts.MemoryBudget, m)
+// newSolutionBackend picks the store from the memory budget: the compact
+// index when there is none, the spillable index when budget > 0 (§4.3's
+// gradual spilling applied to the solution set). The budget is
+// best-effort: the partition currently being accessed always stays
+// resident.
+func newSolutionBackend(parallelism int, key record.KeyFunc, m *metrics.Counters, budget int64) SolutionBackend {
+	if budget > 0 {
+		return newSpillBackend(parallelism, key, budget, m)
 	}
-	switch opts.Backend {
-	case SolutionMap:
-		return newMapBackend(parallelism)
-	case SolutionSpill:
-		// Spill backend without a budget: effectively unlimited, never
-		// evicts, but keeps the spill code path live.
-		return newSpillBackend(parallelism, key, 1<<62, m)
-	default:
-		return newCompactBackend(parallelism)
-	}
+	return newCompactBackend(parallelism)
 }

@@ -31,9 +31,10 @@ import (
 // both lanes must show up. Planning samples ({layer=optimizer,
 // op=cost|greedy}) are accepted but not required: planning is about 0.1 %
 // of a fixpoint. So are a live view's control rounds ({layer=live,
-// op=<round>}), a worker's share of them ({layer=live, op=<verb>}) and
-// the API handlers of `spinflow serve` ({layer=http, route=<pattern>}),
-// which a library fixpoint does not run.
+// op=<round>}), a worker's share of them ({layer=live, op=<verb>}), the
+// API handlers of `spinflow serve` ({layer=http, route=<pattern>}) and
+// the TCP transport's read loops ({layer=transport, op=read}), which a
+// library fixpoint does not run.
 func TestTaskProfileLabels(t *testing.T) {
 	g := graphgen.RMAT("labels", 11, 60_000, 0.57, 0.19, 0.19, 9).WithDiameterTail(20, 0)
 	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
@@ -85,8 +86,8 @@ func TestTaskProfileLabels(t *testing.T) {
 					t.Fatalf("merge sampled with labels %v, want only layer and op", l)
 				}
 				merges++
-			} else if !isPlanLabel(l) && !isRoundLabel(l) && !isVerbLabel(l) && !isHTTPLabel(l) && (l["op"] != "" || l["layer"] != "") {
-				t.Fatalf("labels %v are neither a runtime task's, the solution merge's, a planner call's, a control round's, a worker verb's nor an API handler's", l)
+			} else if !isPlanLabel(l) && !isRoundLabel(l) && !isVerbLabel(l) && !isHTTPLabel(l) && !isTransportLabel(l) && (l["op"] != "" || l["layer"] != "") {
+				t.Fatalf("labels %v are neither a runtime task's, the solution merge's, a planner call's, a control round's, a worker verb's, an API handler's nor a transport read loop's", l)
 			}
 		}
 		missing := 0
@@ -146,6 +147,12 @@ func isVerbLabel(l map[string]string) bool {
 // `spinflow serve`, {layer=http, route=<pattern>}.
 func isHTTPLabel(l map[string]string) bool {
 	return len(l) == 2 && l["layer"] == "http" && l["route"] != ""
+}
+
+// isTransportLabel reports whether l is the label set of the TCP
+// transport's inbound goroutines, {layer=transport, op=read}.
+func isTransportLabel(l map[string]string) bool {
+	return len(l) == 2 && l["layer"] == "transport" && l["op"] == "read"
 }
 
 // TestPlannerProfileLabels profiles a loop of planning calls — CoGroup
@@ -378,6 +385,77 @@ func TestWorkerVerbProfileLabels(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("after %d rounds no sample is labelled {layer=live, op=<verb kind>}", round+1)
+		}
+		prof.Reset()
+	}
+}
+
+// TestTransportProfileLabels loops sharded flushes on a view over one
+// loopback worker, which serves in this process, and requires CPU samples
+// labelled {layer=transport, op=read}: the TCP transport's read loops,
+// decoding and routing inbound batches on both hosts. Every
+// transport-layer sample must carry exactly that label set.
+func TestTransportProfileLabels(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go distrib.ServeWorkerWith(ln, distrib.ServeWorkerOpts{Views: live.NewWorkerHost(nil)})
+	// Cutting a chain in the middle relabels half of it: every flush runs
+	// about n/2 supersteps, each shipping records between the hosts.
+	const n = 256
+	var chain []live.Mutation
+	for i := int64(0); i < n; i++ {
+		chain = append(chain, live.InsertEdge(i, i+1))
+	}
+	v, err := live.NewView("transport-labels", live.CC(), chain, live.ViewConfig{
+		Config:  iterative.Config{Parallelism: 2},
+		Workers: []string{ln.Addr().String()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+
+	var prof bytes.Buffer
+	reads := 0
+	deadline := time.Now().Add(30 * time.Second)
+	for round := 0; ; round++ {
+		if err := pprof.StartCPUProfile(&prof); err != nil {
+			t.Skipf("CPU profiler busy: %v", err)
+		}
+		for stop := time.Now().Add(300 * time.Millisecond); time.Now().Before(stop); {
+			for _, mu := range []live.Mutation{live.DeleteEdge(n/2, n/2+1), live.InsertEdge(n/2, n/2+1)} {
+				if err := v.Mutate(mu); err == nil {
+					err = v.Flush()
+				}
+				if err != nil {
+					pprof.StopCPUProfile()
+					t.Fatal(err)
+				}
+			}
+		}
+		pprof.StopCPUProfile()
+		samples, err := labelledSamples(prof.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range samples {
+			if l["layer"] != "transport" {
+				continue
+			}
+			if !isTransportLabel(l) {
+				t.Fatalf("transport sample labelled %v, want exactly {layer=transport, op=read}", l)
+			}
+			reads++
+		}
+		if reads > 0 {
+			t.Logf("transport samples after %d rounds: %d", round+1, reads)
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d rounds no sample is labelled {layer=transport, op=read}", round+1)
 		}
 		prof.Reset()
 	}

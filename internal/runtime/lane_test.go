@@ -113,33 +113,32 @@ func TestLaneDifferential(t *testing.T) {
 	sssp, ssspS0, ssspW0 := algorithms.SSSPSpec(difftest.UnitWeights(g), 0)
 	pagerank, ranks := algorithms.PageRankSpec(g, 8, algorithms.DefaultDamping, 0)
 
-	backends := []iterative.Config{
-		{SolutionBackend: runtime.SolutionMap},
-		{SolutionBackend: runtime.SolutionCompact},
-		{SolutionMemoryBudget: 2048}, // spill: a few partitions' worth
+	backends := []struct {
+		name   string
+		budget int64
+	}{
+		{"compact", 0},
+		{"spill", 2048}, // a few partitions' worth
 	}
 	type cell struct {
-		job laneJob
-		cfg iterative.Config
+		job     laneJob
+		cfg     iterative.Config
+		backend string
 	}
 	var cells []cell
 	for _, par := range []int{1, 4} {
-		for _, cfg := range backends {
-			cfg.Parallelism = par
+		for _, bk := range backends {
+			cfg := iterative.Config{Parallelism: par, SolutionMemoryBudget: bk.budget}
 			cells = append(cells,
-				cell{incrementalJob("cc-cogroup", ccCoGroup, s0, w0), cfg},
-				cell{incrementalJob("cc-match", ccMatch, s0, w0), cfg},
-				cell{incrementalJob("sssp", sssp, ssspS0, ssspW0), cfg})
+				cell{incrementalJob("cc-cogroup", ccCoGroup, s0, w0), cfg, bk.name},
+				cell{incrementalJob("cc-match", ccMatch, s0, w0), cfg, bk.name},
+				cell{incrementalJob("sssp", sssp, ssspS0, ssspW0), cfg, bk.name})
 		}
 		// Bulk iterations have no solution set: one cell per parallelism.
-		cells = append(cells, cell{bulkJob("pagerank", pagerank, ranks), iterative.Config{Parallelism: par}})
+		cells = append(cells, cell{bulkJob("pagerank", pagerank, ranks), iterative.Config{Parallelism: par}, ""})
 	}
 	for _, c := range cells {
-		backend := string(c.cfg.SolutionBackend)
-		if c.cfg.SolutionMemoryBudget > 0 {
-			backend = "spill"
-		}
-		t.Run(fmt.Sprintf("%s/par=%d/%s", c.job.name, c.cfg.Parallelism, backend), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/par=%d/%s", c.job.name, c.cfg.Parallelism, c.backend), func(t *testing.T) {
 			serial := runOnLane(t, c.job, c.cfg, serialLane)
 			parallel := runOnLane(t, c.job, c.cfg, parallelLane)
 			single := c.cfg.Parallelism == 1

@@ -47,12 +47,12 @@
 // writers close. A standalone combiner task runs the same fold over its
 // drained input.
 //
-// The solution set stores its records through a pluggable SolutionBackend:
-// a compact open-addressing index over flat record slabs by default, the
-// original boxed-map implementation as a differential baseline, and a
-// spillable variant that evicts cold partitions to disk under a memory
-// budget — the §4.3 gradual-spilling rule applied to iteration state, which
-// lets incremental iterations run out-of-core.
+// The solution set stores its records in one of two SolutionBackends,
+// chosen by its memory budget: a compact open-addressing index over flat
+// record slabs when there is no budget, and the same index made spillable,
+// evicting cold partitions to disk, when there is one — the §4.3
+// gradual-spilling rule applied to iteration state, which lets incremental
+// iterations run out-of-core.
 package runtime
 
 import (
@@ -86,18 +86,20 @@ type SolutionSet struct {
 // count, identifying key, and optional comparator (nil = delta always
 // replaces), backed by the default compact index.
 func NewSolutionSet(parallelism int, key record.KeyFunc, cmp record.Comparator, m *metrics.Counters) *SolutionSet {
-	return NewSolutionSetWith(parallelism, key, cmp, m, SolutionOptions{})
+	return NewSolutionSetWith(parallelism, key, cmp, m, 0)
 }
 
-// NewSolutionSetWith is NewSolutionSet with an explicit backend selection
-// (see SolutionOptions): the boxed-map baseline, the compact index, or the
-// spillable index under a memory budget.
-func NewSolutionSetWith(parallelism int, key record.KeyFunc, cmp record.Comparator, m *metrics.Counters, opts SolutionOptions) *SolutionSet {
+// NewSolutionSetWith is NewSolutionSet with a memory budget: budget > 0
+// bounds the resident bytes (serialized-form estimate) and spills cold
+// partitions to disk past it; budget <= 0 keeps every partition in the
+// compact in-memory index. The budget is best-effort: the partition being
+// accessed always stays resident.
+func NewSolutionSetWith(parallelism int, key record.KeyFunc, cmp record.Comparator, m *metrics.Counters, budget int64) *SolutionSet {
 	if parallelism < 1 {
 		parallelism = 1
 	}
 	return &SolutionSet{
-		backend: newSolutionBackend(parallelism, key, m, opts),
+		backend: newSolutionBackend(parallelism, key, m, budget),
 		locks:   make([]sync.Mutex, parallelism),
 		par:     parallelism,
 		key:     key,

@@ -9,13 +9,12 @@ import (
 )
 
 var backendKinds = []struct {
-	name string
-	opts SolutionOptions
+	name   string
+	budget int64
 }{
-	{"map", SolutionOptions{Backend: SolutionMap}},
-	{"compact", SolutionOptions{Backend: SolutionCompact}},
-	{"spill-tight", SolutionOptions{Backend: SolutionSpill, MemoryBudget: 256}},
-	{"spill-roomy", SolutionOptions{Backend: SolutionSpill, MemoryBudget: 1 << 20}},
+	{"compact", 0},
+	{"spill-tight", 256},
+	{"spill-roomy", 1 << 20},
 }
 
 // TestSolutionBackendsAgree drives every backend through the same
@@ -29,7 +28,7 @@ func TestSolutionBackendsAgree(t *testing.T) {
 	}
 	for _, bk := range backendKinds {
 		t.Run(bk.name, func(t *testing.T) {
-			s := NewSolutionSetWith(parts, record.KeyA, nil, nil, bk.opts)
+			s := NewSolutionSetWith(parts, record.KeyA, nil, nil, bk.budget)
 			t.Cleanup(s.Reset)
 			model := make(map[int64]record.Record)
 			for _, r := range recs {
@@ -77,8 +76,7 @@ func TestSolutionSpillSnapshotConsistency(t *testing.T) {
 	var m metrics.Counters
 	// A budget of ~10 records across 4 partitions forces continuous
 	// eviction while the merges run.
-	s := NewSolutionSetWith(4, record.KeyA, cmp, &m,
-		SolutionOptions{MemoryBudget: 10 * record.EncodedSize})
+	s := NewSolutionSetWith(4, record.KeyA, cmp, &m, 10*record.EncodedSize)
 	t.Cleanup(s.Reset)
 	model := make(map[int64]record.Record)
 
@@ -133,8 +131,7 @@ func TestSolutionSpillSnapshotConsistency(t *testing.T) {
 // partition may exceed it transiently).
 func TestSolutionSpillResidencyBounded(t *testing.T) {
 	budget := int64(64 * record.EncodedSize)
-	s := NewSolutionSetWith(8, record.KeyA, nil, nil,
-		SolutionOptions{MemoryBudget: budget})
+	s := NewSolutionSetWith(8, record.KeyA, nil, nil, budget)
 	t.Cleanup(s.Reset)
 	for i := int64(0); i < 4000; i++ {
 		s.Update(record.Record{A: i, B: i})
@@ -156,7 +153,7 @@ func TestSolutionSpillResidencyBounded(t *testing.T) {
 func TestSolutionResetReusesCapacity(t *testing.T) {
 	for _, bk := range backendKinds {
 		t.Run(bk.name, func(t *testing.T) {
-			s := NewSolutionSetWith(2, record.KeyA, nil, nil, bk.opts)
+			s := NewSolutionSetWith(2, record.KeyA, nil, nil, bk.budget)
 			for i := int64(0); i < 300; i++ {
 				s.Update(record.Record{A: i})
 			}
@@ -223,7 +220,7 @@ func TestCompactIndexGrowth(t *testing.T) {
 func TestSolutionBackendsDelete(t *testing.T) {
 	for _, bk := range backendKinds {
 		t.Run(bk.name, func(t *testing.T) {
-			s := NewSolutionSetWith(3, record.KeyA, nil, nil, bk.opts)
+			s := NewSolutionSetWith(3, record.KeyA, nil, nil, bk.budget)
 			t.Cleanup(s.Reset)
 			model := make(map[int64]record.Record)
 			for i := int64(0); i < 400; i++ {
@@ -279,7 +276,7 @@ func TestSolutionForceStoreBypassesComparator(t *testing.T) {
 	}
 	for _, bk := range backendKinds {
 		t.Run(bk.name, func(t *testing.T) {
-			s := NewSolutionSetWith(2, record.KeyA, minB, nil, bk.opts)
+			s := NewSolutionSetWith(2, record.KeyA, minB, nil, bk.budget)
 			s.Update(record.Record{A: 1, B: 5})
 			if s.Update(record.Record{A: 1, B: 9}) {
 				t.Fatal("Update regression was accepted")

@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzSolutionBackend feeds a random insert/update/lookup/delete sequence
-// to all solution backends (including a spill backend under a tiny budget,
-// so evictions interleave with the operations) and checks every
+// to both solution backends (the spill one under a tiny budget, so
+// evictions interleave with the operations) and checks every
 // observation against a model map applying the seed semantics, including
 // comparator arbitration in put and tombstone recycling after deletes.
 // Runs of updates over consecutive keys fill a partition's index into
@@ -35,10 +35,11 @@ func FuzzSolutionBackend(f *testing.F) {
 			}
 		}
 		sets := []*SolutionSet{
-			NewSolutionSetWith(3, record.KeyA, cmp, nil, SolutionOptions{Backend: SolutionMap}),
-			NewSolutionSetWith(3, record.KeyA, cmp, nil, SolutionOptions{Backend: SolutionCompact}),
-			NewSolutionSetWith(3, record.KeyA, cmp, nil,
-				SolutionOptions{Backend: SolutionSpill, MemoryBudget: 8 * record.EncodedSize}),
+			NewSolutionSetWith(3, record.KeyA, cmp, nil, 0),
+			NewSolutionSetWith(3, record.KeyA, cmp, nil, 8*record.EncodedSize),
+		}
+		for _, s := range sets {
+			defer s.Reset() // the spill set's files
 		}
 		model := make(map[int64]record.Record)
 		update := func(r record.Record) {

@@ -9,7 +9,7 @@ import (
 	"repro/internal/record"
 )
 
-// Spill files back the SolutionSpill backend (backend.go): an evicted
+// Spill files back the spill backend (backend.go): an evicted
 // solution-set partition is written to a temporary file as CRC frames
 // (record.AppendFrame) and replayed from disk when it is touched again.
 

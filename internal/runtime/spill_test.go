@@ -58,8 +58,7 @@ func TestLostSpillDropsPartition(t *testing.T) {
 		{"corrupt", "flip", "lookup"},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			s := NewSolutionSetWith(2, record.KeyA, nil, nil,
-				SolutionOptions{Backend: SolutionSpill, MemoryBudget: 4 * record.EncodedSize})
+			s := NewSolutionSetWith(2, record.KeyA, nil, nil, 4*record.EncodedSize)
 			b := s.backend.(*spillBackend)
 			var cold []int64 // keys of partition 0, stored first and so evicted
 			for k := int64(0); len(cold) < 3*spillChunk; k++ {

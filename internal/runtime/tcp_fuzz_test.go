@@ -25,14 +25,17 @@ func tcpMessage(kind byte, edge, part uint32, trace uint64, frame []byte) []byte
 // 1, to the transport's inbound decoder over an in-memory connection.
 // Every input must end with the read loop gone and Err set — the peer
 // hangs up after the bytes, so even a clean stream ends as a lost
-// connection — having delivered only batches for a hosted partition and an
-// in-range edge. A panic or a read loop that never returns fails.
+// connection or, after a bye, a hang-up — having delivered only batches
+// for a hosted partition and an in-range edge. A panic or a read loop
+// that never returns fails.
 func FuzzTCPInbound(f *testing.F) {
 	const edges, trace = 2, 7
 	frame := record.AppendFrame(nil, record.Batch{{A: 1, B: 2}, {A: 3, X: 0.5}})
 	data := tcpMessage(tcpMsgData, 1, 0, trace, frame)
 	eos := tcpMessage(tcpMsgEOS, 0, 0, 0, nil)
+	bye := tcpMessage(tcpMsgBye, 0, 0, 0, nil)
 	f.Add(append(append([]byte(nil), data...), eos...))
+	f.Add(append(append([]byte(nil), data...), bye...))
 	f.Add(data[:len(data)-3])                                // torn frame
 	f.Add(tcpMessage(tcpMsgData, 0, 1, trace, frame))        // partition hosted elsewhere
 	f.Add(tcpMessage(tcpMsgData, edges, 0, trace, frame))    // edge out of range

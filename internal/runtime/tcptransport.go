@@ -2,10 +2,13 @@ package runtime
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,9 +32,15 @@ import (
 // cross-job traffic from a stale peer fails the run instead of silently
 // merging into the wrong fixpoint. Zero means untraced and matches
 // anything.
+//
+// A process that closes its transport says so first (tcpMsgBye), so its
+// peers tell a hang-up from a crash: an EOF with no bye before it is a
+// fault and counts as a TransportError, a bye is not. Either way nothing
+// more comes from that peer, so exchanges waiting on it are closed.
 const (
 	tcpMsgData = 1 // header + one record frame
 	tcpMsgEOS  = 2 // header only: one remote producer of edge finished
+	tcpMsgBye  = 4 // header only: the sender closed its transport (3 was a retired kind)
 
 	tcpHeaderSize = 17
 	tcpTraceOff   = 9 // trace ID offset within the header
@@ -190,8 +199,14 @@ func (t *TCPTransport) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
+// transportLabels mark the transport's inbound goroutines (acceptLoop,
+// readLoop) for the profiler, set once when each starts. The send side
+// runs on the runtime's task goroutines and keeps their labels.
+var transportLabels = pprof.WithLabels(context.Background(), pprof.Labels("layer", "transport", "op", "read"))
+
 func (t *TCPTransport) acceptLoop() {
 	defer t.wg.Done()
+	pprof.SetGoroutineLabels(transportLabels)
 	for {
 		conn, err := t.ln.Accept()
 		if err != nil {
@@ -354,6 +369,7 @@ func (t *TCPTransport) FinishProducer(edgeID int) {
 
 func (t *TCPTransport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
+	pprof.SetGoroutineLabels(transportLabels)
 	br := bufio.NewReaderSize(conn, 64<<10)
 	fr := record.NewFrameReader(br)
 	for {
@@ -362,6 +378,10 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			if !t.closed.Load() {
 				t.fail(fmt.Errorf("runtime: transport connection lost: %w", err))
 			}
+			return
+		}
+		if hdr[0] == tcpMsgBye {
+			t.abort(errors.New("runtime: transport: a peer hung up"))
 			return
 		}
 		edge := int(binary.LittleEndian.Uint32(hdr[1:5]))
@@ -456,18 +476,23 @@ func (t *TCPTransport) disarmAll() {
 	}
 }
 
-// fail records the first transport error, counts it, and force-closes
-// every armed exchange so blocked consumers unblock; the driver sees the
-// error through Err after the superstep returns.
+// fail is abort for a fault: it also counts the error.
 func (t *TCPTransport) fail(err error) {
+	if t.m != nil {
+		t.m.TransportErrors.Add(1)
+	}
+	t.abort(err)
+}
+
+// abort records the first transport error and force-closes every armed
+// exchange so blocked consumers unblock; the driver sees the error through
+// Err after the superstep returns.
+func (t *TCPTransport) abort(err error) {
 	t.mu.Lock()
 	if t.err == nil {
 		t.err = err
 	}
 	t.mu.Unlock()
-	if t.m != nil {
-		t.m.TransportErrors.Add(1)
-	}
 	// Load the inbox set only after recording the error: a concurrent
 	// Rebind either publishes its new set before this load (and it gets
 	// marked here), or re-reads t.err after its store (and marks it
@@ -492,9 +517,10 @@ func (t *TCPTransport) Err() error {
 	return t.err
 }
 
-// Close shuts the transport down: the listener and every peer connection
-// close, and the read loops drain. Peers observing the closed connections
-// fail their own runs (TransportErrors) unless they are shutting down too.
+// Close shuts the transport down: every peer is sent a bye, the listener
+// and every peer connection close, and the read loops drain. A peer reads
+// the bye as a hang-up; one whose session still needs this process fails
+// its run, but counts no TransportError.
 func (t *TCPTransport) Close() {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
@@ -502,9 +528,15 @@ func (t *TCPTransport) Close() {
 	if t.ln != nil {
 		t.ln.Close()
 	}
+	var bye [tcpHeaderSize]byte
+	bye[0] = tcpMsgBye
 	t.mu.Lock()
 	for _, p := range t.peers {
 		if p != nil {
+			p.mu.Lock()
+			p.conn.SetWriteDeadline(time.Now().Add(time.Second))
+			p.conn.Write(bye[:])
+			p.mu.Unlock()
 			p.conn.Close()
 		}
 	}

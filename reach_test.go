@@ -10,7 +10,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
+	"os"
 	"os/exec"
 	"path"
 	"path/filepath"
@@ -24,8 +26,9 @@ import (
 // tests reach cannot accumulate. Methods and struct fields are out of
 // scope (interfaces and reflection reach them in ways a use scan cannot
 // see). It type-checks with the standard library alone: module packages
-// from their parsed files, the standard library through the source
-// importer.
+// from their parsed files, the standard library from the export data the
+// go command builds for it (`go list -export`, served from the build
+// cache once built).
 
 // reachPkg is one package's parsed non-test files.
 type reachPkg struct {
@@ -78,7 +81,7 @@ var reachAllowlist = []struct {
 }
 
 // reachImporter resolves module packages from their parsed files and the
-// standard library from source.
+// standard library from export data.
 type reachImporter struct {
 	fset   *token.FileSet
 	byPath map[string]*reachPkg
@@ -110,24 +113,21 @@ func (im *reachImporter) Import(p string) (*types.Package, error) {
 // declaration (a method's receiver does not count as a use of its type),
 // and every non-test import of support.
 func testOnlyAPI(fset *token.FileSet, pkgs []*reachPkg, root, support string) (reachReport, error) {
-	// The source importer reads build.Default. The standard library is
-	// checked as a cgo-less build: its exported API is the same, and with
-	// cgo on the importer would run `go tool cgo` and a C compiler for
-	// net and os/user (about a fifth of the check's time).
-	saved := build.Default.CgoEnabled
-	build.Default.CgoEnabled = false
-	defer func() { build.Default.CgoEnabled = saved }()
+	var rep reachReport
 	im := &reachImporter{
 		fset:   fset,
 		byPath: map[string]*reachPkg{},
 		done:   map[string]*types.Package{},
 		infos:  map[string]*types.Info{},
-		std:    importer.ForCompiler(fset, "source", nil),
 	}
 	for _, p := range pkgs {
 		im.byPath[p.path] = p
 	}
-	var rep reachReport
+	std, err := stdImporter(fset, pkgs, im.byPath)
+	if err != nil {
+		return rep, err
+	}
+	im.std = std
 	used := map[types.Object]bool{}
 	for _, p := range pkgs {
 		if _, err := im.Import(p.path); err != nil {
@@ -214,6 +214,45 @@ func testOnlyAPI(fset *token.FileSet, pkgs []*reachPkg, root, support string) (r
 	}
 	sort.Slice(rep.findings, func(i, j int) bool { return rep.findings[i].what < rep.findings[j].what })
 	return rep, nil
+}
+
+// stdImporter imports the standard-library packages pkgs use from the
+// export data `go list -export` reports for them (building it into the
+// build cache if it is not there yet); inModule names the module's own
+// packages, which are not asked for.
+func stdImporter(fset *token.FileSet, pkgs []*reachPkg, inModule map[string]*reachPkg) (types.Importer, error) {
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}} {{.Export}}"}
+	seen := map[string]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, imp := range f.Imports {
+				ip := strings.Trim(imp.Path.Value, `"`)
+				if inModule[ip] == nil && !seen[ip] {
+					seen[ip] = true
+					args = append(args, ip)
+				}
+			}
+		}
+	}
+	exports := map[string]string{}
+	if len(seen) > 0 {
+		out, err := exec.Command("go", args...).Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list -export: %w", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			if ip, file, ok := strings.Cut(line, " "); ok && file != "" {
+				exports[ip] = file
+			}
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(ip string) (io.ReadCloser, error) {
+		file, ok := exports[ip]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", ip)
+		}
+		return os.Open(file)
+	}), nil
 }
 
 // loadReachPkgs parses the non-test Go files (build constraints applied)

@@ -59,21 +59,20 @@
 // make the reuse observable. One-shot plans go through Execute, which
 // wraps a single-superstep session.
 //
-// # Solution-set backends and out-of-core iterations
+// # The solution set and out-of-core iterations
 //
-// The solution set of incremental iterations stores records through a
-// pluggable backend selected by Config.SolutionBackend: SolutionCompact
-// (the default) is an open-addressing index over flat record slabs — no
+// The solution set of incremental iterations is one keyed index, chosen
+// by Config.SolutionMemoryBudget (bytes, serialized-form estimate). With
+// no budget it is an open-addressing index over flat record slabs — no
 // per-entry map boxing, linear-probe lookups, slab reuse across
-// generations; SolutionMap is the boxed Go-map baseline; and setting
-// Config.SolutionMemoryBudget (bytes, serialized-form estimate) selects
-// SolutionSpill, which evicts least-recently-used solution partitions to
-// disk through the batch codec and reloads them on access — §4.3's
-// gradual spilling applied to iteration state, so graphs whose converged
-// state exceeds RAM still run to the same fixpoint. The metrics
-// SolutionBytes (resident gauge), SolutionSpills and SolutionReloads make
-// residency observable; results are identical across backends (enforced
-// by the cross-engine differential suite in internal/difftest).
+// generations. With a budget the same index evicts least-recently-used
+// solution partitions to disk through the batch codec and reloads them on
+// access — §4.3's gradual spilling applied to iteration state, so graphs
+// whose converged state exceeds RAM still run to the same fixpoint. The
+// metrics SolutionBytes (resident gauge), SolutionSpills and
+// SolutionReloads make residency observable; results are identical with
+// and without a budget (enforced by the cross-engine differential suite in
+// internal/difftest).
 //
 // # Serving mode: warm restarts and live maintenance
 //
@@ -144,21 +143,6 @@ var (
 	KeyA = record.KeyA
 	// KeyB selects field B.
 	KeyB = record.KeyB
-)
-
-// SolutionBackendKind selects the solution-set storage engine
-// (Config.SolutionBackend).
-type SolutionBackendKind = runtime.SolutionBackendKind
-
-// The available solution-set backends.
-const (
-	// SolutionMap is the boxed Go-map baseline.
-	SolutionMap = runtime.SolutionMap
-	// SolutionCompact is the default compact open-addressing index.
-	SolutionCompact = runtime.SolutionCompact
-	// SolutionSpill spills cold partitions to disk under
-	// Config.SolutionMemoryBudget.
-	SolutionSpill = runtime.SolutionSpill
 )
 
 // NewPlan starts an empty logical plan.
