@@ -209,11 +209,11 @@ func TestCCWorksetDecays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace.NumIterations() < 3 {
-		t.Skipf("graph converged in %d supersteps", res.Trace.NumIterations())
+	if len(res.Trace.Iterations) < 3 {
+		t.Skipf("graph converged in %d supersteps", len(res.Trace.Iterations))
 	}
 	first := res.Trace.Iterations[0].Work.WorksetElements
-	last := res.Trace.Iterations[res.Trace.NumIterations()-1].Work.WorksetElements
+	last := res.Trace.Iterations[len(res.Trace.Iterations)-1].Work.WorksetElements
 	if last*10 > first {
 		t.Errorf("workset did not decay: first=%d last=%d", first, last)
 	}

@@ -90,18 +90,12 @@ func BGDSpec(examples []Example, dims int, lr float64, iterations int) (iterativ
 	grad.Combinable = true
 	grad.EstRecords = int64(dims)
 
-	// Weight update w' = w - lr/n * g. CoGroup keeps dimensions with a
-	// zero gradient alive.
-	update := plan.CoGroupNode("update", weights, grad, record.KeyA, record.KeyA,
-		func(dim int64, ws, gs []record.Record, out dataflow.Emitter) {
-			if len(ws) == 0 {
-				return
-			}
-			w := ws[0].X
-			if len(gs) > 0 {
-				w -= lr / n * gs[0].X
-			}
-			out.Emit(record.Record{A: dim, X: w})
+	// Weight update w' = w - lr/n * g. Every example carries every
+	// dimension, so every dimension has a gradient and a Match keeps all
+	// of them.
+	update := plan.MatchNode("update", weights, grad, record.KeyA, record.KeyA,
+		func(w, g record.Record, out dataflow.Emitter) {
+			out.Emit(record.Record{A: w.A, X: w.X - lr/n*g.X})
 		})
 	update.EstRecords = int64(dims)
 	o := plan.SinkNode("O", update)

@@ -75,7 +75,10 @@ func TCSpec(g *graphgen.Graph) (iterative.IncrementalSpec, []record.Record, []re
 
 // TransitiveClosureReference computes the closure by repeated BFS.
 func TransitiveClosureReference(g *graphgen.Graph) map[[2]int64]bool {
-	adj := g.Adjacency()
+	adj := make([][]int64, g.NumVertices)
+	for _, e := range g.Edges {
+		adj[e.Src] = append(adj[e.Src], e.Dst)
+	}
 	out := make(map[[2]int64]bool)
 	for src := int64(0); src < g.NumVertices; src++ {
 		seen := make(map[int64]bool)

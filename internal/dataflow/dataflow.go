@@ -1,8 +1,8 @@
 // Package dataflow defines the logical dataflow DAG: PACT-style operator
-// contracts (Map, Reduce, Match, Cross, CoGroup, InnerCoGroup — §3 of the
-// paper), data sources and sinks, key selectors per input, and the
-// annotations the optimizer consumes (size estimates, key-constant output
-// contracts).
+// contracts (Map, Reduce, Match, Cross — §3 of the paper — plus Union and
+// the stateful solution-set join and cogroup of §5.3), data sources and
+// sinks, key selectors per input, and the annotations the optimizer
+// consumes (size estimates, key-constant output contracts).
 //
 // A Plan is a pure description; execution strategies (shipping and local
 // strategies) are chosen by the optimizer and realized by the runtime.
@@ -38,11 +38,6 @@ const (
 	MatchOp
 	// CrossOp pairs every record of input 0 with every record of input 1.
 	CrossOp
-	// CoGroupOp groups all records of both inputs per key value.
-	CoGroupOp
-	// InnerCoGroupOp is CoGroup restricted to keys present on both sides
-	// (§5.1, footnote 5).
-	InnerCoGroupOp
 	// UnionOp concatenates its inputs.
 	UnionOp
 
@@ -76,10 +71,6 @@ func (c Contract) String() string {
 		return "Match"
 	case CrossOp:
 		return "Cross"
-	case CoGroupOp:
-		return "CoGroup"
-	case InnerCoGroupOp:
-		return "InnerCoGroup"
 	case UnionOp:
 		return "Union"
 	case IterationInput:
@@ -102,9 +93,6 @@ type (
 	MatchFn func(left, right record.Record, out Emitter)
 	// CrossFn handles one cartesian pair.
 	CrossFn func(left, right record.Record, out Emitter)
-	// CoGroupFn handles the two groups of one key (either may be empty for
-	// CoGroup; both are non-empty for InnerCoGroup).
-	CoGroupFn func(key int64, left, right []record.Record, out Emitter)
 	// SolutionJoinFn handles one working-set record with the solution
 	// entry under the same key; found is false if no entry exists.
 	SolutionJoinFn func(w record.Record, s record.Record, found bool, out Emitter)
@@ -121,7 +109,7 @@ type Node struct {
 	Inputs   []*Node
 
 	// Keys holds the key selector for each input (nil = keyless). For
-	// Reduce, Keys[0] is the grouping key. For Match/CoGroup, Keys[0] and
+	// Reduce, Keys[0] is the grouping key. For Match, Keys[0] and
 	// Keys[1] are the join keys. For SolutionJoin/SolutionCoGroup, Keys[0]
 	// selects the solution-set key from the incoming record.
 	Keys [2]record.KeyFunc
@@ -131,7 +119,6 @@ type Node struct {
 	Reduce     ReduceFn
 	Match      MatchFn
 	Cross      CrossFn
-	CoGroup    CoGroupFn
 	SolJoin    SolutionJoinFn
 	SolCoGroup SolutionCoGroupFn
 
@@ -149,11 +136,8 @@ type Node struct {
 	// over the whole partial group. A call may emit zero or several
 	// records; those become the key's pending records, folded with the
 	// next arrival and passed to the final call (which is skipped when
-	// nothing is pending).
+	// nothing is pending). The combine UDF is the Reduce UDF itself.
 	Combinable bool
-	// Combine is the combiner UDF for a Combinable reduce; nil means the
-	// Reduce UDF itself is used for partial aggregation.
-	Combine ReduceFn
 
 	// Preserves declares, per input, key selectors whose value the UDF
 	// carries unchanged from input record to output record — the paper's
@@ -224,16 +208,6 @@ func (p *Plan) CrossNode(name string, left, right *Node, fn CrossFn) *Node {
 	return p.add(&Node{Name: name, Contract: CrossOp, Inputs: []*Node{left, right}, Cross: fn})
 }
 
-// CoGroupNode adds a CoGroup of left and right on the given keys.
-func (p *Plan) CoGroupNode(name string, left, right *Node, lk, rk record.KeyFunc, fn CoGroupFn) *Node {
-	return p.add(&Node{Name: name, Contract: CoGroupOp, Inputs: []*Node{left, right}, Keys: [2]record.KeyFunc{lk, rk}, CoGroup: fn})
-}
-
-// InnerCoGroupNode adds an InnerCoGroup (groups present on both sides only).
-func (p *Plan) InnerCoGroupNode(name string, left, right *Node, lk, rk record.KeyFunc, fn CoGroupFn) *Node {
-	return p.add(&Node{Name: name, Contract: InnerCoGroupOp, Inputs: []*Node{left, right}, Keys: [2]record.KeyFunc{lk, rk}, CoGroup: fn})
-}
-
 // UnionNode concatenates inputs.
 func (p *Plan) UnionNode(name string, ins ...*Node) *Node {
 	return p.add(&Node{Name: name, Contract: UnionOp, Inputs: ins})
@@ -272,7 +246,7 @@ func arity(c Contract) int {
 		return 0
 	case Sink, MapOp, ReduceOp, SolutionJoin, SolutionCoGroup:
 		return 1
-	case MatchOp, CrossOp, CoGroupOp, InnerCoGroupOp:
+	case MatchOp, CrossOp:
 		return 2
 	case UnionOp:
 		return -1 // any
@@ -326,13 +300,6 @@ func (p *Plan) Validate() error {
 			if n.Cross == nil {
 				return missingUDF(n)
 			}
-		case CoGroupOp, InnerCoGroupOp:
-			if n.CoGroup == nil {
-				return missingUDF(n)
-			}
-			if n.Keys[0] == nil || n.Keys[1] == nil {
-				return missingKey(n, 1)
-			}
 		case SolutionJoin:
 			if n.SolJoin == nil {
 				return missingUDF(n)
@@ -377,12 +344,6 @@ func (n *Node) PreservesKey(i int, id uintptr) bool {
 // Preserve declares preserved key selectors for input i (chainable).
 func (n *Node) Preserve(i int, keys ...record.KeyFunc) *Node {
 	n.Preserves[i] = append(n.Preserves[i], keys...)
-	return n
-}
-
-// WithEst sets the optimizer's output-cardinality hint (chainable).
-func (n *Node) WithEst(est int64) *Node {
-	n.EstRecords = est
 	return n
 }
 

@@ -95,11 +95,7 @@ func TestBinaryOperatorsValidate(t *testing.T) {
 	b := p.SourceOf("b", nil)
 	j := p.MatchNode("join", a, b, record.KeyA, record.KeyB,
 		func(l, r record.Record, out Emitter) { out.Emit(l) })
-	cg := p.CoGroupNode("cg", j, b, record.KeyA, record.KeyA,
-		func(k int64, l, r []record.Record, out Emitter) {})
-	icg := p.InnerCoGroupNode("icg", cg, a, record.KeyA, record.KeyA,
-		func(k int64, l, r []record.Record, out Emitter) {})
-	x := p.CrossNode("x", icg, b, func(l, r record.Record, out Emitter) {})
+	x := p.CrossNode("x", j, b, func(l, r record.Record, out Emitter) {})
 	u := p.UnionNode("u", x, a)
 	p.SinkNode("out", u)
 	if err := p.Validate(); err != nil {
@@ -168,20 +164,7 @@ func TestRecordAtATime(t *testing.T) {
 	if !MapOp.RecordAtATime() || !MatchOp.RecordAtATime() || !SolutionJoin.RecordAtATime() {
 		t.Error("record-at-a-time contracts misclassified")
 	}
-	if ReduceOp.RecordAtATime() || CoGroupOp.RecordAtATime() || SolutionCoGroup.RecordAtATime() {
+	if ReduceOp.RecordAtATime() || SolutionCoGroup.RecordAtATime() {
 		t.Error("group-at-a-time contracts misclassified")
-	}
-}
-
-func TestDOTOutput(t *testing.T) {
-	p := NewPlan()
-	src := p.SourceOf("s", nil)
-	m := p.MapNode("m", src, func(r record.Record, out Emitter) { out.Emit(r) })
-	p.SinkNode("o", m)
-	dot := p.DOT()
-	for _, want := range []string{"digraph plan", "n0 -> n1", "ellipse", "box"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q:\n%s", want, dot)
-		}
 	}
 }

@@ -185,7 +185,10 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 	// Two batches the random draw may miss: a re-weight of a live
 	// edge and a vertex drop. Neither is monotone and SSSP cannot
 	// bound either, so each is one full recompute on both views.
-	edges := model.Graph("model").Edges
+	var edges []live.WEdge
+	for _, v := range model.Vertices() {
+		edges = append(edges, model.IncidentEdges(v)...)
+	}
 	rw, drop := edges[0], edges[len(edges)-1].Dst
 	if drop == source {
 		drop = edges[len(edges)-1].Src
@@ -205,7 +208,7 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 		for _, mu := range clean {
 			replay.Apply(mu)
 		}
-		for _, v := range []*live.LiveView{sharded, single} {
+		for vi, v := range []*live.LiveView{sharded, single} {
 			before := v.Stats().FullRecomputes
 			if err := v.Mutate(clean...); err != nil {
 				t.Fatalf("batch %d: %v", bi, err)
@@ -215,7 +218,7 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 			}
 			if st := v.Stats(); bi >= forced && st.FullRecomputes != before+1 {
 				t.Fatalf("batch %d on %s: FullRecomputes %d -> %d, want one full recompute",
-					bi, v.Name(), before, st.FullRecomputes)
+					bi, []string{"sharded", "single"}[vi], before, st.FullRecomputes)
 			}
 		}
 		ctx := fmt.Sprintf("batch %d", bi)
@@ -565,10 +568,10 @@ func TestRecoveryAcrossTopologies(t *testing.T) {
 			t.Helper()
 			for bi, batch := range batches {
 				if err := v.Mutate(batch...); err != nil {
-					t.Fatalf("%s batch %d: %v", v.Name(), bi, err)
+					t.Fatalf("batch %d: %v", bi, err)
 				}
 				if err := v.Flush(); err != nil {
-					t.Fatalf("%s batch %d flush: %v", v.Name(), bi, err)
+					t.Fatalf("batch %d flush: %v", bi, err)
 				}
 			}
 		}

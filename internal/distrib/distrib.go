@@ -53,8 +53,6 @@ type JobSpec struct {
 	// Partitions map to hosts with runtime.ContiguousPlacement.
 	Parallelism int `json:"parallelism"`
 	Hosts       int `json:"hosts"`
-	// BatchSize is the exchange batch size (0 = runtime default).
-	BatchSize int `json:"batch_size,omitempty"`
 	// MaxSupersteps bounds the run (0 = 10000).
 	MaxSupersteps int `json:"max_supersteps,omitempty"`
 	// Reoptimize lets the coordinator re-plan mid-run when the workset

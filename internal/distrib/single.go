@@ -22,7 +22,6 @@ func RunSingle(js JobSpec) (*Result, error) {
 	m := &metrics.Counters{}
 	cfg := iterative.Config{
 		Parallelism: js.Parallelism,
-		BatchSize:   js.BatchSize,
 		Metrics:     m,
 	}
 	res, err := iterative.RunIncremental(spec, s0, w0, cfg)

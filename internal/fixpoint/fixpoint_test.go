@@ -10,7 +10,12 @@ import (
 )
 
 func adjOf(g *graphgen.Graph) [][]int64 {
-	return g.Undirected().Adjacency()
+	und := g.Undirected()
+	adj := make([][]int64, und.NumVertices)
+	for _, e := range und.Edges {
+		adj[e.Src] = append(adj[e.Src], e.Dst)
+	}
+	return adj
 }
 
 // unionFind is the union-find oracle's assignment for g.

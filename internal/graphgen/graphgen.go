@@ -72,24 +72,6 @@ func (g *Graph) Undirected() *Graph {
 	return &Graph{Name: g.Name + "-undirected", NumVertices: g.NumVertices, Edges: out}
 }
 
-// Adjacency builds a neighborhood index N: vertex -> neighbors, over the
-// edges as given (callers wanting undirected semantics should call
-// Undirected first).
-func (g *Graph) Adjacency() [][]int64 {
-	adj := make([][]int64, g.NumVertices)
-	deg := make([]int32, g.NumVertices)
-	for _, e := range g.Edges {
-		deg[e.Src]++
-	}
-	for v := range adj {
-		adj[v] = make([]int64, 0, deg[v])
-	}
-	for _, e := range g.Edges {
-		adj[e.Src] = append(adj[e.Src], e.Dst)
-	}
-	return adj
-}
-
 // rng is a small deterministic xorshift64* generator so graph shapes do not
 // depend on Go's math/rand version.
 type rng struct{ s uint64 }

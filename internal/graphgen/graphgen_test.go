@@ -93,7 +93,7 @@ func TestUndirectedProperty(t *testing.T) {
 
 func TestAdjacencyMatchesEdges(t *testing.T) {
 	g := Uniform("u", 40, 160, 3)
-	adj := g.Adjacency()
+	adj := adjacency(g)
 	count := 0
 	for _, ns := range adj {
 		count += len(ns)
@@ -109,7 +109,7 @@ func TestChainedCommunitiesConnectedAndDeep(t *testing.T) {
 	// BFS from vertex 0 must reach every vertex (one giant component) and
 	// the eccentricity must be at least the number of communities (long
 	// chain => big diameter).
-	adj := und.Adjacency()
+	adj := adjacency(und)
 	dist := make([]int, und.NumVertices)
 	for i := range dist {
 		dist[i] = -1
@@ -177,7 +177,7 @@ func TestTable2Shapes(t *testing.T) {
 
 func TestPreferentialAttachmentConnected(t *testing.T) {
 	g := PreferentialAttachment("p", 500, 2, 11).Undirected()
-	adj := g.Adjacency()
+	adj := adjacency(g)
 	seen := make([]bool, g.NumVertices)
 	seen[0] = true
 	queue := []int64{0}
@@ -209,4 +209,22 @@ func TestGraphString(t *testing.T) {
 	if g.String() == "" {
 		t.Error("empty String()")
 	}
+}
+
+// adjacency builds a neighborhood index N: vertex -> neighbors, over the
+// edges as given (callers wanting undirected semantics should call
+// Undirected first).
+func adjacency(g *Graph) [][]int64 {
+	adj := make([][]int64, g.NumVertices)
+	deg := make([]int32, g.NumVertices)
+	for _, e := range g.Edges {
+		deg[e.Src]++
+	}
+	for v := range adj {
+		adj[v] = make([]int64, 0, deg[v])
+	}
+	for _, e := range g.Edges {
+		adj[e.Src] = append(adj[e.Src], e.Dst)
+	}
+	return adj
 }

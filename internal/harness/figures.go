@@ -276,7 +276,6 @@ type Figure10Result struct {
 	IncrementalTotal time.Duration
 	BulkFirst20      time.Duration
 	BulkExtrapolated time.Duration
-	Rows             []EngineTiming
 }
 
 // Figure10 regenerates the long-tail experiment.

@@ -38,9 +38,6 @@ type Options struct {
 	// the Distributed scenario to mesh with instead of starting its own
 	// (it will not stop them). Takes precedence over WorkerBinary.
 	WorkerAddrs []string
-	// Obs, if set, is the telemetry registry scenarios report into
-	// (histograms, spans). The Trace scenario requires it.
-	Obs *obs.Registry
 	// WorkerObs is the registry handed to in-process distributed workers
 	// (each OS-process worker owns its own). Only used when the
 	// Distributed/Trace scenarios start an in-process worker.

@@ -11,7 +11,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Trace runs one instrumented scenario under a telemetry registry and
+// Trace runs one instrumented scenario under a fresh telemetry registry and
 // returns the reassembled timeline document (`spinflow trace <scenario>`
 // writes it to TRACE_<scenario>.json). Scenarios:
 //
@@ -30,10 +30,7 @@ func Trace(o Options, scenario string) (*obs.TimelineDoc, error) {
 		return nil, err
 	}
 	o = o.normalized()
-	reg := o.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 
 	var (
 		id    obs.TraceID

@@ -429,12 +429,6 @@ type bulkPolicy struct {
 
 func (b *bulkPolicy) step(absStep int) (stepOutcome, error) {
 	start := time.Now()
-	if b.spec.Unroll && absStep > 0 {
-		// Unrolled execution: a new instance of G per pass (§4.2) —
-		// drop every loop-invariant cache before re-running. The
-		// session detects the generation change and rewires.
-		b.exec.Close()
-	}
 	b.sess.SetTraceStep(absStep)
 	res, err := b.sess.Run()
 	if err != nil {

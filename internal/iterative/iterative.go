@@ -188,18 +188,9 @@ type BulkSpec struct {
 	FixedIterations int
 	// MaxIterations bounds criterion-driven runs (default 1000).
 	MaxIterations int
-	// ExpectedIterations is the optimizer's cost weight for the dynamic
-	// path (default: FixedIterations, else 10).
-	ExpectedIterations int
 	// JoinHints optionally pins join strategies (see optimizer.JoinHint),
 	// used to force a specific Figure-4 plan.
 	JoinHints map[int]optimizer.JoinHint
-	// Unroll selects the loop-unrolling execution strategy of §4.2
-	// instead of feedback channels: every pass instantiates a fresh copy
-	// of G, so no caches persist and the constant data path re-executes
-	// each time. Mainly useful to measure what the feedback strategy's
-	// caching buys.
-	Unroll bool
 }
 
 // BulkResult is the outcome of a bulk iteration.
@@ -233,12 +224,10 @@ func RunBulk(spec BulkSpec, initial []record.Record, cfg Config) (*BulkResult, e
 	if maxIter <= 0 {
 		maxIter = 1000
 	}
-	expected := spec.ExpectedIterations
+	// The optimizer weighs the dynamic path by the passes it expects.
+	expected := spec.FixedIterations
 	if expected <= 0 {
-		expected = spec.FixedIterations
-	}
-	if expected <= 0 {
-		expected = 10
+		expected = expectedPasses
 	}
 	// Plan with the initial-solution cardinality when the caller gave no
 	// estimate — but only for the optimizer call: the node may be shared
@@ -336,11 +325,6 @@ type IncrementalSpec struct {
 	BestCandidateOnly bool
 	// MaxSupersteps bounds the run (default 10000).
 	MaxSupersteps int
-	// ExpectedIterations is the optimizer's dynamic-path weight
-	// (default 10).
-	ExpectedIterations int
-	// JoinHints optionally pins join strategies (see optimizer.JoinHint).
-	JoinHints map[int]optimizer.JoinHint
 	// Reoptimize re-plans Δ mid-run when the working set shrinks far
 	// below the size the current plan was costed with. The paper's §4.3
 	// notes that "in the general case, a different plan may be optimal
@@ -374,14 +358,9 @@ type IncrementalResult struct {
 	Set *runtime.SolutionSet
 }
 
-// expected is the dynamic-path weight the optimizer plans s with:
-// ExpectedIterations, else 10.
-func (s *IncrementalSpec) expected() int {
-	if s.ExpectedIterations > 0 {
-		return s.ExpectedIterations
-	}
-	return 10
-}
+// expectedPasses is the optimizer's dynamic-path weight for an iteration
+// with no fixed pass count: the passes it expects to run.
+const expectedPasses = 10
 
 func (s *IncrementalSpec) validate() error {
 	if s.Workset == nil || s.DeltaSink == nil || s.WorksetSink == nil {
@@ -462,7 +441,7 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 	if plannedEst == 0 {
 		plannedEst = int64(len(initialWorkset))
 	}
-	phys, err := optimizeIncrementalWithEst(&spec, cfg, spec.expected(), plannedEst, false)
+	phys, err := optimizeIncrementalWithEst(&spec, cfg, expectedPasses, plannedEst, false)
 	if err != nil {
 		return nil, err
 	}

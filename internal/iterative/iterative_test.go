@@ -305,8 +305,8 @@ func minComparator(a, b record.Record) int {
 
 // TestMicrostepConstantSideAnyContract: the constant input of the Match
 // is evaluated by the runtime like any other loop-invariant subtree, so
-// an admissible Δ may build it with any contract — here a CoGroup and a
-// Cross over two sources — and must agree with RunIncremental.
+// an admissible Δ may build it with any contract — here a Reduce over a
+// Union and a Cross over two sources — and must agree with RunIncremental.
 func TestMicrostepConstantSideAnyContract(t *testing.T) {
 	const n = 12
 	path := func(plan *dataflow.Plan) (from, to *dataflow.Node) {
@@ -318,15 +318,16 @@ func TestMicrostepConstantSideAnyContract(t *testing.T) {
 		return plan.SourceOf("from", a), plan.SourceOf("to", b)
 	}
 	sides := map[string]func(*dataflow.Plan) *dataflow.Node{
-		"cogroup": func(plan *dataflow.Plan) *dataflow.Node {
+		"reduce": func(plan *dataflow.Plan) *dataflow.Node {
 			from, to := path(plan)
-			return plan.CoGroupNode("edges", from, to, record.KeyA, record.KeyA,
-				func(k int64, l, r []record.Record, out dataflow.Emitter) {
-					for _, f := range l {
-						for _, d := range r {
-							out.Emit(record.Record{A: f.B, B: d.B})
-						}
+			// Edge k's group holds (k, src) and (k, dst), and dst = src+1.
+			return plan.ReduceNode("edges", plan.UnionNode("ends", from, to), record.KeyA,
+				func(k int64, g []record.Record, out dataflow.Emitter) {
+					src, dst := g[0].B, g[0].B
+					for _, r := range g[1:] {
+						src, dst = min(src, r.B), max(dst, r.B)
 					}
+					out.Emit(record.Record{A: src, B: dst})
 				})
 		},
 		"cross": func(plan *dataflow.Plan) *dataflow.Node {
@@ -445,32 +446,6 @@ func TestMicrostepWithPreMapStage(t *testing.T) {
 	}
 }
 
-func TestBulkUnrolledMatchesFeedback(t *testing.T) {
-	spec, init := doubler()
-	spec.FixedIterations = 6
-	feedback, err := RunBulk(spec, init, Config{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec2, init2 := doubler()
-	spec2.FixedIterations = 6
-	spec2.Unroll = true
-	unrolled, err := RunBulk(spec2, init2, Config{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := func(rs []record.Record) int64 {
-		var s int64
-		for _, r := range rs {
-			s += r.A
-		}
-		return s
-	}
-	if sum(feedback.Solution) != sum(unrolled.Solution) {
-		t.Errorf("unrolled (%d) != feedback (%d)", sum(unrolled.Solution), sum(feedback.Solution))
-	}
-}
-
 func TestIncrementalReoptimizeKeepsResult(t *testing.T) {
 	// A long chain forces the workset to collapse from |E| to 1, which
 	// triggers mid-run re-planning; the fixpoint must be unchanged.
@@ -509,7 +484,7 @@ func TestMicrostepTracePerSuperstep(t *testing.T) {
 	if len(res.Solution) != 64 {
 		t.Fatalf("solution size %d", len(res.Solution))
 	}
-	if got := res.Trace.NumIterations(); got != res.Supersteps || got == 0 {
+	if got := len(res.Trace.Iterations); got != res.Supersteps || got == 0 {
 		t.Fatalf("trace has %d iterations for %d supersteps", got, res.Supersteps)
 	}
 	if got := m.Snapshot().WorksetElements; got != res.Microsteps {

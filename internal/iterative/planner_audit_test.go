@@ -133,10 +133,7 @@ func bulkShape(t *testing.T, spec iterative.BulkSpec, initial []record.Record, p
 	if saved == 0 {
 		spec.Input.EstRecords = int64(len(initial))
 	}
-	expected := spec.ExpectedIterations
-	if expected <= 0 {
-		expected = spec.FixedIterations
-	}
+	expected := spec.FixedIterations
 	if expected <= 0 {
 		expected = 10
 	}

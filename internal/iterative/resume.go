@@ -67,10 +67,9 @@ func incrementalOptions(spec *IncrementalSpec, cfg Config, expected int, reopt b
 			spec.DeltaSink.ID:   spec.SolutionKey,
 			spec.WorksetSink.ID: spec.WorksetKey,
 		},
-		Feedback:  map[int]int{spec.Workset.ID: spec.WorksetSink.ID},
-		JoinHints: spec.JoinHints,
-		Planner:   plannerFor(cfg, reopt),
-		Fuse:      !cfg.DisableFusion,
+		Feedback: map[int]int{spec.Workset.ID: spec.WorksetSink.ID},
+		Planner:  plannerFor(cfg, reopt),
+		Fuse:     !cfg.DisableFusion,
 	}
 }
 
@@ -93,8 +92,8 @@ func optimizeIncremental(spec *IncrementalSpec, cfg Config, expected int, reopt 
 // PlanIncremental runs the optimizer for an incremental spec exactly as
 // RunIncremental would, without executing anything. The distributed
 // driver uses it so every process of a session derives the same physical
-// plan from the same spec and config; expected ≤ 0 applies the spec's own
-// weight (ExpectedIterations, else 10).
+// plan from the same spec and config; expected ≤ 0 applies the weight the
+// run entry points plan with (expectedPasses).
 func PlanIncremental(spec IncrementalSpec, cfg Config, expected int) (*optimizer.PhysPlan, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -104,7 +103,7 @@ func PlanIncremental(spec IncrementalSpec, cfg Config, expected int) (*optimizer
 		return nil, err
 	}
 	if expected <= 0 {
-		expected = spec.expected()
+		expected = expectedPasses
 	}
 	return optimizeIncremental(&spec, cfg, expected, false)
 }
@@ -133,7 +132,7 @@ func OpenFixpointOn(spec IncrementalSpec, sol *runtime.SolutionSet, cfg Config,
 	}
 	f := &Fixpoint{spec: spec, cfg: cfg,
 		reopt: newReoptState(phys, spec.Workset.EstRecords)}
-	f.en = openIncEngine(&f.spec, sol, cfg, spec.expected(), phys, tr)
+	f.en = openIncEngine(&f.spec, sol, cfg, expectedPasses, phys, tr)
 	return f, nil
 }
 
@@ -170,14 +169,13 @@ func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
-	expected := spec.expected()
-	phys, err := optimizeIncremental(&spec, f.cfg, expected, false)
+	phys, err := optimizeIncremental(&spec, f.cfg, expectedPasses, false)
 	if err != nil {
 		return err
 	}
 	f.spec = spec
 	f.reopt = newReoptState(phys, spec.Workset.EstRecords)
-	f.en.bind(&f.spec, expected)
+	f.en.bind(&f.spec, expectedPasses)
 	f.en.swap(phys)
 	return nil
 }

@@ -204,12 +204,10 @@ func TestResumeMicrostep(t *testing.T) {
 }
 
 // TestPlanIncrementalMatchesRunIncremental: with no explicit weight,
-// PlanIncremental plans exactly as the run entry points do — with the
-// spec's own ExpectedIterations, not a fixed default.
+// PlanIncremental plans exactly as the run entry points do.
 func TestPlanIncrementalMatchesRunIncremental(t *testing.T) {
 	g := graphgen.Uniform("plan-expected", 60, 120, 0xE3)
 	spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCCoGroup)
-	spec.ExpectedIterations = 3
 	cfg := iterative.Config{Parallelism: 2}
 
 	planned, err := iterative.PlanIncremental(spec, cfg, 0)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"log"
 	"path"
 	"sort"
 	"strings"
@@ -572,7 +571,6 @@ func recoverTree(dataDir string, tree map[string][]byte) (res recoveredTree) {
 	s := NewScheduler(SchedulerConfig{
 		DataDir:     dataDir,
 		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem},
-		Log:         log.New(io.Discard, "", 0),
 	})
 	res.views = map[string][]byte{}
 	defer func() {
@@ -811,7 +809,6 @@ func TestEveryCrashPoint(t *testing.T) {
 	c.s = NewScheduler(SchedulerConfig{
 		DataDir:     dataDir,
 		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem},
-		Log:         log.New(io.Discard, "", 0),
 	})
 	c.phase("create")
 	c.create("cc", CC(), []Mutation{InsertEdge(0, 1), InsertEdge(1, 2), InsertEdge(10, 11)})
@@ -939,7 +936,6 @@ func TestRotateDirSyncFaultLosesNoAck(t *testing.T) {
 	cfg := SchedulerConfig{
 		DataDir:     dataDir,
 		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem},
-		Log:         log.New(io.Discard, "", 0),
 	}
 	s := NewScheduler(cfg)
 	acked := [][]Mutation{{InsertEdge(0, 1)}}
@@ -1007,7 +1003,6 @@ func TestCleanRestartWritesNothing(t *testing.T) {
 	cfg := SchedulerConfig{
 		DataDir:     dataDir,
 		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem},
-		Log:         log.New(io.Discard, "", 0),
 	}
 	s := NewScheduler(cfg)
 	v, err := s.Create("cc", CC(), []Mutation{InsertEdge(0, 1)}, nil)

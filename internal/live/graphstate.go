@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/algorithms"
-	"repro/internal/graphgen"
 	"repro/internal/record"
 )
 
@@ -322,20 +321,4 @@ func (g *GraphState) WeightedUndirected() []algorithms.WeightedEdge {
 		return cmp.Compare(x.Weight, y.Weight)
 	})
 	return slices.CompactFunc(out, func(x, y algorithms.WeightedEdge) bool { return pair(x, y) == 0 })
-}
-
-// Graph materializes the current directed edge list as a graphgen.Graph
-// (NumVertices = max id + 1), for oracles and differential tests.
-func (g *GraphState) Graph(name string) *graphgen.Graph {
-	var maxID int64 = -1
-	for v := range g.verts {
-		if v > maxID {
-			maxID = v
-		}
-	}
-	edges := make([]graphgen.Edge, len(g.edges))
-	for i, e := range g.edges {
-		edges[i] = graphgen.Edge{Src: e.Src, Dst: e.Dst}
-	}
-	return &graphgen.Graph{Name: name, NumVertices: maxID + 1, Edges: edges}
 }

@@ -87,7 +87,6 @@ func RunJob(js distrib.JobSpec, workerAddrs []string, reg *obs.Registry) (*distr
 	cfg := ViewConfig{Workers: workerAddrs}
 	cfg.Config = iterative.Config{
 		Parallelism: js.Parallelism,
-		BatchSize:   js.BatchSize,
 		Metrics:     work,
 	}
 	if reg != nil {

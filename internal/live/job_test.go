@@ -206,11 +206,11 @@ func TestJobTracePropagation(t *testing.T) {
 		t.Errorf("ring holds %d spans for the trace, Result.Spans has %d", n, len(got.Spans))
 	}
 	// The barrier RTT histogram saw every superstep.
-	if c := coord.Histogram("distrib_step_rtt").Count(); c != int64(got.Supersteps) {
+	if c := coord.Histogram("distrib_step_rtt").Snapshot().Count; c != int64(got.Supersteps) {
 		t.Errorf("distrib_step_rtt count = %d, want %d", c, got.Supersteps)
 	}
 	// Cross-process shuffle was timed on the coordinator's transport.
-	if coord.Histogram("transport_send_duration").Count() == 0 {
+	if coord.Histogram("transport_send_duration").Snapshot().Count == 0 {
 		t.Error("transport_send_duration recorded nothing")
 	}
 }
@@ -239,7 +239,7 @@ func TestShardedViewObservesBarrierRTT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := reg.Histogram("distrib_step_rtt").Count()
+		c := reg.Histogram("distrib_step_rtt").Snapshot().Count
 		if (c > 0) != (len(workers) > 0) {
 			t.Errorf("%d workers: distrib_step_rtt saw %d barrier rounds", len(workers), c)
 		}

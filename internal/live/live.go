@@ -380,9 +380,6 @@ func (v *LiveView) span(ph obs.Phase, label string, start time.Time) {
 	})
 }
 
-// Name returns the view's name.
-func (v *LiveView) Name() string { return v.name }
-
 // TraceID returns the trace ID this view's spans record under (zero when
 // the view was built without a telemetry registry).
 func (v *LiveView) TraceID() obs.TraceID { return v.cfg.TraceID }

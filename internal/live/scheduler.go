@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -42,10 +41,6 @@ type SchedulerConfig struct {
 	// how to rebuild its maintainer. Recover() restores the registered
 	// views on startup. Empty means in-memory views.
 	DataDir string
-	// Log receives operational messages the API cannot report to the
-	// client (e.g. a response-body write failing after the status line
-	// went out). Nil uses the process-default logger.
-	Log *log.Logger
 	// Obs, if set, is the telemetry registry the scheduler exports
 	// through: a collector emitting scheduler-wide and per-view gauges
 	// (view="<name>" labels) is registered on it, and every view created
@@ -143,14 +138,6 @@ func (s *Scheduler) collect(emit func(name, labels string, value float64)) {
 		}
 		emit("view_error", l, errSet)
 	}
-}
-
-func (s *Scheduler) logf(format string, args ...any) {
-	if s.cfg.Log != nil {
-		s.cfg.Log.Printf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
 }
 
 // Usage returns the summed resident solution bytes across views.

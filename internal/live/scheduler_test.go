@@ -193,7 +193,7 @@ func TestSchedulerObsExport(t *testing.T) {
 	v.Query(100)
 
 	for _, h := range []string{"live_query_duration", "live_mutate_duration", "live_flush_duration"} {
-		if reg.Histogram(h).Count() == 0 {
+		if reg.Histogram(h).Snapshot().Count == 0 {
 			t.Errorf("histogram %s recorded nothing", h)
 		}
 	}

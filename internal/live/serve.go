@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
 	"runtime/pprof"
@@ -100,7 +101,7 @@ func (s *Scheduler) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.encodeErrors.Add(1)
-		s.logf("live: writing %d response: %v", code, err)
+		log.Printf("live: writing %d response: %v", code, err)
 	}
 }
 

@@ -422,15 +422,19 @@ func (f *failingWriter) Header() http.Header {
 func (f *failingWriter) WriteHeader(code int)      { f.code = code }
 func (f *failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
 
-// A response-encode failure must not vanish: it is logged and counted in
-// the scheduler stats (the bug was writeJSON discarding Encode's error).
+// A response-encode failure must not vanish: it is logged to the process
+// logger and counted in the scheduler stats (the bug was writeJSON
+// discarding Encode's error).
 func TestServeEncodeErrorSurfaced(t *testing.T) {
 	var logBuf bytes.Buffer
-	s := NewScheduler(SchedulerConfig{Log: log.New(&logBuf, "", 0)})
+	restore := log.Writer()
+	log.SetOutput(&logBuf)
+	s := NewScheduler(SchedulerConfig{})
 	defer s.Close()
 
 	fw := &failingWriter{}
 	s.writeJSON(fw, http.StatusOK, map[string]string{"hello": "world"})
+	log.SetOutput(restore) // before logBuf is read
 
 	if fw.code != http.StatusOK {
 		t.Errorf("status = %d, want 200 (header must still go out)", fw.code)

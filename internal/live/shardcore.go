@@ -322,7 +322,7 @@ func specFor(ss shardSpec, hostID int, reg *obs.Registry) iterative.Config {
 func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
 	recovering bool, stats *ViewStats) (*shardCore, []record.Record, error) {
 	spec, s0, w0 := m.Spec(gs)
-	phys, err := iterative.PlanIncremental(spec, cfg, spec.ExpectedIterations)
+	phys, err := iterative.PlanIncremental(spec, cfg, 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -227,14 +227,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return d
 }
 
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	cv := reflect.ValueOf(c).Elem()
-	for _, f := range fieldPairs {
-		cv.Field(f.c).Addr().Interface().(*atomic.Int64).Store(0)
-	}
-}
-
 // Field is one named counter value, for exporters that iterate the full
 // set instead of naming fields.
 type Field struct {
@@ -268,11 +260,10 @@ type TraceEvent struct {
 	Event     string
 }
 
-// DefaultTraceCap bounds Trace.Iterations and Trace.Events when Trace.Cap
-// is zero. A live view flushing every few milliseconds records thousands
-// of maintenance supersteps per minute; without a cap a week-old view's
-// trace grows without bound.
-const DefaultTraceCap = 4096
+// traceCap bounds Trace.Iterations and Trace.Events. A live view flushing
+// every few milliseconds records thousands of maintenance supersteps per
+// minute; without a cap a week-old view's trace grows without bound.
+const traceCap = 4096
 
 // Trace accumulates per-iteration statistics for one job run. Retention
 // is bounded: once an entry list reaches the cap, the oldest eighth is
@@ -284,28 +275,16 @@ type Trace struct {
 	Total      time.Duration
 	// Events holds out-of-band occurrences in arrival order.
 	Events []TraceEvent
-	// Cap bounds len(Iterations) and len(Events) separately
-	// (DefaultTraceCap when zero; negative means unbounded).
-	Cap int
-	// Dropped counts entries discarded to stay under Cap, across both
-	// lists. Total still reflects every iteration ever added.
+	// Dropped counts entries discarded to stay under the cap (traceCap,
+	// for each list separately), across both lists. Total still reflects
+	// every iteration ever added.
 	Dropped int64
-}
-
-func (t *Trace) cap() int {
-	if t.Cap == 0 {
-		return DefaultTraceCap
-	}
-	return t.Cap
 }
 
 // Add appends one iteration's stats.
 func (t *Trace) Add(st IterationStat) {
-	if c := t.cap(); c > 0 && len(t.Iterations) >= c {
-		drop := c / 8
-		if drop < 1 {
-			drop = 1
-		}
+	if len(t.Iterations) >= traceCap {
+		const drop = traceCap / 8
 		n := copy(t.Iterations, t.Iterations[drop:])
 		t.Iterations = t.Iterations[:n]
 		t.Dropped += int64(drop)
@@ -316,17 +295,11 @@ func (t *Trace) Add(st IterationStat) {
 
 // AddEvent records an out-of-band occurrence after the given iteration.
 func (t *Trace) AddEvent(iteration int, event string) {
-	if c := t.cap(); c > 0 && len(t.Events) >= c {
-		drop := c / 8
-		if drop < 1 {
-			drop = 1
-		}
+	if len(t.Events) >= traceCap {
+		const drop = traceCap / 8
 		n := copy(t.Events, t.Events[drop:])
 		t.Events = t.Events[:n]
 		t.Dropped += int64(drop)
 	}
 	t.Events = append(t.Events, TraceEvent{Iteration: iteration, Event: event})
 }
-
-// NumIterations returns the number of recorded iterations.
-func (t *Trace) NumIterations() int { return len(t.Iterations) }

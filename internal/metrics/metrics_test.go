@@ -21,21 +21,6 @@ func TestSnapshotAndSub(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	var c Counters
-	c.UDFInvocations.Add(9)
-	c.SolutionAccesses.Add(2)
-	c.WorkersSpawned.Add(4)
-	c.ExchangesReused.Add(3)
-	c.BatchesAllocated.Add(2)
-	c.BatchesRecycled.Add(1)
-	c.Reset()
-	s := c.Snapshot()
-	if s != (Snapshot{}) {
-		t.Errorf("reset left %+v", s)
-	}
-}
-
 func TestRuntimeReuseCounters(t *testing.T) {
 	var c Counters
 	c.WorkersSpawned.Add(8)
@@ -68,10 +53,6 @@ func TestMaintenanceCounters(t *testing.T) {
 	if d.PartialRecomputes != 2 || d.FullRecomputes != 1 || d.DeltasApplied != 0 {
 		t.Errorf("delta wrong: %+v", d)
 	}
-	c.Reset()
-	if s := c.Snapshot(); s != (Snapshot{}) {
-		t.Errorf("reset left %+v", s)
-	}
 }
 
 func TestConcurrentUpdates(t *testing.T) {
@@ -96,8 +77,8 @@ func TestTrace(t *testing.T) {
 	var tr Trace
 	tr.Add(IterationStat{Iteration: 0, Duration: time.Millisecond})
 	tr.Add(IterationStat{Iteration: 1, Duration: 2 * time.Millisecond})
-	if tr.NumIterations() != 2 {
-		t.Errorf("iterations = %d", tr.NumIterations())
+	if len(tr.Iterations) != 2 {
+		t.Errorf("iterations = %d", len(tr.Iterations))
 	}
 	if tr.Total != 3*time.Millisecond {
 		t.Errorf("total = %v", tr.Total)
@@ -162,32 +143,27 @@ func TestFieldParity(t *testing.T) {
 	if d := s.Sub(Snapshot{}); d != s {
 		t.Errorf("s.Sub(zero) != s: %+v", d)
 	}
-
-	// Reset must zero every field.
-	c.Reset()
-	if got := c.Snapshot(); got != (Snapshot{}) {
-		t.Errorf("Reset left %+v", got)
-	}
 }
 
 func TestTraceCapBoundsIterations(t *testing.T) {
-	tr := Trace{Cap: 64}
-	for i := 0; i < 1000; i++ {
+	const added = 3*traceCap + 100
+	var tr Trace
+	for i := 0; i < added; i++ {
 		tr.Add(IterationStat{Iteration: i, Duration: time.Microsecond})
 	}
-	if n := len(tr.Iterations); n > 64 {
-		t.Fatalf("retained %d iterations, cap 64", n)
+	if n := len(tr.Iterations); n > traceCap {
+		t.Fatalf("retained %d iterations, cap %d", n, traceCap)
 	}
 	if tr.Dropped == 0 {
 		t.Fatal("Dropped not counted")
 	}
-	if int(tr.Dropped)+len(tr.Iterations) != 1000 {
-		t.Errorf("dropped %d + retained %d != 1000 added", tr.Dropped, len(tr.Iterations))
+	if int(tr.Dropped)+len(tr.Iterations) != added {
+		t.Errorf("dropped %d + retained %d != %d added", tr.Dropped, len(tr.Iterations), added)
 	}
 	// Retained entries are the newest, still in order.
 	last := tr.Iterations[len(tr.Iterations)-1]
-	if last.Iteration != 999 {
-		t.Errorf("newest retained iteration = %d, want 999", last.Iteration)
+	if last.Iteration != added-1 {
+		t.Errorf("newest retained iteration = %d, want %d", last.Iteration, added-1)
 	}
 	for i := 1; i < len(tr.Iterations); i++ {
 		if tr.Iterations[i].Iteration != tr.Iterations[i-1].Iteration+1 {
@@ -195,46 +171,42 @@ func TestTraceCapBoundsIterations(t *testing.T) {
 		}
 	}
 	// Total still reflects every add.
-	if tr.Total != 1000*time.Microsecond {
-		t.Errorf("Total = %v, want 1ms", tr.Total)
+	if tr.Total != added*time.Microsecond {
+		t.Errorf("Total = %v, want %v", tr.Total, added*time.Microsecond)
 	}
 }
 
 func TestTraceCapBoundsEvents(t *testing.T) {
-	tr := Trace{Cap: 32}
-	for i := 0; i < 500; i++ {
+	const added = 2*traceCap + 7
+	var tr Trace
+	for i := 0; i < added; i++ {
 		tr.AddEvent(i, "evt")
 	}
-	if n := len(tr.Events); n > 32 {
-		t.Fatalf("retained %d events, cap 32", n)
+	if n := len(tr.Events); n > traceCap {
+		t.Fatalf("retained %d events, cap %d", n, traceCap)
 	}
-	if tr.Events[len(tr.Events)-1].Iteration != 499 {
-		t.Errorf("newest event = %d, want 499", tr.Events[len(tr.Events)-1].Iteration)
+	if tr.Events[len(tr.Events)-1].Iteration != added-1 {
+		t.Errorf("newest event = %d, want %d", tr.Events[len(tr.Events)-1].Iteration, added-1)
 	}
 }
 
+// TestTraceDefaultCap: a trace keeps everything up to the cap and starts
+// dropping past it.
 func TestTraceDefaultCap(t *testing.T) {
 	var tr Trace
-	for i := 0; i < DefaultTraceCap+100; i++ {
+	for i := 0; i < traceCap; i++ {
 		tr.Add(IterationStat{Iteration: i})
 	}
-	if n := len(tr.Iterations); n > DefaultTraceCap {
+	if n := len(tr.Iterations); n != traceCap || tr.Dropped != 0 {
+		t.Fatalf("at the cap: %d retained, %d dropped; want %d, 0", n, tr.Dropped, traceCap)
+	}
+	for i := 0; i < 100; i++ {
+		tr.Add(IterationStat{Iteration: traceCap + i})
+	}
+	if n := len(tr.Iterations); n > traceCap {
 		t.Fatalf("default cap not applied: %d retained", n)
 	}
 	if tr.Dropped == 0 {
 		t.Fatal("Dropped not counted under default cap")
-	}
-}
-
-func TestTraceUnbounded(t *testing.T) {
-	tr := Trace{Cap: -1}
-	for i := 0; i < DefaultTraceCap*2; i++ {
-		tr.Add(IterationStat{Iteration: i})
-	}
-	if n := len(tr.Iterations); n != DefaultTraceCap*2 {
-		t.Fatalf("negative cap should be unbounded, retained %d", n)
-	}
-	if tr.Dropped != 0 {
-		t.Errorf("unbounded trace dropped %d", tr.Dropped)
 	}
 }

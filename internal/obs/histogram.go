@@ -59,9 +59,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveSince records the time elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start)) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // HistogramSnapshot is a point-in-time copy of a histogram, with
 // quantile extraction. Buckets[i] is the count for bucket i (bounds per
 // Histogram's scheme), not cumulative.

@@ -202,7 +202,7 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-scraperDone
-	if got := h.Count(); got != workers*perWorker {
+	if got := h.Snapshot().Count; got != workers*perWorker {
 		t.Fatalf("count = %d, want %d", got, workers*perWorker)
 	}
 }

@@ -78,8 +78,6 @@ func estimateOut(n *dataflow.Node, in []int64) int64 {
 		return maxi64(get(0), get(1))
 	case dataflow.CrossOp:
 		return get(0) * get(1)
-	case dataflow.CoGroupOp, dataflow.InnerCoGroupOp:
-		return maxi64(1, maxi64(get(0), get(1))/2)
 	case dataflow.UnionOp:
 		var s int64
 		for _, v := range in {

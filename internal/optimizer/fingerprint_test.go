@@ -14,11 +14,11 @@ import (
 func fingerprintPlan(t *testing.T, joinKey record.KeyFunc) *PhysPlan {
 	t.Helper()
 	p := dataflow.NewPlan()
-	src := p.SourceOf("src", nil).WithEst(10_000)
+	src := withEst(p.SourceOf("src", nil), 10_000)
 	m1 := p.MapNode("inc", src, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
 	m2 := p.MapNode("scale", m1, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
 	m2 = p.MapNode("shift", m2, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
-	small := p.SourceOf("small", nil).WithEst(100)
+	small := withEst(p.SourceOf("small", nil), 100)
 	j := p.MatchNode("join", m2, small, joinKey, record.KeyB,
 		func(l, r record.Record, out dataflow.Emitter) { out.Emit(l) })
 	red := p.ReduceNode("agg", j, record.KeyB,

@@ -244,17 +244,6 @@ func (g *greedy) build(n *dataflow.Node) error {
 	case dataflow.CrossOp:
 		return g.buildCross(n, f)
 
-	case dataflow.CoGroupOp, dataflow.InnerCoGroupOp:
-		l, r := n.Inputs[0], n.Inputs[1]
-		lkid, rkid := record.KeyID(n.Keys[0]), record.KeyID(n.Keys[1])
-		le := g.keyedEdge(l, n.Keys[0])
-		re := g.keyedEdge(r, n.Keys[1])
-		g.cost += (wGroup*float64(g.state[l.ID].est+g.state[r.ID].est) + wBuild*float64(est)) * f
-		g.commit(n, g.newNode(PhysNode{Role: RoleOperator, Logical: n,
-			Local: LocalHashCoGroup, Inputs: g.edges(le, re)}),
-			matchOutProps(n, lkid, rkid))
-		return nil
-
 	case dataflow.SolutionJoin, dataflow.SolutionCoGroup:
 		pre := n.Inputs[0]
 		kid := record.KeyID(n.Keys[0])

@@ -10,7 +10,7 @@ import (
 func benchPlan() (*dataflow.Plan, Options) {
 	p := dataflow.NewPlan()
 	w := p.IterationPlaceholder("W", 1000)
-	src := p.SourceOf("edges", nil).WithEst(8000)
+	src := withEst(p.SourceOf("edges", nil), 8000)
 	j := p.MatchNode("join", w, src, record.KeyA, record.KeyA,
 		func(l, r record.Record, out dataflow.Emitter) { out.Emit(r) })
 	red := p.ReduceNode("agg", j, record.KeyB,

@@ -395,7 +395,7 @@ func (o *optz) ipsCreatedBy(n *dataflow.Node, i int) []ipEntry {
 	switch n.Contract {
 	case dataflow.ReduceOp:
 		return []ipEntry{{part: n.Keys[0], sort: n.Keys[0]}, {part: n.Keys[0]}}
-	case dataflow.MatchOp, dataflow.CoGroupOp, dataflow.InnerCoGroupOp:
+	case dataflow.MatchOp:
 		return []ipEntry{{part: n.Keys[i]}}
 	case dataflow.SolutionJoin, dataflow.SolutionCoGroup:
 		return []ipEntry{{part: n.Keys[0]}}
@@ -683,9 +683,6 @@ func (o *optz) candidates(n *dataflow.Node) []cand {
 
 	case dataflow.CrossOp:
 		return o.crossCandidates(n, dyn, f, est)
-
-	case dataflow.CoGroupOp, dataflow.InnerCoGroupOp:
-		return o.coGroupCandidates(n, dyn, f, est)
 
 	case dataflow.SolutionJoin, dataflow.SolutionCoGroup:
 		return o.solutionCandidates(n, dyn, f, est)

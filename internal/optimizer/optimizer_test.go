@@ -8,6 +8,12 @@ import (
 	"repro/internal/record"
 )
 
+// withEst sets n's output-cardinality hint and returns n.
+func withEst(n *dataflow.Node, est int64) *dataflow.Node {
+	n.EstRecords = est
+	return n
+}
+
 func simplePlan() (*dataflow.Plan, *dataflow.Node) {
 	p := dataflow.NewPlan()
 	src := p.SourceOf("src", []record.Record{{A: 1}, {A: 2}})
@@ -52,8 +58,8 @@ func TestOptimizeRejectsInvalidPlan(t *testing.T) {
 
 func joinPlan(smallEst, largeEst int64) (*dataflow.Plan, *dataflow.Node) {
 	p := dataflow.NewPlan()
-	small := p.SourceOf("small", nil).WithEst(smallEst)
-	large := p.SourceOf("large", nil).WithEst(largeEst)
+	small := withEst(p.SourceOf("small", nil), smallEst)
+	large := withEst(p.SourceOf("large", nil), largeEst)
 	j := p.MatchNode("join", small, large, record.KeyA, record.KeyB,
 		func(l, r record.Record, out dataflow.Emitter) { out.Emit(r) })
 	p.SinkNode("out", j)
@@ -163,21 +169,21 @@ func TestSinkPartitionRequirement(t *testing.T) {
 func pageRankSubplan(vecEst, matEst int64) (*dataflow.Plan, *dataflow.Node, *dataflow.Node) {
 	p := dataflow.NewPlan()
 	vec := p.IterationPlaceholder("p", vecEst)
-	mat := p.SourceOf("A", nil).WithEst(matEst)
+	mat := withEst(p.SourceOf("A", nil), matEst)
 	j := p.MatchNode("joinPA", vec, mat, record.KeyA, record.KeyB,
 		func(l, r record.Record, out dataflow.Emitter) {
 			out.Emit(record.Record{A: r.A, X: l.X * r.X})
 		})
 	// The UDF copies the matrix record's tid (field A) unchanged.
 	j.Preserve(1, record.KeyA)
-	red := p.ReduceNode("sumRanks", j, record.KeyA,
+	red := withEst(p.ReduceNode("sumRanks", j, record.KeyA,
 		func(k int64, g []record.Record, out dataflow.Emitter) {
 			var s float64
 			for _, r := range g {
 				s += r.X
 			}
 			out.Emit(record.Record{A: k, X: s})
-		}).WithEst(vecEst)
+		}), vecEst)
 	red.Combinable = true
 	sink := p.SinkNode("O", red)
 	return p, vec, sink
@@ -460,8 +466,8 @@ func TestShipCostByHosts(t *testing.T) {
 
 func TestEstimates(t *testing.T) {
 	p := dataflow.NewPlan()
-	a := p.SourceOf("a", nil).WithEst(100)
-	b := p.SourceOf("b", nil).WithEst(10)
+	a := withEst(p.SourceOf("a", nil), 100)
+	b := withEst(p.SourceOf("b", nil), 10)
 	x := p.CrossNode("x", a, b, func(l, r record.Record, out dataflow.Emitter) {})
 	p.SinkNode("o", x)
 	phys, err := Optimize(p, Options{Parallelism: 2})

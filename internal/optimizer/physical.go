@@ -73,11 +73,6 @@ const (
 	// LocalSortAgg sorts by key (or exploits pre-sorted input) and groups
 	// sequentially.
 	LocalSortAgg
-	// LocalHashCoGroup hash-groups both inputs and pairs the groups.
-	LocalHashCoGroup
-	// LocalSortCoGroup sorts both inputs by key (or exploits existing
-	// order) and merges the group pairs sequentially.
-	LocalSortCoGroup
 	// LocalBlockCross materializes the build side and streams the other.
 	LocalBlockCross
 	// LocalSort sorts the input by a key (used by enforcer nodes).
@@ -99,10 +94,6 @@ func (l LocalStrategy) String() string {
 		return "hash-agg"
 	case LocalSortAgg:
 		return "sort-agg"
-	case LocalHashCoGroup:
-		return "hash-cogroup"
-	case LocalSortCoGroup:
-		return "sort-cogroup"
 	case LocalBlockCross:
 		return "block-cross"
 	case LocalSort:

@@ -44,8 +44,8 @@ func checkDenseIdentities(t *testing.T, phys *PhysPlan) {
 // in estimated size — enough structure for the greedy rules to act on.
 func reducePlan() (*dataflow.Plan, *dataflow.Node) {
 	p := dataflow.NewPlan()
-	big := p.SourceOf("big", nil).WithEst(10_000)
-	small := p.SourceOf("small", nil).WithEst(100)
+	big := withEst(p.SourceOf("big", nil), 10_000)
+	small := withEst(p.SourceOf("small", nil), 100)
 	j := p.MatchNode("join", big, small, record.KeyA, record.KeyA,
 		func(l, r record.Record, out dataflow.Emitter) { out.Emit(l) })
 	red := p.ReduceNode("agg", j, record.KeyA,
@@ -125,7 +125,7 @@ func TestPlannerKindStrings(t *testing.T) {
 // fusible Map operators on forward edges.
 func mapChainPlan() (*dataflow.Plan, *dataflow.Node) {
 	p := dataflow.NewPlan()
-	src := p.SourceOf("src", nil).WithEst(1000)
+	src := withEst(p.SourceOf("src", nil), 1000)
 	m1 := p.MapNode("inc", src, func(r record.Record, out dataflow.Emitter) {
 		r.X++
 		out.Emit(r)
@@ -171,7 +171,7 @@ func TestFuseSkipsShuffledAndSharedEdges(t *testing.T) {
 	// map → reduce → map: the map-to-reduce edge re-partitions and the
 	// reduce is not a Map, so nothing can fuse.
 	p := dataflow.NewPlan()
-	src := p.SourceOf("src", nil).WithEst(1000)
+	src := withEst(p.SourceOf("src", nil), 1000)
 	m := p.MapNode("m", src, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
 	red := p.ReduceNode("agg", m, record.KeyA,
 		func(k int64, g []record.Record, out dataflow.Emitter) { out.Emit(g[0]) })
@@ -187,7 +187,7 @@ func TestFuseSkipsShuffledAndSharedEdges(t *testing.T) {
 
 	// Diamond: one map feeding two consumers must not fuse into either.
 	p2 := dataflow.NewPlan()
-	src2 := p2.SourceOf("src", nil).WithEst(1000)
+	src2 := withEst(p2.SourceOf("src", nil), 1000)
 	shared := p2.MapNode("shared", src2, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
 	a := p2.MapNode("a", shared, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
 	b := p2.MapNode("b", shared, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
@@ -224,17 +224,17 @@ const (
 func unionPlan(shape unionShape) (*dataflow.Plan, Options) {
 	p := dataflow.NewPlan()
 	pass := func(r record.Record, out dataflow.Emitter) { out.Emit(r) }
-	in := p.MapNode("m", p.SourceOf("s", nil).WithEst(1000), pass)
+	in := p.MapNode("m", withEst(p.SourceOf("s", nil), 1000), pass)
 	if shape == unionChain {
 		in = p.MapNode("m2", in, pass)
 	}
-	second := p.SourceOf("t", nil).WithEst(500)
+	second := withEst(p.SourceOf("t", nil), 500)
 	opt := Options{Parallelism: 2, Fuse: true}
 	if shape == unionCached {
 		second = p.IterationPlaceholder("p", 500)
 		opt.ExpectedIterations = 10
 	}
-	u := p.UnionNode("u", in, second, p.SourceOf("w", nil).WithEst(50))
+	u := p.UnionNode("u", in, second, withEst(p.SourceOf("w", nil), 50))
 	out := p.SinkNode("out", u)
 	if shape == unionShared {
 		p.SinkNode("also", in)
@@ -328,11 +328,11 @@ func TestFuseAbsorbsUnion(t *testing.T) {
 // few enough groups that both planners put a combiner before the shuffle.
 func combinerChainPlan() (*dataflow.Plan, *dataflow.Node) {
 	p := dataflow.NewPlan()
-	src := p.SourceOf("src", nil).WithEst(100_000)
+	src := withEst(p.SourceOf("src", nil), 100_000)
 	m1 := p.MapNode("m1", src, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
 	m2 := p.MapNode("m2", m1, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
-	red := p.ReduceNode("agg", m2, record.KeyA,
-		func(k int64, g []record.Record, out dataflow.Emitter) { out.Emit(g[0]) }).WithEst(100)
+	red := withEst(p.ReduceNode("agg", m2, record.KeyA,
+		func(k int64, g []record.Record, out dataflow.Emitter) { out.Emit(g[0]) }), 100)
 	red.Combinable = true
 	p.SinkNode("out", red)
 	return p, red
@@ -382,10 +382,10 @@ func TestFuseKeepsSharedProducersCombiner(t *testing.T) {
 	// The combiner's producer also feeds the sink directly: absorbing the
 	// combiner would fold the sink's records too, so it stays a task.
 	p := dataflow.NewPlan()
-	src := p.SourceOf("src", nil).WithEst(100_000)
+	src := withEst(p.SourceOf("src", nil), 100_000)
 	m := p.MapNode("m", src, func(r record.Record, out dataflow.Emitter) { out.Emit(r) })
-	red := p.ReduceNode("agg", m, record.KeyA,
-		func(k int64, g []record.Record, out dataflow.Emitter) { out.Emit(g[0]) }).WithEst(100)
+	red := withEst(p.ReduceNode("agg", m, record.KeyA,
+		func(k int64, g []record.Record, out dataflow.Emitter) { out.Emit(g[0]) }), 100)
 	red.Combinable = true
 	p.SinkNode("out", red)
 	p.SinkNode("raw", m)
@@ -409,8 +409,8 @@ func TestFuseKeepsSharedProducersCombiner(t *testing.T) {
 
 func TestExplainShowsBuildSide(t *testing.T) {
 	p := dataflow.NewPlan()
-	big := p.SourceOf("big", nil).WithEst(1_000_000)
-	small := p.SourceOf("small", nil).WithEst(10)
+	big := withEst(p.SourceOf("big", nil), 1_000_000)
+	small := withEst(p.SourceOf("small", nil), 10)
 	j := p.MatchNode("join", big, small, record.KeyA, record.KeyA,
 		func(l, r record.Record, out dataflow.Emitter) { out.Emit(l) })
 	p.SinkNode("out", j)

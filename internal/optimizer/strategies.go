@@ -236,54 +236,6 @@ func (o *optz) crossCandidates(n *dataflow.Node, dyn bool, f float64, est int64)
 	return out
 }
 
-// coGroupCandidates enumerates CoGroup/InnerCoGroup: both inputs must be
-// co-partitioned on the keys (group semantics forbid broadcasting).
-func (o *optz) coGroupCandidates(n *dataflow.Node, dyn bool, f float64, est int64) []cand {
-	lk, rk := n.Keys[0], n.Keys[1]
-	lkid, rkid := record.KeyID(lk), record.KeyID(rk)
-	var out []cand
-	for _, lc := range o.enumerate(n.Inputs[0]) {
-		if lc.props.Repl {
-			continue
-		}
-		for _, rc := range o.enumerate(n.Inputs[1]) {
-			if rc.props.Repl {
-				continue
-			}
-			lDyn, rDyn := o.dynamic[n.Inputs[0].ID], o.dynamic[n.Inputs[1].ID]
-			le, lec := o.joinEdge(lc, lk, lkid, lDyn)
-			re, rec := o.joinEdge(rc, rk, rkid, rDyn)
-
-			// Hash-based grouping of both sides.
-			pn := o.newNode(RoleOperator, n, LocalHashCoGroup, []Edge{le, re})
-			pn.EstOut = est
-			cost := lc.cost + rc.cost + lec + rec +
-				(wGroup*float64(lc.est(o)+rc.est(o))+wBuild*float64(est))*f
-			out = append(out, cand{node: pn, props: o.joinOutProps(n, lc, rc, lkid, rkid, le, re), cost: cost})
-
-			// Sort-based grouping: free when both inputs arrive sorted on
-			// the keys and stay in their partitions.
-			sn := o.newNode(RoleOperator, n, LocalSortCoGroup, []Edge{le, re})
-			sn.EstOut = est
-			sn.SortKey = lk
-			sCost := lc.cost + rc.cost + lec + rec +
-				wGroup*float64(lc.est(o)+rc.est(o))*f
-			if !(lc.props.Sort == lkid && le.Ship == ShipForward) {
-				sCost += sortCost(lc.est(o)) * o.iterFactor(lDyn)
-			}
-			if !(rc.props.Sort == rkid && re.Ship == ShipForward) {
-				sCost += sortCost(rc.est(o)) * o.iterFactor(rDyn)
-			}
-			sProps := o.joinOutProps(n, lc, rc, lkid, rkid, le, re)
-			if n.PreservesKey(0, lkid) {
-				sProps.Sort = lkid
-			}
-			out = append(out, cand{node: sn, props: sProps, cost: sCost})
-		}
-	}
-	return out
-}
-
 // solutionCandidates plans the stateful solution-set operators: the input
 // must be partitioned identically to the solution-set index (§5.3), then
 // the operator probes/updates the local index partition.

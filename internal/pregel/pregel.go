@@ -46,14 +46,10 @@ type EdgeTo struct {
 type Context struct {
 	worker    *worker
 	superstep int
-	vertices  int64
 }
 
 // Superstep returns the current superstep number (0-based).
 func (c *Context) Superstep() int { return c.superstep }
-
-// NumVertices returns the total vertex count.
-func (c *Context) NumVertices() int64 { return c.vertices }
 
 // Send delivers a message to the target vertex in the next superstep.
 func (c *Context) Send(m Message) { c.worker.send(m) }
@@ -180,7 +176,7 @@ func Run(g *graphgen.Graph, init func(*Vertex), compute ComputeFn, cfg Config) (
 				for p := range w.nextOut {
 					w.nextOut[p] = make(map[int64][]Message)
 				}
-				ctx := &Context{worker: w, superstep: step, vertices: g.NumVertices}
+				ctx := &Context{worker: w, superstep: step}
 				for vid, v := range w.verts {
 					msgs := w.inbox[vid]
 					if len(msgs) > 0 {

@@ -79,11 +79,11 @@ func TestCCMessagesDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace.NumIterations() < 3 {
+	if len(res.Trace.Iterations) < 3 {
 		t.Skip("too few supersteps")
 	}
 	first := res.Trace.Iterations[1].Work.WorksetElements
-	last := res.Trace.Iterations[res.Trace.NumIterations()-1].Work.WorksetElements
+	last := res.Trace.Iterations[len(res.Trace.Iterations)-1].Work.WorksetElements
 	if last > first/2 {
 		t.Errorf("messages did not decay: first=%d last=%d", first, last)
 	}

@@ -74,13 +74,9 @@ func (t *task) combiner(l *dataflow.Node) *combineFold {
 	return t.fold
 }
 
-// reset starts a new round of the combine UDF of the combinable Reduce l
-// (its Combine UDF, else its Reduce UDF).
+// reset starts a new round of the combinable Reduce l's UDF.
 func (f *combineFold) reset(l *dataflow.Node) {
-	f.fn = l.Combine
-	if f.fn == nil {
-		f.fn = l.Reduce
-	}
+	f.fn = l.Reduce
 	f.key = l.Keys[0]
 	f.round++
 	f.touched = f.touched[:0]

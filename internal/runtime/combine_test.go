@@ -9,13 +9,15 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
+	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/record"
 	"repro/internal/runtime"
 )
 
 // Combine UDFs with different output arities. All arithmetic is on int64
-// fields, so results are exact whatever the grouping.
+// fields, and each output depends on its group's size and sum only, so
+// results are exact whatever the grouping and order.
 var foldUDFs = []struct {
 	name string
 	fn   dataflow.ReduceFn
@@ -57,19 +59,14 @@ var foldUDFs = []struct {
 }
 
 // foldPlan is source → expand (a Map that sometimes emits twice) →
-// combinable Reduce → sink. The Reduce UDF passes its group through, so
-// the sink holds exactly what the combiners emitted.
-func foldPlan(data []record.Record, combine dataflow.ReduceFn) (*dataflow.Plan, *dataflow.Node) {
+// combinable Reduce → sink. The Reduce UDF is also the combine UDF, so the
+// sink holds one final call per key over what the combiners emitted.
+func foldPlan(data []record.Record, fn dataflow.ReduceFn) (*dataflow.Plan, *dataflow.Node) {
 	p := dataflow.NewPlan()
 	src := p.SourceOf("src", data)
 	expand := p.MapNode("expand", src, foldExpand)
-	red := p.ReduceNode("fold", expand, record.KeyA, func(_ int64, g []record.Record, out dataflow.Emitter) {
-		for _, r := range g {
-			out.Emit(r)
-		}
-	})
+	red := p.ReduceNode("fold", expand, record.KeyA, fn)
 	red.Combinable = true
-	red.Combine = combine
 	red.EstRecords = 8 // few keys: the cost model wants the combiner
 	return p, p.SinkNode("out", red)
 }
@@ -84,8 +81,8 @@ func foldExpand(r record.Record, out dataflow.Emitter) {
 // oracleFold applies the fold contract to one partition's arrivals: per
 // key, an empty state takes the next record as is, a non-empty one is
 // replaced by what the UDF emits for (state..., record), and whatever
-// state is left gets one final call.
-func oracleFold(fn dataflow.ReduceFn, arrivals []record.Record) []record.Record {
+// state is left gets one final call. calls counts the UDF calls.
+func oracleFold(fn dataflow.ReduceFn, arrivals []record.Record, calls *int64) []record.Record {
 	state := make(map[int64][]record.Record)
 	var order []int64
 	for _, r := range arrivals {
@@ -98,12 +95,14 @@ func oracleFold(fn dataflow.ReduceFn, arrivals []record.Record) []record.Record 
 			continue
 		}
 		var next []record.Record
+		*calls++
 		fn(r.A, append(s, r), collect{&next})
 		state[r.A] = next
 	}
 	var out []record.Record
 	for _, k := range order {
 		if s := state[k]; len(s) > 0 {
+			*calls++
 			fn(k, s, collect{&out})
 		}
 	}
@@ -142,8 +141,10 @@ func countCombiners(p *optimizer.PhysPlan) (standalone, absorbed int) {
 
 // TestCombinerFold checks the combiner's fold contract — fused into its
 // producer and as a standalone task, at Parallelism 1 and 3, on both lanes
-// — against an oracle that folds each key's arrival sequence pairwise, for
-// combine UDFs that emit zero, one and two records; and that the shipped
+// — against an oracle that folds each key's arrival sequence pairwise and
+// reduces each key's folded records once, comparing the records and the
+// UDF calls, for combine UDFs that emit zero, one and two records; and
+// that the shipped
 // algorithms' plans run their combiners fused.
 func TestCombinerFold(t *testing.T) {
 	t.Run("oracle", foldMatchesOracle)
@@ -159,13 +160,21 @@ func foldMatchesOracle(t *testing.T) {
 		for _, par := range []int{1, 3} {
 			// The source splits its data contiguously; each partition's
 			// combiner sees its slice through the expand Map, in order.
-			var want []record.Record
+			calls := int64(len(data)) // one expand call per source record
+			groups := map[int64][]record.Record{}
 			for part := 0; part < par; part++ {
 				var arrivals []record.Record
 				for _, r := range data[part*len(data)/par : (part+1)*len(data)/par] {
 					foldExpand(r, collect{&arrivals})
 				}
-				want = append(want, oracleFold(udf.fn, arrivals)...)
+				for _, r := range oracleFold(udf.fn, arrivals, &calls) {
+					groups[r.A] = append(groups[r.A], r)
+				}
+			}
+			var want []record.Record
+			for k, g := range groups {
+				calls++
+				udf.fn(k, g, collect{&want})
 			}
 			want = sortRecs(want)
 			for _, fuse := range []bool{true, false} {
@@ -181,7 +190,8 @@ func foldMatchesOracle(t *testing.T) {
 						t.Fatalf("%s: %d combiner tasks, %d absorbed:\n%s", ctx, standalone, absorbed, phys.Explain())
 					}
 					restore := runtime.ForceLane(func() bool { return serial })
-					res, err := runtime.NewExecutor(runtime.Config{}).Run(phys)
+					var m metrics.Counters
+					res, err := runtime.NewExecutor(runtime.Config{Metrics: &m}).Run(phys)
 					restore()
 					if err != nil {
 						t.Fatalf("%s: %v", ctx, err)
@@ -194,6 +204,9 @@ func foldMatchesOracle(t *testing.T) {
 						if got[i] != want[i] {
 							t.Fatalf("%s: record %d = %v, oracle %v", ctx, i, got[i], want[i])
 						}
+					}
+					if n := m.UDFInvocations.Load(); n != calls {
+						t.Fatalf("%s: %d UDF calls, oracle %d", ctx, n, calls)
 					}
 				}
 			}
@@ -263,7 +276,8 @@ func TestSetPlaceholderFolded(t *testing.T) {
 							arrivals = append(arrivals, r)
 						}
 					}
-					if got, want := e.Placeholder[0][part], oracleFold(udf.fn, arrivals); !slices.Equal(got, want) {
+					var calls int64
+					if got, want := e.Placeholder[0][part], oracleFold(udf.fn, arrivals, &calls); !slices.Equal(got, want) {
 						t.Fatalf("%s par=%d n=%d seed %d partition %d:\n got %v\nwant %v", udf.name, par, c.n, seed, part, got, want)
 					}
 				}

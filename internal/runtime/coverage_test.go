@@ -220,11 +220,10 @@ func TestEnforcerSortNode(t *testing.T) {
 }
 
 func TestSetPlaceholderPartsAndMetricsAccessor(t *testing.T) {
-	var m metrics.Counters
-	e := NewExecutor(Config{Metrics: &m})
-	if e.Metrics() != &m {
-		t.Error("Metrics accessor broken")
-	}
+	// Pre-partitioned placeholder data reaches the sink unchanged. The
+	// executor's Metrics accessor is gone; the name is kept so the test's
+	// history stays traceable.
+	e := NewExecutor(Config{})
 	p := dataflow.NewPlan()
 	w := p.IterationPlaceholder("W", 2)
 	sink := p.SinkNode("o", w)

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"context"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 
@@ -158,13 +160,21 @@ type writer struct {
 	// shipped and shippedRemote tally this superstep's shuffle traffic in
 	// plain ints; done adds them to the shared counters.
 	shipped, shippedRemote int64
+	// lane points at the profiler labels of the lane the producing task
+	// runs on this superstep, which a transport call restores afterwards.
+	lane *context.Context
 }
 
-func newWriter(ex *exchange, ship optimizer.ShipStrategy, key record.KeyFunc, ownPart, batchSize int, pool *batchPool, m *metrics.Counters, hosted []bool, tr Transport) *writer {
+// sendLabels mark the transport's send side for the profiler: a batch
+// shipped to a remote partition and the producer-finished notice, both
+// on the producing task's goroutine.
+var sendLabels = pprof.WithLabels(context.Background(), pprof.Labels("layer", "transport", "op", "send"))
+
+func newWriter(ex *exchange, ship optimizer.ShipStrategy, key record.KeyFunc, ownPart, batchSize int, pool *batchPool, m *metrics.Counters, hosted []bool, tr Transport, lane *context.Context) *writer {
 	w := &writer{
 		ex: ex, ship: ship, key: key, ownPart: ownPart,
 		batchSize: batchSize, bufs: make([]record.Batch, len(ex.queues)),
-		pool: pool, m: m, hosted: hosted, tr: tr,
+		pool: pool, m: m, hosted: hosted, tr: tr, lane: lane,
 	}
 	for _, h := range hosted {
 		if !h {
@@ -211,8 +221,8 @@ func (w *writer) append(p int, r record.Record) {
 
 // flush hands partition p's buffered batch to its destination: the local
 // queue when the partition is hosted in-process, the transport otherwise
-// (the transport serializes synchronously, so the batch is recycled
-// immediately after the send).
+// (the transport serializes synchronously under sendLabels, so the batch
+// is recycled immediately after the send).
 func (w *writer) flush(p int) {
 	b := w.bufs[p]
 	w.bufs[p] = nil
@@ -220,7 +230,9 @@ func (w *writer) flush(p int) {
 		w.ex.queues[p].push(b)
 		return
 	}
+	pprof.SetGoroutineLabels(sendLabels)
 	w.tr.Send(w.ex.id, p, b)
+	pprof.SetGoroutineLabels(*w.lane)
 	w.pool.put(b)
 }
 
@@ -241,7 +253,9 @@ func (w *writer) done() {
 	}
 	w.shipped, w.shippedRemote = 0, 0
 	if w.tr != nil {
+		pprof.SetGoroutineLabels(sendLabels)
 		w.tr.FinishProducer(w.ex.id)
+		pprof.SetGoroutineLabels(*w.lane)
 	}
 	w.ex.producerDone()
 }

@@ -101,9 +101,6 @@ func (e *Executor) Close() {
 	e.cacheGen++
 }
 
-// Metrics returns the configured counters (may be nil).
-func (e *Executor) Metrics() *metrics.Counters { return e.cfg.Metrics }
-
 // SetPlaceholder installs the per-partition data an IterationInput node
 // emits on the next Run. If key is non-nil the records are hash-partitioned
 // by it; otherwise they are split contiguously. A non-positive parallelism

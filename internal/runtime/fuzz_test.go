@@ -69,10 +69,7 @@ func buildRandomPlan(seed uint64) (*dataflow.Plan, *dataflow.Node) {
 					out.Emit(record.Record{A: l.A, B: l.B + r.B, X: l.X})
 				})
 		case 4:
-			cur = p.CoGroupNode(fmt.Sprintf("cogroup%d", i), cur, other, record.KeyA, record.KeyA,
-				func(k int64, lg, rg []record.Record, out dataflow.Emitter) {
-					out.Emit(record.Record{A: k, B: int64(len(lg)*100 + len(rg))})
-				})
+			cur = p.UnionNode(fmt.Sprintf("union%d", i), cur, other)
 		}
 	}
 	sink := p.SinkNode("out", cur)

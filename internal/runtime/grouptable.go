@@ -4,8 +4,8 @@ import "repro/internal/record"
 
 // groupTable is the key-grouped hash table behind every grouping operator:
 // hash aggregation, hash-join build sides (including the cached
-// constant-path table), both CoGroup sides and SolutionCoGroup. (Combiners
-// do not group: they fold on arrival, see combineFold.)
+// constant-path table) and SolutionCoGroup. (Combiners do not group: they
+// fold on arrival, see combineFold.)
 //
 // Layout. All records of a round live in one flat array, recs, ordered by
 // group: a key's group is the extent recs[start:end] recorded beside the

@@ -150,9 +150,10 @@ func isHTTPLabel(l map[string]string) bool {
 }
 
 // isTransportLabel reports whether l is the label set of the TCP
-// transport's inbound goroutines, {layer=transport, op=read}.
+// transport's inbound goroutines, {layer=transport, op=read}, or of its
+// send side on a producing task's goroutine, {layer=transport, op=send}.
 func isTransportLabel(l map[string]string) bool {
-	return len(l) == 2 && l["layer"] == "transport" && l["op"] == "read"
+	return len(l) == 2 && l["layer"] == "transport" && (l["op"] == "read" || l["op"] == "send")
 }
 
 // TestPlannerProfileLabels profiles a loop of planning calls — CoGroup
@@ -392,9 +393,11 @@ func TestWorkerVerbProfileLabels(t *testing.T) {
 
 // TestTransportProfileLabels loops sharded flushes on a view over one
 // loopback worker, which serves in this process, and requires CPU samples
-// labelled {layer=transport, op=read}: the TCP transport's read loops,
-// decoding and routing inbound batches on both hosts. Every
-// transport-layer sample must carry exactly that label set.
+// labelled {layer=transport, op=read} — the TCP transport's read loops,
+// decoding and routing inbound batches on both hosts — and {layer=transport,
+// op=send}: producing tasks encoding and writing batches for the other
+// host. Every transport-layer sample must carry exactly one of those label
+// sets.
 func TestTransportProfileLabels(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -419,7 +422,7 @@ func TestTransportProfileLabels(t *testing.T) {
 	defer v.Close()
 
 	var prof bytes.Buffer
-	reads := 0
+	samples := map[string]int{} // transport samples by op
 	deadline := time.Now().Add(30 * time.Second)
 	for round := 0; ; round++ {
 		if err := pprof.StartCPUProfile(&prof); err != nil {
@@ -437,25 +440,25 @@ func TestTransportProfileLabels(t *testing.T) {
 			}
 		}
 		pprof.StopCPUProfile()
-		samples, err := labelledSamples(prof.Bytes())
+		labelled, err := labelledSamples(prof.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range samples {
+		for _, l := range labelled {
 			if l["layer"] != "transport" {
 				continue
 			}
 			if !isTransportLabel(l) {
-				t.Fatalf("transport sample labelled %v, want exactly {layer=transport, op=read}", l)
+				t.Fatalf("transport sample labelled %v, want exactly {layer=transport, op=read|send}", l)
 			}
-			reads++
+			samples[l["op"]]++
 		}
-		if reads > 0 {
-			t.Logf("transport samples after %d rounds: %d", round+1, reads)
+		if samples["read"] > 0 && samples["send"] > 0 {
+			t.Logf("transport samples after %d rounds: %v", round+1, samples)
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after %d rounds no sample is labelled {layer=transport, op=read}", round+1)
+			t.Fatalf("after %d rounds transport samples by op are %v, want both read and send", round+1, samples)
 		}
 		prof.Reset()
 	}

@@ -166,8 +166,8 @@ func TestLaneDifferential(t *testing.T) {
 // TestLaneAlternatingAcrossScheduleChanges: the lane is chosen per
 // superstep, so consecutive supersteps may take different lanes while the
 // session's schedule changes under them — the constant path drops out once
-// its caches fill, an unrolled bulk run invalidates them every pass, and a
-// re-optimization swaps the session. Results must not depend on it.
+// its caches fill, and a re-optimization swaps the session. Results must
+// not depend on it.
 func TestLaneAlternatingAcrossScheduleChanges(t *testing.T) {
 	// A 2-host distributed CC job over a dense core with a long tail
 	// re-plans to a different shape once the workset collapses (see
@@ -187,14 +187,11 @@ func TestLaneAlternatingAcrossScheduleChanges(t *testing.T) {
 
 	g := graphgen.Uniform("unrolled", 200, 600, 9)
 	cached, ranks := algorithms.PageRankSpec(g, 6, algorithms.DefaultDamping, 0)
-	unrolled := cached
-	unrolled.Unroll = true
 
 	cfg := iterative.Config{Parallelism: 2}
 	for _, job := range []laneJob{
 		ccJob,
 		bulkJob("pagerank-cached", cached, ranks),
-		bulkJob("pagerank-unrolled", unrolled, ranks),
 	} {
 		t.Run(job.name, func(t *testing.T) {
 			want := runOnLane(t, job, cfg, parallelLane)

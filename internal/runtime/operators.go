@@ -30,7 +30,7 @@ type task struct {
 	// worker carries the parallel-lane ones.
 	labels context.Context
 	// tables are per-input reusable group tables (hash aggregation,
-	// hash-join build, cogroup sides).
+	// hash-join build sides, SolutionCoGroup).
 	tables [2]*groupTable
 	// recsBuf are per-input reusable materialization buffers (sorts,
 	// block-cross build sides). Contents are only valid within one
@@ -302,30 +302,6 @@ func (t *task) runOp(out dataflow.Emitter) error {
 		})
 		return nil
 
-	case dataflow.CoGroupOp, dataflow.InnerCoGroupOp:
-		if n.Local == optimizer.LocalSortCoGroup {
-			return t.sortCoGroup(out)
-		}
-		left := t.buildTable(0, l.Keys[0])
-		right := t.buildTable(1, l.Keys[1])
-		left.each(func(k int64, lg []record.Record) {
-			rg := right.get(k)
-			if l.Contract == dataflow.InnerCoGroupOp && len(rg) == 0 {
-				return
-			}
-			t.udf()
-			l.CoGroup(k, lg, rg, out)
-		})
-		if l.Contract == dataflow.CoGroupOp {
-			right.each(func(k int64, rg []record.Record) {
-				if left.get(k) == nil {
-					t.udf()
-					l.CoGroup(k, nil, rg, out)
-				}
-			})
-		}
-		return nil
-
 	case dataflow.SolutionJoin:
 		sol := t.e.Solution
 		if sol == nil {
@@ -382,46 +358,6 @@ func (t *task) hashJoin(out dataflow.Emitter) error {
 			}
 		}
 	})
-	return nil
-}
-
-// sortCoGroup sorts both inputs and merges group pairs per key, calling
-// the UDF once per key in the union (intersection for InnerCoGroup).
-func (t *task) sortCoGroup(out dataflow.Emitter) error {
-	l := t.n.Logical
-	lk, rk := l.Keys[0], l.Keys[1]
-	left := t.consumeSorted(0, lk)
-	right := t.consumeSorted(1, rk)
-	inner := l.Contract == dataflow.InnerCoGroupOp
-	i, j := 0, 0
-	for i < len(left) || j < len(right) {
-		var k int64
-		switch {
-		case i >= len(left):
-			k = rk(right[j])
-		case j >= len(right):
-			k = lk(left[i])
-		default:
-			k = lk(left[i])
-			if rj := rk(right[j]); rj < k {
-				k = rj
-			}
-		}
-		i2 := i
-		for i2 < len(left) && lk(left[i2]) == k {
-			i2++
-		}
-		j2 := j
-		for j2 < len(right) && rk(right[j2]) == k {
-			j2++
-		}
-		lg, rg := left[i:i2], right[j:j2]
-		if !inner || (len(lg) > 0 && len(rg) > 0) {
-			t.udf()
-			l.CoGroup(k, lg, rg, out)
-		}
-		i, j = i2, j2
-	}
 	return nil
 }
 

@@ -194,43 +194,6 @@ func TestMatchJoinStrategiesAgree(t *testing.T) {
 	}
 }
 
-func TestCoGroupOuterAndInner(t *testing.T) {
-	l := []record.Record{{A: 1, X: 1}, {A: 2, X: 2}}
-	r := []record.Record{{A: 2, X: 20}, {A: 3, X: 30}}
-	for _, inner := range []bool{false, true} {
-		p := dataflow.NewPlan()
-		ls := p.SourceOf("l", l)
-		rs := p.SourceOf("r", r)
-		fn := func(k int64, lg, rg []record.Record, out dataflow.Emitter) {
-			out.Emit(record.Record{A: k, B: int64(len(lg)*10 + len(rg))})
-		}
-		var cg *dataflow.Node
-		if inner {
-			cg = p.InnerCoGroupNode("cg", ls, rs, record.KeyA, record.KeyA, fn)
-		} else {
-			cg = p.CoGroupNode("cg", ls, rs, record.KeyA, record.KeyA, fn)
-		}
-		sink := p.SinkNode("out", cg)
-		res, _ := run(t, p, 2)
-		got := sorted(res.Records(sink.ID))
-		if inner {
-			if len(got) != 1 || got[0] != (record.Record{A: 2, B: 11}) {
-				t.Errorf("inner cogroup got %v", got)
-			}
-		} else {
-			want := []record.Record{{A: 1, B: 10}, {A: 2, B: 11}, {A: 3, B: 1}}
-			if len(got) != 3 {
-				t.Fatalf("outer cogroup got %v", got)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("outer row %d = %v, want %v", i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func TestCross(t *testing.T) {
 	p := dataflow.NewPlan()
 	l := p.SourceOf("l", recs(1, 2))
@@ -372,55 +335,5 @@ func TestResultRecordsFlatten(t *testing.T) {
 	}
 	if len(r.Records(99)) != 0 {
 		t.Error("missing sink should flatten empty")
-	}
-}
-
-func TestSortCoGroupMatchesHashCoGroup(t *testing.T) {
-	l := []record.Record{{A: 1, X: 1}, {A: 2, X: 2}, {A: 2, X: 3}, {A: 5, X: 4}}
-	r := []record.Record{{A: 2, X: 20}, {A: 3, X: 30}, {A: 5, X: 50}}
-	run := func(local optimizer.LocalStrategy, inner bool) []record.Record {
-		p := dataflow.NewPlan()
-		ls := p.SourceOf("l", l)
-		rs := p.SourceOf("r", r)
-		fn := func(k int64, lg, rg []record.Record, out dataflow.Emitter) {
-			out.Emit(record.Record{A: k, B: int64(len(lg)*10 + len(rg))})
-		}
-		var cg *dataflow.Node
-		if inner {
-			cg = p.InnerCoGroupNode("cg", ls, rs, record.KeyA, record.KeyA, fn)
-		} else {
-			cg = p.CoGroupNode("cg", ls, rs, record.KeyA, record.KeyA, fn)
-		}
-		sink := p.SinkNode("out", cg)
-		phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range phys.Nodes {
-			if n.Logical == cg {
-				n.Local = local
-				if local == optimizer.LocalSortCoGroup {
-					n.SortKey = record.KeyA
-				}
-			}
-		}
-		e := NewExecutor(Config{})
-		res, err := e.Run(phys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sorted(res.Records(sink.ID))
-	}
-	for _, inner := range []bool{false, true} {
-		hash := run(optimizer.LocalHashCoGroup, inner)
-		sort := run(optimizer.LocalSortCoGroup, inner)
-		if len(hash) != len(sort) {
-			t.Fatalf("inner=%v: hash %v vs sort %v", inner, hash, sort)
-		}
-		for i := range hash {
-			if hash[i] != sort[i] {
-				t.Errorf("inner=%v row %d: hash %v sort %v", inner, i, hash[i], sort[i])
-			}
-		}
 	}
 }

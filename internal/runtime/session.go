@@ -77,7 +77,11 @@ type worker struct {
 	t      *task
 	live   bool            // does t participate in the current schedule?
 	labels context.Context // t's profiler labels on the parallel lane
-	fire   chan *superstep
+	// lane is the profiler labels t runs under this superstep: labels on
+	// the parallel lane, t.labels on the serial one. t's writers restore
+	// it after a transport call.
+	lane context.Context
+	fire chan *superstep
 }
 
 // superstep is the per-Run rendezvous between the session and its workers.
@@ -150,15 +154,12 @@ func (e *Executor) OpenSessionOn(p *optimizer.PhysPlan, tr Transport) *Session {
 	return s
 }
 
-// HostedParts returns the partitions this session executes, ascending;
-// nil means all of them (no transport).
-func (s *Session) HostedParts() []int { return s.hostedParts }
-
 // loop is the worker goroutine. It runs one task only, so it carries
 // that task's parallel-lane profiler labels for its whole life.
 func (w *worker) loop() {
 	pprof.SetGoroutineLabels(w.labels)
 	for step := range w.fire {
+		w.lane = w.labels
 		if w.live {
 			if err := execTask(w.t); err != nil {
 				step.addErr(err)
@@ -254,10 +255,14 @@ func (s *Session) Run() (Result, error) {
 		// Topological order over unbounded queues: every consumer finds its
 		// producers finished and its queues closed, so nothing blocks. Each
 		// task runs under its serial-lane profiler labels on the caller's
-		// goroutine, which gets its own labels back afterwards: none, since
-		// nothing above the runtime labels a goroutine.
+		// goroutine. The runtime cannot read a goroutine's labels, so the
+		// caller's are not restored afterwards: the goroutine is left
+		// unlabelled, and a caller that labels its goroutine (a live
+		// view's control round, an HTTP handler) has its samples after a
+		// serial superstep counted unlabelled until it sets them again.
 		for i, t := range s.tasks {
-			if s.workers[i].live {
+			if w := s.workers[i]; w.live {
+				w.lane = t.labels
 				pprof.SetGoroutineLabels(t.labels)
 				if err := execTask(t); err != nil {
 					errs = append(errs, err)
@@ -469,7 +474,7 @@ func (s *Session) compile() {
 		}
 		t.outs = t.outs[:0]
 		for _, o := range outs[n.ID] {
-			t.outs = append(t.outs, newWriter(o.ex, o.ship, o.key, t.part, e.cfg.BatchSize, s.pool, e.cfg.Metrics, s.hosted, s.tr))
+			t.outs = append(t.outs, newWriter(o.ex, o.ship, o.key, t.part, e.cfg.BatchSize, s.pool, e.cfg.Metrics, s.hosted, s.tr, &w.lane))
 		}
 	}
 	s.resetActive()

@@ -217,7 +217,7 @@ func TestSessionSpilledCacheAcrossSupersteps(t *testing.T) {
 }
 
 // TestSessionInvalidateCachesRewires checks that dropping the executor's
-// caches mid-session (the Unroll strategy, or re-optimization) makes the
+// caches mid-session (a live view's fold, or re-optimization) makes the
 // session rebuild its wiring instead of replaying stale slots.
 func TestSessionInvalidateCachesRewires(t *testing.T) {
 	constRecs := []record.Record{{A: 1, B: 10}, {A: 2, B: 20}}

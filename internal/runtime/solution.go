@@ -330,16 +330,6 @@ func (s *SolutionSet) Snapshot() []record.Record {
 	return out
 }
 
-// Each visits every record under the partition locks (order unspecified)
-// without materializing a copy the way Snapshot does. The callback must
-// not call back into the set (the partition lock is held). Spilled
-// partitions are streamed from disk, not reloaded.
-func (s *SolutionSet) Each(f func(record.Record)) {
-	for p := 0; p < s.par; p++ {
-		s.EachPartition(p, f)
-	}
-}
-
 // EachPartition visits every record of one partition under its lock,
 // without materializing a copy. Snapshot writers iterate partitions in
 // ascending order through it: the partition boundary is a natural point

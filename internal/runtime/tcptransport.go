@@ -201,7 +201,7 @@ func (t *TCPTransport) Listen(addr string) (string, error) {
 
 // transportLabels mark the transport's inbound goroutines (acceptLoop,
 // readLoop) for the profiler, set once when each starts. The send side
-// runs on the runtime's task goroutines and keeps their labels.
+// runs on the runtime's task goroutines, under sendLabels (exchange.go).
 var transportLabels = pprof.WithLabels(context.Background(), pprof.Labels("layer", "transport", "op", "read"))
 
 func (t *TCPTransport) acceptLoop() {
@@ -297,9 +297,6 @@ func (t *TCPTransport) ConnectPeers(addrs []string, timeout time.Duration) error
 
 // Hosted reports whether partition p executes in this process.
 func (t *TCPTransport) Hosted(p int) bool { return t.hosted[p] }
-
-// HostedParts returns this process's partitions, ascending.
-func (t *TCPTransport) HostedParts() []int { return t.placement.HostedBy(t.hostID) }
 
 // Send ships one batch to the peer hosting part. Failures are absorbed
 // (counted, surfaced via Err); the superstep driver aborts the run.

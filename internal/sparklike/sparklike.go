@@ -72,18 +72,6 @@ func (r *RDD) eachPart(f func(part int, in []record.Record) []record.Record) *RD
 	return &RDD{ctx: r.ctx, parts: out}
 }
 
-// Map transforms every record.
-func (r *RDD) Map(fn func(record.Record) record.Record) *RDD {
-	return r.eachPart(func(_ int, in []record.Record) []record.Record {
-		out := make([]record.Record, len(in))
-		for i, rec := range in {
-			r.udf()
-			out[i] = fn(rec)
-		}
-		return out
-	})
-}
-
 // Filter keeps matching records.
 func (r *RDD) Filter(pred func(record.Record) bool) *RDD {
 	return r.eachPart(func(_ int, in []record.Record) []record.Record {

@@ -23,12 +23,13 @@ func TestParallelizeAndCollect(t *testing.T) {
 	}
 }
 
+// TestMapFilter checks Filter. RDD.Map is gone (no program maps an RDD);
+// the name is kept so the test's history stays traceable.
 func TestMapFilter(t *testing.T) {
 	c := ctx(2)
-	rdd := c.Parallelize([]record.Record{{A: 1}, {A: 2}, {A: 3}})
-	doubled := rdd.Map(func(r record.Record) record.Record { r.A *= 2; return r })
+	doubled := c.Parallelize([]record.Record{{A: 2}, {A: 4}, {A: 6}})
 	if doubled.Count() != 3 {
-		t.Fatal("map changed cardinality")
+		t.Fatal("parallelize changed cardinality")
 	}
 	evens := doubled.Filter(func(r record.Record) bool { return r.A%4 == 0 })
 	if evens.Count() != 1 {

@@ -7,7 +7,7 @@
 // # Building plans
 //
 // A Plan is a DAG of PACT-style operators (Map, Reduce, Match, Cross,
-// CoGroup, InnerCoGroup) over compact Records:
+// Union) over compact Records:
 //
 //	p := spinflow.NewPlan()
 //	src := p.SourceOf("edges", edges)

@@ -150,8 +150,4 @@ func TestExplainDOT(t *testing.T) {
 	if !strings.Contains(dot, "digraph physplan") {
 		t.Errorf("DOT output malformed:\n%s", dot)
 	}
-	planDot := p.DOT()
-	if !strings.Contains(planDot, "digraph plan") {
-		t.Errorf("logical DOT malformed:\n%s", planDot)
-	}
 }

@@ -6,4 +6,7 @@ import (
 	"fixture/lib"
 )
 
-func main() { println(lib.Used() + difftest.Helper()) }
+func main() {
+	println(lib.Used() + difftest.Helper())
+	println(lib.Run(lib.Config{}), lib.Print(lib.Box{}), lib.Pair{1, 2}.Sum())
+}
