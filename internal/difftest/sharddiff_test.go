@@ -73,7 +73,7 @@ func ssspOracle(gs *live.GraphState, source int64) map[int64]float64 {
 }
 
 func TestLiveShardedStreamCC(t *testing.T) {
-	g := diffGraphs()[1] // many components: deletions stay under RecomputeFraction
+	g := diffGraphs()[1] // many components: deletions stay under the recompute cutoff
 	half := len(g.Edges) / 2
 	initial := make([]live.Mutation, half)
 	for i, e := range g.Edges[:half] {
@@ -248,13 +248,22 @@ func TestLiveShardedStreamSSSP(t *testing.T) {
 // on 1, 2 and 3 hosts. After every batch each topology's
 // solution must match the oracle and the one-host view byte for byte, and
 // the maintenance decisions (bounded and full recomputes, re-plans) must
-// be the one-host view's.
+// be the one-host view's. The inserts merge most of the graph into one
+// component, so 30 far 4-vertex rings the inserts never reach hold more
+// than half the solution set: they keep that component's deletes under
+// the recompute cutoff.
 func TestLiveShardedFoldCrossing(t *testing.T) {
 	g := diffGraphs()[1]
 	half := len(g.Edges) / 2
 	initial := make([]live.Mutation, half)
 	for i, e := range g.Edges[:half] {
 		initial[i] = live.InsertEdge(e.Src, e.Dst)
+	}
+	for c := int64(0); c < 30; c++ {
+		at := 1000 + 8*c
+		for i := int64(0); i < 4; i++ {
+			initial = append(initial, live.InsertEdge(at+i, at+(i+1)%4))
+		}
 	}
 	model := live.NewGraphState()
 	for _, mu := range initial {
@@ -294,7 +303,6 @@ func TestLiveShardedFoldCrossing(t *testing.T) {
 	var wantStats live.ViewStats
 	for hosts := 1; hosts <= 3; hosts++ {
 		cfg := shardViewConfig(workers[:hosts-1])
-		cfg.RecomputeFraction = 1 // the inserts merge most of the graph: keep deletes bounded
 		v, err := live.NewView(fmt.Sprintf("fold-%d", hosts), live.CC(), initial, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -31,7 +31,8 @@ import (
 // JobSpec is the complete, self-contained description of a distributed
 // run. Everything a process needs — graph, algorithm, plan options — is
 // derived deterministically from these values, so shipping the spec is
-// equivalent to shipping the plan.
+// equivalent to shipping the plan. The run's superstep budget is the
+// iteration's own default (10000 supersteps).
 type JobSpec struct {
 	// Algorithm: "cc" (CC via Match), "cc-cogroup" (CC via CoGroup), or
 	// "sssp".
@@ -53,8 +54,6 @@ type JobSpec struct {
 	// Partitions map to hosts with runtime.ContiguousPlacement.
 	Parallelism int `json:"parallelism"`
 	Hosts       int `json:"hosts"`
-	// MaxSupersteps bounds the run (0 = 10000).
-	MaxSupersteps int `json:"max_supersteps,omitempty"`
 	// Reoptimize lets the coordinator re-plan mid-run when the workset
 	// collapses far below the planned estimate. A re-plan that changes the
 	// physical shape is a coordinated plan epoch of the session barrier:
@@ -71,16 +70,13 @@ type JobSpec struct {
 }
 
 // Normalized fills the defaults every host must agree on (parallelism 2,
-// one host, a 10000-superstep budget).
+// one host).
 func (js JobSpec) Normalized() JobSpec {
 	if js.Parallelism <= 0 {
 		js.Parallelism = 2
 	}
 	if js.Hosts <= 0 {
 		js.Hosts = 1
-	}
-	if js.MaxSupersteps <= 0 {
-		js.MaxSupersteps = 10000
 	}
 	return js
 }

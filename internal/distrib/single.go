@@ -32,13 +32,3 @@ func RunSingle(js JobSpec) (*Result, error) {
 	sort.Slice(sol, func(x, y int) bool { return record.Less(sol[x], sol[y]) })
 	return &Result{Solution: sol, Supersteps: res.Supersteps, PlanEpochs: res.PlanEpochs, Work: m.Snapshot()}, nil
 }
-
-// EncodeSolution serializes a result's solution records back-to-back —
-// the byte string two runs of the same job must agree on.
-func EncodeSolution(sol []record.Record) []byte {
-	out := make([]byte, 0, len(sol)*record.EncodedSize)
-	for _, r := range sol {
-		out = r.Encode(out)
-	}
-	return out
-}

@@ -64,8 +64,8 @@ func BuildSpec(js JobSpec) (iterative.IncrementalSpec, []record.Record, []record
 	default:
 		return spec, nil, nil, fmt.Errorf("distrib: unknown algorithm %q", js.Algorithm)
 	}
-	// The same bounds and re-planning policy on every host.
-	spec.MaxSupersteps = js.MaxSupersteps
+	// The same re-planning policy on every host; the superstep budget is
+	// the iteration's own default.
 	spec.Reoptimize = js.Reoptimize
 	return spec, s0, w0, nil
 }

@@ -200,7 +200,7 @@ func Distributed(o Options) (*DistributedResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: distributed %s: %w", js.Algorithm, err)
 		}
-		identical := bytes.Equal(distrib.EncodeSolution(dist.Solution), distrib.EncodeSolution(single.Solution))
+		identical := bytes.Equal(record.EncodeBatch(nil, dist.Solution), record.EncodeBatch(nil, single.Solution))
 		res.AllIdentical = res.AllIdentical && identical
 		res.Checks = append(res.Checks, DistributedCheck{
 			Algorithm: js.Algorithm, Parallelism: js.Parallelism,
@@ -309,7 +309,7 @@ func Distributed(o Options) (*DistributedResult, error) {
 		res.Sharded = append(res.Sharded, row)
 		o.printf("  %-6d %-10s %.1f\n", row.Hosts, row.Duration.Round(time.Millisecond), row.BatchesPerSec)
 	}
-	res.ShardedIdentical = bytes.Equal(distrib.EncodeSolution(snaps[0]), distrib.EncodeSolution(snaps[1]))
+	res.ShardedIdentical = bytes.Equal(record.EncodeBatch(nil, snaps[0]), record.EncodeBatch(nil, snaps[1]))
 	res.ShardedSlowdown = float64(res.Sharded[1].Duration) / float64(res.Sharded[0].Duration)
 	o.printf("  sharded/single slowdown: %.2fx, final states identical: %v\n\n",
 		res.ShardedSlowdown, res.ShardedIdentical)

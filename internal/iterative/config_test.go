@@ -24,7 +24,6 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 		want string
 	}{
 		{"parallelism", Config{Parallelism: -1}, "negative Parallelism"},
-		{"batch", Config{BatchSize: -8}, "negative BatchSize"},
 		{"budget", Config{SolutionMemoryBudget: -1}, "negative SolutionMemoryBudget"},
 		{"hosts", Config{Hosts: -2}, "negative Hosts"},
 	}

@@ -50,8 +50,6 @@ import (
 type Config struct {
 	// Parallelism is the number of partitions.
 	Parallelism int
-	// BatchSize is the exchange batch size (0 = default).
-	BatchSize int
 	// Metrics receives work counters (optional; required for traces).
 	Metrics *metrics.Counters
 	// CollectTrace records per-iteration statistics.
@@ -68,11 +66,13 @@ type Config struct {
 	// the initial run with the cost-based enumerator and mid-run
 	// re-optimizations with the greedy zero-statistics fast path — there,
 	// planning latency sits on the superstep path. PlannerCost or
-	// PlannerGreedy pin one planner for both.
+	// PlannerGreedy pin one planner for both. Programs keep the default;
+	// the planner differential pins PlannerCost for its reference plan.
 	Planner optimizer.PlannerKind
 	// DisableFusion turns off the operator-fusion rewrite. By default
 	// chains of adjacent Map operators on forward edges collapse into
-	// single fused nodes executed record-at-a-time.
+	// single fused nodes executed record-at-a-time. Programs always fuse;
+	// the planner differential's reference plan runs unfused.
 	DisableFusion bool
 	// Hosts is the number of processes the plan's partitions will be
 	// spread over (distributed sessions). 0 or 1 plans for the default
@@ -101,9 +101,6 @@ func (c Config) normalize() (Config, error) {
 	if c.Parallelism < 0 {
 		return c, fmt.Errorf("iterative: negative Parallelism %d", c.Parallelism)
 	}
-	if c.BatchSize < 0 {
-		return c, fmt.Errorf("iterative: negative BatchSize %d", c.BatchSize)
-	}
 	if c.SolutionMemoryBudget < 0 {
 		return c, fmt.Errorf("iterative: negative SolutionMemoryBudget %d", c.SolutionMemoryBudget)
 	}
@@ -119,7 +116,7 @@ func (c Config) normalize() (Config, error) {
 // runtimeConfig builds the executor config, threading telemetry through
 // when an Obs registry is attached.
 func (c Config) runtimeConfig() runtime.Config {
-	rc := runtime.Config{BatchSize: c.BatchSize, Metrics: c.Metrics}
+	rc := runtime.Config{Metrics: c.Metrics}
 	if c.Obs != nil {
 		rc.Trace = c.Obs.Trace()
 		rc.TraceID = c.TraceID

@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/distrib"
 	"repro/internal/iterative"
+	"repro/internal/record"
 )
 
 // --- an in-memory fsys that knows what a crash keeps ----------------------
@@ -586,7 +586,7 @@ func recoverTree(dataDir string, tree map[string][]byte) (res recoveredTree) {
 	_, res.err = s.Recover()
 	for _, name := range s.Names() {
 		v, _ := s.Get(name)
-		res.views[name] = distrib.EncodeSolution(v.Snapshot())
+		res.views[name] = record.EncodeBatch(nil, v.Snapshot())
 		// wal.log, meta.json and one or two snapshots, nothing else.
 		entries, _ := mem.ReadDir(path.Join(dataDir, name))
 		vf, _ := readViewDir(mem, path.Join(dataDir, name))
@@ -745,7 +745,7 @@ func (c *crashScript) oracle() map[string][][][]byte {
 			if err != nil {
 				c.t.Fatal(err)
 			}
-			sols := [][]byte{distrib.EncodeSolution(v.Snapshot())}
+			sols := [][]byte{record.EncodeBatch(nil, v.Snapshot())}
 			for _, batch := range frames {
 				if err := v.Mutate(batch...); err != nil {
 					c.t.Fatal(err)
@@ -753,7 +753,7 @@ func (c *crashScript) oracle() map[string][][][]byte {
 				if err := v.Flush(); err != nil {
 					c.t.Fatal(err)
 				}
-				sols = append(sols, distrib.EncodeSolution(v.Snapshot()))
+				sols = append(sols, record.EncodeBatch(nil, v.Snapshot()))
 			}
 			v.Close()
 			out[name] = append(out[name], sols)
@@ -988,7 +988,7 @@ func TestRotateDirSyncFaultLosesNoAck(t *testing.T) {
 		t.Fatalf("recovered %d views (%v), want 1", n, err)
 	}
 	got, _ := s2.Get("cc")
-	if !bytes.Equal(distrib.EncodeSolution(got.Snapshot()), distrib.EncodeSolution(want.Snapshot())) {
+	if !bytes.Equal(record.EncodeBatch(nil, got.Snapshot()), record.EncodeBatch(nil, want.Snapshot())) {
 		t.Fatalf("recovery lost acknowledged mutations: %d batches acknowledged, recovered %v", len(acked), got.Snapshot())
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/obs"
+	"repro/internal/record"
 )
 
 // The job differential: a distrib.JobSpec run as a one-shot sharded
@@ -61,7 +62,7 @@ func assertJobMatchesOracle(t *testing.T, ctx string, js distrib.JobSpec, worker
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
-	if !bytes.Equal(distrib.EncodeSolution(got.Solution), distrib.EncodeSolution(want.Solution)) {
+	if !bytes.Equal(record.EncodeBatch(nil, got.Solution), record.EncodeBatch(nil, want.Solution)) {
 		t.Fatalf("%s: distributed fixpoint diverged: %d records vs %d single-process",
 			ctx, len(got.Solution), len(want.Solution))
 	}
@@ -167,7 +168,7 @@ func TestJobTracePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(distrib.EncodeSolution(got.Solution), distrib.EncodeSolution(want.Solution)) {
+	if !bytes.Equal(record.EncodeBatch(nil, got.Solution), record.EncodeBatch(nil, want.Solution)) {
 		t.Fatal("traced run diverged from single-process")
 	}
 
@@ -622,7 +623,7 @@ func TestOneWorkerServesJobsAndViews(t *testing.T) {
 				t.Fatalf("query %d: sharded %+v (found %v), local %+v", k, got, ok, want)
 			}
 		}
-		if !bytes.Equal(distrib.EncodeSolution(sharded.Snapshot()), distrib.EncodeSolution(local.Snapshot())) {
+		if !bytes.Equal(record.EncodeBatch(nil, sharded.Snapshot()), record.EncodeBatch(nil, local.Snapshot())) {
 			t.Fatal("sharded view diverged from the in-process view")
 		}
 		for _, v := range []*LiveView{local, sharded} {

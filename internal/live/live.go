@@ -20,7 +20,7 @@
 //     Components, the component containing the deleted edge), the region's
 //     entries are force-reset, and the fixpoint re-runs over the region
 //     only — falling back to a full recompute as a last resort (SSSP
-//     deletions, or regions larger than ViewConfig.RecomputeFraction);
+//     deletions, or regions larger than half the solution set);
 //   - mutations are micro-batched: they buffer until ViewConfig.BatchSize
 //     accumulate or ViewConfig.FlushInterval elapses, and one flush
 //     absorbs the whole batch in a single warm restart.
@@ -126,7 +126,8 @@ func DeleteEdge(src, dst int64) Mutation { return Mutation{Op: OpDeleteEdge, Src
 
 // ViewConfig configures one live view. The embedded iterative.Config
 // selects parallelism, metrics, and the solution-set memory budget
-// (SolutionMemoryBudget, for out-of-core views).
+// (SolutionMemoryBudget, for out-of-core views). The bounded-recompute
+// cutoff is fixed (recomputeCutoff, half the solution set).
 type ViewConfig struct {
 	iterative.Config
 	// BatchSize is the number of buffered mutations that triggers an
@@ -137,10 +138,6 @@ type ViewConfig struct {
 	// mutation arrives. Zero means flushes happen only when BatchSize is
 	// reached or Flush is called.
 	FlushInterval time.Duration
-	// RecomputeFraction is the bounded-recompute cutoff: when a
-	// deletion's affected region exceeds this fraction of the solution
-	// set, the view falls back to a full recompute (default 0.5).
-	RecomputeFraction float64
 	// Durable enables the write-ahead log and snapshot lifecycle: every
 	// Mutate appends its batch to the view's log (fsynced) before
 	// returning, periodic streaming snapshots bound the log, and OpenView
@@ -169,9 +166,6 @@ func (c ViewConfig) normalized() ViewConfig {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 256
 	}
-	if c.RecomputeFraction <= 0 {
-		c.RecomputeFraction = 0.5
-	}
 	if c.fs == nil {
 		c.fs = osFS{}
 	}
@@ -186,9 +180,6 @@ func (c ViewConfig) Validate() error {
 	}
 	if c.FlushInterval < 0 {
 		return fmt.Errorf("live: negative FlushInterval %v", c.FlushInterval)
-	}
-	if c.RecomputeFraction < 0 || c.RecomputeFraction > 1 {
-		return fmt.Errorf("live: RecomputeFraction %v outside [0,1]", c.RecomputeFraction)
 	}
 	if c.SolutionMemoryBudget < 0 {
 		return fmt.Errorf("live: negative SolutionMemoryBudget %d", c.SolutionMemoryBudget)

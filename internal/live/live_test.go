@@ -122,17 +122,18 @@ func TestLiveViewInsertOnlyNeverRecomputes(t *testing.T) {
 func TestLiveViewDeletionsBoundedRecompute(t *testing.T) {
 	var m metrics.Counters
 	// Two triangles joined by a bridge, plus a far-away component that
-	// must never be touched: {0,1,2}-3-{4,5,6}, {100..102}.
+	// must never be touched: {0,1,2}-3-{4,5,6}, the path 100..109. The far
+	// path keeps the 7-vertex region under the recompute cutoff (half the
+	// solution set).
 	initial := []Mutation{
 		InsertEdge(0, 1), InsertEdge(1, 2), InsertEdge(2, 0),
 		InsertEdge(2, 3), InsertEdge(3, 4),
 		InsertEdge(4, 5), InsertEdge(5, 6), InsertEdge(6, 4),
-		InsertEdge(100, 101), InsertEdge(101, 102),
 	}
-	v, err := NewView("cc", CC(), initial, ViewConfig{
-		Config:            iterative.Config{Parallelism: 2, Metrics: &m},
-		RecomputeFraction: 1.0, // always bounded while the region fits the set
-	})
+	for i := int64(100); i < 109; i++ {
+		initial = append(initial, InsertEdge(i, i+1))
+	}
+	v, err := NewView("cc", CC(), initial, ViewConfig{Config: iterative.Config{Parallelism: 2, Metrics: &m}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,16 +373,16 @@ func TestLiveViewMixedBatch(t *testing.T) {
 }
 
 // TestLiveViewVertexDelete removes a cut vertex, which both drops its
-// solution entry and splits its component.
+// solution entry and splits its component, by bounded recompute.
 func TestLiveViewVertexDelete(t *testing.T) {
+	var m metrics.Counters
+	// The far path 5..10 keeps the region {0,1,2} under the recompute
+	// cutoff (half the solution set).
 	initial := []Mutation{
 		InsertEdge(0, 1), InsertEdge(1, 2), // 1 is the cut vertex
-		InsertEdge(5, 6),
+		InsertEdge(5, 6), InsertEdge(6, 7), InsertEdge(7, 8), InsertEdge(8, 9), InsertEdge(9, 10),
 	}
-	v, err := NewView("cc", CC(), initial, ViewConfig{
-		Config:            iterative.Config{Parallelism: 2},
-		RecomputeFraction: 1.0,
-	})
+	v, err := NewView("cc", CC(), initial, ViewConfig{Config: iterative.Config{Parallelism: 2, Metrics: &m}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,6 +399,9 @@ func TestLiveViewVertexDelete(t *testing.T) {
 	assertCC(t, "vertex delete", v, model)
 	if _, found := v.Query(1); found {
 		t.Error("deleted vertex still has a solution entry")
+	}
+	if m.PartialRecomputes.Load() != 1 || m.FullRecomputes.Load() != 0 {
+		t.Errorf("recomputes partial/full = %d/%d, want 1/0", m.PartialRecomputes.Load(), m.FullRecomputes.Load())
 	}
 }
 
@@ -613,8 +617,11 @@ func TestLiveViewConcurrentQueries(t *testing.T) {
 }
 
 // TestLiveViewAcrossBackends repeats an insert+delete stream with and
-// without a solution-set memory budget; results must be identical.
+// without a solution-set memory budget; results must be identical, and the
+// deletes repaired by bounded recompute. The far 12-vertex island keeps the
+// ring's region under the recompute cutoff (half the solution set).
 func TestLiveViewAcrossBackends(t *testing.T) {
+	initial := append(ringEdges(12), islandEdges(1, 12, 100)...)
 	backends := []struct {
 		name   string
 		budget int64
@@ -624,16 +631,16 @@ func TestLiveViewAcrossBackends(t *testing.T) {
 	}
 	for _, bk := range backends {
 		t.Run(bk.name, func(t *testing.T) {
-			v, err := NewView("cc", CC(), ringEdges(12), ViewConfig{
-				Config:            iterative.Config{Parallelism: 4, SolutionMemoryBudget: bk.budget},
-				RecomputeFraction: 1.0,
+			var m metrics.Counters
+			v, err := NewView("cc", CC(), initial, ViewConfig{
+				Config: iterative.Config{Parallelism: 4, SolutionMemoryBudget: bk.budget, Metrics: &m},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer v.Close()
 			model := NewGraphState()
-			for _, mu := range ringEdges(12) {
+			for _, mu := range initial {
 				model.Apply(mu)
 			}
 			mutateAndModel(t, v, model,
@@ -642,6 +649,9 @@ func TestLiveViewAcrossBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertCC(t, bk.name, v, model)
+			if m.PartialRecomputes.Load() != 1 || m.FullRecomputes.Load() != 0 {
+				t.Errorf("recomputes partial/full = %d/%d, want 1/0", m.PartialRecomputes.Load(), m.FullRecomputes.Load())
+			}
 		})
 	}
 }
@@ -652,7 +662,6 @@ func TestViewConfigValidate(t *testing.T) {
 	bad := []ViewConfig{
 		{BatchSize: -1},
 		{FlushInterval: -time.Second},
-		{RecomputeFraction: 1.5},
 		{Config: iterative.Config{SolutionMemoryBudget: -5}},
 	}
 	for i, cfg := range bad {

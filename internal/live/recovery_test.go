@@ -44,7 +44,7 @@ func solutionOf(t *testing.T, m Maintainer, history ...[]Mutation) []byte {
 			t.Fatal(err)
 		}
 	}
-	return distrib.EncodeSolution(v.Snapshot())
+	return record.EncodeBatch(nil, v.Snapshot())
 }
 
 func copyFile(t testing.TB, dst, src string) {
@@ -131,7 +131,7 @@ func TestRecoverWithoutSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := distrib.EncodeSolution(v2.Snapshot()); !bytes.Equal(got, want) {
+			if got := record.EncodeBatch(nil, v2.Snapshot()); !bytes.Equal(got, want) {
 				t.Fatal("log-only recovery diverged from the oracle")
 			}
 			if got := v2.Stats().RecoveredFrames; got != int64(len(history)) {
@@ -305,7 +305,7 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, st := distrib.EncodeSolution(v.Snapshot()), v.Stats()
+					got, st := record.EncodeBatch(nil, v.Snapshot()), v.Stats()
 					// Recovery reclaimed the legacy sibling, and a snapshot
 					// leaves a name of any other shape alone.
 					decoy := filepath.Join(vdir, snapshotPrefix+"latest.shard1"+snapshotSuffix)
@@ -380,7 +380,7 @@ func TestShardedSnapshotIsOneFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", topo.name, err)
 		}
-		got, st := distrib.EncodeSolution(v.Snapshot()), v.Stats()
+		got, st := record.EncodeBatch(nil, v.Snapshot()), v.Stats()
 		if err := v.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -532,7 +532,7 @@ func FuzzSnapshotFamily(f *testing.F) {
 		}
 		v, err := OpenView("fam", CC(), nil, cfg)
 		if err == nil {
-			got := distrib.EncodeSolution(v.Snapshot())
+			got := record.EncodeBatch(nil, v.Snapshot())
 			v.Kill()
 			if !bytes.Equal(got, fx.want) {
 				t.Fatalf("recovery served %d bytes of solution, the history converges to %d", len(got), len(fx.want))

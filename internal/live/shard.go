@@ -145,8 +145,7 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 		return err
 	}
 	spec := shardSpec{
-		recipe: r, Name: v.name, Hosts: cfg.Hosts, ExchangeBatch: cfg.BatchSize,
-		Planner: int(cfg.Planner), DisableFusion: cfg.DisableFusion,
+		recipe: r, Name: v.name, Hosts: cfg.Hosts,
 		TraceID: uint64(cfg.TraceID), TraceLabel: cfg.TraceLabel,
 	}
 	if cfg.Obs != nil {
@@ -443,10 +442,15 @@ func (s *session) Apply(batch []Mutation) error {
 	}
 }
 
+// recomputeCutoff is the bounded-recompute cutoff: a deletion's region
+// larger than this fraction of the records that survive the batch is
+// repaired by a full recompute instead.
+const recomputeCutoff = 0.5
+
 // repair classifies a batch that removed something and starts its repair.
 // Every host holds the same replica and batch, so the coordinator scopes
 // the region once, from the graph alone, and ships it with the verdict:
-// beyond RecomputeFraction of the records that survive the batch (remote
+// beyond recomputeCutoff of the records that survive the batch (remote
 // is the workers' share, reported with view_applied) — or whenever the
 // maintainer cannot bound it — the session recomputes in full (done when
 // repair returns), otherwise every host resets its share of the region and
@@ -460,7 +464,7 @@ func (s *session) repair(remote int) (full bool, err error) {
 		full = !ok
 	}
 	if !full && len(region) > 0 {
-		full = float64(len(region)) > s.v.cfg.RecomputeFraction*float64(remote+c.survivors())
+		full = float64(len(region)) > recomputeCutoff*float64(remote+c.survivors())
 	}
 	slices.Sort(region)
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/optimizer"
 	"repro/internal/record"
 	"repro/internal/runtime"
 )
@@ -81,13 +80,10 @@ const (
 // budget), the topology, and the rest of the execution config.
 type shardSpec struct {
 	recipe
-	Name          string `json:"name"`
-	Hosts         int    `json:"hosts"`
-	ExchangeBatch int    `json:"exchange_batch,omitempty"`
-	Planner       int    `json:"planner,omitempty"`
-	DisableFusion bool   `json:"disable_fusion,omitempty"`
-	TraceID       uint64 `json:"trace_id,omitempty"`
-	TraceLabel    string `json:"trace_label,omitempty"`
+	Name       string `json:"name"`
+	Hosts      int    `json:"hosts"`
+	TraceID    uint64 `json:"trace_id,omitempty"`
+	TraceLabel string `json:"trace_label,omitempty"`
 }
 
 // shardMsg is the one wire shape of every control message (a line of
@@ -295,13 +291,10 @@ func specFor(ss shardSpec, hostID int, reg *obs.Registry) iterative.Config {
 	}
 	cfg := iterative.Config{
 		Parallelism:          ss.Parallelism,
-		BatchSize:            ss.ExchangeBatch,
 		Hosts:                ss.Hosts,
 		Host:                 hostID,
 		Metrics:              mtr,
 		SolutionMemoryBudget: ss.SolutionMemoryBudget,
-		Planner:              optimizer.PlannerKind(ss.Planner),
-		DisableFusion:        ss.DisableFusion,
 	}
 	if reg != nil {
 		cfg.Obs = reg

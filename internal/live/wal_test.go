@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/record"
@@ -68,7 +67,7 @@ func TestDurableCreateCloseReopen(t *testing.T) {
 	if err := v.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := distrib.EncodeSolution(v.Snapshot())
+	want := record.EncodeBatch(nil, v.Snapshot())
 	snaps, err := listSnapshots(filepath.Join(dir, "cc"))
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func TestDurableCreateCloseReopen(t *testing.T) {
 	if st.RecoveredFrames != 1 {
 		t.Fatalf("reopen after Close replayed %d frames, want 1 (the frame past the snapshot)", st.RecoveredFrames)
 	}
-	if got := distrib.EncodeSolution(v2.Snapshot()); !bytes.Equal(got, want) {
+	if got := record.EncodeBatch(nil, v2.Snapshot()); !bytes.Equal(got, want) {
 		t.Fatal("reopen after Close reached a different solution")
 	}
 }

@@ -141,14 +141,13 @@ func (ex *exchange) closeAll() {
 // Partitions the session does not host are shipped through the transport
 // instead of the in-memory queues.
 type writer struct {
-	ex        *exchange
-	ship      optimizer.ShipStrategy
-	key       record.KeyFunc
-	ownPart   int
-	batchSize int
-	bufs      []record.Batch
-	pool      *batchPool
-	m         *metrics.Counters
+	ex      *exchange
+	ship    optimizer.ShipStrategy
+	key     record.KeyFunc
+	ownPart int
+	bufs    []record.Batch
+	pool    *batchPool
+	m       *metrics.Counters
 	// hosted marks in-process partitions; nil means all partitions are
 	// local (the in-memory transport), which keeps the hot path a single
 	// nil check.
@@ -170,10 +169,9 @@ type writer struct {
 // on the producing task's goroutine.
 var sendLabels = pprof.WithLabels(context.Background(), pprof.Labels("layer", "transport", "op", "send"))
 
-func newWriter(ex *exchange, ship optimizer.ShipStrategy, key record.KeyFunc, ownPart, batchSize int, pool *batchPool, m *metrics.Counters, hosted []bool, tr Transport, lane *context.Context) *writer {
+func newWriter(ex *exchange, ship optimizer.ShipStrategy, key record.KeyFunc, ownPart int, pool *batchPool, m *metrics.Counters, hosted []bool, tr Transport, lane *context.Context) *writer {
 	w := &writer{
-		ex: ex, ship: ship, key: key, ownPart: ownPart,
-		batchSize: batchSize, bufs: make([]record.Batch, len(ex.queues)),
+		ex: ex, ship: ship, key: key, ownPart: ownPart, bufs: make([]record.Batch, len(ex.queues)),
 		pool: pool, m: m, hosted: hosted, tr: tr, lane: lane,
 	}
 	for _, h := range hosted {
@@ -214,7 +212,7 @@ func (w *writer) append(p int, r record.Record) {
 		w.bufs[p] = w.pool.get()
 	}
 	w.bufs[p] = append(w.bufs[p], r)
-	if len(w.bufs[p]) >= w.batchSize {
+	if len(w.bufs[p]) >= exchangeBatch {
 		w.flush(p)
 	}
 }

@@ -14,10 +14,11 @@ import (
 	"repro/internal/record"
 )
 
+// exchangeBatch is the number of records per exchange batch.
+const exchangeBatch = 256
+
 // Config configures an Executor.
 type Config struct {
-	// BatchSize is the number of records per exchange batch (default 256).
-	BatchSize int
 	// Metrics receives work counters (optional).
 	Metrics *metrics.Counters
 	// Trace receives superstep/operator/ship phase spans (optional). A nil
@@ -82,9 +83,6 @@ type cacheSlot struct {
 
 // NewExecutor creates an executor.
 func NewExecutor(cfg Config) *Executor {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 256
-	}
 	return &Executor{
 		cfg:         cfg,
 		slots:       make(map[slotKey]*cacheSlot),

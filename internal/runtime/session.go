@@ -119,7 +119,7 @@ func (e *Executor) OpenSessionOn(p *optimizer.PhysPlan, tr Transport) *Session {
 	}
 	s := &Session{
 		e: e, plan: p, par: par, tr: tr,
-		pool:      newBatchPool(e.cfg.BatchSize, e.cfg.Metrics),
+		pool:      newBatchPool(exchangeBatch, e.cfg.Metrics),
 		exchanges: make([]*exchange, p.NumEdges),
 		liveNow:   make([]bool, len(p.Nodes)),
 		livePrev:  make([]bool, len(p.Nodes)),
@@ -474,7 +474,7 @@ func (s *Session) compile() {
 		}
 		t.outs = t.outs[:0]
 		for _, o := range outs[n.ID] {
-			t.outs = append(t.outs, newWriter(o.ex, o.ship, o.key, t.part, e.cfg.BatchSize, s.pool, e.cfg.Metrics, s.hosted, s.tr, &w.lane))
+			t.outs = append(t.outs, newWriter(o.ex, o.ship, o.key, t.part, s.pool, e.cfg.Metrics, s.hosted, s.tr, &w.lane))
 		}
 	}
 	s.resetActive()

@@ -31,13 +31,24 @@ import (
 //     one the standard library declares (fmt, sort and the like call those
 //     through dynamic type assertions);
 //   - every exported struct field must be set, since a knob no program
-//     sets is a branch no program takes. A field is set when it is the key
-//     of a composite literal, when an unkeyed literal fills its struct, or
-//     when it lies on the target of an assignment, `++`/`--` or `&` (also
+//     sets is a branch no program takes. A field is written when it is the
+//     key of a composite literal, when an unkeyed literal fills its struct,
+//     or when it lies on the target of an assignment, `++`/`--` or `&` (also
 //     the implicit `&` of a pointer-method call), through selector, index,
-//     slice and dereference expressions. JSON-tagged fields (decoded from
-//     the wire) and fields of a sync/atomic type (set by their methods)
-//     count as set.
+//     slice and dereference expressions. Most writes set their field, but
+//     the check follows values through three rules:
+//     (a) a copy — a write whose value is only another exported field,
+//     through parentheses or one-argument type conversions — sets its
+//     target only if its source is set, solved to a fixed point (so a
+//     value that makes a round trip through a wire struct and back sets
+//     neither end);
+//     (b) a default fill — `x.F = <constant>` directly inside an `if` whose
+//     condition reads x.F — sets nothing;
+//     (c) a JSON-tagged field counts as set only when no program writes it
+//     (it is input from outside the process); one a program writes is
+//     judged by those writes.
+//     Fields of a sync/atomic type (set by their methods) count as set, and
+//     so does a copy source that is allowlisted or lies outside the check.
 // It type-checks with the standard library alone: module packages from
 // their parsed files, the standard library from the export data the go
 // command builds for it (`go list -export`, served from the build cache
@@ -64,6 +75,9 @@ type reachReport struct {
 	fields   int // exported fields of the module's named struct types
 	set      int // of those fields, the ones a non-test file sets or that count as set
 	allowed  int // identifiers, methods and fields the allowlist exempts
+	copies   int // copy writes (rule a) seen
+	resolved int // of those, the ones whose source is set at the fixed point
+	fills    int // default fills (rule b) seen, and ignored
 	findings []reachFinding
 }
 
@@ -102,6 +116,14 @@ var reachAllowlist = []struct {
 		allow: func(root, _, pkg string, owner *types.TypeName, obj types.Object) bool {
 			_, field := obj.(*types.Var)
 			return field && pkg == root+"/internal/metrics" && owner.Name() == "Snapshot"
+		},
+	},
+	{
+		reason: "iterative.Config.Planner and DisableFusion select the planner differential's reference plan " +
+			"(cost planner, fusion off), which every other planner and fusion mode is compared against",
+		allow: func(root, _, pkg string, owner *types.TypeName, obj types.Object) bool {
+			return owner != nil && pkg == root+"/internal/iterative" && owner.Name() == "Config" &&
+				(obj.Name() == "Planner" || obj.Name() == "DisableFusion")
 		},
 	},
 }
@@ -171,7 +193,7 @@ func testOnlyAPI(fset *token.FileSet, pkgs []*reachPkg, root, support string) (r
 	}
 	im.std = std
 	used := map[types.Object]bool{}
-	set := map[*types.Var]bool{}
+	w := &reachWrites{direct: map[*types.Var]bool{}, written: map[*types.Var]bool{}}
 	var ifaces []*types.Interface // interfaces the program's code mentions
 	for _, p := range pkgs {
 		if _, err := im.Import(p.path); err != nil {
@@ -224,7 +246,7 @@ func testOnlyAPI(fset *token.FileSet, pkgs []*reachPkg, root, support string) (r
 					}
 				}
 			}
-			markSets(f, info, sets, set)
+			markWrites(f, info, sets, w)
 		}
 		for id, o := range info.Uses {
 			switch x := o.(type) {
@@ -251,6 +273,7 @@ func testOnlyAPI(fset *token.FileSet, pkgs []*reachPkg, root, support string) (r
 	}
 	ifaces = append(ifaces, stdInterfaces(im.done)...)
 	reachedByInterface := reachedMethods(pkgs, im.done, ifaces)
+	set := rep.settle(w, moduleFields(pkgs, im.done, root, support))
 	for _, p := range pkgs {
 		scope := im.done[p.path].Scope()
 	names:
@@ -315,8 +338,7 @@ func (rep *reachReport) members(fset *token.FileSet, root, support, pkg string, 
 			continue
 		}
 		rep.fields++
-		_, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
-		if set[f] || tagged || isAtomic(f.Type()) {
+		if set[f] {
 			rep.set++
 			continue
 		}
@@ -332,26 +354,166 @@ func (rep *reachReport) members(fset *token.FileSet, root, support, pkg string, 
 	}
 }
 
+// reachWrites is what the non-test files write into struct fields.
+type reachWrites struct {
+	direct  map[*types.Var]bool // fields some write sets outright
+	written map[*types.Var]bool // fields with any write, default fills included
+	copies  []reachCopy         // copy writes (rule a)
+	fills   int                 // default fills (rule b)
+}
+
+// reachCopy is one write that stores only field from's value into field to.
+type reachCopy struct{ from, to *types.Var }
+
+// reachField is one exported, non-embedded field of a module named struct
+// type, as the settle step needs it.
+type reachField struct {
+	tagged  bool // has a json tag
+	allowed bool // an allowlist entry exempts it
+}
+
+// moduleFields returns the exported, non-embedded fields of pkgs' named
+// struct types.
+func moduleFields(pkgs []*reachPkg, done map[string]*types.Package, root, support string) map[*types.Var]reachField {
+	fields := map[*types.Var]reachField{}
+	for _, p := range pkgs {
+		scope := done[p.path].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					_, tagged := reflect.StructTag(st.Tag(i)).Lookup("json")
+					fields[f] = reachField{tagged: tagged, allowed: reachAllowed(root, support, p.path, tn, f)}
+				}
+			}
+		}
+	}
+	return fields
+}
+
+// settle returns which of fields are set: those a write sets outright,
+// those of a sync/atomic type, JSON-tagged ones no program writes (rule
+// c), and, to a fixed point, the targets of copies from a set source
+// (rule a). A copy source outside fields, or allowlisted, counts as set.
+// It counts the copies, the resolved ones and the default fills into rep.
+func (rep *reachReport) settle(w *reachWrites, fields map[*types.Var]reachField) map[*types.Var]bool {
+	set := map[*types.Var]bool{}
+	for v, f := range fields {
+		if w.direct[v] || isAtomic(v.Type()) || f.tagged && !w.written[v] {
+			set[v] = true
+		}
+	}
+	source := func(v *types.Var) bool {
+		f, ok := fields[v]
+		return !ok || f.allowed || set[v]
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, c := range w.copies {
+			if !set[c.to] && source(c.from) {
+				set[c.to], changed = true, true
+			}
+		}
+	}
+	for _, c := range w.copies {
+		if _, ok := fields[c.to]; ok {
+			rep.copies++
+			if source(c.from) {
+				rep.resolved++
+			}
+		}
+	}
+	rep.fills = w.fills
+	return set
+}
+
 // isAtomic reports whether t is a type of sync/atomic, whose methods set it.
 func isAtomic(t types.Type) bool {
 	n, ok := types.Unalias(t).(*types.Named)
 	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic"
 }
 
-// markSets records in set every struct field f sets, and in sets every
-// selector identifier that names a field it sets: the keys of composite
-// literals, every field of an unkeyed literal's struct, and the fields on
-// the path of an assignment's, `++`/`--`'s or `&`'s operand (also the
-// implicit `&` of a pointer-method call on an addressable field).
-func markSets(f *ast.File, info *types.Info, sets map[*ast.Ident]bool, set map[*types.Var]bool) {
-	target := func(e ast.Expr) {
-		for {
-			switch x := e.(type) {
-			case *ast.ParenExpr:
-				e = x.X
+// copySource returns the exported field whose value alone e is, through
+// parentheses and one-argument type conversions, or nil.
+func copySource(info *types.Info, e ast.Expr) *types.Var {
+	for e != nil {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.CallExpr:
+			if len(x.Args) != 1 || !info.Types[x.Fun].IsType() {
+				return nil
+			}
+			e = x.Args[0]
+		case *ast.SelectorExpr:
+			if s := info.Selections[x]; s != nil && s.Kind() == types.FieldVal && s.Obj().Exported() {
+				return s.Obj().(*types.Var).Origin()
+			}
+			return nil
+		default:
+			return nil
+		}
+	}
+	return nil
+}
+
+// isDefaultFill reports whether the assignment a, a statement of an if
+// whose condition is cond, is a default fill: `x.F = <constant>` where cond
+// reads x.F.
+func isDefaultFill(info *types.Info, cond ast.Expr, a *ast.AssignStmt) bool {
+	if a.Tok != token.ASSIGN || len(a.Lhs) != 1 || len(a.Rhs) != 1 || info.Types[a.Rhs[0]].Value == nil {
+		return false
+	}
+	lhs, ok := ast.Unparen(a.Lhs[0]).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	want, reads := types.ExprString(lhs), false
+	ast.Inspect(cond, func(n ast.Node) bool {
+		if s, ok := n.(*ast.SelectorExpr); ok && types.ExprString(s) == want {
+			reads = true
+		}
+		return !reads
+	})
+	return reads
+}
+
+// markWrites records in w every write f makes into a struct field, and in
+// sets every selector identifier that names a field it writes: the keys of
+// composite literals, every field of an unkeyed literal's struct, and the
+// fields on the path of an assignment's, `++`/`--`'s or `&`'s operand (also
+// the implicit `&` of a pointer-method call on an addressable field). The
+// field a write names is copied into when the written value is a field
+// (rule a), and only written by a default fill (rule b); the fields further
+// up its path are set outright.
+func markWrites(f *ast.File, info *types.Info, sets map[*ast.Ident]bool, w *reachWrites) {
+	fills := map[*ast.AssignStmt]bool{}
+	write := func(v *types.Var, outer bool, value ast.Expr, fill bool) {
+		v = v.Origin()
+		w.written[v] = true
+		if fill {
+			return
+		}
+		if src := copySource(info, value); outer && src != nil && v.Exported() {
+			w.copies = append(w.copies, reachCopy{from: src, to: v})
+			return
+		}
+		w.direct[v] = true
+	}
+	// target records a write of value (nil when the write stores no single
+	// expression's value) to the path e.
+	target := func(e, value ast.Expr, fill bool) {
+		for outer := true; ; outer = false {
+			switch x := ast.Unparen(e).(type) {
 			case *ast.SelectorExpr:
 				if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
-					sets[x.Sel], set[v.Origin()] = true, true
+					sets[x.Sel] = true
+					write(v, outer, value, fill)
 				}
 				e = x.X
 			case *ast.IndexExpr:
@@ -367,26 +529,37 @@ func markSets(f *ast.File, info *types.Info, sets map[*ast.Ident]bool, set map[*
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			for _, st := range n.Body.List {
+				if a, ok := st.(*ast.AssignStmt); ok && isDefaultFill(info, n.Cond, a) {
+					fills[a] = true
+					w.fills++
+				}
+			}
 		case *ast.AssignStmt:
-			for _, l := range n.Lhs {
-				target(l)
+			for i, l := range n.Lhs {
+				var value ast.Expr
+				if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+					value = n.Rhs[i]
+				}
+				target(l, value, fills[n])
 			}
 		case *ast.IncDecStmt:
-			target(n.X)
+			target(n.X, nil, false)
 		case *ast.RangeStmt:
 			if n.Tok == token.ASSIGN {
-				target(n.Key)
-				target(n.Value)
+				target(n.Key, nil, false)
+				target(n.Value, nil, false)
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				target(n.X)
+				target(n.X, nil, false)
 			}
 		case *ast.SelectorExpr:
 			if s := info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
 				if _, ptr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
 					if _, isPtr := s.Recv().Underlying().(*types.Pointer); !isPtr {
-						target(n.X)
+						target(n.X, nil, false)
 					}
 				}
 			}
@@ -404,15 +577,17 @@ func markSets(f *ast.File, info *types.Info, sets map[*ast.Ident]bool, set map[*
 				return true
 			}
 			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
-				for i := range st.NumFields() {
-					set[st.Field(i).Origin()] = true
+				for i, e := range n.Elts {
+					write(st.Field(i), true, e, false)
 				}
 				return true
 			}
 			for _, e := range n.Elts {
-				if id, ok := e.(*ast.KeyValueExpr).Key.(*ast.Ident); ok {
+				kv := e.(*ast.KeyValueExpr)
+				if id, ok := kv.Key.(*ast.Ident); ok {
 					if v, ok := info.Uses[id].(*types.Var); ok {
-						sets[id], set[v.Origin()] = true, true
+						sets[id] = true
+						write(v, true, kv.Value, false)
 					}
 				}
 			}
@@ -624,8 +799,8 @@ func TestNoTestOnlyAPI(t *testing.T) {
 	if len(pkgs) != len(listed) || !loaded["repro/bench"] {
 		t.Fatalf("loaded %d packages, go list reports %d (repro/bench loaded: %v)", len(pkgs), len(listed), loaded["repro/bench"])
 	}
-	t.Logf("reachability: %d packages, %d exported top-level identifiers, %d exported methods, %d exported fields (%d set by a program), %d allowlisted by %d entries",
-		len(pkgs), rep.exported, rep.methods, rep.fields, rep.set, rep.allowed, len(reachAllowlist))
+	t.Logf("reachability: %d packages, %d exported top-level identifiers, %d exported methods, %d exported fields (%d set by a program), %d allowlisted by %d entries, %d copy edges (%d resolved to a set source), %d default fills ignored",
+		len(pkgs), rep.exported, rep.methods, rep.fields, rep.set, rep.allowed, len(reachAllowlist), rep.copies, rep.resolved, rep.fills)
 	for _, f := range rep.findings {
 		t.Errorf("%s: %s", f.pos, f.what)
 	}
@@ -635,9 +810,14 @@ func TestNoTestOnlyAPI(t *testing.T) {
 // testdata/reach, lib.Used has a non-test caller, lib.TestOnly and the
 // method Config.Probe only a test caller, Config.Knob is read by the
 // program but set only by a test, and app imports the test-support
-// package from a non-test file; exactly those four must be flagged. Two
-// shapes must not be: Box.Show, reached only through the Shower interface,
-// and Pair's fields, set only by an unkeyed literal.
+// package from a non-test file. The value rules add three: Config.Batch
+// and wireSpec.Batch only copy each other (a round trip through a
+// JSON-tagged wire struct), and Config.Limit is set only by a default
+// fill. Exactly those seven must be flagged. Four shapes must not be:
+// Box.Show, reached only through the Shower interface; Pair's fields, set
+// only by an unkeyed literal; Request.Size, JSON input no program writes,
+// and Config.Size copied from it; and Row.Steps, copied from the
+// allowlisted metrics.Snapshot.
 func TestNoTestOnlyAPIFixture(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := loadReachPkgs(fset, filepath.Join("testdata", "reach"), "fixture")
@@ -654,14 +834,21 @@ func TestNoTestOnlyAPIFixture(t *testing.T) {
 	}
 	want := []string{
 		"fixture/app imports fixture/internal/difftest from a non-test file",
+		"fixture/lib.Config.Batch is read but no non-test file sets it",
 		"fixture/lib.Config.Knob is read but no non-test file sets it",
+		"fixture/lib.Config.Limit is read but no non-test file sets it",
 		"fixture/lib.Config.Probe has no non-test use",
 		"fixture/lib.TestOnly has no non-test use",
+		"fixture/lib.wireSpec.Batch is read but no non-test file sets it",
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fixture findings = %q, want %q", got, want)
 	}
-	if rep.allowed != 1 {
-		t.Fatalf("fixture allowlisted %d identifiers, want 1 (difftest.Helper)", rep.allowed)
+	if rep.allowed != 2 {
+		t.Fatalf("fixture allowlisted %d identifiers, want 2 (difftest.Helper, metrics.Snapshot.Steps)", rep.allowed)
+	}
+	// The copies: both halves of the round trip, Config.Size and Row.Steps.
+	if rep.copies != 4 || rep.resolved != 2 || rep.fills != 1 {
+		t.Fatalf("fixture copies/resolved/fills = %d/%d/%d, want 4/2/1", rep.copies, rep.resolved, rep.fills)
 	}
 }

@@ -158,7 +158,7 @@ func Execute(p *Plan, cfg Config) (map[*Node][]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	exec := runtime.NewExecutor(runtime.Config{BatchSize: cfg.BatchSize, Metrics: cfg.Metrics})
+	exec := runtime.NewExecutor(runtime.Config{Metrics: cfg.Metrics})
 	res, err := exec.Run(phys)
 	if err != nil {
 		return nil, err
