@@ -58,7 +58,7 @@ func runCrashRecovery(t *testing.T, name string, mk func() live.Maintainer,
 	dcfg.DataDir = dataDir
 	dcfg.BatchSize = 1 << 30 // flushes and snapshots happen only where this test says
 
-	v, err := live.OpenView(name, mk(), initial, dcfg)
+	v, err := live.NewView(name, mk(), initial, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func runCrashRecovery(t *testing.T, name string, mk func() live.Maintainer,
 	}
 	v.Kill()
 
-	recovered, err := live.OpenView(name, mk(), nil, dcfg)
+	recovered, err := live.NewView(name, mk(), nil, dcfg)
 	if err != nil {
 		t.Fatalf("recovery after kill at batch %d: %v", kill, err)
 	}
@@ -195,7 +195,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	dcfg.BatchSize = 1 << 30 // no flush: only the create-time snapshot
 
 	const name = "cc-torn"
-	v, err := live.OpenView(name, live.CC(), initial, dcfg)
+	v, err := live.NewView(name, live.CC(), initial, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, err := live.OpenView(name, live.CC(), nil, dcfg)
+	recovered, err := live.NewView(name, live.CC(), nil, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

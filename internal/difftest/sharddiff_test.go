@@ -459,7 +459,7 @@ func TestLiveShardedKillRecover(t *testing.T) {
 	cfg.Durable = true
 	cfg.DataDir = dir
 
-	v, err := live.OpenView("shard-recover", live.CC(), initial, cfg)
+	v, err := live.NewView("shard-recover", live.CC(), initial, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestLiveShardedKillRecover(t *testing.T) {
 	}
 	v.Kill() // crash: no final snapshot, workers keep running
 
-	v2, err := live.OpenView("shard-recover", live.CC(), nil, cfg)
+	v2, err := live.NewView("shard-recover", live.CC(), nil, cfg)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -598,7 +598,7 @@ func TestRecoveryAcrossTopologies(t *testing.T) {
 					cfg := shardViewConfig(workers[:hw-1])
 					cfg.Durable, cfg.DataDir = true, t.TempDir()
 					cfg.BatchSize = 1 << 30
-					v, err := live.OpenView("topo", algo.mk(), initial, cfg)
+					v, err := live.NewView("topo", algo.mk(), initial, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -617,7 +617,7 @@ func TestRecoveryAcrossTopologies(t *testing.T) {
 						cfg.Metrics = &m
 						cfg.SolutionMemoryBudget = int64(len(wantRecovered)) * record.EncodedSize / 8
 					}
-					v2, err := live.OpenView("topo", algo.mk(), nil, cfg)
+					v2, err := live.NewView("topo", algo.mk(), nil, cfg)
 					if err != nil {
 						t.Fatalf("recovery: %v", err)
 					}

@@ -213,12 +213,13 @@ func (cr *checkpointReader) ReadSection(f func(record.Batch) error) error {
 // the syncs, a crash shortly after a "successful" save can leave an
 // empty or torn file behind the new name — rename alone orders nothing.
 // A crash before the rename leaves path.tmp behind; recoverView reclaims it.
-// renamed reports whether path names the new content, failed fsync or not.
-func writeFileDurable(fs fsys, path string, write func(io.Writer) error) (renamed bool, err error) {
+// After a failed call path may name the old content or the new: a caller
+// that meets an error goes down (wal.go), and recovery reads either.
+func writeFileDurable(fs fsys, path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
-		return false, err
+		return err
 	}
 	err = write(f)
 	if err == nil {
@@ -232,7 +233,7 @@ func writeFileDurable(fs fsys, path string, write func(io.Writer) error) (rename
 	}
 	if err != nil {
 		fs.Remove(tmp)
-		return false, err
+		return err
 	}
-	return true, fs.SyncDir(filepath.Dir(path))
+	return fs.SyncDir(filepath.Dir(path))
 }

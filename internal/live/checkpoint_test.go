@@ -241,7 +241,7 @@ func FuzzCheckpointRead(f *testing.F) {
 func TestWriteFileDurable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.bin")
-	if _, err := writeFileDurable(osFS{}, path, func(w io.Writer) error {
+	if err := writeFileDurable(osFS{}, path, func(w io.Writer) error {
 		_, err := w.Write([]byte("payload"))
 		return err
 	}); err != nil {
@@ -256,7 +256,7 @@ func TestWriteFileDurable(t *testing.T) {
 	}
 	// A failing writer must leave neither the target nor the temp file.
 	bad := filepath.Join(dir, "bad.bin")
-	if _, err := writeFileDurable(osFS{}, bad, func(io.Writer) error {
+	if err := writeFileDurable(osFS{}, bad, func(io.Writer) error {
 		return io.ErrClosedPipe
 	}); err == nil {
 		t.Fatal("writer error swallowed")

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -69,7 +70,7 @@ func newMemDir() *memNode {
 // memFS is an fsys in memory. It counts its state-changing calls and
 // fsyncs, runs afterCall after each such call, and enumerates what a crash
 // at that point may leave (crashStates). Reads change nothing a crash could
-// keep, so they are not calls here.
+// keep, so they are not calls here. A fault plan fails one call.
 type memFS struct {
 	mu        sync.Mutex
 	root      *memNode
@@ -77,9 +78,45 @@ type memFS struct {
 	syncs     int
 	last      string
 	afterCall func()
-	// failSyncDir, when set, is asked at each SyncDir, with m.last still
-	// naming the call before it; an error it returns fails that SyncDir.
-	failSyncDir func() error
+	// failAt, when non-zero, is the number of the call that meets fault;
+	// the fault must apply to that call's kind.
+	failAt int
+	fault  ioFault
+}
+
+// ioFault is one error a file call can meet. A failed call counts as a
+// call and changes nothing, except that a short write lands the first half
+// of its bytes, and a failed Sync or SyncDir leaves what it did not make
+// durable to the persistence model (tails, crashStates): it may survive a
+// crash or not.
+type ioFault struct {
+	name  string // as the table prints it
+	kind  string // the call it applies to, as memFS records it
+	err   error
+	short bool
+}
+
+// ioFaults are the errors TestEveryIOError injects.
+var ioFaults = []ioFault{
+	{name: "EIO write", kind: "write", err: syscall.EIO},
+	{name: "short write", kind: "write", err: io.ErrShortWrite, short: true},
+	{name: "ENOSPC write", kind: "write", err: syscall.ENOSPC},
+	{name: "ENOSPC create", kind: "create", err: syscall.ENOSPC},
+	{name: "EIO sync", kind: "sync", err: syscall.EIO},
+	{name: "EIO syncdir", kind: "syncdir", err: syscall.EIO},
+	{name: "EIO rename", kind: "rename", err: syscall.EIO},
+	{name: "EIO remove", kind: "remove", err: syscall.EIO},
+	{name: "EIO truncate", kind: "truncate", err: syscall.EIO},
+}
+
+// planned reports whether the next call, of kind, is the one the plan
+// fails. If so it records the call as made, failed.
+func (m *memFS) planned(kind, call string) (ioFault, bool) {
+	if m.failAt != m.calls+1 || m.fault.kind != kind {
+		return ioFault{}, false
+	}
+	m.record(call + ": " + m.fault.name)
+	return m.fault, true
 }
 
 // newMemFS returns a file system holding the durable, empty directory
@@ -142,6 +179,9 @@ func (m *memFS) Create(p string) (file, error) {
 	dir, name, _ := m.lookup(p)
 	if dir == nil {
 		return nil, notFound("create", p)
+	}
+	if f, ok := m.planned("create", "create "+p); ok {
+		return nil, &fs.PathError{Op: "create", Path: p, Err: f.err}
 	}
 	n := &memNode{}
 	m.change(dir, dirOp{name: name, node: n})
@@ -223,6 +263,9 @@ func (m *memFS) Rename(from, to string) error {
 	if n == nil || toDir != dir {
 		return notFound("rename", from)
 	}
+	if f, ok := m.planned("rename", "rename "+from+" "+to); ok {
+		return &fs.PathError{Op: "rename", Path: from, Err: f.err}
+	}
 	m.change(dir, dirOp{name: toName, from: name, node: n})
 	m.record("rename " + from + " " + to)
 	return nil
@@ -237,6 +280,9 @@ func (m *memFS) Remove(p string) error {
 	}
 	if n.dir && len(n.entries) > 0 {
 		return &fs.PathError{Op: "remove", Path: p, Err: errors.New("directory not empty")}
+	}
+	if f, ok := m.planned("remove", "remove "+p); ok {
+		return &fs.PathError{Op: "remove", Path: p, Err: f.err}
 	}
 	m.change(dir, dirOp{name: name})
 	m.record("remove " + p)
@@ -276,10 +322,8 @@ func (m *memFS) SyncDir(p string) error {
 	if n == nil || !n.dir {
 		return notFound("sync", p)
 	}
-	if m.failSyncDir != nil {
-		if err := m.failSyncDir(); err != nil {
-			return err
-		}
+	if f, ok := m.planned("syncdir", "syncdir "+p); ok {
+		return &fs.PathError{Op: "sync", Path: p, Err: f.err}
 	}
 	n.durable, n.pending = map[string]*memNode{}, nil
 	for name, c := range n.entries {
@@ -313,15 +357,28 @@ func (f *memFile) Read(b []byte) (int, error) {
 func (f *memFile) Write(b []byte) (int, error) {
 	f.m.mu.Lock()
 	defer f.m.mu.Unlock()
+	call := fmt.Sprintf("write %s +%d", f.path, len(b))
+	if ft, ok := f.m.planned("write", call); ok {
+		n := 0
+		if ft.short {
+			n = len(b) / 2
+			f.n.writes = append(f.n.writes, len(f.n.data))
+			f.n.data = append(f.n.data, b[:n]...)
+		}
+		return n, &fs.PathError{Op: "write", Path: f.path, Err: ft.err}
+	}
 	f.n.writes = append(f.n.writes, len(f.n.data))
 	f.n.data = append(f.n.data, b...)
-	f.m.record(fmt.Sprintf("write %s +%d", f.path, len(b)))
+	f.m.record(call)
 	return len(b), nil
 }
 
 func (f *memFile) Sync() error {
 	f.m.mu.Lock()
 	defer f.m.mu.Unlock()
+	if ft, ok := f.m.planned("sync", "sync "+f.path); ok {
+		return &fs.PathError{Op: "sync", Path: f.path, Err: ft.err}
+	}
 	f.n.synced, f.n.writes = bytes.Clone(f.n.data), nil
 	f.m.syncs++
 	f.m.record("sync " + f.path)
@@ -331,6 +388,9 @@ func (f *memFile) Sync() error {
 func (f *memFile) Truncate(size int64) error {
 	f.m.mu.Lock()
 	defer f.m.mu.Unlock()
+	if ft, ok := f.m.planned("truncate", fmt.Sprintf("truncate %s %d", f.path, size)); ok {
+		return &fs.PathError{Op: "truncate", Path: f.path, Err: ft.err}
+	}
 	f.n.data = f.n.data[:size]
 	for len(f.n.writes) > 0 && f.n.writes[len(f.n.writes)-1] >= int(size) {
 		f.n.writes = f.n.writes[:len(f.n.writes)-1]
@@ -650,11 +710,12 @@ func judge(res recoveredTree, want map[string]window, oracle map[string][][][]by
 	return 0, ""
 }
 
-// crashScript is the history TestEveryCrashPoint crashes: a CC and an SSSP
-// view are created, take 20 batches each with a checkpoint after the 10th
-// and the 20th, then SSSP takes a batch it never flushes, is dropped with
-// it pending and created again under its name, and CC takes a batch it
-// never flushes before the scheduler closes.
+// crashScript is the history TestEveryCrashPoint crashes and
+// TestEveryIOError fails call by call (run): a CC and an SSSP view are
+// created, take 20 batches each with a checkpoint after the 10th and the
+// 20th, then SSSP takes a batch it never flushes, is dropped with it pending
+// and created again under its name, and CC takes a batch it never flushes
+// before the scheduler closes.
 type crashScript struct {
 	t      *testing.T
 	mem    *memFS
@@ -665,6 +726,25 @@ type crashScript struct {
 	phases  []crashEvent // kind is the phase name, at where it starts
 	// fsyncs per scripted operation.
 	createSyncs, dropSyncs, mutateSyncs []int
+	// faulty is set under a fault plan: an operation's error is noted
+	// (errs), not fatal. A view's errors must wrap ErrViewDown, and once
+	// one has, the view (down[name]) must refuse every later write;
+	// problems lists each breach of either rule.
+	faulty         bool
+	errs           int
+	mutatesRefused int
+	down           map[string]bool
+	problems       []string
+}
+
+func newCrashScript(t *testing.T, mem *memFS, dataDir string, faulty bool) *crashScript {
+	return &crashScript{
+		t: t, mem: mem, faulty: faulty, history: map[string][][][]Mutation{}, down: map[string]bool{},
+		s: NewScheduler(SchedulerConfig{
+			DataDir:     dataDir,
+			DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem},
+		}),
+	}
 }
 
 // event and phase read the call count unlocked: the script is the one
@@ -677,58 +757,149 @@ func (c *crashScript) phase(name string) {
 	c.phases = append(c.phases, crashEvent{at: c.mem.calls, kind: name})
 }
 
+// refused notes the error op on the view name returned: fatal without a
+// fault plan, counted with one. A view's own operation (mutate, flush,
+// checkpoint) must return ErrViewDown, and the view is down from then on.
+func (c *crashScript) refused(name, op string, err error) {
+	if !c.faulty {
+		c.t.Fatalf("%s %s: %v", op, name, err)
+	}
+	c.errs++
+	if op == "mutate" {
+		c.mutatesRefused++
+	}
+	if op == "mutate" || op == "flush" || op == "checkpoint" {
+		if !errors.Is(err, ErrViewDown) {
+			c.problems = append(c.problems, fmt.Sprintf("%s %s returned an untyped error: %v", op, name, err))
+		}
+		c.down[name] = true
+	}
+}
+
+// accepted checks that the view name was up when op on it succeeded.
+func (c *crashScript) accepted(name, op string) {
+	if c.down[name] {
+		c.problems = append(c.problems, fmt.Sprintf("%s %s succeeded on a down view", op, name))
+	}
+}
+
 func (c *crashScript) create(name string, m Maintainer, initial []Mutation) {
 	inc := len(c.history[name])
 	c.history[name] = append(c.history[name], [][]Mutation{initial})
-	syncs := c.mem.syncs
+	syncs, calls := c.mem.syncs, c.mem.calls
 	c.event(name, "createStart", inc, 1)
 	if _, err := c.s.Create(name, m, initial, nil); err != nil {
-		c.t.Fatal(err)
+		if c.mem.calls == calls { // refused before it touched the disk
+			c.history[name] = c.history[name][:inc]
+			c.events = c.events[:len(c.events)-1]
+		}
+		c.refused(name, "create", err)
+		return
 	}
+	c.down[name] = false
 	c.event(name, "created", inc, 1)
 	c.createSyncs = append(c.createSyncs, c.mem.syncs-syncs)
 }
 
 // mutate acknowledges batch on the view name and, with flush set,
-// applies it; without, the batch stays pending in the view.
+// applies it; without, the batch stays pending in the view. A batch
+// refused before any file call is no frame of the history (nor is a create
+// refused so, above); one refused after may have reached the log, so it
+// stays as one recovery may replay.
 func (c *crashScript) mutate(name string, batch []Mutation, flush bool) {
+	v, ok := c.s.Get(name)
+	if !ok { // its create or drop failed
+		return
+	}
 	h := c.history[name]
 	inc := len(h) - 1
 	h[inc] = append(h[inc], batch)
 	seq := len(h[inc])
-	v, _ := c.s.Get(name)
-	syncs := c.mem.syncs
+	syncs, calls := c.mem.syncs, c.mem.calls
 	c.event(name, "mutateStart", inc, seq)
 	if err := v.Mutate(batch...); err != nil {
-		c.t.Fatal(err)
+		if c.mem.calls == calls {
+			h[inc] = h[inc][:seq-1]
+			c.events = c.events[:len(c.events)-1]
+		}
+		c.refused(name, "mutate", err)
+		return
 	}
+	c.accepted(name, "mutate")
 	c.event(name, "mutated", inc, seq)
 	c.mutateSyncs = append(c.mutateSyncs, c.mem.syncs-syncs)
 	if !flush {
 		return
 	}
 	if err := v.Flush(); err != nil {
-		c.t.Fatal(err)
+		c.refused(name, "flush", err)
+		return
 	}
+	c.accepted(name, "flush")
 }
 
 func (c *crashScript) checkpoint() {
 	for _, name := range c.s.Names() {
 		v, _ := c.s.Get(name)
 		if err := v.Checkpoint(); err != nil {
-			c.t.Fatal(err)
+			c.refused(name, "checkpoint", err)
+			continue
 		}
+		c.accepted(name, "checkpoint")
 	}
 }
 
 func (c *crashScript) drop(name string) {
+	if _, ok := c.s.Get(name); !ok { // its create failed
+		return
+	}
 	syncs := c.mem.syncs
 	c.event(name, "dropStart", 0, 0)
 	if err := c.s.Drop(name); err != nil {
-		c.t.Fatal(err)
+		c.refused(name, "drop", err)
+		return
 	}
 	c.event(name, "dropped", 0, 0)
 	c.dropSyncs = append(c.dropSyncs, c.mem.syncs-syncs)
+}
+
+// run plays the script. A clean Scheduler.Close ends it, which must make
+// no file-system call.
+func (c *crashScript) run() {
+	c.phase("create")
+	c.create("cc", CC(), []Mutation{InsertEdge(0, 1), InsertEdge(1, 2), InsertEdge(10, 11)})
+	c.create("sssp", SSSP(0), []Mutation{InsertWeightedEdge(0, 1, 2), InsertWeightedEdge(1, 2, 2)})
+	c.phase("mutate")
+	for i := int64(0); i < 20; i++ {
+		cc := []Mutation{InsertEdge(2+i, 3+i)}
+		sssp := []Mutation{InsertWeightedEdge(2+i, 3+i, float64(1+i%3))}
+		if i%4 == 3 { // deletes take the other maintenance paths
+			cc = append(cc, DeleteEdge(i, 1+i))
+			sssp = append(sssp, DeleteEdge(i-1, i), InsertWeightedEdge(0, 2+i, 9))
+		}
+		c.mutate("cc", cc, true)
+		c.mutate("sssp", sssp, true)
+		if i == 9 || i == 19 {
+			c.phase("checkpoint")
+			c.checkpoint()
+			c.phase("mutate")
+		}
+	}
+	c.mutate("sssp", []Mutation{InsertWeightedEdge(22, 23, 1)}, false)
+	c.phase("drop")
+	c.drop("sssp")
+	c.phase("re-create")
+	c.create("sssp", SSSP(0), []Mutation{InsertWeightedEdge(0, 5, 1)})
+	c.mutate("cc", []Mutation{InsertEdge(30, 31)}, false)
+	c.phase("close")
+	calls, syncs := c.mem.calls, c.mem.syncs
+	if err := c.s.Close(); err != nil {
+		c.refused("", "close", err)
+	}
+	if c.mem.calls != calls || c.mem.syncs != syncs {
+		c.problems = append(c.problems, fmt.Sprintf("Scheduler.Close made %d file-system calls, %d of them fsyncs; want none",
+			c.mem.calls-calls, c.mem.syncs-syncs))
+	}
 }
 
 // oracle is the converged solution of every prefix of every incarnation,
@@ -805,48 +976,15 @@ func TestEveryCrashPoint(t *testing.T) {
 	}
 	mem.afterCall = func() { crashAt(mem.calls, mem.last) }
 
-	c := &crashScript{t: t, mem: mem, history: map[string][][][]Mutation{}}
-	c.s = NewScheduler(SchedulerConfig{
-		DataDir:     dataDir,
-		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem},
-	})
-	c.phase("create")
-	c.create("cc", CC(), []Mutation{InsertEdge(0, 1), InsertEdge(1, 2), InsertEdge(10, 11)})
-	c.create("sssp", SSSP(0), []Mutation{InsertWeightedEdge(0, 1, 2), InsertWeightedEdge(1, 2, 2)})
-	c.phase("mutate")
-	for i := int64(0); i < 20; i++ {
-		cc := []Mutation{InsertEdge(2+i, 3+i)}
-		sssp := []Mutation{InsertWeightedEdge(2+i, 3+i, float64(1+i%3))}
-		if i%4 == 3 { // deletes take the other maintenance paths
-			cc = append(cc, DeleteEdge(i, 1+i))
-			sssp = append(sssp, DeleteEdge(i-1, i), InsertWeightedEdge(0, 2+i, 9))
-		}
-		c.mutate("cc", cc, true)
-		c.mutate("sssp", sssp, true)
-		if i == 9 || i == 19 {
-			c.phase("checkpoint")
-			c.checkpoint()
-			c.phase("mutate")
-		}
+	c := newCrashScript(t, mem, dataDir, false)
+	c.run()
+	for _, p := range c.problems {
+		t.Error(p)
 	}
-	c.mutate("sssp", []Mutation{InsertWeightedEdge(22, 23, 1)}, false)
-	c.phase("drop")
-	c.drop("sssp")
-	c.phase("re-create")
-	c.create("sssp", SSSP(0), []Mutation{InsertWeightedEdge(0, 5, 1)})
-	c.mutate("cc", []Mutation{InsertEdge(30, 31)}, false)
 	// A clean Close is a crash that loses nothing unsynced: it makes no
 	// call, so its crash states are the last call's plus the tree it
 	// leaves, recovered as one more crash point.
-	c.phase("close")
-	calls, syncs := mem.calls, mem.syncs
-	if err := c.s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if mem.calls != calls || mem.syncs != syncs {
-		t.Errorf("Scheduler.Close made %d file-system calls, %d of them fsyncs; want none", mem.calls-calls, mem.syncs-syncs)
-	}
-	crashAt(calls+1, "Scheduler.Close")
+	crashAt(mem.calls+1, "Scheduler.Close")
 	if enumErr != nil {
 		t.Fatal(enumErr)
 	}
@@ -922,74 +1060,6 @@ func TestEveryCrashPoint(t *testing.T) {
 	}
 	if states == 0 {
 		t.Fatal("no crash states enumerated")
-	}
-}
-
-// TestRotateDirSyncFaultLosesNoAck injects the fault a log rotation can
-// meet after its rename: the directory fsync behind the fresh wal.log
-// fails. The view must then refuse the next Mutate instead of
-// acknowledging it into the old, unlinked log, so that Scheduler.Recover
-// brings back every acknowledged mutation.
-func TestRotateDirSyncFaultLosesNoAck(t *testing.T) {
-	const dataDir = "/data"
-	mem := newMemFS(dataDir)
-	cfg := SchedulerConfig{
-		DataDir:     dataDir,
-		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem},
-	}
-	s := NewScheduler(cfg)
-	acked := [][]Mutation{{InsertEdge(0, 1)}}
-	v, err := s.Create("cc", CC(), acked[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutate := func(batch ...Mutation) {
-		if err := v.Mutate(batch...); err != nil {
-			return
-		}
-		acked = append(acked, batch)
-		if err := v.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mutate(InsertEdge(1, 2))
-
-	injected := errors.New("injected directory fsync failure")
-	mem.failSyncDir = func() error {
-		if strings.HasPrefix(mem.last, "rename ") && strings.HasSuffix(mem.last, "/"+walFileName) {
-			mem.failSyncDir = nil
-			return injected
-		}
-		return nil
-	}
-	if err := v.Checkpoint(); !errors.Is(err, injected) {
-		t.Fatalf("Checkpoint = %v, want the injected fault", err)
-	}
-	mutate(InsertEdge(2, 3))
-	mutate(InsertEdge(3, 4))
-	v.Kill()
-
-	want, err := NewView("oracle", CC(), nil, ViewConfig{Config: iterative.Config{Parallelism: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer want.Close()
-	for _, batch := range acked {
-		if err := want.Mutate(batch...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := want.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewScheduler(cfg)
-	defer s2.Close()
-	if n, err := s2.Recover(); err != nil || n != 1 {
-		t.Fatalf("recovered %d views (%v), want 1", n, err)
-	}
-	got, _ := s2.Get("cc")
-	if !bytes.Equal(record.EncodeBatch(nil, got.Snapshot()), record.EncodeBatch(nil, want.Snapshot())) {
-		t.Fatalf("recovery lost acknowledged mutations: %d batches acknowledged, recovered %v", len(acked), got.Snapshot())
 	}
 }
 

@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -448,8 +449,8 @@ func TestJobLostWorkerAtCollectIsAnError(t *testing.T) {
 
 // TestSnapshotNeverPartial pins the view-side half of the same fix: a
 // sharded view whose worker cannot be collected returns nothing from
-// Snapshot — not the coordinator's half passed off as the whole — and
-// reports why through Stats.
+// Snapshot — not the coordinator's half passed off as the whole — and goes
+// down, naming why through Stats.
 func TestSnapshotNeverPartial(t *testing.T) {
 	addr := startFakeWorker(t, func(reply *shardMsg) bool { return reply.Kind == viewSolution })
 	v, err := NewView("half", CC(), ringEdges(16), ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{addr}})
@@ -463,12 +464,17 @@ func TestSnapshotNeverPartial(t *testing.T) {
 	if e := v.Stats().LastError; !strings.Contains(e, "collect host 1") {
 		t.Fatalf("LastError = %q, want the failed collect", e)
 	}
+	if err := v.Mutate(InsertEdge(0, 8)); !errors.Is(err, ErrViewDown) {
+		t.Fatalf("Mutate after the failed collect = %v, want ErrViewDown", err)
+	}
 }
 
 // TestOwnerFailureIsNotAMiss: a key whose owner cannot answer view_query is
-// not "absent". Query has no error to return, so it reports through
-// Stats. A delete batch never asks: it scopes its repair from the graph
-// replica, so it repairs through the same failure and matches the oracle.
+// not "absent": Query finds nothing, and the view goes down, naming the
+// failure through Stats. (The fake worker lies — it answers view_error and
+// stays in session, which a real one never does — so the view cannot tell
+// what else is wrong and trusts nothing more.) A delete after it is refused
+// with ErrViewDown, and a reopen serves exactly what was acknowledged.
 func TestOwnerFailureIsNotAMiss(t *testing.T) {
 	var failing atomic.Bool
 	addr := startFakeWorker(t, func(reply *shardMsg) bool {
@@ -478,9 +484,12 @@ func TestOwnerFailureIsNotAMiss(t *testing.T) {
 		return false
 	})
 	const n = 16
-	// The ring beside 32 other vertices: its repair stays bounded.
+	// The ring beside 32 other vertices.
 	initial := append(ringEdges(n), islandEdges(4, 8, 100)...)
-	v, err := NewView("owner", CC(), initial, ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{addr}})
+	cfg := ViewConfig{Config: iterative.Config{Parallelism: 2}, Durable: true, DataDir: t.TempDir()}
+	sharded := cfg
+	sharded.Workers = []string{addr}
+	v, err := NewView("owner", CC(), initial, sharded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,14 +521,91 @@ func TestOwnerFailureIsNotAMiss(t *testing.T) {
 	if e := v.Stats().LastError; !strings.Contains(e, "host 1") || !strings.Contains(e, "owner cannot answer") {
 		t.Fatalf("LastError = %q, want the failed query", e)
 	}
-	partial := v.Stats().PartialRecomputes
-	mutateAndModel(t, v, model, DeleteEdge(remote, (remote+1)%n))
-	if err := v.Flush(); err != nil {
-		t.Fatalf("deleting the unreachable owner's edge: %v", err)
+	if err := v.Mutate(DeleteEdge(remote, (remote+1)%n)); !errors.Is(err, ErrViewDown) {
+		t.Fatalf("deleting after the failed query: %v, want ErrViewDown", err)
 	}
-	assertCC(t, "delete beside a failing owner", v, model)
-	if got := v.Stats().PartialRecomputes; got != partial+1 {
-		t.Fatalf("PartialRecomputes %d -> %d, want the bounded repair", partial, got)
+	if err := v.Flush(); !errors.Is(err, ErrViewDown) {
+		t.Fatalf("Flush after the failed query: %v, want ErrViewDown", err)
+	}
+	v.Kill()
+	back, err := NewView("owner", CC(), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	assertCC(t, "reopened after the failed query", back, model)
+}
+
+// TestShardedFlushFailureTakesViewDown: the only worker of a 2-partition
+// view over a 16-ring hangs up at view_applied, in the middle of a flush
+// that deletes ring edges 0–1 and 8–9. The flush fails and takes the view
+// down: it never serves the ring's old labels, later writes are refused,
+// Close leaves no goroutine or spill file behind, and a durable view
+// reopened in process serves every acknowledged batch.
+func TestShardedFlushFailureTakesViewDown(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			t.Setenv("TMPDIR", t.TempDir())
+			baseline := goruntime.NumGoroutine()
+			addr := startFakeWorker(t, func(reply *shardMsg) bool { return reply.Kind == viewApplied })
+			cfg := ViewConfig{Config: iterative.Config{Parallelism: 2, SolutionMemoryBudget: 64}}
+			if durable {
+				cfg.Durable, cfg.DataDir = true, t.TempDir()
+			}
+			sharded := cfg
+			sharded.Workers = []string{addr}
+			initial := ringEdges(16)
+			v, err := NewView("probe", CC(), initial, sharded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := NewGraphState()
+			for _, mu := range initial {
+				model.Apply(mu)
+			}
+			mutateAndModel(t, v, model, DeleteEdge(0, 1), DeleteEdge(8, 9))
+			if err := v.Flush(); !errors.Is(err, ErrViewDown) || !strings.Contains(err.Error(), "apply host 1") {
+				t.Fatalf("Flush with the worker gone = %v, want ErrViewDown naming apply host 1", err)
+			}
+			for _, k := range []int64{4, 8} {
+				if r, ok := v.Query(k); ok {
+					t.Fatalf("down view answered Query(%d) = %+v", k, r)
+				}
+			}
+			if e := v.Stats().LastError; !strings.Contains(e, "apply host 1") {
+				t.Fatalf("LastError = %q, want the failed apply", e)
+			}
+			if err := v.Mutate(InsertEdge(20, 21)); !errors.Is(err, ErrViewDown) {
+				t.Fatalf("Mutate on a down view = %v, want ErrViewDown", err)
+			}
+			if err := v.Flush(); !errors.Is(err, ErrViewDown) {
+				t.Fatalf("Flush on a down view = %v, want ErrViewDown", err)
+			}
+			if durable {
+				if err := v.Checkpoint(); !errors.Is(err, ErrViewDown) {
+					t.Fatalf("Checkpoint on a down view = %v, want ErrViewDown", err)
+				}
+			}
+			if len(spillFiles(t)) == 0 {
+				t.Fatal("the view spilled nothing, so Close has nothing to release")
+			}
+			if err := v.Close(); err != nil {
+				t.Fatal(err)
+			}
+			waitForGoroutines(t, baseline, "down view closed")
+			if left := spillFiles(t); len(left) != 0 {
+				t.Fatalf("spill files left behind: %v", left)
+			}
+			if !durable {
+				return
+			}
+			back, err := NewView("probe", CC(), nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer back.Close()
+			assertCC(t, "reopened after the failed flush", back, model)
+		})
 	}
 }
 

@@ -30,16 +30,17 @@
 // views concurrently under a global memory budget, and serve.go exposes
 // the whole service over HTTP for `spinflow serve`.
 //
-// Views can be durable (wal.go, ViewConfig.Durable): acknowledged
-// mutation batches are write-ahead logged (CRC32-framed, fsynced before
-// Mutate returns), the resident state is periodically captured by
-// streaming snapshots written partition-by-partition in the section
-// format (checkpoint.go), and OpenView recovers a crashed view by
-// loading the latest valid snapshot, replaying the log tail through the
-// ordinary maintenance path, and truncating torn tails at the last valid
-// frame. Stopping is such a crash: Close writes nothing, so the one way
-// back up is that recovery. `spinflow serve -data-dir` turns this on for
-// every served view.
+// Views can be durable (ViewConfig.Durable; `spinflow serve -data-dir`
+// makes every view so): acknowledged batches are write-ahead logged,
+// snapshots bound the log, and NewView recovers a view from both (wal.go).
+//
+// A failure is a crash, as an error ends a worker's session: the first
+// error of a flush (a caller's or the timer's), a log append or rotation,
+// a snapshot or a read routed to a worker takes the view down for good,
+// as Close does. Every later Mutate, Flush and Checkpoint returns
+// ErrViewDown around that first cause, reads return nothing, and
+// ViewStats.LastError names it, so no state a view failed to maintain is
+// served. The way back is the next open, which recovers from the log.
 //
 // Every view reaches its fixpoint through one maintenance session
 // (shard.go, shardcore.go) spread over 1+len(ViewConfig.Workers) hosts:
@@ -62,6 +63,7 @@ package live
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/pprof"
 	"sync"
@@ -104,6 +106,25 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
+// checkOps refuses a batch holding an op that is none of the four.
+func checkOps(muts []Mutation) error {
+	for _, m := range muts {
+		if m.Op < OpInsertEdge || m.Op > OpDeleteVertex {
+			return fmt.Errorf("%w %d", errUnknownOp, int(m.Op))
+		}
+	}
+	return nil
+}
+
+var (
+	errUnknownOp = errors.New("live: unknown mutation op")
+	// ErrViewDown is what a down view answers every write with, wrapped
+	// around the failure that took it down (package doc); Close's is
+	// errClosed.
+	ErrViewDown = errors.New("live: view down")
+	errClosed   = errors.New("closed")
+)
+
 // Mutation is one streamed graph change.
 type Mutation struct {
 	Op       Op
@@ -140,7 +161,7 @@ type ViewConfig struct {
 	FlushInterval time.Duration
 	// Durable enables the write-ahead log and snapshot lifecycle: every
 	// Mutate appends its batch to the view's log (fsynced) before
-	// returning, periodic streaming snapshots bound the log, and OpenView
+	// returning, periodic streaming snapshots bound the log, and NewView
 	// recovers the view after a crash. Requires DataDir.
 	Durable bool
 	// DataDir is the directory durable view state lives under (one
@@ -220,8 +241,9 @@ type ViewStats struct {
 	// Shards reports the per-host solution split of a sharded view (nil
 	// for in-process views).
 	Shards []ShardStat
-	// LastError is the most recent failure with no caller to return to: a
-	// timer flush, a snapshot, or a read whose owning host did not answer.
+	// LastError is empty while the view serves; once it is down, the
+	// first failure (package doc), which every later write returns wrapped
+	// in ErrViewDown.
 	LastError string
 }
 
@@ -264,10 +286,10 @@ type LiveView struct {
 	pending []Mutation
 	timer   *time.Timer
 
-	closed atomic.Bool
-	// asyncErr records the last failure that had no caller to return to,
-	// surfaced through ViewStats.LastError.
-	asyncErr atomic.Value // string
+	// down is nil while the view serves, then for good the error every
+	// write returns (fail). Maintenance sets it under mu, so a read under
+	// mu that sees nil reads a maintained state.
+	down atomic.Pointer[error]
 }
 
 // A durable view takes a streaming snapshot every snapshotEveryFlushes
@@ -293,15 +315,6 @@ type durableState struct {
 	snapshots int64
 	// replayed counts WAL frames replayed when this instance recovered.
 	replayed int64
-}
-
-// NewView builds a view over the graph described by the initial mutations
-// (typically a stream of InsertEdge), runs the cold fixpoint once, and
-// leaves everything resident for maintenance. With ViewConfig.Durable set
-// it is OpenView — which *recovers* existing on-disk state for the name
-// instead of building from `initial`.
-func NewView(name string, m Maintainer, initial []Mutation, cfg ViewConfig) (*LiveView, error) {
-	return OpenView(name, m, initial, cfg)
 }
 
 // newViewCore is the cold build shared by NewView and the durable create
@@ -375,49 +388,59 @@ func (v *LiveView) span(ph obs.Phase, label string, start time.Time) {
 // the view was built without a telemetry registry).
 func (v *LiveView) TraceID() obs.TraceID { return v.cfg.TraceID }
 
+// fail takes the view down with cause unless it is down already, and
+// returns the down error, which names the first cause.
+func (v *LiveView) fail(cause error) error {
+	err := fmt.Errorf("%w: %q: %w", ErrViewDown, v.name, cause)
+	v.down.CompareAndSwap(nil, &err)
+	return v.downErr()
+}
+
+// downErr returns the down error, nil while the view serves.
+func (v *LiveView) downErr() error {
+	if p := v.down.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // Query returns the solution record for key k (e.g. a vertex's component
 // id or distance). It sees converged state only: flushes in progress
 // block it, queued-but-unflushed mutations do not affect it. On a
 // sharded view the lookup is routed to the host owning the key's
-// partition; when that host cannot answer, the key reads as not found and
-// the failure surfaces through ViewStats.LastError.
+// partition; when that host cannot answer, the view goes down. A down
+// view finds nothing.
 func (v *LiveView) Query(k int64) (record.Record, bool) {
 	if h := v.qHist; h != nil {
 		defer h.ObserveSince(time.Now())
 	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
+	if v.down.Load() != nil {
+		return record.Record{}, false
+	}
 	r, ok, err := v.sess.Lookup(k)
 	if err != nil {
-		v.asyncErr.Store(err.Error())
+		v.fail(err)
 	}
 	return r, ok
 }
 
 // Snapshot copies the converged solution set out (scatter-gathered over
-// every host for a sharded view). When a host cannot be collected it
-// returns nothing rather than a partial set, and the failure surfaces
-// through ViewStats.LastError.
+// every host for a sharded view). When a host cannot be collected the view
+// goes down and Snapshot returns nothing rather than a partial set, as it
+// does on any down view.
 func (v *LiveView) Snapshot() []record.Record {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
+	if v.down.Load() != nil {
+		return nil
+	}
 	out, err := v.sess.Snapshot()
 	if err != nil {
-		v.asyncErr.Store(err.Error())
+		v.fail(err)
 	}
 	return out
-}
-
-// Bytes reports the solution set's resident in-memory footprint, summed
-// over every host.
-func (v *LiveView) Bytes() int64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	var b int64
-	for _, sh := range v.sess.shards() {
-		b += sh.Bytes
-	}
-	return b
 }
 
 // Stats reports the view's maintenance counters.
@@ -444,34 +467,38 @@ func (v *LiveView) Stats() ViewStats {
 	v.pmu.Lock()
 	st.MutationsPending = len(v.pending)
 	v.pmu.Unlock()
-	if e, ok := v.asyncErr.Load().(string); ok {
-		st.LastError = e
+	if err := v.downErr(); err != nil {
+		st.LastError = err.Error()
 	}
 	return st
 }
 
 // Mutate queues mutations into the current micro-batch, flushing it when
 // it reaches ViewConfig.BatchSize (and arming the FlushInterval timer on
-// the batch's first mutation). The closed check happens under the batch
-// lock, so a mutation Close has refused is never acknowledged.
+// the batch's first mutation). A batch holding an op that is none of the
+// four is refused before anything is logged. The down check happens under
+// the batch lock, so a mutation a down view refused is never acknowledged.
 //
 // Durable views write the batch to the write-ahead log (one CRC32 frame,
 // fsynced) before it is queued: by the time Mutate returns nil, the
 // mutations are in the log, and survive a crash and a Close alike. A
-// failed log append rejects the batch — it is neither queued nor
-// acknowledged. An in-memory view's accepted mutations are applied by a
-// later flush, or go with the view when it closes first.
+// failed log append takes the view down and rejects the batch — it is
+// neither queued nor acknowledged. An in-memory view's accepted mutations
+// are applied by a later flush, or go with the view if it goes down first.
 func (v *LiveView) Mutate(muts ...Mutation) error {
 	if len(muts) == 0 {
 		return nil
+	}
+	if err := checkOps(muts); err != nil {
+		return err
 	}
 	if h := v.mutHist; h != nil {
 		defer h.ObserveSince(time.Now())
 	}
 	v.pmu.Lock()
-	if v.closed.Load() {
+	if err := v.downErr(); err != nil {
 		v.pmu.Unlock()
-		return fmt.Errorf("live: view %q is closed", v.name)
+		return err
 	}
 	if v.dur != nil {
 		walStart := time.Now()
@@ -479,8 +506,9 @@ func (v *LiveView) Mutate(muts ...Mutation) error {
 		_, n, err := v.dur.wal.Append(mutationsToRecords(muts))
 		pprof.SetGoroutineLabels(context.Background())
 		if err != nil {
+			err = v.fail(fmt.Errorf("wal append: %w", err))
 			v.pmu.Unlock()
-			return fmt.Errorf("live: view %q wal append: %w", v.name, err)
+			return err
 		}
 		if m := v.cfg.Metrics; m != nil {
 			m.WALAppends.Add(1)
@@ -495,13 +523,8 @@ func (v *LiveView) Mutate(muts ...Mutation) error {
 	v.pending = append(v.pending, muts...)
 	n := len(v.pending)
 	if wasEmpty && n > 0 && v.cfg.FlushInterval > 0 && v.timer == nil {
-		v.timer = time.AfterFunc(v.cfg.FlushInterval, func() {
-			if err := v.Flush(); err != nil {
-				// Background flushes have no caller to return to; record
-				// the failure so Stats exposes it.
-				v.asyncErr.Store(err.Error())
-			}
-		})
+		// A failed timer flush has no caller: it takes the view down.
+		v.timer = time.AfterFunc(v.cfg.FlushInterval, func() { v.Flush() })
 	}
 	v.pmu.Unlock()
 	if n >= v.cfg.BatchSize {
@@ -533,13 +556,14 @@ func (v *LiveView) takeBatch() ([]Mutation, uint64) {
 // Flush applies the pending micro-batch now: mutations become workset
 // deltas and one warm restart absorbs them. It is a no-op when nothing is
 // pending. The batch is taken only after the maintenance lock is held and
-// the view is known to be open, so a Flush racing Close either completes
-// fully or leaves the batch for Close to drop.
+// the view is known to be up, so a Flush racing Close either completes
+// fully or leaves the batch for Close to drop. A failed flush, or the
+// snapshot its cadence writes, takes the view down.
 func (v *LiveView) Flush() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.closed.Load() {
-		return fmt.Errorf("live: view %q is closed", v.name)
+	if err := v.downErr(); err != nil {
+		return err
 	}
 	batch, seq := v.takeBatch()
 	if len(batch) == 0 {
@@ -547,34 +571,30 @@ func (v *LiveView) Flush() error {
 	}
 	flushStart := time.Now()
 	if err := v.applyLocked(batch); err != nil {
-		return err
+		return v.fail(err)
 	}
 	if v.ring != nil {
 		v.flushHist.ObserveSince(flushStart)
 		v.span(obs.PhaseFlush, v.name, flushStart)
 	}
-	v.afterFlushLocked(seq)
-	return nil
+	return v.afterFlushLocked(seq)
 }
 
 // afterFlushLocked advances the durable bookkeeping after a successful
 // flush and writes a snapshot when the cadence (flush count or log
-// growth) says so. Snapshot failures do not fail the flush — the WAL
-// already holds the mutations durably — but surface through
-// ViewStats.LastError.
-func (v *LiveView) afterFlushLocked(seq uint64) {
+// growth) says so.
+func (v *LiveView) afterFlushLocked(seq uint64) error {
 	d := v.dur
 	if d == nil {
-		return
+		return nil
 	}
 	d.flushedSeq = seq
 	d.flushesSinceSnap++
 	if d.flushesSinceSnap >= snapshotEveryFlushes ||
 		d.wal.SizeBytes()-d.walBytesAtSnap >= snapshotEveryBytes {
-		if err := v.snapshotLocked(); err != nil {
-			v.asyncErr.Store(err.Error())
-		}
+		return v.snapshotLocked()
 	}
+	return nil
 }
 
 // applyLocked absorbs one mutation batch under the exclusive lock: the
@@ -591,20 +611,18 @@ func (v *LiveView) applyLocked(batch []Mutation) error {
 	return v.sess.Apply(batch)
 }
 
-// Close tears the view down the way a crash would, and the next OpenView
+// Close takes the view down the way a crash would, and the next NewView
 // recovers from it: later calls are refused, the flush timer stops, the
 // pending micro-batch is dropped, the log closes and the session hangs up,
 // releasing the solution set (spill files included). Nothing is flushed,
 // snapshotted or rotated. A durable view's pending batch is already in the
-// log, which the next OpenView or Scheduler.Recover replays; an in-memory
-// view's goes with the view, which nothing can read after Close.
-// Idempotent.
+// log, which the next NewView or Scheduler.Recover replays; an in-memory
+// view's goes with the view, which nothing can read after Close. A view a
+// failure took down keeps that cause. Idempotent.
 func (v *LiveView) Close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if !v.closed.CompareAndSwap(false, true) {
-		return nil
-	}
+	v.fail(errClosed)
 	v.takeBatch()
 	var err error
 	if d := v.dur; d != nil {
@@ -620,12 +638,13 @@ func (v *LiveView) Kill() { v.Close() }
 // Checkpoint forces a streaming snapshot of the current converged state
 // now, regardless of the snapshot cadence, and rotates the log when
 // possible. Pending (acknowledged but unflushed) mutations stay in the
-// WAL and are not flushed by this call.
+// WAL and are not flushed by this call. A failed snapshot or rotation
+// takes the view down.
 func (v *LiveView) Checkpoint() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.closed.Load() {
-		return fmt.Errorf("live: view %q is closed", v.name)
+	if err := v.downErr(); err != nil {
+		return err
 	}
 	if v.dur == nil {
 		return fmt.Errorf("live: view %q is not durable", v.name)

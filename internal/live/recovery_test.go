@@ -69,7 +69,7 @@ func TestRenamedSnapshotIsNotTrusted(t *testing.T) {
 			dir := t.TempDir()
 			cfg := durableCfg(dir, nil)
 			cfg.BatchSize = 1 << 30
-			v, err := OpenView("cc", CC(), chain(3), cfg) // frame 1, snapshot 1
+			v, err := NewView("cc", CC(), chain(3), cfg) // frame 1, snapshot 1
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestRenamedSnapshotIsNotTrusted(t *testing.T) {
 			copyFile(t, filepath.Join(vdir, snapshotName(3)), filepath.Join(vdir, snapshotName(1)))
 
 			cfg.Workers = workers
-			v2, err := OpenView("cc", CC(), nil, cfg)
+			v2, err := NewView("cc", CC(), nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestRecoverWithoutSnapshot(t *testing.T) {
 			dir := t.TempDir()
 			cfg := durableCfg(dir, nil)
 			cfg.BatchSize = 1 << 30
-			v, err := OpenView("cc", CC(), nil, cfg) // no frame: snapshot 0, log from frame 1
+			v, err := NewView("cc", CC(), nil, cfg) // no frame: snapshot 0, log from frame 1
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestRecoverWithoutSnapshot(t *testing.T) {
 			}
 
 			cfg.Workers = workers
-			v2, err := OpenView("cc", CC(), nil, cfg)
+			v2, err := NewView("cc", CC(), nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestRecoverWithoutSnapshot(t *testing.T) {
 			if snaps, err := listSnapshots(vdir); err != nil || len(snaps) != 0 {
 				t.Fatalf("log-only recovery wrote snapshots %v (%v)", snaps, err)
 			}
-			v3, err := OpenView("cc", CC(), nil, cfg)
+			v3, err := NewView("cc", CC(), nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,13 +164,13 @@ func TestRecoverWithoutSnapshot(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := OpenView("cc", CC(), nil, cfg); err == nil {
+			if _, err := NewView("cc", CC(), nil, cfg); err == nil {
 				t.Fatal("a rotated log without a readable snapshot recovered")
 			}
 			if err := os.Remove(filepath.Join(vdir, walFileName)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := OpenView("cc", CC(), nil, cfg); err == nil {
+			if _, err := NewView("cc", CC(), nil, cfg); err == nil {
 				t.Fatal("unreadable snapshots and no log recovered as an empty view")
 			}
 		})
@@ -181,7 +181,7 @@ func TestRecoverWithoutSnapshot(t *testing.T) {
 // before the one-format rule did: a kind, a seq, and the given sections.
 func writeLegacyFile(t *testing.T, path, kind string, seq uint64, sections ...[]record.Record) {
 	t.Helper()
-	if _, err := writeFileDurable(osFS{}, path, func(w io.Writer) error {
+	if err := writeFileDurable(osFS{}, path, func(w io.Writer) error {
 		return writeSections(w, kind, seq, sections...)
 	}); err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func writeLegacyFile(t *testing.T, path, kind string, seq uint64, sections ...[]
 // binaries wrote for sharded views — a live: base whose hosts section says
 // 2, or a live-sharded: base, each beside a .shard1 sibling holding host
 // 1's partitions — are never recovered from: their base alone is a partial
-// solution. With the log rotated behind such a snapshot OpenView fails;
+// solution. With the log rotated behind such a snapshot NewView fails;
 // beside an older one-file snapshot and a log that reaches back to it,
 // recovery reads that one and replays the log, and the next snapshot
 // deletes the unreadable sibling.
@@ -247,13 +247,13 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 			cfg := durableCfg(dir, nil)
 			cfg.Parallelism = par
 			cfg.Workers = workers
-			v, err := OpenView("old", CC(), nil, cfg)
+			v, err := NewView("old", CC(), nil, cfg)
 			if err == nil {
 				v.Kill()
 				t.Fatal("recovered from a snapshot without a hosts section")
 			}
 			if !errors.Is(err, errUnknownForm) {
-				t.Fatalf("OpenView = %v, want errUnknownForm", err)
+				t.Fatalf("NewView = %v, want errUnknownForm", err)
 			}
 		})
 	}
@@ -294,7 +294,7 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 					cfg := durableCfg(dir, nil)
 					cfg.Parallelism = par
 					cfg.Workers = workers
-					v, err := OpenView("old", CC(), nil, cfg)
+					v, err := NewView("old", CC(), nil, cfg)
 					if !fallback {
 						if err == nil {
 							v.Kill()
@@ -345,7 +345,7 @@ func TestShardedSnapshotIsOneFile(t *testing.T) {
 	cfg := durableCfg(dir, nil)
 	cfg.BatchSize = 1 << 30
 	cfg.Workers = workers
-	v, err := OpenView("one", CC(), history[0], cfg)
+	v, err := NewView("one", CC(), history[0], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestShardedSnapshotIsOneFile(t *testing.T) {
 		workers []string
 	}{{"in-process", nil}, {"2-host", workers}} {
 		cfg.Workers = topo.workers
-		v, err := OpenView("one", CC(), nil, cfg)
+		v, err := NewView("one", CC(), nil, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", topo.name, err)
 		}
@@ -425,7 +425,7 @@ func buildSnapshotFamilyFixture(t *testing.T) {
 	cfg := durableCfg(dir, nil)
 	cfg.BatchSize = 1 << 30
 	cfg.Workers = fx.workers
-	v, err := OpenView("fam", CC(), history[0], cfg) // frame 1, snapshot 1
+	v, err := NewView("fam", CC(), history[0], cfg) // frame 1, snapshot 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func FuzzSnapshotFamily(f *testing.F) {
 		} else {
 			cfg.SolutionMemoryBudget = 64
 		}
-		v, err := OpenView("fam", CC(), nil, cfg)
+		v, err := NewView("fam", CC(), nil, cfg)
 		if err == nil {
 			got := record.EncodeBatch(nil, v.Snapshot())
 			v.Kill()

@@ -43,7 +43,7 @@ func BenchmarkRecoverFrameTail(b *testing.B) {
 				Durable: true, DataDir: b.TempDir(),
 				BatchSize: 1 << 30, // nothing flushes: every frame stays past the snapshot
 			}
-			v, err := OpenView("tail", CC(), tailIslands(), cfg)
+			v, err := NewView("tail", CC(), tailIslands(), cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func BenchmarkRecoverFrameTail(b *testing.B) {
 				b.Fatal(err)
 			}
 			for b.Loop() {
-				v, err := OpenView("tail", CC(), nil, cfg)
+				v, err := NewView("tail", CC(), nil, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

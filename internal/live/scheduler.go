@@ -140,23 +140,6 @@ func (s *Scheduler) collect(emit func(name, labels string, value float64)) {
 	}
 }
 
-// Usage returns the summed resident solution bytes across views.
-func (s *Scheduler) Usage() int64 {
-	s.mu.RLock()
-	views := make([]*LiveView, 0, len(s.views))
-	for _, v := range s.views {
-		if v != nil { // skip names reserved by in-flight creates
-			views = append(views, v)
-		}
-	}
-	s.mu.RUnlock()
-	var total int64
-	for _, v := range views {
-		total += v.Bytes()
-	}
-	return total
-}
-
 // Create builds a named view, runs its cold fixpoint, and registers it.
 // A nil cfg uses SchedulerConfig.DefaultView. The build runs outside the
 // scheduler lock (other views keep serving); the name is reserved first
@@ -188,14 +171,14 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 	// fresh solution entries (an edge's endpoints).
 	if b := s.cfg.MemoryBudget; b > 0 {
 		est := int64(len(initial)) * 2 * record.EncodedSize
-		if s.Usage()+est > b {
+		if st := s.Stats(); st.MemoryUsed+est > b {
 			return nil, fmt.Errorf("%w: %d views use %d bytes, view %q estimated at %d, budget %d",
-				ErrMemoryBudget, s.NumViews(), s.Usage(), name, est, b)
+				ErrMemoryBudget, st.Views, st.MemoryUsed, name, est, b)
 		}
 	}
 
 	// A scheduler with a data directory serves durable views: the config
-	// is routed through OpenView and the maintainer recipe is persisted
+	// is routed through NewView and the maintainer recipe is persisted
 	// alongside the view's log so Recover can rebuild it.
 	if s.cfg.DataDir != "" && !vcfg.Durable {
 		vcfg.Durable = true
@@ -217,15 +200,20 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 
 	dir := filepath.Join(vcfg.DataDir, name)
 	if vcfg.Durable {
-		// Uncommitted leftovers would otherwise be "recovered" by OpenView,
-		// handing this caller a crashed attempt's edges instead of `initial`.
-		if _, err := clearUncommitted(vcfg.fs, dir); err != nil {
+		// NewView would reopen leftovers instead of building `initial`: an
+		// uncommitted create or drop is deleted, and a committed view that
+		// is not served (not recovered yet, or its Drop failed) refused.
+		committed, err := clearUncommitted(vcfg.fs, dir)
+		if err == nil && committed {
+			err = fmt.Errorf("live: view %q has committed state under %s that is not being served", name, vcfg.DataDir)
+		}
+		if err != nil {
 			s.drop(name)
 			return nil, err
 		}
 	}
 
-	v, err := OpenView(name, m, initial, vcfg)
+	v, err := NewView(name, m, initial, vcfg)
 	if err != nil {
 		s.drop(name)
 		return nil, err
@@ -241,13 +229,14 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 	s.mu.Unlock()
 
 	// Post-build enforcement against the real footprint.
-	if b := s.cfg.MemoryBudget; b > 0 && s.Usage() > b {
-		used := s.Usage()
-		// Admission failed, so nothing was acknowledged; an orphaned
-		// durable directory would resurrect the view on Recover.
-		s.remove(name, v)
-		return nil, fmt.Errorf("%w: view %q would bring usage to %d bytes, budget %d",
-			ErrMemoryBudget, name, used, b)
+	if b := s.cfg.MemoryBudget; b > 0 {
+		if used := s.Stats().MemoryUsed; used > b {
+			// Admission failed, so nothing was acknowledged; an orphaned
+			// durable directory would resurrect the view on Recover.
+			s.remove(name, v)
+			return nil, fmt.Errorf("%w: view %q would bring usage to %d bytes, budget %d",
+				ErrMemoryBudget, name, used, b)
+		}
 	}
 	return v, nil
 }
@@ -333,10 +322,9 @@ func saveRecipe(fs fsys, dir string, m Maintainer, cfg ViewConfig) error {
 	if err != nil {
 		return err
 	}
-	_, err = writeFileDurable(fs, filepath.Join(dir, metaFileName), func(w io.Writer) error {
+	return writeFileDurable(fs, filepath.Join(dir, metaFileName), func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(r)
 	})
-	return err
 }
 
 // clearUncommitted reports whether dir holds a committed view: a meta.json
@@ -413,7 +401,7 @@ func (s *Scheduler) Recover() (int, error) {
 		s.views[name] = nil
 		s.mu.Unlock()
 
-		v, err := OpenView(name, m, nil, cfg)
+		v, err := NewView(name, m, nil, cfg)
 		if err != nil {
 			s.drop(name)
 			return n, fmt.Errorf("live: recovering view %q: %w", name, err)
@@ -439,13 +427,6 @@ func (s *Scheduler) Get(name string) (*LiveView, bool) {
 	v, ok := s.views[name]
 	s.mu.RUnlock()
 	return v, ok && v != nil
-}
-
-// NumViews returns the number of registered views.
-func (s *Scheduler) NumViews() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.views)
 }
 
 // Names returns the registered view names in sorted order.

@@ -115,8 +115,8 @@ func TestSchedulerConcurrentViews(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if s.NumViews() != nViews {
-		t.Errorf("NumViews = %d, want %d", s.NumViews(), nViews)
+	if len(s.Names()) != nViews {
+		t.Errorf("NumViews = %d, want %d", len(s.Names()), nViews)
 	}
 	st := s.Stats()
 	if st.Views != nViews || len(st.PerView) != nViews {
@@ -152,8 +152,8 @@ func TestSchedulerCloseFlushesViews(t *testing.T) {
 		if err := v.Mutate(InsertEdge(52, 53)); err == nil {
 			t.Errorf("durable=%v: a closed view accepted a mutation", durable)
 		}
-		if s.NumViews() != 0 {
-			t.Errorf("durable=%v: views survived Close: %d", durable, s.NumViews())
+		if len(s.Names()) != 0 {
+			t.Errorf("durable=%v: views survived Close: %d", durable, len(s.Names()))
 		}
 	}
 

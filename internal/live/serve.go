@@ -26,6 +26,9 @@ import (
 //	GET    /views/{name}/query?key=K  query one solution record
 //	GET    /views/{name}/stats    per-view stats
 //	DELETE /views/{name}          drop the view
+//
+// A down view (live.go) answers mutations, flush, checkpoint and query with
+// 503 and the cause in the error body.
 
 // CreateRequest is the body of POST /views.
 type CreateRequest struct {
@@ -69,17 +72,12 @@ type MutationJSON struct {
 }
 
 func (m MutationJSON) decode() (Mutation, error) {
-	switch m.Op {
-	case "insert-edge":
-		return Mutation{Op: OpInsertEdge, Src: m.Src, Dst: m.Dst, Weight: m.Weight}, nil
-	case "delete-edge":
-		return Mutation{Op: OpDeleteEdge, Src: m.Src, Dst: m.Dst}, nil
-	case "add-vertex":
-		return Mutation{Op: OpAddVertex, Src: m.Src}, nil
-	case "delete-vertex":
-		return Mutation{Op: OpDeleteVertex, Src: m.Src}, nil
+	for op := OpInsertEdge; op <= OpDeleteVertex; op++ {
+		if op.String() == m.Op {
+			return Mutation{Op: op, Src: m.Src, Dst: m.Dst, Weight: m.Weight}, nil
+		}
 	}
-	return Mutation{}, fmt.Errorf("live: unknown mutation op %q", m.Op)
+	return Mutation{}, fmt.Errorf("%w %q", errUnknownOp, m.Op)
 }
 
 // QueryResponse is the body of GET /views/{name}/query.
@@ -105,7 +103,11 @@ func (s *Scheduler) writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
+// writeErr answers err with code, or with 503 when a view is down.
 func (s *Scheduler) writeErr(w http.ResponseWriter, code int, err error) {
+	if errors.Is(err, ErrViewDown) {
+		code = http.StatusServiceUnavailable
+	}
 	s.writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
@@ -179,26 +181,22 @@ func (s *Scheduler) Handler() http.Handler {
 	})
 
 	handle("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		st := s.Stats()
-		st.MemoryUsed = s.Usage()
-		s.writeJSON(w, http.StatusOK, st)
+		s.writeJSON(w, http.StatusOK, s.Stats())
 	})
 
-	view := func(w http.ResponseWriter, r *http.Request) (*LiveView, bool) {
-		name := r.PathValue("name")
-		v, ok := s.Get(name)
-		if !ok {
+	// handleView serves a route of the view {name} names: 404 if none does.
+	handleView := func(pattern string, h func(w http.ResponseWriter, r *http.Request, v *LiveView)) {
+		handle(pattern, func(w http.ResponseWriter, r *http.Request) {
+			name := r.PathValue("name")
+			if v, ok := s.Get(name); ok {
+				h(w, r, v)
+				return
+			}
 			s.writeErr(w, http.StatusNotFound, fmt.Errorf("live: no view %q", name))
-			return nil, false
-		}
-		return v, true
+		})
 	}
 
-	handle("POST /views/{name}/mutations", func(w http.ResponseWriter, r *http.Request) {
-		v, ok := view(w, r)
-		if !ok {
-			return
-		}
+	handleView("POST /views/{name}/mutations", func(w http.ResponseWriter, r *http.Request, v *LiveView) {
 		var wire []MutationJSON
 		if !s.decodeBody(w, r, &wire) {
 			return
@@ -219,11 +217,7 @@ func (s *Scheduler) Handler() http.Handler {
 		s.writeJSON(w, http.StatusAccepted, map[string]int{"queued": len(muts)})
 	})
 
-	handle("POST /views/{name}/flush", func(w http.ResponseWriter, r *http.Request) {
-		v, ok := view(w, r)
-		if !ok {
-			return
-		}
+	handleView("POST /views/{name}/flush", func(w http.ResponseWriter, r *http.Request, v *LiveView) {
 		if err := v.Flush(); err != nil {
 			s.writeErr(w, http.StatusInternalServerError, err)
 			return
@@ -231,11 +225,7 @@ func (s *Scheduler) Handler() http.Handler {
 		s.writeJSON(w, http.StatusOK, v.Stats())
 	})
 
-	handle("POST /views/{name}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-		v, ok := view(w, r)
-		if !ok {
-			return
-		}
+	handleView("POST /views/{name}/checkpoint", func(w http.ResponseWriter, r *http.Request, v *LiveView) {
 		if err := v.Checkpoint(); err != nil {
 			s.writeErr(w, http.StatusConflict, err)
 			return
@@ -243,17 +233,19 @@ func (s *Scheduler) Handler() http.Handler {
 		s.writeJSON(w, http.StatusOK, v.Stats())
 	})
 
-	handle("GET /views/{name}/query", func(w http.ResponseWriter, r *http.Request) {
-		v, ok := view(w, r)
-		if !ok {
-			return
-		}
+	handleView("GET /views/{name}/query", func(w http.ResponseWriter, r *http.Request, v *LiveView) {
 		key, err := strconv.ParseInt(r.URL.Query().Get("key"), 10, 64)
 		if err != nil {
 			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("live: bad key: %w", err))
 			return
 		}
 		rec, found := v.Query(key)
+		if !found {
+			if err := v.downErr(); err != nil {
+				s.writeErr(w, http.StatusServiceUnavailable, err)
+				return
+			}
+		}
 		resp := QueryResponse{Key: key, Found: found}
 		if found {
 			resp.A, resp.B, resp.X = rec.A, rec.B, rec.X
@@ -261,11 +253,7 @@ func (s *Scheduler) Handler() http.Handler {
 		s.writeJSON(w, http.StatusOK, resp)
 	})
 
-	handle("GET /views/{name}/stats", func(w http.ResponseWriter, r *http.Request) {
-		v, ok := view(w, r)
-		if !ok {
-			return
-		}
+	handleView("GET /views/{name}/stats", func(w http.ResponseWriter, r *http.Request, v *LiveView) {
 		s.writeJSON(w, http.StatusOK, v.Stats())
 	})
 

@@ -125,8 +125,48 @@ func TestServeHTTPAPI(t *testing.T) {
 	if dresp.StatusCode != http.StatusOK {
 		t.Errorf("delete: %s", dresp.Status)
 	}
-	if s.NumViews() != 0 {
-		t.Errorf("view survived DELETE: %d", s.NumViews())
+	if len(s.Names()) != 0 {
+		t.Errorf("view survived DELETE: %d", len(s.Names()))
+	}
+}
+
+// TestServeDownView: once a view is down (here its worker hung up in the
+// middle of a flush), mutations, flush, checkpoint and query answer 503
+// with the cause in the body.
+func TestServeDownView(t *testing.T) {
+	addr := startFakeWorker(t, func(reply *shardMsg) bool { return reply.Kind == viewApplied })
+	s := NewScheduler(SchedulerConfig{
+		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{addr}}})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp := postJSON(t, srv.URL+"/views", CreateRequest{Name: "g", Algorithm: "cc",
+		Edges: []EdgeJSON{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}, {Src: 3, Dst: 0}}})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %s", resp.Status)
+	}
+	resp.Body.Close()
+	resp = postJSON(t, srv.URL+"/views/g/mutations", []MutationJSON{{Op: "delete-edge", Src: 0, Dst: 1}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("mutations before the failure: %s", resp.Status)
+	}
+	resp.Body.Close()
+	for _, call := range []struct {
+		what string
+		do   func() *http.Response
+	}{
+		{"flush", func() *http.Response { return postJSON(t, srv.URL+"/views/g/flush", nil) }},
+		{"mutations", func() *http.Response {
+			return postJSON(t, srv.URL+"/views/g/mutations", []MutationJSON{{Op: "insert-edge", Src: 5, Dst: 6}})
+		}},
+		{"checkpoint", func() *http.Response { return postJSON(t, srv.URL+"/views/g/checkpoint", nil) }},
+		{"query", func() *http.Response { return mustGet(t, srv.URL+"/views/g/query?key=2") }},
+	} {
+		resp := call.do()
+		body := decodeJSON[map[string]string](t, resp)
+		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body["error"], "apply host 1") {
+			t.Errorf("%s on a down view: %s %q, want 503 naming the failed apply", call.what, resp.Status, body["error"])
+		}
 	}
 }
 
@@ -204,7 +244,7 @@ func TestServeAutoAlgorithm(t *testing.T) {
 					t.Fatalf("create %q: %s %v, want 400 and %q", alg, resp.Status, body, errUnknownForm)
 				}
 			}
-			if n := s.NumViews(); n != 0 {
+			if n := len(s.Names()); n != 0 {
 				t.Fatalf("rejected creates left %d views", n)
 			}
 
@@ -325,8 +365,8 @@ func TestServeShutdownClean(t *testing.T) {
 		t.Error("server still serving after shutdown")
 	}
 	// And the scheduler is empty.
-	if s.NumViews() != 0 {
-		t.Errorf("%d views survived shutdown", s.NumViews())
+	if len(s.Names()) != 0 {
+		t.Errorf("%d views survived shutdown", len(s.Names()))
 	}
 }
 

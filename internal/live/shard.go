@@ -544,14 +544,17 @@ func (s *session) foldSpans(reply shardMsg) {
 	}
 }
 
-// shards reports every host's occupancy, the coordinator's first.
+// shards reports every host's occupancy, the coordinator's first. A down
+// view asks no worker: its control connections may be out of step.
 func (s *session) shards() []ShardStat {
 	out := []ShardStat{{Host: 0, Records: s.core.hostedRecords(), Bytes: s.core.sol.Bytes()}}
+	up := s.v.down.Load() == nil
 	for i, c := range s.conns {
 		st := ShardStat{Host: i + 1}
-		if reply, err := c.call(shardMsg{Kind: viewStats}, viewStatted); err == nil {
-			st.Records = reply.Count
-			st.Bytes = reply.Bytes
+		if up {
+			if reply, err := c.call(shardMsg{Kind: viewStats}, viewStatted); err == nil {
+				st.Records, st.Bytes = reply.Count, reply.Bytes
+			}
 		}
 		out = append(out, st)
 	}
@@ -599,11 +602,12 @@ func (s *session) EachSolution(f func(record.Record) error) error {
 const hangUpGrace = 5 * time.Second
 
 // hangUp is the one way a session ends: a view's Close, a failed open and
-// a finished job all take it. It half-closes every control connection —
-// a worker reads EOF, tears its core down and closes its end — and waits
-// for those hang-ups before tearing the local core down, so no worker sees
-// this host's data plane drop under a core it still holds, which it would
-// count as a transport error.
+// a finished job all take it, and a second call finds everything closed.
+// It half-closes every control connection — a worker reads EOF, tears its
+// core down and closes its end — and waits for those hang-ups before
+// tearing the local core down, so no worker sees this host's data plane
+// drop under a core it still holds, which it would count as a transport
+// error.
 func (s *session) hangUp() {
 	deadline := time.Now().Add(hangUpGrace)
 	for _, c := range s.conns {

@@ -400,16 +400,18 @@ func (c *shardCore) cold(s0, w0 []record.Record) []record.Record {
 // batch found it until the coordinator's verdict arrives; a batch that
 // removed nothing needs no verdict and settles right away.
 func (c *shardCore) applyBatch(muts []Mutation) error {
-	if err := c.absorb(muts); err != nil || c.removes() {
-		return err
+	c.absorb(muts)
+	if c.removes() {
+		return nil
 	}
 	_, err := c.settle(false, nil)
 	return err
 }
 
 // absorb applies one mutation batch to the graph replica, recording what
-// the batch inserted and removed.
-func (c *shardCore) absorb(muts []Mutation) error {
+// the batch inserted and removed. Its ops were checked on the way in
+// (checkOps).
+func (c *shardCore) absorb(muts []Mutation) {
 	c.fresh, c.removed, c.cut = c.fresh[:0], c.removed[:0], c.cut[:0]
 	c.dropVerts, c.newVerts = c.dropVerts[:0], c.newVerts[:0]
 	start := len(c.edits)
@@ -452,12 +454,10 @@ func (c *shardCore) absorb(muts []Mutation) error {
 				c.removed = append(c.removed, gone...)
 				c.dropVerts = append(c.dropVerts, mut.Src)
 			}
-		default:
-			return fmt.Errorf("live: unknown mutation op %v", mut.Op)
 		}
 	}
 	if !c.removes() {
-		return nil
+		return
 	}
 	// An edge the same batch inserted and then removed (or re-weighted
 	// again) must not propose candidates.
@@ -481,7 +481,6 @@ func (c *shardCore) absorb(muts []Mutation) error {
 			c.cut = append(c.cut, e)
 		}
 	}
-	return nil
 }
 
 // removes reports whether the current batch removed anything.

@@ -32,7 +32,7 @@ import (
 // snapshotEveryFlushes (32) flushes or snapshotEveryBytes (4 MiB) of log
 // growth, the graph and the resident solution stream into a snapshot
 // (checkpoint.go's section writer), the two newest snapshots are kept, and
-// the log rotates. OpenView recovers: the newest readable snapshot streams
+// the log rotates. NewView recovers: the newest readable snapshot streams
 // into a fresh session, the log tail beyond it replays through the
 // ordinary maintenance path, and a torn tail is truncated. Recovery writes
 // no snapshot: the replayed frames count toward the cadence above as if
@@ -51,9 +51,14 @@ import (
 // DataDir behind the view's new directory; Drop deletes meta.json, fsyncs
 // the view directory, deletes the rest and fsyncs DataDir (removeViewDir),
 // so a crash can resurrect no dropped view. A <file>.tmp a crash leaves is
-// deleted by the next recovery. A log whose rotation failed after its
-// rename refuses further appends. TestEveryCrashPoint crashes between
-// every two of these calls, and after a clean Scheduler.Close.
+// deleted by the next recovery. TestEveryCrashPoint crashes between every
+// two of these calls, and after a clean Scheduler.Close.
+//
+// A failed call is a crash the process survives (live.go's one rule): a
+// failed log append, rotation or snapshot takes the view down and the log
+// refuses every later append, so nothing is acknowledged after it; the next
+// open recovers from what the disk holds, with or without what a failed
+// fsync did not promise. TestEveryIOError fails every call in turn.
 //
 // A snapshot is one file, whatever the view's topology: kind live:<algo>,
 // four sections — [vertices][edges][solution][hosts]. The solution section
@@ -99,11 +104,10 @@ func mutationsToRecords(muts []Mutation) record.Batch {
 func recordsToMutations(b record.Batch) ([]Mutation, error) {
 	out := make([]Mutation, len(b))
 	for i, r := range b {
-		op := Op(r.Tag)
-		if op < OpInsertEdge || op > OpDeleteVertex {
-			return nil, fmt.Errorf("live: wal frame carries unknown op %d", r.Tag)
-		}
-		out[i] = Mutation{Op: op, Src: r.A, Dst: r.B, Weight: r.X}
+		out[i] = Mutation{Op: Op(r.Tag), Src: r.A, Dst: r.B, Weight: r.X}
+	}
+	if err := checkOps(out); err != nil {
+		return nil, fmt.Errorf("live: wal frame: %w", err)
 	}
 	return out, nil
 }
@@ -122,7 +126,7 @@ type wal struct {
 	seq  uint64 // seq of the last appended/validated frame
 	size int64  // current file size
 	buf  []byte // reusable frame-encode buffer
-	err  error  // sticky failure: a log that failed a write stops accepting
+	err  error  // sticky failure: a log that failed a write or a rotation stops accepting
 }
 
 func walHeader(base uint64) []byte {
@@ -136,7 +140,7 @@ func walHeader(base uint64) []byte {
 // createWAL durably creates a fresh log whose frames will start at
 // base+1.
 func createWAL(fs fsys, path string, base uint64) (*wal, error) {
-	if _, err := writeFileDurable(fs, path, func(w io.Writer) error {
+	if err := writeFileDurable(fs, path, func(w io.Writer) error {
 		_, err := w.Write(walHeader(base))
 		return err
 	}); err != nil {
@@ -246,7 +250,8 @@ func (w *wal) SizeBytes() int64 {
 // snapshot at upTo. If frames beyond upTo exist (mutations acknowledged
 // while the snapshot was being written), rotation is skipped — the next
 // snapshot will catch up. The fresh header is written durably through
-// the same helper snapshot files use (writeFileDurable).
+// the same helper snapshot files use (writeFileDurable). A failed rotation
+// poisons the log like a failed append.
 func (w *wal) Rotate(upTo uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -259,25 +264,17 @@ func (w *wal) Rotate(upTo uint64) error {
 	if w.base == upTo && w.size == walHeaderSize {
 		return nil // already fresh
 	}
-	// The fresh header is renamed over the path while the old descriptor
-	// is still open: a failure before the rename leaves the old log intact
-	// and appendable — rotation failing transiently (ENOSPC on the temp
-	// file, say) must not poison a healthy log. After the rename the old
-	// descriptor names the unlinked file, so appends there would be
-	// acknowledged and lost — poison.
-	if renamed, err := writeFileDurable(w.fs, w.path, func(wr io.Writer) error {
+	if err := writeFileDurable(w.fs, w.path, func(wr io.Writer) error {
 		_, err := wr.Write(walHeader(upTo))
 		return err
 	}); err != nil {
-		if renamed {
-			w.err = err
-		}
+		w.err = err
 		return err
 	}
 	fresh, err := openWAL(w.fs, w.path, nil)
 	w.f.Close()
 	if err != nil {
-		w.err = err // the path names the fresh log, which cannot be opened
+		w.err = err
 		return err
 	}
 	w.f = fresh.f
@@ -430,8 +427,9 @@ var (
 )
 
 // snapshotLocked persists a snapshot covering WAL frames 1..flushedSeq,
-// prunes obsolete snapshots, and rotates the log when possible. Caller
-// holds the maintenance lock, so the solution set is converged. The one
+// prunes obsolete snapshots, and rotates the log when possible; a failure
+// takes the view down. Caller holds the maintenance lock, so the solution
+// set is converged. The one
 // file is written to a temporary name and renamed into place, so a seq
 // that lists is a complete snapshot. Its solution section streams through
 // session.EachSolution — the coordinator's partitions, then each worker's
@@ -444,7 +442,7 @@ func (v *LiveView) snapshotLocked() error {
 	defer pprof.SetGoroutineLabels(context.Background())
 	d := v.dur
 	seq := d.flushedSeq
-	_, err := writeFileDurable(v.cfg.fs, filepath.Join(d.dir, snapshotName(seq)), func(w io.Writer) error {
+	err := writeFileDurable(v.cfg.fs, filepath.Join(d.dir, snapshotName(seq)), func(w io.Writer) error {
 		return writeCheckpoint(w, snapshotKindPrefix+v.m.Name(), seq, func(cw *checkpointWriter) error {
 			if err := writeGraph(cw, v.gs); err != nil {
 				return err
@@ -462,7 +460,7 @@ func (v *LiveView) snapshotLocked() error {
 		})
 	})
 	if err != nil {
-		return fmt.Errorf("live: view %q snapshot: %w", v.name, err)
+		return v.fail(fmt.Errorf("snapshot: %w", err))
 	}
 	d.flushesSinceSnap = 0
 	d.snapshots++
@@ -471,7 +469,7 @@ func (v *LiveView) snapshotLocked() error {
 	}
 	pruneSnapshots(v.cfg.fs, d.dir)
 	if err := d.wal.Rotate(seq); err != nil {
-		return err
+		return v.fail(err)
 	}
 	d.walBytesAtSnap = d.wal.SizeBytes()
 	if v.ring != nil {
@@ -589,9 +587,11 @@ func validateViewName(name string) error {
 	return nil
 }
 
-// OpenView builds or recovers a view. Without ViewConfig.Durable it is
-// NewView. With durability, the view owns DataDir/<name>: when that
-// directory already holds a log or snapshot, the view is *recovered* —
+// NewView builds a view over the graph described by the initial mutations
+// (typically a stream of InsertEdge), runs the cold fixpoint once, and
+// leaves everything resident for maintenance. With ViewConfig.Durable the
+// view owns DataDir/<name>: when that directory already holds a log or
+// snapshot, the view is *recovered* —
 // the latest valid snapshot is loaded, the WAL tail beyond it is
 // replayed through the ordinary maintenance path and stays in the log
 // for the next periodic snapshot, and torn tails are truncated at the
@@ -600,8 +600,11 @@ func validateViewName(name string) error {
 // log's first frame, the cold fixpoint runs, and a base snapshot is
 // written, so a crash at any later point recovers every acknowledged
 // mutation.
-func OpenView(name string, m Maintainer, initial []Mutation, cfg ViewConfig) (*LiveView, error) {
+func NewView(name string, m Maintainer, initial []Mutation, cfg ViewConfig) (*LiveView, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkOps(initial); err != nil {
 		return nil, err
 	}
 	cfg = cfg.normalized().withObsDefaults(name)

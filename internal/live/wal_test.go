@@ -51,13 +51,13 @@ func mustComp(t *testing.T, v *LiveView, vertex, want int64) {
 }
 
 // TestDurableCreateCloseReopen: Close writes no snapshot and rotates
-// nothing, so the next OpenView replays exactly the log frames past the
+// nothing, so the next NewView replays exactly the log frames past the
 // newest snapshot (Create's, at seq 1) and comes back to the solution the
 // view had before the Close.
 func TestDurableCreateCloseReopen(t *testing.T) {
 	dir := t.TempDir()
 	var m metrics.Counters
-	v, err := OpenView("cc", CC(), chain(4), durableCfg(dir, &m))
+	v, err := NewView("cc", CC(), chain(4), durableCfg(dir, &m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestDurableCreateCloseReopen(t *testing.T) {
 		t.Fatalf("Close changed the snapshots: %v -> %v", snaps, after)
 	}
 
-	v2, err := OpenView("cc", CC(), nil, durableCfg(dir, &m))
+	v2, err := NewView("cc", CC(), nil, durableCfg(dir, &m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRecoveryReplaysAcknowledgedMutations(t *testing.T) {
 	var m metrics.Counters
 	cfg := durableCfg(dir, &m)
 	cfg.BatchSize = 1 << 30 // flush only on demand
-	v, err := OpenView("cc", CC(), chain(4), cfg)
+	v, err := NewView("cc", CC(), chain(4), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRecoveryReplaysAcknowledgedMutations(t *testing.T) {
 	}
 	v.Kill() // hard crash: pending batch never flushed
 
-	v2, err := OpenView("cc", CC(), nil, cfg)
+	v2, err := NewView("cc", CC(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRecoveryTruncatesTornTailToAckedPrefix(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir, nil)
 	cfg.BatchSize = 1 << 30
-	v, err := OpenView("cc", CC(), chain(2), cfg)
+	v, err := NewView("cc", CC(), chain(2), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestRecoveryTruncatesTornTailToAckedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v2, err := OpenView("cc", CC(), nil, cfg)
+	v2, err := NewView("cc", CC(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSnapshotCadenceAndRotation(t *testing.T) {
 	dir := t.TempDir()
 	var m metrics.Counters
 	cfg := durableCfg(dir, &m)
-	v, err := OpenView("cc", CC(), chain(2), cfg)
+	v, err := NewView("cc", CC(), chain(2), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSnapshotCadenceAndRotation(t *testing.T) {
 func TestRecoveryFallsBackToPreviousSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir, nil)
-	v, err := OpenView("cc", CC(), chain(2), cfg)
+	v, err := NewView("cc", CC(), chain(2), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRecoveryFallsBackToPreviousSnapshot(t *testing.T) {
 	if err := os.Truncate(newest, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenView("cc", CC(), nil, cfg); err == nil {
+	if _, err := NewView("cc", CC(), nil, cfg); err == nil {
 		t.Fatal("recovery with an unbridgeable snapshot gap must fail")
 	}
 
@@ -278,7 +278,7 @@ func TestRecoveryFallsBackToPreviousSnapshot(t *testing.T) {
 	if err := os.Remove(filepath.Join(vdir, walFileName)); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := OpenView("cc", CC(), nil, cfg)
+	v2, err := NewView("cc", CC(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +310,39 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := recordsToMutations(record.Batch{{Tag: 200}}); err == nil {
 		t.Fatal("unknown op accepted")
+	}
+}
+
+// TestMutateRefusesUnknownOps: a mutation whose op is none of the four is
+// refused before the log append, so nothing is acknowledged, the view stays
+// up, and a reopen replays a log that holds only the valid batches. (The
+// log codec keeps one byte of an op: Op(256) would replay as an insert.)
+func TestMutateRefusesUnknownOps(t *testing.T) {
+	dir := t.TempDir()
+	v, err := NewView("cc", CC(), chain(2), durableCfg(dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Op{9, 256} {
+		err := v.Mutate(InsertEdge(5, 6), Mutation{Op: op, Src: 7, Dst: 8})
+		if !errors.Is(err, errUnknownOp) {
+			t.Fatalf("Mutate(Op(%d)) = %v, want errUnknownOp", op, err)
+		}
+	}
+	if err := v.Mutate(InsertEdge(2, 3)); err != nil {
+		t.Fatalf("the view went down on a caller's error: %v", err)
+	}
+	v.Close()
+	back, err := NewView("cc", CC(), nil, durableCfg(dir, nil))
+	if err != nil {
+		t.Fatalf("reopening after refused ops: %v", err)
+	}
+	defer back.Close()
+	mustComp(t, back, 3, 0)
+	for _, k := range []int64{5, 6, 7, 8} {
+		if r, ok := back.Query(k); ok {
+			t.Fatalf("vertex %d of a refused batch came back: %+v", k, r)
+		}
 	}
 }
 
@@ -427,7 +460,7 @@ func TestSchedulerCreateClearsCrashedCreateLeftovers(t *testing.T) {
 	})
 	// Simulate a create that crashed after writing its WAL (edges 0-1)
 	// but before the meta.json commit marker.
-	crashed, err := OpenView("v", CC(), []Mutation{InsertEdge(0, 1)},
+	crashed, err := NewView("v", CC(), []Mutation{InsertEdge(0, 1)},
 		ViewConfig{Config: iterative.Config{Parallelism: 1}, Durable: true, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -443,19 +476,29 @@ func TestSchedulerCreateClearsCrashedCreateLeftovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	mustComp(t, v, 8, 7)
 	if _, ok := v.Query(0); ok {
 		t.Fatal("crashed create's edge resurrected into the new view")
 	}
+	// A committed view nobody serves (Recover has not run, or its Drop
+	// failed) is refused, not reopened in place of the new one.
+	s.Close()
+	s2 := NewScheduler(SchedulerConfig{DataDir: dir, DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}}})
+	defer s2.Close()
+	if _, err := s2.Create("v", CC(), []Mutation{InsertEdge(3, 4)}, nil); err == nil {
+		t.Fatal("Create reopened a committed view it was not serving")
+	}
+	if n, err := s2.Recover(); err != nil || n != 1 {
+		t.Fatalf("recovered %d views (%v), want the committed one", n, err)
+	}
 }
 
 func TestDurableRequiresDataDir(t *testing.T) {
-	_, err := OpenView("x", CC(), nil, ViewConfig{Durable: true})
+	_, err := NewView("x", CC(), nil, ViewConfig{Durable: true})
 	if err == nil {
 		t.Fatal("Durable without DataDir accepted")
 	}
-	_, err = OpenView("a/b", CC(), nil, ViewConfig{Durable: true, DataDir: t.TempDir()})
+	_, err = NewView("a/b", CC(), nil, ViewConfig{Durable: true, DataDir: t.TempDir()})
 	if err == nil {
 		t.Fatal("path separator in durable view name accepted")
 	}
@@ -473,7 +516,7 @@ func TestCheckpointStreams(t *testing.T) {
 	for i := range initial {
 		initial[i] = InsertEdge(int64(2*i), int64(2*i+1))
 	}
-	v, err := OpenView("pairs", CC(), initial, durableCfg(t.TempDir(), nil))
+	v, err := NewView("pairs", CC(), initial, durableCfg(t.TempDir(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}

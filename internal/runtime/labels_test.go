@@ -212,7 +212,7 @@ func TestPlannerProfileLabels(t *testing.T) {
 // runs, and requires CPU samples labelled {layer=wal, op=append}; every
 // wal-layer sample must carry exactly {layer=wal, op=append|snapshot}.
 func TestWALProfileLabels(t *testing.T) {
-	v, err := live.OpenView("wal-labels", live.CC(), nil, live.ViewConfig{
+	v, err := live.NewView("wal-labels", live.CC(), nil, live.ViewConfig{
 		Config:  iterative.Config{Parallelism: 1},
 		Durable: true, DataDir: t.TempDir(), BatchSize: 1 << 30,
 	})
