@@ -5,13 +5,13 @@
 // the worker listener.
 //
 // There is one multi-host protocol in the tree and it lives in
-// internal/live: a sharded maintenance session (view_open → mesh →
-// coordinator-driven verbs → hang-up) over the runtime's TCP data plane.
-// A distributed job is that session run once — live.RunJob opens it on
-// the workers, drives the cold fixpoint through the session barrier,
-// collects every host's partitions and hangs up — so this package's
-// listener only accepts control connections and hands each one's session
-// to the process's ViewHost.
+// internal/live: a sharded maintenance session (view_open → view_start →
+// coordinator-driven verbs → hang-up) over one framed control connection
+// per worker and the runtime's TCP data plane. A distributed job is that
+// session run once — live.RunJob opens it on the workers, drives the cold
+// fixpoint through the session barrier, collects every host's partitions
+// and hangs up — so this package's listener only accepts control
+// connections and hands each one, undecoded, to the process's ViewHost.
 //
 // Determinism is the load-bearing wall: every host derives the job's
 // spec, graph and physical plan locally from the same JobSpec (all

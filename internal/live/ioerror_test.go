@@ -167,6 +167,35 @@ func recoveryFixture(t *testing.T, dataDir string) (map[string][]byte, [][]Mutat
 	return tree, frames
 }
 
+// TestRecoveryKeepsOnlyReadableSnapshots: recovering recoveryFixture's
+// tree, whose newest snapshot (3) is unreadable, writes a snapshot of its
+// own and deletes the one it passed over, so every snapshot left loads.
+func TestRecoveryKeepsOnlyReadableSnapshots(t *testing.T) {
+	const dataDir = "/data"
+	tree, _ := recoveryFixture(t, dataDir)
+	mem := memFSOf(tree)
+	cfg := ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem}
+	s := NewScheduler(SchedulerConfig{DataDir: dataDir, DefaultView: cfg})
+	if n, err := s.Recover(); n != 1 || err != nil {
+		t.Fatalf("recovered %d views: %v", n, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := path.Join(dataDir, "cc")
+	vf, err := readViewDir(mem, dir)
+	if err != nil || len(vf.snaps) == 0 {
+		t.Fatalf("no snapshot after recovery (%v)", err)
+	}
+	for _, seq := range vf.snaps {
+		v, err := loadSnapshot(dir, seq, "cc", CC(), cfg.normalized())
+		if err != nil {
+			t.Fatalf("snapshots %v after recovery: %d does not load: %v", vf.snaps, seq, err)
+		}
+		v.sess.hangUp()
+	}
+}
+
 // TestEveryIOError fails each file-system call of crashScript in turn with
 // each error that call can meet (ioFaults: EIO or ENOSPC on a write, a
 // short write, ENOSPC on a create, EIO on a sync, directory sync, rename,

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"net"
 	goruntime "runtime"
@@ -151,6 +150,48 @@ func TestWorkerSurvivesSequentialJobs(t *testing.T) {
 			Seed: 0xD15E + uint64(i), Parallelism: 2}
 		assertJobMatchesOracle(t, fmt.Sprintf("job %d", i), js, addrs)
 	}
+}
+
+// TestJobStallFailsWithinDeadline: a job whose worker stalls fails typed
+// within the control deadline, and the worker then serves the next job.
+// The worker stalls twice. First it holds one view_step reply, so the
+// coordinator waits on its control connection. Then it freezes on one
+// view_step request without running the step: the coordinator's own share
+// of that superstep waits on the worker's exchange data, which only the
+// deadline's cut of the data plane ends.
+func TestJobStallFailsWithinDeadline(t *testing.T) {
+	defer func(d time.Duration) { controlRoundTimeout = d }(controlRoundTimeout)
+	controlRoundTimeout = 200 * time.Millisecond
+	const slack = 2 * time.Second
+	var stall atomic.Int32 // 1: hold the next step reply; 2: freeze on the next step request
+	frozen := make(chan struct{})
+	t.Cleanup(func() { close(frozen) })
+	addr := startHookedWorker(t, func(out bool, body []byte) (frameFault, []byte) {
+		var msg shardMsg
+		if json.Unmarshal(body, &msg) != nil || msg.Kind != viewStep {
+			return passFrame, body
+		}
+		if out && stall.CompareAndSwap(1, 0) {
+			return holdFrame, body
+		}
+		if !out && stall.CompareAndSwap(2, 0) {
+			<-frozen
+		}
+		return passFrame, body
+	})
+	js := distrib.JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xDEAD, Parallelism: 2}
+	for _, how := range []int32{1, 2} {
+		stall.Store(how)
+		start := time.Now()
+		_, err := RunJob(js, []string{addr}, nil)
+		if !errors.Is(err, errControlDeadline) {
+			t.Fatalf("stall %d: job returned %v, want a control deadline error", how, err)
+		}
+		if d := time.Since(start); d > controlRoundTimeout+slack {
+			t.Fatalf("stall %d: the job took %v to fail", how, d)
+		}
+	}
+	assertJobMatchesOracle(t, "after the stalls", js, []string{addr})
 }
 
 // TestJobTracePropagation is the telemetry acceptance check: a 2-process
@@ -301,62 +342,6 @@ func TestJobReoptimizeMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// lyingWriter sits between a real WorkerHost and its control connection:
-// every reply passes through mutate first, which may rewrite it or ask for
-// the connection to be dropped instead of answering.
-type lyingWriter struct {
-	conn   net.Conn
-	mutate func(reply *shardMsg) (hangUp bool)
-}
-
-// Write sees exactly one message: json.Encoder writes each Encode whole.
-func (w lyingWriter) Write(p []byte) (int, error) {
-	var msg shardMsg
-	if err := json.Unmarshal(p, &msg); err != nil {
-		return 0, err
-	}
-	if w.mutate(&msg) {
-		w.conn.Close()
-		return 0, io.ErrClosedPipe
-	}
-	out, err := json.Marshal(msg)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := w.conn.Write(append(out, '\n')); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
-// startFakeWorker runs an almost-honest worker in-process: the real
-// WorkerHost serves the session (real plan, real data plane, real epoch
-// swaps), but every control reply passes through mutate, so a test can
-// inject exactly one protocol-level lie — or a dropped connection — and
-// watch the coordinator catch it.
-func startFakeWorker(t *testing.T, mutate func(reply *shardMsg) (hangUp bool)) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		dec := json.NewDecoder(conn)
-		var open json.RawMessage
-		if dec.Decode(&open) != nil {
-			return
-		}
-		NewWorkerHost(nil).ServeView(open, dec, json.NewEncoder(lyingWriter{conn, mutate}))
-	}()
-	return ln.Addr().String()
-}
-
 // TestStaleEpochRejectedAtBarrier pins the barrier-time staleness check: a
 // worker whose step acknowledgment carries the wrong plan epoch — as a
 // worker that missed a coordinated swap would — must be rejected at the
@@ -364,12 +349,12 @@ func startFakeWorker(t *testing.T, mutate func(reply *shardMsg) (hangUp bool)) s
 func TestStaleEpochRejectedAtBarrier(t *testing.T) {
 	js := distrib.JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 40, GraphM: 80, Seed: 0xE90E, Parallelism: 2}
 	var steps atomic.Int32
-	addr := startFakeWorker(t, func(reply *shardMsg) bool {
-		if reply.Kind == viewStepDone {
+	addr := startFakeWorker(t, func(reply *shardMsg) frameFault {
+		if reply.Kind == viewStep {
 			steps.Add(1)
 			reply.Epoch = 7 // a plan swap the coordinator never announced
 		}
-		return false
+		return passFrame
 	})
 	_, err := RunJob(js, []string{addr}, nil)
 	if err == nil {
@@ -390,15 +375,15 @@ func TestStaleEpochRejectedAtBarrier(t *testing.T) {
 func TestEpochDigestMismatchAborts(t *testing.T) {
 	// Same spec as the parity test: known to trigger a mid-run epoch.
 	var swaps, stepsAfter atomic.Int32
-	addr := startFakeWorker(t, func(reply *shardMsg) bool {
+	addr := startFakeWorker(t, func(reply *shardMsg) frameFault {
 		switch {
-		case reply.Kind == viewEpochDone:
+		case reply.Kind == viewEpoch:
 			swaps.Add(1)
 			reply.Digest = "deadbeefdeadbeef"
-		case reply.Kind == viewStepDone && swaps.Load() > 0:
+		case reply.Kind == viewStep && swaps.Load() > 0:
 			stepsAfter.Add(1)
 		}
-		return false
+		return passFrame
 	})
 	_, err := RunJob(reshapingJob, []string{addr}, nil)
 	if err == nil {
@@ -419,8 +404,8 @@ func TestEpochDigestMismatchAborts(t *testing.T) {
 func TestJobLostWorkerAtCollectIsAnError(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir())
 	js := distrib.JobSpec{Algorithm: "cc", GraphKind: "uniform", GraphN: 60, GraphM: 120, Seed: 0xE90F, Parallelism: 2}
+	addr := startFakeWorker(t, dropAt(viewCollect))
 	baseline := goruntime.NumGoroutine()
-	addr := startFakeWorker(t, func(reply *shardMsg) bool { return reply.Kind == viewSolution })
 	type outcome struct {
 		res *distrib.Result
 		err error
@@ -452,7 +437,7 @@ func TestJobLostWorkerAtCollectIsAnError(t *testing.T) {
 // Snapshot — not the coordinator's half passed off as the whole — and goes
 // down, naming why through Stats.
 func TestSnapshotNeverPartial(t *testing.T) {
-	addr := startFakeWorker(t, func(reply *shardMsg) bool { return reply.Kind == viewSolution })
+	addr := startFakeWorker(t, dropAt(viewCollect))
 	v, err := NewView("half", CC(), ringEdges(16), ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
@@ -471,17 +456,17 @@ func TestSnapshotNeverPartial(t *testing.T) {
 
 // TestOwnerFailureIsNotAMiss: a key whose owner cannot answer view_query is
 // not "absent": Query finds nothing, and the view goes down, naming the
-// failure through Stats. (The fake worker lies — it answers view_error and
+// failure through Stats. (The fake worker lies — it answers with Err and
 // stays in session, which a real one never does — so the view cannot tell
 // what else is wrong and trusts nothing more.) A delete after it is refused
 // with ErrViewDown, and a reopen serves exactly what was acknowledged.
 func TestOwnerFailureIsNotAMiss(t *testing.T) {
 	var failing atomic.Bool
-	addr := startFakeWorker(t, func(reply *shardMsg) bool {
-		if reply.Kind == viewValue && failing.Load() {
-			*reply = shardMsg{Kind: viewError, Err: "owner cannot answer"}
+	addr := startFakeWorker(t, func(reply *shardMsg) frameFault {
+		if reply.Kind == viewQuery && failing.Load() {
+			reply.Frames, reply.Err = nil, "owner cannot answer"
 		}
-		return false
+		return passFrame
 	})
 	const n = 16
 	// The ring beside 32 other vertices.
@@ -537,7 +522,7 @@ func TestOwnerFailureIsNotAMiss(t *testing.T) {
 }
 
 // TestShardedFlushFailureTakesViewDown: the only worker of a 2-partition
-// view over a 16-ring hangs up at view_applied, in the middle of a flush
+// view over a 16-ring hangs up at its view_apply reply, in the middle of a flush
 // that deletes ring edges 0–1 and 8–9. The flush fails and takes the view
 // down: it never serves the ring's old labels, later writes are refused,
 // Close leaves no goroutine or spill file behind, and a durable view
@@ -546,8 +531,8 @@ func TestShardedFlushFailureTakesViewDown(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
 			t.Setenv("TMPDIR", t.TempDir())
+			addr := startFakeWorker(t, dropAt(viewApply))
 			baseline := goruntime.NumGoroutine()
-			addr := startFakeWorker(t, func(reply *shardMsg) bool { return reply.Kind == viewApplied })
 			cfg := ViewConfig{Config: iterative.Config{Parallelism: 2, SolutionMemoryBudget: 64}}
 			if durable {
 				cfg.Durable, cfg.DataDir = true, t.TempDir()
@@ -615,12 +600,12 @@ func TestShardedFlushFailureTakesViewDown(t *testing.T) {
 // removal and eight in separate components cost the same messages.
 func TestShardedDeleteRounds(t *testing.T) {
 	var mu sync.Mutex
-	replies := map[string]int{}
-	addr := startFakeWorker(t, func(reply *shardMsg) bool {
+	replies := map[verb]int{}
+	addr := startFakeWorker(t, func(reply *shardMsg) frameFault {
 		mu.Lock()
 		replies[reply.Kind]++
 		mu.Unlock()
-		return false
+		return passFrame
 	})
 	v, err := NewView("rounds", CC(), islandEdges(64, 20, 0), ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{addr}})
 	if err != nil {
@@ -629,7 +614,7 @@ func TestShardedDeleteRounds(t *testing.T) {
 	defer v.Kill()
 	// Each batch cuts the same ring edge of identical islands, so the
 	// repairs take the same supersteps.
-	batch := func(from, to int64) map[string]int {
+	batch := func(from, to int64) map[verb]int {
 		t.Helper()
 		partial := v.Stats().PartialRecomputes
 		mu.Lock()
@@ -657,12 +642,12 @@ func TestShardedDeleteRounds(t *testing.T) {
 	}
 	for kind := range one {
 		switch kind {
-		case viewApplied, viewReplanned, viewCand, viewSeeded, viewStepDone:
+		case viewApply, viewReplan, viewGather, viewSeed, viewStep:
 		default:
 			t.Fatalf("a delete batch drew %d %q replies (all: %v)", one[kind], kind, one)
 		}
 	}
-	if one[viewApplied] != 1 || one[viewReplanned] != 1 {
+	if one[viewApply] != 1 || one[viewReplan] != 1 {
 		t.Fatalf("want one apply and one replan round: %v", one)
 	}
 }

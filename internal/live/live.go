@@ -36,11 +36,12 @@
 //
 // A failure is a crash, as an error ends a worker's session: the first
 // error of a flush (a caller's or the timer's), a log append or rotation,
-// a snapshot or a read routed to a worker takes the view down for good,
-// as Close does. Every later Mutate, Flush and Checkpoint returns
-// ErrViewDown around that first cause, reads return nothing, and
-// ViewStats.LastError names it, so no state a view failed to maintain is
-// served. The way back is the next open, which recovers from the log.
+// a snapshot, a read routed to a worker or a control reply later than the
+// control deadline (shard.go) takes the view down for good, as Close
+// does. Every later Mutate, Flush and Checkpoint returns ErrViewDown
+// around that first cause, reads return nothing, and ViewStats.LastError
+// names it, so no state a view failed to maintain is served. The way back
+// is the next open, which recovers from the log.
 //
 // Every view reaches its fixpoint through one maintenance session
 // (shard.go, shardcore.go) spread over 1+len(ViewConfig.Workers) hosts:
@@ -65,6 +66,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -176,6 +178,9 @@ type ViewConfig struct {
 	// fs is the file system durable state lives on; nil means the
 	// operating system's. Only this package's tests set it.
 	fs fsys
+	// dial connects to a worker's control address; nil means
+	// distrib.DialWorker. Only this package's tests set it.
+	dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
 func (c ViewConfig) normalized() ViewConfig {

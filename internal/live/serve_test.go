@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,7 +135,7 @@ func TestServeHTTPAPI(t *testing.T) {
 // middle of a flush), mutations, flush, checkpoint and query answer 503
 // with the cause in the body.
 func TestServeDownView(t *testing.T) {
-	addr := startFakeWorker(t, func(reply *shardMsg) bool { return reply.Kind == viewApplied })
+	addr := startFakeWorker(t, dropAt(viewApply))
 	s := NewScheduler(SchedulerConfig{
 		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{addr}}})
 	defer s.Close()
@@ -497,5 +498,57 @@ func TestServeEncodeErrorSurfaced(t *testing.T) {
 	s.writeJSON(rec, http.StatusOK, map[string]string{"ok": "yes"})
 	if got := s.Stats().EncodeErrors; got != 2 {
 		t.Errorf("EncodeErrors after healthy write = %d, want 2", got)
+	}
+}
+
+// TestStalledWorkerDoesNotFreezeTelemetry: a sharded view whose worker
+// holds its view_stats reply costs a scrape one control deadline, not
+// forever. GET /metrics answers within the deadline (plus slack) with
+// view_error 1 for the view, which the failed stats call took down, and
+// GET /stats names that call in LastError.
+func TestStalledWorkerDoesNotFreezeTelemetry(t *testing.T) {
+	defer func(d time.Duration) { controlRoundTimeout = d }(controlRoundTimeout)
+	controlRoundTimeout = 200 * time.Millisecond
+	const slack = 2 * time.Second
+	var stall atomic.Bool
+	addr := startFakeWorker(t, func(reply *shardMsg) frameFault {
+		if reply.Kind == viewStats && stall.Load() {
+			return holdFrame
+		}
+		return passFrame
+	})
+	reg := obs.NewRegistry()
+	s := NewScheduler(SchedulerConfig{Obs: reg,
+		DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{addr}}})
+	defer s.Close()
+	if _, err := s.Create("g", CC(), ringEdges(16), nil); err != nil {
+		t.Fatal(err)
+	}
+	api := httptest.NewServer(s.Handler())
+	defer api.Close()
+	telemetry := httptest.NewServer(reg.Handler())
+	defer telemetry.Close()
+
+	stall.Store(true)
+	start := time.Now()
+	resp := mustGet(t, telemetry.URL+"/metrics")
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > controlRoundTimeout+slack {
+		t.Fatalf("/metrics took %v behind a stalled worker", d)
+	}
+	if !strings.Contains(string(body), `spinflow_view_error{view="g"} 1`) {
+		t.Fatalf("/metrics does not report the view down:\n%s", body)
+	}
+	start = time.Now()
+	st := decodeJSON[SchedulerStats](t, mustGet(t, api.URL+"/stats"))
+	if d := time.Since(start); d > controlRoundTimeout+slack {
+		t.Fatalf("/stats took %v", d)
+	}
+	if e := st.PerView["g"].LastError; !strings.Contains(e, "stats host 1") {
+		t.Fatalf("LastError = %q, want the failed stats call", e)
 	}
 }

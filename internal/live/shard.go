@@ -1,9 +1,12 @@
 package live
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -11,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/distrib"
@@ -33,55 +37,99 @@ type ShardStat struct {
 	Bytes   int64 `json:"bytes"`
 }
 
-// shardConn is one coordinator→worker control connection. Its own lock
-// serializes request/response exchanges: concurrent Query calls (shared
-// view lock) multiplex safely over the single connection.
-type shardConn struct {
+// maxControlFrame caps a control frame's body: a longer one is refused
+// before anything is allocated for it.
+const maxControlFrame = 1 << 30
+
+var (
+	errControlFrame    = errors.New("live: malformed control frame")
+	errControlDeadline = errors.New("live: control wait past its deadline")
+)
+
+// ctlConn is either end of one control connection. A message is one
+// frame, a big-endian uint32 length and that much JSON, sent in a single
+// Write. Rounds and barrier steps run under the view's exclusive lock;
+// calls take mu, so concurrent Query calls (shared view lock) share the
+// connection safely.
+type ctlConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	dec  *json.Decoder
-	enc  *json.Encoder
+	r    *bufio.Reader
+	late atomic.Bool // the session's deadline cut the connection
 }
 
-// call performs one locked request/response exchange.
-func (c *shardConn) call(msg shardMsg, wantKind string) (shardMsg, error) {
+func newCtlConn(conn net.Conn) *ctlConn {
+	return &ctlConn{conn: conn, r: bufio.NewReader(conn)}
+}
+
+// call performs one locked request/reply exchange.
+func (c *ctlConn) call(msg shardMsg) (shardMsg, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(msg); err != nil {
+	if err := c.send(msg); err != nil {
 		return shardMsg{}, err
 	}
-	return c.decode(wantKind)
+	return c.recv(msg.Kind)
 }
 
-// send fires a request without awaiting the reply, so every host works on
-// it at once; the matching recv must follow under the same external
-// ordering.
-func (c *shardConn) send(msg shardMsg) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enc.Encode(msg)
-}
-
-// recv awaits one reply of the given kind.
-func (c *shardConn) recv(wantKind string) (shardMsg, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.decode(wantKind)
-}
-
-// decode reads one reply, surfacing a view_error reply as an error.
-func (c *shardConn) decode(wantKind string) (shardMsg, error) {
-	var reply shardMsg
-	if err := c.dec.Decode(&reply); err != nil {
+// recv reads the reply to a request of verb want: one that carries Err is
+// the worker's failure, one of another verb means the connection is out
+// of step.
+func (c *ctlConn) recv(want verb) (shardMsg, error) {
+	msg, err := c.read()
+	switch {
+	case err != nil:
 		return shardMsg{}, err
+	case msg.Err != "":
+		return shardMsg{}, fmt.Errorf("live: worker: %s", msg.Err)
+	case msg.Kind != want:
+		return shardMsg{}, fmt.Errorf("live: worker answered %s, want %s", msg.Kind, want)
 	}
-	if reply.Kind == viewError {
-		return shardMsg{}, fmt.Errorf("live: worker: %s", reply.Err)
+	return msg, nil
+}
+
+// send writes msg as one frame.
+func (c *ctlConn) send(msg shardMsg) error {
+	body, err := json.Marshal(msg)
+	if err != nil {
+		return err
 	}
-	if reply.Kind != wantKind {
-		return shardMsg{}, fmt.Errorf("live: worker sent %q, want %q", reply.Kind, wantKind)
+	_, err = c.conn.Write(append(binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(body)), uint32(len(body))), body...))
+	return c.ioErr(err)
+}
+
+// read reads one frame; a clean hang-up between frames reads io.EOF. The
+// body is read as it arrives, so a frame that stops short allocates no
+// more than what came.
+func (c *ctlConn) read() (shardMsg, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+		return shardMsg{}, c.ioErr(err)
 	}
-	return reply, nil
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > maxControlFrame {
+		return shardMsg{}, fmt.Errorf("%w: length %d over the cap", errControlFrame, n)
+	}
+	body, err := io.ReadAll(io.LimitReader(c.r, int64(n)))
+	if err == nil && len(body) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	var msg shardMsg
+	if err != nil {
+		return msg, c.ioErr(err)
+	}
+	if err := json.Unmarshal(body, &msg); err != nil {
+		return msg, fmt.Errorf("%w: %w", errControlFrame, err)
+	}
+	return msg, nil
+}
+
+// ioErr marks an error on a connection the deadline cut.
+func (c *ctlConn) ioErr(err error) error {
+	if err != nil && c.late.Load() {
+		return fmt.Errorf("%w: %w", errControlDeadline, err)
+	}
+	return err
 }
 
 // session is the execution backend of every LiveView: the thing that holds
@@ -98,12 +146,52 @@ func (c *shardConn) decode(wantKind string) (shardMsg, error) {
 type session struct {
 	v     *LiveView
 	core  *shardCore
-	conns []*shardConn // conns[i] is host i+1
+	conns []*ctlConn // conns[i] is host i+1
 	// rtt is the distrib_step_rtt histogram: one sample per barrier round,
 	// release to last acknowledgment. Nil — and no clock is read — without
 	// workers or a telemetry registry.
 	rtt       *obs.Histogram
 	stepStart time.Time
+	step      *time.Timer // the deadline of the barrier step in flight
+}
+
+// controlRoundTimeout bounds every coordinator wait on the workers: a
+// control round, one barrier step from Release to Collect, or one call.
+var controlRoundTimeout = distrib.MeshTimeout
+
+// arm starts one wait's deadline, past which the session is cut. A
+// one-host session arms nothing.
+func (s *session) arm() *time.Timer {
+	if len(s.conns) == 0 {
+		return nil
+	}
+	return time.AfterFunc(controlRoundTimeout, s.cut)
+}
+
+func disarm(t *time.Timer) {
+	if t != nil {
+		t.Stop()
+	}
+}
+
+// cut ends a wait past its deadline: the control connections and the
+// data plane close, so a read blocked on a stalled worker fails wherever
+// it is — a control reply, or the coordinator's share of a superstep
+// waiting for the worker's exchange data. hangUp tears the core down.
+func (s *session) cut() {
+	for _, c := range s.conns {
+		c.late.Store(true)
+		c.conn.Close()
+	}
+	if s.core.tr != nil {
+		s.core.tr.Cut(errControlDeadline)
+	}
+}
+
+// call is one request/reply exchange with a worker, under one deadline.
+func (s *session) call(host int, msg shardMsg) (shardMsg, error) {
+	defer disarm(s.arm())
+	return s.conns[host-1].call(msg)
 }
 
 // openSession builds the view's session over its current graph. Normally
@@ -157,17 +245,22 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 	}); err != nil {
 		return err
 	}
-	dataAddrs := []string{s.core.dataAddr}
-	for i, waddr := range v.cfg.Workers {
-		conn, err := distrib.DialWorker(waddr, distrib.MeshTimeout)
+	dial := v.cfg.dial
+	if dial == nil {
+		dial = distrib.DialWorker
+	}
+	for _, waddr := range v.cfg.Workers {
+		conn, err := dial(waddr, distrib.MeshTimeout)
 		if err != nil {
 			return fmt.Errorf("live: view %q worker %s: %w", v.name, waddr, err)
 		}
-		c := &shardConn{conn: conn, dec: json.NewDecoder(conn), enc: json.NewEncoder(conn)}
-		s.conns = append(s.conns, c)
-		ready, err := c.call(shardMsg{
+		s.conns = append(s.conns, newCtlConn(conn))
+	}
+	dataAddrs := []string{s.core.dataAddr}
+	for i, waddr := range v.cfg.Workers {
+		ready, err := s.call(i+1, shardMsg{
 			Kind: viewOpen, Spec: &spec, HostID: i + 1, Frames: graph.Bytes(), Full: !recovering,
-		}, viewReady)
+		})
 		if err == nil {
 			err = s.sameDigest(i+1, ready)
 		}
@@ -178,7 +271,7 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 	}
 	// Host 0 is already listening and higher hosts dial lower ones, so the
 	// workers mesh while the coordinator connects.
-	return s.round(roundMesh, all(shardMsg{Kind: viewStart, DataAddrs: dataAddrs}), viewMeshed,
+	return s.round(roundMesh, all(shardMsg{Kind: viewStart, DataAddrs: dataAddrs}),
 		func() error { return s.core.tr.ConnectPeers(dataAddrs, distrib.MeshTimeout) }, nil)
 }
 
@@ -187,7 +280,7 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 // partitions it hosts become authoritative). Frames arrive one at a time
 // from the snapshot reader; nothing accumulates outside the sets.
 func (s *session) Load(b record.Batch) error {
-	return s.round(roundLoad, all(shardMsg{Kind: viewLoad, Frames: s.wire(b)}), viewLoaded,
+	return s.round(roundLoad, all(shardMsg{Kind: viewLoad, Frames: s.wire(b)}),
 		func() error {
 			s.core.sol.Init(b)
 			return nil
@@ -215,22 +308,26 @@ var (
 	roundReplan = newRound("replan")
 )
 
-// round is one control fan-out: req goes to every worker, local runs on
-// the coordinator's core while they work, then every reply of kind want
-// is collected through got. With no workers it is just local. The
+// round is one control fan-out under one deadline: req goes to every
+// worker, local runs on the coordinator's core while they work, then every
+// reply is collected through got. With no workers it is just local. The
 // coordinator's share runs under the round's profiler labels, which come
 // off again afterwards, as the runtime's and the merge's do. A view with
 // a telemetry registry records it as a PhaseRound span labelled with the
 // round's name.
-func (s *session) round(r controlRound, req func(host int) shardMsg, want string,
+func (s *session) round(r controlRound, req func(host int) shardMsg,
 	local func() error, got func(host int, reply shardMsg) error) error {
 	if s.v.ring != nil {
 		defer s.v.span(obs.PhaseRound, r.name, time.Now())
 	}
 	pprof.SetGoroutineLabels(r.labels)
 	defer pprof.SetGoroutineLabels(context.Background())
+	defer disarm(s.arm())
+	var want verb
 	for i, c := range s.conns {
-		if err := c.send(req(i + 1)); err != nil {
+		msg := req(i + 1)
+		want = msg.Kind
+		if err := c.send(msg); err != nil {
 			return fmt.Errorf("live: %s host %d: %w", r.name, i+1, err)
 		}
 	}
@@ -274,9 +371,11 @@ func (s *session) sameDigest(host int, reply shardMsg) error {
 // hosts: Release fans view_step out before the coordinator computes its
 // own share (the exchanges interlock — every host's consumers wait on
 // every host's producers), Collect sums every host's next-workset count.
-// Both directions carry the plan epoch: a host that missed (or imagined) a
-// coordinated plan swap is rejected here, before another round executes.
-// The coordinator's RunDriven drives it.
+// The step runs under one deadline, armed by Release and stopped by
+// Collect (or by drive, when the step fails in between). Both directions
+// carry the plan epoch: a host that missed (or imagined) a coordinated
+// plan swap is rejected here, before another round executes. The
+// coordinator's RunDriven drives it.
 type shardBarrier struct{ s *session }
 
 func (b shardBarrier) Release(step int) error {
@@ -284,6 +383,7 @@ func (b shardBarrier) Release(step int) error {
 	if s.rtt != nil {
 		s.stepStart = time.Now()
 	}
+	s.step = s.arm()
 	for i, c := range s.conns {
 		if err := c.send(shardMsg{Kind: viewStep, Epoch: s.core.epoch}); err != nil {
 			return fmt.Errorf("live: superstep %d release host %d: %w", step, i+1, err)
@@ -294,9 +394,10 @@ func (b shardBarrier) Release(step int) error {
 
 func (b shardBarrier) Collect(step, localNext int) (int, error) {
 	s := b.s
+	defer disarm(s.step)
 	total := localNext
 	for i, c := range s.conns {
-		reply, err := c.recv(viewStepDone)
+		reply, err := c.recv(viewStep)
 		if err == nil && reply.Epoch != s.core.epoch {
 			err = fmt.Errorf("at plan epoch %d, coordinator at %d — rejected at the barrier", reply.Epoch, s.core.epoch)
 		}
@@ -321,7 +422,7 @@ func (b shardBarrier) Collect(step, localNext int) (int, error) {
 func (s *session) epochBump(_ int, est int64, phys *optimizer.PhysPlan) error {
 	c := s.core
 	c.digest = phys.Fingerprint()
-	err := s.round(roundEpoch, all(shardMsg{Kind: viewEpoch, Epoch: c.epoch + 1, Count: int(est)}), viewEpochDone,
+	err := s.round(roundEpoch, all(shardMsg{Kind: viewEpoch, Epoch: c.epoch + 1, Count: int(est)}),
 		func() error { return nil }, s.sameDigest)
 	if err == nil {
 		c.epoch++
@@ -332,6 +433,7 @@ func (s *session) epochBump(_ int, est int64, phys *optimizer.PhysPlan) error {
 // drive runs the coordinator's resident fixpoint from the workset to
 // convergence, every worker stepping in lockstep from what it has seeded.
 func (s *session) drive(workset []record.Record) (*iterative.IncrementalResult, error) {
+	defer func() { disarm(s.step) }()
 	return s.core.fx.RunDriven(workset, iterative.DriveHooks{Barrier: shardBarrier{s: s}, OnEpoch: s.epochBump})
 }
 
@@ -362,7 +464,7 @@ func (s *session) warmRestart(workset []record.Record) error {
 func (s *session) Apply(batch []Mutation) error {
 	c := s.core
 	remote := 0 // records the workers' partitions keep past the batch
-	err := s.round(roundApply, all(shardMsg{Kind: viewApply, Frames: s.wire(mutationsToRecords(batch))}), viewApplied,
+	err := s.round(roundApply, all(shardMsg{Kind: viewApply, Frames: s.wire(mutationsToRecords(batch))}),
 		func() error { return c.applyBatch(batch) },
 		func(host int, reply shardMsg) error {
 			if reply.Count != len(c.removed) || reply.Full != c.removes() {
@@ -389,7 +491,7 @@ func (s *session) Apply(batch []Mutation) error {
 		var shares [][]record.Record
 		var inbound []record.Record
 		total := 0
-		err := s.round(roundGather, all(shardMsg{Kind: viewGather, Round: round}), viewCand,
+		err := s.round(roundGather, all(shardMsg{Kind: viewGather, Round: round}),
 			func() error {
 				shares = c.gatherRound(round)
 				total += len(c.pending)
@@ -421,7 +523,7 @@ func (s *session) Apply(batch []Mutation) error {
 		improving := 0
 		err = s.round(roundSeed, func(h int) shardMsg {
 			return shardMsg{Kind: viewSeed, Frames: packRecords(shares[h])}
-		}, viewSeeded,
+		},
 			func() error {
 				own, improving = c.seedRound(shares[0])
 				return nil
@@ -451,7 +553,7 @@ const recomputeCutoff = 0.5
 // Every host holds the same replica and batch, so the coordinator scopes
 // the region once, from the graph alone, and ships it with the verdict:
 // beyond recomputeCutoff of the records that survive the batch (remote
-// is the workers' share, reported with view_applied) — or whenever the
+// is the workers' share, reported in the view_apply reply) — or whenever the
 // maintainer cannot bound it — the session recomputes in full (done when
 // repair returns), otherwise every host resets its share of the region and
 // the seeds join the candidate rounds.
@@ -469,7 +571,7 @@ func (s *session) repair(remote int) (full bool, err error) {
 	slices.Sort(region)
 
 	var w0 []record.Record
-	err = s.round(roundReplan, all(shardMsg{Kind: viewReplan, Full: full, Frames: s.wire(keyRecords(region))}), viewReplanned,
+	err = s.round(roundReplan, all(shardMsg{Kind: viewReplan, Full: full, Frames: s.wire(keyRecords(region))}),
 		func() (err error) {
 			w0, err = c.settle(full, region)
 			return err
@@ -506,7 +608,7 @@ func (s *session) Lookup(k int64) (record.Record, bool, error) {
 		r, ok := s.core.lookup(k)
 		return r, ok, nil
 	}
-	reply, err := s.conns[host-1].call(shardMsg{Kind: viewQuery, Key: k}, viewValue)
+	reply, err := s.call(host, shardMsg{Kind: viewQuery, Key: k})
 	var recs []record.Record
 	if err == nil {
 		recs, err = unpackRecords(reply.Frames)
@@ -534,27 +636,21 @@ func (s *session) Snapshot() ([]record.Record, error) {
 	return out, nil
 }
 
-// foldSpans records worker-shipped spans into the view's ring.
-func (s *session) foldSpans(reply shardMsg) {
-	if s.v.ring == nil {
-		return
-	}
-	for _, sp := range reply.Spans {
-		s.v.ring.RecordSpan(sp)
-	}
-}
-
 // shards reports every host's occupancy, the coordinator's first. A down
-// view asks no worker: its control connections may be out of step.
+// view asks no worker: its control connections may be out of step. A
+// worker that cannot answer takes the view down.
 func (s *session) shards() []ShardStat {
 	out := []ShardStat{{Host: 0, Records: s.core.hostedRecords(), Bytes: s.core.sol.Bytes()}}
 	up := s.v.down.Load() == nil
-	for i, c := range s.conns {
+	for i := range s.conns {
 		st := ShardStat{Host: i + 1}
 		if up {
-			if reply, err := c.call(shardMsg{Kind: viewStats}, viewStatted); err == nil {
-				st.Records, st.Bytes = reply.Count, reply.Bytes
+			reply, err := s.call(i+1, shardMsg{Kind: viewStats})
+			if err != nil {
+				s.v.fail(fmt.Errorf("live: stats host %d: %w", i+1, err))
+				up = false
 			}
+			st.Records, st.Bytes = reply.Count, reply.Bytes
 		}
 		out = append(out, st)
 	}
@@ -580,9 +676,13 @@ func (s *session) EachSolution(f func(record.Record) error) error {
 	}
 	for i := 0; err == nil && i < len(s.conns); i++ {
 		var recs []record.Record
-		reply, cerr := s.conns[i].call(shardMsg{Kind: viewCollect}, viewSolution)
+		reply, cerr := s.call(i+1, shardMsg{Kind: viewCollect})
 		if cerr == nil {
-			s.foldSpans(reply)
+			for _, sp := range reply.Spans {
+				if s.v.ring != nil {
+					s.v.ring.RecordSpan(sp)
+				}
+			}
 			recs, cerr = unpackRecords(reply.Frames)
 		}
 		if cerr != nil {
@@ -597,28 +697,23 @@ func (s *session) EachSolution(f func(record.Record) error) error {
 	return err
 }
 
-// hangUpGrace bounds how long hangUp waits for the workers to hang up in
-// turn; a worker that does not is cut off.
-const hangUpGrace = 5 * time.Second
-
 // hangUp is the one way a session ends: a view's Close, a failed open and
 // a finished job all take it, and a second call finds everything closed.
 // It half-closes every control connection — a worker reads EOF, tears its
-// core down and closes its end — and waits for those hang-ups before
-// tearing the local core down, so no worker sees this host's data plane
-// drop under a core it still holds, which it would count as a transport
-// error.
+// core down and closes its end — and waits for those hang-ups, under the
+// control deadline, before tearing the local core down, so no worker sees
+// this host's data plane drop under a core it still holds, which it would
+// count as a transport error.
 func (s *session) hangUp() {
-	deadline := time.Now().Add(hangUpGrace)
+	defer s.core.close()
+	defer disarm(s.arm())
 	for _, c := range s.conns {
 		if cw, ok := c.conn.(interface{ CloseWrite() error }); !ok || cw.CloseWrite() != nil {
 			c.conn.Close()
 		}
 	}
 	for _, c := range s.conns {
-		c.conn.SetReadDeadline(deadline)
 		io.Copy(io.Discard, c.conn)
 		c.conn.Close()
 	}
-	s.core.close()
 }

@@ -43,36 +43,26 @@ import (
 // surviving record count and the coordinator's verdict: a bounded
 // recompute over the region it scoped from its replica alone, or full.
 
-// The session control verbs — the only messages a worker control
-// connection carries, for live views and one-shot jobs (job.go) alike. A
-// connection carries one session, which ends when the coordinator hangs
-// up.
+// verb is a session control verb — a worker control connection carries
+// nothing else, for live views and one-shot jobs (job.go) alike. The
+// coordinator sends a verb and the worker answers with a message of the
+// same verb, or one that carries Err and ends the session. A connection
+// carries one session, which ends when the coordinator hangs up.
+type verb string
+
 const (
-	viewOpen      = "view_open"      // coordinator → worker: spec + graph (the snapshot's two checkpoint sections); Full = start cold from S0/W0, unset = recovering, view_load frames follow
-	viewReady     = "view_ready"     // worker → coordinator: data addr + plan digest
-	viewStart     = "view_start"     // coordinator → worker: all data addrs; mesh now
-	viewMeshed    = "view_meshed"    // worker → coordinator: mesh is up, fixpoint open
-	viewLoad      = "view_load"      // coordinator → worker: one frame of a recovered solution; Init it
-	viewLoaded    = "view_loaded"    // worker → coordinator: frame absorbed
-	viewApply     = "view_apply"     // coordinator → worker: one mutation batch
-	viewApplied   = "view_applied"   // worker → coordinator: Count removed edges, Full = something was removed (Records = hosted records the batch leaves), plan digest
-	viewReplan    = "view_replan"    // coordinator → worker: the verdict — Full = reset + S0/W0, else fold + reset the region in Frames
-	viewReplanned = "view_replanned" // worker → coordinator: plan digest
-	viewGather    = "view_gather"    // coordinator → worker: derive insert candidates (Round 0 = fresh batch)
-	viewCand      = "view_cand"      // worker → coordinator: candidate frames
-	viewSeed      = "view_seed"      // coordinator → worker: merged workset; seed it
-	viewSeeded    = "view_seeded"    // worker → coordinator: Count = hosted candidates that improve
-	viewStep      = "view_step"      // coordinator → worker: run one superstep (barrier release) at plan Epoch
-	viewStepDone  = "view_step_done" // worker → coordinator: local next-workset count + the Epoch it ran at
-	viewEpoch     = "view_epoch"     // coordinator → worker: plan swap — re-plan for global workset Count, become Epoch
-	viewEpochDone = "view_epoched"   // worker → coordinator: the re-planned digest
-	viewQuery     = "view_query"     // coordinator → worker: lookup Key in a hosted partition
-	viewValue     = "view_value"     // worker → coordinator: the record, or none
-	viewCollect   = "view_collect"   // coordinator → worker: ship hosted partitions (+ spans)
-	viewSolution  = "view_solution"  // worker → coordinator: the hosted partitions' records
-	viewStats     = "view_stats"     // coordinator → worker: report hosted occupancy
-	viewStatted   = "view_statted"   // worker → coordinator: Count records / Bytes resident
-	viewError     = "view_error"     // worker → coordinator: verb failed
+	viewOpen    verb = "view_open"    // spec + graph (the snapshot's two checkpoint sections); Full = start cold from S0/W0, unset = recovering, view_load frames follow → data addr + plan digest
+	viewStart   verb = "view_start"   // all data addrs; mesh now — legal once, right after view_open
+	viewLoad    verb = "view_load"    // one frame of a recovered solution; Init it
+	viewApply   verb = "view_apply"   // one mutation batch → Count removed edges, Full = something was removed (Records = hosted records the batch leaves), plan digest
+	viewReplan  verb = "view_replan"  // the verdict — Full = reset + S0/W0, else fold + reset the region in Frames → plan digest
+	viewGather  verb = "view_gather"  // derive insert candidates (Round 0 = fresh batch) → remote-keyed candidate frames, Count = retained
+	viewSeed    verb = "view_seed"    // merged workset; seed it → Count = hosted candidates that improve
+	viewStep    verb = "view_step"    // run one superstep (barrier release) at plan Epoch → local next-workset Count + the Epoch it ran at
+	viewEpoch   verb = "view_epoch"   // plan swap — re-plan for global workset Count, become Epoch → the re-planned digest
+	viewQuery   verb = "view_query"   // lookup Key in a hosted partition → the record, or none
+	viewCollect verb = "view_collect" // ship hosted partitions → their records (+ spans)
+	viewStats   verb = "view_stats"   // report hosted occupancy → Count records / Bytes resident
 )
 
 // shardSpec is everything a worker needs to build its identical share of
@@ -86,10 +76,10 @@ type shardSpec struct {
 	TraceLabel string `json:"trace_label,omitempty"`
 }
 
-// shardMsg is the one wire shape of every control message (a line of
-// JSON; Kind selects which fields are meaningful).
+// shardMsg is the one wire shape of every control message (the JSON body
+// of one frame, ctlConn; Kind selects which fields are meaningful).
 type shardMsg struct {
-	Kind      string     `json:"kind"`
+	Kind      verb       `json:"kind"`
 	Spec      *shardSpec `json:"spec,omitempty"`
 	HostID    int        `json:"host_id,omitempty"`
 	DataAddr  string     `json:"data_addr,omitempty"`

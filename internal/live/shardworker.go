@@ -3,8 +3,8 @@ package live
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
+	"net"
 	"runtime/pprof"
 	"slices"
 
@@ -26,87 +26,62 @@ type WorkerHost struct {
 // registry (nil disables telemetry).
 func NewWorkerHost(reg *obs.Registry) *WorkerHost { return &WorkerHost{reg: reg} }
 
-// ServeView runs one maintenance session. It ends when the connection
-// reads EOF — the coordinator hung up, the one way a session ends — and
-// returns that io.EOF. A failed open or verb reports view_error and returns
-// the error. Either way the connection is torn down with the session
-// while the worker process keeps accepting — which is what lets a
-// restarted coordinator recover onto the same workers.
-func (h *WorkerHost) ServeView(open json.RawMessage, dec *json.Decoder, enc *json.Encoder) error {
-	var msg shardMsg
-	if err := json.Unmarshal(open, &msg); err != nil {
-		return fmt.Errorf("live: malformed view message: %w", err)
-	}
-	if msg.Kind != viewOpen {
-		return fmt.Errorf("live: view session must open with %q, got %q", viewOpen, msg.Kind)
-	}
-	if msg.Spec == nil {
-		return fmt.Errorf("live: %s without a spec", viewOpen)
-	}
-	fail := func(err error) error {
-		if serr := enc.Encode(shardMsg{Kind: viewError, Err: err.Error()}); serr != nil {
-			return serr
+// ServeView runs one maintenance session on conn; its handshake is the
+// verb loop itself. It ends when the connection reads EOF — the
+// coordinator hung up, the one way a session ends — and returns that
+// io.EOF. A failed verb answers with Err and returns the error. Either way
+// the session's core is torn down while the worker process keeps
+// accepting — which is what lets a restarted coordinator recover onto the
+// same workers. Reads between verbs have no deadline: an idle view is
+// normal.
+func (h *WorkerHost) ServeView(conn net.Conn) error {
+	c, w := newCtlConn(conn), &workerSession{h: h}
+	defer func() {
+		if w.core != nil {
+			w.core.close()
 		}
-		return err
-	}
-	core, err := h.openCore(msg)
-	if err != nil {
-		return fail(err)
-	}
-	defer core.close()
-	if err := enc.Encode(shardMsg{Kind: viewReady, DataAddr: core.dataAddr, Digest: core.digest}); err != nil {
-		return err
-	}
-
-	var start shardMsg
-	if err := dec.Decode(&start); err != nil {
-		return err
-	}
-	if start.Kind != viewStart {
-		return fmt.Errorf("live: expected %q, got %q", viewStart, start.Kind)
-	}
-	if err := core.tr.ConnectPeers(start.DataAddrs, distrib.MeshTimeout); err != nil {
-		return fail(err)
-	}
-	if err := enc.Encode(shardMsg{Kind: viewMeshed}); err != nil {
-		return err
-	}
-
+	}()
 	for {
-		var req shardMsg
-		if err := dec.Decode(&req); err != nil {
+		req, err := c.read()
+		if err != nil {
 			return err
 		}
-		reply, err := h.serveVerb(core, req)
+		reply, err := w.serveVerb(req)
 		if err != nil {
-			return fail(err)
+			reply = shardMsg{Err: err.Error()}
 		}
-		if err := enc.Encode(reply); err != nil {
+		reply.Kind = req.Kind
+		if werr := c.send(reply); werr != nil {
+			return werr
+		}
+		if err != nil {
 			return err
 		}
 	}
 }
 
-// verbLabels are the profiler labels a worker serves each coordinator verb
-// under, {layer=live, op=<verb kind>} — the workers' share of a control
-// round — built once.
-var verbLabels = func() map[string]context.Context {
-	m := map[string]context.Context{}
-	for _, kind := range []string{viewLoad, viewApply, viewReplan, viewGather, viewSeed,
-		viewStep, viewEpoch, viewQuery, viewCollect, viewStats} {
-		m[kind] = pprof.WithLabels(context.Background(), pprof.Labels("layer", "live", "op", kind))
-	}
-	return m
-}()
+// workerSession is the worker's end of one session: the core view_open
+// built (nil before it) and how many verbs it has served.
+type workerSession struct {
+	h      *WorkerHost
+	core   *shardCore
+	served int
+}
 
-// serveVerb executes one coordinator-driven verb on this host's core and
-// returns the reply; an error ends the session. It runs under the verb's
-// profiler labels, which come off again afterwards.
-func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) {
-	if labels, ok := verbLabels[req.Kind]; ok {
-		pprof.SetGoroutineLabels(labels)
-		defer pprof.SetGoroutineLabels(context.Background())
+// serveVerb executes one coordinator verb on this host's core and returns
+// the reply; an error ends the session. A session opens with view_open,
+// meshes with view_start right after it, and takes every other verb from
+// then on. The verb runs under the profiler labels {layer=live,
+// op=<verb>} — the workers' share of a control round — which come off
+// again afterwards.
+func (w *workerSession) serveVerb(req shardMsg) (shardMsg, error) {
+	if (req.Kind == viewOpen) != (w.served == 0) || (req.Kind == viewStart) != (w.served == 1) {
+		return shardMsg{}, fmt.Errorf("live: unexpected %s as verb %d of a session", req.Kind, w.served+1)
 	}
+	w.served++
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("layer", "live", "op", string(req.Kind))))
+	defer pprof.SetGoroutineLabels(context.Background())
+	core := w.core
 	var payload []record.Record
 	switch req.Kind {
 	case viewLoad, viewApply, viewReplan, viewSeed:
@@ -116,15 +91,19 @@ func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) 
 		}
 	}
 	switch req.Kind {
+	case viewOpen:
+		return w.open(req)
+	case viewStart:
+		return shardMsg{}, core.tr.ConnectPeers(req.DataAddrs, distrib.MeshTimeout)
 	case viewLoad:
 		core.sol.Init(payload)
-		return shardMsg{Kind: viewLoaded}, nil
+		return shardMsg{}, nil
 	case viewApply:
 		muts, err := recordsToMutations(payload)
 		if err == nil {
 			err = core.applyBatch(muts)
 		}
-		reply := shardMsg{Kind: viewApplied, Count: len(core.removed), Full: core.removes(), Digest: core.digest}
+		reply := shardMsg{Count: len(core.removed), Full: core.removes(), Digest: core.digest}
 		if core.removes() {
 			// The repair cutoff's share, read before the verdict touches
 			// the solution.
@@ -133,24 +112,24 @@ func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) 
 		return reply, err
 	case viewReplan:
 		_, err := core.settle(req.Full, recordKeys(payload))
-		return shardMsg{Kind: viewReplanned, Digest: core.digest}, err
+		return shardMsg{Digest: core.digest}, err
 	case viewGather:
 		// Own-keyed candidates stay here (buffered for the seed verb);
 		// only remote-keyed ones travel, with Count telling the
 		// coordinator how many were retained so it can detect a
 		// globally empty round.
 		outbound := slices.Concat(core.gatherRound(req.Round)...)
-		return shardMsg{Kind: viewCand, Frames: packRecords(outbound), Count: len(core.pending)}, nil
+		return shardMsg{Frames: packRecords(outbound), Count: len(core.pending)}, nil
 	case viewSeed:
 		workset, improving := core.seedRound(payload)
 		core.fx.SeedWorkset(workset)
-		return shardMsg{Kind: viewSeeded, Count: improving}, nil
+		return shardMsg{Count: improving}, nil
 	case viewStep:
 		if req.Epoch != core.epoch {
 			return shardMsg{}, fmt.Errorf("live: released for a superstep at plan epoch %d while at %d", req.Epoch, core.epoch)
 		}
 		count, err := core.fx.StepOnce()
-		return shardMsg{Kind: viewStepDone, Count: count, Epoch: core.epoch}, err
+		return shardMsg{Count: count, Epoch: core.epoch}, err
 	case viewEpoch:
 		// Coordinated plan swap: re-plan for the coordinator's global
 		// workset estimate, swap the session, and answer with the new
@@ -160,51 +139,55 @@ func (h *WorkerHost) serveVerb(core *shardCore, req shardMsg) (shardMsg, error) 
 			return shardMsg{}, err
 		}
 		core.digest, core.epoch = phys.Fingerprint(), req.Epoch
-		return shardMsg{Kind: viewEpochDone, Digest: core.digest}, nil
+		return shardMsg{Digest: core.digest}, nil
 	case viewQuery:
 		var hit []record.Record
 		if r, ok := core.lookup(req.Key); ok {
 			hit = append(hit, r)
 		}
-		return shardMsg{Kind: viewValue, Frames: packRecords(hit)}, nil
+		return shardMsg{Frames: packRecords(hit)}, nil
 	case viewCollect:
 		var spans []obs.Span
-		if h.reg != nil && core.cfg.TraceID != 0 {
-			spans = h.reg.Trace().SpansFor(core.cfg.TraceID)
+		if w.h.reg != nil && core.cfg.TraceID != 0 {
+			spans = w.h.reg.Trace().SpansFor(core.cfg.TraceID)
 		}
 		frames := core.collect()
 		if err := core.sol.Err(); err != nil {
 			return shardMsg{}, err
 		}
-		return shardMsg{Kind: viewSolution, Frames: frames, Spans: spans}, nil
+		return shardMsg{Frames: frames, Spans: spans}, nil
 	case viewStats:
-		return shardMsg{Kind: viewStatted, Count: core.hostedRecords(), Bytes: core.sol.Bytes()}, nil
+		return shardMsg{Count: core.hostedRecords(), Bytes: core.sol.Bytes()}, nil
 	}
-	return shardMsg{}, fmt.Errorf("live: unexpected view message %q", req.Kind)
+	return shardMsg{}, fmt.Errorf("live: unknown verb %q", req.Kind)
 }
 
-// openCore builds this host's session share from the opening message:
-// maintainer, graph replica, config, and the listening shardCore — with its
-// share of the cold workset seeded, or empty and awaiting view_load frames
-// when the coordinator is recovering.
-func (h *WorkerHost) openCore(msg shardMsg) (*shardCore, error) {
+// open builds this host's session share from view_open: maintainer,
+// graph replica, config, and the listening shardCore — with its share of
+// the cold workset seeded, or empty and awaiting view_load frames when the
+// coordinator is recovering.
+func (w *workerSession) open(msg shardMsg) (shardMsg, error) {
+	if msg.Spec == nil {
+		return shardMsg{}, fmt.Errorf("live: %s without a spec", viewOpen)
+	}
 	ss := *msg.Spec
 	m, err := ss.maintainer()
 	if err != nil {
-		return nil, err
+		return shardMsg{}, err
 	}
 	if msg.HostID <= 0 || msg.HostID >= ss.Hosts {
-		return nil, fmt.Errorf("live: worker host id %d outside 1..%d", msg.HostID, ss.Hosts-1)
+		return shardMsg{}, fmt.Errorf("live: worker host id %d outside 1..%d", msg.HostID, ss.Hosts-1)
 	}
 	cr, err := newCheckpointReader(bytes.NewReader(msg.Frames))
 	if err != nil {
-		return nil, err
+		return shardMsg{}, err
 	}
 	gs, err := readGraph(cr)
 	if err != nil {
-		return nil, err
+		return shardMsg{}, err
 	}
-	cfg := specFor(ss, msg.HostID, h.reg)
-	core, _, err := newShardCore(m, cfg, gs, !msg.Full, &ViewStats{})
-	return core, err
+	if w.core, _, err = newShardCore(m, specFor(ss, msg.HostID, w.h.reg), gs, !msg.Full, &ViewStats{}); err != nil {
+		return shardMsg{}, err
+	}
+	return shardMsg{DataAddr: w.core.dataAddr, Digest: w.core.digest}, nil
 }

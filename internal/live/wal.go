@@ -38,8 +38,8 @@ import (
 // no snapshot: the replayed frames count toward the cadence above as if
 // they had been flushed since the loaded snapshot, so the next snapshot
 // comes when it would have without the restart. Only a recovery that
-// passed over an unreadable snapshot writes one, so the two kept
-// snapshots are readable again. Stopping is a crash too (crash-only):
+// passed over an unreadable snapshot writes one, then deletes those it
+// passed over. Stopping is a crash too (crash-only):
 // LiveView.Close writes nothing, so a clean restart replays the frames
 // past the newest snapshot like any other, and the cadence bounds that
 // replay.
@@ -359,9 +359,11 @@ func legacyShardName(name string) bool {
 }
 
 // pruneSnapshots deletes all snapshots older than the newest two: the one
-// just written plus its predecessor, kept as the fallback recovery reads
-// when the newest proves unreadable. It leaves any other name alone — a
-// temporary included, which may be a write in flight (saveRecipe's).
+// just written plus its predecessor, which recovery falls back to while
+// the log still reaches back to it (after a snapshot that ran with
+// mutations pending, which skips rotation). It leaves any other name
+// alone — a temporary included, which may be a write in flight
+// (saveRecipe's).
 func pruneSnapshots(fs fsys, dir string) {
 	vf, err := readViewDir(fs, dir)
 	if err != nil {
@@ -696,7 +698,8 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	var (
 		v       *LiveView
 		snapSeq uint64
-		skipped error // why the last unreadable snapshot was passed over
+		skipped error    // why the last unreadable snapshot was passed over
+		passed  []uint64 // the unreadable snapshots
 		err     error
 	)
 	for _, s := range vf.snaps {
@@ -708,7 +711,7 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 			// An unreadable snapshot falls back to its predecessor; the
 			// WAL base check below catches the case where the log no
 			// longer reaches back that far.
-			skipped = lerr
+			skipped, passed = lerr, append(passed, s)
 			continue
 		}
 		v, snapSeq = lv, s
@@ -766,13 +769,20 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	}
 	// The replayed tail stays in the log for the next snapshot to fold in.
 	// Only a recovery that passed over an unreadable snapshot writes one
-	// now, so the fallback pair is two readable files again; otherwise the
+	// now, and once it is durable the unreadable ones go; otherwise the
 	// prune a crash may have cut short is all that is left.
 	if skipped == nil {
 		pruneSnapshots(cfg.fs, dir)
-	} else if err := v.snapshotLocked(); err != nil {
+		return v, nil
+	}
+	if err := v.snapshotLocked(); err != nil {
 		v.Close()
 		return nil, err
+	}
+	for _, seq := range passed {
+		if seq != v.dur.flushedSeq { // else the new snapshot replaced it
+			cfg.fs.Remove(filepath.Join(dir, snapshotName(seq)))
+		}
 	}
 	return v, nil
 }

@@ -136,7 +136,7 @@ func isRoundLabel(l map[string]string) bool {
 // worker serves, {layer=live, op=<verb kind>}.
 func isVerbLabel(l map[string]string) bool {
 	switch l["op"] {
-	case "view_load", "view_apply", "view_replan", "view_gather", "view_seed", "view_step",
+	case "view_open", "view_start", "view_load", "view_apply", "view_replan", "view_gather", "view_seed", "view_step",
 		"view_epoch", "view_query", "view_collect", "view_stats":
 		return len(l) == 2 && l["layer"] == "live"
 	}

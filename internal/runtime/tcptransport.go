@@ -507,6 +507,21 @@ func (t *TCPTransport) abort(err error) {
 	}
 }
 
+// Cut fails the transport from outside, as a lost peer would: err becomes
+// its error, blocked consumers unblock, and every peer connection closes,
+// so the peers' read loops fail too. The listener stays open and Close
+// still tears the transport down.
+func (t *TCPTransport) Cut(err error) {
+	t.abort(err)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, p := range t.peers {
+		if p != nil {
+			p.conn.Close()
+		}
+	}
+}
+
 // Err returns the first transport failure, if any.
 func (t *TCPTransport) Err() error {
 	t.mu.Lock()
