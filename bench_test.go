@@ -9,10 +9,15 @@
 package spinflow
 
 import (
+	"container/heap"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/dataflow"
@@ -291,7 +296,7 @@ func benchPageRankSuperstep(b *testing.B, cold, traced, fuse bool) {
 		if cold {
 			res, err = exec.Run(phys)
 		} else {
-			res, err = sess.Run()
+			res, err = sess.Run(context.Background())
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -378,7 +383,7 @@ func benchCCSuperstep(b *testing.B, cold, traced bool) {
 		if cold {
 			res, err = exec.Run(phys)
 		} else {
-			res, err = sess.Run()
+			res, err = sess.Run(context.Background())
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -537,7 +542,7 @@ func BenchmarkAblationCaching(b *testing.B) {
 					if unroll && pass > 0 {
 						exec.Close()
 					}
-					res, err := sess.Run()
+					res, err := sess.Run(context.Background())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -863,4 +868,355 @@ func BenchmarkSuperstepPipeline(b *testing.B) {
 			b.ReportMetric(recs/b.Elapsed().Seconds(), "rec/s")
 		})
 	}
+}
+
+// --- COST ---------------------------------------------------------------
+
+// BenchmarkCOST measures each library workload of `go run ./bench` against
+// the plain single-thread program that computes the same answer, on a
+// graph of the bench's shape (McSherry, Isard & Murray, "Scalability! But
+// at what COST?", HotOS 2015):
+//
+//	pagerank  R-MAT 2^16 vertices, 730k edges, 20 iterations; a push loop
+//	          over the edge list
+//	cc        R-MAT 2^15 vertices, 1.1M edges and a 12-vertex tail; union-find
+//	          over dense arrays, and workset label propagation over an
+//	          adjacency built once, outside its timing
+//	sssp      the cc graph with weights 1..10; Dijkstra with a binary heap
+//
+// Each plain program runs as its own sub-benchmark, and the engine at
+// Parallelism 1 and 2 beside it. An engine sub-benchmark first checks that
+// its answer equals the plain one's, then reports cost_ratio, its run over
+// the fastest plain program's run (the best of three). Against a plain
+// program that iterates as the engine's supersteps do, the push loop and
+// label propagation, it also reports steady_cost_ratio: both sides' runs
+// without their first pass, so planning and the first superstep's table
+// builds are split out. Reported, never gated.
+func BenchmarkCOST(b *testing.B) {
+	const prIters = 20
+	pr := graphgen.RMAT("cost-pagerank", 16, 730_000, 0.45, 0.22, 0.22, 9701)
+	cc := graphgen.RMAT("cost-cc", 15, 1_100_000, 0.57, 0.19, 0.19, 9702).WithDiameterTail(12, 0)
+	und := costCSR(cc.Undirected())
+	weighted := make([]algorithms.WeightedEdge, len(cc.Edges))
+	for i, e := range cc.Edges {
+		weighted[i] = algorithms.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: float64(1 + (e.Src*31+e.Dst)%10)}
+	}
+
+	prSpec, prInit := algorithms.PageRankSpec(pr, prIters, algorithms.DefaultDamping, 0)
+	ccSpec, ccS0, ccW0 := algorithms.CCIncrementalSpec(cc, algorithms.CCCoGroup)
+	ccSpec.Reoptimize = true // as the bench's cc workloads run it
+	ssspSpec, ssspS0, ssspW0 := algorithms.SSSPSpec(weighted, 0)
+
+	costWorkload(b, "pagerank",
+		[]costPlain{{"push", func() (any, []time.Duration) { return costPushPageRank(pr, prIters, algorithms.DefaultDamping) }}},
+		func(cfg iterative.Config) (any, []time.Duration, error) {
+			res, err := iterative.RunBulk(prSpec, prInit, cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			ranks := make([]float64, pr.NumVertices)
+			for _, r := range res.Solution {
+				ranks[r.A] = r.X
+			}
+			return ranks, costPasses(res.Trace), nil
+		},
+		func(plain, engine any) bool {
+			p, e := plain.([]float64), engine.([]float64)
+			for v := range p {
+				if math.Abs(p[v]-e[v]) > 1e-9+1e-6*p[v] {
+					return false
+				}
+			}
+			return true
+		})
+	costWorkload(b, "cc",
+		[]costPlain{
+			{"union-find", func() (any, []time.Duration) { return costUnionFind(cc), nil }},
+			{"label-propagation", func() (any, []time.Duration) { return costLabelProp(und) }},
+		},
+		func(cfg iterative.Config) (any, []time.Duration, error) {
+			res, err := iterative.RunIncremental(ccSpec, ccS0, ccW0, cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			labels := make([]int64, cc.NumVertices)
+			for _, r := range res.Solution {
+				labels[r.A] = r.B
+			}
+			return labels, costPasses(res.Trace), nil
+		},
+		func(plain, engine any) bool { return slices.Equal(plain.([]int64), engine.([]int64)) })
+	costWorkload(b, "sssp",
+		[]costPlain{{"dijkstra", func() (any, []time.Duration) { return costDijkstra(cc.NumVertices, weighted, 0), nil }}},
+		func(cfg iterative.Config) (any, []time.Duration, error) {
+			res, err := iterative.RunIncremental(ssspSpec, ssspS0, ssspW0, cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			dist := make([]float64, cc.NumVertices)
+			for i := range dist {
+				dist[i] = math.Inf(1)
+			}
+			for _, r := range res.Solution {
+				dist[r.A] = r.X
+			}
+			return dist, costPasses(res.Trace), nil
+		},
+		func(plain, engine any) bool { return slices.Equal(plain.([]float64), engine.([]float64)) })
+}
+
+// costPlain is one plain single-thread program: it returns its answer and,
+// if it iterates as the engine's supersteps do, the time of each pass.
+type costPlain struct {
+	name string
+	run  func() (answer any, passes []time.Duration)
+}
+
+// costWorkload runs one workload's plain programs and its engine runs at
+// Parallelism 1 and 2 as sub-benchmarks of b (BenchmarkCOST).
+func costWorkload(b *testing.B, name string, plains []costPlain,
+	engine func(iterative.Config) (any, []time.Duration, error), same func(plain, engine any) bool) {
+	var want any
+	best := time.Duration(math.MaxInt64) // the fastest plain program's best run
+	var steady time.Duration             // an iterating one's best run without its first pass
+	for _, p := range plains {
+		for range 3 {
+			start := time.Now()
+			answer, passes := p.run()
+			if d := time.Since(start); d < best {
+				want, best = answer, d
+			}
+			if len(passes) > 1 {
+				if s := costSum(passes[1:]); steady == 0 || s < steady {
+					steady = s
+				}
+			}
+		}
+		b.Run(name+"/plain-"+p.name, func(b *testing.B) {
+			for range b.N {
+				p.run()
+			}
+		})
+	}
+	for _, par := range []int{1, 2} {
+		b.Run(fmt.Sprintf("%s/engine-P%d", name, par), func(b *testing.B) {
+			cfg := iterative.Config{Parallelism: par, CollectTrace: true}
+			got, _, err := engine(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !same(want, got) {
+				b.Fatal("the engine's answer differs from the plain program's")
+			}
+			var tail time.Duration
+			b.ResetTimer()
+			for range b.N {
+				_, passes, err := engine(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(passes) > 1 {
+					tail += costSum(passes[1:])
+				}
+			}
+			run := b.Elapsed() / time.Duration(b.N)
+			b.ReportMetric(float64(run)/float64(best), "cost_ratio")
+			if steady > 0 {
+				b.ReportMetric(float64(tail/time.Duration(b.N))/float64(steady), "steady_cost_ratio")
+			}
+		})
+	}
+}
+
+func costPasses(tr metrics.Trace) []time.Duration {
+	out := make([]time.Duration, len(tr.Iterations))
+	for i, it := range tr.Iterations {
+		out[i] = it.Duration
+	}
+	return out
+}
+
+func costSum(ds []time.Duration) (s time.Duration) {
+	for _, d := range ds {
+		s += d
+	}
+	return s
+}
+
+// costPushPageRank is PageRank as one thread would write it: every
+// iteration pushes each vertex's rank share along its out-edges.
+func costPushPageRank(g *graphgen.Graph, iterations int, damping float64) ([]float64, []time.Duration) {
+	n := g.NumVertices
+	share := make([]float64, n) // damping / out-degree
+	for _, e := range g.Edges {
+		share[e.Src]++
+	}
+	for v, d := range share {
+		if d > 0 {
+			share[v] = damping / d
+		}
+	}
+	rank, next := make([]float64, n), make([]float64, n)
+	for v := range rank {
+		rank[v] = 1 / float64(n)
+	}
+	passes := make([]time.Duration, iterations)
+	for it := range passes {
+		start := time.Now()
+		for v := range next {
+			next[v] = (1 - damping) / float64(n)
+		}
+		for _, e := range g.Edges {
+			next[e.Dst] += rank[e.Src] * share[e.Src]
+		}
+		rank, next = next, rank
+		passes[it] = time.Since(start)
+	}
+	return rank, passes
+}
+
+// costAdj is an undirected graph's adjacency in compressed rows.
+type costAdj struct {
+	off []int64
+	dst []int64
+}
+
+func costCSR(und *graphgen.Graph) costAdj {
+	a := costAdj{off: make([]int64, und.NumVertices+1), dst: make([]int64, len(und.Edges))}
+	for _, e := range und.Edges {
+		a.off[e.Src+1]++
+	}
+	for v := range und.NumVertices {
+		a.off[v+1] += a.off[v]
+	}
+	fill := slices.Clone(a.off)
+	for _, e := range und.Edges {
+		a.dst[fill[e.Src]] = e.Dst
+		fill[e.Src]++
+	}
+	return a
+}
+
+// costUnionFind labels every vertex with the least vertex of its
+// component: union by least root over dense arrays, path halving.
+func costUnionFind(g *graphgen.Graph) []int64 {
+	parent := make([]int64, g.NumVertices)
+	for v := range parent {
+		parent[v] = int64(v)
+	}
+	find := func(x int64) int64 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, e := range g.Edges {
+		a, b := find(e.Src), find(e.Dst)
+		if a < b {
+			parent[b] = a
+		} else if b < a {
+			parent[a] = b
+		}
+	}
+	for v := range parent {
+		parent[v] = find(int64(v))
+	}
+	return parent
+}
+
+// costLabelProp is the engine's incremental CC as one thread would write
+// it: each pass, the vertices whose label fell in the previous pass offer
+// that label to their neighbours, and a neighbour that takes it joins the
+// next pass.
+func costLabelProp(a costAdj) ([]int64, []time.Duration) {
+	n := int64(len(a.off) - 1)
+	label := make([]int64, n)
+	active := make([]int64, n)
+	for v := range label {
+		label[v], active[v] = int64(v), int64(v)
+	}
+	queued := make([]bool, n)
+	var sent, next []int64
+	var passes []time.Duration
+	for len(active) > 0 {
+		start := time.Now()
+		sent = sent[:0]
+		for _, v := range active {
+			sent = append(sent, label[v])
+		}
+		next = next[:0]
+		for i, v := range active {
+			for _, u := range a.dst[a.off[v]:a.off[v+1]] {
+				if sent[i] < label[u] {
+					label[u] = sent[i]
+					if !queued[u] {
+						queued[u] = true
+						next = append(next, u)
+					}
+				}
+			}
+		}
+		for _, u := range next {
+			queued[u] = false
+		}
+		active, next = next, active
+		passes = append(passes, time.Since(start))
+	}
+	return label, passes
+}
+
+// costDijkstra is single-source shortest paths over directed weighted
+// edges with a binary heap; unreachable vertices stay +Inf.
+func costDijkstra(n int64, edges []algorithms.WeightedEdge, source int64) []float64 {
+	off := make([]int64, n+1)
+	for _, e := range edges {
+		off[e.Src+1]++
+	}
+	for v := range n {
+		off[v+1] += off[v]
+	}
+	adj := make([]algorithms.WeightedEdge, len(edges))
+	fill := slices.Clone(off)
+	for _, e := range edges {
+		adj[fill[e.Src]] = e
+		fill[e.Src]++
+	}
+	dist := make([]float64, n)
+	for v := range dist {
+		dist[v] = math.Inf(1)
+	}
+	dist[source] = 0
+	h := &costHeap{{source, 0}}
+	for h.Len() > 0 {
+		it := heap.Pop(h).(costItem)
+		if it.d > dist[it.v] {
+			continue
+		}
+		for _, e := range adj[off[it.v]:off[it.v+1]] {
+			if d := it.d + e.Weight; d < dist[e.Dst] {
+				dist[e.Dst] = d
+				heap.Push(h, costItem{e.Dst, d})
+			}
+		}
+	}
+	return dist
+}
+
+type costItem struct {
+	v int64
+	d float64
+}
+
+type costHeap []costItem
+
+func (h costHeap) Len() int           { return len(h) }
+func (h costHeap) Less(i, j int) bool { return h[i].d < h[j].d }
+func (h costHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *costHeap) Push(x any)        { *h = append(*h, x.(costItem)) }
+func (h *costHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
 }

@@ -1,8 +1,9 @@
 // Package harness regenerates the paper's evaluation: one function per
 // table and figure (Table 1/2, Figures 1/2/4/7/8/9/10/11/12), each running
 // the corresponding workload on the relevant engines and printing the rows
-// or series the paper reports. EXPERIMENTS.md records the measured shapes
-// against the paper's claims.
+// or series the paper reports. README's figure notes ("About the figures
+// below") say which readings the regression benchmark tracks and which
+// are one-off.
 package harness
 
 import (

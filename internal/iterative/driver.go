@@ -49,8 +49,10 @@ type stepOutcome struct {
 type EnginePolicy interface {
 	// step executes one superstep. absStep is the absolute step index —
 	// resident engines (Fixpoint) number supersteps continuously across
-	// Run calls, so it is the trace/span step.
-	step(absStep int) (stepOutcome, error)
+	// Run calls, so it is the trace/span step. labels is the caller's
+	// profiler-label context, which the step restores wherever it labels
+	// the goroutine itself (Session.Run).
+	step(absStep int, labels context.Context) (stepOutcome, error)
 	// feed installs the produced workset for the next superstep; called
 	// only when the run continues, after any plan swap (placeholders
 	// live on the executor, so they survive session swaps).
@@ -148,7 +150,7 @@ func (d *driver) run() (converged bool, err error) {
 			before = d.cfg.Metrics.Snapshot()
 		}
 
-		out, err := d.policy.step(d.traceBase + step)
+		out, err := d.policy.step(d.traceBase+step, context.Background())
 		if err != nil {
 			return false, err
 		}
@@ -336,12 +338,12 @@ func (en *incEngine) seed(w []record.Record) {
 	}
 }
 
-func (en *incEngine) step(absStep int) (stepOutcome, error) {
+func (en *incEngine) step(absStep int, labels context.Context) (stepOutcome, error) {
 	start := time.Now()
 	// Keeps span numbering continuous across re-plan session swaps and
 	// a Fixpoint's successive maintenance runs.
 	en.sess.SetTraceStep(absStep)
-	res, err := en.sess.Run()
+	res, err := en.sess.Run(labels)
 	if err != nil {
 		return stepOutcome{}, err
 	}
@@ -350,12 +352,12 @@ func (en *incEngine) step(absStep int) (stepOutcome, error) {
 	// S ∪̇ D — applied after the superstep so that every access inside
 	// the superstep observed S_i (§5.3: "we cache the records in the
 	// delta set D until the end of the superstep").
-	// It runs under the solution layer's profiler labels, which come off
-	// again after it, as the runtime's serial lane takes its own off.
+	// It runs under the solution layer's profiler labels, and the
+	// caller's come back after it, as after the runtime's serial lane.
 	mergeStart := time.Now()
 	pprof.SetGoroutineLabels(en.mergeLabels)
 	en.exec.Solution.MergeDelta(res.Records(en.spec.DeltaSink.ID))
-	pprof.SetGoroutineLabels(context.Background())
+	pprof.SetGoroutineLabels(labels)
 	en.cfg.noteMerge(absStep, mergeStart)
 	if err := en.exec.Solution.Err(); err != nil {
 		return stepOutcome{}, err
@@ -427,10 +429,10 @@ type bulkPolicy struct {
 	nextParts [][]record.Record
 }
 
-func (b *bulkPolicy) step(absStep int) (stepOutcome, error) {
+func (b *bulkPolicy) step(absStep int, labels context.Context) (stepOutcome, error) {
 	start := time.Now()
 	b.sess.SetTraceStep(absStep)
-	res, err := b.sess.Run()
+	res, err := b.sess.Run(labels)
 	if err != nil {
 		return stepOutcome{}, err
 	}

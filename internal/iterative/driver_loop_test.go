@@ -1,6 +1,7 @@
 package iterative
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ type failingReplanner struct {
 	err   error
 }
 
-func (p *failingReplanner) step(int) (stepOutcome, error) {
+func (p *failingReplanner) step(int, context.Context) (stepOutcome, error) {
 	p.steps++
 	return stepOutcome{next: 10}, nil
 }

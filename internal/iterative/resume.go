@@ -1,6 +1,7 @@
 package iterative
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -195,9 +196,11 @@ func (f *Fixpoint) SeedWorkset(workset []record.Record) {
 // It is the worker half of a coordinated run: convergence and
 // re-optimization decisions belong to whoever drives the steps — the
 // produced workset is always fed back, because an empty local workset
-// can refill from the peers' shipped records.
-func (f *Fixpoint) StepOnce() (int, error) {
-	out, err := f.en.step(f.traceStep)
+// can refill from the peers' shipped records. labels is the caller's
+// profiler-label context, restored after the superstep labels the
+// goroutine its own way.
+func (f *Fixpoint) StepOnce(labels context.Context) (int, error) {
+	out, err := f.en.step(f.traceStep, labels)
 	if err != nil {
 		return 0, err
 	}

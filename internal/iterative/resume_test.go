@@ -5,6 +5,7 @@ package iterative_test
 // iterative (so these tests cannot live in the internal test package).
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -294,7 +295,7 @@ type peerStep struct {
 
 func (b *peerBarrier) Release(int) error {
 	go func() {
-		n, err := b.peer.StepOnce()
+		n, err := b.peer.StepOnce(context.Background())
 		b.done <- peerStep{n, err}
 	}()
 	return nil

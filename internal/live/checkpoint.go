@@ -24,7 +24,7 @@ import (
 
 const (
 	checkpointMagic   = uint32(0x53464c57) // "SFLW"
-	checkpointVersion = uint32(2)
+	checkpointVersion = uint32(3)
 	// checkpointMaxKind bounds the kind-string length a reader accepts;
 	// anything larger is a corrupt header, not a real kind.
 	checkpointMaxKind = 256

@@ -63,7 +63,7 @@ func readSections(r io.Reader) (*sectionFile, error) {
 }
 
 func TestCheckpointSerializationRoundTrip(t *testing.T) {
-	solution := []record.Record{{A: 1, B: 2, X: 3.5, Tag: 4}, {A: -1}}
+	solution := []record.Record{{A: 1, B: 2, X: 3.5}, {A: -1}}
 	var buf bytes.Buffer
 	if err := writeSections(&buf, "incremental", 17, solution, []record.Record{{A: 9}}); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestCheckpointFlushRefusesOpenSection(t *testing.T) {
 func manyRecords(n int) []record.Record {
 	out := make([]record.Record, n)
 	for i := range out {
-		out[i] = record.Record{A: int64(i), B: int64(i % 97), X: float64(i) / 3, Tag: uint8(i)}
+		out[i] = record.Record{A: int64(i), B: int64(i % 97), X: float64(i) / 3}
 	}
 	return out
 }

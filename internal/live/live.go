@@ -508,7 +508,7 @@ func (v *LiveView) Mutate(muts ...Mutation) error {
 	if v.dur != nil {
 		walStart := time.Now()
 		pprof.SetGoroutineLabels(walAppendLabels)
-		_, n, err := v.dur.wal.Append(mutationsToRecords(muts))
+		_, n, err := v.dur.wal.Append(muts)
 		pprof.SetGoroutineLabels(context.Background())
 		if err != nil {
 			err = v.fail(fmt.Errorf("wal append: %w", err))

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	goruntime "runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -188,6 +190,65 @@ func writeLegacyFile(t *testing.T, path, kind string, seq uint64, sections ...[]
 	}
 }
 
+// TestOldFormatsFailTyped: a record used to carry a fourth field, a tag
+// byte, so a log of wal version 1 (mutations as 25-byte records) and a
+// snapshot of checkpoint version 2 (25-byte records in every section) are
+// unreadable here. Recovery refuses each with an error that names the
+// version it found — never a checksum failure or a misparse.
+func TestOldFormatsFailTyped(t *testing.T) {
+	oldRecord := make([]byte, 25) // A, B, X and the tag
+	binary.LittleEndian.PutUint64(oldRecord[0:], 1)
+	binary.LittleEndian.PutUint64(oldRecord[8:], 2)
+	oldFrame := record.AppendPayloadFrame(nil, append(binary.LittleEndian.AppendUint32(nil, 1), oldRecord...))
+	refused := func(t *testing.T, write func(vdir string), want string) {
+		dir := t.TempDir()
+		vdir := filepath.Join(dir, "old")
+		if err := os.MkdirAll(vdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		write(vdir)
+		v, err := NewView("old", CC(), nil, durableCfg(dir, nil))
+		if err == nil {
+			v.Kill()
+			t.Fatal("recovered from an old format")
+		}
+		if msg := err.Error(); !strings.Contains(msg, want) || errors.Is(err, record.ErrCorruptFrame) ||
+			strings.Contains(msg, "malformed") {
+			t.Fatalf("NewView = %v, want an error naming %q", err, want)
+		}
+	}
+	t.Run("wal-v1", func(t *testing.T) {
+		refused(t, func(vdir string) {
+			log := binary.LittleEndian.AppendUint32(nil, walMagic)
+			log = binary.LittleEndian.AppendUint32(log, 1)
+			log = binary.LittleEndian.AppendUint64(log, 0)
+			if err := os.WriteFile(filepath.Join(vdir, walFileName), append(log, oldFrame...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "wal version 1")
+	})
+	t.Run("checkpoint-v2", func(t *testing.T) {
+		const seq, kind = 3, "live:cc"
+		refused(t, func(vdir string) {
+			snap := binary.LittleEndian.AppendUint32(nil, checkpointMagic)
+			snap = binary.LittleEndian.AppendUint32(snap, 2)
+			snap = binary.LittleEndian.AppendUint32(snap, uint32(len(kind)))
+			snap = binary.LittleEndian.AppendUint64(append(snap, kind...), seq)
+			for range 4 { // vertices, edges, solution, hosts: one record and the end marker each
+				snap = record.AppendPayloadFrame(append(snap, oldFrame...), make([]byte, 4))
+			}
+			if err := os.WriteFile(filepath.Join(vdir, snapshotName(seq)), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, err := createWAL(osFS{}, filepath.Join(vdir, walFileName), seq) // rotated behind the snapshot
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+		}, "checkpoint version 2")
+	})
+}
+
 // TestRecoverLegacySnapshotShapes: no snapshot an earlier binary wrote in
 // a shape this one does not write is recovered from. An in-process view's
 // live: file written before there was a hosts section is rejected as
@@ -285,7 +346,7 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 						t.Fatal(err)
 					}
 					if fallback {
-						if _, _, err := w.Append(mutationsToRecords([]Mutation{last})); err != nil { // frame 7
+						if _, _, err := w.Append([]Mutation{last}); err != nil { // frame 7
 							t.Fatal(err)
 						}
 					}

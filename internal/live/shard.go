@@ -464,7 +464,11 @@ func (s *session) warmRestart(workset []record.Record) error {
 func (s *session) Apply(batch []Mutation) error {
 	c := s.core
 	remote := 0 // records the workers' partitions keep past the batch
-	err := s.round(roundApply, all(shardMsg{Kind: viewApply, Frames: s.wire(mutationsToRecords(batch))}),
+	var payload []byte
+	if len(s.conns) > 0 {
+		payload = appendMutations(nil, batch)
+	}
+	err := s.round(roundApply, all(shardMsg{Kind: viewApply, Frames: payload}),
 		func() error { return c.applyBatch(batch) },
 		func(host int, reply shardMsg) error {
 			if reply.Count != len(c.removed) || reply.Full != c.removes() {

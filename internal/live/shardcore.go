@@ -100,11 +100,12 @@ type shardMsg struct {
 // --- record codec --------------------------------------------------------
 
 // packRecords is the wire form of every record payload on the control
-// plane (mutation batches, candidate worksets, solution records in either
-// direction): a flags byte plus varint fields, skipping zero B/X/Tag — a
-// quarter of the framed record encoding, which matters because these
-// payloads dominate what a sharded flush ships. Only the graph travels
-// CRC-framed, as the checkpoint sections a snapshot stores it in.
+// plane (candidate worksets, solution records in either direction): a
+// flags byte plus varint fields, skipping zero B/X — a quarter of the
+// framed record encoding, which matters because these payloads dominate
+// what a sharded flush ships. Mutation batches travel in their own
+// encoding (appendMutations), and the graph CRC-framed, as the checkpoint
+// sections a snapshot stores it in.
 func packRecords(recs []record.Record) []byte {
 	out := make([]byte, 0, 8*len(recs)+binary.MaxVarintLen64)
 	out = binary.AppendUvarint(out, uint64(len(recs)))
@@ -117,9 +118,6 @@ func packRecords(recs []record.Record) []byte {
 		if r.X != 0 {
 			flags |= 2
 		}
-		if r.Tag != 0 {
-			flags |= 4
-		}
 		out = append(out, flags)
 		out = binary.AppendUvarint(out, uint64(r.A))
 		if flags&1 != 0 {
@@ -129,14 +127,12 @@ func packRecords(recs []record.Record) []byte {
 			binary.LittleEndian.PutUint64(xb[:], math.Float64bits(r.X))
 			out = append(out, xb[:]...)
 		}
-		if flags&4 != 0 {
-			out = append(out, r.Tag)
-		}
 	}
 	return out
 }
 
-// unpackRecords decodes a packRecords payload.
+// unpackRecords decodes a packRecords payload. A flags byte with any bit
+// but B's and X's is malformed.
 func unpackRecords(p []byte) ([]record.Record, error) {
 	bad := fmt.Errorf("live: malformed packed records")
 	n, w := binary.Uvarint(p)
@@ -150,6 +146,9 @@ func unpackRecords(p []byte) ([]record.Record, error) {
 			return nil, bad
 		}
 		flags := p[0]
+		if flags&^3 != 0 {
+			return nil, bad // a flag this encoder never sets: a stale or foreign peer
+		}
 		p = p[1:]
 		var r record.Record
 		a, w := binary.Uvarint(p)
@@ -172,13 +171,6 @@ func unpackRecords(p []byte) ([]record.Record, error) {
 			}
 			r.X = math.Float64frombits(binary.LittleEndian.Uint64(p))
 			p = p[8:]
-		}
-		if flags&4 != 0 {
-			if len(p) < 1 {
-				return nil, bad
-			}
-			r.Tag = p[0]
-			p = p[1:]
 		}
 		out = append(out, r)
 	}

@@ -79,12 +79,13 @@ func (w *workerSession) serveVerb(req shardMsg) (shardMsg, error) {
 		return shardMsg{}, fmt.Errorf("live: unexpected %s as verb %d of a session", req.Kind, w.served+1)
 	}
 	w.served++
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("layer", "live", "op", string(req.Kind))))
+	labels := pprof.WithLabels(context.Background(), pprof.Labels("layer", "live", "op", string(req.Kind)))
+	pprof.SetGoroutineLabels(labels)
 	defer pprof.SetGoroutineLabels(context.Background())
 	core := w.core
 	var payload []record.Record
 	switch req.Kind {
-	case viewLoad, viewApply, viewReplan, viewSeed:
+	case viewLoad, viewReplan, viewSeed:
 		var err error
 		if payload, err = unpackRecords(req.Frames); err != nil {
 			return shardMsg{}, err
@@ -99,7 +100,7 @@ func (w *workerSession) serveVerb(req shardMsg) (shardMsg, error) {
 		core.sol.Init(payload)
 		return shardMsg{}, nil
 	case viewApply:
-		muts, err := recordsToMutations(payload)
+		muts, err := decodeMutations(req.Frames)
 		if err == nil {
 			err = core.applyBatch(muts)
 		}
@@ -128,7 +129,7 @@ func (w *workerSession) serveVerb(req shardMsg) (shardMsg, error) {
 		if req.Epoch != core.epoch {
 			return shardMsg{}, fmt.Errorf("live: released for a superstep at plan epoch %d while at %d", req.Epoch, core.epoch)
 		}
-		count, err := core.fx.StepOnce()
+		count, err := core.fx.StepOnce(labels)
 		return shardMsg{Count: count, Epoch: core.epoch}, err
 	case viewEpoch:
 		// Coordinated plan swap: re-plan for the coordinator's global

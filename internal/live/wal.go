@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"path/filepath"
 	"runtime/pprof"
 	"sort"
@@ -75,7 +77,7 @@ import (
 const (
 	walFileName   = "wal.log"
 	walMagic      = uint32(0x4c415753) // "SWAL"
-	walVersion    = uint32(1)
+	walVersion    = uint32(2)
 	walHeaderSize = 16
 
 	snapshotPrefix = "snapshot-"
@@ -89,28 +91,136 @@ var errWALClosed = errors.New("live: wal is closed")
 
 // --- mutation codec ------------------------------------------------------
 
-// mutationsToRecords packs a mutation batch into the record model the WAL
-// frames carry: A=Src, B=Dst, X=Weight, Tag=Op.
-func mutationsToRecords(muts []Mutation) record.Batch {
-	out := make(record.Batch, len(muts))
-	for i, m := range muts {
-		out[i] = record.Record{A: m.Src, B: m.Dst, X: m.Weight, Tag: uint8(m.Op)}
+// appendMutations appends the one encoding of a mutation batch, which both
+// a WAL frame and a viewApply control payload carry: a uvarint count, then
+// per mutation a head byte and the fields it announces. The head's low
+// three bits are the op; bit 3 says Dst follows and bit 4 that Weight does
+// (a zero field is skipped); bits 5 and 6 say Src and Dst are 8 fixed
+// bytes, chosen for values of 2^56 and up (negative ids among them), where
+// a uvarint would be longer. A mutation thus takes at most 25 bytes, and
+// 2–9 with ids below 2^28 and no weight. The ops must be valid (Mutate
+// checks them before anything is encoded).
+func appendMutations(dst []byte, muts []Mutation) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(muts)))
+	for _, m := range muts {
+		head := byte(m.Op)
+		if m.Dst != 0 {
+			head |= mutDst
+		}
+		w := math.Float64bits(m.Weight)
+		if w != 0 {
+			head |= mutWeight
+		}
+		if uint64(m.Src) >= mutFixedFrom {
+			head |= mutSrcFixed
+		}
+		if uint64(m.Dst) >= mutFixedFrom {
+			head |= mutDstFixed
+		}
+		dst = append(dst, head)
+		dst = appendMutField(dst, uint64(m.Src), head&mutSrcFixed != 0)
+		if head&mutDst != 0 {
+			dst = appendMutField(dst, uint64(m.Dst), head&mutDstFixed != 0)
+		}
+		if head&mutWeight != 0 {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
 	}
-	return out
+	return dst
 }
 
-// recordsToMutations unpacks a WAL frame, rejecting unknown ops (a frame
-// with a valid checksum but an impossible tag is corruption, not input).
-func recordsToMutations(b record.Batch) ([]Mutation, error) {
-	out := make([]Mutation, len(b))
-	for i, r := range b {
-		out[i] = Mutation{Op: Op(r.Tag), Src: r.A, Dst: r.B, Weight: r.X}
+// The head byte's flags (appendMutations); bit 7 is never set.
+const (
+	mutDst byte = 1 << (3 + iota)
+	mutWeight
+	mutSrcFixed
+	mutDstFixed
+
+	mutOpMask    = 7
+	mutFixedFrom = 1 << 56 // the first value whose uvarint is over 8 bytes
+)
+
+func appendMutField(dst []byte, v uint64, fixed bool) []byte {
+	if fixed {
+		return binary.LittleEndian.AppendUint64(dst, v)
 	}
-	if err := checkOps(out); err != nil {
-		return nil, fmt.Errorf("live: wal frame: %w", err)
+	return binary.AppendUvarint(dst, v)
+}
+
+// errMalformedMutations reports a mutation payload that appendMutations
+// did not write: truncated, trailing bytes, an unknown flag, or a field in
+// a form the encoder would not choose. Only that one form is accepted, so
+// every accepted payload re-encodes to its own bytes.
+var errMalformedMutations = errors.New("live: malformed mutation payload")
+
+// decodeMutations reads an appendMutations payload. An op outside the
+// known ones is errUnknownOp: the frame's checksum held, so it is
+// corruption or a newer writer, not input to apply.
+func decodeMutations(p []byte) ([]Mutation, error) {
+	n, w := binary.Uvarint(p)
+	if w <= 0 || w != uvarintLen(n) {
+		return nil, errMalformedMutations
+	}
+	p = p[w:]
+	out := make([]Mutation, 0, min(n, uint64(len(p)/2))) // n is untrusted; a mutation takes ≥ 2 bytes
+	for range n {
+		if len(p) == 0 || p[0]&0x80 != 0 {
+			return nil, errMalformedMutations
+		}
+		head := p[0]
+		p = p[1:]
+		if op := head & mutOpMask; op > byte(OpDeleteVertex) {
+			return nil, fmt.Errorf("%w %d", errUnknownOp, op)
+		}
+		if head&mutDstFixed != 0 && head&mutDst == 0 {
+			return nil, errMalformedMutations
+		}
+		m := Mutation{Op: Op(head & mutOpMask)}
+		var src, dst uint64
+		var ok bool
+		if src, p, ok = readMutField(p, head&mutSrcFixed != 0); !ok {
+			return nil, errMalformedMutations
+		}
+		if head&mutDst != 0 {
+			if dst, p, ok = readMutField(p, head&mutDstFixed != 0); !ok || dst == 0 {
+				return nil, errMalformedMutations
+			}
+		}
+		m.Src, m.Dst = int64(src), int64(dst)
+		if head&mutWeight != 0 {
+			if len(p) < 8 || binary.LittleEndian.Uint64(p) == 0 {
+				return nil, errMalformedMutations
+			}
+			m.Weight = math.Float64frombits(binary.LittleEndian.Uint64(p))
+			p = p[8:]
+		}
+		out = append(out, m)
+	}
+	if len(p) != 0 {
+		return nil, errMalformedMutations
 	}
 	return out, nil
 }
+
+// readMutField reads one appendMutField field; ok is false unless it is
+// whole and in the form appendMutField would have chosen.
+func readMutField(p []byte, fixed bool) (v uint64, rest []byte, ok bool) {
+	if fixed {
+		if len(p) < 8 {
+			return 0, p, false
+		}
+		v = binary.LittleEndian.Uint64(p)
+		return v, p[8:], v >= mutFixedFrom
+	}
+	v, w := binary.Uvarint(p)
+	if w <= 0 {
+		return 0, p, false
+	}
+	return v, p[w:], v < mutFixedFrom && w == uvarintLen(v)
+}
+
+// uvarintLen is the length of v's shortest uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // --- write-ahead log -----------------------------------------------------
 
@@ -125,6 +235,7 @@ type wal struct {
 	base uint64 // seq of the frame preceding the first frame in the file
 	seq  uint64 // seq of the last appended/validated frame
 	size int64  // current file size
+	enc  []byte // reusable payload-encode buffer
 	buf  []byte // reusable frame-encode buffer
 	err  error  // sticky failure: a log that failed a write or a rotation stops accepting
 }
@@ -154,7 +265,7 @@ func createWAL(fs fsys, path string, base uint64) (*wal, error) {
 // (in seq order, with the file offset just past the frame), and the first
 // torn or corrupt frame truncates the file at the end of the valid prefix.
 // A replay error aborts the open.
-func openWAL(fs fsys, path string, replay func(seq uint64, end int64, b record.Batch) error) (*wal, error) {
+func openWAL(fs fsys, path string, replay func(seq uint64, end int64, payload []byte) error) (*wal, error) {
 	f, err := fs.OpenAppend(path)
 	if err != nil {
 		return nil, err
@@ -178,7 +289,7 @@ func openWAL(fs fsys, path string, replay func(seq uint64, end int64, b record.B
 	fr := record.NewFrameReader(f)
 	torn := false
 	for {
-		b, ferr := fr.Next()
+		p, ferr := fr.NextPayload()
 		if ferr == io.EOF {
 			break
 		}
@@ -191,7 +302,7 @@ func openWAL(fs fsys, path string, replay func(seq uint64, end int64, b record.B
 		}
 		w.seq++
 		if replay != nil {
-			if err := replay(w.seq, walHeaderSize+fr.ValidOffset(), b); err != nil {
+			if err := replay(w.seq, walHeaderSize+fr.ValidOffset(), p); err != nil {
 				return fail(err)
 			}
 		}
@@ -212,13 +323,14 @@ func openWAL(fs fsys, path string, replay func(seq uint64, end int64, b record.B
 // fsynced before the new seq is returned. After a write or sync failure
 // the log is poisoned — the file may hold a partial frame, so accepting
 // further appends would bury valid frames behind garbage.
-func (w *wal) Append(b record.Batch) (seq uint64, n int, err error) {
+func (w *wal) Append(muts []Mutation) (seq uint64, n int, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return 0, 0, w.err
 	}
-	w.buf = record.AppendFrame(w.buf[:0], b)
+	w.enc = appendMutations(w.enc[:0], muts)
+	w.buf = record.AppendPayloadFrame(w.buf[:0], w.enc)
 	if _, err := w.f.Write(w.buf); err != nil {
 		w.err = err
 		return 0, 0, err
@@ -648,7 +760,7 @@ func createDurable(name string, m Maintainer, initial []Mutation, cfg ViewConfig
 	}
 	var walBytes int64
 	if len(initial) > 0 {
-		_, n, err := w.Append(mutationsToRecords(initial))
+		_, n, err := w.Append(initial)
 		if err != nil {
 			w.Close()
 			return fail(err)
@@ -729,14 +841,14 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	var replayed int64
 	atSnap := int64(walHeaderSize) // the log's size just past frame snapSeq
 	walPath := filepath.Join(dir, walFileName)
-	w, err := openWAL(cfg.fs, walPath, func(seq uint64, end int64, b record.Batch) error {
+	w, err := openWAL(cfg.fs, walPath, func(seq uint64, end int64, payload []byte) error {
 		if seq <= snapSeq {
 			atSnap = end
 			return nil // already folded into the snapshot
 		}
-		muts, err := recordsToMutations(b)
+		muts, err := decodeMutations(payload)
 		if err != nil {
-			return err
+			return fmt.Errorf("live: wal frame %d: %w", seq, err)
 		}
 		if err := v.applyLocked(muts); err != nil {
 			return fmt.Errorf("replaying wal frame %d: %w", seq, err)

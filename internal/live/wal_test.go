@@ -2,7 +2,9 @@ package live
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	goruntime "runtime"
@@ -295,8 +297,12 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 		DeleteEdge(3, 4),
 		addVertex(9),
 		deleteVertex(7),
+		InsertEdge(-1, math.MinInt64),
+		InsertWeightedEdge(math.MaxInt64, 1<<56, math.Copysign(0, -1)),
+		InsertWeightedEdge(0, 0, math.Inf(-1)),
 	}
-	back, err := recordsToMutations(mutationsToRecords(muts))
+	p := appendMutations(nil, muts)
+	back, err := decodeMutations(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,19 +310,70 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 		t.Fatalf("%d mutations, want %d", len(back), len(muts))
 	}
 	for i := range muts {
-		if back[i] != muts[i] {
+		if back[i] != muts[i] || math.Signbit(back[i].Weight) != math.Signbit(muts[i].Weight) {
 			t.Fatalf("mutation %d: %+v != %+v", i, back[i], muts[i])
 		}
 	}
-	if _, err := recordsToMutations(record.Batch{{Tag: 200}}); err == nil {
-		t.Fatal("unknown op accepted")
+	// Small ids and no weight: an edge mutation takes 3 bytes and a vertex
+	// one 2 beside the count, where a framed record took 25.
+	if n := len(appendMutations(nil, muts[1:4])); n != 1+3+2+2 {
+		t.Fatalf("three small mutations encode to %d bytes", n)
 	}
+	for op := byte(OpDeleteVertex) + 1; op <= mutOpMask; op++ {
+		if _, err := decodeMutations([]byte{1, op, 5}); !errors.Is(err, errUnknownOp) {
+			t.Fatalf("op %d: %v, want errUnknownOp", op, err)
+		}
+	}
+}
+
+// FuzzMutationPayload drives the mutation codec with bytes a disk or a
+// peer chose: decodeMutations never panics, fails only with
+// errMalformedMutations or errUnknownOp, and a payload it accepts
+// re-encodes to the identical bytes; and mutations spelled out by the
+// same bytes round-trip in at most 25 bytes each.
+func FuzzMutationPayload(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(appendMutations(nil, []Mutation{InsertWeightedEdge(-1, 1<<60, 2.5), DeleteEdge(3, 0)}))
+	f.Add([]byte{1, 6, 1})                  // an unknown op
+	f.Add([]byte{1, 0x80, 1})               // an unknown flag
+	f.Add([]byte{1, 0x00, 0x80, 0x00})      // an overlong uvarint
+	f.Add(binary.AppendUvarint(nil, 1<<63)) // a count that overflows int
+	f.Fuzz(func(t *testing.T, p []byte) {
+		muts, err := decodeMutations(p)
+		if err != nil {
+			if !errors.Is(err, errMalformedMutations) && !errors.Is(err, errUnknownOp) {
+				t.Fatalf("untyped error %v", err)
+			}
+		} else if again := appendMutations(nil, muts); !bytes.Equal(again, p) {
+			t.Fatalf("accepted %x re-encodes to %x", p, again)
+		}
+		var spelled []Mutation
+		for ; len(p) >= 25; p = p[25:] {
+			spelled = append(spelled, Mutation{Op: Op(p[0] % 4),
+				Src: int64(binary.LittleEndian.Uint64(p[1:])), Dst: int64(binary.LittleEndian.Uint64(p[9:])),
+				Weight: math.Float64frombits(binary.LittleEndian.Uint64(p[17:]))})
+		}
+		enc := appendMutations(nil, spelled)
+		if len(enc) > binary.MaxVarintLen64+25*len(spelled) {
+			t.Fatalf("%d mutations encode to %d bytes", len(spelled), len(enc))
+		}
+		back, err := decodeMutations(enc)
+		if err != nil || len(back) != len(spelled) {
+			t.Fatalf("round trip of %d mutations: %d back, %v", len(spelled), len(back), err)
+		}
+		for i := range back {
+			a, b := back[i], spelled[i]
+			if a.Op != b.Op || a.Src != b.Src || a.Dst != b.Dst || math.Float64bits(a.Weight) != math.Float64bits(b.Weight) {
+				t.Fatalf("mutation %d: %+v != %+v", i, a, b)
+			}
+		}
+	})
 }
 
 // TestMutateRefusesUnknownOps: a mutation whose op is none of the four is
 // refused before the log append, so nothing is acknowledged, the view stays
 // up, and a reopen replays a log that holds only the valid batches. (The
-// log codec keeps one byte of an op: Op(256) would replay as an insert.)
+// log codec keeps three bits of an op: Op(256) would replay as an insert.)
 func TestMutateRefusesUnknownOps(t *testing.T) {
 	dir := t.TempDir()
 	v, err := NewView("cc", CC(), chain(2), durableCfg(dir, nil))

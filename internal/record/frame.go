@@ -7,18 +7,21 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
-// Framed batch serialization: the unit of durable storage shared by the
-// live-view write-ahead log and the streaming checkpoint format. A frame
-// wraps one EncodeBatch payload with a byte-length prefix and a CRC32 so
-// a reader can (a) skip through a log without decoding, (b) detect torn
-// tails — a crash mid-append leaves a frame whose length, checksum, or
-// record count no longer agree — and (c) reject bit flips that a plain
-// length-prefixed format would decode into garbage records.
+// Framed serialization: the unit of durable storage shared by the
+// live-view write-ahead log, the streaming checkpoint format, spill files
+// and the TCP data plane. A frame wraps one payload with a byte-length
+// prefix and a CRC32 so a reader can (a) skip through a log without
+// decoding, (b) detect torn tails — a crash mid-append leaves a frame
+// whose length, checksum, or record count no longer agree — and (c)
+// reject bit flips that a plain length-prefixed format would decode into
+// garbage records.
 //
 //	frame := payloadLen uint32 | crc32(payload) uint32 | payload
 //	payload := EncodeBatch(batch)   (count uint32 | count records)
+//	         | opaque bytes         (AppendPayloadFrame, NextPayload)
 
 // FrameHeaderSize is the number of bytes preceding a frame's payload.
 const FrameHeaderSize = 8
@@ -33,31 +36,39 @@ var ErrCorruptFrame = errors.New("record: corrupt frame")
 // extended slice.
 func AppendFrame(dst []byte, b Batch) []byte {
 	start := len(dst)
-	dst = append(dst, make([]byte, FrameHeaderSize)...)
-	dst = EncodeBatch(dst, b)
+	return sealFrame(EncodeBatch(append(dst, make([]byte, FrameHeaderSize)...), b), start)
+}
+
+// AppendPayloadFrame appends the framed form of an opaque payload — a
+// frame whose bytes are not a record batch (the live write-ahead log's
+// mutation batches) — to dst and returns the extended slice.
+func AppendPayloadFrame(dst, payload []byte) []byte {
+	start := len(dst)
+	return sealFrame(append(append(dst, make([]byte, FrameHeaderSize)...), payload...), start)
+}
+
+// sealFrame writes the header of the frame that starts at dst[start] and
+// whose payload runs to the end of dst.
+func sealFrame(dst []byte, start int) []byte {
 	payload := dst[start+FrameHeaderSize:]
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
 	return dst
 }
 
-// frameAllocHint caps the capacity a frame decode allocates up front; a
-// frame claiming more records grows by append as records actually arrive,
-// so a corrupt length prefix cannot force a large allocation.
-const frameAllocHint = 4096
-
 // FrameReader decodes a stream of frames through a fixed-size buffered
-// reader: memory per frame is bounded by the buffer plus the decoded
-// batch, independent of the stream's length, and allocation is
-// proportional to records actually present — never to a corrupt length
-// prefix.
+// reader: memory per frame is bounded by the buffer, one frame's payload
+// and the decoded batch, independent of the stream's length, and
+// allocation is proportional to bytes actually present — never to a
+// corrupt length prefix.
 type FrameReader struct {
-	br    *bufio.Reader
-	valid int64
+	br      *bufio.Reader
+	valid   int64
+	payload []byte // the current frame's payload, reused
 }
 
 // frameReadBufSize is the fixed size of the buffered reader frames are
-// streamed through, so a reader holds this plus one decoded batch.
+// streamed through, and the step a payload buffer grows by.
 const frameReadBufSize = 64 << 10
 
 // NewFrameReader wraps r for frame decoding. If r is already a
@@ -76,52 +87,78 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // the torn tail while keeping every intact frame.
 func (fr *FrameReader) ValidOffset() int64 { return fr.valid }
 
-// Next decodes the next frame. It returns io.EOF at a clean end of the
-// stream (no partial frame), and an error wrapping ErrCorruptFrame for a
-// truncated, checksum-failing, or self-inconsistent frame.
+// Next decodes the next frame as a record batch. It returns io.EOF at a
+// clean end of the stream (no partial frame), and an error wrapping
+// ErrCorruptFrame for a truncated, checksum-failing, or self-inconsistent
+// frame. A length prefix that is no whole batch fails before any payload
+// is read.
 func (fr *FrameReader) Next() (Batch, error) {
+	n, crc, err := fr.header()
+	if err != nil {
+		return nil, err
+	}
+	if n < 4 || (n-4)%EncodedSize != 0 {
+		return nil, fmt.Errorf("%w: payload length %d is not a whole batch", ErrCorruptFrame, n)
+	}
+	p, err := fr.body(n, crc)
+	if err != nil {
+		return nil, err
+	}
+	if c := binary.LittleEndian.Uint32(p); c != (n-4)/EncodedSize {
+		return nil, fmt.Errorf("%w: batch count %d disagrees with payload length %d", ErrCorruptFrame, c, n)
+	}
+	out, recs := make(Batch, (n-4)/EncodedSize), p[4:]
+	for i := range out {
+		out[i], recs, _ = Decode(recs) // the length check above makes every record whole
+	}
+	fr.valid += int64(FrameHeaderSize + n)
+	return out, nil
+}
+
+// NextPayload reads the next frame as opaque bytes (AppendPayloadFrame),
+// valid until the next call. It fails like Next.
+func (fr *FrameReader) NextPayload() ([]byte, error) {
+	n, crc, err := fr.header()
+	if err != nil {
+		return nil, err
+	}
+	p, err := fr.body(n, crc)
+	if err != nil {
+		return nil, err
+	}
+	fr.valid += int64(FrameHeaderSize + n)
+	return p, nil
+}
+
+// header reads a frame header: the payload's length and checksum, or
+// io.EOF at a clean end of the stream.
+func (fr *FrameReader) header() (n, crc uint32, err error) {
 	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return 0, 0, io.EOF
 		}
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrCorruptFrame, err)
+		return 0, 0, fmt.Errorf("%w: truncated header: %v", ErrCorruptFrame, err)
 	}
-	payloadLen := binary.LittleEndian.Uint32(hdr[:4])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	if payloadLen < 4 || (payloadLen-4)%EncodedSize != 0 {
-		return nil, fmt.Errorf("%w: payload length %d is not a whole batch", ErrCorruptFrame, payloadLen)
-	}
-	crc := crc32.NewIEEE()
-	var cnt [4]byte
-	if _, err := io.ReadFull(fr.br, cnt[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated batch count: %v", ErrCorruptFrame, err)
-	}
-	crc.Write(cnt[:])
-	n := binary.LittleEndian.Uint32(cnt[:])
-	if n != (payloadLen-4)/EncodedSize {
-		return nil, fmt.Errorf("%w: batch count %d disagrees with payload length %d", ErrCorruptFrame, n, payloadLen)
-	}
-	capHint := int(n)
-	if capHint > frameAllocHint {
-		capHint = frameAllocHint
-	}
-	out := make(Batch, 0, capHint)
-	var rbuf [EncodedSize]byte
-	for i := uint32(0); i < n; i++ {
-		if _, err := io.ReadFull(fr.br, rbuf[:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated record %d/%d: %v", ErrCorruptFrame, i, n, err)
+	return binary.LittleEndian.Uint32(hdr[:4]), binary.LittleEndian.Uint32(hdr[4:8]), nil
+}
+
+// body reads an n-byte payload into the reused buffer and checks it
+// against crc. The buffer grows a read buffer's worth
+// at a time, as bytes arrive, so a corrupt length prefix allocates no
+// more than the stream holds.
+func (fr *FrameReader) body(n, crc uint32) ([]byte, error) {
+	p := fr.payload[:0]
+	for len(p) < int(n) {
+		k := min(int(n)-len(p), frameReadBufSize)
+		p = slices.Grow(p, k)[:len(p)+k]
+		if _, err := io.ReadFull(fr.br, p[len(p)-k:]); err != nil {
+			return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorruptFrame, err)
 		}
-		crc.Write(rbuf[:])
-		r, _, err := Decode(rbuf[:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorruptFrame, err)
-		}
-		out = append(out, r)
 	}
-	if got := crc.Sum32(); got != wantCRC {
-		return nil, fmt.Errorf("%w: checksum %#x, frame claims %#x", ErrCorruptFrame, got, wantCRC)
+	fr.payload = p
+	if got := crc32.ChecksumIEEE(p); got != crc {
+		return nil, fmt.Errorf("%w: checksum %#x, frame claims %#x", ErrCorruptFrame, got, crc)
 	}
-	fr.valid += int64(FrameHeaderSize) + int64(payloadLen)
-	return out, nil
+	return p, nil
 }

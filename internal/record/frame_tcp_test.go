@@ -45,9 +45,9 @@ func framePipe(t *testing.T) (client net.Conn, server net.Conn) {
 // decode identically to a contiguous stream.
 func TestFrameReaderTCPShortReads(t *testing.T) {
 	batches := []Batch{
-		{{A: 1, B: 2, X: 3.5, Tag: 4}, {A: -9}},
+		{{A: 1, B: 2, X: 3.5}, {A: -9}},
 		{}, // empty frames are valid (section markers)
-		{{A: 7, B: 7, X: -0.25, Tag: 255}},
+		{{A: 7, B: 7, X: -0.25}},
 		{{A: 100}, {A: 101}, {A: 102}},
 	}
 	buf := frameStream(batches)

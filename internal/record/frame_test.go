@@ -18,9 +18,9 @@ func frameStream(batches []Batch) []byte {
 
 func TestFrameRoundTrip(t *testing.T) {
 	batches := []Batch{
-		{{A: 1, B: 2, X: 3.5, Tag: 4}, {A: -9}},
+		{{A: 1, B: 2, X: 3.5}, {A: -9}},
 		{}, // empty frames are valid (section markers)
-		{{A: 7, B: 7, X: -0.25, Tag: 255}},
+		{{A: 7, B: 7, X: -0.25}},
 	}
 	buf := frameStream(batches)
 	fr := NewFrameReader(bytes.NewReader(buf))
@@ -112,11 +112,12 @@ func TestFrameOversizeLengthPrefix(t *testing.T) {
 	}
 }
 
-// FuzzFrameReader feeds arbitrary bytes through the frame decoder: it
-// must never panic or over-allocate, and whatever valid prefix it
-// accepts must re-encode to the identical bytes.
+// FuzzFrameReader feeds arbitrary bytes through the frame decoder, read
+// as record batches and as opaque payloads: it must never panic or
+// over-allocate, and whatever valid prefix it accepts must re-encode to
+// the identical bytes.
 func FuzzFrameReader(f *testing.F) {
-	f.Add(frameStream([]Batch{{{A: 1, B: 2, X: 3, Tag: 4}}, {}}))
+	f.Add(frameStream([]Batch{{{A: 1, B: 2, X: 3}}, {}}))
 	f.Add(frameStream([]Batch{{{A: -1}, {A: 5, X: 0.5}}})[:10])
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -138,6 +139,21 @@ func FuzzFrameReader(f *testing.F) {
 		}
 		if !bytes.Equal(reenc, data[:off]) {
 			t.Fatalf("valid prefix does not re-encode identically")
+		}
+
+		fr, reenc = NewFrameReader(bytes.NewReader(data)), nil
+		for {
+			p, err := fr.NextPayload()
+			if err != nil {
+				if err != io.EOF && !errors.Is(err, ErrCorruptFrame) {
+					t.Fatalf("unexpected error class: %v", err)
+				}
+				break
+			}
+			reenc = AppendPayloadFrame(reenc, p)
+		}
+		if off := fr.ValidOffset(); !bytes.Equal(reenc, data[:off]) {
+			t.Fatalf("valid payload prefix of %d bytes does not re-encode identically", off)
 		}
 	})
 }

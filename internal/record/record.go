@@ -5,9 +5,9 @@
 // The engine deliberately uses a fixed-shape value type rather than boxed
 // interface values: the paper's Stratosphere runtime "stores records in
 // serialized form to reduce memory consumption and object allocation
-// overhead" (§6.1), and a flat value struct is the closest Go equivalent —
-// records move through channels and hash tables without per-record heap
-// allocation.
+// overhead" (§6.1), and a flat value struct of three words is the closest
+// Go equivalent — records move through channels and hash tables without
+// per-record heap allocation, 24 bytes each in memory and on the wire.
 package record
 
 import (
@@ -17,9 +17,10 @@ import (
 	"reflect"
 )
 
-// Record is a compact, fixed-shape tuple with two integer columns, one
-// floating-point column, and a small tag byte. The meaning of the columns
-// is defined by the dataflow that uses them; common layouts:
+// Record is a compact, fixed-shape tuple of three words: two integer
+// columns and one floating-point column, 24 bytes with no padding. The
+// meaning of the columns is defined by the dataflow that uses them;
+// common layouts:
 //
 //	edge:            A=source vertex, B=target vertex
 //	vertex/rank:     A=page id, X=rank
@@ -29,11 +30,10 @@ import (
 type Record struct {
 	A, B int64
 	X    float64
-	Tag  uint8
 }
 
 // EncodedSize is the number of bytes Encode produces for one Record.
-const EncodedSize = 8 + 8 + 8 + 1
+const EncodedSize = 8 + 8 + 8
 
 // Encode appends the binary form of r to dst and returns the extended slice.
 func (r Record) Encode(dst []byte) []byte {
@@ -41,7 +41,6 @@ func (r Record) Encode(dst []byte) []byte {
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(r.A))
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(r.B))
 	binary.LittleEndian.PutUint64(buf[16:24], math.Float64bits(r.X))
-	buf[24] = r.Tag
 	return append(dst, buf[:]...)
 }
 
@@ -52,17 +51,16 @@ func Decode(src []byte) (Record, []byte, error) {
 		return Record{}, src, fmt.Errorf("record: decode needs %d bytes, have %d", EncodedSize, len(src))
 	}
 	r := Record{
-		A:   int64(binary.LittleEndian.Uint64(src[0:8])),
-		B:   int64(binary.LittleEndian.Uint64(src[8:16])),
-		X:   math.Float64frombits(binary.LittleEndian.Uint64(src[16:24])),
-		Tag: src[24],
+		A: int64(binary.LittleEndian.Uint64(src[0:8])),
+		B: int64(binary.LittleEndian.Uint64(src[8:16])),
+		X: math.Float64frombits(binary.LittleEndian.Uint64(src[16:24])),
 	}
 	return r, src[EncodedSize:], nil
 }
 
 // String renders the record for debugging.
 func (r Record) String() string {
-	return fmt.Sprintf("(A=%d B=%d X=%g T=%d)", r.A, r.B, r.X, r.Tag)
+	return fmt.Sprintf("(A=%d B=%d X=%g)", r.A, r.B, r.X)
 }
 
 // KeyFunc extracts the grouping/joining key from a record.
@@ -113,10 +111,10 @@ type Comparator func(a, b Record) int
 
 // Equal reports full structural equality of two records.
 func (r Record) Equal(o Record) bool {
-	return r.A == o.A && r.B == o.B && r.X == o.X && r.Tag == o.Tag
+	return r.A == o.A && r.B == o.B && r.X == o.X
 }
 
-// Less orders records by (A, B, X, Tag); used by sort-based local
+// Less orders records by (A, B, X); used by sort-based local
 // strategies and deterministic test output.
 func Less(a, b Record) bool {
 	if a.A != b.A {
@@ -125,10 +123,7 @@ func Less(a, b Record) bool {
 	if a.B != b.B {
 		return a.B < b.B
 	}
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	return a.Tag < b.Tag
+	return a.X < b.X
 }
 
 // Batch is the unit of transfer between physical operators.

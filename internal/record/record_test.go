@@ -5,14 +5,24 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestRecordIsThreeWords pins the layout every slab, batch, table and
+// fold accumulator pays per record: three words, no padding, and the
+// same bytes in memory as on the wire.
+func TestRecordIsThreeWords(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 24 || EncodedSize != 24 {
+		t.Fatalf("Record is %d bytes in memory and %d encoded, want 24 and 24", got, EncodedSize)
+	}
+}
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	cases := []Record{
 		{},
-		{A: 1, B: 2, X: 3.5, Tag: 4},
-		{A: -1, B: -1 << 62, X: math.Inf(1), Tag: 255},
-		{A: math.MaxInt64, B: math.MinInt64, X: -0.0, Tag: 0},
+		{A: 1, B: 2, X: 3.5},
+		{A: -1, B: -1 << 62, X: math.Inf(1)},
+		{A: math.MaxInt64, B: math.MinInt64, X: -0.0},
 	}
 	for _, want := range cases {
 		buf := want.Encode(nil)
@@ -33,14 +43,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeDecodeProperty(t *testing.T) {
-	f := func(a, b int64, x float64, tag uint8) bool {
-		in := Record{A: a, B: b, X: x, Tag: tag}
+	f := func(a, b int64, x float64) bool {
+		in := Record{A: a, B: b, X: x}
 		out, rest, err := Decode(in.Encode(nil))
 		if err != nil || len(rest) != 0 {
 			return false
 		}
 		// NaN compares unequal to itself; compare bit patterns instead.
-		return out.A == in.A && out.B == in.B && out.Tag == in.Tag &&
+		return out.A == in.A && out.B == in.B &&
 			math.Float64bits(out.X) == math.Float64bits(in.X)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -62,7 +72,7 @@ func TestDecodeShortInput(t *testing.T) {
 }
 
 func TestBatchRoundTrip(t *testing.T) {
-	in := Batch{{A: 1}, {B: 2}, {X: 3}, {Tag: 4}}
+	in := Batch{{A: 1}, {B: 2}, {X: 3}, {A: 4, B: 4, X: 4}}
 	buf := EncodeBatch(nil, in)
 	out, rest, err := DecodeBatch(buf)
 	if err != nil {
@@ -133,7 +143,7 @@ func TestHash64Distinct(t *testing.T) {
 func TestLessIsStrictWeakOrder(t *testing.T) {
 	recs := []Record{
 		{A: 2}, {A: 1, B: 5}, {A: 1, B: 3}, {A: 1, B: 3, X: -1},
-		{A: 1, B: 3, X: -1, Tag: 9}, {},
+		{A: 1, B: 3, X: 2}, {},
 	}
 	sort.Slice(recs, func(i, j int) bool { return Less(recs[i], recs[j]) })
 	for i := 1; i < len(recs); i++ {

@@ -33,7 +33,9 @@ import (
 // Rounds. Like groupTable, the storage survives across supersteps: each
 // task run bumps a round stamp (task.combiner), and an accumulator is
 // live only if its stamp matches, so a recurring key domain folds with no
-// allocation.
+// allocation. The stamp is 32 bits, so that an accumulator is 32 bytes,
+// half a cache line; when the round counter wraps, every stamp is cleared
+// and round 0, the stamp of a never-used accumulator, is skipped.
 type combineFold struct {
 	t   *task // for the UDF tally; nil when no task runs the fold
 	fn  dataflow.ReduceFn
@@ -42,7 +44,7 @@ type combineFold struct {
 	idx     probeIndex
 	accs    []foldAcc // parallel to idx.keys
 	touched []int32   // key positions folded this round, first-touch order until flush
-	round   uint64
+	round   uint32
 
 	// cold holds the pending records of keys off the one-record path,
 	// reused across rounds; the first ncold lists are this round's.
@@ -53,16 +55,16 @@ type combineFold struct {
 	out  []record.Record  // what the current call emitted
 
 	// Emit writes pair and out on every record, and neighbouring folds
-	// (Executor.seedFolds) run on different goroutines: the pad makes the
-	// size a multiple of the 64-B cache line, so no two folds share one.
-	_ [48]byte
+	// (Executor.seedFolds) run on different goroutines: the fields add up
+	// to a multiple of the 64-B cache line (TestCacheLinePadding), so no
+	// two folds share one.
 }
 
 // foldAcc is one key's fold state in the round stamped on it.
 type foldAcc struct {
-	stamp uint64
-	rec   record.Record // the accumulator, when cold < 0
+	stamp uint32
 	cold  int32         // index into cold, or -1 on the one-record path
+	rec   record.Record // the accumulator, when cold < 0
 }
 
 // combiner returns the task's fold, reset for a new round of l.
@@ -78,7 +80,12 @@ func (t *task) combiner(l *dataflow.Node) *combineFold {
 func (f *combineFold) reset(l *dataflow.Node) {
 	f.fn = l.Reduce
 	f.key = l.Keys[0]
-	f.round++
+	if f.round++; f.round == 0 {
+		for i := range f.accs {
+			f.accs[i].stamp = 0
+		}
+		f.round = 1
+	}
 	f.touched = f.touched[:0]
 	f.ncold = 0
 }

@@ -446,5 +446,5 @@ func (r Result) Records(sinkID int) []record.Record {
 func (e *Executor) Run(p *optimizer.PhysPlan) (Result, error) {
 	s := e.OpenSession(p)
 	defer s.Close()
-	return s.Run()
+	return s.Run(context.Background())
 }

@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataflow"
 	"repro/internal/record"
@@ -309,5 +311,50 @@ func BenchmarkGroupTableSmallRoundAfterLarge(b *testing.B) {
 				fillRound(g, pool, small)
 			}
 		})
+	}
+}
+
+// TestFoldRoundWrap forces the fold's 32-bit round counter through its
+// wrap. Keys stamped in the round before the wrap and in round 1 long
+// before it, and a key first seen after it, must all start afresh in the
+// round after it: each of the six keys folds exactly its own two records.
+// A stale stamp read as current would fold into an old accumulator and
+// leave its key out of the flush; a round 0 would take a new key's empty
+// accumulator for a live one.
+func TestFoldRoundWrap(t *testing.T) {
+	if size := unsafe.Sizeof(foldAcc{}); size != 32 {
+		t.Fatalf("foldAcc is %d B, want 32 (half a cache line)", size)
+	}
+	sum := &dataflow.Node{Keys: [2]record.KeyFunc{record.KeyA},
+		Reduce: func(k int64, g []record.Record, out dataflow.Emitter) {
+			var s int64
+			for _, r := range g {
+				s += r.B
+			}
+			out.Emit(record.Record{A: k, B: s})
+		}}
+	f := &combineFold{}
+	round := func(keys int64) []record.Record {
+		f.reset(sum)
+		for k := range keys {
+			f.Emit(record.Record{A: k, B: 1})
+			f.Emit(record.Record{A: k, B: 1})
+		}
+		var out []record.Record
+		f.flush(emitCollector{&out})
+		return out
+	}
+	round(5) // stamps keys 0..4 with round 1
+	f.round = math.MaxUint32 - 1
+	round(3) // stamps keys 0..2 with the last round before the wrap
+	got := round(6)
+	if f.round != 1 {
+		t.Fatalf("the round after the wrap is %d, want 1", f.round)
+	}
+	slices.SortFunc(got, func(a, b record.Record) int { return int(a.A - b.A) })
+	for k := range int64(6) {
+		if int(k) >= len(got) || got[k] != (record.Record{A: k, B: 2}) {
+			t.Fatalf("after the wrap the fold emitted %v, want every key 0..5 with B=2", got)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,15 +11,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/algorithms"
+	"repro/internal/dataflow"
 	"repro/internal/distrib"
 	"repro/internal/graphgen"
 	"repro/internal/iterative"
 	"repro/internal/live"
 	"repro/internal/optimizer"
+	"repro/internal/record"
+	"repro/internal/runtime"
 )
 
 // TestTaskProfileLabels profiles fused CoGroup CC at Parallelism 2 and
@@ -625,4 +630,67 @@ func protoFields(b []byte, f func(field int, v []byte) error) error {
 		}
 	}
 	return nil
+}
+
+// TestSerialLaneRestoresCallerLabels: a superstep on the serial lane runs
+// its tasks on the caller's goroutine under their own labels, and so does
+// the driver's ∪̇ merge; the caller's labels — here a live probe's — are
+// back on the goroutine when Session.Run, and a Fixpoint's StepOnce,
+// return.
+func TestSerialLaneRestoresCallerLabels(t *testing.T) {
+	defer runtime.ForceLane(func() bool { return true })()
+	labels := pprof.WithLabels(context.Background(), pprof.Labels("layer", "live", "op", "probe"))
+	pprof.SetGoroutineLabels(labels)
+	defer pprof.SetGoroutineLabels(context.Background())
+	stillLabelled := func(after string) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range strings.Split(buf.String(), "\n\n") {
+			if strings.Contains(g, "TestSerialLaneRestoresCallerLabels") {
+				if !strings.Contains(g, `# labels: {"layer":"live", "op":"probe"}`) {
+					t.Fatalf("after %s the goroutine is not labelled {layer=live, op=probe}:\n%s", after, g)
+				}
+				return
+			}
+		}
+		t.Fatalf("no goroutine runs the test:\n%s", buf.String())
+	}
+
+	p := dataflow.NewPlan()
+	sink := p.SinkNode("out", p.MapNode("id", p.SourceOf("one", []record.Record{{A: 1}}),
+		func(r record.Record, out dataflow.Emitter) { out.Emit(r) }))
+	phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := runtime.NewExecutor(runtime.Config{})
+	defer e.Close()
+	sess := e.OpenSession(phys)
+	defer sess.Close()
+	res, err := sess.Run(labels)
+	if err != nil || len(res.Records(sink.ID)) != 1 {
+		t.Fatalf("one-record superstep: %v, %v", res.Records(sink.ID), err)
+	}
+	stillLabelled("a serial superstep")
+
+	spec, _, w0 := algorithms.CCIncrementalSpec(graphgen.ChainedCommunities("labels", 2, 4, 4, 1), algorithms.CCCoGroup)
+	cfg := iterative.Config{Parallelism: 2}
+	phys, err = iterative.PlanIncremental(spec, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := iterative.OpenFixpointOn(spec, nil, cfg, phys, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fx.Close()
+	pprof.SetGoroutineLabels(labels) // planning labels the goroutine its own way
+	fx.SeedWorkset(w0)
+	if _, err := fx.StepOnce(labels); err != nil {
+		t.Fatal(err)
+	}
+	stillLabelled("a Fixpoint step and its merge")
 }

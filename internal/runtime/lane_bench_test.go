@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -29,7 +30,7 @@ func BenchmarkSuperstepLanes(b *testing.B) {
 		exec.Solution.Init(s0)
 		sess := exec.OpenSession(phys)
 		exec.SetPlaceholder(spec.Workset.ID, w0, spec.WorksetKey, par)
-		if _, err := sess.Run(); err != nil { // fills the constant-path caches
+		if _, err := sess.Run(context.Background()); err != nil { // fills the constant-path caches
 			b.Fatal(err)
 		}
 		for n := 16; n <= 16384; n *= 2 {
@@ -43,7 +44,7 @@ func BenchmarkSuperstepLanes(b *testing.B) {
 					defer runtime.ForceLane(func() bool { return serial })()
 					for i := 0; i < b.N; i++ {
 						exec.SetPlaceholder(spec.Workset.ID, workset, spec.WorksetKey, par)
-						if _, err := sess.Run(); err != nil {
+						if _, err := sess.Run(context.Background()); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -85,7 +85,7 @@ func sameFixpoint(t *testing.T, what string, a, b laneRun, exact bool) {
 		rb := b.solution[i]
 		same := ra == rb
 		if !exact {
-			same = ra.A == rb.A && ra.B == rb.B && ra.Tag == rb.Tag && math.Abs(ra.X-rb.X) <= 1e-12*math.Abs(ra.X)
+			same = ra.A == rb.A && ra.B == rb.B && math.Abs(ra.X-rb.X) <= 1e-12*math.Abs(ra.X)
 		}
 		if !same {
 			t.Fatalf("%s: record %d: %v vs %v", what, i, ra, rb)

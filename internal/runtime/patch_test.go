@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -99,7 +100,7 @@ func runHosts(t *testing.T, hosts []*patchHost, w, sink *dataflow.Node, phys *op
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = h.sess.Run()
+			results[i], errs[i] = h.sess.Run(context.Background())
 		}()
 	}
 	wg.Wait()

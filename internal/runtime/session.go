@@ -227,8 +227,11 @@ func (s *Session) SetTraceStep(step int) { s.step = int32(step) }
 
 // Run executes one superstep of the plan and returns the sink outputs.
 // Sink output slices are freshly allocated and owned by the caller; all
-// internal transport state is recycled for the next Run.
-func (s *Session) Run() (Result, error) {
+// internal transport state is recycled for the next Run. labels is the
+// calling goroutine's profiler-label context (context.Background() when
+// it has none): a superstep on the serial lane runs its tasks on the
+// caller's goroutine under their own labels, and restores these after.
+func (s *Session) Run(labels context.Context) (Result, error) {
 	if s.closed {
 		return nil, errors.New("runtime: Run on a closed session")
 	}
@@ -255,11 +258,7 @@ func (s *Session) Run() (Result, error) {
 		// Topological order over unbounded queues: every consumer finds its
 		// producers finished and its queues closed, so nothing blocks. Each
 		// task runs under its serial-lane profiler labels on the caller's
-		// goroutine. The runtime cannot read a goroutine's labels, so the
-		// caller's are not restored afterwards: the goroutine is left
-		// unlabelled, and a caller that labels its goroutine (a live
-		// view's control round, an HTTP handler) has its samples after a
-		// serial superstep counted unlabelled until it sets them again.
+		// goroutine, whose own labels come back afterwards.
 		for i, t := range s.tasks {
 			if w := s.workers[i]; w.live {
 				w.lane = t.labels
@@ -269,7 +268,7 @@ func (s *Session) Run() (Result, error) {
 				}
 			}
 		}
-		pprof.SetGoroutineLabels(context.Background())
+		pprof.SetGoroutineLabels(labels)
 	} else {
 		step := &superstep{}
 		step.wg.Add(len(s.workers))

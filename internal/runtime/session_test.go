@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -37,7 +38,7 @@ func TestSessionRunRepeatedlyMatchesOneShot(t *testing.T) {
 	sess := e.OpenSession(phys)
 	defer sess.Close()
 	for step := 0; step < 4; step++ {
-		res, err := sess.Run()
+		res, err := sess.Run(context.Background())
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -62,7 +63,7 @@ func TestSessionReusesWorkersAndExchanges(t *testing.T) {
 	defer sess.Close()
 	const steps = 6
 	for i := 0; i < steps; i++ {
-		if _, err := sess.Run(); err != nil {
+		if _, err := sess.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +129,7 @@ func TestSessionStopsFeedingCacheSatisfiedEdge(t *testing.T) {
 	var shippedPerStep []int64
 	for step := 0; step < 3; step++ {
 		before := m.Snapshot()
-		res, err := sess.Run()
+		res, err := sess.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestSessionRunAfterCloseFails(t *testing.T) {
 	sess := e.OpenSession(phys)
 	sess.Close()
 	sess.Close() // idempotent
-	if _, err := sess.Run(); err == nil {
+	if _, err := sess.Run(context.Background()); err == nil {
 		t.Fatal("Run on a closed session must fail")
 	}
 }
@@ -200,7 +201,7 @@ func TestSessionSpilledCacheAcrossSupersteps(t *testing.T) {
 	defer sess.Close()
 
 	for step := 0; step < 3; step++ {
-		res, err := sess.Run()
+		res, err := sess.Run(context.Background())
 		if err != nil {
 			t.Fatalf("superstep %d: %v", step, err)
 		}
@@ -232,7 +233,7 @@ func TestSessionInvalidateCachesRewires(t *testing.T) {
 		if step == 2 {
 			e.Close()
 		}
-		res, err := sess.Run()
+		res, err := sess.Run(context.Background())
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -326,7 +327,7 @@ func TestSessionErrorDoesNotWedgeWorkers(t *testing.T) {
 					sess := e.OpenSession(phys)
 					defer sess.Close()
 
-					_, err = sess.Run()
+					_, err = sess.Run(context.Background())
 					if err == nil || err.Error() != c.want {
 						t.Fatalf("Run error = %v, want %q\n%s", err, c.want, phys.Explain())
 					}
@@ -338,7 +339,7 @@ func TestSessionErrorDoesNotWedgeWorkers(t *testing.T) {
 						}
 					}
 					boom = false
-					res, err := sess.Run()
+					res, err := sess.Run(context.Background())
 					if err != nil {
 						t.Fatalf("session wedged after error: %v", err)
 					}
@@ -380,7 +381,7 @@ func TestLaneSpansMatch(t *testing.T) {
 		e.SetPlaceholder(w.ID, []record.Record{{A: 1}, {A: 2}}, record.KeyA, 2)
 		sess := e.OpenSession(phys)
 		for step := 0; step < 3; step++ { // step 0 fills the cache; later steps run fewer tasks
-			if _, err := sess.Run(); err != nil {
+			if _, err := sess.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}

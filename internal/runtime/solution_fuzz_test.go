@@ -143,10 +143,9 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		for i := 0; i+8 <= len(data) && len(all) < 1<<12; i += 8 {
 			v := binary.LittleEndian.Uint64(data[i : i+8])
 			r := record.Record{
-				A:   int64(v),
-				B:   int64(v >> 7),
-				X:   float64(int32(v)) / 3,
-				Tag: byte(v >> 56),
+				A: int64(v),
+				B: int64(v >> 7),
+				X: float64(int32(v)) / 3,
 			}
 			all = append(all, r)
 			if len(batches) == 0 || len(batches[len(batches)-1]) >= 3 {

@@ -11,7 +11,7 @@ import (
 func TestSpillFileRoundTrip(t *testing.T) {
 	batches := []record.Batch{
 		{{A: 1, X: 1.5}, {A: 2}},
-		{{A: 3, B: -7, Tag: 9}},
+		{{A: 3, B: -7, X: 9}},
 	}
 	sf, err := spillBatches(batches)
 	if err != nil {

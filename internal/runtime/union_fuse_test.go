@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -135,7 +136,7 @@ func runUnionCase(t *testing.T, c unionCase, par int, fuse, serial bool) ([][][]
 		if ph != nil {
 			e.SetPlaceholder(ph.ID, unionData(700, 50, int64(step)), nil, par)
 		}
-		res, err := s.Run()
+		res, err := s.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,7 +129,7 @@ func ConnectedComponents(ctx *Context, g *graphgen.Graph, maxIterations int, col
 }
 
 // SimIncrementalCC is the paper's "Spark Sim. Incr." variant (Figure 11):
-// each entry carries a changed flag (Tag); only changed vertices send
+// each entry carries a changed flag (X=1); only changed vertices send
 // candidates to their neighbors, but the full assignment is still copied
 // into a new RDD every iteration — exploiting the computational
 // dependencies without mutable state, and paying the copy cost for the
@@ -144,7 +144,7 @@ func SimIncrementalCC(ctx *Context, g *graphgen.Graph, maxIterations int, collec
 
 	stateRecs := make([]record.Record, und.NumVertices)
 	for i := int64(0); i < und.NumVertices; i++ {
-		stateRecs[i] = record.Record{A: i, B: i, Tag: 1} // initially "changed"
+		stateRecs[i] = record.Record{A: i, B: i, X: 1} // X=1: changed, as every entry is initially
 	}
 	state := ctx.Parallelize(stateRecs)
 
@@ -152,7 +152,7 @@ func SimIncrementalCC(ctx *Context, g *graphgen.Graph, maxIterations int, collec
 	for iter := 0; ; iter++ {
 		start := time.Now()
 		// Only changed entries message their neighbors...
-		msgs := state.Filter(func(r record.Record) bool { return r.Tag == 1 }).
+		msgs := state.Filter(func(r record.Record) bool { return r.X == 1 }).
 			Join(edges, record.KeyA, record.KeyA,
 				func(s, e record.Record, emit func(record.Record)) {
 					emit(record.Record{A: e.B, B: s.B})
@@ -170,13 +170,13 @@ func SimIncrementalCC(ctx *Context, g *graphgen.Graph, maxIterations int, collec
 						best = c.B
 					}
 				}
-				tag := uint8(0)
+				changed := 0.0
 				if best < cur.B {
-					tag = 1
+					changed = 1
 				}
-				emit(record.Record{A: k, B: best, Tag: tag})
+				emit(record.Record{A: k, B: best, X: changed})
 			})
-		changed := next.Filter(func(r record.Record) bool { return r.Tag == 1 }).Count()
+		changed := next.Filter(func(r record.Record) bool { return r.X == 1 }).Count()
 		state = next
 		res.Iterations = iter + 1
 		if collectTrace {
