@@ -102,6 +102,10 @@ type DriveHooks struct {
 	// every peer has re-planned and swapped, and return nil — only then
 	// does the local session swap and the next superstep start.
 	OnEpoch func(epoch int, est int64, phys *optimizer.PhysPlan) error
+	// Labels is the caller's profiler-label context: a superstep labels
+	// the goroutine its own way (the runtime's serial lane, the ∪̇ merge)
+	// and puts these back after. Nil is context.Background().
+	Labels context.Context
 }
 
 // driver owns one run's superstep lifecycle. Exactly one for loop in
@@ -138,6 +142,10 @@ func (d *driver) run() (converged bool, err error) {
 	// The per-superstep counter delta costs two reflective snapshots; take
 	// them only when the trace consumes the delta.
 	wantWork := d.cfg.Metrics != nil && d.collect
+	labels := d.hooks.Labels
+	if labels == nil {
+		labels = context.Background()
+	}
 	for step := 0; step < d.maxSteps; step++ {
 		if d.hooks.Barrier != nil {
 			if err := d.hooks.Barrier.Release(step); err != nil {
@@ -150,7 +158,7 @@ func (d *driver) run() (converged bool, err error) {
 			before = d.cfg.Metrics.Snapshot()
 		}
 
-		out, err := d.policy.step(d.traceBase+step, context.Background())
+		out, err := d.policy.step(d.traceBase+step, labels)
 		if err != nil {
 			return false, err
 		}

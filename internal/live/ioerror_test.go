@@ -160,7 +160,7 @@ func recoveryFixture(t *testing.T, dataDir string) (map[string][]byte, [][]Mutat
 		t.Fatalf("fixture holds no snapshots 1 and 3: %v", sortedNames(tree))
 	}
 	tree[newest][len(tree[newest])/2] ^= 0xff
-	torn := record.AppendPayloadFrame(nil, appendMutations(nil, []Mutation{InsertEdge(40, 41)}))
+	torn := record.SealFrame(appendMutations(make([]byte, record.FrameHeaderSize), []Mutation{InsertEdge(40, 41)}), 0)
 	wal := path.Join(dir, walFileName)
 	tree[wal] = append(tree[wal], torn[:len(torn)/2]...)
 	tree[path.Join(dir, snapshotName(9)+".tmp")] = []byte("a write a crash cut short")

@@ -199,7 +199,7 @@ func TestOldFormatsFailTyped(t *testing.T) {
 	oldRecord := make([]byte, 25) // A, B, X and the tag
 	binary.LittleEndian.PutUint64(oldRecord[0:], 1)
 	binary.LittleEndian.PutUint64(oldRecord[8:], 2)
-	oldFrame := record.AppendPayloadFrame(nil, append(binary.LittleEndian.AppendUint32(nil, 1), oldRecord...))
+	oldFrame := record.SealFrame(append(binary.LittleEndian.AppendUint32(make([]byte, record.FrameHeaderSize), 1), oldRecord...), 0)
 	refused := func(t *testing.T, write func(vdir string), want string) {
 		dir := t.TempDir()
 		vdir := filepath.Join(dir, "old")
@@ -235,7 +235,7 @@ func TestOldFormatsFailTyped(t *testing.T) {
 			snap = binary.LittleEndian.AppendUint32(snap, uint32(len(kind)))
 			snap = binary.LittleEndian.AppendUint64(append(snap, kind...), seq)
 			for range 4 { // vertices, edges, solution, hosts: one record and the end marker each
-				snap = record.AppendPayloadFrame(append(snap, oldFrame...), make([]byte, 4))
+				snap = record.AppendFrame(append(snap, oldFrame...), nil)
 			}
 			if err := os.WriteFile(filepath.Join(vdir, snapshotName(seq)), snap, 0o644); err != nil {
 				t.Fatal(err)

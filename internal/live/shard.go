@@ -306,6 +306,7 @@ var (
 	roundGather = newRound("gather")
 	roundSeed   = newRound("seed")
 	roundReplan = newRound("replan")
+	roundStep   = newRound("step")
 )
 
 // round is one control fan-out under one deadline: req goes to every
@@ -432,9 +433,13 @@ func (s *session) epochBump(_ int, est int64, phys *optimizer.PhysPlan) error {
 
 // drive runs the coordinator's resident fixpoint from the workset to
 // convergence, every worker stepping in lockstep from what it has seeded.
+// It runs under {layer=live, op=step}, as a worker's view_step does, and
+// the driver puts those labels back after each superstep's own.
 func (s *session) drive(workset []record.Record) (*iterative.IncrementalResult, error) {
+	pprof.SetGoroutineLabels(roundStep.labels)
+	defer pprof.SetGoroutineLabels(context.Background())
 	defer func() { disarm(s.step) }()
-	return s.core.fx.RunDriven(workset, iterative.DriveHooks{Barrier: shardBarrier{s: s}, OnEpoch: s.epochBump})
+	return s.core.fx.RunDriven(workset, iterative.DriveHooks{Barrier: shardBarrier{s: s}, OnEpoch: s.epochBump, Labels: roundStep.labels})
 }
 
 // warmRestart is drive as maintenance: the run is folded into the view's

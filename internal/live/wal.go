@@ -235,7 +235,6 @@ type wal struct {
 	base uint64 // seq of the frame preceding the first frame in the file
 	seq  uint64 // seq of the last appended/validated frame
 	size int64  // current file size
-	enc  []byte // reusable payload-encode buffer
 	buf  []byte // reusable frame-encode buffer
 	err  error  // sticky failure: a log that failed a write or a rotation stops accepting
 }
@@ -329,8 +328,7 @@ func (w *wal) Append(muts []Mutation) (seq uint64, n int, err error) {
 	if w.err != nil {
 		return 0, 0, w.err
 	}
-	w.enc = appendMutations(w.enc[:0], muts)
-	w.buf = record.AppendPayloadFrame(w.buf[:0], w.enc)
+	w.buf = record.SealFrame(appendMutations(append(w.buf[:0], make([]byte, record.FrameHeaderSize)...), muts), 0)
 	if _, err := w.f.Write(w.buf); err != nil {
 		w.err = err
 		return 0, 0, err

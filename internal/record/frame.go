@@ -21,7 +21,7 @@ import (
 //
 //	frame := payloadLen uint32 | crc32(payload) uint32 | payload
 //	payload := EncodeBatch(batch)   (count uint32 | count records)
-//	         | opaque bytes         (AppendPayloadFrame, NextPayload)
+//	         | opaque bytes         (SealFrame, NextPayload)
 
 // FrameHeaderSize is the number of bytes preceding a frame's payload.
 const FrameHeaderSize = 8
@@ -36,20 +36,16 @@ var ErrCorruptFrame = errors.New("record: corrupt frame")
 // extended slice.
 func AppendFrame(dst []byte, b Batch) []byte {
 	start := len(dst)
-	return sealFrame(EncodeBatch(append(dst, make([]byte, FrameHeaderSize)...), b), start)
+	return SealFrame(EncodeBatch(append(dst, make([]byte, FrameHeaderSize)...), b), start)
 }
 
-// AppendPayloadFrame appends the framed form of an opaque payload — a
-// frame whose bytes are not a record batch (the live write-ahead log's
-// mutation batches) — to dst and returns the extended slice.
-func AppendPayloadFrame(dst, payload []byte) []byte {
-	start := len(dst)
-	return sealFrame(append(append(dst, make([]byte, FrameHeaderSize)...), payload...), start)
-}
-
-// sealFrame writes the header of the frame that starts at dst[start] and
-// whose payload runs to the end of dst.
-func sealFrame(dst []byte, start int) []byte {
+// SealFrame writes the header of the frame that starts at dst[start]:
+// FrameHeaderSize reserved bytes, then a payload that runs to the end of
+// dst. A caller frames an opaque payload — one that is not a record batch,
+// such as the live write-ahead log's mutation batches — by reserving the
+// header, appending the payload after it and sealing; NextPayload reads
+// it back.
+func SealFrame(dst []byte, start int) []byte {
 	payload := dst[start+FrameHeaderSize:]
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
@@ -115,7 +111,7 @@ func (fr *FrameReader) Next() (Batch, error) {
 	return out, nil
 }
 
-// NextPayload reads the next frame as opaque bytes (AppendPayloadFrame),
+// NextPayload reads the next frame as opaque bytes (SealFrame),
 // valid until the next call. It fails like Next.
 func (fr *FrameReader) NextPayload() ([]byte, error) {
 	n, crc, err := fr.header()

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -99,16 +101,37 @@ func buf2rec(frame []byte) Record {
 }
 
 func TestFrameOversizeLengthPrefix(t *testing.T) {
-	// A frame claiming 1<<30 records must error on the short read, not
-	// allocate gigabytes. The alloc hint is capped, so the attempted
-	// allocation is tiny regardless of the claim.
+	// A frame claiming 1<<26 records (a 1.5 GiB payload, a length that
+	// fits the 32-bit prefix) followed by nothing must fail on the short
+	// read, as a batch and as an opaque payload, having allocated about
+	// what the stream holds: the payload buffer grows a read buffer at a
+	// time as bytes arrive, never to the claimed length.
+	const n = 1 << 26
+	size := uint64(4) + n*EncodedSize
+	if size >= 1<<32 {
+		t.Fatalf("claimed payload %d does not fit the length prefix", size)
+	}
 	var hdr [FrameHeaderSize + 4]byte
-	n := uint32(1 << 30)
-	binary.LittleEndian.PutUint32(hdr[:4], 4+n*EncodedSize)
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(size))
 	binary.LittleEndian.PutUint32(hdr[8:], n)
-	fr := NewFrameReader(bytes.NewReader(hdr[:]))
-	if _, err := fr.Next(); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("oversize length: %v, want ErrCorruptFrame", err)
+	for _, read := range []struct {
+		name string
+		next func(*FrameReader) error
+	}{
+		{"Next", func(fr *FrameReader) error { _, err := fr.Next(); return err }},
+		{"NextPayload", func(fr *FrameReader) error { _, err := fr.NextPayload(); return err }},
+	} {
+		fr := NewFrameReader(bytes.NewReader(hdr[:]))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read.next(fr)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorruptFrame) || !strings.Contains(err.Error(), "truncated payload") {
+			t.Fatalf("%s on an oversize length: %v, want ErrCorruptFrame on the short read", read.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("%s allocated %d bytes for a %d-byte stream claiming a %d-byte payload", read.name, got, len(hdr), size)
+		}
 	}
 }
 
@@ -150,7 +173,7 @@ func FuzzFrameReader(f *testing.F) {
 				}
 				break
 			}
-			reenc = AppendPayloadFrame(reenc, p)
+			reenc = SealFrame(append(append(reenc, make([]byte, FrameHeaderSize)...), p...), len(reenc))
 		}
 		if off := fr.ValidOffset(); !bytes.Equal(reenc, data[:off]) {
 			t.Fatalf("valid payload prefix of %d bytes does not re-encode identically", off)

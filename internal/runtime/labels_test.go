@@ -91,7 +91,7 @@ func TestTaskProfileLabels(t *testing.T) {
 					t.Fatalf("merge sampled with labels %v, want only layer and op", l)
 				}
 				merges++
-			} else if !isPlanLabel(l) && !isRoundLabel(l) && !isVerbLabel(l) && !isHTTPLabel(l) && !isTransportLabel(l) && (l["op"] != "" || l["layer"] != "") {
+			} else if !isPlanLabel(l) && !isRoundLabel(l) && !isDriveLabel(l) && !isVerbLabel(l) && !isHTTPLabel(l) && !isTransportLabel(l) && (l["op"] != "" || l["layer"] != "") {
 				t.Fatalf("labels %v are neither a runtime task's, the solution merge's, a planner call's, a control round's, a worker verb's, an API handler's nor a transport read loop's", l)
 			}
 		}
@@ -135,6 +135,12 @@ func isRoundLabel(l map[string]string) bool {
 		return len(l) == 2 && l["layer"] == "live"
 	}
 	return false
+}
+
+// isDriveLabel reports whether l is the label set of a live view's
+// coordinator driving its supersteps, {layer=live, op=step}.
+func isDriveLabel(l map[string]string) bool {
+	return len(l) == 2 && l["layer"] == "live" && l["op"] == "step"
 }
 
 // isVerbLabel reports whether l is the label set of a coordinator verb a
@@ -269,8 +275,9 @@ func TestWALProfileLabels(t *testing.T) {
 // TestLiveRoundProfileLabels loops small flushes on an in-process CC view
 // — an edge of a chain deleted, then put back — and requires CPU samples
 // labelled {layer=live, op=<round>}, the coordinator's share of its
-// control rounds; every live-layer sample must carry exactly one round's
-// label set.
+// control rounds, and {layer=live, op=step}, its driving of the
+// supersteps; every live-layer sample must carry exactly one of those
+// label sets.
 func TestLiveRoundProfileLabels(t *testing.T) {
 	var chain []live.Mutation
 	for i := int64(0); i < 64; i++ {
@@ -283,7 +290,7 @@ func TestLiveRoundProfileLabels(t *testing.T) {
 	defer v.Close()
 
 	var prof bytes.Buffer
-	rounds := map[string]int{}
+	rounds, drives := map[string]int{}, 0
 	deadline := time.Now().Add(30 * time.Second)
 	for round, i := 0, int64(0); ; round++ {
 		if err := pprof.StartCPUProfile(&prof); err != nil {
@@ -310,17 +317,21 @@ func TestLiveRoundProfileLabels(t *testing.T) {
 			if l["layer"] != "live" {
 				continue
 			}
+			if isDriveLabel(l) {
+				drives++
+				continue
+			}
 			if !isRoundLabel(l) {
-				t.Fatalf("live sample labelled %v, want exactly {layer=live, op=<round>}", l)
+				t.Fatalf("live sample labelled %v, want exactly {layer=live, op=<round>|step}", l)
 			}
 			rounds[l["op"]]++
 		}
-		if len(rounds) > 0 {
-			t.Logf("control round samples after %d rounds: %v", round+1, rounds)
+		if len(rounds) > 0 && drives > 0 {
+			t.Logf("control round samples after %d rounds: %v, step samples: %d", round+1, rounds, drives)
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after %d rounds no sample is labelled {layer=live, op=<round>}", round+1)
+			t.Fatalf("after %d rounds %d samples are labelled {layer=live, op=step} and these {layer=live, op=<round>}: %v", round+1, drives, rounds)
 		}
 		prof.Reset()
 	}
@@ -381,8 +392,8 @@ func TestWorkerVerbProfileLabels(t *testing.T) {
 			}
 			if isVerbLabel(l) {
 				verbs[l["op"]]++
-			} else if !isRoundLabel(l) {
-				t.Fatalf("live sample labelled %v, want exactly {layer=live, op=<round>|<verb kind>}", l)
+			} else if !isRoundLabel(l) && !isDriveLabel(l) {
+				t.Fatalf("live sample labelled %v, want exactly {layer=live, op=<round>|step|<verb kind>}", l)
 			}
 		}
 		if len(verbs) > 0 {
@@ -635,8 +646,8 @@ func protoFields(b []byte, f func(field int, v []byte) error) error {
 // TestSerialLaneRestoresCallerLabels: a superstep on the serial lane runs
 // its tasks on the caller's goroutine under their own labels, and so does
 // the driver's ∪̇ merge; the caller's labels — here a live probe's — are
-// back on the goroutine when Session.Run, and a Fixpoint's StepOnce,
-// return.
+// back on the goroutine when Session.Run, a Fixpoint's StepOnce and a
+// RunDriven handed them in its hooks return.
 func TestSerialLaneRestoresCallerLabels(t *testing.T) {
 	defer runtime.ForceLane(func() bool { return true })()
 	labels := pprof.WithLabels(context.Background(), pprof.Labels("layer", "live", "op", "probe"))
@@ -693,4 +704,8 @@ func TestSerialLaneRestoresCallerLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	stillLabelled("a Fixpoint step and its merge")
+	if _, err := fx.RunDriven(w0, iterative.DriveHooks{Labels: labels}); err != nil {
+		t.Fatal(err)
+	}
+	stillLabelled("a driven run to the fixpoint")
 }
