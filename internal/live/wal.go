@@ -328,7 +328,9 @@ func (w *wal) Append(muts []Mutation) (seq uint64, n int, err error) {
 	if w.err != nil {
 		return 0, 0, w.err
 	}
-	w.buf = record.SealFrame(appendMutations(append(w.buf[:0], make([]byte, record.FrameHeaderSize)...), muts), 0)
+	// The batch is encoded in place, after the frame's reserved header.
+	w.buf = appendMutations(append(w.buf[:0], make([]byte, record.FrameHeaderSize)...), muts)
+	w.buf = record.SealFrame(w.buf, 0)
 	if _, err := w.f.Write(w.buf); err != nil {
 		w.err = err
 		return 0, 0, err
