@@ -75,15 +75,8 @@ func PageRankSpecVariant(g *graphgen.Graph, iterations int, damping, epsilon flo
 
 	all := plan.UnionNode("contrib", join, base)
 
-	sum := plan.ReduceNode("sumRanks", all, record.KeyA,
-		func(k int64, g []record.Record, out dataflow.Emitter) {
-			var s float64
-			for _, r := range g {
-				s += r.X
-			}
-			out.Emit(record.Record{A: k, X: s})
-		})
-	sum.Combinable = true
+	// A declared sum: its combiners fold with the engine's sum kernel.
+	sum := plan.SumNode("sumRanks", all)
 	sum.EstRecords = g.NumVertices
 
 	next := plan.SinkNode("O", sum)

@@ -10,6 +10,7 @@ package dataflow
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/record"
 )
@@ -136,8 +137,28 @@ type Node struct {
 	// over the whole partial group. A call may emit zero or several
 	// records; those become the key's pending records, folded with the
 	// next arrival and passed to the final call (which is skipped when
-	// nothing is pending). The combine UDF is the Reduce UDF itself.
+	// nothing is pending). The combine UDF is the Reduce UDF itself —
+	// unless the Reduce declares its aggregate (Sum, Better): then the
+	// combiner folds with the engine's typed kernel for it and calls no
+	// UDF at all.
 	Combinable bool
+
+	// Sum declares the Reduce the sum of X per key A (Plan.SumNode): per
+	// group it emits {A: key, X: x1 + x2 + … + xn}, added left to right
+	// from the first record (not from zero), any NaN total as math.NaN()
+	// (SumResult). Reduce is derived from the declaration, so a path that
+	// calls the UDF over a group — sort aggregation after the shuffle, a
+	// UDF fold — and a fold with the engine's kernel (acc = x1, then
+	// acc += x), which combiners and hash aggregation run, perform the
+	// same additions in the same order and emit the same bits.
+	Sum bool
+
+	// Better declares a keep-the-better fold: per key, the record that
+	// Better ranks highest (Better(r, acc) > 0 replaces acc), the earliest
+	// one on a tie. Such a node has no Reduce UDF: only combiners run it,
+	// as a kernel — the incremental engine's workset fold
+	// (IncrementalSpec.BestCandidateOnly).
+	Better record.Comparator
 
 	// Preserves declares, per input, key selectors whose value the UDF
 	// carries unchanged from input record to output record — the paper's
@@ -196,6 +217,35 @@ func (p *Plan) MapNode(name string, in *Node, fn MapFn) *Node {
 // ReduceNode adds a Reduce grouping in by key.
 func (p *Plan) ReduceNode(name string, in *Node, key record.KeyFunc, fn ReduceFn) *Node {
 	return p.add(&Node{Name: name, Contract: ReduceOp, Inputs: []*Node{in}, Keys: [2]record.KeyFunc{key, nil}, Reduce: fn})
+}
+
+// SumNode adds a declared sum (Node.Sum): a combinable Reduce grouping
+// in by record.KeyA that emits, per key, the sum of its records' X.
+func (p *Plan) SumNode(name string, in *Node) *Node {
+	return p.add(&Node{Name: name, Contract: ReduceOp, Inputs: []*Node{in},
+		Keys: [2]record.KeyFunc{record.KeyA, nil}, Reduce: sumX, Combinable: true, Sum: true})
+}
+
+// sumX is a declared sum's Reduce UDF: x1 + … + xn in group order, the
+// additions the combiner's kernel makes.
+func sumX(k int64, g []record.Record, out Emitter) {
+	s := g[0].X
+	for _, r := range g[1:] {
+		s += r.X
+	}
+	out.Emit(record.Record{A: k, X: SumResult(s)})
+}
+
+// SumResult is what a declared sum emits for the total s: s itself, except
+// that every NaN is math.NaN(). IEEE addition commutes in everything but
+// which NaN payload it keeps when both operands are NaN, and the compiler
+// is free to order a sum's operands either way, so without this a NaN
+// total's bits would depend on how the adding code was compiled.
+func SumResult(s float64) float64 {
+	if s != s {
+		return math.NaN()
+	}
+	return s
 }
 
 // MatchNode adds an equi-join of left and right on the given keys.

@@ -68,7 +68,7 @@ type replanner interface {
 	// replan plans for the collapsed workset estimate. Every process of a
 	// coordinated run derives the identical plan from the identical
 	// estimate.
-	replan(est int64) (*optimizer.PhysPlan, error)
+	replan(est int64, labels context.Context) (*optimizer.PhysPlan, error)
 	// swap installs a re-optimized plan: invalidate the loop-invariant
 	// caches, close the old session, open a new one (rebinding the
 	// transport's routing state in distributed runs). It returns the
@@ -103,9 +103,18 @@ type DriveHooks struct {
 	// does the local session swap and the next superstep start.
 	OnEpoch func(epoch int, est int64, phys *optimizer.PhysPlan) error
 	// Labels is the caller's profiler-label context: a superstep labels
-	// the goroutine its own way (the runtime's serial lane, the ∪̇ merge)
-	// and puts these back after. Nil is context.Background().
+	// the goroutine its own way (the runtime's serial lane, the ∪̇ merge),
+	// and so do the seed's workset fold and a re-plan; each puts these
+	// back after. Nil is context.Background().
 	Labels context.Context
+}
+
+// labels returns Labels, or context.Background() when it is nil.
+func (h DriveHooks) labels() context.Context {
+	if h.Labels == nil {
+		return context.Background()
+	}
+	return h.Labels
 }
 
 // driver owns one run's superstep lifecycle. Exactly one for loop in
@@ -142,10 +151,7 @@ func (d *driver) run() (converged bool, err error) {
 	// The per-superstep counter delta costs two reflective snapshots; take
 	// them only when the trace consumes the delta.
 	wantWork := d.cfg.Metrics != nil && d.collect
-	labels := d.hooks.Labels
-	if labels == nil {
-		labels = context.Background()
-	}
+	labels := d.hooks.labels()
 	for step := 0; step < d.maxSteps; step++ {
 		if d.hooks.Barrier != nil {
 			if err := d.hooks.Barrier.Release(step); err != nil {
@@ -185,7 +191,7 @@ func (d *driver) run() (converged bool, err error) {
 			return true, nil
 		}
 		if rp != nil && d.reopt != nil {
-			if err := d.maybeReoptimize(rp, step, next); err != nil {
+			if err := d.maybeReoptimize(rp, step, next, labels); err != nil {
 				return false, err
 			}
 		}
@@ -231,12 +237,12 @@ func (st *reoptState) install(phys *optimizer.PhysPlan) {
 // set) announce the new plan epoch to every peer before swapping locally
 // — peers only ever hear about real shape changes. A re-plan that fails
 // fails the run, as it does on a worker applying the epoch.
-func (d *driver) maybeReoptimize(rp replanner, step, next int) error {
+func (d *driver) maybeReoptimize(rp replanner, step, next int, labels context.Context) error {
 	st := d.reopt
 	if !rp.reoptimizeWanted() || int64(next)*16 >= st.plannedEst {
 		return nil
 	}
-	newPhys, err := rp.replan(int64(next))
+	newPhys, err := rp.replan(int64(next), labels)
 	if err != nil {
 		return fmt.Errorf("iterative: re-plan at superstep %d: %w", d.traceBase+step, err)
 	}
@@ -327,12 +333,13 @@ func (en *incEngine) bind(spec *IncrementalSpec, expected int) {
 }
 
 // seed installs the initial working set, partitioned on the workset key
-// and, when the plan folds the workset, folded by the same fold.
-func (en *incEngine) seed(w []record.Record) {
+// and, when the plan folds the workset, folded by the same fold, which
+// puts the caller's labels back when it is done.
+func (en *incEngine) seed(w []record.Record, labels context.Context) {
 	id := en.spec.Workset.ID
 	n := len(w)
 	if en.fold != nil {
-		en.exec.SetPlaceholderFolded(id, w, en.cfg.Parallelism, en.fold)
+		en.exec.SetPlaceholderFolded(id, w, en.cfg.Parallelism, en.fold, labels)
 		n = 0
 		for _, p := range en.exec.Placeholder[id] {
 			n += len(p)
@@ -392,9 +399,10 @@ func (en *incEngine) feed() {
 
 func (en *incEngine) reoptimizeWanted() bool { return en.spec.Reoptimize }
 
-// replan plans Δ for a collapsed workset estimate.
-func (en *incEngine) replan(est int64) (*optimizer.PhysPlan, error) {
-	return optimizeIncrementalWithEst(en.spec, en.cfg, en.expected, est, true)
+// replan plans Δ for a collapsed workset estimate, putting the caller's
+// labels back afterwards.
+func (en *incEngine) replan(est int64, labels context.Context) (*optimizer.PhysPlan, error) {
+	return optimizeIncrementalWithEst(en.spec, en.cfg, en.expected, est, true, labels)
 }
 
 // swap installs a re-optimized plan mid-run (or, from Fixpoint.Rebind, the

@@ -58,7 +58,7 @@ func (p *failingReplanner) step(int, context.Context) (stepOutcome, error) {
 }
 func (p *failingReplanner) feed()                  {}
 func (p *failingReplanner) reoptimizeWanted() bool { return true }
-func (p *failingReplanner) replan(int64) (*optimizer.PhysPlan, error) {
+func (p *failingReplanner) replan(int64, context.Context) (*optimizer.PhysPlan, error) {
 	return nil, p.err
 }
 func (p *failingReplanner) swap(*optimizer.PhysPlan) int64 { return 0 }

@@ -244,7 +244,7 @@ func RunBulk(spec BulkSpec, initial []record.Record, cfg Config) (*BulkResult, e
 		Planner:            plannerFor(cfg, false),
 		Fuse:               !cfg.DisableFusion,
 	}
-	resetLabels := labelPlanning(opts.Planner)
+	resetLabels := labelPlanning(opts.Planner, context.Background())
 	planStart := time.Now()
 	phys, err := optimizer.Optimize(spec.Plan, opts)
 	resetLabels()
@@ -375,7 +375,10 @@ func (s *IncrementalSpec) validate() error {
 // planWorksetFold absorbs the keep-the-better fold into phys when s
 // declares BestCandidateOnly, direct merge is off and the optimizer finds
 // that the fold pays (optimizer.FoldWorkset). The key-count estimate is the
-// solution operator's: one record per key it updates.
+// solution operator's: one record per key it updates. The fold declares
+// its aggregate (dataflow.Node.Better is the spec's Comparator), so it has
+// no UDF: every combiner and the seed fold run it as the runtime's
+// keep-the-better kernel.
 func (s *IncrementalSpec) planWorksetFold(phys *optimizer.PhysPlan) {
 	if !s.BestCandidateOnly || len(s.DeltaSink.Inputs) != 1 {
 		return
@@ -383,21 +386,11 @@ func (s *IncrementalSpec) planWorksetFold(phys *optimizer.PhysPlan) {
 	if _, err := ValidateMicrostep(*s); err == nil {
 		return
 	}
-	better := s.Comparator
 	fold := &dataflow.Node{
 		// One past the plan's own nodes: the same identity in every
 		// process, which the plan fingerprint hashes.
 		ID: len(s.Plan.Nodes()), Name: "best", Contract: dataflow.ReduceOp,
-		Keys: [2]record.KeyFunc{s.WorksetKey}, Combinable: true,
-		Reduce: func(_ int64, g []record.Record, out dataflow.Emitter) {
-			b := g[0]
-			for _, r := range g[1:] {
-				if better(r, b) > 0 {
-					b = r
-				}
-			}
-			out.Emit(b)
-		},
+		Keys: [2]record.KeyFunc{s.WorksetKey}, Combinable: true, Better: s.Comparator,
 	}
 	optimizer.FoldWorkset(phys, s.WorksetSink.ID, fold, s.DeltaSink.Inputs[0].EstRecords)
 }
@@ -438,7 +431,7 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 	if plannedEst == 0 {
 		plannedEst = int64(len(initialWorkset))
 	}
-	phys, err := optimizeIncrementalWithEst(&spec, cfg, expectedPasses, plannedEst, false)
+	phys, err := optimizeIncrementalWithEst(&spec, cfg, expectedPasses, plannedEst, false, context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -502,14 +495,15 @@ var (
 )
 
 // labelPlanning runs the calling goroutine under the profiler labels of a
-// call to planner until the returned reset takes them off again.
-func labelPlanning(planner optimizer.PlannerKind) (reset func()) {
+// call to planner until the returned reset puts restore — the caller's
+// labels — back.
+func labelPlanning(planner optimizer.PlannerKind, restore context.Context) (reset func()) {
 	labels := costPlanLabels
 	if planner == optimizer.PlannerGreedy {
 		labels = greedyPlanLabels
 	}
 	pprof.SetGoroutineLabels(labels)
-	return func() { pprof.SetGoroutineLabels(context.Background()) }
+	return func() { pprof.SetGoroutineLabels(restore) }
 }
 
 // notePlanned records the planning metrics of one optimizer call.

@@ -42,14 +42,16 @@ type Fixpoint struct {
 // node may be shared with later runs of the same spec (live view
 // recomputes, difftest loops), which must plan from their own initial
 // statistics rather than this run's final workset size.
-// reopt marks a mid-run re-plan (see incrementalOptions).
-func optimizeIncrementalWithEst(spec *IncrementalSpec, cfg Config, expected int, est int64, reopt bool) (*optimizer.PhysPlan, error) {
+// reopt marks a mid-run re-plan (see incrementalOptions); labels are the
+// caller's profiler labels, put back after planning.
+func optimizeIncrementalWithEst(spec *IncrementalSpec, cfg Config, expected int, est int64, reopt bool,
+	labels context.Context) (*optimizer.PhysPlan, error) {
 	saved := spec.Workset.EstRecords
 	if est > 0 {
 		spec.Workset.EstRecords = est
 	}
 	defer func() { spec.Workset.EstRecords = saved }()
-	return optimizeIncremental(spec, cfg, expected, reopt)
+	return optimizeIncremental(spec, cfg, expected, reopt, labels)
 }
 
 // incrementalOptions builds the optimizer options for an incremental spec
@@ -76,10 +78,12 @@ func incrementalOptions(spec *IncrementalSpec, cfg Config, expected int, reopt b
 
 // optimizeIncremental runs the optimizer for an incremental spec's initial
 // plan, or a mid-run re-plan when reopt is set, under the planner's
-// profiler labels, recording planning metrics.
-func optimizeIncremental(spec *IncrementalSpec, cfg Config, expected int, reopt bool) (*optimizer.PhysPlan, error) {
+// profiler labels, recording planning metrics; labels are the caller's,
+// put back afterwards.
+func optimizeIncremental(spec *IncrementalSpec, cfg Config, expected int, reopt bool,
+	labels context.Context) (*optimizer.PhysPlan, error) {
 	opts := incrementalOptions(spec, cfg, expected, reopt)
-	defer labelPlanning(opts.Planner)()
+	defer labelPlanning(opts.Planner, labels)()
 	start := time.Now()
 	phys, err := optimizer.Optimize(spec.Plan, opts)
 	if err != nil {
@@ -106,7 +110,7 @@ func PlanIncremental(spec IncrementalSpec, cfg Config, expected int) (*optimizer
 	if expected <= 0 {
 		expected = expectedPasses
 	}
-	return optimizeIncremental(&spec, cfg, expected, false)
+	return optimizeIncremental(&spec, cfg, expected, false, context.Background())
 }
 
 // OpenFixpointOn opens a resident fixpoint over an already-optimized
@@ -165,12 +169,13 @@ func (f *Fixpoint) PatchConstants(src *dataflow.Node, add, remove []record.Recor
 // edge count; every peer must Rebind at the same barrier) and the resident
 // solution set. Live views use it for full recomputes and when the graph
 // has drifted so far from the planned statistics that the old physical
-// plan is no longer credible.
-func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
+// plan is no longer credible. labels are the caller's profiler labels,
+// put back after planning.
+func (f *Fixpoint) Rebind(labels context.Context, spec IncrementalSpec) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
-	phys, err := optimizeIncremental(&spec, f.cfg, expectedPasses, false)
+	phys, err := optimizeIncremental(&spec, f.cfg, expectedPasses, false, labels)
 	if err != nil {
 		return err
 	}
@@ -183,9 +188,10 @@ func (f *Fixpoint) Rebind(spec IncrementalSpec) error {
 
 // SeedWorkset installs a working set without running anything — the
 // distributed layer seeds every process's share before the coordinator
-// releases the first superstep.
-func (f *Fixpoint) SeedWorkset(workset []record.Record) {
-	f.en.seed(workset)
+// releases the first superstep. labels are the caller's profiler labels,
+// put back after the workset fold labels the goroutine.
+func (f *Fixpoint) SeedWorkset(labels context.Context, workset []record.Record) {
+	f.en.seed(workset, labels)
 	if f.reopt.plannedEst == 0 {
 		f.reopt.plannedEst = int64(len(workset))
 	}
@@ -215,8 +221,9 @@ func (f *Fixpoint) StepOnce(labels context.Context) (int, error) {
 // distributed run calls it with the same estimate the coordinator's
 // driver decided on, derives the identical plan, and the coordinator
 // verifies the plan digests agree before releasing the next superstep.
-func (f *Fixpoint) ApplyEpoch(est int64) (*optimizer.PhysPlan, error) {
-	phys, err := f.en.replan(est)
+// labels are the caller's profiler labels, put back after planning.
+func (f *Fixpoint) ApplyEpoch(labels context.Context, est int64) (*optimizer.PhysPlan, error) {
+	phys, err := f.en.replan(est, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +249,7 @@ func (f *Fixpoint) RunDriven(workset []record.Record, hooks DriveHooks) (*Increm
 	if f.reopt.plannedEst == 0 {
 		f.reopt.plannedEst = int64(len(workset))
 	}
-	f.en.seed(workset)
+	f.en.seed(workset, hooks.labels())
 	out := &IncrementalResult{Plan: f.reopt.cur, Set: f.en.exec.Solution}
 	d := &driver{
 		cfg: f.cfg, policy: f.en, maxSteps: maxSteps, worksetDriven: true,

@@ -386,7 +386,7 @@ func TestFixpointRebindOverTransport(t *testing.T) {
 			fx[h].Solution().Reset()
 			fx[h].Solution().Init(s0)
 		}
-		fx[1].SeedWorkset(w0)
+		fx[1].SeedWorkset(context.Background(), w0)
 		if _, err := fx[0].RunDriven(w0, iterative.DriveHooks{Barrier: barrier}); err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
@@ -403,7 +403,7 @@ func TestFixpointRebindOverTransport(t *testing.T) {
 	converge("opened plan")
 	before := fx[0].Plan().NumEdges
 	for h := range fx {
-		if err := fx[h].Rebind(ccSpecCombined(g)); err != nil {
+		if err := fx[h].Rebind(context.Background(), ccSpecCombined(g)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -491,6 +491,14 @@ func (v *LiveView) Stats() ViewStats {
 // neither queued nor acknowledged. An in-memory view's accepted mutations
 // are applied by a later flush, or go with the view if it goes down first.
 func (v *LiveView) Mutate(muts ...Mutation) error {
+	return v.MutateContext(context.Background(), muts...)
+}
+
+// MutateContext is Mutate for a caller running under the profiler labels
+// ctx carries (an HTTP handler's, say): the WAL append labels the
+// goroutine {layer=wal, op=append} and puts ctx's labels back after, and
+// a flush the batch size forces is FlushContext(ctx).
+func (v *LiveView) MutateContext(ctx context.Context, muts ...Mutation) error {
 	if len(muts) == 0 {
 		return nil
 	}
@@ -509,7 +517,7 @@ func (v *LiveView) Mutate(muts ...Mutation) error {
 		walStart := time.Now()
 		pprof.SetGoroutineLabels(walAppendLabels)
 		_, n, err := v.dur.wal.Append(muts)
-		pprof.SetGoroutineLabels(context.Background())
+		pprof.SetGoroutineLabels(ctx)
 		if err != nil {
 			err = v.fail(fmt.Errorf("wal append: %w", err))
 			v.pmu.Unlock()
@@ -533,7 +541,7 @@ func (v *LiveView) Mutate(muts ...Mutation) error {
 	}
 	v.pmu.Unlock()
 	if n >= v.cfg.BatchSize {
-		return v.Flush()
+		return v.FlushContext(ctx)
 	}
 	return nil
 }
@@ -565,11 +573,19 @@ func (v *LiveView) takeBatch() ([]Mutation, uint64) {
 // fully or leaves the batch for Close to drop. A failed flush, or the
 // snapshot its cadence writes, takes the view down.
 func (v *LiveView) Flush() error {
+	return v.FlushContext(context.Background())
+}
+
+// FlushContext is Flush for a caller running under the profiler labels ctx
+// carries: the flush's control rounds, supersteps and snapshot label the
+// goroutine their own way and put ctx's labels back after.
+func (v *LiveView) FlushContext(ctx context.Context) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if err := v.downErr(); err != nil {
 		return err
 	}
+	defer v.under(ctx)()
 	batch, seq := v.takeBatch()
 	if len(batch) == 0 {
 		return nil
@@ -646,6 +662,12 @@ func (v *LiveView) Kill() { v.Close() }
 // WAL and are not flushed by this call. A failed snapshot or rotation
 // takes the view down.
 func (v *LiveView) Checkpoint() error {
+	return v.CheckpointContext(context.Background())
+}
+
+// CheckpointContext is Checkpoint for a caller running under the profiler
+// labels ctx carries: the snapshot puts them back when it is done.
+func (v *LiveView) CheckpointContext(ctx context.Context) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if err := v.downErr(); err != nil {
@@ -654,5 +676,15 @@ func (v *LiveView) Checkpoint() error {
 	if v.dur == nil {
 		return fmt.Errorf("live: view %q is not durable", v.name)
 	}
+	defer v.under(ctx)()
 	return v.snapshotLocked()
+}
+
+// under makes ctx's profiler labels what the view's own labelled work —
+// control rounds, supersteps, a snapshot — puts back on the goroutine,
+// until the returned reset. The caller holds mu, on an up view.
+func (v *LiveView) under(ctx context.Context) (reset func()) {
+	core := v.sess.core
+	core.labels = ctx
+	return func() { core.labels = context.Background() }
 }

@@ -135,16 +135,20 @@ func (s *Scheduler) decodeBody(w http.ResponseWriter, r *http.Request, v any) bo
 }
 
 // Handler returns the scheduler's HTTP API. Each handler runs under its
-// route's profiler labels, {layer=http, route=<pattern>}, built once, which
-// come off again afterwards, as the WAL's and the control rounds' do.
+// route's profiler labels, {layer=http, route=<pattern>}, which come off
+// again afterwards; the request's context carries them, so a mutation,
+// flush or checkpoint handed it (MutateContext, FlushContext,
+// CheckpointContext) puts them back after its WAL append, control rounds,
+// supersteps and snapshot.
 func (s *Scheduler) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
-		labels := pprof.WithLabels(context.Background(), pprof.Labels("layer", "http", "route", pattern))
+		route := pprof.Labels("layer", "http", "route", pattern)
 		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			pprof.SetGoroutineLabels(labels)
+			ctx := pprof.WithLabels(r.Context(), route)
+			pprof.SetGoroutineLabels(ctx)
 			defer pprof.SetGoroutineLabels(context.Background())
-			h(w, r)
+			h(w, r.WithContext(ctx))
 		})
 	}
 
@@ -210,7 +214,7 @@ func (s *Scheduler) Handler() http.Handler {
 			}
 			muts[i] = mut
 		}
-		if err := v.Mutate(muts...); err != nil {
+		if err := v.MutateContext(r.Context(), muts...); err != nil {
 			s.writeErr(w, http.StatusConflict, err)
 			return
 		}
@@ -218,7 +222,7 @@ func (s *Scheduler) Handler() http.Handler {
 	})
 
 	handleView("POST /views/{name}/flush", func(w http.ResponseWriter, r *http.Request, v *LiveView) {
-		if err := v.Flush(); err != nil {
+		if err := v.FlushContext(r.Context()); err != nil {
 			s.writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
@@ -226,7 +230,7 @@ func (s *Scheduler) Handler() http.Handler {
 	})
 
 	handleView("POST /views/{name}/checkpoint", func(w http.ResponseWriter, r *http.Request, v *LiveView) {
-		if err := v.Checkpoint(); err != nil {
+		if err := v.CheckpointContext(r.Context()); err != nil {
 			s.writeErr(w, http.StatusConflict, err)
 			return
 		}

@@ -202,7 +202,7 @@ func (s *session) call(host int, msg shardMsg) (shardMsg, error) {
 func openSession(v *LiveView, recovering bool) (*session, *iterative.IncrementalResult, error) {
 	cfg := v.cfg.Config
 	cfg.Hosts, cfg.Host = 1+len(v.cfg.Workers), 0
-	core, w0, err := newShardCore(v.m, cfg, v.gs, recovering, &v.stats)
+	core, w0, err := newShardCore(v.m, cfg, v.gs, recovering, &v.stats, context.Background())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -309,11 +309,24 @@ var (
 	roundStep   = newRound("step")
 )
 
+// label runs the coordinator's goroutine under labels, which the core's
+// own labelled work then puts back, and returns the labels they replace:
+// defer s.label(s.label(l)) runs the rest of a function under l and puts
+// the labels in effect before back when it returns, so a plan-epoch round
+// inside drive ends under drive's labels, and a round of a flush under the
+// flush's caller's (FlushContext).
+func (s *session) label(labels context.Context) (prev context.Context) {
+	prev, s.core.labels = s.core.labels, labels
+	pprof.SetGoroutineLabels(labels)
+	return prev
+}
+
 // round is one control fan-out under one deadline: req goes to every
 // worker, local runs on the coordinator's core while they work, then every
 // reply is collected through got. With no workers it is just local. The
-// coordinator's share runs under the round's profiler labels, which come
-// off again afterwards, as the runtime's and the merge's do. A view with
+// coordinator's share runs under the round's profiler labels, and the
+// labels in effect before go back on afterwards (label), as the runtime
+// and the merge put back theirs. A view with
 // a telemetry registry records it as a PhaseRound span labelled with the
 // round's name.
 func (s *session) round(r controlRound, req func(host int) shardMsg,
@@ -321,8 +334,7 @@ func (s *session) round(r controlRound, req func(host int) shardMsg,
 	if s.v.ring != nil {
 		defer s.v.span(obs.PhaseRound, r.name, time.Now())
 	}
-	pprof.SetGoroutineLabels(r.labels)
-	defer pprof.SetGoroutineLabels(context.Background())
+	defer s.label(s.label(r.labels))
 	defer disarm(s.arm())
 	var want verb
 	for i, c := range s.conns {
@@ -434,10 +446,10 @@ func (s *session) epochBump(_ int, est int64, phys *optimizer.PhysPlan) error {
 // drive runs the coordinator's resident fixpoint from the workset to
 // convergence, every worker stepping in lockstep from what it has seeded.
 // It runs under {layer=live, op=step}, as a worker's view_step does, and
-// the driver puts those labels back after each superstep's own.
+// the driver puts those labels back after each superstep's own; the
+// labels in effect before go back on when it returns.
 func (s *session) drive(workset []record.Record) (*iterative.IncrementalResult, error) {
-	pprof.SetGoroutineLabels(roundStep.labels)
-	defer pprof.SetGoroutineLabels(context.Background())
+	defer s.label(s.label(roundStep.labels))
 	defer func() { disarm(s.step) }()
 	return s.core.fx.RunDriven(workset, iterative.DriveHooks{Barrier: shardBarrier{s: s}, OnEpoch: s.epochBump, Labels: roundStep.labels})
 }

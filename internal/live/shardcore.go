@@ -2,6 +2,7 @@ package live
 
 import (
 	"cmp"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -220,6 +221,11 @@ type shardCore struct {
 	sources   []*dataflow.Node
 	planEdges int
 	digest    string
+	// labels are the profiler labels in effect on the goroutine serving
+	// this host — on a worker the verb's; on the coordinator the flush
+	// caller's, or the round's or step's it runs (session.label) — which
+	// the fixpoint's seed fold and re-plans put back.
+	labels context.Context
 	// epoch counts the coordinated mid-run plan swaps (specs that set
 	// Reoptimize) this host has applied; the barrier rejects a host whose
 	// count disagrees before its traffic is routed under the wrong plan.
@@ -293,9 +299,10 @@ func specFor(ss shardSpec, hostID int, reg *obs.Registry) iterative.Config {
 // recovering core skips the cold run: its solution set stays empty for
 // session.Load to stream a snapshot into. Otherwise S0 is loaded and the
 // returned workset is the cold W0 the coordinator must drive (nil on
-// workers, which seed their share themselves).
+// workers, which seed their share themselves). labels are the profiler
+// labels of the caller opening it.
 func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
-	recovering bool, stats *ViewStats) (*shardCore, []record.Record, error) {
+	recovering bool, stats *ViewStats, labels context.Context) (*shardCore, []record.Record, error) {
 	spec, s0, w0 := m.Spec(gs)
 	phys, err := iterative.PlanIncremental(spec, cfg, 0)
 	if err != nil {
@@ -304,7 +311,7 @@ func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
 	c := &shardCore{
 		m: m, cfg: cfg, host: cfg.Host, gs: gs,
 		place: runtime.ContiguousPlacement(cfg.Parallelism, cfg.Hosts),
-		mtr:   cfg.Metrics, stats: stats,
+		mtr:   cfg.Metrics, stats: stats, labels: labels,
 	}
 	c.hosted = c.place.HostedBy(c.host)
 	c.sol = runtime.NewSolutionSetWith(cfg.Parallelism, spec.SolutionKey, spec.Comparator, c.mtr,
@@ -357,7 +364,7 @@ func sourcesOf(spec iterative.IncrementalSpec) []*dataflow.Node {
 // rebind re-plans the resident session onto a structurally new spec; the
 // executor, the transport and the solution set survive.
 func (c *shardCore) rebind(spec iterative.IncrementalSpec) error {
-	if err := c.fx.Rebind(spec); err != nil {
+	if err := c.fx.Rebind(c.labels, spec); err != nil {
 		return err
 	}
 	c.setSpec(spec)
@@ -371,7 +378,7 @@ func (c *shardCore) cold(s0, w0 []record.Record) []record.Record {
 	c.sol.Reset()
 	c.sol.Init(s0)
 	if c.host != 0 {
-		c.fx.SeedWorkset(w0)
+		c.fx.SeedWorkset(c.labels, w0)
 		return nil
 	}
 	return w0

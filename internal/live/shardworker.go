@@ -83,6 +83,9 @@ func (w *workerSession) serveVerb(req shardMsg) (shardMsg, error) {
 	pprof.SetGoroutineLabels(labels)
 	defer pprof.SetGoroutineLabels(context.Background())
 	core := w.core
+	if core != nil {
+		core.labels = labels
+	}
 	var payload []record.Record
 	switch req.Kind {
 	case viewLoad, viewReplan, viewSeed:
@@ -93,7 +96,7 @@ func (w *workerSession) serveVerb(req shardMsg) (shardMsg, error) {
 	}
 	switch req.Kind {
 	case viewOpen:
-		return w.open(req)
+		return w.open(req, labels)
 	case viewStart:
 		return shardMsg{}, core.tr.ConnectPeers(req.DataAddrs, distrib.MeshTimeout)
 	case viewLoad:
@@ -123,7 +126,7 @@ func (w *workerSession) serveVerb(req shardMsg) (shardMsg, error) {
 		return shardMsg{Frames: packRecords(outbound), Count: len(core.pending)}, nil
 	case viewSeed:
 		workset, improving := core.seedRound(payload)
-		core.fx.SeedWorkset(workset)
+		core.fx.SeedWorkset(labels, workset)
 		return shardMsg{Count: improving}, nil
 	case viewStep:
 		if req.Epoch != core.epoch {
@@ -135,7 +138,7 @@ func (w *workerSession) serveVerb(req shardMsg) (shardMsg, error) {
 		// Coordinated plan swap: re-plan for the coordinator's global
 		// workset estimate, swap the session, and answer with the new
 		// digest so the coordinator can verify the mesh stayed plan-agreed.
-		phys, err := core.fx.ApplyEpoch(int64(req.Count))
+		phys, err := core.fx.ApplyEpoch(labels, int64(req.Count))
 		if err != nil {
 			return shardMsg{}, err
 		}
@@ -167,7 +170,7 @@ func (w *workerSession) serveVerb(req shardMsg) (shardMsg, error) {
 // graph replica, config, and the listening shardCore — with its share of
 // the cold workset seeded, or empty and awaiting view_load frames when the
 // coordinator is recovering.
-func (w *workerSession) open(msg shardMsg) (shardMsg, error) {
+func (w *workerSession) open(msg shardMsg, labels context.Context) (shardMsg, error) {
 	if msg.Spec == nil {
 		return shardMsg{}, fmt.Errorf("live: %s without a spec", viewOpen)
 	}
@@ -187,7 +190,7 @@ func (w *workerSession) open(msg shardMsg) (shardMsg, error) {
 	if err != nil {
 		return shardMsg{}, err
 	}
-	if w.core, _, err = newShardCore(m, specFor(ss, msg.HostID, w.h.reg), gs, !msg.Full, &ViewStats{}); err != nil {
+	if w.core, _, err = newShardCore(m, specFor(ss, msg.HostID, w.h.reg), gs, !msg.Full, &ViewStats{}, labels); err != nil {
 		return shardMsg{}, err
 	}
 	return shardMsg{DataAddr: w.core.dataAddr, Digest: w.core.digest}, nil

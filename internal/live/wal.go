@@ -553,7 +553,7 @@ var (
 func (v *LiveView) snapshotLocked() error {
 	snapStart := time.Now()
 	pprof.SetGoroutineLabels(walSnapshotLabels)
-	defer pprof.SetGoroutineLabels(context.Background())
+	defer pprof.SetGoroutineLabels(v.sess.core.labels)
 	d := v.dur
 	seq := d.flushedSeq
 	err := writeFileDurable(v.cfg.fs, filepath.Join(d.dir, snapshotName(seq)), func(w io.Writer) error {

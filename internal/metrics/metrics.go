@@ -55,7 +55,11 @@ type Counters struct {
 	// SolutionUpdates counts writes to solution-set entries
 	// (Figure 2's "vertices changed").
 	SolutionUpdates atomic.Int64
-	// UDFInvocations counts user-function calls across all operators.
+	// UDFInvocations counts user-function calls across all operators. A
+	// fold the engine runs as a typed kernel — a declared sum's combiners
+	// and its hash aggregation, the incremental engine's keep-the-better
+	// workset fold — calls no UDF and counts nothing, so bulk PageRank
+	// counts one call per join pair and none for its sums.
 	UDFInvocations atomic.Int64
 	// WorkersSpawned counts long-lived partition-pinned workers started
 	// by executor sessions. An iteration that reuses its session across

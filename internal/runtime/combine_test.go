@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -268,7 +269,7 @@ func TestSetPlaceholderFolded(t *testing.T) {
 				for i := range data {
 					data[i] = record.Record{A: int64(i*7+seed) % 23, B: int64(i%13 + 1)}
 				}
-				e.SetPlaceholderFolded(0, data, par, fold)
+				e.SetPlaceholderFolded(0, data, par, fold, context.Background())
 				for part := 0; part < par; part++ {
 					var arrivals []record.Record
 					for _, r := range data {

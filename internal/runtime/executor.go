@@ -158,18 +158,19 @@ func (e *Executor) SetPlaceholder(logicalID int, recs []record.Record, key recor
 //
 // All of it runs under the seed fold's labels for the lane it takes (a
 // split is the parallel lane): set on the caller's goroutine, from which
-// the split goroutines inherit them, and taken off on return (nothing
-// above the runtime labels a goroutine, as on the serial lane).
-func (e *Executor) SetPlaceholderFolded(logicalID int, recs []record.Record, parallelism int, fold *dataflow.Node) {
+// the split goroutines inherit them, and replaced on return by labels, the
+// caller's own, as the serial lane does.
+func (e *Executor) SetPlaceholderFolded(logicalID int, recs []record.Record, parallelism int, fold *dataflow.Node,
+	labels context.Context) {
 	parallelism = max(parallelism, 1)
 	workers := min(parallelism, goruntime.GOMAXPROCS(0))
 	split := workers > 1 && len(recs) >= serialLaneRecords
-	labels := seedFoldSerial
+	own := seedFoldSerial
 	if split {
-		labels = seedFoldParallel
+		own = seedFoldParallel
 	}
-	pprof.SetGoroutineLabels(labels)
-	defer pprof.SetGoroutineLabels(context.Background())
+	pprof.SetGoroutineLabels(own)
+	defer pprof.SetGoroutineLabels(labels)
 	for len(e.seedFolds) < parallelism {
 		e.seedFolds = append(e.seedFolds, &combineFold{})
 	}

@@ -315,17 +315,18 @@ func BenchmarkGroupTableSmallRoundAfterLarge(b *testing.B) {
 }
 
 // TestFoldRoundWrap forces the fold's 32-bit round counter through its
-// wrap. Keys stamped in the round before the wrap and in round 1 long
-// before it, and a key first seen after it, must all start afresh in the
-// round after it: each of the six keys folds exactly its own two records.
-// A stale stamp read as current would fold into an old accumulator and
-// leave its key out of the flush; a round 0 would take a new key's empty
-// accumulator for a live one.
+// wrap, for the general fold and each kernel, with 6 keys (hashed: a
+// kernel's columns by probe position) and 120 (dense: by key). Keys
+// stamped in the round before the wrap and long before it, and keys first
+// seen after it, must all start afresh in the round after it: each key
+// folds exactly its own two records. A stale stamp read as current would
+// fold into an old accumulator and leave its key out of the flush; a
+// round 0 would take a new key's empty accumulator for a live one.
 func TestFoldRoundWrap(t *testing.T) {
 	if size := unsafe.Sizeof(foldAcc{}); size != 32 {
 		t.Fatalf("foldAcc is %d B, want 32 (half a cache line)", size)
 	}
-	sum := &dataflow.Node{Keys: [2]record.KeyFunc{record.KeyA},
+	sumB := &dataflow.Node{Keys: [2]record.KeyFunc{record.KeyA},
 		Reduce: func(k int64, g []record.Record, out dataflow.Emitter) {
 			var s int64
 			for _, r := range g {
@@ -333,28 +334,50 @@ func TestFoldRoundWrap(t *testing.T) {
 			}
 			out.Emit(record.Record{A: k, B: s})
 		}}
-	f := &combineFold{}
-	round := func(keys int64) []record.Record {
-		f.reset(sum)
-		for k := range keys {
-			f.Emit(record.Record{A: k, B: 1})
-			f.Emit(record.Record{A: k, B: 1})
+	wants := map[string]record.Record{
+		"udf":    {B: 3},
+		"sum":    {X: 2},
+		"best-b": {B: 1, X: 1},
+		"best-x": {B: 2, X: 1}, // X ties: the first record stays
+	}
+	for _, kind := range append([]string{"udf"}, kernelKinds...) {
+		l := sumB
+		if kind != "udf" {
+			l, _ = kernelPair(kind)
 		}
-		var out []record.Record
-		f.flush(emitCollector{&out})
-		return out
-	}
-	round(5) // stamps keys 0..4 with round 1
-	f.round = math.MaxUint32 - 1
-	round(3) // stamps keys 0..2 with the last round before the wrap
-	got := round(6)
-	if f.round != 1 {
-		t.Fatalf("the round after the wrap is %d, want 1", f.round)
-	}
-	slices.SortFunc(got, func(a, b record.Record) int { return int(a.A - b.A) })
-	for k := range int64(6) {
-		if int(k) >= len(got) || got[k] != (record.Record{A: k, B: 2}) {
-			t.Fatalf("after the wrap the fold emitted %v, want every key 0..5 with B=2", got)
+		for _, n := range []int64{6, 120} {
+			f := &combineFold{}
+			round := func(keys int64) []record.Record {
+				f.reset(l)
+				for k := range keys {
+					f.Emit(record.Record{A: k, B: 2, X: 1})
+					f.Emit(record.Record{A: k, B: 1, X: 1})
+				}
+				var out []record.Record
+				f.flush(emitCollector{&out})
+				return out
+			}
+			round(n - 1) // stamps keys 0..n-2 with round 1
+			f.round = math.MaxUint32 - 1
+			round(n / 2) // stamps keys 0..n/2-1 with the last round before the wrap
+			got := round(n)
+			if f.round != 1 {
+				t.Fatalf("%s: the round after the wrap is %d, want 1", kind, f.round)
+			}
+			if kind != "udf" && f.byKey != (n > probeDirectMin) {
+				t.Fatalf("%s over %d keys: columns by key %v", kind, n, f.byKey)
+			}
+			slices.SortFunc(got, func(a, b record.Record) int { return int(a.A - b.A) })
+			want := wants[kind]
+			if int64(len(got)) != n {
+				t.Fatalf("%s: after the wrap the fold emitted %d keys, want %d: %v", kind, len(got), n, got)
+			}
+			for k, r := range got {
+				want.A = int64(k)
+				if r != want {
+					t.Fatalf("%s: after the wrap key %d folded to %v, want %v", kind, k, r, want)
+				}
+			}
 		}
 	}
 }

@@ -643,11 +643,31 @@ func protoFields(b []byte, f func(field int, v []byte) error) error {
 	return nil
 }
 
+// requireLabelled fails t unless the goroutine running the test function
+// fn carries exactly the profiler labels want (as the goroutine profile
+// prints them) after the step named after.
+func requireLabelled(t *testing.T, fn, want, after string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range strings.Split(buf.String(), "\n\n") {
+		if strings.Contains(g, fn) {
+			if !strings.Contains(g, "# labels: "+want) {
+				t.Fatalf("after %s the goroutine is not labelled %s:\n%s", after, want, g)
+			}
+			return
+		}
+	}
+	t.Fatalf("no goroutine runs the test:\n%s", buf.String())
+}
+
 // TestSerialLaneRestoresCallerLabels: a superstep on the serial lane runs
 // its tasks on the caller's goroutine under their own labels, and so does
 // the driver's ∪̇ merge; the caller's labels — here a live probe's — are
-// back on the goroutine when Session.Run, a Fixpoint's StepOnce and a
-// RunDriven handed them in its hooks return.
+// back on the goroutine when Session.Run, a Fixpoint's SeedWorkset and
+// StepOnce and a RunDriven handed them in its hooks return.
 func TestSerialLaneRestoresCallerLabels(t *testing.T) {
 	defer runtime.ForceLane(func() bool { return true })()
 	labels := pprof.WithLabels(context.Background(), pprof.Labels("layer", "live", "op", "probe"))
@@ -655,19 +675,7 @@ func TestSerialLaneRestoresCallerLabels(t *testing.T) {
 	defer pprof.SetGoroutineLabels(context.Background())
 	stillLabelled := func(after string) {
 		t.Helper()
-		var buf bytes.Buffer
-		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range strings.Split(buf.String(), "\n\n") {
-			if strings.Contains(g, "TestSerialLaneRestoresCallerLabels") {
-				if !strings.Contains(g, `# labels: {"layer":"live", "op":"probe"}`) {
-					t.Fatalf("after %s the goroutine is not labelled {layer=live, op=probe}:\n%s", after, g)
-				}
-				return
-			}
-		}
-		t.Fatalf("no goroutine runs the test:\n%s", buf.String())
+		requireLabelled(t, "TestSerialLaneRestoresCallerLabels", `{"layer":"live", "op":"probe"}`, after)
 	}
 
 	p := dataflow.NewPlan()
@@ -699,7 +707,8 @@ func TestSerialLaneRestoresCallerLabels(t *testing.T) {
 	}
 	defer fx.Close()
 	pprof.SetGoroutineLabels(labels) // planning labels the goroutine its own way
-	fx.SeedWorkset(w0)
+	fx.SeedWorkset(labels, w0)
+	stillLabelled("seeding the workset")
 	if _, err := fx.StepOnce(labels); err != nil {
 		t.Fatal(err)
 	}
@@ -708,4 +717,46 @@ func TestSerialLaneRestoresCallerLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	stillLabelled("a driven run to the fixpoint")
+}
+
+// TestLiveRestoresCallerLabels: a durable CC view's Mutate labels its WAL
+// append {layer=wal, op=append}, and a flush runs control rounds,
+// supersteps and (at the 32nd flush) a snapshot under labels of their own,
+// as does a checkpoint; a caller that hands its labels in — an HTTP
+// handler's, here a probe's — has them back after each MutateContext,
+// FlushContext and CheckpointContext.
+func TestLiveRestoresCallerLabels(t *testing.T) {
+	v, err := live.NewView("caller-labels", live.CC(), nil, live.ViewConfig{
+		Config:  iterative.Config{Parallelism: 2},
+		Durable: true, DataDir: t.TempDir(), BatchSize: 1 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	labels := pprof.WithLabels(context.Background(), pprof.Labels("layer", "http", "route", "probe"))
+	pprof.SetGoroutineLabels(labels)
+	defer pprof.SetGoroutineLabels(context.Background())
+	const want = `{"layer":"http", "route":"probe"}`
+	for i := range int64(33) {
+		mut := live.InsertEdge(i, i+1)
+		if i%4 == 3 {
+			mut = live.DeleteEdge(i-2, i-1)
+		}
+		if err := v.MutateContext(labels, mut); err != nil {
+			t.Fatal(err)
+		}
+		requireLabelled(t, "TestLiveRestoresCallerLabels", want, fmt.Sprintf("Mutate %d", i))
+		if err := v.FlushContext(labels); err != nil {
+			t.Fatal(err)
+		}
+		requireLabelled(t, "TestLiveRestoresCallerLabels", want, fmt.Sprintf("Flush %d", i))
+	}
+	if st := v.Stats(); st.Flushes != 33 {
+		t.Fatalf("%d flushes, want 33", st.Flushes)
+	}
+	if err := v.CheckpointContext(labels); err != nil {
+		t.Fatal(err)
+	}
+	requireLabelled(t, "TestLiveRestoresCallerLabels", want, "Checkpoint")
 }

@@ -262,6 +262,15 @@ func (t *task) runOp(out dataflow.Emitter) error {
 	case dataflow.ReduceOp:
 		switch n.Local {
 		case optimizer.LocalHashAgg:
+			if l.Sum && n.Combiner == nil {
+				// A declared sum folds its input with the combiner's kernel
+				// instead of staging it in a group table: the same additions
+				// in arrival order, emitted in the table's group order.
+				f := t.combiner(l)
+				t.stream(0, f.Emit)
+				f.flush(out)
+				return nil
+			}
 			groups := t.buildTable(0, l.Keys[0])
 			groups.each(func(k int64, g []record.Record) {
 				t.udf()
