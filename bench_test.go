@@ -891,7 +891,9 @@ func BenchmarkSuperstepPipeline(b *testing.B) {
 // program that iterates as the engine's supersteps do, the push loop and
 // label propagation, it also reports steady_cost_ratio: both sides' runs
 // without their first pass, so planning and the first superstep's table
-// builds are split out. Reported, never gated.
+// builds are split out. Each engine run also reports workset/op, the
+// records added to the working set (metrics.Counters.WorksetElements), and
+// supersteps/op. Reported, never gated.
 func BenchmarkCOST(b *testing.B) {
 	const prIters = 20
 	pr := graphgen.RMAT("cost-pagerank", 16, 730_000, 0.45, 0.22, 0.22, 9701)
@@ -1000,7 +1002,8 @@ func costWorkload(b *testing.B, name string, plains []costPlain,
 	}
 	for _, par := range []int{1, 2} {
 		b.Run(fmt.Sprintf("%s/engine-P%d", name, par), func(b *testing.B) {
-			cfg := iterative.Config{Parallelism: par, CollectTrace: true}
+			var m metrics.Counters
+			cfg := iterative.Config{Parallelism: par, CollectTrace: true, Metrics: &m}
 			got, _, err := engine(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -1009,12 +1012,15 @@ func costWorkload(b *testing.B, name string, plains []costPlain,
 				b.Fatal("the engine's answer differs from the plain program's")
 			}
 			var tail time.Duration
+			supersteps := 0
+			m.WorksetElements.Store(0)
 			b.ResetTimer()
 			for range b.N {
 				_, passes, err := engine(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
+				supersteps += len(passes)
 				if len(passes) > 1 {
 					tail += costSum(passes[1:])
 				}
@@ -1024,6 +1030,8 @@ func costWorkload(b *testing.B, name string, plains []costPlain,
 			if steady > 0 {
 				b.ReportMetric(float64(tail/time.Duration(b.N))/float64(steady), "steady_cost_ratio")
 			}
+			b.ReportMetric(float64(m.WorksetElements.Load())/float64(b.N), "workset/op")
+			b.ReportMetric(float64(supersteps)/float64(b.N), "supersteps/op")
 		})
 	}
 }

@@ -215,11 +215,19 @@ func serve(args []string) error {
 		},
 	})
 	if *dataDir != "" {
+		// A view that fails to open is registered as restarting (the first
+		// request reopens it) or failed; the healthy ones serve regardless.
 		n, err := sched.Recover()
 		if err != nil {
-			return fmt.Errorf("recovering views from %s: %w", *dataDir, err)
+			fmt.Fprintf(os.Stderr, "spinflow serve: recovering views from %s: %v\n", *dataDir, err)
 		}
-		fmt.Fprintf(os.Stderr, "spinflow serve: recovered %d durable view(s) from %s\n", n, *dataDir)
+		per := sched.Stats().PerView
+		var states []string
+		for _, name := range sched.Names() {
+			states = append(states, name+" "+per[name].State)
+		}
+		fmt.Fprintf(os.Stderr, "spinflow serve: %d of %d durable view(s) from %s serving [%s]\n",
+			n, len(states), *dataDir, strings.Join(states, ", "))
 	}
 	stop := make(chan struct{})
 	sigc := make(chan os.Signal, 1)

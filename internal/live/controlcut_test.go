@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,12 +21,14 @@ import (
 )
 
 // The outcomes of one (frame, fault) run of TestEveryControlCut, in the
-// order a run is charged to them: the worst one it earns.
-var cutColumns = []string{"identical", "typed error then recovered", "hang", "panic", "wrong"}
+// order a run is charged to them: the worst one it earns. back is a run
+// whose fault took the view down and the scheduler's Get brought it back.
+var cutColumns = []string{"identical", "typed error then recovered", "back", "hang", "panic", "wrong"}
 
 const (
 	cutIdentical = iota
 	cutTyped
+	cutBack
 	cutHang
 	cutPanic
 	cutWrong
@@ -46,11 +49,12 @@ const (
 const cutParallel = 12
 
 // The script every run drives: a durable CC view sharded over two hosts —
-// a 16-ring beside four 8-vertex islands — created, fed five batches,
-// checkpointed, queried on both hosts, polled for its stats and closed.
-// The third batch is a bounded repair (one island's edge) and the fifth a
-// full recompute (the ring, which the first batch joined to two islands,
-// is more than half the view).
+// a 16-ring beside four 8-vertex islands — created through a scheduler,
+// fed five batches, checkpointed, queried on both hosts, polled for its
+// stats, brought back if it went down (cutBackAgain) and closed. The third
+// batch is a bounded repair (one island's edge) and the fifth a full
+// recompute (the ring, which the first batch joined to two islands, is
+// more than half the view).
 var (
 	cutInitial = append(ringEdges(16), islandEdges(4, 8, 100)...)
 	cutBatches = [][]Mutation{
@@ -61,6 +65,8 @@ var (
 		{DeleteEdge(0, 1)},
 	}
 	cutKeys = []int64{0, 1, 5, 9, 100, 132, 165, 196, 302}
+	// cutAfterBack is the batch a view brought back must take.
+	cutAfterBack = []Mutation{InsertEdge(400, 401)}
 )
 
 // cutPlan numbers the frames of one run across every connection it dials
@@ -105,12 +111,14 @@ func (p *cutPlan) dial(addr string, timeout time.Duration) (net.Conn, error) {
 	return &cutConn{Conn: conn, hook: p.hook}, nil
 }
 
-// cutResult is what one run came to.
+// cutResult is what one run came to, and how long the Get that brought
+// the view back took (zero if it stayed up).
 type cutResult struct {
 	col   int
 	why   string
 	stats ViewStats
 	hosts map[int]bool // which hosts the queried keys live on
+	took  time.Duration
 }
 
 // cutOracle is the union-find labelling of the initial graph plus batches.
@@ -128,8 +136,9 @@ func cutOracle(batches [][]Mutation) map[int64]int64 {
 }
 
 // runCutScript drives the script once under plan p against the worker at
-// addr, then closes the view and recovers it in process onto the same
-// worker, and judges the run.
+// addr through a scheduler whose views dial through p, then closes the
+// scheduler and recovers the view in process onto the same worker, and
+// judges the run.
 func runCutScript(addr string, p *cutPlan) (res cutResult) {
 	const dataDir = "/data"
 	mem := newMemFS(dataDir)
@@ -137,6 +146,8 @@ func runCutScript(addr string, p *cutPlan) (res cutResult) {
 		Workers: []string{addr}, fs: mem}
 	faulty := cfg
 	faulty.dial = p.dial
+	s := NewScheduler(SchedulerConfig{DataDir: dataDir, DefaultView: faulty})
+	defer s.Close()
 	charge := func(col int, format string, args ...any) {
 		if col > res.col {
 			res.col, res.why = col, fmt.Sprintf(format, args...)
@@ -161,25 +172,30 @@ func runCutScript(addr string, p *cutPlan) (res cutResult) {
 		}
 	}
 
-	var acked [][]Mutation
+	// acked counts the batches acknowledged; sent lists every batch handed
+	// to Mutate, and logged those the log holds, as far as is known.
+	var acked int
+	var sent, logged [][]Mutation
 	var v *LiveView
 	timed("create", func() (err error) {
-		v, err = NewView("cut", CC(), cutInitial, faulty)
+		v, err = s.Create("cut", CC(), cutInitial, nil)
 		return err
 	})
 	if v != nil {
 		for i, b := range cutBatches {
 			viewOp(fmt.Sprintf("mutate %d", i), func() error {
+				sent = append(sent, b)
 				err := v.Mutate(b...)
 				if err == nil {
-					acked = append(acked, b)
+					acked++
 				}
 				return err
 			})
 			viewOp(fmt.Sprintf("flush %d", i), v.Flush)
 		}
 		viewOp("checkpoint", v.Checkpoint)
-		want := cutOracle(acked)
+		logged = sent[:acked]
+		want := cutOracle(logged)
 		res.hosts = map[int]bool{}
 		for _, k := range cutKeys {
 			res.hosts[v.sess.core.place[v.sess.core.sol.PartitionFor(k)]] = true
@@ -211,7 +227,10 @@ func runCutScript(addr string, p *cutPlan) (res cutResult) {
 		if erred && v.downErr() == nil {
 			charge(cutWrong, "an operation failed and the view is still up")
 		}
-		if err := timed("close", v.Close); err != nil {
+		if v.downErr() != nil {
+			logged = cutBackAgain(s, sent, acked, timed, charge, &res)
+		}
+		if err := timed("close", s.Close); err != nil {
 			charge(cutWrong, "close: %v", err)
 		}
 	}
@@ -228,18 +247,66 @@ func runCutScript(addr string, p *cutPlan) (res cutResult) {
 		return res
 	}
 	defer back.Close()
-	got := algorithms.ComponentsToMap(back.Snapshot())
-	want := cutOracle(acked)
+	if what := cutDiff(back, logged); what != "" {
+		charge(cutWrong, "recovered %s", what)
+	}
+	return res
+}
+
+// cutBackAgain brings the down view back through the scheduler's Get: it
+// must serve again with the oracle's solution of the batches its log holds
+// — the acknowledged ones, and maybe a refused one, which the log's seq
+// tells — and take one more batch. It returns the batches logged.
+func cutBackAgain(s *Scheduler, sent [][]Mutation, acked int, timed func(string, func() error) error,
+	charge func(int, string, ...any), res *cutResult) [][]Mutation {
+	var v *LiveView
+	start := time.Now()
+	timed("back", func() error {
+		v, _ = s.Get("cut")
+		return nil
+	})
+	if v == nil || v.downErr() != nil {
+		charge(cutWrong, "not back: %v", v.downErr())
+		return sent[:acked]
+	}
+	res.took = time.Since(start)
+	k := int(v.dur.wal.Seq()) - 1 // the log's frames past the create's
+	if k < acked || k > len(sent) {
+		charge(cutWrong, "back with %d batches logged, %d acknowledged of %d sent", k, acked, len(sent))
+		return sent[:acked]
+	}
+	logged := sent[:k]
+	if what := cutDiff(v, logged); what != "" {
+		charge(cutWrong, "back: %s", what)
+	}
+	if err := timed("mutate after back", func() error { return v.Mutate(cutAfterBack...) }); err != nil {
+		charge(cutWrong, "mutate after back: %v", err)
+		return logged
+	}
+	logged = append(slices.Clone(logged), cutAfterBack)
+	if err := timed("flush after back", v.Flush); err != nil {
+		charge(cutWrong, "flush after back: %v", err)
+	} else if what := cutDiff(v, logged); what != "" {
+		charge(cutWrong, "after back: %s", what)
+	}
+	charge(cutBack, "")
+	return logged
+}
+
+// cutDiff compares v's solution with the union-find oracle of batches and
+// names the first difference ("" if none).
+func cutDiff(v *LiveView, batches [][]Mutation) string {
+	got := algorithms.ComponentsToMap(v.Snapshot())
+	want := cutOracle(batches)
 	if len(got) != len(want) {
-		charge(cutWrong, "recovered %d records, oracle of %d acknowledged batches has %d", len(got), len(acked), len(want))
+		return fmt.Sprintf("%d records, oracle of %d batches has %d", len(got), len(batches), len(want))
 	}
 	for vid, c := range want {
 		if got[vid] != c {
-			charge(cutWrong, "recovered vertex %d -> %d, oracle %d", vid, got[vid], c)
-			break
+			return fmt.Sprintf("vertex %d -> %d, oracle %d", vid, got[vid], c)
 		}
 	}
-	return res
+	return ""
 }
 
 // guardedCut runs one run, charging a panic or a run that never ends.
@@ -265,11 +332,13 @@ func guardedCut(addr string, p *cutPlan) cutResult {
 // every frame the script exchanges, in both directions, three ways: the
 // connection closes before the frame, the frame is torn in half and the
 // connection closes, or the frame is held past the deadline. Every public
-// call must return nil or a typed error within the deadline (plus slack),
-// and the view, closed and recovered onto the same worker, must equal the
-// union-find oracle of the acknowledged batches. The table of runs by
-// fault and outcome is logged with `go test -v -run TestEveryControlCut`;
-// hang, panic and wrong must read zero.
+// call must return nil or a typed error within the deadline (plus slack);
+// a view that went down must come back through the scheduler's Get, whose
+// reopen dials through the same plan, and take a batch; and the view,
+// closed and recovered onto the same worker, must equal the union-find
+// oracle of the batches its log holds. The table of runs by fault and
+// outcome, and the time to serving by fault, are logged with `go test -v
+// -run TestEveryControlCut`; hang, panic and wrong must read zero.
 func TestEveryControlCut(t *testing.T) {
 	start := time.Now()
 	tmp := t.TempDir()
@@ -323,12 +392,16 @@ func TestEveryControlCut(t *testing.T) {
 	wg.Wait()
 
 	table := map[frameFault][]int{}
+	took := map[frameFault][]time.Duration{}
 	var bad []string
 	for _, r := range runs {
 		if table[r.fault] == nil {
 			table[r.fault] = make([]int, len(cutColumns))
 		}
 		table[r.fault][r.res.col]++
+		if r.res.took > 0 {
+			took[r.fault] = append(took[r.fault], r.res.took)
+		}
 		if r.res.col >= cutHang {
 			bad = append(bad, fmt.Sprintf("frame %d (%s) %s: %s: %s",
 				r.at, clean.kinds[r.at], faultNames[r.fault], cutColumns[r.res.col], r.res.why))
@@ -344,6 +417,13 @@ func TestEveryControlCut(t *testing.T) {
 			cells[i] = fmt.Sprint(n)
 		}
 		t.Logf("| %s | %s |", faultNames[f], strings.Join(cells, " | "))
+	}
+	for _, f := range []frameFault{closeBefore, tearFrame, holdFrame} {
+		if d := took[f]; len(d) > 0 {
+			slices.Sort(d)
+			t.Logf("time to serving after %s: %d views back, p50 %v, max %v",
+				faultNames[f], len(d), d[len(d)/2].Round(time.Microsecond), d[len(d)-1].Round(time.Microsecond))
+		}
 	}
 	for _, b := range bad {
 		t.Error(b)

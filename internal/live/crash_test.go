@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -79,9 +81,12 @@ type memFS struct {
 	last      string
 	afterCall func()
 	// failAt, when non-zero, is the number of the call that meets fault;
-	// the fault must apply to that call's kind.
+	// the fault must apply to that call's kind. broken, when its err is
+	// set, fails every call of its kind (of every kind, if that is empty)
+	// from then on.
 	failAt int
 	fault  ioFault
+	broken ioFault
 }
 
 // ioFault is one error a file call can meet. A failed call counts as a
@@ -110,8 +115,13 @@ var ioFaults = []ioFault{
 }
 
 // planned reports whether the next call, of kind, is the one the plan
-// fails. If so it records the call as made, failed.
+// fails, or the file system is broken. If so it records the call as made,
+// failed.
 func (m *memFS) planned(kind, call string) (ioFault, bool) {
+	if m.broken.err != nil && (m.broken.kind == "" || m.broken.kind == kind) {
+		m.record(call + ": broken")
+		return m.broken, true
+	}
 	if m.failAt != m.calls+1 || m.fault.kind != kind {
 		return ioFault{}, false
 	}
@@ -637,15 +647,11 @@ func recoverTree(dataDir string, tree map[string][]byte) (res recoveredTree) {
 		if r := recover(); r != nil {
 			res.panic = r
 		}
-		for _, name := range s.Names() {
-			if v, ok := s.Get(name); ok {
-				v.Kill()
-			}
-		}
+		s.Close()
 	}()
 	_, res.err = s.Recover()
 	for _, name := range s.Names() {
-		v, _ := s.Get(name)
+		_, v := s.lookup(name)
 		res.views[name] = record.EncodeBatch(nil, v.Snapshot())
 		// wal.log, meta.json and one or two snapshots, nothing else.
 		entries, _ := mem.ReadDir(path.Join(dataDir, name))
@@ -715,11 +721,14 @@ func judge(res recoveredTree, want map[string]window, oracle map[string][][][]by
 // created, take 20 batches each with a checkpoint after the 10th and the
 // 20th, then SSSP takes a batch it never flushes, is dropped with it pending
 // and created again under its name, and CC takes a batch it never flushes
-// before the scheduler closes.
+// before the scheduler closes. The script holds the views it created, so a
+// view that went down stays down until the end: there, before the close,
+// the scheduler brings each one back (back).
 type crashScript struct {
 	t      *testing.T
 	mem    *memFS
 	s      *Scheduler
+	views  map[string]*LiveView
 	events []crashEvent
 	// history[name][inc] is the log frames of each incarnation.
 	history map[string][][][]Mutation
@@ -729,17 +738,28 @@ type crashScript struct {
 	// faulty is set under a fault plan: an operation's error is noted
 	// (errs), not fatal. A view's errors must wrap ErrViewDown, and once
 	// one has, the view (down[name]) must refuse every later write;
-	// problems lists each breach of either rule.
+	// problems lists each breach of either rule. maybe[name] is set while
+	// the last frame of the view's history is a refused batch that may have
+	// reached the log.
 	faulty         bool
 	errs           int
 	mutatesRefused int
-	down           map[string]bool
+	down, maybe    map[string]bool
 	problems       []string
+	// clean is the clean run's oracle (TestEveryIOError sets it), which
+	// back judges a view by; wentOn[name] is the log seq the view went on
+	// from, notBack what went wrong bringing one back, and tookBack how long
+	// each Get that brought a down view back took.
+	clean    map[string][][][]byte
+	wentOn   map[string]int
+	notBack  []string
+	tookBack []time.Duration
 }
 
 func newCrashScript(t *testing.T, mem *memFS, dataDir string, faulty bool) *crashScript {
 	return &crashScript{
-		t: t, mem: mem, faulty: faulty, history: map[string][][][]Mutation{}, down: map[string]bool{},
+		t: t, mem: mem, faulty: faulty, history: map[string][][][]Mutation{}, views: map[string]*LiveView{},
+		down: map[string]bool{}, maybe: map[string]bool{}, wentOn: map[string]int{},
 		s: NewScheduler(SchedulerConfig{
 			DataDir:     dataDir,
 			DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem},
@@ -788,7 +808,8 @@ func (c *crashScript) create(name string, m Maintainer, initial []Mutation) {
 	c.history[name] = append(c.history[name], [][]Mutation{initial})
 	syncs, calls := c.mem.syncs, c.mem.calls
 	c.event(name, "createStart", inc, 1)
-	if _, err := c.s.Create(name, m, initial, nil); err != nil {
+	v, err := c.s.Create(name, m, initial, nil)
+	if err != nil {
 		if c.mem.calls == calls { // refused before it touched the disk
 			c.history[name] = c.history[name][:inc]
 			c.events = c.events[:len(c.events)-1]
@@ -796,7 +817,7 @@ func (c *crashScript) create(name string, m Maintainer, initial []Mutation) {
 		c.refused(name, "create", err)
 		return
 	}
-	c.down[name] = false
+	c.views[name], c.down[name] = v, false
 	c.event(name, "created", inc, 1)
 	c.createSyncs = append(c.createSyncs, c.mem.syncs-syncs)
 }
@@ -807,8 +828,8 @@ func (c *crashScript) create(name string, m Maintainer, initial []Mutation) {
 // refused so, above); one refused after may have reached the log, so it
 // stays as one recovery may replay.
 func (c *crashScript) mutate(name string, batch []Mutation, flush bool) {
-	v, ok := c.s.Get(name)
-	if !ok { // its create or drop failed
+	v := c.views[name]
+	if v == nil { // its create or drop failed
 		return
 	}
 	h := c.history[name]
@@ -821,6 +842,8 @@ func (c *crashScript) mutate(name string, batch []Mutation, flush bool) {
 		if c.mem.calls == calls {
 			h[inc] = h[inc][:seq-1]
 			c.events = c.events[:len(c.events)-1]
+		} else {
+			c.maybe[name] = true
 		}
 		c.refused(name, "mutate", err)
 		return
@@ -839,9 +862,8 @@ func (c *crashScript) mutate(name string, batch []Mutation, flush bool) {
 }
 
 func (c *crashScript) checkpoint() {
-	for _, name := range c.s.Names() {
-		v, _ := c.s.Get(name)
-		if err := v.Checkpoint(); err != nil {
+	for _, name := range sortedNames(c.views) {
+		if err := c.views[name].Checkpoint(); err != nil {
 			c.refused(name, "checkpoint", err)
 			continue
 		}
@@ -850,9 +872,10 @@ func (c *crashScript) checkpoint() {
 }
 
 func (c *crashScript) drop(name string) {
-	if _, ok := c.s.Get(name); !ok { // its create failed
+	if c.views[name] == nil { // its create failed
 		return
 	}
+	delete(c.views, name)
 	syncs := c.mem.syncs
 	c.event(name, "dropStart", 0, 0)
 	if err := c.s.Drop(name); err != nil {
@@ -891,6 +914,12 @@ func (c *crashScript) run() {
 	c.phase("re-create")
 	c.create("sssp", SSSP(0), []Mutation{InsertWeightedEdge(0, 5, 1)})
 	c.mutate("cc", []Mutation{InsertEdge(30, 31)}, false)
+	if names := c.downViews(); len(names) > 0 {
+		c.phase("back")
+		for _, name := range names {
+			c.back(name)
+		}
+	}
 	c.phase("close")
 	calls, syncs := c.mem.calls, c.mem.syncs
 	if err := c.s.Close(); err != nil {
@@ -902,33 +931,119 @@ func (c *crashScript) run() {
 	}
 }
 
-// oracle is the converged solution of every prefix of every incarnation,
-// built in memory.
+// downViews lists the views the script holds that went down.
+func (c *crashScript) downViews() []string {
+	var out []string
+	for _, name := range sortedNames(c.views) {
+		if c.down[name] {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// back brings the down view name back through Scheduler.Get, the way back
+// for every kind of down: it must serve again at a log seq that holds every
+// acknowledged batch, with the oracle's solution there, and then take one
+// more batch. A refused batch that reached the log may or may not be in
+// it; the reopened view's seq tells which, and the history keeps it or
+// drops it.
+func (c *crashScript) back(name string) {
+	notBack := func(format string, args ...any) {
+		c.notBack = append(c.notBack, name+": "+fmt.Sprintf(format, args...))
+	}
+	wasDown := c.views[name].downErr() != nil
+	start := time.Now()
+	v, ok := c.s.Get(name)
+	took := time.Since(start)
+	switch {
+	case !ok:
+		notBack("gone from the scheduler")
+		return
+	case v.downErr() != nil:
+		notBack("still down: %v", v.downErr())
+		return
+	}
+	if wasDown {
+		c.tookBack = append(c.tookBack, took)
+	}
+	h := c.history[name]
+	inc := len(h) - 1
+	seq := int(v.dur.wal.Seq())
+	switch {
+	case seq == len(h[inc])-1 && c.maybe[name]:
+		h[inc] = h[inc][:seq]
+	case seq != len(h[inc]):
+		notBack("back at log seq %d, its history has %d frames", seq, len(h[inc]))
+		return
+	}
+	if got := record.EncodeBatch(nil, v.Snapshot()); !bytes.Equal(got, c.clean[name][inc][seq]) {
+		notBack("back at log seq %d with a solution the oracle does not have there", seq)
+		return
+	}
+	c.views[name], c.down[name], c.maybe[name], c.wentOn[name] = v, false, false, seq
+	c.mutate(name, []Mutation{InsertWeightedEdge(0, 40, 3)}, true)
+	if c.down[name] {
+		notBack("refused the batch after it came back")
+	}
+}
+
+// maintainerOf is the maintainer the script runs under name.
+func maintainerOf(name string) Maintainer {
+	if name == "sssp" {
+		return SSSP(0)
+	}
+	return CC()
+}
+
+// solutions is the converged solution after every prefix of frames, built
+// in memory.
+func solutions(t *testing.T, name string, frames [][]Mutation) [][]byte {
+	v, err := NewView("oracle", maintainerOf(name), nil, ViewConfig{Config: iterative.Config{Parallelism: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	sols := [][]byte{record.EncodeBatch(nil, v.Snapshot())}
+	for _, batch := range frames {
+		if err := v.Mutate(batch...); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sols = append(sols, record.EncodeBatch(nil, v.Snapshot()))
+	}
+	return sols
+}
+
+// oracle is the converged solution of every prefix of every incarnation.
 func (c *crashScript) oracle() map[string][][][]byte {
 	out := map[string][][][]byte{}
 	for name, incs := range c.history {
 		for _, frames := range incs {
-			m := CC()
-			if name == "sssp" {
-				m = SSSP(0)
-			}
-			v, err := NewView("oracle", m, nil, ViewConfig{Config: iterative.Config{Parallelism: 1}})
-			if err != nil {
-				c.t.Fatal(err)
-			}
-			sols := [][]byte{record.EncodeBatch(nil, v.Snapshot())}
-			for _, batch := range frames {
-				if err := v.Mutate(batch...); err != nil {
-					c.t.Fatal(err)
-				}
-				if err := v.Flush(); err != nil {
-					c.t.Fatal(err)
-				}
-				sols = append(sols, record.EncodeBatch(nil, v.Snapshot()))
-			}
-			v.Close()
-			out[name] = append(out[name], sols)
+			out[name] = append(out[name], solutions(c.t, name, frames))
 		}
+	}
+	return out
+}
+
+// judged is the oracle the run's final tree is judged by: the clean run's,
+// except that the incarnation of a view brought back goes on past the seq
+// it came back at as this run's history did (wentOn, memoized in ext).
+func (c *crashScript) judged(ext *sync.Map) map[string][][][]byte {
+	out := maps.Clone(c.clean)
+	for name, seq := range c.wentOn {
+		incs := slices.Clone(out[name])
+		inc := len(c.history[name]) - 1
+		frames := c.history[name][inc]
+		key := fmt.Sprint(name, frames)
+		sols, ok := ext.Load(key)
+		if !ok {
+			sols, _ = ext.LoadOrStore(key, solutions(c.t, name, frames))
+		}
+		incs[inc] = append(slices.Clone(incs[inc][:seq+1]), sols.([][]byte)[seq+1:]...)
+		out[name] = incs
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,14 +16,19 @@ import (
 )
 
 // The outcomes of one (call, error) run of TestEveryIOError, in the order a
-// run is charged to them: the worst one any of its crash states earns.
-var ioColumns = []string{"ok", "typed error", "lost-ack", "phantom", "hang", "panic"}
+// run is charged to them: the worst one it or any of its crash states
+// earns. back is a run whose fault took a view down and the scheduler
+// brought every such view back; not back is one where a view stayed down,
+// or came back wrong.
+var ioColumns = []string{"ok", "typed error", "back", "lost-ack", "phantom", "not back", "hang", "panic"}
 
 const (
 	ioOK = iota
 	ioTyped
+	ioBack
 	ioLostAck
 	ioPhantom
+	ioNotBack
 	ioHang
 	ioPanic
 )
@@ -30,23 +36,32 @@ const (
 // ioHangAfter is how long one run may take before it counts as a hang.
 const ioHangAfter = 10 * time.Second
 
-// ioRun is one (call, error) pair of a section and what came of it.
+// ioRun is one (call, error) pair of a section and what came of it: its
+// outcome, and how long each Get that brought a view back took.
 type ioRun struct {
 	section string
 	at      int
 	fault   ioFault
 	col     int
 	why     string
+	took    []time.Duration
 }
 
-// judgeFinal recovers every crash state of what mem holds now, and charges
-// them to the worst column: a state recovery cannot bring back (judge's
-// error column) has lost what was acknowledged. erred reports that some
-// operation returned a (typed) error.
-func judgeFinal(mem *memFS, dataDir string, want map[string]window, oracle map[string][][][]byte, erred bool) (col int, why string) {
-	if erred {
+// judgeFinal charges a played script c to a column: not back if a view it
+// brought back failed a check, else the worst of its crash states, where a
+// state recovery cannot bring back (judge's error column) has lost what
+// was acknowledged. erred reports that some operation returned a (typed)
+// error.
+func judgeFinal(mem *memFS, dataDir string, c *crashScript, ext *sync.Map, erred bool) (col int, why string) {
+	switch {
+	case len(c.notBack) > 0:
+		return ioNotBack, strings.Join(c.notBack, "; ")
+	case len(c.tookBack) > 0:
+		col = ioBack
+	case erred:
 		col = ioTyped
 	}
+	want, oracle := expected(c.events, mem.calls+1), c.judged(ext)
 	seen := map[string]bool{}
 	err := mem.crashStates(func(tree map[string][]byte, note string) {
 		key := treeKey(tree)
@@ -55,12 +70,12 @@ func judgeFinal(mem *memFS, dataDir string, want map[string]window, oracle map[s
 		}
 		seen[key] = true
 		jc, jwhy := judge(recoverTree(dataDir, tree), want, oracle)
-		c := [...]int{ioOK, ioLostAck, ioPhantom, ioLostAck, ioPanic}[jc]
+		worst := [...]int{ioOK, ioLostAck, ioPhantom, ioLostAck, ioPanic}[jc]
 		if jc == 3 {
 			jwhy = "unrecoverable: " + jwhy
 		}
-		if c > col {
-			col, why = c, note+" — "+jwhy
+		if worst > col {
+			col, why = worst, note+" — "+jwhy
 		}
 	})
 	if err != nil {
@@ -202,12 +217,16 @@ func TestRecoveryKeepsOnlyReadableSnapshots(t *testing.T) {
 // remove or truncate), and the script carries on past it: every operation
 // returns nil or an error wrapping ErrViewDown (a create's or a drop's, any
 // error), and a view that has returned one acknowledges nothing after it.
-// Then every crash state of the tree the run left is recovered and judged as
+// At the end the scheduler's Get brings every view that went down back
+// (crashScript.back). Then every crash state of the tree the run left, the
+// reopens' own writes included, is recovered and judged as
 // TestEveryCrashPoint judges its own. The same goes for each call of a
-// Scheduler.Recover that must write (recoveryFixture). A run is charged to
-// the worst outcome among its crash states; every column but ok and typed
-// error must read 0. The table of runs by error and outcome is logged with
-// `go test -v -run TestEveryIOError`.
+// Scheduler.Recover that must write (recoveryFixture): whether or not the
+// fault failed the open, Get must then serve the view and take a batch. A
+// run is charged to the worst outcome; every column but ok, typed error
+// and back must read 0. The table of runs by error and outcome, and the
+// time to serving by error, are logged with `go test -v -run
+// TestEveryIOError`.
 func TestEveryIOError(t *testing.T) {
 	start := time.Now()
 	const dataDir = "/data"
@@ -234,9 +253,8 @@ func TestEveryIOError(t *testing.T) {
 		}
 	}
 	runs = append(runs, recRuns...)
-	recHistory := &crashScript{t: t, history: map[string][][][]Mutation{"cc": {frames}}}
-	recOracle := recHistory.oracle()
-	recWant := map[string]window{"cc": {lo: len(frames), hi: len(frames)}}
+	recOracle := map[string][][][]byte{"cc": {solutions(t, "cc", frames)}}
+	var ext sync.Map // the oracles of histories that went on after a view came back
 
 	var (
 		mu       sync.Mutex
@@ -251,10 +269,20 @@ func TestEveryIOError(t *testing.T) {
 			if r.section == "recover" {
 				mem := memFSOf(tree)
 				mem.failAt, mem.fault = r.at, r.fault
-				s := NewScheduler(SchedulerConfig{DataDir: dataDir, DefaultView: ViewConfig{Config: iterative.Config{Parallelism: 1}, fs: mem}})
-				_, err := s.Recover()
-				s.Close()
-				return judgeFinal(mem, dataDir, recWant, recOracle, err != nil)
+				c := newCrashScript(t, mem, dataDir, true)
+				c.clean = recOracle
+				c.history["cc"] = [][][]Mutation{slices.Clone(frames)}
+				for _, kind := range []string{"createStart", "created", "mutateStart", "mutated"} {
+					c.event("cc", kind, 0, len(frames))
+				}
+				_, err := c.s.Recover()
+				_, c.views["cc"] = c.s.lookup("cc")
+				c.back("cc")
+				c.s.Close()
+				mu.Lock()
+				r.took = c.tookBack
+				mu.Unlock()
+				return judgeFinal(mem, dataDir, c, &ext, err != nil)
 			}
 			mem := newMemFS(dataDir)
 			mem.failAt, mem.fault = r.at, r.fault
@@ -267,8 +295,10 @@ func TestEveryIOError(t *testing.T) {
 				prev = mem.last
 			}
 			c := newCrashScript(t, mem, dataDir, true)
+			c.clean = oracle
 			c.run()
 			mu.Lock()
+			r.took = c.tookBack
 			for _, p := range c.problems {
 				problems = append(problems, fmt.Sprintf("%s at call %d: %s", r.fault.name, r.at, p))
 			}
@@ -279,7 +309,7 @@ func TestEveryIOError(t *testing.T) {
 				}
 			}
 			mu.Unlock()
-			return judgeFinal(mem, dataDir, expected(c.events, mem.calls+1), oracle, c.errs > 0)
+			return judgeFinal(mem, dataDir, c, &ext, c.errs > 0)
 		})
 	}
 	next := make(chan *ioRun)
@@ -316,7 +346,7 @@ func TestEveryIOError(t *testing.T) {
 		}
 	}
 	t.Logf("| section | error | runs | %s |", strings.Join(ioColumns, " | "))
-	t.Logf("|---|---|---:|---:|---:|---:|---:|---:|---:|")
+	t.Logf("|---|---|---:|%s", strings.Repeat("---:|", len(ioColumns)))
 	row := func(section, fault string, r []int) {
 		sum, cells := 0, make([]string, len(r))
 		for j, n := range r {
@@ -334,6 +364,19 @@ func TestEveryIOError(t *testing.T) {
 	}
 	row("**total**", "", total)
 	t.Log("")
+	// Time to serving: how long a Get that brought a view back took, by
+	// the error that took it down.
+	took := map[string][]time.Duration{}
+	for _, r := range runs {
+		took[r.fault.name] = append(took[r.fault.name], r.took...)
+	}
+	for _, f := range ioFaults {
+		if d := took[f.name]; len(d) > 0 {
+			slices.Sort(d)
+			t.Logf("time to serving after %s: %d views back, p50 %v, max %v",
+				f.name, len(d), d[len(d)/2].Round(time.Microsecond), d[len(d)-1].Round(time.Microsecond))
+		}
+	}
 	t.Logf("%d runs: %d script calls, %d recovery calls, each failed with every error that applies; %.1f s wall",
 		len(runs), len(scriptKinds), len(recKinds), time.Since(start).Seconds())
 

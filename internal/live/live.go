@@ -37,11 +37,13 @@
 // A failure is a crash, as an error ends a worker's session: the first
 // error of a flush (a caller's or the timer's), a log append or rotation,
 // a snapshot, a read routed to a worker or a control reply later than the
-// control deadline (shard.go) takes the view down for good, as Close
-// does. Every later Mutate, Flush and Checkpoint returns ErrViewDown
+// control deadline (shard.go) takes the view down, as Close does. Every
+// later Mutate, Flush and Checkpoint of that LiveView returns ErrViewDown
 // around that first cause, reads return nothing, and ViewStats.LastError
 // names it, so no state a view failed to maintain is served. The way back
-// is the next open, which recovers from the log.
+// is an open, which recovers from the log, and start is a restart: a
+// Scheduler reopens a down durable view by the same open it recovers every
+// view with at startup (Scheduler.Get), with no process restart.
 //
 // Every view reaches its fixpoint through one maintenance session
 // (shard.go, shardcore.go) spread over 1+len(ViewConfig.Workers) hosts:
@@ -122,7 +124,7 @@ var (
 	errUnknownOp = errors.New("live: unknown mutation op")
 	// ErrViewDown is what a down view answers every write with, wrapped
 	// around the failure that took it down (package doc); Close's is
-	// errClosed.
+	// errClosed. A scheduler's Get hands out the view reopened instead.
 	ErrViewDown = errors.New("live: view down")
 	errClosed   = errors.New("closed")
 )
@@ -250,6 +252,10 @@ type ViewStats struct {
 	// first failure (package doc), which every later write returns wrapped
 	// in ErrViewDown.
 	LastError string
+	// State is serving, restarting (down, and its scheduler reopens it) or
+	// failed; Restarts counts its scheduler's reopens of the name.
+	State    string
+	Restarts int64
 }
 
 // LiveView is one maintained fixpoint: a resident solution set plus the
@@ -295,6 +301,8 @@ type LiveView struct {
 	// write returns (fail). Maintenance sets it under mu, so a read under
 	// mu that sees nil reads a maintained state.
 	down atomic.Pointer[error]
+	// sl is the scheduler slot the view is registered in, nil if none.
+	sl *slot
 }
 
 // A durable view takes a streaming snapshot every snapshotEveryFlushes
@@ -401,6 +409,14 @@ func (v *LiveView) fail(cause error) error {
 	return v.downErr()
 }
 
+// downView stands in for a view whose open failed with cause: it holds
+// nothing, serves no read and refuses every write.
+func downView(name string, cfg ViewConfig, cause error) *LiveView {
+	v := &LiveView{name: name, cfg: cfg, gs: NewGraphState()}
+	v.fail(cause)
+	return v
+}
+
 // downErr returns the down error, nil while the view serves.
 func (v *LiveView) downErr() error {
 	if p := v.down.Load(); p != nil {
@@ -454,16 +470,18 @@ func (v *LiveView) Stats() ViewStats {
 	st := v.stats
 	st.Vertices = v.gs.NumVertices()
 	st.Edges = v.gs.NumEdges()
-	shards := v.sess.shards()
-	for _, sh := range shards {
-		st.SolutionRecords += sh.Records
-		st.SolutionBytes += sh.Bytes
+	if v.sess != nil {
+		shards := v.sess.shards()
+		for _, sh := range shards {
+			st.SolutionRecords += sh.Records
+			st.SolutionBytes += sh.Bytes
+		}
+		if len(shards) > 1 {
+			st.Shards = shards
+		}
 	}
-	if len(shards) > 1 {
-		st.Shards = shards
-	}
+	st.Durable = v.cfg.Durable
 	if d := v.dur; d != nil {
-		st.Durable = true
 		st.WALBytes = d.wal.SizeBytes()
 		st.SnapshotsWritten = d.snapshots
 		st.RecoveredFrames = d.replayed
@@ -472,8 +490,15 @@ func (v *LiveView) Stats() ViewStats {
 	v.pmu.Lock()
 	st.MutationsPending = len(v.pending)
 	v.pmu.Unlock()
+	st.State = viewStates[0]
 	if err := v.downErr(); err != nil {
-		st.LastError = err.Error()
+		st.LastError, st.State = err.Error(), viewStates[2]
+		if v.sl != nil && restartable(v.cfg.Durable, err) {
+			st.State = viewStates[1]
+		}
+	}
+	if v.sl != nil {
+		st.Restarts = v.sl.restarts.Load()
 	}
 	return st
 }
@@ -632,14 +657,14 @@ func (v *LiveView) applyLocked(batch []Mutation) error {
 	return v.sess.Apply(batch)
 }
 
-// Close takes the view down the way a crash would, and the next NewView
+// Close takes the view down the way a crash would, and the next open
 // recovers from it: later calls are refused, the flush timer stops, the
 // pending micro-batch is dropped, the log closes and the session hangs up,
 // releasing the solution set (spill files included). Nothing is flushed,
 // snapshotted or rotated. A durable view's pending batch is already in the
-// log, which the next NewView or Scheduler.Recover replays; an in-memory
-// view's goes with the view, which nothing can read after Close. A view a
-// failure took down keeps that cause. Idempotent.
+// log, which the next open replays; an in-memory view's goes with the
+// view, which nothing can read after Close. A view a failure took down
+// keeps that cause; one Close took down no scheduler reopens. Idempotent.
 func (v *LiveView) Close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -649,7 +674,9 @@ func (v *LiveView) Close() error {
 	if d := v.dur; d != nil {
 		err = d.wal.Close()
 	}
-	v.sess.hangUp()
+	if v.sess != nil {
+		v.sess.hangUp()
+	}
 	return err
 }
 

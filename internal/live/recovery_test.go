@@ -258,8 +258,7 @@ func TestOldFormatsFailTyped(t *testing.T) {
 // 1's partitions — are never recovered from: their base alone is a partial
 // solution. With the log rotated behind such a snapshot NewView fails;
 // beside an older one-file snapshot and a log that reaches back to it,
-// recovery reads that one and replays the log, and the next snapshot
-// deletes the unreadable sibling.
+// recovery reads that one and replays the log.
 func TestRecoverLegacySnapshotShapes(t *testing.T) {
 	const seq, par = 7, 4
 	initial := append(chain(6), InsertEdge(10, 11), InsertEdge(11, 12), addVertex(40))
@@ -367,12 +366,6 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 						t.Fatal(err)
 					}
 					got, st := record.EncodeBatch(nil, v.Snapshot()), v.Stats()
-					// Recovery reclaimed the legacy sibling, and a snapshot
-					// leaves a name of any other shape alone.
-					decoy := filepath.Join(vdir, snapshotPrefix+"latest.shard1"+snapshotSuffix)
-					if err := os.WriteFile(decoy, nil, 0o644); err != nil {
-						t.Fatal(err)
-					}
 					err = v.Checkpoint()
 					v.Close()
 					if err != nil {
@@ -381,12 +374,6 @@ func TestRecoverLegacySnapshotShapes(t *testing.T) {
 					if !bytes.Equal(got, wantAfter) || st.RecoveredFrames != 1 {
 						t.Fatalf("replayed %d frames to a solution equal to the history's: %v; want the one frame behind the older snapshot",
 							st.RecoveredFrames, bytes.Equal(got, wantAfter))
-					}
-					if _, err := os.Stat(filepath.Join(vdir, sibling)); !os.IsNotExist(err) {
-						t.Errorf("legacy sibling %s survived recovery (stat: %v)", sibling, err)
-					}
-					if _, err := os.Stat(decoy); err != nil {
-						t.Errorf("pruning removed %s, which is no legacy sibling: %v", decoy, err)
 					}
 				}
 			})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,7 +65,8 @@ type SchedulerStats struct {
 // Scheduler serves many named live views concurrently: view creation is
 // admission-controlled against the memory budget, maintenance is
 // serialized per view (by the view itself), and distinct views flush and
-// answer queries fully in parallel.
+// answer queries fully in parallel. A durable view that goes down comes
+// back through Get.
 type Scheduler struct {
 	cfg SchedulerConfig
 
@@ -72,7 +74,39 @@ type Scheduler struct {
 	encodeErrors atomic.Int64
 
 	mu    sync.RWMutex
-	views map[string]*LiveView
+	views map[string]*slot
+}
+
+// slot is one registered name: its view, serving or down (nil while
+// reserved; guarded by Scheduler.mu), and its reopens. reopen is held by
+// the one reopen running, and by Drop and Close; Get only tries it. streak
+// (guarded by reopen) counts the backoff's attempts, next is when one is
+// due (unix ns).
+type slot struct {
+	v              *LiveView
+	reopen         sync.Mutex
+	streak         int
+	next, restarts atomic.Int64
+}
+
+// A down view's first reopen is due at once, each further one restartBase
+// << n after the one before, up to restartMax. The backoff starts over only
+// once a view stayed up restartMax past its due time, so a fault that lets
+// the open succeed and fails the next write backs off too.
+const (
+	restartBase = 50 * time.Millisecond
+	restartMax  = 5 * time.Second
+)
+
+// The states ViewStats.State reports, in view_state's numbering.
+var viewStates = [...]string{"serving", "restarting", "failed"}
+
+// restartable reports whether a view down with err comes back: a durable
+// one (an in-memory view has nothing to reopen from), down for any cause
+// but its owner's Close, a form this binary does not read and a log whose
+// base no snapshot covers.
+func restartable(durable bool, err error) bool {
+	return durable && !errors.Is(err, errClosed) && !errors.Is(err, errUnknownForm) && !errors.Is(err, errUncovered)
 }
 
 // NewScheduler creates an empty scheduler. With SchedulerConfig.Obs set,
@@ -87,7 +121,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 			cfg.DefaultView.Metrics = cfg.Obs.Counters()
 		}
 	}
-	s := &Scheduler{cfg: cfg, views: make(map[string]*LiveView)}
+	s := &Scheduler{cfg: cfg, views: make(map[string]*slot)}
 	if cfg.Obs != nil {
 		cfg.Obs.RegisterCollector(s.collect)
 	}
@@ -96,8 +130,8 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 
 // collect emits the scheduler's stats as exporter gauges: the aggregate
 // numbers unlabeled, the per-view ViewStats with a view="<name>" label.
-// LastError, being a string, is exported as view_error 0/1 — the text
-// itself is in the HTTP API's stats endpoint.
+// State is exported as view_state, its index in viewStates; LastError's
+// text is in the HTTP API's stats endpoint.
 func (s *Scheduler) collect(emit func(name, labels string, value float64)) {
 	st := s.Stats()
 	emit("scheduler_views", "", float64(st.Views))
@@ -132,11 +166,8 @@ func (s *Scheduler) collect(emit func(name, labels string, value float64)) {
 			emit("view_shard_records", sl, float64(sh.Records))
 			emit("view_shard_bytes", sl, float64(sh.Bytes))
 		}
-		errSet := 0.0
-		if vs.LastError != "" {
-			errSet = 1
-		}
-		emit("view_error", l, errSet)
+		emit("view_restarts", l, float64(vs.Restarts))
+		emit("view_state", l, float64(slices.Index(viewStates[:], vs.State)))
 	}
 }
 
@@ -190,14 +221,10 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 		}
 	}
 
-	s.mu.Lock()
-	if _, dup := s.views[name]; dup {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("live: view %q already exists", name)
+	sl, err := s.reserve(name)
+	if err != nil {
+		return nil, err
 	}
-	s.views[name] = nil // reserve the name while building
-	s.mu.Unlock()
-
 	dir := filepath.Join(vcfg.DataDir, name)
 	if vcfg.Durable {
 		// NewView would reopen leftovers instead of building `initial`: an
@@ -214,26 +241,24 @@ func (s *Scheduler) Create(name string, m Maintainer, initial []Mutation, cfg *V
 	}
 
 	v, err := NewView(name, m, initial, vcfg)
+	if err == nil && vcfg.Durable {
+		if err = saveRecipe(vcfg.fs, dir, m, vcfg); err != nil {
+			v.Close()
+			removeViewDir(vcfg.fs, dir)
+		}
+	}
 	if err != nil {
 		s.drop(name)
 		return nil, err
 	}
-	if vcfg.Durable {
-		if err := saveRecipe(vcfg.fs, dir, m, vcfg); err != nil {
-			s.remove(name, v)
-			return nil, err
-		}
-	}
-	s.mu.Lock()
-	s.views[name] = v
-	s.mu.Unlock()
+	s.install(sl, v)
 
 	// Post-build enforcement against the real footprint.
 	if b := s.cfg.MemoryBudget; b > 0 {
 		if used := s.Stats().MemoryUsed; used > b {
 			// Admission failed, so nothing was acknowledged; an orphaned
 			// durable directory would resurrect the view on Recover.
-			s.remove(name, v)
+			s.remove(name, sl, true)
 			return nil, fmt.Errorf("%w: view %q would bring usage to %d bytes, budget %d",
 				ErrMemoryBudget, name, used, b)
 		}
@@ -346,72 +371,91 @@ func clearUncommitted(fs fsys, dir string) (bool, error) {
 	return false, nil
 }
 
-// Recover reopens every durable view found under the scheduler's data
-// directory: per view, the latest valid snapshot is loaded, the WAL tail
-// is replayed, and the view is registered under its directory name. It
-// returns the number of views recovered; on error, views recovered so
-// far stay registered.
+// Recover opens every committed view under the scheduler's data directory
+// (open) and registers it under its directory's name, serving or, if its
+// open failed, down (Get); what an uncommitted create or drop left is
+// deleted. It returns the number of views serving and the failures.
 func (s *Scheduler) Recover() (int, error) {
 	if s.cfg.DataDir == "" {
 		return 0, nil
 	}
-	fs := s.cfg.DefaultView.normalized().fs
-	entries, err := fs.ReadDir(s.cfg.DataDir)
+	base := s.cfg.DefaultView.normalized()
+	base.Durable, base.DataDir = true, s.cfg.DataDir
+	entries, err := base.fs.ReadDir(s.cfg.DataDir)
 	if err != nil && !notExist(err) {
 		return 0, err
 	}
-	n := 0
+	n, errs := 0, []error{}
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
-		name := e.Name()
-		dir := filepath.Join(s.cfg.DataDir, name)
-		if ok, err := clearUncommitted(fs, dir); !ok || err != nil {
-			if err != nil {
-				return n, err
+		var sl *slot
+		committed, err := clearUncommitted(base.fs, filepath.Join(s.cfg.DataDir, e.Name()))
+		if err == nil && committed {
+			if sl, err = s.reserve(e.Name()); err == nil {
+				var v *LiveView
+				if v, err = s.open(e.Name(), base); err == nil {
+					n++
+				}
+				s.install(sl, v)
 			}
-			continue
 		}
-		f, err := fs.Open(filepath.Join(dir, metaFileName))
 		if err != nil {
-			return n, err
+			errs = append(errs, err)
 		}
-		var meta recipe
-		dec := json.NewDecoder(f)
-		dec.DisallowUnknownFields()
-		err = dec.Decode(&meta)
-		f.Close()
-		if err != nil {
-			return n, fmt.Errorf("live: view %q meta: %w: %w", name, errUnknownForm, err)
-		}
-		m, err := meta.maintainer()
-		if err != nil {
-			return n, fmt.Errorf("live: view %q meta: %w", name, err)
-		}
-		cfg := meta.applyTo(s.cfg.DefaultView)
-		cfg.Durable = true
-		cfg.DataDir = s.cfg.DataDir
-
-		s.mu.Lock()
-		if _, dup := s.views[name]; dup {
-			s.mu.Unlock()
-			return n, fmt.Errorf("live: view %q already registered", name)
-		}
-		s.views[name] = nil
-		s.mu.Unlock()
-
-		v, err := NewView(name, m, nil, cfg)
-		if err != nil {
-			s.drop(name)
-			return n, fmt.Errorf("live: recovering view %q: %w", name, err)
-		}
-		s.mu.Lock()
-		s.views[name] = v
-		s.mu.Unlock()
-		n++
 	}
-	return n, nil
+	return n, errors.Join(errs...)
+}
+
+// open is the one way a scheduler brings a committed view back, at startup
+// and after a down: the recipe beside the log names the maintainer and the
+// config over base, and NewView recovers the view from its snapshot and
+// log. A view that fails to open is a downView.
+func (s *Scheduler) open(name string, base ViewConfig) (v *LiveView, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("live: recovering view %q: %w", name, err)
+			v = downView(name, base, err)
+		}
+	}()
+	f, err := base.fs.Open(filepath.Join(base.DataDir, name, metaFileName))
+	if err != nil {
+		return nil, err
+	}
+	var meta recipe
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&meta)
+	f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("meta: %w: %w", errUnknownForm, err)
+	}
+	m, err := meta.maintainer()
+	if err != nil {
+		return nil, err
+	}
+	return NewView(name, m, nil, meta.applyTo(base))
+}
+
+// reserve registers an empty slot under name for a build.
+func (s *Scheduler) reserve(name string) (*slot, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.views[name]; dup {
+		return nil, fmt.Errorf("live: view %q already exists", name)
+	}
+	sl := &slot{}
+	s.views[name] = sl
+	return sl, nil
+}
+
+// install makes v sl's view, and sl the slot v reports its state from.
+func (s *Scheduler) install(sl *slot, v *LiveView) {
+	v.sl = sl
+	s.mu.Lock()
+	sl.v = v
+	s.mu.Unlock()
 }
 
 // drop removes a name from the registry without closing the view.
@@ -421,20 +465,63 @@ func (s *Scheduler) drop(name string) {
 	s.mu.Unlock()
 }
 
-// Get returns a view by name.
-func (s *Scheduler) Get(name string) (*LiveView, bool) {
+// lookup returns name's slot and view without reopening it.
+func (s *Scheduler) lookup(name string) (sl *slot, v *LiveView) {
 	s.mu.RLock()
-	v, ok := s.views[name]
+	if sl = s.views[name]; sl != nil {
+		v = sl.v
+	}
 	s.mu.RUnlock()
-	return v, ok && v != nil
+	return sl, v
 }
 
-// Names returns the registered view names in sorted order.
+// Get returns the view registered under name, serving or down. A down
+// view that is restartable is reopened on the caller's goroutine once its
+// attempt is due — Close, a crash, then open — and the fresh view returned;
+// a caller finding a reopen running, or none due, gets the down view and
+// its typed answers. A serving view costs one atomic load more.
+func (s *Scheduler) Get(name string) (*LiveView, bool) {
+	sl, v := s.lookup(name)
+	if v != nil && v.down.Load() != nil {
+		v = s.reopen(name, sl, v)
+	}
+	return v, v != nil
+}
+
+func (s *Scheduler) reopen(name string, sl *slot, v *LiveView) *LiveView {
+	if !restartable(v.cfg.Durable, v.downErr()) || time.Now().UnixNano() < sl.next.Load() || !sl.reopen.TryLock() {
+		return v
+	}
+	defer sl.reopen.Unlock()
+	if cur, cv := s.lookup(name); cur != sl || cv != v {
+		return v // dropped, or reopened, meanwhile
+	}
+	now := time.Now()
+	if now.UnixNano() >= sl.next.Load()+int64(restartMax) {
+		sl.streak = 0
+	}
+	sl.next.Store(now.Add(min(restartBase<<min(sl.streak, 7), restartMax)).UnixNano())
+	sl.streak++
+	sl.restarts.Add(1)
+	v.Close()
+	// A rename the view made may still wait on a directory sync that
+	// failed: the open builds on it only once it is durable.
+	var nv *LiveView
+	if err := v.cfg.fs.SyncDir(filepath.Join(v.cfg.DataDir, name)); err != nil {
+		nv = downView(name, v.cfg, err)
+	} else {
+		nv, _ = s.open(name, v.cfg)
+	}
+	s.install(sl, nv)
+	return nv
+}
+
+// Names returns the registered view names, serving or down, sorted.
 func (s *Scheduler) Names() []string {
 	s.mu.RLock()
 	out := make([]string, 0, len(s.views))
-	for n, v := range s.views {
-		if v != nil {
+	for n, sl := range s.views {
+		if sl.v != nil {
 			out = append(out, n)
 		}
 	}
@@ -443,28 +530,36 @@ func (s *Scheduler) Names() []string {
 	return out
 }
 
-// Drop closes a view and removes it. A durable view's on-disk state is
-// deleted with it — an explicit drop is a deletion, not a shutdown, and
-// must not resurrect on the next Recover. (Scheduler.Close, by contrast,
-// leaves durable state in place.) Close writes nothing, so the deletion
-// is all the file work a Drop does.
+// Drop closes a view, serving or down, and removes it. A durable view's
+// on-disk state is deleted with it — an explicit drop is a deletion, not a
+// shutdown, and must not resurrect on the next Recover. (Scheduler.Close,
+// by contrast, leaves durable state in place.) Close writes nothing, so
+// the deletion is all the file work a Drop does.
 func (s *Scheduler) Drop(name string) error {
-	v, ok := s.Get(name)
-	if !ok {
+	sl, v := s.lookup(name)
+	if v == nil {
 		return fmt.Errorf("live: no view %q", name)
 	}
-	return s.remove(name, v)
+	return s.remove(name, sl, true)
 }
 
-// remove unregisters name and closes its view v; a durable view's
-// directory is deleted after it.
-func (s *Scheduler) remove(name string, v *LiveView) error {
-	s.drop(name)
+// remove waits out a reopen of sl, unregisters it and closes its view;
+// with purge, a durable view's directory is deleted after.
+func (s *Scheduler) remove(name string, sl *slot, purge bool) error {
+	sl.reopen.Lock()
+	defer sl.reopen.Unlock()
+	s.mu.Lock()
+	v, ours := sl.v, s.views[name] == sl
+	if ours {
+		delete(s.views, name)
+	}
+	s.mu.Unlock()
+	if !ours {
+		return fmt.Errorf("live: no view %q", name)
+	}
 	err := v.Close()
-	if d := v.dur; d != nil {
-		if rerr := removeViewDir(v.cfg.fs, d.dir); rerr != nil && err == nil {
-			err = rerr
-		}
+	if purge && v.cfg.Durable {
+		err = errors.Join(err, removeViewDir(v.cfg.fs, filepath.Join(v.cfg.DataDir, name)))
 	}
 	return err
 }
@@ -477,7 +572,7 @@ func (s *Scheduler) Stats() SchedulerStats {
 		PerView:      make(map[string]ViewStats),
 	}
 	for _, name := range s.Names() {
-		if v, ok := s.Get(name); ok {
+		if _, v := s.lookup(name); v != nil {
 			vs := v.Stats()
 			st.PerView[name] = vs
 			st.MemoryUsed += vs.SolutionBytes
@@ -487,17 +582,16 @@ func (s *Scheduler) Stats() SchedulerStats {
 	return st
 }
 
-// Close closes every view (LiveView.Close: pending batches dropped, logs
-// closed, sessions hung up, spill files removed) and writes nothing: a
-// durable view's acknowledged batches are in its log, and the next Recover
-// replays them. The first error is returned; all views are closed
-// regardless.
+// Close closes every view, serving or down (LiveView.Close: pending
+// batches dropped, logs closed, sessions hung up, spill files removed), and
+// writes nothing: a durable view's acknowledged batches are in its log,
+// and the next Recover replays them. The first error is returned; all
+// views are closed regardless.
 func (s *Scheduler) Close() error {
 	var first error
 	for _, name := range s.Names() {
-		if v, ok := s.Get(name); ok {
-			s.drop(name)
-			if err := v.Close(); err != nil && first == nil {
+		if sl, v := s.lookup(name); v != nil {
+			if err := s.remove(name, sl, false); err != nil && first == nil {
 				first = err
 			}
 		}

@@ -28,7 +28,9 @@ import (
 //	DELETE /views/{name}          drop the view
 //
 // A down view (live.go) answers mutations, flush, checkpoint and query with
-// 503 and the cause in the error body.
+// 503 and the cause in the error body, and while it is restarting with
+// Retry-After, the seconds until its next reopen is due; its stats answer
+// 200 with the state. GET /views lists it.
 
 // CreateRequest is the body of POST /views.
 type CreateRequest struct {
@@ -103,10 +105,15 @@ func (s *Scheduler) writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-// writeErr answers err with code, or with 503 when a view is down.
-func (s *Scheduler) writeErr(w http.ResponseWriter, code int, err error) {
+// writeErr answers err with code, or with 503 when the view the route
+// names is down, with Retry-After while it is restarting.
+func (s *Scheduler) writeErr(w http.ResponseWriter, r *http.Request, code int, err error) {
 	if errors.Is(err, ErrViewDown) {
 		code = http.StatusServiceUnavailable
+		if sl, v := s.lookup(r.PathValue("name")); v != nil && restartable(v.cfg.Durable, err) {
+			wait := time.Until(time.Unix(0, sl.next.Load()))
+			w.Header().Set("Retry-After", strconv.Itoa(max(1, int((wait+time.Second-1)/time.Second))))
+		}
 	}
 	s.writeJSON(w, code, map[string]string{"error": err.Error()})
 }
@@ -124,11 +131,11 @@ func (s *Scheduler) decodeBody(w http.ResponseWriter, r *http.Request, v any) bo
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.writeErr(w, http.StatusRequestEntityTooLarge,
+			s.writeErr(w, r, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("live: request body exceeds %d bytes", limit))
 			return false
 		}
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.writeErr(w, r, http.StatusBadRequest, err)
 		return false
 	}
 	return true
@@ -160,7 +167,7 @@ func (s *Scheduler) Handler() http.Handler {
 		rcp := req.recipe()
 		m, err := rcp.maintainer()
 		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, err)
+			s.writeErr(w, r, http.StatusBadRequest, err)
 			return
 		}
 		initial := make([]Mutation, len(req.Edges))
@@ -174,7 +181,7 @@ func (s *Scheduler) Handler() http.Handler {
 			if errors.Is(err, ErrMemoryBudget) {
 				code = http.StatusInsufficientStorage
 			}
-			s.writeErr(w, code, err)
+			s.writeErr(w, r, code, err)
 			return
 		}
 		s.writeJSON(w, http.StatusCreated, v.Stats())
@@ -196,7 +203,7 @@ func (s *Scheduler) Handler() http.Handler {
 				h(w, r, v)
 				return
 			}
-			s.writeErr(w, http.StatusNotFound, fmt.Errorf("live: no view %q", name))
+			s.writeErr(w, r, http.StatusNotFound, fmt.Errorf("live: no view %q", name))
 		})
 	}
 
@@ -209,13 +216,13 @@ func (s *Scheduler) Handler() http.Handler {
 		for i, mj := range wire {
 			mut, err := mj.decode()
 			if err != nil {
-				s.writeErr(w, http.StatusBadRequest, err)
+				s.writeErr(w, r, http.StatusBadRequest, err)
 				return
 			}
 			muts[i] = mut
 		}
 		if err := v.MutateContext(r.Context(), muts...); err != nil {
-			s.writeErr(w, http.StatusConflict, err)
+			s.writeErr(w, r, http.StatusConflict, err)
 			return
 		}
 		s.writeJSON(w, http.StatusAccepted, map[string]int{"queued": len(muts)})
@@ -223,7 +230,7 @@ func (s *Scheduler) Handler() http.Handler {
 
 	handleView("POST /views/{name}/flush", func(w http.ResponseWriter, r *http.Request, v *LiveView) {
 		if err := v.FlushContext(r.Context()); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, err)
+			s.writeErr(w, r, http.StatusInternalServerError, err)
 			return
 		}
 		s.writeJSON(w, http.StatusOK, v.Stats())
@@ -231,7 +238,7 @@ func (s *Scheduler) Handler() http.Handler {
 
 	handleView("POST /views/{name}/checkpoint", func(w http.ResponseWriter, r *http.Request, v *LiveView) {
 		if err := v.CheckpointContext(r.Context()); err != nil {
-			s.writeErr(w, http.StatusConflict, err)
+			s.writeErr(w, r, http.StatusConflict, err)
 			return
 		}
 		s.writeJSON(w, http.StatusOK, v.Stats())
@@ -240,13 +247,13 @@ func (s *Scheduler) Handler() http.Handler {
 	handleView("GET /views/{name}/query", func(w http.ResponseWriter, r *http.Request, v *LiveView) {
 		key, err := strconv.ParseInt(r.URL.Query().Get("key"), 10, 64)
 		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("live: bad key: %w", err))
+			s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("live: bad key: %w", err))
 			return
 		}
 		rec, found := v.Query(key)
 		if !found {
 			if err := v.downErr(); err != nil {
-				s.writeErr(w, http.StatusServiceUnavailable, err)
+				s.writeErr(w, r, http.StatusServiceUnavailable, err)
 				return
 			}
 		}
@@ -264,7 +271,7 @@ func (s *Scheduler) Handler() http.Handler {
 	handle("DELETE /views/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
 		if err := s.Drop(name); err != nil {
-			s.writeErr(w, http.StatusNotFound, err)
+			s.writeErr(w, r, http.StatusNotFound, err)
 			return
 		}
 		s.writeJSON(w, http.StatusOK, map[string]string{"dropped": name})

@@ -488,7 +488,7 @@ func TestServeEncodeErrorSurfaced(t *testing.T) {
 	}
 
 	// The counter accumulates across requests — writeErr shares the path.
-	s.writeErr(fw, http.StatusBadRequest, errors.New("boom"))
+	s.writeErr(fw, httptest.NewRequest(http.MethodGet, "/stats", nil), http.StatusBadRequest, errors.New("boom"))
 	if got := s.Stats().EncodeErrors; got != 2 {
 		t.Errorf("EncodeErrors after second failure = %d, want 2", got)
 	}
@@ -504,8 +504,8 @@ func TestServeEncodeErrorSurfaced(t *testing.T) {
 // TestStalledWorkerDoesNotFreezeTelemetry: a sharded view whose worker
 // holds its view_stats reply costs a scrape one control deadline, not
 // forever. GET /metrics answers within the deadline (plus slack) with
-// view_error 1 for the view, which the failed stats call took down, and
-// GET /stats names that call in LastError.
+// view_state 2 (failed) for the in-memory view, which the failed stats
+// call took down for good, and GET /stats names that call in LastError.
 func TestStalledWorkerDoesNotFreezeTelemetry(t *testing.T) {
 	defer func(d time.Duration) { controlRoundTimeout = d }(controlRoundTimeout)
 	controlRoundTimeout = 200 * time.Millisecond
@@ -540,7 +540,7 @@ func TestStalledWorkerDoesNotFreezeTelemetry(t *testing.T) {
 	if d := time.Since(start); d > controlRoundTimeout+slack {
 		t.Fatalf("/metrics took %v behind a stalled worker", d)
 	}
-	if !strings.Contains(string(body), `spinflow_view_error{view="g"} 1`) {
+	if !strings.Contains(string(body), `spinflow_view_state{view="g"} 2`) {
 		t.Fatalf("/metrics does not report the view down:\n%s", body)
 	}
 	start = time.Now()

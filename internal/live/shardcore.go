@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime/pprof"
 	"slices"
 	"sort"
 
@@ -305,6 +306,7 @@ func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
 	recovering bool, stats *ViewStats, labels context.Context) (*shardCore, []record.Record, error) {
 	spec, s0, w0 := m.Spec(gs)
 	phys, err := iterative.PlanIncremental(spec, cfg, 0)
+	pprof.SetGoroutineLabels(labels) // planning labels the goroutine its own way
 	if err != nil {
 		return nil, nil, err
 	}

@@ -427,8 +427,7 @@ func parseSnapshotName(name string) (seq uint64, ok bool) {
 
 // viewFiles is what a view's directory holds: the snapshot seqs (the
 // recovery points, newest first), whether there is a log and a meta.json,
-// and the junk nothing reads: the temporaries of writes a crash cut short
-// and the per-host siblings of earlier binaries (legacyShardName).
+// and the junk nothing reads: the temporaries of writes a crash cut short.
 type viewFiles struct {
 	snaps     []uint64
 	wal, meta bool
@@ -448,7 +447,7 @@ func readViewDir(fs fsys, dir string) (viewFiles, error) {
 		if seq, ok := parseSnapshotName(name); ok {
 			vf.snaps = append(vf.snaps, seq)
 		}
-		if strings.HasSuffix(name, ".tmp") || legacyShardName(name) {
+		if strings.HasSuffix(name, ".tmp") {
 			vf.junk = append(vf.junk, name)
 		}
 		vf.wal = vf.wal || name == walFileName
@@ -456,18 +455,6 @@ func readViewDir(fs fsys, dir string) (viewFiles, error) {
 	}
 	sort.Slice(vf.snaps, func(i, j int) bool { return vf.snaps[i] > vf.snaps[j] })
 	return vf, nil
-}
-
-// legacyShardName reports whether name has the exact shape of a per-host
-// snapshot sibling, snapshot-<seq>.shard<h>.snap, which binaries wrote
-// for sharded views before a snapshot became one file.
-func legacyShardName(name string) bool {
-	body, isSnap := strings.CutPrefix(name, snapshotPrefix)
-	body, hasSuffix := strings.CutSuffix(body, snapshotSuffix)
-	seq, host, isShard := strings.Cut(body, ".shard")
-	_, seqErr := strconv.ParseUint(seq, 10, 64)
-	_, hostErr := strconv.ParseUint(host, 10, 64)
-	return isSnap && hasSuffix && isShard && seqErr == nil && hostErr == nil
 }
 
 // pruneSnapshots deletes all snapshots older than the newest two: the one
@@ -801,6 +788,10 @@ func removeViewDir(fs fsys, dir string) error {
 	return fs.SyncDir(filepath.Dir(dir))
 }
 
+// errUncovered marks a log whose base no readable snapshot reaches: the
+// frames before it are gone, so no open brings the view back.
+var errUncovered = errors.New("live: log not covered by a snapshot")
+
 // recoverView rebuilds a durable view from the log and snapshots vf lists.
 // Before it writes anything, it deletes the junk.
 func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewFiles) (*LiveView, error) {
@@ -868,8 +859,8 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	if w.base > snapSeq {
 		w.Close()
 		v.sess.hangUp()
-		return nil, errors.Join(fmt.Errorf("live: view %q wal starts at frame %d but the best readable snapshot covers only %d",
-			name, w.base+1, snapSeq), skipped)
+		return nil, errors.Join(fmt.Errorf("%w: view %q wal starts at frame %d but the best readable snapshot covers only %d",
+			errUncovered, name, w.base+1, snapSeq), skipped)
 	}
 
 	v.dur = &durableState{

@@ -341,7 +341,11 @@ func TestLiveRoundProfileLabels(t *testing.T) {
 // on a view sharded over one loopback worker, which serves in this
 // process, and requires CPU samples labelled {layer=live, op=<verb kind>},
 // the workers' share of the control rounds; every live-layer sample must
-// carry exactly a round's or a verb's label set.
+// carry exactly a round's or a verb's label set. Then it loops opens of a
+// larger sharded view: every sample of the worker's view_open past its
+// planning (on the stack of workerSession.open, not of PlanIncremental)
+// must carry {layer=live, op=view_open}, and some must be inside
+// newShardCore, which planning used to leave unlabelled.
 func TestWorkerVerbProfileLabels(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -398,12 +402,56 @@ func TestWorkerVerbProfileLabels(t *testing.T) {
 		}
 		if len(verbs) > 0 {
 			t.Logf("worker verb samples after %d rounds: %v", round+1, verbs)
-			return
+			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("after %d rounds no sample is labelled {layer=live, op=<verb kind>}", round+1)
 		}
 		prof.Reset()
+	}
+
+	var tree []live.Mutation // a binary tree: a cold run of a few supersteps
+	for i := int64(1); i < 20_000; i++ {
+		tree = append(tree, live.InsertEdge(i, i/2))
+	}
+	cfg := live.ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{ln.Addr().String()}}
+	afterPlanning := 0
+	for round := 0; ; round++ {
+		prof.Reset()
+		if err := pprof.StartCPUProfile(&prof); err != nil {
+			t.Skipf("CPU profiler busy: %v", err)
+		}
+		for stop := time.Now().Add(300 * time.Millisecond); time.Now().Before(stop); {
+			v, err := live.NewView("open-labels", live.CC(), tree, cfg)
+			if err != nil {
+				pprof.StopCPUProfile()
+				t.Fatal(err)
+			}
+			v.Close()
+		}
+		pprof.StopCPUProfile()
+		samples, err := profileSamples(prof.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			if !s.onStack("live.(*workerSession).open") || s.onStack("iterative.PlanIncremental") {
+				continue
+			}
+			if len(s.labels) != 2 || s.labels["layer"] != "live" || s.labels["op"] != "view_open" {
+				t.Fatalf("a worker's view_open sample past planning is labelled %v, want {layer=live, op=view_open}: %v", s.labels, s.funcs)
+			}
+			if s.onStack("live.newShardCore") {
+				afterPlanning++
+			}
+		}
+		if afterPlanning > 0 {
+			t.Logf("view_open samples in newShardCore past planning after %d rounds: %d", round+1, afterPlanning)
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d rounds no sample of a worker's view_open is inside newShardCore past planning", round+1)
+		}
 	}
 }
 
@@ -541,10 +589,40 @@ func TestHTTPProfileLabels(t *testing.T) {
 	}
 }
 
-// labelledSamples decodes a gzipped pprof profile far enough to return
-// each sample's string labels: Profile.sample (2) → Sample.label (3) →
-// Label.key (1) / Label.str (2), indices into Profile.string_table (6).
+// labelledSamples returns each sample's string labels (profileSamples).
 func labelledSamples(gz []byte) ([]map[string]string, error) {
+	samples, err := profileSamples(gz)
+	out := make([]map[string]string, len(samples))
+	for i, s := range samples {
+		out[i] = s.labels
+	}
+	return out, err
+}
+
+// profSample is one CPU sample: its string labels and the functions on its
+// stack.
+type profSample struct {
+	labels map[string]string
+	funcs  []string
+}
+
+// onStack reports whether a function whose name ends in fn is on s's stack.
+func (s profSample) onStack(fn string) bool {
+	for _, f := range s.funcs {
+		if strings.HasSuffix(f, fn) {
+			return true
+		}
+	}
+	return false
+}
+
+// profileSamples decodes a gzipped pprof profile far enough to return each
+// sample's string labels — Profile.sample (2) → Sample.label (3) →
+// Label.key (1) / Label.str (2), indices into Profile.string_table (6) —
+// and its stack: Sample.location_id (1) → Profile.location (4) →
+// Location.line (4) → Line.function_id (1) → Profile.function (5) →
+// Function.name (2).
+func profileSamples(gz []byte) ([]profSample, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(gz))
 	if err != nil {
 		return nil, err
@@ -553,30 +631,82 @@ func labelledSamples(gz []byte) ([]map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	var strs []string
-	var samples [][][2]int64 // per sample: (key, str) string indices
+	uvarint := func(v []byte) uint64 {
+		x, _ := binary.Uvarint(v)
+		return x
+	}
+	type rawSample struct {
+		labels [][2]uint64 // (key, str) string indices
+		locs   []uint64
+	}
+	var (
+		strs    []string
+		samples []rawSample
+		locFns  = map[uint64][]uint64{} // location id → function ids
+		fnNames = map[uint64]uint64{}   // function id → string index
+	)
 	err = protoFields(raw, func(field int, v []byte) error {
 		switch field {
 		case 6:
 			strs = append(strs, string(v))
 		case 2:
-			var labels [][2]int64
+			var s rawSample
 			err := protoFields(v, func(field int, v []byte) error {
-				if field != 3 {
-					return nil
-				}
-				var kv [2]int64
-				err := protoFields(v, func(field int, v []byte) error {
-					if field == 1 || field == 2 {
-						x, _ := binary.Uvarint(v)
-						kv[field-1] = int64(x)
+				switch field {
+				case 1: // one varint, or packed ones
+					for len(v) > 0 {
+						x, n := binary.Uvarint(v)
+						if n <= 0 {
+							return fmt.Errorf("bad location id")
+						}
+						s.locs, v = append(s.locs, x), v[n:]
 					}
-					return nil
-				})
-				labels = append(labels, kv)
-				return err
+				case 3:
+					var kv [2]uint64
+					err := protoFields(v, func(field int, v []byte) error {
+						if field == 1 || field == 2 {
+							kv[field-1] = uvarint(v)
+						}
+						return nil
+					})
+					s.labels = append(s.labels, kv)
+					return err
+				}
+				return nil
 			})
-			samples = append(samples, labels)
+			samples = append(samples, s)
+			return err
+		case 4:
+			var id uint64
+			var fns []uint64
+			err := protoFields(v, func(field int, v []byte) error {
+				switch field {
+				case 1:
+					id = uvarint(v)
+				case 4:
+					return protoFields(v, func(field int, v []byte) error {
+						if field == 1 {
+							fns = append(fns, uvarint(v))
+						}
+						return nil
+					})
+				}
+				return nil
+			})
+			locFns[id] = fns
+			return err
+		case 5:
+			var id, name uint64
+			err := protoFields(v, func(field int, v []byte) error {
+				switch field {
+				case 1:
+					id = uvarint(v)
+				case 2:
+					name = uvarint(v)
+				}
+				return nil
+			})
+			fnNames[id] = name
 			return err
 		}
 		return nil
@@ -584,14 +714,32 @@ func labelledSamples(gz []byte) ([]map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]map[string]string, len(samples))
-	for i, labels := range samples {
-		out[i] = map[string]string{}
-		for _, kv := range labels {
-			if kv[0] >= int64(len(strs)) || kv[1] >= int64(len(strs)) {
-				return nil, fmt.Errorf("label string index out of range")
+	str := func(i uint64) (string, error) {
+		if i >= uint64(len(strs)) {
+			return "", fmt.Errorf("string index out of range")
+		}
+		return strs[i], nil
+	}
+	out := make([]profSample, len(samples))
+	for i, s := range samples {
+		out[i].labels = map[string]string{}
+		for _, kv := range s.labels {
+			k, err := str(kv[0])
+			if err != nil {
+				return nil, err
 			}
-			out[i][strs[kv[0]]] = strs[kv[1]]
+			if out[i].labels[k], err = str(kv[1]); err != nil {
+				return nil, err
+			}
+		}
+		for _, loc := range s.locs {
+			for _, fn := range locFns[loc] {
+				name, err := str(fnNames[fn])
+				if err != nil {
+					return nil, err
+				}
+				out[i].funcs = append(out[i].funcs, name)
+			}
 		}
 	}
 	return out, nil
