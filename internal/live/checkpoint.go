@@ -140,7 +140,7 @@ func newCheckpointReader(r io.Reader) (*checkpointReader, error) {
 	var u32 [4]byte
 	readU32 := func(what string) (uint32, error) {
 		if _, err := io.ReadFull(br, u32[:]); err != nil {
-			return 0, fmt.Errorf("live: checkpoint truncated in %s", what)
+			return 0, fmt.Errorf("live: checkpoint truncated in %s: %w", what, err)
 		}
 		return binary.LittleEndian.Uint32(u32[:]), nil
 	}
@@ -167,11 +167,11 @@ func newCheckpointReader(r io.Reader) (*checkpointReader, error) {
 	}
 	kind := make([]byte, kindLen)
 	if _, err := io.ReadFull(br, kind); err != nil {
-		return nil, fmt.Errorf("live: checkpoint truncated in kind")
+		return nil, fmt.Errorf("live: checkpoint truncated in kind: %w", err)
 	}
 	var u64 [8]byte
 	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return nil, fmt.Errorf("live: checkpoint truncated in iteration")
+		return nil, fmt.Errorf("live: checkpoint truncated in iteration: %w", err)
 	}
 	return &checkpointReader{
 		fr:        record.NewFrameReader(br),

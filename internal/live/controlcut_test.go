@@ -270,8 +270,10 @@ func cutBackAgain(s *Scheduler, sent [][]Mutation, acked int, timed func(string,
 		return sent[:acked]
 	}
 	res.took = time.Since(start)
-	k := int(v.dur.wal.Seq()) - 1 // the log's frames past the create's
-	if k < acked || k > len(sent) {
+	// The log's frames past the create's: the first refused batch may have
+	// reached the log, no later one can (a down view refuses before it).
+	k := int(v.dur.wal.Seq()) - 1
+	if k < acked || k > min(acked+1, len(sent)) {
 		charge(cutWrong, "back with %d batches logged, %d acknowledged of %d sent", k, acked, len(sent))
 		return sent[:acked]
 	}

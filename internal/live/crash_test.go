@@ -14,6 +14,7 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/iterative"
@@ -87,6 +88,13 @@ type memFS struct {
 	failAt int
 	fault  ioFault
 	broken ioFault
+	// unreadable fails the reads of the file at path with EIO from its
+	// byte at on (at 0, the Open itself). A read is no call of the
+	// enumerations.
+	unreadable struct {
+		path string
+		at   int
+	}
 }
 
 // ioFault is one error a file call can meet. A failed call counts as a
@@ -212,7 +220,15 @@ func (m *memFS) Open(p string) (io.ReadCloser, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, _, n := m.lookup(p); n != nil && !n.dir {
-		return io.NopCloser(bytes.NewReader(bytes.Clone(n.data))), nil
+		if p != m.unreadable.path {
+			return io.NopCloser(bytes.NewReader(bytes.Clone(n.data))), nil
+		}
+		eio := &fs.PathError{Op: "read", Path: p, Err: syscall.EIO}
+		if m.unreadable.at == 0 {
+			eio.Op = "open"
+			return nil, eio
+		}
+		return io.NopCloser(io.MultiReader(bytes.NewReader(bytes.Clone(n.data[:m.unreadable.at])), iotest.ErrReader(eio))), nil
 	}
 	return nil, notFound("open", p)
 }
@@ -356,10 +372,17 @@ type memFile struct {
 func (f *memFile) Read(b []byte) (int, error) {
 	f.m.mu.Lock()
 	defer f.m.mu.Unlock()
-	if f.off >= len(f.n.data) {
+	data := f.n.data
+	if f.path == f.m.unreadable.path {
+		if f.off >= f.m.unreadable.at {
+			return 0, &fs.PathError{Op: "read", Path: f.path, Err: syscall.EIO}
+		}
+		data = data[:f.m.unreadable.at]
+	}
+	if f.off >= len(data) {
 		return 0, io.EOF
 	}
-	k := copy(b, f.n.data[f.off:])
+	k := copy(b, data[f.off:])
 	f.off += k
 	return k, nil
 }

@@ -41,9 +41,8 @@
 // later Mutate, Flush and Checkpoint of that LiveView returns ErrViewDown
 // around that first cause, reads return nothing, and ViewStats.LastError
 // names it, so no state a view failed to maintain is served. The way back
-// is an open, which recovers from the log, and start is a restart: a
-// Scheduler reopens a down durable view by the same open it recovers every
-// view with at startup (Scheduler.Get), with no process restart.
+// is an open, which recovers from the log: a Scheduler reopens a down
+// durable view (Scheduler.Get) by the open it runs at startup.
 //
 // Every view reaches its fixpoint through one maintenance session
 // (shard.go, shardcore.go) spread over 1+len(ViewConfig.Workers) hosts:

@@ -10,7 +10,6 @@ import (
 	goruntime "runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -24,12 +23,11 @@ import (
 // Get plus Mutate and Query, and every HTTP route of the view. Every
 // answer must be typed: a direct call nil or ErrViewDown, an HTTP route 2xx
 // or 503 with Retry-After (stats 200 always). It returns what broke the
-// rules.
-func hammer(s *Scheduler, base string, d time.Duration) []string {
+// rules, and the longest a Get took.
+func hammer(s *Scheduler, base string, d time.Duration) (bad []string, slowest time.Duration) {
 	var (
-		mu  sync.Mutex
-		bad []string
-		wg  sync.WaitGroup
+		mu sync.Mutex
+		wg sync.WaitGroup
 	)
 	note := func(format string, args ...any) {
 		mu.Lock()
@@ -44,7 +42,12 @@ func hammer(s *Scheduler, base string, d time.Duration) []string {
 		go func() {
 			defer wg.Done()
 			for i := int64(0); time.Now().Before(stop); i++ {
+				start := time.Now()
 				v, ok := s.Get("g")
+				took := time.Since(start)
+				mu.Lock()
+				slowest = max(slowest, took)
+				mu.Unlock()
 				if !ok {
 					note("Get found no view")
 					return
@@ -93,13 +96,14 @@ func hammer(s *Scheduler, base string, d time.Duration) []string {
 		}()
 	}
 	wg.Wait()
-	return bad
+	return bad, slowest
 }
 
 // restartUnderPersistentFault breaks a served view for good with breakIt,
 // hammers it for about a second, and checks that its reopens stayed within
 // the backoff bound (at most about 8 in a second: at once, then 50, 100,
-// 200, 400 ms apart), that every answer was typed, and that Close leaves no
+// 200, 400 ms apart), that no Get waited out more than one quick reopen
+// (slowGet), that every answer was typed, and that Close leaves no
 // goroutine and no spill file behind.
 func restartUnderPersistentFault(t *testing.T, cfg SchedulerConfig, breakIt func()) {
 	tmp := t.TempDir()
@@ -112,15 +116,19 @@ func restartUnderPersistentFault(t *testing.T, cfg SchedulerConfig, breakIt func
 	srv := httptest.NewServer(s.Handler())
 	breakIt()
 	start := time.Now()
-	bad := hammer(s, srv.URL, time.Second)
+	bad, slowest := hammer(s, srv.URL, time.Second)
 	st := s.Stats().PerView["g"]
 	elapsed := time.Since(start)
 	for _, b := range bad {
 		t.Error(b)
 	}
-	t.Logf("%d reopens in %v, state %s, last error %q", st.Restarts, elapsed.Round(time.Millisecond), st.State, st.LastError)
+	t.Logf("%d reopens in %v, slowest Get %v, state %s, last error %q", st.Restarts,
+		elapsed.Round(time.Millisecond), slowest.Round(time.Millisecond), st.State, st.LastError)
 	if st.Restarts < 1 || st.Restarts > 8 {
 		t.Errorf("%d reopens in %v, want 1..8", st.Restarts, elapsed)
+	}
+	if slowest > slowGet {
+		t.Errorf("a Get took %v, want at most %v", slowest, slowGet)
 	}
 	if st.State == viewStates[2] {
 		t.Errorf("a transient fault failed the view: %s", st.LastError)
@@ -155,39 +163,117 @@ func TestRestartPersistentIOFault(t *testing.T) {
 	}
 }
 
-// TestRestartRefusedDial: the worker of a sharded durable view drops its
-// control connection and refuses every dial after.
+// slowGet bounds a Get that reopens a view under a persistent fault: an
+// open that fails at its first file call or its first dial. Waiting out
+// distrib.DialWorker's startup retries alone takes 1.55 s.
+const slowGet = 500 * time.Millisecond
+
+// acceptLog is a listener that keeps every connection it accepted.
+type acceptLog struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *acceptLog) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+// TestRestartRefusedDial: the worker of a sharded durable view, dialled
+// the default way, closes its listener and every connection it accepted,
+// so every later dial is refused. Each reopen dials once: no Get waits out
+// a startup dial's retries.
 func TestRestartRefusedDial(t *testing.T) {
 	const dataDir = "/data"
-	addr := startWorkers(t, 1)[0]
-	var (
-		mu      sync.Mutex
-		conns   []net.Conn
-		refused atomic.Bool
-	)
-	dial := func(addr string, timeout time.Duration) (net.Conn, error) {
-		if refused.Load() {
-			return nil, syscall.ECONNREFUSED
-		}
-		conn, err := distrib.DialWorker(addr, timeout)
-		if err == nil {
-			mu.Lock()
-			conns = append(conns, conn)
-			mu.Unlock()
-		}
-		return conn, err
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	ln := &acceptLog{Listener: inner}
+	t.Cleanup(func() { ln.Close() })
+	go distrib.ServeWorkerWith(ln, distrib.ServeWorkerOpts{Views: NewWorkerHost(nil)})
 	cfg := SchedulerConfig{DataDir: dataDir, DefaultView: ViewConfig{
-		Config: iterative.Config{Parallelism: 2, SolutionMemoryBudget: 256}, Workers: []string{addr},
-		fs: newMemFS(dataDir), dial: dial}}
+		Config: iterative.Config{Parallelism: 2, SolutionMemoryBudget: 256}, Workers: []string{ln.Addr().String()},
+		fs: newMemFS(dataDir)}}
 	restartUnderPersistentFault(t, cfg, func() {
-		refused.Store(true)
-		mu.Lock()
-		for _, c := range conns {
+		ln.Close()
+		ln.mu.Lock()
+		for _, c := range ln.conns {
 			c.Close()
 		}
-		mu.Unlock()
+		ln.mu.Unlock()
 	})
+}
+
+// TestReopenAfterUnreadableFile: a read the file system fails is no
+// verdict on the bytes behind it. The newest snapshot failing to open after
+// a rotation leaves the log uncovered only for now, and a read failing
+// inside the log is no torn tail: either way the view is restarting, no
+// acknowledged frame is cut, and the first Get once the file reads again
+// brings the view back whole. A newest snapshot whose bytes are damaged
+// does leave the log uncovered for good: that view is failed.
+func TestReopenAfterUnreadableFile(t *testing.T) {
+	const dataDir, dir = "/data", "/data/g"
+	mem := newMemFS(dataDir)
+	cfg := SchedulerConfig{DataDir: dataDir, DefaultView: ViewConfig{
+		Config: iterative.Config{Parallelism: 1}, fs: mem}}
+	s := NewScheduler(cfg)
+	v, err := s.Create("g", CC(), ringEdges(8), nil)
+	for _, step := range []func() error{
+		func() error { return v.Mutate(InsertEdge(20, 21)) }, v.Flush, v.Checkpoint,
+		func() error { return v.Mutate(InsertEdge(21, 22)) }, v.Flush, v.Checkpoint,
+		func() error { return v.Mutate(InsertEdge(22, 23)) }, // past the rotation
+	} {
+		if err == nil {
+			err = step()
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	vf, err := readViewDir(mem, dir)
+	if err != nil || len(vf.snaps) < 2 {
+		t.Fatalf("snapshots %v (%v), want two", vf.snaps, err)
+	}
+	newest := dir + "/" + snapshotName(vf.snaps[0])
+	for _, c := range []struct {
+		name, path, state string
+		at                int
+	}{
+		{"newest snapshot", newest, "restarting", 0},
+		{"log", dir + "/" + walFileName, "restarting", walHeaderSize + 1},
+		{"damaged newest snapshot", newest, "failed", -1},
+	} {
+		if c.at < 0 {
+			_, _, n := mem.lookup(newest)
+			n.data[len(n.data)/2] ^= 1
+		} else {
+			mem.unreadable.path, mem.unreadable.at = c.path, c.at
+		}
+		s := NewScheduler(cfg)
+		n, err := s.Recover()
+		if st := s.Stats().PerView["g"]; n != 0 || err == nil || st.State != c.state {
+			t.Fatalf("%s: Recover = %d, %v; state %s, want %s", c.name, n, err, st.State, c.state)
+		}
+		mem.unreadable.path = ""
+		if v, _ := s.Get("g"); c.state == "failed" {
+			if v.downErr() == nil || v.Stats().Restarts != 0 {
+				t.Fatalf("%s: a failed view was reopened: %+v", c.name, v.Stats())
+			}
+		} else if v.downErr() != nil {
+			t.Fatalf("%s: not back: %v", c.name, v.downErr())
+		} else {
+			mustComp(t, v, 23, 20)
+		}
+		s.Close()
+	}
 }
 
 // TestReopenRacesDropAndClose: Gets that reopen a down view race a Drop,
@@ -216,7 +302,10 @@ func TestReopenRacesDropAndClose(t *testing.T) {
 		mem.broken = ioFault{} // the fault passes: the next Get reopens the view
 		mem.mu.Unlock()
 		done := make(chan []string)
-		go func() { done <- hammer(s, srv.URL, 100*time.Millisecond) }()
+		go func() {
+			bad, _ := hammer(s, srv.URL, 100*time.Millisecond)
+			done <- bad
+		}()
 		time.Sleep(20 * time.Millisecond)
 		last := round == 2
 		if last {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -395,7 +396,7 @@ func (s *Scheduler) Recover() (int, error) {
 		if err == nil && committed {
 			if sl, err = s.reserve(e.Name()); err == nil {
 				var v *LiveView
-				if v, err = s.open(e.Name(), base); err == nil {
+				if v, err = s.open(e.Name(), base, false); err == nil {
 					n++
 				}
 				s.install(sl, v)
@@ -411,15 +412,28 @@ func (s *Scheduler) Recover() (int, error) {
 // open is the one way a scheduler brings a committed view back, at startup
 // and after a down: the recipe beside the log names the maintainer and the
 // config over base, and NewView recovers the view from its snapshot and
-// log. A view that fails to open is a downView.
-func (s *Scheduler) open(name string, base ViewConfig) (v *LiveView, err error) {
+// log. A view that fails to open is a downView. After a down, open first
+// syncs the view's directory, as the view may have made a rename whose
+// sync failed, and dials each worker once, for at most a second: the
+// scheduler's backoff retries, not distrib.DialWorker's startup policy. A
+// clean restart syncs nothing, as it writes nothing.
+func (s *Scheduler) open(name string, base ViewConfig, afterDown bool) (v *LiveView, err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("live: recovering view %q: %w", name, err)
 			v = downView(name, base, err)
 		}
 	}()
-	f, err := base.fs.Open(filepath.Join(base.DataDir, name, metaFileName))
+	dir := filepath.Join(base.DataDir, name)
+	if afterDown {
+		if base.dial == nil {
+			base.dial = func(addr string, _ time.Duration) (net.Conn, error) { return net.DialTimeout("tcp", addr, time.Second) }
+		}
+		if err := base.fs.SyncDir(dir); err != nil {
+			return nil, err
+		}
+	}
+	f, err := base.fs.Open(filepath.Join(dir, metaFileName))
 	if err != nil {
 		return nil, err
 	}
@@ -504,14 +518,7 @@ func (s *Scheduler) reopen(name string, sl *slot, v *LiveView) *LiveView {
 	sl.streak++
 	sl.restarts.Add(1)
 	v.Close()
-	// A rename the view made may still wait on a directory sync that
-	// failed: the open builds on it only once it is durable.
-	var nv *LiveView
-	if err := v.cfg.fs.SyncDir(filepath.Join(v.cfg.DataDir, name)); err != nil {
-		nv = downView(name, v.cfg, err)
-	} else {
-		nv, _ = s.open(name, v.cfg)
-	}
+	nv, _ := s.open(name, v.cfg, true)
 	s.install(sl, nv)
 	return nv
 }

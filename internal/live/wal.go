@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"math/bits"
 	"path/filepath"
@@ -788,8 +789,8 @@ func removeViewDir(fs fsys, dir string) error {
 	return fs.SyncDir(filepath.Dir(dir))
 }
 
-// errUncovered marks a log whose base no readable snapshot reaches: the
-// frames before it are gone, so no open brings the view back.
+// errUncovered marks a log whose base no snapshot reaches: the frames
+// before it are gone, so no open brings the view back.
 var errUncovered = errors.New("live: log not covered by a snapshot")
 
 // recoverView rebuilds a durable view from the log and snapshots vf lists.
@@ -801,7 +802,7 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	var (
 		v       *LiveView
 		snapSeq uint64
-		skipped error    // why the last unreadable snapshot was passed over
+		skipped error    // why the unreadable snapshots were passed over
 		passed  []uint64 // the unreadable snapshots
 		err     error
 	)
@@ -814,7 +815,7 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 			// An unreadable snapshot falls back to its predecessor; the
 			// WAL base check below catches the case where the log no
 			// longer reaches back that far.
-			skipped, passed = lerr, append(passed, s)
+			skipped, passed = errors.Join(skipped, lerr), append(passed, s)
 			continue
 		}
 		v, snapSeq = lv, s
@@ -859,8 +860,13 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	if w.base > snapSeq {
 		w.Close()
 		v.sess.hangUp()
-		return nil, errors.Join(fmt.Errorf("%w: view %q wal starts at frame %d but the best readable snapshot covers only %d",
-			errUncovered, name, w.base+1, snapSeq), skipped)
+		err = fmt.Errorf("view %q wal starts at frame %d but the best readable snapshot covers only %d", name, w.base+1, snapSeq)
+		// Lost for good only if every snapshot passed over failed on its
+		// bytes: one the file system failed to read may read next time.
+		if !errors.As(skipped, new(*fs.PathError)) {
+			err = fmt.Errorf("%w: %w", errUncovered, err)
+		}
+		return nil, errors.Join(err, skipped)
 	}
 
 	v.dur = &durableState{

@@ -84,10 +84,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 func (fr *FrameReader) ValidOffset() int64 { return fr.valid }
 
 // Next decodes the next frame as a record batch. It returns io.EOF at a
-// clean end of the stream (no partial frame), and an error wrapping
+// clean end of the stream (no partial frame), an error wrapping
 // ErrCorruptFrame for a truncated, checksum-failing, or self-inconsistent
-// frame. A length prefix that is no whole batch fails before any payload
-// is read.
+// frame, and the reader's own error as it is. A length prefix that is no
+// whole batch fails before any payload is read.
 func (fr *FrameReader) Next() (Batch, error) {
 	n, crc, err := fr.header()
 	if err != nil {
@@ -131,8 +131,8 @@ func (fr *FrameReader) NextPayload() ([]byte, error) {
 func (fr *FrameReader) header() (n, crc uint32, err error) {
 	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, 0, io.EOF
+		if err != io.ErrUnexpectedEOF {
+			return 0, 0, err // io.EOF at a clean end, or the reader's own error
 		}
 		return 0, 0, fmt.Errorf("%w: truncated header: %v", ErrCorruptFrame, err)
 	}
@@ -148,8 +148,10 @@ func (fr *FrameReader) body(n, crc uint32) ([]byte, error) {
 	for len(p) < int(n) {
 		k := min(int(n)-len(p), frameReadBufSize)
 		p = slices.Grow(p, k)[:len(p)+k]
-		if _, err := io.ReadFull(fr.br, p[len(p)-k:]); err != nil {
+		if _, err := io.ReadFull(fr.br, p[len(p)-k:]); err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorruptFrame, err)
+		} else if err != nil {
+			return nil, err
 		}
 	}
 	fr.payload = p
