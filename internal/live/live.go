@@ -48,17 +48,16 @@
 // (shard.go, shardcore.go) spread over 1+len(ViewConfig.Workers) hosts:
 // in-process with none, or — with `spinflow serve -workers` — hosting
 // partition ranges across `spinflow worker` processes. The host count
-// changes the transport and the control fan-out, never the maintenance
-// decision: insert fast path, bounded recompute, full recompute and
-// overlay fold — a patch of the cached edge table with the net edge
-// changes since the last fold — are taken on the same conditions
-// everywhere. Every host
-// keeps a full graph replica and derives plan and placement independently
-// (digest-checked over the control connections); only mutation batches,
-// owner-routed candidate worksets and the affected regions of deletions
-// travel, supersteps ride the shared driver's barrier over the TCP data
-// plane, queries ask the key's owner, and a snapshot gathers every host's
-// shard into one file. A distributed batch job
+// changes the transport, never the maintenance decision: this process is
+// host 0 and serves its share of every verb a worker serves through the
+// same handler (shardCore.serve), keeping only view_open, the barrier, its
+// seed and its EachSolution stream to itself (shardcore.go says why); only
+// the control connection (ctlconn.go) encodes. Every host keeps a full
+// graph replica and derives plan and placement independently
+// (digest-checked); only mutation batches, owner-routed candidates and
+// deletions' regions travel, supersteps ride the shared driver's barrier
+// over the TCP data plane, queries ask the key's owner, and a snapshot
+// gathers every host's shard into one file. A distributed batch job
 // (job.go, RunJob) is the same session opened, driven through its cold
 // fixpoint once, collected and hung up — there is no second protocol.
 package live

@@ -2,9 +2,13 @@ package live
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -35,6 +39,11 @@ func nonTestSources(t *testing.T) map[string][]byte {
 // host count has grown its own maintenance decisions again, and the two
 // will drift (fold thresholds, delete classification) the way they did
 // before; this makes that a test failure instead of a code-review hope.
+//
+// It pins the same for the control verbs: a verb's body runs only from the
+// one handler every host serves with (shardCore.serve), host 0 included,
+// and records and mutations meet their wire form only in the control
+// connection's codec (ctlConn's methods; the WAL's frames in wal.go too).
 func TestSingleMaintenancePath(t *testing.T) {
 	apply := regexp.MustCompile(`func \([^)]*\) Apply\(batch \[\]Mutation\)`)
 	forked := regexp.MustCompile(`\b(localSession|distSession|SessionProvider)\b`)
@@ -50,6 +59,72 @@ func TestSingleMaintenancePath(t *testing.T) {
 	if len(applies) != 1 || applies["shard.go"] != 1 {
 		t.Fatalf("Apply(batch []Mutation) methods per file = %v, want exactly one, in shard.go", applies)
 	}
+
+	only := map[string][]string{ // callee → the functions that may call it
+		"absorb": {"shardCore.serve"}, "settle": {"shardCore.serve"},
+		"gatherRound": {"shardCore.serve"}, "seedRound": {"shardCore.serve"},
+		"packRecords": {"ctlConn.send"}, "unpackRecords": {"ctlConn.read"},
+		"appendMutations": {"ctlConn.send", "wal.go"}, "decodeMutations": {"ctlConn.read", "wal.go"},
+	}
+	calls := map[string]int{}
+	for file, callers := range callSites(t) {
+		for callee, fns := range callers {
+			for _, fn := range fns {
+				calls[callee]++
+				if allowed := only[callee]; allowed != nil && !slices.Contains(allowed, fn) && !slices.Contains(allowed, file) {
+					t.Errorf("%s: %s calls %s; only %v may", file, fn, callee, allowed)
+				}
+			}
+		}
+	}
+	for callee := range only {
+		if calls[callee] == 0 {
+			t.Errorf("nothing calls %s", callee)
+		}
+	}
+}
+
+// callSites maps each non-test file of this package to the functions
+// called in it by name, each with the functions (Recv.Name, or Name) whose
+// bodies call it.
+func callSites(t *testing.T) map[string]map[string][]string {
+	t.Helper()
+	fset := token.NewFileSet()
+	out := map[string]map[string][]string{}
+	for name, src := range nonTestSources(t) {
+		f, err := parser.ParseFile(fset, name, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		callers := map[string][]string{}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn := fd.Name.Name
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				fn = recv.(*ast.Ident).Name + "." + fn
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					switch f := call.Fun.(type) {
+					case *ast.Ident:
+						callers[f.Name] = append(callers[f.Name], fn)
+					case *ast.SelectorExpr:
+						callers[f.Sel.Name] = append(callers[f.Sel.Name], fn)
+					}
+				}
+				return true
+			})
+		}
+		out[name] = callers
+	}
+	return out
 }
 
 // TestSingleRecoveryPath pins the same invariant for durability: recovery

@@ -104,8 +104,9 @@ func hammer(s *Scheduler, base string, d time.Duration) (bad []string, slowest t
 // the backoff bound (at most about 8 in a second: at once, then 50, 100,
 // 200, 400 ms apart), that no Get waited out more than one quick reopen
 // (slowGet), that every answer was typed, and that Close leaves no
-// goroutine and no spill file behind.
-func restartUnderPersistentFault(t *testing.T, cfg SchedulerConfig, breakIt func()) {
+// goroutine and no spill file behind. It returns the view's stats as the
+// hammering left them.
+func restartUnderPersistentFault(t *testing.T, cfg SchedulerConfig, breakIt func()) ViewStats {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	baseline := goruntime.NumGoroutine()
@@ -141,6 +142,7 @@ func restartUnderPersistentFault(t *testing.T, cfg SchedulerConfig, breakIt func
 	if left, _ := os.ReadDir(tmp); len(left) != 0 {
 		t.Errorf("%d files left in the temp dir", len(left))
 	}
+	return st
 }
 
 // TestRestartPersistentIOFault: file calls fail once the view is up. When
@@ -188,7 +190,7 @@ func (l *acceptLog) Accept() (net.Conn, error) {
 // TestRestartRefusedDial: the worker of a sharded durable view, dialled
 // the default way, closes its listener and every connection it accepted,
 // so every later dial is refused. Each reopen dials once: no Get waits out
-// a startup dial's retries.
+// a startup dial's retries. The failed reopen's error names the view once.
 func TestRestartRefusedDial(t *testing.T) {
 	const dataDir = "/data"
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
@@ -201,7 +203,7 @@ func TestRestartRefusedDial(t *testing.T) {
 	cfg := SchedulerConfig{DataDir: dataDir, DefaultView: ViewConfig{
 		Config: iterative.Config{Parallelism: 2, SolutionMemoryBudget: 256}, Workers: []string{ln.Addr().String()},
 		fs: newMemFS(dataDir)}}
-	restartUnderPersistentFault(t, cfg, func() {
+	st := restartUnderPersistentFault(t, cfg, func() {
 		ln.Close()
 		ln.mu.Lock()
 		for _, c := range ln.conns {
@@ -209,6 +211,9 @@ func TestRestartRefusedDial(t *testing.T) {
 		}
 		ln.mu.Unlock()
 	})
+	if n := strings.Count(st.LastError, `recovering view "g"`); n != 1 {
+		t.Errorf("LastError names the view %d times, want once: %s", n, st.LastError)
+	}
 }
 
 // TestReopenAfterUnreadableFile: a read the file system fails is no

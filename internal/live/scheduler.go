@@ -412,30 +412,31 @@ func (s *Scheduler) Recover() (int, error) {
 // open is the one way a scheduler brings a committed view back, at startup
 // and after a down: the recipe beside the log names the maintainer and the
 // config over base, and NewView recovers the view from its snapshot and
-// log. A view that fails to open is a downView. After a down, open first
-// syncs the view's directory, as the view may have made a rename whose
-// sync failed, and dials each worker once, for at most a second: the
-// scheduler's backoff retries, not distrib.DialWorker's startup policy. A
-// clean restart syncs nothing, as it writes nothing.
+// log. A view that fails to open is a downView; its error names the view
+// once, here for open's own steps and in NewView for the recovery. After a
+// down, open first syncs the view's directory, as the view may have made a
+// rename whose sync failed, and dials each worker once, for at most a
+// second: the scheduler's backoff retries, not distrib.DialWorker's startup
+// policy. A clean restart syncs nothing, as it writes nothing.
 func (s *Scheduler) open(name string, base ViewConfig, afterDown bool) (v *LiveView, err error) {
 	defer func() {
 		if err != nil {
-			err = fmt.Errorf("live: recovering view %q: %w", name, err)
 			v = downView(name, base, err)
 		}
 	}()
+	named := func(err error) (*LiveView, error) { return nil, fmt.Errorf("live: recovering view %q: %w", name, err) }
 	dir := filepath.Join(base.DataDir, name)
 	if afterDown {
 		if base.dial == nil {
 			base.dial = func(addr string, _ time.Duration) (net.Conn, error) { return net.DialTimeout("tcp", addr, time.Second) }
 		}
 		if err := base.fs.SyncDir(dir); err != nil {
-			return nil, err
+			return named(err)
 		}
 	}
 	f, err := base.fs.Open(filepath.Join(dir, metaFileName))
 	if err != nil {
-		return nil, err
+		return named(err)
 	}
 	var meta recipe
 	dec := json.NewDecoder(f)
@@ -443,11 +444,11 @@ func (s *Scheduler) open(name string, base ViewConfig, afterDown bool) (v *LiveV
 	err = dec.Decode(&meta)
 	f.Close()
 	if err != nil {
-		return nil, fmt.Errorf("meta: %w: %w", errUnknownForm, err)
+		return named(fmt.Errorf("meta: %w: %w", errUnknownForm, err))
 	}
 	m, err := meta.maintainer()
 	if err != nil {
-		return nil, err
+		return named(err)
 	}
 	return NewView(name, m, nil, meta.applyTo(base))
 }

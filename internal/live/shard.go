@@ -1,20 +1,13 @@
 package live
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"runtime/pprof"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/distrib"
@@ -37,101 +30,6 @@ type ShardStat struct {
 	Bytes   int64 `json:"bytes"`
 }
 
-// maxControlFrame caps a control frame's body: a longer one is refused
-// before anything is allocated for it.
-const maxControlFrame = 1 << 30
-
-var (
-	errControlFrame    = errors.New("live: malformed control frame")
-	errControlDeadline = errors.New("live: control wait past its deadline")
-)
-
-// ctlConn is either end of one control connection. A message is one
-// frame, a big-endian uint32 length and that much JSON, sent in a single
-// Write. Rounds and barrier steps run under the view's exclusive lock;
-// calls take mu, so concurrent Query calls (shared view lock) share the
-// connection safely.
-type ctlConn struct {
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	late atomic.Bool // the session's deadline cut the connection
-}
-
-func newCtlConn(conn net.Conn) *ctlConn {
-	return &ctlConn{conn: conn, r: bufio.NewReader(conn)}
-}
-
-// call performs one locked request/reply exchange.
-func (c *ctlConn) call(msg shardMsg) (shardMsg, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.send(msg); err != nil {
-		return shardMsg{}, err
-	}
-	return c.recv(msg.Kind)
-}
-
-// recv reads the reply to a request of verb want: one that carries Err is
-// the worker's failure, one of another verb means the connection is out
-// of step.
-func (c *ctlConn) recv(want verb) (shardMsg, error) {
-	msg, err := c.read()
-	switch {
-	case err != nil:
-		return shardMsg{}, err
-	case msg.Err != "":
-		return shardMsg{}, fmt.Errorf("live: worker: %s", msg.Err)
-	case msg.Kind != want:
-		return shardMsg{}, fmt.Errorf("live: worker answered %s, want %s", msg.Kind, want)
-	}
-	return msg, nil
-}
-
-// send writes msg as one frame.
-func (c *ctlConn) send(msg shardMsg) error {
-	body, err := json.Marshal(msg)
-	if err != nil {
-		return err
-	}
-	_, err = c.conn.Write(append(binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(body)), uint32(len(body))), body...))
-	return c.ioErr(err)
-}
-
-// read reads one frame; a clean hang-up between frames reads io.EOF. The
-// body is read as it arrives, so a frame that stops short allocates no
-// more than what came.
-func (c *ctlConn) read() (shardMsg, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return shardMsg{}, c.ioErr(err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxControlFrame {
-		return shardMsg{}, fmt.Errorf("%w: length %d over the cap", errControlFrame, n)
-	}
-	body, err := io.ReadAll(io.LimitReader(c.r, int64(n)))
-	if err == nil && len(body) < int(n) {
-		err = io.ErrUnexpectedEOF
-	}
-	var msg shardMsg
-	if err != nil {
-		return msg, c.ioErr(err)
-	}
-	if err := json.Unmarshal(body, &msg); err != nil {
-		return msg, fmt.Errorf("%w: %w", errControlFrame, err)
-	}
-	return msg, nil
-}
-
-// ioErr marks an error on a connection the deadline cut.
-func (c *ctlConn) ioErr(err error) error {
-	if err != nil && c.late.Load() {
-		return fmt.Errorf("%w: %w", errControlDeadline, err)
-	}
-	return err
-}
-
 // session is the execution backend of every LiveView: the thing that holds
 // the resident fixpoint and absorbs mutation batches into it, while the
 // view keeps the micro-batching, the durability lifecycle and the serving
@@ -140,9 +38,9 @@ func (c *ctlConn) ioErr(err error) error {
 // for a view without ViewConfig.Workers. Maintenance runs the coordinated
 // protocol below; reads route by partition placement.
 //
-// Every method is called under the view's maintenance lock except Lookup
-// and Snapshot, which run under the shared read lock and must therefore
-// be safe for concurrent use with each other.
+// Every method is called under the view's maintenance lock except Lookup,
+// Snapshot and shards, which run under the shared read lock and must
+// therefore be safe for concurrent use with each other.
 type session struct {
 	v     *LiveView
 	core  *shardCore
@@ -188,10 +86,20 @@ func (s *session) cut() {
 	}
 }
 
-// call is one request/reply exchange with a worker, under one deadline.
+// call is one request/reply exchange with a host: host 0 serves it in
+// process, a worker under one deadline and its connection's lock.
 func (s *session) call(host int, msg shardMsg) (shardMsg, error) {
+	if host == 0 {
+		return s.core.serve(msg)
+	}
 	defer disarm(s.arm())
-	return s.conns[host-1].call(msg)
+	c := s.conns[host-1]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.send(msg); err != nil {
+		return shardMsg{}, err
+	}
+	return c.recv(msg.Kind)
 }
 
 // openSession builds the view's session over its current graph. Normally
@@ -271,8 +179,7 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 	}
 	// Host 0 is already listening and higher hosts dial lower ones, so the
 	// workers mesh while the coordinator connects.
-	return s.round(roundMesh, all(shardMsg{Kind: viewStart, DataAddrs: dataAddrs}),
-		func() error { return s.core.tr.ConnectPeers(dataAddrs, distrib.MeshTimeout) }, nil)
+	return s.round(roundMesh, all(shardMsg{Kind: viewStart, DataAddrs: dataAddrs}), nil)
 }
 
 // Load streams one frame of a recovered solution into the session: every
@@ -280,11 +187,7 @@ func (s *session) enlistWorkers(cfg iterative.Config, recovering bool) error {
 // partitions it hosts become authoritative). Frames arrive one at a time
 // from the snapshot reader; nothing accumulates outside the sets.
 func (s *session) Load(b record.Batch) error {
-	return s.round(roundLoad, all(shardMsg{Kind: viewLoad, Frames: s.wire(b)}),
-		func() error {
-			s.core.sol.Init(b)
-			return nil
-		}, nil)
+	return s.round(roundLoad, all(shardMsg{Kind: viewLoad, recs: b}), nil)
 }
 
 // controlRound names one control fan-out and carries its profiler labels,
@@ -321,39 +224,40 @@ func (s *session) label(labels context.Context) (prev context.Context) {
 	return prev
 }
 
-// round is one control fan-out under one deadline: req goes to every
-// worker, local runs on the coordinator's core while they work, then every
-// reply is collected through got. With no workers it is just local. The
-// coordinator's share runs under the round's profiler labels, and the
-// labels in effect before go back on afterwards (label), as the runtime
-// and the merge put back theirs. A view with
-// a telemetry registry records it as a PhaseRound span labelled with the
-// round's name.
-func (s *session) round(r controlRound, req func(host int) shardMsg,
-	local func() error, got func(host int, reply shardMsg) error) error {
+// round is one control fan-out under one deadline: req(h) goes to every
+// worker h, host 0 serves req(0) while they work, and every host's reply,
+// host 0's first, goes to got (if any). Host 0's share runs under the
+// round's profiler labels, and the labels in effect before go back on
+// afterwards (label), as the runtime and the merge put back theirs. A view
+// with a telemetry registry records it as a PhaseRound span.
+func (s *session) round(r controlRound, req func(host int) shardMsg, got func(host int, reply shardMsg) error) error {
 	if s.v.ring != nil {
 		defer s.v.span(obs.PhaseRound, r.name, time.Now())
 	}
 	defer s.label(s.label(r.labels))
 	defer disarm(s.arm())
-	var want verb
 	for i, c := range s.conns {
-		msg := req(i + 1)
-		want = msg.Kind
-		if err := c.send(msg); err != nil {
+		if err := c.send(req(i + 1)); err != nil {
 			return fmt.Errorf("live: %s host %d: %w", r.name, i+1, err)
 		}
 	}
-	if err := local(); err != nil {
-		return err
-	}
-	for i, c := range s.conns {
-		reply, err := c.recv(want)
+	msg := req(0)
+	for h := range 1 + len(s.conns) {
+		var reply shardMsg
+		var err error
+		switch {
+		case h > 0:
+			reply, err = s.conns[h-1].recv(msg.Kind)
+		case msg.Kind == viewEpoch:
+			continue // host 0's driver swaps its own plan once OnEpoch returns
+		default:
+			reply, err = s.core.serve(msg)
+		}
 		if err == nil && got != nil {
-			err = got(i+1, reply)
+			err = got(h, reply)
 		}
 		if err != nil {
-			return fmt.Errorf("live: %s host %d: %w", r.name, i+1, err)
+			return fmt.Errorf("live: %s host %d: %w", r.name, h, err)
 		}
 	}
 	return nil
@@ -361,14 +265,6 @@ func (s *session) round(r controlRound, req func(host int) shardMsg,
 
 // all sends the same request to every host.
 func all(msg shardMsg) func(int) shardMsg { return func(int) shardMsg { return msg } }
-
-// wire packs a fan-out payload — or nothing, with no one to send it to.
-func (s *session) wire(recs []record.Record) []byte {
-	if len(s.conns) == 0 {
-		return nil
-	}
-	return packRecords(recs)
-}
 
 // sameDigest checks a host's reported plan against the coordinator's:
 // every host plans independently over its replica, and any difference
@@ -435,8 +331,7 @@ func (b shardBarrier) Collect(step, localNext int) (int, error) {
 func (s *session) epochBump(_ int, est int64, phys *optimizer.PhysPlan) error {
 	c := s.core
 	c.digest = phys.Fingerprint()
-	err := s.round(roundEpoch, all(shardMsg{Kind: viewEpoch, Epoch: c.epoch + 1, Count: int(est)}),
-		func() error { return nil }, s.sameDigest)
+	err := s.round(roundEpoch, all(shardMsg{Kind: viewEpoch, Epoch: c.epoch + 1, Count: int(est)}), s.sameDigest)
 	if err == nil {
 		c.epoch++
 	}
@@ -480,26 +375,21 @@ func (s *session) warmRestart(workset []record.Record) error {
 // anywhere. Candidates only move entries down the CPO, so it terminates.
 func (s *session) Apply(batch []Mutation) error {
 	c := s.core
-	remote := 0 // records the workers' partitions keep past the batch
-	var payload []byte
-	if len(s.conns) > 0 {
-		payload = appendMutations(nil, batch)
-	}
-	err := s.round(roundApply, all(shardMsg{Kind: viewApply, Frames: payload}),
-		func() error { return c.applyBatch(batch) },
+	survivors := 0 // records every host keeps past the batch
+	err := s.round(roundApply, all(shardMsg{Kind: viewApply, muts: batch}),
 		func(host int, reply shardMsg) error {
 			if reply.Count != len(c.removed) || reply.Full != c.removes() {
 				return fmt.Errorf("saw %d removed edges (any removal %v), coordinator %d (%v) (replica divergence)",
 					reply.Count, reply.Full, len(c.removed), c.removes())
 			}
-			remote += reply.Records
+			survivors += reply.Records
 			return s.sameDigest(host, reply)
 		})
 	if err != nil {
 		return err
 	}
 	if c.removes() {
-		if full, err := s.repair(remote); err != nil || full {
+		if full, err := s.repair(survivors); err != nil || full {
 			return err
 		}
 	}
@@ -507,34 +397,18 @@ func (s *session) Apply(batch []Mutation) error {
 	for round := 0; ; round++ {
 		// Gather: every host retains the candidates keyed to partitions it
 		// owns and reports how many, so a globally empty round is still
-		// detectable; only remote-keyed candidates travel, and the
+		// detectable; only remote-keyed candidates come back, and the
 		// coordinator routes each straight to its owner.
 		var shares [][]record.Record
-		var inbound []record.Record
 		total := 0
 		err := s.round(roundGather, all(shardMsg{Kind: viewGather, Round: round}),
-			func() error {
-				shares = c.gatherRound(round)
-				total += len(c.pending)
-				return nil
-			},
 			func(_ int, reply shardMsg) error {
-				recs, err := unpackRecords(reply.Frames)
-				inbound = append(inbound, recs...)
-				total += reply.Count + len(recs)
-				return err
+				shares = c.splitByHost(shares, reply.recs)
+				total += reply.Count + len(reply.recs)
+				return nil
 			})
-		if err != nil {
+		if err != nil || total == 0 {
 			return err
-		}
-		for _, sh := range shares {
-			total += len(sh)
-		}
-		if total == 0 {
-			return nil
-		}
-		for h, sh := range c.splitByHost(inbound) {
-			shares[h] = append(shares[h], sh...)
 		}
 
 		// Seed: each host merges its retained candidates with its routed
@@ -542,14 +416,11 @@ func (s *session) Apply(batch []Mutation) error {
 		// solution is already a fixpoint over them.
 		var own []record.Record
 		improving := 0
-		err = s.round(roundSeed, func(h int) shardMsg {
-			return shardMsg{Kind: viewSeed, Frames: packRecords(shares[h])}
-		},
-			func() error {
-				own, improving = c.seedRound(shares[0])
-				return nil
-			},
-			func(_ int, reply shardMsg) error {
+		err = s.round(roundSeed, func(h int) shardMsg { return shardMsg{Kind: viewSeed, recs: shares[h]} },
+			func(h int, reply shardMsg) error {
+				if h == 0 {
+					own = reply.recs // host 0 drives its workset; a worker seeded its own (stage)
+				}
 				improving += reply.Count
 				return nil
 			})
@@ -573,12 +444,12 @@ const recomputeCutoff = 0.5
 // repair classifies a batch that removed something and starts its repair.
 // Every host holds the same replica and batch, so the coordinator scopes
 // the region once, from the graph alone, and ships it with the verdict:
-// beyond recomputeCutoff of the records that survive the batch (remote
-// is the workers' share, reported in the view_apply reply) — or whenever the
+// beyond recomputeCutoff of the records that survive the batch on every
+// host (survivors, summed from the view_apply replies) — or whenever the
 // maintainer cannot bound it — the session recomputes in full (done when
 // repair returns), otherwise every host resets its share of the region and
 // the seeds join the candidate rounds.
-func (s *session) repair(remote int) (full bool, err error) {
+func (s *session) repair(survivors int) (full bool, err error) {
 	c := s.core
 	var region []int64
 	if len(c.removed) > 0 {
@@ -587,16 +458,18 @@ func (s *session) repair(remote int) (full bool, err error) {
 		full = !ok
 	}
 	if !full && len(region) > 0 {
-		full = float64(len(region)) > recomputeCutoff*float64(remote+c.survivors())
+		full = float64(len(region)) > recomputeCutoff*float64(survivors)
 	}
 	slices.Sort(region)
 
 	var w0 []record.Record
-	err = s.round(roundReplan, all(shardMsg{Kind: viewReplan, Full: full, Frames: s.wire(keyRecords(region))}),
-		func() (err error) {
-			w0, err = c.settle(full, region)
-			return err
-		}, s.sameDigest)
+	err = s.round(roundReplan, all(shardMsg{Kind: viewReplan, Full: full, recs: keyRecords(region)}),
+		func(host int, reply shardMsg) error {
+			if host == 0 {
+				w0 = reply.recs // a full recompute's W0, which host 0 drives (stage)
+			}
+			return s.sameDigest(host, reply)
+		})
 	if err == nil && len(w0) > 0 {
 		err = s.warmRestart(w0)
 	}
@@ -625,22 +498,14 @@ func recordKeys(recs []record.Record) []int64 {
 // miss.
 func (s *session) Lookup(k int64) (record.Record, bool, error) {
 	host := s.core.place[s.core.sol.PartitionFor(k)]
-	if host == 0 {
-		r, ok := s.core.lookup(k)
-		return r, ok, nil
-	}
 	reply, err := s.call(host, shardMsg{Kind: viewQuery, Key: k})
-	var recs []record.Record
-	if err == nil {
-		recs, err = unpackRecords(reply.Frames)
-	}
 	if err != nil {
 		return record.Record{}, false, fmt.Errorf("live: query key %d host %d: %w", k, host, err)
 	}
-	if len(recs) == 0 {
+	if len(reply.recs) == 0 {
 		return record.Record{}, false, nil
 	}
-	return recs[0], true, nil
+	return reply.recs[0], true, nil
 }
 
 // Snapshot copies the converged solution out of EachSolution in
@@ -658,22 +523,19 @@ func (s *session) Snapshot() ([]record.Record, error) {
 }
 
 // shards reports every host's occupancy, the coordinator's first. A down
-// view asks no worker: its control connections may be out of step. A
-// worker that cannot answer takes the view down.
+// view asks only host 0, in process: the control connections may be out
+// of step. A worker that cannot answer takes the view down.
 func (s *session) shards() []ShardStat {
-	out := []ShardStat{{Host: 0, Records: s.core.hostedRecords(), Bytes: s.core.sol.Bytes()}}
-	up := s.v.down.Load() == nil
-	for i := range s.conns {
-		st := ShardStat{Host: i + 1}
-		if up {
-			reply, err := s.call(i+1, shardMsg{Kind: viewStats})
+	out := make([]ShardStat, 1+len(s.conns))
+	for h := range out {
+		out[h].Host = h
+		if h == 0 || s.v.down.Load() == nil {
+			reply, err := s.call(h, shardMsg{Kind: viewStats})
 			if err != nil {
-				s.v.fail(fmt.Errorf("live: stats host %d: %w", i+1, err))
-				up = false
+				s.v.fail(fmt.Errorf("live: stats host %d: %w", h, err))
 			}
-			st.Records, st.Bytes = reply.Count, reply.Bytes
+			out[h].Records, out[h].Bytes = reply.Count, reply.Bytes
 		}
-		out = append(out, st)
 	}
 	return out
 }
@@ -682,9 +544,10 @@ func (s *session) shards() []ShardStat {
 // the snapshot writer and Snapshot: the coordinator's hosted partitions in
 // ascending partition order, then each worker's, collected over the
 // session in host order — all of them, or an error; a host lost at collect
-// time never yields a short solution. Worker spans travel back with the
-// records on traced views, so the cross-process timeline assembles in one
-// ring.
+// time never yields a short solution. Host 0's stream skips view_collect,
+// so a snapshot holds no second copy of its partitions. Worker spans travel
+// back with the records on traced views, so the cross-process timeline
+// assembles in one ring.
 func (s *session) EachSolution(f func(record.Record) error) error {
 	var err error
 	lost := s.core.eachHosted(func(r record.Record) {
@@ -696,20 +559,16 @@ func (s *session) EachSolution(f func(record.Record) error) error {
 		err = lost
 	}
 	for i := 0; err == nil && i < len(s.conns); i++ {
-		var recs []record.Record
 		reply, cerr := s.call(i+1, shardMsg{Kind: viewCollect})
-		if cerr == nil {
-			for _, sp := range reply.Spans {
-				if s.v.ring != nil {
-					s.v.ring.RecordSpan(sp)
-				}
-			}
-			recs, cerr = unpackRecords(reply.Frames)
-		}
 		if cerr != nil {
 			return fmt.Errorf("live: collect host %d: %w", i+1, cerr)
 		}
-		for _, r := range recs {
+		for _, sp := range reply.Spans {
+			if s.v.ring != nil {
+				s.v.ring.RecordSpan(sp)
+			}
+		}
+		for _, r := range reply.recs {
 			if err = f(r); err != nil {
 				break
 			}

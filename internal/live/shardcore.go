@@ -3,14 +3,13 @@ package live
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime/pprof"
 	"slices"
 	"sort"
 
 	"repro/internal/dataflow"
+	"repro/internal/distrib"
 	"repro/internal/iterative"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -27,6 +26,13 @@ import (
 // session with one host: no transport, no listener, and every control
 // fan-out runs over zero connections. The host count never changes which
 // maintenance decision is taken — only who holds which partitions.
+//
+// Every host, host 0 included, serves a verb through one handler
+// (shardCore.serve). Four things stay host 0's own: view_open (it builds
+// its core from its own graph), the barrier's view_step and view_epoch
+// (its driver steps and swaps its own plan), its seed (it hands the
+// workset back to drive, as cold hands back W0) and its EachSolution
+// stream (read from its solution set, so a snapshot keeps one copy).
 //
 // Each host owns one shardCore: an identical replica of the graph, the
 // spec and plan derived from it (digest-verified at open and after every
@@ -49,7 +55,8 @@ import (
 // nothing else, for live views and one-shot jobs (job.go) alike. The
 // coordinator sends a verb and the worker answers with a message of the
 // same verb, or one that carries Err and ends the session. A connection
-// carries one session, which ends when the coordinator hangs up.
+// carries one session, which ends when the coordinator hangs up. Host 0
+// serves its own share of every verb but open, step, epoch and collect.
 type verb string
 
 const (
@@ -57,9 +64,9 @@ const (
 	viewStart   verb = "view_start"   // all data addrs; mesh now — legal once, right after view_open
 	viewLoad    verb = "view_load"    // one frame of a recovered solution; Init it
 	viewApply   verb = "view_apply"   // one mutation batch → Count removed edges, Full = something was removed (Records = hosted records the batch leaves), plan digest
-	viewReplan  verb = "view_replan"  // the verdict — Full = reset + S0/W0, else fold + reset the region in Frames → plan digest
-	viewGather  verb = "view_gather"  // derive insert candidates (Round 0 = fresh batch) → remote-keyed candidate frames, Count = retained
-	viewSeed    verb = "view_seed"    // merged workset; seed it → Count = hosted candidates that improve
+	viewReplan  verb = "view_replan"  // the verdict — Full = reset + S0/W0, else fold + reset the region (its keys as records) → plan digest (host 0: a full recompute's W0 too)
+	viewGather  verb = "view_gather"  // derive insert candidates (Round 0 = fresh batch) → remote-keyed candidates, Count = retained
+	viewSeed    verb = "view_seed"    // merged workset; seed it → Count = hosted candidates that improve (host 0: the workset, to drive)
 	viewStep    verb = "view_step"    // run one superstep (barrier release) at plan Epoch → local next-workset Count + the Epoch it ran at
 	viewEpoch   verb = "view_epoch"   // plan swap — re-plan for global workset Count, become Epoch → the re-planned digest
 	viewQuery   verb = "view_query"   // lookup Key in a hosted partition → the record, or none
@@ -97,89 +104,10 @@ type shardMsg struct {
 	Frames    []byte     `json:"frames,omitempty"`
 	Spans     []obs.Span `json:"spans,omitempty"`
 	Err       string     `json:"err,omitempty"`
-}
-
-// --- record codec --------------------------------------------------------
-
-// packRecords is the wire form of every record payload on the control
-// plane (candidate worksets, solution records in either direction): a
-// flags byte plus varint fields, skipping zero B/X — a quarter of the
-// framed record encoding, which matters because these payloads dominate
-// what a sharded flush ships. Mutation batches travel in their own
-// encoding (appendMutations), and the graph CRC-framed, as the checkpoint
-// sections a snapshot stores it in.
-func packRecords(recs []record.Record) []byte {
-	out := make([]byte, 0, 8*len(recs)+binary.MaxVarintLen64)
-	out = binary.AppendUvarint(out, uint64(len(recs)))
-	var xb [8]byte
-	for _, r := range recs {
-		var flags byte
-		if r.B != 0 {
-			flags |= 1
-		}
-		if r.X != 0 {
-			flags |= 2
-		}
-		out = append(out, flags)
-		out = binary.AppendUvarint(out, uint64(r.A))
-		if flags&1 != 0 {
-			out = binary.AppendUvarint(out, uint64(r.B))
-		}
-		if flags&2 != 0 {
-			binary.LittleEndian.PutUint64(xb[:], math.Float64bits(r.X))
-			out = append(out, xb[:]...)
-		}
-	}
-	return out
-}
-
-// unpackRecords decodes a packRecords payload. A flags byte with any bit
-// but B's and X's is malformed.
-func unpackRecords(p []byte) ([]record.Record, error) {
-	bad := fmt.Errorf("live: malformed packed records")
-	n, w := binary.Uvarint(p)
-	if w <= 0 {
-		return nil, bad
-	}
-	p = p[w:]
-	out := make([]record.Record, 0, int(min(n, 1<<16))) // clamped before the conversion: n is untrusted
-	for i := uint64(0); i < n; i++ {
-		if len(p) == 0 {
-			return nil, bad
-		}
-		flags := p[0]
-		if flags&^3 != 0 {
-			return nil, bad // a flag this encoder never sets: a stale or foreign peer
-		}
-		p = p[1:]
-		var r record.Record
-		a, w := binary.Uvarint(p)
-		if w <= 0 {
-			return nil, bad
-		}
-		r.A = int64(a)
-		p = p[w:]
-		if flags&1 != 0 {
-			b, w := binary.Uvarint(p)
-			if w <= 0 {
-				return nil, bad
-			}
-			r.B = int64(b)
-			p = p[w:]
-		}
-		if flags&2 != 0 {
-			if len(p) < 8 {
-				return nil, bad
-			}
-			r.X = math.Float64frombits(binary.LittleEndian.Uint64(p))
-			p = p[8:]
-		}
-		out = append(out, r)
-	}
-	if len(p) != 0 {
-		return nil, bad
-	}
-	return out, nil
+	// recs and muts are the payload in memory; ctlConn packs them into
+	// Frames by verb (recordsTo), so what host 0 serves is never encoded.
+	recs []record.Record
+	muts []Mutation
 }
 
 // --- per-host session core ----------------------------------------------
@@ -341,6 +269,76 @@ func newShardCore(m Maintainer, cfg iterative.Config, gs *GraphState,
 	return c, c.cold(s0, w0), nil
 }
 
+// serve is the one handler of every verb a host serves but view_open
+// (which builds the core): a worker runs it per request, host 0 for its
+// share of every round and call. The caller sets the profiler labels
+// (c.labels). The read verbs (view_query, view_stats) write nothing: host
+// 0 serves them under the view's shared lock.
+func (c *shardCore) serve(req shardMsg) (shardMsg, error) {
+	switch req.Kind {
+	case viewStart:
+		return shardMsg{}, c.tr.ConnectPeers(req.DataAddrs, distrib.MeshTimeout)
+	case viewLoad:
+		c.sol.Init(req.recs)
+		return shardMsg{}, nil
+	case viewApply:
+		c.absorb(req.muts)
+		if c.removes() {
+			// The solution stays as the batch found it until the verdict
+			// (view_replan); the repair cutoff's share is read now.
+			return shardMsg{Count: len(c.removed), Full: true, Records: c.survivors(), Digest: c.digest}, nil
+		}
+		_, err := c.settle(false, nil)
+		return shardMsg{Digest: c.digest}, err
+	case viewReplan:
+		w0, err := c.settle(req.Full, recordKeys(req.recs))
+		return shardMsg{Digest: c.digest, recs: w0}, err
+	case viewGather:
+		// Count is how many stay here, so that the coordinator can detect a
+		// globally empty round.
+		out := c.gatherRound(req.Round)
+		return shardMsg{Count: len(c.pending), recs: out}, nil
+	case viewSeed:
+		workset, improving := c.seedRound(req.recs)
+		return shardMsg{Count: improving, recs: c.stage(workset)}, nil
+	case viewStep:
+		if req.Epoch != c.epoch {
+			return shardMsg{}, fmt.Errorf("live: released for a superstep at plan epoch %d while at %d", req.Epoch, c.epoch)
+		}
+		count, err := c.fx.StepOnce(c.labels)
+		return shardMsg{Count: count, Epoch: c.epoch}, err
+	case viewEpoch:
+		// Coordinated plan swap: re-plan for the coordinator's global
+		// workset estimate, swap the session, and answer with the new
+		// digest so the coordinator can verify the mesh stayed plan-agreed.
+		phys, err := c.fx.ApplyEpoch(c.labels, int64(req.Count))
+		if err != nil {
+			return shardMsg{}, err
+		}
+		c.digest, c.epoch = phys.Fingerprint(), req.Epoch
+		return shardMsg{Digest: c.digest}, nil
+	case viewQuery:
+		var hit []record.Record
+		if r, ok := c.lookup(req.Key); ok {
+			hit = append(hit, r)
+		}
+		return shardMsg{recs: hit}, nil
+	case viewCollect:
+		var spans []obs.Span
+		if c.cfg.Obs != nil && c.cfg.TraceID != 0 {
+			spans = c.cfg.Obs.Trace().SpansFor(c.cfg.TraceID)
+		}
+		recs := c.collect()
+		if err := c.sol.Err(); err != nil {
+			return shardMsg{}, err
+		}
+		return shardMsg{recs: recs, Spans: spans}, nil
+	case viewStats:
+		return shardMsg{Count: c.hostedRecords(), Bytes: c.sol.Bytes()}, nil
+	}
+	return shardMsg{}, fmt.Errorf("live: unknown verb %q", req.Kind)
+}
+
 // setSpec installs the spec the fixpoint was just (re)bound to, with the
 // bookkeeping that hangs off it. Everything in gs is in the new plan's
 // edge table, so the overlay and the edit log empty.
@@ -374,29 +372,21 @@ func (c *shardCore) rebind(spec iterative.IncrementalSpec) error {
 	return nil
 }
 
-// cold loads S0 and arms W0: a worker seeds its share now, the coordinator
-// gets W0 back to drive it through the barrier.
+// cold loads S0 and stages W0.
 func (c *shardCore) cold(s0, w0 []record.Record) []record.Record {
 	c.sol.Reset()
 	c.sol.Init(s0)
-	if c.host != 0 {
-		c.fx.SeedWorkset(c.labels, w0)
-		return nil
-	}
-	return w0
+	return c.stage(w0)
 }
 
-// applyBatch advances the graph replica by one mutation batch. The
-// solution set is untouched when something was removed — it stays as the
-// batch found it until the coordinator's verdict arrives; a batch that
-// removed nothing needs no verdict and settles right away.
-func (c *shardCore) applyBatch(muts []Mutation) error {
-	c.absorb(muts)
-	if c.removes() {
+// stage readies a workset for the next barrier run: a worker seeds its share
+// now, and host 0 gets it back, to drive through the barrier.
+func (c *shardCore) stage(w []record.Record) []record.Record {
+	if c.host != 0 {
+		c.fx.SeedWorkset(c.labels, w)
 		return nil
 	}
-	_, err := c.settle(false, nil)
-	return err
+	return w
 }
 
 // absorb applies one mutation batch to the graph replica, recording what
@@ -528,7 +518,7 @@ func (c *shardCore) settle(full bool, region []int64) ([]record.Record, error) {
 				c.sol.ForceStore(r)
 			}
 		}
-		c.seeds = c.splitByHost(seed)[c.host]
+		c.seeds = c.splitByHost(nil, seed)[c.host]
 		if c.mtr != nil {
 			c.mtr.PartialRecomputes.Add(1)
 		}
@@ -746,11 +736,11 @@ func (c *shardCore) gather(round int) []record.Record {
 }
 
 // gatherRound runs one round's gather verb: own-keyed candidates stay
-// here in pending, the rest come back split by owning host.
-func (c *shardCore) gatherRound(round int) [][]record.Record {
-	shares := c.splitByHost(c.gather(round))
+// here in pending, the rest come back for the coordinator to route.
+func (c *shardCore) gatherRound(round int) []record.Record {
+	shares := c.splitByHost(nil, c.gather(round))
 	c.pending, shares[c.host] = shares[c.host], nil
-	return shares
+	return slices.Concat(shares...)
 }
 
 // seedRound runs one round's seed verb: the candidates routed here are
@@ -834,13 +824,16 @@ func (c *shardCore) collapseCandidates(ws []record.Record) []record.Record {
 	return out
 }
 
-// splitByHost routes a candidate workset to the hosts that will read it:
-// each record goes to the owner of its solution partition (the improving
-// check) and, if different, the owner of its workset partition (the
-// engine's seed). For the built-in maintainers both keys are the vertex
-// id, so every record lands on exactly one host.
-func (c *shardCore) splitByHost(ws []record.Record) [][]record.Record {
-	out := make([][]record.Record, c.cfg.Hosts)
+// splitByHost routes a candidate workset to the hosts that will read it,
+// appending to their shares in out (nil: fresh ones): each record goes to
+// the owner of its solution partition (the improving check) and, if
+// different, the owner of its workset partition (the engine's seed). For
+// the built-in maintainers both keys are the vertex id, so every record
+// lands on exactly one host.
+func (c *shardCore) splitByHost(out [][]record.Record, ws []record.Record) [][]record.Record {
+	if out == nil {
+		out = make([][]record.Record, c.cfg.Hosts)
+	}
 	for _, r := range ws {
 		hs := c.place[c.sol.PartitionFor(c.spec.SolutionKey(r))]
 		out[hs] = append(out[hs], r)
@@ -860,9 +853,9 @@ func (c *shardCore) lookup(k int64) (record.Record, bool) {
 	return c.sol.Lookup(p, k)
 }
 
-// collect serializes the hosted partitions in ascending partition order,
+// collect copies out the hosted partitions in ascending partition order,
 // records sorted canonically within each.
-func (c *shardCore) collect() []byte {
+func (c *shardCore) collect() []record.Record {
 	var out []record.Record
 	for _, p := range c.hosted {
 		from := len(out)
@@ -872,7 +865,7 @@ func (c *shardCore) collect() []byte {
 		part := out[from:]
 		sort.Slice(part, func(x, y int) bool { return record.Less(part[x], part[y]) })
 	}
-	return packRecords(out)
+	return out
 }
 
 // eachHosted visits the records in this host's partitions, in ascending

@@ -717,14 +717,18 @@ func NewView(name string, m Maintainer, initial []Mutation, cfg ViewConfig) (*Li
 		return nil, err
 	}
 	dir := filepath.Join(cfg.DataDir, name)
-	vf, err := readViewDir(cfg.fs, dir)
+	vf, err := readViewDir(cfg.fs, dir) // fails only on a directory that exists
+	if err == nil && !vf.wal && len(vf.snaps) == 0 {
+		return createDurable(name, m, initial, cfg, dir)
+	}
+	var v *LiveView
+	if err == nil {
+		v, err = recoverView(name, m, cfg, dir, vf)
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("live: recovering view %q: %w", name, err)
 	}
-	if vf.wal || len(vf.snaps) > 0 {
-		return recoverView(name, m, cfg, dir, vf)
-	}
-	return createDurable(name, m, initial, cfg, dir)
+	return v, nil
 }
 
 // createDurable builds a fresh durable view. Durability before
@@ -809,7 +813,7 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	for _, s := range vf.snaps {
 		lv, lerr := loadSnapshot(dir, s, name, m, cfg)
 		if errors.Is(lerr, errSession) {
-			return nil, fmt.Errorf("live: recovering view %q: %w", name, lerr)
+			return nil, lerr
 		}
 		if lerr != nil {
 			// An unreadable snapshot falls back to its predecessor; the
@@ -826,7 +830,7 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 		// No usable snapshot is the snapshot at seq 0 — an empty graph and
 		// its fixpoint — and the log must carry the full history.
 		if v, err = assembleView(name, m, cfg, NewGraphState(), false); err != nil {
-			return nil, fmt.Errorf("live: recovering view %q: %w", name, err)
+			return nil, err
 		}
 	}
 
@@ -855,12 +859,12 @@ func recoverView(name string, m Maintainer, cfg ViewConfig, dir string, vf viewF
 	}
 	if err != nil {
 		v.sess.hangUp()
-		return nil, fmt.Errorf("live: recovering view %q: %w", name, err)
+		return nil, err
 	}
 	if w.base > snapSeq {
 		w.Close()
 		v.sess.hangUp()
-		err = fmt.Errorf("view %q wal starts at frame %d but the best readable snapshot covers only %d", name, w.base+1, snapSeq)
+		err = fmt.Errorf("wal starts at frame %d but the best readable snapshot covers only %d", w.base+1, snapSeq)
 		// Lost for good only if every snapshot passed over failed on its
 		// bytes: one the file system failed to read may read next time.
 		if !errors.As(skipped, new(*fs.PathError)) {
