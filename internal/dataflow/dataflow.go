@@ -132,9 +132,10 @@ type Node struct {
 	// accumulator, each later record is folded by calling the combine UDF
 	// with the group (accumulator, record) — its one output record is the
 	// new accumulator — and when the input ends the UDF is called once
-	// more with the accumulator alone, and that call's output is shuffled.
-	// A left-to-right sum or min therefore computes exactly what it would
-	// over the whole partial group. A call may emit zero or several
+	// more with the accumulator alone, and that call's output is shuffled
+	// (or, at Parallelism 1, is the Reduce's output: see optimizer.Fuse).
+	// A left-to-right sum or min thus computes exactly what it would over
+	// the whole partial group. A call may emit zero or several
 	// records; those become the key's pending records, folded with the
 	// next arrival and passed to the final call (which is skipped when
 	// nothing is pending). The combine UDF is the Reduce UDF itself —

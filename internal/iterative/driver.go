@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"repro/internal/dataflow"
@@ -435,14 +436,16 @@ func (en *incEngine) close() {
 // (silent criterion sink, driver-side convergence test, fixed count).
 
 type bulkPolicy struct {
-	spec      *BulkSpec
-	cfg       Config
-	exec      *runtime.Executor
-	sess      *runtime.Session
-	phKey     record.KeyFunc
-	prev      []record.Record
-	next      []record.Record
+	spec  *BulkSpec
+	cfg   Config
+	exec  *runtime.Executor
+	sess  *runtime.Session
+	phKey record.KeyFunc
+	prev  []record.Record // the last O, flattened, for Converged
+	// nextParts is the last step's O by partition, next the same flattened
+	// once something asks (solution).
 	nextParts [][]record.Record
+	next      []record.Record
 }
 
 func (b *bulkPolicy) step(absStep int, labels context.Context) (stepOutcome, error) {
@@ -452,30 +455,33 @@ func (b *bulkPolicy) step(absStep int, labels context.Context) (stepOutcome, err
 	if err != nil {
 		return stepOutcome{}, err
 	}
-	b.nextParts = res[b.spec.Output.ID]
-	next := res.Records(b.spec.Output.ID)
-
-	done := false
-	if b.spec.Termination != nil && len(res.Records(b.spec.Termination.ID)) == 0 {
+	b.nextParts, b.next = res[b.spec.Output.ID], nil
+	done := b.spec.FixedIterations > 0 && absStep+1 >= b.spec.FixedIterations
+	if t := b.spec.Termination; t != nil && !slices.ContainsFunc(res[t.ID], func(p []record.Record) bool { return len(p) > 0 }) {
 		done = true
 	}
-	if b.spec.Converged != nil && b.spec.Converged(b.prev, next) {
-		done = true
+	if b.spec.Converged != nil {
+		done = b.spec.Converged(b.prev, b.solution()) || done
+		b.prev = b.next
 	}
-	if b.spec.FixedIterations > 0 && absStep+1 >= b.spec.FixedIterations {
-		done = true
-	}
-	b.prev, b.next = next, next
 	return stepOutcome{done: done, compute: time.Since(start)}, nil
+}
+
+// solution returns the last step's O flattened, flattening it at most once.
+func (b *bulkPolicy) solution() []record.Record {
+	if b.next == nil {
+		b.next = slices.Concat(b.nextParts...)
+	}
+	return b.next
 }
 
 // feed closes the loop: O becomes the next I. When the loop-closing
 // property grant holds, O's partitions are already laid out correctly
-// and re-enter without reshuffling.
+// and re-enter without reshuffling, or flattening.
 func (b *bulkPolicy) feed() {
 	if b.phKey != nil {
 		b.exec.SetPlaceholderParts(b.spec.Input.ID, b.nextParts)
 	} else {
-		b.exec.SetPlaceholder(b.spec.Input.ID, b.next, nil, b.cfg.Parallelism)
+		b.exec.SetPlaceholder(b.spec.Input.ID, b.solution(), nil, b.cfg.Parallelism)
 	}
 }

@@ -274,7 +274,7 @@ func RunBulk(spec BulkSpec, initial []record.Record, cfg Config) (*BulkResult, e
 	}
 	converged, err := d.run()
 	out.Iterations = d.steps
-	out.Solution = b.next
+	out.Solution = b.solution()
 	if err != nil {
 		return nil, err
 	}

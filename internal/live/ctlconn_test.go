@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	goruntime "runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -200,8 +200,11 @@ func FuzzControlFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, key int64, kind string) {
 		c := newCtlConn(&bufConn{})
 		c.conn.(*bufConn).buf.Write(data)
-		var before, after goruntime.MemStats
-		goruntime.ReadMemStats(&before)
+		// The heap's cumulative allocation counter, which reading does not
+		// stop the world for (runtime.ReadMemStats does).
+		allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(allocs)
+		before := allocs[0].Value.Uint64()
 		for {
 			_, err := c.read()
 			if err != nil {
@@ -211,8 +214,8 @@ func FuzzControlFrame(f *testing.F) {
 				break
 			}
 		}
-		goruntime.ReadMemStats(&after)
-		if n := after.TotalAlloc - before.TotalAlloc; n > uint64(16*len(data))+1<<20 {
+		metrics.Read(allocs)
+		if n := allocs[0].Value.Uint64() - before; n > uint64(16*len(data))+1<<20 {
 			t.Fatalf("reading %d bytes allocated %d", len(data), n)
 		}
 

@@ -27,18 +27,20 @@ import (
 //     folds each emitted record into a per-key accumulator on arrival and
 //     writes the accumulators to the combiner's consumers when the
 //     producer's task ends. Nothing fuses onto a node past its combiner.
+//   - At Parallelism 1 a Reduce whose only input is its own absorbed
+//     combiner goes too: that combiner saw every record of each key, so
+//     its final calls are the Reduce's output.
 //
 // Every fused edge eliminates one exchange hop — a queue round-trip, a
 // batch copy, and a pool cycle — per superstep.
 //
-// An edge is fusible when it is ShipForward (no repartitioning), not a
+// An edge is fusible when it is ShipForward (the last rule aside), not a
 // loop-invariant cache (cached inputs replay through per-edge slots), and
 // the producer has no other consumer (the fused head emits the composed
 // output only). The rewrite runs after plan selection, renumbers node and
 // edge identities through finalizePlan, and credits the removed hops
-// against the plan cost so Explain/Cost reflect the executed shape.
-//
-// Returns the number of unions, Map operators and combiners folded away.
+// against the plan cost so Explain/Cost reflect the executed shape. It
+// returns the number of unions, Maps, combiners and Reduces folded away.
 func Fuse(plan *PhysPlan, expectedIterations int) int {
 	// No union, no combiner and fewer than two fusible Maps in the whole
 	// plan means nothing can fuse — skip the bookkeeping entirely (the
@@ -77,15 +79,18 @@ func Fuse(plan *PhysPlan, expectedIterations int) int {
 			n.Inputs[i].From = resolve(n.Inputs[i].From)
 		}
 		combiner, union := n.Role == RoleCombiner, isUnion(n)
-		if !combiner && !union && !fusibleMap(n) {
+		final := plan.Parallelism <= 1 && n.Role == RoleOperator && n.Logical.Contract == dataflow.ReduceOp &&
+			len(n.Inputs) == 1 && n.Inputs[0].From.Combiner == n.Logical
+		if !combiner && !union && !final && !fusibleMap(n) {
 			continue
 		}
 		e := n.Inputs[0]
 		p := e.From
-		if e.Ship != ShipForward || e.Cache || consumers[p] != 1 || p.Combiner != nil {
+		if e.Cache || consumers[p] != 1 || !final && (e.Ship != ShipForward || p.Combiner != nil) {
 			continue
 		}
 		switch {
+		case final: // p's combiner already emits n's output
 		case combiner:
 			// Absorb the combiner: p folds everything it emits (its own
 			// output, through its fused Maps) per the Reduce's key.

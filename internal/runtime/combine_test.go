@@ -143,10 +143,11 @@ func countCombiners(p *optimizer.PhysPlan) (standalone, absorbed int) {
 // TestCombinerFold checks the combiner's fold contract — fused into its
 // producer and as a standalone task, at Parallelism 1 and 3, on both lanes
 // — against an oracle that folds each key's arrival sequence pairwise and
-// reduces each key's folded records once, comparing the records and the
-// UDF calls, for combine UDFs that emit zero, one and two records; and
-// that the shipped
-// algorithms' plans run their combiners fused.
+// reduces each key's folded records once (except in the fused plan at
+// Parallelism 1, which has no Reduce left: see optimizer.Fuse), comparing
+// the records and the UDF calls exactly, for combine UDFs that emit zero,
+// one and two records; and that the shipped algorithms' plans run their
+// combiners fused.
 func TestCombinerFold(t *testing.T) {
 	t.Run("oracle", foldMatchesOracle)
 	t.Run("shipped-plans", shippedCombinersFuse)
@@ -161,24 +162,32 @@ func foldMatchesOracle(t *testing.T) {
 		for _, par := range []int{1, 3} {
 			// The source splits its data contiguously; each partition's
 			// combiner sees its slice through the expand Map, in order.
-			calls := int64(len(data)) // one expand call per source record
+			foldCalls := int64(len(data)) // one expand call per source record
+			var folded []record.Record
 			groups := map[int64][]record.Record{}
 			for part := 0; part < par; part++ {
 				var arrivals []record.Record
 				for _, r := range data[part*len(data)/par : (part+1)*len(data)/par] {
 					foldExpand(r, collect{&arrivals})
 				}
-				for _, r := range oracleFold(udf.fn, arrivals, &calls) {
+				for _, r := range oracleFold(udf.fn, arrivals, &foldCalls) {
+					folded = append(folded, r)
 					groups[r.A] = append(groups[r.A], r)
 				}
 			}
-			var want []record.Record
+			var reduced []record.Record
+			reduceCalls := foldCalls
 			for k, g := range groups {
-				calls++
-				udf.fn(k, g, collect{&want})
+				reduceCalls++
+				udf.fn(k, g, collect{&reduced})
 			}
-			want = sortRecs(want)
 			for _, fuse := range []bool{true, false} {
+				// At Parallelism 1 the fused plan has no Reduce task: the
+				// absorbed combiner's final calls are the output.
+				want, calls := sortRecs(reduced), reduceCalls
+				if fuse && par == 1 {
+					want, calls = sortRecs(folded), foldCalls
+				}
 				for _, serial := range []bool{true, false} {
 					ctx := fmt.Sprintf("%s par=%d fuse=%v serial=%v", udf.name, par, fuse, serial)
 					p, sink := foldPlan(data, udf.fn)

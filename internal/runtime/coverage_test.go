@@ -272,17 +272,6 @@ func TestSpilledSortedCacheReplaysInOrder(t *testing.T) {
 	}
 }
 
-func TestReadAllBatches(t *testing.T) {
-	q := newQueue(newBatchPool(4, nil))
-	q.push(record.Batch{{A: 1}})
-	q.push(record.Batch{{A: 2}, {A: 3}})
-	q.close()
-	batches := readAllBatches(queueStream{q: q})
-	if len(batches) != 2 || len(batches[1]) != 2 {
-		t.Fatalf("batches: %v", batches)
-	}
-}
-
 func TestSolutionSetAccessors(t *testing.T) {
 	s := NewSolutionSet(3, record.KeyA, nil, nil)
 	if s.Parallelism() != 3 {

@@ -162,6 +162,11 @@ type writer struct {
 	// lane points at the profiler labels of the lane the producing task
 	// runs on this superstep, which a transport call restores afterwards.
 	lane *context.Context
+	// A writer into a sink (ex nil) appends to res, which Session.Run
+	// hands to the sink's result; hint is res's last length.
+	sink int
+	res  []record.Record
+	hint int
 }
 
 // sendLabels mark the transport's send side for the profiler: a batch
@@ -185,6 +190,10 @@ func newWriter(ex *exchange, ship optimizer.ShipStrategy, key record.KeyFunc, ow
 func (w *writer) write(r record.Record) {
 	switch w.ship {
 	case optimizer.ShipForward:
+		if w.ex == nil {
+			w.res = append(w.res, r)
+			return
+		}
 		w.append(w.ownPart, r)
 	case optimizer.ShipPartition:
 		p := record.PartitionOf(w.key(r), len(w.bufs))
@@ -238,6 +247,9 @@ func (w *writer) flush(p int) {
 // tallies, and releases the producer slot, both locally and — through the
 // transport — on every peer process.
 func (w *writer) done() {
+	if w.ex == nil {
+		return // a sink's: Session.Run takes res
+	}
 	for p, b := range w.bufs {
 		if len(b) > 0 {
 			w.flush(p)
@@ -258,24 +270,38 @@ func (w *writer) done() {
 	w.ex.producerDone()
 }
 
-// inStream yields the batches one consumer task reads for one input.
+// inStream yields the batches one consumer task reads for one input. The
+// consumer hands each one to release once it keeps no part of it, unless
+// a cache keeps it whole.
 type inStream interface {
 	next() (record.Batch, bool)
+	release(record.Batch)
 }
 
-// queueStream reads from an exchange queue.
+// queueStream reads from an exchange queue; a released batch goes back to
+// the pool.
 type queueStream struct{ q *queue }
 
 func (s queueStream) next() (record.Batch, bool) { return s.q.pop() }
+func (s queueStream) release(b record.Batch)     { s.q.pool.put(b) }
 
-// readAllBatches drains a stream keeping batch boundaries (for caching).
-func readAllBatches(in inStream) []record.Batch {
-	var out []record.Batch
-	for {
-		b, ok := in.next()
-		if !ok {
-			return out
-		}
-		out = append(out, b)
-	}
+// borrowStream reads one partition of a plain IterationInput in place, as
+// one batch: the Executor.Placeholder slice the driver installed (see
+// borrowed). The batch is the driver's: release leaves it alone, and a
+// consumer never keeps it past the superstep or writes to it.
+type borrowStream struct {
+	e        *Executor
+	id, part int
+	armed    bool // the batch is still to be read this superstep
 }
+
+func (s *borrowStream) next() (record.Batch, bool) {
+	parts := s.e.Placeholder[s.id]
+	if !s.armed || s.part >= len(parts) {
+		return nil, false
+	}
+	s.armed = false
+	return parts[s.part], true
+}
+
+func (s *borrowStream) release(record.Batch) {}

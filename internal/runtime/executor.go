@@ -59,7 +59,8 @@ type Executor struct {
 	// cross partition boundaries).
 	DirectMerge bool
 	// Placeholder supplies per-partition records for IterationInput nodes,
-	// keyed by logical node ID.
+	// keyed by logical node ID. A Run may read them in place (borrowed), so
+	// the caller changes none of them while it runs.
 	Placeholder map[int][][]record.Record
 	// seedFolds are SetPlaceholderFolded's per-partition folds, reused.
 	seedFolds []*combineFold
@@ -104,9 +105,7 @@ func (e *Executor) Close() {
 // by it; otherwise they are split contiguously. A non-positive parallelism
 // (e.g. from a zero-value Config) is treated as 1.
 func (e *Executor) SetPlaceholder(logicalID int, recs []record.Record, key record.KeyFunc, parallelism int) {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
+	parallelism = max(parallelism, 1)
 	parts := make([][]record.Record, parallelism)
 	if key != nil {
 		// Count, then fill: one exact-size array carved into the
@@ -129,16 +128,8 @@ func (e *Executor) SetPlaceholder(logicalID int, recs []record.Record, key recor
 		}
 	} else {
 		per := (len(recs) + parallelism - 1) / parallelism
-		for p := 0; p < parallelism; p++ {
-			lo := p * per
-			hi := lo + per
-			if lo > len(recs) {
-				lo = len(recs)
-			}
-			if hi > len(recs) {
-				hi = len(recs)
-			}
-			parts[p] = recs[lo:hi]
+		for p := range parts {
+			parts[p] = recs[min(p*per, len(recs)):min((p+1)*per, len(recs))]
 		}
 	}
 	e.Placeholder[logicalID] = parts
@@ -258,30 +249,6 @@ func (e *Executor) slot(n *optimizer.PhysNode, input, part int) *cacheSlot {
 		e.slots[k] = s
 	}
 	return s
-}
-
-// slotsFilled reports whether all partitions of a cached input are filled.
-func (e *Executor) slotsFilled(n *optimizer.PhysNode, input, parallelism int) bool {
-	for p := 0; p < parallelism; p++ {
-		s, ok := e.slots[slotKey{n.ID, input, p}]
-		if !ok || !s.filled {
-			return false
-		}
-	}
-	return true
-}
-
-// slotsFilledAmong is slotsFilled restricted to the given partitions — a
-// distributed session only ever fills (and therefore only checks) the
-// slots of the partitions it hosts.
-func (e *Executor) slotsFilledAmong(n *optimizer.PhysNode, input int, parts []int) bool {
-	for _, p := range parts {
-		s, ok := e.slots[slotKey{n.ID, input, p}]
-		if !ok || !s.filled {
-			return false
-		}
-	}
-	return true
 }
 
 // CachedBytes is the serialized-form size of the loop-invariant inputs the
@@ -433,11 +400,7 @@ type Result map[int][][]record.Record
 
 // Records flattens one sink's output.
 func (r Result) Records(sinkID int) []record.Record {
-	var out []record.Record
-	for _, part := range r[sinkID] {
-		out = append(out, part...)
-	}
-	return out
+	return slices.Concat(r[sinkID]...)
 }
 
 // Run executes the plan once and returns the sink outputs. It is the

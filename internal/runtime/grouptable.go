@@ -12,22 +12,21 @@ import "repro/internal/record"
 // key in the probeIndex's slab order. There is no per-key slice and no
 // per-key allocation. A round is built in two passes:
 //
-//  1. stage retains each drained (pooled) batch as it arrives and counts
-//     the records per key, remembering every record's key position so the
-//     key is hashed once;
+//  1. stage retains each drained batch and counts the records per key,
+//     remembering each record's key position so a key is hashed once;
 //  2. build puts the round's keys in order (probeIndex.keyOrder), turns
-//     the counts into extents in that order, makes recs exactly large
-//     enough (reusing it when it already is), scatters the staged records
-//     into their extents and recycles the batches.
+//     the counts into extents in that order, sizes recs (reusing it),
+//     scatters the staged records into their extents and releases the
+//     batches.
 //
 // The order contract. Groups appear, in recs and to each, in ascending
 // key order when the round is dense over a direct index (it holds at
 // least 1/probeDirectSpread of the index's slots), and in first-touch
 // order otherwise. The scatter is stable, so records inside a group are
 // always in arrival order — the order of an append-per-key table, which
-// keeps float reductions over one group byte-identical. A cached table
-// over vertex ids is thus laid out by key, and a probe stream arriving
-// in key order reads it front to back.
+// keeps float reductions over one group byte-identical. A cached table's
+// slab is renumbered in group order after its build (renumber), so a probe
+// stream in key order reads one over vertex ids front to back.
 //
 // Rounds. The storage survives across supersteps. reset is O(1): it bumps
 // a round counter, and a key's extent is valid only if its stamp matches.
@@ -52,8 +51,7 @@ type groupTable struct {
 	where  []int32 // key position of every staged record, in arrival order
 
 	// dead counts the slots of recs no group covers, left behind by
-	// patches; only a cached table is patched, so it is 0 on every table
-	// that is reset.
+	// patches (only a cached table, never reset, is patched).
 	dead int
 }
 
@@ -100,9 +98,9 @@ func (g *groupTable) stage(b record.Batch, key record.KeyFunc) {
 	}
 }
 
-// build lays the staged records out by group and returns the batches to
-// pool. The table is readable afterwards.
-func (g *groupTable) build(pool *batchPool) {
+// build lays the staged records out by group and hands the batches to
+// release. The table is readable afterwards.
+func (g *groupTable) build(release func(record.Batch)) {
 	g.idx.keyOrder(g.touched)
 	total := int32(0)
 	for _, pos := range g.touched {
@@ -124,11 +122,28 @@ func (g *groupTable) build(pool *batchPool) {
 			e.end++
 			i++
 		}
-		pool.put(b)
+		release(b)
 		g.staged[bi] = nil
 	}
 	g.staged = g.staged[:0]
 	g.where = g.where[:0]
+}
+
+// renumber makes key position i the round's i-th group, so a probe stream
+// in key order reads slots, ext and recs front to back. Only a direct
+// index's group order can differ from its slab's (first-touch) order, and
+// only a fresh build (a cached table's) holds every key of the index.
+func (g *groupTable) renumber() {
+	if !g.idx.direct || len(g.touched) != len(g.idx.keys) {
+		return
+	}
+	keys, ext := make([]int64, len(g.touched)), make([]groupExtent, len(g.touched))
+	for i, pos := range g.touched {
+		keys[i], ext[i] = g.idx.keys[pos], g.ext[pos]
+		g.idx.slots[keys[i]] = int32(i)
+		g.touched[i] = int32(i)
+	}
+	g.idx.keys, g.ext = keys, ext
 }
 
 // get returns key k's group in the current round, or nil.

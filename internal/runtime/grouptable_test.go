@@ -23,7 +23,7 @@ func fillRound(g *groupTable, pool *batchPool, recs []record.Record) {
 		recs = recs[n:]
 		g.stage(b, record.KeyA)
 	}
-	g.build(pool)
+	g.build(pool.put)
 }
 
 // wantKeyOrder is the order contract's oracle for one round whose keys
@@ -217,7 +217,7 @@ func TestGroupTableSteadyStateAllocs(t *testing.T) {
 		for _, b := range batches {
 			g.stage(b, record.KeyA)
 		}
-		g.build(pool)
+		g.build(pool.put)
 	}
 	round()
 	if n := testing.AllocsPerRun(50, round); n != 0 {

@@ -48,14 +48,20 @@ func TestTaskProfileLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{}
+	// Every op sampled must be a plan node or the seed fold, and every one
+	// that works per record must be sampled: not a placeholder its
+	// consumer reads in place, nor a sink its producer writes into.
+	want, node := map[string]bool{}, map[string]bool{}
 	for _, n := range phys.Nodes {
-		want[n.Name()] = true
+		node[n.Name()] = true
+		if !runtime.Idle(phys, n) {
+			want[n.Name()] = true
+		}
 	}
 	if !want["toNeighbors+best-combine"] {
 		t.Fatalf("the plan did not fold the workset:\n%s", phys.Explain())
 	}
-	want["W0+best-combine"] = true
+	want["W0+best-combine"], node["W0+best-combine"] = true, true
 
 	var prof bytes.Buffer
 	if err := pprof.StartCPUProfile(&prof); err != nil {
@@ -102,7 +108,7 @@ func TestTaskProfileLabels(t *testing.T) {
 			}
 		}
 		for op := range seen {
-			if !want[op] {
+			if !node[op] {
 				t.Fatalf("samples labelled with op %q, which is neither a node of the plan nor the seed fold", op)
 			}
 		}
@@ -415,6 +421,9 @@ func TestWorkerVerbProfileLabels(t *testing.T) {
 		tree = append(tree, live.InsertEdge(i, i/2))
 	}
 	cfg := live.ViewConfig{Config: iterative.Config{Parallelism: 2}, Workers: []string{ln.Addr().String()}}
+	// The worker's view_open handler, by name: every sample the worker takes
+	// under op=view_open is in it, so when none is, the name is stale.
+	const openFrame = "live.(*workerSession).open"
 	afterPlanning := 0
 	for round := 0; ; round++ {
 		prof.Reset()
@@ -434,8 +443,16 @@ func TestWorkerVerbProfileLabels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		opens, inFrame := 0, 0
 		for _, s := range samples {
-			if !s.onStack("live.(*workerSession).open") || s.onStack("iterative.PlanIncremental") {
+			if s.labels["op"] == "view_open" {
+				opens++
+			}
+			if !s.onStack(openFrame) {
+				continue
+			}
+			inFrame++
+			if s.onStack("iterative.PlanIncremental") {
 				continue
 			}
 			if len(s.labels) != 2 || s.labels["layer"] != "live" || s.labels["op"] != "view_open" {
@@ -448,6 +465,10 @@ func TestWorkerVerbProfileLabels(t *testing.T) {
 		if afterPlanning > 0 {
 			t.Logf("view_open samples in newShardCore past planning after %d rounds: %d", round+1, afterPlanning)
 			return
+		}
+		if opens >= 5 && inFrame == 0 {
+			t.Fatalf("%d samples are labelled op=view_open but none has %s on its stack: no such function? (rename it here too)",
+				opens, openFrame)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("after %d rounds no sample of a worker's view_open is inside newShardCore past planning", round+1)

@@ -75,12 +75,11 @@ func (t *task) scratchTable(i int) *groupTable {
 	return t.tables[i]
 }
 
-// drain reads every record of input i from its exchange queue, recycling
-// each exhausted batch: records are values, so once they are copied (or
-// fully processed) the batch holds no live state.
+// drain reads every record of input i, releasing each exhausted batch:
+// records are values, so once they are copied (or fully processed) the
+// batch holds no live state.
 func (t *task) drain(i int, f func(record.Record)) {
 	in := t.ins[i]
-	pool := t.sess.pool
 	for {
 		b, ok := in.next()
 		if !ok {
@@ -89,7 +88,7 @@ func (t *task) drain(i int, f func(record.Record)) {
 		for _, r := range b {
 			f(r)
 		}
-		pool.put(b)
+		in.release(b)
 	}
 }
 
@@ -213,8 +212,7 @@ func (t *task) runOp(out dataflow.Emitter) error {
 		return nil
 
 	case dataflow.IterationInput:
-		parts := t.e.Placeholder[l.ID]
-		if parts != nil && t.part < len(parts) {
+		if parts := t.e.Placeholder[l.ID]; t.part < len(parts) {
 			for _, r := range parts[t.part] {
 				out.Emit(r)
 			}
@@ -226,24 +224,13 @@ func (t *task) runOp(out dataflow.Emitter) error {
 			t.sess.cur[l.ID][t.part] = t.consume(0)
 			return nil
 		}
-		// Sink output is handed to the driver, which may retain it across
-		// supersteps — it is always freshly allocated, never scratch-backed:
-		// the batches are held until the stream ends, then copied once into
-		// an exact-size slice.
-		held := readAllBatches(t.ins[0])
-		n := 0
-		for _, b := range held {
-			n += len(b)
+		if intoSink(n, &n.Inputs[0], t.par) {
+			return nil // the producer's writer filled the result
 		}
-		var collected []record.Record
-		if n > 0 {
-			collected = make([]record.Record, 0, n)
-		}
-		for _, b := range held {
-			collected = append(collected, b...)
-			t.sess.pool.put(b)
-		}
-		t.sess.cur[l.ID][t.part] = collected
+		// The driver may keep the output: it is fresh, never scratch.
+		var out []record.Record
+		t.drain(0, func(r record.Record) { out = append(out, r) })
+		t.sess.cur[l.ID][t.part] = out
 		return nil
 
 	case dataflow.MapOp:
@@ -479,6 +466,7 @@ func (t *task) buildTable(i int, key record.KeyFunc) *groupTable {
 			gt := newGroupTable()
 			t.fillTable(gt, i, key)
 			gt.staged, gt.where = nil, nil // built once: drop the build scratch
+			gt.renumber()
 			s.table = gt
 			s.filled = true
 		}
@@ -490,7 +478,7 @@ func (t *task) buildTable(i int, key record.KeyFunc) *groupTable {
 }
 
 // fillTable drains input i into gt: the batches are handed to the table
-// whole and recycled once it has laid their records out.
+// whole and released once it has laid their records out.
 func (t *task) fillTable(gt *groupTable, i int, key record.KeyFunc) {
 	in := t.ins[i]
 	for {
@@ -500,7 +488,7 @@ func (t *task) fillTable(gt *groupTable, i int, key record.KeyFunc) {
 		}
 		gt.stage(b, key)
 	}
-	gt.build(t.sess.pool)
+	gt.build(in.release)
 }
 
 func sortByKey(recs []record.Record, key record.KeyFunc) {

@@ -224,6 +224,65 @@ func TestPatchSourceMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestCachedTableInKeyOrder: a cached build table dense over its keys is
+// laid out by key after its build — key positions, extents and records,
+// whatever order the records arrived in — so a probe stream in key order
+// reads it front to back; keys a patch adds go at the end and are found.
+func TestCachedTableInKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var data []record.Record
+	for k := int64(0); k < 512; k++ {
+		for i := range 1 + k%3 {
+			if k%7 != 0 { // multiples of 7 are left for the patch
+				data = append(data, record.Record{A: k, B: k<<2 | i})
+			}
+		}
+	}
+	rng.Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
+	phys, w, src, sink, join := patchPlan(t, data, 1, optimizer.ShipPartition)
+	h := openPatchHosts(t, phys, 1)
+	probes := make([]record.Record, 600)
+	for k := range probes {
+		probes[k] = record.Record{A: int64(k)}
+	}
+	runHosts(t, h, w, sink, phys, probes) // builds the cached table
+	g := h[0].e.slots[slotKey{join.ID, 1, 0}].table
+	if !g.idx.direct {
+		t.Fatal("the table's index is not direct")
+	}
+	built := len(g.idx.keys)
+	for pos, k := range g.idx.keys {
+		e := g.ext[pos]
+		if pos > 0 && (k <= g.idx.keys[pos-1] || e.start != g.ext[pos-1].end) {
+			t.Fatalf("key position %d holds key %d, extent %v after %v: not in key order", pos, k, e, g.ext[pos-1])
+		}
+		if int(g.touched[pos]) != pos {
+			t.Fatalf("group %d is key position %d", pos, g.touched[pos])
+		}
+	}
+
+	var add []record.Record
+	for k := int64(0); k < 600; k += 7 {
+		add = append(add, record.Record{A: k, B: -k})
+	}
+	if !h[0].e.PatchSource(phys, src, add, nil) {
+		t.Fatal("patch refused")
+	}
+	for pos, k := range g.idx.keys[built:] {
+		if k%7 != 0 || pos > 0 && k <= g.idx.keys[built+pos-1] {
+			t.Fatalf("a patch added key %d at position %d", k, built+pos)
+		}
+	}
+	data = append(data, add...)
+	fphys, fw, _, fsink, _ := patchPlan(t, data, 1, optimizer.ShipPartition)
+	fresh := openPatchHosts(t, fphys, 1)
+	want := runHosts(t, fresh, fw, fsink, fphys, probes)
+	assertSameGroups(t, "after the patch", g, fresh[0].e.slots[slotKey{join.ID, 1, 0}].table)
+	if got := runHosts(t, h, w, sink, phys, probes); !reflect.DeepEqual(got, want) {
+		t.Fatalf("patched superstep emitted %d records, fresh executor %d", len(got), len(want))
+	}
+}
+
 // slotState copies everything a cache slot holds, for byte-identity checks.
 func slotState(s *cacheSlot) any {
 	if s.table == nil {

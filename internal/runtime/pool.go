@@ -8,16 +8,13 @@ import (
 )
 
 // batchPool recycles record batches through a sync.Pool so steady-state
-// supersteps run without per-batch heap allocation. Ownership discipline:
-// a writer obtains a batch with get, fills it, and pushes it into exactly
-// one exchange queue; the consumer that pops it either retains it (stream
-// caches keep their batches) or returns it with put once every record has
-// been copied out. Records are plain values, so a consumed batch holds no
-// live references.
-//
-// The pool stores *record.Batch headers and keeps the spent headers in a
-// second pool, so neither get nor put allocates in steady state (a bare
-// slice would be boxed on every Put).
+// supersteps run without per-batch heap allocation. A writer gets a batch,
+// fills it and pushes it into one exchange queue; the consumer that pops
+// it keeps it in a cache or puts it back once it has read it (a borrowed
+// batch is never a pool's: see borrowStream). The pool stores
+// *record.Batch headers and keeps the spent ones in a second pool, so
+// neither get nor put allocates (a bare slice would be boxed on every
+// Put).
 type batchPool struct {
 	full  sync.Pool // *record.Batch with usable backing arrays
 	empty sync.Pool // *record.Batch headers whose slice was handed out

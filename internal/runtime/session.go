@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,10 +19,8 @@ import (
 // physical plan. Opening a session spawns one long-lived worker goroutine
 // per (node, partition); each Run call is one superstep that reuses those
 // workers, the per-edge exchanges, and the pooled record batches, so the
-// steady-state passes of an iteration pay no plan-setup cost (§4.2: the
-// constant data path is cached, and §6.1: records stay compact to avoid
-// allocation overhead). A superstep whose input is small skips the workers
-// altogether and runs its tasks inline (see serialLane).
+// steady-state passes of an iteration pay no plan-setup cost (§4.2). A
+// superstep whose input is small runs its tasks inline (see serialLane).
 //
 // A session is not safe for concurrent Run calls. Close releases the
 // workers; the executor (and its caches) remains usable, so a driver can
@@ -33,9 +32,9 @@ type Session struct {
 	pool *batchPool
 
 	// tr ships batches for partitions this process does not host; nil for
-	// the default in-memory transport (every partition hosted). hosted and
-	// hostedParts are nil when tr is nil, which keeps the single-process
-	// paths branch-free.
+	// the default in-memory transport (every partition hosted). hosted is
+	// nil when tr is nil, which keeps the single-process paths
+	// branch-free; hostedParts lists the hosted partitions either way.
 	tr          Transport
 	hosted      []bool
 	hostedParts []int
@@ -47,6 +46,11 @@ type Session struct {
 	// allocated on first need and reset — not rebuilt — afterwards.
 	exchanges []*exchange
 	active    []*exchange // exchanges the current schedule uses
+
+	// The schedule's edges with no exchange (see borrowed): the streams
+	// that borrow a placeholder and the writers into a sink.
+	borrows     []*borrowStream
+	sinkWriters []*writer
 
 	// The schedule the tasks are wired for, as reusable node- and
 	// edge-indexed bitmaps (node IDs and edge IDs are dense). The
@@ -68,11 +72,8 @@ type Session struct {
 }
 
 // worker executes one (node, partition) task each superstep. All live
-// workers of a superstep run concurrently, exactly like the seed
-// executor's per-Run goroutines, so the pipelined exchange semantics and
-// their deadlock-freedom argument carry over unchanged — the only
-// difference is that the goroutines park on a channel between supersteps
-// instead of exiting.
+// workers of a superstep run concurrently, so exchanges pipeline without
+// deadlock; between supersteps they park on a channel.
 type worker struct {
 	t      *task
 	live   bool            // does t participate in the current schedule?
@@ -113,10 +114,7 @@ func (e *Executor) OpenSession(p *optimizer.PhysPlan) *Session {
 // the same plan with complementary placements together form one logical
 // session.
 func (e *Executor) OpenSessionOn(p *optimizer.PhysPlan, tr Transport) *Session {
-	par := p.Parallelism
-	if par < 1 {
-		par = 1
-	}
+	par := max(p.Parallelism, 1)
 	s := &Session{
 		e: e, plan: p, par: par, tr: tr,
 		pool:      newBatchPool(exchangeBatch, e.cfg.Metrics),
@@ -128,10 +126,12 @@ func (e *Executor) OpenSessionOn(p *optimizer.PhysPlan, tr Transport) *Session {
 	}
 	if tr != nil {
 		s.hosted = make([]bool, par)
-		for part := 0; part < par; part++ {
-			if tr.Hosted(part) {
+	}
+	for part := range par {
+		if tr == nil || tr.Hosted(part) {
+			s.hostedParts = append(s.hostedParts, part)
+			if tr != nil {
 				s.hosted[part] = true
-				s.hostedParts = append(s.hostedParts, part)
 			}
 		}
 	}
@@ -252,6 +252,11 @@ func (s *Session) Run(labels context.Context) (Result, error) {
 		results[sink.Logical.ID] = make([][]record.Record, s.par)
 	}
 	s.cur = results
+	for _, w := range s.sinkWriters {
+		if w.hint > 0 { // the caller keeps the last one
+			w.res = make([]record.Record, 0, w.hint)
+		}
+	}
 
 	var errs []error
 	if s.serialLane() {
@@ -279,6 +284,10 @@ func (s *Session) Run(labels context.Context) (Result, error) {
 		errs = step.errs
 	}
 	s.cur = nil
+	for _, w := range s.sinkWriters {
+		results[w.sink][w.ownPart] = w.res
+		w.hint, w.res = len(w.res), nil
+	}
 	if s.tr != nil {
 		// Detach the exchanges before returning: a peer racing into the
 		// next superstep must park its traffic in the transport, not push
@@ -334,13 +343,14 @@ func (s *Session) serialLane() bool {
 	}
 	n := 0
 	for _, node := range s.plan.Nodes {
-		if !s.liveNow[node.ID] || node.Role != optimizer.RoleOperator {
+		if node.Role != optimizer.RoleOperator {
 			continue
 		}
-		switch l := node.Logical; l.Contract {
-		case dataflow.Source:
+		// A placeholder is read even when only borrowers read it.
+		switch l := node.Logical; {
+		case l.Contract == dataflow.Source && s.liveNow[node.ID]:
 			n += len(l.Data)
-		case dataflow.IterationInput:
+		case l.Contract == dataflow.IterationInput:
 			for _, part := range s.e.Placeholder[l.ID] {
 				n += len(part)
 			}
@@ -362,9 +372,34 @@ func (s *Session) Close() {
 }
 
 type outSpec struct {
-	ex   *exchange
+	ex   *exchange // nil: into sink
 	ship optimizer.ShipStrategy
 	key  record.KeyFunc
+	sink int
+}
+
+// No record changes partition on a forward edge, or on any edge at
+// Parallelism 1. Two kinds of such an edge, uncached, carry no exchange,
+// so each record is copied once, not into pooled batches first:
+//
+//   - borrowed: out of a plain IterationInput (no union, fused Map or
+//     combiner absorbed) into anything but a sink. The consumer reads the
+//     Executor.Placeholder partition in place (borrowStream); the
+//     placeholder's task does not run for the edge.
+//   - into a sink: the producer's writer appends to the sink's result
+//     (writer.res); the sink task does nothing.
+func borrowed(n *optimizer.PhysNode, edge *optimizer.Edge, par int) bool {
+	p := edge.From
+	return stays(edge, par) && n.Logical.Contract != dataflow.Sink && p.Role == optimizer.RoleOperator &&
+		p.Logical.Contract == dataflow.IterationInput && p.Union == nil && len(p.FusedChain) == 0 && p.Combiner == nil
+}
+
+func intoSink(n *optimizer.PhysNode, edge *optimizer.Edge, par int) bool {
+	return stays(edge, par) && n.Role == optimizer.RoleOperator && n.Logical.Contract == dataflow.Sink
+}
+
+func stays(edge *optimizer.Edge, par int) bool {
+	return !edge.Cache && (edge.Ship == optimizer.ShipForward || par == 1)
 }
 
 // compile computes the superstep's schedule — which nodes run, and which
@@ -385,8 +420,9 @@ func (s *Session) compile() {
 			return
 		}
 		s.liveNow[n.ID] = true
-		for i, edge := range n.Inputs {
-			if edge.Cache && s.cacheFilled(n, i) {
+		for i := range n.Inputs {
+			edge := &n.Inputs[i]
+			if edge.Cache && s.cacheFilled(n, i) || borrowed(n, edge, par) {
 				continue
 			}
 			mark(edge.From)
@@ -409,7 +445,7 @@ func (s *Session) compile() {
 		}
 		for i := range n.Inputs {
 			edge := &n.Inputs[i]
-			if edge.Cache && s.cacheFilled(n, i) {
+			if edge.Cache && s.cacheFilled(n, i) || borrowed(n, edge, par) || intoSink(n, edge, par) {
 				continue
 			}
 			s.edgeNow[edge.ID] = true
@@ -420,7 +456,7 @@ func (s *Session) compile() {
 	// (Close replaces the slot objects, so wiring compiled
 	// against an older generation would replay stale caches.)
 	if s.compiled && s.genPrev == e.cacheGen &&
-		boolsEqual(s.liveNow, s.livePrev) && boolsEqual(s.edgeNow, s.edgePrev) {
+		slices.Equal(s.liveNow, s.livePrev) && slices.Equal(s.edgeNow, s.edgePrev) {
 		s.resetActive()
 		return
 	}
@@ -436,6 +472,9 @@ func (s *Session) compile() {
 	for _, n := range s.plan.Nodes {
 		for i := range n.Inputs {
 			edge := &n.Inputs[i]
+			if s.liveNow[n.ID] && intoSink(n, edge, par) {
+				outs[edge.From.ID] = append(outs[edge.From.ID], outSpec{sink: n.Logical.ID})
+			}
 			if !s.edgeNow[edge.ID] {
 				continue
 			}
@@ -452,6 +491,7 @@ func (s *Session) compile() {
 	}
 
 	// Rewire every task for the new schedule.
+	s.borrows, s.sinkWriters = s.borrows[:0], s.sinkWriters[:0]
 	for idx, t := range s.tasks {
 		w := s.workers[idx]
 		n := t.n
@@ -467,33 +507,38 @@ func (s *Session) compile() {
 			if edge.Cache {
 				t.slots[i] = e.slot(n, i, t.part)
 			}
-			if s.edgeNow[edge.ID] {
+			switch {
+			case s.edgeNow[edge.ID]:
 				t.ins[i] = queueStream{q: s.exchanges[edge.ID].queues[t.part]}
+			case borrowed(n, edge, par):
+				b := &borrowStream{e: e, id: edge.From.Logical.ID, part: t.part}
+				t.ins[i] = b
+				s.borrows = append(s.borrows, b)
 			}
 		}
 		t.outs = t.outs[:0]
 		for _, o := range outs[n.ID] {
+			if o.ex == nil { // whatever the edge's strategy, records stay put
+				sw := &writer{ship: optimizer.ShipForward, ownPart: t.part, sink: o.sink}
+				t.outs = append(t.outs, sw)
+				s.sinkWriters = append(s.sinkWriters, sw)
+				continue
+			}
 			t.outs = append(t.outs, newWriter(o.ex, o.ship, o.key, t.part, s.pool, e.cfg.Metrics, s.hosted, s.tr, &w.lane))
 		}
 	}
 	s.resetActive()
 }
 
-func boolsEqual(a, b []bool) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// resetActive rearms the schedule's exchanges for the next superstep and
-// accounts reuse. With a transport, each exchange is armed only after its
-// reset, so remote traffic that raced ahead of the barrier flushes into
-// fresh queues instead of being swept away as a previous superstep's
-// leftovers.
+// resetActive rearms the schedule's exchanges and borrowed streams for the
+// next superstep and accounts reuse. With a transport, each exchange is
+// armed only after its reset, so remote traffic that raced ahead of the
+// barrier flushes into fresh queues instead of being swept away as a
+// previous superstep's leftovers.
 func (s *Session) resetActive() {
+	for _, b := range s.borrows {
+		b.armed = true
+	}
 	reused := int64(0)
 	for _, ex := range s.active {
 		ex.reset(s.par, s.pool)
@@ -517,8 +562,10 @@ func (s *Session) resetActive() {
 // session: each process fills its own partitions' slots on the same
 // superstep, so "cache satisfied" flips everywhere at once.
 func (s *Session) cacheFilled(n *optimizer.PhysNode, input int) bool {
-	if s.hostedParts == nil {
-		return s.e.slotsFilled(n, input, s.par)
+	for _, p := range s.hostedParts {
+		if c, ok := s.e.slots[slotKey{n.ID, input, p}]; !ok || !c.filled {
+			return false
+		}
 	}
-	return s.e.slotsFilledAmong(n, input, s.hostedParts)
+	return true
 }

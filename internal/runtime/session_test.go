@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -54,7 +55,20 @@ func TestSessionReusesWorkersAndExchanges(t *testing.T) {
 	constRecs := []record.Record{{A: 1, B: 10}, {A: 2, B: 20}}
 	probe := []record.Record{{A: 1}, {A: 2}}
 
-	phys, w, _ := sessionJoinPlan(t, constRecs, 2)
+	// W → j is borrowed and byB → o goes into the sink, so the steady
+	// state's one exchange is j's shuffle to byB.
+	p := dataflow.NewPlan()
+	w := p.IterationPlaceholder("W", 4)
+	j := p.MatchNode("j", w, p.SourceOf("const", constRecs), record.KeyA, record.KeyA,
+		func(l, r record.Record, out dataflow.Emitter) { out.Emit(record.Record{A: l.A, B: r.B}) })
+	byB := p.ReduceNode("byB", j, record.KeyB, func(k int64, g []record.Record, out dataflow.Emitter) {
+		out.Emit(record.Record{A: k, B: int64(len(g))})
+	})
+	p.SinkNode("o", byB)
+	phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: 2, ExpectedIterations: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := NewExecutor(Config{Metrics: &m})
 	defer e.Close()
 	e.SetPlaceholder(w.ID, probe, record.KeyA, 2)
@@ -74,9 +88,11 @@ func TestSessionReusesWorkersAndExchanges(t *testing.T) {
 	if s.WorkersSpawned != want {
 		t.Errorf("WorkersSpawned = %d, want %d (one per node×partition)", s.WorkersSpawned, want)
 	}
-	// Steady-state supersteps reuse exchanges instead of rebuilding them.
-	if s.ExchangesReused == 0 {
-		t.Error("no exchange reuse across supersteps")
+	// Steady-state supersteps reuse the shuffle's exchange instead of
+	// rebuilding it, and set up no other.
+	if s.ExchangesReused != steps-1 {
+		t.Errorf("ExchangesReused = %d, want %d (j's shuffle, after the first superstep):\n%s",
+			s.ExchangesReused, steps-1, phys.Explain())
 	}
 	// Batches cycle through the pool; far more are recycled than
 	// allocated once the session is warm.
@@ -431,5 +447,75 @@ func TestBatchPoolRecycles(t *testing.T) {
 	s := m.Snapshot()
 	if s.BatchesRecycled != 1 {
 		t.Fatalf("BatchesRecycled = %d, want 1", s.BatchesRecycled)
+	}
+}
+
+// TestBorrowedPlaceholderUntouched: a consumer reads a plain placeholder's
+// partition in place, so it must neither pool nor change it. Each
+// superstep feeds the sink's partitions back as the next placeholder, as
+// the bulk driver does; every superstep's partitions, held across the
+// supersteps after it, must come out bit for bit as they went in. The
+// first partition holds exactly exchangeBatch records in a slice of that
+// capacity, which batchPool.put would take. The placeholder feeds the
+// probe side of a join (W → j, borrowed) and, at Parallelism 1, the group
+// table of a Reduce (W → r); j's shuffle to byB cycles pooled batches.
+func TestBorrowedPlaceholderUntouched(t *testing.T) {
+	const keys = exchangeBatch + 40
+	constRecs := make([]record.Record, keys)
+	for k := range constRecs {
+		constRecs[k] = record.Record{A: int64(k), B: 1}
+	}
+	for _, par := range []int{1, 2} {
+		for _, serial := range []bool{true, false} {
+			p := dataflow.NewPlan()
+			w := p.IterationPlaceholder("W", keys)
+			j := p.MatchNode("j", w, p.SourceOf("const", constRecs), record.KeyA, record.KeyA,
+				func(l, r record.Record, out dataflow.Emitter) { out.Emit(record.Record{A: l.A, B: l.B + r.B}) })
+			count := func(k int64, g []record.Record, out dataflow.Emitter) {
+				out.Emit(record.Record{A: k, B: int64(len(g))})
+			}
+			o := p.SinkNode("o", j)
+			r := p.ReduceNode("r", w, record.KeyA, count)
+			p.SinkNode("oB", p.ReduceNode("byB", j, record.KeyB, count))
+			p.SinkNode("oR", r)
+			phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: par, ExpectedIterations: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range phys.Nodes {
+				if (n.Logical == j || n.Logical == r && par == 1) && !borrowed(n, &n.Inputs[0], par) {
+					t.Fatalf("P%d: %s does not borrow W:\n%s", par, n.Name(), phys.Explain())
+				}
+			}
+
+			t.Cleanup(ForceLane(func() bool { return serial }))
+			e := NewExecutor(Config{})
+			sess := e.OpenSession(phys)
+			parts := [][]record.Record{make([]record.Record, 0, exchangeBatch), nil}
+			for k := range int64(keys) {
+				i := min(k/exchangeBatch, 1)
+				parts[i] = append(parts[i], record.Record{A: k, B: k})
+			}
+			var held, want [][][]record.Record
+			for step := 0; step < 5; step++ {
+				e.SetPlaceholderParts(w.ID, parts[:par])
+				held = append(held, parts)
+				want = append(want, [][]record.Record{slices.Clone(parts[0]), slices.Clone(parts[1])})
+				res, err := sess.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts = append(res[o.ID], nil)[:2]
+			}
+			sess.Close()
+			for step := range held {
+				for i := range held[step][:par] {
+					if !slices.Equal(held[step][i], want[step][i]) {
+						t.Fatalf("P%d serial=%v: superstep %d's placeholder partition %d changed after it was read",
+							par, serial, step, i)
+					}
+				}
+			}
+		}
 	}
 }

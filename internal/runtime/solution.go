@@ -95,9 +95,7 @@ func NewSolutionSet(parallelism int, key record.KeyFunc, cmp record.Comparator, 
 // compact in-memory index. The budget is best-effort: the partition being
 // accessed always stays resident.
 func NewSolutionSetWith(parallelism int, key record.KeyFunc, cmp record.Comparator, m *metrics.Counters, budget int64) *SolutionSet {
-	if parallelism < 1 {
-		parallelism = 1
-	}
+	parallelism = max(parallelism, 1)
 	return &SolutionSet{
 		backend: newSolutionBackend(parallelism, key, m, budget),
 		locks:   make([]sync.Mutex, parallelism),

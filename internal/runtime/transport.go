@@ -15,12 +15,9 @@ type Placement []int
 // sink outputs dense, and make the final solution assembly a plain
 // concatenation in partition order.
 func ContiguousPlacement(par, hosts int) Placement {
-	if hosts < 1 {
-		hosts = 1
-	}
 	pl := make(Placement, par)
 	for p := range pl {
-		pl[p] = p * hosts / par
+		pl[p] = p * max(hosts, 1) / par
 	}
 	return pl
 }

@@ -46,18 +46,16 @@
 // # Execution model: sessions and partition-pinned workers
 //
 // The runtime executes a physical plan through a session
-// (runtime.Executor.OpenSession): opening one spawns a long-lived,
-// partition-pinned worker goroutine per (operator, partition), and every
-// superstep is one Run call on the same session. Workers park between
-// supersteps instead of exiting, exchanges are allocated once per
+// (runtime.Executor.OpenSession): one long-lived, partition-pinned worker
+// goroutine per (operator, partition), and one Run call per superstep.
+// Workers park between supersteps, exchanges are allocated once per
 // physical edge and reset between passes, and record batches cycle
-// through a sync.Pool — so the steady-state passes of an iteration are
-// near-zero-allocation, the physical-layer counterpart of §4.2's rule
-// that only the dynamic data path is re-evaluated. The iteration drivers
-// open one session at iteration start and close it at convergence;
-// metrics (WorkersSpawned, ExchangesReused, BatchesAllocated/Recycled)
-// make the reuse observable. One-shot plans go through Execute, which
-// wraps a single-superstep session.
+// through a sync.Pool — the physical-layer counterpart of §4.2's rule that
+// only the dynamic data path is re-evaluated. An edge on which no record
+// changes partition has no exchange: its consumer reads the placeholder
+// in place, or its producer writes into the sink's result. Metrics
+// (WorkersSpawned, ExchangesReused, BatchesAllocated/Recycled) make the
+// reuse observable. Execute wraps a single-superstep session.
 //
 // # The solution set and out-of-core iterations
 //
@@ -151,10 +149,7 @@ func NewPlan() *Plan { return dataflow.NewPlan() }
 // Execute optimizes and runs a non-iterative plan, returning the records
 // collected at each sink (keyed by sink node).
 func Execute(p *Plan, cfg Config) (map[*Node][]Record, error) {
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 1
-	}
-	phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: cfg.Parallelism})
+	phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: max(cfg.Parallelism, 1)})
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +232,3 @@ func UniformGraph(vertices, edges int64, seed uint64) *Graph {
 func PowerLawGraph(vertices int64, edgesPerVertex int, seed uint64) *Graph {
 	return graphgen.PreferentialAttachment("powerlaw", vertices, edgesPerVertex, seed)
 }
-
-// Ensure the dataflow package's builder methods are reachable through the
-// Plan alias (compile-time check).
-var _ = (*dataflow.Plan)(nil)
