@@ -893,7 +893,8 @@ func BenchmarkSuperstepPipeline(b *testing.B) {
 // without their first pass, so planning and the first superstep's table
 // builds are split out. Each engine run also reports workset/op, the
 // records added to the working set (metrics.Counters.WorksetElements), and
-// supersteps/op. Reported, never gated.
+// supersteps/op; engine-P2 reports par_ratio, its run over engine-P1's.
+// Reported, never gated.
 func BenchmarkCOST(b *testing.B) {
 	const prIters = 20
 	pr := graphgen.RMAT("cost-pagerank", 16, 730_000, 0.45, 0.22, 0.22, 9701)
@@ -1000,6 +1001,7 @@ func costWorkload(b *testing.B, name string, plains []costPlain,
 			}
 		})
 	}
+	var p1 time.Duration // engine-P1's run, which P2's par_ratio divides by
 	for _, par := range []int{1, 2} {
 		b.Run(fmt.Sprintf("%s/engine-P%d", name, par), func(b *testing.B) {
 			var m metrics.Counters
@@ -1027,6 +1029,11 @@ func costWorkload(b *testing.B, name string, plains []costPlain,
 			}
 			run := b.Elapsed() / time.Duration(b.N)
 			b.ReportMetric(float64(run)/float64(best), "cost_ratio")
+			if par == 1 {
+				p1 = run
+			} else if p1 > 0 {
+				b.ReportMetric(float64(run)/float64(p1), "par_ratio")
+			}
 			if steady > 0 {
 				b.ReportMetric(float64(tail/time.Duration(b.N))/float64(steady), "steady_cost_ratio")
 			}

@@ -372,7 +372,7 @@ func (en *incEngine) step(absStep int, labels context.Context) (stepOutcome, err
 	// caller's come back after it, as after the runtime's serial lane.
 	mergeStart := time.Now()
 	pprof.SetGoroutineLabels(en.mergeLabels)
-	en.exec.Solution.MergeDelta(res.Records(en.spec.DeltaSink.ID))
+	en.exec.Solution.MergeDelta(res[en.spec.DeltaSink.ID]...)
 	pprof.SetGoroutineLabels(labels)
 	en.cfg.noteMerge(absStep, mergeStart)
 	if err := en.exec.Solution.Err(); err != nil {

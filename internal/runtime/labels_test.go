@@ -33,7 +33,8 @@ import (
 // of the driver's ∪̇ merge labelled {layer=solution, op=merge}. It repeats
 // the fixpoint until every task has been sampled, so short tasks (the
 // sinks) are caught too; supersteps run on both lanes, and samples of
-// both lanes must show up. Planning samples ({layer=optimizer,
+// both lanes must show up. An idle task (runtime.Idle) is never woken, so
+// it must have no samples at all. Planning samples ({layer=optimizer,
 // op=cost|greedy}) are accepted but not required: planning is about 0.1 %
 // of a fixpoint. So are a live view's control rounds ({layer=live,
 // op=<round>}), a worker's share of them ({layer=live, op=<verb>}), the
@@ -110,6 +111,9 @@ func TestTaskProfileLabels(t *testing.T) {
 		for op := range seen {
 			if !node[op] {
 				t.Fatalf("samples labelled with op %q, which is neither a node of the plan nor the seed fold", op)
+			}
+			if !want[op] {
+				t.Fatalf("%d samples labelled with op %q, whose task does no work: its worker was woken", seen[op], op)
 			}
 		}
 		if missing == 0 && len(lanes) == 2 && merges > 0 {

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dataflow"
@@ -39,12 +40,14 @@ type task struct {
 	// fold is the running pre-aggregation of a combiner task or of an
 	// absorbed combiner (see combineFold), reused across supersteps.
 	fold *combineFold
+	// sinkHint is a drained sink's last result length (see writer.hint).
+	sinkHint int
 	// udfs, solAccesses and solUpdates tally this superstep's work in plain
 	// ints, so no record touches a cache line another core writes.
 	udfs, solAccesses, solUpdates int64
 	// The pad makes the size a multiple of the 64-B cache line, so the
 	// tallies of tasks allocated side by side never share a line.
-	_ [24]byte
+	_ [16]byte
 }
 
 // flushCounters adds the task's tallies to the shared counters, once per
@@ -80,16 +83,23 @@ func (t *task) scratchTable(i int) *groupTable {
 // batch holds no live state.
 func (t *task) drain(i int, f func(record.Record)) {
 	in := t.ins[i]
-	for {
-		b, ok := in.next()
-		if !ok {
-			return
-		}
+	for b, ok := in.next(); ok; b, ok = in.next() {
 		for _, r := range b {
 			f(r)
 		}
 		in.release(b)
 	}
+}
+
+// appendAll is drain into a slice: it appends every record of input i to
+// dst, a batch at a time.
+func (t *task) appendAll(i int, dst []record.Record) []record.Record {
+	in := t.ins[i]
+	for b, ok := in.next(); ok; b, ok = in.next() {
+		dst = append(dst, b...)
+		in.release(b)
+	}
+	return dst
 }
 
 // emitter fans one record out to all downstream writers.
@@ -183,7 +193,7 @@ func (t *task) runOp(out dataflow.Emitter) error {
 	switch n.Role {
 	case optimizer.RoleEnforcer:
 		if n.Local == optimizer.LocalSort {
-			recs := t.consumeSorted(0, n.SortKey)
+			recs := t.consume(0, n.SortKey)
 			for _, r := range recs {
 				out.Emit(r)
 			}
@@ -221,16 +231,13 @@ func (t *task) runOp(out dataflow.Emitter) error {
 
 	case dataflow.Sink:
 		if t.slots[0] != nil {
-			t.sess.cur[l.ID][t.part] = t.consume(0)
+			t.sess.cur[l.ID][t.part] = t.consume(0, nil)
 			return nil
 		}
-		if intoSink(n, &n.Inputs[0], t.par) {
-			return nil // the producer's writer filled the result
-		}
-		// The driver may keep the output: it is fresh, never scratch.
-		var out []record.Record
-		t.drain(0, func(r record.Record) { out = append(out, r) })
-		t.sess.cur[l.ID][t.part] = out
+		// The driver may keep the output: it is fresh, never scratch, and
+		// sized by the last superstep's.
+		out := t.appendAll(0, slices.Grow([]record.Record(nil), t.sinkHint))
+		t.sess.cur[l.ID][t.part], t.sinkHint = out, len(out)
 		return nil
 
 	case dataflow.MapOp:
@@ -264,7 +271,7 @@ func (t *task) runOp(out dataflow.Emitter) error {
 				l.Reduce(k, g, out)
 			})
 		case optimizer.LocalSortAgg:
-			recs := t.consumeSorted(0, l.Keys[0])
+			recs := t.consume(0, l.Keys[0])
 			forEachGroup(recs, l.Keys[0], func(k int64, g []record.Record) {
 				t.udf()
 				l.Reduce(k, g, out)
@@ -285,7 +292,7 @@ func (t *task) runOp(out dataflow.Emitter) error {
 
 	case dataflow.CrossOp:
 		build := n.BuildSide
-		blk := t.consume(build)
+		blk := t.consume(build, nil)
 		t.stream(1-build, func(r record.Record) {
 			for _, b := range blk {
 				t.udf()
@@ -361,8 +368,8 @@ func (t *task) hashJoin(out dataflow.Emitter) error {
 func (t *task) sortMergeJoin(out dataflow.Emitter) error {
 	l := t.n.Logical
 	lk, rk := l.Keys[0], l.Keys[1]
-	left := t.consumeSorted(0, lk)
-	right := t.consumeSorted(1, rk)
+	left := t.consume(0, lk)
+	right := t.consume(1, rk)
 	i, j := 0, 0
 	for i < len(left) && j < len(right) {
 		ki, kj := lk(left[i]), rk(right[j])
@@ -397,63 +404,38 @@ func (t *task) sortMergeJoin(out dataflow.Emitter) error {
 // Non-cached batches are recycled as they are consumed; cached batches are
 // retained by the slot.
 func (t *task) stream(i int, f func(record.Record)) {
-	if s := t.slots[i]; s != nil {
-		if s.filled {
-			for _, b := range s.batches {
-				for _, r := range b {
-					f(r)
-				}
-			}
-			return
-		}
-		for {
-			b, ok := t.ins[i].next()
-			if !ok {
-				break
-			}
-			s.batches = append(s.batches, b)
-			for _, r := range b {
-				f(r)
-			}
-		}
-		s.filled = true
+	s := t.slots[i]
+	if s == nil {
+		t.drain(i, f)
 		return
 	}
-	t.drain(i, f)
+	if !s.filled {
+		for b, ok := t.ins[i].next(); ok; b, ok = t.ins[i].next() {
+			s.batches = append(s.batches, b)
+		}
+		s.filled = true
+	}
+	for _, b := range s.batches {
+		for _, r := range b {
+			f(r)
+		}
+	}
 }
 
-// consume materializes input i fully (cache-aware). The non-cached result
-// lives in a per-task scratch buffer that is overwritten by the next
-// superstep — callers must not retain it (sinks copy instead).
-func (t *task) consume(i int) []record.Record {
+// consume materializes input i fully (cache-aware), sorted by key unless
+// key is nil; the cache stores the sorted order so re-executions skip the
+// sort. The non-cached result lives in a per-task scratch buffer that is
+// overwritten by the next superstep — callers must not retain it.
+func (t *task) consume(i int, key record.KeyFunc) []record.Record {
 	if s := t.slots[i]; s != nil {
 		if !s.filled {
-			t.drain(i, func(r record.Record) { s.recs = append(s.recs, r) })
+			s.recs = sortByKey(t.appendAll(i, s.recs), key)
 			s.filled = true
 		}
 		return s.recs
 	}
-	buf := t.recsBuf[i][:0]
-	t.drain(i, func(r record.Record) { buf = append(buf, r) })
-	t.recsBuf[i] = buf
-	return buf
-}
-
-// consumeSorted materializes input i sorted by key; the cache stores the
-// sorted order so re-executions skip the sort.
-// Like consume, the non-cached result is scratch-backed.
-func (t *task) consumeSorted(i int, key record.KeyFunc) []record.Record {
-	if s := t.slots[i]; s != nil {
-		if !s.filled {
-			t.drain(i, func(r record.Record) { s.recs = append(s.recs, r) })
-			sortByKey(s.recs, key)
-			s.filled = true
-		}
-		return s.recs
-	}
-	recs := t.consume(i)
-	sortByKey(recs, key)
-	return recs
+	t.recsBuf[i] = sortByKey(t.appendAll(i, t.recsBuf[i][:0]), key)
+	return t.recsBuf[i]
 }
 
 // buildTable materializes input i into a key-grouped hash table; for
@@ -481,24 +463,25 @@ func (t *task) buildTable(i int, key record.KeyFunc) *groupTable {
 // whole and released once it has laid their records out.
 func (t *task) fillTable(gt *groupTable, i int, key record.KeyFunc) {
 	in := t.ins[i]
-	for {
-		b, ok := in.next()
-		if !ok {
-			break
-		}
+	for b, ok := in.next(); ok; b, ok = in.next() {
 		gt.stage(b, key)
 	}
 	gt.build(in.release)
 }
 
-func sortByKey(recs []record.Record, key record.KeyFunc) {
-	sort.Slice(recs, func(a, b int) bool {
-		ka, kb := key(recs[a]), key(recs[b])
-		if ka != kb {
-			return ka < kb
-		}
-		return record.Less(recs[a], recs[b])
-	})
+// sortByKey sorts recs by key, then record, in place and returns them; a
+// nil key leaves them as they are.
+func sortByKey(recs []record.Record, key record.KeyFunc) []record.Record {
+	if key != nil {
+		sort.Slice(recs, func(a, b int) bool {
+			ka, kb := key(recs[a]), key(recs[b])
+			if ka != kb {
+				return ka < kb
+			}
+			return record.Less(recs[a], recs[b])
+		})
+	}
+	return recs
 }
 
 // forEachGroup iterates key groups of a key-sorted slice.

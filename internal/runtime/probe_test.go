@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/optimizer"
 	"repro/internal/record"
 )
 
@@ -156,16 +157,27 @@ func TestProbeIndexModes(t *testing.T) {
 }
 
 // TestCacheLinePadding pins the sizes of the structs that goroutines write
-// per record side by side — a combiner fold, a task and its tallies — to
-// whole 64-B cache lines, so neighbouring ones never share a line.
+// per record side by side — a combiner fold, a task and its tallies, a
+// writer and its buffers — to whole 64-B cache lines, so neighbouring ones
+// never share a line, and a solution-set partition's lock to a line of its
+// own.
 func TestCacheLinePadding(t *testing.T) {
+	w := newWriter(newExchange(0, 2, 2, nil), optimizer.ShipPartition, record.KeyA, 0, nil, nil, nil, nil, nil)
 	for name, size := range map[string]uintptr{
 		"combineFold": unsafe.Sizeof(combineFold{}),
 		"task":        unsafe.Sizeof(task{}),
+		"writer":      unsafe.Sizeof(writer{}),
+		"writer.bufs": uintptr(cap(w.bufs)) * unsafe.Sizeof(record.Batch(nil)),
 	} {
 		if size%64 != 0 {
 			t.Errorf("%s is %d B, not a multiple of 64: adjust its pad", name, size)
 		}
+	}
+	s := NewSolutionSet(2, record.KeyA, nil, nil)
+	size := unsafe.Sizeof(s.locks[0])
+	stride := uintptr(unsafe.Pointer(&s.locks[1])) - uintptr(unsafe.Pointer(&s.locks[0]))
+	if size != 64 || stride != 64 {
+		t.Errorf("a partition lock is %d B at a stride of %d B, want 64 and 64", size, stride)
 	}
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -312,6 +313,37 @@ func TestSolutionSetMergeSemantics(t *testing.T) {
 	}
 	if m.Snapshot().SolutionUpdates != 2 || m.Snapshot().SolutionAccesses != 2 {
 		t.Errorf("metrics: %+v", m.Snapshot())
+	}
+}
+
+// TestSolutionSetMergeDeltaParts: a delta merged as one slice, as the
+// set's own partitions (applied where they are) or as parts that are not
+// (grouped first) leaves the same solution and counts the same changes.
+func TestSolutionSetMergeDeltaParts(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		var flat []record.Record
+		own := make([][]record.Record, par)
+		for k := range int64(200) {
+			r := record.Record{A: k % 150, B: k}
+			flat = append(flat, r)
+			p := record.PartitionOf(k%150, par)
+			own[p] = append(own[p], r)
+		}
+		stray := append(own[1:len(own):len(own)], own[0])
+		var want []record.Record
+		for i, parts := range [][][]record.Record{{flat}, own, stray} {
+			s := NewSolutionSet(par, record.KeyA, nil, nil)
+			s.Init([]record.Record{{A: 1, B: -1}, {A: 7, B: -7}})
+			if changed := s.MergeDelta(parts...); changed != 200 {
+				t.Fatalf("P%d delta %d: changed=%d, want 200", par, i, changed)
+			}
+			got := sorted(s.Snapshot())
+			if i == 0 {
+				want = got
+			} else if !slices.Equal(got, want) {
+				t.Fatalf("P%d delta %d: solution differs from the flat merge's", par, i)
+			}
+		}
 	}
 }
 

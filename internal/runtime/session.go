@@ -41,6 +41,9 @@ type Session struct {
 
 	workers []*worker // one per (node, partition), parked between supersteps
 	tasks   []*task   // parallel to workers; wiring mutated on recompile
+	// running lists, in workers order, the workers whose task does work in
+	// the current schedule: the only ones a superstep runs or wakes.
+	running []*worker
 
 	// exchanges is keyed by the plan's stable Edge.ID; entries are
 	// allocated on first need and reset — not rebuilt — afterwards.
@@ -57,7 +60,7 @@ type Session struct {
 	// schedule changes when caches fill (a constant subtree drops out,
 	// or a still-live producer stops feeding a cache-satisfied edge) or
 	// when the executor's cache generation moves (caches dropped).
-	liveNow, livePrev []bool // by PhysNode.ID: node runs this superstep
+	liveNow, livePrev []bool // by PhysNode.ID: node is in this superstep
 	edgeNow, edgePrev []bool // by Edge.ID: edge carries an exchange
 	genPrev           uint64
 	compiled          bool
@@ -71,12 +74,11 @@ type Session struct {
 	step int32
 }
 
-// worker executes one (node, partition) task each superstep. All live
-// workers of a superstep run concurrently, so exchanges pipeline without
-// deadlock; between supersteps they park on a channel.
+// worker executes one (node, partition) task each superstep its task runs.
+// All running workers of a superstep run concurrently, so exchanges
+// pipeline without deadlock; between supersteps they park on a channel.
 type worker struct {
 	t      *task
-	live   bool            // does t participate in the current schedule?
 	labels context.Context // t's profiler labels on the parallel lane
 	// lane is the profiler labels t runs under this superstep: labels on
 	// the parallel lane, t.labels on the serial one. t's writers restore
@@ -154,16 +156,14 @@ func (e *Executor) OpenSessionOn(p *optimizer.PhysPlan, tr Transport) *Session {
 	return s
 }
 
-// loop is the worker goroutine. It runs one task only, so it carries
-// that task's parallel-lane profiler labels for its whole life.
+// loop is the worker goroutine. It runs one task only, under that task's
+// parallel-lane profiler labels; a worker never fired carries none.
 func (w *worker) loop() {
-	pprof.SetGoroutineLabels(w.labels)
 	for step := range w.fire {
+		pprof.SetGoroutineLabels(w.labels)
 		w.lane = w.labels
-		if w.live {
-			if err := execTask(w.t); err != nil {
-				step.addErr(err)
-			}
+		if err := execTask(w.t); err != nil {
+			step.addErr(err)
 		}
 		step.wg.Done()
 	}
@@ -252,10 +252,8 @@ func (s *Session) Run(labels context.Context) (Result, error) {
 		results[sink.Logical.ID] = make([][]record.Record, s.par)
 	}
 	s.cur = results
-	for _, w := range s.sinkWriters {
-		if w.hint > 0 { // the caller keeps the last one
-			w.res = make([]record.Record, 0, w.hint)
-		}
+	for _, w := range s.sinkWriters { // the caller keeps the last res
+		w.res = slices.Grow(w.res, w.hint)
 	}
 
 	var errs []error
@@ -264,20 +262,18 @@ func (s *Session) Run(labels context.Context) (Result, error) {
 		// producers finished and its queues closed, so nothing blocks. Each
 		// task runs under its serial-lane profiler labels on the caller's
 		// goroutine, whose own labels come back afterwards.
-		for i, t := range s.tasks {
-			if w := s.workers[i]; w.live {
-				w.lane = t.labels
-				pprof.SetGoroutineLabels(t.labels)
-				if err := execTask(t); err != nil {
-					errs = append(errs, err)
-				}
+		for _, w := range s.running {
+			w.lane = w.t.labels
+			pprof.SetGoroutineLabels(w.t.labels)
+			if err := execTask(w.t); err != nil {
+				errs = append(errs, err)
 			}
 		}
 		pprof.SetGoroutineLabels(labels)
 	} else {
 		step := &superstep{}
-		step.wg.Add(len(s.workers))
-		for _, w := range s.workers {
+		step.wg.Add(len(s.running))
+		for _, w := range s.running {
 			w.fire <- step
 		}
 		step.wg.Wait()
@@ -387,7 +383,7 @@ type outSpec struct {
 //     Executor.Placeholder partition in place (borrowStream); the
 //     placeholder's task does not run for the edge.
 //   - into a sink: the producer's writer appends to the sink's result
-//     (writer.res); the sink task does nothing.
+//     (writer.res); the sink task does not run.
 func borrowed(n *optimizer.PhysNode, edge *optimizer.Edge, par int) bool {
 	p := edge.From
 	return stays(edge, par) && n.Logical.Contract != dataflow.Sink && p.Role == optimizer.RoleOperator &&
@@ -491,15 +487,15 @@ func (s *Session) compile() {
 	}
 
 	// Rewire every task for the new schedule.
-	s.borrows, s.sinkWriters = s.borrows[:0], s.sinkWriters[:0]
+	s.borrows, s.sinkWriters, s.running = s.borrows[:0], s.sinkWriters[:0], s.running[:0]
 	for idx, t := range s.tasks {
 		w := s.workers[idx]
 		n := t.n
-		w.live = s.liveNow[n.ID]
-		if !w.live {
+		if !s.liveNow[n.ID] || n.Logical.Contract == dataflow.Sink && intoSink(n, &n.Inputs[0], par) {
 			t.ins, t.slots, t.outs = nil, nil, nil
 			continue
 		}
+		s.running = append(s.running, w)
 		t.ins = make([]inStream, len(n.Inputs))
 		t.slots = make([]*cacheSlot, len(n.Inputs))
 		for i := range n.Inputs {

@@ -519,3 +519,115 @@ func TestBorrowedPlaceholderUntouched(t *testing.T) {
 		}
 	}
 }
+
+// mapPlan is W → m → o at Parallelism 2, m adding 1 to B; with a sink key,
+// o's input is hash-partitioned by it.
+func mapPlan(t *testing.T, sinkKey record.KeyFunc) (*optimizer.PhysPlan, *dataflow.Node, *dataflow.Node) {
+	t.Helper()
+	p := dataflow.NewPlan()
+	w := p.IterationPlaceholder("W", 1000)
+	m := p.MapNode("m", w, func(r record.Record, out dataflow.Emitter) { out.Emit(record.Record{A: r.A, B: r.B + 1}) })
+	o := p.SinkNode("o", m)
+	opt := optimizer.Options{Parallelism: 2, ExpectedIterations: 8}
+	if sinkKey != nil {
+		opt.SinkPartition = map[int]record.KeyFunc{o.ID: sinkKey}
+	}
+	phys, err := optimizer.Optimize(p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return phys, w, o
+}
+
+// TestSessionFiresOnlyRunningWorkers: on the parallel lane a superstep
+// wakes only the workers whose task does work. m borrows W, and m's writer
+// fills o, so the workers of W and o must never be woken. A woken worker
+// sets its lane labels first thing, so theirs must stay unset.
+func TestSessionFiresOnlyRunningWorkers(t *testing.T) {
+	phys, w, o := mapPlan(t, nil)
+	t.Cleanup(ForceLane(func() bool { return false }))
+	e := NewExecutor(Config{})
+	sess := e.OpenSession(phys)
+	defer sess.Close()
+	in := []record.Record{{A: 1, B: 1}, {A: 2, B: 2}, {A: 3, B: 3}}
+	for step := range 5 {
+		e.SetPlaceholder(w.ID, in, record.KeyA, 2)
+		res, err := sess.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sorted(res.Records(o.ID)); len(got) != 3 || got[0].B != 2 || got[2].B != 4 {
+			t.Fatalf("step %d: %v", step, got)
+		}
+	}
+	idle := 0
+	for i, tk := range sess.tasks {
+		wk := sess.workers[i]
+		switch {
+		case !Idle(phys, tk.n) && wk.lane == nil:
+			t.Errorf("%s[%d] does work but was never woken", tk.n.Name(), tk.part)
+		case Idle(phys, tk.n):
+			idle++
+			if wk.lane != nil {
+				t.Errorf("%s[%d] does no work but was woken", tk.n.Name(), tk.part)
+			}
+		}
+	}
+	if idle != 4 {
+		t.Fatalf("%d idle tasks, want W's and o's two each:\n%s", idle, phys.Explain())
+	}
+}
+
+// TestSessionDrainedSinkOwnsItsResult: at Parallelism 2 a sink behind a
+// hash-partitioned edge drains its queue into a result sized by its last
+// one. A returned result must stay as it was while later supersteps cycle
+// pooled batches, and a result that shrinks from 20 000 records to 10 must
+// hold exactly 10.
+func TestSessionDrainedSinkOwnsItsResult(t *testing.T) {
+	phys, w, o := mapPlan(t, record.KeyB)
+	for _, n := range phys.Nodes {
+		if n.Logical == o && intoSink(n, &n.Inputs[0], 2) {
+			t.Fatalf("o is filled by its producer, not drained:\n%s", phys.Explain())
+		}
+	}
+	input := func(n int, base int64) []record.Record {
+		recs := make([]record.Record, n)
+		for i := range recs {
+			recs[i] = record.Record{A: base + int64(i), B: base + int64(i)*7}
+		}
+		return recs
+	}
+	for _, serial := range []bool{true, false} {
+		t.Cleanup(ForceLane(func() bool { return serial }))
+		e := NewExecutor(Config{})
+		sess := e.OpenSession(phys)
+		var first, want []record.Record
+		for step, n := range []int{20_000, 20_000, 20_000, 10} {
+			in := input(n, int64(step)<<32)
+			e.SetPlaceholder(w.ID, in, record.KeyA, 2)
+			res, err := sess.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sorted(res.Records(o.ID))
+			if len(got) != n {
+				t.Fatalf("serial=%v step %d: %d records, want %d", serial, step, len(got), n)
+			}
+			for i, r := range sorted(in) {
+				if got[i] != (record.Record{A: r.A, B: r.B + 1}) {
+					t.Fatalf("serial=%v step %d: record %d is %v from %v", serial, step, i, got[i], r)
+				}
+			}
+			if step == 0 {
+				if first = res[o.ID][0]; len(first) == 0 {
+					t.Fatal("partition 0 of the first result is empty")
+				}
+				want = slices.Clone(first)
+			}
+		}
+		sess.Close()
+		if !slices.Equal(first, want) {
+			t.Fatalf("serial=%v: the first superstep's result changed under later ones", serial)
+		}
+	}
+}

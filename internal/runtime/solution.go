@@ -20,18 +20,21 @@
 // convenience wrapper for non-iterative plans.
 //
 // A superstep takes one of two lanes over the same tasks, exchanges and
-// operator code. The parallel lane fires the parked workers. The serial
-// lane runs the live tasks inline on the calling goroutine in plan.Nodes
-// order — topological, and the queues are unbounded, so every consumer
-// finds its producers finished and its queues closed: no wake-ups, no
-// blocking, deterministic order. Session.Run picks per superstep from what
-// it can observe: a session with a transport always runs parallel (its
-// peers interlock on the exchanges); otherwise the serial lane is taken
-// when the records the superstep will read (placeholder partitions of live
-// IterationInput nodes plus the data of still-live Source nodes) number
-// fewer than serialLaneRecords, the crossover BenchmarkSuperstepLanes
-// measures. Work counters are tallied per task and published at task end,
-// so neither lane touches a shared cache line per record.
+// operator code. The parallel lane fires the parked workers of the tasks
+// that run: not a placeholder's whose consumers all borrow it, nor a
+// sink's that its producer fills. The serial lane runs the same tasks
+// inline on the calling goroutine in plan.Nodes order — topological, and
+// the queues are unbounded, so every consumer finds its producers finished
+// and its queues closed: no wake-ups, no blocking, deterministic order.
+// Session.Run picks per superstep from what it can observe: a session with
+// a transport always runs parallel (its peers interlock on the exchanges);
+// otherwise the serial lane is taken when the records the superstep will
+// read (placeholder partitions of live IterationInput nodes plus the data
+// of still-live Source nodes) number fewer than serialLaneRecords, the
+// crossover BenchmarkSuperstepLanes measures. Work counters are tallied
+// per task and published at task end, and the solution set's partition
+// locks, each writer and its batch buffers sit on cache lines of their
+// own, so neither lane touches a shared cache line per record.
 //
 // Fused operator chains (optimizer.PhysNode.FusedChain) execute inside
 // the head operator's emitter: each emitted record flows through the
@@ -56,6 +59,7 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -72,14 +76,22 @@ import (
 // updates — the microstep Update path and DirectMerge superstep emitters —
 // are safe even when a record's key routes it to a partition other than
 // the calling worker's (partition pinning is the common case, not a
-// correctness requirement).
+// correctness requirement). Each lock sits alone on a 64-B cache line, so
+// the per-record Lock/Unlock of one partition's task does not invalidate
+// the line its sibling partition locks.
 type SolutionSet struct {
 	backend SolutionBackend
-	locks   []sync.Mutex
+	locks   []paddedMutex
 	par     int
 	key     record.KeyFunc
 	cmp     record.Comparator
 	m       *metrics.Counters
+}
+
+// paddedMutex is a mutex padded to a whole cache line.
+type paddedMutex struct {
+	sync.Mutex
+	_ [56]byte
 }
 
 // NewSolutionSet creates an empty solution set with the given partition
@@ -98,7 +110,7 @@ func NewSolutionSetWith(parallelism int, key record.KeyFunc, cmp record.Comparat
 	parallelism = max(parallelism, 1)
 	return &SolutionSet{
 		backend: newSolutionBackend(parallelism, key, m, budget),
-		locks:   make([]sync.Mutex, parallelism),
+		locks:   make([]paddedMutex, parallelism),
 		par:     parallelism,
 		key:     key,
 		cmp:     cmp,
@@ -120,26 +132,9 @@ func (s *SolutionSet) Init(recs []record.Record) {
 			cb.Reserve(p, per)
 		}
 	}
-	if s.par == 1 {
-		s.locks[0].Lock()
-		for _, r := range recs {
-			s.backend.Store(0, s.key(r), r)
-		}
-		s.locks[0].Unlock()
-		s.publishBytes()
-		return
-	}
-	parts := make([][]record.Record, s.par)
-	for _, r := range recs {
-		p := record.PartitionOf(s.key(r), s.par)
-		parts[p] = append(parts[p], r)
-	}
-	for p := 0; p < s.par; p++ {
-		if len(parts[p]) == 0 {
-			continue
-		}
+	for p, part := range s.group(recs) {
 		s.locks[p].Lock()
-		for _, r := range parts[p] {
+		for _, r := range part {
 			s.backend.Store(p, s.key(r), r)
 		}
 		s.locks[p].Unlock()
@@ -204,7 +199,7 @@ func (s *SolutionSet) publishBytes() {
 	}
 }
 
-// MergeDelta applies a delta set with the ∪̇ operator: every delta record
+// MergeDelta applies delta sets with the ∪̇ operator: every delta record
 // replaces the solution record under the same key (subject to the
 // comparator), new keys are inserted. It returns the number of records
 // that actually changed the solution.
@@ -213,43 +208,20 @@ func (s *SolutionSet) publishBytes() {
 // under one lock acquisition, with all of its updates. For the spill
 // backend this is the difference between one reload per partition per
 // superstep and one reload per record — a partition-interleaved merge
-// under a tight budget would otherwise thrash the eviction path.
-func (s *SolutionSet) MergeDelta(delta []record.Record) int {
+// under a tight budget would otherwise thrash the eviction path. Parts
+// that already are the set's partitions, as a sink partitioned on the key
+// delivers them, are applied where they are; any others are grouped first.
+func (s *SolutionSet) MergeDelta(parts ...[]record.Record) int {
+	if !s.byPartition(parts) {
+		parts = s.group(slices.Concat(parts...))
+	}
 	changed := 0
-	if s.par == 1 {
-		s.locks[0].Lock()
-		for _, r := range delta {
-			if s.putLocked(0, s.key(r), r) {
-				changed++
-			}
-		}
-		s.locks[0].Unlock()
-		s.noteUpdates(changed)
-		return changed
-	}
-	// Two passes over the delta: count per-partition, then fill one
-	// backing array partition-contiguously (no per-partition slices).
-	counts := make([]int, s.par)
-	for _, r := range delta {
-		counts[record.PartitionOf(s.key(r), s.par)]++
-	}
-	offsets := make([]int, s.par+1)
-	for p := 0; p < s.par; p++ {
-		offsets[p+1] = offsets[p] + counts[p]
-	}
-	grouped := make([]record.Record, len(delta))
-	fill := append([]int(nil), offsets[:s.par]...)
-	for _, r := range delta {
-		p := record.PartitionOf(s.key(r), s.par)
-		grouped[fill[p]] = r
-		fill[p]++
-	}
-	for p := 0; p < s.par; p++ {
-		if offsets[p] == offsets[p+1] {
+	for p, part := range parts {
+		if len(part) == 0 {
 			continue
 		}
 		s.locks[p].Lock()
-		for _, r := range grouped[offsets[p]:offsets[p+1]] {
+		for _, r := range part {
 			if s.putLocked(p, s.key(r), r) {
 				changed++
 			}
@@ -258,6 +230,48 @@ func (s *SolutionSet) MergeDelta(delta []record.Record) int {
 	}
 	s.noteUpdates(changed)
 	return changed
+}
+
+// byPartition reports whether parts are the set's partitions: one per
+// partition, each holding only keys of its own.
+func (s *SolutionSet) byPartition(parts [][]record.Record) bool {
+	switch {
+	case len(parts) != s.par:
+		return false
+	case s.par == 1:
+		return true // every key is partition 0's
+	}
+	for p, part := range parts {
+		for _, r := range part {
+			if record.PartitionOf(s.key(r), s.par) != p {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// group splits recs by partition into one backing array (recs itself at
+// Parallelism 1).
+func (s *SolutionSet) group(recs []record.Record) [][]record.Record {
+	if s.par == 1 {
+		return [][]record.Record{recs}
+	}
+	counts := make([]int, s.par)
+	for _, r := range recs {
+		counts[record.PartitionOf(s.key(r), s.par)]++
+	}
+	grouped, parts := make([]record.Record, len(recs)), make([][]record.Record, s.par)
+	offset := 0
+	for p, n := range counts {
+		parts[p] = grouped[offset : offset : offset+n]
+		offset += n
+	}
+	for _, r := range recs {
+		p := record.PartitionOf(s.key(r), s.par)
+		parts[p] = append(parts[p], r)
+	}
+	return parts
 }
 
 // Update applies a single delta record immediately (microstep execution,
