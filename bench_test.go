@@ -891,8 +891,9 @@ func BenchmarkSuperstepPipeline(b *testing.B) {
 // program that iterates as the engine's supersteps do, the push loop and
 // label propagation, it also reports steady_cost_ratio: both sides' runs
 // without their first pass, so planning and the first superstep's table
-// builds are split out. Each engine run also reports workset/op, the
-// records added to the working set (metrics.Counters.WorksetElements), and
+// builds are split out. Each engine run also reports first_ms, its first
+// superstep's time, where those builds fall; workset/op, the records added
+// to the working set (metrics.Counters.WorksetElements); and
 // supersteps/op; engine-P2 reports par_ratio, its run over engine-P1's.
 // Reported, never gated.
 func BenchmarkCOST(b *testing.B) {
@@ -1013,7 +1014,7 @@ func costWorkload(b *testing.B, name string, plains []costPlain,
 			if !same(want, got) {
 				b.Fatal("the engine's answer differs from the plain program's")
 			}
-			var tail time.Duration
+			var first, tail time.Duration
 			supersteps := 0
 			m.WorksetElements.Store(0)
 			b.ResetTimer()
@@ -1023,12 +1024,16 @@ func costWorkload(b *testing.B, name string, plains []costPlain,
 					b.Fatal(err)
 				}
 				supersteps += len(passes)
+				if len(passes) > 0 {
+					first += passes[0]
+				}
 				if len(passes) > 1 {
 					tail += costSum(passes[1:])
 				}
 			}
 			run := b.Elapsed() / time.Duration(b.N)
 			b.ReportMetric(float64(run)/float64(best), "cost_ratio")
+			b.ReportMetric(float64(first)/float64(b.N)/float64(time.Millisecond), "first_ms")
 			if par == 1 {
 				p1 = run
 			} else if p1 > 0 {

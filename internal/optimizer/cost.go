@@ -72,10 +72,10 @@ func estimateOut(n *dataflow.Node, in []int64) int64 {
 		return get(0)
 	case dataflow.ReduceOp, dataflow.SolutionCoGroup:
 		// One output group per distinct key; assume moderate key skew.
-		return maxi64(1, get(0)/2)
+		return max(1, get(0)/2)
 	case dataflow.MatchOp:
 		// Foreign-key equi-join heuristic: output ≈ the larger input.
-		return maxi64(get(0), get(1))
+		return max(get(0), get(1))
 	case dataflow.CrossOp:
 		return get(0) * get(1)
 	case dataflow.UnionOp:
@@ -86,11 +86,4 @@ func estimateOut(n *dataflow.Node, in []int64) int64 {
 		return s
 	}
 	return get(0)
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -352,7 +352,7 @@ func (g *greedy) buildMatch(n *dataflow.Node, f float64, est int64) error {
 		buildIn, probeIn = r, l
 	}
 	g.cost += wBuild*float64(g.state[buildIn.ID].est)*g.factor(buildIn.ID) +
-		wCPU*float64(maxi64(g.state[probeIn.ID].est, est))*f
+		wCPU*float64(max(g.state[probeIn.ID].est, est))*f
 	pn := g.newNode(PhysNode{Role: RoleOperator, Logical: n, Local: LocalHashJoin,
 		Inputs: g.edges(le, re), BuildSide: build})
 	g.commit(n, pn, matchOutProps(n, lkid, rkid))
@@ -363,20 +363,9 @@ func (g *greedy) buildMatch(n *dataflow.Node, f float64, est int64) error {
 // replicated and hash-built, the other streams through in place.
 func (g *greedy) buildBroadcastJoin(n *dataflow.Node, bcast int, f float64, est int64) error {
 	b, s := n.Inputs[bcast], n.Inputs[1-bcast]
-	ship := ShipBroadcast
-	if g.state[b.ID].props.Repl {
-		ship = ShipForward
-	}
-	be := g.edge(b, ship, nil)
-	se := g.edge(s, ShipForward, nil)
-	var edges []Edge
-	if bcast == 1 {
-		edges = g.edges(se, be)
-	} else {
-		edges = g.edges(be, se)
-	}
+	edges := g.broadcastEdges(n, bcast)
 	g.cost += wBuild*float64(g.state[b.ID].est)*float64(g.opt.Parallelism)*g.factor(b.ID) +
-		wCPU*float64(maxi64(g.state[s.ID].est, est))*f
+		wCPU*float64(max(g.state[s.ID].est, est))*f
 	pn := g.newNode(PhysNode{Role: RoleOperator, Logical: n, Local: LocalHashJoin,
 		Inputs: edges, BuildSide: bcast})
 	g.commit(n, pn, preservedProps(n, 1-bcast, g.state[s.ID].props))
@@ -387,29 +376,31 @@ func (g *greedy) buildBroadcastJoin(n *dataflow.Node, bcast int, f float64, est 
 // input; the larger side streams in place.
 func (g *greedy) buildCross(n *dataflow.Node, f float64) error {
 	l, r := n.Inputs[0], n.Inputs[1]
-	build := 0
+	build, s := 0, r
 	if g.state[r.ID].est < g.state[l.ID].est {
-		build = 1
+		build, s = 1, l
 	}
-	b, s := l, r
-	if build == 1 {
-		b, s = r, l
-	}
+	edges := g.broadcastEdges(n, build)
+	g.cost += wCPU * float64(g.state[l.ID].est) * float64(g.state[r.ID].est) * f
+	pn := g.newNode(PhysNode{Role: RoleOperator, Logical: n, Local: LocalBlockCross,
+		Inputs: edges, BuildSide: build})
+	g.commit(n, pn, preservedProps(n, 1-build, g.state[s.ID].props))
+	return nil
+}
+
+// broadcastEdges are n's input edges, in input order, when input bcast is
+// replicated (forwarded when it is replicated already) and the other stays
+// in place.
+func (g *greedy) broadcastEdges(n *dataflow.Node, bcast int) []Edge {
+	b, s := n.Inputs[bcast], n.Inputs[1-bcast]
 	ship := ShipBroadcast
 	if g.state[b.ID].props.Repl {
 		ship = ShipForward
 	}
 	be := g.edge(b, ship, nil)
 	se := g.edge(s, ShipForward, nil)
-	var edges []Edge
-	if build == 1 {
-		edges = g.edges(se, be)
-	} else {
-		edges = g.edges(be, se)
+	if bcast == 1 {
+		return g.edges(se, be)
 	}
-	g.cost += wCPU * float64(g.state[l.ID].est) * float64(g.state[r.ID].est) * f
-	pn := g.newNode(PhysNode{Role: RoleOperator, Logical: n, Local: LocalBlockCross,
-		Inputs: edges, BuildSide: build})
-	g.commit(n, pn, preservedProps(n, 1-build, g.state[s.ID].props))
-	return nil
+	return g.edges(be, se)
 }

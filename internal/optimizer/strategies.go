@@ -17,30 +17,19 @@ func (o *optz) reduceCandidates(n *dataflow.Node, dyn bool, f float64, est int64
 			continue
 		}
 		inDyn := o.dynamic[n.Inputs[0].ID]
-		variants := []struct {
-			pre  cand // producer (possibly with combiner stacked on top)
-			cost float64
-		}{{pre: c, cost: 0}}
+		pres := []cand{c} // the producer, and with a combiner stacked on top
 
 		// Combiner variant: pre-aggregate before the shuffle (cf.
 		// Combiners in MapReduce/Pregel, §6.1). Only pays off if a
 		// shuffle is needed at all.
 		if n.Combinable && c.props.Part != kid {
 			comb := o.newNode(RoleCombiner, n, LocalHashAgg, []Edge{{From: c.node, Ship: ShipForward}})
-			combOut := est * int64(o.opt.Parallelism)
-			if combOut > c.est(o) {
-				combOut = c.est(o)
-			}
-			comb.EstOut = combOut
+			comb.EstOut = min(est*int64(o.opt.Parallelism), c.est(o))
 			combCost := wGroup * float64(c.est(o)) * o.iterFactor(inDyn)
-			variants = append(variants, struct {
-				pre  cand
-				cost float64
-			}{pre: cand{node: comb, props: c.props, cost: c.cost + combCost}, cost: 0})
+			pres = append(pres, cand{node: comb, props: c.props, cost: c.cost + combCost})
 		}
 
-		for _, v := range variants {
-			pc := v.pre
+		for _, pc := range pres {
 			ship := ShipPartition
 			var key record.KeyFunc = n.Keys[0]
 			if pc.props.Part == kid {
@@ -51,7 +40,7 @@ func (o *optz) reduceCandidates(n *dataflow.Node, dyn bool, f float64, est int64
 			// Hash aggregation (charges for building the group table).
 			hn := o.newNode(RoleOperator, n, LocalHashAgg, []Edge{e})
 			hn.EstOut = est
-			hCost := pc.cost + v.cost + ec +
+			hCost := pc.cost + ec +
 				(wGroup*float64(pc.est(o))+wBuild*float64(est))*f
 			out = append(out, cand{node: hn, props: Props{Part: kid}, cost: hCost})
 
@@ -60,7 +49,7 @@ func (o *optz) reduceCandidates(n *dataflow.Node, dyn bool, f float64, est int64
 			sn := o.newNode(RoleOperator, n, LocalSortAgg, []Edge{e})
 			sn.EstOut = est
 			sn.SortKey = n.Keys[0]
-			sCost := pc.cost + v.cost + ec + wGroup*float64(pc.est(o))*f
+			sCost := pc.cost + ec + wGroup*float64(pc.est(o))*f
 			if !(pc.props.Sort == kid && ship == ShipForward) {
 				sCost += sortCost(pc.est(o)) * f
 			}
@@ -102,10 +91,10 @@ func (o *optz) matchCandidates(n *dataflow.Node, dyn bool, f float64, est int64)
 					hj.EstOut = est
 					// Per-pass CPU is dominated by whichever is larger:
 					// scanning the probe input or enumerating the matches.
-					joinCPU := wCPU * float64(maxi64(probeRows, est)) * f
+					joinCPU := wCPU * float64(max(probeRows, est)) * f
 					cost := lc.cost + rc.cost + lec + rec +
 						wBuild*float64(buildRows)*o.iterFactor(buildDyn) + joinCPU
-					out = append(out, cand{node: hj, props: o.joinOutProps(n, lc, rc, lkid, rkid, le, re), cost: cost})
+					out = append(out, cand{node: hj, props: matchOutProps(n, lkid, rkid), cost: cost})
 				}
 
 				// Sort-merge join.
@@ -113,14 +102,14 @@ func (o *optz) matchCandidates(n *dataflow.Node, dyn bool, f float64, est int64)
 				smj.EstOut = est
 				smj.SortKey = lk
 				sCost := lc.cost + rc.cost + lec + rec +
-					wCPU*float64(maxi64(lc.est(o)+rc.est(o), est))*f
+					wCPU*float64(max(lc.est(o)+rc.est(o), est))*f
 				if !(lc.props.Sort == lkid && le.Ship == ShipForward) {
 					sCost += sortCost(lc.est(o)) * o.iterFactor(lDyn)
 				}
 				if !(rc.props.Sort == rkid && re.Ship == ShipForward) {
 					sCost += sortCost(rc.est(o)) * o.iterFactor(rDyn)
 				}
-				props := o.joinOutProps(n, lc, rc, lkid, rkid, le, re)
+				props := matchOutProps(n, lkid, rkid)
 				props.Sort = 0
 				if n.PreservesKey(0, lkid) {
 					props.Sort = lkid
@@ -149,14 +138,8 @@ func (o *optz) joinEdge(c cand, k record.KeyFunc, kid uintptr, dyn bool) (Edge, 
 	return o.edge(c, ShipPartition, k, dyn)
 }
 
-// joinOutProps derives output properties of a partitioned join: a key the
-// UDF preserves keeps its input's partitioning.
-func (o *optz) joinOutProps(n *dataflow.Node, lc, rc cand, lkid, rkid uintptr, le, re Edge) Props {
-	return matchOutProps(n, lkid, rkid)
-}
-
-// matchOutProps is the planner-independent core of joinOutProps, shared
-// with the greedy fast path.
+// matchOutProps derives the output properties of a partitioned join, in
+// either planner: a key the UDF preserves keeps its input's partitioning.
 func matchOutProps(n *dataflow.Node, lkid, rkid uintptr) Props {
 	if n.PreservesKey(0, lkid) {
 		return Props{Part: lkid}
@@ -173,32 +156,31 @@ func matchOutProps(n *dataflow.Node, lkid, rkid uintptr) Props {
 // preserves — this is what lets the Figure-4 "Mahout-style" PageRank plan
 // group without any shuffle after the join.
 func (o *optz) broadcastJoin(n *dataflow.Node, lc, rc cand, bcastSide int, lDyn, rDyn bool, est int64, f float64) cand {
-	bc, sc := lc, rc
-	bDyn, sDyn := lDyn, rDyn
-	if bcastSide == 1 {
-		bc, sc = rc, lc
-		bDyn, sDyn = rDyn, lDyn
-	}
-	ship := ShipBroadcast
-	if bc.props.Repl {
-		ship = ShipForward
-	}
-	be, bec := o.edge(bc, ship, nil, bDyn)
-	se, sec := o.edge(sc, ShipForward, nil, sDyn)
-	edges := []Edge{be, se}
-	if bcastSide == 1 {
-		edges = []Edge{se, be}
-	}
+	cs, dyn := [2]cand{lc, rc}, [2]bool{lDyn, rDyn}
+	edges, bec, sec := o.broadcastEdges(cs, dyn, bcastSide)
 	pn := o.newNode(RoleOperator, n, LocalHashJoin, edges)
 	pn.BuildSide = bcastSide
 	pn.EstOut = est
 	// The broadcast table is built once per partition.
-	buildCost := wBuild * float64(bc.est(o)) * float64(o.opt.Parallelism) * o.iterFactor(bDyn)
-	joinCPU := wCPU * float64(maxi64(sc.est(o), est)) * f
+	buildCost := wBuild * float64(cs[bcastSide].est(o)) * float64(o.opt.Parallelism) * o.iterFactor(dyn[bcastSide])
+	joinCPU := wCPU * float64(max(cs[1-bcastSide].est(o), est)) * f
 	cost := lc.cost + rc.cost + bec + sec + buildCost + joinCPU
-	streamInput := 1 - bcastSide
-	props := preservedProps(n, streamInput, sc.props)
-	return cand{node: pn, props: props, cost: cost}
+	return cand{node: pn, props: preservedProps(n, 1-bcastSide, cs[1-bcastSide].props), cost: cost}
+}
+
+// broadcastEdges are the input edges, in input order, of a two-input node
+// that replicates input bcast (forwards it when it is replicated already)
+// and keeps the other in place, with the replicated and the kept edge's
+// costs.
+func (o *optz) broadcastEdges(cs [2]cand, dyn [2]bool, bcast int) (edges []Edge, bcost, scost float64) {
+	ship := ShipBroadcast
+	if cs[bcast].props.Repl {
+		ship = ShipForward
+	}
+	edges = make([]Edge, 2)
+	edges[bcast], bcost = o.edge(cs[bcast], ship, nil, dyn[bcast])
+	edges[1-bcast], scost = o.edge(cs[1-bcast], ShipForward, nil, dyn[1-bcast])
+	return edges, bcost, scost
 }
 
 // crossCandidates enumerates cartesian products: broadcast either side.
@@ -206,30 +188,15 @@ func (o *optz) crossCandidates(n *dataflow.Node, dyn bool, f float64, est int64)
 	var out []cand
 	for _, lc := range o.enumerate(n.Inputs[0]) {
 		for _, rc := range o.enumerate(n.Inputs[1]) {
-			lDyn, rDyn := o.dynamic[n.Inputs[0].ID], o.dynamic[n.Inputs[1].ID]
+			cs, dyns := [2]cand{lc, rc}, [2]bool{o.dynamic[n.Inputs[0].ID], o.dynamic[n.Inputs[1].ID]}
 			for _, buildSide := range []int{0, 1} {
-				bc, sc := lc, rc
-				bDyn, sDyn := lDyn, rDyn
-				if buildSide == 1 {
-					bc, sc = rc, lc
-					bDyn, sDyn = rDyn, lDyn
-				}
-				ship := ShipBroadcast
-				if bc.props.Repl {
-					ship = ShipForward
-				}
-				be, bec := o.edge(bc, ship, nil, bDyn)
-				se, sec := o.edge(sc, ShipForward, nil, sDyn)
-				edges := []Edge{be, se}
-				if buildSide == 1 {
-					edges = []Edge{se, be}
-				}
+				edges, bec, sec := o.broadcastEdges(cs, dyns, buildSide)
 				pn := o.newNode(RoleOperator, n, LocalBlockCross, edges)
 				pn.BuildSide = buildSide
 				pn.EstOut = est
 				cost := lc.cost + rc.cost + bec + sec +
 					wCPU*float64(lc.est(o))*float64(rc.est(o))*f
-				out = append(out, cand{node: pn, props: preservedProps(n, 1-buildSide, sc.props), cost: cost})
+				out = append(out, cand{node: pn, props: preservedProps(n, 1-buildSide, cs[1-buildSide].props), cost: cost})
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/record"
@@ -289,23 +290,23 @@ type queueStream struct{ q *queue }
 func (s queueStream) next() (record.Batch, bool) { return s.q.pop() }
 func (s queueStream) release(b record.Batch)     { s.q.pool.put(b) }
 
-// borrowStream reads one partition of a plain IterationInput in place, as
-// one batch: the Executor.Placeholder slice the driver installed (see
-// borrowed). The batch is the driver's: release leaves it alone, and a
-// consumer never keeps it past the superstep or writes to it.
+// borrowStream reads one partition's share of a plain Source or
+// IterationInput in place (see borrowed), as one batch that
+// Session.resetActive supplies each superstep. The batch is not a pool's:
+// release leaves it alone, and a consumer never writes it. Only the stream
+// replay of a cached Source keeps it past the superstep: Data is never
+// written, only replaced whole with the caches dropped.
 type borrowStream struct {
-	e        *Executor
-	id, part int
-	armed    bool // the batch is still to be read this superstep
+	from *dataflow.Node
+	part int
+	slot *cacheSlot   // the consumer's cache slot; nil on an uncached edge
+	b    record.Batch // the share still to be read this superstep
 }
 
 func (s *borrowStream) next() (record.Batch, bool) {
-	parts := s.e.Placeholder[s.id]
-	if !s.armed || s.part >= len(parts) {
-		return nil, false
-	}
-	s.armed = false
-	return parts[s.part], true
+	b := s.b
+	s.b = nil
+	return b, len(b) > 0
 }
 
 func (s *borrowStream) release(record.Batch) {}

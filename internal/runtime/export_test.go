@@ -14,8 +14,8 @@ func ForceLane(pick func() (serial bool)) (restore func()) {
 }
 
 // Idle reports whether n's task does no per-record work in a superstep of
-// p: n is a placeholder whose every consumer borrows it, or a sink whose
-// producer writes into it. Tests only.
+// p: n is a placeholder or Source whose every consumer borrows it, or a
+// sink whose producer writes into it. Tests only.
 func Idle(p *optimizer.PhysPlan, n *optimizer.PhysNode) bool {
 	if n.Logical.Contract == dataflow.Sink {
 		return intoSink(n, &n.Inputs[0], max(p.Parallelism, 1))

@@ -1,6 +1,10 @@
 package runtime
 
-import "repro/internal/record"
+import (
+	"slices"
+
+	"repro/internal/record"
+)
 
 // groupTable is the key-grouped hash table behind every grouping operator:
 // hash aggregation, hash-join build sides (including the cached
@@ -83,6 +87,7 @@ func (g *groupTable) reset() {
 // its records per key.
 func (g *groupTable) stage(b record.Batch, key record.KeyFunc) {
 	g.staged = append(g.staged, b)
+	g.where = slices.Grow(g.where, len(b)) // one step for a whole borrowed share
 	for _, r := range b {
 		pos, added := g.idx.insert(key(r))
 		if added {

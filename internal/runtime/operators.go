@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/dataflow"
@@ -40,14 +39,16 @@ type task struct {
 	// fold is the running pre-aggregation of a combiner task or of an
 	// absorbed combiner (see combineFold), reused across supersteps.
 	fold *combineFold
-	// sinkHint is a drained sink's last result length (see writer.hint).
+	// sinkHint is a drained sink's last result length (see writer.hint),
+	// and held the batches it takes past that, until it knows their total.
 	sinkHint int
+	held     []record.Batch
 	// udfs, solAccesses and solUpdates tally this superstep's work in plain
 	// ints, so no record touches a cache line another core writes.
 	udfs, solAccesses, solUpdates int64
 	// The pad makes the size a multiple of the 64-B cache line, so the
 	// tallies of tasks allocated side by side never share a line.
-	_ [16]byte
+	_ [56]byte
 }
 
 // flushCounters adds the task's tallies to the shared counters, once per
@@ -212,20 +213,9 @@ func (t *task) runOp(out dataflow.Emitter) error {
 	}
 
 	switch l.Contract {
-	case dataflow.Source:
-		data := l.Data
-		lo := t.part * len(data) / t.par
-		hi := (t.part + 1) * len(data) / t.par
-		for _, r := range data[lo:hi] {
+	case dataflow.Source, dataflow.IterationInput:
+		for _, r := range t.e.share(l, t.part, t.par) {
 			out.Emit(r)
-		}
-		return nil
-
-	case dataflow.IterationInput:
-		if parts := t.e.Placeholder[l.ID]; t.part < len(parts) {
-			for _, r := range parts[t.part] {
-				out.Emit(r)
-			}
 		}
 		return nil
 
@@ -235,8 +225,26 @@ func (t *task) runOp(out dataflow.Emitter) error {
 			return nil
 		}
 		// The driver may keep the output: it is fresh, never scratch, and
-		// sized by the last superstep's.
-		out := t.appendAll(0, slices.Grow([]record.Record(nil), t.sinkHint))
+		// sized by the last superstep's. What outgrows that is held and
+		// copied once its total is known, so the output never regrows.
+		out, in, extra := make([]record.Record, 0, t.sinkHint), t.ins[0], 0
+		for b, ok := in.next(); ok; b, ok = in.next() {
+			if len(t.held) > 0 || len(b) > cap(out)-len(out) {
+				t.held, extra = append(t.held, b), extra+len(b)
+				continue
+			}
+			out = append(out, b...)
+			in.release(b)
+		}
+		if len(t.held) > 0 {
+			out = append(make([]record.Record, 0, len(out)+extra), out...)
+			for i, b := range t.held {
+				out = append(out, b...)
+				in.release(b)
+				t.held[i] = nil
+			}
+			t.held = t.held[:0]
+		}
 		t.sess.cur[l.ID][t.part], t.sinkHint = out, len(out)
 		return nil
 
@@ -342,6 +350,21 @@ func (t *task) runOp(out dataflow.Emitter) error {
 		return nil
 	}
 	return fmt.Errorf("runtime: unsupported contract %s", l.Contract)
+}
+
+// share is partition part's share of the records Source or IterationInput
+// node l emits: a contiguous split of its Data, capped so that nothing
+// appends into the next share, or the placeholder partition the driver
+// installed.
+func (e *Executor) share(l *dataflow.Node, part, par int) record.Batch {
+	if l.Contract == dataflow.Source {
+		lo, hi := part*len(l.Data)/par, (part+1)*len(l.Data)/par
+		return l.Data[lo:hi:hi]
+	}
+	if parts := e.Placeholder[l.ID]; part < len(parts) {
+		return parts[part]
+	}
+	return nil
 }
 
 // hashJoin builds one side into a hash table (reused from the cache if the

@@ -50,8 +50,8 @@ type Session struct {
 	exchanges []*exchange
 	active    []*exchange // exchanges the current schedule uses
 
-	// The schedule's edges with no exchange (see borrowed): the streams
-	// that borrow a placeholder and the writers into a sink.
+	// The schedule's edges with no exchange (see borrowed): the borrowed
+	// streams and the writers into a sink.
 	borrows     []*borrowStream
 	sinkWriters []*writer
 
@@ -352,6 +352,11 @@ func (s *Session) serialLane() bool {
 			}
 		}
 	}
+	for _, b := range s.borrows { // a borrowed Source is read until its cache fills
+		if b.from.Contract == dataflow.Source && !b.slot.filled {
+			n += len(b.b)
+		}
+	}
 	return n < serialLaneRecords
 }
 
@@ -375,27 +380,33 @@ type outSpec struct {
 }
 
 // No record changes partition on a forward edge, or on any edge at
-// Parallelism 1. Two kinds of such an edge, uncached, carry no exchange,
-// so each record is copied once, not into pooled batches first:
+// Parallelism 1. Two kinds of such an edge carry no exchange, so each
+// record is copied once, not into pooled batches first:
 //
-//   - borrowed: out of a plain IterationInput (no union, fused Map or
-//     combiner absorbed) into anything but a sink. The consumer reads the
-//     Executor.Placeholder partition in place (borrowStream); the
-//     placeholder's task does not run for the edge.
-//   - into a sink: the producer's writer appends to the sink's result
-//     (writer.res); the sink task does not run.
+//   - borrowed: out of a plain Source on a cached edge, or out of a plain
+//     IterationInput on an uncached one (plain: no union, fused Map or
+//     combiner absorbed), into anything but a sink. The consumer reads
+//     the producer's share (Executor.share) in place (borrowStream); the
+//     producer's task does not run for the edge. A placeholder's cache
+//     would keep the driver's slice past the superstep, so a cached edge
+//     out of one ships.
+//   - into a sink, uncached: the producer's writer appends to the sink's
+//     result (writer.res); the sink task does not run.
 func borrowed(n *optimizer.PhysNode, edge *optimizer.Edge, par int) bool {
-	p := edge.From
+	p, want := edge.From, dataflow.IterationInput
+	if edge.Cache {
+		want = dataflow.Source
+	}
 	return stays(edge, par) && n.Logical.Contract != dataflow.Sink && p.Role == optimizer.RoleOperator &&
-		p.Logical.Contract == dataflow.IterationInput && p.Union == nil && len(p.FusedChain) == 0 && p.Combiner == nil
+		p.Logical.Contract == want && p.Union == nil && len(p.FusedChain) == 0 && p.Combiner == nil
 }
 
 func intoSink(n *optimizer.PhysNode, edge *optimizer.Edge, par int) bool {
-	return stays(edge, par) && n.Role == optimizer.RoleOperator && n.Logical.Contract == dataflow.Sink
+	return !edge.Cache && stays(edge, par) && n.Role == optimizer.RoleOperator && n.Logical.Contract == dataflow.Sink
 }
 
 func stays(edge *optimizer.Edge, par int) bool {
-	return !edge.Cache && (edge.Ship == optimizer.ShipForward || par == 1)
+	return edge.Ship == optimizer.ShipForward || par == 1
 }
 
 // compile computes the superstep's schedule — which nodes run, and which
@@ -507,7 +518,7 @@ func (s *Session) compile() {
 			case s.edgeNow[edge.ID]:
 				t.ins[i] = queueStream{q: s.exchanges[edge.ID].queues[t.part]}
 			case borrowed(n, edge, par):
-				b := &borrowStream{e: e, id: edge.From.Logical.ID, part: t.part}
+				b := &borrowStream{from: edge.From.Logical, part: t.part, slot: t.slots[i]}
 				t.ins[i] = b
 				s.borrows = append(s.borrows, b)
 			}
@@ -526,14 +537,14 @@ func (s *Session) compile() {
 	s.resetActive()
 }
 
-// resetActive rearms the schedule's exchanges and borrowed streams for the
-// next superstep and accounts reuse. With a transport, each exchange is
-// armed only after its reset, so remote traffic that raced ahead of the
-// barrier flushes into fresh queues instead of being swept away as a
-// previous superstep's leftovers.
+// resetActive rearms the schedule's exchanges, hands each borrowed stream
+// its share for the next superstep and accounts reuse. With a transport,
+// each exchange is armed only after its reset, so remote traffic that
+// raced ahead of the barrier flushes into fresh queues instead of being
+// swept away as a previous superstep's leftovers.
 func (s *Session) resetActive() {
 	for _, b := range s.borrows {
-		b.armed = true
+		b.b = s.e.share(b.from, b.part, s.par)
 	}
 	reused := int64(0)
 	for _, ex := range s.active {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
@@ -520,9 +521,191 @@ func TestBorrowedPlaceholderUntouched(t *testing.T) {
 	}
 }
 
+// borrowedSourcePlan is j = W ⋈ C on A, cached on C, with j's results in
+// sink o and, through a Reduce byB that shuffles pooled batches, in oB. j
+// runs with the given local strategy and build side, and both its edges
+// are forced to hash-partition at Parallelism 1 and forward at > 1, so C's
+// edge is borrowed either way.
+func borrowedSourcePlan(t *testing.T, data []record.Record, par int, local optimizer.LocalStrategy, build int) (
+	phys *optimizer.PhysPlan, w, c, o *dataflow.Node, jn *optimizer.PhysNode) {
+	t.Helper()
+	p := dataflow.NewPlan()
+	w = p.IterationPlaceholder("W", 4)
+	c = p.SourceOf("C", data)
+	j := p.MatchNode("j", w, c, record.KeyA, record.KeyA,
+		func(l, r record.Record, out dataflow.Emitter) { out.Emit(record.Record{A: l.A, B: r.B}) })
+	o = p.SinkNode("o", j)
+	p.SinkNode("oB", p.ReduceNode("byB", j, record.KeyB, func(k int64, g []record.Record, out dataflow.Emitter) {
+		out.Emit(record.Record{A: k, B: int64(len(g))})
+	}))
+	phys, err := optimizer.Optimize(p, optimizer.Options{Parallelism: par, ExpectedIterations: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range phys.Nodes {
+		if n.Logical == j {
+			jn = n
+		}
+	}
+	jn.Local, jn.BuildSide = local, build
+	ship, key := optimizer.ShipPartition, record.KeyFunc(record.KeyA) // as PatchSource needs
+	if par > 1 {
+		ship, key = optimizer.ShipForward, nil
+	}
+	for i := range jn.Inputs {
+		jn.Inputs[i].Ship, jn.Inputs[i].Key = ship, key
+	}
+	if e := &jn.Inputs[1]; !e.Cache || e.From.Logical != c || !borrowed(jn, e, par) {
+		t.Fatalf("P%d: %s does not borrow C:\n%s", par, jn.Name(), phys.Explain())
+	}
+	return phys, w, c, o, jn
+}
+
+// overlaps reports whether two slices share any backing memory.
+func overlaps(a, b []record.Record) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(record.Record{})
+	a0, b0 := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b))*size && b0 < a0+uintptr(cap(a))*size
+}
+
+// TestBorrowedSourceUntouched: a cached edge out of a plain Source on which
+// no record changes partition is read in place, so its consumer must never
+// write, pool or own a part of Source.Data. j = W ⋈ C holds C as each kind
+// of cached consumer — a hash-join build, a sorted consume (sort-merge
+// join) and a stream replay (the probe side) — at Parallelism 1 and, on
+// forward edges with every partition of W holding all of W, at
+// Parallelism 2, on both lanes; so every result is the join of W with C.
+// C's shares are slices batchPool.put would take. C.Data must come out
+// bit for bit as it went in after every superstep and after a PatchSource,
+// which must leave the table's recs apart from it; no batch the pool holds
+// may be part of it; and once Data is replaced and the caches dropped, the
+// next superstep must read the new records.
+func TestBorrowedSourceUntouched(t *testing.T) {
+	const n = 2 * exchangeBatch
+	source := func(base int64) []record.Record {
+		recs := make([]record.Record, n)
+		for i := range recs {
+			recs[i] = record.Record{A: int64(i % 97), B: base + int64(i)}
+		}
+		return recs
+	}
+	ws := []record.Record{{A: 1}, {A: 5}, {A: 96}}
+	join := func(c []record.Record) []record.Record {
+		var out []record.Record
+		for _, l := range ws {
+			for _, r := range c {
+				if l.A == r.A {
+					out = append(out, record.Record{A: l.A, B: r.B})
+				}
+			}
+		}
+		return sorted(out)
+	}
+	kinds := []struct {
+		name  string
+		local optimizer.LocalStrategy
+		build int
+	}{
+		{"build", optimizer.LocalHashJoin, 1},
+		{"consume", optimizer.LocalSortMergeJoin, 0},
+		{"stream", optimizer.LocalHashJoin, 0},
+	}
+	for _, par := range []int{1, 2} {
+		for _, k := range kinds {
+			for _, serial := range []bool{true, false} {
+				name := fmt.Sprintf("P%d %s serial=%v", par, k.name, serial)
+				data := source(0)
+				want := slices.Clone(data)
+				phys, w, c, o, jn := borrowedSourcePlan(t, data, par, k.local, k.build)
+				t.Cleanup(ForceLane(func() bool { return serial }))
+				var m metrics.Counters
+				e := NewExecutor(Config{Metrics: &m})
+				e.SetPlaceholderParts(w.ID, [][]record.Record{ws, ws}[:par])
+				sess := e.OpenSession(phys)
+				step := func(c []record.Record) {
+					t.Helper()
+					res, err := sess.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := sorted(res.Records(o.ID)); !slices.Equal(got, join(c)) {
+						t.Fatalf("%s: the join read %d records, want %d", name, len(got), len(join(c)))
+					}
+					if !slices.Equal(data, want) {
+						t.Fatalf("%s: Source.Data changed", name)
+					}
+				}
+				for range 4 {
+					step(data)
+				}
+
+				add, remove := []record.Record{{A: 1, B: -1}}, []record.Record{data[1]}
+				patched := e.PatchSource(phys, c, add, remove)
+				if patched != (par == 1 && k.name == "build") {
+					t.Fatalf("%s: PatchSource = %v\n%s", name, patched, phys.Explain())
+				}
+				for part := range par {
+					s := e.slots[slotKey{jn.ID, 1, part}]
+					if s.table != nil && overlaps(s.table.recs, data) || overlaps(s.recs, data) {
+						t.Fatalf("%s: partition %d's cached table aliases Source.Data", name, part)
+					}
+				}
+				if patched {
+					step(append(slices.Concat(data[:1], data[2:]), add...))
+				} else {
+					step(data)
+				}
+
+				c.Data = source(1000)
+				e.Close()
+				step(c.Data)
+				step(c.Data)
+				sess.Close()
+				for before := m.BatchesAllocated.Load(); m.BatchesAllocated.Load() == before; {
+					if b := sess.pool.get(); overlaps(b, data) || overlaps(b, c.Data) {
+						t.Fatalf("%s: a pooled batch is part of Source.Data", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBorrowedSourceLane: a borrowed Source's share counts toward the lane
+// rule only while its cache slot is unfilled. The build side of j holds
+// four times serialLaneRecords records and W three, so the superstep that
+// fills the cache must take the parallel lane and every one after it the
+// serial lane, at Parallelism 1 and on a forward edge at Parallelism 2.
+func TestBorrowedSourceLane(t *testing.T) {
+	data := make([]record.Record, 4*serialLaneRecords)
+	for i := range data {
+		data[i] = record.Record{A: int64(i), B: int64(i)}
+	}
+	for _, par := range []int{1, 2} {
+		phys, w, _, _, jn := borrowedSourcePlan(t, data, par, optimizer.LocalHashJoin, 1)
+		e := NewExecutor(Config{})
+		e.SetPlaceholderParts(w.ID, [][]record.Record{{{A: 1}}, {{A: 2}}}[:par])
+		sess := e.OpenSession(phys)
+		for step := range 3 {
+			if _, err := sess.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for i, tk := range sess.tasks {
+				if wk := sess.workers[i]; tk.n == jn && (wk.lane == wk.labels) != (step == 0) {
+					t.Fatalf("P%d superstep %d: j ran on the wrong lane (parallel: %v)", par, step, wk.lane == wk.labels)
+				}
+			}
+		}
+		sess.Close()
+	}
+}
+
 // mapPlan is W → m → o at Parallelism 2, m adding 1 to B; with a sink key,
 // o's input is hash-partitioned by it.
-func mapPlan(t *testing.T, sinkKey record.KeyFunc) (*optimizer.PhysPlan, *dataflow.Node, *dataflow.Node) {
+func mapPlan(t testing.TB, sinkKey record.KeyFunc) (*optimizer.PhysPlan, *dataflow.Node, *dataflow.Node) {
 	t.Helper()
 	p := dataflow.NewPlan()
 	w := p.IterationPlaceholder("W", 1000)
@@ -629,5 +812,41 @@ func TestSessionDrainedSinkOwnsItsResult(t *testing.T) {
 		if !slices.Equal(first, want) {
 			t.Fatalf("serial=%v: the first superstep's result changed under later ones", serial)
 		}
+	}
+}
+
+// BenchmarkDrainedSink: one superstep of mapPlan with o behind a
+// hash-partitioned edge at Parallelism 2, so o's tasks drain their queues
+// into fresh results: in a session's first superstep (first) and in a
+// steady one sized like the last (steady).
+func BenchmarkDrainedSink(b *testing.B) {
+	for _, n := range []int{4096, 65536} {
+		in := make([]record.Record, n)
+		for i := range in {
+			in[i] = record.Record{A: int64(i), B: int64(i) * 7}
+		}
+		phys, w, _ := mapPlan(b, record.KeyB)
+		b.Run(fmt.Sprintf("first/%d", n), func(b *testing.B) {
+			e := NewExecutor(Config{})
+			e.SetPlaceholder(w.ID, in, record.KeyA, 2)
+			for range b.N {
+				sess := e.OpenSession(phys)
+				if _, err := sess.Run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				sess.Close()
+			}
+		})
+		b.Run(fmt.Sprintf("steady/%d", n), func(b *testing.B) {
+			e := NewExecutor(Config{})
+			e.SetPlaceholder(w.ID, in, record.KeyA, 2)
+			sess := e.OpenSession(phys)
+			defer sess.Close()
+			for range b.N {
+				if _, err := sess.Run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

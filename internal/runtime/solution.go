@@ -16,22 +16,27 @@
 // supersteps, record batches are recycled through a sync.Pool-backed
 // batchPool, and per-task group tables and sort buffers persist across
 // passes — so an iteration's steady-state supersteps avoid both goroutine
-// spawning and nearly all heap allocation. Executor.Run is the one-shot
-// convenience wrapper for non-iterative plans.
+// spawning and nearly all heap allocation. An edge on which no record
+// changes partition carries no exchange when it leaves a plain placeholder
+// uncached or a plain Source cached (see borrowed): the consumer reads its
+// share in place, so a constant path's cache is built straight from
+// Source.Data. Executor.Run is the one-shot convenience wrapper for
+// non-iterative plans.
 //
 // A superstep takes one of two lanes over the same tasks, exchanges and
 // operator code. The parallel lane fires the parked workers of the tasks
-// that run: not a placeholder's whose consumers all borrow it, nor a
-// sink's that its producer fills. The serial lane runs the same tasks
-// inline on the calling goroutine in plan.Nodes order — topological, and
-// the queues are unbounded, so every consumer finds its producers finished
+// that run: not a placeholder's or a Source's whose consumers all borrow
+// it, nor a sink's that its producer fills. The serial lane runs the same
+// tasks inline on the calling goroutine in plan.Nodes order — topological,
+// and the queues are unbounded, so every consumer finds its producers finished
 // and its queues closed: no wake-ups, no blocking, deterministic order.
 // Session.Run picks per superstep from what it can observe: a session with
 // a transport always runs parallel (its peers interlock on the exchanges);
 // otherwise the serial lane is taken when the records the superstep will
-// read (placeholder partitions of live IterationInput nodes plus the data
-// of still-live Source nodes) number fewer than serialLaneRecords, the
-// crossover BenchmarkSuperstepLanes measures. Work counters are tallied
+// read (every placeholder partition, the data of still-live Source nodes,
+// and the share of each borrowed Source whose cache is still to fill)
+// number fewer than serialLaneRecords, the crossover
+// BenchmarkSuperstepLanes measures. Work counters are tallied
 // per task and published at task end, and the solution set's partition
 // locks, each writer and its batch buffers sit on cache lines of their
 // own, so neither lane touches a shared cache line per record.
