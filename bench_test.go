@@ -203,17 +203,6 @@ func BenchmarkFig9CC(b *testing.B) {
 				}
 			}
 		})
-		// Kept under its name so its trajectory stays comparable: the
-		// microstep entry (RunMicrostep) on the same Match Δ as
-		// StratosphereMicro — one engine, so the two should read alike.
-		b.Run(name+"/StratosphereAsync", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
-				if _, err := iterative.RunMicrostep(spec, s0, w0, iterative.Config{Parallelism: benchParallelism}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -158,12 +158,15 @@ func TestCCAllVariantsOnFigure1(t *testing.T) {
 		assertComponents(t, "match", mt, want, g.NumVertices)
 
 		mspec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
-		mres, err := iterative.RunMicrostep(mspec, s0, w0, cfg(par))
+		if _, err := iterative.ValidateMicrostep(mspec); err != nil {
+			t.Fatal(err)
+		}
+		mres, err := iterative.RunIncremental(mspec, s0, w0, cfg(par))
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertComponents(t, "microstep", algorithms.ComponentsToMap(mres.Solution), want, g.NumVertices)
-		if mres.Microsteps == 0 {
+		if mres.Supersteps == 0 {
 			t.Error("microstep run reported zero steps")
 		}
 	}
@@ -191,7 +194,10 @@ func TestCCVariantsOnDatasets(t *testing.T) {
 		}
 
 		mspec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
-		micro, err := iterative.RunMicrostep(mspec, s0, w0, cfg(4))
+		if _, err := iterative.ValidateMicrostep(mspec); err != nil {
+			t.Fatalf("%s micro: %v", ds, err)
+		}
+		micro, err := iterative.RunIncremental(mspec, s0, w0, cfg(4))
 		if err != nil {
 			t.Fatalf("%s micro: %v", ds, err)
 		}
@@ -273,7 +279,10 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	}
 
 	spec, s0, w0 = algorithms.SSSPSpec(edges, 0)
-	resM, err := iterative.RunMicrostep(spec, s0, w0, cfg(3))
+	if _, err := iterative.ValidateMicrostep(spec); err != nil {
+		t.Fatal(err)
+	}
+	resM, err := iterative.RunIncremental(spec, s0, w0, cfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func TestRunAPIByteCompatAcrossEngines(t *testing.T) {
 			}},
 			{"microstep", func(cfg iterative.Config) ([]record.Record, error) {
 				spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
-				res, err := iterative.RunMicrostep(spec, s0, w0, cfg)
+				res, err := runMicrostep(spec, s0, w0, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -118,7 +118,7 @@ func TestSSSPAPIByteCompat(t *testing.T) {
 			}},
 			{"microstep", func(cfg iterative.Config) ([]record.Record, error) {
 				spec, s0, w0 := algorithms.SSSPSpec(we, source)
-				res, err := iterative.RunMicrostep(spec, s0, w0, cfg)
+				res, err := runMicrostep(spec, s0, w0, cfg)
 				if err != nil {
 					return nil, err
 				}

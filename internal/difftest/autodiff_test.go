@@ -18,7 +18,7 @@ func sortedSolution(recs []record.Record) []record.Record {
 }
 
 // TestAutoEnginesDifferential runs the same Match-variant CC through
-// RunIncremental and RunMicrostep across a table of long-tailed chain
+// RunIncremental and runMicrostep across a table of long-tailed chain
 // graphs: both runs must be byte-identical to each other and to the
 // union-find oracle. (The two share one engine — the Δ is admissible, so
 // both merge deltas directly — which is exactly what the byte-identity
@@ -35,7 +35,7 @@ func TestAutoEnginesDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		micSpec, micS0, micW0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
-		micRes, err := iterative.RunMicrostep(micSpec, micS0, micW0, iterative.Config{Parallelism: par})
+		micRes, err := runMicrostep(micSpec, micS0, micW0, iterative.Config{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}

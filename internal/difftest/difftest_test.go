@@ -61,6 +61,16 @@ var backends = []struct {
 
 // release resets a run's resident solution set when the test ends: a
 // spill-backed set owns its temp files until then.
+// runMicrostep runs an incremental iteration whose Δ must meet the §5.2
+// microstep conditions: ValidateMicrostep first, then the incremental
+// engine, which merges an admitted Δ's deltas as they are produced.
+func runMicrostep(spec iterative.IncrementalSpec, s0, w0 []record.Record, cfg iterative.Config) (*iterative.IncrementalResult, error) {
+	if _, err := iterative.ValidateMicrostep(spec); err != nil {
+		return nil, err
+	}
+	return iterative.RunIncremental(spec, s0, w0, cfg)
+}
+
 func release(t *testing.T, set *runtime.SolutionSet) {
 	if set != nil {
 		t.Cleanup(set.Reset)
@@ -105,7 +115,7 @@ func TestConnectedComponentsAcrossEngines(t *testing.T) {
 				assertComponentsEqual(t, name+"/incr-match", got, oracle)
 
 				spec, s0, w0 := algorithms.CCIncrementalSpec(g, algorithms.CCMatch)
-				mres, err := iterative.RunMicrostep(spec, s0, w0, cfg)
+				mres, err := runMicrostep(spec, s0, w0, cfg)
 				if err != nil {
 					t.Fatalf("%s: microstep: %v", name, err)
 				}
@@ -154,7 +164,7 @@ func distances(recs []record.Record) map[int64]float64 {
 }
 
 // TestSSSPAcrossEngines runs single-source shortest paths through the
-// incremental and microstep entry points with identical deterministic
+// incremental engine, plain and through runMicrostep, with identical deterministic
 // integer weights (exact in float64) and compares against the Dijkstra
 // oracle. The Pregel-style and Spark-style engines run Connected
 // Components only; no figure runs SSSP on them.
@@ -178,7 +188,7 @@ func TestSSSPAcrossEngines(t *testing.T) {
 				assertDistancesEqual(t, name+"/incremental", distances(res.Solution), oracle)
 
 				spec, s0, w0 = algorithms.SSSPSpec(we, source)
-				res, err = iterative.RunMicrostep(spec, s0, w0, cfg)
+				res, err = runMicrostep(spec, s0, w0, cfg)
 				if err != nil {
 					t.Fatalf("%s: microstep: %v", name, err)
 				}

@@ -41,10 +41,6 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 					_, err := RunIncremental(inc, s0, w0, cfg)
 					return err
 				}},
-				{"RunMicrostep", func(cfg Config) error {
-					_, err := RunMicrostep(inc, s0, w0, cfg)
-					return err
-				}},
 				{"PlanIncremental", func(cfg Config) error {
 					_, err := PlanIncremental(inc, cfg, 0)
 					return err

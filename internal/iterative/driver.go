@@ -22,9 +22,8 @@ import (
 // recording — lives here exactly once, and the two engines
 // (bulk full recompute, incremental workset ∪̇ merge) are small
 // EnginePolicy values supplying only their step semantics. Which engine
-// runs is the caller's choice, as in the paper: RunBulk, RunIncremental,
-// RunMicrostep (the incremental engine with direct merge required) and
-// Fixpoint (through it internal/live's sessions: views and distributed
+// runs is the caller's choice, as in the paper: RunBulk, RunIncremental
+// and Fixpoint (through it internal/live's sessions: views and distributed
 // jobs) all drive this loop rather than keeping private copies of it.
 
 // stepOutcome is what one EnginePolicy superstep reports back to the
@@ -275,8 +274,7 @@ func (d *driver) maybeReoptimize(rp replanner, step, next int, labels context.Co
 // ---------------------------------------------------------------------
 // Incremental engine: one superstep evaluates Δ against (S, W), merges D
 // into S with ∪̇, and produces the next working set. Shared by
-// RunIncremental, RunMicrostep and Fixpoint (live maintenance and
-// distributed jobs).
+// RunIncremental and Fixpoint (live maintenance and distributed jobs).
 
 type incEngine struct {
 	spec     *IncrementalSpec
@@ -288,16 +286,9 @@ type incEngine struct {
 	// nextParts is the last step's produced workset, partition-aligned;
 	// feed installs it.
 	nextParts [][]record.Record
-	// inadmissible is why direct merge is off for the bound spec (nil = on);
-	// RunMicrostep refuses the spec with it.
-	inadmissible error
 	// fold is the workset fold of the session's plan (nil = none), which
 	// seed applies to the working sets it installs.
 	fold *dataflow.Node
-	// elements counts the working-set elements seeded and produced — on a
-	// converged run every one was consumed, and a microstep run reports
-	// the count as Microsteps.
-	elements int64
 	// mergeLabels are the profiler labels the ∪̇ merge runs under,
 	// {layer=solution, op=merge}, built once per engine.
 	mergeLabels context.Context
@@ -329,8 +320,8 @@ func (en *incEngine) open(phys *optimizer.PhysPlan) {
 // pruning redundant candidates at the source).
 func (en *incEngine) bind(spec *IncrementalSpec, expected int) {
 	en.spec, en.expected = spec, expected
-	_, en.inadmissible = ValidateMicrostep(*spec)
-	en.exec.DirectMerge = en.inadmissible == nil
+	_, err := ValidateMicrostep(*spec)
+	en.exec.DirectMerge = err == nil
 }
 
 // seed installs the initial working set, partitioned on the workset key
@@ -348,7 +339,6 @@ func (en *incEngine) seed(w []record.Record, labels context.Context) {
 	} else {
 		en.exec.SetPlaceholder(id, w, en.spec.WorksetKey, en.cfg.Parallelism)
 	}
-	en.elements += int64(n)
 	if en.cfg.Metrics != nil {
 		en.cfg.Metrics.WorksetElements.Add(int64(n))
 	}
@@ -384,7 +374,6 @@ func (en *incEngine) step(absStep int, labels context.Context) (stepOutcome, err
 	for _, p := range en.nextParts {
 		count += len(p)
 	}
-	en.elements += int64(count)
 	if en.cfg.Metrics != nil {
 		en.cfg.Metrics.WorksetElements.Add(int64(count))
 	}

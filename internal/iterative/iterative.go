@@ -13,8 +13,8 @@
 //     the record-at-a-time/locality conditions write each delta into S
 //     the moment it is produced, so later working-set elements see it.
 //     This is not a third engine: the incremental engine turns direct
-//     merge on for every admissible Δ, and RunMicrostep only makes the
-//     admissibility check mandatory (microstep.go).
+//     merge on for every admissible Δ, which ValidateMicrostep reports
+//     (microstep.go).
 //
 // As in the paper, the caller picks the iteration form; the optimizer
 // (§4.3) picks plans within it. Every form runs on one superstep driver
@@ -25,8 +25,8 @@
 // only DriveHooks: a Barrier that globalizes per-process workset counts
 // and an OnEpoch callback that coordinates plan swaps across processes —
 // nil hooks mean single-process, where local counts are global. There
-// are five entry points, all thin adapters over that core: RunBulk,
-// RunIncremental and RunMicrostep compute one fixpoint; PlanIncremental
+// are four entry points, all thin adapters over that core: RunBulk and
+// RunIncremental compute one fixpoint; PlanIncremental
 // plus OpenFixpointOn open a resident Fixpoint that later workset deltas
 // warm-restart (resume.go), which is how internal/live maintains views.
 package iterative
@@ -332,15 +332,12 @@ type IncrementalSpec struct {
 	Reoptimize bool
 }
 
-// IncrementalResult is the outcome of an incremental or microstep run.
+// IncrementalResult is the outcome of an incremental run.
 type IncrementalResult struct {
 	// Solution is the converged solution set.
 	Solution []record.Record
 	// Supersteps is the number of executed supersteps.
 	Supersteps int
-	// Microsteps counts the working-set elements consumed (reported by
-	// RunMicrostep only).
-	Microsteps int64
 	// PlanEpochs counts the mid-run re-optimizations that actually swapped
 	// in a new plan (in a distributed run: coordinated plan-epoch bumps).
 	PlanEpochs int
@@ -411,15 +408,11 @@ func (s *IncrementalSpec) worksetFold(phys *optimizer.PhysPlan) *dataflow.Node {
 // RunIncremental executes an incremental iteration in supersteps: each
 // superstep evaluates Δ against the current S and W, then merges D into S
 // with ∪̇ and installs the produced working set for the next superstep.
-// It converges when the working set is empty (§5.3).
+// It converges when the working set is empty (§5.3). It is a cold run: a
+// Fixpoint opened on a fresh solution set, run once and closed. A Δ that
+// meets the §5.2 conditions (ValidateMicrostep) merges its deltas into S
+// as they are produced.
 func RunIncremental(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config) (*IncrementalResult, error) {
-	return runIncremental(spec, initialSolution, initialWorkset, cfg, false)
-}
-
-// runIncremental is the cold run behind RunIncremental and RunMicrostep:
-// a Fixpoint opened on a fresh solution set, run once and closed.
-// requireDirect refuses a Δ that fails the §5.2 conditions.
-func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config, requireDirect bool) (*IncrementalResult, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
@@ -440,19 +433,8 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 		return nil, err
 	}
 	defer f.Close()
-	// Refuse before the O(S) init: an inadmissible spec must not pay it —
-	// or, under a memory budget, leave spill files behind.
-	if requireDirect && f.en.inadmissible != nil {
-		return nil, f.en.inadmissible
-	}
 	sol := f.Solution()
 	sol.Init(initialSolution)
-	if requireDirect && len(initialWorkset) == 0 {
-		// An admissible Δ derives everything from W (condition 3: the
-		// dynamic path is one chain), so an empty working set is already
-		// the fixpoint — no superstep, no workers woken.
-		return &IncrementalResult{Plan: phys, Set: sol, Solution: sol.Snapshot()}, nil
-	}
 	// A run that exhausts its budget still hands back its partial state,
 	// wrapped in ErrNoProgress.
 	out, err := f.Run(initialWorkset)
@@ -465,9 +447,6 @@ func runIncremental(spec IncrementalSpec, initialSolution, initialWorkset []reco
 	if out == nil {
 		sol.Reset() // the set is not handed out: release its spill files
 		return nil, err
-	}
-	if requireDirect {
-		out.Microsteps = f.en.elements
 	}
 	return out, err
 }

@@ -2,6 +2,7 @@ package iterative
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -150,7 +151,11 @@ func TestIncrementalRingPropagation(t *testing.T) {
 
 func TestMicrostepRingPropagation(t *testing.T) {
 	spec, s0, w0 := incrSpec(16)
-	res, err := RunMicrostep(spec, s0, w0, Config{Parallelism: 4})
+	if _, err := ValidateMicrostep(spec); err != nil {
+		t.Fatal(err)
+	}
+	var m metrics.Counters
+	res, err := RunIncremental(spec, s0, w0, Config{Parallelism: 4, Metrics: &m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,20 +164,23 @@ func TestMicrostepRingPropagation(t *testing.T) {
 			t.Fatalf("vertex %d kept %d", r.A, r.B)
 		}
 	}
-	if res.Microsteps < 15 {
-		t.Errorf("microsteps = %d", res.Microsteps)
+	if got := m.Snapshot().WorksetElements; got < 15 {
+		t.Errorf("workset elements = %d", got)
 	}
 }
 
+// TestMicrostepEmptyWorkset: an admissible Δ derives everything from W
+// (condition 3: the dynamic path is one chain), so an empty working set
+// leaves S0 as it is and converges at once.
 func TestMicrostepEmptyWorkset(t *testing.T) {
 	spec, s0, _ := incrSpec(4)
-	res, err := RunMicrostep(spec, s0, nil, Config{Parallelism: 2})
+	res, err := RunIncremental(spec, s0, nil, Config{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Solution) != 4 || res.Microsteps != 0 || res.Supersteps != 0 {
-		t.Errorf("empty workset: %d records, %d microsteps, %d supersteps",
-			len(res.Solution), res.Microsteps, res.Supersteps)
+	sort.Slice(res.Solution, func(i, j int) bool { return res.Solution[i].A < res.Solution[j].A })
+	if !slices.Equal(res.Solution, s0) || res.Supersteps > 1 {
+		t.Errorf("empty workset: %v after %d supersteps, want S0 %v", res.Solution, res.Supersteps, s0)
 	}
 }
 
@@ -306,7 +314,7 @@ func minComparator(a, b record.Record) int {
 // TestMicrostepConstantSideAnyContract: the constant input of the Match
 // is evaluated by the runtime like any other loop-invariant subtree, so
 // an admissible Δ may build it with any contract — here a Reduce over a
-// Union and a Cross over two sources — and must agree with RunIncremental.
+// Union and a Cross over two sources — and still merge its deltas directly.
 func TestMicrostepConstantSideAnyContract(t *testing.T) {
 	const n = 12
 	path := func(plan *dataflow.Plan) (from, to *dataflow.Node) {
@@ -342,24 +350,22 @@ func TestMicrostepConstantSideAnyContract(t *testing.T) {
 	}
 	for name, side := range sides {
 		for _, par := range []int{1, 3} {
-			run := func(f func(IncrementalSpec, []record.Record, []record.Record, Config) (*IncrementalResult, error)) []record.Record {
-				spec, s0 := admissibleSpec(n, minLabel, side)
-				spec.Comparator = minComparator
-				res, err := f(spec, s0, []record.Record{{A: 1, B: 0}}, Config{Parallelism: par})
-				if err != nil {
-					t.Fatalf("%s/p%d: %v", name, par, err)
-				}
-				sort.Slice(res.Solution, func(i, j int) bool { return res.Solution[i].A < res.Solution[j].A })
-				return res.Solution
+			spec, s0 := admissibleSpec(n, minLabel, side)
+			spec.Comparator = minComparator
+			if _, err := ValidateMicrostep(spec); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			micro, inc := run(RunMicrostep), run(RunIncremental)
-			if len(micro) != n {
-				t.Fatalf("%s/p%d: %d records", name, par, len(micro))
+			res, err := RunIncremental(spec, s0, []record.Record{{A: 1, B: 0}}, Config{Parallelism: par})
+			if err != nil {
+				t.Fatalf("%s/p%d: %v", name, par, err)
 			}
-			for i := range micro {
-				if micro[i] != inc[i] || micro[i].B != 0 {
-					t.Fatalf("%s/p%d: vertex %d: microstep %v, incremental %v, want label 0",
-						name, par, i, micro[i], inc[i])
+			sort.Slice(res.Solution, func(i, j int) bool { return res.Solution[i].A < res.Solution[j].A })
+			if len(res.Solution) != n {
+				t.Fatalf("%s/p%d: %d records", name, par, len(res.Solution))
+			}
+			for i, r := range res.Solution {
+				if r.B != 0 {
+					t.Fatalf("%s/p%d: vertex %d: %v, want label 0", name, par, i, r)
 				}
 			}
 		}
@@ -385,7 +391,7 @@ func pingPong() (IncrementalSpec, []record.Record, []record.Record) {
 func TestMicrostepBudgetExhausted(t *testing.T) {
 	spec, s0, w0 := pingPong()
 	spec.MaxSupersteps = 5
-	res, err := RunMicrostep(spec, s0, w0, Config{Parallelism: 2})
+	res, err := RunIncremental(spec, s0, w0, Config{Parallelism: 2})
 	if !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("want ErrNoProgress, got %v", err)
 	}
@@ -400,7 +406,7 @@ func TestMicrostepUDFPanicIsAnError(t *testing.T) {
 	spec, s0 := admissibleSpec(4,
 		func(c, s record.Record, found bool, out dataflow.Emitter) { panic("boom") },
 		func(plan *dataflow.Plan) *dataflow.Node { return plan.SourceOf("E", nil) })
-	_, err := RunMicrostep(spec, s0, []record.Record{{A: 1, B: 0}}, Config{Parallelism: 2})
+	_, err := RunIncremental(spec, s0, []record.Record{{A: 1, B: 0}}, Config{Parallelism: 2})
 	if err == nil || !strings.Contains(err.Error(), "upd") || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want an error naming task upd and the panic, got %v", err)
 	}
@@ -432,7 +438,10 @@ func TestMicrostepWithPreMapStage(t *testing.T) {
 		SolutionKey: record.KeyA, WorksetKey: record.KeyA}
 	s0 := []record.Record{{A: 0, B: 0}, {A: 1, B: 1}, {A: 2, B: 2}, {A: 3, B: 3}}
 	w0 := []record.Record{{A: 1, B: 0}}
-	res, err := RunMicrostep(spec, s0, w0, Config{Parallelism: 2})
+	if _, err := ValidateMicrostep(spec); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunIncremental(spec, s0, w0, Config{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,12 +481,12 @@ func TestIncrementalReoptimizeKeepsResult(t *testing.T) {
 	}
 }
 
-// TestMicrostepTracePerSuperstep: CollectTrace under RunMicrostep yields
+// TestMicrostepTracePerSuperstep: CollectTrace on an admissible Δ yields
 // one IterationStat per superstep, like any incremental run.
 func TestMicrostepTracePerSuperstep(t *testing.T) {
 	spec, s0, w0 := incrSpec(64)
 	var m metrics.Counters
-	res, err := RunMicrostep(spec, s0, w0, Config{Parallelism: 2, Metrics: &m, CollectTrace: true})
+	res, err := RunIncremental(spec, s0, w0, Config{Parallelism: 2, Metrics: &m, CollectTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +496,7 @@ func TestMicrostepTracePerSuperstep(t *testing.T) {
 	if got := len(res.Trace.Iterations); got != res.Supersteps || got == 0 {
 		t.Fatalf("trace has %d iterations for %d supersteps", got, res.Supersteps)
 	}
-	if got := m.Snapshot().WorksetElements; got != res.Microsteps {
-		t.Errorf("WorksetElements = %d, Microsteps = %d", got, res.Microsteps)
+	if got := m.Snapshot().WorksetElements; got < int64(res.Supersteps) {
+		t.Errorf("WorksetElements = %d over %d supersteps", got, res.Supersteps)
 	}
 }

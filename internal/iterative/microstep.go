@@ -14,8 +14,8 @@ import (
 // of the same superstep already see it and redundant candidates die at the
 // source. That is what the runtime session does whenever the conditions
 // hold (Executor.DirectMerge), for every entry point — so a microstep run
-// is not a second engine: RunMicrostep is the incremental engine with the
-// admissibility check made mandatory.
+// is not a second engine: it is RunIncremental on an admissible Δ, and a
+// caller that needs the microstep behaviour checks ValidateMicrostep first.
 //
 // The §5.2 admissibility conditions enforced by ValidateMicrostep:
 //
@@ -109,13 +109,4 @@ func ValidateMicrostep(spec IncrementalSpec) ([]*dataflow.Node, error) {
 		return nil, fmt.Errorf("iterative: dynamic path has no solution-set operator")
 	}
 	return path, nil
-}
-
-// RunMicrostep executes an incremental iteration whose Δ must satisfy the
-// §5.2 conditions: an inadmissible spec is refused with ValidateMicrostep's
-// error before the solution set is loaded, an admissible one runs on the
-// incremental engine with deltas merged into S as they are produced. The
-// result's Microsteps counts the working-set elements consumed.
-func RunMicrostep(spec IncrementalSpec, initialSolution, initialWorkset []record.Record, cfg Config) (*IncrementalResult, error) {
-	return runIncremental(spec, initialSolution, initialWorkset, cfg, true)
 }

@@ -156,7 +156,7 @@ func TestResumeIncrementalValidation(t *testing.T) {
 // TestResumeMicrostep converges CC on a graph missing one bridge edge,
 // then finishes over the full graph with only the bridge's candidates on
 // the Match variant, whose Δ merges directly — the warm restart of an
-// admissible spec. An inadmissible spec is refused by RunMicrostep.
+// admissible spec. ValidateMicrostep refuses an inadmissible spec.
 func TestResumeMicrostep(t *testing.T) {
 	full := graphgen.Uniform("micro-resume", 80, 160, 0x30B)
 	bridge := graphgen.Edge{Src: 3, Dst: 77}
@@ -197,8 +197,8 @@ func TestResumeMicrostep(t *testing.T) {
 		t.Error("partition mismatch accepted")
 	}
 	// The CoGroup variant is not admissible: refused.
-	cg, s0, w0 := algorithms.CCIncrementalSpec(full, algorithms.CCCoGroup)
-	if _, err := iterative.RunMicrostep(cg, s0, w0, cfg); err == nil ||
+	cg, _, _ := algorithms.CCIncrementalSpec(full, algorithms.CCCoGroup)
+	if _, err := iterative.ValidateMicrostep(cg); err == nil ||
 		!strings.Contains(err.Error(), "group-at-a-time") {
 		t.Errorf("inadmissible spec: %v, want the §5.2 rejection", err)
 	}

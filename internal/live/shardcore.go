@@ -524,10 +524,14 @@ func (c *shardCore) settle(full bool, region []int64) ([]record.Record, error) {
 		}
 		c.stats.PartialRecomputes++
 	}
+	var fresh []record.Record
 	for _, nv := range c.newVerts {
 		if r, ok := c.m.VertexRecord(nv); ok && c.ownsKey(c.spec.SolutionKey(r)) {
-			c.sol.Update(r)
+			fresh = append(fresh, r)
 		}
+	}
+	if len(fresh) > 0 {
+		c.sol.MergeDelta(fresh)
 	}
 	return nil, nil
 }
@@ -735,12 +739,26 @@ func (c *shardCore) gather(round int) []record.Record {
 	return out
 }
 
-// gatherRound runs one round's gather verb: own-keyed candidates stay
-// here in pending, the rest come back for the coordinator to route.
+// gatherRound runs one round's gather verb in one pass over the
+// candidates, routing each the way splitByHost does: a candidate whose
+// solution or workset partition this host owns stays here in pending, and
+// one that another host owns comes back for the coordinator to route (a
+// candidate can do both). The reply reuses the candidates' array.
 func (c *shardCore) gatherRound(round int) []record.Record {
-	shares := c.splitByHost(nil, c.gather(round))
-	c.pending, shares[c.host] = shares[c.host], nil
-	return slices.Concat(shares...)
+	cands := c.gather(round)
+	remote := cands[:0]
+	c.pending = c.pending[:0]
+	for _, r := range cands {
+		hs := c.place[c.sol.PartitionFor(c.spec.SolutionKey(r))]
+		hw := c.place[record.PartitionOf(c.spec.WorksetKey(r), c.cfg.Parallelism)]
+		if hs == c.host || hw == c.host {
+			c.pending = append(c.pending, r)
+		}
+		if hs != c.host || hw != c.host {
+			remote = append(remote, r)
+		}
+	}
+	return remote
 }
 
 // seedRound runs one round's seed verb: the candidates routed here are
@@ -758,7 +776,7 @@ func (c *shardCore) seedRound(routed []record.Record) (workset []record.Record, 
 		}
 	}
 	workset = c.collapseCandidates(append(ws, c.pending...))
-	c.pending = nil
+	c.pending = c.pending[:0]
 	for _, r := range workset {
 		if c.ownsKey(c.spec.SolutionKey(r)) {
 			improving++

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/record"
@@ -14,10 +13,12 @@ import (
 // record index split into partitions by record.PartitionOf. The backend
 // stores and retrieves records; key extraction, comparator arbitration and
 // partition routing stay in SolutionSet. Implementations must allow
-// concurrent calls on *distinct* partitions; SolutionSet serializes all
-// access within one partition through its sharded locks, so a backend only
-// needs internal synchronization for state shared across partitions (the
-// spill backend's residency accounting, for example).
+// concurrent calls on *distinct* partitions, and concurrent reads (Lookup,
+// Len, Each, Bytes) of one partition nobody writes: a partition has one
+// owner (see SolutionSet), so a backend needs internal synchronization
+// only for state shared across partitions (the spill backend's residency
+// accounting and eviction, for example). Bytes may read every partition,
+// so it is called only when nothing writes the set.
 type SolutionBackend interface {
 	// Lookup probes partition part for key k.
 	Lookup(part int, k int64) (record.Record, bool)
@@ -112,7 +113,6 @@ func (c *compactIndex) bytes() int64 {
 // compactBackend is one compactIndex per partition.
 type compactBackend struct {
 	parts []compactIndex
-	bytes atomic.Int64
 }
 
 func newCompactBackend(parallelism int) *compactBackend {
@@ -123,19 +123,9 @@ func (b *compactBackend) Lookup(part int, k int64) (record.Record, bool) {
 	return b.parts[part].lookup(k)
 }
 
-func (b *compactBackend) Store(part int, k int64, r record.Record) {
-	if b.parts[part].store(k, r) {
-		b.bytes.Add(record.EncodedSize)
-	}
-}
+func (b *compactBackend) Store(part int, k int64, r record.Record) { b.parts[part].store(k, r) }
 
-func (b *compactBackend) Delete(part int, k int64) bool {
-	if !b.parts[part].delete(k) {
-		return false
-	}
-	b.bytes.Add(-record.EncodedSize)
-	return true
-}
+func (b *compactBackend) Delete(part int, k int64) bool { return b.parts[part].delete(k) }
 
 func (b *compactBackend) Len(part int) int { return len(b.parts[part].recs) }
 
@@ -149,10 +139,15 @@ func (b *compactBackend) Reset() {
 	for i := range b.parts {
 		b.parts[i].reset()
 	}
-	b.bytes.Store(0)
 }
 
-func (b *compactBackend) Bytes() int64 { return b.bytes.Load() }
+func (b *compactBackend) Bytes() int64 {
+	var n int64
+	for i := range b.parts {
+		n += b.parts[i].bytes()
+	}
+	return n
+}
 
 // Reserve pre-sizes one partition's slabs for n records (bulk Init).
 func (b *compactBackend) Reserve(part, n int) { b.parts[part].reserve(n) }

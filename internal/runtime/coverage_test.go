@@ -277,10 +277,10 @@ func TestSolutionSetAccessors(t *testing.T) {
 	if s.Parallelism() != 3 {
 		t.Error("parallelism accessor")
 	}
-	if !s.Update(record.Record{A: 1, B: 1}) {
+	if !update(s, record.Record{A: 1, B: 1}) {
 		t.Error("insert should report change")
 	}
-	if s.Update(record.Record{A: 1, B: 1}) {
+	if update(s, record.Record{A: 1, B: 1}) {
 		t.Error("identical update should report no change")
 	}
 	s0 := NewSolutionSet(0, record.KeyA, nil, nil)

@@ -33,3 +33,13 @@ func Idle(p *optimizer.PhysPlan, n *optimizer.PhysNode) bool {
 	}
 	return read
 }
+
+// OwnerError is the typed failure of a direct-merge delta keyed to another
+// partition. Tests only.
+type OwnerError = ownerError
+
+// Fields returns what e names: the solution operator, the delta's key, the
+// partition whose task emitted it and the partition that owns the key.
+func (e *ownerError) Fields() (node string, key int64, part, owner int) {
+	return e.node, e.key, e.part, e.owner
+}

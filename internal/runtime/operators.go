@@ -59,11 +59,10 @@ func (t *task) flushCounters() {
 			t.m.UDFInvocations.Add(t.udfs)
 		}
 		if t.solAccesses != 0 {
-			// A probe can reload a spilled partition and an update can grow
-			// one: refresh the gauge wherever the solution set was touched.
+			// The bytes gauge is the driver's: it publishes it after the
+			// merge, when no task writes the set.
 			t.m.SolutionAccesses.Add(t.solAccesses)
 			t.m.SolutionUpdates.Add(t.solUpdates)
-			t.e.Solution.publishBytes()
 		}
 	}
 	t.udfs, t.solAccesses, t.solUpdates = 0, 0, 0
@@ -147,16 +146,27 @@ type emitCollector struct{ buf *[]record.Record }
 
 func (c emitCollector) Emit(r record.Record) { *c.buf = append(*c.buf, r) }
 
-// directMergeEmitter applies each emitted delta to the solution set at
-// once and forwards only records that actually advanced the solution.
+// directMergeEmitter applies each emitted delta to the task's own
+// solution partition at once and forwards only records that actually
+// advanced the solution. A delta keyed to another partition stops the
+// merge: err names it, and the task fails with it.
 type directMergeEmitter struct {
 	t    *task
 	sol  *SolutionSet
 	next dataflow.Emitter
+	err  error
 }
 
-func (em directMergeEmitter) Emit(r record.Record) {
-	if em.sol.put(r) {
+func (em *directMergeEmitter) Emit(r record.Record) {
+	if em.err != nil {
+		return
+	}
+	k := em.sol.key(r)
+	if owner := em.sol.PartitionFor(k); owner != em.t.part {
+		em.err = &ownerError{node: em.t.n.Logical.Name, key: k, part: em.t.part, owner: owner}
+		return
+	}
+	if em.sol.put(em.t.part, k, r) {
 		em.t.solUpdates++
 		em.next.Emit(r)
 	}
@@ -319,20 +329,25 @@ func (t *task) runOp(out dataflow.Emitter) error {
 			return fmt.Errorf("solution join %q outside an incremental iteration", l.Name)
 		}
 		var emit dataflow.Emitter = out
+		var direct *directMergeEmitter
 		if t.e.DirectMerge {
 			// §5.3: under the locality conditions the delta records merge
 			// into S immediately (Figure 6 writes the Match output back to
 			// the hash table), so later working-set elements in the same
 			// superstep observe the update and redundant candidates die
 			// here instead of flooding the next working set.
-			emit = directMergeEmitter{t: t, sol: sol, next: out}
+			direct = &directMergeEmitter{t: t, sol: sol, next: out}
+			emit = direct
 		}
 		t.stream(0, func(r record.Record) {
-			s, found := sol.lookup(t.part, l.Keys[0](r))
+			s, found := sol.backend.Lookup(t.part, l.Keys[0](r))
 			t.solAccesses++
 			t.udf()
 			l.SolJoin(r, s, found, emit)
 		})
+		if direct != nil {
+			return direct.err
+		}
 		return nil
 
 	case dataflow.SolutionCoGroup:
@@ -342,7 +357,7 @@ func (t *task) runOp(out dataflow.Emitter) error {
 		}
 		groups := t.buildTable(0, l.Keys[0])
 		groups.each(func(k int64, g []record.Record) {
-			s, found := sol.lookup(t.part, k)
+			s, found := sol.backend.Lookup(t.part, k)
 			t.solAccesses++
 			t.udf()
 			l.SolCoGroup(k, g, s, found, out)

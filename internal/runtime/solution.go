@@ -37,9 +37,9 @@
 // and the share of each borrowed Source whose cache is still to fill)
 // number fewer than serialLaneRecords, the crossover
 // BenchmarkSuperstepLanes measures. Work counters are tallied
-// per task and published at task end, and the solution set's partition
-// locks, each writer and its batch buffers sit on cache lines of their
-// own, so neither lane touches a shared cache line per record.
+// per task and published at task end, each writer and its batch buffers
+// sit on cache lines of their own, and a solution partition has one owner
+// and no lock, so neither lane touches a shared cache line per record.
 //
 // Fused operator chains (optimizer.PhysNode.FusedChain) execute inside
 // the head operator's emitter: each emitted record flows through the
@@ -64,8 +64,8 @@
 package runtime
 
 import (
+	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/record"
@@ -77,26 +77,36 @@ import (
 // merged with the ∪̇ operator, optionally arbitrated by a comparator that
 // keeps the CPO-successor record.
 //
-// Every partition is guarded by its own sharded lock, so concurrent
-// updates — the microstep Update path and DirectMerge superstep emitters —
-// are safe even when a record's key routes it to a partition other than
-// the calling worker's (partition pinning is the common case, not a
-// correctness requirement). Each lock sits alone on a 64-B cache line, so
-// the per-record Lock/Unlock of one partition's task does not invalidate
-// the line its sibling partition locks.
+// Every partition has one owner at a time, and no lock. During a
+// superstep only partition p's solution task touches partition p: its
+// SolutionJoin/CoGroup lookups and, under direct merge, its puts — the
+// §5.2 locality condition keeps k(s), so every delta of p's task is p's
+// (a delta that is not fails the run, see ownerError). Between supersteps
+// only the driver touches the set, or whoever holds the view's lock;
+// concurrent readers (lookups, Size, Bytes, EachPartition) may share it
+// when nothing writes. The spill backend keeps its own mutex, because its
+// eviction crosses partitions.
 type SolutionSet struct {
 	backend SolutionBackend
-	locks   []paddedMutex
 	par     int
 	key     record.KeyFunc
 	cmp     record.Comparator
 	m       *metrics.Counters
 }
 
-// paddedMutex is a mutex padded to a whole cache line.
-type paddedMutex struct {
-	sync.Mutex
-	_ [56]byte
+// ownerError is the failure of a direct-merge superstep whose solution
+// operator emitted a delta keyed to another partition: the operator
+// declared k(s) preserved (§5.2 condition 4) but changed it, so the
+// delta's partition has another owner.
+type ownerError struct {
+	node        string
+	key         int64
+	part, owner int
+}
+
+func (e *ownerError) Error() string {
+	return fmt.Sprintf("runtime: solution operator %q in partition %d emitted key %d, which partition %d owns: "+
+		"a direct-merge Δ must keep k(s) (§5.2)", e.node, e.part, e.key, e.owner)
 }
 
 // NewSolutionSet creates an empty solution set with the given partition
@@ -115,7 +125,6 @@ func NewSolutionSetWith(parallelism int, key record.KeyFunc, cmp record.Comparat
 	parallelism = max(parallelism, 1)
 	return &SolutionSet{
 		backend: newSolutionBackend(parallelism, key, m, budget),
-		locks:   make([]paddedMutex, parallelism),
 		par:     parallelism,
 		key:     key,
 		cmp:     cmp,
@@ -138,36 +147,26 @@ func (s *SolutionSet) Init(recs []record.Record) {
 		}
 	}
 	for p, part := range s.group(recs) {
-		s.locks[p].Lock()
 		for _, r := range part {
 			s.backend.Store(p, s.key(r), r)
 		}
-		s.locks[p].Unlock()
 	}
 	s.publishBytes()
 }
 
 // Lookup probes partition part for key k. It counts a solution access.
-// (Superstep tasks use lookup and count in their own tally instead.)
+// (Superstep tasks probe the backend and count in their own tally instead.)
 func (s *SolutionSet) Lookup(part int, k int64) (record.Record, bool) {
 	if s.m != nil {
 		s.m.SolutionAccesses.Add(1)
 	}
-	return s.lookup(part, k)
+	return s.backend.Lookup(part, k)
 }
 
-func (s *SolutionSet) lookup(part int, k int64) (record.Record, bool) {
-	s.locks[part].Lock()
-	r, ok := s.backend.Lookup(part, k)
-	s.locks[part].Unlock()
-	return r, ok
-}
-
-// putLocked writes r under key k into partition part, honoring the
+// put writes r under key k into partition part, which owns k, honoring the
 // comparator: the CPO-larger record wins (§5.1). It reports whether the
-// stored record changed; counting the update is the caller's job. The
-// caller holds the partition's lock.
-func (s *SolutionSet) putLocked(part int, k int64, r record.Record) bool {
+// stored record changed; counting the update is the caller's job.
+func (s *SolutionSet) put(part int, k int64, r record.Record) bool {
 	old, exists := s.backend.Lookup(part, k)
 	if exists && s.cmp != nil && s.cmp(r, old) <= 0 {
 		return false // the existing record is the successor state; drop r
@@ -177,16 +176,6 @@ func (s *SolutionSet) putLocked(part int, k int64, r record.Record) bool {
 	}
 	s.backend.Store(part, k, r)
 	return true
-}
-
-// put is putLocked for a single record, taking the partition lock.
-func (s *SolutionSet) put(r record.Record) bool {
-	k := s.key(r)
-	part := record.PartitionOf(k, s.par)
-	s.locks[part].Lock()
-	changed := s.putLocked(part, k, r)
-	s.locks[part].Unlock()
-	return changed
 }
 
 // noteUpdates counts n applied updates and refreshes the bytes gauge.
@@ -210,7 +199,7 @@ func (s *SolutionSet) publishBytes() {
 // that actually changed the solution.
 //
 // The delta is applied partition-grouped: each partition is visited once,
-// under one lock acquisition, with all of its updates. For the spill
+// with all of its updates. For the spill
 // backend this is the difference between one reload per partition per
 // superstep and one reload per record — a partition-interleaved merge
 // under a tight budget would otherwise thrash the eviction path. Parts
@@ -225,13 +214,11 @@ func (s *SolutionSet) MergeDelta(parts ...[]record.Record) int {
 		if len(part) == 0 {
 			continue
 		}
-		s.locks[p].Lock()
 		for _, r := range part {
-			if s.putLocked(p, s.key(r), r) {
+			if s.put(p, s.key(r), r) {
 				changed++
 			}
 		}
-		s.locks[p].Unlock()
 	}
 	s.noteUpdates(changed)
 	return changed
@@ -279,21 +266,6 @@ func (s *SolutionSet) group(recs []record.Record) [][]record.Record {
 	return parts
 }
 
-// Update applies a single delta record immediately (microstep execution,
-// §5.2: the partial solution reflects the modification when the next
-// element is processed). It reports whether the solution changed.
-func (s *SolutionSet) Update(r record.Record) bool {
-	changed := s.put(r)
-	if changed && s.m != nil {
-		s.m.SolutionUpdates.Add(1)
-	}
-	// Refresh the gauge even when the record was rejected: for the spill
-	// backend, the probe itself can reload a partition and evict others,
-	// changing residency.
-	s.publishBytes()
-	return changed
-}
-
 // ForceStore overwrites the entry under r's key unconditionally, bypassing
 // the comparator. Live maintenance needs it for bounded recomputes after
 // deletions: the affected entries must be movable to a CPO-*smaller* state
@@ -301,10 +273,7 @@ func (s *SolutionSet) Update(r record.Record) bool {
 // put would reject as a regression.
 func (s *SolutionSet) ForceStore(r record.Record) {
 	k := s.key(r)
-	part := record.PartitionOf(k, s.par)
-	s.locks[part].Lock()
-	s.backend.Store(part, k, r)
-	s.locks[part].Unlock()
+	s.backend.Store(record.PartitionOf(k, s.par), k, r)
 	if s.m != nil {
 		s.m.SolutionUpdates.Add(1)
 	}
@@ -316,10 +285,7 @@ func (s *SolutionSet) ForceStore(r record.Record) {
 // recompute retracts state that no longer holds (e.g. a vertex made
 // unreachable by an edge deletion).
 func (s *SolutionSet) Delete(k int64) bool {
-	part := record.PartitionOf(k, s.par)
-	s.locks[part].Lock()
-	ok := s.backend.Delete(part, k)
-	s.locks[part].Unlock()
+	ok := s.backend.Delete(record.PartitionOf(k, s.par), k)
 	s.publishBytes()
 	return ok
 }
@@ -328,9 +294,7 @@ func (s *SolutionSet) Delete(k int64) bool {
 func (s *SolutionSet) Size() int {
 	n := 0
 	for p := 0; p < s.par; p++ {
-		s.locks[p].Lock()
 		n += s.backend.Len(p)
-		s.locks[p].Unlock()
 	}
 	return n
 }
@@ -340,37 +304,27 @@ func (s *SolutionSet) Size() int {
 func (s *SolutionSet) Snapshot() []record.Record {
 	out := make([]record.Record, 0, s.Size())
 	for p := 0; p < s.par; p++ {
-		s.locks[p].Lock()
 		s.backend.Each(p, func(r record.Record) { out = append(out, r) })
-		s.locks[p].Unlock()
 	}
 	return out
 }
 
-// EachPartition visits every record of one partition under its lock,
-// without materializing a copy. Snapshot writers iterate partitions in
-// ascending order through it: the partition boundary is a natural point
-// to flush a frame and check for write errors, and only one partition's
-// lock is ever held — a spilled partition streams from disk without
-// being forced resident, so a full-solution snapshot never needs the
-// whole set in memory. The callback must not call back into the set.
+// EachPartition visits every record of one partition without
+// materializing a copy. Snapshot writers iterate partitions in ascending
+// order through it: the partition boundary is a natural point to flush a
+// frame and check for write errors, and a spilled partition streams from
+// disk without being forced resident, so a full-solution snapshot never
+// needs the whole set in memory. The callback must not call back into the
+// set.
 func (s *SolutionSet) EachPartition(part int, f func(record.Record)) {
-	s.locks[part].Lock()
 	s.backend.Each(part, f)
-	s.locks[part].Unlock()
 }
 
 // Reset empties the solution set for a new generation, retaining backend
 // capacity (compact slabs, map buckets) so steady-state reuse across runs
 // on one session avoids reallocation. Spill files are deleted.
 func (s *SolutionSet) Reset() {
-	for p := 0; p < s.par; p++ {
-		s.locks[p].Lock()
-	}
 	s.backend.Reset()
-	for p := s.par - 1; p >= 0; p-- {
-		s.locks[p].Unlock()
-	}
 	s.publishBytes()
 }
 

@@ -8,6 +8,9 @@ import (
 	"repro/internal/record"
 )
 
+// update merges the single record r, reporting whether it changed the set.
+func update(s *SolutionSet, r record.Record) bool { return s.MergeDelta([]record.Record{r}) == 1 }
+
 var backendKinds = []struct {
 	name   string
 	budget int64
@@ -32,7 +35,7 @@ func TestSolutionBackendsAgree(t *testing.T) {
 			t.Cleanup(s.Reset)
 			model := make(map[int64]record.Record)
 			for _, r := range recs {
-				s.Update(r)
+				update(s, r)
 				model[r.A] = r
 			}
 			if s.Size() != len(model) {
@@ -134,7 +137,7 @@ func TestSolutionSpillResidencyBounded(t *testing.T) {
 	s := NewSolutionSetWith(8, record.KeyA, nil, nil, budget)
 	t.Cleanup(s.Reset)
 	for i := int64(0); i < 4000; i++ {
-		s.Update(record.Record{A: i, B: i})
+		update(s, record.Record{A: i, B: i})
 	}
 	// Everything except the most recently touched partition fits under the
 	// budget; one partition of ~500 records may still be resident.
@@ -155,7 +158,7 @@ func TestSolutionResetReusesCapacity(t *testing.T) {
 		t.Run(bk.name, func(t *testing.T) {
 			s := NewSolutionSetWith(2, record.KeyA, nil, nil, bk.budget)
 			for i := int64(0); i < 300; i++ {
-				s.Update(record.Record{A: i})
+				update(s, record.Record{A: i})
 			}
 			var files []string
 			if sb, ok := s.backend.(*spillBackend); ok {
@@ -174,7 +177,7 @@ func TestSolutionResetReusesCapacity(t *testing.T) {
 					t.Errorf("spill file %s survived Reset", p)
 				}
 			}
-			s.Update(record.Record{A: 7, B: 9})
+			update(s, record.Record{A: 7, B: 9})
 			if r, ok := s.Lookup(s.PartitionFor(7), 7); !ok || r.B != 9 {
 				t.Fatalf("post-Reset lookup = %v,%v", r, ok)
 			}
@@ -225,7 +228,7 @@ func TestSolutionBackendsDelete(t *testing.T) {
 			model := make(map[int64]record.Record)
 			for i := int64(0); i < 400; i++ {
 				r := record.Record{A: i, B: i * 2}
-				s.Update(r)
+				update(s, r)
 				model[i] = r
 			}
 			// Delete every third key, then a missing key.
@@ -241,7 +244,7 @@ func TestSolutionBackendsDelete(t *testing.T) {
 			// Re-insert a slice of the deleted range (tombstone reuse).
 			for i := int64(0); i < 120; i += 3 {
 				r := record.Record{A: i, B: -i}
-				s.Update(r)
+				update(s, r)
 				model[i] = r
 			}
 			if s.Size() != len(model) {
@@ -262,7 +265,7 @@ func TestSolutionBackendsDelete(t *testing.T) {
 }
 
 // TestSolutionForceStoreBypassesComparator checks that ForceStore can move
-// an entry to a CPO-smaller state that Update would reject — the operation
+// an entry to a CPO-smaller state that a merge would reject — the operation
 // bounded recomputes rely on.
 func TestSolutionForceStoreBypassesComparator(t *testing.T) {
 	minB := func(a, b record.Record) int { // smaller B is the successor
@@ -277,9 +280,9 @@ func TestSolutionForceStoreBypassesComparator(t *testing.T) {
 	for _, bk := range backendKinds {
 		t.Run(bk.name, func(t *testing.T) {
 			s := NewSolutionSetWith(2, record.KeyA, minB, nil, bk.budget)
-			s.Update(record.Record{A: 1, B: 5})
-			if s.Update(record.Record{A: 1, B: 9}) {
-				t.Fatal("Update regression was accepted")
+			update(s, record.Record{A: 1, B: 5})
+			if update(s, record.Record{A: 1, B: 9}) {
+				t.Fatal("a merged regression was accepted")
 			}
 			s.ForceStore(record.Record{A: 1, B: 9})
 			if r, _ := s.Lookup(s.PartitionFor(1), 1); r.B != 9 {

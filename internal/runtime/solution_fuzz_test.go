@@ -55,8 +55,8 @@ func FuzzSolutionBackend(f *testing.F) {
 				model[r.A] = r
 			}
 			for i, s := range sets {
-				if got := s.Update(r); got != changed {
-					t.Fatalf("backend %d: Update(%v) = %v, want %v", i, r, got, changed)
+				if got := update(s, r); got != changed {
+					t.Fatalf("backend %d: update(%v) = %v, want %v", i, r, got, changed)
 				}
 			}
 		}

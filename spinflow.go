@@ -30,13 +30,14 @@
 // merging deltas with the ∪̇ operator. When Δ meets the §5.2 microstep
 // conditions (ValidateMicrostep) the engine writes each delta into the
 // solution set the moment it is produced, so later working-set elements
-// see it; RunMicrostep is the same run with that check made mandatory.
+// see it; a caller that needs that behaviour checks ValidateMicrostep
+// before it runs.
 //
 // # Choosing an engine
 //
-// As in the paper, the caller picks the iteration form — RunBulk,
-// RunIncremental or RunMicrostep — and the optimizer picks the physical
-// plan within it. All three entry points are thin adapters over one
+// As in the paper, the caller picks the iteration form — RunBulk or
+// RunIncremental — and the optimizer picks the physical plan within it.
+// Both entry points are thin adapters over one
 // superstep driver (internal/iterative/driver.go) that owns the
 // iteration lifecycle — convergence, mid-run re-optimization,
 // telemetry — once; engines supply only step
@@ -66,7 +67,11 @@
 // generations. With a budget the same index evicts least-recently-used
 // solution partitions to disk through the batch codec and reloads them on
 // access — §4.3's gradual spilling applied to iteration state, so graphs
-// whose converged state exceeds RAM still run to the same fixpoint. The
+// whose converged state exceeds RAM still run to the same fixpoint. A
+// partition has one owner at a time and no lock: during a superstep its
+// own task (§5.2 keeps every delta in its key's partition, and a delta
+// that leaves it fails the run), between supersteps the driver. Only the
+// spill backend's cross-partition eviction takes a mutex. The
 // metrics SolutionBytes (resident gauge), SolutionSpills and
 // SolutionReloads make residency observable; results are identical with
 // and without a budget (enforced by the cross-engine differential suite in
@@ -188,20 +193,13 @@ func RunIncremental(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*Increme
 	return iterative.RunIncremental(spec, s0, w0, cfg)
 }
 
-// RunMicrostep executes an incremental iteration that must meet the §5.2
-// microstep conditions (it is refused otherwise): deltas merge into the
-// solution set as they are produced. Microsteps in the result counts the
-// working-set elements consumed.
-func RunMicrostep(spec IncrementalSpec, s0, w0 []Record, cfg Config) (*IncrementalResult, error) {
-	return iterative.RunMicrostep(spec, s0, w0, cfg)
-}
-
 // SolutionSet is the resident state of an incremental iteration, handed
 // back by IncrementalResult.Set after a run.
 type SolutionSet = runtime.SolutionSet
 
 // ValidateMicrostep checks the §5.2 microstep admissibility conditions
-// without running the iteration.
+// without running the iteration. RunIncremental merges the deltas of a Δ
+// it admits into the solution set as they are produced.
 func ValidateMicrostep(spec IncrementalSpec) ([]*Node, error) {
 	return iterative.ValidateMicrostep(spec)
 }

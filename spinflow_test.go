@@ -71,24 +71,19 @@ func TestPublicIncrementalIteration(t *testing.T) {
 	if _, err := ValidateMicrostep(spec); err != nil {
 		t.Fatalf("spec should be microstep-admissible: %v", err)
 	}
-	for name, run := range map[string]func() (*IncrementalResult, error){
-		"supersteps": func() (*IncrementalResult, error) { return RunIncremental(spec, s0, w0, Config{Parallelism: 2}) },
-		"microsteps": func() (*IncrementalResult, error) { return RunMicrostep(spec, s0, w0, Config{Parallelism: 2}) },
-	} {
-		res, err := run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(res.Solution) != len(s0) {
-			t.Fatalf("%s: solution %v, want one record per key of s0", name, res.Solution)
-		}
-		got := map[int64]int64{}
-		for _, r := range res.Solution {
-			got[r.A] = r.B
-		}
-		if got[1] != 0 || got[2] != 0 {
-			t.Fatalf("%s: propagation failed: %v", name, got)
-		}
+	res, err := RunIncremental(spec, s0, w0, Config{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Solution) != len(s0) {
+		t.Fatalf("solution %v, want one record per key of s0", res.Solution)
+	}
+	got := map[int64]int64{}
+	for _, r := range res.Solution {
+		got[r.A] = r.B
+	}
+	if got[1] != 0 || got[2] != 0 {
+		t.Fatalf("propagation failed: %v", got)
 	}
 }
 
